@@ -1,17 +1,16 @@
 /**
  * @file
- * Ablation: the host execution-engine trajectory — reference
- * per-instruction decode, predecoded-block cache, and chained
- * superblocks.
+ * Ablation: the host execution engines — reference per-instruction
+ * decode vs chained superblocks over the decode cache.
  *
  * Runs interpreter-bound kernels — straight-line, tight loop, and a
- * memory-touching loop — plus one full-system workload, each under all
- * three engines, and reports:
+ * memory-touching loop — plus one full-system workload, each under
+ * both engines, and reports:
  *
  *  - host throughput (retired guest instructions per host second) per
- *    engine and the cache/ref and superblock/cache speedup ratios, and
+ *    engine and the superblock/ref speedup ratio, and
  *  - a model check: simulated cycles, retired counts, and final ticks
- *    must be bit-identical across the three engines (an engine is a
+ *    must be bit-identical across the engines (an engine is a
  *    host-side optimization only). Any divergence fails the run.
  *
  * Results are also written to BENCH_decode_cache.json so CI keeps a
@@ -32,17 +31,15 @@ using namespace misp::bench;
 
 namespace {
 
-const cpu::Engine kEngines[3] = {cpu::Engine::Reference,
-                                 cpu::Engine::Cache,
+const cpu::Engine kEngines[2] = {cpu::Engine::Reference,
                                  cpu::Engine::Superblock};
 
 struct KernelResult {
     std::string name;
-    Tick simCycles[3] = {0, 0, 0};
-    std::uint64_t retired[3] = {0, 0, 0};
-    double mips[3] = {0.0, 0.0, 0.0};
-    double cacheSpeedup = 0.0; ///< cache vs ref
-    double sbSpeedup = 0.0;    ///< superblock vs cache
+    Tick simCycles[2] = {0, 0};
+    std::uint64_t retired[2] = {0, 0};
+    double mips[2] = {0.0, 0.0};
+    double sbSpeedup = 0.0; ///< superblock vs ref
     bool identical = false;
 };
 
@@ -134,28 +131,24 @@ compareKernel(const std::string &name, const std::string &src,
     // Interleave the engines within each rep and keep the best host
     // time per engine: slow drift in background load then hits every
     // engine alike instead of biasing whichever leg ran last.
-    Measured last[3];
-    double best[3] = {1e30, 1e30, 1e30};
+    Measured last[2];
+    double best[2] = {1e30, 1e30};
     for (unsigned i = 0; i < reps; ++i) {
-        for (unsigned e = 0; e < 3; ++e) {
+        for (unsigned e = 0; e < 2; ++e) {
             Measured m = runKernel(src, kEngines[e]);
             last[e] = m;
             best[e] = std::min(best[e], m.seconds);
         }
     }
-    for (unsigned e = 0; e < 3; ++e) {
+    for (unsigned e = 0; e < 2; ++e) {
         r.simCycles[e] = last[e].busyCycles;
         r.retired[e] = last[e].retired;
         r.mips[e] = last[e].retired / best[e] / 1e6;
     }
     r.identical = last[0].ticks == last[1].ticks &&
-                  last[0].ticks == last[2].ticks &&
                   last[0].busyCycles == last[1].busyCycles &&
-                  last[0].busyCycles == last[2].busyCycles &&
-                  last[0].retired == last[1].retired &&
-                  last[0].retired == last[2].retired;
-    r.cacheSpeedup = r.mips[1] / r.mips[0];
-    r.sbSpeedup = r.mips[2] / r.mips[1];
+                  last[0].retired == last[1].retired;
+    r.sbSpeedup = r.mips[1] / r.mips[0];
     return r;
 }
 
@@ -170,7 +163,7 @@ main(int argc, char **argv)
     const unsigned reps = quick ? 2 : 3;
 
     printHeader("Ablation: host execution engines "
-                "(ref -> decode cache -> chained superblocks)");
+                "(ref vs chained superblocks)");
 
     std::vector<KernelResult> results;
     results.push_back(compareKernel(
@@ -180,54 +173,45 @@ main(int argc, char **argv)
     results.push_back(
         compareKernel("mem_loop", memLoopSrc(30'000 * scale), reps));
 
-    // Full-system check: one Figure-4 workload end to end under every
-    // engine — the machine triple lives in the spec, whose [report]
+    // Full-system check: one Figure-4 workload end to end under both
+    // engines — the machine pair lives in the spec, whose [report]
     // asserts also pin the bit-identity contract.
     driver::Scenario sc;
     std::vector<driver::PointResult> grid;
     driver::RunnerOptions opts;
-    // Deliberately NOT honoring --engine/--no-decode-cache here: the
-    // spec's machine triple pins one engine per leg, and the global
-    // override would silently collapse the A/B/C onto one engine.
+    // Deliberately NOT honoring --engine here: the spec's machine pair
+    // pins one engine per leg, and the global override would silently
+    // collapse the A/B onto one engine.
     if (!driver::runScenarioByName("ablation_decode_cache.scn", argv[0],
                                    quick, opts, "ablation_decode_cache",
                                    &sc, &grid))
         return 1;
     bool fullIdentical = false;
     {
-        const driver::PointResult *rOn =
-            driver::findResult(grid, "dc_on", "dense_mvm", 0);
         const driver::PointResult *rOff =
             driver::findResult(grid, "dc_off", "dense_mvm", 0);
         const driver::PointResult *rSb =
             driver::findResult(grid, "dc_sb", "dense_mvm", 0);
-        MISP_ASSERT(rOn && rOff && rSb);
-        fullIdentical = rOn->run.ticks == rOff->run.ticks &&
-                        rSb->run.ticks == rOff->run.ticks &&
-                        rOn->run.valid && rOff->run.valid &&
-                        rSb->run.valid &&
-                        rOn->run.instsRetired == rOff->run.instsRetired &&
+        MISP_ASSERT(rOff && rSb);
+        fullIdentical = rSb->run.ticks == rOff->run.ticks &&
+                        rOff->run.valid && rSb->run.valid &&
                         rSb->run.instsRetired == rOff->run.instsRetired;
-        std::printf("\nfull-system dense_mvm: ref=%llu cache=%llu "
-                    "sb=%llu ticks (%s), host %.2f / %.2f / %.2f MIPS\n",
+        std::printf("\nfull-system dense_mvm: ref=%llu sb=%llu ticks "
+                    "(%s), host %.2f / %.2f MIPS\n",
                     (unsigned long long)rOff->run.ticks,
-                    (unsigned long long)rOn->run.ticks,
                     (unsigned long long)rSb->run.ticks,
                     fullIdentical ? "identical" : "DIVERGED",
-                    rOff->run.hostMips, rOn->run.hostMips,
-                    rSb->run.hostMips);
+                    rOff->run.hostMips, rSb->run.hostMips);
     }
 
-    std::printf("\n%-14s %12s %9s %9s %9s %9s %9s  %s\n", "kernel",
-                "sim_cycles", "mips_ref", "mips_dc", "mips_sb",
-                "dc/ref", "sb/dc", "model");
+    std::printf("\n%-14s %12s %9s %9s %9s  %s\n", "kernel",
+                "sim_cycles", "mips_ref", "mips_sb", "sb/ref", "model");
     bool allIdentical = fullIdentical;
     double minSbSpeedup = 1e30;
     for (const KernelResult &r : results) {
-        std::printf("%-14s %12llu %9.2f %9.2f %9.2f %8.2fx %8.2fx  %s\n",
+        std::printf("%-14s %12llu %9.2f %9.2f %8.2fx  %s\n",
                     r.name.c_str(), (unsigned long long)r.simCycles[0],
-                    r.mips[0], r.mips[1], r.mips[2], r.cacheSpeedup,
-                    r.sbSpeedup,
+                    r.mips[0], r.mips[1], r.sbSpeedup,
                     r.identical ? "identical" : "DIVERGED");
         allIdentical = allIdentical && r.identical;
         minSbSpeedup = std::min(minSbSpeedup, r.sbSpeedup);
@@ -242,12 +226,11 @@ main(int argc, char **argv)
             std::fprintf(
                 json,
                 "    {\"name\": \"%s\", \"mips_ref\": %.2f, "
-                "\"mips_cache\": %.2f, \"mips_superblock\": %.2f, "
-                "\"speedup_cache\": %.3f, \"speedup_superblock\": %.3f, "
+                "\"mips_superblock\": %.2f, "
+                "\"speedup_superblock\": %.3f, "
                 "\"sim_cycles\": %llu, \"retired\": %llu, "
                 "\"identical\": %s}%s\n",
-                r.name.c_str(), r.mips[0], r.mips[1], r.mips[2],
-                r.cacheSpeedup, r.sbSpeedup,
+                r.name.c_str(), r.mips[0], r.mips[1], r.sbSpeedup,
                 (unsigned long long)r.simCycles[0],
                 (unsigned long long)r.retired[0],
                 r.identical ? "true" : "false",
@@ -259,7 +242,7 @@ main(int argc, char **argv)
                      minSbSpeedup, allIdentical ? "true" : "false");
         std::fclose(json);
         std::printf("\nwrote BENCH_decode_cache.json (min superblock "
-                    "speedup %.2fx over decode cache)\n",
+                    "speedup %.2fx over ref)\n",
                     minSbSpeedup);
     }
 

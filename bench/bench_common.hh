@@ -40,40 +40,26 @@ quickMode(int argc, char **argv)
     return env && env[0] == '1';
 }
 
-/** `--engine=ref|cache|superblock` (or MISP_ENGINE), with
- *  `--no-decode-cache` / MISP_NO_DECODE_CACHE=1 kept as an alias for
- *  `--engine=ref`. Simulated results are bit-identical across engines;
- *  this is the escape hatch for isolating an engine and for A/B
- *  host-time runs. Returns the default engine when nothing is given. */
+/** `--engine=ref|superblock`: simulated results are bit-identical
+ *  across engines; this isolates an engine for A/B host-time runs.
+ *  Returns whether the flag was given (else *engine is untouched). */
 inline bool
 benchEngine(int argc, char **argv, cpu::Engine *engine)
 {
     bool given = false;
-    const char *noDc = std::getenv("MISP_NO_DECODE_CACHE");
-    if (noDc && noDc[0] == '1') {
-        *engine = cpu::Engine::Reference;
-        given = true;
-    }
-    if (const char *env = std::getenv("MISP_ENGINE"))
-        given = cpu::parseEngineName(env, engine) || given;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--no-decode-cache") == 0) {
-            *engine = cpu::Engine::Reference;
-            given = true;
-        } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
+        if (std::strncmp(argv[i], "--engine=", 9) == 0)
             given = cpu::parseEngineName(argv[i] + 9, engine) || given;
-        }
     }
     return given;
 }
 
 /** Default execution engine baked into the config helpers below. Set
  *  once per bench via parseBenchFlags(); explicit assignments to
- *  SystemConfig::misp.engine after construction still win (the
- *  decode-cache ablation relies on that for its A/B/C legs). */
+ *  SystemConfig::misp.engine after construction still win. */
 inline cpu::Engine gBenchEngine = cpu::Engine::Superblock;
-/** True when the user explicitly picked an engine (flag or env) — the
- *  only case where scenario-declared machine engines get overridden. */
+/** True when the user explicitly picked an engine — the only case
+ *  where scenario-declared machine engines get overridden. */
 inline bool gBenchEngineForced = false;
 
 /** Parse the flags every bench shares; call first thing in main(). */
@@ -178,7 +164,7 @@ benchSuite(bool quick)
 
 /**
  * The shared scaffolding of every scenario-wrapper bench: quiet
- * logging, the common flags (--quick / --no-decode-cache / --points),
+ * logging, the common flags (--quick / --engine= / --points),
  * the run of @p scn through the scenario runner, and the sweep's
  * MetricFrame — the one store the bench's presentation code queries
  * (the same frame `mispsim` renders and asserts against). Returns

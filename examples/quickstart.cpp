@@ -24,15 +24,13 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
 
-    // Escape hatch: pick the host execution engine (reference
-    // per-instruction fetch+decode, predecoded-block cache, or chained
-    // superblocks). Output is bit-identical across all three — diff the
-    // runs to check an engine.
+    // Pick the host execution engine (--engine=ref: per-instruction
+    // fetch+decode; --engine=superblock: chained superblocks, the
+    // default). Output is bit-identical across both — diff the runs to
+    // check an engine.
     cpu::Engine engine = cpu::Engine::Superblock;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--no-decode-cache") == 0)
-            engine = cpu::Engine::Reference;
-        else if (std::strncmp(argv[i], "--engine=", 9) == 0)
+        if (std::strncmp(argv[i], "--engine=", 9) == 0)
             cpu::parseEngineName(argv[i] + 9, &engine);
     }
 

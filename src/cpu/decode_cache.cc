@@ -11,77 +11,6 @@ constexpr std::size_t kBitmapWords = (1ull << 20) / 64;
 
 } // namespace
 
-OpClass
-classifyOp(isa::Opcode op)
-{
-    using isa::Opcode;
-    switch (op) {
-      // Pure register/flags ops: no memory, fault, or environment
-      // effects — the superblock executor runs these inline.
-      case Opcode::Nop:
-      case Opcode::MovI:
-      case Opcode::Mov:
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::Sar:
-      case Opcode::AddI:
-      case Opcode::SubI:
-      case Opcode::MulI:
-      case Opcode::AndI:
-      case Opcode::OrI:
-      case Opcode::XorI:
-      case Opcode::ShlI:
-      case Opcode::ShrI:
-      case Opcode::Cmp:
-      case Opcode::CmpI:
-      case Opcode::Lea:
-      case Opcode::Pause:
-      case Opcode::Compute:
-      case Opcode::SeqId:
-      case Opcode::NumSeq:
-      case Opcode::RdTick:
-        return OpClass::Inline;
-      // Memory or fault-capable ops: slow dispatch inside the block.
-      case Opcode::Ld:
-      case Opcode::St:
-      case Opcode::Push:
-      case Opcode::Pop:
-      case Opcode::Xchg:
-      case Opcode::CmpXchg:
-      case Opcode::FetchAdd:
-      case Opcode::Div:
-      case Opcode::Rem:
-      case Opcode::DivI:
-        return OpClass::Mem;
-      // Pure control transfers: block terminators carrying chain links.
-      case Opcode::Jmp:
-      case Opcode::JmpR:
-      case Opcode::Jcc:
-        return OpClass::Branch;
-      // Environment / serialization points (and the memory-touching
-      // control transfers): terminators with a full re-resolve after.
-      case Opcode::Halt:
-      case Opcode::Syscall:
-      case Opcode::RtCall:
-      case Opcode::Signal:
-      case Opcode::Semonitor:
-      case Opcode::Yret:
-      case Opcode::Call:
-      case Opcode::CallR:
-      case Opcode::Ret:
-        return OpClass::Slow;
-      case Opcode::NumOpcodes:
-        break;
-    }
-    return OpClass::Invalid;
-}
-
 std::uint32_t
 buildSuperblockAt(DecodedPage &page, std::uint16_t slot)
 {
@@ -149,7 +78,7 @@ DecodeCache::decodePage(std::uint64_t vpn, PAddr paBase)
         DecodedSlot &s = page->slots[i];
         s.valid = isa::decode(&bytes[i * isa::kInstBytes], &s.inst);
         s.lat = s.valid ? isa::baseLatency(s.inst.op) : 0;
-        s.cls = s.valid ? classifyOp(s.inst.op) : OpClass::Invalid;
+        s.cls = s.valid ? isa::opInfo(s.inst.op).cls : OpClass::Invalid;
     }
     // Superblock metadata indexes the slots just overwritten; outbound
     // chain links die with it, inbound ones die on the version bump.

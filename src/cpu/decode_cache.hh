@@ -45,36 +45,14 @@
 
 namespace misp::cpu {
 
-/** Host-dispatch class of a decoded instruction, precomputed at
- *  page-decode time for the superblock engine. */
-enum class OpClass : std::uint8_t {
-    /** Pure register/flags op: the block executor runs it inline with a
-     *  batched fetch replay (no TLB, memory, or environment effects). */
-    Inline,
-    /** Memory or fault-capable op: dispatched through the generic
-     *  executeDecoded path; superblock *body* member (non-terminating),
-     *  but execution revalidates the chain after it (SMC, TLB churn). */
-    Mem,
-    /** Pure control transfer (JMP / JMPR / Jcc): superblock terminator;
-     *  its exits carry the chain links. */
-    Branch,
-    /** Environment/serialization point (HALT, SYSCALL, RTCALL, SIGNAL,
-     *  CALL/RET, YRET, SEMONITOR): superblock terminator; always slow
-     *  dispatch followed by a full re-resolve. */
-    Slow,
-    /** Decode failed: terminator raising InvalidOpcode on dispatch. */
-    Invalid,
-};
-
-/** Classification used to place @p op in a superblock. */
-OpClass classifyOp(isa::Opcode op);
+using isa::OpClass;
 
 /** One predecoded instruction slot. */
 struct DecodedSlot {
     isa::Instruction inst;
-    Cycles lat = 0;     ///< precomputed isa::baseLatency(inst.op)
+    Cycles lat = 0;     ///< the opcode table's base latency
     bool valid = false; ///< decode succeeded (else: InvalidOpcode fault)
-    OpClass cls = OpClass::Invalid; ///< precomputed classifyOp(inst.op)
+    OpClass cls = OpClass::Invalid; ///< the opcode table's class
 };
 
 struct PageSuperblocks;

@@ -2,18 +2,17 @@
  * @file
  * Execution-engine selection for the sequencer inner loop.
  *
- * Three host-side engines produce bit-identical simulated behavior
- * (cycles, ticks, TLB statistics, retired instructions, events):
+ * Two host-side engines produce bit-identical simulated behavior
+ * (cycles, ticks, TLB statistics, retired instructions, events) from
+ * one copy of the instruction semantics:
  *
  *  - Reference: per-instruction fetch + byte-level decode. The ground
- *    truth every other engine is differentially tested against.
- *  - Cache: the predecoded-block engine (PR 1) — per-address-space
- *    decode cache + one-entry last-translation fetch fast path, still
- *    dispatching one decoded instruction at a time.
- *  - Superblock: chains decoded slots into basic-block superblocks
- *    (terminating at branches, page edges, RTCALLs, and serialization
- *    points), folds per-instruction stat updates into block-local
- *    accumulators, and links hot block exits directly to successor
+ *    truth the superblock engine is differentially tested against.
+ *  - Superblock: executes from the per-address-space decode cache,
+ *    chaining decoded slots into basic-block superblocks (terminating
+ *    at branches, page edges, RTCALLs, and serialization points),
+ *    folding per-instruction stat updates into block-local
+ *    accumulators, and linking hot block exits directly to successor
  *    blocks (threaded dispatch).
  *
  * Only host speed differs; the engine is therefore not architectural
@@ -29,36 +28,25 @@
 namespace misp::cpu {
 
 enum class Engine : std::uint8_t {
-    Reference, ///< per-instruction fetch + decode (`--engine=ref`)
-    Cache,     ///< predecoded-block dispatch (`--engine=cache`)
+    Reference,  ///< per-instruction fetch + decode (`--engine=ref`)
     Superblock, ///< chained superblock dispatch (`--engine=superblock`)
 };
 
 inline const char *
 engineName(Engine e)
 {
-    switch (e) {
-      case Engine::Reference: return "ref";
-      case Engine::Cache: return "cache";
-      case Engine::Superblock: return "superblock";
-    }
-    return "?";
+    return e == Engine::Reference ? "ref" : "superblock";
 }
 
-/** Parse an `--engine=` / `engine =` value. Accepts the canonical
- *  names plus the long-form "reference" spelling. */
+/** Parse an `--engine=` / `engine =` value: `ref` or `superblock`. */
 inline bool
 parseEngineName(const std::string &s, Engine *out)
 {
-    if (s == "ref" || s == "reference") {
+    if (s == "ref") {
         *out = Engine::Reference;
         return true;
     }
-    if (s == "cache") {
-        *out = Engine::Cache;
-        return true;
-    }
-    if (s == "superblock" || s == "sb") {
+    if (s == "superblock") {
         *out = Engine::Superblock;
         return true;
     }

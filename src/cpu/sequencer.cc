@@ -1,6 +1,8 @@
 #include "sequencer.hh"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "obs/trace.hh"
 #include "snapshot/state_io.hh"
@@ -17,6 +19,33 @@ traceShred(obs::TraceKind kind, SequencerId sid, SeqState prior,
 {
     obs::trace(kind, static_cast<std::uint16_t>(sid),
                static_cast<std::uint32_t>(prior), arg0, arg1);
+}
+
+/** A SeqState byte from an image; a CRC-valid image can still carry
+ *  one outside the enum. */
+SeqState
+getSeqState(snap::Deserializer &d)
+{
+    const std::uint8_t v = d.u8();
+    if (v > static_cast<std::uint8_t>(SeqState::Halted))
+        throw snap::SnapError("sequencer state " + std::to_string(v) +
+                              " out of range");
+    return static_cast<SeqState>(v);
+}
+
+/** A pending-payload queue from an image. The count is bounded by the
+ *  bytes left in the section (a payload is 3 x u64) before anything is
+ *  allocated. */
+void
+getPayloads(snap::Deserializer &d, std::deque<SignalPayload> *q)
+{
+    const std::uint64_t n = d.u64();
+    if (n > d.remaining() / 24)
+        throw snap::SnapError("pending payload count " + std::to_string(n) +
+                              " exceeds the section");
+    q->resize(n);
+    for (SignalPayload &p : *q)
+        p = snap::getPayload(d);
 }
 
 } // namespace
@@ -507,48 +536,6 @@ Sequencer::refillBlock(std::uint64_t vpn, PAddr pa)
 Cycles
 Sequencer::executeOne(bool *stop)
 {
-    if (engine_ != Engine::Reference) {
-        // Predecoded-block engine: model the fetch translation exactly
-        // (same TLB state, counters, and cycles as the reference path),
-        // then dispatch straight from the decoded page.
-        mem::FetchResult fr =
-            mmu_.fetchTranslate(ctx_.eip, ring_, /*fastPath=*/true);
-        Cycles cycles = fr.cycles;
-        if (fr.fault) {
-            bool advance = false;
-            cycles += handleFaultFromExec(fr.fault, stop, &advance);
-            return cycles;
-        }
-
-        const std::uint64_t vpn = mem::pageNumber(ctx_.eip);
-        // Validate the cached block: generation first (an address-space
-        // switch may have freed the page), then identity and content.
-        if (block_.page != nullptr &&
-            block_.asGen == mmu_.addressSpaceGen() && block_.vpn == vpn &&
-            block_.page->version == block_.version &&
-            block_.page->paBase == (fr.pa & ~static_cast<PAddr>(
-                                                mem::kPageMask))) {
-            ++decodeCacheHits_;
-        } else {
-            refillBlock(vpn, fr.pa);
-        }
-
-        const DecodedSlot &slot =
-            block_.page->slots[mem::pageOffset(ctx_.eip) /
-                               isa::kInstBytes];
-        if (!slot.valid) {
-            bool advance = false;
-            cycles += handleFaultFromExec(
-                mem::Fault::of(mem::FaultKind::InvalidOpcode, ctx_.eip),
-                stop, &advance);
-            if (advance)
-                ctx_.eip += isa::kInstBytes;
-            return cycles;
-        }
-        return executeDecoded(slot.inst, cycles + slot.lat, stop);
-    }
-
-    // Reference path: per-instruction fetch + byte-level decode.
     std::uint8_t buf[isa::kInstBytes];
     mem::AccessResult fr = mmu_.fetchInst(ctx_.eip, buf, ring_);
     Cycles cycles = fr.cycles;
@@ -621,8 +608,6 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
     };
 
     switch (inst.op) {
-      case Opcode::Nop:
-        break;
       case Opcode::Halt:
         advance = false;
         *stop = true;
@@ -630,98 +615,25 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
         if (env_)
             env_->sequencerHalted(*this);
         break;
-      case Opcode::MovI:
-        regs[inst.rd] = inst.imm;
-        break;
-      case Opcode::Mov:
-        regs[inst.rd] = regs[inst.rs1];
-        break;
-      case Opcode::Add:
-        regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2];
-        break;
-      case Opcode::Sub:
-        regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2];
-        break;
-      case Opcode::Mul:
-        regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2];
-        break;
       case Opcode::Div:
-      case Opcode::Rem: {
-        if (regs[inst.rs2] == 0) {
-            cycles += handleFaultFromExec(
-                mem::Fault::of(mem::FaultKind::DivideError, ctx_.eip),
-                stop, &advance);
-            break;
-        }
-        SWord a = static_cast<SWord>(regs[inst.rs1]);
-        SWord b = static_cast<SWord>(regs[inst.rs2]);
-        regs[inst.rd] = static_cast<Word>(
-            inst.op == Opcode::Div ? a / b : a % b);
-        break;
-      }
-      case Opcode::And:
-        regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2];
-        break;
-      case Opcode::Or:
-        regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2];
-        break;
-      case Opcode::Xor:
-        regs[inst.rd] = regs[inst.rs1] ^ regs[inst.rs2];
-        break;
-      case Opcode::Shl:
-        regs[inst.rd] = regs[inst.rs1] << (regs[inst.rs2] & 63);
-        break;
-      case Opcode::Shr:
-        regs[inst.rd] = regs[inst.rs1] >> (regs[inst.rs2] & 63);
-        break;
-      case Opcode::Sar:
-        regs[inst.rd] = static_cast<Word>(
-            static_cast<SWord>(regs[inst.rs1]) >> (regs[inst.rs2] & 63));
-        break;
-      case Opcode::AddI:
-        regs[inst.rd] = regs[inst.rs1] + inst.imm;
-        break;
-      case Opcode::SubI:
-        regs[inst.rd] = regs[inst.rs1] - inst.imm;
-        break;
-      case Opcode::MulI:
-        regs[inst.rd] = regs[inst.rs1] * inst.imm;
-        break;
+      case Opcode::Rem:
       case Opcode::DivI: {
-        if (inst.imm == 0) {
+        const SWord a = static_cast<SWord>(regs[inst.rs1]);
+        const SWord b = static_cast<SWord>(
+            inst.op == Opcode::DivI ? inst.imm : regs[inst.rs2]);
+        // Like IA-32's IDIV: a zero divisor and the one quotient that
+        // does not fit (INT64_MIN / -1) raise a divide error.
+        if (b == 0 ||
+            (b == -1 && a == std::numeric_limits<SWord>::min())) {
             cycles += handleFaultFromExec(
                 mem::Fault::of(mem::FaultKind::DivideError, ctx_.eip),
                 stop, &advance);
             break;
         }
-        regs[inst.rd] = static_cast<Word>(
-            static_cast<SWord>(regs[inst.rs1]) /
-            static_cast<SWord>(inst.imm));
+        regs[inst.rd] =
+            static_cast<Word>(inst.op == Opcode::Rem ? a % b : a / b);
         break;
       }
-      case Opcode::AndI:
-        regs[inst.rd] = regs[inst.rs1] & inst.imm;
-        break;
-      case Opcode::OrI:
-        regs[inst.rd] = regs[inst.rs1] | inst.imm;
-        break;
-      case Opcode::XorI:
-        regs[inst.rd] = regs[inst.rs1] ^ inst.imm;
-        break;
-      case Opcode::ShlI:
-        regs[inst.rd] = regs[inst.rs1] << (inst.imm & 63);
-        break;
-      case Opcode::ShrI:
-        regs[inst.rd] = regs[inst.rs1] >> (inst.imm & 63);
-        break;
-      case Opcode::Cmp:
-        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
-                            static_cast<SWord>(regs[inst.rs2]));
-        break;
-      case Opcode::CmpI:
-        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
-                            static_cast<SWord>(inst.imm));
-        break;
       case Opcode::Ld: {
         Word v = 0;
         if (memRead(regs[inst.rs1] + inst.imm, inst.sub, &v))
@@ -745,9 +657,6 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
         }
         break;
       }
-      case Opcode::Lea:
-        regs[inst.rd] = regs[inst.rs1] + inst.imm;
-        break;
       case Opcode::Jmp:
         ctx_.eip = inst.imm;
         advance = false;
@@ -823,15 +732,6 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
             regs[inst.rd] = old;
         break;
       }
-      case Opcode::Pause:
-        break;
-      case Opcode::Compute: {
-        Cycles burn = inst.imm;
-        if (inst.rs1 != 0)
-            burn += regs[inst.rs1];
-        cycles += burn;
-        break;
-      }
       case Opcode::Syscall: {
         cycles += handleFaultFromExec(mem::Fault::syscall(inst.imm), stop,
                                       &advance);
@@ -848,15 +748,6 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
             *stop = true;
         break;
       }
-      case Opcode::SeqId:
-        regs[inst.rd] = sid_;
-        break;
-      case Opcode::NumSeq:
-        regs[inst.rd] = env_ ? env_->numSequencers() : 1;
-        break;
-      case Opcode::RdTick:
-        regs[inst.rd] = eq_.curTick();
-        break;
       case Opcode::Signal: {
         MISP_ASSERT(env_ != nullptr);
         ++signalsSent_;
@@ -894,8 +785,9 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
         }
         break;
       }
-      case Opcode::NumOpcodes:
-        panic("decoded NumOpcodes");
+      default: // the Inline class: one copy of its semantics
+        execInline(inst, &cycles);
+        break;
     }
 
     if (!faulted || advance) {
@@ -1043,6 +935,14 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
             hits = 0;
         }
     };
+    // Charge one instruction fetch as a batched replay: the chained
+    // invariant is that the one-entry last-translation cache still
+    // covers the current page.
+    auto replayFetch = [&] {
+        ++replays;
+        consumed += mem::Mmu::kAccessCycles;
+        ++hits;
+    };
     auto slotOf = [](VAddr va) {
         return static_cast<std::uint16_t>(mem::pageOffset(va) /
                                           isa::kInstBytes);
@@ -1067,11 +967,24 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
     std::uint32_t linkFromSb = 0;
     std::uint64_t linkFromVer = 0;
     bool linkTaken = false;
+    // Leave the current block through a static exit (the taken edge of
+    // a branch or the page edge, or a Jcc's fall-through), handing its
+    // link to the next resolve.
+    auto exitBlock = [&](bool taken) {
+        Superblock &blk = page->sbs->blocks[sbi];
+        hint = taken ? blk.taken : blk.fall;
+        linkFrom = page;
+        linkFromSb = sbi;
+        linkFromVer = page->version;
+        linkTaken = taken;
+        page = nullptr;
+    };
 
     while (executed < sliceLimit && consumed < sliceBudget && !stop) {
-        // Exactly one guest instruction is dispatched per iteration, so
-        // the slice conditions and the async-delivery point run at the
-        // same per-instruction boundaries as the generic loop.
+        // Exactly one guest instruction is dispatched per iteration
+        // while async work is pending, so the slice conditions and the
+        // async-delivery point run at the same per-instruction
+        // boundaries as the reference engine's loop.
         if (!pendingSignals_.empty() || !pendingProxy_.empty()) {
             commit();
             Cycles dc = dispatchPendingAsync();
@@ -1152,307 +1065,182 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
 
         // ---- charge the modeled fetch for this instruction ----------
         if (!fetchPaid) {
-            // Chained invariant: the one-entry last-translation cache
-            // still covers this page (re-established after every slow
-            // dispatch below), so the hit is replayed and batched.
+            // Re-established after every slow dispatch below.
             MISP_ASSERT(mmu_.fetchReplayable(ctx_.eip, ring_));
-            ++replays;
-            consumed += mem::Mmu::kAccessCycles;
-            ++hits;
+            replayFetch();
         }
         fetchPaid = false;
 
-        // ---- dispatch instructions ----------------------------------
-        // Fast loop: while this sequencer's async queues are empty they
-        // stay empty for the rest of the slice (enqueues only arrive
-        // through Slow-class dispatch, fault handlers, or other
-        // sequencers between slices), so the queue probe, the resolve
-        // check, and the fetch-paid bookkeeping are hoisted out of the
+        // ---- fast loop ----------------------------------------------
+        // While this sequencer's async queues are empty they stay empty
+        // for the rest of the slice (enqueues only arrive through
+        // Slow-class dispatch, fault handlers, or other sequencers
+        // between slices), so the queue probe, the resolve check, and
+        // the fetch-paid bookkeeping are hoisted out of the
         // per-instruction path — only the slice conditions remain live.
+        // With work pending, `limit` stops it after one instruction.
         // Inline ops, replay-covered aligned loads/stores, and branch
         // terminators all dispatch here; the first instruction that
-        // needs more breaks out to the generic paths below with its
+        // needs more breaks out to the generic path below with its
         // fetch already charged.
-        if (pendingSignals_.empty() && pendingProxy_.empty()) {
-            bool first = true;
-            // EIP shadows in a local for the whole loop (nothing
-            // dispatched here reads ctx_.eip) and is stored back once
-            // on exit.
-            VAddr eip = ctx_.eip;
-            for (;;) {
-                if (!first && (executed >= sliceLimit ||
-                               consumed >= sliceBudget))
-                    break;
-                if (cur < term) {
-                    const DecodedSlot &s = page->slots[cur];
-                    if (s.cls == OpClass::Inline) {
-                        if (!first) {
-                            // Batched fetch replay (the chained
-                            // invariant: nothing in this loop disturbs
-                            // the last-translation caches).
-                            ++replays;
-                            consumed += mem::Mmu::kAccessCycles;
-                            ++hits;
-                        }
+        const bool pending =
+            !pendingSignals_.empty() || !pendingProxy_.empty();
+        const unsigned limit = pending ? executed + 1 : sliceLimit;
+        bool first = true;
+        // EIP shadows in a local for the whole loop (nothing dispatched
+        // here reads ctx_.eip) and is stored back once on exit.
+        VAddr eip = ctx_.eip;
+        for (;;) {
+            if (!first && (executed >= limit || consumed >= sliceBudget))
+                break;
+            if (cur < term) {
+                const DecodedSlot &s = page->slots[cur];
+                if (s.cls == OpClass::Inline) {
+                    if (!first)
+                        replayFetch();
+                    first = false;
+                    consumed += s.lat;
+                    execInline(s.inst, &consumed);
+                    eip += isa::kInstBytes;
+                    ++cur;
+                    ++executed;
+                    ++retired;
+                    if (cur == DecodedPage::kSlots) {
+                        exitBlock(true); // ran off the page edge
+                        break;
+                    }
+                    continue;
+                }
+                if (s.inst.op == Opcode::Ld || s.inst.op == Opcode::St) {
+                    // Aligned load/store covered by the data-side
+                    // last-translation cache: replayed in place — same
+                    // modeled cycles and TLB effects as the full
+                    // translate (the hit is batched like the fetch
+                    // replays), and no fault is possible: alignment is
+                    // checked here and the cached entry already passed
+                    // the ring/write permission checks under an
+                    // unchanged TLB stamp.
+                    const isa::Instruction &in = s.inst;
+                    const bool isSt = in.op == Opcode::St;
+                    const VAddr va = ctx_.regs[in.rs1] + in.imm;
+                    const unsigned size = in.sub;
+                    if ((va & (size - 1)) == 0 &&
+                        mmu_.dataReplayable(va, isSt, ring_)) {
+                        if (!first)
+                            replayFetch();
                         first = false;
-                        consumed += s.lat;
-                        execInline(s.inst, &consumed);
+                        consumed += s.lat + mem::Mmu::kAccessCycles;
+                        ++dataReplays;
+                        if (isSt)
+                            mmu_.dataReplayWrite(va, ctx_.regs[in.rs2],
+                                                 size);
+                        else
+                            ctx_.regs[in.rd] =
+                                mmu_.dataReplayRead(va, size);
                         eip += isa::kInstBytes;
                         ++cur;
                         ++executed;
                         ++retired;
-                        if (cur == DecodedPage::kSlots) {
-                            // Ran off the page edge: chain onward.
-                            Superblock &blk = page->sbs->blocks[sbi];
-                            hint = blk.taken;
-                            linkFrom = page;
-                            linkFromSb = sbi;
-                            linkFromVer = page->version;
-                            linkTaken = true;
+                        // The store may have hit this very code page
+                        // (SMC): the invalidation bumped its version,
+                        // so the chain breaks before the next dispatch.
+                        if (isSt && page->version != block_.version) {
                             page = nullptr;
+                            break;
+                        }
+                        if (cur == DecodedPage::kSlots) {
+                            exitBlock(true);
                             break;
                         }
                         continue;
                     }
-                    if (s.cls == OpClass::Mem &&
-                        (s.inst.op == Opcode::Ld ||
-                         s.inst.op == Opcode::St)) {
-                        // Aligned load/store covered by the data-side
-                        // last-translation cache: replayed in place —
-                        // same modeled cycles and TLB effects as the
-                        // full translate (the hit is batched like the
-                        // fetch replays), and no fault is possible:
-                        // alignment is checked here and the cached
-                        // entry already passed the ring/write
-                        // permission checks under an unchanged TLB
-                        // stamp.
-                        const isa::Instruction &in = s.inst;
-                        const bool isSt = in.op == Opcode::St;
-                        const VAddr va = ctx_.regs[in.rs1] + in.imm;
-                        const unsigned size = in.sub;
-                        if ((va & (size - 1)) == 0 &&
-                            mmu_.dataReplayable(va, isSt, ring_)) {
-                            if (!first) {
-                                ++replays;
-                                consumed += mem::Mmu::kAccessCycles;
-                                ++hits;
-                            }
-                            first = false;
-                            consumed += s.lat + mem::Mmu::kAccessCycles;
-                            ++dataReplays;
-                            if (isSt)
-                                mmu_.dataReplayWrite(
-                                    va, ctx_.regs[in.rs2], size);
-                            else
-                                ctx_.regs[in.rd] =
-                                    mmu_.dataReplayRead(va, size);
-                            eip += isa::kInstBytes;
-                            ++cur;
-                            ++executed;
-                            ++retired;
-                            // The store may have hit this very code
-                            // page (SMC): the invalidation bumped its
-                            // version, so the chain breaks before the
-                            // next dispatch.
-                            if (isSt &&
-                                page->version != block_.version) {
-                                page = nullptr;
-                                break;
-                            }
-                            if (cur == DecodedPage::kSlots) {
-                                Superblock &blk =
-                                    page->sbs->blocks[sbi];
-                                hint = blk.taken;
-                                linkFrom = page;
-                                linkFromSb = sbi;
-                                linkFromVer = page->version;
-                                linkTaken = true;
-                                page = nullptr;
-                                break;
-                            }
-                            continue;
-                        }
-                    }
-                    break; // generic dispatch below
                 }
-                if (cur != term || term == DecodedPage::kSlots)
-                    break; // off-block EIP or page-edge: generic paths
-                const DecodedSlot &t = page->slots[term];
-                if (t.cls != OpClass::Branch)
-                    break; // Slow / Invalid terminator: generic paths
-                if (!first) {
-                    ++replays;
-                    consumed += mem::Mmu::kAccessCycles;
-                    ++hits;
-                }
-                first = false;
-                // Pure control transfer, executed inline; its exits
-                // carry the chain links.
-                consumed += t.lat;
-                bool taken = true;
-                VAddr target = t.inst.imm;
-                if (t.inst.op == Opcode::JmpR)
-                    target = ctx_.regs[t.inst.rs1];
-                else if (t.inst.op == Opcode::Jcc)
-                    taken = condHolds(static_cast<isa::Cond>(t.inst.sub));
-                const VAddr neip =
-                    taken ? target : eip + isa::kInstBytes;
-                eip = neip;
-                ++executed;
-                ++retired;
-                if (mem::pageNumber(neip) == page->vpn &&
-                    (neip & (isa::kInstBytes - 1)) == 0) {
-                    // Same-page chain: the per-page block table is the
-                    // link; the fetch stays on the batched replay
-                    // path.
-                    cur = slotOf(neip);
-                    sbi = superblockAt(*page, cur);
-                    term = page->sbs->blocks[sbi].term;
-                    continue;
-                }
-                if (t.inst.op != Opcode::JmpR) {
-                    // Static exit: hand the link to the resolve. An
-                    // indirect branch's target may differ every
-                    // traversal, so it is never linked.
-                    Superblock &blk = page->sbs->blocks[sbi];
-                    hint = taken ? blk.taken : blk.fall;
-                    linkFrom = page;
-                    linkFromSb = sbi;
-                    linkFromVer = page->version;
-                    linkTaken = taken;
-                }
-                page = nullptr;
-                break;
+                break; // generic dispatch below
             }
-            ctx_.eip = eip;
+            if (cur != term || term == DecodedPage::kSlots)
+                break; // off-block EIP or page-edge: generic path
+            const DecodedSlot &t = page->slots[term];
+            if (t.cls != OpClass::Branch)
+                break; // Slow / Invalid terminator: generic path
             if (!first)
-                continue; // the outer head re-runs the boundary work
-            // Nothing dispatched: the current instruction needs a
-            // generic path (its fetch is already charged above).
-        }
-
-        // ---- generic one-instruction paths --------------------------
-        if (cur < term) {
-            const DecodedSlot &s = page->slots[cur];
-            if (s.cls == OpClass::Inline) {
-                // Single step: async work is pending, so the queue
-                // probe must run between instructions.
-                consumed += s.lat;
-                execInline(s.inst, &consumed);
-                ctx_.eip += isa::kInstBytes;
-                ++cur;
-                ++executed;
-                ++retired;
-                if (cur == DecodedPage::kSlots) {
-                    Superblock &blk = page->sbs->blocks[sbi];
-                    hint = blk.taken;
-                    linkFrom = page;
-                    linkFromSb = sbi;
-                    linkFromVer = page->version;
-                    linkTaken = true;
-                    page = nullptr;
-                }
+                replayFetch();
+            first = false;
+            // Pure control transfer, executed inline; its exits carry
+            // the chain links.
+            consumed += t.lat;
+            bool taken = true;
+            VAddr target = t.inst.imm;
+            if (t.inst.op == Opcode::JmpR)
+                target = ctx_.regs[t.inst.rs1];
+            else if (t.inst.op == Opcode::Jcc)
+                taken = condHolds(static_cast<isa::Cond>(t.inst.sub));
+            eip = taken ? target : eip + isa::kInstBytes;
+            ++executed;
+            ++retired;
+            if (mem::pageNumber(eip) == page->vpn &&
+                (eip & (isa::kInstBytes - 1)) == 0) {
+                // Same-page chain: the per-page block table is the
+                // link; the fetch stays on the batched replay path.
+                cur = slotOf(eip);
+                sbi = superblockAt(*page, cur);
+                term = page->sbs->blocks[sbi].term;
                 continue;
             }
-            // OpClass::Mem through the generic path.
-            commit();
-            consumed += executeDecoded(s.inst, s.lat, &stop);
-            ++executed;
-            if (suspendRequested_)
-                break;
-            // Continue the chain only if nothing was disturbed: same
-            // live block (an SMC store to this page bumps its version,
-            // a CR3 switch bumps the generation, a serialization purge
-            // drops block_), EIP still on this page, and the fetch
-            // fast path still replayable (the access may have walked
-            // and inserted a TLB entry).
-            if (!stop && block_.page == page &&
-                block_.asGen == mmu_.addressSpaceGen() &&
-                page->version == block_.version &&
-                mem::pageNumber(ctx_.eip) == page->vpn &&
-                mmu_.fetchReplayable(ctx_.eip, ring_)) {
-                cur = slotOf(ctx_.eip);
-            } else {
+            // An indirect branch's target may differ every traversal,
+            // so only static exits are linked.
+            if (t.inst.op != Opcode::JmpR)
+                exitBlock(taken);
+            else
                 page = nullptr;
-            }
-            continue;
+            break;
         }
+        ctx_.eip = eip;
+        if (!first)
+            continue; // the outer head re-runs the boundary work
 
-        if (term == DecodedPage::kSlots) {
+        // ---- generic one-instruction path ---------------------------
+        // Mem-class body ops the fast loop could not replay, and the
+        // Slow / Invalid terminators; the fetch is already charged.
+        if (cur == DecodedPage::kSlots) {
             // Unreachable by construction (the page-edge exit is taken
             // when the last body instruction retires); fall back to a
             // full resolve rather than trusting the chain.
             page = nullptr;
             continue;
         }
-
+        // Read before dispatching: a Slow op may free the page.
         const DecodedSlot &s = page->slots[cur];
-        if (s.cls == OpClass::Branch) {
-            // Pure control transfer, executed inline; its exits carry
-            // the chain links.
-            consumed += s.lat;
-            bool taken = true;
-            VAddr target = s.inst.imm;
-            if (s.inst.op == Opcode::JmpR)
-                target = ctx_.regs[s.inst.rs1];
-            else if (s.inst.op == Opcode::Jcc)
-                taken = condHolds(static_cast<isa::Cond>(s.inst.sub));
-            const VAddr neip =
-                taken ? target : ctx_.eip + isa::kInstBytes;
-            ctx_.eip = neip;
-            ++executed;
-            ++retired;
-            if (mem::pageNumber(neip) == page->vpn &&
-                (neip & (isa::kInstBytes - 1)) == 0) {
-                // Same-page chain: the per-page block table is the
-                // link; the fetch stays on the batched replay path.
-                cur = slotOf(neip);
-                sbi = superblockAt(*page, cur);
-                term = page->sbs->blocks[sbi].term;
-            } else {
-                if (s.inst.op != Opcode::JmpR) {
-                    // Static exit: hand the link to the resolve. An
-                    // indirect branch's target may differ every
-                    // traversal, so it is never linked.
-                    Superblock &blk = page->sbs->blocks[sbi];
-                    hint = taken ? blk.taken : blk.fall;
-                    linkFrom = page;
-                    linkFromSb = sbi;
-                    linkFromVer = page->version;
-                    linkTaken = taken;
-                }
-                page = nullptr;
-            }
-            continue;
-        }
-
-        if (s.cls == OpClass::Slow) {
-            // Environment / serialization point: generic dispatch, then
-            // a full re-resolve (EIP, the address space, and the block
-            // may all have changed under us).
-            commit();
-            consumed += executeDecoded(s.inst, s.lat, &stop);
-            ++executed;
-            page = nullptr;
-            if (suspendRequested_)
-                break;
-            continue;
-        }
-
-        // OpClass::Invalid: decode failed at this slot.
+        const OpClass cls = s.cls;
         commit();
-        {
+        if (cls == OpClass::Invalid) {
             bool advance = false;
             consumed += handleFaultFromExec(
                 mem::Fault::of(mem::FaultKind::InvalidOpcode, ctx_.eip),
                 &stop, &advance);
             if (advance)
                 ctx_.eip += isa::kInstBytes;
+        } else {
+            consumed += executeDecoded(s.inst, s.lat, &stop);
         }
         ++executed;
-        page = nullptr;
         if (suspendRequested_)
             break;
+        // A Mem op continues the chain only if nothing was disturbed:
+        // same live block (an SMC store to this page bumps its version,
+        // a CR3 switch bumps the generation, a serialization purge drops
+        // block_), EIP still on this page, and the fetch fast path still
+        // replayable (the access may have walked and inserted a TLB
+        // entry). Anything else — EIP, the address space and the block
+        // may all have changed under a Slow op — takes a full resolve.
+        if (cls == OpClass::Mem && !stop && block_.page == page &&
+            block_.asGen == mmu_.addressSpaceGen() &&
+            page->version == block_.version &&
+            mem::pageNumber(ctx_.eip) == page->vpn &&
+            mmu_.fetchReplayable(ctx_.eip, ring_)) {
+            cur = slotOf(ctx_.eip);
+        } else {
+            page = nullptr;
+        }
     }
 
     commit();
@@ -1483,15 +1271,11 @@ void
 Sequencer::snapRestore(snap::Deserializer &d)
 {
     ctx_ = snap::getContext(d);
-    state_ = static_cast<SeqState>(d.u8());
-    preSuspendState_ = static_cast<SeqState>(d.u8());
+    state_ = getSeqState(d);
+    preSuspendState_ = getSeqState(d);
     suspendRequested_ = d.b();
-    pendingSignals_.resize(d.u64());
-    for (SignalPayload &p : pendingSignals_)
-        p = snap::getPayload(d);
-    pendingProxy_.resize(d.u64());
-    for (SignalPayload &p : pendingProxy_)
-        p = snap::getPayload(d);
+    getPayloads(d, &pendingSignals_);
+    getPayloads(d, &pendingProxy_);
     waitSince_ = d.u64();
     kernelResumeFloor_ = d.u64();
     mmu_.snapRestore(d);

@@ -306,13 +306,11 @@ class Sequencer : public snap::Saveable
      *  suspensions and signal deliveries unboundedly. */
     void setSliceCycleBudget(Cycles budget) { sliceCycleBudget_ = budget; }
 
-    /** Select the execution engine. All three engines produce
-     *  bit-identical simulated cycles and stats: Reference is the
-     *  per-instruction fetch+decode path (the `--no-decode-cache`
-     *  escape hatch), Cache executes from predecoded pages, and
-     *  Superblock chains predecoded slots into basic-block runs with
-     *  linked dispatch. Engine choice is host-side only — never
-     *  architectural state. */
+    /** Select the execution engine. Both engines produce bit-identical
+     *  simulated cycles and stats: Reference is the per-instruction
+     *  fetch+decode path, and Superblock chains predecoded slots into
+     *  basic-block runs with linked dispatch. Engine choice is
+     *  host-side only — never architectural state. */
     void
     setEngine(Engine engine)
     {
@@ -320,7 +318,6 @@ class Sequencer : public snap::Saveable
         invalidateDecodedBlock();
     }
     Engine engine() const { return engine_; }
-    bool decodeCacheEnabled() const { return engine_ != Engine::Reference; }
 
     /** Drop the cached decoded-block reference. Called by the MISP
      *  serialization engine alongside TLB purges, and by anything else
@@ -411,19 +408,21 @@ class Sequencer : public snap::Saveable
     void asyncTransfer(isa::Scenario scenario, VAddr handler,
                        const SignalPayload &payload);
 
-    /** Execute one instruction; returns consumed cycles, sets *stop when
-     *  the slice must end (fault deferred, halted, parked, ...). */
+    /** Reference engine: fetch, decode and execute one instruction;
+     *  returns consumed cycles, sets *stop when the slice must end
+     *  (fault deferred, halted, parked, ...). */
     Cycles executeOne(bool *stop);
     /** Superblock engine: run the whole slice by chained basic-block
-     *  dispatch; replaces the generic per-instruction loop of
-     *  runSlice(). In/out: instructions executed and cycles consumed
-     *  this slice. */
+     *  dispatch; replaces the per-instruction loop of runSlice().
+     *  In/out: instructions executed and cycles consumed this slice. */
     void runSuperblocks(unsigned *executed, Cycles *consumed);
     /** Execute one OpClass::Inline instruction on the register file
-     *  (COMPUTE burns extra cycles into @p consumed). */
+     *  (COMPUTE burns extra cycles into @p consumed): the only
+     *  definition of the Inline ops' semantics. */
     void execInline(const isa::Instruction &inst, Cycles *consumed);
-    /** Execute the already-fetched @p inst; shared by the predecoded and
-     *  reference fetch paths. @p cycles has the fetch+base latency. */
+    /** Execute the already-fetched @p inst, shared by both engines;
+     *  Inline-class ops go to execInline. @p cycles has the fetch+base
+     *  latency. */
     Cycles executeDecoded(const isa::Instruction &inst, Cycles cycles,
                           bool *stop);
     /** Re-point block_ at the decoded page for @p vpn (decoding it if

@@ -71,14 +71,9 @@ mispsimFlags()
         {"--engine=E",
          "force the host execution engine on every\n"
          "machine: ref (per-instruction\n"
-         "fetch+decode), cache (predecoded pages),\n"
-         "or superblock (chained basic-block\n"
-         "dispatch; the default). All engines\n"
-         "produce bit-identical results; also\n"
-         "honored from MISP_ENGINE=E"},
-        {"--no-decode-cache",
-         "alias for --engine=ref (also honored\n"
-         "from MISP_NO_DECODE_CACHE=1)"},
+         "fetch+decode) or superblock (chained\n"
+         "basic-block dispatch; the default). Both\n"
+         "engines produce bit-identical results"},
         {"--trace FILE",
          "record each point's deterministic event\n"
          "trace and write one Chrome trace-event\n"

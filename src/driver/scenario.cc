@@ -62,18 +62,9 @@ MachineSpec::apply(const std::string &key, const std::string &value,
             return bad("'shred' or 'os'");
         return true;
     }
-    if (key == "engine") {
+    if (key == "engine")
         return cpu::parseEngineName(value, &engine) ||
-               bad("'ref', 'cache', or 'superblock'");
-    }
-    if (key == "decode_cache") {
-        // Legacy alias: the pre-superblock on/off ablation switch.
-        bool on = true;
-        if (!parseBool(value, &on))
-            return bad("a boolean");
-        engine = on ? cpu::Engine::Cache : cpu::Engine::Reference;
-        return true;
-    }
+               bad("'ref' or 'superblock'");
     if (key == "signal_cycles")
         return parseU64(value, &signalCycles) || bad("a cycle count");
     if (key == "context_xfer_cycles")

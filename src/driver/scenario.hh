@@ -39,8 +39,7 @@
  *
  * Machine knobs: `processors` (comma list of per-processor AMS counts)
  * or `ams` (uniprocessor shorthand), `backend` (shred|os),
- * `engine` (ref|cache|superblock; the boolean `decode_cache` is the
- * legacy alias, on->cache / off->ref), `signal_cycles`,
+ * `engine` (ref|superblock), `signal_cycles`,
  * `context_xfer_cycles`,
  * `slice_limit`, `serialization` (suspend_all|speculative_monitor),
  * `phys_frames`, the OS-model cadence knobs `timer_period`,
@@ -83,8 +82,7 @@ struct MachineSpec {
     std::string name = "machine";
     std::vector<unsigned> amsPerProcessor{7};
     rt::Backend backend = rt::Backend::Shred;
-    /** Host execution engine (`engine = ref|cache|superblock`; the
-     *  legacy boolean `decode_cache` knob maps on->cache, off->ref). */
+    /** Host execution engine (`engine = ref|superblock`). */
     cpu::Engine engine = cpu::Engine::Superblock;
     Cycles signalCycles = 5000;
     Cycles contextXferCycles = 150;

@@ -39,8 +39,8 @@ struct RunRequest {
     std::string label = "run";
 
     /** The machine (including misp.engine — callers that honor
-     *  --engine/--no-decode-cache set it before submitting; on a
-     *  snapshot restore this engine choice overrides the saver's). */
+     *  --engine set it before submitting; on a snapshot restore this
+     *  engine choice overrides the saver's). */
     arch::SystemConfig config;
     rt::Backend backend = rt::Backend::Shred;
 

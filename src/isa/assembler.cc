@@ -278,104 +278,36 @@ assemble(const std::string &source, VAddr base)
             continue;
         }
 
-        if (mnemonic == "nop") { expect(0); builder.nop(); }
-        else if (mnemonic == "halt") { expect(0); builder.halt(); }
-        else if (mnemonic == "movi") {
-            expect(2);
-            if (ops[1].kind == Operand::Kind::Name)
-                builder.leaLabel(reg(0), target(1));
-            else
-                builder.movi(reg(0), static_cast<std::uint64_t>(imm(1)));
+        // Label operands: movi of a label loads its address; jmp/call
+        // take a label, a register (jmpr/callr) or an absolute address.
+        if (mnemonic == "movi" && ops.size() == 2 &&
+            ops[1].kind == Operand::Kind::Name) {
+            builder.leaLabel(reg(0), target(1));
+            continue;
         }
-        else if (mnemonic == "mov") { expect(2); builder.mov(reg(0), reg(1)); }
-        else if (mnemonic == "add") { expect(3); builder.add(reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "sub") { expect(3); builder.sub(reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "mul") { expect(3); builder.mul(reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "div") { expect(3); builder.div(reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "rem") { expect(3); builder.alu(Opcode::Rem, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "and") { expect(3); builder.alu(Opcode::And, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "or")  { expect(3); builder.alu(Opcode::Or, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "xor") { expect(3); builder.alu(Opcode::Xor, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "shl") { expect(3); builder.alu(Opcode::Shl, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "shr") { expect(3); builder.alu(Opcode::Shr, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "sar") { expect(3); builder.alu(Opcode::Sar, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "addi") { expect(3); builder.addi(reg(0), reg(1), imm(2)); }
-        else if (mnemonic == "subi") { expect(3); builder.subi(reg(0), reg(1), imm(2)); }
-        else if (mnemonic == "muli") { expect(3); builder.muli(reg(0), reg(1), imm(2)); }
-        else if (mnemonic == "divi") { expect(3); builder.aluImm(Opcode::DivI, reg(0), reg(1), static_cast<std::uint64_t>(imm(2))); }
-        else if (mnemonic == "andi") { expect(3); builder.andi(reg(0), reg(1), static_cast<std::uint64_t>(imm(2))); }
-        else if (mnemonic == "ori")  { expect(3); builder.aluImm(Opcode::OrI, reg(0), reg(1), static_cast<std::uint64_t>(imm(2))); }
-        else if (mnemonic == "xori") { expect(3); builder.aluImm(Opcode::XorI, reg(0), reg(1), static_cast<std::uint64_t>(imm(2))); }
-        else if (mnemonic == "shli") { expect(3); builder.shli(reg(0), reg(1), static_cast<unsigned>(imm(2))); }
-        else if (mnemonic == "shri") { expect(3); builder.shri(reg(0), reg(1), static_cast<unsigned>(imm(2))); }
-        else if (mnemonic == "cmp") { expect(2); builder.cmp(reg(0), reg(1)); }
-        else if (mnemonic == "cmpi") { expect(2); builder.cmpi(reg(0), imm(1)); }
-        else if (mnemonic == "push") { expect(1); builder.push(reg(0)); }
-        else if (mnemonic == "pop") { expect(1); builder.pop(reg(0)); }
-        else if (mnemonic == "lea") {
-            expect(2);
-            const Operand &m = mem(1);
-            builder.lea(reg(0), m.reg, m.imm);
-        }
-        else if (mnemonic == "jmp") {
+        if (mnemonic == "jmp" || mnemonic == "call") {
             expect(1);
+            const bool isJmp = mnemonic == "jmp";
             if (ops[0].kind == Operand::Kind::Name)
-                builder.jmp(target(0));
+                isJmp ? builder.jmp(target(0)) : builder.call(target(0));
             else if (ops[0].kind == Operand::Kind::Reg)
-                builder.jmpr(reg(0));
-            else
+                isJmp ? builder.jmpr(reg(0)) : builder.callr(reg(0));
+            else if (isJmp)
                 builder.jmpAbs(static_cast<VAddr>(imm(0)));
-        }
-        else if (mnemonic == "call") {
-            expect(1);
-            if (ops[0].kind == Operand::Kind::Name)
-                builder.call(target(0));
-            else if (ops[0].kind == Operand::Kind::Reg)
-                builder.callr(reg(0));
             else
                 builder.callAbs(static_cast<VAddr>(imm(0)));
+            continue;
         }
-        else if (mnemonic == "ret") { expect(0); builder.ret(); }
-        else if (mnemonic == "xchg") {
-            expect(2);
-            const Operand &m = mem(1);
-            if (m.imm != 0)
-                throw AsmError(lineNo, "xchg does not take a displacement");
-            builder.xchg(reg(0), m.reg);
-        }
-        else if (mnemonic == "cmpxchg") {
-            expect(3);
-            const Operand &m = mem(1);
-            if (m.imm != 0)
-                throw AsmError(lineNo, "cmpxchg does not take a displacement");
-            builder.cmpxchg(reg(0), m.reg, reg(2));
-        }
-        else if (mnemonic == "fetchadd") {
-            expect(3);
-            const Operand &m = mem(1);
-            if (m.imm != 0)
-                throw AsmError(lineNo, "fetchadd does not take a displacement");
-            builder.fetchadd(reg(0), m.reg, reg(2));
-        }
-        else if (mnemonic == "pause") { expect(0); builder.pause(); }
-        else if (mnemonic == "compute") {
+        if (mnemonic == "compute") {
             if (ops.size() == 1)
                 builder.compute(static_cast<std::uint64_t>(imm(0)));
             else if (ops.size() == 2)
                 builder.compute(static_cast<std::uint64_t>(imm(0)), reg(1));
             else
                 throw AsmError(lineNo, "compute: 1 or 2 operands");
+            continue;
         }
-        else if (mnemonic == "syscall") { expect(1); builder.syscall(static_cast<std::uint64_t>(imm(0))); }
-        else if (mnemonic == "rtcall") { expect(1); builder.rtcall(static_cast<std::uint64_t>(imm(0))); }
-        else if (mnemonic == "seqid") { expect(1); builder.seqid(reg(0)); }
-        else if (mnemonic == "numseq") { expect(1); builder.numseq(reg(0)); }
-        else if (mnemonic == "rdtick") { expect(1); builder.rdtick(reg(0)); }
-        else if (mnemonic == "signal") {
-            expect(3);
-            builder.signal(reg(0), reg(1), reg(2));
-        }
-        else if (mnemonic == "semonitor") {
+        if (mnemonic == "semonitor") {
             expect(2);
             if (ops[0].kind != Operand::Kind::Name)
                 throw AsmError(lineNo, "semonitor: first operand is a scenario name");
@@ -383,11 +315,103 @@ assemble(const std::string &source, VAddr base)
             if (!sc)
                 throw AsmError(lineNo, "bad scenario: " + ops[0].name);
             builder.semonitor(*sc, target(1));
+            continue;
         }
-        else if (mnemonic == "yret") { expect(0); builder.yret(); }
-        else {
+
+        // Every other mnemonic: its operands follow the table's format.
+        Instruction inst;
+        if (!opcodeFromName(mnemonic, &inst.op))
+            throw AsmError(lineNo, "unknown mnemonic: " + mnemonic);
+        // Atomics address memory through a bare base register.
+        auto atomicBase = [&](std::size_t i) {
+            const Operand &m = mem(i);
+            if (m.imm != 0)
+                throw AsmError(lineNo,
+                               mnemonic + " does not take a displacement");
+            return m.reg;
+        };
+        switch (opInfo(inst.op).format) {
+          case OpFormat::None:
+            expect(0);
+            break;
+          case OpFormat::R:
+            expect(1);
+            inst.rd = reg(0);
+            break;
+          case OpFormat::RR:
+            expect(2);
+            inst.rd = reg(0);
+            inst.rs1 = reg(1);
+            break;
+          case OpFormat::RRR:
+            expect(3);
+            inst.rd = reg(0);
+            inst.rs1 = reg(1);
+            inst.rs2 = reg(2);
+            break;
+          case OpFormat::RI:
+            expect(2);
+            inst.rd = reg(0);
+            inst.imm = static_cast<std::uint64_t>(imm(1));
+            break;
+          case OpFormat::RRI:
+            expect(3);
+            inst.rd = reg(0);
+            inst.rs1 = reg(1);
+            inst.imm = static_cast<std::uint64_t>(imm(2));
+            break;
+          case OpFormat::SS:
+            expect(2);
+            inst.rs1 = reg(0);
+            inst.rs2 = reg(1);
+            break;
+          case OpFormat::SI:
+            expect(2);
+            inst.rs1 = reg(0);
+            inst.imm = static_cast<std::uint64_t>(imm(1));
+            break;
+          case OpFormat::S:
+            expect(1);
+            inst.rs1 = reg(0);
+            break;
+          case OpFormat::I:
+            expect(1);
+            inst.imm = static_cast<std::uint64_t>(imm(0));
+            break;
+          case OpFormat::RM: {
+            expect(2);
+            inst.rd = reg(0);
+            const Operand &m = mem(1);
+            inst.rs1 = m.reg;
+            inst.imm = static_cast<std::uint64_t>(m.imm);
+            break;
+          }
+          case OpFormat::RA:
+            expect(2);
+            inst.rd = reg(0);
+            inst.rs1 = atomicBase(1);
+            break;
+          case OpFormat::RAR:
+            expect(3);
+            inst.rd = reg(0);
+            inst.rs1 = atomicBase(1);
+            inst.rs2 = reg(2);
+            break;
+          case OpFormat::Signal: // signal sid, eip, esp
+            expect(3);
+            inst.rs1 = reg(0);
+            inst.rs2 = reg(1);
+            inst.rd = reg(2);
+            break;
+          case OpFormat::Load:    // ld<size>, handled above
+          case OpFormat::Store:   // st<size>, handled above
+          case OpFormat::Target:  // jmp/call, handled above
+          case OpFormat::Cond:    // jcc.<cond>, handled above
+          case OpFormat::Compute: // handled above
+          case OpFormat::Monitor: // semonitor, handled above
             throw AsmError(lineNo, "unknown mnemonic: " + mnemonic);
         }
+        builder.raw(inst);
     }
 
     // finish() resolves fixups; an unbound label means a typo in the

@@ -1,9 +1,8 @@
 #include "isa.hh"
 
 #include <cstring>
+#include <iterator>
 #include <sstream>
-
-#include "sim/logging.hh"
 
 namespace misp::isa {
 
@@ -37,80 +36,6 @@ decode(const std::uint8_t bytes[kInstBytes], Instruction *out)
     return true;
 }
 
-Cycles
-baseLatency(Opcode op)
-{
-    switch (op) {
-      case Opcode::Nop:
-      case Opcode::Halt:
-      case Opcode::MovI:
-      case Opcode::Mov:
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::Sar:
-      case Opcode::AddI:
-      case Opcode::SubI:
-      case Opcode::AndI:
-      case Opcode::OrI:
-      case Opcode::XorI:
-      case Opcode::ShlI:
-      case Opcode::ShrI:
-      case Opcode::Cmp:
-      case Opcode::CmpI:
-      case Opcode::Lea:
-      case Opcode::SeqId:
-      case Opcode::NumSeq:
-      case Opcode::RdTick:
-        return 1;
-      case Opcode::Mul:
-      case Opcode::MulI:
-        return 3;
-      case Opcode::Div:
-      case Opcode::DivI:
-      case Opcode::Rem:
-        return 20;
-      case Opcode::Ld:
-      case Opcode::St:
-      case Opcode::Push:
-      case Opcode::Pop:
-        return 1; // memory cycles added by the MMU
-      case Opcode::Jmp:
-      case Opcode::JmpR:
-      case Opcode::Jcc:
-        return 2; // taken-branch redirect
-      case Opcode::Call:
-      case Opcode::CallR:
-      case Opcode::Ret:
-        return 3;
-      case Opcode::Xchg:
-      case Opcode::CmpXchg:
-      case Opcode::FetchAdd:
-        return 20; // LOCK-prefixed RMW on the coherence fabric
-      case Opcode::Pause:
-        return 10;
-      case Opcode::Compute:
-        return 1; // burst cycles come from the immediate
-      case Opcode::Syscall:
-        return 10; // plus the modeled ring-transition costs
-      case Opcode::RtCall:
-        return 5;
-      case Opcode::Signal:
-        return 2; // egress issue; delivery latency is the fabric's cost
-      case Opcode::Semonitor:
-        return 2;
-      case Opcode::Yret:
-        return 3;
-      case Opcode::NumOpcodes:
-        break;
-    }
-    panic("baseLatency: bad opcode %d", static_cast<int>(op));
-}
-
 bool
 privileged(Opcode op)
 {
@@ -121,60 +46,19 @@ privileged(Opcode op)
 const char *
 opcodeName(Opcode op)
 {
-    switch (op) {
-      case Opcode::Nop: return "nop";
-      case Opcode::Halt: return "halt";
-      case Opcode::MovI: return "movi";
-      case Opcode::Mov: return "mov";
-      case Opcode::Add: return "add";
-      case Opcode::Sub: return "sub";
-      case Opcode::Mul: return "mul";
-      case Opcode::Div: return "div";
-      case Opcode::Rem: return "rem";
-      case Opcode::And: return "and";
-      case Opcode::Or: return "or";
-      case Opcode::Xor: return "xor";
-      case Opcode::Shl: return "shl";
-      case Opcode::Shr: return "shr";
-      case Opcode::Sar: return "sar";
-      case Opcode::AddI: return "addi";
-      case Opcode::SubI: return "subi";
-      case Opcode::MulI: return "muli";
-      case Opcode::DivI: return "divi";
-      case Opcode::AndI: return "andi";
-      case Opcode::OrI: return "ori";
-      case Opcode::XorI: return "xori";
-      case Opcode::ShlI: return "shli";
-      case Opcode::ShrI: return "shri";
-      case Opcode::Cmp: return "cmp";
-      case Opcode::CmpI: return "cmpi";
-      case Opcode::Ld: return "ld";
-      case Opcode::St: return "st";
-      case Opcode::Push: return "push";
-      case Opcode::Pop: return "pop";
-      case Opcode::Lea: return "lea";
-      case Opcode::Jmp: return "jmp";
-      case Opcode::JmpR: return "jmpr";
-      case Opcode::Jcc: return "jcc";
-      case Opcode::Call: return "call";
-      case Opcode::CallR: return "callr";
-      case Opcode::Ret: return "ret";
-      case Opcode::Xchg: return "xchg";
-      case Opcode::CmpXchg: return "cmpxchg";
-      case Opcode::FetchAdd: return "fetchadd";
-      case Opcode::Pause: return "pause";
-      case Opcode::Compute: return "compute";
-      case Opcode::Syscall: return "syscall";
-      case Opcode::RtCall: return "rtcall";
-      case Opcode::SeqId: return "seqid";
-      case Opcode::NumSeq: return "numseq";
-      case Opcode::RdTick: return "rdtick";
-      case Opcode::Signal: return "signal";
-      case Opcode::Semonitor: return "semonitor";
-      case Opcode::Yret: return "yret";
-      case Opcode::NumOpcodes: break;
+    return op < Opcode::NumOpcodes ? opInfo(op).name : "???";
+}
+
+bool
+opcodeFromName(const std::string &name, Opcode *out)
+{
+    for (std::size_t i = 0; i < std::size(kOpTable); ++i) {
+        if (name == kOpTable[i].name) {
+            *out = static_cast<Opcode>(i);
+            return true;
+        }
     }
-    return "???";
+    return false;
 }
 
 const char *
@@ -198,108 +82,79 @@ disassemble(const Instruction &inst)
 {
     std::ostringstream os;
     auto reg = [](unsigned r) { return "r" + std::to_string(r); };
+    const auto simm = static_cast<std::int64_t>(inst.imm);
     os << opcodeName(inst.op);
-    switch (inst.op) {
-      case Opcode::MovI:
-      case Opcode::AddI:
-      case Opcode::SubI:
-      case Opcode::MulI:
-      case Opcode::DivI:
-      case Opcode::AndI:
-      case Opcode::OrI:
-      case Opcode::XorI:
-      case Opcode::ShlI:
-      case Opcode::ShrI:
-        os << " " << reg(inst.rd);
-        if (inst.op != Opcode::MovI)
-            os << ", " << reg(inst.rs1);
-        os << ", " << static_cast<std::int64_t>(inst.imm);
+    if (inst.op >= Opcode::NumOpcodes)
+        return os.str();
+    switch (opInfo(inst.op).format) {
+      case OpFormat::None:
         break;
-      case Opcode::Mov:
-      case Opcode::SeqId:
-      case Opcode::NumSeq:
-      case Opcode::RdTick:
-      case Opcode::Pop:
+      case OpFormat::R:
         os << " " << reg(inst.rd);
-        if (inst.op == Opcode::Mov)
-            os << ", " << reg(inst.rs1);
         break;
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::Rem:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::Sar:
+      case OpFormat::RR:
+        os << " " << reg(inst.rd) << ", " << reg(inst.rs1);
+        break;
+      case OpFormat::RRR:
         os << " " << reg(inst.rd) << ", " << reg(inst.rs1) << ", "
            << reg(inst.rs2);
         break;
-      case Opcode::Cmp:
+      case OpFormat::RI:
+        os << " " << reg(inst.rd) << ", " << simm;
+        break;
+      case OpFormat::RRI:
+        os << " " << reg(inst.rd) << ", " << reg(inst.rs1) << ", " << simm;
+        break;
+      case OpFormat::SS:
         os << " " << reg(inst.rs1) << ", " << reg(inst.rs2);
         break;
-      case Opcode::CmpI:
-        os << " " << reg(inst.rs1) << ", "
-           << static_cast<std::int64_t>(inst.imm);
+      case OpFormat::SI:
+        os << " " << reg(inst.rs1) << ", " << simm;
         break;
-      case Opcode::Ld:
+      case OpFormat::S:
+        os << " " << reg(inst.rs1);
+        break;
+      case OpFormat::I:
+        os << " " << inst.imm;
+        break;
+      case OpFormat::RM:
+        os << " " << reg(inst.rd) << ", [" << reg(inst.rs1) << "+" << simm
+           << "]";
+        break;
+      case OpFormat::Load:
         os << int(inst.sub) << " " << reg(inst.rd) << ", [" << reg(inst.rs1)
-           << "+" << static_cast<std::int64_t>(inst.imm) << "]";
+           << "+" << simm << "]";
         break;
-      case Opcode::St:
-        os << int(inst.sub) << " [" << reg(inst.rs1) << "+"
-           << static_cast<std::int64_t>(inst.imm) << "], " << reg(inst.rs2);
+      case OpFormat::Store:
+        os << int(inst.sub) << " [" << reg(inst.rs1) << "+" << simm
+           << "], " << reg(inst.rs2);
         break;
-      case Opcode::Push:
-        os << " " << reg(inst.rs1);
-        break;
-      case Opcode::Lea:
-        os << " " << reg(inst.rd) << ", [" << reg(inst.rs1) << "+"
-           << static_cast<std::int64_t>(inst.imm) << "]";
-        break;
-      case Opcode::Jmp:
-      case Opcode::Call:
-        os << " 0x" << std::hex << inst.imm;
-        break;
-      case Opcode::Jcc:
-        os << "." << condName(static_cast<Cond>(inst.sub)) << " 0x"
-           << std::hex << inst.imm;
-        break;
-      case Opcode::JmpR:
-      case Opcode::CallR:
-        os << " " << reg(inst.rs1);
-        break;
-      case Opcode::Xchg:
-      case Opcode::FetchAdd:
+      case OpFormat::RA:
         os << " " << reg(inst.rd) << ", [" << reg(inst.rs1) << "]";
-        if (inst.op == Opcode::FetchAdd)
-            os << ", " << reg(inst.rs2);
         break;
-      case Opcode::CmpXchg:
+      case OpFormat::RAR:
         os << " " << reg(inst.rd) << ", [" << reg(inst.rs1) << "], "
            << reg(inst.rs2);
         break;
-      case Opcode::Compute:
+      case OpFormat::Target:
+        os << " 0x" << std::hex << inst.imm;
+        break;
+      case OpFormat::Cond:
+        os << "." << condName(static_cast<Cond>(inst.sub)) << " 0x"
+           << std::hex << inst.imm;
+        break;
+      case OpFormat::Compute:
         os << " " << inst.imm;
         if (inst.rs1 != 0)
             os << " + " << reg(inst.rs1);
         break;
-      case Opcode::Syscall:
-      case Opcode::RtCall:
-        os << " " << inst.imm;
-        break;
-      case Opcode::Signal:
+      case OpFormat::Signal:
         os << " sid=" << reg(inst.rs1) << ", eip=" << reg(inst.rs2)
            << ", esp=" << reg(inst.rd);
         break;
-      case Opcode::Semonitor:
+      case OpFormat::Monitor:
         os << " scenario=" << int(inst.sub) << ", handler=0x" << std::hex
            << inst.imm;
-        break;
-      default:
         break;
     }
     return os.str();

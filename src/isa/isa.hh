@@ -42,53 +42,154 @@ constexpr unsigned kRegArg3 = 3;
 /** Fixed instruction width in guest memory. */
 constexpr unsigned kInstBytes = 16;
 
-/** Opcode space. Keep stable: encoded byte values follow enum order. */
+/** Host-dispatch class of an opcode: where a superblock may hold it and
+ *  how the superblock engine dispatches it. */
+enum class OpClass : std::uint8_t {
+    /** Pure register/flags op: the block executor runs it inline with a
+     *  batched fetch replay (no TLB, memory, or environment effects). */
+    Inline,
+    /** Memory or fault-capable op: a superblock *body* member
+     *  (non-terminating), dispatched through the generic path, after
+     *  which execution revalidates the chain (SMC, TLB churn). */
+    Mem,
+    /** Pure control transfer (JMP / JMPR / Jcc): superblock terminator;
+     *  its exits carry the chain links. */
+    Branch,
+    /** Environment/serialization point, or a control transfer that
+     *  touches memory (CALL/RET): superblock terminator, dispatched
+     *  slowly and followed by a full re-resolve. */
+    Slow,
+    /** Decode failed: terminator raising InvalidOpcode on dispatch. */
+    Invalid,
+};
+
+/** Operand format: the assembly syntax of an opcode and the instruction
+ *  fields its operands fill. Disassembly renders the same syntax. */
+enum class OpFormat : std::uint8_t {
+    None,    ///< no operands
+    R,       ///< rd
+    RR,      ///< rd, rs1
+    RRR,     ///< rd, rs1, rs2
+    RI,      ///< rd, imm
+    RRI,     ///< rd, rs1, imm
+    SS,      ///< rs1, rs2
+    SI,      ///< rs1, imm
+    S,       ///< rs1
+    I,       ///< imm
+    RM,      ///< rd, [rs1+imm]
+    Load,    ///< ld<size> rd, [rs1+imm]; size in `sub`
+    Store,   ///< st<size> [rs1+imm], rs2; size in `sub`
+    RA,      ///< rd, [rs1]; no displacement
+    RAR,     ///< rd, [rs1], rs2; no displacement
+    Target,  ///< absolute address in imm (a label in assembly)
+    Cond,    ///< .<cond> target; condition in `sub`
+    Compute, ///< imm [, rs1]
+    Signal,  ///< sid=rs1, eip=rs2, esp=rd
+    Monitor, ///< scenario=sub, handler=imm
+};
+
+/**
+ * The opcode table: the one definition of every MISA opcode.
+ *
+ * Columns: enumerator, mnemonic, base latency in cycles, dispatch
+ * class, operand format. Row order is the encoding (opcode byte = row
+ * index), so encoded programs, snapshot images and golden digests
+ * depend on it: append rows, never reorder them. Adding an opcode is
+ * one row here plus one semantics case in cpu::Sequencer (execInline
+ * for an Inline row, executeDecoded otherwise).
+ *
+ * Latencies model a simple in-order core with a CPI near 1 for ALU
+ * work, matching the paper's "throughput is governed by event counts,
+ * not core microarchitecture" analysis. Execution adds MMU cycles to
+ * memory ops, the burst to Compute, ring transitions to Syscall and
+ * the fabric's delivery latency to Signal.
+ */
+#define MISP_OPCODES(X)                                                  \
+    X(Nop,       "nop",       1,  Inline, None)                          \
+    X(Halt,      "halt",      1,  Slow,   None)    /* OMS: stop thread */\
+    X(MovI,      "movi",      1,  Inline, RI)      /* rd = imm */        \
+    X(Mov,       "mov",       1,  Inline, RR)      /* rd = rs1 */        \
+    X(Add,       "add",       1,  Inline, RRR)                           \
+    X(Sub,       "sub",       1,  Inline, RRR)                           \
+    X(Mul,       "mul",       3,  Inline, RRR)                           \
+    X(Div,       "div",       20, Mem,    RRR)     /* signed; #DE */     \
+    X(Rem,       "rem",       20, Mem,    RRR)                           \
+    X(And,       "and",       1,  Inline, RRR)                           \
+    X(Or,        "or",        1,  Inline, RRR)                           \
+    X(Xor,       "xor",       1,  Inline, RRR)                           \
+    X(Shl,       "shl",       1,  Inline, RRR)     /* count & 63 */      \
+    X(Shr,       "shr",       1,  Inline, RRR)                           \
+    X(Sar,       "sar",       1,  Inline, RRR)                           \
+    X(AddI,      "addi",      1,  Inline, RRI)                           \
+    X(SubI,      "subi",      1,  Inline, RRI)                           \
+    X(MulI,      "muli",      3,  Inline, RRI)                           \
+    X(DivI,      "divi",      20, Mem,    RRI)                           \
+    X(AndI,      "andi",      1,  Inline, RRI)                           \
+    X(OrI,       "ori",       1,  Inline, RRI)                           \
+    X(XorI,      "xori",      1,  Inline, RRI)                           \
+    X(ShlI,      "shli",      1,  Inline, RRI)                           \
+    X(ShrI,      "shri",      1,  Inline, RRI)                           \
+    X(Cmp,       "cmp",       1,  Inline, SS)      /* signed compare */  \
+    X(CmpI,      "cmpi",      1,  Inline, SI)                            \
+    X(Ld,        "ld",        1,  Mem,    Load)    /* rd = [rs1+imm] */  \
+    X(St,        "st",        1,  Mem,    Store)   /* [rs1+imm] = rs2 */ \
+    X(Push,      "push",      1,  Mem,    S)                             \
+    X(Pop,       "pop",       1,  Mem,    R)                             \
+    X(Lea,       "lea",       1,  Inline, RM)      /* rd = rs1 + imm */  \
+    X(Jmp,       "jmp",       2,  Branch, Target)                        \
+    X(JmpR,      "jmpr",      2,  Branch, S)                             \
+    X(Jcc,       "jcc",       2,  Branch, Cond)                          \
+    X(Call,      "call",      3,  Slow,   Target)                        \
+    X(CallR,     "callr",     3,  Slow,   S)                             \
+    X(Ret,       "ret",       3,  Slow,   None)                          \
+    X(Xchg,      "xchg",      20, Mem,    RA)      /* LOCK RMW */        \
+    X(CmpXchg,   "cmpxchg",   20, Mem,    RAR)                           \
+    X(FetchAdd,  "fetchadd",  20, Mem,    RAR)                           \
+    X(Pause,     "pause",     10, Inline, None)    /* spin hint */       \
+    X(Compute,   "compute",   1,  Inline, Compute) /* + imm (+ rs1) */   \
+    X(Syscall,   "syscall",   10, Slow,   I)       /* OS service */      \
+    X(RtCall,    "rtcall",    5,  Slow,   I)       /* ShredLib service */\
+    X(SeqId,     "seqid",     1,  Inline, R)       /* own SID */         \
+    X(NumSeq,    "numseq",    1,  Inline, R)       /* sequencer count */ \
+    X(RdTick,    "rdtick",    1,  Inline, R)       /* TSC analog */      \
+    X(Signal,    "signal",    2,  Slow,   Signal)  /* MIMD (§2.4) */     \
+    X(Semonitor, "semonitor", 2,  Slow,   Monitor)                       \
+    X(Yret,      "yret",      3,  Slow,   None)
+
+/** Opcode space: one enumerator per table row, in row order. */
 enum class Opcode : std::uint8_t {
-    Nop = 0,
-    Halt,      ///< OMS: stop the thread; AMS: sequencer goes idle
-    // Data movement
-    MovI,      ///< rd = imm
-    Mov,       ///< rd = rs1
-    // ALU, register forms
-    Add, Sub, Mul, Div, Rem,
-    And, Or, Xor, Shl, Shr, Sar,
-    // ALU, immediate forms
-    AddI, SubI, MulI, DivI,
-    AndI, OrI, XorI, ShlI, ShrI,
-    // Flags
-    Cmp,       ///< flags = compare(rs1, rs2) signed
-    CmpI,      ///< flags = compare(rs1, imm)
-    // Memory: size encoded in the `sub` field (1,2,4,8)
-    Ld,        ///< rd = mem[rs1 + imm]
-    St,        ///< mem[rs1 + imm] = rs2
-    Push,      ///< sp -= 8; mem[sp] = rs1
-    Pop,       ///< rd = mem[sp]; sp += 8
-    Lea,       ///< rd = rs1 + imm
-    // Control: targets are absolute guest addresses in imm (or rs1)
-    Jmp, JmpR,
-    Jcc,       ///< conditional branch; condition in `sub`
-    Call, CallR,
-    Ret,
-    // Atomic read-modify-write (LOCK semantics)
-    Xchg,      ///< rd <-> mem[rs1]
-    CmpXchg,   ///< if mem[rs1]==rd: mem[rs1]=rs2, ZF=1; else rd=mem[rs1]
-    FetchAdd,  ///< rd = mem[rs1]; mem[rs1] += rs2
-    Pause,     ///< spin-loop hint
-    // Behavioural macro-op: models a block of FP/compute work
-    Compute,   ///< retire after (imm + rs1_value_if_rs1!=0) cycles
-    // Traps
-    Syscall,   ///< OS service request, number = imm (Ring-0 trap)
-    RtCall,    ///< user-level runtime (ShredLib) service, number = imm
-    // Introspection
-    SeqId,     ///< rd = own sequencer id (SID)
-    NumSeq,    ///< rd = number of sequencers in this MISP processor
-    RdTick,    ///< rd = current cycle count (TSC analog)
-    // ---- MISP MIMD extension (§2.4) ----
-    Signal,    ///< SIGNAL(sid=rs1, eip=rs2, esp=rd-as-source)
-    Semonitor, ///< register trigger-response: scenario=sub, handler=imm
-    Yret,      ///< return from asynchronous handler
+#define MISP_OPCODE_ENUM(op, name, lat, cls, fmt) op,
+    MISP_OPCODES(MISP_OPCODE_ENUM)
+#undef MISP_OPCODE_ENUM
     NumOpcodes
 };
+
+/** One row of the opcode table. */
+struct OpInfo {
+    const char *name; ///< assembly mnemonic
+    Cycles latency;   ///< base execution latency in cycles
+    OpClass cls;      ///< superblock dispatch class
+    OpFormat format;  ///< operand syntax
+};
+
+inline constexpr OpInfo kOpTable[] = {
+#define MISP_OPCODE_INFO(op, name, lat, cls, fmt)                        \
+    {name, lat, OpClass::cls, OpFormat::fmt},
+    MISP_OPCODES(MISP_OPCODE_INFO)
+#undef MISP_OPCODE_INFO
+};
+static_assert(sizeof(kOpTable) / sizeof(kOpTable[0]) ==
+              static_cast<std::size_t>(Opcode::NumOpcodes));
+
+/** The table row of @p op, which must be a decodable opcode. */
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    return kOpTable[static_cast<std::size_t>(op)];
+}
+
+/** Look up the opcode whose mnemonic is @p name. */
+bool opcodeFromName(const std::string &name, Opcode *out);
 
 /** Branch conditions for Jcc, encoded in the `sub` field. */
 enum class Cond : std::uint8_t {
@@ -132,13 +233,14 @@ std::array<std::uint8_t, kInstBytes> encode(const Instruction &inst);
  *  @return false if the opcode byte is out of range. */
 bool decode(const std::uint8_t bytes[kInstBytes], Instruction *out);
 
-/** Base execution latency of @p op in cycles (memory translation and
- *  Compute bursts add more). Values model a simple in-order core with a
- *  CPI near 1 for ALU work, matching the paper's "throughput is governed
- *  by event counts, not core microarchitecture" analysis. */
-Cycles baseLatency(Opcode op);
+/** Base execution latency of @p op in cycles (the table's column). */
+inline Cycles
+baseLatency(Opcode op)
+{
+    return opInfo(op).latency;
+}
 
-/** Human-readable mnemonic. */
+/** Mnemonic of @p op; "???" outside the opcode space. */
 const char *opcodeName(Opcode op);
 const char *condName(Cond cond);
 

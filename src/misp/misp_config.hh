@@ -47,12 +47,11 @@ struct MispConfig {
     unsigned sliceLimit = 32;
 
     /** Host-side execution engine: reference (per-instruction
-     *  fetch+decode), decode cache (predecoded pages), or superblock
-     *  (chained basic-block dispatch over predecoded pages). Simulated
-     *  cycles and stats are bit-identical across all three; this is a
-     *  simulation-speed knob, never architectural state (snapshots
-     *  neither record it nor key compatibility on it). The
-     *  `--no-decode-cache` escape hatch selects Reference. */
+     *  fetch+decode) or superblock (chained basic-block dispatch over
+     *  predecoded pages). Simulated cycles and stats are bit-identical
+     *  across both; this is a simulation-speed knob, never
+     *  architectural state (snapshots neither record it nor key
+     *  compatibility on it). */
     cpu::Engine engine = cpu::Engine::Superblock;
 };
 

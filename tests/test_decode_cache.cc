@@ -1,7 +1,8 @@
 /**
  * @file
- * Decode-cache coherence tests: the predecoded-block execution engine
- * must never execute stale instructions. Covered invalidation paths:
+ * Decode-cache coherence tests: the superblock engine, which executes
+ * from predecoded pages, must never execute stale instructions.
+ * Covered invalidation paths:
  *
  *  - self-modifying code: a guest store to a decoded page forces a
  *    re-decode before the next fetch from it;
@@ -32,7 +33,7 @@ namespace {
 /** One-sequencer machine with a writable code region (SMC tests). */
 struct Machine : harness::BareMachine {
     Machine(const std::string &src,
-            cpu::Engine engine = cpu::Engine::Cache)
+            cpu::Engine engine = cpu::Engine::Superblock)
         : harness::BareMachine(src, engine, /*writableCode=*/true)
     {}
 };
@@ -54,7 +55,7 @@ const char *kSmcSrc = R"(
 
 TEST(DecodeCacheCoherence, SelfModifyingStoreForcesRedecode)
 {
-    Machine m(kSmcSrc, cpu::Engine::Cache);
+    Machine m(kSmcSrc, cpu::Engine::Superblock);
     m.run();
     // Stale predecode would execute movi r0, 111.
     EXPECT_EQ(m.reg(0), 222u);
@@ -67,8 +68,8 @@ TEST(DecodeCacheCoherence, SmcMatchesReferencePathBitExactly)
     Machine ref(kSmcSrc, cpu::Engine::Reference);
     ref.run();
     EXPECT_EQ(ref.reg(0), 222u);
-    for (cpu::Engine engine :
-         {cpu::Engine::Cache, cpu::Engine::Superblock}) {
+    {
+        const cpu::Engine engine = cpu::Engine::Superblock;
         Machine m(kSmcSrc, engine);
         m.run();
         EXPECT_EQ(m.reg(0), 222u) << cpu::engineName(engine);
@@ -86,8 +87,8 @@ TEST(DecodeCacheCoherence, HostPokeInvalidatesDecodedPage)
             movi r0, 1
             halt
     )";
-    for (cpu::Engine engine :
-         {cpu::Engine::Cache, cpu::Engine::Superblock}) {
+    {
+        const cpu::Engine engine = cpu::Engine::Superblock;
         Machine m(src, engine);
         m.run();
         EXPECT_EQ(m.reg(0), 1u) << cpu::engineName(engine);
@@ -110,7 +111,7 @@ TEST(DecodeCacheCoherence, AddressSpaceSwitchNeverReusesBlocks)
     const char *srcA = "main:\n    movi r0, 1\n    halt\n";
     const char *srcB = "main:\n    movi r0, 2\n    halt\n";
 
-    Machine m(srcA, cpu::Engine::Cache);
+    Machine m(srcA, cpu::Engine::Superblock);
     mem::AddressSpace other("q", m.pmem);
     isa::Program progB = isa::assemble(srcB, 0x40'0000);
     other.defineRegion(progB.base, progB.byteSize() + 64, false, "code",
@@ -145,7 +146,7 @@ TEST(DecodeCacheCoherence, SerializationPurgeResyncsWithMemory)
             movi r0, 1
             halt
     )";
-    Machine m(src, cpu::Engine::Cache);
+    Machine m(src, cpu::Engine::Superblock);
     m.run();
     EXPECT_EQ(m.reg(0), 1u);
 
@@ -189,14 +190,13 @@ TEST(DecodeCacheCoherence, FullSystemIdenticalUnderSpeculativeMonitor)
     };
 
     Tick ref = runOnce(cpu::Engine::Reference);
-    EXPECT_EQ(runOnce(cpu::Engine::Cache), ref);
     EXPECT_EQ(runOnce(cpu::Engine::Superblock), ref);
 }
 
 // ---------------------------------------------------------------------
 // Chained-superblock invalidation: a block *linked from* a hot chain
-// must not be reachable stale. Each scenario compares all three
-// engines tick-for-tick, so a chain that survived an invalidation
+// must not be reachable stale. Each scenario compares both engines
+// tick-for-tick, so a chain that survived an invalidation
 // would show up as an architectural or timing divergence.
 // ---------------------------------------------------------------------
 
@@ -264,8 +264,8 @@ TEST(SuperblockChain, SmcIntoLinkedSuccessorBreaksChain)
     EXPECT_EQ(ref.reg(1), 6u);
     EXPECT_EQ(ref.reg(3), 999u); // stale chain would leave 111
 
-    for (cpu::Engine engine :
-         {cpu::Engine::Cache, cpu::Engine::Superblock}) {
+    {
+        const cpu::Engine engine = cpu::Engine::Superblock;
         Machine m(src, engine);
         m.run();
         EXPECT_EQ(m.reg(3), 999u) << cpu::engineName(engine);
@@ -295,8 +295,7 @@ TEST(SuperblockChain, Cr3SwitchMidChainDropsLinkedBlocks)
     Word refR4 = 0;
     bool first = true;
     for (cpu::Engine engine :
-         {cpu::Engine::Reference, cpu::Engine::Cache,
-          cpu::Engine::Superblock}) {
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         Machine m(srcA, engine);
         mem::AddressSpace other("q", m.pmem);
         isa::Program progB = isa::assemble(srcB, 0x40'0000);
@@ -338,8 +337,7 @@ TEST(SuperblockChain, SerializationPurgeMidChain)
     Word refR4 = 0;
     bool first = true;
     for (cpu::Engine engine :
-         {cpu::Engine::Reference, cpu::Engine::Cache,
-          cpu::Engine::Superblock}) {
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         Machine m(src, engine);
         m.start();
         m.eq.run(3000);
@@ -392,8 +390,7 @@ TEST(SuperblockChain, CrossSpaceReplayWindowsNeverSurviveSwitch)
     Word refR4 = 0;
     bool first = true;
     for (cpu::Engine engine :
-         {cpu::Engine::Reference, cpu::Engine::Cache,
-          cpu::Engine::Superblock}) {
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         Machine m(src, engine);
         // Space B: identical code at the same VAs, but the data page at
         // 0x100000 holds 9 where space A's run stored 5.
@@ -528,8 +525,8 @@ TEST(DecodeCacheEquivalence, LoopKernelBitIdentical)
     Machine off(src, cpu::Engine::Reference);
     off.run();
     EXPECT_EQ(off.seq.decodeCacheHits(), 0u);
-    for (cpu::Engine engine :
-         {cpu::Engine::Cache, cpu::Engine::Superblock}) {
+    {
+        const cpu::Engine engine = cpu::Engine::Superblock;
         Machine on(src, engine);
         on.run();
         EXPECT_EQ(on.eq.curTick(), off.eq.curTick())

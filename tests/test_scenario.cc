@@ -171,7 +171,7 @@ TEST(Scenario, MachineKnobsMapToSystemConfig)
     Scenario sc = mustScenario("[machine m]\n"
                                "processors = 3,0\n"
                                "backend = os\n"
-                               "decode_cache = off\n"
+                               "engine = ref\n"
                                "signal_cycles = 500\n"
                                "slice_limit = 8\n"
                                "serialization = speculative_monitor\n"
@@ -257,7 +257,7 @@ TEST(Scenario, SweepExpansionOrderAndOverrides)
                                "competitors = 0..1\n"
                                "[quick]\n"
                                "workload.name = gauss\n"
-                               "machine.decode_cache = off\n");
+                               "machine.engine = ref\n");
 
     std::vector<ScenarioPoint> pts;
     std::string err;
@@ -274,8 +274,8 @@ TEST(Scenario, SweepExpansionOrderAndOverrides)
     EXPECT_EQ(pts[0].machine.engine, cpu::Engine::Superblock);
     EXPECT_EQ(pts[0].coordString(), "workload.name=swim competitors=0");
 
-    // Quick mode: workload axis replaced, machine.decode_cache knob
-    // appended as a single-value axis.
+    // Quick mode: workload axis replaced, machine.engine knob appended
+    // as a single-value axis.
     ASSERT_TRUE(sc.expandPoints(true, &pts, &err)) << err;
     ASSERT_EQ(pts.size(), 4u);
     EXPECT_EQ(pts[0].workload.name, "gauss");
@@ -551,8 +551,8 @@ TEST(RunnerEquivalence, EveryEngineIsBitIdentical)
     std::vector<ScenarioPoint> pts;
     std::string err;
     ASSERT_TRUE(sc.expandPoints(false, &pts, &err));
-    for (cpu::Engine engine :
-         {cpu::Engine::Reference, cpu::Engine::Cache}) {
+    {
+        const cpu::Engine engine = cpu::Engine::Reference;
         ScenarioRunner::Options opts;
         opts.hostLines = false;
         opts.forceEngine = true;

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "driver/runner.hh"
+#include "harness/bare_machine.hh"
 #include "harness/run_record.hh"
 #include "sim/logging.hh"
 #include "snapshot/snapshot.hh"
@@ -221,11 +222,9 @@ TEST(Snapshot, CrossEngineSaveRestoreBitIdentical)
         EXPECT_TRUE(rec.ok()) << rec.note;
         expectSameRecord(coldRec, rec);
     };
-    // Warm-save under superblock, restore under ref — and vice versa
-    // (plus the middle engine for completeness).
+    // Warm-save under superblock, restore under ref — and vice versa.
     restoreUnder(cpu::Engine::Reference, imgSb);
     restoreUnder(cpu::Engine::Superblock, imgRef);
-    restoreUnder(cpu::Engine::Cache, imgSb);
 
     std::remove(imgSb.c_str());
     std::remove(imgRef.c_str());
@@ -306,6 +305,58 @@ TEST(Snapshot, MissingImageFailsClosed)
     warm.snapshotIn = tempPath("snapshot_missing.misnap");
     harness::RunRecord rec = harness::runOne(warm);
     EXPECT_EQ(rec.status, harness::RunStatus::SnapshotError);
+}
+
+TEST(Snapshot, SequencerRestoreRejectsCrcValidGarbage)
+{
+    // Sections built with the real Serializer carry valid CRCs, so only
+    // the restore's own checks stand between a bogus field and the
+    // machine: an out-of-range SeqState byte, or a payload count that
+    // the section cannot hold (each payload is 3 x u64).
+    harness::BareMachine m("main:\n    halt\n");
+    auto restore = [&](auto &&write) {
+        snap::Serializer s;
+        s.beginSection(1);
+        write(s);
+        s.endSection();
+        snap::Deserializer d(s.done());
+        d.openSection(1);
+        m.seq.snapRestore(d);
+    };
+    // Control: the sequencer's own image restores.
+    EXPECT_NO_THROW(restore([&](snap::Serializer &s) { m.seq.snapSave(s); }));
+
+    auto prefix = [&](snap::Serializer &s, std::uint8_t state,
+                      std::uint8_t preSuspend) {
+        snap::putContext(s, m.seq.context());
+        s.u8(state);
+        s.u8(preSuspend);
+        s.b(false);
+    };
+    EXPECT_THROW(restore([&](snap::Serializer &s) { prefix(s, 6, 0); }),
+                 snap::SnapError);
+    EXPECT_THROW(restore([&](snap::Serializer &s) { prefix(s, 0, 0xff); }),
+                 snap::SnapError);
+    // A 2^60-entry signal queue must be refused before it is allocated.
+    EXPECT_THROW(restore([&](snap::Serializer &s) {
+                     prefix(s, 0, 0);
+                     s.u64(1ull << 60);
+                 }),
+                 snap::SnapError);
+    // One payload present, two claimed.
+    EXPECT_THROW(restore([&](snap::Serializer &s) {
+                     prefix(s, 0, 0);
+                     s.u64(2);
+                     snap::putPayload(s, cpu::SignalPayload{});
+                 }),
+                 snap::SnapError);
+    // The proxy queue is bounded the same way.
+    EXPECT_THROW(restore([&](snap::Serializer &s) {
+                     prefix(s, 0, 0);
+                     s.u64(0);
+                     s.u64(~0ull);
+                 }),
+                 snap::SnapError);
 }
 
 TEST(Snapshot, WarmupPastCompletionFailsClosed)

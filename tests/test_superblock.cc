@@ -3,15 +3,16 @@
  * Differential fuzzing of the superblock-chained execution engine.
  *
  * An execution engine is a host-side optimization only: for any guest
- * program, the reference interpreter, the predecoded-block cache, and
- * the chained-superblock engine must produce tick-for-tick identical
- * machine state. This suite generates seeded random guest programs —
- * branches (static, conditional, indirect), aligned loads/stores of
- * every size, bounded loops, page-crossing straight runs,
- * self-modifying stores into the program's own code pages, RTCALLs,
- * and stack traffic — and fails on the first observable divergence
- * between the three engines: final tick, retired/busy counts, every
- * architectural register, and the TLB's hit/miss/walk statistics.
+ * program, the reference interpreter and the chained-superblock engine
+ * must produce tick-for-tick identical machine state. This suite
+ * generates seeded random guest programs — every Inline-class opcode
+ * of the ISA table, divisions, atomics, call/ret pairs, branches
+ * (static, conditional, indirect), aligned loads/stores of every size,
+ * bounded loops, page-crossing straight runs, self-modifying stores
+ * into the program's own code pages, RTCALLs, and stack traffic — and
+ * fails on the first observable divergence between the engines: final
+ * tick, retired/busy counts, every architectural register, FLAGS, the
+ * data region's contents, and the TLB's hit/miss/walk statistics.
  *
  * A second pass replays a seed subset with a host-side poke schedule:
  * the machine runs to a fixed tick, the host rewrites a code page (the
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cpu/decode_cache.hh"
 #include "cpu/sequencer.hh"
@@ -67,56 +69,138 @@ scratchReg(Rng &rng)
 const char *kConds[] = {"eq", "ne", "lt", "le", "gt", "ge", "ult",
                         "uge"};
 
+/** The Inline-class rows of the opcode table: every op the engines run
+ *  through the shared inline semantics. */
+const std::vector<isa::Opcode> &
+inlineOps()
+{
+    static const std::vector<isa::Opcode> ops = [] {
+        std::vector<isa::Opcode> v;
+        for (unsigned i = 0;
+             i < static_cast<unsigned>(isa::Opcode::NumOpcodes); ++i) {
+            if (isa::kOpTable[i].cls == isa::OpClass::Inline)
+                v.push_back(static_cast<isa::Opcode>(i));
+        }
+        return v;
+    }();
+    return ops;
+}
+
+/** One Inline-class instruction, drawn uniformly from the table. */
 void
 emitAlu(std::string &src, Rng &rng)
+{
+    const isa::Opcode op = inlineOps()[rng.pick(inlineOps().size())];
+    const char *mn = isa::opcodeName(op);
+    const unsigned rd = scratchReg(rng);
+    const unsigned rs = scratchReg(rng);
+    const unsigned rt = scratchReg(rng);
+    // Immediate shift counts up to 127 exercise the `& 63` masking.
+    const bool shift = op == isa::Opcode::ShlI || op == isa::Opcode::ShrI;
+    const auto imm =
+        static_cast<unsigned long long>(rng.pick(shift ? 128 : 0x10000));
+    char buf[96];
+    switch (isa::opInfo(op).format) {
+      case isa::OpFormat::None:
+        std::snprintf(buf, sizeof buf, "    %s\n", mn);
+        break;
+      case isa::OpFormat::R:
+        std::snprintf(buf, sizeof buf, "    %s r%u\n", mn, rd);
+        break;
+      case isa::OpFormat::RR:
+        std::snprintf(buf, sizeof buf, "    %s r%u, r%u\n", mn, rd, rs);
+        break;
+      case isa::OpFormat::RRR:
+        std::snprintf(buf, sizeof buf, "    %s r%u, r%u, r%u\n", mn, rd,
+                      rs, rt);
+        break;
+      case isa::OpFormat::RI:
+        std::snprintf(buf, sizeof buf, "    %s r%u, %llu\n", mn, rd, imm);
+        break;
+      case isa::OpFormat::RRI:
+        std::snprintf(buf, sizeof buf, "    %s r%u, r%u, %llu\n", mn, rd,
+                      rs, imm);
+        break;
+      case isa::OpFormat::SS:
+        std::snprintf(buf, sizeof buf, "    %s r%u, r%u\n", mn, rs, rt);
+        break;
+      case isa::OpFormat::SI:
+        std::snprintf(buf, sizeof buf, "    %s r%u, %llu\n", mn, rs, imm);
+        break;
+      case isa::OpFormat::RM:
+        std::snprintf(buf, sizeof buf, "    %s r%u, [r%u+%llu]\n", mn, rd,
+                      rs, imm);
+        break;
+      case isa::OpFormat::Compute:
+        // The burst register is r1, the small outer-loop counter, so
+        // the burn stays bounded.
+        std::snprintf(buf, sizeof buf,
+                      rng.pick(2) ? "    %s %llu, r1\n" : "    %s %llu\n",
+                      mn, imm % 200);
+        break;
+      default:
+        ADD_FAILURE() << "no generator for the format of " << mn;
+        buf[0] = '\0';
+        break;
+    }
+    src += buf;
+}
+
+/** Signed division with a forced divisor in [1, 255]: never zero and
+ *  never -1, so no #DE fault ends the run. */
+void
+emitDivide(std::string &src, Rng &rng)
 {
     const unsigned rd = scratchReg(rng);
     const unsigned rs = scratchReg(rng);
     const unsigned rt = scratchReg(rng);
-    char buf[96];
-    switch (rng.pick(10)) {
+    char buf[160];
+    switch (rng.pick(3)) {
       case 0:
-        std::snprintf(buf, sizeof buf, "    addi r%u, r%u, %llu\n", rd,
-                      rs, (unsigned long long)rng.pick(1000));
-        break;
       case 1:
-        std::snprintf(buf, sizeof buf, "    add r%u, r%u, r%u\n", rd,
-                      rs, rt);
-        break;
-      case 2:
-        std::snprintf(buf, sizeof buf, "    sub r%u, r%u, r%u\n", rd,
-                      rs, rt);
-        break;
-      case 3:
-        std::snprintf(buf, sizeof buf, "    muli r%u, r%u, %llu\n", rd,
-                      rs, (unsigned long long)(1 + rng.pick(13)));
-        break;
-      case 4:
-        std::snprintf(buf, sizeof buf, "    xori r%u, r%u, %llu\n", rd,
-                      rs, (unsigned long long)rng.pick(0xffff));
-        break;
-      case 5:
-        std::snprintf(buf, sizeof buf, "    andi r%u, r%u, %llu\n", rd,
-                      rs, (unsigned long long)rng.pick(0xffff));
-        break;
-      case 6:
-        std::snprintf(buf, sizeof buf, "    ori r%u, r%u, %llu\n", rd,
-                      rs, (unsigned long long)rng.pick(0xffff));
-        break;
-      case 7:
-        std::snprintf(buf, sizeof buf, "    shli r%u, r%u, %llu\n", rd,
-                      rs, (unsigned long long)rng.pick(8));
-        break;
-      case 8:
-        std::snprintf(buf, sizeof buf, "    shri r%u, r%u, %llu\n", rd,
-                      rs, (unsigned long long)rng.pick(8));
+        std::snprintf(buf, sizeof buf,
+                      "    andi r%u, r%u, 0xff\n"
+                      "    ori r%u, r%u, 1\n"
+                      "    %s r%u, r%u, r%u\n",
+                      rt, rt, rt, rt, rng.pick(2) ? "div" : "rem", rd, rs,
+                      rt);
         break;
       default:
-        std::snprintf(buf, sizeof buf, "    movi r%u, %llu\n", rd,
-                      (unsigned long long)rng.pick(100000));
+        std::snprintf(buf, sizeof buf, "    divi r%u, r%u, %llu\n", rd, rs,
+                      (unsigned long long)(1 + rng.pick(100)));
         break;
     }
     src += buf;
+}
+
+/** Atomic read-modify-writes on an aligned word of the data region
+ *  (r12 holds the address; the SMC chunk reloads it before use). */
+void
+emitAtomics(std::string &src, Rng &rng)
+{
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "    lea r12, [r2+%llu]\n",
+                  (unsigned long long)(rng.pick(3 * 4096 / 8) * 8));
+    src += buf;
+    const int n = 1 + (int)rng.pick(3);
+    for (int i = 0; i < n; ++i) {
+        const unsigned rx = scratchReg(rng);
+        const unsigned ry = scratchReg(rng);
+        switch (rng.pick(3)) {
+          case 0:
+            std::snprintf(buf, sizeof buf, "    xchg r%u, [r12]\n", rx);
+            break;
+          case 1:
+            std::snprintf(buf, sizeof buf, "    cmpxchg r%u, [r12], r%u\n",
+                          rx, ry);
+            break;
+          default:
+            std::snprintf(buf, sizeof buf,
+                          "    fetchadd r%u, [r12], r%u\n", rx, ry);
+            break;
+        }
+        src += buf;
+    }
 }
 
 void
@@ -155,7 +239,7 @@ genProgram(std::uint64_t seed)
     const int chunks = 4 + (int)rng.pick(5);
     for (int c = 0; c < chunks; ++c) {
         char buf[128];
-        switch (rng.pick(8)) {
+        switch (rng.pick(11)) {
           case 0: { // straight ALU run (long ones cross a page: a
                     // 4 KiB page holds 256 instruction bundles)
             const int n = rng.pick(6) == 0 ? 280 + (int)rng.pick(80)
@@ -227,11 +311,34 @@ genProgram(std::uint64_t seed)
             src += buf;
             break;
           }
-          default: { // stack traffic through the Mem-class slow path
+          case 7: { // stack traffic through the Mem-class slow path
             const unsigned rv = scratchReg(rng);
             std::snprintf(buf, sizeof buf,
                           "    push r%u\n    pop r%u\n", rv,
                           scratchReg(rng));
+            src += buf;
+            break;
+          }
+          case 8: // division run (Mem class: a fault-capable body op)
+            for (int i = 0, n = 1 + (int)rng.pick(3); i < n; ++i)
+                emitDivide(src, rng);
+            break;
+          case 9: // atomics on the data region
+            emitAtomics(src, rng);
+            break;
+          default: { // call/ret pair around a forward-skipped body
+            const int id = label++;
+            if (rng.pick(2) == 0)
+                std::snprintf(buf, sizeof buf, "    call f%d\n", id);
+            else
+                std::snprintf(buf, sizeof buf,
+                              "    movi r11, f%d\n    call r11\n", id);
+            src += buf;
+            std::snprintf(buf, sizeof buf, "    jmp g%d\nf%d:\n", id, id);
+            src += buf;
+            for (int i = 0, n = 1 + (int)rng.pick(6); i < n; ++i)
+                emitAlu(src, rng);
+            std::snprintf(buf, sizeof buf, "    ret\ng%d:\n", id);
             src += buf;
             break;
           }
@@ -247,6 +354,7 @@ genProgram(std::uint64_t seed)
                   "    addi r1, r1, 1\n"
                   "    cmpi r1, %d\n"
                   "    jcc.lt outer\n"
+                  "done:\n"
                   "    halt\n",
                   2 + (int)rng.pick(3));
     src += tail;
@@ -267,11 +375,19 @@ struct Observed {
     std::uint64_t tlbMisses = 0;
     std::uint64_t walks = 0;
     Word regs[isa::kNumRegs] = {};
+    isa::Flags flags;
+    std::uint64_t dataHash = 0; ///< FNV-1a of the three data pages
 
     static Observed
     of(harness::BareMachine &m)
     {
         Observed o;
+        std::vector<std::uint8_t> data(3 * 4096);
+        m.as.peek(0x10'0000, data.data(), data.size());
+        o.dataHash = 0xcbf29ce484222325ull;
+        for (std::uint8_t byte : data)
+            o.dataHash = (o.dataHash ^ byte) * 0x100000001b3ull;
+        o.flags = m.seq.context().flags;
         o.ticks = m.eq.curTick();
         o.busy = m.seq.busyCycles();
         o.retired = m.seq.instsRetired();
@@ -295,6 +411,8 @@ expectIdentical(const Observed &ref, const Observed &got,
     EXPECT_EQ(got.tlbHits, ref.tlbHits) << en << " seed " << seed;
     EXPECT_EQ(got.tlbMisses, ref.tlbMisses) << en << " seed " << seed;
     EXPECT_EQ(got.walks, ref.walks) << en << " seed " << seed;
+    EXPECT_EQ(got.flags, ref.flags) << en << " seed " << seed;
+    EXPECT_EQ(got.dataHash, ref.dataHash) << en << " seed " << seed;
     for (unsigned r = 0; r < isa::kNumRegs; ++r)
         EXPECT_EQ(got.regs[r], ref.regs[r])
             << en << " seed " << seed << " r" << r;
@@ -314,13 +432,16 @@ TEST(SuperblockFuzz, EnginesBitIdenticalOver128Seeds)
         ASSERT_GT(ref.seq.instsRetired(), 15u)
             << "seed " << seed << "\n"
             << src;
+        // It must also end at its final HALT: a fault (an unguarded
+        // divide, a stray access) kills the run early instead.
+        ASSERT_EQ(ref.seq.context().eip, ref.prog.symbol("done"))
+            << "seed " << seed << "\n"
+            << src;
         const Observed want = Observed::of(ref);
-        for (cpu::Engine engine :
-             {cpu::Engine::Cache, cpu::Engine::Superblock}) {
-            FuzzMachine m(src, engine);
-            m.run();
-            expectIdentical(want, Observed::of(m), engine, seed);
-        }
+        FuzzMachine m(src, cpu::Engine::Superblock);
+        m.run();
+        expectIdentical(want, Observed::of(m), cpu::Engine::Superblock,
+                        seed);
         if (HasFailure())
             break; // the seed is in the failure output; stop the flood
     }
@@ -336,8 +457,7 @@ TEST(SuperblockFuzz, HostPokeScheduleBitIdentical)
         Observed want;
         bool haveRef = false;
         for (cpu::Engine engine :
-             {cpu::Engine::Reference, cpu::Engine::Cache,
-              cpu::Engine::Superblock}) {
+             {cpu::Engine::Reference, cpu::Engine::Superblock}) {
             FuzzMachine m(src, engine);
             m.start();
             const VAddr patchImm = m.prog.symbol("patch") + 8;

@@ -326,8 +326,8 @@ max_events = 128
 TEST(TraceDeterminism, ByteIdenticalAcrossEngines)
 {
     std::string ref;
-    for (cpu::Engine e : {cpu::Engine::Reference, cpu::Engine::Cache,
-                          cpu::Engine::Superblock}) {
+    for (cpu::Engine e :
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         harness::RunRequest req = tracedRequest();
         req.config.misp.engine = e;
         harness::RunRecord rec = harness::runOne(req);

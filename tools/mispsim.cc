@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -330,14 +329,11 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--engine=", 9) == 0) {
             if (!misp::cpu::parseEngineName(arg + 9, &engine)) {
                 std::fprintf(stderr,
-                             "mispsim: --engine wants ref, cache, or "
-                             "superblock, got '%s'\n",
+                             "mispsim: --engine wants ref or superblock, "
+                             "got '%s'\n",
                              arg + 9);
                 return 2;
             }
-            forceEngine = true;
-        } else if (std::strcmp(arg, "--no-decode-cache") == 0) {
-            engine = misp::cpu::Engine::Reference;
             forceEngine = true;
         } else if (std::strcmp(arg, "--trace") == 0) {
             if (++i >= argc) {
@@ -422,28 +418,6 @@ main(int argc, char **argv)
     if (sharded && !parseShardSpec(shardArg, &shard, &shardErr)) {
         std::fprintf(stderr, "mispsim: %s\n", shardErr.c_str());
         return 2;
-    }
-
-    // Env overrides apply only when no CLI --engine flag was given.
-    if (!forceEngine) {
-        const char *envEngine = std::getenv("MISP_ENGINE");
-        if (envEngine && envEngine[0] != '\0') {
-            if (!misp::cpu::parseEngineName(envEngine, &engine)) {
-                std::fprintf(stderr,
-                             "mispsim: MISP_ENGINE wants ref, cache, or "
-                             "superblock, got '%s'\n",
-                             envEngine);
-                return 2;
-            }
-            forceEngine = true;
-        }
-    }
-    if (!forceEngine) {
-        const char *env = std::getenv("MISP_NO_DECODE_CACHE");
-        if (env && env[0] == '1') {
-            engine = misp::cpu::Engine::Reference;
-            forceEngine = true;
-        }
     }
 
     setQuietLogging(!verbose);
