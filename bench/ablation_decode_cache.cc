@@ -158,7 +158,7 @@ int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
-    const bool quick = quickMode(argc, argv);
+    const bool quick = parseBenchFlags(argc, argv);
     const unsigned scale = quick ? 1 : 4;
     const unsigned reps = quick ? 2 : 3;
 

@@ -4,25 +4,25 @@
  * at sweep sizes the paper figures never reach (10^2..10^5 rows) —
  * and what they cost to build.
  *
- * For each synthetic sweep size, two frames are built over identical
- * rows: one Lookup::Indexed (hashed coord-tuple indexes, the
- * default) and one Lookup::Linear (the pre-index string-compare
- * walks, kept alive for exactly this measurement). Three phases are
- * timed per size:
+ * For each synthetic sweep size, one frame is built and queried two
+ * ways: through its hashed coord-tuple indexes, and through
+ * LinearWalk below — the pre-index string-compare walks, rebuilt over
+ * the frame's public row()/at() API for exactly this measurement.
+ * Three phases are timed per size:
  *
  *   build    addRow + finalize (the index-construction overhead)
  *   lookup   a representative query mix — full-tuple findRow,
  *            cross-axis rowWithOverrides, axis-baseline resolution —
  *            over rows spread across the whole frame
  *   emit     writeJson into a discarding stream (the streaming
- *            emitter's row throughput; identical for both modes)
+ *            emitter's row throughput)
  *
  * Linear lookups at the larger sizes are sampled (the O(rows) walk
  * is the thing being measured; running the full mix would take
  * minutes) and reported per-lookup, so the speedup column compares
  * like with like. The contract is asserted, not just reported:
  * indexed lookups must beat the linear walk by >= 10x at 10^4 rows,
- * and both modes must answer every sampled query identically.
+ * and both must answer every sampled query identically.
  * VmHWM (peak RSS) after the largest build rides along as the memory
  * proxy. Results land in BENCH_frame_scale.json so CI keeps a
  * trajectory.
@@ -117,9 +117,9 @@ struct Sweep {
 
     std::size_t rows() const { return combos * 2; }
 
-    MetricFrame build(MetricFrame::Lookup mode) const
+    MetricFrame build() const
     {
-        MetricFrame frame(mode);
+        MetricFrame frame;
         harness::RunRecord run;
         run.status = harness::RunStatus::Completed;
         run.valid = true;
@@ -140,12 +140,83 @@ struct Sweep {
     }
 };
 
-/** The query mix, @p samples groups spread across the frame. Returns
- *  a fold of every answer so the differential check (and the
- *  optimizer) can't skip work. */
+/** The pre-index lookups: O(rows) string-compare walks over the
+ *  frame's public row API, answering exactly what the indexed
+ *  MetricFrame methods of the same names answer. */
+struct LinearWalk {
+    const MetricFrame &frame;
+
+    const MetricFrame::Row &row(std::size_t r) const
+    {
+        return frame.row(r);
+    }
+
+    /** First row on @p machine whose coordinates contain @p coords. */
+    std::size_t findRow(const std::string &machine,
+                        const std::vector<MetricFrame::Coord> &coords)
+        const
+    {
+        for (std::size_t r = 0; r < frame.numRows(); ++r) {
+            if (frame.row(r).machine != machine)
+                continue;
+            bool match = true;
+            for (const MetricFrame::Coord &want : coords) {
+                bool found = false;
+                for (const MetricFrame::Coord &have : frame.row(r).coords)
+                    found = found || have == want;
+                match = match && found;
+            }
+            if (match)
+                return r;
+        }
+        return MetricFrame::npos;
+    }
+
+    std::size_t
+    rowWithOverrides(std::size_t g, const std::string &machine,
+                     const std::vector<MetricFrame::Coord> &overrides) const
+    {
+        std::vector<MetricFrame::Coord> want = frame.groupCoords(g);
+        for (const MetricFrame::Coord &o : overrides) {
+            for (MetricFrame::Coord &c : want) {
+                if (c.first == o.first)
+                    c.second = o.second;
+            }
+        }
+        for (std::size_t r = 0; r < frame.numRows(); ++r) {
+            if (frame.row(r).machine == machine &&
+                frame.row(r).coords == want)
+                return r;
+        }
+        return MetricFrame::npos;
+    }
+
+    std::size_t axisBaselineRow(std::size_t r, const std::string &axis) const
+    {
+        const MetricFrame::Row &of = frame.row(r);
+        for (std::size_t cand = 0; cand < frame.numRows(); ++cand) {
+            const MetricFrame::Row &c = frame.row(cand);
+            if (c.machine != of.machine ||
+                c.coords.size() != of.coords.size())
+                continue;
+            bool match = true;
+            for (std::size_t i = 0; i < of.coords.size(); ++i) {
+                if (of.coords[i].first != axis)
+                    match = match && c.coords[i] == of.coords[i];
+            }
+            if (match)
+                return cand;
+        }
+        return MetricFrame::npos;
+    }
+};
+
+/** The query mix, @p samples groups spread across the frame, through
+ *  @p frame's indexes or a LinearWalk. Returns a fold of every answer
+ *  so the differential check (and the optimizer) can't skip work. */
+template <class Lookups>
 std::uint64_t
-lookupMix(const MetricFrame &frame, const Sweep &sweep,
-          std::size_t samples)
+lookupMix(const Lookups &frame, const Sweep &sweep, std::size_t samples)
 {
     std::uint64_t fold = 0;
     const std::size_t stride =
@@ -155,7 +226,7 @@ lookupMix(const MetricFrame &frame, const Sweep &sweep,
             sweep.aValues[(g / sweep.bValues.size()) %
                           sweep.aValues.size()];
         const std::string &b = sweep.bValues[g % sweep.bValues.size()];
-        // Full-tuple findRow (the wrapper benches' lookup).
+        // Full-tuple findRow.
         std::size_t r = frame.findRow(
             "misp", {{"machine.a", a}, {"machine.b", b}});
         fold = fold * 31 + r;
@@ -175,7 +246,7 @@ lookupMix(const MetricFrame &frame, const Sweep &sweep,
 
 struct SizeResult {
     std::size_t points = 0;
-    double buildIndexedMs = 0, buildLinearMs = 0;
+    double buildMs = 0;
     double lookupIndexedNs = 0, lookupLinearNs = 0;
     double emitMs = 0;
     std::uint64_t emitBytes = 0;
@@ -202,9 +273,8 @@ main(int argc, char **argv)
 
     std::printf("# MetricFrame scale: indexed vs linear lookups%s\n",
                 quick ? " (quick)" : "");
-    std::printf("%8s %12s %12s %12s %12s %9s %10s\n", "points",
-                "build-idx-ms", "build-lin-ms", "lookup-idx-ns",
-                "lookup-lin-ns", "speedup", "emit-MB/s");
+    std::printf("%8s %12s %12s %12s %9s %10s\n", "points", "build-ms",
+                "lookup-idx-ns", "lookup-lin-ns", "speedup", "emit-MB/s");
 
     std::vector<SizeResult> results;
     bool failed = false;
@@ -214,12 +284,10 @@ main(int argc, char **argv)
         res.points = sweep.rows();
 
         double t0 = now();
-        MetricFrame indexed = sweep.build(MetricFrame::Lookup::Indexed);
+        const MetricFrame indexed = sweep.build();
         double t1 = now();
-        MetricFrame linear = sweep.build(MetricFrame::Lookup::Linear);
-        double t2 = now();
-        res.buildIndexedMs = (t1 - t0) * 1e3;
-        res.buildLinearMs = (t2 - t1) * 1e3;
+        res.buildMs = (t1 - t0) * 1e3;
+        const LinearWalk linear{indexed};
 
         // Differential check first: both strategies must answer the
         // sampled mix identically (on a capped sample so the linear
@@ -268,9 +336,9 @@ main(int argc, char **argv)
         res.emitMs = (t1 - t0) * 1e3;
         res.emitBytes = sink.bytes;
 
-        std::printf("%8zu %12.2f %12.2f %12.1f %12.1f %8.1fx %10.1f\n",
-                    res.points, res.buildIndexedMs, res.buildLinearMs,
-                    res.lookupIndexedNs, res.lookupLinearNs,
+        std::printf("%8zu %12.2f %12.1f %12.1f %8.1fx %10.1f\n",
+                    res.points, res.buildMs, res.lookupIndexedNs,
+                    res.lookupLinearNs,
                     res.speedup(),
                     double(res.emitBytes) / 1e6 / (res.emitMs / 1e3));
         results.push_back(res);
@@ -303,10 +371,7 @@ main(int argc, char **argv)
             const SizeResult &res = results[i];
             std::fprintf(json, "%s\n    {", i ? "," : "");
             std::fprintf(json, "\"points\": %zu, ", res.points);
-            std::fprintf(json,
-                         "\"build_indexed_ms\": %.3f, "
-                         "\"build_linear_ms\": %.3f, ",
-                         res.buildIndexedMs, res.buildLinearMs);
+            std::fprintf(json, "\"build_ms\": %.3f, ", res.buildMs);
             std::fprintf(json,
                          "\"lookup_indexed_ns\": %.1f, "
                          "\"lookup_linear_ns\": %.1f, ",

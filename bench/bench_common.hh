@@ -1,20 +1,17 @@
 /**
  * @file
- * Shared experiment plumbing for the paper-reproduction benches.
- *
- * Each bench binary regenerates one table or figure from the paper's
- * evaluation (Section 5); see DESIGN.md's per-experiment index. Passing
- * `--quick` (or setting MISP_BENCH_QUICK=1) runs smaller inputs for CI
- * smoke purposes.
+ * Shared plumbing for the measurement benches in bench/ (engine,
+ * snapshot, trace and frame-scale ablations, Table 2). The paper's
+ * tables and figures are not benches: they are `[table]` sections of
+ * the specs under scenarios/, rendered by `mispsim`. Passing
+ * `--quick` runs smaller inputs for CI smoke purposes.
  */
 
 #ifndef MISP_BENCH_BENCH_COMMON_HH
 #define MISP_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -29,53 +26,26 @@ namespace misp::bench {
  *  host throughput, derived metrics). */
 using RunResult = harness::RunRecord;
 
-inline bool
-quickMode(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            return true;
-    }
-    const char *env = std::getenv("MISP_BENCH_QUICK");
-    return env && env[0] == '1';
-}
-
-/** `--engine=ref|superblock`: simulated results are bit-identical
- *  across engines; this isolates an engine for A/B host-time runs.
- *  Returns whether the flag was given (else *engine is untouched). */
-inline bool
-benchEngine(int argc, char **argv, cpu::Engine *engine)
-{
-    bool given = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--engine=", 9) == 0)
-            given = cpu::parseEngineName(argv[i] + 9, engine) || given;
-    }
-    return given;
-}
-
 /** Default execution engine baked into the config helpers below. Set
  *  once per bench via parseBenchFlags(); explicit assignments to
  *  SystemConfig::misp.engine after construction still win. */
 inline cpu::Engine gBenchEngine = cpu::Engine::Superblock;
-/** True when the user explicitly picked an engine — the only case
- *  where scenario-declared machine engines get overridden. */
-inline bool gBenchEngineForced = false;
 
-/** Parse the flags every bench shares; call first thing in main(). */
+/** Parse the flags every bench shares — `--quick`, and
+ *  `--engine=ref|superblock` (simulated results are bit-identical
+ *  across engines; this isolates one for A/B host-time runs). Call
+ *  first thing in main(); returns whether `--quick` was given. */
 inline bool
 parseBenchFlags(int argc, char **argv)
 {
-    gBenchEngineForced = benchEngine(argc, argv, &gBenchEngine);
-    return quickMode(argc, argv);
-}
-
-/** Sum of retired guest instructions over every sequencer of every
- *  processor in @p sys (shared with the scenario runner). */
-inline std::uint64_t
-totalInstsRetired(arch::MispSystem &sys)
-{
-    return harness::totalInstsRetired(sys);
+    bool quick = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--quick") == 0)
+            quick = true;
+        else if (std::strncmp(argv[i], "--engine=", 9) == 0)
+            cpu::parseEngineName(argv[i] + 9, &gBenchEngine);
+    }
+    return quick;
 }
 
 /** The paper's default machine: 8 sequencers at 3.0 GHz. */
@@ -103,27 +73,11 @@ smp8()
     return mispMp({0, 0, 0, 0, 0, 0, 0, 0});
 }
 
-inline arch::SystemConfig
-smp1()
-{
-    return mispMp({0});
-}
-
-/** Uniform host-throughput line, one per measured run, on stderr (so
- *  figure tables on stdout stay clean). Shared with the scenario
- *  runner via harness::reportHost. @return MIPS. */
-inline double
-reportHost(const std::string &name, std::uint64_t instsRetired,
-           double hostSeconds, cpu::Engine engine)
-{
-    return harness::reportHost(name, instsRetired, hostSeconds, engine);
-}
-
 /** Build + load + run one workload to completion; harvest stats —
  *  a thin adapter over the unified run layer (harness::runOne), so
  *  bench runs can never diverge from `mispsim` scenario runs. The
  *  uniform HOST throughput line keeps perf trajectories comparable
- *  across figures. */
+ *  across benches. */
 inline RunResult
 runWorkload(const arch::SystemConfig &sys, rt::Backend backend,
             const wl::WorkloadInfo &info, const wl::WorkloadParams &params)
@@ -160,45 +114,6 @@ benchSuite(bool quick)
         out.push_back(&info);
     }
     return out;
-}
-
-/**
- * The shared scaffolding of every scenario-wrapper bench: quiet
- * logging, the common flags (--quick / --engine= / --points),
- * the run of @p scn through the scenario runner, and the sweep's
- * MetricFrame — the one store the bench's presentation code queries
- * (the same frame `mispsim` renders and asserts against). Returns
- * true when the caller should exit immediately with *exitCode — on a
- * failed run (1), or after `--points` printed the canonical
- * equivalence lines (0).
- */
-inline bool
-scenarioBenchMain(const char *scn, const char *tool, int argc,
-                  char **argv, driver::Scenario *sc,
-                  harness::MetricFrame *frame, int *exitCode)
-{
-    setQuietLogging(true);
-    bool quick = parseBenchFlags(argc, argv);
-    bool points = false;
-    for (int i = 1; i < argc; ++i)
-        points = points || std::strcmp(argv[i], "--points") == 0;
-
-    driver::RunnerOptions opts;
-    opts.forceEngine = gBenchEngineForced;
-    opts.engine = gBenchEngine;
-    std::vector<driver::PointResult> results;
-    if (!driver::runScenarioByName(scn, argv[0], quick, opts, tool, sc,
-                                   &results)) {
-        *exitCode = 1;
-        return true;
-    }
-    *frame = driver::buildMetricFrame(*sc, results);
-    if (points) {
-        driver::writePoints(std::cout, *frame);
-        *exitCode = 0;
-        return true;
-    }
-    return false;
 }
 
 inline void

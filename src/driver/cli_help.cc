@@ -104,7 +104,8 @@ mispsimFlags()
          "merges byte-identically; points keep\n"
          "their global grid indices, so snapshots\n"
          "and --inject compose unchanged; [report]\n"
-         "asserts are deferred to --merge-frames"},
+         "asserts and [table]s are deferred to\n"
+         "--merge-frames"},
         {"--merge-frames OUT",
          "merge mode: treat the remaining\n"
          "arguments as per-shard --metrics dumps,\n"
@@ -113,8 +114,9 @@ mispsimFlags()
          "overlaps — fail-closed, naming the\n"
          "offending file), write the reassembled\n"
          "frame to OUT byte-identical to a serial\n"
-         "run's --metrics, and evaluate the\n"
-         "deferred [report] asserts on it"},
+         "run's --metrics, and render the deferred\n"
+         "[table]s and evaluate the deferred\n"
+         "[report] asserts on it"},
         {"--progress",
          "force per-point progress lines on stderr\n"
          "even in --points mode (default: on for\n"
@@ -125,10 +127,10 @@ mispsimFlags()
          "totals and histograms plus per-engine\n"
          "host-MIPS — host-plane data, varies run\n"
          "to run"},
-        {"--md", "print the results table as markdown"},
+        {"--md", "print the results tables as markdown"},
         {"--points",
          "print canonical point lines only (the\n"
-         "bench-equivalence diff format)"},
+         "engine-equivalence diff format)"},
         {"--dry-run", "expand and print the grid without running"},
         {"--full-stats",
          "include a full stats dump per point in the\n"

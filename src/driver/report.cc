@@ -64,6 +64,13 @@ struct EvalCtx {
      *  row (or an aggregate lost every group to degradation) — the
      *  signal the [report] on_failed_points policy acts on. */
     bool *sawFailed = nullptr;
+
+    /** [table] cells: set when a reference outside an aggregate landed
+     *  in a degraded group (one holding any failed point). */
+    bool *touchedDegraded = nullptr;
+    /** `footer = ... by suite`: aggregates fold only over the groups
+     *  whose workload belongs to this registry suite. */
+    const std::string *suite = nullptr;
 };
 
 void
@@ -157,27 +164,12 @@ parseSelector(const EvalCtx &ctx, const std::string &body,
         // axis value spelled `5000`. An exact spelling match wins;
         // otherwise adopt the spelling of the axis value the selector
         // matches numerically. A value matching nothing either way is
-        // a malformed selector — diagnose with the axis's values.
-        // The indexed frame precomputes each axis's distinct values in
-        // first-seen row order; a linear frame falls back to the scan.
-        std::vector<std::string> axisValues;
-        if (const std::vector<std::string> *vals =
-                ctx.frame.axisValues(coord.first)) {
-            axisValues = *vals;
-        } else {
-            for (std::size_t r = 0; r < ctx.frame.numRows(); ++r) {
-                for (const MetricFrame::Coord &c :
-                     ctx.frame.row(r).coords) {
-                    if (c.first != coord.first)
-                        continue;
-                    bool dup = false;
-                    for (const std::string &v : axisValues)
-                        dup = dup || v == c.second;
-                    if (!dup)
-                        axisValues.push_back(c.second);
-                }
-            }
-        }
+        // a malformed selector — diagnose with the axis's values. The
+        // frame precomputes each axis's distinct values in first-seen
+        // row order (the axis is known to exist: it is a coordinate of
+        // the current group).
+        const std::vector<std::string> &axisValues =
+            *ctx.frame.axisValues(coord.first);
         bool exact = false;
         for (const std::string &v : axisValues)
             exact = exact || v == coord.second;
@@ -309,6 +301,9 @@ resolveRef(const EvalCtx &ctx, const std::string &ref, double *out,
     // and every malformed-expression diagnostic still fires.
     if (harness::runStatusIsInfraFailure(ctx.frame.row(row).status))
         markFailed(ctx);
+    if (ctx.touchedDegraded &&
+        ctx.frame.groupHasFailure(ctx.frame.row(row).group))
+        *ctx.touchedDegraded = true;
     if (ctx.refs) {
         std::string text = ref;
         if (ctx.inAggregate)
@@ -380,6 +375,17 @@ isAggregateName(const std::string &tok)
 bool parseSide(Tokenizer &tz, const EvalCtx &ctx, double *out,
                std::string *why);
 
+/** The registry suite of group @p g's target workload ("" if the
+ *  workload is unregistered). */
+const std::string &
+groupSuite(const MetricFrame &frame, std::size_t g)
+{
+    static const std::string kNone;
+    const wl::WorkloadInfo *info =
+        wl::findWorkload(frame.row(frame.groupRows(g).front()).workload);
+    return info ? info->suite : kNone;
+}
+
 /** `AGG '(' side ')'`: evaluate the body once per coordinate group
  *  (re-walking the same tokens with each group's context) and fold. */
 bool
@@ -412,6 +418,8 @@ parseAggregate(Tokenizer &tz, const EvalCtx &ctx,
     std::vector<double> values;
     std::size_t degraded = 0;
     for (std::size_t g = 0; g < ctx.frame.numGroups(); ++g) {
+        if (ctx.suite && groupSuite(ctx.frame, g) != *ctx.suite)
+            continue;
         tz.pos = start;
         const std::size_t refMark = bodyRefs.size();
         bool bodyFailed = false;
@@ -420,6 +428,7 @@ parseAggregate(Tokenizer &tz, const EvalCtx &ctx,
         inner.inAggregate = true;
         inner.refs = &bodyRefs;
         inner.sawFailed = &bodyFailed;
+        inner.touchedDegraded = nullptr; // folds skip degraded groups
         double v = 0;
         if (!parseSide(tz, inner, &v, why))
             return false;
@@ -750,116 +759,191 @@ evaluateAsserts(const Scenario &sc, const MetricFrame &frame,
     return true;
 }
 
-void
-writeEventsTable(std::ostream &os, const Scenario &sc,
-                 const MetricFrame &frame, bool markdown)
+namespace {
+
+/** The [table] number rule: integral values print as integers, all
+ *  others with three decimals. */
+std::string
+formatCell(double v)
+{
+    char buf[64];
+    if (v == std::floor(v) && std::fabs(v) < 1e15)
+        std::snprintf(buf, sizeof(buf), "%.0f", v == 0.0 ? 0.0 : v);
+    else
+        std::snprintf(buf, sizeof(buf), "%.3f", v);
+    return buf;
+}
+
+/** One [table] cell, footer or footer line: @p cell's expression at
+ *  @p group, as text — `-` when the evaluation touches a degraded
+ *  group (or an aggregate lost every group to degradation). */
+bool
+evaluateCell(const Scenario &sc, const MetricFrame &frame,
+             const TableCell &cell, std::size_t group,
+             const std::string *suite, std::set<std::string> *consulted,
+             AggCache *aggCache, std::string *text, std::string *err)
+{
+    bool sawFailed = false;
+    bool touched = false;
+    EvalCtx ctx{sc,       frame,    group,     /*inAggregate=*/false,
+                consulted, nullptr, aggCache, &sawFailed,
+                &touched,  suite};
+    Tokenizer tz(cell.expr);
+    double v = 0;
+    std::string why;
+    if (parseSide(tz, ctx, &v, &why) && tz.peek())
+        why = "unexpected trailing token '" + *tz.peek() + "'";
+    if (!why.empty()) {
+        *err = specError(sc.specPath, cell.line,
+                         "'" + cell.label + " = " + cell.expr + "': " + why);
+        return false;
+    }
+    *text = sawFailed || touched ? "-" : formatCell(v);
+    return true;
+}
+
+/** A [table] resolved against the frame: its label axes (the union of
+ *  the axes its columns consult) and one representative group per
+ *  distinct projection onto them, in first-seen grid order. */
+struct TablePlan {
+    const TableSpec *spec = nullptr;
+    std::vector<std::string> axes;
+    std::vector<std::size_t> rowGroups;
+    /** Per column: aggregate values are group-independent, so each
+     *  column folds the sweep once, not once per row. */
+    std::vector<AggCache> aggCaches;
+    std::vector<std::string> footerLines;
+};
+
+/** Label cells plus one evaluated cell per column for plan row @p i. */
+bool
+tableRow(const Scenario &sc, const MetricFrame &frame, TablePlan &plan,
+         std::size_t i, std::vector<std::string> *cells, std::string *err)
+{
+    const std::size_t g = plan.rowGroups[i];
+    cells->clear();
+    for (const MetricFrame::Coord &c : frame.groupCoords(g)) {
+        if (std::find(plan.axes.begin(), plan.axes.end(), c.first) !=
+            plan.axes.end())
+            cells->push_back(c.second);
+    }
+    for (std::size_t c = 0; c < plan.spec->columns.size(); ++c) {
+        std::string text;
+        if (!evaluateCell(sc, frame, plan.spec->columns[c], g, nullptr,
+                          nullptr, &plan.aggCaches[c], &text, err))
+            return false;
+        cells->push_back(std::move(text));
+    }
+    return true;
+}
+
+/** Resolve @p table against @p frame and evaluate every cell and
+ *  footer once, so a bad expression is diagnosed before any output. */
+bool
+planTable(const Scenario &sc, const MetricFrame &frame,
+          const TableSpec &table, TablePlan *plan, std::string *err)
+{
+    plan->spec = &table;
+    plan->aggCaches.resize(table.columns.size());
+    std::set<std::string> consulted;
+    for (std::size_t c = 0; c < table.columns.size(); ++c) {
+        std::string text;
+        if (!evaluateCell(sc, frame, table.columns[c], 0, nullptr,
+                          &consulted, &plan->aggCaches[c], &text, err))
+            return false;
+    }
+    for (const MetricFrame::Coord &c : frame.groupCoords(0)) {
+        if (consulted.count(c.first))
+            plan->axes.push_back(c.first);
+    }
+    std::set<std::string> seen;
+    for (std::size_t g = 0; g < frame.numGroups(); ++g) {
+        if (seen.insert(projectionLabel(frame.groupCoords(g), consulted))
+                .second)
+            plan->rowGroups.push_back(g);
+    }
+    std::vector<std::string> cells;
+    for (std::size_t i = 0; i < plan->rowGroups.size(); ++i) {
+        if (!tableRow(sc, frame, *plan, i, &cells, err))
+            return false;
+    }
+
+    for (const TableCell &f : table.footers) {
+        // `by suite`: one line per registry suite present in the sweep,
+        // in registry order.
+        std::vector<std::string> suites = {""};
+        if (f.bySuite) {
+            suites.clear();
+            std::set<std::string> present;
+            for (std::size_t g = 0; g < frame.numGroups(); ++g)
+                present.insert(groupSuite(frame, g));
+            for (const std::vector<wl::WorkloadInfo> *reg :
+                 {&wl::allWorkloads(), &wl::utilWorkloads()}) {
+                for (const wl::WorkloadInfo &info : *reg) {
+                    if (present.erase(info.suite))
+                        suites.push_back(info.suite);
+                }
+            }
+        }
+        for (const std::string &suite : suites) {
+            std::set<std::string> footerConsulted;
+            std::string text;
+            if (!evaluateCell(sc, frame, f, 0,
+                              f.bySuite ? &suite : nullptr,
+                              &footerConsulted, nullptr, &text, err))
+                return false;
+            if (!footerConsulted.empty()) {
+                *err = specError(sc.specPath, f.line,
+                                 "footer '" + f.label +
+                                     "': per-point references must sit "
+                                     "inside an aggregate");
+                return false;
+            }
+            plan->footerLines.push_back(
+                f.label + (f.bySuite ? " [" + suite + "]" : "") + ": " +
+                text);
+        }
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+writeTables(std::ostream &os, const Scenario &sc, const MetricFrame &frame,
+            bool markdown, std::string *err)
 {
     if (frame.numRows() == 0) {
         os << "(no points)\n";
-        return;
+        return true;
     }
-
-    std::vector<std::string> coordKeys;
-    for (const auto &[key, value] : frame.row(0).coords) {
-        (void)value;
-        if (key != "workload.name")
-            coordKeys.push_back(key);
+    std::vector<TablePlan> plans(sc.tables.size());
+    for (std::size_t t = 0; t < sc.tables.size(); ++t) {
+        if (!planTable(sc, frame, sc.tables[t], &plans[t], err))
+            return false;
     }
-
-    bool anyFailed = false;
-    for (std::size_t i = 0; i < frame.numRows(); ++i)
-        anyFailed = anyFailed || frame.at(i, "failed") != 0.0;
-
-    std::vector<std::string> header = {"machine", "workload"};
-    for (const std::string &k : coordKeys)
-        header.push_back(k);
-    for (const char *k :
-         {"insts(M)", "oms_sys", "oms_pf", "timer", "intr", "ams_sys",
-          "ams_pf", "serial"})
-        header.push_back(k);
-    if (anyFailed)
-        header.push_back("status");
-
-    // The Table-1 classes, normalized per 10^6 retired instructions —
-    // straight reads of the frame's events_per_mi columns.
-    static const char *const kPerMiColumns[] = {
-        "events_per_mi.oms_syscalls", "events_per_mi.oms_page_faults",
-        "events_per_mi.timer",        "events_per_mi.interrupts",
-        "events_per_mi.ams_syscalls", "events_per_mi.ams_page_faults",
-        "events_per_mi.serializations"};
-
-    // One row's cells at a time — two passes (width scan, emission)
-    // instead of materializing every row of the sweep.
-    auto formatRow = [&](std::size_t i) {
-        const MetricFrame::Row &r = frame.row(i);
-        std::vector<std::string> row = {r.machine, r.workload};
-        for (const std::string &k : coordKeys) {
-            std::string v;
-            for (const auto &[ck, cv] : r.coords) {
-                if (ck == k)
-                    v = cv;
-            }
-            row.push_back(v);
-        }
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.2f",
-                      frame.at(i, "insts") / 1e6);
-        row.push_back(buf);
-        for (const char *col : kPerMiColumns) {
-            std::snprintf(buf, sizeof(buf), "%.3f", frame.at(i, col));
-            row.push_back(buf);
-        }
-        if (anyFailed)
-            row.push_back(harness::runStatusName(r.status));
-        return row;
-    };
-
-    std::vector<std::size_t> widths(header.size());
-    for (std::size_t c = 0; c < header.size(); ++c)
-        widths[c] = header[c].size();
-    if (!markdown) {
-        for (std::size_t i = 0; i < frame.numRows(); ++i) {
-            const std::vector<std::string> row = formatRow(i);
-            for (std::size_t c = 0; c < row.size(); ++c)
-                widths[c] = std::max(widths[c], row[c].size());
-        }
-    }
-
-    auto emitRow = [&](const std::vector<std::string> &row) {
-        if (markdown) {
-            os << "|";
-            for (std::size_t c = 0; c < row.size(); ++c)
-                os << " " << row[c] << " |";
+    for (std::size_t t = 0; t < plans.size(); ++t) {
+        TablePlan &plan = plans[t];
+        std::vector<std::string> header = plan.axes;
+        for (const TableCell &c : plan.spec->columns)
+            header.push_back(c.label);
+        if (t > 0)
             os << "\n";
-        } else {
-            for (std::size_t c = 0; c < row.size(); ++c) {
-                os << (c ? "  " : "");
-                os << row[c]
-                   << std::string(widths[c] - row[c].size(), ' ');
-            }
+        writeGrid(
+            os, plan.spec->title, header, plan.rowGroups.size(),
+            [&](std::size_t i) {
+                std::vector<std::string> cells;
+                std::string ignored; // planTable evaluated every cell
+                tableRow(sc, frame, plan, i, &cells, &ignored);
+                return cells;
+            },
+            markdown);
+        if (!plan.footerLines.empty())
             os << "\n";
-        }
-    };
-
-    if (!sc.title.empty())
-        os << (markdown ? "### " : "") << sc.title << "\n\n";
-    os << "Serializing events per 10^6 retired instructions\n";
-    if (markdown)
-        os << "\n";
-    emitRow(header);
-    if (markdown) {
-        os << "|";
-        for (std::size_t c = 0; c < header.size(); ++c)
-            os << " --- |";
-        os << "\n";
-    } else {
-        std::size_t total = 0;
-        for (std::size_t c = 0; c < widths.size(); ++c)
-            total += widths[c] + (c ? 2 : 0);
-        os << std::string(total, '-') << "\n";
+        for (const std::string &line : plan.footerLines)
+            os << (markdown ? "- " : "") << line << "\n";
     }
-    for (std::size_t i = 0; i < frame.numRows(); ++i)
-        emitRow(formatRow(i));
+    return true;
 }
 
 } // namespace misp::driver

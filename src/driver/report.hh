@@ -1,10 +1,10 @@
 /**
  * @file
- * Report layer: the `[report] mode = events` emitter (Table-1 event
- * classes normalized per 10^6 retired instructions) and the
- * `assert = <expr>` evaluator that guards paper claims from the
- * scenario file itself. Both are renderers/queries over the
- * harness::MetricFrame the runner builds from a sweep's results.
+ * Report layer: the `assert = <expr>` evaluator that guards paper
+ * claims from the scenario file itself, and the `[table]` renderer
+ * that prints the paper's tables and figures from it. Both are
+ * queries over the harness::MetricFrame the runner builds from a
+ * sweep's results, and share one expression grammar.
  *
  * Assert grammar (tokens are whitespace-separated, so machine names
  * like `1x4+4` never collide with operators; parentheses are
@@ -85,6 +85,33 @@
  * The policies differ only in `mispsim`'s exit code: failed points
  * exit 1 under `fail`/`require_all` but 4 ("completed with failed
  * points") under `skip`.
+ *
+ * Tables. A `[table]` section declares one paper table as data:
+ *
+ *   [table]
+ *   title  = <text>
+ *   column = <label> = side                 (repeatable, in order)
+ *   footer = <label> = side [by suite]      (repeatable)
+ *
+ * Rows come from the expressions: a column's evaluation consults the
+ * sweep axes its bare references depend on, or the axes its
+ * selectors leave unpinned (none inside aggregates). The table has
+ * one row per distinct projection of the sweep's coordinate groups
+ * onto the union of the axes its columns consult, in first-seen grid
+ * order, and those axes' values lead each row as label columns. So
+ *
+ *   column = 5000cyc = misp[machine.signal_cycles=5000].ticks /
+ *                      misp[machine.signal_cycles=0].ticks
+ *
+ * over a workload x signal_cycles sweep gives one row per workload.
+ * Cells print integral values as integers and everything else with
+ * three decimals; a cell whose evaluation touches a degraded group
+ * prints `-`. A footer is a sweep-wide value — its per-point
+ * references must sit inside an aggregate — printed as `label: value`
+ * under the grid; aggregates fold over non-degraded groups only.
+ * `by suite` prints one footer line per workload-registry suite
+ * present in the sweep, in registry order, each folding only the
+ * groups whose workload belongs to that suite.
  */
 
 #ifndef MISP_DRIVER_REPORT_HH
@@ -125,11 +152,17 @@ bool evaluateAsserts(const Scenario &sc,
                      std::string *err,
                      std::size_t *skippedGroups = nullptr);
 
-/** The `[report] mode = events` table: one row per grid point, Table-1
- *  event classes normalized per 10^6 retired instructions.
- *  GitHub-flavoured markdown when @p markdown. */
-void writeEventsTable(std::ostream &os, const Scenario &sc,
-                      const harness::MetricFrame &frame, bool markdown);
+/**
+ * Render every [table] of @p sc over @p frame, in file order, through
+ * the shared grid emitter (GitHub-flavoured markdown when
+ * @p markdown). Every cell and footer is evaluated before anything is
+ * written: on a malformed expression, an unresolvable reference or a
+ * footer outside an aggregate, nothing is emitted and @p err receives
+ * a "path:line: message" diagnostic.
+ */
+bool writeTables(std::ostream &os, const Scenario &sc,
+                 const harness::MetricFrame &frame, bool markdown,
+                 std::string *err);
 
 } // namespace misp::driver
 

@@ -787,8 +787,9 @@ writeTable(std::ostream &os, const Scenario &sc,
         header.push_back("status");
 
     using Frame = harness::MetricFrame;
-    // One row's cells at a time — the table streams in two passes
-    // (width scan, then emission) instead of materializing the sweep.
+    // One row's cells at a time — writeGrid streams the table in two
+    // passes (width scan, then emission) instead of materializing the
+    // sweep.
     auto formatRow = [&](std::size_t i) {
         const Frame::Row &r = frame.row(i);
         std::vector<std::string> row = {r.machine, r.workload};
@@ -832,13 +833,23 @@ writeTable(std::ostream &os, const Scenario &sc,
         return row;
     };
 
+    writeGrid(os, sc.title, header, frame.numRows(), formatRow, markdown);
+}
+
+void
+writeGrid(std::ostream &os, const std::string &title,
+          const std::vector<std::string> &header, std::size_t rows,
+          const std::function<std::vector<std::string>(std::size_t)>
+              &formatRow,
+          bool markdown)
+{
     // Markdown needs no alignment, so the width pass only runs for
     // the plain-text renderer.
     std::vector<std::size_t> widths(header.size());
     for (std::size_t c = 0; c < header.size(); ++c)
         widths[c] = header[c].size();
     if (!markdown) {
-        for (std::size_t i = 0; i < frame.numRows(); ++i) {
+        for (std::size_t i = 0; i < rows; ++i) {
             const std::vector<std::string> row = formatRow(i);
             for (std::size_t c = 0; c < row.size(); ++c)
                 widths[c] = std::max(widths[c], row[c].size());
@@ -861,8 +872,8 @@ writeTable(std::ostream &os, const Scenario &sc,
         }
     };
 
-    if (!sc.title.empty())
-        os << (markdown ? "### " : "") << sc.title << "\n\n";
+    if (!title.empty())
+        os << (markdown ? "### " : "") << title << "\n\n";
     emitRow(header);
     if (markdown) {
         os << "|";
@@ -875,7 +886,7 @@ writeTable(std::ostream &os, const Scenario &sc,
             total += widths[c] + (c ? 2 : 0);
         os << std::string(total, '-') << "\n";
     }
-    for (std::size_t i = 0; i < frame.numRows(); ++i)
+    for (std::size_t i = 0; i < rows; ++i)
         emitRow(formatRow(i));
 }
 

@@ -3,8 +3,8 @@
  * ScenarioRunner: executes an expanded scenario grid on the unified
  * run layer (harness::runOne), plus the result emitters every consumer
  * shares — JSON (machine-readable, CI artifacts), text and markdown
- * tables (humans, $GITHUB_STEP_SUMMARY), and canonical point lines
- * (the equivalence diff between `mispsim` and the wrapper benches).
+ * tables through one grid emitter (humans, $GITHUB_STEP_SUMMARY), and
+ * canonical point lines (the engine/backend equivalence diff format).
  *
  * One grid point is exactly one harness::RunRequest: build the
  * workload, instantiate the machine + runtime backend, load the target
@@ -20,6 +20,7 @@
 #ifndef MISP_DRIVER_RUNNER_HH
 #define MISP_DRIVER_RUNNER_HH
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -198,7 +199,7 @@ findResultCoords(const std::vector<PointResult> &results,
 /**
  * Build the sweep's MetricFrame — the single translation from grid
  * results to the queryable metrics store every consumer (asserts,
- * emitters, wrapper benches) reads. Rows are added in grid order and
+ * emitters, [table]s) reads. Rows are added in grid order and
  * the `speedup` column uses the scenario's [report] baseline_machine.
  */
 harness::MetricFrame
@@ -215,6 +216,20 @@ void writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
  *  Adds the [report]-requested speedup columns. */
 void writeTable(std::ostream &os, const Scenario &sc,
                 const harness::MetricFrame &frame, bool markdown);
+
+/**
+ * The one grid emitter behind every stdout table (the per-point table
+ * and each [table] section): @p title (skipped when empty), a header
+ * row, a rule, then @p rows rows whose cells @p formatRow produces on
+ * demand — rows are formatted, never stored. Plain text is
+ * column-aligned (a width pass formats every row once before
+ * emission); GitHub-flavoured markdown when @p markdown.
+ */
+void writeGrid(std::ostream &os, const std::string &title,
+               const std::vector<std::string> &header, std::size_t rows,
+               const std::function<std::vector<std::string>(std::size_t)>
+                   &formatRow,
+               bool markdown);
 
 /** Canonical `machine=... workload=... competitors=... ticks=...
  *  valid=...` lines — the equivalence-diff format. */
@@ -236,7 +251,7 @@ std::string findScenarioFile(const std::string &nameOrPath,
                              const char *argv0);
 
 /**
- * The figure-wrapper entry point: locate @p nameOrPath (per
+ * The bench entry point for a checked-in spec: locate @p nameOrPath (per
  * findScenarioFile), parse + validate + expand the grid (applying
  * [quick] overrides when @p quick), and run every point. On failure,
  * prints a "@p tool: ..." diagnostic to stderr and returns false.

@@ -198,6 +198,69 @@ parseAxes(const SpecFile &spec, const SpecSection &sec,
     return true;
 }
 
+/** One [table] section. `column` and `footer` values are
+ *  `<label> = <expr>`; a footer may end in `by suite`. The
+ *  expressions are checked against the frame when the table renders
+ *  (driver/report.hh). */
+bool
+parseTable(const SpecFile &spec, const SpecSection &sec,
+           std::vector<TableSpec> *out, std::string *err)
+{
+    auto trim = [](const std::string &s) {
+        std::size_t b = s.find_first_not_of(" \t");
+        std::size_t e = s.find_last_not_of(" \t");
+        return b == std::string::npos ? std::string()
+                                       : s.substr(b, e - b + 1);
+    };
+    TableSpec table;
+    for (const SpecEntry &e : sec.entries) {
+        if (e.key == "title") {
+            table.title = e.value;
+            continue;
+        }
+        if (e.key != "column" && e.key != "footer") {
+            if (err)
+                *err = specError(spec.path, e.line,
+                                 "unknown [table] key '" + e.key +
+                                     "' (expected title, column or "
+                                     "footer)");
+            return false;
+        }
+        TableCell cell;
+        cell.line = e.line;
+        std::size_t eq = e.value.find('=');
+        if (eq != std::string::npos) {
+            cell.label = trim(e.value.substr(0, eq));
+            cell.expr = trim(e.value.substr(eq + 1));
+        }
+        static const std::string kBySuite = " by suite";
+        if (e.key == "footer" && cell.expr.size() > kBySuite.size() &&
+            cell.expr.compare(cell.expr.size() - kBySuite.size(),
+                              std::string::npos, kBySuite) == 0) {
+            cell.bySuite = true;
+            cell.expr = trim(
+                cell.expr.substr(0, cell.expr.size() - kBySuite.size()));
+        }
+        if (cell.label.empty() || cell.expr.empty()) {
+            if (err)
+                *err = specError(spec.path, e.line,
+                                 e.key + ": expected '<label> = <expr>', "
+                                         "got '" + e.value + "'");
+            return false;
+        }
+        (e.key == "column" ? table.columns : table.footers)
+            .push_back(std::move(cell));
+    }
+    if (table.columns.empty()) {
+        if (err)
+            *err = specError(spec.path, sec.line,
+                             "[table] needs at least one 'column'");
+        return false;
+    }
+    out->push_back(std::move(table));
+    return true;
+}
+
 } // namespace
 
 bool
@@ -410,20 +473,7 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
                     out->report.baselineMachine = e.value;
                 else if (e.key == "baseline_axis")
                     out->report.baselineAxis = e.value;
-                else if (e.key == "mode") {
-                    if (e.value == "table")
-                        out->report.mode = ReportMode::Table;
-                    else if (e.value == "events")
-                        out->report.mode = ReportMode::Events;
-                    else {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "mode: expected 'table' or "
-                                             "'events', got '" + e.value +
-                                             "'");
-                        return false;
-                    }
-                } else if (e.key == "on_failed_points") {
+                else if (e.key == "on_failed_points") {
                     if (e.value == "fail")
                         out->report.onFailedPoints =
                             FailedPointPolicy::Fail;
@@ -452,6 +502,9 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
                     return false;
                 }
             }
+        } else if (sec.type == "table") {
+            if (!parseTable(spec, sec, &out->tables, err))
+                return false;
         } else {
             if (err)
                 *err = specError(spec.path, sec.line,

@@ -19,11 +19,14 @@
  *                         doesn't override them)
  *   [sweep]               axes: key = value-list (commas, `lo..hi`)
  *   [quick]               axis/knob overrides applied in --quick mode
- *   [report]              baseline_machine, baseline_axis,
- *                         mode = table|events (events renders Table-1
- *                         counts per 10^6 retired instructions), and
+ *   [report]              baseline_machine, baseline_axis, and
  *                         repeatable `assert = <expr>` paper-claim
  *                         guards (grammar: driver/report.hh)
+ *   [table]               zero or more paper tables rendered from the
+ *                         sweep instead of the per-point table:
+ *                         `title`, repeatable `column = <label> =
+ *                         <expr>` and `footer = <label> = <aggregate
+ *                         expr> [by suite]` (driver/report.hh)
  *   [snapshot]            warmup_ticks: per-point warmup depth for
  *                         `mispsim --save-snapshot` (snapshot/)
  *   [faults]              deterministic fault injection for --isolate
@@ -134,12 +137,6 @@ struct SweepAxis {
     int line = 0; ///< spec line, for expansion-time diagnostics
 };
 
-/** How the results table is rendered. */
-enum class ReportMode {
-    Table,  ///< runtime table with [report]-requested speedup columns
-    Events, ///< Table-1 events, normalized per 10^6 retired instructions
-};
-
 /** One `assert = <expr>` guard from a [report] section, evaluated
  *  against RunRecord-derived metrics after the grid runs. */
 struct ReportAssert {
@@ -164,7 +161,7 @@ enum class FailedPointPolicy {
     RequireAll,
 };
 
-/** Derived-column requests for tables and wrapper figures. */
+/** Derived-column requests for the per-point table, and asserts. */
 struct ReportSpec {
     /** Speedup column: ticks on this machine / ticks, per coordinate. */
     std::string baselineMachine;
@@ -172,12 +169,26 @@ struct ReportSpec {
      *  first value, same machine / other coordinates ("competitors"
      *  gives Figure 7's vs-unloaded curve). */
     std::string baselineAxis;
-    /** `mode = table|events` (default table). */
-    ReportMode mode = ReportMode::Table;
     /** `on_failed_points = fail|skip|require_all` (default fail). */
     FailedPointPolicy onFailedPoints = FailedPointPolicy::Fail;
     /** Paper-claim guards; see driver/report.hh for the grammar. */
     std::vector<ReportAssert> asserts;
+};
+
+/** One `column = <label> = <expr>` or `footer = <label> = <expr>
+ *  [by suite]` line of a [table] section. */
+struct TableCell {
+    std::string label;
+    std::string expr; ///< a `side` of the assert grammar
+    bool bySuite = false; ///< footers only: one line per suite
+    int line = 0;
+};
+
+/** One [table] section: a paper table declared as data. */
+struct TableSpec {
+    std::string title;
+    std::vector<TableCell> columns;
+    std::vector<TableCell> footers;
 };
 
 /** A fully-resolved grid point, ready to run. */
@@ -208,6 +219,9 @@ struct Scenario {
     std::vector<SweepAxis> sweep;
     std::vector<SweepAxis> quick;
     ReportSpec report;
+    /** [table] sections, in file order; when any exist they replace
+     *  the per-point table on stdout. */
+    std::vector<TableSpec> tables;
 
     /** `[snapshot] warmup_ticks`: how deep each grid point warms up
      *  before `--save-snapshot` archives it (0 = save at the first

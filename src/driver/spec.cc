@@ -160,9 +160,10 @@ SpecFile::parse(const std::string &text, const std::string &path,
         }
         SpecSection &sec = out->sections.back();
         // Keys name one axis or knob each, so duplicates are rejected —
-        // except `assert` and `inject`, which are repeatable
-        // statements, not knobs.
+        // except `assert`, `inject`, `column` and `footer`, which are
+        // repeatable statements, not knobs.
         if (entry.key != "assert" && entry.key != "inject" &&
+            entry.key != "column" && entry.key != "footer" &&
             sec.find(entry.key)) {
             if (err)
                 *err = specError(path, lineNo,

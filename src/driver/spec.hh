@@ -69,8 +69,8 @@ struct SpecFile {
      * Parse @p text. On failure returns false and sets @p err to a
      * "path:line: message" diagnostic. Duplicate keys within one
      * section are rejected (every key names one axis or knob), with
-     * two exceptions: `assert` and `inject` lines are repeatable
-     * statements.
+     * four exceptions: `assert`, `inject`, `column` and `footer` lines
+     * are repeatable statements.
      */
     static bool parse(const std::string &text, const std::string &path,
                       SpecFile *out, std::string *err);

@@ -111,7 +111,7 @@ std::uint64_t totalInstsRetired(arch::MispSystem &sys);
 
 /**
  * Table-1 event snapshot of one MISP processor — the single
- * harvesting point shared by the figure benches (bench_common's
+ * harvesting point shared by the benches (bench_common's
  * RunResult) and the scenario runner (driver::PointResult), so a new
  * counter can never silently diverge between the two.
  */
@@ -154,7 +154,7 @@ struct EventField {
 const std::vector<EventField> &eventFields();
 
 /** Emit the uniform per-run HOST throughput line on stderr — the one
- *  format shared by the figure benches and the scenario runner so
+ *  format shared by the benches and the scenario runner so
  *  perf trajectories stay comparable across harnesses and PRs.
  *  @return MIPS. */
 double reportHost(const std::string &name, std::uint64_t instsRetired,

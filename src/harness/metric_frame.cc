@@ -35,7 +35,7 @@ packPairs(std::string &key,
 
 } // namespace
 
-MetricFrame::MetricFrame(Lookup lookup) : lookup_(lookup)
+MetricFrame::MetricFrame()
 {
     metrics_ = {"ticks",     "mcycles", "insts",   "valid",
                 "completed", "failed",  "attempts"};
@@ -46,12 +46,6 @@ MetricFrame::MetricFrame(Lookup lookup) : lookup_(lookup)
     columns_.resize(metrics_.size());
     for (std::size_t m = 0; m < metrics_.size(); ++m)
         metricIds_.emplace(metrics_[m], m);
-}
-
-bool
-MetricFrame::indexed() const
-{
-    return lookup_ == Lookup::Indexed && finalized_;
 }
 
 MetricFrame::Id
@@ -75,7 +69,6 @@ MetricFrame::internRow(const Row &row)
 {
     RowKeys keys;
     keys.machine = intern(row.machine);
-    keys.workload = intern(row.workload);
     keys.coords.reserve(row.coords.size());
     for (const Coord &c : row.coords)
         keys.coords.emplace_back(intern(c.first), intern(c.second));
@@ -123,34 +116,16 @@ MetricFrame::computeGroups()
     // assigns group numbers in exactly the order the old pairwise
     // coordinate comparison did, so group numbering — and every
     // artifact carrying it — is unchanged.
-    if (lookup_ == Lookup::Indexed) {
-        for (std::size_t r = 0; r < rows_.size(); ++r) {
-            std::string key;
-            key.reserve(rowKeys_[r].coords.size() * 8);
-            packPairs(key, rowKeys_[r].coords);
-            auto [it, fresh] =
-                groupOfTuple_.emplace(std::move(key), groups_.size());
-            if (fresh)
-                groups_.emplace_back();
-            rows_[r].group = it->second;
-            groups_[it->second].push_back(r);
-        }
-        return;
-    }
     for (std::size_t r = 0; r < rows_.size(); ++r) {
-        std::size_t g = npos;
-        for (std::size_t i = 0; i < groups_.size(); ++i) {
-            if (rows_[groups_[i].front()].coords == rows_[r].coords) {
-                g = i;
-                break;
-            }
-        }
-        if (g == npos) {
-            g = groups_.size();
+        std::string key;
+        key.reserve(rowKeys_[r].coords.size() * 8);
+        packPairs(key, rowKeys_[r].coords);
+        auto [it, fresh] =
+            groupOfTuple_.emplace(std::move(key), groups_.size());
+        if (fresh)
             groups_.emplace_back();
-        }
-        rows_[r].group = g;
-        groups_[g].push_back(r);
+        rows_[r].group = it->second;
+        groups_[it->second].push_back(r);
     }
 }
 
@@ -177,12 +152,6 @@ MetricFrame::buildIndexes()
         packId(sortedKey, keys.machine);
         packPairs(sortedKey, sorted);
         rowOfSortedTuple_.emplace(std::move(sortedKey), r);
-
-        std::string triple;
-        packId(triple, keys.machine);
-        packId(triple, keys.workload);
-        packId(triple, rows_[r].competitors);
-        rowOfTriple_.emplace(std::move(triple), r);
 
         if (keys.machine >= rowsOfMachine_.size())
             rowsOfMachine_.resize(keys.machine + 1);
@@ -212,8 +181,7 @@ MetricFrame::finalize(const std::string &baselineMachine)
         fatal("MetricFrame: finalize() called twice");
     finalized_ = true;
     computeGroups();
-    if (lookup_ == Lookup::Indexed)
-        buildIndexes();
+    buildIndexes();
 
     if (baselineMachine.empty())
         return;
@@ -264,8 +232,7 @@ MetricFrame::loadRows(const std::vector<std::string> &metrics,
     }
     finalized_ = true;
     computeGroups();
-    if (lookup_ == Lookup::Indexed)
-        buildIndexes();
+    buildIndexes();
     return true;
 }
 
@@ -289,15 +256,8 @@ MetricFrame::hasMetric(const std::string &name) const
 std::size_t
 MetricFrame::metricIndex(const std::string &name) const
 {
-    if (lookup_ == Lookup::Indexed) {
-        auto it = metricIds_.find(name);
-        return it == metricIds_.end() ? npos : it->second;
-    }
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-        if (metrics_[i] == name)
-            return i;
-    }
-    return npos;
+    auto it = metricIds_.find(name);
+    return it == metricIds_.end() ? npos : it->second;
 }
 
 bool
@@ -341,18 +301,11 @@ MetricFrame::groupLabel(std::size_t g) const
 std::size_t
 MetricFrame::rowInGroup(std::size_t g, const std::string &machine) const
 {
-    if (indexed()) {
-        const Id m = lookupId(machine);
-        if (m == kNoId)
-            return npos;
-        for (std::size_t r : groups_[g]) {
-            if (rowKeys_[r].machine == m)
-                return r;
-        }
+    const Id m = lookupId(machine);
+    if (m == kNoId)
         return npos;
-    }
     for (std::size_t r : groups_[g]) {
-        if (rows_[r].machine == machine)
+        if (rowKeys_[r].machine == m)
             return r;
     }
     return npos;
@@ -369,31 +322,9 @@ MetricFrame::groupHasFailure(std::size_t g) const
 }
 
 std::size_t
-MetricFrame::linearRowWithOverrides(std::size_t g,
-                                    const std::string &machine,
-                                    const std::vector<Coord> &overrides)
-    const
-{
-    std::vector<Coord> want = groupCoords(g);
-    for (const Coord &o : overrides) {
-        for (Coord &c : want) {
-            if (c.first == o.first)
-                c.second = o.second;
-        }
-    }
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        if (rows_[r].machine == machine && rows_[r].coords == want)
-            return r;
-    }
-    return npos;
-}
-
-std::size_t
 MetricFrame::rowWithOverrides(std::size_t g, const std::string &machine,
                               const std::vector<Coord> &overrides) const
 {
-    if (!indexed())
-        return linearRowWithOverrides(g, machine, overrides);
     const Id m = lookupId(machine);
     if (m == kNoId)
         return npos;
@@ -423,27 +354,6 @@ MetricFrame::rowWithOverrides(std::size_t g, const std::string &machine,
     return it == rowOfMachineTuple_.end() ? npos : it->second;
 }
 
-std::size_t
-MetricFrame::linearAxisBaselineRow(std::size_t r,
-                                   const std::string &axis) const
-{
-    const Row &of = rows_[r];
-    for (std::size_t cand = 0; cand < rows_.size(); ++cand) {
-        if (rows_[cand].machine != of.machine ||
-            rows_[cand].coords.size() != of.coords.size())
-            continue;
-        bool match = true;
-        for (std::size_t i = 0; i < of.coords.size(); ++i) {
-            if (of.coords[i].first == axis)
-                continue;
-            match = match && rows_[cand].coords[i] == of.coords[i];
-        }
-        if (match)
-            return cand;
-    }
-    return npos;
-}
-
 void
 MetricFrame::buildAxisBaselineIndex(Id axisId) const
 {
@@ -466,8 +376,6 @@ std::size_t
 MetricFrame::axisBaselineRow(std::size_t r,
                              const std::string &axis) const
 {
-    if (!indexed())
-        return linearAxisBaselineRow(r, axis);
     const RowKeys &keys = rowKeys_[r];
     const Id axisId = lookupId(axis);
     if (axisId == kNoId) {
@@ -496,64 +404,9 @@ MetricFrame::axisBaselineRow(std::size_t r,
 }
 
 std::size_t
-MetricFrame::linearFindRow(const std::string &machine,
-                           const std::string &workload,
-                           unsigned competitors) const
-{
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        if (rows_[r].machine == machine &&
-            rows_[r].workload == workload &&
-            rows_[r].competitors == competitors)
-            return r;
-    }
-    return npos;
-}
-
-std::size_t
-MetricFrame::findRow(const std::string &machine,
-                     const std::string &workload,
-                     unsigned competitors) const
-{
-    if (!indexed())
-        return linearFindRow(machine, workload, competitors);
-    const Id m = lookupId(machine);
-    const Id w = lookupId(workload);
-    if (m == kNoId || w == kNoId)
-        return npos;
-    std::string key;
-    packId(key, m);
-    packId(key, w);
-    packId(key, competitors);
-    auto it = rowOfTriple_.find(key);
-    return it == rowOfTriple_.end() ? npos : it->second;
-}
-
-std::size_t
-MetricFrame::linearFindRow(const std::string &machine,
-                           const std::vector<Coord> &coords) const
-{
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        if (rows_[r].machine != machine)
-            continue;
-        bool match = true;
-        for (const Coord &want : coords) {
-            bool found = false;
-            for (const Coord &have : rows_[r].coords)
-                found = found || have == want;
-            match = match && found;
-        }
-        if (match)
-            return r;
-    }
-    return npos;
-}
-
-std::size_t
 MetricFrame::findRow(const std::string &machine,
                      const std::vector<Coord> &coords) const
 {
-    if (!indexed())
-        return linearFindRow(machine, coords);
     const Id m = lookupId(machine);
     if (m == kNoId || m >= rowsOfMachine_.size() ||
         rowsOfMachine_[m].empty())
@@ -595,28 +448,6 @@ MetricFrame::findRow(const std::string &machine,
             return r;
     }
     return npos;
-}
-
-std::vector<std::string>
-MetricFrame::workloads() const
-{
-    std::vector<std::string> names;
-    if (indexed()) {
-        std::unordered_set<Id> seen;
-        for (std::size_t r = 0; r < rows_.size(); ++r) {
-            if (seen.insert(rowKeys_[r].workload).second)
-                names.push_back(rows_[r].workload);
-        }
-        return names;
-    }
-    for (const Row &r : rows_) {
-        bool seen = false;
-        for (const std::string &n : names)
-            seen = seen || n == r.workload;
-        if (!seen)
-            names.push_back(r.workload);
-    }
-    return names;
 }
 
 const std::vector<std::string> *

@@ -16,8 +16,8 @@
  *
  * Everything downstream of harness::runOne reads results through a
  * frame: the `[report]` assert evaluator (including its aggregate and
- * cross-axis references), the JSON/table/points emitters, the events
- * table, and the figure wrappers' presentation code. A new metric is
+ * cross-axis references), the JSON/table/points emitters, and the
+ * `[table]` renderer behind every paper table. A new metric is
  * added here once and becomes visible to all of them at the same time;
  * hand-rolled walks over result vectors are the bug this layer
  * removes.
@@ -27,14 +27,14 @@
  * workload) form a group, the evaluation unit of per-point asserts and
  * the denominator of machine-relative metrics like speedup.
  *
- * Scale: axis keys/values and machine/workload names are interned into
+ * Scale: axis keys/values and machine names are interned into
  * integer ids on addRow, and finalize() builds hashed coord-tuple
  * indexes over them, so every lookup (cross-axis selectors, group and
- * baseline resolution, the wrapper benches' findRow) costs O(1) id
- * hashing instead of an O(rows) string-compare walk. Row iteration and
+ * baseline resolution, findRow) costs O(1) id hashing instead of an
+ * O(rows) string-compare walk. Row iteration and
  * group numbering stay in grid order, so the indexes change no emitted
- * byte. The pre-index linear walks survive behind Lookup::Linear for
- * the frame-scale ablation and differential tests.
+ * byte. Lookups need a finalized frame; the linear walk the indexes
+ * replaced lives on only as bench/ablation_frame_scale's baseline.
  */
 
 #ifndef MISP_HARNESS_METRIC_FRAME_HH
@@ -73,15 +73,9 @@ class MetricFrame
         std::size_t group = 0;
     };
 
-    /** Lookup strategy. Indexed is the default; Linear preserves the
-     *  pre-index string-compare walks so the frame-scale ablation can
-     *  measure the speedup and the tests can differential-check that
-     *  both strategies answer every query identically. */
-    enum class Lookup { Indexed, Linear };
-
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    explicit MetricFrame(Lookup lookup = Lookup::Indexed);
+    MetricFrame();
 
     /** Append one grid point's measurements. Rows must be added in
      *  grid (submission) order; iteration order is insertion order. */
@@ -165,20 +159,10 @@ class MetricFrame
     std::size_t axisBaselineRow(std::size_t r,
                                 const std::string &axis) const;
 
-    /** First row at (machine, workload, competitors); npos if absent
-     *  — the wrapper benches' simple-grid lookup. */
-    std::size_t findRow(const std::string &machine,
-                        const std::string &workload,
-                        unsigned competitors) const;
-
     /** First row on @p machine whose coordinates contain every
-     *  (key, value) pair of @p coords; npos if absent — the wrapper
-     *  benches' multi-axis lookup. */
+     *  (key, value) pair of @p coords; npos if absent. */
     std::size_t findRow(const std::string &machine,
                         const std::vector<Coord> &coords) const;
-
-    /** The distinct `workload` values, in first-seen row order. */
-    std::vector<std::string> workloads() const;
 
     /** Distinct values of sweep axis @p key, in first-seen row order
      *  (the selector normalizer's input). nullptr when no row carries
@@ -218,13 +202,12 @@ class MetricFrame
                   std::vector<RawRow> raws, std::string *err);
 
   private:
-    /** Interned symbol id (machine/workload names, axis keys/values). */
+    /** Interned symbol id (machine names, axis keys/values). */
     using Id = std::uint32_t;
     static constexpr Id kNoId = 0xffffffffu;
 
     struct RowKeys {
         Id machine = kNoId;
-        Id workload = kNoId;
         /** (axis key id, value id) in the row's coord order. */
         std::vector<std::pair<Id, Id>> coords;
     };
@@ -238,28 +221,11 @@ class MetricFrame
     void buildIndexes();
     void buildAxisBaselineIndex(Id axisId) const;
 
-    // Pre-index linear walks (Lookup::Linear and the un-finalized
-    // fallback; also the ablation's comparison baseline).
-    std::size_t linearRowWithOverrides(std::size_t g,
-                                       const std::string &machine,
-                                       const std::vector<Coord> &o)
-        const;
-    std::size_t linearAxisBaselineRow(std::size_t r,
-                                      const std::string &axis) const;
-    std::size_t linearFindRow(const std::string &machine,
-                              const std::string &workload,
-                              unsigned competitors) const;
-    std::size_t linearFindRow(const std::string &machine,
-                              const std::vector<Coord> &coords) const;
-
-    bool indexed() const;
-
     std::vector<std::string> metrics_;
     std::vector<std::vector<double>> columns_; ///< [metric][row]
     std::vector<Row> rows_;
     std::vector<std::vector<std::size_t>> groups_;
     bool finalized_ = false;
-    Lookup lookup_ = Lookup::Indexed;
 
     // The interner and the hashed tuple indexes. Keys are the interned
     // ids packed into strings, so equal keys mean equal tuples (no
@@ -271,7 +237,6 @@ class MetricFrame
     std::unordered_map<std::string, std::size_t> groupOfTuple_;
     std::unordered_map<std::string, std::size_t> rowOfMachineTuple_;
     std::unordered_map<std::string, std::size_t> rowOfSortedTuple_;
-    std::unordered_map<std::string, std::size_t> rowOfTriple_;
     std::vector<std::vector<std::size_t>> rowsOfMachine_; ///< [machine id]
     std::vector<std::pair<std::string, std::vector<std::string>>>
         axisValues_; ///< per axis, values in first-seen order

@@ -4,8 +4,8 @@
  * (RunRequest) and one describing everything it measured (RunRecord),
  * with runOne() as the single execution entry point.
  *
- * Every consumer — the scenario runner behind `mispsim` and the figure
- * wrappers, bench_common's runWorkload(), tests — funnels through
+ * Every consumer — the scenario runner behind `mispsim`, bench_common's
+ * runWorkload(), tests — funnels through
  * runOne(), so run semantics (placement policy, timing, validation,
  * event harvesting) can never diverge between harnesses. A RunRecord
  * is self-contained and deterministic in its simulated fields (ticks,

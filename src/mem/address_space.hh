@@ -7,7 +7,7 @@
  * mapped until first touch. This is what produces the "compulsory page
  * faults [that] cause the majority of proxy execution events" in the
  * paper's Table 1 analysis (§5.3), and what the page-probe pre-faulting
- * optimization (bench/ablation_pageprobe) eliminates.
+ * optimization (scenarios/ablation_pageprobe.scn) eliminates.
  */
 
 #ifndef MISP_MEM_ADDRESS_SPACE_HH

@@ -4,8 +4,9 @@
  * equivalence with the hand-rolled experiment loops the ported benches
  * (table1_events, fig5_signal_cost, ablation_serialization,
  * ablation_pageprobe) used before the scenario specs existed, `--jobs`
- * byte-identity with serial runs, [report] assert evaluation and the
- * events-mode emitter, and the `param.<key>` per-workload knobs.
+ * byte-identity with serial runs, [report] assert evaluation, the
+ * [table] renderer and the shared grid emitter, and the `param.<key>`
+ * per-workload knobs.
  */
 
 #include <gtest/gtest.h>
@@ -496,37 +497,386 @@ TEST(ReportAsserts, DegradedGroupsAreSkippedAndCounted)
 }
 
 // ---------------------------------------------------------------------
-// [report] mode = events
+// [table] sections and the shared grid emitter
 // ---------------------------------------------------------------------
 
-TEST(EventsReport, NormalizesPerMegaInstructions)
+namespace {
+
+/** One synthetic frame row: every standard column derives from
+ *  ticks/insts (ams page faults = ticks / 10^5), so nothing simulates. */
+struct FakeRow {
+    std::string machine;
+    std::vector<harness::MetricFrame::Coord> coords;
+    double ticks = 0;
+    harness::RunStatus status = harness::RunStatus::Completed;
+    bool valid = true;
+};
+
+/** Load @p rows through MetricFrame::loadRows (the --merge-frames
+ *  path); with @p baselineMachine, also the derived `speedup` column
+ *  finalize() would add. */
+harness::MetricFrame
+loadFrame(const std::vector<FakeRow> &rows,
+          const std::string &baselineMachine = "")
+{
+    std::vector<std::string> metrics = harness::MetricFrame().metrics();
+    if (!baselineMachine.empty())
+        metrics.push_back("speedup");
+    std::vector<harness::MetricFrame::RawRow> raws;
+    for (const FakeRow &f : rows) {
+        harness::MetricFrame::RawRow raw;
+        raw.row.machine = f.machine;
+        raw.row.workload = "dense_mvm";
+        for (const auto &c : f.coords) {
+            if (c.first == "workload.name")
+                raw.row.workload = c.second;
+        }
+        raw.row.coords = f.coords;
+        raw.row.status = f.status;
+        const bool done = f.status == harness::RunStatus::Completed;
+        const double ticks = done ? f.ticks : 0.0;
+        for (const std::string &m : metrics) {
+            double v = 0;
+            if (m == "ticks")
+                v = ticks;
+            else if (m == "mcycles")
+                v = ticks / 1e6;
+            else if (m == "insts")
+                v = 2e6;
+            else if (m == "valid")
+                v = done && f.valid ? 1 : 0;
+            else if (m == "completed")
+                v = done ? 1 : 0;
+            else if (m == "failed")
+                v = harness::runStatusIsInfraFailure(f.status) ? 1 : 0;
+            else if (m == "attempts")
+                v = 1;
+            else if (m == "events.ams_page_faults")
+                v = ticks / 1e5;
+            else if (m == "speedup") {
+                for (const FakeRow &b : rows) {
+                    if (b.machine == baselineMachine &&
+                        b.coords == f.coords && done && ticks != 0)
+                        v = b.ticks / ticks;
+                }
+            }
+            raw.values.push_back(v);
+        }
+        raws.push_back(std::move(raw));
+    }
+    harness::MetricFrame frame;
+    std::string err;
+    EXPECT_TRUE(frame.loadRows(metrics, std::move(raws), &err)) << err;
+    return frame;
+}
+
+std::string
+renderTables(const Scenario &sc, const harness::MetricFrame &frame,
+             bool markdown)
+{
+    std::ostringstream os;
+    std::string err;
+    EXPECT_TRUE(writeTables(os, sc, frame, markdown, &err)) << err;
+    return os.str();
+}
+
+/** `[table]` text whose render over @p frame must fail; returns the
+ *  diagnostic and checks nothing reached the stream. */
+std::string
+tableError(const std::string &specText, const harness::MetricFrame &frame)
+{
+    Scenario sc = mustScenario(specText);
+    std::ostringstream os;
+    std::string err;
+    EXPECT_FALSE(writeTables(os, sc, frame, false, &err));
+    EXPECT_EQ(os.str(), "");
+    return err;
+}
+
+const char *const kTwoMachines =
+    "[machine a]\nams = 1\n[machine b]\nams = 3\n"
+    "[workload]\nname = dense_mvm\n"
+    "[sweep]\nworkload.name = dense_mvm, swim\n";
+
+std::vector<FakeRow>
+twoMachineRows()
+{
+    return {{"a", {{"workload.name", "dense_mvm"}}, 2e6},
+            {"b", {{"workload.name", "dense_mvm"}}, 1e6},
+            {"a", {{"workload.name", "swim"}}, 3e6},
+            {"b", {{"workload.name", "swim"}}, 2e6}};
+}
+
+} // namespace
+
+TEST(TableReport, GoldenPlainAndMarkdown)
 {
     Scenario sc = mustScenario(
-        "[scenario]\nname = ev\ntitle = Events test\n"
-        "[machine m]\nams = 7\n[workload]\nname = dense_mvm\n"
-        "[report]\nmode = events\n");
-    EXPECT_EQ(sc.report.mode, ReportMode::Events);
+        std::string(kTwoMachines) +
+        "[table]\ntitle = Speedups\n"
+        "column = a (Mcyc) = a.mcycles\n"
+        "column = b vs a = a.ticks / b.ticks\n"
+        "footer = avg b vs a = avg ( a.ticks / b.ticks )\n"
+        "[table]\ntitle = Totals\n"
+        "column = sum = sum ( a.ticks + b.ticks )\n");
+    ASSERT_EQ(sc.tables.size(), 2u);
+    const harness::MetricFrame frame = loadFrame(twoMachineRows());
 
-    std::vector<PointResult> results;
-    results.push_back(fakePoint("m", "dense_mvm", 1000, 2'000'000));
-    const harness::MetricFrame frame = buildMetricFrame(sc, results);
-    // 10 OMS faults / 2 MInsts = 5.000; 40 AMS faults -> 20.000.
-    std::ostringstream os;
-    writeEventsTable(os, sc, frame, /*markdown=*/false);
-    EXPECT_NE(os.str().find("per 10^6 retired instructions"),
-              std::string::npos);
-    EXPECT_NE(os.str().find("5.000"), std::string::npos);
-    EXPECT_NE(os.str().find("20.000"), std::string::npos);
+    EXPECT_EQ(renderTables(sc, frame, false),
+              "Speedups\n"
+              "\n"
+              "workload.name  a (Mcyc)  b vs a\n"
+              "-------------------------------\n"
+              "dense_mvm      2         2     \n"
+              "swim           3         1.500 \n"
+              "\n"
+              "avg b vs a: 1.750\n"
+              "\n"
+              "Totals\n"
+              "\n"
+              "sum    \n"
+              "-------\n"
+              "8000000\n");
+    EXPECT_EQ(renderTables(sc, frame, true),
+              "### Speedups\n"
+              "\n"
+              "| workload.name | a (Mcyc) | b vs a |\n"
+              "| --- | --- | --- |\n"
+              "| dense_mvm | 2 | 2 |\n"
+              "| swim | 3 | 1.500 |\n"
+              "\n"
+              "- avg b vs a: 1.750\n"
+              "\n"
+              "### Totals\n"
+              "\n"
+              "| sum |\n"
+              "| --- |\n"
+              "| 8000000 |\n");
+}
 
-    std::ostringstream md;
-    writeEventsTable(md, sc, frame, /*markdown=*/true);
-    EXPECT_NE(md.str().find("| machine |"), std::string::npos);
-    EXPECT_NE(md.str().find("| --- |"), std::string::npos);
+TEST(TableReport, RowsCollapseByConsultedAxes)
+{
+    // A fig5-shaped two-axis sweep: selectors pin signal_cycles, so
+    // the overhead column consults only workload.name (one row per
+    // workload); a bare reference consults both axes.
+    Scenario sc = mustScenario(
+        "[machine misp]\nams = 7\n[workload]\nname = dense_mvm\n"
+        "[sweep]\nworkload.name = dense_mvm, swim\n"
+        "machine.signal_cycles = 0, 5000\n"
+        "[table]\n"
+        "column = 5000 vs 0 = misp[machine.signal_cycles=5000].ticks / "
+        "misp[machine.signal_cycles=0].ticks\n"
+        "[table]\ncolumn = Mcyc = misp.mcycles\n");
+    std::vector<FakeRow> rows;
+    for (const char *w : {"dense_mvm", "swim"}) {
+        rows.push_back({"misp",
+                        {{"workload.name", w},
+                         {"machine.signal_cycles", "0"}},
+                        4e6});
+        rows.push_back({"misp",
+                        {{"workload.name", w},
+                         {"machine.signal_cycles", "5000"}},
+                        std::string(w) == "swim" ? 5e6 : 4e6});
+    }
+    EXPECT_EQ(renderTables(sc, loadFrame(rows), false),
+              "workload.name  5000 vs 0\n"
+              "------------------------\n"
+              "dense_mvm      1        \n"
+              "swim           1.250    \n"
+              "\n"
+              "workload.name  machine.signal_cycles  Mcyc\n"
+              "------------------------------------------\n"
+              "dense_mvm      0                      4   \n"
+              "dense_mvm      5000                   4   \n"
+              "swim           0                      4   \n"
+              "swim           5000                   5   \n");
+}
 
-    // The default report mode stays Table.
-    Scenario plain = mustScenario(
-        "[machine m]\nams = 7\n[workload]\nname = dense_mvm\n");
-    EXPECT_EQ(plain.report.mode, ReportMode::Table);
+TEST(TableReport, FailedPointRendersDashAndFootersSkipIt)
+{
+    Scenario sc = mustScenario(
+        std::string(kTwoMachines) +
+        "[table]\ncolumn = b vs a = a.ticks / b.ticks\n"
+        "footer = avg = avg ( a.ticks / b.ticks )\n"
+        "footer = worst = min ( a.ticks / b.ticks )\n");
+    std::vector<FakeRow> rows = twoMachineRows();
+    rows[1].status = harness::RunStatus::WorkerCrashed; // b @ dense_mvm
+    EXPECT_EQ(renderTables(sc, loadFrame(rows), false),
+              "workload.name  b vs a\n"
+              "---------------------\n"
+              "dense_mvm      -     \n"
+              "swim           1.500 \n"
+              "\n"
+              "avg: 1.500\n"
+              "worst: 1.500\n");
+
+    // A crash elsewhere in a group degrades every cell of that group,
+    // even one whose own references completed — the same group rule
+    // the assert evaluator applies.
+    rows = twoMachineRows();
+    rows[2].status = harness::RunStatus::WorkerTimeout; // a @ swim
+    Scenario bOnly = mustScenario(std::string(kTwoMachines) +
+                                  "[table]\ncolumn = b = b.mcycles\n");
+    EXPECT_EQ(renderTables(bOnly, loadFrame(rows), true),
+              "| workload.name | b |\n"
+              "| --- | --- |\n"
+              "| dense_mvm | 1 |\n"
+              "| swim | - |\n");
+}
+
+TEST(TableReport, FooterBySuite)
+{
+    Scenario sc = mustScenario(
+        "[machine a]\nams = 1\n[machine b]\nams = 3\n"
+        "[workload]\nname = dense_mvm\n"
+        "[sweep]\nworkload.name = swim, dense_mvm, gauss\n"
+        "[table]\ncolumn = b vs a = a.ticks / b.ticks\n"
+        "footer = avg b vs a = avg ( a.ticks / b.ticks ) by suite\n"
+        "footer = all = count ( 1 )\n");
+    ASSERT_EQ(sc.tables[0].footers.size(), 2u);
+    EXPECT_TRUE(sc.tables[0].footers[0].bySuite);
+    EXPECT_EQ(sc.tables[0].footers[0].expr, "avg ( a.ticks / b.ticks )");
+    std::vector<FakeRow> rows;
+    const struct {
+        const char *name;
+        double a, b;
+    } apps[] = {{"swim", 6e6, 2e6}, {"dense_mvm", 2e6, 1e6},
+                {"gauss", 4e6, 1e6}};
+    for (const auto &app : apps) {
+        rows.push_back({"a", {{"workload.name", app.name}}, app.a});
+        rows.push_back({"b", {{"workload.name", app.name}}, app.b});
+    }
+    // Registry order puts rms (dense_mvm 2, gauss 4) before specomp
+    // (swim 3), whatever the sweep order.
+    EXPECT_EQ(renderTables(sc, loadFrame(rows), false),
+              "workload.name  b vs a\n"
+              "---------------------\n"
+              "swim           3     \n"
+              "dense_mvm      2     \n"
+              "gauss          4     \n"
+              "\n"
+              "avg b vs a [rms]: 3\n"
+              "avg b vs a [specomp]: 3\n"
+              "all: 3\n");
+}
+
+TEST(TableReport, MalformedTablesRejectedWithSpecLine)
+{
+    // Spec-level: unknown keys and label-less columns fail fromSpec.
+    SpecFile spec;
+    Scenario sc;
+    std::string err;
+    ASSERT_TRUE(SpecFile::parse(std::string(kTwoMachines) +
+                                    "[table]\ncolumn = x = a.ticks\n"
+                                    "rows = workload.name\n",
+                                "t.scn", &spec, &err))
+        << err;
+    EXPECT_FALSE(Scenario::fromSpec(spec, &sc, &err));
+    EXPECT_EQ(err.rfind("t.scn:11: unknown [table] key 'rows'", 0), 0u)
+        << err;
+    ASSERT_TRUE(SpecFile::parse(std::string(kTwoMachines) +
+                                    "[table]\ncolumn = a.ticks\n",
+                                "t.scn", &spec, &err));
+    EXPECT_FALSE(Scenario::fromSpec(spec, &sc, &err));
+    EXPECT_EQ(err.rfind("t.scn:10: column: expected '<label> = <expr>'", 0),
+              0u)
+        << err;
+    ASSERT_TRUE(SpecFile::parse(std::string(kTwoMachines) +
+                                    "[table]\ntitle = empty\n",
+                                "t.scn", &spec, &err));
+    EXPECT_FALSE(Scenario::fromSpec(spec, &sc, &err));
+    EXPECT_NE(err.find("t.scn:9: [table] needs at least one 'column'"),
+              std::string::npos)
+        << err;
+
+    // Frame-level: malformed or unresolvable expressions and footers
+    // outside an aggregate are "path:line:" diagnostics, and nothing
+    // is written — not even the tables before the bad one.
+    const harness::MetricFrame frame = loadFrame(twoMachineRows());
+    const std::string good = "[table]\ncolumn = ok = a.ticks\n";
+    err = tableError(std::string(kTwoMachines) + good +
+                         "[table]\ncolumn = bad = ( a.ticks / b.ticks\n",
+                     frame);
+    EXPECT_EQ(err.rfind("<test>:12: 'bad = ( a.ticks / b.ticks': "
+                        "expected ')'",
+                        0),
+              0u)
+        << err;
+    err = tableError(std::string(kTwoMachines) +
+                         "[table]\ncolumn = x = c.ticks\n",
+                     frame);
+    EXPECT_NE(err.find("<test>:10:"), std::string::npos) << err;
+    EXPECT_NE(err.find("names no [machine] section"), std::string::npos)
+        << err;
+    err = tableError(std::string(kTwoMachines) +
+                         "[table]\ncolumn = x = a.ticks b.ticks\n",
+                     frame);
+    EXPECT_NE(err.find("unexpected trailing token 'b.ticks'"),
+              std::string::npos)
+        << err;
+    err = tableError(std::string(kTwoMachines) +
+                         "[table]\ncolumn = x = a.ticks\n"
+                         "footer = y = a.ticks\n",
+                     frame);
+    EXPECT_NE(err.find("<test>:11: footer 'y': per-point references must "
+                       "sit inside an aggregate"),
+              std::string::npos)
+        << err;
+}
+
+TEST(TableReport, SpecWithoutTableKeepsThePerPointTable)
+{
+    // Byte-for-byte the per-point table writeTable printed before it
+    // shared the grid emitter: coords, Mcycles, both baseline columns,
+    // and the valid/status columns a bad sweep grows.
+    Scenario sc = mustScenario(
+        "[scenario]\ntitle = Per-point\n"
+        "[machine a]\nams = 1\n[machine b]\nams = 3\n"
+        "[workload]\nname = dense_mvm\n"
+        "[sweep]\ncompetitors = 0, 1\n"
+        "[report]\nbaseline_machine = a\nbaseline_axis = competitors\n");
+    EXPECT_TRUE(sc.tables.empty());
+    std::vector<FakeRow> rows = {
+        {"a", {{"competitors", "0"}}, 2e6},
+        {"b", {{"competitors", "0"}}, 1e6},
+        {"a", {{"competitors", "1"}}, 3e6},
+        {"b", {{"competitors", "1"}}, 2e6,
+         harness::RunStatus::WorkerCrashed},
+    };
+    rows[2].valid = false;
+    const harness::MetricFrame frame = loadFrame(rows, "a");
+    std::ostringstream plain, md;
+    writeTable(plain, sc, frame, false);
+    writeTable(md, sc, frame, true);
+    EXPECT_EQ(plain.str(),
+              "Per-point\n"
+              "\n"
+              "machine  workload   competitors  Mcycles  speedup_vs_a  "
+              "vs_competitors0  valid  status        \n"
+              "-----------------------------------------------"
+              "-----------------------------------------------\n"
+              "a        dense_mvm  0            2.000    1.000         "
+              "1.000            yes    completed     \n"
+              "b        dense_mvm  0            1.000    2.000         "
+              "1.000            yes    completed     \n"
+              "a        dense_mvm  1            3.000    1.000         "
+              "0.667            NO     completed     \n"
+              "b        dense_mvm  1            0.000    -             "
+              "-                NO     worker_crashed\n");
+    EXPECT_EQ(md.str(),
+              "### Per-point\n"
+              "\n"
+              "| machine | workload | competitors | Mcycles | speedup_vs_a "
+              "| vs_competitors0 | valid | status |\n"
+              "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+              "| a | dense_mvm | 0 | 2.000 | 1.000 | 1.000 | yes | "
+              "completed |\n"
+              "| b | dense_mvm | 0 | 1.000 | 2.000 | 1.000 | yes | "
+              "completed |\n"
+              "| a | dense_mvm | 1 | 3.000 | 1.000 | 0.667 | NO | "
+              "completed |\n"
+              "| b | dense_mvm | 1 | 0.000 | - | - | NO | "
+              "worker_crashed |\n");
 }
 
 // ---------------------------------------------------------------------
@@ -622,7 +972,7 @@ TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
     std::string err;
     ASSERT_TRUE(SpecFile::parseFile(path, &spec, &err)) << err;
     ASSERT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
-    EXPECT_EQ(sc.report.mode, ReportMode::Events);
+    EXPECT_EQ(sc.tables.size(), 2u); // raw counts + per-10^6 view
     EXPECT_EQ(sc.report.asserts.size(), 4u);
 
     path = findScenarioFile("fig4.scn", nullptr);

@@ -3,9 +3,10 @@
  * `mispsim` — the scenario driver CLI.
  *
  * Runs a declarative `.scn` scenario (machine topology x workload x
- * sweep axes) through the shared ScenarioRunner and emits a human
- * table plus optional machine-readable JSON. Every paper figure and
- * any new experiment is a spec file, not a C++ program:
+ * sweep axes) through the shared ScenarioRunner and emits human tables
+ * — the spec's `[table]` sections, or one row per grid point — plus
+ * optional machine-readable JSON. Every paper figure and table, and
+ * any new experiment, is a spec file, not a C++ program:
  *
  *   $ ./build/mispsim scenarios/fig4.scn -o fig4.json
  *   $ ./build/mispsim scenarios/fig7.scn --quick --md
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 
 #include "cpu/engine.hh"
@@ -53,90 +55,94 @@ listWorkloads()
         std::printf("%-18s %s\n", info.name.c_str(), info.suite.c_str());
 }
 
+/** A --shard k/N run's identity, written into its `--metrics` dump. */
+struct ShardRun {
+    ShardSpec spec;
+    std::size_t totalPoints = 0;
+    std::string configHash;
+    std::vector<std::size_t> indices;
+};
+
+/** What the post-sweep tail writes, beyond the frame itself. */
+struct SweepOutputs {
+    bool quick = false;
+    bool pointsOnly = false;
+    bool markdown = false;
+    std::string jsonPath;    ///< -o
+    std::string metricsPath; ///< --metrics, or the --merge-frames output
+    /** Non-null for a --shard run: write a shard dump, and defer the
+     *  [table]s and asserts (cross-axis selectors would dangle). */
+    const ShardRun *shard = nullptr;
+    /** Per-point failure notes of a live run (parallel to the frame's
+     *  rows); merged frames carry none. */
+    const std::vector<PointResult> *results = nullptr;
+};
+
+/** Write one output file, or diagnose why it cannot be opened. */
+bool
+writeArtifact(const std::string &path,
+              const std::function<void(std::ostream &)> &write)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::fprintf(stderr, "mispsim: cannot write '%s'\n", path.c_str());
+        return false;
+    }
+    write(os);
+    std::fprintf(stderr, "mispsim: wrote %s\n", path.c_str());
+    return true;
+}
+
 /**
- * `--merge-frames OUT IN...`: reassemble per-shard `--metrics` dumps
- * into one frame, write it to @p outPath in the serial format, run the
- * scenario's deferred [report] asserts on it, and mirror the serial
- * run's exit-code policy (including 4 for degraded-but-passing sweeps
- * under on_failed_points = skip).
+ * The one post-sweep path of serial, --jobs, --isolate, --shard and
+ * --merge-frames runs: render stdout, write the -o / --metrics
+ * artifacts, report failed points from the frame's status/valid/
+ * attempts columns, evaluate the [report] asserts, and pick the exit
+ * code — 0, 1, or 4 for a sweep that passed with failed points under
+ * on_failed_points = skip.
  */
 int
-mergeFramesMain(const Scenario &scIn,
-                const std::vector<std::string> &inputs,
-                const std::string &outPath, bool pointsOnly,
-                bool markdown, const std::string &jsonPath)
+finishSweep(const Scenario &sc, const harness::MetricFrame &frame,
+            const SweepOutputs &out)
 {
-    Scenario sc = scIn;
-    std::string err;
-    if (inputs.empty()) {
-        std::fprintf(stderr,
-                     "mispsim: --merge-frames needs at least one shard "
-                     "dump\n");
-        return 2;
-    }
-    std::vector<ShardDump> dumps;
-    for (const std::string &in : inputs) {
-        ShardDump dump;
-        if (!readShardDump(in, &dump, &err)) {
-            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-            return 1;
-        }
-        dumps.push_back(std::move(dump));
-    }
-    // The grid is re-expanded under the mode the shards ran in;
-    // mergeShardDumps fails closed if the dumps disagree on it.
-    const bool quick = dumps[0].quick;
-    std::vector<ScenarioPoint> grid;
-    if (!sc.expandPoints(quick, &grid, &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
-    harness::MetricFrame frame;
-    if (!mergeShardDumps(sc, quick, grid, dumps, &frame, &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
-
-    if (pointsOnly) {
-        writePoints(std::cout, frame);
-    } else if (sc.report.mode == ReportMode::Events) {
-        writeEventsTable(std::cout, sc, frame, markdown);
-    } else {
-        writeTable(std::cout, sc, frame, markdown);
-    }
-
-    {
-        std::ofstream os(outPath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         outPath.c_str());
-            return 1;
-        }
-        writeMetricsJson(os, sc, quick, frame);
-        std::fprintf(stderr, "mispsim: wrote %s\n", outPath.c_str());
-    }
-    if (!jsonPath.empty()) {
-        std::ofstream os(jsonPath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         jsonPath.c_str());
-            return 1;
-        }
-        writeJson(os, sc, quick, frame);
-        std::fprintf(stderr, "mispsim: wrote %s\n", jsonPath.c_str());
-    }
-
-    // Same per-point failure accounting as a serial run, read back
-    // from the merged frame's status/valid/attempts columns (the
-    // dumps don't carry the free-form failure notes).
     int rc = 0;
+    std::string err;
+    if (out.pointsOnly) {
+        writePoints(std::cout, frame);
+    } else if (!sc.tables.empty() && !out.shard) {
+        if (!writeTables(std::cout, sc, frame, out.markdown, &err)) {
+            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+            rc = 1;
+        }
+    } else {
+        writeTable(std::cout, sc, frame, out.markdown);
+    }
+
+    if (!out.jsonPath.empty() &&
+        !writeArtifact(out.jsonPath, [&](std::ostream &os) {
+            writeJson(os, sc, out.quick, frame);
+        }))
+        return 1;
+    if (!out.metricsPath.empty() &&
+        !writeArtifact(out.metricsPath, [&](std::ostream &os) {
+            if (out.shard)
+                writeShardMetricsJson(os, sc, out.quick, frame,
+                                      out.shard->spec,
+                                      out.shard->totalPoints,
+                                      out.shard->configHash,
+                                      out.shard->indices);
+            else
+                writeMetricsJson(os, sc, out.quick, frame);
+        }))
+        return 1;
+
     std::size_t failedPoints = 0;
     const bool degradeGracefully =
         sc.report.onFailedPoints == FailedPointPolicy::Skip;
     for (std::size_t r = 0; r < frame.numRows(); ++r) {
         const harness::MetricFrame::Row &row = frame.row(r);
-        const bool valid = frame.at(r, "valid") != 0.0;
-        if (row.status == harness::RunStatus::Completed && valid)
+        if (row.status == harness::RunStatus::Completed &&
+            frame.at(r, "valid") != 0.0)
             continue;
         std::string what;
         switch (row.status) {
@@ -156,45 +162,71 @@ mergeFramesMain(const Scenario &scIn,
             what = "failed result validation";
             break;
         }
+        const bool infra = harness::runStatusIsInfraFailure(row.status);
+        if (infra && out.results)
+            what += ": " + (*out.results)[r].run.note;
         const double attempts = frame.at(r, "attempts");
         if (attempts > 1)
             what += " [attempts=" +
-                    std::to_string(
-                        static_cast<long long>(attempts)) +
+                    std::to_string(static_cast<long long>(attempts)) +
                     "]";
         std::fprintf(stderr,
                      "mispsim: point machine=%s workload=%s "
                      "competitors=%u %s\n",
                      row.machine.c_str(), row.workload.c_str(),
                      row.competitors, what.c_str());
-        if (harness::runStatusIsInfraFailure(row.status) &&
-            degradeGracefully)
+        // Infrastructure failures degrade instead of failing when the
+        // policy says skip; simulation outcomes (max_ticks, invalid
+        // results) are real findings and always fail the run.
+        if (infra && degradeGracefully)
             ++failedPoints;
         else
             rc = 1;
     }
 
-    // The asserts each shard deferred run here, on the full frame.
-    std::vector<AssertFailure> failures;
-    std::size_t skippedGroups = 0;
-    if (!evaluateAsserts(sc, frame, &failures, &err, &skippedGroups)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
+    // [report] asserts guard paper claims from the spec itself; any
+    // failing (or malformed) assert makes the run exit non-zero. A
+    // shard sees only its slice of the grid, so its asserts and
+    // [table]s wait for the --merge-frames pass over the whole frame.
+    if (out.shard) {
+        if (!sc.report.asserts.empty())
+            std::fprintf(stderr,
+                         "mispsim: %zu [report] assert(s) deferred to "
+                         "--merge-frames (--shard %zu/%zu)\n",
+                         sc.report.asserts.size(), out.shard->spec.index,
+                         out.shard->spec.count);
+        if (!sc.tables.empty() && !out.pointsOnly)
+            std::fprintf(stderr,
+                         "mispsim: %zu [table](s) deferred to "
+                         "--merge-frames\n",
+                         sc.tables.size());
+    } else {
+        std::vector<AssertFailure> failures;
+        std::size_t skippedGroups = 0;
+        if (!evaluateAsserts(sc, frame, &failures, &err,
+                             &skippedGroups)) {
+            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+            return 1;
+        }
+        for (const AssertFailure &f : failures) {
+            std::fprintf(stderr,
+                         "mispsim: %s:%d: assert FAILED: %s (%s)\n",
+                         sc.specPath.c_str(), f.line, f.text.c_str(),
+                         f.detail.c_str());
+            rc = 1;
+        }
+        if (skippedGroups > 0)
+            std::fprintf(stderr,
+                         "mispsim: %zu assert evaluation(s) skipped "
+                         "over failed points\n",
+                         skippedGroups);
+        if (!sc.report.asserts.empty() && failures.empty())
+            std::fprintf(stderr, "mispsim: %zu assert(s) passed\n",
+                         sc.report.asserts.size());
     }
-    for (const AssertFailure &f : failures) {
-        std::fprintf(stderr, "mispsim: %s:%d: assert FAILED: %s (%s)\n",
-                     sc.specPath.c_str(), f.line, f.text.c_str(),
-                     f.detail.c_str());
-        rc = 1;
-    }
-    if (skippedGroups > 0)
-        std::fprintf(stderr,
-                     "mispsim: %zu assert evaluation(s) skipped over "
-                     "failed points\n",
-                     skippedGroups);
-    if (!sc.report.asserts.empty() && failures.empty())
-        std::fprintf(stderr, "mispsim: %zu assert(s) passed\n",
-                     sc.report.asserts.size());
+    // Distinct code for "completed with failed points": everything
+    // that ran passed, but the sweep is degraded (on_failed_points =
+    // skip swallowed infrastructure failures).
     if (rc == 0 && failedPoints > 0) {
         std::fprintf(stderr,
                      "mispsim: completed with %zu failed point(s) "
@@ -203,6 +235,49 @@ mergeFramesMain(const Scenario &scIn,
         rc = 4;
     }
     return rc;
+}
+
+/**
+ * `--merge-frames OUT IN...`: reassemble per-shard `--metrics` dumps
+ * into one frame and finish it exactly like a serial run — OUT gets
+ * the serial `--metrics` format, and the asserts and [table]s the
+ * shards deferred run here.
+ */
+int
+mergeFramesMain(const Scenario &sc,
+                const std::vector<std::string> &inputs,
+                SweepOutputs out)
+{
+    std::string err;
+    if (inputs.empty()) {
+        std::fprintf(stderr,
+                     "mispsim: --merge-frames needs at least one shard "
+                     "dump\n");
+        return 2;
+    }
+    std::vector<ShardDump> dumps;
+    for (const std::string &in : inputs) {
+        ShardDump dump;
+        if (!readShardDump(in, &dump, &err)) {
+            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+            return 1;
+        }
+        dumps.push_back(std::move(dump));
+    }
+    // The grid is re-expanded under the mode the shards ran in;
+    // mergeShardDumps fails closed if the dumps disagree on it.
+    out.quick = dumps[0].quick;
+    std::vector<ScenarioPoint> grid;
+    if (!sc.expandPoints(out.quick, &grid, &err)) {
+        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+        return 1;
+    }
+    harness::MetricFrame frame;
+    if (!mergeShardDumps(sc, out.quick, grid, dumps, &frame, &err)) {
+        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+        return 1;
+    }
+    return finishSweep(sc, frame, out);
 }
 
 } // namespace
@@ -474,9 +549,16 @@ main(int argc, char **argv)
         }
     }
 
-    if (!mergeOut.empty())
-        return mergeFramesMain(sc, mergeInputs, mergeOut, pointsOnly,
-                               markdown, jsonPath);
+    SweepOutputs out;
+    out.quick = quick;
+    out.pointsOnly = pointsOnly;
+    out.markdown = markdown;
+    out.jsonPath = jsonPath;
+    out.metricsPath = metricsPath;
+    if (!mergeOut.empty()) {
+        out.metricsPath = mergeOut;
+        return mergeFramesMain(sc, mergeInputs, out);
+    }
 
     std::vector<ScenarioPoint> points;
     if (!sc.expandPoints(quick, &points, &err)) {
@@ -489,18 +571,19 @@ main(int argc, char **argv)
     // coordinate group stays whole and its derived columns (speedup)
     // match the serial run's; the owned points keep their global grid
     // indices so snapshots and fault plans compose unchanged.
-    const std::size_t shardTotal = points.size();
-    std::vector<std::size_t> shardIndices;
-    std::string shardHash;
+    ShardRun shardRun;
     if (sharded) {
-        shardHash = gridConfigHash(sc, points);
-        shardIndices =
+        shardRun.spec = shard;
+        shardRun.totalPoints = points.size();
+        shardRun.configHash = gridConfigHash(sc, points);
+        shardRun.indices =
             shardPointIndices(shard, points.size(), sc.machines.size());
         std::vector<ScenarioPoint> owned;
-        owned.reserve(shardIndices.size());
-        for (std::size_t g : shardIndices)
+        owned.reserve(shardRun.indices.size());
+        for (std::size_t g : shardRun.indices)
             owned.push_back(points[g]);
         points.swap(owned);
+        out.shard = &shardRun;
     }
 
     if (dryRun) {
@@ -566,7 +649,7 @@ main(int argc, char **argv)
     opts.traceSkip = traceSkip;
     if (runLogFile.is_open())
         opts.runLog = &runLog;
-    opts.pointIndices = shardIndices;
+    opts.pointIndices = shardRun.indices;
     ScenarioRunner runner(opts);
     const bool showProgress = progressFlag || !pointsOnly;
     std::vector<PointResult> results =
@@ -588,14 +671,10 @@ main(int argc, char **argv)
         tps.reserve(results.size());
         for (std::size_t i = 0; i < results.size(); ++i)
             tps.push_back({pointLabel(i), &results[i].run.trace});
-        std::ofstream os(tracePath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         tracePath.c_str());
+        if (!writeArtifact(tracePath, [&](std::ostream &os) {
+                obs::writeChromeTrace(os, tps);
+            }))
             return 1;
-        }
-        obs::writeChromeTrace(os, tps);
-        std::fprintf(stderr, "mispsim: wrote %s\n", tracePath.c_str());
     }
 
     if (!profilePath.empty()) {
@@ -612,141 +691,14 @@ main(int argc, char **argv)
             p.instsRetired = results[i].run.instsRetired;
             profiles.push_back(std::move(p));
         }
-        std::ofstream os(profilePath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         profilePath.c_str());
+        if (!writeArtifact(profilePath, [&](std::ostream &os) {
+                obs::writeProfileJson(os, profiles);
+            }))
             return 1;
-        }
-        obs::writeProfileJson(os, profiles);
-        std::fprintf(stderr, "mispsim: wrote %s\n", profilePath.c_str());
     }
 
     // One columnar frame per sweep: every renderer and the assert
-    // evaluator below read the results through it.
-    const harness::MetricFrame frame = buildMetricFrame(sc, results);
-
-    if (pointsOnly) {
-        writePoints(std::cout, frame);
-    } else if (sc.report.mode == ReportMode::Events) {
-        writeEventsTable(std::cout, sc, frame, markdown);
-    } else {
-        writeTable(std::cout, sc, frame, markdown);
-    }
-
-    if (!jsonPath.empty()) {
-        std::ofstream os(jsonPath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         jsonPath.c_str());
-            return 1;
-        }
-        writeJson(os, sc, quick, frame);
-        std::fprintf(stderr, "mispsim: wrote %s\n", jsonPath.c_str());
-    }
-
-    if (!metricsPath.empty()) {
-        std::ofstream os(metricsPath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         metricsPath.c_str());
-            return 1;
-        }
-        if (sharded)
-            writeShardMetricsJson(os, sc, quick, frame, shard,
-                                  shardTotal, shardHash, shardIndices);
-        else
-            writeMetricsJson(os, sc, quick, frame);
-        std::fprintf(stderr, "mispsim: wrote %s\n", metricsPath.c_str());
-    }
-
-    int rc = 0;
-    std::size_t failedPoints = 0;
-    const bool degradeGracefully =
-        sc.report.onFailedPoints == FailedPointPolicy::Skip;
-    for (const PointResult &r : results) {
-        if (r.run.ok())
-            continue;
-        std::string what;
-        switch (r.run.status) {
-          case harness::RunStatus::MaxTicksReached:
-            what = "never finished (hit max_ticks)";
-            break;
-          case harness::RunStatus::SnapshotError:
-            what = "snapshot error: " + r.run.note;
-            break;
-          case harness::RunStatus::WorkerCrashed:
-            what = "worker crashed: " + r.run.note;
-            break;
-          case harness::RunStatus::WorkerTimeout:
-            what = "worker timed out: " + r.run.note;
-            break;
-          case harness::RunStatus::Completed:
-            what = "failed result validation";
-            break;
-        }
-        if (r.run.attempts > 1)
-            what += " [attempts=" + std::to_string(r.run.attempts) + "]";
-        std::fprintf(stderr,
-                     "mispsim: point machine=%s workload=%s "
-                     "competitors=%u %s\n",
-                     r.machine.c_str(), r.workload.c_str(),
-                     r.competitors, what.c_str());
-        // Infrastructure failures degrade instead of failing when the
-        // policy says skip; simulation outcomes (max_ticks, invalid
-        // results) are real findings and always fail the run.
-        if (harness::runStatusIsInfraFailure(r.run.status) &&
-            degradeGracefully)
-            ++failedPoints;
-        else
-            rc = 1;
-    }
-
-    // [report] asserts guard paper claims from the spec itself; any
-    // failing (or malformed) assert makes the run exit non-zero. A
-    // shard sees only its slice of the grid — cross-combination
-    // references would dangle — so asserts are deferred to the
-    // --merge-frames pass over the reassembled frame.
-    if (sharded) {
-        if (!sc.report.asserts.empty())
-            std::fprintf(stderr,
-                         "mispsim: %zu [report] assert(s) deferred to "
-                         "--merge-frames (--shard %zu/%zu)\n",
-                         sc.report.asserts.size(), shard.index,
-                         shard.count);
-    } else {
-        std::vector<AssertFailure> failures;
-        std::size_t skippedGroups = 0;
-        if (!evaluateAsserts(sc, frame, &failures, &err,
-                             &skippedGroups)) {
-            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-            return 1;
-        }
-        for (const AssertFailure &f : failures) {
-            std::fprintf(stderr,
-                         "mispsim: %s:%d: assert FAILED: %s (%s)\n",
-                         sc.specPath.c_str(), f.line, f.text.c_str(),
-                         f.detail.c_str());
-            rc = 1;
-        }
-        if (skippedGroups > 0)
-            std::fprintf(stderr,
-                         "mispsim: %zu assert evaluation(s) skipped "
-                         "over failed points\n",
-                         skippedGroups);
-        if (!sc.report.asserts.empty() && failures.empty())
-            std::fprintf(stderr, "mispsim: %zu assert(s) passed\n",
-                         sc.report.asserts.size());
-    }
-    // Distinct code for "completed with failed points": everything
-    // that ran passed, but the sweep is degraded (on_failed_points =
-    // skip swallowed infrastructure failures).
-    if (rc == 0 && failedPoints > 0) {
-        std::fprintf(stderr,
-                     "mispsim: completed with %zu failed point(s) "
-                     "(on_failed_points=skip)\n",
-                     failedPoints);
-        rc = 4;
-    }
-    return rc;
+    // evaluator read the results through it.
+    out.results = &results;
+    return finishSweep(sc, buildMetricFrame(sc, results), out);
 }
