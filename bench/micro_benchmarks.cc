@@ -10,6 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "harness/bare_machine.hh"
 #include "harness/experiment.hh"
 #include "isa/assembler.hh"
@@ -35,6 +38,62 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+namespace {
+
+/** The run-slice pattern: an intrusive event that books its own next
+ *  occurrence from inside process(), as a sequencer's run event does
+ *  at the end of every slice. */
+class SelfRescheduling : public Event
+{
+  public:
+    SelfRescheduling(EventQueue &eq, Tick period, int *left)
+        : Event("slice", kPrioCpu), eq_(eq), period_(period), left_(left)
+    {}
+
+    ~SelfRescheduling() override
+    {
+        if (scheduled())
+            eq_.deschedule(this);
+    }
+
+    void
+    process() override
+    {
+        if (--*left_ > 0)
+            eq_.schedule(this, eq_.curTick() + period_);
+    }
+
+  private:
+    EventQueue &eq_;
+    Tick period_;
+    int *left_;
+};
+
+} // namespace
+
+static void
+BM_EventQueueSelfReschedule(benchmark::State &state)
+{
+    // 8 events with co-prime periods interleave, so each reschedule
+    // lands somewhere inside the heap rather than always at its root.
+    constexpr int kEvents = 8;
+    constexpr int kOccurrences = 10000;
+    for (auto _ : state) {
+        EventQueue eq;
+        int left = kOccurrences;
+        std::vector<std::unique_ptr<SelfRescheduling>> evs;
+        for (int i = 0; i < kEvents; ++i) {
+            evs.push_back(std::make_unique<SelfRescheduling>(
+                eq, 2400 + 7 * i, &left));
+            eq.schedule(evs.back().get(), i);
+        }
+        eq.run();
+        benchmark::DoNotOptimize(eq.numProcessed());
+    }
+    state.SetItemsProcessed(state.iterations() * (kOccurrences + kEvents - 1));
+}
+BENCHMARK(BM_EventQueueSelfReschedule);
 
 static void
 BM_AssembleSmallProgram(benchmark::State &state)

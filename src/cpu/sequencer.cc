@@ -48,6 +48,14 @@ getPayloads(snap::Deserializer &d, std::deque<SignalPayload> *q)
         p = snap::getPayload(d);
 }
 
+/** Instruction slot of @p va within its page. */
+inline std::uint16_t
+slotOf(VAddr va)
+{
+    return static_cast<std::uint16_t>(mem::pageOffset(va) /
+                                      isa::kInstBytes);
+}
+
 } // namespace
 
 using isa::Opcode;
@@ -97,6 +105,9 @@ Sequencer::Sequencer(std::string name, SequencerId sid, bool ring0Capable,
       decodeCacheMisses_(&statGroup_, "decodeCacheMisses",
                          "decoded-block refills (page switch, "
                          "invalidation, or CR3 change)"),
+      slicesContinued_(&statGroup_, "slicesContinued",
+                       "slices started in place, without an event-queue "
+                       "round trip"),
       mmu_("mmu", pmem, &statGroup_)
 {}
 
@@ -413,48 +424,54 @@ Sequencer::runSlice()
     if (state_ != SeqState::Running)
         return; // stale event
 
-    Tick start = eq_.curTick();
-    Cycles consumed = 0;
-    unsigned executed = 0;
-    bool stop = false;
-
     if (suspendRequested_) {
         suspendRequested_ = false;
         preSuspendState_ = SeqState::Running;
         state_ = SeqState::Suspended;
-        waitSince_ = start;
+        waitSince_ = eq_.curTick();
         return;
     }
 
-    inSlice_ = true;
     if (engine_ == Engine::Superblock) {
-        runSuperblocks(&executed, &consumed);
-    } else {
-        while (executed < sliceLimit_ && consumed < sliceCycleBudget_ &&
-               !stop) {
-            consumed += dispatchPendingAsync();
-            consumed += executeOne(&stop);
-            ++executed;
-            if (suspendRequested_)
-                break;
-        }
+        runSuperblocks();
+        return;
     }
-    inSlice_ = false;
+    const Tick start = eq_.curTick();
+    Cycles consumed = 0;
+    unsigned executed = 0;
+    bool stop = false;
+    while (executed < sliceLimit_ && consumed < sliceCycleBudget_ && !stop) {
+        consumed += dispatchPendingAsync();
+        consumed += executeOne(&stop);
+        ++executed;
+        if (suspendRequested_)
+            break;
+    }
+    endSlice(start, consumed, /*inPlace=*/false);
+}
 
+bool
+Sequencer::endSlice(Tick start, Cycles consumed, bool inPlace)
+{
     if (consumed == 0)
         consumed = 1;
     busyCycles_ += consumed;
 
-    if (state_ == SeqState::Running) {
-        if (suspendRequested_) {
-            suspendRequested_ = false;
-            preSuspendState_ = SeqState::Running;
-            state_ = SeqState::Suspended;
-            waitSince_ = start + consumed;
-        } else {
-            scheduleRun(start + consumed);
-        }
+    if (state_ != SeqState::Running)
+        return false;
+    if (suspendRequested_) {
+        suspendRequested_ = false;
+        preSuspendState_ = SeqState::Running;
+        state_ = SeqState::Suspended;
+        waitSince_ = start + consumed;
+        return false;
     }
+    if (runEvent_.scheduled())
+        return false;
+    if (inPlace)
+        return eq_.continueWith(&runEvent_, start + consumed);
+    eq_.schedule(&runEvent_, start + consumed);
+    return false;
 }
 
 Cycles
@@ -499,7 +516,7 @@ Sequencer::setFlagsFromCompare(SWord a, SWord b)
     ctx_.flags.of = of;
 }
 
-bool
+[[gnu::always_inline]] inline bool
 Sequencer::condHolds(isa::Cond cond) const
 {
     const isa::Flags &f = ctx_.flags;
@@ -786,7 +803,7 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
         break;
       }
       default: // the Inline class: one copy of its semantics
-        execInline(inst, &cycles);
+        cycles += execInline(inst);
         break;
     }
 
@@ -800,8 +817,10 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
     return cycles;
 }
 
-void
-Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
+// Force-inlined into both engines' dispatch (executeDecoded and the
+// superblock fast loop) so the burn comes back in a register.
+[[gnu::always_inline]] inline Cycles
+Sequencer::execInline(const isa::Instruction &inst)
 {
     auto &regs = ctx_.regs;
     switch (inst.op) {
@@ -881,8 +900,7 @@ Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
         Cycles burn = inst.imm;
         if (inst.rs1 != 0)
             burn += regs[inst.rs1];
-        *consumed += burn;
-        break;
+        return burn;
       }
       case Opcode::SeqId:
         regs[inst.rd] = sid_;
@@ -896,18 +914,129 @@ Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
       default:
         panic("%s: non-inline opcode in inline dispatch", name_.c_str());
     }
+    return 0;
+}
+
+Sequencer::FastRun
+Sequencer::runFast(DecodedPage &page, FastRun st, unsigned limit,
+                   Cycles budget)
+{
+    using Exit = FastRun::Exit;
+    // Plain locals: nothing below takes their address, so they live in
+    // registers for the whole loop and go back to the caller once.
+    VAddr eip = st.eip;
+    Cycles consumed = st.consumed;
+    unsigned executed = st.executed;
+    std::uint16_t cur = st.cur;
+    std::uint16_t term = st.term;
+    std::uint32_t sbi = st.sbi;
+    const unsigned first = executed;
+    Exit exit = Exit::Stay;
+    for (;;) {
+        // The first instruction's fetch is already charged; each later
+        // one is a replay of the fetch window, settled by the caller
+        // from the returned count.
+        Cycles fetch = 0;
+        if (executed != first) {
+            if (executed >= limit || consumed >= budget)
+                break;
+            fetch = mem::Mmu::kAccessCycles;
+        }
+        if (cur < term) {
+            const DecodedSlot &s = page.slots[cur];
+            bool smc = false;
+            if (s.cls == OpClass::Inline) {
+                consumed += fetch + s.lat + execInline(s.inst);
+            } else if (s.inst.op == Opcode::Ld || s.inst.op == Opcode::St) {
+                // An aligned, valid-size load/store the data window
+                // covers — or, re-aimed, any page the TLB holds with the
+                // needed permission — is replayed in place: same modeled
+                // cycles and TLB effects as the full translate (the hit
+                // is batched like the fetch replays), and no fault is
+                // possible: size and alignment are checked here and the
+                // entry passed the ring/write checks under an unchanged
+                // TLB stamp. Any other size goes the generic way.
+                const isa::Instruction &in = s.inst;
+                const bool isSt = in.op == Opcode::St;
+                const VAddr va = ctx_.regs[in.rs1] + in.imm;
+                const unsigned size = in.sub;
+                if (!mem::accessSize(size) || (va & (size - 1)) != 0 ||
+                    !(mmu_.dataReplayable(va, isSt, ring_) ||
+                      mmu_.retargetData(va, isSt, ring_)))
+                    break; // generic dispatch
+                consumed += fetch + s.lat + mem::Mmu::kAccessCycles;
+                if (isSt) {
+                    mmu_.dataReplayWrite(va, ctx_.regs[in.rs2], size);
+                    // The store may have hit this very code page (SMC):
+                    // the invalidation bumped its version, so the chain
+                    // breaks before the next dispatch.
+                    smc = page.version != block_.version;
+                } else {
+                    ctx_.regs[in.rd] = mmu_.dataReplayRead(va, size);
+                }
+            } else {
+                break; // generic dispatch
+            }
+            eip += isa::kInstBytes;
+            ++cur;
+            ++executed;
+            if (smc) {
+                exit = Exit::Drop;
+                break;
+            }
+            if (cur == DecodedPage::kSlots) {
+                exit = Exit::Taken; // ran off the page edge
+                break;
+            }
+            continue;
+        }
+        if (cur != term || term == DecodedPage::kSlots)
+            break; // off-block EIP or page-edge: generic path
+        const DecodedSlot &t = page.slots[term];
+        if (t.cls != OpClass::Branch)
+            break; // Slow / Invalid terminator: generic path
+        // Pure control transfer, executed inline; its exits carry the
+        // chain links.
+        consumed += fetch + t.lat;
+        bool taken = true;
+        VAddr target = t.inst.imm;
+        if (t.inst.op == Opcode::JmpR)
+            target = ctx_.regs[t.inst.rs1];
+        else if (t.inst.op == Opcode::Jcc)
+            taken = condHolds(static_cast<isa::Cond>(t.inst.sub));
+        eip = taken ? target : eip + isa::kInstBytes;
+        ++executed;
+        if (mem::pageNumber(eip) == page.vpn &&
+            (eip & (isa::kInstBytes - 1)) == 0) {
+            // Same-page chain: the per-page block table is the link;
+            // the fetch stays on the batched replay path.
+            cur = slotOf(eip);
+            sbi = superblockAt(page, cur);
+            term = page.sbs->blocks[sbi].term;
+            continue;
+        }
+        // An indirect branch's target may differ every traversal, so
+        // only static exits are linked.
+        exit = t.inst.op == Opcode::JmpR ? Exit::Drop
+               : taken                   ? Exit::Taken
+                                         : Exit::Fall;
+        break;
+    }
+    return FastRun{eip, consumed, executed, cur, term, sbi, exit};
 }
 
 void
-Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
+Sequencer::runSuperblocks()
 {
-    unsigned executed = *executedIo;
-    Cycles consumed = *consumedIo;
-    bool stop = false;
     // Hoisted member loads: nothing in a slice changes these, and the
     // fast loop checks them per instruction.
     const unsigned sliceLimit = sliceLimit_;
     const Cycles sliceBudget = sliceCycleBudget_;
+    Tick start = eq_.curTick();
+    unsigned executed = 0;
+    Cycles consumed = 0;
+    bool stop = false;
+    std::uint64_t continued = 0;
 
     // Block-local accumulators: per-instruction stat updates are folded
     // locally and committed in one shot at every slow-path boundary, so
@@ -916,16 +1045,12 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
     std::uint64_t retired = 0;
     std::uint64_t hits = 0;
     std::uint64_t replays = 0;
-    std::uint64_t dataReplays = 0;
     auto commit = [&] {
         if (replays != 0) {
             mmu_.commitFetchReplays(replays);
             replays = 0;
         }
-        if (dataReplays != 0) {
-            mmu_.commitDataReplays(dataReplays);
-            dataReplays = 0;
-        }
+        mmu_.commitDataReplays();
         if (retired != 0) {
             instsRetired_ += retired;
             retired = 0;
@@ -943,10 +1068,6 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
         consumed += mem::Mmu::kAccessCycles;
         ++hits;
     };
-    auto slotOf = [](VAddr va) {
-        return static_cast<std::uint16_t>(mem::pageOffset(va) /
-                                          isa::kInstBytes);
-    };
 
     // Chained-dispatch state. The current superblock is held by index,
     // never by pointer: building a successor may grow the block vector.
@@ -960,8 +1081,9 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
 
     // Cross-page chain handoff: a block exit stashes its link here; the
     // next resolve consumes it (and writes the resolved successor back
-    // into the exiting block). Never outlives one loop iteration, so the
-    // raw page pointers cannot dangle.
+    // into the exiting block). Never outlives the next resolve — at
+    // most a continued slice boundary lies in between, where no other
+    // event runs — so the raw page pointers cannot dangle.
     SbLink hint{};
     DecodedPage *linkFrom = nullptr;
     std::uint32_t linkFromSb = 0;
@@ -980,272 +1102,204 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
         page = nullptr;
     };
 
-    while (executed < sliceLimit && consumed < sliceBudget && !stop) {
-        // Exactly one guest instruction is dispatched per iteration
-        // while async work is pending, so the slice conditions and the
-        // async-delivery point run at the same per-instruction
-        // boundaries as the reference engine's loop.
-        if (!pendingSignals_.empty() || !pendingProxy_.empty()) {
-            commit();
-            Cycles dc = dispatchPendingAsync();
-            if (dc != 0) {
-                // An asynchronous transfer redirected EIP.
-                consumed += dc;
-                page = nullptr;
-                fetchPaid = false;
+    // One iteration per slice: this one, then each next slice the
+    // queue hands straight back (endSlice).
+    for (;;) {
+        while (executed < sliceLimit && consumed < sliceBudget && !stop) {
+            // Exactly one guest instruction is dispatched per iteration
+            // while async work is pending, so the slice conditions and the
+            // async-delivery point run at the same per-instruction
+            // boundaries as the reference engine's loop.
+            if (!pendingSignals_.empty() || !pendingProxy_.empty()) {
+                commit();
+                Cycles dc = dispatchPendingAsync();
+                if (dc != 0) {
+                    // An asynchronous transfer redirected EIP.
+                    consumed += dc;
+                    page = nullptr;
+                    fetchPaid = false;
+                    hint = SbLink{};
+                    linkFrom = nullptr;
+                }
+            }
+
+            if (page == nullptr) {
+                // ---- resolve: page + superblock for ctx_.eip ------------
+                commit(); // a fetch miss may insert into the TLB
+                mem::FetchResult fr =
+                    mmu_.fetchTranslate(ctx_.eip, ring_, /*fastPath=*/true);
+                consumed += fr.cycles;
+                if (fr.fault) {
+                    hint = SbLink{};
+                    linkFrom = nullptr; // the handler may free decoded pages
+                    bool advance = false;
+                    consumed +=
+                        handleFaultFromExec(fr.fault, &stop, &advance);
+                    ++executed;
+                    if (suspendRequested_)
+                        break;
+                    continue;
+                }
+                const std::uint64_t vpn = mem::pageNumber(ctx_.eip);
+                const PAddr paBase =
+                    fr.pa & ~static_cast<PAddr>(mem::kPageMask);
+                if (block_.page != nullptr &&
+                    block_.asGen == mmu_.addressSpaceGen() &&
+                    block_.vpn == vpn &&
+                    block_.page->version == block_.version &&
+                    block_.page->paBase == paBase) {
+                    ++hits;
+                } else if (hint.page != nullptr &&
+                           hint.asGen == mmu_.addressSpaceGen() &&
+                           hint.page->vpn == vpn &&
+                           hint.page->version == hint.version &&
+                           hint.page->paBase == paBase) {
+                    // Threaded dispatch: the exiting block's link is live —
+                    // re-point block_ without the page-map probe. The
+                    // generation check runs first: a link can only ever
+                    // name pages of this address space's own decode cache,
+                    // and a stale-generation link is never dereferenced.
+                    block_.page = hint.page;
+                    block_.vpn = vpn;
+                    block_.version = hint.version;
+                    block_.asGen = hint.asGen;
+                    ++hits;
+                } else {
+                    refillBlock(vpn, fr.pa);
+                }
+                page = block_.page;
+                cur = slotOf(ctx_.eip);
+                sbi = superblockAt(*page, cur);
+                term = page->sbs->blocks[sbi].term;
+                fetchPaid = true;
+                // Resolve the exiting block's link for its next traversal.
+                if (linkFrom != nullptr &&
+                    linkFrom->version == linkFromVer) {
+                    SbLink l;
+                    l.page = page;
+                    l.sb = sbi;
+                    l.version = page->version;
+                    l.asGen = block_.asGen;
+                    l.paBase = page->paBase;
+                    Superblock &from = linkFrom->sbs->blocks[linkFromSb];
+                    (linkTaken ? from.taken : from.fall) = l;
+                }
                 hint = SbLink{};
                 linkFrom = nullptr;
             }
-        }
 
-        if (page == nullptr) {
-            // ---- resolve: page + superblock for ctx_.eip ------------
-            commit(); // a fetch miss may insert into the TLB
-            mem::FetchResult fr =
-                mmu_.fetchTranslate(ctx_.eip, ring_, /*fastPath=*/true);
-            consumed += fr.cycles;
-            if (fr.fault) {
-                hint = SbLink{};
-                linkFrom = nullptr; // the handler may free decoded pages
-                bool advance = false;
-                consumed +=
-                    handleFaultFromExec(fr.fault, &stop, &advance);
-                ++executed;
-                if (suspendRequested_)
-                    break;
-                continue;
-            }
-            const std::uint64_t vpn = mem::pageNumber(ctx_.eip);
-            const PAddr paBase =
-                fr.pa & ~static_cast<PAddr>(mem::kPageMask);
-            if (block_.page != nullptr &&
-                block_.asGen == mmu_.addressSpaceGen() &&
-                block_.vpn == vpn &&
-                block_.page->version == block_.version &&
-                block_.page->paBase == paBase) {
-                ++hits;
-            } else if (hint.page != nullptr &&
-                       hint.asGen == mmu_.addressSpaceGen() &&
-                       hint.page->vpn == vpn &&
-                       hint.page->version == hint.version &&
-                       hint.page->paBase == paBase) {
-                // Threaded dispatch: the exiting block's link is live —
-                // re-point block_ without the page-map probe. The
-                // generation check runs first: a link can only ever
-                // name pages of this address space's own decode cache,
-                // and a stale-generation link is never dereferenced.
-                block_.page = hint.page;
-                block_.vpn = vpn;
-                block_.version = hint.version;
-                block_.asGen = hint.asGen;
-                ++hits;
-            } else {
-                refillBlock(vpn, fr.pa);
-            }
-            page = block_.page;
-            cur = slotOf(ctx_.eip);
-            sbi = superblockAt(*page, cur);
-            term = page->sbs->blocks[sbi].term;
-            fetchPaid = true;
-            // Resolve the exiting block's link for its next traversal.
-            if (linkFrom != nullptr &&
-                linkFrom->version == linkFromVer) {
-                SbLink l;
-                l.page = page;
-                l.sb = sbi;
-                l.version = page->version;
-                l.asGen = block_.asGen;
-                l.paBase = page->paBase;
-                Superblock &from = linkFrom->sbs->blocks[linkFromSb];
-                (linkTaken ? from.taken : from.fall) = l;
-            }
-            hint = SbLink{};
-            linkFrom = nullptr;
-        }
-
-        // ---- charge the modeled fetch for this instruction ----------
-        if (!fetchPaid) {
-            // Re-established after every slow dispatch below.
-            MISP_ASSERT(mmu_.fetchReplayable(ctx_.eip, ring_));
-            replayFetch();
-        }
-        fetchPaid = false;
-
-        // ---- fast loop ----------------------------------------------
-        // While this sequencer's async queues are empty they stay empty
-        // for the rest of the slice (enqueues only arrive through
-        // Slow-class dispatch, fault handlers, or other sequencers
-        // between slices), so the queue probe, the resolve check, and
-        // the fetch-paid bookkeeping are hoisted out of the
-        // per-instruction path — only the slice conditions remain live.
-        // With work pending, `limit` stops it after one instruction.
-        // Inline ops, replay-covered aligned loads/stores, and branch
-        // terminators all dispatch here; the first instruction that
-        // needs more breaks out to the generic path below with its
-        // fetch already charged.
-        const bool pending =
-            !pendingSignals_.empty() || !pendingProxy_.empty();
-        const unsigned limit = pending ? executed + 1 : sliceLimit;
-        bool first = true;
-        // EIP shadows in a local for the whole loop (nothing dispatched
-        // here reads ctx_.eip) and is stored back once on exit.
-        VAddr eip = ctx_.eip;
-        for (;;) {
-            if (!first && (executed >= limit || consumed >= sliceBudget))
-                break;
-            if (cur < term) {
-                const DecodedSlot &s = page->slots[cur];
-                if (s.cls == OpClass::Inline) {
-                    if (!first)
-                        replayFetch();
-                    first = false;
-                    consumed += s.lat;
-                    execInline(s.inst, &consumed);
-                    eip += isa::kInstBytes;
-                    ++cur;
-                    ++executed;
-                    ++retired;
-                    if (cur == DecodedPage::kSlots) {
-                        exitBlock(true); // ran off the page edge
-                        break;
-                    }
-                    continue;
-                }
-                if (s.inst.op == Opcode::Ld || s.inst.op == Opcode::St) {
-                    // Aligned load/store covered by the data-side
-                    // last-translation cache: replayed in place — same
-                    // modeled cycles and TLB effects as the full
-                    // translate (the hit is batched like the fetch
-                    // replays), and no fault is possible: alignment is
-                    // checked here and the cached entry already passed
-                    // the ring/write permission checks under an
-                    // unchanged TLB stamp.
-                    const isa::Instruction &in = s.inst;
-                    const bool isSt = in.op == Opcode::St;
-                    const VAddr va = ctx_.regs[in.rs1] + in.imm;
-                    const unsigned size = in.sub;
-                    if ((va & (size - 1)) == 0 &&
-                        mmu_.dataReplayable(va, isSt, ring_)) {
-                        if (!first)
-                            replayFetch();
-                        first = false;
-                        consumed += s.lat + mem::Mmu::kAccessCycles;
-                        ++dataReplays;
-                        if (isSt)
-                            mmu_.dataReplayWrite(va, ctx_.regs[in.rs2],
-                                                 size);
-                        else
-                            ctx_.regs[in.rd] =
-                                mmu_.dataReplayRead(va, size);
-                        eip += isa::kInstBytes;
-                        ++cur;
-                        ++executed;
-                        ++retired;
-                        // The store may have hit this very code page
-                        // (SMC): the invalidation bumped its version,
-                        // so the chain breaks before the next dispatch.
-                        if (isSt && page->version != block_.version) {
-                            page = nullptr;
-                            break;
-                        }
-                        if (cur == DecodedPage::kSlots) {
-                            exitBlock(true);
-                            break;
-                        }
-                        continue;
-                    }
-                }
-                break; // generic dispatch below
-            }
-            if (cur != term || term == DecodedPage::kSlots)
-                break; // off-block EIP or page-edge: generic path
-            const DecodedSlot &t = page->slots[term];
-            if (t.cls != OpClass::Branch)
-                break; // Slow / Invalid terminator: generic path
-            if (!first)
+            // ---- charge the modeled fetch for this instruction ------
+            if (!fetchPaid) {
+                // Re-established after every slow dispatch below.
+                MISP_ASSERT(mmu_.fetchReplayable(ctx_.eip, ring_));
                 replayFetch();
-            first = false;
-            // Pure control transfer, executed inline; its exits carry
-            // the chain links.
-            consumed += t.lat;
-            bool taken = true;
-            VAddr target = t.inst.imm;
-            if (t.inst.op == Opcode::JmpR)
-                target = ctx_.regs[t.inst.rs1];
-            else if (t.inst.op == Opcode::Jcc)
-                taken = condHolds(static_cast<isa::Cond>(t.inst.sub));
-            eip = taken ? target : eip + isa::kInstBytes;
-            ++executed;
-            ++retired;
-            if (mem::pageNumber(eip) == page->vpn &&
-                (eip & (isa::kInstBytes - 1)) == 0) {
-                // Same-page chain: the per-page block table is the
-                // link; the fetch stays on the batched replay path.
-                cur = slotOf(eip);
-                sbi = superblockAt(*page, cur);
-                term = page->sbs->blocks[sbi].term;
+            }
+            fetchPaid = false;
+
+            // ---- fast loop (runFast) ----------------------------------
+            // While this sequencer's async queues are empty they stay
+            // empty for the rest of the slice (enqueues only arrive
+            // through Slow-class dispatch, fault handlers, or other
+            // sequencers between slices), so the queue probe, the
+            // resolve check, and the fetch-paid bookkeeping are hoisted
+            // out of the per-instruction path — only the slice
+            // conditions remain live. With work pending, the limit
+            // stops it after one instruction. The first instruction
+            // that needs more breaks out to the generic path below with
+            // its fetch already charged.
+            const bool pending =
+                !pendingSignals_.empty() || !pendingProxy_.empty();
+            const FastRun r = runFast(
+                *page, FastRun{ctx_.eip, consumed, executed, cur, term, sbi},
+                pending ? executed + 1 : sliceLimit, sliceBudget);
+            const unsigned n = r.executed - executed;
+            ctx_.eip = r.eip;
+            consumed = r.consumed;
+            executed = r.executed;
+            cur = r.cur;
+            term = r.term;
+            sbi = r.sbi;
+            if (n != 0) {
+                retired += n;
+                replays += n - 1;
+                hits += n - 1;
+                switch (r.exit) {
+                  case FastRun::Exit::Stay:
+                    break;
+                  case FastRun::Exit::Drop:
+                    page = nullptr;
+                    break;
+                  case FastRun::Exit::Taken:
+                    exitBlock(true);
+                    break;
+                  case FastRun::Exit::Fall:
+                    exitBlock(false);
+                    break;
+                }
+                continue; // the outer head re-runs the boundary work
+            }
+
+            // ---- generic one-instruction path ---------------------------
+            // Mem-class body ops the fast loop could not replay, and the
+            // Slow / Invalid terminators; the fetch is already charged.
+            if (cur == DecodedPage::kSlots) {
+                // Unreachable by construction (the page-edge exit is taken
+                // when the last body instruction retires); fall back to a
+                // full resolve rather than trusting the chain.
+                page = nullptr;
                 continue;
             }
-            // An indirect branch's target may differ every traversal,
-            // so only static exits are linked.
-            if (t.inst.op != Opcode::JmpR)
-                exitBlock(taken);
-            else
+            // Read before dispatching: a Slow op may free the page.
+            const DecodedSlot &s = page->slots[cur];
+            const OpClass cls = s.cls;
+            commit();
+            if (cls == OpClass::Invalid) {
+                bool advance = false;
+                consumed += handleFaultFromExec(
+                    mem::Fault::of(mem::FaultKind::InvalidOpcode, ctx_.eip),
+                    &stop, &advance);
+                if (advance)
+                    ctx_.eip += isa::kInstBytes;
+            } else {
+                consumed += executeDecoded(s.inst, s.lat, &stop);
+            }
+            ++executed;
+            if (suspendRequested_)
+                break;
+            // A Mem op continues the chain only if nothing was disturbed:
+            // same live block (an SMC store to this page bumps its version,
+            // a CR3 switch bumps the generation, a serialization purge drops
+            // block_), EIP still on this page, and the fetch fast path still
+            // replayable (the access may have walked and inserted a TLB
+            // entry). Anything else — EIP, the address space and the block
+            // may all have changed under a Slow op — takes a full resolve.
+            if (cls == OpClass::Mem && !stop && block_.page == page &&
+                block_.asGen == mmu_.addressSpaceGen() &&
+                page->version == block_.version &&
+                mem::pageNumber(ctx_.eip) == page->vpn &&
+                mmu_.fetchReplayable(ctx_.eip, ring_)) {
+                cur = slotOf(ctx_.eip);
+            } else {
                 page = nullptr;
-            break;
+            }
         }
-        ctx_.eip = eip;
-        if (!first)
-            continue; // the outer head re-runs the boundary work
-
-        // ---- generic one-instruction path ---------------------------
-        // Mem-class body ops the fast loop could not replay, and the
-        // Slow / Invalid terminators; the fetch is already charged.
-        if (cur == DecodedPage::kSlots) {
-            // Unreachable by construction (the page-edge exit is taken
-            // when the last body instruction retires); fall back to a
-            // full resolve rather than trusting the chain.
-            page = nullptr;
-            continue;
-        }
-        // Read before dispatching: a Slow op may free the page.
-        const DecodedSlot &s = page->slots[cur];
-        const OpClass cls = s.cls;
         commit();
-        if (cls == OpClass::Invalid) {
-            bool advance = false;
-            consumed += handleFaultFromExec(
-                mem::Fault::of(mem::FaultKind::InvalidOpcode, ctx_.eip),
-                &stop, &advance);
-            if (advance)
-                ctx_.eip += isa::kInstBytes;
-        } else {
-            consumed += executeDecoded(s.inst, s.lat, &stop);
-        }
-        ++executed;
-        if (suspendRequested_)
-            break;
-        // A Mem op continues the chain only if nothing was disturbed:
-        // same live block (an SMC store to this page bumps its version,
-        // a CR3 switch bumps the generation, a serialization purge drops
-        // block_), EIP still on this page, and the fetch fast path still
-        // replayable (the access may have walked and inserted a TLB
-        // entry). Anything else — EIP, the address space and the block
-        // may all have changed under a Slow op — takes a full resolve.
-        if (cls == OpClass::Mem && !stop && block_.page == page &&
-            block_.asGen == mmu_.addressSpaceGen() &&
-            page->version == block_.version &&
-            mem::pageNumber(ctx_.eip) == page->vpn &&
-            mmu_.fetchReplayable(ctx_.eip, ring_)) {
-            cur = slotOf(ctx_.eip);
-        } else {
-            page = nullptr;
-        }
-    }
 
-    commit();
-    *executedIo = executed;
-    *consumedIo = consumed;
+        // Slice boundary. When the queue hands the next slice straight
+        // back, it starts here with the chain state live: a live `page`
+        // still satisfies the loop-head invariant, so its first fetch
+        // is charged as the replay a fresh slice's resolve would make
+        // (same cycles, TLB hit and decode-cache hit).
+        if (!endSlice(start, consumed, /*inPlace=*/true))
+            break;
+        ++continued;
+        start = eq_.curTick();
+        executed = 0;
+        consumed = 0;
+        stop = false;
+    }
+    if (continued != 0)
+        slicesContinued_ += continued;
 }
 
 void

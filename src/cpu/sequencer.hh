@@ -339,6 +339,12 @@ class Sequencer : public snap::Saveable
     {
         return static_cast<std::uint64_t>(decodeCacheMisses_.value());
     }
+    /** Slices the superblock engine started in place, without an
+     *  event-queue round trip (EventQueue::continueWith). */
+    std::uint64_t slicesContinued() const
+    {
+        return static_cast<std::uint64_t>(slicesContinued_.value());
+    }
 
     /** The current privilege ring (AMSs are always Ring 3 / User). */
     mem::Ring ring() const { return ring_; }
@@ -402,6 +408,13 @@ class Sequencer : public snap::Saveable
     void runSlice();
     void scheduleRun(Tick when);
     void stopRunEvent();
+    /** Slice-end bookkeeping shared by both engines: charge the
+     *  slice's busy cycles (at least one), apply a pending suspension,
+     *  or book the next slice at @p start + @p consumed. With
+     *  @p inPlace the queue may hand that next slice straight back
+     *  (EventQueue::continueWith). @return true when it did: the
+     *  caller runs the next slice now. */
+    bool endSlice(Tick start, Cycles consumed, bool inPlace);
     /** Start a queued payload if the sequencer is idle, or dispatch an
      *  async transfer if a trigger is registered. @return cycles charged. */
     Cycles dispatchPendingAsync();
@@ -412,14 +425,40 @@ class Sequencer : public snap::Saveable
      *  returns consumed cycles, sets *stop when the slice must end
      *  (fault deferred, halted, parked, ...). */
     Cycles executeOne(bool *stop);
-    /** Superblock engine: run the whole slice by chained basic-block
-     *  dispatch; replaces the per-instruction loop of runSlice().
-     *  In/out: instructions executed and cycles consumed this slice. */
-    void runSuperblocks(unsigned *executed, Cycles *consumed);
-    /** Execute one OpClass::Inline instruction on the register file
-     *  (COMPUTE burns extra cycles into @p consumed): the only
-     *  definition of the Inline ops' semantics. */
-    void execInline(const isa::Instruction &inst, Cycles *consumed);
+    /** Superblock engine: run this slice by chained basic-block
+     *  dispatch — and every following slice the queue lets continue in
+     *  place (endSlice) — replacing the per-instruction loop of
+     *  runSlice(). */
+    void runSuperblocks();
+
+    /** The fast loop's state, passed in and returned by value so that
+     *  every field stays in a register while the loop runs. */
+    struct FastRun {
+        enum class Exit : std::uint8_t {
+            Stay,  ///< the chain is intact at `cur`
+            Drop,  ///< unlinked exit (indirect branch, SMC): resolve
+            Taken, ///< through the block's taken link (or page edge)
+            Fall,  ///< through the block's fall-through link
+        };
+        VAddr eip;          ///< ctx_.eip shadow
+        Cycles consumed;    ///< slice cycles so far
+        unsigned executed;  ///< slice instructions so far
+        std::uint16_t cur;  ///< next slot
+        std::uint16_t term; ///< the current block's terminator slot
+        std::uint32_t sbi;  ///< the current block
+        Exit exit = Exit::Stay; ///< out: how the stretch ended
+    };
+    /** Dispatch Inline ops, data-window loads/stores and branch
+     *  terminators on @p page, starting with the instruction at `cur`
+     *  (its fetch already charged), until an instruction needs the
+     *  generic path, the chain leaves the page, or @p limit /
+     *  @p budget ends the run. */
+    FastRun runFast(DecodedPage &page, FastRun st, unsigned limit,
+                    Cycles budget);
+    /** Execute one OpClass::Inline instruction on the register file:
+     *  the only definition of the Inline ops' semantics. @return the
+     *  cycles it burns beyond its base latency (COMPUTE). */
+    Cycles execInline(const isa::Instruction &inst);
     /** Execute the already-fetched @p inst, shared by both engines;
      *  Inline-class ops go to execInline. @p cycles has the fetch+base
      *  latency. */
@@ -466,9 +505,6 @@ class Sequencer : public snap::Saveable
 
     RunEvent runEvent_;
     bool suspendRequested_ = false;
-    /** snap: quiesced — true only within one runSlice() frame;
-     *  snapshots are taken between events, never inside one. */
-    bool inSlice_ = false;
     std::deque<SignalPayload> pendingSignals_;
     std::deque<SignalPayload> pendingProxy_;
 
@@ -490,6 +526,7 @@ class Sequencer : public snap::Saveable
     // under different engines serialize differently).
     stats::HostScalar decodeCacheHits_;
     stats::HostScalar decodeCacheMisses_;
+    stats::HostScalar slicesContinued_;
     mem::Mmu mmu_;
 };
 

@@ -67,6 +67,10 @@ AccessResult
 Mmu::translate(VAddr va, unsigned size, Access access, Ring ring,
                PAddr *paOut, Tlb::EntryRef *refOut)
 {
+    // Pending data replays belong to the current window and must reach
+    // the TLB before a lookup or an eviction scan can see it.
+    if (replayHits_ != 0)
+        commitDataReplays();
     Tlb::EntryRef localRef;
     if (!refOut)
         refOut = &localRef;
@@ -122,12 +126,17 @@ Mmu::translate(VAddr va, unsigned size, Access access, Ring ring,
         *paOut = pte->frameBase() + pageOffset(va);
     res.cycles += kAccessCycles;
     // Prime the data-side last-translation cache (the superblock
-    // engine's replay source). Execute translations go through the
-    // fetch-side cache instead.
+    // engine's replay source, and where read()/write() find the bytes).
+    // The entry keeps the frame's host pointer, so only its first data
+    // translation pays the frame lookup. Execute translations go
+    // through the fetch-side cache instead.
     if (access != Access::Execute) {
+        Tlb::Entry &e = *refOut->entry;
+        if (!e.host)
+            e.host = pmem_.frameData(pte->frame);
         lastData_.vpn = pageNumber(va);
         lastData_.tlbStamp = tlb_.stamp();
-        lastData_.bytes = pmem_.frameData(pte->frameBase() >> kPageShift);
+        lastData_.bytes = e.host;
         lastData_.ring = ring;
         lastData_.writable = pte->writable;
         lastData_.way = *refOut;
@@ -138,22 +147,25 @@ Mmu::translate(VAddr va, unsigned size, Access access, Ring ring,
 AccessResult
 Mmu::read(VAddr va, unsigned size, Ring ring)
 {
-    PAddr pa = 0;
-    AccessResult res = translate(va, size, Access::Read, ring, &pa);
+    MISP_ASSERT(accessSize(size));
+    AccessResult res = translate(va, size, Access::Read, ring, nullptr);
     if (res.fault)
         return res;
-    res.value = pmem_.read(pa, size);
+    // translate() just aimed the data window at this page's frame.
+    res.value = loadLE(lastData_.bytes + pageOffset(va), size);
+    pmem_.accountBytes(size, 0);
     return res;
 }
 
 AccessResult
 Mmu::write(VAddr va, Word value, unsigned size, Ring ring)
 {
-    PAddr pa = 0;
-    AccessResult res = translate(va, size, Access::Write, ring, &pa);
+    MISP_ASSERT(accessSize(size));
+    AccessResult res = translate(va, size, Access::Write, ring, nullptr);
     if (res.fault)
         return res;
-    pmem_.write(pa, value, size);
+    storeLE(lastData_.bytes + pageOffset(va), value, size);
+    pmem_.accountBytes(0, size);
     // Self-modifying-code coherence: a store that lands on a predecoded
     // page drops that page (O(1) probe for ordinary data stores).
     as_->decodeCache().noteWrite(va);

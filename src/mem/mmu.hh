@@ -43,6 +43,63 @@ namespace misp::mem {
  *  paper uses: Ring 0 (kernel) and Ring 3 (user). */
 enum class Ring : std::uint8_t { Kernel = 0, User = 3 };
 
+/** True for the sizes MISA loads and stores take: 1, 2, 4 or 8 bytes. */
+constexpr bool
+accessSize(unsigned size)
+{
+    return size <= 8 && ((0x116u >> size) & 1u) != 0;
+}
+
+/** Little-endian load of a word of accessSize() @p size from host bytes
+ *  @p p; each fixed-size copy compiles to one move. */
+inline Word
+loadLE(const std::uint8_t *p, unsigned size)
+{
+    switch (size) {
+      case 1:
+        return *p;
+      case 2: {
+        std::uint16_t v;
+        std::memcpy(&v, p, 2);
+        return v;
+      }
+      case 4: {
+        std::uint32_t v;
+        std::memcpy(&v, p, 4);
+        return v;
+      }
+      default: {
+        Word v;
+        std::memcpy(&v, p, 8);
+        return v;
+      }
+    }
+}
+
+/** Store counterpart of loadLE(). */
+inline void
+storeLE(std::uint8_t *p, Word value, unsigned size)
+{
+    switch (size) {
+      case 1:
+        *p = static_cast<std::uint8_t>(value);
+        break;
+      case 2: {
+        const auto v = static_cast<std::uint16_t>(value);
+        std::memcpy(p, &v, 2);
+        break;
+      }
+      case 4: {
+        const auto v = static_cast<std::uint32_t>(value);
+        std::memcpy(p, &v, 4);
+        break;
+      }
+      default:
+        std::memcpy(p, &value, 8);
+        break;
+    }
+}
+
 /** Outcome of a translated, executed memory access. */
 struct AccessResult {
     Fault fault = Fault::none();
@@ -143,34 +200,66 @@ class Mmu : public snap::Saveable
                (!isWrite || lastData_.writable);
     }
 
-    /** Replayed load (caller checked dataReplayable + alignment). Goes
-     *  straight at the frame's stable byte pointer; the bytes read are
-     *  accounted at the next commitDataReplays(). */
+    /** Re-aim the data window at @p va's page when the TLB holds it
+     *  with the permission the access needs and a known host frame
+     *  (Tlb::Entry::host): the pending replays are committed to the old
+     *  window first, and the access that follows — a replay on the new
+     *  one — makes exactly the lookup's modeled effects (reference bit
+     *  and hit). No walk, no miss and no insert can happen here, so the
+     *  TLB stamp holds. @return false (nothing changed) otherwise; the
+     *  access then takes the full translate path. */
+    bool
+    retargetData(VAddr va, bool isWrite, Ring ring)
+    {
+        Tlb::Entry *e = tlb_.probe(pageNumber(va));
+        if (!e || !e->host || (ring == Ring::User && !e->pte.user) ||
+            (isWrite && !e->pte.writable)) {
+            return false;
+        }
+        commitDataReplays();
+        lastData_.vpn = e->vpn;
+        lastData_.tlbStamp = tlb_.stamp();
+        lastData_.bytes = e->host;
+        lastData_.ring = ring;
+        lastData_.writable = e->pte.writable;
+        lastData_.way.entry = e;
+        return true;
+    }
+
+    /** Replayed load (caller checked dataReplayable, accessSize and
+     *  alignment). Goes straight at the frame's stable byte pointer;
+     *  the TLB hit and the bytes read are accounted at the next
+     *  commitDataReplays(). */
     Word
     dataReplayRead(VAddr va, unsigned size)
     {
-        Word v = 0;
-        std::memcpy(&v, lastData_.bytes + pageOffset(va), size);
+        ++replayHits_;
         replayBytesRead_ += size;
-        return v;
+        return loadLE(lastData_.bytes + pageOffset(va), size);
     }
 
-    /** Replayed store (caller checked dataReplayable + alignment);
-     *  keeps the SMC decode-cache probe on the replay path. */
+    /** Replayed store (caller checked dataReplayable, accessSize and
+     *  alignment); keeps the SMC decode-cache probe on the replay
+     *  path. */
     void
     dataReplayWrite(VAddr va, Word value, unsigned size)
     {
-        std::memcpy(lastData_.bytes + pageOffset(va), &value, size);
+        storeLE(lastData_.bytes + pageOffset(va), value, size);
+        ++replayHits_;
         replayBytesWritten_ += size;
         as_->decodeCache().noteWrite(va);
     }
 
-    /** Commit @p n batched data replays (see dataReplayable()). */
+    /** Commit the batched data replays (see dataReplayable()): the TLB
+     *  hits on the window's entry and the bytes moved. */
     void
-    commitDataReplays(std::uint64_t n)
+    commitDataReplays()
     {
-        tlb_.touchHitN(lastData_.way, n);
-        pmem_.accountReplayBytes(replayBytesRead_, replayBytesWritten_);
+        if (replayHits_ == 0)
+            return;
+        tlb_.touchHitN(lastData_.way, replayHits_);
+        pmem_.accountBytes(replayBytesRead_, replayBytesWritten_);
+        replayHits_ = 0;
         replayBytesRead_ = 0;
         replayBytesWritten_ = 0;
     }
@@ -229,15 +318,16 @@ class Mmu : public snap::Saveable
     struct LastData {
         std::uint64_t vpn = 0;
         std::uint64_t tlbStamp = 0; ///< 0 = invalid
-        std::uint8_t *bytes = nullptr; ///< the frame's backing store
+        std::uint8_t *bytes = nullptr; ///< the TLB entry's host frame
         Ring ring = Ring::User;
         bool writable = false;
         Tlb::EntryRef way;
     } lastData_; ///< snap: derived — replay window, rebuilt on demand
 
-    /** Bytes moved by replayed accesses since the last
-     *  commitDataReplays() (folded into the PhysicalMemory counters
-     *  there). */
+    /** Replayed accesses and the bytes they moved since the last
+     *  commitDataReplays() (folded into the TLB and PhysicalMemory
+     *  counters there). */
+    std::uint64_t replayHits_ = 0;         ///< snap: quiesced
     std::uint64_t replayBytesRead_ = 0;    ///< snap: quiesced
     std::uint64_t replayBytesWritten_ = 0; ///< snap: quiesced
 

@@ -45,6 +45,17 @@ class PhysicalMemory : public snap::Saveable
     std::uint64_t framesUsed() const { return used_; }
     std::uint64_t framesFree() const { return frames_ - used_; }
 
+    std::uint64_t
+    bytesRead() const
+    {
+        return static_cast<std::uint64_t>(bytesRead_.value());
+    }
+    std::uint64_t
+    bytesWritten() const
+    {
+        return static_cast<std::uint64_t>(bytesWritten_.value());
+    }
+
     /** Typed little-endian accessors. @p size in {1,2,4,8}.
      *  Accesses must not cross a frame boundary (callers split at page
      *  granularity, and guest accesses are size-aligned). */
@@ -58,20 +69,20 @@ class PhysicalMemory : public snap::Saveable
     /** Stable pointer to @p frame's backing bytes (lazily
      *  materialized). The store is node-based and frames are never
      *  resized, so the pointer stays valid — and observes recycles in
-     *  place — for the store's lifetime. Used by the Mmu's replay
-     *  paths; replayed accesses account their bytes through
-     *  accountReplayBytes() instead of read()/write(). */
+     *  place — until the store is restored from a snapshot. Used by
+     *  the Mmu's data paths, which account their bytes through
+     *  accountBytes() instead of read()/write(). */
     std::uint8_t *frameData(std::uint64_t frame)
     {
         return framePtrMut(frame);
     }
 
-    /** Fold @p rd read / @p wr written bytes from a batched replay run
+    /** Fold @p rd read / @p wr written bytes moved through frameData()
      *  into the access counters (bit-identical totals: addition
-     *  commutes, and the replay path flushes at every boundary where
+     *  commutes, and batched replay runs flush at every boundary where
      *  the counters could be observed). */
     void
-    accountReplayBytes(std::uint64_t rd, std::uint64_t wr)
+    accountBytes(std::uint64_t rd, std::uint64_t wr)
     {
         bytesRead_ += rd;
         bytesWritten_ += wr;

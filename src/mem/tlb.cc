@@ -35,22 +35,16 @@ Tlb::Tlb(std::string name, std::size_t entries, stats::StatGroup *parent)
 const Pte *
 Tlb::lookup(VAddr va, EntryRef *ref)
 {
-    const std::uint64_t vpn = pageNumber(va);
-    Entry *set = &slots_[setIndex(vpn) * kWays];
-    for (std::size_t w = 0; w < kWays; ++w) {
-        Entry &e = set[w];
-        if (e.valid && e.vpn == vpn) {
-            e.used = true;
-            ++hits_;
-            if (ref)
-                ref->entry = &e;
-            return &e.pte;
-        }
-    }
-    ++misses_;
+    Entry *e = probe(pageNumber(va));
     if (ref)
-        ref->entry = nullptr;
-    return nullptr;
+        ref->entry = e;
+    if (!e) {
+        ++misses_;
+        return nullptr;
+    }
+    e->used = true;
+    ++hits_;
+    return &e->pte;
 }
 
 const Pte *
@@ -91,6 +85,7 @@ Tlb::insert(VAddr va, const Pte &pte, EntryRef *ref)
     victim->pte = pte;
     victim->valid = true;
     victim->used = true;
+    victim->host = nullptr;
     ++stamp_;
     if (ref)
         ref->entry = victim;
@@ -173,6 +168,7 @@ Tlb::snapRestore(snap::Deserializer &d)
         e.pte.frame = d.u64();
         e.valid = d.b();
         e.used = d.b();
+        e.host = nullptr;
     }
     if (d.u64() != hand_.size())
         throw snap::SnapError("tlb: set-count mismatch");

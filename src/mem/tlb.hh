@@ -47,6 +47,10 @@ class Tlb : public snap::Saveable
         Pte pte;
         bool valid = false;
         bool used = false; ///< clock reference bit
+        /** Host bytes of pte.frame, or nullptr until the first data
+         *  translation through this entry fills it. Derived state:
+         *  cleared on insert and restore, never saved. */
+        std::uint8_t *host = nullptr;
     };
 
     /** Opaque handle to a resident entry, valid while stamp() holds. */
@@ -65,6 +69,20 @@ class Tlb : public snap::Saveable
      *  the entry's reference bit is set and @p ref (if given) receives a
      *  handle usable with touchHit() while stamp() is unchanged. */
     const Pte *lookup(VAddr va, EntryRef *ref = nullptr);
+
+    /** The valid entry mapping @p vpn, or nullptr — with no hit/miss
+     *  accounting and no reference-bit touch (callers that act on a hit
+     *  replay it with touchHit/touchHitN). */
+    Entry *
+    probe(std::uint64_t vpn)
+    {
+        Entry *set = &slots_[setIndex(vpn) * kWays];
+        for (std::size_t w = 0; w < kWays; ++w) {
+            if (set[w].valid && set[w].vpn == vpn)
+                return &set[w];
+        }
+        return nullptr;
+    }
 
     /** Install a translation (after a successful page walk).
      *  @return the installed entry's PTE; the pointer stays valid for

@@ -20,9 +20,64 @@ Event::~Event()
 void
 EventQueue::push(const Entry &entry)
 {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
+    if (!rootHeld_) {
+        heap_.push_back(entry);
+        std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
+        return;
+    }
+    // Replace the held (stale) root and sift the new entry down once,
+    // instead of popping the root and pushing the entry separately.
+    rootHeld_ = false;
+    const EntryCompare later;
+    const std::size_t n = heap_.size();
+    std::size_t hole = 0;
+    for (;;) {
+        std::size_t child = 2 * hole + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && later(heap_[child], heap_[child + 1]))
+            ++child;
+        if (!later(entry, heap_[child]))
+            break;
+        heap_[hole] = heap_[child];
+        hole = child;
+    }
+    heap_[hole] = entry;
 }
+
+void
+EventQueue::popRoot()
+{
+    std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
+    heap_.pop_back();
+}
+
+void
+EventQueue::dropHeldRoot()
+{
+    if (rootHeld_) {
+        rootHeld_ = false;
+        popRoot();
+    }
+}
+
+namespace {
+
+/** Frees a processed queue-owned lambda once its process() returns or
+ *  throws. */
+struct Reaper {
+    std::size_t &numOwned;
+    Event *ev;
+    ~Reaper()
+    {
+        if (ev) {
+            --numOwned;
+            delete static_cast<LambdaEvent *>(ev);
+        }
+    }
+};
+
+} // namespace
 
 void
 EventQueue::schedule(Event *ev, Tick when)
@@ -39,7 +94,7 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
     ev->squashed_ = false;
-    push(Entry{when, ev->priority(), ev->seq_, ev});
+    push(Entry{when, ev->priority(), ev->queueOwned_, ev->seq_, ev});
     ++live_;
 }
 
@@ -55,7 +110,7 @@ EventQueue::restoreSchedule(Event *ev, Tick when, std::uint64_t seq)
     ev->seq_ = seq;
     ev->scheduled_ = true;
     ev->squashed_ = false;
-    push(Entry{when, ev->priority(), seq, ev});
+    push(Entry{when, ev->priority(), ev->queueOwned_, seq, ev});
     ++live_;
 }
 
@@ -97,10 +152,8 @@ EventQueue::forEachScheduled(
     for (const Entry &entry : heap_) {
         // Stale entries (squashed, or descheduled-and-rescheduled with
         // a newer seq) are skipped exactly as popReady() would.
-        if (entry.ev->squashed_ || !entry.ev->scheduled_ ||
-            entry.ev->seq_ != entry.seq) {
+        if (stale(entry))
             continue;
-        }
         ScheduledInfo info;
         info.ev = entry.ev;
         info.when = entry.when;
@@ -120,14 +173,9 @@ EventQueue::popReady()
 {
     while (!heap_.empty()) {
         Entry top = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
-        heap_.pop_back();
-        // A squashed event, or one that was descheduled and rescheduled
-        // (stale seq), is skipped.
-        if (top.ev->squashed_ || !top.ev->scheduled_ ||
-            top.ev->seq_ != top.seq) {
+        popRoot();
+        if (stale(top))
             continue;
-        }
         top.ev->scheduled_ = false;
         --live_;
         curTick_ = top.when;
@@ -139,37 +187,87 @@ EventQueue::popReady()
 bool
 EventQueue::step()
 {
+    dropHeldRoot();
     Event *ev = popReady();
     if (!ev)
         return false;
     ++numProcessed_;
+    Reaper reap{numOwned_, ev->queueOwned_ ? ev : nullptr};
     ev->process();
+    return true;
+}
+
+bool
+EventQueue::continueWith(Event *ev, Tick when)
+{
+    schedule(ev, when);
+    if (!inRun_ || stopRequested_ || when > runMaxTick_ || runBudget_ == 0)
+        return false;
+    // The new entry is next exactly when only stale entries (which
+    // run() would discard) order before it.
+    while (heap_.front().ev != ev || heap_.front().seq != ev->seq_) {
+        if (!stale(heap_.front()))
+            return false;
+        popRoot();
+    }
+    --runBudget_;
+    ev->scheduled_ = false;
+    --live_;
+    curTick_ = when;
+    ++numProcessed_;
+    rootHeld_ = true;
     return true;
 }
 
 Tick
 EventQueue::run(Tick maxTick, std::uint64_t maxEvents)
 {
-    std::uint64_t processed = 0;
+    // Leaves the queue clean even when a process() throws: a held root
+    // is stale, so it is simply dropped (as is one held by an enclosing
+    // run() or step() whose process() called this one), and an
+    // enclosing run()'s limits come back.
+    struct RunScope {
+        EventQueue &q;
+        bool inRun;
+        Tick maxTick;
+        std::uint64_t budget;
+        ~RunScope()
+        {
+            q.dropHeldRoot();
+            q.inRun_ = inRun;
+            q.runMaxTick_ = maxTick;
+            q.runBudget_ = budget;
+        }
+    } scope{*this, inRun_, runMaxTick_, runBudget_};
+    dropHeldRoot();
+    inRun_ = true;
+    runMaxTick_ = maxTick;
+    runBudget_ = maxEvents;
     stopRequested_ = false;
     while (!heap_.empty() && !stopRequested_) {
         // Peek: stop before processing events beyond the horizon.
-        Entry top = heap_.front();
-        if (top.ev->squashed_ || !top.ev->scheduled_ ||
-            top.ev->seq_ != top.seq) {
-            std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
-            heap_.pop_back();
+        const Entry &top = heap_.front();
+        if (stale(top)) {
+            popRoot();
             continue;
         }
         if (top.when > maxTick)
             break;
-        if (processed >= maxEvents) {
+        if (runBudget_ == 0) {
             warn("event budget exhausted at tick %llu",
                  (unsigned long long)curTick_);
             break;
         }
-        step();
-        ++processed;
+        --runBudget_;
+        Event *ev = top.ev;
+        ev->scheduled_ = false;
+        --live_;
+        curTick_ = top.when;
+        ++numProcessed_;
+        Reaper reap{numOwned_, top.owned ? ev : nullptr};
+        rootHeld_ = true;
+        ev->process();
+        dropHeldRoot();
     }
     return curTick_;
 }
@@ -177,15 +275,16 @@ EventQueue::run(Tick maxTick, std::uint64_t maxEvents)
 EventQueue::~EventQueue()
 {
     // heap_ entries may point at events whose owners destroyed them
-    // already — legal once squashed — so the entries must never be
-    // dereferenced here. The only events guaranteed alive are the
-    // lambda events this queue owns: unhook their scheduled state (a
-    // pending one at shutdown is fine) so Event::~Event doesn't see a
-    // live schedule, then free them.
-    heap_.clear();
-    for (LambdaEvent *ev : owned_) {
-        ev->scheduled_ = false;
-        delete ev;
+    // already — legal once squashed — so only the entries of the lambda
+    // events this queue owns (pending ones, restored ones included) are
+    // dereferenced: unhook their scheduled state (a pending one at
+    // shutdown is fine) so Event::~Event doesn't see a live schedule,
+    // then free them.
+    for (const Entry &entry : heap_) {
+        if (entry.owned) {
+            entry.ev->scheduled_ = false;
+            delete static_cast<LambdaEvent *>(entry.ev);
+        }
     }
 }
 

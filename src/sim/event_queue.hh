@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,7 @@ class Event
     std::uint64_t seq_ = 0; ///< insertion order tiebreaker
     bool scheduled_ = false;
     bool squashed_ = false;
+    bool queueOwned_ = false; ///< a scheduleLambda/restoreLambda event
 };
 
 /** Convenience event wrapping a callable. */
@@ -138,19 +140,42 @@ class EventQueue
      *  currently scheduled). */
     void reschedule(Event *ev, Tick when);
 
-    /** Schedule a one-shot heap-allocated callable; the queue owns and
-     *  frees it after it runs (or at shutdown). A non-default @p tag
-     *  makes the pending occurrence snapshottable (see EventTag). */
+    /** Schedule a one-shot heap-allocated callable; the queue owns it
+     *  and frees it as soon as its process() returns (or at
+     *  destruction, if it never ran). A non-default @p tag makes the
+     *  pending occurrence snapshottable (see EventTag). */
     void
     scheduleLambda(Tick when, std::string name, std::function<void()> fn,
                    int priority = Event::kPrioDefault,
                    EventTag tag = EventTag{})
     {
-        auto *ev = new LambdaEvent(std::move(name), std::move(fn),
-                                   priority, tag);
-        owned_.push_back(ev);
-        schedule(ev, when);
+        auto ev = std::make_unique<LambdaEvent>(std::move(name),
+                                                std::move(fn), priority, tag);
+        ev->queueOwned_ = true;
+        schedule(ev.get(), when);
+        ++numOwned_;
+        ev.release();
     }
+
+    /**
+     * Slice continuation: schedule @p ev at @p when from inside the
+     * process() that run() is executing, and if that occurrence is the
+     * very next event run() would pop, take it at once — accounted
+     * exactly as schedule() plus the pop would (sequence number,
+     * numProcessed(), curTick() == @p when, the event budget) — so the
+     * caller runs it in place instead of returning to the queue.
+     *
+     * Refused, leaving @p ev scheduled as by schedule(), whenever run()
+     * would not pop it next: a live entry orders first (an earlier tick,
+     * or the same tick with a lower priority value or an older sequence
+     * number), @p when lies beyond run()'s maxTick, run()'s event
+     * budget is spent, requestStop() was called, or the queue is not
+     * inside run() (step() always processes exactly one event).
+     *
+     * @return true when taken: @p ev is no longer scheduled and the
+     *         caller must perform the occurrence before returning.
+     */
+    bool continueWith(Event *ev, Tick when);
 
     /** True when no runnable events remain. */
     bool empty() const { return live_ != 0 ? false : true; }
@@ -211,11 +236,17 @@ class EventQueue
     restoreLambda(Tick when, std::uint64_t seq, std::string name,
                   std::function<void()> fn, int priority, EventTag tag)
     {
-        auto *ev = new LambdaEvent(std::move(name), std::move(fn),
-                                   priority, tag);
-        owned_.push_back(ev);
-        restoreSchedule(ev, when, seq);
+        auto ev = std::make_unique<LambdaEvent>(std::move(name),
+                                                std::move(fn), priority, tag);
+        ev->queueOwned_ = true;
+        restoreSchedule(ev.get(), when, seq);
+        ++numOwned_;
+        ev.release();
     }
+
+    /** Lambda events the queue currently owns: those pending, plus at
+     *  most the one whose process() is running. */
+    std::size_t numOwned() const { return numOwned_; }
 
     /** Restore the clock state (restore path only; the queue must be
      *  empty and unused). */
@@ -230,6 +261,7 @@ class EventQueue
     struct Entry {
         Tick when;
         int priority;
+        bool owned; ///< a queue-owned lambda, freed once processed
         std::uint64_t seq;
         Event *ev;
     };
@@ -246,14 +278,36 @@ class EventQueue
         }
     };
 
+    /** A squashed, descheduled, or rescheduled-since (stale seq)
+     *  entry: skipped when it surfaces. */
+    static bool
+    stale(const Entry &entry)
+    {
+        return entry.ev->squashed_ || !entry.ev->scheduled_ ||
+               entry.ev->seq_ != entry.seq;
+    }
+
     void push(const Entry &entry);
+    void popRoot();
+    void dropHeldRoot();
     Event *popReady();
 
     /** Binary max-heap under EntryCompare (std::push_heap/pop_heap);
      *  kept as a plain vector so the snapshot layer can enumerate live
      *  entries without draining the queue. */
     std::vector<Entry> heap_;
-    std::vector<LambdaEvent *> owned_;
+    /** While run() processes an event its entry stays at the heap root
+     *  (stale: the event is no longer scheduled). The first push()
+     *  replaces it with one sift-down; if none comes, run() pops it
+     *  when process() returns (dropHeldRoot). */
+    bool rootHeld_ = false;
+    /** run()'s limits, for continueWith(): valid while inRun_. */
+    bool inRun_ = false;
+    Tick runMaxTick_ = 0;
+    std::uint64_t runBudget_ = 0; ///< events run() may still process
+    /** Lambda events not yet freed: pending ones are exactly the
+     *  heap's `owned` entries. */
+    std::size_t numOwned_ = 0;
     Tick curTick_ = 0;
     bool stopRequested_ = false;
     std::uint64_t nextSeq_ = 0;

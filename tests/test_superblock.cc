@@ -12,7 +12,17 @@
  * into the program's own code pages, RTCALLs, and stack traffic — and
  * fails on the first observable divergence between the engines: final
  * tick, retired/busy counts, every architectural register, FLAGS, the
- * data region's contents, and the TLB's hit/miss/walk statistics.
+ * data regions' contents, the TLB's hit/miss/walk statistics and its
+ * snapshot bytes (reference bits and clock hands included), physical
+ * memory's byte counters, and the event queue's processed-event count
+ * and next sequence number.
+ *
+ * Further legs add a seeded periodic second event source, which makes
+ * the superblock engine's in-place slice continuation be taken and
+ * refused at random points (and samples the sequencer's counters at
+ * every one of its ticks), and programs whose loads and stores span
+ * more data pages than the TLB holds, so data-window re-aims, evictions
+ * and page walks interleave.
  *
  * A second pass replays a seed subset with a host-side poke schedule:
  * the machine runs to a fixed tick, the host rewrites a code page (the
@@ -24,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +43,7 @@
 #include "harness/bare_machine.hh"
 #include "isa/assembler.hh"
 #include "mem/address_space.hh"
+#include "snapshot/serialize.hh"
 
 using namespace misp;
 
@@ -203,17 +215,32 @@ emitAtomics(std::string &src, Rng &rng)
     }
 }
 
+/** The wide data region: more pages than the 64-entry TLB holds. */
+constexpr VAddr kWideBase = 0x20'0000;
+constexpr std::uint64_t kWidePages = 96;
+
 void
-emitMem(std::string &src, Rng &rng)
+emitMem(std::string &src, Rng &rng, bool wide)
 {
     // Aligned access inside the first three pages of the writable data
     // region at 0x10'0000 (the machine's stack lives pages above; r2
-    // holds the base). Misaligned or unmapped accesses would kill the
-    // bare machine, so the generator never produces them.
+    // holds the base), or anywhere in the wide region. Misaligned or
+    // unmapped accesses would kill the bare machine, so the generator
+    // never produces them.
     static const unsigned kSizes[] = {1, 2, 4, 8};
     const unsigned size = kSizes[rng.pick(4)];
-    const std::uint64_t off =
-        rng.pick((3 * 4096) / size) * size; // size-aligned
+    std::uint64_t off = rng.pick(3 * 4096 / size) * size; // aligned
+    if (wide) {
+        // Half the accesses crowd a few TLB sets (pages 16 apart share
+        // a set of the 16-set TLB), so clock sweeps clear reference
+        // bits of pages that are then hit again; the rest spread over
+        // the whole region.
+        const std::uint64_t page = rng.pick(2) == 0
+                                       ? rng.pick(2) + 16 * rng.pick(6)
+                                       : rng.pick(kWidePages);
+        off = kWideBase - 0x10'0000 + page * 4096 +
+              rng.pick(4096 / size) * size;
+    }
     const unsigned rv = scratchReg(rng);
     char buf[96];
     if (rng.pick(2) == 0)
@@ -226,9 +253,10 @@ emitMem(std::string &src, Rng &rng)
 }
 
 /** One seeded random program. Control flow is forward-only except for
- *  bounded counted loops, so every program halts. */
+ *  bounded counted loops, so every program halts. With @p wide, memory
+ *  runs address the wide region. */
 std::string
-genProgram(std::uint64_t seed)
+genProgram(std::uint64_t seed, bool wide = false)
 {
     Rng rng(seed);
     std::string src = "main:\n"
@@ -251,7 +279,7 @@ genProgram(std::uint64_t seed)
           case 1: { // memory run
             const int n = 2 + (int)rng.pick(8);
             for (int i = 0; i < n; ++i)
-                emitMem(src, rng);
+                emitMem(src, rng, wide);
             break;
           }
           case 2: { // bounded inner loop (never nested)
@@ -260,8 +288,12 @@ genProgram(std::uint64_t seed)
                           "    movi r10, 0\nl%d:\n", id);
             src += buf;
             const int body = 1 + (int)rng.pick(6);
-            for (int i = 0; i < body; ++i)
-                (rng.pick(3) == 0 ? emitMem : emitAlu)(src, rng);
+            for (int i = 0; i < body; ++i) {
+                if (rng.pick(3) == 0)
+                    emitMem(src, rng, wide);
+                else
+                    emitAlu(src, rng);
+            }
             std::snprintf(buf, sizeof buf,
                           "    addi r10, r10, 1\n"
                           "    cmpi r10, %d\n"
@@ -364,7 +396,67 @@ genProgram(std::uint64_t seed)
 struct FuzzMachine : harness::BareMachine {
     FuzzMachine(const std::string &src, cpu::Engine engine)
         : harness::BareMachine(src, engine, /*writableCode=*/true)
-    {}
+    {
+        as.defineRegion(kWideBase, kWidePages * mem::kPageSize, true,
+                        "wide");
+    }
+};
+
+/** FNV-1a over @p n bytes. */
+std::uint64_t
+fnv(const void *data, std::size_t n,
+    std::uint64_t h = 0xcbf29ce484222325ull)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * 0x100000001b3ull;
+    return h;
+}
+
+/**
+ * A seeded periodic second event source. Its ticks land at random
+ * points of the sequencer's slices — before, at, and after the tick a
+ * slice would continue at, at every priority — so the superblock
+ * engine's continuation is taken and refused at random. Each tick also
+ * samples what another event could observe of the sequencer (retired
+ * and busy counts, TLB hits), which must match the reference engine.
+ */
+class Ticker : public Event
+{
+  public:
+    Ticker(harness::BareMachine &m, std::uint64_t seed)
+        : Event("ticker", kPrios[seed % 4]), m_(m), rng_(seed),
+          period_(1 + rng_.pick(seed % 3 == 0 ? 40 : 3000))
+    {
+        m_.eq.schedule(this, rng_.pick(period_));
+    }
+
+    ~Ticker() override
+    {
+        if (scheduled())
+            m_.eq.deschedule(this);
+    }
+
+    void
+    process() override
+    {
+        const std::uint64_t sample[] = {
+            m_.eq.curTick(), m_.seq.instsRetired(), m_.seq.busyCycles(),
+            m_.seq.mmu().tlb().hits()};
+        samples = fnv(sample, sizeof sample, samples);
+        if (!m_.seq.halted())
+            m_.eq.schedule(this, m_.eq.curTick() + 1 +
+                                     rng_.pick(2 * period_));
+    }
+
+    std::uint64_t samples = 0;
+
+  private:
+    static constexpr int kPrios[] = {kPrioInterrupt, kPrioDefault,
+                                     kPrioCpu, kPrioStats};
+    harness::BareMachine &m_;
+    Rng rng_;
+    std::uint64_t period_;
 };
 
 struct Observed {
@@ -376,17 +468,30 @@ struct Observed {
     std::uint64_t walks = 0;
     Word regs[isa::kNumRegs] = {};
     isa::Flags flags;
-    std::uint64_t dataHash = 0; ///< FNV-1a of the three data pages
+    std::uint64_t dataHash = 0; ///< FNV-1a of both data regions
+    std::uint64_t tlbImage = 0; ///< FNV-1a of the TLB's snapshot bytes
+    std::uint64_t bytesRead = 0;
+    std::uint64_t bytesWritten = 0;
+    std::uint64_t eventsProcessed = 0;
+    std::uint64_t nextSeq = 0;
+    std::uint64_t tickerSamples = 0;
 
     static Observed
-    of(harness::BareMachine &m)
+    of(harness::BareMachine &m, const Ticker *ticker = nullptr)
     {
         Observed o;
         std::vector<std::uint8_t> data(3 * 4096);
         m.as.peek(0x10'0000, data.data(), data.size());
-        o.dataHash = 0xcbf29ce484222325ull;
-        for (std::uint8_t byte : data)
-            o.dataHash = (o.dataHash ^ byte) * 0x100000001b3ull;
+        o.dataHash = fnv(data.data(), data.size());
+        data.resize(kWidePages * 4096);
+        m.as.peek(kWideBase, data.data(), data.size());
+        o.dataHash = fnv(data.data(), data.size(), o.dataHash);
+        snap::Serializer s;
+        s.beginSection(1);
+        m.seq.mmu().tlb().snapSave(s);
+        s.endSection();
+        const std::string image = s.done();
+        o.tlbImage = fnv(image.data(), image.size());
         o.flags = m.seq.context().flags;
         o.ticks = m.eq.curTick();
         o.busy = m.seq.busyCycles();
@@ -394,6 +499,11 @@ struct Observed {
         o.tlbHits = m.seq.mmu().tlb().hits();
         o.tlbMisses = m.seq.mmu().tlb().misses();
         o.walks = m.seq.mmu().pageWalks();
+        o.bytesRead = m.pmem.bytesRead();
+        o.bytesWritten = m.pmem.bytesWritten();
+        o.eventsProcessed = m.eq.numProcessed();
+        o.nextSeq = m.eq.nextSeq();
+        o.tickerSamples = ticker ? ticker->samples : 0;
         for (unsigned r = 0; r < isa::kNumRegs; ++r)
             o.regs[r] = m.seq.context().regs[r];
         return o;
@@ -413,9 +523,51 @@ expectIdentical(const Observed &ref, const Observed &got,
     EXPECT_EQ(got.walks, ref.walks) << en << " seed " << seed;
     EXPECT_EQ(got.flags, ref.flags) << en << " seed " << seed;
     EXPECT_EQ(got.dataHash, ref.dataHash) << en << " seed " << seed;
+    EXPECT_EQ(got.tlbImage, ref.tlbImage) << en << " seed " << seed;
+    EXPECT_EQ(got.bytesRead, ref.bytesRead) << en << " seed " << seed;
+    EXPECT_EQ(got.bytesWritten, ref.bytesWritten)
+        << en << " seed " << seed;
+    EXPECT_EQ(got.eventsProcessed, ref.eventsProcessed)
+        << en << " seed " << seed;
+    EXPECT_EQ(got.nextSeq, ref.nextSeq) << en << " seed " << seed;
+    EXPECT_EQ(got.tickerSamples, ref.tickerSamples)
+        << en << " seed " << seed;
     for (unsigned r = 0; r < isa::kNumRegs; ++r)
         EXPECT_EQ(got.regs[r], ref.regs[r])
             << en << " seed " << seed << " r" << r;
+}
+
+/** Run genProgram(@p seed, @p wide) under both engines, optionally
+ *  with a Ticker, and compare. @return the superblock run's count of
+ *  continued slices. */
+std::uint64_t
+runBothEngines(std::uint64_t seed, bool wide, bool ticker)
+{
+    const std::string src = genProgram(seed, wide);
+    Observed want;
+    std::uint64_t continued = 0;
+    for (cpu::Engine engine :
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
+        FuzzMachine m(src, engine);
+        m.start();
+        std::unique_ptr<Ticker> t;
+        if (ticker)
+            t = std::make_unique<Ticker>(m, seed);
+        m.eq.run();
+        if (engine == cpu::Engine::Reference) {
+            // The program must run to its final HALT: a fault (an
+            // unguarded divide, a stray access) kills the run early.
+            EXPECT_EQ(m.seq.context().eip, m.prog.symbol("done"))
+                << "seed " << seed << "\n"
+                << src;
+            EXPECT_EQ(m.seq.slicesContinued(), 0u);
+            want = Observed::of(m, t.get());
+        } else {
+            expectIdentical(want, Observed::of(m, t.get()), engine, seed);
+            continued = m.seq.slicesContinued();
+        }
+    }
+    return continued;
 }
 
 } // namespace
@@ -475,6 +627,65 @@ TEST(SuperblockFuzz, HostPokeScheduleBitIdentical)
         }
         if (HasFailure())
             break;
+    }
+}
+
+TEST(SuperblockFuzz, SecondEventSourceBitIdentical)
+{
+    // Continuation taken and refused at random points: the queue's
+    // processed count and next sequence, and everything the ticker saw
+    // at each of its ticks, must match the reference engine's.
+    std::uint64_t continued = 0;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        continued += runBothEngines(seed, /*wide=*/false, /*ticker=*/true);
+        if (HasFailure())
+            break;
+    }
+    EXPECT_GT(continued, 0u);
+}
+
+TEST(SuperblockFuzz, DataSetsWiderThanTheTlbBitIdentical)
+{
+    // 96 data pages over a 64-entry TLB: data-window re-aims, clock
+    // evictions and page walks interleave (with and without the
+    // second event source).
+    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+        runBothEngines(seed, /*wide=*/true, /*ticker=*/seed % 2 == 0);
+        if (HasFailure())
+            break;
+    }
+}
+
+TEST(SuperblockFuzz, StoreToAReadOnlyTlbPageFaultsUnderBothEngines)
+{
+    // The TLB holds the read-only page when the store comes, but the
+    // data window has moved on: the store must not be re-aimed into
+    // the window; it faults (and the bare machine kills the run) under
+    // both engines at the same instruction.
+    const std::string src = R"(
+main:
+    movi r2, 0x300000
+    movi r3, 0x100000
+    ld8 r4, [r2+0]      ; the TLB now maps the read-only page
+    ld8 r5, [r3+0]      ; the data window moves to the stack page
+store:
+    st8 [r2+8], r5      ; write to a read-only page: must fault
+    halt
+)";
+    Observed want;
+    for (cpu::Engine engine :
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
+        FuzzMachine m(src, engine);
+        m.as.defineRegion(0x30'0000, mem::kPageSize, /*writable=*/false,
+                          "ro");
+        m.run();
+        EXPECT_TRUE(m.seq.halted()) << cpu::engineName(engine);
+        EXPECT_EQ(m.seq.context().eip, m.prog.symbol("store"))
+            << cpu::engineName(engine);
+        if (engine == cpu::Engine::Reference)
+            want = Observed::of(m);
+        else
+            expectIdentical(want, Observed::of(m), engine, 0);
     }
 }
 

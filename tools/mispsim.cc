@@ -21,6 +21,10 @@
 #include <functional>
 #include <iostream>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "cpu/engine.hh"
 #include "driver/cli_help.hh"
 #include "driver/report.hh"
@@ -285,6 +289,16 @@ mergeFramesMain(const Scenario &sc,
 int
 main(int argc, char **argv)
 {
+#ifdef __GLIBC__
+    // A sweep builds and tears down one machine per grid point, and each
+    // point allocates the same large buffers again (workload data,
+    // decode-cache bitmaps). glibc would serve each from a fresh mmap,
+    // or trim it off the heap top when freed, and the next point would
+    // page-fault it in again; fixed thresholds keep such buffers on the
+    // heap for reuse across points.
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
     std::string scnArg;
     std::string jsonPath;
     std::string metricsPath;
