@@ -126,9 +126,9 @@ struct Sweep {
         for (const std::string &a : aValues) {
             for (const std::string &b : bValues) {
                 for (const char *machine : kMachines) {
-                    run.ticks = 1000000 + run.events.timer;
+                    run.ticks = 1000000 + Tick(run.events[
+                        harness::EventCounter::Timer]++);
                     run.instsRetired = 500000;
-                    ++run.events.timer;
                     frame.addRow(machine, "dense_mvm", 0,
                                  {{"machine.a", a}, {"machine.b", b}},
                                  run);

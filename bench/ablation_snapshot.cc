@@ -164,11 +164,8 @@ main(int argc, char **argv)
                     coldRun[i].run.ticks == saveRun[i].run.ticks &&
                     coldRun[i].run.ticks == warmRun[i].run.ticks &&
                     coldRun[i].run.instsRetired ==
-                        warmRun[i].run.instsRetired;
-        for (const harness::EventField &f : harness::eventFields()) {
-            identical = identical && f.get(coldRun[i].run.events) ==
-                                         f.get(warmRun[i].run.events);
-        }
+                        warmRun[i].run.instsRetired &&
+                    coldRun[i].run.events == warmRun[i].run.events;
     }
 
     std::printf("\nsweep (%zu points): cold %.2fs, from-snapshot %.2fs "

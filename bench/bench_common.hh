@@ -22,7 +22,7 @@
 namespace misp::bench {
 
 /** Outcome of one measured run — the unified record of the run layer
- *  (status enum, ticks, validation, EventSnapshot under `.events`,
+ *  (status enum, ticks, validation, Table-1 counters under `.events`,
  *  host throughput, derived metrics). */
 using RunResult = harness::RunRecord;
 

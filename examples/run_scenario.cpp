@@ -70,7 +70,8 @@ main()
             if (key == "machine.ams" && value == "7") {
                 std::cout << "\ndense_mvm on 1 OMS + 7 AMS: "
                           << r.run.megaCycles() << " Mcycles, "
-                          << r.run.events.serializations
+                          << std::uint64_t(r.run.events[
+                                 harness::EventCounter::Serializations])
                           << " serializations\n";
             }
         }

@@ -148,25 +148,11 @@ ScenarioRunner::runAll(const Scenario &sc,
     std::size_t jobs = std::max(1u, opts_.jobs);
     jobs = std::min(jobs, pts.size());
 
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < pts.size(); ++i) {
-            logAttempt(opts_.runLog, "dispatched", pts[i], 1);
-            auto ta = std::chrono::steady_clock::now();
-            results[i] = runPoint(sc, pts[i], gridIndex(i));
-            logAttempt(opts_.runLog, "completed", pts[i], 1,
-                       wallMsSince(ta),
-                       harness::runStatusName(results[i].run.status));
-            if (progress)
-                progressLine(*progress, i + 1, pts.size(), pts[i],
-                             results[i]);
-        }
-        return results;
-    }
-
-    // Fan the grid out over a worker pool. Each point is an
-    // independent deterministic simulation; results land at their
-    // submission index, so emitter output is byte-identical to the
-    // serial path. Only the progress lines (stderr) reflect completion
+    // Fan the grid out over a worker pool — or, for one job, run the
+    // one worker on this thread. Each point is an independent
+    // deterministic simulation; results land at their submission
+    // index, so emitter output is byte-identical whatever the job
+    // count. Only the progress lines (stderr) reflect completion
     // order.
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
@@ -178,7 +164,7 @@ ScenarioRunner::runAll(const Scenario &sc,
         for (;;) {
             // Stop claiming new points once any point has failed —
             // in-flight simulations finish, queued ones are abandoned
-            // (the serial path would not have started them either).
+            // (a serial run would not have started them either).
             if (failed.load(std::memory_order_relaxed))
                 return;
             std::size_t i = next.fetch_add(1);
@@ -208,15 +194,19 @@ ScenarioRunner::runAll(const Scenario &sc,
         }
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t t = 0; t < jobs; ++t)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
+    if (jobs <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(jobs);
+        for (std::size_t t = 0; t < jobs; ++t)
+            pool.emplace_back(worker);
+        for (std::thread &t : pool)
+            t.join();
+    }
 
-    // Surface the first failure in submission order, as the serial
-    // path would have.
+    // Surface the first failure in submission order, as a serial run
+    // would have.
     for (std::exception_ptr &e : errors) {
         if (e)
             std::rethrow_exception(e);
@@ -710,21 +700,19 @@ writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
            << (frame.at(i, "valid") != 0.0 ? "true" : "false") << ",\n";
         os << "      \"insts_retired\": "
            << static_cast<std::uint64_t>(frame.at(i, "insts")) << ",\n";
-        const std::vector<harness::EventField> &fields =
-            harness::eventFields();
         os << "      \"events\": {\n";
-        for (std::size_t f = 0; f < fields.size(); ++f) {
-            os << "        \"" << fields[f].name << "\": ";
-            double v =
-                frame.at(i, std::string("events.") + fields[f].name);
-            if (fields[f].cycles) {
+        for (std::size_t f = 0; f < harness::kNumEventCounters; ++f) {
+            const harness::EventCounterInfo &c = harness::kEventCounters[f];
+            os << "        \"" << c.name << "\": ";
+            double v = frame.at(i, std::string("events.") + c.name);
+            if (c.kind == harness::EventKind::Cycles) {
                 char buf[64];
                 std::snprintf(buf, sizeof(buf), "%.0f", v);
                 os << buf;
             } else {
                 os << static_cast<std::uint64_t>(v);
             }
-            os << (f + 1 < fields.size() ? ",\n" : "\n");
+            os << (f + 1 < harness::kNumEventCounters ? ",\n" : "\n");
         }
         os << "      }";
         if (!r.statsJson.empty())

@@ -116,12 +116,6 @@ Experiment::finishRun(os::Process *target, Tick maxTicks)
 }
 
 std::uint64_t
-Experiment::events(unsigned proc, arch::Ring0Cause cause)
-{
-    return system_->processor(proc).eventCount(cause);
-}
-
-std::uint64_t
 Experiment::totalInstsRetired()
 {
     return harness::totalInstsRetired(*system_);
@@ -157,69 +151,25 @@ reportHost(const std::string &name, std::uint64_t instsRetired,
     return mips;
 }
 
-const std::vector<EventField> &
-eventFields()
-{
-    using ES = EventSnapshot;
-    static const std::vector<EventField> kFields = {
-        {"oms_syscalls", false,
-         [](const ES &e) { return double(e.omsSyscalls); },
-         [](ES &e, double v) { e.omsSyscalls = std::uint64_t(v); }},
-        {"oms_page_faults", false,
-         [](const ES &e) { return double(e.omsPageFaults); },
-         [](ES &e, double v) { e.omsPageFaults = std::uint64_t(v); }},
-        {"timer", false, [](const ES &e) { return double(e.timer); },
-         [](ES &e, double v) { e.timer = std::uint64_t(v); }},
-        {"interrupts", false,
-         [](const ES &e) { return double(e.interrupts); },
-         [](ES &e, double v) { e.interrupts = std::uint64_t(v); }},
-        {"ams_syscalls", false,
-         [](const ES &e) { return double(e.amsSyscalls); },
-         [](ES &e, double v) { e.amsSyscalls = std::uint64_t(v); }},
-        {"ams_page_faults", false,
-         [](const ES &e) { return double(e.amsPageFaults); },
-         [](ES &e, double v) { e.amsPageFaults = std::uint64_t(v); }},
-        {"serializations", false,
-         [](const ES &e) { return double(e.serializations); },
-         [](ES &e, double v) { e.serializations = std::uint64_t(v); }},
-        {"serialize_cycles", true,
-         [](const ES &e) { return e.serializeCycles; },
-         [](ES &e, double v) { e.serializeCycles = v; }},
-        {"priv_cycles", true, [](const ES &e) { return e.privCycles; },
-         [](ES &e, double v) { e.privCycles = v; }},
-        {"proxy_signal_cycles", true,
-         [](const ES &e) { return e.proxySignalCycles; },
-         [](ES &e, double v) { e.proxySignalCycles = v; }},
-        {"proxy_requests", false,
-         [](const ES &e) { return double(e.proxyRequests); },
-         [](ES &e, double v) { e.proxyRequests = std::uint64_t(v); }},
-        {"suspended_cycles", true,
-         [](const ES &e) { return e.suspendedCycles; },
-         [](ES &e, double v) { e.suspendedCycles = v; }},
-    };
-    return kFields;
-}
-
-EventSnapshot
+EventCounts
 snapshotEvents(arch::MispProcessor &mp)
 {
-    using arch::Ring0Cause;
-    EventSnapshot out;
-    out.omsSyscalls = mp.eventCount(Ring0Cause::OmsSyscall);
-    out.omsPageFaults = mp.eventCount(Ring0Cause::OmsPageFault);
-    out.timer = mp.eventCount(Ring0Cause::Timer);
-    out.interrupts = mp.eventCount(Ring0Cause::OtherInterrupt);
-    out.amsSyscalls = mp.eventCount(Ring0Cause::ProxySyscall);
-    out.amsPageFaults = mp.eventCount(Ring0Cause::ProxyPageFault);
-    out.serializations = mp.serializations();
-    out.serializeCycles = mp.statGroup().lookupValue("serializeCycles");
-    out.privCycles = mp.statGroup().lookupValue("privCycles");
-    out.proxySignalCycles =
-        mp.statGroup().lookupValue("proxySignalCycles");
-    out.proxyRequests = static_cast<std::uint64_t>(
-        mp.statGroup().lookupValue("proxyRequests"));
-    for (unsigned i = 0; i < mp.numAms(); ++i)
-        out.suspendedCycles += double(mp.amsAt(i).suspendedCycles());
+    EventCounts out{};
+    for (std::size_t i = 0; i < kNumEventCounters; ++i) {
+        const EventCounterInfo &c = kEventCounters[i];
+        switch (c.source) {
+        case EventSource::Cause:
+            out[i] = double(mp.eventCount(arch::Ring0Cause(i)));
+            break;
+        case EventSource::Stat:
+            out[i] = mp.statGroup().lookupValue(c.stat);
+            break;
+        case EventSource::AmsSum:
+            for (unsigned a = 0; a < mp.numAms(); ++a)
+                out[i] += mp.amsAt(a).statGroup().lookupValue(c.stat);
+            break;
+        }
+    }
     return out;
 }
 

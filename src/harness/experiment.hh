@@ -8,6 +8,7 @@
 #ifndef MISP_HARNESS_EXPERIMENT_HH
 #define MISP_HARNESS_EXPERIMENT_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -84,9 +85,6 @@ class Experiment
     RunOutcome resumeToCompletion(os::Process *target,
                                   Tick maxTicks = 2'000'000'000'000ull);
 
-    /** Shortcut: Table-1 event count on processor @p proc. */
-    std::uint64_t events(unsigned proc, arch::Ring0Cause cause);
-
     /** Sum of retired guest instructions over every sequencer of
      *  every processor — the numerator of host-MIPS reporting. */
     std::uint64_t totalInstsRetired();
@@ -110,48 +108,87 @@ class Experiment
 std::uint64_t totalInstsRetired(arch::MispSystem &sys);
 
 /**
- * Table-1 event snapshot of one MISP processor — the single
- * harvesting point shared by the benches (bench_common's
- * RunResult) and the scenario runner (driver::PointResult), so a new
- * counter can never silently diverge between the two.
+ * The Table-1 counter table: the one declaration of every counter a
+ * run harvests from processor 0 — serializing events by cause and the
+ * cycle sums behind Eqs. 1-2.
+ *
+ * Columns: enumerator; name (the "events" JSON key, the MetricFrame's
+ * events.<name> and events_per_mi.<name> columns, the assert-grammar
+ * reference); kind (Count renders as an integer, Cycles as %.0f); and
+ * where snapshotEvents() reads it: Cause — eventCount() of the
+ * Ring0Cause at the row's index; Stat — the processor stat named last;
+ * AmsSum — that per-sequencer stat summed over the AMSs. Row order is
+ * the order of every artifact and of the RunRecord wire codec.
  */
-struct EventSnapshot {
-    std::uint64_t omsSyscalls = 0;
-    std::uint64_t omsPageFaults = 0;
-    std::uint64_t timer = 0;
-    std::uint64_t interrupts = 0;
-    std::uint64_t amsSyscalls = 0;
-    std::uint64_t amsPageFaults = 0;
-    std::uint64_t serializations = 0;
-    double serializeCycles = 0;
-    double privCycles = 0;
-    double proxySignalCycles = 0;
-    std::uint64_t proxyRequests = 0;
-    /** Total cycles the AMSs spent suspended (summed over AMSs) — the
-     *  cost the serialization-policy ablation quantifies. */
-    double suspendedCycles = 0;
+#define MISP_EVENT_COUNTERS(X)                                           \
+    X(OmsSyscalls,       "oms_syscalls",        Count,  Cause,  "")      \
+    X(OmsPageFaults,     "oms_page_faults",     Count,  Cause,  "")      \
+    X(Timer,             "timer",               Count,  Cause,  "")      \
+    X(Interrupts,        "interrupts",          Count,  Cause,  "")      \
+    X(AmsSyscalls,       "ams_syscalls",        Count,  Cause,  "")      \
+    X(AmsPageFaults,     "ams_page_faults",     Count,  Cause,  "")      \
+    X(Serializations,    "serializations",      Count,  Stat,            \
+      "serializations")                                                  \
+    X(SerializeCycles,   "serialize_cycles",    Cycles, Stat,            \
+      "serializeCycles")                                                 \
+    X(PrivCycles,        "priv_cycles",         Cycles, Stat,            \
+      "privCycles")                                                      \
+    X(ProxySignalCycles, "proxy_signal_cycles", Cycles, Stat,            \
+      "proxySignalCycles")                                               \
+    X(ProxyRequests,     "proxy_requests",      Count,  Stat,            \
+      "proxyRequests")                                                   \
+    X(SuspendedCycles,   "suspended_cycles",    Cycles, AmsSum,          \
+      "suspendedCycles")
+
+/** One enumerator per counter-table row, in row order. */
+enum class EventCounter : std::uint8_t {
+#define MISP_EVENT_ENUM(en, name, kind, source, stat) en,
+    MISP_EVENT_COUNTERS(MISP_EVENT_ENUM)
+#undef MISP_EVENT_ENUM
 };
+enum class EventKind : std::uint8_t { Count, Cycles };
+enum class EventSource : std::uint8_t { Cause, Stat, AmsSum };
 
-EventSnapshot snapshotEvents(arch::MispProcessor &mp);
-
-/** One Table-1 counter: its canonical name (the JSON key and the
- *  assert-grammar `events.<name>` reference) plus paired accessors —
- *  the setter exists so wire codecs (the --isolate RunRecord pipe)
- *  can round-trip by iterating this registry instead of keeping a
- *  parallel field list. `cycles` fields are cycle sums (rendered
- *  %.0f); the rest are event counts (rendered as integers). */
-struct EventField {
+/** One row of the counter table. */
+struct EventCounterInfo {
     const char *name;
-    bool cycles;
-    double (*get)(const EventSnapshot &);
-    void (*set)(EventSnapshot &, double);
+    EventKind kind;
+    EventSource source;
+    const char *stat;
 };
 
-/** The authoritative counter list, in emission order — the single
- *  place the JSON emitter and the [report] assert evaluator agree on
- *  names, so a new counter can never be reachable from one but not
- *  the other. */
-const std::vector<EventField> &eventFields();
+inline constexpr EventCounterInfo kEventCounters[] = {
+#define MISP_EVENT_INFO(en, name, kind, source, stat)                    \
+    {name, EventKind::kind, EventSource::source, stat},
+    MISP_EVENT_COUNTERS(MISP_EVENT_INFO)
+#undef MISP_EVENT_INFO
+};
+inline constexpr std::size_t kNumEventCounters = std::size(kEventCounters);
+
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kNumEventCounters; ++i) {
+            if ((i < std::size_t(arch::Ring0Cause::NumCauses)) !=
+                (kEventCounters[i].source == EventSource::Cause))
+                return false;
+        }
+        return true;
+    }(),
+    "the Cause rows must lead the table, in Ring0Cause order");
+
+/** A run's counters, indexed by EventCounter (or by row). Each crosses
+ *  the wire codec and the MetricFrame as a double, so it is one here. */
+struct EventCounts : std::array<double, kNumEventCounters> {
+    using array::operator[];
+    double &operator[](EventCounter c) { return data()[std::size_t(c)]; }
+    double operator[](EventCounter c) const
+    {
+        return data()[std::size_t(c)];
+    }
+};
+
+/** Read every row of the counter table off @p mp. */
+EventCounts snapshotEvents(arch::MispProcessor &mp);
 
 /** Emit the uniform per-run HOST throughput line on stderr — the one
  *  format shared by the benches and the scenario runner so

@@ -33,16 +33,38 @@ packPairs(std::string &key,
     }
 }
 
+/** The columns read straight off a RunRecord, ahead of the counter
+ *  table's events.* and events_per_mi.* columns: name and value side
+ *  by side, so the two cannot drift out of order. */
+struct BaseColumn {
+    const char *name;
+    double (*value)(const RunRecord &);
+};
+
+constexpr BaseColumn kBaseColumns[] = {
+    {"ticks", [](const RunRecord &r) { return double(r.ticks); }},
+    {"mcycles", [](const RunRecord &r) { return r.megaCycles(); }},
+    {"insts", [](const RunRecord &r) { return double(r.instsRetired); }},
+    {"valid", [](const RunRecord &r) { return r.valid ? 1.0 : 0.0; }},
+    {"completed",
+     [](const RunRecord &r) { return r.completed() ? 1.0 : 0.0; }},
+    {"failed",
+     [](const RunRecord &r) {
+         return runStatusIsInfraFailure(r.status) ? 1.0 : 0.0;
+     }},
+    {"attempts", [](const RunRecord &r) { return double(r.attempts); }},
+};
+
 } // namespace
 
 MetricFrame::MetricFrame()
 {
-    metrics_ = {"ticks",     "mcycles", "insts",   "valid",
-                "completed", "failed",  "attempts"};
-    for (const EventField &f : eventFields())
-        metrics_.push_back(std::string("events.") + f.name);
-    for (const EventField &f : eventFields())
-        metrics_.push_back(std::string("events_per_mi.") + f.name);
+    for (const BaseColumn &b : kBaseColumns)
+        metrics_.push_back(b.name);
+    for (const EventCounterInfo &c : kEventCounters)
+        metrics_.push_back(std::string("events.") + c.name);
+    for (const EventCounterInfo &c : kEventCounters)
+        metrics_.push_back(std::string("events_per_mi.") + c.name);
     columns_.resize(metrics_.size());
     for (std::size_t m = 0; m < metrics_.size(); ++m)
         metricIds_.emplace(metrics_[m], m);
@@ -93,18 +115,12 @@ MetricFrame::addRow(std::string machine, std::string workload,
     internRow(rows_.back());
 
     std::size_t c = 0;
-    columns_[c++].push_back(double(run.ticks));
-    columns_[c++].push_back(run.megaCycles());
-    columns_[c++].push_back(double(run.instsRetired));
-    columns_[c++].push_back(run.valid ? 1.0 : 0.0);
-    columns_[c++].push_back(run.completed() ? 1.0 : 0.0);
-    columns_[c++].push_back(runStatusIsInfraFailure(run.status) ? 1.0
-                                                                : 0.0);
-    columns_[c++].push_back(double(run.attempts));
-    for (const EventField &f : eventFields())
-        columns_[c++].push_back(f.get(run.events));
-    for (const EventField &f : eventFields())
-        columns_[c++].push_back(run.perMegaInsts(f.get(run.events)));
+    for (const BaseColumn &b : kBaseColumns)
+        columns_[c++].push_back(b.value(run));
+    for (double v : run.events)
+        columns_[c++].push_back(v);
+    for (double v : run.events)
+        columns_[c++].push_back(run.perMegaInsts(v));
 }
 
 void

@@ -105,8 +105,8 @@ struct RunRecord {
     Tick ticks = 0;
     /** Host-side result validation (true when the workload has none). */
     bool valid = true;
-    /** Table-1 event snapshot of processor 0. */
-    EventSnapshot events;
+    /** Table-1 counters of processor 0, indexed by EventCounter. */
+    EventCounts events{};
     /** Retired guest instructions, all sequencers of all processors. */
     std::uint64_t instsRetired = 0;
 

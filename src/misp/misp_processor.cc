@@ -152,6 +152,11 @@ MispProcessor::snapRestore(snap::Deserializer &d)
             throw snap::SnapError("processor: proxy request names an "
                                   "absent sequencer");
         req.fault = snap::getFault(d);
+        // Only these two kinds are ever proxied (handleFault).
+        if (req.fault.kind != mem::FaultKind::Syscall &&
+            req.fault.kind != mem::FaultKind::PageFault)
+            throw snap::SnapError("processor: proxy request carries a "
+                                  "fault that is never proxied");
         req.savedCtx = snap::getContext(d);
         req.start = d.u64();
         proxyQueue_.push_back(std::move(req));

@@ -554,10 +554,9 @@ encodeRunRecord(const harness::RunRecord &rec)
     s.u8(static_cast<std::uint8_t>(rec.status));
     s.u64(rec.ticks);
     s.b(rec.valid);
-    const auto &fields = harness::eventFields();
-    s.u64(fields.size());
-    for (const harness::EventField &f : fields)
-        s.f64(f.get(rec.events));
+    s.u64(rec.events.size());
+    for (double v : rec.events)
+        s.f64(v);
     s.u64(rec.instsRetired);
     s.f64(rec.hostSeconds);
     s.f64(rec.hostMips);
@@ -601,11 +600,10 @@ decodeRunRecord(const std::string &data, harness::RunRecord *out,
         out->status = static_cast<harness::RunStatus>(status);
         out->ticks = d.u64();
         out->valid = d.b();
-        const auto &fields = harness::eventFields();
-        if (d.u64() != fields.size())
+        if (d.u64() != out->events.size())
             throw SnapError("run record: event field count mismatch");
-        for (const harness::EventField &f : fields)
-            f.set(out->events, d.f64());
+        for (double &v : out->events)
+            v = d.f64();
         out->instsRetired = d.u64();
         out->hostSeconds = d.f64();
         out->hostMips = d.f64();

@@ -101,7 +101,10 @@ inline mem::Fault
 getFault(Deserializer &d)
 {
     mem::Fault fault;
-    fault.kind = static_cast<mem::FaultKind>(d.u8());
+    const std::uint8_t kind = d.u8();
+    if (kind > static_cast<std::uint8_t>(mem::FaultKind::Breakpoint))
+        throw SnapError("fault: bad kind byte");
+    fault.kind = static_cast<mem::FaultKind>(kind);
     fault.addr = d.u64();
     fault.write = d.b();
     fault.code = d.u64();

@@ -16,6 +16,8 @@
 #include "driver/runner.hh"
 #include "harness/metric_frame.hh"
 #include "sim/logging.hh"
+#include "snapshot/serialize.hh"
+#include "snapshot/snapshot.hh"
 
 using namespace misp;
 using namespace misp::driver;
@@ -57,9 +59,9 @@ fakePoint(const std::string &machine, const std::string &workload,
     r.run.ticks = ticks;
     r.run.valid = true;
     r.run.instsRetired = insts;
-    r.run.events.omsPageFaults = 10;
-    r.run.events.amsPageFaults = 40;
-    r.run.events.serializeCycles = 12345.0;
+    r.run.events[harness::EventCounter::OmsPageFaults] = 10;
+    r.run.events[harness::EventCounter::AmsPageFaults] = 40;
+    r.run.events[harness::EventCounter::SerializeCycles] = 12345.0;
     return r;
 }
 
@@ -589,24 +591,75 @@ TEST(FrameEmitters, JsonMatchesLegacyFormatByteForByte)
              << "      \"valid\": true,\n"
              << "      \"insts_retired\": " << r.run.instsRetired
              << ",\n      \"events\": {\n";
-        const std::vector<harness::EventField> &fields =
-            harness::eventFields();
-        for (std::size_t f = 0; f < fields.size(); ++f) {
-            double v = fields[f].get(r.run.events);
-            want << "        \"" << fields[f].name << "\": ";
-            if (fields[f].cycles) {
+        for (std::size_t f = 0; f < harness::kNumEventCounters; ++f) {
+            const harness::EventCounterInfo &c = harness::kEventCounters[f];
+            double v = r.run.events[f];
+            want << "        \"" << c.name << "\": ";
+            if (c.kind == harness::EventKind::Cycles) {
                 char buf[64];
                 std::snprintf(buf, sizeof(buf), "%.0f", v);
                 want << buf;
             } else {
                 want << static_cast<std::uint64_t>(v);
             }
-            want << (f + 1 < fields.size() ? ",\n" : "\n");
+            want << (f + 1 < harness::kNumEventCounters ? ",\n" : "\n");
         }
         want << "      }\n    }";
     }
     want << "\n  ]\n}\n";
     EXPECT_EQ(os.str(), want.str());
+}
+
+TEST(CounterTable, NamesAndKindsAreTheFrameColumnsAndTheWireFields)
+{
+    // The frame's event columns are the table's names, in table
+    // order, raw then per 10^6 instructions.
+    MetricFrame empty;
+    std::vector<std::string> raw, perMi;
+    for (const std::string &m : empty.metrics()) {
+        if (m.rfind("events.", 0) == 0)
+            raw.push_back(m.substr(7));
+        else if (m.rfind("events_per_mi.", 0) == 0)
+            perMi.push_back(m.substr(14));
+    }
+    std::vector<std::string> names;
+    for (const harness::EventCounterInfo &c : harness::kEventCounters)
+        names.push_back(c.name);
+    EXPECT_EQ(raw, names);
+    EXPECT_EQ(perMi, names);
+
+    // Kinds: a count renders truncated to an integer, a cycle sum
+    // rounded by %.0f, so 2.75 shows as 2 or 3.
+    PointResult r = fakePoint("a", "dense_mvm", 100, 1000);
+    r.run.events.fill(2.75);
+    Scenario sc = twoAxisScenario();
+    std::ostringstream os;
+    writeJson(os, sc, /*quickMode=*/false, buildMetricFrame(sc, {r}));
+    for (std::size_t i = 0; i < harness::kNumEventCounters; ++i) {
+        const harness::EventCounterInfo &c = harness::kEventCounters[i];
+        bool cycles = c.kind == harness::EventKind::Cycles;
+        std::string want = std::string("\"") + c.name + "\": " +
+                           (cycles ? "3" : "2") +
+                           (i + 1 < harness::kNumEventCounters ? ",\n"
+                                                               : "\n");
+        EXPECT_NE(os.str().find(want), std::string::npos) << want;
+    }
+
+    // Wire codec: one count, then one f64 per row in table order.
+    harness::RunRecord rec;
+    for (std::size_t i = 0; i < harness::kNumEventCounters; ++i)
+        rec.events[i] = double(i + 1);
+    rec.instsRetired = 4242;
+    snap::Deserializer d(snap::encodeRunRecord(rec));
+    d.openSection(0);
+    d.u8();
+    d.u64();
+    d.b();
+    EXPECT_EQ(d.u64(), harness::kNumEventCounters);
+    for (std::size_t i = 0; i < harness::kNumEventCounters; ++i)
+        EXPECT_EQ(d.f64(), double(i + 1))
+            << harness::kEventCounters[i].name;
+    EXPECT_EQ(d.u64(), 4242u);
 }
 
 TEST(FrameEmitters, PointsLinesMatchLegacyFormat)

@@ -62,8 +62,7 @@ runScenarioText(const std::string &text, unsigned jobs = 1)
 struct HandRolledRun {
     Tick ticks = 0;
     bool valid = false;
-    harness::EventSnapshot events;
-    double suspendedCycles = 0; // summed directly over the AMSs
+    harness::EventCounts events{};
 };
 
 HandRolledRun
@@ -79,10 +78,28 @@ handRolledRunWorkload(const arch::SystemConfig &sys, rt::Backend backend,
     HandRolledRun out;
     out.ticks = exp.runToCompletion(proc.process).ticks;
     out.valid = !w.validate || w.validate(proc.process->addressSpace());
+    // Read the processor directly, not through the counter table, so
+    // this stays an independent check of snapshotEvents().
+    using arch::Ring0Cause;
+    using EC = harness::EventCounter;
     arch::MispProcessor &mp = exp.system().processor(0);
-    out.events = harness::snapshotEvents(mp);
+    harness::EventCounts &e = out.events;
+    e[EC::OmsSyscalls] = double(mp.eventCount(Ring0Cause::OmsSyscall));
+    e[EC::OmsPageFaults] =
+        double(mp.eventCount(Ring0Cause::OmsPageFault));
+    e[EC::Timer] = double(mp.eventCount(Ring0Cause::Timer));
+    e[EC::Interrupts] = double(mp.eventCount(Ring0Cause::OtherInterrupt));
+    e[EC::AmsSyscalls] = double(mp.eventCount(Ring0Cause::ProxySyscall));
+    e[EC::AmsPageFaults] =
+        double(mp.eventCount(Ring0Cause::ProxyPageFault));
+    e[EC::Serializations] = double(mp.serializations());
+    e[EC::SerializeCycles] = mp.statGroup().lookupValue("serializeCycles");
+    e[EC::PrivCycles] = mp.statGroup().lookupValue("privCycles");
+    e[EC::ProxySignalCycles] =
+        mp.statGroup().lookupValue("proxySignalCycles");
+    e[EC::ProxyRequests] = mp.statGroup().lookupValue("proxyRequests");
     for (unsigned i = 0; i < mp.numAms(); ++i)
-        out.suspendedCycles += double(mp.amsAt(i).suspendedCycles());
+        e[EC::SuspendedCycles] += double(mp.amsAt(i).suspendedCycles());
     return out;
 }
 
@@ -110,8 +127,8 @@ fakePoint(const std::string &machine, const std::string &workload,
     r.run.ticks = ticks;
     r.run.valid = true;
     r.run.instsRetired = insts;
-    r.run.events.omsPageFaults = 10;
-    r.run.events.amsPageFaults = 40;
+    r.run.events[harness::EventCounter::OmsPageFaults] = 10;
+    r.run.events[harness::EventCounter::AmsPageFaults] = 40;
     return r;
 }
 
@@ -191,13 +208,10 @@ TEST(PortedBenches, Table1RunsMatchHandRolledLoop)
             r.workload, params);
         EXPECT_EQ(r.run.ticks, old.ticks) << r.workload;
         EXPECT_TRUE(r.run.valid);
-        EXPECT_EQ(r.run.events.omsSyscalls, old.events.omsSyscalls);
-        EXPECT_EQ(r.run.events.omsPageFaults, old.events.omsPageFaults);
-        EXPECT_EQ(r.run.events.timer, old.events.timer);
-        EXPECT_EQ(r.run.events.interrupts, old.events.interrupts);
-        EXPECT_EQ(r.run.events.amsSyscalls, old.events.amsSyscalls);
-        EXPECT_EQ(r.run.events.amsPageFaults, old.events.amsPageFaults);
-        EXPECT_EQ(r.run.events.serializations, old.events.serializations);
+        for (std::size_t i = 0; i < harness::kNumEventCounters; ++i) {
+            EXPECT_EQ(r.run.events[i], old.events[i])
+                << r.workload << " " << harness::kEventCounters[i].name;
+        }
     }
 }
 
@@ -240,6 +254,7 @@ TEST(PortedBenches, SerializationPolicySweepMatchesHandRolledLoop)
         "speculative_monitor\n");
     ASSERT_EQ(results.size(), 2u);
 
+    using EC = harness::EventCounter;
     wl::WorkloadParams params;
     const std::pair<const char *, arch::SerializationPolicy> legs[] = {
         {"suspend_all", arch::SerializationPolicy::SuspendAll},
@@ -255,19 +270,20 @@ TEST(PortedBenches, SerializationPolicySweepMatchesHandRolledLoop)
             results, "misp", {{"machine.serialization", coord}});
         ASSERT_NE(r, nullptr);
         EXPECT_EQ(r->run.ticks, old.ticks) << coord;
-        EXPECT_DOUBLE_EQ(r->run.events.suspendedCycles,
-                         old.suspendedCycles)
+        EXPECT_DOUBLE_EQ(r->run.events[EC::SuspendedCycles],
+                         old.events[EC::SuspendedCycles])
             << coord;
     }
     // The speculative policy removes all AMS suspension.
-    EXPECT_GT(results[0].run.events.suspendedCycles, 0.0);
-    EXPECT_DOUBLE_EQ(results[1].run.events.suspendedCycles, 0.0);
+    EXPECT_GT(results[0].run.events[EC::SuspendedCycles], 0.0);
+    EXPECT_DOUBLE_EQ(results[1].run.events[EC::SuspendedCycles], 0.0);
 }
 
 TEST(PortedBenches, PageprobeSweepMatchesHandRolledLoop)
 {
     // scenarios/ablation_pageprobe.scn shape: prefault off -> on moves
     // compulsory faults from the AMSs to the OMS serial region.
+    using EC = harness::EventCounter;
     std::vector<PointResult> results = runScenarioText(
         "[machine misp]\nprocessors = 7\nbackend = shred\n"
         "[workload]\nname = dense_mvm\nworkers = 7\n"
@@ -285,15 +301,17 @@ TEST(PortedBenches, PageprobeSweepMatchesHandRolledLoop)
             {{"workload.prefault", prefault ? "true" : "false"}});
         ASSERT_NE(r, nullptr);
         EXPECT_EQ(r->run.ticks, old.ticks) << "prefault=" << prefault;
-        EXPECT_EQ(r->run.events.amsPageFaults, old.events.amsPageFaults);
-        EXPECT_EQ(r->run.events.omsPageFaults, old.events.omsPageFaults);
+        EXPECT_EQ(r->run.events[EC::AmsPageFaults],
+                  old.events[EC::AmsPageFaults]);
+        EXPECT_EQ(r->run.events[EC::OmsPageFaults],
+                  old.events[EC::OmsPageFaults]);
     }
     const PointResult *off = findResultCoords(
         results, "misp", {{"workload.prefault", "false"}});
     const PointResult *on = findResultCoords(
         results, "misp", {{"workload.prefault", "true"}});
-    EXPECT_GT(off->run.events.amsPageFaults,
-              on->run.events.amsPageFaults);
+    EXPECT_GT(off->run.events[EC::AmsPageFaults],
+              on->run.events[EC::AmsPageFaults]);
 }
 
 // ---------------------------------------------------------------------

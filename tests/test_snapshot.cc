@@ -58,8 +58,9 @@ expectSameRecord(const harness::RunRecord &a, const harness::RunRecord &b)
     EXPECT_EQ(a.ticks, b.ticks);
     EXPECT_EQ(a.valid, b.valid);
     EXPECT_EQ(a.instsRetired, b.instsRetired);
-    for (const harness::EventField &f : harness::eventFields())
-        EXPECT_EQ(f.get(a.events), f.get(b.events)) << f.name;
+    for (std::size_t i = 0; i < harness::kNumEventCounters; ++i)
+        EXPECT_EQ(a.events[i], b.events[i])
+            << harness::kEventCounters[i].name;
 }
 
 std::string
@@ -359,6 +360,61 @@ TEST(Snapshot, SequencerRestoreRejectsCrcValidGarbage)
                  snap::SnapError);
 }
 
+TEST(Snapshot, ProcessorRestoreRejectsFaultsNeverProxied)
+{
+    // A CRC-valid processor section whose proxy queue holds a request
+    // the machine could never have made: a fault kind byte past the
+    // enum, or a kind an AMS is killed for rather than proxied. Only
+    // syscalls and page faults may come back.
+    harness::Experiment exp(arch::SystemConfig::uniprocessor(1),
+                            rt::Backend::Shred);
+    arch::MispProcessor &mp = exp.system().processor(0);
+    auto restore = [&](std::uint8_t kind) {
+        snap::Serializer s;
+        s.beginSection(1);
+        s.b(false);
+        s.u64(1); // one pending proxy request, from AMS 1
+        s.u64(1);
+        s.u8(kind); // snap::putFault's layout
+        s.u64(0x1000);
+        s.b(false);
+        s.u64(0);
+        snap::putContext(s, mp.amsAt(0).context());
+        s.u64(0);
+        snap::putEventSchedule(s, mp.snapTimerEvent());
+        snap::putEventSchedule(s, mp.snapDeviceEvent());
+        mp.sequencer(0)->snapSave(s);
+        mp.amsAt(0).snapSave(s);
+        s.endSection();
+        snap::Deserializer d(s.done());
+        d.openSection(1);
+        mp.snapRestore(d);
+    };
+    using K = mem::FaultKind;
+    EXPECT_NO_THROW(restore(std::uint8_t(K::Syscall)));
+    EXPECT_NO_THROW(restore(std::uint8_t(K::PageFault)));
+    for (K kind : {K::None, K::GeneralProtection, K::InvalidOpcode,
+                   K::DivideError, K::Breakpoint}) {
+        EXPECT_THROW(restore(std::uint8_t(kind)), snap::SnapError)
+            << mem::faultKindName(kind);
+    }
+    EXPECT_THROW(restore(std::uint8_t(K::Breakpoint) + 1),
+                 snap::SnapError);
+    EXPECT_THROW(restore(0xff), snap::SnapError);
+
+    // getFault itself refuses a kind byte past the enum.
+    snap::Serializer s;
+    s.beginSection(1);
+    s.u8(std::uint8_t(K::Breakpoint) + 1);
+    s.u64(0);
+    s.b(false);
+    s.u64(0);
+    s.endSection();
+    snap::Deserializer d(s.done());
+    d.openSection(1);
+    EXPECT_THROW(snap::getFault(d), snap::SnapError);
+}
+
 TEST(Snapshot, WarmupPastCompletionFailsClosed)
 {
     harness::RunRequest save = smallRequest();
@@ -632,10 +688,10 @@ TEST(Snapshot, RunRecordCodecRoundTrip)
     rec.ticks = 123456789;
     rec.valid = true;
     rec.instsRetired = 987654321;
-    rec.events.omsSyscalls = 11;
-    rec.events.amsPageFaults = 22;
-    rec.events.serializeCycles = 1.5e9;
-    rec.events.suspendedCycles = 3.25e8;
+    rec.events[harness::EventCounter::OmsSyscalls] = 11;
+    rec.events[harness::EventCounter::AmsPageFaults] = 22;
+    rec.events[harness::EventCounter::SerializeCycles] = 1.5e9;
+    rec.events[harness::EventCounter::SuspendedCycles] = 3.25e8;
     rec.hostSeconds = 1.25;
     rec.hostMips = 790.1;
     rec.statsJson = "{\"x\": 1}";

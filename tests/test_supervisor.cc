@@ -221,8 +221,11 @@ TEST(FaultPlan, MergePrefersExplicitSeedAndAppendsRules)
 
 TEST(Supervisor, HungWorkerIsKilledAtDeadline)
 {
+    // A healthy point takes tens of milliseconds unloaded; the deadline
+    // leaves room for a heavily loaded host (a parallel ctest run)
+    // while the hung point still has to be killed.
     RunnerOptions opts = chaosOptions("hang@1");
-    opts.deadlineMs = 250 * kDeadlineScale;
+    opts.deadlineMs = 2000 * kDeadlineScale;
     std::vector<PointResult> results = runSupervised(opts);
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].run.ok());
