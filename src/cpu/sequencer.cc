@@ -108,6 +108,9 @@ Sequencer::Sequencer(std::string name, SequencerId sid, bool ring0Capable,
       slicesContinued_(&statGroup_, "slicesContinued",
                        "slices started in place, without an event-queue "
                        "round trip"),
+      slicesResumed_(&statGroup_, "slicesResumed",
+                     "scheduled slices resumed from the chain cursor, "
+                     "without a fetch translation or chain resolve"),
       mmu_("mmu", pmem, &statGroup_)
 {}
 
@@ -917,19 +920,18 @@ Sequencer::execInline(const isa::Instruction &inst)
     return 0;
 }
 
-Sequencer::FastRun
-Sequencer::runFast(DecodedPage &page, FastRun st, unsigned limit,
-                   Cycles budget)
+Sequencer::FastExit
+Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
+                   unsigned limit, Cycles budget)
 {
-    using Exit = FastRun::Exit;
+    using Exit = FastExit::Exit;
     // Plain locals: nothing below takes their address, so they live in
-    // registers for the whole loop and go back to the caller once.
-    VAddr eip = st.eip;
-    Cycles consumed = st.consumed;
-    unsigned executed = st.executed;
-    std::uint16_t cur = st.cur;
-    std::uint16_t term = st.term;
-    std::uint32_t sbi = st.sbi;
+    // registers for the whole loop and go back to the cursor once.
+    DecodedPage &page = *c.page;
+    VAddr eip = c.eip;
+    std::uint16_t cur = c.cur;
+    std::uint16_t term = c.term;
+    std::uint32_t sbi = c.sbi;
     const unsigned first = executed;
     Exit exit = Exit::Stay;
     for (;;) {
@@ -1022,7 +1024,11 @@ Sequencer::runFast(DecodedPage &page, FastRun st, unsigned limit,
                                          : Exit::Fall;
         break;
     }
-    return FastRun{eip, consumed, executed, cur, term, sbi, exit};
+    c.eip = eip;
+    c.cur = cur;
+    c.term = term;
+    c.sbi = sbi;
+    return FastExit{consumed, executed, exit};
 }
 
 void
@@ -1069,21 +1075,37 @@ Sequencer::runSuperblocks()
         ++hits;
     };
 
-    // Chained-dispatch state. The current superblock is held by index,
-    // never by pointer: building a successor may grow the block vector.
-    DecodedPage *page = nullptr; // nullptr = resolve before dispatching
-    std::uint32_t sbi = 0;
-    std::uint16_t cur = 0;
-    std::uint16_t term = 0;
+    // Chained-dispatch state: the cursor (chain_). The current
+    // superblock is held by index, never by pointer: building a
+    // successor may grow the block vector. A live cursor always
+    // describes ctx_.eip at the loop head and when the slice ends.
+    ChainCursor &c = chain_;
+    // Resume: the previous slice left the cursor live and nothing that
+    // ran since disturbed it — EIP, the block it was resolved through
+    // (the generation check first: a page of a switched-away space is
+    // never dereferenced), the page's contents, and the fetch window —
+    // so the resolve would find exactly this state. Its fetch is
+    // charged at the loop head as the replay the resolve's fast path
+    // would make (same cycles, TLB hit and decode-cache hit).
+    if (c.page != nullptr) {
+        if (c.eip == ctx_.eip && block_.page == c.page &&
+            block_.asGen == mmu_.addressSpaceGen() &&
+            c.page->version == block_.version &&
+            mmu_.fetchReplayable(ctx_.eip, ring_)) {
+            ++slicesResumed_;
+        } else {
+            c.page = nullptr;
+        }
+    }
     // Whether the modeled fetch of the instruction at ctx_.eip has
     // already been charged (true right after a resolve).
     bool fetchPaid = false;
 
     // Cross-page chain handoff: a block exit stashes its link here; the
     // next resolve consumes it (and writes the resolved successor back
-    // into the exiting block). Never outlives the next resolve — at
-    // most a continued slice boundary lies in between, where no other
-    // event runs — so the raw page pointers cannot dangle.
+    // into the exiting block). Never outlives the next resolve or the
+    // call — at most a continued slice boundary lies in between, where
+    // no other event runs — so the raw page pointers cannot dangle.
     SbLink hint{};
     DecodedPage *linkFrom = nullptr;
     std::uint32_t linkFromSb = 0;
@@ -1093,13 +1115,13 @@ Sequencer::runSuperblocks()
     // a branch or the page edge, or a Jcc's fall-through), handing its
     // link to the next resolve.
     auto exitBlock = [&](bool taken) {
-        Superblock &blk = page->sbs->blocks[sbi];
+        Superblock &blk = c.page->sbs->blocks[c.sbi];
         hint = taken ? blk.taken : blk.fall;
-        linkFrom = page;
-        linkFromSb = sbi;
-        linkFromVer = page->version;
+        linkFrom = c.page;
+        linkFromSb = c.sbi;
+        linkFromVer = c.page->version;
         linkTaken = taken;
-        page = nullptr;
+        c.page = nullptr;
     };
 
     // One iteration per slice: this one, then each next slice the
@@ -1116,14 +1138,14 @@ Sequencer::runSuperblocks()
                 if (dc != 0) {
                     // An asynchronous transfer redirected EIP.
                     consumed += dc;
-                    page = nullptr;
+                    c.page = nullptr;
                     fetchPaid = false;
                     hint = SbLink{};
                     linkFrom = nullptr;
                 }
             }
 
-            if (page == nullptr) {
+            if (c.page == nullptr) {
                 // ---- resolve: page + superblock for ctx_.eip ------------
                 commit(); // a fetch miss may insert into the TLB
                 mem::FetchResult fr =
@@ -1167,20 +1189,20 @@ Sequencer::runSuperblocks()
                 } else {
                     refillBlock(vpn, fr.pa);
                 }
-                page = block_.page;
-                cur = slotOf(ctx_.eip);
-                sbi = superblockAt(*page, cur);
-                term = page->sbs->blocks[sbi].term;
+                c.page = block_.page;
+                c.cur = slotOf(ctx_.eip);
+                c.sbi = superblockAt(*c.page, c.cur);
+                c.term = c.page->sbs->blocks[c.sbi].term;
                 fetchPaid = true;
                 // Resolve the exiting block's link for its next traversal.
                 if (linkFrom != nullptr &&
                     linkFrom->version == linkFromVer) {
                     SbLink l;
-                    l.page = page;
-                    l.sb = sbi;
-                    l.version = page->version;
+                    l.page = c.page;
+                    l.sb = c.sbi;
+                    l.version = c.page->version;
                     l.asGen = block_.asGen;
-                    l.paBase = page->paBase;
+                    l.paBase = c.page->paBase;
                     Superblock &from = linkFrom->sbs->blocks[linkFromSb];
                     (linkTaken ? from.taken : from.fall) = l;
                 }
@@ -1209,30 +1231,28 @@ Sequencer::runSuperblocks()
             // its fetch already charged.
             const bool pending =
                 !pendingSignals_.empty() || !pendingProxy_.empty();
-            const FastRun r = runFast(
-                *page, FastRun{ctx_.eip, consumed, executed, cur, term, sbi},
-                pending ? executed + 1 : sliceLimit, sliceBudget);
+            c.eip = ctx_.eip;
+            const FastExit r =
+                runFast(c, consumed, executed,
+                        pending ? executed + 1 : sliceLimit, sliceBudget);
             const unsigned n = r.executed - executed;
-            ctx_.eip = r.eip;
+            ctx_.eip = c.eip;
             consumed = r.consumed;
             executed = r.executed;
-            cur = r.cur;
-            term = r.term;
-            sbi = r.sbi;
             if (n != 0) {
                 retired += n;
                 replays += n - 1;
                 hits += n - 1;
                 switch (r.exit) {
-                  case FastRun::Exit::Stay:
+                  case FastExit::Exit::Stay:
                     break;
-                  case FastRun::Exit::Drop:
-                    page = nullptr;
+                  case FastExit::Exit::Drop:
+                    c.page = nullptr;
                     break;
-                  case FastRun::Exit::Taken:
+                  case FastExit::Exit::Taken:
                     exitBlock(true);
                     break;
-                  case FastRun::Exit::Fall:
+                  case FastExit::Exit::Fall:
                     exitBlock(false);
                     break;
                 }
@@ -1242,15 +1262,15 @@ Sequencer::runSuperblocks()
             // ---- generic one-instruction path ---------------------------
             // Mem-class body ops the fast loop could not replay, and the
             // Slow / Invalid terminators; the fetch is already charged.
-            if (cur == DecodedPage::kSlots) {
+            if (c.cur == DecodedPage::kSlots) {
                 // Unreachable by construction (the page-edge exit is taken
                 // when the last body instruction retires); fall back to a
                 // full resolve rather than trusting the chain.
-                page = nullptr;
+                c.page = nullptr;
                 continue;
             }
             // Read before dispatching: a Slow op may free the page.
-            const DecodedSlot &s = page->slots[cur];
+            const DecodedSlot &s = c.page->slots[c.cur];
             const OpClass cls = s.cls;
             commit();
             if (cls == OpClass::Invalid) {
@@ -1264,8 +1284,6 @@ Sequencer::runSuperblocks()
                 consumed += executeDecoded(s.inst, s.lat, &stop);
             }
             ++executed;
-            if (suspendRequested_)
-                break;
             // A Mem op continues the chain only if nothing was disturbed:
             // same live block (an SMC store to this page bumps its version,
             // a CR3 switch bumps the generation, a serialization purge drops
@@ -1273,23 +1291,28 @@ Sequencer::runSuperblocks()
             // replayable (the access may have walked and inserted a TLB
             // entry). Anything else — EIP, the address space and the block
             // may all have changed under a Slow op — takes a full resolve.
-            if (cls == OpClass::Mem && !stop && block_.page == page &&
+            // Settled before a suspension ends the slice, so the cursor
+            // the slice leaves is live or cleared, never stale.
+            if (cls == OpClass::Mem && !stop && block_.page == c.page &&
                 block_.asGen == mmu_.addressSpaceGen() &&
-                page->version == block_.version &&
-                mem::pageNumber(ctx_.eip) == page->vpn &&
+                c.page->version == block_.version &&
+                mem::pageNumber(ctx_.eip) == c.page->vpn &&
                 mmu_.fetchReplayable(ctx_.eip, ring_)) {
-                cur = slotOf(ctx_.eip);
+                c.cur = slotOf(ctx_.eip);
             } else {
-                page = nullptr;
+                c.page = nullptr;
             }
+            if (suspendRequested_)
+                break;
         }
         commit();
 
         // Slice boundary. When the queue hands the next slice straight
-        // back, it starts here with the chain state live: a live `page`
+        // back, it starts here with the chain state live: a live cursor
         // still satisfies the loop-head invariant, so its first fetch
         // is charged as the replay a fresh slice's resolve would make
-        // (same cycles, TLB hit and decode-cache hit).
+        // (same cycles, TLB hit and decode-cache hit). Otherwise the
+        // cursor waits for the next scheduled slice to resume it.
         if (!endSlice(start, consumed, /*inPlace=*/true))
             break;
         ++continued;
@@ -1298,6 +1321,7 @@ Sequencer::runSuperblocks()
         consumed = 0;
         stop = false;
     }
+    c.eip = ctx_.eip;
     if (continued != 0)
         slicesContinued_ += continued;
 }
@@ -1334,6 +1358,7 @@ Sequencer::snapRestore(snap::Deserializer &d)
     kernelResumeFloor_ = d.u64();
     mmu_.snapRestore(d);
     block_ = BlockRef{};
+    chain_ = ChainCursor{};
     snap::getEventSchedule(d, eq_, &runEvent_);
 }
 

@@ -316,6 +316,7 @@ class Sequencer : public snap::Saveable
     {
         engine_ = engine;
         invalidateDecodedBlock();
+        chain_ = ChainCursor{};
     }
     Engine engine() const { return engine_; }
 
@@ -344,6 +345,13 @@ class Sequencer : public snap::Saveable
     std::uint64_t slicesContinued() const
     {
         return static_cast<std::uint64_t>(slicesContinued_.value());
+    }
+    /** Scheduled slices the superblock engine resumed from the chain
+     *  cursor the previous slice left, without a fetch translation or
+     *  chain resolve. */
+    std::uint64_t slicesResumed() const
+    {
+        return static_cast<std::uint64_t>(slicesResumed_.value());
     }
 
     /** The current privilege ring (AMSs are always Ring 3 / User). */
@@ -431,30 +439,39 @@ class Sequencer : public snap::Saveable
      *  runSlice(). */
     void runSuperblocks();
 
-    /** The fast loop's state, passed in and returned by value so that
-     *  every field stays in a register while the loop runs. */
-    struct FastRun {
+    /** Where the superblock engine's chain stands: the decoded page,
+     *  block and next slot of the instruction at `eip`. One per
+     *  sequencer, it outlives the slice: a scheduled slice resumes from
+     *  it, skipping the fetch translation and the chain resolve, while
+     *  the resolve would find exactly this state (runSuperblocks). */
+    struct ChainCursor {
+        DecodedPage *page = nullptr; ///< nullptr = resolve before dispatching
+        VAddr eip = 0;               ///< ctx_.eip the cursor describes
+        std::uint32_t sbi = 0;       ///< the current block, by index
+        std::uint16_t cur = 0;       ///< next slot
+        std::uint16_t term = 0;      ///< the current block's terminator slot
+    };
+    /** How runFast's stretch ended, with the slice's running totals;
+     *  two registers wide, so it comes back in registers. */
+    struct FastExit {
         enum class Exit : std::uint8_t {
-            Stay,  ///< the chain is intact at `cur`
+            Stay,  ///< the chain is intact at the cursor
             Drop,  ///< unlinked exit (indirect branch, SMC): resolve
             Taken, ///< through the block's taken link (or page edge)
             Fall,  ///< through the block's fall-through link
         };
-        VAddr eip;          ///< ctx_.eip shadow
-        Cycles consumed;    ///< slice cycles so far
-        unsigned executed;  ///< slice instructions so far
-        std::uint16_t cur;  ///< next slot
-        std::uint16_t term; ///< the current block's terminator slot
-        std::uint32_t sbi;  ///< the current block
-        Exit exit = Exit::Stay; ///< out: how the stretch ended
+        Cycles consumed;   ///< slice cycles so far
+        unsigned executed; ///< slice instructions so far
+        Exit exit;
     };
     /** Dispatch Inline ops, data-window loads/stores and branch
-     *  terminators on @p page, starting with the instruction at `cur`
-     *  (its fetch already charged), until an instruction needs the
-     *  generic path, the chain leaves the page, or @p limit /
-     *  @p budget ends the run. */
-    FastRun runFast(DecodedPage &page, FastRun st, unsigned limit,
-                    Cycles budget);
+     *  terminators on @p c's page, starting with the instruction at
+     *  `c.cur` (its fetch already charged), until an instruction needs
+     *  the generic path, the chain leaves the page, or @p limit /
+     *  @p budget ends the run. The cursor is copied to registers on
+     *  entry and written back once on exit. */
+    FastExit runFast(ChainCursor &c, Cycles consumed, unsigned executed,
+                     unsigned limit, Cycles budget);
     /** Execute one OpClass::Inline instruction on the register file:
      *  the only definition of the Inline ops' semantics. @return the
      *  cycles it burns beyond its base latency (COMPUTE). */
@@ -502,6 +519,7 @@ class Sequencer : public snap::Saveable
 
     Engine engine_ = Engine::Superblock; ///< snap: config
     BlockRef block_; ///< snap: derived — revalidated per instruction
+    ChainCursor chain_; ///< snap: derived — revalidated per slice
 
     RunEvent runEvent_;
     bool suspendRequested_ = false;
@@ -527,6 +545,7 @@ class Sequencer : public snap::Saveable
     stats::HostScalar decodeCacheHits_;
     stats::HostScalar decodeCacheMisses_;
     stats::HostScalar slicesContinued_;
+    stats::HostScalar slicesResumed_;
     mem::Mmu mmu_;
 };
 

@@ -44,7 +44,7 @@ SignalFabric::sendSignal(cpu::Sequencer &dst,
     cpu::Sequencer *target = &dst;
     eq_.scheduleLambda(eq_.curTick() + signalCycles_, "fabric.signal",
                        [target, payload] { target->deliverSignal(payload); },
-                       Event::kPrioInterrupt,
+                       kDeliveryPrio,
                        deliveryTag(snap::tag::kFabricSignal, ownerCpu_,
                                    dst.sid(), payload));
 }
@@ -61,7 +61,7 @@ SignalFabric::sendProxyRequest(cpu::Sequencer &oms,
     eq_.scheduleLambda(
         eq_.curTick() + signalCycles_, "fabric.proxyReq",
         [target, payload] { target->deliverProxyRequest(payload); },
-        Event::kPrioInterrupt,
+        kDeliveryPrio,
         deliveryTag(snap::tag::kFabricProxyReq, ownerCpu_, oms.sid(),
                     payload));
 }
@@ -72,7 +72,7 @@ SignalFabric::sendAction(const std::string &name,
 {
     ++deliveries_;
     eq_.scheduleLambda(eq_.curTick() + signalCycles_, name,
-                       std::move(action), Event::kPrioInterrupt);
+                       std::move(action), kDeliveryPrio);
 }
 
 } // namespace misp::arch

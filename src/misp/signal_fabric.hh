@@ -24,6 +24,10 @@ namespace misp::arch {
 class SignalFabric
 {
   public:
+    /** Queue priority of every fabric delivery (a restored image must
+     *  carry exactly this one). */
+    static constexpr int kDeliveryPrio = Event::kPrioInterrupt;
+
     /** @p ownerCpu is the kernel CPU slot of the owning processor's
      *  OMS; it keys the snapshot tags on signal-delivery events so a
      *  pending delivery can be re-targeted after a machine-state

@@ -306,7 +306,7 @@ Kernel::snapRestoreSleepWake(Tid tid, Tick when, std::uint64_t seq)
             if (tp->state() == ThreadState::Blocked)
                 makeReady(tp);
         },
-        Event::kPrioDefault, tag);
+        kSleepWakePrio, tag);
 }
 
 void
@@ -453,7 +453,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
                 if (tp->state() == ThreadState::Blocked)
                     makeReady(tp);
             },
-            Event::kPrioDefault, tag);
+            kSleepWakePrio, tag);
         res.reschedule = true;
         res.prev = tp;
         res.next = pickNext(cpu);

@@ -93,6 +93,10 @@ class KernelClient
 class Kernel : public snap::Saveable
 {
   public:
+    /** Queue priority of a Sys::Sleep wakeup (a restored image must
+     *  carry exactly this one). */
+    static constexpr int kSleepWakePrio = Event::kPrioDefault;
+
     Kernel(EventQueue &eq, mem::PhysicalMemory &pmem,
            const KernelConfig &config, stats::StatGroup *parent);
     ~Kernel();

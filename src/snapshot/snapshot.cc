@@ -7,6 +7,7 @@
 
 #include "harness/experiment.hh"
 #include "misp/misp_system.hh"
+#include "misp/signal_fabric.hh"
 #include "os/kernel.hh"
 #include "shredlib/os_runtime.hh"
 #include "shredlib/shred_runtime.hh"
@@ -166,7 +167,7 @@ struct TaggedEvent {
     EventTag tag;
     Tick when = 0;
     std::uint64_t seq = 0;
-    int priority = 0;
+    std::int64_t priority = 0;
 };
 
 void
@@ -213,12 +214,23 @@ restoreTaggedEvents(Deserializer &d, arch::MispSystem &sys)
             a = d.u64();
         ev.when = d.u64();
         ev.seq = d.u64();
-        ev.priority = static_cast<int>(d.i64());
+        ev.priority = d.i64();
         checkEventSchedule(sys.eventQueue(), ev.when, ev.seq);
+        // Each tag kind is only ever scheduled at one priority; any
+        // other would silently reorder same-tick events.
+        auto expectPriority = [&](int live) {
+            if (ev.priority != live)
+                throw SnapError("image: event tag kind " +
+                                std::to_string(ev.tag.kind) +
+                                " has priority " +
+                                std::to_string(ev.priority) + ", not " +
+                                std::to_string(live));
+        };
 
         switch (ev.tag.kind) {
           case tag::kFabricSignal:
           case tag::kFabricProxyReq: {
+            expectPriority(arch::SignalFabric::kDeliveryPrio);
             int cpuId = static_cast<int>(ev.tag.arg[0]);
             SequencerId sid = static_cast<SequencerId>(ev.tag.arg[1]);
             arch::MispProcessor *proc = sys.processorForCpu(cpuId);
@@ -240,10 +252,11 @@ restoreTaggedEvents(Deserializer &d, arch::MispSystem &sys)
                     else
                         target->deliverSignal(payload);
                 },
-                ev.priority, ev.tag);
+                arch::SignalFabric::kDeliveryPrio, ev.tag);
             break;
           }
           case tag::kKernelSleepWake:
+            expectPriority(os::Kernel::kSleepWakePrio);
             sys.kernel().snapRestoreSleepWake(
                 static_cast<Tid>(ev.tag.arg[0]), ev.when, ev.seq);
             break;

@@ -16,9 +16,12 @@
 #include "driver/runner.hh"
 #include "harness/bare_machine.hh"
 #include "harness/run_record.hh"
+#include "misp/signal_fabric.hh"
+#include "os/kernel.hh"
 #include "sim/logging.hh"
 #include "snapshot/snapshot.hh"
 #include "snapshot/state_io.hh"
+#include "snapshot/tags.hh"
 
 using namespace misp;
 
@@ -508,6 +511,112 @@ TEST(Snapshot, SaveAcrossInFlightSignalDelivery)
     Tick direct = finishTo(*split.exp, split.proc.process);
     Tick resumed = finishTo(*restored.exp, restored.target);
     EXPECT_EQ(direct, resumed);
+}
+
+namespace {
+
+std::uint64_t
+getLE(const std::string &b, std::size_t at, unsigned bytes)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= std::uint64_t(std::uint8_t(b[at + i])) << (8 * i);
+    return v;
+}
+
+void
+putLE(std::string &b, std::size_t at, unsigned bytes, std::uint64_t v)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        b[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/** A copy of @p image whose first pending fabric signal delivery is
+ *  rewritten to @p priority — and, for any other @p kind, to that tag
+ *  kind with first argument @p arg0 — with the events section's CRC
+ *  recomputed so only the restore's own checks can object. Layout:
+ *  header magic(8) version(4) count(4), an index entry id(4) crc(4)
+ *  size(8) per section, then the payloads in index order. The events
+ *  section (id 7) is a u64 count of (kind u32, 5 args u64, when u64,
+ *  seq u64, priority i64) records. */
+std::string
+withTaggedEvent(std::string image, std::int64_t priority,
+                std::uint32_t kind = snap::tag::kFabricSignal,
+                std::uint64_t arg0 = 0)
+{
+    constexpr std::uint32_t kSecEvents = 7;
+    const std::uint64_t sections = getLE(image, 12, 4);
+    std::size_t payload = 16 + 16 * sections;
+    for (std::uint64_t i = 0; i < sections; ++i) {
+        const std::size_t entry = 16 + 16 * i;
+        const std::uint64_t size = getLE(image, entry + 8, 8);
+        if (getLE(image, entry, 4) == kSecEvents) {
+            const std::uint64_t events = getLE(image, payload, 8);
+            for (std::uint64_t e = 0; e < events; ++e) {
+                const std::size_t rec = payload + 8 + 68 * e;
+                if (getLE(image, rec, 4) != snap::tag::kFabricSignal)
+                    continue;
+                if (kind != snap::tag::kFabricSignal) {
+                    putLE(image, rec, 4, kind);
+                    putLE(image, rec + 4, 8, arg0);
+                }
+                putLE(image, rec + 60, 8, std::uint64_t(priority));
+                putLE(image, entry + 4, 4,
+                      snap::crc32(image.data() + payload, size));
+                return image;
+            }
+            ADD_FAILURE() << "no fabric signal in the events section";
+            return image;
+        }
+        payload += size;
+    }
+    ADD_FAILURE() << "no events section";
+    return image;
+}
+
+} // namespace
+
+TEST(Snapshot, RestoreRejectsTaggedEventPriority)
+{
+    // A real image with a signal delivery in flight. Each tag kind is
+    // only ever scheduled at one priority; a CRC-valid image carrying
+    // any other must fail closed, including one that narrowing to int
+    // would have turned back into the live value.
+    harness::RunRequest req = smallRequest();
+    SplitRun split = warmUpAndSave(req, 2'000'000, signalInFlight);
+    ASSERT_TRUE(signalInFlight(*split.exp));
+
+    auto restore = [](const std::string &image, std::string *err) {
+        snap::RestoredExperiment restored;
+        err->clear();
+        return snap::restoreExperiment(image, &restored, err);
+    };
+    std::string err;
+    EXPECT_TRUE(restore(withTaggedEvent(split.image,
+                                        arch::SignalFabric::kDeliveryPrio),
+                        &err))
+        << err;
+    for (std::int64_t prio :
+         {std::int64_t(Event::kPrioDefault), std::int64_t(Event::kPrioCpu),
+          std::int64_t(-1), std::int64_t(1) << 32, INT64_MIN}) {
+        EXPECT_FALSE(restore(withTaggedEvent(split.image, prio), &err))
+            << prio;
+        EXPECT_NE(err.find("priority"), std::string::npos) << err;
+    }
+
+    // The same record as a sleep wakeup of a live thread: accepted at
+    // the kernel's priority only.
+    const std::uint64_t tid = split.proc.mainThread->tid();
+    EXPECT_TRUE(restore(withTaggedEvent(split.image,
+                                        os::Kernel::kSleepWakePrio,
+                                        snap::tag::kKernelSleepWake, tid),
+                        &err))
+        << err;
+    EXPECT_FALSE(restore(withTaggedEvent(split.image,
+                                         arch::SignalFabric::kDeliveryPrio,
+                                         snap::tag::kKernelSleepWake, tid),
+                         &err));
+    EXPECT_NE(err.find("priority"), std::string::npos) << err;
 }
 
 TEST(Snapshot, SaveAcrossTlbShootdown)

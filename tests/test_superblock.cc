@@ -20,9 +20,12 @@
  * Further legs add a seeded periodic second event source, which makes
  * the superblock engine's in-place slice continuation be taken and
  * refused at random points (and samples the sequencer's counters at
- * every one of its ticks), and programs whose loads and stores span
- * more data pages than the TLB holds, so data-window re-aims, evictions
- * and page walks interleave.
+ * every one of its ticks); the same source disturbing the sequencer
+ * between two of its slices, so slices resume from the chain cursor
+ * and are refused it (SMC poke, TLB flush, address-space switch, EIP
+ * rewrite, signal delivery, snapshot round trip); and programs whose
+ * loads and stores span more data pages than the TLB holds, so
+ * data-window re-aims, evictions and page walks interleave.
  *
  * A second pass replays a seed subset with a host-side poke schedule:
  * the machine runs to a fixed tick, the host rewrites a code page (the
@@ -413,20 +416,44 @@ fnv(const void *data, std::size_t n,
     return h;
 }
 
+/** What a Ticker does to the sequencer at each of its ticks, between
+ *  two of the sequencer's slices — each a way to invalidate the chain
+ *  cursor a resumed slice would start from. */
+enum class Disturb {
+    None,
+    SmcPoke,    ///< host rewrite of the patch target and the EIP's bundle
+    TlbFlush,   ///< drop every translation
+    SwitchAs,   ///< CR3 to another address space and back
+    EipRewrite, ///< send EIP back to `outer` (at most kMaxRewrites times)
+    Signal,     ///< an ingress SIGNAL into a registered handler (at most
+                ///< kMaxSignals, one at a time)
+    Snapshot,   ///< the sequencer's state through an image and back
+};
+
+/** Handler for Disturb::Signal, appended to the generated program. */
+const char *const kSignalHandler = "sighandler:\n"
+                                   "    addi r9, r9, 1\n"
+                                   "    yret\n";
+
 /**
  * A seeded periodic second event source. Its ticks land at random
  * points of the sequencer's slices — before, at, and after the tick a
  * slice would continue at, at every priority — so the superblock
- * engine's continuation is taken and refused at random. Each tick also
- * samples what another event could observe of the sequencer (retired
- * and busy counts, TLB hits), which must match the reference engine.
+ * engine's continuation is taken and refused at random, and slices it
+ * refused resume from the chain cursor. Each tick samples what another
+ * event could observe of the sequencer (retired and busy counts, TLB
+ * hits), which must match the reference engine, then applies its
+ * disturbance on a seeded half of the ticks, so slices resumed after an
+ * undisturbed gap and slices refused after a disturbed one interleave.
  */
 class Ticker : public Event
 {
   public:
-    Ticker(harness::BareMachine &m, std::uint64_t seed)
+    Ticker(harness::BareMachine &m, std::uint64_t seed,
+           Disturb disturb = Disturb::None)
         : Event("ticker", kPrios[seed % 4]), m_(m), rng_(seed),
-          period_(1 + rng_.pick(seed % 3 == 0 ? 40 : 3000))
+          period_(1 + rng_.pick(seed % 3 == 0 ? 40 : 3000)),
+          disturb_(disturb)
     {
         m_.eq.schedule(this, rng_.pick(period_));
     }
@@ -444,9 +471,11 @@ class Ticker : public Event
             m_.eq.curTick(), m_.seq.instsRetired(), m_.seq.busyCycles(),
             m_.seq.mmu().tlb().hits()};
         samples = fnv(sample, sizeof sample, samples);
-        if (!m_.seq.halted())
-            m_.eq.schedule(this, m_.eq.curTick() + 1 +
-                                     rng_.pick(2 * period_));
+        if (m_.seq.halted())
+            return;
+        if (disturb_ != Disturb::None && rng_.pick(2) == 0)
+            disturb();
+        m_.eq.schedule(this, m_.eq.curTick() + 1 + rng_.pick(2 * period_));
     }
 
     std::uint64_t samples = 0;
@@ -454,9 +483,71 @@ class Ticker : public Event
   private:
     static constexpr int kPrios[] = {kPrioInterrupt, kPrioDefault,
                                      kPrioCpu, kPrioStats};
+    // Caps that keep every disturbed program finite.
+    static constexpr unsigned kMaxRewrites = 3;
+    static constexpr unsigned kMaxSignals = 16;
+
+    void
+    disturb()
+    {
+        cpu::Sequencer &seq = m_.seq;
+        switch (disturb_) {
+          case Disturb::None:
+            break;
+          case Disturb::SmcPoke: {
+            m_.as.pokeWord(m_.prog.symbol("patch") + 8,
+                           1000 + rng_.pick(1000), 8);
+            // The resumed page itself, rewritten with its own bytes.
+            const VAddr eip = seq.context().eip;
+            m_.as.pokeWord(eip, m_.as.peekWord(eip, 8), 8);
+            break;
+          }
+          case Disturb::TlbFlush:
+            seq.mmu().tlb().flushAll();
+            break;
+          case Disturb::SwitchAs:
+            seq.mmu().setAddressSpace(&other_);
+            seq.mmu().setAddressSpace(&m_.as);
+            break;
+          case Disturb::EipRewrite: {
+            // Only from inside the outer loop: main's set-up must have
+            // run.
+            const VAddr eip = seq.context().eip;
+            if (count_ < kMaxRewrites && eip >= m_.prog.symbol("outer") &&
+                eip < m_.prog.symbol("done")) {
+                ++count_;
+                seq.context().eip = m_.prog.symbol("outer");
+            }
+            break;
+          }
+          case Disturb::Signal:
+            if (count_ < kMaxSignals && seq.pendingSignals() == 0) {
+                ++count_;
+                seq.deliverSignal(cpu::SignalPayload{0, 0, rng_.pick(100)});
+            }
+            break;
+          case Disturb::Snapshot: {
+            snap::Serializer s;
+            s.beginSection(1);
+            seq.snapSave(s);
+            s.endSection();
+            // The restore re-enqueues the pending slice itself.
+            if (seq.snapRunEvent()->scheduled())
+                m_.eq.deschedule(const_cast<Event *>(seq.snapRunEvent()));
+            snap::Deserializer d(s.done());
+            d.openSection(1);
+            seq.snapRestore(d);
+            break;
+          }
+        }
+    }
+
     harness::BareMachine &m_;
     Rng rng_;
     std::uint64_t period_;
+    Disturb disturb_;
+    unsigned count_ = 0; ///< rewrites or signals so far
+    mem::AddressSpace other_{"other", m_.pmem};
 };
 
 struct Observed {
@@ -537,22 +628,35 @@ expectIdentical(const Observed &ref, const Observed &got,
             << en << " seed " << seed << " r" << r;
 }
 
-/** Run genProgram(@p seed, @p wide) under both engines, optionally
- *  with a Ticker, and compare. @return the superblock run's count of
- *  continued slices. */
-std::uint64_t
-runBothEngines(std::uint64_t seed, bool wide, bool ticker)
-{
-    const std::string src = genProgram(seed, wide);
-    Observed want;
+/** What the superblock run of runBothEngines did at slice
+ *  boundaries. */
+struct SliceCounts {
     std::uint64_t continued = 0;
+    std::uint64_t resumed = 0;
+};
+
+/** Run genProgram(@p seed, @p wide) under both engines, optionally
+ *  with a Ticker applying @p disturb, and compare. @return the
+ *  superblock run's slice counts. */
+SliceCounts
+runBothEngines(std::uint64_t seed, bool wide, bool ticker,
+               Disturb disturb = Disturb::None)
+{
+    std::string src = genProgram(seed, wide);
+    if (disturb == Disturb::Signal)
+        src += kSignalHandler;
+    Observed want;
+    SliceCounts counts;
     for (cpu::Engine engine :
          {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         FuzzMachine m(src, engine);
         m.start();
+        if (disturb == Disturb::Signal)
+            m.seq.context().setTrigger(isa::Scenario::IngressSignal,
+                                       m.prog.symbol("sighandler"));
         std::unique_ptr<Ticker> t;
         if (ticker)
-            t = std::make_unique<Ticker>(m, seed);
+            t = std::make_unique<Ticker>(m, seed, disturb);
         m.eq.run();
         if (engine == cpu::Engine::Reference) {
             // The program must run to its final HALT: a fault (an
@@ -561,13 +665,15 @@ runBothEngines(std::uint64_t seed, bool wide, bool ticker)
                 << "seed " << seed << "\n"
                 << src;
             EXPECT_EQ(m.seq.slicesContinued(), 0u);
+            EXPECT_EQ(m.seq.slicesResumed(), 0u);
             want = Observed::of(m, t.get());
         } else {
             expectIdentical(want, Observed::of(m, t.get()), engine, seed);
-            continued = m.seq.slicesContinued();
+            counts.continued = m.seq.slicesContinued();
+            counts.resumed = m.seq.slicesResumed();
         }
     }
-    return continued;
+    return counts;
 }
 
 } // namespace
@@ -635,13 +741,65 @@ TEST(SuperblockFuzz, SecondEventSourceBitIdentical)
     // Continuation taken and refused at random points: the queue's
     // processed count and next sequence, and everything the ticker saw
     // at each of its ticks, must match the reference engine's.
-    std::uint64_t continued = 0;
+    SliceCounts total;
     for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-        continued += runBothEngines(seed, /*wide=*/false, /*ticker=*/true);
+        const SliceCounts c =
+            runBothEngines(seed, /*wide=*/false, /*ticker=*/true);
+        total.continued += c.continued;
+        total.resumed += c.resumed;
         if (HasFailure())
             break;
     }
-    EXPECT_GT(continued, 0u);
+    EXPECT_GT(total.continued, 0u);
+    // Refused slices must actually resume from the chain cursor, or
+    // the disturbance legs below test nothing.
+    EXPECT_GT(total.resumed, 0u);
+}
+
+/** Every seed of a disturbance leg: the second event source disturbs
+ *  the sequencer between two of its slices. */
+void
+disturbanceLeg(Disturb disturb)
+{
+    std::uint64_t resumed = 0;
+    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+        resumed += runBothEngines(seed, /*wide=*/seed % 4 == 0,
+                                  /*ticker=*/true, disturb)
+                       .resumed;
+        if (::testing::Test::HasFailure())
+            break;
+    }
+    EXPECT_GT(resumed, 0u);
+}
+
+TEST(SuperblockResume, SmcPokeOfTheResumedPageBitIdentical)
+{
+    disturbanceLeg(Disturb::SmcPoke);
+}
+
+TEST(SuperblockResume, TlbFlushBitIdentical)
+{
+    disturbanceLeg(Disturb::TlbFlush);
+}
+
+TEST(SuperblockResume, AddressSpaceSwitchAwayAndBackBitIdentical)
+{
+    disturbanceLeg(Disturb::SwitchAs);
+}
+
+TEST(SuperblockResume, EipRewriteBitIdentical)
+{
+    disturbanceLeg(Disturb::EipRewrite);
+}
+
+TEST(SuperblockResume, SignalDeliveryBitIdentical)
+{
+    disturbanceLeg(Disturb::Signal);
+}
+
+TEST(SuperblockResume, SnapshotSaveAndRestoreMidRunBitIdentical)
+{
+    disturbanceLeg(Disturb::Snapshot);
 }
 
 TEST(SuperblockFuzz, DataSetsWiderThanTheTlbBitIdentical)

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+
 #include "harness/experiment.hh"
+#include "mem/address_space.hh"
+#include "mem/physical_memory.hh"
+#include "workloads/builder_util.hh"
 #include "workloads/workload.hh"
 
 using namespace misp;
@@ -169,3 +175,59 @@ TEST_P(WorkloadProperties, PrefaultEliminatesProxyPageFaults)
 INSTANTIATE_TEST_SUITE_P(Subset, WorkloadProperties,
                          ::testing::ValuesIn(subsetInfos()),
                          workloadName);
+
+TEST(IntArrayValidator, ReportsTheFirstMismatchAcrossPages)
+{
+    // An int64 array that starts three words before a page edge and
+    // runs into a page never touched (not present: it reads as 0). The
+    // validator reads page-sized chunks; each mismatch must still be
+    // reported at its own index, first one only.
+    mem::PhysicalMemory pmem(64);
+    mem::AddressSpace as("p", pmem);
+    constexpr VAddr kBase = 0x10'0000;
+    as.defineRegion(kBase, 3 * mem::kPageSize, true, "data");
+    const VAddr addr = kBase + mem::kPageSize - 3 * 8;
+    // Elements 0..2 on the first page, 3..514 on the second, 515.. on
+    // the third (left unmapped).
+    const std::size_t n = 3 + 512 + 4;
+    std::vector<std::int64_t> want(n, 0);
+    for (std::size_t i = 0; i < 3 + 512; ++i) {
+        want[i] = static_cast<std::int64_t>(i * 7 + 1);
+        as.pokeWord(addr + i * 8, static_cast<Word>(want[i]), 8);
+    }
+    ASSERT_FALSE(as.mapped(addr + 515 * 8));
+
+    auto check = [&](std::vector<std::int64_t> expected) {
+        testing::internal::CaptureStderr();
+        const bool ok = wl::makeIntArrayValidator(addr, std::move(expected),
+                                                  "arr")(as);
+        return std::make_pair(ok, testing::internal::GetCapturedStderr());
+    };
+
+    auto [ok, log] = check(want);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(log, "");
+
+    // Last word before the page edge, then the first one after it: the
+    // earlier index wins.
+    std::vector<std::int64_t> bad = want;
+    bad[2] = -5;
+    bad[3] = -6;
+    std::tie(ok, log) = check(bad);
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(log, "warn: arr: mismatch at [2]: got 15, want -5\n");
+
+    bad = want;
+    bad[3] = -6;
+    std::tie(ok, log) = check(bad);
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(log, "warn: arr: mismatch at [3]: got 22, want -6\n");
+
+    // A word of the non-present page reads as 0.
+    bad = want;
+    bad[517] = 9;
+    std::tie(ok, log) = check(bad);
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(log, "warn: arr: mismatch at [517]: got 0, want 9\n");
+    EXPECT_FALSE(as.mapped(addr + 515 * 8)); // validation faults nothing in
+}
