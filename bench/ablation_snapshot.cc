@@ -58,8 +58,6 @@ measureImage(const driver::Scenario &sc, const driver::ScenarioPoint &pt)
     harness::LoadedProcess proc = exp.load(w.app);
     exp.system().start();
     exp.system().run(sc.snapshotWarmupTicks);
-    if (!snap::advanceToSnapshotPoint(exp))
-        return out;
 
     std::string image, err;
     auto t0 = std::chrono::steady_clock::now();

@@ -1343,6 +1343,7 @@ Sequencer::snapSave(snap::Serializer &s) const
     s.u64(kernelResumeFloor_);
     mmu_.snapSave(s);
     snap::putEventSchedule(s, &runEvent_);
+    s.u8(static_cast<std::uint8_t>(ring_));
 }
 
 void
@@ -1360,6 +1361,12 @@ Sequencer::snapRestore(snap::Deserializer &d)
     block_ = BlockRef{};
     chain_ = ChainCursor{};
     snap::getEventSchedule(d, eq_, &runEvent_);
+    const std::uint8_t ring = d.u8();
+    if (ring != static_cast<std::uint8_t>(mem::Ring::Kernel) &&
+        ring != static_cast<std::uint8_t>(mem::Ring::User))
+        throw snap::SnapError("sequencer ring " + std::to_string(ring) +
+                              " is neither 0 nor 3");
+    ring_ = static_cast<mem::Ring>(ring);
 }
 
 double

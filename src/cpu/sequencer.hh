@@ -499,8 +499,6 @@ class Sequencer : public snap::Saveable
     SequencerContext ctx_;
     SeqState state_ = SeqState::Idle;
     SeqState preSuspendState_ = SeqState::Idle;
-    /** snap: quiesced — Kernel only inside a Ring-0 episode, and
-     *  the quiescence protocol drains episodes before any save. */
     mem::Ring ring_ = mem::Ring::User;
     unsigned sliceLimit_ = 32;       ///< snap: config
     Cycles sliceCycleBudget_ = 2500; ///< snap: config

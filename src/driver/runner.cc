@@ -907,6 +907,17 @@ writePoints(std::ostream &os, const harness::MetricFrame &frame)
 }
 
 std::string
+describePoint(const harness::MetricFrame::Row &row)
+{
+    std::string out = "machine=" + row.machine + " workload=" +
+                      row.workload + " competitors=" +
+                      std::to_string(row.competitors);
+    for (const auto &[key, value] : row.coords)
+        out += " " + key + "=" + value;
+    return out;
+}
+
+std::string
 findScenarioFile(const std::string &nameOrPath, const char *argv0)
 {
     namespace fs = std::filesystem;

@@ -235,6 +235,10 @@ void writeGrid(std::ostream &os, const std::string &title,
  *  valid=...` lines — the equivalence-diff format. */
 void writePoints(std::ostream &os, const harness::MetricFrame &frame);
 
+/** `machine=M workload=W competitors=N` plus one `key=value` per swept
+ *  axis of @p row: a point named well enough to rerun it alone. */
+std::string describePoint(const harness::MetricFrame::Row &row);
+
 /** The `mispsim --metrics FILE` artifact: scenario header + the full
  *  frame (every row x every column) as deterministic JSON. */
 void writeMetricsJson(std::ostream &os, const Scenario &sc,

@@ -17,9 +17,16 @@ Experiment::Experiment(const arch::SystemConfig &config,
         osRt_ = std::make_unique<rt::OsApiRuntime>(&system_->rootStats());
         system_->attachRuntime(osRt_.get());
     }
+    stopEvent_ = std::make_unique<StopEvent>(system_->eventQueue(),
+                                             "experiment.stop");
 }
 
-Experiment::~Experiment() = default;
+Experiment::~Experiment()
+{
+    // A run cut short by its tick budget may leave the stop pending.
+    if (stopEvent_->scheduled())
+        system_->eventQueue().deschedule(stopEvent_.get());
+}
 
 LoadedProcess
 Experiment::load(const GuestApp &app, const std::vector<int> &affinity)
@@ -88,8 +95,9 @@ Experiment::finishRun(os::Process *target, Tick maxTicks)
 {
     Tick finished = 0;
     arch::MispSystem *sys = system_.get();
+    Event *stop = stopEvent_.get();
     system_->kernel().setProcessExitHook(
-        [&finished, sys, target](os::Process *proc) {
+        [&finished, sys, stop, target](os::Process *proc) {
             if (proc != target)
                 return;
             finished = sys->eventQueue().curTick();
@@ -97,9 +105,9 @@ Experiment::finishRun(os::Process *target, Tick maxTicks)
             // Let in-flight Ring-0 episodes and signal deliveries drain
             // (their accounting completes at episode end) before
             // stopping; background processes keep the queue non-empty.
-            sys->eventQueue().scheduleLambda(
-                sys->eventQueue().curTick() + 500'000, "experiment.stop",
-                [sys] { sys->eventQueue().requestStop(); });
+            if (!stop->scheduled())
+                sys->eventQueue().schedule(
+                    stop, sys->eventQueue().curTick() + 500'000);
         });
     system_->run(maxTicks);
     RunOutcome out;

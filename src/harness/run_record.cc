@@ -217,10 +217,10 @@ runOne(const RunRequest &req)
     if (req.snapshotOut.empty()) {
         outcome = exp.runToCompletion(proc.process, req.maxTicks);
     } else {
-        // Warmup leg: run to the requested tick, step to the next
-        // snapshot point, archive, then continue to completion — the
-        // record (and every simulated number in it) stays identical to
-        // an uninterrupted run; only the image file is extra.
+        // Warmup leg: run to the requested tick, archive the machine
+        // exactly there, then continue to completion — the record (and
+        // every simulated number in it) stays identical to an
+        // uninterrupted run; only the image file is extra.
         exp.system().start();
         exp.system().run(std::min(req.warmupTicks, req.maxTicks));
         if (!exp.system().kernel().processAlive(proc.process)) {
@@ -228,19 +228,6 @@ runOne(const RunRequest &req)
                 req, "warmup_ticks=" +
                          std::to_string(req.warmupTicks) +
                          " outlives the target; nothing to snapshot");
-        }
-        if (!snap::advanceToSnapshotPoint(exp)) {
-            return snapshotFailure(
-                req, "no snapshot point reached after warmup");
-        }
-        // The quiescence stepping may have run the last few events of
-        // the target's life; an exit hook is not installed yet, so a
-        // completion in that window must fail loudly here rather than
-        // spin to the tick budget below.
-        if (!exp.system().kernel().processAlive(proc.process)) {
-            return snapshotFailure(
-                req, "target completed while stepping to the snapshot "
-                     "point; lower warmup_ticks");
         }
         std::string image, err;
         if (!snap::saveExperiment(exp, proc.process,

@@ -41,14 +41,12 @@ Mmu::setAddressSpace(AddressSpace *as, bool preserveTlb)
 void
 Mmu::snapSave(snap::Serializer &s) const
 {
-    s.u64(asGen_);
     tlb_.snapSave(s);
 }
 
 void
 Mmu::snapRestore(snap::Deserializer &d)
 {
-    asGen_ = d.u64();
     tlb_.snapRestore(d);
     lastFetch_ = LastFetch{};
     lastData_ = LastData{};

@@ -299,6 +299,8 @@ class Mmu : public snap::Saveable
   private:
     AddressSpace *as_ = nullptr; ///< snap: attach — see snapAttach()
     PhysicalMemory &pmem_;
+    /** snap: derived — tags decoded-block references, and a restored
+     *  machine's decode caches start empty, so any value is coherent. */
     std::uint64_t asGen_ = 1;
     /** id of as_ (0 = none); see setAddressSpace.
      *  snap: attach — re-established by snapAttach(). */

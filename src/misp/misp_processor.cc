@@ -46,6 +46,9 @@ MispProcessor::MispProcessor(std::string name, const MispConfig &config,
       cpuId_(kernel.addCpu()),
       statGroup_(name_, parent),
       fabric_(eq, config.signalCycles, &statGroup_, cpuId_),
+      timerEvent_(*this, name_ + ".timer"),
+      deviceEvent_(*this, name_ + ".deviceIrq"),
+      ring0Event_(*this, name_ + ".ring0"),
       events_(&statGroup_, "serializingEvents",
               "Table-1 event counts by cause",
               static_cast<std::size_t>(Ring0Cause::NumCauses)),
@@ -74,21 +77,19 @@ MispProcessor::MispProcessor(std::string name, const MispConfig &config,
         ams_.back()->setSliceLimit(config_.sliceLimit);
         ams_.back()->setEngine(config_.engine);
     }
-    timerEvent_ = std::make_unique<LambdaEvent>(name_ + ".timer",
-                                                [this] { onTimer(); });
-    deviceEvent_ = std::make_unique<LambdaEvent>(
-        name_ + ".deviceIrq", [this] { onDeviceIrq(); });
 }
 
 MispProcessor::~MispProcessor()
 {
     // A run cut short (tick budget, snapshot save-and-exit) leaves the
-    // periodic interrupts armed; detach them before the queue sees a
-    // destroyed event.
-    if (timerEvent_->scheduled())
-        eq_.deschedule(timerEvent_.get());
-    if (deviceEvent_->scheduled())
-        eq_.deschedule(deviceEvent_.get());
+    // periodic interrupts armed and maybe an episode in flight; detach
+    // them before the queue sees a destroyed event.
+    for (Event *ev : {static_cast<Event *>(&timerEvent_),
+                      static_cast<Event *>(&deviceEvent_),
+                      static_cast<Event *>(&ring0Event_)}) {
+        if (ev->scheduled())
+            eq_.deschedule(ev);
+    }
 }
 
 cpu::Sequencer *
@@ -118,22 +119,135 @@ MispProcessor::eventCount(Ring0Cause cause) const
 // Snapshot
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** A thread pointer as a tid (0: none). */
+std::uint64_t
+tidOf(const os::OsThread *t)
+{
+    return t ? t->tid() : 0;
+}
+
+/** A tid from an image back to its thread; 0 is none, anything else
+ *  must name a thread. */
+os::OsThread *
+threadOf(os::Kernel &kernel, std::uint64_t tid, const char *field)
+{
+    if (tid == 0)
+        return nullptr;
+    os::OsThread *t = kernel.threadByTid(static_cast<Tid>(tid));
+    if (!t)
+        throw snap::SnapError(std::string("processor: ") + field +
+                              " tid " + std::to_string(tid) +
+                              " names no thread");
+    return t;
+}
+
+} // namespace
+
+void
+MispProcessor::putProxy(snap::Serializer &s, const ProxyRequest &req) const
+{
+    s.u64(req.ams->sid());
+    snap::putFault(s, req.fault);
+    snap::putContext(s, req.savedCtx);
+    s.u64(req.start);
+}
+
+ProxyRequest
+MispProcessor::getProxy(snap::Deserializer &d)
+{
+    ProxyRequest req;
+    SequencerId sid = static_cast<SequencerId>(d.u64());
+    req.ams = sid == 0 ? nullptr : sequencer(sid);
+    if (!req.ams)
+        throw snap::SnapError("processor: proxy request names an "
+                              "absent sequencer");
+    req.fault = snap::getFault(d);
+    // Only these two kinds are ever proxied (handleFault).
+    if (req.fault.kind != mem::FaultKind::Syscall &&
+        req.fault.kind != mem::FaultKind::PageFault)
+        throw snap::SnapError("processor: proxy request carries a "
+                              "fault that is never proxied");
+    req.savedCtx = snap::getContext(d);
+    req.start = d.u64();
+    return req;
+}
+
+void
+MispProcessor::putWork(snap::Serializer &s, const Ring0Work &work) const
+{
+    s.u8(static_cast<std::uint8_t>(work.kind));
+    s.u64(tidOf(work.thread));
+    s.u64(work.number);
+    for (Word a : work.args)
+        s.u64(a);
+    s.u64(work.addr);
+    s.b(work.write);
+    s.u32(work.patchSid);
+    if (work.kind == Ring0Work::Kind::Proxy)
+        putProxy(s, work.proxy);
+}
+
+Ring0Work
+MispProcessor::getWork(snap::Deserializer &d)
+{
+    using Kind = Ring0Work::Kind;
+    Ring0Work work;
+    const std::uint8_t kind = d.u8();
+    if (kind >= static_cast<std::uint8_t>(Kind::NumKinds))
+        throw snap::SnapError("processor: unknown Ring-0 work kind byte " +
+                              std::to_string(kind));
+    work.kind = static_cast<Kind>(kind);
+    work.thread = threadOf(kernel_, d.u64(), "Ring-0 work thread");
+    const bool interrupt =
+        work.kind == Kind::TimerTick || work.kind == Kind::DeviceIrq;
+    if (!interrupt && !work.thread)
+        throw snap::SnapError("processor: Ring-0 work kind " +
+                              std::to_string(kind) + " has no thread");
+    work.number = d.u64();
+    for (Word &a : work.args)
+        a = d.u64();
+    work.addr = d.u64();
+    work.write = d.b();
+    work.patchSid = d.u32();
+    if (work.patchSid != Ring0Work::kNoPatch && !sequencer(work.patchSid))
+        throw snap::SnapError("processor: Ring-0 work patches absent "
+                              "sequencer sid " +
+                              std::to_string(work.patchSid));
+    if (work.kind == Kind::Proxy)
+        work.proxy = getProxy(d);
+    return work;
+}
+
 void
 MispProcessor::snapSave(snap::Serializer &s) const
 {
-    // Ring-0 episode phases capture arbitrary closures; the snapshot
-    // layer steps the queue past them before calling us.
-    MISP_ASSERT(!inRing0_);
     s.b(interruptsOn_);
     s.u64(proxyQueue_.size());
-    for (const ProxyRequest &req : proxyQueue_) {
-        s.u64(req.ams->sid());
-        snap::putFault(s, req.fault);
-        snap::putContext(s, req.savedCtx);
-        s.u64(req.start);
+    for (const ProxyRequest &req : proxyQueue_)
+        putProxy(s, req);
+    snap::putEventSchedule(s, &timerEvent_);
+    snap::putEventSchedule(s, &deviceEvent_);
+
+    s.u8(static_cast<std::uint8_t>(episode_.phase));
+    if (episode_.phase != Phase::Idle) {
+        putWork(s, episode_.work);
+        s.u64(episode_.t0);
+        s.u64(episode_.signal);
+        s.u64(episode_.res.priv);
+        s.u64(episode_.res.retval);
+        s.b(episode_.res.reschedule);
+        s.u64(tidOf(episode_.res.prev));
+        s.u64(tidOf(episode_.res.next));
+        s.b(episode_.res.fatalFault);
     }
-    snap::putEventSchedule(s, timerEvent_.get());
-    snap::putEventSchedule(s, deviceEvent_.get());
+    snap::putEventSchedule(s, &ring0Event_);
+    s.b(held_.has_value());
+    if (held_)
+        putWork(s, *held_);
+
+    fabric_.snapSave(s);
     oms_->snapSave(s);
     for (const auto &ams : ams_)
         ams->snapSave(s);
@@ -144,25 +258,45 @@ MispProcessor::snapRestore(snap::Deserializer &d)
 {
     interruptsOn_ = d.b();
     std::uint64_t pending = d.u64();
-    for (std::uint64_t i = 0; i < pending; ++i) {
-        ProxyRequest req;
-        SequencerId sid = static_cast<SequencerId>(d.u64());
-        req.ams = sequencer(sid);
-        if (!req.ams)
-            throw snap::SnapError("processor: proxy request names an "
-                                  "absent sequencer");
-        req.fault = snap::getFault(d);
-        // Only these two kinds are ever proxied (handleFault).
-        if (req.fault.kind != mem::FaultKind::Syscall &&
-            req.fault.kind != mem::FaultKind::PageFault)
-            throw snap::SnapError("processor: proxy request carries a "
-                                  "fault that is never proxied");
-        req.savedCtx = snap::getContext(d);
-        req.start = d.u64();
-        proxyQueue_.push_back(std::move(req));
+    for (std::uint64_t i = 0; i < pending; ++i)
+        proxyQueue_.push_back(getProxy(d));
+    snap::getEventSchedule(d, eq_, &timerEvent_);
+    snap::getEventSchedule(d, eq_, &deviceEvent_);
+
+    const std::uint8_t phase = d.u8();
+    if (phase >= static_cast<std::uint8_t>(Phase::NumPhases))
+        throw snap::SnapError("processor: unknown Ring-0 phase byte " +
+                              std::to_string(phase));
+    episode_ = Episode{};
+    episode_.phase = static_cast<Phase>(phase);
+    if (episode_.phase != Phase::Idle) {
+        episode_.work = getWork(d);
+        episode_.t0 = d.u64();
+        episode_.signal = d.u64();
+        episode_.res.priv = d.u64();
+        episode_.res.retval = d.u64();
+        episode_.res.reschedule = d.b();
+        episode_.res.prev = threadOf(kernel_, d.u64(), "KernelResult prev");
+        episode_.res.next = threadOf(kernel_, d.u64(), "KernelResult next");
+        episode_.res.fatalFault = d.b();
     }
-    snap::getEventSchedule(d, eq_, timerEvent_.get());
-    snap::getEventSchedule(d, eq_, deviceEvent_.get());
+    snap::getEventSchedule(d, eq_, &ring0Event_);
+    // Every phase but Idle ends with ring0Event_.
+    if (ring0Event_.scheduled() != (episode_.phase != Phase::Idle))
+        throw snap::SnapError("processor: Ring-0 phase " +
+                              std::to_string(phase) +
+                              " disagrees with its pending phase event");
+    if (d.b()) {
+        if (episode_.phase == Phase::Idle)
+            throw snap::SnapError("processor: held Ring-0 request "
+                                  "without an episode in flight");
+        held_ = getWork(d);
+    }
+
+    std::vector<cpu::Sequencer *> bySid{oms_.get()};
+    for (auto &ams : ams_)
+        bySid.push_back(ams.get());
+    fabric_.snapRestore(d, bySid);
     oms_->snapRestore(d);
     for (auto &ams : ams_)
         ams->snapRestore(d);
@@ -221,6 +355,12 @@ MispProcessor::saveOutgoingThread(const os::KernelResult &res)
             // OMS parked for the runtime to re-arm, instead of resuming
             // a stale instruction stream.
             prev->context().eip = 0;
+        } else if (held_ &&
+                   held_->kind == Ring0Work::Kind::RuntimeSyscall) {
+            // A held runtime call came from an RTCALL, which already
+            // stepped past itself: step back so it re-executes when the
+            // thread is reloaded (see held_ below).
+            prev->context().eip -= isa::kInstBytes;
         }
         // Aggregate AMS save (performed concurrently on real hardware;
         // the cost is inside the kernel's ctxSwitch priv figure).
@@ -245,6 +385,9 @@ MispProcessor::saveOutgoingThread(const os::KernelResult &res)
     // dropped here.
     proxyQueue_.clear();
     oms_->clearPendingProxies();
+    // So does a held request: the trapping instruction re-executes on
+    // reload (its EIP was never advanced), or the thread has exited.
+    held_.reset();
 }
 
 void
@@ -266,7 +409,7 @@ MispProcessor::startInterrupts()
     // Stagger timer phase per CPU slot so MP configurations do not
     // serialize all processors at the same instant.
     Tick phase = kc.timerPeriod / (1 + static_cast<Tick>(cpuId_) % 7);
-    eq_.schedule(timerEvent_.get(), eq_.curTick() + phase);
+    eq_.schedule(&timerEvent_, eq_.curTick() + phase);
     if (kc.deviceIrqMeanPeriod > 0)
         scheduleNextDeviceIrq();
 }
@@ -282,17 +425,17 @@ MispProcessor::onTimer()
 {
     if (!interruptsOn_)
         return;
-    eq_.schedule(timerEvent_.get(),
+    eq_.schedule(&timerEvent_,
                  eq_.curTick() + kernel_.config().timerPeriod);
     events_[static_cast<std::size_t>(Ring0Cause::Timer)] += 1;
-    if (inRing0_) {
+    if (inRing0()) {
         // Coalesced: the OMS is already serialized in Ring 0. The tick
         // is counted; the next one reschedules.
         return;
     }
-    ring0Episode(
-        Ring0Cause::Timer, [this] { return kernel_.timerTick(cpuId_); },
-        nullptr, std::nullopt);
+    Ring0Work work;
+    work.kind = Ring0Work::Kind::TimerTick;
+    ring0Episode(work);
 }
 
 void
@@ -301,7 +444,7 @@ MispProcessor::scheduleNextDeviceIrq()
     Tick gap = kernel_.nextDeviceIrqGap();
     if (gap == 0)
         return;
-    eq_.schedule(deviceEvent_.get(), eq_.curTick() + gap);
+    eq_.schedule(&deviceEvent_, eq_.curTick() + gap);
 }
 
 void
@@ -311,12 +454,11 @@ MispProcessor::onDeviceIrq()
         return;
     scheduleNextDeviceIrq();
     events_[static_cast<std::size_t>(Ring0Cause::OtherInterrupt)] += 1;
-    if (inRing0_)
+    if (inRing0())
         return;
-    ring0Episode(
-        Ring0Cause::OtherInterrupt,
-        [this] { return kernel_.deviceIrq(cpuId_); }, nullptr,
-        std::nullopt);
+    Ring0Work work;
+    work.kind = Ring0Work::Kind::DeviceIrq;
+    ring0Episode(work);
 }
 
 // ---------------------------------------------------------------------
@@ -328,22 +470,16 @@ MispProcessor::beginSerialization()
 {
     if (config_.serialization != SerializationPolicy::SuspendAll)
         return;
-    for (auto &amsPtr : ams_) {
-        cpu::Sequencer *ams = amsPtr.get();
-        fabric_.sendAction(name_ + ".suspend",
-                           [ams] { ams->suspend(); });
-    }
+    for (auto &ams : ams_)
+        fabric_.sendSuspend(*ams);
 }
 
 void
 MispProcessor::endSerialization(bool rootChanged)
 {
     if (config_.serialization == SerializationPolicy::SuspendAll) {
-        for (auto &amsPtr : ams_) {
-            cpu::Sequencer *ams = amsPtr.get();
-            fabric_.sendAction(name_ + ".resume",
-                               [ams] { ams->resumeFromSerialization(); });
-        }
+        for (auto &ams : ams_)
+            fabric_.sendResume(*ams);
     } else if (rootChanged) {
         // Speculative monitor: AMSs kept executing; a CR3 change means
         // their speculative work must be discarded at TLB granularity,
@@ -355,17 +491,48 @@ MispProcessor::endSerialization(bool rootChanged)
     }
 }
 
-void
-MispProcessor::ring0Episode(
-    Ring0Cause cause, std::function<os::KernelResult()> work,
-    std::function<void(const os::KernelResult &)> done,
-    std::optional<ProxyRequest> proxy)
+Ring0Cause
+Ring0Work::cause() const
 {
-    MISP_ASSERT(!inRing0_);
-    inRing0_ = true;
+    switch (kind) {
+      case Kind::TimerTick: return Ring0Cause::Timer;
+      case Kind::DeviceIrq: return Ring0Cause::OtherInterrupt;
+      case Kind::OmsSyscall:
+      case Kind::RuntimeSyscall: return Ring0Cause::OmsSyscall;
+      case Kind::OmsPageFault: return Ring0Cause::OmsPageFault;
+      case Kind::Proxy:
+        return proxy.fault.kind == mem::FaultKind::Syscall
+                   ? Ring0Cause::ProxySyscall
+                   : Ring0Cause::ProxyPageFault;
+      case Kind::NumKinds: break;
+    }
+    return Ring0Cause::NumCauses;
+}
+
+void
+MispProcessor::ring0Episode(const Ring0Work &work)
+{
+    if (inRing0()) {
+        // The OMS trapped while an episode is in flight: it was idle
+        // when the episode began and a signal restarted it. It is
+        // InKernel now and stays there; the request is held and runs
+        // as its own episode at this one's Ring-0 exit.
+        MISP_ASSERT(!held_);
+        held_ = work;
+        return;
+    }
+    beginEpisode(work);
+}
+
+void
+MispProcessor::beginEpisode(const Ring0Work &work)
+{
+    episode_ = Episode{};
+    episode_.phase = Phase::Handshake;
+    episode_.work = work;
     obs::trace(obs::TraceKind::Ring0Enter,
                static_cast<std::uint16_t>(oms_->sid()),
-               static_cast<std::uint32_t>(cause));
+               static_cast<std::uint32_t>(work.cause()));
 
     // The OMS enters Ring 0. If this episode was raised from inside the
     // OMS's own execution (fault path), the sequencer is already
@@ -379,68 +546,154 @@ MispProcessor::ring0Episode(
     // configuration) has nothing to synchronize: no handshake latency.
     // Likewise, the speculative-monitor ablation lets AMSs keep running,
     // so the OMS enters the kernel without waiting.
-    const Cycles signal =
+    episode_.signal =
         (ams_.empty() ||
          config_.serialization == SerializationPolicy::SpeculativeMonitor)
             ? 0
             : fabric_.signalCycles();
-    Tick t0 = eq_.curTick();
+    episode_.t0 = eq_.curTick();
 
-    // Phase 1 (t0 + signal): suspension handshake complete; the kernel
-    // work executes.
-    eq_.scheduleLambda(t0 + signal, name_ + ".ring0work", [this, cause,
-                                                           work, done,
-                                                           proxy, signal,
-                                                           t0] {
-        os::KernelResult res = work();
-        privCycles_ += res.priv;
-        // The outgoing thread's context must be snapshotted in the same
-        // event as the kernel's decision: once it sits in a wait queue a
-        // wake from another CPU may re-dispatch it at any later event.
-        if (res.reschedule)
-            saveOutgoingThread(res);
+    // Handshake ends at t0 + signal: the kernel work executes.
+    eq_.schedule(&ring0Event_, episode_.t0 + episode_.signal);
+}
 
-        // Phase 2 (t0 + signal + priv): return to Ring 3.
-        eq_.scheduleLambda(
-            eq_.curTick() + res.priv, name_ + ".ring0end",
-            [this, cause, res, done, proxy, signal, t0] {
-                oms_->chargeKernelCycles(signal + res.priv);
-                if (res.fatalFault)
-                    fatal("%s: unservicable fault (guest bug), cause=%s",
-                          name_.c_str(), ring0CauseName(cause));
+void
+MispProcessor::onRing0Phase()
+{
+    switch (episode_.phase) {
+      case Phase::Handshake:
+        runKernelWork();
+        return;
+      case Phase::Kernel:
+        exitRing0();
+        return;
+      case Phase::Idle:
+      case Phase::NumPhases:
+        break;
+    }
+    panic("%s: Ring-0 phase event with no episode in flight",
+          name_.c_str());
+}
 
-                if (res.reschedule)
-                    loadIncomingThread(res);
-                if (proxy)
-                    completeProxy(*proxy, res);
+void
+MispProcessor::runKernelWork()
+{
+    os::KernelResult res = kernelWork(episode_.work);
+    privCycles_ += res.priv;
+    episode_.res = res;
+    episode_.phase = Phase::Kernel;
+    // The outgoing thread's context must be snapshotted in the same
+    // event as the kernel's decision: once it sits in a wait queue a
+    // wake from another CPU may re-dispatch it at any later event.
+    if (res.reschedule)
+        saveOutgoingThread(res);
 
-                endSerialization(/*rootChanged=*/res.reschedule);
-                ++serializations_;
-                serializeCycles_ += 2 * signal + res.priv;
-                inRing0_ = false;
-                obs::trace(obs::TraceKind::Ring0Exit,
-                           static_cast<std::uint16_t>(oms_->sid()),
-                           static_cast<std::uint32_t>(cause), res.priv);
+    // Return to Ring 3 at t0 + signal + priv.
+    eq_.schedule(&ring0Event_, eq_.curTick() + res.priv);
+}
 
-                if (done)
-                    done(res);
+void
+MispProcessor::exitRing0()
+{
+    const Episode ep = episode_;
+    const os::KernelResult &res = ep.res;
+    oms_->chargeKernelCycles(ep.signal + res.priv);
+    if (res.fatalFault)
+        fatal("%s: unservicable fault (guest bug), cause=%s",
+              name_.c_str(), ring0CauseName(ep.work.cause()));
 
-                // Resume the OMS's user execution if it is still parked
-                // in the kernel (i.e. no thread switch displaced it).
-                if (oms_->state() == SeqState::InKernel)
-                    oms_->resume();
+    if (res.reschedule)
+        loadIncomingThread(res);
+    if (ep.work.kind == Ring0Work::Kind::Proxy)
+        completeProxy(ep.work.proxy, res);
 
-                // Wakes that arrived while we were in Ring 0 were
-                // declined (the CPU was busy); poll for ready work now
-                // so a woken thread does not wait for the next timer.
-                if (currentThread() == nullptr && oms_->idle()) {
-                    os::OsThread *next = kernel_.pickNext(cpuId_);
-                    if (next)
-                        loadThread(next);
-                }
-                (void)t0;
-            });
-    });
+    endSerialization(/*rootChanged=*/res.reschedule);
+    ++serializations_;
+    serializeCycles_ += 2 * ep.signal + res.priv;
+    episode_ = Episode{};
+    obs::trace(obs::TraceKind::Ring0Exit,
+               static_cast<std::uint16_t>(oms_->sid()),
+               static_cast<std::uint32_t>(ep.work.cause()), res.priv);
+
+    if (held_) {
+        // The OMS stays InKernel: its held request is the next episode.
+        Ring0Work next = *held_;
+        held_.reset();
+        beginEpisode(next);
+        return;
+    }
+
+    // Resume the OMS's user execution if it is still parked in the
+    // kernel (i.e. no thread switch displaced it).
+    if (oms_->state() == SeqState::InKernel)
+        oms_->resume();
+
+    // Wakes that arrived while we were in Ring 0 were declined (the CPU
+    // was busy); poll for ready work now so a woken thread does not wait
+    // for the next timer.
+    if (currentThread() == nullptr && oms_->idle()) {
+        os::OsThread *next = kernel_.pickNext(cpuId_);
+        if (next)
+            loadThread(next);
+    }
+}
+
+os::KernelResult
+MispProcessor::kernelWork(const Ring0Work &work)
+{
+    using Kind = Ring0Work::Kind;
+    switch (work.kind) {
+      case Kind::TimerTick:
+        return kernel_.timerTick(cpuId_);
+      case Kind::DeviceIrq:
+        return kernel_.deviceIrq(cpuId_);
+      case Kind::OmsSyscall: {
+        os::KernelResult res =
+            kernel_.syscall(cpuId_, *work.thread, work.number, work.args);
+        // Patch the return while the context is still on the OMS (it
+        // may be saved by a switch right after).
+        oms_->context().regs[0] = res.retval;
+        oms_->context().eip += isa::kInstBytes;
+        return res;
+      }
+      case Kind::OmsPageFault:
+        return kernel_.pageFault(cpuId_, *work.thread, work.addr,
+                                 work.write);
+      case Kind::RuntimeSyscall: {
+        os::KernelResult res =
+            kernel_.syscall(cpuId_, *work.thread, work.number, work.args);
+        if (work.patchSid != Ring0Work::kNoPatch)
+            sequencer(work.patchSid)->context().regs[0] = res.retval;
+        return res;
+      }
+      case Kind::Proxy: {
+        // "The OMS re-executes the faulting instruction, triggering the
+        // fault again and causing OS services to be activated."
+        const mem::Fault &fault = work.proxy.fault;
+        if (fault.kind != mem::FaultKind::Syscall)
+            return kernel_.pageFault(cpuId_, *work.thread, fault.addr,
+                                     fault.write);
+        const cpu::SequencerContext &ctx = work.proxy.savedCtx;
+        std::array<Word, 4> args{ctx.regs[0], ctx.regs[1], ctx.regs[2],
+                                 ctx.regs[3]};
+        os::KernelResult res =
+            kernel_.syscall(cpuId_, *work.thread, fault.code, args);
+        if (res.reschedule) {
+            // A blocking syscall from a shred would block the whole OS
+            // thread (the ODE lesson, §5.5). The model does not support
+            // it; workloads must keep blocking syscalls on OS threads.
+            warn("%s: blocking syscall %llu proxied from an AMS is "
+                 "unsupported; treated as immediate",
+                 name_.c_str(), (unsigned long long)fault.code);
+            res.reschedule = false;
+            res.prev = res.next = nullptr;
+        }
+        return res;
+      }
+      case Kind::NumKinds:
+        break;
+    }
+    panic("%s: Ring-0 work of unknown kind", name_.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -456,7 +709,7 @@ MispProcessor::serviceProxy(cpu::Sequencer &omsSeq)
         // handler activation): nothing to do.
         return 0;
     }
-    if (inRing0_) {
+    if (inRing0()) {
         // The handler was dispatched to an idle OMS while an
         // interrupt-initiated Ring-0 episode is still in flight; decline
         // and redeliver so the request retries after the episode.
@@ -474,40 +727,13 @@ MispProcessor::serviceProxy(cpu::Sequencer &omsSeq)
     // The OMS saves its own state and assumes the AMS's (impersonation).
     Cycles charge = 2 * config_.contextXferCycles;
 
-    Ring0Cause cause = req.fault.kind == mem::FaultKind::Syscall
-                           ? Ring0Cause::ProxySyscall
-                           : Ring0Cause::ProxyPageFault;
-
     omsSeq.enterKernelEpisode();
 
-    mem::Fault fault = req.fault;
-    ring0Episode(
-        cause,
-        [this, thread, fault, ctx = req.savedCtx]() -> os::KernelResult {
-            // "The OMS re-executes the faulting instruction, triggering
-            // the fault again and causing OS services to be activated."
-            if (fault.kind == mem::FaultKind::Syscall) {
-                std::array<Word, 4> args{ctx.regs[0], ctx.regs[1],
-                                         ctx.regs[2], ctx.regs[3]};
-                os::KernelResult res =
-                    kernel_.syscall(cpuId_, *thread, fault.code, args);
-                if (res.reschedule) {
-                    // A blocking syscall from a shred would block the
-                    // whole OS thread (the ODE lesson, §5.5). The model
-                    // does not support it; workloads must keep blocking
-                    // syscalls on OS threads.
-                    warn("%s: blocking syscall %llu proxied from an AMS "
-                         "is unsupported; treated as immediate",
-                         name_.c_str(), (unsigned long long)fault.code);
-                    res.reschedule = false;
-                    res.prev = res.next = nullptr;
-                }
-                return res;
-            }
-            return kernel_.pageFault(cpuId_, *thread, fault.addr,
-                                     fault.write);
-        },
-        nullptr, req);
+    Ring0Work work;
+    work.kind = Ring0Work::Kind::Proxy;
+    work.thread = thread;
+    work.proxy = req;
+    ring0Episode(work);
 
     // The final restore of the OMS's own context happens when the guest
     // proxy-handler stub YRETs; its cost is pre-charged here.
@@ -515,11 +741,19 @@ MispProcessor::serviceProxy(cpu::Sequencer &omsSeq)
 }
 
 void
-MispProcessor::raiseSyscallEpisode(std::function<os::KernelResult()> work)
+MispProcessor::raiseSyscallEpisode(Word number,
+                                   const std::array<Word, 4> &args,
+                                   SequencerId patchSid)
 {
     events_[static_cast<std::size_t>(Ring0Cause::OmsSyscall)] += 1;
-    ring0Episode(Ring0Cause::OmsSyscall, std::move(work), nullptr,
-                 std::nullopt);
+    Ring0Work work;
+    work.kind = Ring0Work::Kind::RuntimeSyscall;
+    work.thread = currentThread();
+    MISP_ASSERT(work.thread != nullptr);
+    work.number = number;
+    work.args = args;
+    work.patchSid = patchSid;
+    ring0Episode(work);
 }
 
 void
@@ -533,18 +767,7 @@ MispProcessor::completeProxy(ProxyRequest req, const os::KernelResult &res)
     // Page fault: the kernel installed the mapping; the AMS retries the
     // same EIP.
     proxySignalCycles_ += 3 * fabric_.signalCycles();
-
-    cpu::Sequencer *ams = req.ams;
-    cpu::SequencerContext serviced = req.savedCtx;
-    fabric_.sendAction(name_ + ".proxyDone", [ams, serviced] {
-        if (ams->state() == SeqState::WaitingProxy) {
-            ams->restoreContext(serviced);
-            ams->resume(/*retryFault=*/true);
-        }
-        // If the thread was switched away mid-proxy (guarded against,
-        // but kept safe), the serviced context is already in the save
-        // area and will resume on reload.
-    });
+    fabric_.sendProxyDone(*req.ams, req.savedCtx);
 }
 
 // ---------------------------------------------------------------------
@@ -564,23 +787,14 @@ MispProcessor::handleFault(cpu::Sequencer &seq, const mem::Fault &fault,
             if (!thread)
                 panic("%s: syscall with no thread loaded", name_.c_str());
             events_[static_cast<std::size_t>(Ring0Cause::OmsSyscall)] += 1;
-            std::array<Word, 4> args{
-                seq.context().regs[0], seq.context().regs[1],
-                seq.context().regs[2], seq.context().regs[3]};
-            Word number = fault.code;
+            Ring0Work work;
+            work.kind = Ring0Work::Kind::OmsSyscall;
+            work.thread = thread;
+            work.number = fault.code;
+            work.args = {seq.context().regs[0], seq.context().regs[1],
+                         seq.context().regs[2], seq.context().regs[3]};
             seq.enterKernelEpisode();
-            ring0Episode(
-                Ring0Cause::OmsSyscall,
-                [this, thread, number, args]() {
-                    os::KernelResult res =
-                        kernel_.syscall(cpuId_, *thread, number, args);
-                    // Patch the return while the context is still on the
-                    // OMS (it may be saved by a switch right after).
-                    oms_->context().regs[0] = res.retval;
-                    oms_->context().eip += isa::kInstBytes;
-                    return res;
-                },
-                nullptr, std::nullopt);
+            ring0Episode(work);
             return cpu::FaultAction::Deferred;
           }
           case mem::FaultKind::PageFault: {
@@ -589,15 +803,13 @@ MispProcessor::handleFault(cpu::Sequencer &seq, const mem::Fault &fault,
                       name_.c_str());
             events_[static_cast<std::size_t>(Ring0Cause::OmsPageFault)] +=
                 1;
-            VAddr va = fault.addr;
-            bool write = fault.write;
+            Ring0Work work;
+            work.kind = Ring0Work::Kind::OmsPageFault;
+            work.thread = thread;
+            work.addr = fault.addr;
+            work.write = fault.write;
             seq.enterKernelEpisode();
-            ring0Episode(
-                Ring0Cause::OmsPageFault,
-                [this, thread, va, write]() {
-                    return kernel_.pageFault(cpuId_, *thread, va, write);
-                },
-                nullptr, std::nullopt);
+            ring0Episode(work);
             return cpu::FaultAction::Deferred;
           }
           default:

@@ -24,8 +24,8 @@
 #ifndef MISP_MISP_MISP_PROCESSOR_HH
 #define MISP_MISP_MISP_PROCESSOR_HH
 
+#include <array>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -80,6 +80,35 @@ struct ProxyRequest {
     mem::Fault fault;
     cpu::SequencerContext savedCtx; ///< AMS state saved at fault time
     Tick start = 0;
+};
+
+/** The kernel work of one Ring-0 episode, as data. */
+struct Ring0Work {
+    enum class Kind : std::uint8_t {
+        TimerTick,
+        DeviceIrq,
+        OmsSyscall,     ///< the OMS trapped; patch its r0, advance EIP
+        OmsPageFault,
+        Proxy,          ///< an AMS syscall or page fault, by proxy
+        RuntimeSyscall, ///< a runtime service entering the kernel
+        NumKinds
+    };
+    /** patchSid value: the syscall's return value goes nowhere. */
+    static constexpr SequencerId kNoPatch = ~SequencerId{0};
+
+    Kind kind = Kind::TimerTick;
+    /** The thread the kernel serves (every kind but the interrupts). */
+    os::OsThread *thread = nullptr;
+    Word number = 0;            ///< OmsSyscall, RuntimeSyscall
+    std::array<Word, 4> args{}; ///< OmsSyscall, RuntimeSyscall
+    VAddr addr = 0;             ///< OmsPageFault
+    bool write = false;         ///< OmsPageFault
+    /** RuntimeSyscall: the sequencer whose r0 gets the return value. */
+    SequencerId patchSid = kNoPatch;
+    ProxyRequest proxy;         ///< Proxy
+
+    /** The Table-1 classification of this work. */
+    Ring0Cause cause() const;
 };
 
 /**
@@ -143,7 +172,7 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
     void stopInterrupts();
 
     /** True while a Ring-0 episode is in progress. */
-    bool inRing0() const { return inRing0_; }
+    bool inRing0() const { return episode_.phase != Phase::Idle; }
 
     // ---- SequencerEnv --------------------------------------------------
     cpu::FaultAction handleFault(cpu::Sequencer &seq,
@@ -171,10 +200,12 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
      *  the OMS (used by runtime services that must enter the kernel,
      *  e.g. the OS-thread backend's thread_create). Counts as an OMS
      *  SysCall event; the caller must have placed the OMS InKernel via
-     *  enterKernelEpisode(). @p work runs after the suspension handshake
-     *  and typically wraps a Kernel entry point plus any context
-     *  patching. */
-    void raiseSyscallEpisode(std::function<os::KernelResult()> work);
+     *  enterKernelEpisode(). After the suspension handshake the kernel
+     *  runs syscall @p number with @p args for the current thread, and
+     *  its return value lands in r0 of sequencer @p patchSid (unless
+     *  Ring0Work::kNoPatch). */
+    void raiseSyscallEpisode(Word number, const std::array<Word, 4> &args,
+                             SequencerId patchSid = Ring0Work::kNoPatch);
 
     // ---- table-1 statistics ---------------------------------------------
     std::uint64_t eventCount(Ring0Cause cause) const;
@@ -187,29 +218,59 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
 
     // ---- snapshot -------------------------------------------------------
     /** Snapshot interrupt arming, the proxy queue, the pending timer /
-     *  device-IRQ occurrences, and every sequencer. Must not be called
-     *  mid-Ring-0-episode (the in-flight episode phases capture
-     *  closures); snap::snapshotReady() guards this. */
+     *  device-IRQ occurrences, the Ring-0 episode (phase, work, kernel
+     *  result, pending phase event) and a held request, the fabric's
+     *  deliveries in flight, and every sequencer. Valid at any event
+     *  boundary. */
     void snapSave(snap::Serializer &s) const override;
     void snapRestore(snap::Deserializer &d) override;
 
-    /** Identities of the periodic-interrupt events, for the snapshot
-     *  layer's every-pending-event-is-claimed audit. */
-    const Event *snapTimerEvent() const { return timerEvent_.get(); }
-    const Event *snapDeviceEvent() const { return deviceEvent_.get(); }
+    /** Every event this processor owns (its fabric's deliveries
+     *  included), for the snapshot layer's every-pending-event-is-
+     *  claimed audit. */
+    template <class Fn>
+    void
+    forEachEvent(Fn &&fn) const
+    {
+        fn(static_cast<const Event *>(&timerEvent_));
+        fn(static_cast<const Event *>(&deviceEvent_));
+        fn(static_cast<const Event *>(&ring0Event_));
+        fabric_.forEachEvent(fn);
+        fn(oms_->snapRunEvent());
+        for (const auto &ams : ams_)
+            fn(ams->snapRunEvent());
+    }
 
   private:
-    friend class MispSystemTestPeer;
+    /** Where the Ring-0 episode is (§2.3). Each phase but Idle has
+     *  ring0Event_ pending for its end. */
+    enum class Phase : std::uint8_t {
+        Idle,      ///< no episode in flight
+        Handshake, ///< AMSs being suspended; the kernel work is next
+        Kernel,    ///< kernel work done; Ring 3 returns next
+        NumPhases
+    };
 
-    /** Begin a Ring-0 episode on the OMS at the current tick:
-     *  suspend AMSs, run @p work after the suspension handshake, apply
-     *  the kernel decision, resume AMSs, and finally call @p done (may
-     *  be null). @p onBehalfOfProxy carries the AMS whose serviced
-     *  context must be restored at episode end. */
-    void ring0Episode(Ring0Cause cause,
-                      std::function<os::KernelResult()> work,
-                      std::function<void(const os::KernelResult &)> done,
-                      std::optional<ProxyRequest> proxy);
+    /** The episode in flight, as data. */
+    struct Episode {
+        Phase phase = Phase::Idle;
+        Ring0Work work;
+        os::KernelResult res; ///< the kernel's decision (Kernel phase)
+        Tick t0 = 0;          ///< episode start
+        Cycles signal = 0;    ///< suspension handshake latency
+    };
+
+    /** Request a Ring-0 episode for @p work on the OMS at the current
+     *  tick: suspend AMSs, run the work after the suspension handshake,
+     *  apply the kernel decision, resume AMSs. An OMS request made
+     *  while an episode is in flight is held (see held_). */
+    void ring0Episode(const Ring0Work &work);
+    void beginEpisode(const Ring0Work &work);
+    /** ring0Event_: the next phase of the episode in flight. */
+    void onRing0Phase();
+    void runKernelWork();
+    void exitRing0();
+    os::KernelResult kernelWork(const Ring0Work &work);
 
     void beginSerialization();
     void endSerialization(bool rootChanged);
@@ -221,6 +282,10 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
     /** Phase-2 half: restore the incoming thread at Ring-0 exit. */
     void loadIncomingThread(const os::KernelResult &res);
     void completeProxy(ProxyRequest req, const os::KernelResult &res);
+    void putWork(snap::Serializer &s, const Ring0Work &work) const;
+    Ring0Work getWork(snap::Deserializer &d);
+    void putProxy(snap::Serializer &s, const ProxyRequest &req) const;
+    ProxyRequest getProxy(snap::Deserializer &d);
     void onTimer();
     void onDeviceIrq();
     void scheduleNextDeviceIrq();
@@ -233,9 +298,6 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
     int cpuId_;         ///< snap: config
 
     stats::StatGroup statGroup_;
-    /** snap: config — the fabric's only non-stat state is the
-     *  configured signal cost; in-flight deliveries travel as
-     *  tagged events via the snapshot layer's event codecs. */
     SignalFabric fabric_;
 
     std::unique_ptr<cpu::Sequencer> oms_;
@@ -243,16 +305,19 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
 
     RtHandler *runtime_ = nullptr; ///< snap: config — wired at build
 
-    /** snap: quiesced — snapSave asserts it; the quiescence
-     *  protocol steps the queue past Ring-0 episodes first. */
-    bool inRing0_ = false;
     bool interruptsOn_ = false;
     std::deque<ProxyRequest> proxyQueue_;
-    /** Owned periodic-interrupt events, rescheduled in place (rather
-     *  than freshly allocated per occurrence) so a pending occurrence
-     *  has a stable identity the snapshot layer can claim. */
-    std::unique_ptr<LambdaEvent> timerEvent_;
-    std::unique_ptr<LambdaEvent> deviceEvent_;
+    Episode episode_;
+    /** An OMS request raised while an episode was in flight (the OMS
+     *  ran a signal handler mid-episode). It starts as its own episode
+     *  at Ring-0 exit, before the OMS resumes — the same decline-and-
+     *  retry idiom serviceProxy uses. */
+    std::optional<Ring0Work> held_;
+    /** Owned events, rescheduled in place rather than allocated per
+     *  occurrence: the periodic interrupts and the episode's phases. */
+    MemberEvent<MispProcessor, &MispProcessor::onTimer> timerEvent_;
+    MemberEvent<MispProcessor, &MispProcessor::onDeviceIrq> deviceEvent_;
+    MemberEvent<MispProcessor, &MispProcessor::onRing0Phase> ring0Event_;
 
     // Table 1 event log.
     stats::Vector events_;

@@ -1,78 +1,173 @@
 #include "signal_fabric.hh"
 
 #include "obs/trace.hh"
-#include "snapshot/tags.hh"
+#include "snapshot/state_io.hh"
 
 namespace misp::arch {
+
+using cpu::SeqState;
 
 SignalFabric::SignalFabric(EventQueue &eq, Cycles signalCycles,
                            stats::StatGroup *parent, int ownerCpu)
     : eq_(eq),
       signalCycles_(signalCycles),
       ownerCpu_(ownerCpu),
+      pool_(eq),
       statGroup_("fabric", parent),
       deliveries_(&statGroup_, "deliveries", "signals delivered")
 {}
 
-namespace {
-
-/** Pending deliveries are snapshottable: the closure is rebuilt at
- *  restore from (owner CPU, target SID, payload). */
-EventTag
-deliveryTag(std::uint32_t kind, int ownerCpu, SequencerId sid,
-            const cpu::SignalPayload &payload)
+SignalFabric::DeliveryEvent *
+SignalFabric::send(Delivery kind, cpu::Sequencer &dst)
 {
-    EventTag tag;
-    if (ownerCpu < 0)
-        return tag; // untagged: bare-fabric tests, never snapshotted
-    tag.kind = kind;
-    tag.arg = {static_cast<std::uint64_t>(ownerCpu), sid, payload.eip,
-               payload.esp, payload.arg};
-    return tag;
+    ++deliveries_;
+    DeliveryEvent *ev = pool_.acquire(*this);
+    ev->kind = kind;
+    ev->dst = &dst;
+    return ev;
 }
-
-} // namespace
 
 void
 SignalFabric::sendSignal(cpu::Sequencer &dst,
                          const cpu::SignalPayload &payload)
 {
-    ++deliveries_;
+    DeliveryEvent *ev = send(Delivery::Signal, dst);
     obs::trace(obs::TraceKind::SignalSend, dst.sid(),
                ownerCpu_ < 0 ? 0 : static_cast<std::uint32_t>(ownerCpu_),
                payload.eip, payload.arg);
-    cpu::Sequencer *target = &dst;
-    eq_.scheduleLambda(eq_.curTick() + signalCycles_, "fabric.signal",
-                       [target, payload] { target->deliverSignal(payload); },
-                       kDeliveryPrio,
-                       deliveryTag(snap::tag::kFabricSignal, ownerCpu_,
-                                   dst.sid(), payload));
+    ev->payload = payload;
+    eq_.schedule(ev, eq_.curTick() + signalCycles_);
 }
 
 void
 SignalFabric::sendProxyRequest(cpu::Sequencer &oms,
                                const cpu::SignalPayload &payload)
 {
-    ++deliveries_;
+    DeliveryEvent *ev = send(Delivery::ProxyRequest, oms);
     obs::trace(obs::TraceKind::ProxySend, oms.sid(),
                ownerCpu_ < 0 ? 0 : static_cast<std::uint32_t>(ownerCpu_),
                payload.arg);
-    cpu::Sequencer *target = &oms;
-    eq_.scheduleLambda(
-        eq_.curTick() + signalCycles_, "fabric.proxyReq",
-        [target, payload] { target->deliverProxyRequest(payload); },
-        kDeliveryPrio,
-        deliveryTag(snap::tag::kFabricProxyReq, ownerCpu_, oms.sid(),
-                    payload));
+    ev->payload = payload;
+    eq_.schedule(ev, eq_.curTick() + signalCycles_);
 }
 
 void
-SignalFabric::sendAction(const std::string &name,
-                         std::function<void()> action)
+SignalFabric::sendSuspend(cpu::Sequencer &ams)
 {
-    ++deliveries_;
-    eq_.scheduleLambda(eq_.curTick() + signalCycles_, name,
-                       std::move(action), kDeliveryPrio);
+    eq_.schedule(send(Delivery::Suspend, ams),
+                 eq_.curTick() + signalCycles_);
+}
+
+void
+SignalFabric::sendResume(cpu::Sequencer &ams)
+{
+    eq_.schedule(send(Delivery::Resume, ams),
+                 eq_.curTick() + signalCycles_);
+}
+
+void
+SignalFabric::sendProxyDone(cpu::Sequencer &ams,
+                            const cpu::SequencerContext &serviced)
+{
+    DeliveryEvent *ev = send(Delivery::ProxyDone, ams);
+    ev->serviced = serviced;
+    eq_.schedule(ev, eq_.curTick() + signalCycles_);
+}
+
+std::size_t
+SignalFabric::inFlight(Delivery kind) const
+{
+    std::size_t n = 0;
+    for (const DeliveryEvent *ev : pool_.pending())
+        n += ev->kind == kind;
+    return n;
+}
+
+void
+SignalFabric::DeliveryEvent::process()
+{
+    switch (kind) {
+      case Delivery::Signal:
+        dst->deliverSignal(payload);
+        break;
+      case Delivery::ProxyRequest:
+        dst->deliverProxyRequest(payload);
+        break;
+      case Delivery::Suspend:
+        dst->suspend();
+        break;
+      case Delivery::Resume:
+        dst->resumeFromSerialization();
+        break;
+      case Delivery::ProxyDone:
+        // If the thread was switched away mid-proxy (guarded against,
+        // but kept safe), the serviced context is already in the save
+        // area and will resume on reload.
+        if (dst->state() == SeqState::WaitingProxy) {
+            dst->restoreContext(serviced);
+            dst->resume(/*retryFault=*/true);
+        }
+        break;
+      case Delivery::NumKinds:
+        break;
+    }
+    fabric_.pool_.release(this);
+}
+
+// ---------------------------------------------------------------------
+// Snapshot
+// ---------------------------------------------------------------------
+
+void
+SignalFabric::snapSave(snap::Serializer &s) const
+{
+    const auto pending = pool_.pending();
+    s.u64(pending.size());
+    for (const DeliveryEvent *ev : pending) {
+        s.u8(static_cast<std::uint8_t>(ev->kind));
+        s.u64(ev->dst->sid());
+        if (ev->kind == Delivery::ProxyDone)
+            snap::putContext(s, ev->serviced);
+        else
+            snap::putPayload(s, ev->payload);
+        snap::putPending(s, ev);
+    }
+}
+
+void
+SignalFabric::snapRestore(snap::Deserializer &d,
+                          const std::vector<cpu::Sequencer *> &bySid)
+{
+    const std::uint64_t count = d.u64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint8_t kindByte = d.u8();
+        if (kindByte >= static_cast<std::uint8_t>(Delivery::NumKinds))
+            throw snap::SnapError("fabric: unknown delivery kind byte " +
+                                  std::to_string(kindByte));
+        const auto kind = static_cast<Delivery>(kindByte);
+        const std::uint64_t sid = d.u64();
+        if (sid >= bySid.size())
+            throw snap::SnapError("fabric: delivery names absent "
+                                  "sequencer sid " + std::to_string(sid));
+        // Proxy requests go to the OMS (sid 0); the serialization and
+        // proxy-completion signals only ever to an AMS.
+        if ((kind == Delivery::ProxyRequest) != (sid == 0) &&
+            kind != Delivery::Signal)
+            throw snap::SnapError("fabric: delivery kind " +
+                                  std::to_string(kindByte) +
+                                  " cannot target sid " +
+                                  std::to_string(sid));
+        DeliveryEvent *ev = pool_.acquire(*this);
+        ev->kind = kind;
+        ev->dst = bySid[sid];
+        if (kind == Delivery::ProxyDone)
+            ev->serviced = snap::getContext(d);
+        else
+            ev->payload = snap::getPayload(d);
+        const snap::Pending at =
+            snap::getPending(d, eq_, kDeliveryPrio, "fabric delivery");
+        eq_.restoreSchedule(ev, at.when, at.seq);
+    }
 }
 
 } // namespace misp::arch

@@ -7,12 +7,15 @@
  * completions, and the firmware-level suspend/resume used by the
  * serialization engine. Each delivery costs `signalCycles` — the
  * parameter Figure 5 sweeps.
+ *
+ * A delivery in flight is a pooled DeliveryEvent whose fields say what
+ * arrives where, so the fabric archives its pending deliveries itself.
  */
 
 #ifndef MISP_MISP_SIGNAL_FABRIC_HH
 #define MISP_MISP_SIGNAL_FABRIC_HH
 
-#include <functional>
+#include <vector>
 
 #include "cpu/sequencer.hh"
 #include "sim/event_queue.hh"
@@ -28,10 +31,18 @@ class SignalFabric
      *  carry exactly this one). */
     static constexpr int kDeliveryPrio = Event::kPrioInterrupt;
 
+    /** What a delivery does when it arrives. */
+    enum class Delivery : std::uint8_t {
+        Signal,       ///< user-level SIGNAL continuation
+        ProxyRequest, ///< proxy-execution request notification (OMS)
+        Suspend,      ///< serialization: stop an AMS
+        Resume,       ///< serialization: restart an AMS
+        ProxyDone,    ///< proxy completion: the serviced AMS context
+        NumKinds
+    };
+
     /** @p ownerCpu is the kernel CPU slot of the owning processor's
-     *  OMS; it keys the snapshot tags on signal-delivery events so a
-     *  pending delivery can be re-targeted after a machine-state
-     *  restore. -1 (tests driving a bare fabric) disables tagging. */
+     *  OMS, recorded in signal trace events (-1 for a bare fabric). */
     SignalFabric(EventQueue &eq, Cycles signalCycles,
                  stats::StatGroup *parent, int ownerCpu = -1);
 
@@ -45,20 +56,65 @@ class SignalFabric
     void sendProxyRequest(cpu::Sequencer &oms,
                           const cpu::SignalPayload &payload);
 
-    /** Deliver an arbitrary action after the signal latency; used for
-     *  firmware-level suspend/resume and proxy completion, which carry
-     *  side effects rather than continuations. */
-    void sendAction(const std::string &name, std::function<void()> action);
+    /** Firmware-level serialization signals to an AMS. */
+    void sendSuspend(cpu::Sequencer &ams);
+    void sendResume(cpu::Sequencer &ams);
+
+    /** Ship a proxied AMS its serviced context; it resumes from it if
+     *  it is still waiting for the proxy. */
+    void sendProxyDone(cpu::Sequencer &ams,
+                       const cpu::SequencerContext &serviced);
 
     std::uint64_t deliveries() const
     {
         return static_cast<std::uint64_t>(deliveries_.value());
     }
 
+    /** Deliveries of @p kind sent and not yet arrived. */
+    std::size_t inFlight(Delivery kind) const;
+
+    // ---- snapshot -------------------------------------------------------
+    /** The pending deliveries, each with its target SID, its data and
+     *  its original (when, seq, priority). */
+    void snapSave(snap::Serializer &s) const;
+    /** @p bySid maps a SID to the owning processor's sequencer. */
+    void snapRestore(snap::Deserializer &d,
+                     const std::vector<cpu::Sequencer *> &bySid);
+
+    /** Every delivery event, for the snapshot layer's
+     *  every-pending-event-is-claimed audit. */
+    template <class Fn>
+    void
+    forEachEvent(Fn &&fn) const
+    {
+        pool_.forEach(fn);
+    }
+
   private:
+    class DeliveryEvent final : public Event
+    {
+      public:
+        explicit DeliveryEvent(SignalFabric &fabric)
+            : Event("fabric.delivery", kDeliveryPrio), fabric_(fabric)
+        {}
+
+        void process() override;
+
+        Delivery kind = Delivery::Signal;
+        cpu::Sequencer *dst = nullptr;
+        cpu::SignalPayload payload;       ///< Signal, ProxyRequest
+        cpu::SequencerContext serviced;   ///< ProxyDone
+
+      private:
+        SignalFabric &fabric_;
+    };
+
+    DeliveryEvent *send(Delivery kind, cpu::Sequencer &dst);
+
     EventQueue &eq_;
-    Cycles signalCycles_;
-    int ownerCpu_;
+    Cycles signalCycles_; ///< snap: config
+    int ownerCpu_;        ///< snap: config
+    EventPool<DeliveryEvent> pool_;
 
     stats::StatGroup statGroup_;
     stats::Scalar deliveries_;

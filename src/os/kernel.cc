@@ -4,7 +4,6 @@
 
 #include "obs/trace.hh"
 #include "snapshot/state_io.hh"
-#include "snapshot/tags.hh"
 
 namespace misp::os {
 
@@ -26,6 +25,7 @@ Kernel::Kernel(EventQueue &eq, mem::PhysicalMemory &pmem,
       pmem_(pmem),
       config_(config),
       rng_(config.seed),
+      sleepWakes_(eq),
       statGroup_("kernel", parent),
       syscalls_(&statGroup_, "syscalls", "system calls serviced"),
       pageFaults_(&statGroup_, "pageFaults", "page faults serviced"),
@@ -200,6 +200,13 @@ Kernel::snapSave(snap::Serializer &s) const
         for (const OsThread *t : waiters)
             s.u64(t->tid());
     }
+
+    const auto wakes = sleepWakes_.pending();
+    s.u64(wakes.size());
+    for (const SleepWake *wake : wakes) {
+        s.u64(wake->thread->tid());
+        snap::putPending(s, wake);
+    }
 }
 
 void
@@ -288,25 +295,27 @@ Kernel::snapRestore(snap::Deserializer &d)
             waiters.push_back(thread(static_cast<Tid>(d.u64())));
         joiners_.emplace(target, std::move(waiters));
     }
+
+    std::uint64_t nWakes = d.u64();
+    for (std::uint64_t i = 0; i < nWakes; ++i) {
+        OsThread *t = threadByTid(static_cast<Tid>(d.u64()));
+        if (!t)
+            throw snap::SnapError("kernel: sleep wakeup names an unknown "
+                                  "tid");
+        const snap::Pending at =
+            snap::getPending(d, eq_, kSleepWakePrio, "kernel sleep wakeup");
+        SleepWake *wake = sleepWakes_.acquire(*this);
+        wake->thread = t;
+        eq_.restoreSchedule(wake, at.when, at.seq);
+    }
 }
 
 void
-Kernel::snapRestoreSleepWake(Tid tid, Tick when, std::uint64_t seq)
+Kernel::SleepWake::process()
 {
-    OsThread *tp = threadByTid(tid);
-    if (!tp)
-        throw snap::SnapError("kernel: sleep wakeup names an unknown tid");
-    snap::checkEventSchedule(eq_, when, seq);
-    EventTag tag;
-    tag.kind = snap::tag::kKernelSleepWake;
-    tag.arg[0] = tid;
-    eq_.restoreLambda(
-        when, seq, "kernel.sleepWake",
-        [this, tp] {
-            if (tp->state() == ThreadState::Blocked)
-                makeReady(tp);
-        },
-        kSleepWakePrio, tag);
+    if (thread->state() == ThreadState::Blocked)
+        kernel_.makeReady(thread);
+    kernel_.sleepWakes_.release(this);
 }
 
 void
@@ -443,19 +452,11 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         t.setState(ThreadState::Blocked);
         current_[cpu] = nullptr;
         t.setCpu(-1);
-        OsThread *tp = &t;
-        EventTag tag;
-        tag.kind = snap::tag::kKernelSleepWake;
-        tag.arg[0] = tp->tid();
-        eq_.scheduleLambda(
-            wake, "kernel.sleepWake",
-            [this, tp] {
-                if (tp->state() == ThreadState::Blocked)
-                    makeReady(tp);
-            },
-            kSleepWakePrio, tag);
+        SleepWake *ev = sleepWakes_.acquire(*this);
+        ev->thread = &t;
+        eq_.schedule(ev, wake);
         res.reschedule = true;
-        res.prev = tp;
+        res.prev = &t;
         res.next = pickNext(cpu);
         res.priv += config_.ctxSwitch;
         ++ctxSwitches_;

@@ -159,16 +159,36 @@ class Kernel : public snap::Saveable
     // ---- snapshot -------------------------------------------------------
     /** Snapshot processes (including their address spaces and page
      *  tables), threads, the scheduler queues, futex/join wait queues,
-     *  and the device-IRQ RNG. Pending sleep wakeups are tagged events
-     *  restored by snapRestoreSleepWake(). */
+     *  the device-IRQ RNG and the pending sleep wakeups. */
     void snapSave(snap::Serializer &s) const override;
     void snapRestore(snap::Deserializer &d) override;
 
-    /** Re-create one pending Sys::Sleep wakeup with its original
-     *  delivery tick and queue insertion sequence. */
-    void snapRestoreSleepWake(Tid tid, Tick when, std::uint64_t seq);
+    /** Every sleep-wake event, for the snapshot layer's
+     *  every-pending-event-is-claimed audit. */
+    template <class Fn>
+    void
+    forEachEvent(Fn &&fn) const
+    {
+        sleepWakes_.forEach(fn);
+    }
 
   private:
+    /** A pending Sys::Sleep wakeup of one thread. */
+    class SleepWake final : public Event
+    {
+      public:
+        explicit SleepWake(Kernel &kernel)
+            : Event("kernel.sleepWake", kSleepWakePrio), kernel_(kernel)
+        {}
+
+        void process() override;
+
+        OsThread *thread = nullptr;
+
+      private:
+        Kernel &kernel_;
+    };
+
     struct FutexKey {
         Pid pid;
         VAddr addr;
@@ -196,6 +216,7 @@ class Kernel : public snap::Saveable
 
     std::map<FutexKey, std::deque<OsThread *>> futexQueues_;
     std::map<Tid, std::vector<OsThread *>> joiners_;
+    EventPool<SleepWake> sleepWakes_;
     /** snap: config — harness completion wiring, re-installed by
      *  the same build path that constructs the restore target. */
     std::function<void(Process *)> processExitHook_;

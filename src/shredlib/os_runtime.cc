@@ -58,20 +58,10 @@ Cycles
 OsApiRuntime::kernelCall(MispProcessor &proc, Sequencer &seq, Sys number,
                          std::array<Word, 4> args, bool patchRet)
 {
-    os::OsThread *t = proc.currentThread();
-    MISP_ASSERT(t != nullptr);
     seq.enterKernelEpisode();
-    os::Kernel *kernel = &proc.kernel();
-    int cpu = proc.cpuId();
-    Sequencer *seqPtr = &seq;
-    proc.raiseSyscallEpisode([kernel, cpu, t, number, args, patchRet,
-                              seqPtr] {
-        os::KernelResult res =
-            kernel->syscall(cpu, *t, static_cast<Word>(number), args);
-        if (patchRet)
-            seqPtr->context().regs[0] = res.retval;
-        return res;
-    });
+    proc.raiseSyscallEpisode(static_cast<Word>(number), args,
+                             patchRet ? seq.sid()
+                                      : arch::Ring0Work::kNoPatch);
     return 10; // trap issue; the Ring-0 time is charged by the episode
 }
 

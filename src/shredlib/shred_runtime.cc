@@ -512,16 +512,9 @@ Cycles
 ShredRuntime::doExitProcess(MispProcessor &proc, Sequencer &seq)
 {
     Word code = seq.context().regs[0];
-    os::OsThread *t = proc.currentThread();
-    MISP_ASSERT(t != nullptr);
     seq.enterKernelEpisode();
-    os::Kernel *kernel = &proc.kernel();
-    int cpu = proc.cpuId();
-    proc.raiseSyscallEpisode([kernel, cpu, t, code] {
-        return kernel->syscall(cpu, *t,
-                               static_cast<Word>(os::Sys::ExitProcess),
-                               {code, 0, 0, 0});
-    });
+    proc.raiseSyscallEpisode(static_cast<Word>(os::Sys::ExitProcess),
+                             {code, 0, 0, 0});
     return 10;
 }
 

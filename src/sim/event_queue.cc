@@ -72,7 +72,7 @@ struct Reaper {
     {
         if (ev) {
             --numOwned;
-            delete static_cast<LambdaEvent *>(ev);
+            delete ev;
         }
     }
 };
@@ -159,11 +159,6 @@ EventQueue::forEachScheduled(
         info.when = entry.when;
         info.seq = entry.seq;
         info.priority = entry.priority;
-        if (const auto *lambda =
-                dynamic_cast<const LambdaEvent *>(entry.ev)) {
-            if (lambda->tag().kind != 0)
-                info.tag = &lambda->tag();
-        }
         fn(info);
     }
 }
@@ -283,7 +278,7 @@ EventQueue::~EventQueue()
     for (const Entry &entry : heap_) {
         if (entry.owned) {
             entry.ev->scheduled_ = false;
-            delete static_cast<LambdaEvent *>(entry.ev);
+            delete entry.ev;
         }
     }
 }

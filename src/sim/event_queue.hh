@@ -13,7 +13,6 @@
 #define MISP_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -28,25 +27,12 @@ namespace misp {
 class EventQueue;
 
 /**
- * Snapshot identity of a one-shot lambda event. A tagged lambda's
- * closure can be rebuilt from `kind` plus a few words of data (the tag
- * registry lives in snapshot/tags.hh), which is what lets a pending
- * occurrence survive machine-state serialization. kind == 0 marks an
- * untagged lambda: such an event pending at save time makes the
- * machine momentarily unsnapshottable.
- */
-struct EventTag {
-    std::uint32_t kind = 0;
-    std::array<std::uint64_t, 5> arg{};
-};
-
-/**
  * An occurrence scheduled at a future tick.
  *
- * Events are intrusive: objects that want callbacks either derive from
- * Event and override process(), or use LambdaEvent. An Event may be
- * scheduled on at most one queue position at a time; rescheduling requires
- * deschedule() first (or use squash()).
+ * Events are intrusive: objects that want callbacks derive from Event
+ * and override process() (MemberEvent and EventPool cover the common
+ * shapes). An Event may be scheduled on at most one queue position at a
+ * time; rescheduling requires deschedule() first (or use squash()).
  */
 class Event
 {
@@ -97,25 +83,27 @@ class Event
     std::uint64_t seq_ = 0; ///< insertion order tiebreaker
     bool scheduled_ = false;
     bool squashed_ = false;
-    bool queueOwned_ = false; ///< a scheduleLambda/restoreLambda event
+    bool queueOwned_ = false; ///< a queue-owned one-shot closure
 };
 
-/** Convenience event wrapping a callable. */
-class LambdaEvent : public Event
+/**
+ * An event whose occurrence is one call of a member function on its
+ * owner. It captures nothing, so a pending occurrence is described in
+ * full by which event it is plus its (when, seq) — what a snapshot
+ * archives for it.
+ */
+template <class Owner, void (Owner::*Fn)()>
+class MemberEvent final : public Event
 {
   public:
-    LambdaEvent(std::string name, std::function<void()> fn,
-                int priority = kPrioDefault, EventTag tag = EventTag{})
-        : Event(std::move(name), priority), fn_(std::move(fn)), tag_(tag)
+    MemberEvent(Owner &owner, std::string name, int priority = kPrioDefault)
+        : Event(std::move(name), priority), owner_(owner)
     {}
 
-    void process() override { fn_(); }
-
-    const EventTag &tag() const { return tag_; }
+    void process() override { (owner_.*Fn)(); }
 
   private:
-    std::function<void()> fn_;
-    EventTag tag_;
+    Owner &owner_;
 };
 
 /**
@@ -142,15 +130,15 @@ class EventQueue
 
     /** Schedule a one-shot heap-allocated callable; the queue owns it
      *  and frees it as soon as its process() returns (or at
-     *  destruction, if it never ran). A non-default @p tag makes the
-     *  pending occurrence snapshottable (see EventTag). */
+     *  destruction, if it never ran). For tests and benches only: a
+     *  closure cannot be archived, so simulated code schedules typed
+     *  events instead (misplint's snap-closure-event rule). */
     void
     scheduleLambda(Tick when, std::string name, std::function<void()> fn,
-                   int priority = Event::kPrioDefault,
-                   EventTag tag = EventTag{})
+                   int priority = Event::kPrioDefault)
     {
         auto ev = std::make_unique<LambdaEvent>(std::move(name),
-                                                std::move(fn), priority, tag);
+                                                std::move(fn), priority);
         ev->queueOwned_ = true;
         schedule(ev.get(), when);
         ++numOwned_;
@@ -211,8 +199,6 @@ class EventQueue
         Tick when = 0;
         std::uint64_t seq = 0;
         int priority = 0;
-        /** Non-null when the event is a tagged LambdaEvent. */
-        const EventTag *tag = nullptr;
     };
 
     /** Invoke @p fn for every live (scheduled, non-squashed) entry.
@@ -231,19 +217,6 @@ class EventQueue
      */
     void restoreSchedule(Event *ev, Tick when, std::uint64_t seq);
 
-    /** restoreSchedule for a one-shot lambda (rebuilt from its tag). */
-    void
-    restoreLambda(Tick when, std::uint64_t seq, std::string name,
-                  std::function<void()> fn, int priority, EventTag tag)
-    {
-        auto ev = std::make_unique<LambdaEvent>(std::move(name),
-                                                std::move(fn), priority, tag);
-        ev->queueOwned_ = true;
-        restoreSchedule(ev.get(), when, seq);
-        ++numOwned_;
-        ev.release();
-    }
-
     /** Lambda events the queue currently owns: those pending, plus at
      *  most the one whose process() is running. */
     std::size_t numOwned() const { return numOwned_; }
@@ -258,6 +231,21 @@ class EventQueue
     ~EventQueue();
 
   private:
+    /** The one-shot event wrapping a queue-owned callable. */
+    class LambdaEvent final : public Event
+    {
+      public:
+        LambdaEvent(std::string name, std::function<void()> fn,
+                    int priority)
+            : Event(std::move(name), priority), fn_(std::move(fn))
+        {}
+
+        void process() override { fn_(); }
+
+      private:
+        std::function<void()> fn_;
+    };
+
     struct Entry {
         Tick when;
         int priority;
@@ -313,6 +301,81 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t numProcessed_ = 0;
     std::size_t live_ = 0;
+};
+
+/**
+ * Typed one-shot occurrences without a closure or an allocation per
+ * occurrence. T is an Event whose plain fields describe one occurrence
+ * (a delivery target, a thread id); its process() acts on them and
+ * then hands itself back with release(). Each occurrence still takes
+ * its own queue entry and sequence number, so pooling changes no
+ * ordering. The owner archives pending() and re-creates each with
+ * acquire() + EventQueue::restoreSchedule().
+ */
+template <class T>
+class EventPool
+{
+  public:
+    explicit EventPool(EventQueue &eq) : eq_(eq) {}
+
+    /** Pending occurrences are detached (a run cut short, a restore
+     *  target thrown away) before their events are freed. */
+    ~EventPool()
+    {
+        for (auto &ev : all_)
+            if (ev->scheduled())
+                eq_.deschedule(ev.get());
+    }
+
+    EventPool(const EventPool &) = delete;
+    EventPool &operator=(const EventPool &) = delete;
+
+    /** A free event to fill in and schedule; @p args construct a new
+     *  one when none is free. */
+    template <class... Args>
+    T *
+    acquire(Args &&...args)
+    {
+        if (!free_.empty()) {
+            T *ev = free_.back();
+            free_.pop_back();
+            return ev;
+        }
+        all_.push_back(std::make_unique<T>(std::forward<Args>(args)...));
+        return all_.back().get();
+    }
+
+    /** Return an event whose occurrence has been processed. */
+    void release(T *ev) { free_.push_back(ev); }
+
+    /** The scheduled occurrences, oldest sequence number first. */
+    std::vector<const T *>
+    pending() const
+    {
+        std::vector<const T *> out;
+        for (const auto &ev : all_)
+            if (ev->scheduled())
+                out.push_back(ev.get());
+        std::sort(out.begin(), out.end(), [](const T *a, const T *b) {
+            return a->seq() < b->seq();
+        });
+        return out;
+    }
+
+    /** Every event of the pool, scheduled or not (the snapshot layer's
+     *  every-pending-entry-is-claimed audit). */
+    template <class Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const auto &ev : all_)
+            fn(static_cast<const Event *>(ev.get()));
+    }
+
+  private:
+    EventQueue &eq_;
+    std::vector<std::unique_ptr<T>> all_;
+    std::vector<T *> free_;
 };
 
 } // namespace misp

@@ -138,7 +138,7 @@ class Saveable
 /** Image format identity. Bump kVersion whenever any component's
  *  snapSave layout changes. */
 constexpr std::uint64_t kMagic = 0x4d49'5350'534e'4150ull; // "MISPSNAP"
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 } // namespace misp::snap
 

@@ -7,12 +7,10 @@
 
 #include "harness/experiment.hh"
 #include "misp/misp_system.hh"
-#include "misp/signal_fabric.hh"
 #include "os/kernel.hh"
 #include "shredlib/os_runtime.hh"
 #include "shredlib/shred_runtime.hh"
 #include "snapshot/state_io.hh"
-#include "snapshot/tags.hh"
 
 namespace misp::snap {
 
@@ -25,7 +23,7 @@ constexpr std::uint32_t kSecPmem = 3;
 constexpr std::uint32_t kSecKernel = 4;
 constexpr std::uint32_t kSecProcs = 5;
 constexpr std::uint32_t kSecRt = 6;
-constexpr std::uint32_t kSecEvents = 7;
+// 7 was the tagged-event section of version-2 images.
 constexpr std::uint32_t kSecStats = 8;
 
 void
@@ -87,24 +85,24 @@ getSystemConfig(Deserializer &d, rt::Backend *backend)
     return cfg;
 }
 
-/** Every member event a component will archive (and re-schedule)
- *  itself: run-slice events, periodic timer / device-IRQ events. */
-std::unordered_set<const Event *>
-claimedEvents(arch::MispSystem &sys)
+/** Every pending event must be one a component archives (and
+ *  re-schedules) itself: processors (interrupts, Ring-0 phases, fabric
+ *  deliveries, run slices) and the kernel (sleep wakes). Anything else
+ *  would silently vanish from the image. */
+void
+auditPendingEvents(arch::MispSystem &sys)
 {
     std::unordered_set<const Event *> claimed;
-    for (unsigned p = 0; p < sys.numProcessors(); ++p) {
-        arch::MispProcessor &proc = sys.processor(p);
-        claimed.insert(proc.snapTimerEvent());
-        claimed.insert(proc.snapDeviceEvent());
-        for (SequencerId sid = 0;; ++sid) {
-            cpu::Sequencer *seq = proc.sequencer(sid);
-            if (!seq)
-                break;
-            claimed.insert(seq->snapRunEvent());
-        }
-    }
-    return claimed;
+    auto claim = [&claimed](const Event *ev) { claimed.insert(ev); };
+    for (unsigned p = 0; p < sys.numProcessors(); ++p)
+        sys.processor(p).forEachEvent(claim);
+    sys.kernel().forEachEvent(claim);
+    sys.eventQueue().forEachScheduled(
+        [&](const EventQueue::ScheduledInfo &info) {
+            if (!claimed.count(info.ev))
+                throw SnapError("pending event '" + info.ev->name() +
+                                "' is archived by no component");
+        });
 }
 
 // ---------------------------------------------------------------------
@@ -159,158 +157,7 @@ restoreStatGroup(Deserializer &d, stats::StatGroup &group)
     }
 }
 
-// ---------------------------------------------------------------------
-// Pending tagged events
-// ---------------------------------------------------------------------
-
-struct TaggedEvent {
-    EventTag tag;
-    Tick when = 0;
-    std::uint64_t seq = 0;
-    std::int64_t priority = 0;
-};
-
-void
-saveTaggedEvents(Serializer &s, arch::MispSystem &sys)
-{
-    std::unordered_set<const Event *> claimed = claimedEvents(sys);
-    std::vector<TaggedEvent> pending;
-    sys.eventQueue().forEachScheduled(
-        [&](const EventQueue::ScheduledInfo &info) {
-            if (claimed.count(info.ev))
-                return;
-            if (!info.tag)
-                throw SnapError("unsnapshottable event '" +
-                                info.ev->name() +
-                                "' pending (machine not quiescent)");
-            pending.push_back(TaggedEvent{*info.tag, info.when, info.seq,
-                                          info.priority});
-        });
-    // Emission order must be deterministic; insertion sequence is the
-    // natural (and unique) key.
-    std::sort(pending.begin(), pending.end(),
-              [](const TaggedEvent &a, const TaggedEvent &b) {
-                  return a.seq < b.seq;
-              });
-    s.u64(pending.size());
-    for (const TaggedEvent &ev : pending) {
-        s.u32(ev.tag.kind);
-        for (std::uint64_t a : ev.tag.arg)
-            s.u64(a);
-        s.u64(ev.when);
-        s.u64(ev.seq);
-        s.i64(ev.priority);
-    }
-}
-
-void
-restoreTaggedEvents(Deserializer &d, arch::MispSystem &sys)
-{
-    std::uint64_t count = d.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TaggedEvent ev;
-        ev.tag.kind = d.u32();
-        for (std::uint64_t &a : ev.tag.arg)
-            a = d.u64();
-        ev.when = d.u64();
-        ev.seq = d.u64();
-        ev.priority = d.i64();
-        checkEventSchedule(sys.eventQueue(), ev.when, ev.seq);
-        // Each tag kind is only ever scheduled at one priority; any
-        // other would silently reorder same-tick events.
-        auto expectPriority = [&](int live) {
-            if (ev.priority != live)
-                throw SnapError("image: event tag kind " +
-                                std::to_string(ev.tag.kind) +
-                                " has priority " +
-                                std::to_string(ev.priority) + ", not " +
-                                std::to_string(live));
-        };
-
-        switch (ev.tag.kind) {
-          case tag::kFabricSignal:
-          case tag::kFabricProxyReq: {
-            expectPriority(arch::SignalFabric::kDeliveryPrio);
-            int cpuId = static_cast<int>(ev.tag.arg[0]);
-            SequencerId sid = static_cast<SequencerId>(ev.tag.arg[1]);
-            arch::MispProcessor *proc = sys.processorForCpu(cpuId);
-            cpu::Sequencer *target = proc ? proc->sequencer(sid) : nullptr;
-            if (!target)
-                throw SnapError("image: signal delivery names an absent "
-                                "sequencer");
-            cpu::SignalPayload payload;
-            payload.eip = ev.tag.arg[2];
-            payload.esp = ev.tag.arg[3];
-            payload.arg = ev.tag.arg[4];
-            bool isProxy = ev.tag.kind == tag::kFabricProxyReq;
-            sys.eventQueue().restoreLambda(
-                ev.when, ev.seq,
-                isProxy ? "fabric.proxyReq" : "fabric.signal",
-                [target, payload, isProxy] {
-                    if (isProxy)
-                        target->deliverProxyRequest(payload);
-                    else
-                        target->deliverSignal(payload);
-                },
-                arch::SignalFabric::kDeliveryPrio, ev.tag);
-            break;
-          }
-          case tag::kKernelSleepWake:
-            expectPriority(os::Kernel::kSleepWakePrio);
-            sys.kernel().snapRestoreSleepWake(
-                static_cast<Tid>(ev.tag.arg[0]), ev.when, ev.seq);
-            break;
-          default:
-            throw SnapError("image: unknown event tag kind " +
-                            std::to_string(ev.tag.kind));
-        }
-    }
-}
-
 } // namespace
-
-// ---------------------------------------------------------------------
-// Quiescence
-// ---------------------------------------------------------------------
-
-bool
-snapshotReady(harness::Experiment &exp, std::string *why)
-{
-    arch::MispSystem &sys = exp.system();
-    for (unsigned p = 0; p < sys.numProcessors(); ++p) {
-        if (sys.processor(p).inRing0()) {
-            if (why)
-                *why = sys.processor(p).name() + " is inside a Ring-0 "
-                       "episode";
-            return false;
-        }
-    }
-    std::unordered_set<const Event *> claimed = claimedEvents(sys);
-    bool ready = true;
-    sys.eventQueue().forEachScheduled(
-        [&](const EventQueue::ScheduledInfo &info) {
-            if (claimed.count(info.ev) || info.tag)
-                return;
-            if (ready && why)
-                *why = "pending event '" + info.ev->name() +
-                       "' carries a closure";
-            ready = false;
-        });
-    return ready;
-}
-
-bool
-advanceToSnapshotPoint(harness::Experiment &exp, std::uint64_t maxEvents)
-{
-    EventQueue &eq = exp.system().eventQueue();
-    for (std::uint64_t i = 0; i < maxEvents; ++i) {
-        if (snapshotReady(exp))
-            return true;
-        if (!eq.step())
-            return false;
-    }
-    return snapshotReady(exp);
-}
 
 // ---------------------------------------------------------------------
 // Save
@@ -321,14 +168,9 @@ saveExperiment(harness::Experiment &exp, os::Process *target,
                std::uint64_t cfgHash, const std::string &label,
                std::string *imageOut, std::string *err)
 {
-    std::string why;
-    if (!snapshotReady(exp, &why)) {
-        if (err)
-            *err = "machine is not at a snapshot point: " + why;
-        return false;
-    }
     try {
         arch::MispSystem &sys = exp.system();
+        auditPendingEvents(sys);
         Serializer s;
 
         s.beginSection(kSecConfig);
@@ -363,10 +205,6 @@ saveExperiment(harness::Experiment &exp, os::Process *target,
             exp.shredRuntime()->snapSave(s);
         else
             exp.osRuntime()->snapSave(s);
-        s.endSection();
-
-        s.beginSection(kSecEvents);
-        saveTaggedEvents(s, sys);
         s.endSection();
 
         s.beginSection(kSecStats);
@@ -483,9 +321,6 @@ restoreExperiment(const std::string &image, RestoredExperiment *out,
             exp->shredRuntime()->snapRestore(d, sys);
         else
             exp->osRuntime()->snapRestore(d, sys);
-
-        d.openSection(kSecEvents);
-        restoreTaggedEvents(d, sys);
 
         d.openSection(kSecStats);
         restoreStatGroup(d, sys.rootStats());

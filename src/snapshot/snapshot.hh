@@ -17,12 +17,13 @@
  *           submitting RunRequest's hash, label
  *   PMEM    physical frames + allocator state
  *   KERNEL  processes (address spaces, page tables), threads,
- *           scheduler queues, futex/join queues, device-IRQ RNG
+ *           scheduler queues, futex/join queues, device-IRQ RNG,
+ *           pending sleep wakeups
  *   PROCS   per-processor state: sequencers (contexts, TLBs, pending
- *           signals, run-slice events), proxy queues, interrupt events
+ *           signals, run-slice events), proxy queues, interrupt events,
+ *           the Ring-0 episode in flight (phase, kernel work, kernel
+ *           result, phase event) and fabric deliveries in flight
  *   RT      runtime state (shred gangs / futex phase machines)
- *   EVENTS  pending tagged one-shot events (signal deliveries, sleep
- *           wakeups), each with its original queue insertion sequence
  *   STATS   the full statistics tree, by dotted path
  *
  * What it deliberately omits: decode caches, decoded-block references,
@@ -30,12 +31,11 @@
  * rebuild lazily with identical modeled cycles (only the host-side
  * decode-cache hit/miss instrumentation counters restart cold).
  *
- * Snapshot points. Ring-0 episode phases and serialization
- * suspend/resume actions capture arbitrary closures and cannot be
- * archived; snapshotReady() detects them and advanceToSnapshotPoint()
- * steps the event queue (typically a few hundred events) until the
- * machine is between episodes. Every other pending event is either a
- * component-owned member event or carries a rebuild tag.
+ * Snapshot points. Every pending event is a typed event whose owner
+ * archives it as data (a member event's schedule, or a pooled
+ * occurrence's fields plus its original queue insertion sequence), so
+ * a machine can be saved at any event boundary — mid-episode included.
+ * Saving fails closed if any pending event is claimed by no component.
  */
 
 #ifndef MISP_SNAPSHOT_SNAPSHOT_HH
@@ -60,25 +60,10 @@ struct SnapshotMeta {
 };
 
 /**
- * True when the machine can be archived right now: no processor is
- * inside a Ring-0 episode and every pending event is claimable (a
- * component member event or a tagged lambda). @p why, when non-null,
- * receives the first blocker's description.
- */
-bool snapshotReady(harness::Experiment &exp, std::string *why = nullptr);
-
-/**
- * Step the event queue until snapshotReady() holds. @return false if
- * the queue drained or @p maxEvents were processed first (a machine
- * that never quiesces is a bug — episodes are finite).
- */
-bool advanceToSnapshotPoint(harness::Experiment &exp,
-                            std::uint64_t maxEvents = 2'000'000);
-
-/**
- * Serialize @p exp (which must be snapshotReady()) into @p imageOut.
- * @p cfgHash and @p label are archived for restore-time validation.
- * Returns false + @p err on a non-quiescent machine.
+ * Serialize @p exp, at whatever event boundary it stands, into
+ * @p imageOut. @p cfgHash and @p label are archived for restore-time
+ * validation. Returns false + @p err if a pending event belongs to no
+ * component that archives it.
  */
 bool saveExperiment(harness::Experiment &exp, os::Process *target,
                     std::uint64_t cfgHash, const std::string &label,

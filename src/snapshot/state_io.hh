@@ -10,6 +10,8 @@
 #ifndef MISP_SNAPSHOT_STATE_IO_HH
 #define MISP_SNAPSHOT_STATE_IO_HH
 
+#include <string>
+
 #include "cpu/sequencer.hh"
 #include "mem/paging.hh"
 #include "sim/event_queue.hh"
@@ -28,14 +30,21 @@ putEventSchedule(Serializer &s, const Event *ev)
     }
 }
 
-/** Validate an archived (when, seq) against the restored clock — a
- *  hostile image must become a SnapError here, not a queue panic. */
+/** Validate an archived (when, seq) of @p what against the restored
+ *  clock — a hostile image must become a SnapError naming the field,
+ *  not a queue panic. */
 inline void
-checkEventSchedule(const EventQueue &eq, Tick when, std::uint64_t seq)
+checkEventSchedule(const EventQueue &eq, Tick when, std::uint64_t seq,
+                   const std::string &what)
 {
-    if (when < eq.curTick() || seq >= eq.nextSeq())
-        throw SnapError("image: pending event is inconsistent with the "
-                        "restored clock");
+    if (when < eq.curTick())
+        throw SnapError("image: " + what + " when " +
+                        std::to_string(when) + " precedes the saved tick " +
+                        std::to_string(eq.curTick()));
+    if (seq >= eq.nextSeq())
+        throw SnapError("image: " + what + " seq " + std::to_string(seq) +
+                        " is not below the saved next seq " +
+                        std::to_string(eq.nextSeq()));
 }
 
 /** Re-enqueue one pending member event archived by putEventSchedule. */
@@ -45,9 +54,43 @@ getEventSchedule(Deserializer &d, EventQueue &eq, Event *ev)
     if (d.b()) {
         Tick when = d.u64();
         std::uint64_t seq = d.u64();
-        checkEventSchedule(eq, when, seq);
+        checkEventSchedule(eq, when, seq, "event '" + ev->name() + "'");
         eq.restoreSchedule(ev, when, seq);
     }
+}
+
+/** Archive a pending pooled occurrence's (when, seq, priority). */
+inline void
+putPending(Serializer &s, const Event *ev)
+{
+    s.u64(ev->when());
+    s.u64(ev->seq());
+    s.i64(ev->priority());
+}
+
+/** A pooled occurrence's schedule, read back by getPending. */
+struct Pending {
+    Tick when = 0;
+    std::uint64_t seq = 0;
+};
+
+/** Read a putPending record for an occurrence of @p what, which is
+ *  only ever scheduled at @p priority: any other would silently
+ *  reorder same-tick events. */
+inline Pending
+getPending(Deserializer &d, const EventQueue &eq, int priority,
+           const std::string &what)
+{
+    Pending at;
+    at.when = d.u64();
+    at.seq = d.u64();
+    const std::int64_t prio = d.i64();
+    if (prio != priority)
+        throw SnapError("image: " + what + " has priority " +
+                        std::to_string(prio) + ", not " +
+                        std::to_string(priority));
+    checkEventSchedule(eq, at.when, at.seq, what);
+    return at;
 }
 
 inline void

@@ -234,20 +234,104 @@ TEST(EventQueue, LambdasAreFreedWhenTheyRun)
     EXPECT_EQ(eq.size(), 0u);
 }
 
-TEST(EventQueue, PendingAndRestoredLambdasAreFreedAtDestruction)
+TEST(EventQueue, PendingLambdasAreFreedAtDestruction)
 {
     auto token = std::make_shared<int>(0);
     {
         EventQueue eq;
         eq.setClock(10, 5, 0);
-        eq.scheduleLambda(20, "pending", [token] {});
-        eq.restoreLambda(30, 3, "restored", [token] {},
-                         Event::kPrioDefault, EventTag{});
-        eq.step(); // runs (and frees) the pending one
+        eq.scheduleLambda(20, "first", [token] {});
+        eq.scheduleLambda(30, "second", [token] {});
+        eq.step(); // runs (and frees) the first one
         EXPECT_EQ(eq.numOwned(), 1u);
         EXPECT_EQ(token.use_count(), 2);
     }
     EXPECT_EQ(token.use_count(), 1);
+}
+
+namespace {
+
+/** A pooled occurrence: appends its value to a log, then frees
+ *  itself back to its pool. */
+class PooledEvent final : public Event
+{
+  public:
+    PooledEvent(EventPool<PooledEvent> &pool, std::vector<int> &log)
+        : Event("pooled"), pool_(pool), log_(log)
+    {}
+
+    void
+    process() override
+    {
+        log_.push_back(value);
+        pool_.release(this);
+    }
+
+    int value = 0;
+
+  private:
+    EventPool<PooledEvent> &pool_;
+    std::vector<int> &log_;
+};
+
+struct Counter {
+    int hits = 0;
+    void hit() { ++hits; }
+};
+
+} // namespace
+
+TEST(EventPool, OccurrencesKeepTheirOwnEntriesAndReuseEvents)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    EventPool<PooledEvent> pool(eq);
+    auto send = [&](Tick when, int value) {
+        PooledEvent *ev = pool.acquire(pool, log);
+        ev->value = value;
+        eq.schedule(ev, when);
+        return ev;
+    };
+    // Same tick, same priority: insertion order, one entry each.
+    PooledEvent *a = send(10, 1);
+    PooledEvent *b = send(10, 2);
+    send(5, 3);
+    ASSERT_EQ(pool.pending().size(), 3u);
+    EXPECT_EQ(pool.pending()[0], a); // oldest sequence number first
+    EXPECT_EQ(pool.pending()[1], b);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{3, 1, 2}));
+    EXPECT_TRUE(pool.pending().empty());
+    // A freed event is handed out again instead of a new one.
+    EXPECT_EQ(send(20, 4), b);
+    std::size_t events = 0;
+    pool.forEach([&events](const Event *) { ++events; });
+    EXPECT_EQ(events, 3u);
+}
+
+TEST(EventPool, DestructionDetachesPendingOccurrences)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    {
+        EventPool<PooledEvent> pool(eq);
+        eq.schedule(pool.acquire(pool, log), 10);
+    } // would abort in Event::~Event if still scheduled
+    EXPECT_TRUE(eq.empty());
+    eq.run();
+    EXPECT_TRUE(log.empty());
+}
+
+TEST(EventPool, MemberEventCallsItsOwner)
+{
+    EventQueue eq;
+    Counter counter;
+    MemberEvent<Counter, &Counter::hit> ev(counter, "hit");
+    eq.schedule(&ev, 3);
+    eq.run();
+    eq.schedule(&ev, 7);
+    eq.run();
+    EXPECT_EQ(counter.hits, 2);
 }
 
 namespace {

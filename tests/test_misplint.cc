@@ -159,21 +159,21 @@ TEST(MisplintFixtures, SnapshotCompleteness)
     EXPECT_EQ(findingsIn("src/mem/missing_member.hh"), expected);
 }
 
-TEST(MisplintFixtures, TagCodecPairing)
+TEST(MisplintFixtures, ClosureEvents)
 {
     std::vector<Key> expected = {
-        {"src/snapshot/tags.hh", 9, "snap-tag-codec", "kNoCodec"},
-        {"src/snapshot/tags.hh", 10, "snap-tag-codec", "kNoProducer"},
-        {"src/snapshot/tags.hh", 11, "snap-tag-codec", "kDupValue"},
+        {"src/misp/closure_event.cc", 9, "snap-closure-event",
+         "scheduleLambda"},
+        {"src/misp/closure_event.cc", 14, "snap-closure-event",
+         "LambdaEvent"},
     };
-    EXPECT_EQ(findingsIn("src/snapshot/tags.hh"), expected);
+    EXPECT_EQ(findingsIn("src/misp/closure_event.cc"), expected);
 }
 
 TEST(MisplintFixtures, CleanFilesStayClean)
 {
     EXPECT_TRUE(findingsIn("src/sim/clean.cc").empty());
     EXPECT_TRUE(findingsIn("src/mem/annotated_derived.hh").empty());
-    EXPECT_TRUE(findingsIn("src/snapshot/snapshot.cc").empty());
 }
 
 TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
@@ -184,7 +184,7 @@ TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
     for (const char *file :
          {"src/sim/banned_rand.cc", "src/sim/unordered_emit.cc",
           "src/mem/bad_layering.cc", "src/mem/missing_member.hh",
-          "src/snapshot/tags.hh", "src/driver/host_clock.cc",
+          "src/misp/closure_event.cc", "src/driver/host_clock.cc",
           "src/os/bad_obs_include.cc", "src/obs/trace_rand.cc"})
         total += static_cast<int>(findingsIn(file).size());
     EXPECT_EQ(static_cast<int>(fixtureReport().findings.size()),
@@ -194,7 +194,7 @@ TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
 TEST(MisplintFixtures, ReportCounters)
 {
     const Report &r = fixtureReport();
-    EXPECT_EQ(r.filesScanned, 12);
+    EXPECT_EQ(r.filesScanned, 11);
     // Widget (missing_member.hh) and Cache (annotated_derived.hh).
     EXPECT_EQ(r.saveableClasses, 2);
     std::vector<std::string> names = r.saveableNames;
@@ -247,13 +247,13 @@ TEST(MisplintSelfScan, CoverageDidNotCollapse)
     for (const char *cls :
          {"AddressSpace", "Kernel", "MispProcessor", "Mmu",
           "OsApiRuntime", "PageTable", "PhysicalMemory", "Sequencer",
-          "ShredRuntime", "Tlb"})
+          "ShredRuntime", "SignalFabric", "Tlb"})
         EXPECT_NE(std::find(r.saveableNames.begin(),
                             r.saveableNames.end(), cls),
                   r.saveableNames.end())
             << cls << " fell out of snapshot-completeness coverage";
 
-    EXPECT_GE(r.saveableClasses, 10);
+    EXPECT_GE(r.saveableClasses, 11);
     EXPECT_GE(r.membersChecked, 100);
     EXPECT_GT(r.filesScanned, 50);
 }

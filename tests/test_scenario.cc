@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "driver/runner.hh"
@@ -568,6 +569,45 @@ TEST(RunnerEquivalence, EveryEngineIsBitIdentical)
         EXPECT_EQ(base[0].run.events, leg[0].run.events)
             << cpu::engineName(engine);
     }
+}
+
+// ---------------------------------------------------------------------
+// Regression specs (tests/regress/)
+// ---------------------------------------------------------------------
+
+TEST(Regression, Ring0ReentrySeedsCompleteAndValidate)
+{
+    // Seeds 2 and 7 of the checked-in spec raise exit_process on the
+    // OMS while a timer episode is in flight; the request is held and
+    // serviced at Ring-0 exit instead of tripping a re-entry panic.
+    std::ifstream in(std::string(MISP_SOURCE_ROOT) +
+                     "/tests/regress/ring0_reentry.scn");
+    ASSERT_TRUE(in) << "tests/regress/ring0_reentry.scn not found";
+    std::stringstream text;
+    text << in.rdbuf();
+    Scenario sc = mustScenario(text.str());
+    std::vector<ScenarioPoint> all, pts;
+    std::string err;
+    ASSERT_TRUE(sc.expandPoints(false, &all, &err)) << err;
+    ASSERT_EQ(all.size(), 40u);
+    for (const ScenarioPoint &pt : all)
+        if (pt.coords[0].second == "2" || pt.coords[0].second == "7")
+            pts.push_back(pt);
+    ASSERT_EQ(pts.size(), 2u);
+
+    ScenarioRunner::Options opts;
+    opts.hostLines = false;
+    std::vector<PointResult> results = ScenarioRunner(opts).runAll(sc, pts);
+    ASSERT_EQ(results.size(), 2u);
+    for (const PointResult &r : results) {
+        EXPECT_EQ(r.run.status, harness::RunStatus::Completed)
+            << r.run.note;
+        EXPECT_TRUE(r.run.valid);
+    }
+    const harness::MetricFrame frame = buildMetricFrame(sc, results);
+    EXPECT_EQ(describePoint(frame.row(1)),
+              "machine=misp3 workload=ADAt competitors=0 "
+              "machine.kernel_seed=7");
 }
 
 // ---------------------------------------------------------------------

@@ -4,24 +4,27 @@
  * machine-state image (warmup -> save -> restore -> run == the
  * uninterrupted run), the coherence edges the image must carry
  * faithfully (in-flight SIGNAL deliveries, TLB shootdowns, squashed
- * event-queue entries), fail-closed behavior on corrupted images, and
- * the serialization container itself.
+ * event-queue entries, saves in the middle of a Ring-0 episode),
+ * fail-closed behavior on corrupted and CRC-valid-but-bogus images,
+ * and the serialization container itself.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include "driver/runner.hh"
 #include "harness/bare_machine.hh"
 #include "harness/run_record.hh"
+#include "isa/assembler.hh"
 #include "misp/signal_fabric.hh"
 #include "os/kernel.hh"
 #include "sim/logging.hh"
 #include "snapshot/snapshot.hh"
 #include "snapshot/state_io.hh"
-#include "snapshot/tags.hh"
 
 using namespace misp;
 
@@ -363,6 +366,27 @@ TEST(Snapshot, SequencerRestoreRejectsCrcValidGarbage)
                  snap::SnapError);
 }
 
+namespace {
+
+/** The rest of a processor section after its proxy queue, for a
+ *  processor between episodes with nothing in flight: unscheduled
+ *  timer and device events, an Idle Ring-0 phase, no held request, no
+ *  fabric deliveries, then its sequencers' own images. */
+void
+writeProcTail(snap::Serializer &s, arch::MispProcessor &mp)
+{
+    s.b(false); // timer event
+    s.b(false); // device-IRQ event
+    s.u8(0);    // Ring-0 phase: Idle
+    s.b(false); // Ring-0 phase event
+    s.b(false); // no held request
+    s.u64(0);   // no fabric deliveries
+    for (SequencerId sid = 0; mp.sequencer(sid); ++sid)
+        mp.sequencer(sid)->snapSave(s);
+}
+
+} // namespace
+
 TEST(Snapshot, ProcessorRestoreRejectsFaultsNeverProxied)
 {
     // A CRC-valid processor section whose proxy queue holds a request
@@ -384,10 +408,7 @@ TEST(Snapshot, ProcessorRestoreRejectsFaultsNeverProxied)
         s.u64(0);
         snap::putContext(s, mp.amsAt(0).context());
         s.u64(0);
-        snap::putEventSchedule(s, mp.snapTimerEvent());
-        snap::putEventSchedule(s, mp.snapDeviceEvent());
-        mp.sequencer(0)->snapSave(s);
-        mp.amsAt(0).snapSave(s);
+        writeProcTail(s, mp);
         s.endSection();
         snap::Deserializer d(s.done());
         d.openSection(1);
@@ -433,37 +454,37 @@ TEST(Snapshot, WarmupPastCompletionFailsClosed)
 
 namespace {
 
-/** Drive an experiment to @p warmupTicks + the next snapshot point,
- *  save, and hand back both the running experiment and the image. */
+/** A run split at an event boundary: the machine that keeps going,
+ *  and the image saved there. */
 struct SplitRun {
     std::unique_ptr<harness::Experiment> exp;
     harness::LoadedProcess proc;
     std::string image;
 };
 
+using Ready = std::function<bool(harness::Experiment &)>;
+
+/** Run @p app on @p req's machine to @p warmupTicks, step event by
+ *  event until @p ready holds (the edge the test wants in flight), and
+ *  save exactly there. */
 SplitRun
-warmUpAndSave(const harness::RunRequest &req, Tick warmupTicks,
-              bool (*ready)(harness::Experiment &))
+warmUpAndSave(const harness::RunRequest &req, const harness::GuestApp &app,
+              Tick warmupTicks, const Ready &ready)
 {
     SplitRun out;
-    const wl::WorkloadInfo *info = wl::findWorkload(req.target.name);
-    EXPECT_NE(info, nullptr);
-    wl::Workload w = info->build(req.target.params);
     out.exp = std::make_unique<harness::Experiment>(req.config,
                                                     req.backend);
-    out.proc = out.exp->load(w.app);
+    out.proc = out.exp->load(app);
     out.exp->system().start();
     out.exp->system().run(warmupTicks);
-    // Step to a snapshot point that also satisfies the edge the test
-    // wants in flight.
     EventQueue &eq = out.exp->system().eventQueue();
-    for (std::uint64_t guard = 0; guard < 2'000'000; ++guard) {
-        if (snap::snapshotReady(*out.exp) && ready(*out.exp))
-            break;
+    bool found = ready(*out.exp);
+    for (std::uint64_t guard = 0; !found && guard < 2'000'000; ++guard) {
         if (!eq.step())
             break;
+        found = ready(*out.exp);
     }
-    EXPECT_TRUE(snap::snapshotReady(*out.exp));
+    EXPECT_TRUE(found) << "the state under test never arose";
     std::string err;
     EXPECT_TRUE(snap::saveExperiment(*out.exp, out.proc.process, 0, "t",
                                      &out.image, &err))
@@ -471,16 +492,35 @@ warmUpAndSave(const harness::RunRequest &req, Tick warmupTicks,
     return out;
 }
 
+SplitRun
+warmUpAndSave(const harness::RunRequest &req, Tick warmupTicks,
+              const Ready &ready)
+{
+    const wl::WorkloadInfo *info = wl::findWorkload(req.target.name);
+    EXPECT_NE(info, nullptr);
+    return warmUpAndSave(req, info->build(req.target.params).app,
+                         warmupTicks, ready);
+}
+
+std::size_t
+inFlight(harness::Experiment &exp, arch::SignalFabric::Delivery kind)
+{
+    return exp.system().processor(0).fabric().inFlight(kind);
+}
+
 bool
 signalInFlight(harness::Experiment &exp)
 {
-    bool found = false;
-    exp.system().eventQueue().forEachScheduled(
-        [&](const EventQueue::ScheduledInfo &info) {
-            found = found || (info.tag && info.tag->kind != 0 &&
-                              info.ev->name() == "fabric.signal");
-        });
-    return found;
+    return inFlight(exp, arch::SignalFabric::Delivery::Signal) > 0;
+}
+
+bool
+sleepWakePending(harness::Experiment &exp)
+{
+    bool pending = false;
+    exp.system().kernel().forEachEvent(
+        [&pending](const Event *ev) { pending = pending || ev->scheduled(); });
+    return pending;
 }
 
 Tick
@@ -489,6 +529,138 @@ finishTo(harness::Experiment &exp, os::Process *target)
     harness::RunOutcome out = exp.resumeToCompletion(target);
     EXPECT_TRUE(out.completed());
     return out.ticks;
+}
+
+/** Where two images first differ: the section and the payload offset
+ *  in it. Layout: header magic(8) version(4) count(4), an index entry
+ *  id(4) crc(4) size(8) per section, then the payloads in index
+ *  order. */
+std::string
+firstDifference(const std::string &a, const std::string &b)
+{
+    auto le = [](const std::string &s, std::size_t at, unsigned n) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < n; ++i)
+            v |= std::uint64_t(std::uint8_t(s[at + i])) << (8 * i);
+        return v;
+    };
+    if (a.size() < 16 || b.size() < 16 || le(a, 12, 4) != le(b, 12, 4))
+        return "different headers";
+    const std::uint64_t sections = le(a, 12, 4);
+    std::size_t pa = 16 + 16 * sections, pb = pa;
+    for (std::uint64_t i = 0; i < sections; ++i) {
+        const std::size_t entry = 16 + 16 * i;
+        const std::uint64_t sa = le(a, entry + 8, 8);
+        const std::uint64_t sb = le(b, entry + 8, 8);
+        std::size_t k = 0;
+        while (k < sa && k < sb && a[pa + k] == b[pb + k])
+            ++k;
+        if (sa != sb || k < sa)
+            return "section " + std::to_string(le(a, entry, 4)) +
+                   " (sizes " + std::to_string(sa) + " vs " +
+                   std::to_string(sb) + ") at payload byte " +
+                   std::to_string(k);
+        pa += sa;
+        pb += sb;
+    }
+    return "no difference";
+}
+
+/** Finish the direct run and a restore of its image under @p engine,
+ *  and require them bit-identical: the same completion tick, and the
+ *  same machine — every archived byte, statistics included — where
+ *  both stop. */
+void
+expectRestoreFinishesIdentically(SplitRun &split, cpu::Engine engine)
+{
+    snap::RestoredExperiment restored;
+    std::string err;
+    ASSERT_TRUE(snap::restoreExperiment(split.image, &restored, &err))
+        << err;
+    restored.exp->system().setEngine(engine);
+    const Tick direct = finishTo(*split.exp, split.proc.process);
+    const Tick resumed = finishTo(*restored.exp, restored.target);
+    EXPECT_EQ(direct, resumed);
+
+    std::string endDirect, endResumed;
+    ASSERT_TRUE(snap::saveExperiment(*split.exp, split.proc.process, 0,
+                                     "t", &endDirect, &err))
+        << err;
+    ASSERT_TRUE(snap::saveExperiment(*restored.exp, restored.target, 0,
+                                     "t", &endResumed, &err))
+        << err;
+    EXPECT_TRUE(endDirect == endResumed)
+        << "machines diverged after restore (engine "
+        << cpu::engineName(engine) << "): "
+        << firstDifference(endDirect, endResumed);
+}
+
+/** Save where @p ready first holds after @p warmupTicks, under each
+ *  engine, and check the restored run against the direct one. */
+void
+roundTripAt(const harness::RunRequest &base, const harness::GuestApp &app,
+            Tick warmupTicks, const Ready &ready)
+{
+    for (cpu::Engine engine :
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
+        SCOPED_TRACE(cpu::engineName(engine));
+        harness::RunRequest req = base;
+        req.config.misp.engine = engine;
+        SplitRun split = warmUpAndSave(req, app, warmupTicks, ready);
+        expectRestoreFinishesIdentically(split, engine);
+    }
+}
+
+void
+roundTripAt(const harness::RunRequest &req, Tick warmupTicks,
+            const Ready &ready)
+{
+    const wl::WorkloadInfo *info = wl::findWorkload(req.target.name);
+    ASSERT_NE(info, nullptr);
+    roundTripAt(req, info->build(req.target.params).app, warmupTicks,
+                ready);
+}
+
+/** The naive Open Dynamics Engine port (examples/mixed_io.cpp), cut
+ *  down: the shredded main thread blocks in Sys::Sleep between compute
+ *  phases, so sleep wakeups, Ring-0 episodes and proxy traffic
+ *  interleave. */
+harness::GuestApp
+sleepyShreds()
+{
+    harness::GuestApp app;
+    app.name = "sleepy_shreds";
+    app.program = isa::assemble(R"(
+        main:
+            call 0x600000       ; rt_init
+            movi r8, 0
+        phases:
+            movi r0, 400000
+            syscall 5           ; Sys::Sleep: the OS thread blocks
+            movi r4, 0
+        mkshreds:
+            movi r0, crunch
+            mov r1, r4
+            call 0x600200       ; shred_create
+            addi r4, r4, 1
+            cmpi r4, 3
+            jcc.lt mkshreds
+            call 0x600280       ; join_all
+            addi r8, r8, 1
+            cmpi r8, 3
+            jcc.lt phases
+            movi r0, 0
+            call 0x600A00       ; exit_process
+        crunch:
+            movi r5, 0
+        crunchloop:
+            compute 1900
+            addi r5, r5, 1
+            cmpi r5, 400
+            jcc.lt crunchloop
+            ret
+    )", mem::kCodeBase);
+    return app;
 }
 
 } // namespace
@@ -507,11 +679,108 @@ TEST(Snapshot, SaveAcrossInFlightSignalDelivery)
     ASSERT_TRUE(snap::restoreExperiment(split.image, &restored, &err))
         << err;
     ASSERT_TRUE(signalInFlight(*restored.exp));
-
-    Tick direct = finishTo(*split.exp, split.proc.process);
-    Tick resumed = finishTo(*restored.exp, restored.target);
-    EXPECT_EQ(direct, resumed);
+    expectRestoreFinishesIdentically(split, req.config.misp.engine);
 }
+
+// ---------------------------------------------------------------------
+// Saves in the middle of a Ring-0 episode
+// ---------------------------------------------------------------------
+
+TEST(Snapshot, MidEpisodeWithSuspendsInFlight)
+{
+    // The handshake phase: the OMS is in Ring 0 and the suspend
+    // signals to the AMSs have not arrived yet.
+    roundTripAt(smallRequest(), 2'000'000, [](harness::Experiment &exp) {
+        return exp.system().processor(0).inRing0() &&
+               inFlight(exp, arch::SignalFabric::Delivery::Suspend) > 0;
+    });
+}
+
+TEST(Snapshot, MidEpisodeAfterTheKernelWork)
+{
+    // The kernel phase: the suspends arrived, the kernel work ran and
+    // its result is held until Ring 3 returns.
+    roundTripAt(smallRequest(), 2'000'000, [](harness::Experiment &exp) {
+        arch::MispProcessor &mp = exp.system().processor(0);
+        return mp.inRing0() &&
+               inFlight(exp, arch::SignalFabric::Delivery::Suspend) == 0 &&
+               mp.amsAt(0).state() == cpu::SeqState::Suspended;
+    });
+}
+
+TEST(Snapshot, ResumesInFlight)
+{
+    roundTripAt(smallRequest(), 2'000'000, [](harness::Experiment &exp) {
+        return inFlight(exp, arch::SignalFabric::Delivery::Resume) > 0;
+    });
+}
+
+TEST(Snapshot, ProxyDoneInFlight)
+{
+    // A proxied fault was serviced; the AMS's patched context is
+    // still on its way back.
+    roundTripAt(smallRequest(), 1'000'000, [](harness::Experiment &exp) {
+        return inFlight(exp, arch::SignalFabric::Delivery::ProxyDone) > 0;
+    });
+}
+
+TEST(Snapshot, MidEpisodeWithASleepWakePending)
+{
+    // A sleeping OS thread's wakeup is pending while a Ring-0 episode
+    // is in flight.
+    harness::RunRequest req = smallRequest();
+    roundTripAt(req, sleepyShreds(), 100'000,
+                [](harness::Experiment &exp) {
+                    return sleepWakePending(exp) &&
+                           exp.system().processor(0).inRing0();
+                });
+}
+
+TEST(Snapshot, SleepWakeRoundTripUnderTheOsBackend)
+{
+    harness::RunRequest req = smallRequest();
+    req.config = arch::SystemConfig::mp({0, 0});
+    req.config.physFrames = 1 << 16;
+    req.backend = rt::Backend::OsThread;
+    roundTripAt(req, sleepyShreds(), 100'000, sleepWakePending);
+}
+
+TEST(Snapshot, SaveLegArchivesTheExactWarmupTick)
+{
+    // No stepping to a "snapshot point": the image holds the machine
+    // as run(warmup_ticks) left it, and nothing past that tick ran.
+    const std::string image = tempPath("snapshot_exact.misnap");
+    harness::RunRequest save = smallRequest();
+    save.snapshotOut = image;
+    save.warmupTicks = 3'000'000;
+    ASSERT_TRUE(harness::runOne(save).ok());
+    std::string bytes, err;
+    ASSERT_TRUE(snap::readFileBytes(image, &bytes, &err)) << err;
+    snap::SnapshotMeta meta;
+    ASSERT_TRUE(snap::readSnapshotMeta(bytes, &meta, &err)) << err;
+    EXPECT_LE(meta.savedTick, save.warmupTicks);
+    EXPECT_GT(meta.savedTick, save.warmupTicks - 100'000);
+    std::remove(image.c_str());
+}
+
+TEST(Snapshot, SaveRefusesAnEventNoComponentArchives)
+{
+    harness::RunRequest req = smallRequest();
+    SplitRun split =
+        warmUpAndSave(req, 1'000'000, [](harness::Experiment &) {
+            return true;
+        });
+    split.exp->system().eventQueue().scheduleLambda(
+        split.exp->system().eventQueue().curTick() + 10, "stray", [] {});
+    std::string image, err;
+    EXPECT_FALSE(snap::saveExperiment(*split.exp, split.proc.process, 0,
+                                      "t", &image, &err));
+    EXPECT_NE(err.find("'stray'"), std::string::npos) << err;
+}
+
+// ---------------------------------------------------------------------
+// CRC-valid images with bogus records
+// ---------------------------------------------------------------------
 
 namespace {
 
@@ -531,92 +800,349 @@ putLE(std::string &b, std::size_t at, unsigned bytes, std::uint64_t v)
         b[at + i] = static_cast<char>(v >> (8 * i));
 }
 
-/** A copy of @p image whose first pending fabric signal delivery is
- *  rewritten to @p priority — and, for any other @p kind, to that tag
- *  kind with first argument @p arg0 — with the events section's CRC
- *  recomputed so only the restore's own checks can object. Layout:
- *  header magic(8) version(4) count(4), an index entry id(4) crc(4)
- *  size(8) per section, then the payloads in index order. The events
- *  section (id 7) is a u64 count of (kind u32, 5 args u64, when u64,
- *  seq u64, priority i64) records. */
 std::string
-withTaggedEvent(std::string image, std::int64_t priority,
-                std::uint32_t kind = snap::tag::kFabricSignal,
-                std::uint64_t arg0 = 0)
+le64(std::uint64_t v)
 {
-    constexpr std::uint32_t kSecEvents = 7;
+    std::string b(8, '\0');
+    putLE(b, 0, 8, v);
+    return b;
+}
+
+/** A copy of @p image whose pending occurrence (when @p when, seq
+ *  @p seq, archived priority @p live) in section @p section carries
+ *  @p priority instead, with that section's CRC recomputed so only the
+ *  restore's own checks can object. Layout: header magic(8) version(4)
+ *  count(4), an index entry id(4) crc(4) size(8) per section, then the
+ *  payloads in index order; a pending occurrence ends with its
+ *  (when u64, seq u64, priority i64). */
+std::string
+withPriority(std::string image, std::uint32_t section, Tick when,
+             std::uint64_t seq, std::int64_t live, std::int64_t priority)
+{
+    const std::string needle =
+        le64(when) + le64(seq) + le64(std::uint64_t(live));
     const std::uint64_t sections = getLE(image, 12, 4);
     std::size_t payload = 16 + 16 * sections;
     for (std::uint64_t i = 0; i < sections; ++i) {
         const std::size_t entry = 16 + 16 * i;
         const std::uint64_t size = getLE(image, entry + 8, 8);
-        if (getLE(image, entry, 4) == kSecEvents) {
-            const std::uint64_t events = getLE(image, payload, 8);
-            for (std::uint64_t e = 0; e < events; ++e) {
-                const std::size_t rec = payload + 8 + 68 * e;
-                if (getLE(image, rec, 4) != snap::tag::kFabricSignal)
-                    continue;
-                if (kind != snap::tag::kFabricSignal) {
-                    putLE(image, rec, 4, kind);
-                    putLE(image, rec + 4, 8, arg0);
-                }
-                putLE(image, rec + 60, 8, std::uint64_t(priority));
-                putLE(image, entry + 4, 4,
-                      snap::crc32(image.data() + payload, size));
+        if (getLE(image, entry, 4) == section) {
+            const std::size_t at = image.find(needle, payload);
+            if (at == std::string::npos || at + 24 > payload + size) {
+                ADD_FAILURE() << "occurrence not found in section "
+                              << section;
                 return image;
             }
-            ADD_FAILURE() << "no fabric signal in the events section";
+            putLE(image, at + 16, 8, std::uint64_t(priority));
+            putLE(image, entry + 4, 4,
+                  snap::crc32(image.data() + payload, size));
             return image;
         }
         payload += size;
     }
-    ADD_FAILURE() << "no events section";
+    ADD_FAILURE() << "no section " << section;
     return image;
+}
+
+/** The oldest pending event named @p name. */
+const Event *
+oldestPending(harness::Experiment &exp, const std::string &name)
+{
+    const Event *found = nullptr;
+    exp.system().eventQueue().forEachScheduled(
+        [&](const EventQueue::ScheduledInfo &info) {
+            if (info.ev->name() == name &&
+                (!found || info.seq < found->seq()))
+                found = info.ev;
+        });
+    return found;
+}
+
+bool
+restores(const std::string &image, std::string *err)
+{
+    snap::RestoredExperiment restored;
+    err->clear();
+    return snap::restoreExperiment(image, &restored, err);
+}
+
+constexpr std::uint32_t kSecKernel = 4;
+constexpr std::uint32_t kSecProcs = 5;
+
+} // namespace
+
+TEST(Snapshot, RestoreRejectsDeliveryAndSleepWakePriority)
+{
+    // A real image with a signal delivery in flight. Each pending
+    // occurrence is only ever scheduled at one priority; a CRC-valid
+    // image carrying any other must fail closed, including one that
+    // narrowing to int would have turned back into the live value.
+    harness::RunRequest req = smallRequest();
+    SplitRun split = warmUpAndSave(req, 2'000'000, signalInFlight);
+    const Event *delivery = oldestPending(*split.exp, "fabric.delivery");
+    ASSERT_NE(delivery, nullptr);
+    auto deliveryAt = [&](std::int64_t prio) {
+        return withPriority(split.image, kSecProcs, delivery->when(),
+                            delivery->seq(),
+                            arch::SignalFabric::kDeliveryPrio, prio);
+    };
+    std::string err;
+    EXPECT_TRUE(restores(deliveryAt(arch::SignalFabric::kDeliveryPrio),
+                         &err))
+        << err;
+    const std::int64_t bogus[] = {std::int64_t(Event::kPrioDefault),
+                                  std::int64_t(Event::kPrioCpu),
+                                  std::int64_t(-1), std::int64_t(1) << 32,
+                                  INT64_MIN};
+    for (std::int64_t prio : bogus) {
+        EXPECT_FALSE(restores(deliveryAt(prio), &err)) << prio;
+        EXPECT_NE(err.find("fabric delivery has priority"),
+                  std::string::npos)
+            << err;
+    }
+
+    // A sleep wakeup: accepted at the kernel's priority only.
+    SplitRun sleepy =
+        warmUpAndSave(req, sleepyShreds(), 100'000, sleepWakePending);
+    const Event *wake = oldestPending(*sleepy.exp, "kernel.sleepWake");
+    ASSERT_NE(wake, nullptr);
+    auto wakeAt = [&](std::int64_t prio) {
+        return withPriority(sleepy.image, kSecKernel, wake->when(),
+                            wake->seq(), os::Kernel::kSleepWakePrio, prio);
+    };
+    EXPECT_TRUE(restores(wakeAt(os::Kernel::kSleepWakePrio), &err)) << err;
+    EXPECT_FALSE(restores(wakeAt(arch::SignalFabric::kDeliveryPrio), &err));
+    EXPECT_NE(err.find("kernel sleep wakeup has priority"),
+              std::string::npos)
+        << err;
+    for (std::int64_t prio : bogus) {
+        if (prio == os::Kernel::kSleepWakePrio)
+            continue;
+        EXPECT_FALSE(restores(wakeAt(prio), &err)) << prio;
+        EXPECT_NE(err.find("kernel sleep wakeup has priority"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+namespace {
+
+/** Record bytes, little-endian, laid out as snap::Serializer writes
+ *  them. */
+struct Bytes {
+    std::string b;
+
+    Bytes &
+    u8(std::uint8_t v)
+    {
+        b.push_back(static_cast<char>(v));
+        return *this;
+    }
+    Bytes &
+    u32(std::uint32_t v)
+    {
+        for (int i = 0; i < 4; ++i)
+            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+        return *this;
+    }
+    Bytes &
+    u64(std::uint64_t v)
+    {
+        b += le64(v);
+        return *this;
+    }
+};
+
+/**
+ * A real image saved with processor 0 between episodes and nothing in
+ * flight, so its PROCS section holds, after the proxy queue and the
+ * interrupt events, an Idle Ring-0 record (phase 0, no phase event, no
+ * held request) and an empty fabric record. with() splices other
+ * records in their place and re-seals the section (size and CRC), so
+ * only the restore's own checks can object.
+ */
+struct ProcSplice {
+    std::string image;
+    Tick savedTick = 0;
+    std::uint64_t nextSeq = 0;
+    std::size_t entry = 0;   ///< PROCS index entry
+    std::size_t payload = 0; ///< PROCS payload start
+    std::size_t records = 0; ///< Ring-0 record, from payload start
+
+    static constexpr std::size_t kIdleBytes = 3 + 8;
+
+    std::string
+    with(const std::string &episode, const std::string &fabric) const
+    {
+        std::string out = image;
+        const std::size_t at = payload + records;
+        out.replace(at, kIdleBytes, episode + fabric);
+        const std::uint64_t size = getLE(out, entry + 8, 8) + episode.size() +
+                                   fabric.size() - kIdleBytes;
+        putLE(out, entry + 8, 8, size);
+        putLE(out, entry + 4, 4, snap::crc32(out.data() + payload, size));
+        return out;
+    }
+};
+
+ProcSplice
+idleProcessorImage()
+{
+    ProcSplice out;
+    SplitRun split =
+        warmUpAndSave(smallRequest(), 2'000'000,
+                      [](harness::Experiment &exp) {
+                          arch::MispProcessor &mp = exp.system().processor(0);
+                          std::size_t deliveries = 0;
+                          for (int k = 0; k < 5; ++k)
+                              deliveries += inFlight(
+                                  exp, arch::SignalFabric::Delivery(k));
+                          return !mp.inRing0() && !mp.proxyInFlight() &&
+                                 deliveries == 0;
+                      });
+    out.image = split.image;
+    EventQueue &eq = split.exp->system().eventQueue();
+    out.savedTick = eq.curTick();
+    out.nextSeq = eq.nextSeq();
+    const std::uint64_t sections = getLE(out.image, 12, 4);
+    std::size_t payload = 16 + 16 * sections;
+    for (std::uint64_t i = 0; i < sections; ++i) {
+        const std::size_t entry = 16 + 16 * i;
+        if (getLE(out.image, entry, 4) == kSecProcs) {
+            out.entry = entry;
+            out.payload = payload;
+            break;
+        }
+        payload += getLE(out.image, entry + 8, 8);
+    }
+    // nprocs, interruptsOn, proxy count, timer and device schedules.
+    bool timer = false, device = false;
+    const std::string prefix = split.exp->system().processor(0).name();
+    split.exp->system().eventQueue().forEachScheduled(
+        [&](const EventQueue::ScheduledInfo &info) {
+            timer = timer || info.ev->name() == prefix + ".timer";
+            device = device || info.ev->name() == prefix + ".deviceIrq";
+        });
+    out.records = 8 + 1 + 8 + (timer ? 17 : 1) + (device ? 17 : 1);
+    EXPECT_EQ(out.with(Bytes().u8(0).u8(0).u8(0).b, Bytes().u64(0).b),
+              out.image);
+    return out;
+}
+
+/** A Ring-0 record: @p phase, a timer-tick work descriptor, and for
+ *  the Kernel phase a result naming threads @p prevTid / @p nextTid;
+ *  the phase event pending at (@p when, @p seq). */
+std::string
+episodeRecord(std::uint8_t phase, std::uint8_t workKind,
+              std::uint64_t prevTid, std::uint64_t nextTid, Tick when,
+              std::uint64_t seq)
+{
+    Bytes r;
+    r.u8(phase).u8(workKind).u64(0).u64(0);
+    for (int i = 0; i < 4; ++i)
+        r.u64(0);
+    r.u64(0).u8(0).u32(arch::Ring0Work::kNoPatch); // addr, write, patch
+    r.u64(when - 100).u64(100);                    // t0, signal
+    r.u64(2200).u64(0).u8(1).u64(prevTid).u64(nextTid).u8(0);
+    r.u8(1).u64(when).u64(seq); // phase event
+    r.u8(0);                    // no held request
+    return r.b;
+}
+
+/** A fabric record with one delivery. */
+std::string
+deliveryRecord(std::uint8_t kind, std::uint64_t sid, Tick when,
+               std::uint64_t seq, std::int64_t priority)
+{
+    Bytes r;
+    r.u64(1).u8(kind).u64(sid);
+    r.u64(0).u64(0).u64(0); // payload
+    r.u64(when).u64(seq).u64(std::uint64_t(priority));
+    return r.b;
 }
 
 } // namespace
 
-TEST(Snapshot, RestoreRejectsTaggedEventPriority)
+TEST(Snapshot, RestoreRejectsBogusEpisodeAndDeliveryRecords)
 {
-    // A real image with a signal delivery in flight. Each tag kind is
-    // only ever scheduled at one priority; a CRC-valid image carrying
-    // any other must fail closed, including one that narrowing to int
-    // would have turned back into the live value.
-    harness::RunRequest req = smallRequest();
-    SplitRun split = warmUpAndSave(req, 2'000'000, signalInFlight);
-    ASSERT_TRUE(signalInFlight(*split.exp));
-
-    auto restore = [](const std::string &image, std::string *err) {
-        snap::RestoredExperiment restored;
-        err->clear();
-        return snap::restoreExperiment(image, &restored, err);
-    };
+    // Each bogus field of the Ring-0 and fabric records must come back
+    // as a SnapError naming it, never as a panic later.
+    const ProcSplice img = idleProcessorImage();
+    const Tick when = img.savedTick + 50;
+    const std::uint64_t seq = img.nextSeq - 1;
+    const std::string idle = Bytes().u8(0).u8(0).u8(0).b;
+    const std::string none = Bytes().u64(0).b;
+    const int prio = arch::SignalFabric::kDeliveryPrio;
     std::string err;
-    EXPECT_TRUE(restore(withTaggedEvent(split.image,
-                                        arch::SignalFabric::kDeliveryPrio),
-                        &err))
-        << err;
-    for (std::int64_t prio :
-         {std::int64_t(Event::kPrioDefault), std::int64_t(Event::kPrioCpu),
-          std::int64_t(-1), std::int64_t(1) << 32, INT64_MIN}) {
-        EXPECT_FALSE(restore(withTaggedEvent(split.image, prio), &err))
-            << prio;
-        EXPECT_NE(err.find("priority"), std::string::npos) << err;
-    }
 
-    // The same record as a sleep wakeup of a live thread: accepted at
-    // the kernel's priority only.
-    const std::uint64_t tid = split.proc.mainThread->tid();
-    EXPECT_TRUE(restore(withTaggedEvent(split.image,
-                                        os::Kernel::kSleepWakePrio,
-                                        snap::tag::kKernelSleepWake, tid),
-                        &err))
+    // Controls: a Kernel-phase episode whose result names the target's
+    // main thread, and a signal delivery to AMS 1.
+    EXPECT_TRUE(restores(img.with(episodeRecord(2, 0, 1, 1, when, seq),
+                                  none),
+                         &err))
         << err;
-    EXPECT_FALSE(restore(withTaggedEvent(split.image,
-                                         arch::SignalFabric::kDeliveryPrio,
-                                         snap::tag::kKernelSleepWake, tid),
-                         &err));
-    EXPECT_NE(err.find("priority"), std::string::npos) << err;
+    EXPECT_TRUE(
+        restores(img.with(idle, deliveryRecord(0, 1, when, seq, prio)), &err))
+        << err;
+
+    const struct {
+        const char *what;
+        std::string episode, fabric;
+        const char *expect;
+    } cases[] = {
+        {"unknown phase", Bytes().u8(3).b, none,
+         "unknown Ring-0 phase byte 3"},
+        {"unknown work kind", Bytes().u8(1).u8(6).b, none,
+         "unknown Ring-0 work kind byte 6"},
+        {"prev tid", episodeRecord(2, 0, 99, 1, when, seq), none,
+         "KernelResult prev tid 99 names no thread"},
+        {"next tid", episodeRecord(2, 0, 1, 4242, when, seq), none,
+         "KernelResult next tid 4242 names no thread"},
+        {"phase event before the saved tick",
+         episodeRecord(2, 0, 1, 1, img.savedTick - 1, seq), none,
+         "precedes the saved tick"},
+        {"Idle phase with a phase event",
+         Bytes().u8(0).u8(1).u64(when).u64(seq).u8(0).b, none,
+         "disagrees with its pending phase event"},
+        {"unknown delivery kind", idle, deliveryRecord(5, 1, when, seq, prio),
+         "unknown delivery kind byte 5"},
+        {"absent sid", idle, deliveryRecord(0, 9, when, seq, prio),
+         "absent sequencer sid 9"},
+        {"proxy request to an AMS", idle,
+         deliveryRecord(1, 2, when, seq, prio), "cannot target sid 2"},
+        {"priority", idle,
+         deliveryRecord(0, 1, when, seq, Event::kPrioDefault),
+         "fabric delivery has priority 50, not 0"},
+        {"delivery before the saved tick", idle,
+         deliveryRecord(0, 1, img.savedTick - 1, seq, prio),
+         "fabric delivery when"},
+        {"delivery seq past the clock", idle,
+         deliveryRecord(0, 1, when, img.nextSeq, prio),
+         "is not below the saved next seq"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_FALSE(restores(img.with(c.episode, c.fabric), &err))
+            << c.what;
+        EXPECT_NE(err.find(c.expect), std::string::npos)
+            << c.what << ": " << err;
+    }
+}
+
+TEST(Snapshot, VersionTwoImageRejectedWithDiagnostic)
+{
+    harness::RunRequest req = smallRequest();
+    SplitRun split =
+        warmUpAndSave(req, 1'000'000, [](harness::Experiment &) {
+            return true;
+        });
+    std::string old = split.image;
+    ASSERT_EQ(getLE(old, 8, 4), snap::kVersion);
+    putLE(old, 8, 4, 2);
+    std::string err;
+    EXPECT_FALSE(restores(old, &err));
+    EXPECT_NE(err.find("unsupported snapshot image version 2"),
+              std::string::npos)
+        << err;
 }
 
 TEST(Snapshot, SaveAcrossTlbShootdown)
@@ -641,25 +1167,23 @@ TEST(Snapshot, SaveAcrossTlbShootdown)
             break;
         seq->mmu().invalidatePage(code);
     }
-    std::string image, err;
+    std::string err;
     ASSERT_TRUE(snap::saveExperiment(*split.exp, split.proc.process, 0,
-                                     "t", &image, &err))
+                                     "t", &split.image, &err))
         << err;
-
-    snap::RestoredExperiment restored;
-    ASSERT_TRUE(snap::restoreExperiment(image, &restored, &err)) << err;
-    Tick direct = finishTo(*split.exp, split.proc.process);
-    Tick resumed = finishTo(*restored.exp, restored.target);
-    EXPECT_EQ(direct, resumed);
+    expectRestoreFinishesIdentically(split, req.config.misp.engine);
 }
 
 TEST(Snapshot, SquashedQueueEntriesStayOutOfTheImage)
 {
     // A descheduled (squashed) occurrence leaves a stale heap entry;
     // the image must carry only the live schedule.
+    struct Nop {
+        void run() {}
+    } nop;
     EventQueue eq;
-    LambdaEvent a("a", [] {});
-    LambdaEvent b("b", [] {});
+    MemberEvent<Nop, &Nop::run> a(nop, "a");
+    MemberEvent<Nop, &Nop::run> b(nop, "b");
     eq.schedule(&a, 100);
     eq.schedule(&b, 200);
     eq.deschedule(&a); // squashed: stale entry remains in the heap
@@ -690,14 +1214,7 @@ TEST(Snapshot, ProxyWaitRoundTrip)
             }
             return waiting;
         });
-
-    snap::RestoredExperiment restored;
-    std::string err;
-    ASSERT_TRUE(snap::restoreExperiment(split.image, &restored, &err))
-        << err;
-    Tick direct = finishTo(*split.exp, split.proc.process);
-    Tick resumed = finishTo(*restored.exp, restored.target);
-    EXPECT_EQ(direct, resumed);
+    expectRestoreFinishesIdentically(split, req.config.misp.engine);
 }
 
 // ---------------------------------------------------------------------

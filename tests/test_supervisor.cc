@@ -259,6 +259,18 @@ TEST(Supervisor, PersistentCrashExhaustsRetryBudget)
     EXPECT_NE(results[1].run.note.find("gave up after 3 attempts"),
               std::string::npos)
         << results[1].run.note;
+
+    // mispsim's failed-point line names every sweep coordinate, so the
+    // point can be rerun alone.
+    SpecFile spec;
+    Scenario sc;
+    std::string err;
+    ASSERT_TRUE(SpecFile::parse(kSupervisorScn, "<test>", &spec, &err));
+    ASSERT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
+    const harness::MetricFrame frame = buildMetricFrame(sc, results);
+    EXPECT_EQ(describePoint(frame.row(1)),
+              "machine=misp workload=dense_mvm competitors=0 "
+              "workload.workers=2");
 }
 
 TEST(Supervisor, CorruptPipePayloadFailsClosed)

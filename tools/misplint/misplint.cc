@@ -39,6 +39,11 @@ constexpr const char *kModelOnlyDirs[] = {"src/sim/", "src/mem/",
 constexpr const char *kChronoAllowlist[] = {"src/harness/run_record.cc",
                                             "src/driver/runner.cc"};
 
+/** The event queue defines the closure events snap-closure-event bans
+ *  everywhere else in the simulated dirs. */
+constexpr const char *kClosureEventHome[] = {"src/sim/event_queue.hh",
+                                             "src/sim/event_queue.cc"};
+
 bool
 startsWithAny(const std::string &rel, const char *const *dirs,
               std::size_t n)
@@ -833,6 +838,14 @@ hygieneScan(const FileText &f, const std::vector<Tok> &toks,
         }
 
         if (sim) {
+            if ((t == "scheduleLambda" || t == "LambdaEvent") &&
+                !startsWithAny(f.rel, kClosureEventHome,
+                               std::size(kClosureEventHome)))
+                addFinding(out, f, line, "snap-closure-event", t,
+                           t + " schedules a closure, which no snapshot "
+                           "can archive; use a typed event (MemberEvent, "
+                           "EventPool) whose owner saves its fields",
+                           suppressed);
             if ((t == "rand" || t == "srand") && next == "(" &&
                 !memberCall && !qualified)
                 addFinding(out, f, line, "det-rand", t,
@@ -970,79 +983,6 @@ completenessCheck(const Corpus &corpus,
 }
 
 // ---------------------------------------------------------------------
-// Tag/codec pairing: every tag in snapshot/tags.hh needs a restore
-// codec (a `case tag::kX` in snapshot.cc) and a producer site.
-// ---------------------------------------------------------------------
-
-void
-tagCheck(const Corpus &corpus, std::vector<Finding> *out)
-{
-    const FileText *tags = nullptr;
-    for (const FileText &f : corpus.files)
-        if (f.rel == "src/snapshot/tags.hh")
-            tags = &f;
-    if (!tags)
-        return;
-
-    struct TagDef {
-        std::string name;
-        std::string value;
-        int line = 0;
-    };
-    std::vector<TagDef> defs;
-    std::vector<Tok> toks = tokenize(*tags);
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (toks[i].text.rfind("k", 0) == 0 && toks[i].text.size() > 1 &&
-            std::isupper(
-                static_cast<unsigned char>(toks[i].text[1])) &&
-            toks[i + 1].text == "=")
-            defs.push_back(
-                {toks[i].text, toks[i + 2].text, toks[i].line});
-    }
-
-    std::map<std::string, std::string> byValue;
-    for (const TagDef &d : defs) {
-        auto [it, inserted] = byValue.emplace(d.value, d.name);
-        if (!inserted)
-            out->push_back({tags->rel, d.line, "snap-tag-codec", d.name,
-                            "tag " + d.name + " reuses value " +
-                                d.value + " of " + it->second});
-    }
-
-    for (const TagDef &d : defs) {
-        bool codec = false, producer = false;
-        for (const FileText &f : corpus.files) {
-            if (f.rel == tags->rel)
-                continue;
-            bool found = false;
-            for (const std::string &line : f.code)
-                if (line.find(d.name) != std::string::npos) {
-                    found = true;
-                    break;
-                }
-            if (!found)
-                continue;
-            if (f.rel == "src/snapshot/snapshot.cc")
-                codec = true;
-            else
-                producer = true;
-        }
-        if (!codec)
-            out->push_back(
-                {tags->rel, d.line, "snap-tag-codec", d.name,
-                 "tag " + d.name +
-                     " has no restore codec (no reference in "
-                     "src/snapshot/snapshot.cc)"});
-        if (!producer)
-            out->push_back(
-                {tags->rel, d.line, "snap-tag-codec", d.name,
-                 "tag " + d.name +
-                     " is never produced (no reference outside the "
-                     "snapshot layer)"});
-    }
-}
-
-// ---------------------------------------------------------------------
 // File discovery.
 // ---------------------------------------------------------------------
 
@@ -1122,7 +1062,6 @@ run(const Options &opts)
     for (const FileText &f : corpus.files)
         texts[f.rel] = &f;
     completenessCheck(corpus, texts, &report.findings, &report);
-    tagCheck(corpus, &report.findings);
 
     std::sort(report.findings.begin(), report.findings.end(),
               [](const Finding &a, const Finding &b) {

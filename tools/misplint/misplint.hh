@@ -17,9 +17,10 @@
  *                          its snapSave body and not annotated
  *    snap-restore-missing  same for snapRestore
  *    snap-bad-annotation   unknown `// snap: <kind>` value
- *    snap-tag-codec        tag in snapshot/tags.hh without a restore
- *                          codec in snapshot.cc, without a producer
- *                          site, or with a duplicate value
+ *    snap-closure-event    scheduleLambda / LambdaEvent in a simulated
+ *                          dir (outside the event queue that defines
+ *                          them): a closure cannot be archived, so a
+ *                          pending one would be lost from an image
  *
  *  determinism hygiene (simulated dirs only — see kSimulatedDirs)
  *    det-rand              rand()/srand()/std::random_device — all
@@ -56,10 +57,10 @@
  *                         (StatGroup::snapValues), not this class's
  *                         snapSave — members of stats:: type get this
  *                         implicitly
- *    // snap: quiesced    guaranteed to hold its reset/idle value at
- *                         every snapshot point (the quiescence
- *                         protocol — advanceToSnapshotPoint — drains
- *                         the state that would make it nonzero)
+ *    // snap: quiesced    holds its reset value at every event
+ *                         boundary (it is only nonzero inside one
+ *                         event's process()), and a snapshot is only
+ *                         ever taken between events
  *    // snap: attach      re-established on the restore path by an
  *                         explicit companion call (Mmu::snapAttach),
  *                         not by snapRestore itself

@@ -174,11 +174,8 @@ finishSweep(const Scenario &sc, const harness::MetricFrame &frame,
             what += " [attempts=" +
                     std::to_string(static_cast<long long>(attempts)) +
                     "]";
-        std::fprintf(stderr,
-                     "mispsim: point machine=%s workload=%s "
-                     "competitors=%u %s\n",
-                     row.machine.c_str(), row.workload.c_str(),
-                     row.competitors, what.c_str());
+        std::fprintf(stderr, "mispsim: point %s %s\n",
+                     describePoint(row).c_str(), what.c_str());
         // Infrastructure failures degrade instead of failing when the
         // policy says skip; simulation outcomes (max_ticks, invalid
         // results) are real findings and always fail the run.
