@@ -82,7 +82,7 @@ Sequencer::Sequencer(std::string name, SequencerId sid, bool ring0Capable,
       sid_(sid),
       ring0Capable_(ring0Capable),
       eq_(eq),
-      runEvent_(*this),
+      runEvent_(*this, name_ + ".run", Event::kPrioCpu),
       statGroup_(name_, parent),
       instsRetired_(&statGroup_, "instsRetired", "instructions retired"),
       busyCycles_(&statGroup_, "busyCycles", "cycles executing user code"),
@@ -1361,21 +1361,9 @@ Sequencer::snapRestore(snap::Deserializer &d)
     block_ = BlockRef{};
     chain_ = ChainCursor{};
     snap::getEventSchedule(d, eq_, &runEvent_);
-    const std::uint8_t ring = d.u8();
-    if (ring != static_cast<std::uint8_t>(mem::Ring::Kernel) &&
-        ring != static_cast<std::uint8_t>(mem::Ring::User))
-        throw snap::SnapError("sequencer ring " + std::to_string(ring) +
-                              " is neither 0 nor 3");
-    ring_ = static_cast<mem::Ring>(ring);
-}
-
-double
-Sequencer::utilization(Tick elapsed) const
-{
-    if (elapsed == 0)
-        return 0.0;
-    return (busyCycles_.value() + kernelCycles_.value()) /
-           static_cast<double>(elapsed);
+    ring_ = static_cast<mem::Ring>(d.u8());
+    if (ring_ != mem::Ring::Kernel && ring_ != mem::Ring::User)
+        throw snap::SnapError("sequencer ring byte is neither 0 nor 3");
 }
 
 } // namespace misp::cpu

@@ -301,11 +301,6 @@ class Sequencer : public snap::Saveable
      *  inter-sequencer timing fidelity at simulation-speed cost. */
     void setSliceLimit(unsigned insts);
 
-    /** Cycle bound per slice: a slice also ends once it has consumed
-     *  this many cycles, so long COMPUTE bursts cannot defer pending
-     *  suspensions and signal deliveries unboundedly. */
-    void setSliceCycleBudget(Cycles budget) { sliceCycleBudget_ = budget; }
-
     /** Select the execution engine. Both engines produce bit-identical
      *  simulated cycles and stats: Reference is the per-instruction
      *  fetch+decode path, and Superblock chains predecoded slots into
@@ -366,24 +361,13 @@ class Sequencer : public snap::Saveable
     {
         return static_cast<Tick>(busyCycles_.value());
     }
-    Tick kernelCycles() const
-    {
-        return static_cast<Tick>(kernelCycles_.value());
-    }
     Tick suspendedCycles() const
     {
         return static_cast<Tick>(suspendedCycles_.value());
     }
-    Tick proxyWaitCycles() const
-    {
-        return static_cast<Tick>(proxyWaitCycles_.value());
-    }
 
     /** Record cycles spent in a modeled Ring-0 episode. */
     void chargeKernelCycles(Cycles c) { kernelCycles_ += c; }
-
-    /** (busy + kernel) / elapsed. */
-    double utilization(Tick elapsed) const;
 
     stats::StatGroup &statGroup() { return statGroup_; }
 
@@ -400,19 +384,6 @@ class Sequencer : public snap::Saveable
     const Event *snapRunEvent() const { return &runEvent_; }
 
   private:
-    class RunEvent : public Event
-    {
-      public:
-        explicit RunEvent(Sequencer &seq)
-            : Event(seq.name() + ".run", kPrioCpu), seq_(seq)
-        {}
-
-        void process() override { seq_.runSlice(); }
-
-      private:
-        Sequencer &seq_;
-    };
-
     void runSlice();
     void scheduleRun(Tick when);
     void stopRunEvent();
@@ -519,7 +490,7 @@ class Sequencer : public snap::Saveable
     BlockRef block_; ///< snap: derived — revalidated per instruction
     ChainCursor chain_; ///< snap: derived — revalidated per slice
 
-    RunEvent runEvent_;
+    MemberEvent<Sequencer, &Sequencer::runSlice> runEvent_;
     bool suspendRequested_ = false;
     std::deque<SignalPayload> pendingSignals_;
     std::deque<SignalPayload> pendingProxy_;

@@ -101,18 +101,6 @@ MachineSpec::apply(const std::string &key, const std::string &value,
     return false;
 }
 
-std::string
-MachineSpec::topologyString() const
-{
-    std::string out;
-    for (unsigned a : amsPerProcessor) {
-        if (!out.empty())
-            out += ",";
-        out += std::to_string(a);
-    }
-    return out;
-}
-
 // ---------------------------------------------------------------------
 // WorkloadSpec
 // ---------------------------------------------------------------------

@@ -116,9 +116,6 @@ struct MachineSpec {
      *  bad value. */
     bool apply(const std::string &key, const std::string &value,
                std::string *err);
-
-    /** "3,0,0,0,0" style rendering of amsPerProcessor. */
-    std::string topologyString() const;
 };
 
 /** A workload instance: registry name + build parameters. */

@@ -53,17 +53,6 @@ SpecSection::get(const std::string &key, const std::string &fallback) const
     return e ? e->value : fallback;
 }
 
-std::vector<const SpecSection *>
-SpecFile::sectionsOfType(const std::string &type) const
-{
-    std::vector<const SpecSection *> out;
-    for (const SpecSection &s : sections) {
-        if (s.type == type)
-            out.push_back(&s);
-    }
-    return out;
-}
-
 const SpecSection *
 SpecFile::first(const std::string &type) const
 {

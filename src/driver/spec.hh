@@ -54,10 +54,6 @@ struct SpecFile {
     std::string path; ///< origin, used as the diagnostic prefix
     std::vector<SpecSection> sections;
 
-    /** All sections of @p type, in file order. */
-    std::vector<const SpecSection *>
-    sectionsOfType(const std::string &type) const;
-
     /** First section of @p type; nullptr if none. */
     const SpecSection *first(const std::string &type) const;
 

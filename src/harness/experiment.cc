@@ -6,9 +6,10 @@ namespace misp::harness {
 
 Experiment::Experiment(const arch::SystemConfig &config,
                        rt::Backend backend)
-    : backend_(backend)
+    : backend_(backend),
+      system_(std::make_unique<arch::MispSystem>(config)),
+      stopEvent_(system_->eventQueue(), "experiment.stop")
 {
-    system_ = std::make_unique<arch::MispSystem>(config);
     if (backend == rt::Backend::Shred) {
         shredRt_ = std::make_unique<rt::ShredRuntime>(
             &system_->rootStats());
@@ -17,15 +18,13 @@ Experiment::Experiment(const arch::SystemConfig &config,
         osRt_ = std::make_unique<rt::OsApiRuntime>(&system_->rootStats());
         system_->attachRuntime(osRt_.get());
     }
-    stopEvent_ = std::make_unique<StopEvent>(system_->eventQueue(),
-                                             "experiment.stop");
 }
 
 Experiment::~Experiment()
 {
     // A run cut short by its tick budget may leave the stop pending.
-    if (stopEvent_->scheduled())
-        system_->eventQueue().deschedule(stopEvent_.get());
+    if (stopEvent_.scheduled())
+        system_->eventQueue().deschedule(&stopEvent_);
 }
 
 LoadedProcess
@@ -95,9 +94,8 @@ Experiment::finishRun(os::Process *target, Tick maxTicks)
 {
     Tick finished = 0;
     arch::MispSystem *sys = system_.get();
-    Event *stop = stopEvent_.get();
     system_->kernel().setProcessExitHook(
-        [&finished, sys, stop, target](os::Process *proc) {
+        [this, &finished, sys, target](os::Process *proc) {
             if (proc != target)
                 return;
             finished = sys->eventQueue().curTick();
@@ -105,9 +103,9 @@ Experiment::finishRun(os::Process *target, Tick maxTicks)
             // Let in-flight Ring-0 episodes and signal deliveries drain
             // (their accounting completes at episode end) before
             // stopping; background processes keep the queue non-empty.
-            if (!stop->scheduled())
+            if (!stopEvent_.scheduled())
                 sys->eventQueue().schedule(
-                    stop, sys->eventQueue().curTick() + 500'000);
+                    &stopEvent_, sys->eventQueue().curTick() + 500'000);
         });
     system_->run(maxTicks);
     RunOutcome out;

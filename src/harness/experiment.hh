@@ -97,14 +97,12 @@ class Experiment
   private:
     RunOutcome finishRun(os::Process *target, Tick maxTicks);
 
-    using StopEvent = MemberEvent<EventQueue, &EventQueue::requestStop>;
-
     rt::Backend backend_;
     std::unique_ptr<arch::MispSystem> system_;
     std::unique_ptr<rt::ShredRuntime> shredRt_;
     std::unique_ptr<rt::OsApiRuntime> osRt_;
     /** experiment.stop: ends run() once the target's exit drained. */
-    std::unique_ptr<StopEvent> stopEvent_;
+    MemberEvent<EventQueue, &EventQueue::requestStop> stopEvent_;
 };
 
 /** Free-function form of Experiment::totalInstsRetired, for callers

@@ -89,13 +89,6 @@ AddressSpace::findRegion(VAddr va) const
     return it->second.vma.contains(va) ? &it->second : nullptr;
 }
 
-const Vma *
-AddressSpace::findVma(VAddr va) const
-{
-    const Region *r = findRegion(va);
-    return r ? &r->vma : nullptr;
-}
-
 FaultOutcome
 AddressSpace::handleFault(VAddr va, bool write)
 {

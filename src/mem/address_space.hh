@@ -111,9 +111,6 @@ class AddressSpace : public snap::Saveable
     /** True if the page holding @p va is currently mapped. */
     bool mapped(VAddr va) const;
 
-    /** VMA lookup (nullptr if unmapped address). */
-    const Vma *findVma(VAddr va) const;
-
     /**
      * Host-side debug/loader access that bypasses timing but honors the
      * paging state: reads of unmapped pages return zeroes; writes fault
@@ -127,7 +124,6 @@ class AddressSpace : public snap::Saveable
     void pokeWord(VAddr va, Word value, unsigned size);
 
     std::uint64_t residentPages() const { return resident_; }
-    std::uint64_t faultsServiced() const { return faultsServiced_; }
 
     /** Snapshot: VMAs with their backing images, the allocation
      *  cursor, paging counters, and the page table. The decode cache

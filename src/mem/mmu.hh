@@ -179,10 +179,6 @@ class Mmu : public snap::Saveable
         tlb_.touchHitN(lastFetch_.way, n);
     }
 
-    /** Physical base of the page the last fetch translated (valid only
-     *  while fetchReplayable() holds for that page). */
-    PAddr lastFetchPageBase() const { return lastFetch_.paBase; }
-
     /** Data-side twin of fetchReplayable(): true while an aligned,
      *  permission-compatible data access to @p va can be replayed from
      *  the one-entry last-data-translation cache (primed by every

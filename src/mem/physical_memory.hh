@@ -41,9 +41,7 @@ class PhysicalMemory : public snap::Saveable
     /** Return a frame to the allocator. */
     void freeFrame(std::uint64_t frame);
 
-    std::uint64_t framesTotal() const { return frames_; }
     std::uint64_t framesUsed() const { return used_; }
-    std::uint64_t framesFree() const { return frames_ - used_; }
 
     std::uint64_t
     bytesRead() const

@@ -24,8 +24,6 @@ enum class SerializationPolicy {
     SpeculativeMonitor,
 };
 
-const char *serializationPolicyName(SerializationPolicy p);
-
 /** Per-MISP-processor knobs. */
 struct MispConfig {
     /** Number of application-managed sequencers. */

@@ -10,17 +10,6 @@ namespace misp::arch {
 using cpu::SeqState;
 
 const char *
-serializationPolicyName(SerializationPolicy p)
-{
-    switch (p) {
-      case SerializationPolicy::SuspendAll: return "suspend-all";
-      case SerializationPolicy::SpeculativeMonitor:
-        return "speculative-monitor";
-    }
-    return "?";
-}
-
-const char *
 ring0CauseName(Ring0Cause cause)
 {
     switch (cause) {
@@ -84,12 +73,10 @@ MispProcessor::~MispProcessor()
     // A run cut short (tick budget, snapshot save-and-exit) leaves the
     // periodic interrupts armed and maybe an episode in flight; detach
     // them before the queue sees a destroyed event.
-    for (Event *ev : {static_cast<Event *>(&timerEvent_),
-                      static_cast<Event *>(&deviceEvent_),
-                      static_cast<Event *>(&ring0Event_)}) {
+    for (Event *ev : std::initializer_list<Event *>{
+             &timerEvent_, &deviceEvent_, &ring0Event_})
         if (ev->scheduled())
             eq_.deschedule(ev);
-    }
 }
 
 cpu::Sequencer *
@@ -121,13 +108,6 @@ MispProcessor::eventCount(Ring0Cause cause) const
 
 namespace {
 
-/** A thread pointer as a tid (0: none). */
-std::uint64_t
-tidOf(const os::OsThread *t)
-{
-    return t ? t->tid() : 0;
-}
-
 /** A tid from an image back to its thread; 0 is none, anything else
  *  must name a thread. */
 os::OsThread *
@@ -143,23 +123,20 @@ threadOf(os::Kernel &kernel, std::uint64_t tid, const char *field)
     return t;
 }
 
-} // namespace
-
 void
-MispProcessor::putProxy(snap::Serializer &s, const ProxyRequest &req) const
+putProxy(snap::Serializer &s, const ProxyRequest &req)
 {
     s.u64(req.ams->sid());
     snap::putFault(s, req.fault);
     snap::putContext(s, req.savedCtx);
-    s.u64(req.start);
 }
 
 ProxyRequest
-MispProcessor::getProxy(snap::Deserializer &d)
+getProxy(snap::Deserializer &d, MispProcessor &proc)
 {
     ProxyRequest req;
     SequencerId sid = static_cast<SequencerId>(d.u64());
-    req.ams = sid == 0 ? nullptr : sequencer(sid);
+    req.ams = sid == 0 ? nullptr : proc.sequencer(sid);
     if (!req.ams)
         throw snap::SnapError("processor: proxy request names an "
                               "absent sequencer");
@@ -170,15 +147,15 @@ MispProcessor::getProxy(snap::Deserializer &d)
         throw snap::SnapError("processor: proxy request carries a "
                               "fault that is never proxied");
     req.savedCtx = snap::getContext(d);
-    req.start = d.u64();
     return req;
 }
 
 void
-MispProcessor::putWork(snap::Serializer &s, const Ring0Work &work) const
+putWork(snap::Serializer &s, const Ring0Work &work)
 {
     s.u8(static_cast<std::uint8_t>(work.kind));
-    s.u64(tidOf(work.thread));
+    s.u8(static_cast<std::uint8_t>(work.cause));
+    s.u64(work.thread ? work.thread->tid() : 0);
     s.u64(work.number);
     for (Word a : work.args)
         s.u64(a);
@@ -190,7 +167,7 @@ MispProcessor::putWork(snap::Serializer &s, const Ring0Work &work) const
 }
 
 Ring0Work
-MispProcessor::getWork(snap::Deserializer &d)
+getWork(snap::Deserializer &d, MispProcessor &proc)
 {
     using Kind = Ring0Work::Kind;
     Ring0Work work;
@@ -199,7 +176,12 @@ MispProcessor::getWork(snap::Deserializer &d)
         throw snap::SnapError("processor: unknown Ring-0 work kind byte " +
                               std::to_string(kind));
     work.kind = static_cast<Kind>(kind);
-    work.thread = threadOf(kernel_, d.u64(), "Ring-0 work thread");
+    const std::uint8_t cause = d.u8();
+    if (cause >= static_cast<std::uint8_t>(Ring0Cause::NumCauses))
+        throw snap::SnapError("processor: unknown Ring-0 cause byte " +
+                              std::to_string(cause));
+    work.cause = static_cast<Ring0Cause>(cause);
+    work.thread = threadOf(proc.kernel(), d.u64(), "Ring-0 work thread");
     const bool interrupt =
         work.kind == Kind::TimerTick || work.kind == Kind::DeviceIrq;
     if (!interrupt && !work.thread)
@@ -211,14 +193,17 @@ MispProcessor::getWork(snap::Deserializer &d)
     work.addr = d.u64();
     work.write = d.b();
     work.patchSid = d.u32();
-    if (work.patchSid != Ring0Work::kNoPatch && !sequencer(work.patchSid))
+    if (work.patchSid != Ring0Work::kNoPatch &&
+        !proc.sequencer(work.patchSid))
         throw snap::SnapError("processor: Ring-0 work patches absent "
                               "sequencer sid " +
                               std::to_string(work.patchSid));
     if (work.kind == Kind::Proxy)
-        work.proxy = getProxy(d);
+        work.proxy = getProxy(d, proc);
     return work;
 }
+
+} // namespace
 
 void
 MispProcessor::snapSave(snap::Serializer &s) const
@@ -233,13 +218,12 @@ MispProcessor::snapSave(snap::Serializer &s) const
     s.u8(static_cast<std::uint8_t>(episode_.phase));
     if (episode_.phase != Phase::Idle) {
         putWork(s, episode_.work);
-        s.u64(episode_.t0);
         s.u64(episode_.signal);
         s.u64(episode_.res.priv);
         s.u64(episode_.res.retval);
         s.b(episode_.res.reschedule);
-        s.u64(tidOf(episode_.res.prev));
-        s.u64(tidOf(episode_.res.next));
+        s.u64(episode_.res.prev ? episode_.res.prev->tid() : 0);
+        s.u64(episode_.res.next ? episode_.res.next->tid() : 0);
         s.b(episode_.res.fatalFault);
     }
     snap::putEventSchedule(s, &ring0Event_);
@@ -259,7 +243,7 @@ MispProcessor::snapRestore(snap::Deserializer &d)
     interruptsOn_ = d.b();
     std::uint64_t pending = d.u64();
     for (std::uint64_t i = 0; i < pending; ++i)
-        proxyQueue_.push_back(getProxy(d));
+        proxyQueue_.push_back(getProxy(d, *this));
     snap::getEventSchedule(d, eq_, &timerEvent_);
     snap::getEventSchedule(d, eq_, &deviceEvent_);
 
@@ -270,8 +254,7 @@ MispProcessor::snapRestore(snap::Deserializer &d)
     episode_ = Episode{};
     episode_.phase = static_cast<Phase>(phase);
     if (episode_.phase != Phase::Idle) {
-        episode_.work = getWork(d);
-        episode_.t0 = d.u64();
+        episode_.work = getWork(d, *this);
         episode_.signal = d.u64();
         episode_.res.priv = d.u64();
         episode_.res.retval = d.u64();
@@ -290,7 +273,7 @@ MispProcessor::snapRestore(snap::Deserializer &d)
         if (episode_.phase == Phase::Idle)
             throw snap::SnapError("processor: held Ring-0 request "
                                   "without an episode in flight");
-        held_ = getWork(d);
+        held_ = getWork(d, *this);
     }
 
     std::vector<cpu::Sequencer *> bySid{oms_.get()};
@@ -433,9 +416,8 @@ MispProcessor::onTimer()
         // is counted; the next one reschedules.
         return;
     }
-    Ring0Work work;
-    work.kind = Ring0Work::Kind::TimerTick;
-    ring0Episode(work);
+    ring0Episode(
+        {.kind = Ring0Work::Kind::TimerTick, .cause = Ring0Cause::Timer});
 }
 
 void
@@ -456,9 +438,8 @@ MispProcessor::onDeviceIrq()
     events_[static_cast<std::size_t>(Ring0Cause::OtherInterrupt)] += 1;
     if (inRing0())
         return;
-    Ring0Work work;
-    work.kind = Ring0Work::Kind::DeviceIrq;
-    ring0Episode(work);
+    ring0Episode({.kind = Ring0Work::Kind::DeviceIrq,
+                  .cause = Ring0Cause::OtherInterrupt});
 }
 
 // ---------------------------------------------------------------------
@@ -471,7 +452,7 @@ MispProcessor::beginSerialization()
     if (config_.serialization != SerializationPolicy::SuspendAll)
         return;
     for (auto &ams : ams_)
-        fabric_.sendSuspend(*ams);
+        fabric_.send(SignalFabric::Delivery::Suspend, *ams);
 }
 
 void
@@ -479,7 +460,7 @@ MispProcessor::endSerialization(bool rootChanged)
 {
     if (config_.serialization == SerializationPolicy::SuspendAll) {
         for (auto &ams : ams_)
-            fabric_.sendResume(*ams);
+            fabric_.send(SignalFabric::Delivery::Resume, *ams);
     } else if (rootChanged) {
         // Speculative monitor: AMSs kept executing; a CR3 change means
         // their speculative work must be discarded at TLB granularity,
@@ -489,24 +470,6 @@ MispProcessor::endSerialization(bool rootChanged)
             ams->invalidateDecodedBlock();
         }
     }
-}
-
-Ring0Cause
-Ring0Work::cause() const
-{
-    switch (kind) {
-      case Kind::TimerTick: return Ring0Cause::Timer;
-      case Kind::DeviceIrq: return Ring0Cause::OtherInterrupt;
-      case Kind::OmsSyscall:
-      case Kind::RuntimeSyscall: return Ring0Cause::OmsSyscall;
-      case Kind::OmsPageFault: return Ring0Cause::OmsPageFault;
-      case Kind::Proxy:
-        return proxy.fault.kind == mem::FaultKind::Syscall
-                   ? Ring0Cause::ProxySyscall
-                   : Ring0Cause::ProxyPageFault;
-      case Kind::NumKinds: break;
-    }
-    return Ring0Cause::NumCauses;
 }
 
 void
@@ -521,18 +484,12 @@ MispProcessor::ring0Episode(const Ring0Work &work)
         held_ = work;
         return;
     }
-    beginEpisode(work);
-}
-
-void
-MispProcessor::beginEpisode(const Ring0Work &work)
-{
     episode_ = Episode{};
     episode_.phase = Phase::Handshake;
     episode_.work = work;
     obs::trace(obs::TraceKind::Ring0Enter,
                static_cast<std::uint16_t>(oms_->sid()),
-               static_cast<std::uint32_t>(work.cause()));
+               static_cast<std::uint32_t>(work.cause));
 
     // The OMS enters Ring 0. If this episode was raised from inside the
     // OMS's own execution (fault path), the sequencer is already
@@ -551,34 +508,19 @@ MispProcessor::beginEpisode(const Ring0Work &work)
          config_.serialization == SerializationPolicy::SpeculativeMonitor)
             ? 0
             : fabric_.signalCycles();
-    episode_.t0 = eq_.curTick();
-
-    // Handshake ends at t0 + signal: the kernel work executes.
-    eq_.schedule(&ring0Event_, episode_.t0 + episode_.signal);
+    // The handshake ends at t0 + signal: the kernel work executes.
+    eq_.schedule(&ring0Event_, eq_.curTick() + episode_.signal);
 }
 
 void
 MispProcessor::onRing0Phase()
 {
-    switch (episode_.phase) {
-      case Phase::Handshake:
-        runKernelWork();
-        return;
-      case Phase::Kernel:
+    if (episode_.phase == Phase::Kernel) {
         exitRing0();
         return;
-      case Phase::Idle:
-      case Phase::NumPhases:
-        break;
     }
-    panic("%s: Ring-0 phase event with no episode in flight",
-          name_.c_str());
-}
-
-void
-MispProcessor::runKernelWork()
-{
-    os::KernelResult res = kernelWork(episode_.work);
+    MISP_ASSERT(episode_.phase == Phase::Handshake);
+    const os::KernelResult res = kernelWork(episode_.work);
     privCycles_ += res.priv;
     episode_.res = res;
     episode_.phase = Phase::Kernel;
@@ -600,7 +542,7 @@ MispProcessor::exitRing0()
     oms_->chargeKernelCycles(ep.signal + res.priv);
     if (res.fatalFault)
         fatal("%s: unservicable fault (guest bug), cause=%s",
-              name_.c_str(), ring0CauseName(ep.work.cause()));
+              name_.c_str(), ring0CauseName(ep.work.cause));
 
     if (res.reschedule)
         loadIncomingThread(res);
@@ -613,13 +555,13 @@ MispProcessor::exitRing0()
     episode_ = Episode{};
     obs::trace(obs::TraceKind::Ring0Exit,
                static_cast<std::uint16_t>(oms_->sid()),
-               static_cast<std::uint32_t>(ep.work.cause()), res.priv);
+               static_cast<std::uint32_t>(ep.work.cause), res.priv);
 
     if (held_) {
         // The OMS stays InKernel: its held request is the next episode.
         Ring0Work next = *held_;
         held_.reset();
-        beginEpisode(next);
+        ring0Episode(next);
         return;
     }
 
@@ -647,25 +589,23 @@ MispProcessor::kernelWork(const Ring0Work &work)
         return kernel_.timerTick(cpuId_);
       case Kind::DeviceIrq:
         return kernel_.deviceIrq(cpuId_);
-      case Kind::OmsSyscall: {
+      case Kind::OmsSyscall:
+      case Kind::RuntimeSyscall: {
         os::KernelResult res =
             kernel_.syscall(cpuId_, *work.thread, work.number, work.args);
         // Patch the return while the context is still on the OMS (it
         // may be saved by a switch right after).
-        oms_->context().regs[0] = res.retval;
-        oms_->context().eip += isa::kInstBytes;
+        if (work.kind == Kind::OmsSyscall) {
+            oms_->context().regs[0] = res.retval;
+            oms_->context().eip += isa::kInstBytes;
+        } else if (work.patchSid != Ring0Work::kNoPatch) {
+            sequencer(work.patchSid)->context().regs[0] = res.retval;
+        }
         return res;
       }
       case Kind::OmsPageFault:
         return kernel_.pageFault(cpuId_, *work.thread, work.addr,
                                  work.write);
-      case Kind::RuntimeSyscall: {
-        os::KernelResult res =
-            kernel_.syscall(cpuId_, *work.thread, work.number, work.args);
-        if (work.patchSid != Ring0Work::kNoPatch)
-            sequencer(work.patchSid)->context().regs[0] = res.retval;
-        return res;
-      }
       case Kind::Proxy: {
         // "The OMS re-executes the faulting instruction, triggering the
         // fault again and causing OS services to be activated."
@@ -715,7 +655,7 @@ MispProcessor::serviceProxy(cpu::Sequencer &omsSeq)
         // and redeliver so the request retries after the episode.
         cpu::SignalPayload payload;
         payload.arg = proxyQueue_.front().ams->sid();
-        fabric_.sendProxyRequest(*oms_, payload);
+        fabric_.send(SignalFabric::Delivery::ProxyRequest, *oms_, payload);
         return 0;
     }
     ProxyRequest req = proxyQueue_.front();
@@ -729,11 +669,12 @@ MispProcessor::serviceProxy(cpu::Sequencer &omsSeq)
 
     omsSeq.enterKernelEpisode();
 
-    Ring0Work work;
-    work.kind = Ring0Work::Kind::Proxy;
-    work.thread = thread;
-    work.proxy = req;
-    ring0Episode(work);
+    ring0Episode({.kind = Ring0Work::Kind::Proxy,
+                  .cause = req.fault.kind == mem::FaultKind::Syscall
+                               ? Ring0Cause::ProxySyscall
+                               : Ring0Cause::ProxyPageFault,
+                  .thread = thread,
+                  .proxy = req});
 
     // The final restore of the OMS's own context happens when the guest
     // proxy-handler stub YRETs; its cost is pre-charged here.
@@ -746,14 +687,13 @@ MispProcessor::raiseSyscallEpisode(Word number,
                                    SequencerId patchSid)
 {
     events_[static_cast<std::size_t>(Ring0Cause::OmsSyscall)] += 1;
-    Ring0Work work;
-    work.kind = Ring0Work::Kind::RuntimeSyscall;
-    work.thread = currentThread();
-    MISP_ASSERT(work.thread != nullptr);
-    work.number = number;
-    work.args = args;
-    work.patchSid = patchSid;
-    ring0Episode(work);
+    MISP_ASSERT(currentThread() != nullptr);
+    ring0Episode({.kind = Ring0Work::Kind::RuntimeSyscall,
+                  .cause = Ring0Cause::OmsSyscall,
+                  .thread = currentThread(),
+                  .number = number,
+                  .args = args,
+                  .patchSid = patchSid});
 }
 
 void
@@ -767,7 +707,8 @@ MispProcessor::completeProxy(ProxyRequest req, const os::KernelResult &res)
     // Page fault: the kernel installed the mapping; the AMS retries the
     // same EIP.
     proxySignalCycles_ += 3 * fabric_.signalCycles();
-    fabric_.sendProxyDone(*req.ams, req.savedCtx);
+    fabric_.send(SignalFabric::Delivery::ProxyDone, *req.ams, {},
+                 req.savedCtx);
 }
 
 // ---------------------------------------------------------------------
@@ -787,14 +728,13 @@ MispProcessor::handleFault(cpu::Sequencer &seq, const mem::Fault &fault,
             if (!thread)
                 panic("%s: syscall with no thread loaded", name_.c_str());
             events_[static_cast<std::size_t>(Ring0Cause::OmsSyscall)] += 1;
-            Ring0Work work;
-            work.kind = Ring0Work::Kind::OmsSyscall;
-            work.thread = thread;
-            work.number = fault.code;
-            work.args = {seq.context().regs[0], seq.context().regs[1],
-                         seq.context().regs[2], seq.context().regs[3]};
+            const auto &r = seq.context().regs;
             seq.enterKernelEpisode();
-            ring0Episode(work);
+            ring0Episode({.kind = Ring0Work::Kind::OmsSyscall,
+                          .cause = Ring0Cause::OmsSyscall,
+                          .thread = thread,
+                          .number = fault.code,
+                          .args = {r[0], r[1], r[2], r[3]}});
             return cpu::FaultAction::Deferred;
           }
           case mem::FaultKind::PageFault: {
@@ -803,13 +743,12 @@ MispProcessor::handleFault(cpu::Sequencer &seq, const mem::Fault &fault,
                       name_.c_str());
             events_[static_cast<std::size_t>(Ring0Cause::OmsPageFault)] +=
                 1;
-            Ring0Work work;
-            work.kind = Ring0Work::Kind::OmsPageFault;
-            work.thread = thread;
-            work.addr = fault.addr;
-            work.write = fault.write;
             seq.enterKernelEpisode();
-            ring0Episode(work);
+            ring0Episode({.kind = Ring0Work::Kind::OmsPageFault,
+                          .cause = Ring0Cause::OmsPageFault,
+                          .thread = thread,
+                          .addr = fault.addr,
+                          .write = fault.write});
             return cpu::FaultAction::Deferred;
           }
           default:
@@ -840,14 +779,13 @@ MispProcessor::handleFault(cpu::Sequencer &seq, const mem::Fault &fault,
     req.ams = &seq;
     req.fault = fault;
     req.savedCtx = seq.saveContext();
-    req.start = eq_.curTick();
     proxyQueue_.push_back(req);
 
     seq.beginProxyWait();
 
     cpu::SignalPayload payload;
     payload.arg = seq.sid();
-    fabric_.sendProxyRequest(*oms_, payload);
+    fabric_.send(SignalFabric::Delivery::ProxyRequest, *oms_, payload);
 
     return cpu::FaultAction::Deferred;
 }
@@ -878,7 +816,7 @@ MispProcessor::signalInstruction(cpu::Sequencer &seq, SequencerId sid,
         warn("%s: SIGNAL to invalid SID %u ignored", name_.c_str(), sid);
         return;
     }
-    fabric_.sendSignal(*target, payload);
+    fabric_.send(SignalFabric::Delivery::Signal, *target, payload);
 }
 
 void

@@ -79,7 +79,6 @@ struct ProxyRequest {
     cpu::Sequencer *ams = nullptr;
     mem::Fault fault;
     cpu::SequencerContext savedCtx; ///< AMS state saved at fault time
-    Tick start = 0;
 };
 
 /** The kernel work of one Ring-0 episode, as data. */
@@ -97,6 +96,7 @@ struct Ring0Work {
     static constexpr SequencerId kNoPatch = ~SequencerId{0};
 
     Kind kind = Kind::TimerTick;
+    Ring0Cause cause = Ring0Cause::Timer; ///< the Table-1 class
     /** The thread the kernel serves (every kind but the interrupts). */
     os::OsThread *thread = nullptr;
     Word number = 0;            ///< OmsSyscall, RuntimeSyscall
@@ -105,10 +105,7 @@ struct Ring0Work {
     bool write = false;         ///< OmsPageFault
     /** RuntimeSyscall: the sequencer whose r0 gets the return value. */
     SequencerId patchSid = kNoPatch;
-    ProxyRequest proxy;         ///< Proxy
-
-    /** The Table-1 classification of this work. */
-    Ring0Cause cause() const;
+    ProxyRequest proxy{};       ///< Proxy
 };
 
 /**
@@ -225,22 +222,6 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
     void snapSave(snap::Serializer &s) const override;
     void snapRestore(snap::Deserializer &d) override;
 
-    /** Every event this processor owns (its fabric's deliveries
-     *  included), for the snapshot layer's every-pending-event-is-
-     *  claimed audit. */
-    template <class Fn>
-    void
-    forEachEvent(Fn &&fn) const
-    {
-        fn(static_cast<const Event *>(&timerEvent_));
-        fn(static_cast<const Event *>(&deviceEvent_));
-        fn(static_cast<const Event *>(&ring0Event_));
-        fabric_.forEachEvent(fn);
-        fn(oms_->snapRunEvent());
-        for (const auto &ams : ams_)
-            fn(ams->snapRunEvent());
-    }
-
   private:
     /** Where the Ring-0 episode is (§2.3). Each phase but Idle has
      *  ring0Event_ pending for its end. */
@@ -256,7 +237,6 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
         Phase phase = Phase::Idle;
         Ring0Work work;
         os::KernelResult res; ///< the kernel's decision (Kernel phase)
-        Tick t0 = 0;          ///< episode start
         Cycles signal = 0;    ///< suspension handshake latency
     };
 
@@ -265,10 +245,8 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
      *  apply the kernel decision, resume AMSs. An OMS request made
      *  while an episode is in flight is held (see held_). */
     void ring0Episode(const Ring0Work &work);
-    void beginEpisode(const Ring0Work &work);
     /** ring0Event_: the next phase of the episode in flight. */
     void onRing0Phase();
-    void runKernelWork();
     void exitRing0();
     os::KernelResult kernelWork(const Ring0Work &work);
 
@@ -282,10 +260,6 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
     /** Phase-2 half: restore the incoming thread at Ring-0 exit. */
     void loadIncomingThread(const os::KernelResult &res);
     void completeProxy(ProxyRequest req, const os::KernelResult &res);
-    void putWork(snap::Serializer &s, const Ring0Work &work) const;
-    Ring0Work getWork(snap::Deserializer &d);
-    void putProxy(snap::Serializer &s, const ProxyRequest &req) const;
-    ProxyRequest getProxy(snap::Deserializer &d);
     void onTimer();
     void onDeviceIrq();
     void scheduleNextDeviceIrq();

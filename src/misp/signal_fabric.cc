@@ -12,86 +12,47 @@ SignalFabric::SignalFabric(EventQueue &eq, Cycles signalCycles,
     : eq_(eq),
       signalCycles_(signalCycles),
       ownerCpu_(ownerCpu),
-      pool_(eq),
+      pool_(eq, *this, "fabric.delivery", kDeliveryPrio),
       statGroup_("fabric", parent),
       deliveries_(&statGroup_, "deliveries", "signals delivered")
 {}
 
-SignalFabric::DeliveryEvent *
-SignalFabric::send(Delivery kind, cpu::Sequencer &dst)
+void
+SignalFabric::send(Delivery kind, cpu::Sequencer &dst,
+                   const cpu::SignalPayload &payload,
+                   const cpu::SequencerContext &serviced)
 {
+    const std::uint32_t cpu =
+        ownerCpu_ < 0 ? 0 : static_cast<std::uint32_t>(ownerCpu_);
+    if (kind == Delivery::Signal)
+        obs::trace(obs::TraceKind::SignalSend, dst.sid(), cpu, payload.eip,
+                   payload.arg);
+    else if (kind == Delivery::ProxyRequest)
+        obs::trace(obs::TraceKind::ProxySend, dst.sid(), cpu, payload.arg);
     ++deliveries_;
-    DeliveryEvent *ev = pool_.acquire(*this);
-    ev->kind = kind;
-    ev->dst = &dst;
-    return ev;
-}
-
-void
-SignalFabric::sendSignal(cpu::Sequencer &dst,
-                         const cpu::SignalPayload &payload)
-{
-    DeliveryEvent *ev = send(Delivery::Signal, dst);
-    obs::trace(obs::TraceKind::SignalSend, dst.sid(),
-               ownerCpu_ < 0 ? 0 : static_cast<std::uint32_t>(ownerCpu_),
-               payload.eip, payload.arg);
-    ev->payload = payload;
-    eq_.schedule(ev, eq_.curTick() + signalCycles_);
-}
-
-void
-SignalFabric::sendProxyRequest(cpu::Sequencer &oms,
-                               const cpu::SignalPayload &payload)
-{
-    DeliveryEvent *ev = send(Delivery::ProxyRequest, oms);
-    obs::trace(obs::TraceKind::ProxySend, oms.sid(),
-               ownerCpu_ < 0 ? 0 : static_cast<std::uint32_t>(ownerCpu_),
-               payload.arg);
-    ev->payload = payload;
-    eq_.schedule(ev, eq_.curTick() + signalCycles_);
-}
-
-void
-SignalFabric::sendSuspend(cpu::Sequencer &ams)
-{
-    eq_.schedule(send(Delivery::Suspend, ams),
-                 eq_.curTick() + signalCycles_);
-}
-
-void
-SignalFabric::sendResume(cpu::Sequencer &ams)
-{
-    eq_.schedule(send(Delivery::Resume, ams),
-                 eq_.curTick() + signalCycles_);
-}
-
-void
-SignalFabric::sendProxyDone(cpu::Sequencer &ams,
-                            const cpu::SequencerContext &serviced)
-{
-    DeliveryEvent *ev = send(Delivery::ProxyDone, ams);
-    ev->serviced = serviced;
-    eq_.schedule(ev, eq_.curTick() + signalCycles_);
+    pool_.schedule(eq_.curTick() + signalCycles_,
+                   {kind, &dst, payload, serviced});
 }
 
 std::size_t
 SignalFabric::inFlight(Delivery kind) const
 {
     std::size_t n = 0;
-    for (const DeliveryEvent *ev : pool_.pending())
-        n += ev->kind == kind;
+    for (const auto *ev : pool_.pending())
+        n += ev->data.kind == kind;
     return n;
 }
 
 void
-SignalFabric::DeliveryEvent::process()
+SignalFabric::arrive(const Packet &packet)
 {
-    switch (kind) {
+    cpu::Sequencer *dst = packet.dst;
+    switch (packet.kind) {
       case Delivery::Signal:
-        dst->deliverSignal(payload);
+        dst->deliverSignal(packet.payload);
         break;
       case Delivery::ProxyRequest:
-        dst->deliverProxyRequest(payload);
+        dst->deliverProxyRequest(packet.payload);
         break;
       case Delivery::Suspend:
         dst->suspend();
@@ -104,14 +65,13 @@ SignalFabric::DeliveryEvent::process()
         // but kept safe), the serviced context is already in the save
         // area and will resume on reload.
         if (dst->state() == SeqState::WaitingProxy) {
-            dst->restoreContext(serviced);
+            dst->restoreContext(packet.serviced);
             dst->resume(/*retryFault=*/true);
         }
         break;
       case Delivery::NumKinds:
         break;
     }
-    fabric_.pool_.release(this);
 }
 
 // ---------------------------------------------------------------------
@@ -123,13 +83,14 @@ SignalFabric::snapSave(snap::Serializer &s) const
 {
     const auto pending = pool_.pending();
     s.u64(pending.size());
-    for (const DeliveryEvent *ev : pending) {
-        s.u8(static_cast<std::uint8_t>(ev->kind));
-        s.u64(ev->dst->sid());
-        if (ev->kind == Delivery::ProxyDone)
-            snap::putContext(s, ev->serviced);
+    for (const auto *ev : pending) {
+        const Packet &p = ev->data;
+        s.u8(static_cast<std::uint8_t>(p.kind));
+        s.u64(p.dst->sid());
+        if (p.kind == Delivery::ProxyDone)
+            snap::putContext(s, p.serviced);
         else
-            snap::putPayload(s, ev->payload);
+            snap::putPayload(s, p.payload);
         snap::putPending(s, ev);
     }
 }
@@ -157,16 +118,15 @@ SignalFabric::snapRestore(snap::Deserializer &d,
                                   std::to_string(kindByte) +
                                   " cannot target sid " +
                                   std::to_string(sid));
-        DeliveryEvent *ev = pool_.acquire(*this);
-        ev->kind = kind;
-        ev->dst = bySid[sid];
+        Packet p;
+        p.kind = kind;
+        p.dst = bySid[sid];
         if (kind == Delivery::ProxyDone)
-            ev->serviced = snap::getContext(d);
+            p.serviced = snap::getContext(d);
         else
-            ev->payload = snap::getPayload(d);
-        const snap::Pending at =
-            snap::getPending(d, eq_, kDeliveryPrio, "fabric delivery");
-        eq_.restoreSchedule(ev, at.when, at.seq);
+            p.payload = snap::getPayload(d);
+        snap::getPending(d, eq_, pool_, kDeliveryPrio, "fabric delivery",
+                         p);
     }
 }
 

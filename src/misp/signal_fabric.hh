@@ -8,7 +8,7 @@
  * serialization engine. Each delivery costs `signalCycles` — the
  * parameter Figure 5 sweeps.
  *
- * A delivery in flight is a pooled DeliveryEvent whose fields say what
+ * A delivery in flight is a pooled event holding a Packet that says what
  * arrives where, so the fabric archives its pending deliveries itself.
  */
 
@@ -47,23 +47,14 @@ class SignalFabric
                  stats::StatGroup *parent, int ownerCpu = -1);
 
     Cycles signalCycles() const { return signalCycles_; }
-    void setSignalCycles(Cycles c) { signalCycles_ = c; }
 
-    /** Deliver a user-level SIGNAL continuation to @p dst. */
-    void sendSignal(cpu::Sequencer &dst, const cpu::SignalPayload &payload);
-
-    /** Deliver a proxy-execution request notification to the OMS. */
-    void sendProxyRequest(cpu::Sequencer &oms,
-                          const cpu::SignalPayload &payload);
-
-    /** Firmware-level serialization signals to an AMS. */
-    void sendSuspend(cpu::Sequencer &ams);
-    void sendResume(cpu::Sequencer &ams);
-
-    /** Ship a proxied AMS its serviced context; it resumes from it if
-     *  it is still waiting for the proxy. */
-    void sendProxyDone(cpu::Sequencer &ams,
-                       const cpu::SequencerContext &serviced);
+    /** Deliver a @p kind signal to @p dst after the signal latency:
+     *  @p payload for Signal and ProxyRequest, the @p serviced AMS
+     *  context for ProxyDone (the AMS resumes from it if it is still
+     *  waiting for the proxy). */
+    void send(Delivery kind, cpu::Sequencer &dst,
+              const cpu::SignalPayload &payload = {},
+              const cpu::SequencerContext &serviced = {});
 
     std::uint64_t deliveries() const
     {
@@ -81,40 +72,22 @@ class SignalFabric
     void snapRestore(snap::Deserializer &d,
                      const std::vector<cpu::Sequencer *> &bySid);
 
-    /** Every delivery event, for the snapshot layer's
-     *  every-pending-event-is-claimed audit. */
-    template <class Fn>
-    void
-    forEachEvent(Fn &&fn) const
-    {
-        pool_.forEach(fn);
-    }
-
   private:
-    class DeliveryEvent final : public Event
-    {
-      public:
-        explicit DeliveryEvent(SignalFabric &fabric)
-            : Event("fabric.delivery", kDeliveryPrio), fabric_(fabric)
-        {}
-
-        void process() override;
-
+    /** One delivery in flight. */
+    struct Packet {
         Delivery kind = Delivery::Signal;
         cpu::Sequencer *dst = nullptr;
-        cpu::SignalPayload payload;       ///< Signal, ProxyRequest
-        cpu::SequencerContext serviced;   ///< ProxyDone
-
-      private:
-        SignalFabric &fabric_;
+        cpu::SignalPayload payload;     ///< Signal, ProxyRequest
+        cpu::SequencerContext serviced; ///< ProxyDone
     };
 
-    DeliveryEvent *send(Delivery kind, cpu::Sequencer &dst);
+    /** A delivery's arrival at its target. */
+    void arrive(const Packet &packet);
 
     EventQueue &eq_;
     Cycles signalCycles_; ///< snap: config
     int ownerCpu_;        ///< snap: config
-    EventPool<DeliveryEvent> pool_;
+    EventPool<SignalFabric, Packet, &SignalFabric::arrive> pool_;
 
     stats::StatGroup statGroup_;
     stats::Scalar deliveries_;

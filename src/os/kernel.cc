@@ -7,25 +7,13 @@
 
 namespace misp::os {
 
-const char *
-threadStateName(ThreadState s)
-{
-    switch (s) {
-      case ThreadState::Ready: return "ready";
-      case ThreadState::Running: return "running";
-      case ThreadState::Blocked: return "blocked";
-      case ThreadState::Done: return "done";
-    }
-    return "?";
-}
-
 Kernel::Kernel(EventQueue &eq, mem::PhysicalMemory &pmem,
                const KernelConfig &config, stats::StatGroup *parent)
     : eq_(eq),
       pmem_(pmem),
       config_(config),
       rng_(config.seed),
-      sleepWakes_(eq),
+      sleepWakes_(eq, *this, "kernel.sleepWake", kSleepWakePrio),
       statGroup_("kernel", parent),
       syscalls_(&statGroup_, "syscalls", "system calls serviced"),
       pageFaults_(&statGroup_, "pageFaults", "page faults serviced"),
@@ -203,8 +191,8 @@ Kernel::snapSave(snap::Serializer &s) const
 
     const auto wakes = sleepWakes_.pending();
     s.u64(wakes.size());
-    for (const SleepWake *wake : wakes) {
-        s.u64(wake->thread->tid());
+    for (const auto *wake : wakes) {
+        s.u64(wake->data->tid());
         snap::putPending(s, wake);
     }
 }
@@ -302,20 +290,16 @@ Kernel::snapRestore(snap::Deserializer &d)
         if (!t)
             throw snap::SnapError("kernel: sleep wakeup names an unknown "
                                   "tid");
-        const snap::Pending at =
-            snap::getPending(d, eq_, kSleepWakePrio, "kernel sleep wakeup");
-        SleepWake *wake = sleepWakes_.acquire(*this);
-        wake->thread = t;
-        eq_.restoreSchedule(wake, at.when, at.seq);
+        snap::getPending(d, eq_, sleepWakes_, kSleepWakePrio,
+                         "kernel sleep wakeup", t);
     }
 }
 
 void
-Kernel::SleepWake::process()
+Kernel::sleepWake(OsThread *const &t)
 {
-    if (thread->state() == ThreadState::Blocked)
-        kernel_.makeReady(thread);
-    kernel_.sleepWakes_.release(this);
+    if (t->state() == ThreadState::Blocked)
+        makeReady(t);
 }
 
 void
@@ -452,9 +436,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         t.setState(ThreadState::Blocked);
         current_[cpu] = nullptr;
         t.setCpu(-1);
-        SleepWake *ev = sleepWakes_.acquire(*this);
-        ev->thread = &t;
-        eq_.schedule(ev, wake);
+        sleepWakes_.schedule(wake, &t);
         res.reschedule = true;
         res.prev = &t;
         res.next = pickNext(cpu);
@@ -495,11 +477,6 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         VAddr addr = args[0];
         Word expected = args[1];
         Word cur = t.process()->addressSpace().peekWord(addr, 8);
-        if (getenv("MISP_FUTEX_DEBUG"))
-            fprintf(stderr, "[%llu] tid=%u WAIT addr=%llx exp=%llu cur=%llu\n",
-                (unsigned long long)eq_.curTick(), t.tid(),
-                (unsigned long long)addr, (unsigned long long)expected,
-                (unsigned long long)cur);
         if (cur != expected) {
             res.retval = 1; // value changed; no wait
             break;
@@ -518,10 +495,6 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
       case Sys::FutexWake: {
         VAddr addr = args[0];
         Word count = args[1];
-        if (getenv("MISP_FUTEX_DEBUG"))
-            fprintf(stderr, "[%llu] tid=%u WAKE addr=%llx n=%llu\n",
-                (unsigned long long)eq_.curTick(), t.tid(),
-                (unsigned long long)addr, (unsigned long long)count);
         auto it = futexQueues_.find(FutexKey{t.process()->pid(), addr});
         Word woken = 0;
         if (it != futexQueues_.end()) {

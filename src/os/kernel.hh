@@ -163,32 +163,7 @@ class Kernel : public snap::Saveable
     void snapSave(snap::Serializer &s) const override;
     void snapRestore(snap::Deserializer &d) override;
 
-    /** Every sleep-wake event, for the snapshot layer's
-     *  every-pending-event-is-claimed audit. */
-    template <class Fn>
-    void
-    forEachEvent(Fn &&fn) const
-    {
-        sleepWakes_.forEach(fn);
-    }
-
   private:
-    /** A pending Sys::Sleep wakeup of one thread. */
-    class SleepWake final : public Event
-    {
-      public:
-        explicit SleepWake(Kernel &kernel)
-            : Event("kernel.sleepWake", kSleepWakePrio), kernel_(kernel)
-        {}
-
-        void process() override;
-
-        OsThread *thread = nullptr;
-
-      private:
-        Kernel &kernel_;
-    };
-
     struct FutexKey {
         Pid pid;
         VAddr addr;
@@ -199,6 +174,8 @@ class Kernel : public snap::Saveable
     void wakeIdleCpu();
     KernelResult scheduleDecision(int cpu, bool force);
     void finishThread(OsThread &t);
+    /** A Sys::Sleep wakeup of @p t arrives. */
+    void sleepWake(OsThread *const &t);
 
     EventQueue &eq_;
     mem::PhysicalMemory &pmem_;
@@ -216,7 +193,7 @@ class Kernel : public snap::Saveable
 
     std::map<FutexKey, std::deque<OsThread *>> futexQueues_;
     std::map<Tid, std::vector<OsThread *>> joiners_;
-    EventPool<SleepWake> sleepWakes_;
+    EventPool<Kernel, OsThread *, &Kernel::sleepWake> sleepWakes_;
     /** snap: config — harness completion wiring, re-installed by
      *  the same build path that constructs the restore target. */
     std::function<void(Process *)> processExitHook_;

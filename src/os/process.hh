@@ -31,8 +31,6 @@ enum class ThreadState : std::uint8_t {
     Done,    ///< exited
 };
 
-const char *threadStateName(ThreadState s);
-
 /** One OS-visible thread. */
 class OsThread
 {

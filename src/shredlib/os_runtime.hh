@@ -50,11 +50,6 @@ class OsApiRuntime : public arch::RtHandler
     void onThreadUnloading(arch::MispProcessor &proc,
                            os::OsThread &t) override;
 
-    std::uint64_t threadsSpawned() const
-    {
-        return static_cast<std::uint64_t>(threadsSpawned_.value());
-    }
-
     // ---- snapshot ------------------------------------------------------
     /** Snapshot the per-process groups: futex-waiter mirrors, barrier
      *  arrival counts, and the mutex/cond blocking phase machines

@@ -61,14 +61,6 @@ ShredRuntime::shredIdOn(Gang &g, Sequencer &seq) const
     return it->second;
 }
 
-ShredRuntime::Shred &
-ShredRuntime::shredOn(Gang &g, Sequencer &seq)
-{
-    ShredId id = shredIdOn(g, seq);
-    MISP_ASSERT(id != kInvalidShredId);
-    return g.shreds.at(id);
-}
-
 ShredId
 ShredRuntime::popReady(Gang &g, Sequencer &seq)
 {
@@ -175,7 +167,8 @@ ShredRuntime::wakeIdleSequencer(Gang &g, bool needOms)
         cpu::SignalPayload payload;
         payload.eip = symAmsEntry_;
         payload.esp = 0; // the entry stub is stackless
-        proc.fabric().sendSignal(seq, payload);
+        proc.fabric().send(arch::SignalFabric::Delivery::Signal, seq,
+                           payload);
         g.wakesInFlight.insert(seq.sid());
         ++wakeSignals_;
         return true;

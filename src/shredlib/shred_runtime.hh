@@ -85,17 +85,9 @@ class ShredRuntime : public arch::RtHandler
     void snapRestore(snap::Deserializer &d, arch::MispSystem &sys);
 
     // ---- observability ----------------------------------------------------
-    std::uint64_t shredsCreated() const
-    {
-        return static_cast<std::uint64_t>(shredsCreated_.value());
-    }
     std::uint64_t shredSwitches() const
     {
         return static_cast<std::uint64_t>(shredSwitches_.value());
-    }
-    std::uint64_t wakeSignals() const
-    {
-        return static_cast<std::uint64_t>(wakeSignals_.value());
     }
 
   private:
@@ -158,7 +150,6 @@ class ShredRuntime : public arch::RtHandler
     };
 
     Gang &gangOf(arch::MispProcessor &proc, cpu::Sequencer &seq);
-    Shred &shredOn(Gang &g, cpu::Sequencer &seq);
     ShredId shredIdOn(Gang &g, cpu::Sequencer &seq) const;
 
     /** Pop the next shred this sequencer may run (main/shred 0 only on

@@ -147,20 +147,13 @@ EventQueue::reschedule(Event *ev, Tick when)
 
 void
 EventQueue::forEachScheduled(
-    const std::function<void(const ScheduledInfo &)> &fn) const
+    const std::function<void(const Event &)> &fn) const
 {
-    for (const Entry &entry : heap_) {
-        // Stale entries (squashed, or descheduled-and-rescheduled with
-        // a newer seq) are skipped exactly as popReady() would.
-        if (stale(entry))
-            continue;
-        ScheduledInfo info;
-        info.ev = entry.ev;
-        info.when = entry.when;
-        info.seq = entry.seq;
-        info.priority = entry.priority;
-        fn(info);
-    }
+    // Stale entries (squashed, or descheduled-and-rescheduled with a
+    // newer seq) are skipped exactly as popReady() would.
+    for (const Entry &entry : heap_)
+        if (!stale(entry))
+            fn(*entry.ev);
 }
 
 Event *

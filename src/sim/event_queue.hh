@@ -193,20 +193,11 @@ class EventQueue
     std::uint64_t numProcessed() const { return numProcessed_; }
 
     // ---- snapshot support ----------------------------------------------
-    /** What a scheduled occurrence looks like to the snapshot layer. */
-    struct ScheduledInfo {
-        const Event *ev = nullptr;
-        Tick when = 0;
-        std::uint64_t seq = 0;
-        int priority = 0;
-    };
-
     /** Invoke @p fn for every live (scheduled, non-squashed) entry.
      *  Order is the heap's internal layout — callers that care sort by
      *  seq. Stale entries (descheduled, rescheduled, squashed) are
      *  skipped: they carry no simulation state. */
-    void forEachScheduled(
-        const std::function<void(const ScheduledInfo &)> &fn) const;
+    void forEachScheduled(const std::function<void(const Event &)> &fn) const;
 
     /**
      * Restore-path scheduling: enqueue @p ev at @p when with its
@@ -305,18 +296,40 @@ class EventQueue
 
 /**
  * Typed one-shot occurrences without a closure or an allocation per
- * occurrence. T is an Event whose plain fields describe one occurrence
- * (a delivery target, a thread id); its process() acts on them and
- * then hands itself back with release(). Each occurrence still takes
- * its own queue entry and sequence number, so pooling changes no
+ * occurrence. Each pending occurrence is a pooled event holding one
+ * plain Data value (a delivery target, a thread); when it fires it
+ * calls Owner::Fn(data) and returns to the pool. Each occurrence still
+ * takes its own queue entry and sequence number, so pooling changes no
  * ordering. The owner archives pending() and re-creates each with
- * acquire() + EventQueue::restoreSchedule().
+ * restore().
  */
-template <class T>
+template <class Owner, class Data, void (Owner::*Fn)(const Data &)>
 class EventPool
 {
   public:
-    explicit EventPool(EventQueue &eq) : eq_(eq) {}
+    class Occurrence final : public Event
+    {
+      public:
+        explicit Occurrence(EventPool &pool)
+            : Event(pool.name_, pool.priority_), pool_(pool)
+        {}
+
+        void
+        process() override
+        {
+            (pool_.owner_.*Fn)(data);
+            pool_.free_.push_back(this);
+        }
+
+        Data data{};
+
+      private:
+        EventPool &pool_;
+    };
+
+    EventPool(EventQueue &eq, Owner &owner, std::string name, int priority)
+        : eq_(eq), owner_(owner), name_(std::move(name)), priority_(priority)
+    {}
 
     /** Pending occurrences are detached (a run cut short, a restore
      *  target thrown away) before their events are freed. */
@@ -327,55 +340,58 @@ class EventPool
                 eq_.deschedule(ev.get());
     }
 
-    EventPool(const EventPool &) = delete;
-    EventPool &operator=(const EventPool &) = delete;
-
-    /** A free event to fill in and schedule; @p args construct a new
-     *  one when none is free. */
-    template <class... Args>
-    T *
-    acquire(Args &&...args)
+    /** Schedule an occurrence carrying @p data at @p when. */
+    void
+    schedule(Tick when, const Data &data)
     {
-        if (!free_.empty()) {
-            T *ev = free_.back();
-            free_.pop_back();
-            return ev;
-        }
-        all_.push_back(std::make_unique<T>(std::forward<Args>(args)...));
-        return all_.back().get();
+        eq_.schedule(make(data), when);
     }
 
-    /** Return an event whose occurrence has been processed. */
-    void release(T *ev) { free_.push_back(ev); }
+    /** Restore path: re-create an archived occurrence with its original
+     *  sequence number (see EventQueue::restoreSchedule). */
+    void
+    restore(Tick when, std::uint64_t seq, const Data &data)
+    {
+        eq_.restoreSchedule(make(data), when, seq);
+    }
 
     /** The scheduled occurrences, oldest sequence number first. */
-    std::vector<const T *>
+    std::vector<const Occurrence *>
     pending() const
     {
-        std::vector<const T *> out;
+        std::vector<const Occurrence *> out;
         for (const auto &ev : all_)
             if (ev->scheduled())
                 out.push_back(ev.get());
-        std::sort(out.begin(), out.end(), [](const T *a, const T *b) {
-            return a->seq() < b->seq();
-        });
+        std::sort(out.begin(), out.end(),
+                  [](const Occurrence *a, const Occurrence *b) {
+                      return a->seq() < b->seq();
+                  });
         return out;
     }
 
-    /** Every event of the pool, scheduled or not (the snapshot layer's
-     *  every-pending-entry-is-claimed audit). */
-    template <class Fn>
-    void
-    forEach(Fn &&fn) const
+  private:
+    Occurrence *
+    make(const Data &data)
     {
-        for (const auto &ev : all_)
-            fn(static_cast<const Event *>(ev.get()));
+        Occurrence *ev;
+        if (free_.empty()) {
+            all_.push_back(std::make_unique<Occurrence>(*this));
+            ev = all_.back().get();
+        } else {
+            ev = free_.back();
+            free_.pop_back();
+        }
+        ev->data = data;
+        return ev;
     }
 
-  private:
     EventQueue &eq_;
-    std::vector<std::unique_ptr<T>> all_;
-    std::vector<T *> free_;
+    Owner &owner_;
+    std::string name_;
+    int priority_;
+    std::vector<std::unique_ptr<Occurrence>> all_;
+    std::vector<Occurrence *> free_;
 };
 
 } // namespace misp

@@ -87,9 +87,6 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Bernoulli draw with probability @p p. */
-    bool chance(double p) { return real() < p; }
-
     /** Raw generator state, for machine-state snapshots. Restoring the
      *  four words reproduces the draw sequence exactly. */
     std::array<std::uint64_t, 4>

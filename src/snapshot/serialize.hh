@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace misp::snap {
@@ -63,6 +64,11 @@ class Serializer
     /** Finish the image: header, section index, payloads. */
     std::string done();
 
+    /** Note that pending event @p ev is in the image; saveExperiment
+     *  refuses a machine with a pending event no component archived. */
+    void archiveEvent(const void *ev) { archivedEvents_.insert(ev); }
+    bool archived(const void *ev) const { return archivedEvents_.count(ev); }
+
   private:
     struct Section {
         std::uint32_t id = 0;
@@ -73,6 +79,7 @@ class Serializer
     std::string buf_;
     std::vector<Section> sections_;
     bool open_ = false;
+    std::unordered_set<const void *> archivedEvents_;
 };
 
 /** Image reader: verifies magic/version up front and each section's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <unordered_set>
 #include <sstream>
 
 #include "harness/experiment.hh"
@@ -85,26 +84,6 @@ getSystemConfig(Deserializer &d, rt::Backend *backend)
     return cfg;
 }
 
-/** Every pending event must be one a component archives (and
- *  re-schedules) itself: processors (interrupts, Ring-0 phases, fabric
- *  deliveries, run slices) and the kernel (sleep wakes). Anything else
- *  would silently vanish from the image. */
-void
-auditPendingEvents(arch::MispSystem &sys)
-{
-    std::unordered_set<const Event *> claimed;
-    auto claim = [&claimed](const Event *ev) { claimed.insert(ev); };
-    for (unsigned p = 0; p < sys.numProcessors(); ++p)
-        sys.processor(p).forEachEvent(claim);
-    sys.kernel().forEachEvent(claim);
-    sys.eventQueue().forEachScheduled(
-        [&](const EventQueue::ScheduledInfo &info) {
-            if (!claimed.count(info.ev))
-                throw SnapError("pending event '" + info.ev->name() +
-                                "' is archived by no component");
-        });
-}
-
 // ---------------------------------------------------------------------
 // Statistics tree
 // ---------------------------------------------------------------------
@@ -170,7 +149,6 @@ saveExperiment(harness::Experiment &exp, os::Process *target,
 {
     try {
         arch::MispSystem &sys = exp.system();
-        auditPendingEvents(sys);
         Serializer s;
 
         s.beginSection(kSecConfig);
@@ -210,6 +188,15 @@ saveExperiment(harness::Experiment &exp, os::Process *target,
         s.beginSection(kSecStats);
         saveStatGroup(s, sys.rootStats());
         s.endSection();
+
+        // Every pending event must have been archived by the component
+        // that owns it; anything else would vanish from the image.
+        sys.eventQueue().forEachScheduled(
+            [&s](const Event &ev) {
+                if (!s.archived(&ev))
+                    throw SnapError("pending event '" + ev.name() +
+                                    "' is archived by no component");
+            });
 
         *imageOut = s.done();
         return true;

@@ -27,6 +27,7 @@ putEventSchedule(Serializer &s, const Event *ev)
     if (ev->scheduled()) {
         s.u64(ev->when());
         s.u64(ev->seq());
+        s.archiveEvent(ev);
     }
 }
 
@@ -37,14 +38,12 @@ inline void
 checkEventSchedule(const EventQueue &eq, Tick when, std::uint64_t seq,
                    const std::string &what)
 {
-    if (when < eq.curTick())
-        throw SnapError("image: " + what + " when " +
-                        std::to_string(when) + " precedes the saved tick " +
-                        std::to_string(eq.curTick()));
-    if (seq >= eq.nextSeq())
-        throw SnapError("image: " + what + " seq " + std::to_string(seq) +
-                        " is not below the saved next seq " +
-                        std::to_string(eq.nextSeq()));
+    if (when < eq.curTick() || seq >= eq.nextSeq())
+        throw SnapError("image: " + what + " at (when " +
+                        std::to_string(when) + ", seq " + std::to_string(seq) +
+                        ") is not past the saved clock (tick " +
+                        std::to_string(eq.curTick()) + ", next seq " +
+                        std::to_string(eq.nextSeq()) + ")");
 }
 
 /** Re-enqueue one pending member event archived by putEventSchedule. */
@@ -66,31 +65,27 @@ putPending(Serializer &s, const Event *ev)
     s.u64(ev->when());
     s.u64(ev->seq());
     s.i64(ev->priority());
+    s.archiveEvent(ev);
 }
 
-/** A pooled occurrence's schedule, read back by getPending. */
-struct Pending {
-    Tick when = 0;
-    std::uint64_t seq = 0;
-};
-
-/** Read a putPending record for an occurrence of @p what, which is
- *  only ever scheduled at @p priority: any other would silently
- *  reorder same-tick events. */
-inline Pending
-getPending(Deserializer &d, const EventQueue &eq, int priority,
-           const std::string &what)
+/** Read a putPending record of an occurrence of @p what and re-create
+ *  it, carrying @p data, in @p pool. Pooled occurrences are only ever
+ *  scheduled at @p priority: any other would silently reorder same-tick
+ *  events. */
+template <class Pool, class Data>
+void
+getPending(Deserializer &d, const EventQueue &eq, Pool &pool, int priority,
+           const std::string &what, const Data &data)
 {
-    Pending at;
-    at.when = d.u64();
-    at.seq = d.u64();
+    const Tick when = d.u64();
+    const std::uint64_t seq = d.u64();
     const std::int64_t prio = d.i64();
     if (prio != priority)
         throw SnapError("image: " + what + " has priority " +
                         std::to_string(prio) + ", not " +
                         std::to_string(priority));
-    checkEventSchedule(eq, at.when, at.seq, what);
-    return at;
+    checkEventSchedule(eq, when, seq, what);
+    pool.restore(when, seq, data);
 }
 
 inline void

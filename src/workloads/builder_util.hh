@@ -114,16 +114,6 @@ std::vector<std::int64_t> hostFill(std::uint64_t count, std::uint64_t mult,
 void emitChunkBounds(isa::ProgramBuilder &b, std::uint64_t total,
                      unsigned workers, unsigned regLo, unsigned regHi);
 
-/** Host-side chunk mirror. */
-inline std::pair<std::uint64_t, std::uint64_t>
-hostChunk(std::uint64_t total, unsigned workers, unsigned index)
-{
-    std::uint64_t chunk = (total + workers - 1) / workers;
-    std::uint64_t lo = std::min<std::uint64_t>(index * chunk, total);
-    std::uint64_t hi = std::min<std::uint64_t>(lo + chunk, total);
-    return {lo, hi};
-}
-
 /** Build a validator comparing an int64 guest array to @p expected. */
 std::function<bool(mem::AddressSpace &)>
 makeIntArrayValidator(VAddr addr, std::vector<std::int64_t> expected,

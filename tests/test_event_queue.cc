@@ -251,28 +251,13 @@ TEST(EventQueue, PendingLambdasAreFreedAtDestruction)
 
 namespace {
 
-/** A pooled occurrence: appends its value to a log, then frees
- *  itself back to its pool. */
-class PooledEvent final : public Event
-{
-  public:
-    PooledEvent(EventPool<PooledEvent> &pool, std::vector<int> &log)
-        : Event("pooled"), pool_(pool), log_(log)
-    {}
-
-    void
-    process() override
-    {
-        log_.push_back(value);
-        pool_.release(this);
-    }
-
-    int value = 0;
-
-  private:
-    EventPool<PooledEvent> &pool_;
-    std::vector<int> &log_;
+/** Owner of pooled occurrences: logs each one's value. */
+struct Logger {
+    std::vector<int> log;
+    void arrive(const int &value) { log.push_back(value); }
 };
+
+using LogPool = EventPool<Logger, int, &Logger::arrive>;
 
 struct Counter {
     int hits = 0;
@@ -284,42 +269,74 @@ struct Counter {
 TEST(EventPool, OccurrencesKeepTheirOwnEntriesAndReuseEvents)
 {
     EventQueue eq;
-    std::vector<int> log;
-    EventPool<PooledEvent> pool(eq);
-    auto send = [&](Tick when, int value) {
-        PooledEvent *ev = pool.acquire(pool, log);
-        ev->value = value;
-        eq.schedule(ev, when);
-        return ev;
-    };
+    Logger logger;
+    LogPool pool(eq, logger, "pooled", Event::kPrioDefault);
     // Same tick, same priority: insertion order, one entry each.
-    PooledEvent *a = send(10, 1);
-    PooledEvent *b = send(10, 2);
-    send(5, 3);
-    ASSERT_EQ(pool.pending().size(), 3u);
-    EXPECT_EQ(pool.pending()[0], a); // oldest sequence number first
-    EXPECT_EQ(pool.pending()[1], b);
+    pool.schedule(10, 1);
+    pool.schedule(10, 2);
+    pool.schedule(5, 3);
+    const auto pending = pool.pending();
+    ASSERT_EQ(pending.size(), 3u);
+    EXPECT_EQ(pending[0]->data, 1); // oldest sequence number first
+    EXPECT_EQ(pending[1]->data, 2);
+    EXPECT_EQ(pending[2]->data, 3);
+    EXPECT_EQ(pending[0]->name(), "pooled");
     eq.run();
-    EXPECT_EQ(log, (std::vector<int>{3, 1, 2}));
+    EXPECT_EQ(logger.log, (std::vector<int>{3, 1, 2}));
     EXPECT_TRUE(pool.pending().empty());
-    // A freed event is handed out again instead of a new one.
-    EXPECT_EQ(send(20, 4), b);
-    std::size_t events = 0;
-    pool.forEach([&events](const Event *) { ++events; });
-    EXPECT_EQ(events, 3u);
+    // Freed events are handed out again instead of new ones.
+    pool.schedule(20, 4);
+    EXPECT_EQ(pool.pending()[0], pending[1]);
+
+    // An occurrence may schedule the next one from its own process().
+    struct Chain {
+        explicit Chain(EventQueue &q) : eq(q) {}
+
+        void
+        next(const int &left)
+        {
+            at.push_back(eq.curTick());
+            if (left > 0)
+                pool->schedule(eq.curTick() + 10, left - 1);
+        }
+
+        EventQueue &eq;
+        std::vector<Tick> at;
+        EventPool<Chain, int, &Chain::next> *pool = nullptr;
+    };
+    EventQueue eq2;
+    Chain chain(eq2);
+    EventPool<Chain, int, &Chain::next> chainPool(eq2, chain, "chain", 0);
+    chain.pool = &chainPool;
+    chainPool.schedule(0, 3);
+    eq2.run();
+    EXPECT_EQ(chain.at, (std::vector<Tick>{0, 10, 20, 30}));
+}
+
+TEST(EventPool, RestoreKeepsTheArchivedSequenceNumber)
+{
+    EventQueue eq;
+    Logger logger;
+    LogPool pool(eq, logger, "pooled", Event::kPrioDefault);
+    eq.setClock(100, 10, 0);
+    pool.restore(150, 7, 1);
+    pool.restore(150, 3, 2); // older: runs first at the same tick
+    pool.schedule(150, 3);   // seq 10: runs last
+    eq.run();
+    EXPECT_EQ(logger.log, (std::vector<int>{2, 1, 3}));
 }
 
 TEST(EventPool, DestructionDetachesPendingOccurrences)
 {
     EventQueue eq;
-    std::vector<int> log;
+    Logger logger;
     {
-        EventPool<PooledEvent> pool(eq);
-        eq.schedule(pool.acquire(pool, log), 10);
+        LogPool pool(eq, logger, "pooled", Event::kPrioDefault);
+        pool.schedule(10, 1);
     } // would abort in Event::~Event if still scheduled
     EXPECT_TRUE(eq.empty());
     eq.run();
-    EXPECT_TRUE(log.empty());
+    EXPECT_TRUE(logger.log.empty());
 }
 
 TEST(EventPool, MemberEventCallsItsOwner)

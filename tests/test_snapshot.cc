@@ -407,7 +407,6 @@ TEST(Snapshot, ProcessorRestoreRejectsFaultsNeverProxied)
         s.b(false);
         s.u64(0);
         snap::putContext(s, mp.amsAt(0).context());
-        s.u64(0);
         writeProcTail(s, mp);
         s.endSection();
         snap::Deserializer d(s.done());
@@ -518,8 +517,10 @@ bool
 sleepWakePending(harness::Experiment &exp)
 {
     bool pending = false;
-    exp.system().kernel().forEachEvent(
-        [&pending](const Event *ev) { pending = pending || ev->scheduled(); });
+    exp.system().eventQueue().forEachScheduled(
+        [&pending](const Event &ev) {
+            pending = pending || ev.name() == "kernel.sleepWake";
+        });
     return pending;
 }
 
@@ -850,10 +851,9 @@ oldestPending(harness::Experiment &exp, const std::string &name)
 {
     const Event *found = nullptr;
     exp.system().eventQueue().forEachScheduled(
-        [&](const EventQueue::ScheduledInfo &info) {
-            if (info.ev->name() == name &&
-                (!found || info.seq < found->seq()))
-                found = info.ev;
+        [&](const Event &ev) {
+            if (ev.name() == name && (!found || ev.seq() < found->seq()))
+                found = &ev;
         });
     return found;
 }
@@ -1019,9 +1019,9 @@ idleProcessorImage()
     bool timer = false, device = false;
     const std::string prefix = split.exp->system().processor(0).name();
     split.exp->system().eventQueue().forEachScheduled(
-        [&](const EventQueue::ScheduledInfo &info) {
-            timer = timer || info.ev->name() == prefix + ".timer";
-            device = device || info.ev->name() == prefix + ".deviceIrq";
+        [&](const Event &ev) {
+            timer = timer || ev.name() == prefix + ".timer";
+            device = device || ev.name() == prefix + ".deviceIrq";
         });
     out.records = 8 + 1 + 8 + (timer ? 17 : 1) + (device ? 17 : 1);
     EXPECT_EQ(out.with(Bytes().u8(0).u8(0).u8(0).b, Bytes().u64(0).b),
@@ -1029,20 +1029,19 @@ idleProcessorImage()
     return out;
 }
 
-/** A Ring-0 record: @p phase, a timer-tick work descriptor, and for
- *  the Kernel phase a result naming threads @p prevTid / @p nextTid;
- *  the phase event pending at (@p when, @p seq). */
+/** A Ring-0 record: @p phase, a timer-tick work descriptor of cause
+ *  @p cause, and a result naming threads @p prevTid / @p nextTid; the
+ *  phase event pending at (@p when, @p seq). */
 std::string
-episodeRecord(std::uint8_t phase, std::uint8_t workKind,
-              std::uint64_t prevTid, std::uint64_t nextTid, Tick when,
-              std::uint64_t seq)
+episodeRecord(std::uint8_t phase, std::uint8_t cause, std::uint64_t prevTid,
+              std::uint64_t nextTid, Tick when, std::uint64_t seq)
 {
     Bytes r;
-    r.u8(phase).u8(workKind).u64(0).u64(0);
+    r.u8(phase).u8(0).u8(cause).u64(0).u64(0); // kind, cause, tid, number
     for (int i = 0; i < 4; ++i)
         r.u64(0);
     r.u64(0).u8(0).u32(arch::Ring0Work::kNoPatch); // addr, write, patch
-    r.u64(when - 100).u64(100);                    // t0, signal
+    r.u64(100);                                    // signal
     r.u64(2200).u64(0).u8(1).u64(prevTid).u64(nextTid).u8(0);
     r.u8(1).u64(when).u64(seq); // phase event
     r.u8(0);                    // no held request
@@ -1077,7 +1076,7 @@ TEST(Snapshot, RestoreRejectsBogusEpisodeAndDeliveryRecords)
 
     // Controls: a Kernel-phase episode whose result names the target's
     // main thread, and a signal delivery to AMS 1.
-    EXPECT_TRUE(restores(img.with(episodeRecord(2, 0, 1, 1, when, seq),
+    EXPECT_TRUE(restores(img.with(episodeRecord(2, 2, 1, 1, when, seq),
                                   none),
                          &err))
         << err;
@@ -1094,13 +1093,15 @@ TEST(Snapshot, RestoreRejectsBogusEpisodeAndDeliveryRecords)
          "unknown Ring-0 phase byte 3"},
         {"unknown work kind", Bytes().u8(1).u8(6).b, none,
          "unknown Ring-0 work kind byte 6"},
-        {"prev tid", episodeRecord(2, 0, 99, 1, when, seq), none,
+        {"unknown cause", episodeRecord(1, 6, 0, 0, when, seq), none,
+         "unknown Ring-0 cause byte 6"},
+        {"prev tid", episodeRecord(2, 2, 99, 1, when, seq), none,
          "KernelResult prev tid 99 names no thread"},
-        {"next tid", episodeRecord(2, 0, 1, 4242, when, seq), none,
+        {"next tid", episodeRecord(2, 2, 1, 4242, when, seq), none,
          "KernelResult next tid 4242 names no thread"},
         {"phase event before the saved tick",
-         episodeRecord(2, 0, 1, 1, img.savedTick - 1, seq), none,
-         "precedes the saved tick"},
+         episodeRecord(2, 2, 1, 1, img.savedTick - 1, seq), none,
+         "is not past the saved clock"},
         {"Idle phase with a phase event",
          Bytes().u8(0).u8(1).u64(when).u64(seq).u8(0).b, none,
          "disagrees with its pending phase event"},
@@ -1115,10 +1116,10 @@ TEST(Snapshot, RestoreRejectsBogusEpisodeAndDeliveryRecords)
          "fabric delivery has priority 50, not 0"},
         {"delivery before the saved tick", idle,
          deliveryRecord(0, 1, img.savedTick - 1, seq, prio),
-         "fabric delivery when"},
+         "fabric delivery at (when"},
         {"delivery seq past the clock", idle,
          deliveryRecord(0, 1, when, img.nextSeq, prio),
-         "is not below the saved next seq"},
+         "is not past the saved clock"},
     };
     for (const auto &c : cases) {
         EXPECT_FALSE(restores(img.with(c.episode, c.fabric), &err))
@@ -1190,10 +1191,10 @@ TEST(Snapshot, SquashedQueueEntriesStayOutOfTheImage)
     eq.reschedule(&b, 300); // stale entry with the old seq remains
 
     std::size_t live = 0;
-    eq.forEachScheduled([&](const EventQueue::ScheduledInfo &info) {
+    eq.forEachScheduled([&](const Event &ev) {
         ++live;
-        EXPECT_EQ(info.ev, &b);
-        EXPECT_EQ(info.when, Tick{300});
+        EXPECT_EQ(&ev, &b);
+        EXPECT_EQ(ev.when(), Tick{300});
     });
     EXPECT_EQ(live, 1u);
     eq.deschedule(&b);
