@@ -170,6 +170,8 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
 
     /** True while a Ring-0 episode is in progress. */
     bool inRing0() const { return episode_.phase != Phase::Idle; }
+    /** True while an OMS request waits for the episode in flight. */
+    bool requestHeld() const { return held_.has_value(); }
 
     // ---- SequencerEnv --------------------------------------------------
     cpu::FaultAction handleFault(cpu::Sequencer &seq,

@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <tuple>
 
 #include "driver/runner.hh"
 #include "harness/bare_machine.hh"
@@ -73,6 +75,34 @@ std::string
 tempPath(const std::string &name)
 {
     return ::testing::TempDir() + name;
+}
+
+/** Little-endian fields of an image, for tests that inspect or patch
+ *  one. Image layout: header magic(8) version(4) count(4), an index
+ *  entry id(4) crc(4) size(8) per section, then the payloads in index
+ *  order. */
+std::uint64_t
+getLE(const std::string &b, std::size_t at, unsigned bytes)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= std::uint64_t(std::uint8_t(b[at + i])) << (8 * i);
+    return v;
+}
+
+void
+putLE(std::string &b, std::size_t at, unsigned bytes, std::uint64_t v)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        b[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+std::string
+le64(std::uint64_t v)
+{
+    std::string b(8, '\0');
+    putLE(b, 0, 8, v);
+    return b;
 }
 
 } // namespace
@@ -524,6 +554,20 @@ sleepWakePending(harness::Experiment &exp)
     return pending;
 }
 
+/** Every pending event as (name, when, seq, priority), in seq order. */
+std::vector<std::tuple<std::string, Tick, std::uint64_t, int>>
+pendingSchedule(harness::Experiment &exp)
+{
+    std::vector<std::tuple<std::string, Tick, std::uint64_t, int>> out;
+    exp.system().eventQueue().forEachScheduled([&out](const Event &ev) {
+        out.emplace_back(ev.name(), ev.when(), ev.seq(), ev.priority());
+    });
+    std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
+        return std::get<2>(a) < std::get<2>(b);
+    });
+    return out;
+}
+
 Tick
 finishTo(harness::Experiment &exp, os::Process *target)
 {
@@ -533,31 +577,23 @@ finishTo(harness::Experiment &exp, os::Process *target)
 }
 
 /** Where two images first differ: the section and the payload offset
- *  in it. Layout: header magic(8) version(4) count(4), an index entry
- *  id(4) crc(4) size(8) per section, then the payloads in index
- *  order. */
+ *  in it. */
 std::string
 firstDifference(const std::string &a, const std::string &b)
 {
-    auto le = [](const std::string &s, std::size_t at, unsigned n) {
-        std::uint64_t v = 0;
-        for (unsigned i = 0; i < n; ++i)
-            v |= std::uint64_t(std::uint8_t(s[at + i])) << (8 * i);
-        return v;
-    };
-    if (a.size() < 16 || b.size() < 16 || le(a, 12, 4) != le(b, 12, 4))
+    if (a.size() < 16 || b.size() < 16 || getLE(a, 12, 4) != getLE(b, 12, 4))
         return "different headers";
-    const std::uint64_t sections = le(a, 12, 4);
+    const std::uint64_t sections = getLE(a, 12, 4);
     std::size_t pa = 16 + 16 * sections, pb = pa;
     for (std::uint64_t i = 0; i < sections; ++i) {
         const std::size_t entry = 16 + 16 * i;
-        const std::uint64_t sa = le(a, entry + 8, 8);
-        const std::uint64_t sb = le(b, entry + 8, 8);
+        const std::uint64_t sa = getLE(a, entry + 8, 8);
+        const std::uint64_t sb = getLE(b, entry + 8, 8);
         std::size_t k = 0;
         while (k < sa && k < sb && a[pa + k] == b[pb + k])
             ++k;
         if (sa != sb || k < sa)
-            return "section " + std::to_string(le(a, entry, 4)) +
+            return "section " + std::to_string(getLE(a, entry, 4)) +
                    " (sizes " + std::to_string(sa) + " vs " +
                    std::to_string(sb) + ") at payload byte " +
                    std::to_string(k);
@@ -567,10 +603,10 @@ firstDifference(const std::string &a, const std::string &b)
     return "no difference";
 }
 
-/** Finish the direct run and a restore of its image under @p engine,
- *  and require them bit-identical: the same completion tick, and the
- *  same machine — every archived byte, statistics included — where
- *  both stop. */
+/** Restore @p split's image under @p engine and require it to be the
+ *  saved machine: the same pending schedule at once, and at the end of
+ *  both runs the same completion tick and the same machine — every
+ *  archived byte, statistics included. */
 void
 expectRestoreFinishesIdentically(SplitRun &split, cpu::Engine engine)
 {
@@ -578,6 +614,7 @@ expectRestoreFinishesIdentically(SplitRun &split, cpu::Engine engine)
     std::string err;
     ASSERT_TRUE(snap::restoreExperiment(split.image, &restored, &err))
         << err;
+    EXPECT_EQ(pendingSchedule(*split.exp), pendingSchedule(*restored.exp));
     restored.exp->system().setEngine(engine);
     const Tick direct = finishTo(*split.exp, split.proc.process);
     const Tick resumed = finishTo(*restored.exp, restored.target);
@@ -725,6 +762,49 @@ TEST(Snapshot, ProxyDoneInFlight)
     });
 }
 
+TEST(Snapshot, MidEpisodeWithAHeldRequest)
+{
+    // Seed 2 of tests/regress/ring0_reentry.scn: exit_process is raised
+    // on the OMS during a timer episode and held for Ring-0 exit.
+    driver::SpecFile spec;
+    driver::Scenario sc;
+    std::vector<driver::ScenarioPoint> pts;
+    std::string err;
+    ASSERT_TRUE(driver::SpecFile::parse(
+        "[machine misp3]\nprocessors = 3\nbackend = shred\n"
+        "kernel_seed = 2\n[workload]\nname = ADAt\nworkers = 7\n"
+        "scale = 1\n",
+        "<test>", &spec, &err))
+        << err;
+    ASSERT_TRUE(driver::Scenario::fromSpec(spec, &sc, &err)) << err;
+    ASSERT_TRUE(sc.expandPoints(false, &pts, &err)) << err;
+    ASSERT_EQ(pts.size(), 1u);
+    const harness::RunRequest req =
+        driver::makeRunRequest(sc, pts[0], driver::RunnerOptions{});
+    roundTripAt(req, 290'000'000, [](harness::Experiment &exp) {
+        for (unsigned p = 0; p < exp.system().numProcessors(); ++p)
+            if (exp.system().processor(p).requestHeld())
+                return true;
+        return false;
+    });
+}
+
+TEST(Snapshot, MidEpisodeAcrossAThreadSwitch)
+{
+    // The kernel phase of an episode that switches threads: the
+    // outgoing thread is saved and the OMS unloaded, and the incoming
+    // thread (the kernel's current one already) loads at Ring-0 exit.
+    harness::RunRequest req = smallRequest();
+    req.config = arch::SystemConfig::mp({0});
+    req.config.physFrames = 1 << 16;
+    req.backend = rt::Backend::OsThread;
+    roundTripAt(req, sleepyShreds(), 100'000, [](harness::Experiment &exp) {
+        arch::MispProcessor &mp = exp.system().processor(0);
+        return mp.inRing0() && mp.oms().idle() &&
+               exp.system().kernel().current(mp.cpuId()) != nullptr;
+    });
+}
+
 TEST(Snapshot, MidEpisodeWithASleepWakePending)
 {
     // A sleeping OS thread's wakeup is pending while a Ring-0 episode
@@ -785,37 +865,11 @@ TEST(Snapshot, SaveRefusesAnEventNoComponentArchives)
 
 namespace {
 
-std::uint64_t
-getLE(const std::string &b, std::size_t at, unsigned bytes)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < bytes; ++i)
-        v |= std::uint64_t(std::uint8_t(b[at + i])) << (8 * i);
-    return v;
-}
-
-void
-putLE(std::string &b, std::size_t at, unsigned bytes, std::uint64_t v)
-{
-    for (unsigned i = 0; i < bytes; ++i)
-        b[at + i] = static_cast<char>(v >> (8 * i));
-}
-
-std::string
-le64(std::uint64_t v)
-{
-    std::string b(8, '\0');
-    putLE(b, 0, 8, v);
-    return b;
-}
-
 /** A copy of @p image whose pending occurrence (when @p when, seq
  *  @p seq, archived priority @p live) in section @p section carries
  *  @p priority instead, with that section's CRC recomputed so only the
- *  restore's own checks can object. Layout: header magic(8) version(4)
- *  count(4), an index entry id(4) crc(4) size(8) per section, then the
- *  payloads in index order; a pending occurrence ends with its
- *  (when u64, seq u64, priority i64). */
+ *  restore's own checks can object. A pending occurrence's record ends
+ *  with its (when u64, seq u64, priority i64). */
 std::string
 withPriority(std::string image, std::uint32_t section, Tick when,
              std::uint64_t seq, std::int64_t live, std::int64_t priority)
