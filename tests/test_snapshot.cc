@@ -782,10 +782,13 @@ TEST(Snapshot, MidEpisodeWithAHeldRequest)
     const harness::RunRequest req =
         driver::makeRunRequest(sc, pts[0], driver::RunnerOptions{});
     roundTripAt(req, 290'000'000, [](harness::Experiment &exp) {
-        for (unsigned p = 0; p < exp.system().numProcessors(); ++p)
-            if (exp.system().processor(p).requestHeld())
-                return true;
-        return false;
+        return exp.system().processor(0).requestHeld();
+    });
+    // An episode in flight while the previous one's resume signals are
+    // still on their way to the AMSs (as when a held request starts).
+    roundTripAt(req, 290'000'000, [](harness::Experiment &exp) {
+        return exp.system().processor(0).inRing0() &&
+               inFlight(exp, arch::SignalFabric::Delivery::Resume) > 0;
     });
 }
 
