@@ -11,41 +11,6 @@ constexpr std::size_t kBitmapWords = (1ull << 20) / 64;
 
 } // namespace
 
-std::uint32_t
-buildSuperblockAt(DecodedPage &page, std::uint16_t slot)
-{
-    MISP_ASSERT(slot < DecodedPage::kSlots);
-    if (!page.sbs)
-        page.sbs = std::make_unique<PageSuperblocks>();
-    PageSuperblocks &ps = *page.sbs;
-    std::uint16_t cached = ps.startAt[slot];
-    if (cached != PageSuperblocks::kNone)
-        return cached;
-
-    Superblock sb;
-    sb.start = slot;
-    std::uint16_t cur = slot;
-    while (cur < DecodedPage::kSlots) {
-        const DecodedSlot &s = page.slots[cur];
-        OpClass cls = s.valid ? s.cls : OpClass::Invalid;
-        if (cls == OpClass::Branch || cls == OpClass::Slow ||
-            cls == OpClass::Invalid) {
-            sb.termKind = cls;
-            break;
-        }
-        ++cur;
-    }
-    sb.term = cur; // == kSlots when the block ran off the page edge
-
-    std::uint32_t index = static_cast<std::uint32_t>(ps.blocks.size());
-    ps.blocks.push_back(sb);
-    // [engine] category: only the superblock engine builds blocks.
-    obs::trace(obs::TraceKind::SuperblockBuild, 0, slot, page.vpn,
-               sb.term - sb.start);
-    ps.startAt[slot] = static_cast<std::uint16_t>(index);
-    return index;
-}
-
 DecodeCache::DecodeCache(mem::PhysicalMemory &pmem) : pmem_(pmem) {}
 
 DecodedPage *
@@ -74,15 +39,19 @@ DecodeCache::decodePage(std::uint64_t vpn, PAddr paBase)
 
     std::uint8_t bytes[mem::kPageSize];
     pmem_.readBytes(paBase, bytes, mem::kPageSize);
-    for (std::size_t i = 0; i < DecodedPage::kSlots; ++i) {
+    // Backwards, so each slot's block end is its own slot (a
+    // terminator) or the one after it already recorded.
+    std::uint16_t term = DecodedPage::kSlots;
+    for (std::size_t i = DecodedPage::kSlots; i-- > 0;) {
         DecodedSlot &s = page->slots[i];
         s.valid = isa::decode(&bytes[i * isa::kInstBytes], &s.inst);
         s.lat = s.valid ? isa::baseLatency(s.inst.op) : 0;
         s.cls = s.valid ? isa::opInfo(s.inst.op).cls : OpClass::Invalid;
+        if (s.cls == OpClass::Branch || s.cls == OpClass::Slow ||
+            s.cls == OpClass::Invalid)
+            term = static_cast<std::uint16_t>(i);
+        s.term = term;
     }
-    // Superblock metadata indexes the slots just overwritten; outbound
-    // chain links die with it, inbound ones die on the version bump.
-    page->sbs.reset();
     page->paBase = paBase;
     ++page->version;
     if (!page->decoded) {

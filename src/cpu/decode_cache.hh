@@ -53,9 +53,14 @@ struct DecodedSlot {
     Cycles lat = 0;     ///< the opcode table's base latency
     bool valid = false; ///< decode succeeded (else: InvalidOpcode fault)
     OpClass cls = OpClass::Invalid; ///< the opcode table's class
+    /** Where the basic block through this slot ends: the first slot at
+     *  or after it whose class is Branch, Slow or Invalid, or kSlots
+     *  when the block runs off the page edge. The superblock engine
+     *  chains [slot, term) without a further lookup. */
+    std::uint16_t term = 0;
 };
-
-struct PageSuperblocks;
+static_assert(sizeof(DecodedSlot) == 32,
+              "term must fit the slot's padding");
 
 /** One guest code page, decoded to directly executable form. */
 struct DecodedPage {
@@ -67,71 +72,7 @@ struct DecodedPage {
     std::uint64_t version = 0; ///< bumped by every invalidation/redecode
     bool decoded = false;      ///< false between invalidation and redecode
     std::array<DecodedSlot, kSlots> slots{};
-    /** Superblock metadata, built lazily by the superblock engine and
-     *  dropped whenever the page is redecoded (the slots it indexes
-     *  changed). Pages executed only by the other engines never pay
-     *  for it. */
-    std::unique_ptr<PageSuperblocks> sbs;
 };
-
-/** A chain link: one superblock exit resolved to its successor block.
- *  Pure host-side dispatch acceleration — following a link never skips
- *  the modeled per-instruction fetch, only the page-map and block-map
- *  lookups. A link is dead the moment its target page is redecoded
- *  (version), its address space is switched away (asGen — links can
- *  only ever name pages of the *same* per-address-space DecodeCache,
- *  so a successor in another space is unreachable by construction),
- *  or the page was remapped to a different frame (paBase). */
-struct SbLink {
-    DecodedPage *page = nullptr; ///< nullptr = unresolved
-    std::uint32_t sb = 0;        ///< index into page->sbs->blocks
-    std::uint64_t version = 0;   ///< page->version at resolve time
-    std::uint64_t asGen = 0;     ///< Mmu::addressSpaceGen() at resolve
-    PAddr paBase = 0;            ///< frame the target decoded from
-};
-
-/** A basic-block superblock: a run of decoded slots
- *  [start, term) of Inline/Mem class, ended by a terminator at `term`
- *  (Branch, Slow, or Invalid class — or the page edge when
- *  term == DecodedPage::kSlots). */
-struct Superblock {
-    std::uint16_t start = 0;
-    std::uint16_t term = 0; ///< terminator slot; kSlots = page edge
-    OpClass termKind = OpClass::Invalid; ///< class at `term` (unless edge)
-    SbLink taken; ///< successor of the taken static branch / page edge
-    SbLink fall;  ///< successor of the fall-through edge (Jcc untaken)
-};
-
-/** Per-page superblock store: blocks keyed by their start slot. Blocks
- *  may overlap (a jump into the middle of an existing block starts its
- *  own), so there is at most one block per distinct start — bounded by
- *  kSlots. */
-struct PageSuperblocks {
-    static constexpr std::uint16_t kNone = 0xFFFF;
-
-    std::vector<Superblock> blocks;
-    std::array<std::uint16_t, DecodedPage::kSlots> startAt;
-
-    PageSuperblocks() { startAt.fill(kNone); }
-};
-
-/** Out-of-line slow path of superblockAt: allocate the page's
- *  superblock store if needed, scan out the block, record it. */
-std::uint32_t buildSuperblockAt(DecodedPage &page, std::uint16_t slot);
-
-/** Index of the superblock starting at @p slot, building it on first
- *  use. May grow page.sbs->blocks (invalidating raw Superblock
- *  pointers — hold indices across calls). */
-inline std::uint32_t
-superblockAt(DecodedPage &page, std::uint16_t slot)
-{
-    if (page.sbs) {
-        std::uint16_t cached = page.sbs->startAt[slot];
-        if (cached != PageSuperblocks::kNone)
-            return cached;
-    }
-    return buildSuperblockAt(page, slot);
-}
 
 /** The per-address-space store of predecoded pages. */
 class DecodeCache

@@ -10,10 +10,10 @@
  *    truth the superblock engine is differentially tested against.
  *  - Superblock: executes from the per-address-space decode cache,
  *    chaining decoded slots into basic-block superblocks (terminating
- *    at branches, page edges, RTCALLs, and serialization points),
- *    folding per-instruction stat updates into block-local
- *    accumulators, and linking hot block exits directly to successor
- *    blocks (threaded dispatch).
+ *    at branches, page edges, RTCALLs, and serialization points; each
+ *    slot records where its block ends), following same-page branches
+ *    without leaving the fast loop, and folding per-instruction stat
+ *    updates into block-local accumulators.
  *
  * Only host speed differs; the engine is therefore not architectural
  * state (snapshots neither record it nor key compatibility on it).

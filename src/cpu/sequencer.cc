@@ -508,35 +508,6 @@ Sequencer::handleFaultFromExec(const mem::Fault &fault, bool *stop,
 }
 
 void
-Sequencer::setFlagsFromCompare(SWord a, SWord b)
-{
-    SWord diff;
-    bool of = __builtin_sub_overflow(a, b, &diff);
-    ctx_.flags.zf = a == b;
-    ctx_.flags.sf = diff < 0;
-    ctx_.flags.cf =
-        static_cast<std::uint64_t>(a) < static_cast<std::uint64_t>(b);
-    ctx_.flags.of = of;
-}
-
-[[gnu::always_inline]] inline bool
-Sequencer::condHolds(isa::Cond cond) const
-{
-    const isa::Flags &f = ctx_.flags;
-    switch (cond) {
-      case isa::Cond::Eq: return f.zf;
-      case isa::Cond::Ne: return !f.zf;
-      case isa::Cond::Lt: return f.sf != f.of;
-      case isa::Cond::Le: return f.zf || (f.sf != f.of);
-      case isa::Cond::Gt: return !f.zf && (f.sf == f.of);
-      case isa::Cond::Ge: return f.sf == f.of;
-      case isa::Cond::Ult: return f.cf;
-      case isa::Cond::Uge: return !f.cf;
-    }
-    return false;
-}
-
-void
 Sequencer::refillBlock(std::uint64_t vpn, PAddr pa)
 {
     ++decodeCacheMisses_;
@@ -686,7 +657,7 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
         advance = false;
         break;
       case Opcode::Jcc:
-        if (condHolds(static_cast<isa::Cond>(inst.sub))) {
+        if (isa::condHolds(static_cast<isa::Cond>(inst.sub), ctx_.flags)) {
             ctx_.eip = inst.imm;
             advance = false;
         }
@@ -738,7 +709,7 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
                 }
                 return cur;
             })) {
-            ctx_.flags.zf = swapped;
+            ctx_.flags.setZf(swapped);
             if (!swapped)
                 regs[inst.rd] = old;
         }
@@ -889,12 +860,12 @@ Sequencer::execInline(const isa::Instruction &inst)
         regs[inst.rd] = regs[inst.rs1] >> (inst.imm & 63);
         break;
       case Opcode::Cmp:
-        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
-                            static_cast<SWord>(regs[inst.rs2]));
+        ctx_.flags = isa::Flags::compare(static_cast<SWord>(regs[inst.rs1]),
+                                         static_cast<SWord>(regs[inst.rs2]));
         break;
       case Opcode::CmpI:
-        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
-                            static_cast<SWord>(inst.imm));
+        ctx_.flags = isa::Flags::compare(static_cast<SWord>(regs[inst.rs1]),
+                                         static_cast<SWord>(inst.imm));
         break;
       case Opcode::Lea:
         regs[inst.rd] = regs[inst.rs1] + inst.imm;
@@ -924,16 +895,14 @@ Sequencer::FastExit
 Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
                    unsigned limit, Cycles budget)
 {
-    using Exit = FastExit::Exit;
     // Plain locals: nothing below takes their address, so they live in
     // registers for the whole loop and go back to the cursor once.
     DecodedPage &page = *c.page;
     VAddr eip = c.eip;
     std::uint16_t cur = c.cur;
-    std::uint16_t term = c.term;
-    std::uint32_t sbi = c.sbi;
+    std::uint16_t term = page.slots[cur].term;
     const unsigned first = executed;
-    Exit exit = Exit::Stay;
+    bool leave = false;
     for (;;) {
         // The first instruction's fetch is already charged; each later
         // one is a replay of the fetch window, settled by the caller
@@ -982,53 +951,45 @@ Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
             eip += isa::kInstBytes;
             ++cur;
             ++executed;
-            if (smc) {
-                exit = Exit::Drop;
-                break;
-            }
-            if (cur == DecodedPage::kSlots) {
-                exit = Exit::Taken; // ran off the page edge
+            // An SMC store, or a run off the page edge, leaves the page.
+            if (smc || cur == DecodedPage::kSlots) {
+                leave = true;
                 break;
             }
             continue;
         }
-        if (cur != term || term == DecodedPage::kSlots)
-            break; // off-block EIP or page-edge: generic path
-        const DecodedSlot &t = page.slots[term];
+        // cur == term < kSlots: the block's terminator (the page edge
+        // left the loop above when the last body slot retired).
+        const DecodedSlot &t = page.slots[cur];
         if (t.cls != OpClass::Branch)
             break; // Slow / Invalid terminator: generic path
-        // Pure control transfer, executed inline; its exits carry the
-        // chain links.
+        // Pure control transfer, executed inline.
         consumed += fetch + t.lat;
         bool taken = true;
         VAddr target = t.inst.imm;
         if (t.inst.op == Opcode::JmpR)
             target = ctx_.regs[t.inst.rs1];
         else if (t.inst.op == Opcode::Jcc)
-            taken = condHolds(static_cast<isa::Cond>(t.inst.sub));
+            taken = isa::condHolds(static_cast<isa::Cond>(t.inst.sub),
+                                   ctx_.flags);
         eip = taken ? target : eip + isa::kInstBytes;
         ++executed;
         if (mem::pageNumber(eip) == page.vpn &&
             (eip & (isa::kInstBytes - 1)) == 0) {
-            // Same-page chain: the per-page block table is the link;
-            // the fetch stays on the batched replay path.
+            // Same-page chain: the target slot records where its block
+            // ends; the fetch stays on the batched replay path.
             cur = slotOf(eip);
-            sbi = superblockAt(page, cur);
-            term = page.sbs->blocks[sbi].term;
+            term = page.slots[cur].term;
             continue;
         }
-        // An indirect branch's target may differ every traversal, so
-        // only static exits are linked.
-        exit = t.inst.op == Opcode::JmpR ? Exit::Drop
-               : taken                   ? Exit::Taken
-                                         : Exit::Fall;
+        leave = true; // another page: the next resolve finds it
         break;
     }
     c.eip = eip;
     c.cur = cur;
-    c.term = term;
-    c.sbi = sbi;
-    return FastExit{consumed, executed, exit};
+    if (leave)
+        c.page = nullptr;
+    return FastExit{consumed, executed};
 }
 
 void
@@ -1075,9 +1036,7 @@ Sequencer::runSuperblocks()
         ++hits;
     };
 
-    // Chained-dispatch state: the cursor (chain_). The current
-    // superblock is held by index, never by pointer: building a
-    // successor may grow the block vector. A live cursor always
+    // Chained-dispatch state: the cursor (chain_). A live cursor always
     // describes ctx_.eip at the loop head and when the slice ends.
     ChainCursor &c = chain_;
     // Resume: the previous slice left the cursor live and nothing that
@@ -1101,29 +1060,6 @@ Sequencer::runSuperblocks()
     // already been charged (true right after a resolve).
     bool fetchPaid = false;
 
-    // Cross-page chain handoff: a block exit stashes its link here; the
-    // next resolve consumes it (and writes the resolved successor back
-    // into the exiting block). Never outlives the next resolve or the
-    // call — at most a continued slice boundary lies in between, where
-    // no other event runs — so the raw page pointers cannot dangle.
-    SbLink hint{};
-    DecodedPage *linkFrom = nullptr;
-    std::uint32_t linkFromSb = 0;
-    std::uint64_t linkFromVer = 0;
-    bool linkTaken = false;
-    // Leave the current block through a static exit (the taken edge of
-    // a branch or the page edge, or a Jcc's fall-through), handing its
-    // link to the next resolve.
-    auto exitBlock = [&](bool taken) {
-        Superblock &blk = c.page->sbs->blocks[c.sbi];
-        hint = taken ? blk.taken : blk.fall;
-        linkFrom = c.page;
-        linkFromSb = c.sbi;
-        linkFromVer = c.page->version;
-        linkTaken = taken;
-        c.page = nullptr;
-    };
-
     // One iteration per slice: this one, then each next slice the
     // queue hands straight back (endSlice).
     for (;;) {
@@ -1140,20 +1076,16 @@ Sequencer::runSuperblocks()
                     consumed += dc;
                     c.page = nullptr;
                     fetchPaid = false;
-                    hint = SbLink{};
-                    linkFrom = nullptr;
                 }
             }
 
             if (c.page == nullptr) {
-                // ---- resolve: page + superblock for ctx_.eip ------------
+                // ---- resolve: page + slot for ctx_.eip ------------------
                 commit(); // a fetch miss may insert into the TLB
                 mem::FetchResult fr =
                     mmu_.fetchTranslate(ctx_.eip, ring_, /*fastPath=*/true);
                 consumed += fr.cycles;
                 if (fr.fault) {
-                    hint = SbLink{};
-                    linkFrom = nullptr; // the handler may free decoded pages
                     bool advance = false;
                     consumed +=
                         handleFaultFromExec(fr.fault, &stop, &advance);
@@ -1171,43 +1103,12 @@ Sequencer::runSuperblocks()
                     block_.page->version == block_.version &&
                     block_.page->paBase == paBase) {
                     ++hits;
-                } else if (hint.page != nullptr &&
-                           hint.asGen == mmu_.addressSpaceGen() &&
-                           hint.page->vpn == vpn &&
-                           hint.page->version == hint.version &&
-                           hint.page->paBase == paBase) {
-                    // Threaded dispatch: the exiting block's link is live —
-                    // re-point block_ without the page-map probe. The
-                    // generation check runs first: a link can only ever
-                    // name pages of this address space's own decode cache,
-                    // and a stale-generation link is never dereferenced.
-                    block_.page = hint.page;
-                    block_.vpn = vpn;
-                    block_.version = hint.version;
-                    block_.asGen = hint.asGen;
-                    ++hits;
                 } else {
                     refillBlock(vpn, fr.pa);
                 }
                 c.page = block_.page;
                 c.cur = slotOf(ctx_.eip);
-                c.sbi = superblockAt(*c.page, c.cur);
-                c.term = c.page->sbs->blocks[c.sbi].term;
                 fetchPaid = true;
-                // Resolve the exiting block's link for its next traversal.
-                if (linkFrom != nullptr &&
-                    linkFrom->version == linkFromVer) {
-                    SbLink l;
-                    l.page = c.page;
-                    l.sb = c.sbi;
-                    l.version = c.page->version;
-                    l.asGen = block_.asGen;
-                    l.paBase = c.page->paBase;
-                    Superblock &from = linkFrom->sbs->blocks[linkFromSb];
-                    (linkTaken ? from.taken : from.fall) = l;
-                }
-                hint = SbLink{};
-                linkFrom = nullptr;
             }
 
             // ---- charge the modeled fetch for this instruction ------
@@ -1243,19 +1144,6 @@ Sequencer::runSuperblocks()
                 retired += n;
                 replays += n - 1;
                 hits += n - 1;
-                switch (r.exit) {
-                  case FastExit::Exit::Stay:
-                    break;
-                  case FastExit::Exit::Drop:
-                    c.page = nullptr;
-                    break;
-                  case FastExit::Exit::Taken:
-                    exitBlock(true);
-                    break;
-                  case FastExit::Exit::Fall:
-                    exitBlock(false);
-                    break;
-                }
                 continue; // the outer head re-runs the boundary work
             }
 

@@ -304,8 +304,8 @@ class Sequencer : public snap::Saveable
     /** Select the execution engine. Both engines produce bit-identical
      *  simulated cycles and stats: Reference is the per-instruction
      *  fetch+decode path, and Superblock chains predecoded slots into
-     *  basic-block runs with linked dispatch. Engine choice is
-     *  host-side only — never architectural state. */
+     *  basic-block runs. Engine choice is host-side only — never
+     *  architectural state. */
     void
     setEngine(Engine engine)
     {
@@ -410,37 +410,31 @@ class Sequencer : public snap::Saveable
      *  runSlice(). */
     void runSuperblocks();
 
-    /** Where the superblock engine's chain stands: the decoded page,
-     *  block and next slot of the instruction at `eip`. One per
-     *  sequencer, it outlives the slice: a scheduled slice resumes from
-     *  it, skipping the fetch translation and the chain resolve, while
-     *  the resolve would find exactly this state (runSuperblocks). */
+    /** Where the superblock engine's chain stands: the decoded page
+     *  and slot of the instruction at `eip` (the slot records where its
+     *  block ends). One per sequencer, it outlives the slice: a
+     *  scheduled slice resumes from it, skipping the fetch translation
+     *  and the chain resolve, while the resolve would find exactly this
+     *  state (runSuperblocks). */
     struct ChainCursor {
         DecodedPage *page = nullptr; ///< nullptr = resolve before dispatching
         VAddr eip = 0;               ///< ctx_.eip the cursor describes
-        std::uint32_t sbi = 0;       ///< the current block, by index
         std::uint16_t cur = 0;       ///< next slot
-        std::uint16_t term = 0;      ///< the current block's terminator slot
     };
-    /** How runFast's stretch ended, with the slice's running totals;
-     *  two registers wide, so it comes back in registers. */
+    /** The slice's running totals after runFast's stretch; two
+     *  registers wide, so they come back in registers. */
     struct FastExit {
-        enum class Exit : std::uint8_t {
-            Stay,  ///< the chain is intact at the cursor
-            Drop,  ///< unlinked exit (indirect branch, SMC): resolve
-            Taken, ///< through the block's taken link (or page edge)
-            Fall,  ///< through the block's fall-through link
-        };
         Cycles consumed;   ///< slice cycles so far
         unsigned executed; ///< slice instructions so far
-        Exit exit;
     };
     /** Dispatch Inline ops, data-window loads/stores and branch
      *  terminators on @p c's page, starting with the instruction at
      *  `c.cur` (its fetch already charged), until an instruction needs
      *  the generic path, the chain leaves the page, or @p limit /
      *  @p budget ends the run. The cursor is copied to registers on
-     *  entry and written back once on exit. */
+     *  entry and written back once on exit; leaving the page (or an
+     *  SMC store to it) clears `c.page`, so the next dispatch
+     *  resolves. */
     FastExit runFast(ChainCursor &c, Cycles consumed, unsigned executed,
                      unsigned limit, Cycles budget);
     /** Execute one OpClass::Inline instruction on the register file:
@@ -457,9 +451,6 @@ class Sequencer : public snap::Saveable
     void refillBlock(std::uint64_t vpn, PAddr pa);
     Cycles handleFaultFromExec(const mem::Fault &fault, bool *stop,
                                bool *advance);
-
-    void setFlagsFromCompare(SWord a, SWord b);
-    bool condHolds(isa::Cond cond) const;
 
     std::string name_;   ///< snap: config
     SequencerId sid_;    ///< snap: config

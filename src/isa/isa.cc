@@ -33,6 +33,8 @@ decode(const std::uint8_t bytes[kInstBytes], Instruction *out)
     std::memcpy(&out->imm, &bytes[8], 8);
     if (out->rd >= kNumRegs || out->rs1 >= kNumRegs || out->rs2 >= kNumRegs)
         return false;
+    if (out->op == Opcode::Jcc && out->sub >= kNumConds)
+        return false;
     return true;
 }
 

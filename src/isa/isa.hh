@@ -52,8 +52,8 @@ enum class OpClass : std::uint8_t {
      *  (non-terminating), dispatched through the generic path, after
      *  which execution revalidates the chain (SMC, TLB churn). */
     Mem,
-    /** Pure control transfer (JMP / JMPR / Jcc): superblock terminator;
-     *  its exits carry the chain links. */
+    /** Pure control transfer (JMP / JMPR / Jcc): superblock terminator,
+     *  executed in the fast loop, which follows a same-page target. */
     Branch,
     /** Environment/serialization point, or a control transfer that
      *  touches memory (CALL/RET): superblock terminator, dispatched
@@ -191,11 +191,14 @@ opInfo(Opcode op)
 /** Look up the opcode whose mnemonic is @p name. */
 bool opcodeFromName(const std::string &name, Opcode *out);
 
-/** Branch conditions for Jcc, encoded in the `sub` field. */
+/** Branch conditions for Jcc, encoded in the `sub` field; decode
+ *  rejects a Jcc whose `sub` is not one of these. */
 enum class Cond : std::uint8_t {
     Eq = 0, Ne, Lt, Le, Gt, Ge, ///< signed, from FLAGS
     Ult, Uge,                   ///< unsigned
 };
+constexpr unsigned kNumConds = 8;
+static_assert(static_cast<unsigned>(Cond::Uge) + 1 == kNumConds);
 
 /** YIELD-CONDITIONAL scenario identifiers for SEMONITOR (§2.4, §2.5). */
 enum class Scenario : std::uint8_t {
@@ -204,15 +207,99 @@ enum class Scenario : std::uint8_t {
     NumScenarios
 };
 
-/** FLAGS register layout. */
-struct Flags {
-    bool zf = false; ///< zero
-    bool sf = false; ///< sign
-    bool cf = false; ///< carry (unsigned borrow on compare)
-    bool of = false; ///< overflow
+/** FLAGS register: one nibble, zf | sf<<1 | cf<<2 | of<<3. */
+class Flags
+{
+  public:
+    static constexpr std::uint8_t kZf = 1; ///< zero
+    static constexpr std::uint8_t kSf = 2; ///< sign
+    static constexpr std::uint8_t kCf = 4; ///< carry (unsigned borrow)
+    static constexpr std::uint8_t kOf = 8; ///< overflow
+    static constexpr unsigned kStates = 16;
+
+    static constexpr Flags
+    make(bool zf, bool sf, bool cf, bool overflow)
+    {
+        return fromBits((zf ? kZf : 0) | (sf ? kSf : 0) | (cf ? kCf : 0) |
+                        (overflow ? kOf : 0));
+    }
+
+    /** @p bits must be below kStates. */
+    static constexpr Flags
+    fromBits(unsigned bits)
+    {
+        Flags f;
+        f.bits_ = static_cast<std::uint8_t>(bits);
+        return f;
+    }
+
+    /** The flags CMP sets for the signed compare of @p a with @p b. */
+    static constexpr Flags
+    compare(SWord a, SWord b)
+    {
+        SWord diff = 0;
+        const bool overflow = __builtin_sub_overflow(a, b, &diff);
+        return make(a == b, diff < 0,
+                    static_cast<std::uint64_t>(a) <
+                        static_cast<std::uint64_t>(b),
+                    overflow);
+    }
+
+    constexpr bool zf() const { return bits_ & kZf; }
+    constexpr bool sf() const { return bits_ & kSf; }
+    constexpr bool cf() const { return bits_ & kCf; }
+    constexpr bool of() const { return bits_ & kOf; }
+    constexpr unsigned bits() const { return bits_; }
+
+    /** CAS reports success in ZF alone. */
+    constexpr void
+    setZf(bool zf)
+    {
+        bits_ = static_cast<std::uint8_t>((bits_ & ~kZf) | (zf ? kZf : 0));
+    }
 
     bool operator==(const Flags &) const = default;
+
+  private:
+    std::uint8_t bits_ = 0;
 };
+
+/** The meaning of each Jcc condition: the one definition, from which
+ *  kCondMasks is built. */
+constexpr bool
+condPredicate(Cond cond, Flags f)
+{
+    switch (cond) {
+      case Cond::Eq: return f.zf();
+      case Cond::Ne: return !f.zf();
+      case Cond::Lt: return f.sf() != f.of();
+      case Cond::Le: return f.zf() || (f.sf() != f.of());
+      case Cond::Gt: return !f.zf() && (f.sf() == f.of());
+      case Cond::Ge: return f.sf() == f.of();
+      case Cond::Ult: return f.cf();
+      case Cond::Uge: return !f.cf();
+    }
+    return false;
+}
+
+/** Bit `Flags::bits()` of row `cond`: whether the condition holds in
+ *  that flag state. */
+inline constexpr std::array<std::uint16_t, kNumConds> kCondMasks = [] {
+    std::array<std::uint16_t, kNumConds> masks{};
+    for (unsigned c = 0; c < kNumConds; ++c)
+        for (unsigned bits = 0; bits < Flags::kStates; ++bits)
+            if (condPredicate(static_cast<Cond>(c), Flags::fromBits(bits)))
+                masks[c] |= static_cast<std::uint16_t>(1u << bits);
+    return masks;
+}();
+
+/** Whether Jcc @p cond is taken under @p f. @p cond is in range: decode
+ *  rejects any other condition byte. */
+inline bool
+condHolds(Cond cond, Flags f)
+{
+    return (kCondMasks[static_cast<unsigned>(cond)] >> f.bits()) & 1;
+}
 
 /** A decoded MISA instruction. */
 struct Instruction {
@@ -230,7 +317,8 @@ struct Instruction {
 std::array<std::uint8_t, kInstBytes> encode(const Instruction &inst);
 
 /** Decode 16 bytes fetched from guest memory.
- *  @return false if the opcode byte is out of range. */
+ *  @return false if the opcode byte, a register field or a Jcc's
+ *  condition is out of range. */
 bool decode(const std::uint8_t bytes[kInstBytes], Instruction *out);
 
 /** Base execution latency of @p op in cycles (the table's column). */

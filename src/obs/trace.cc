@@ -43,7 +43,6 @@ const KindInfo kKinds[] = {
     {"rtcall.exit", kCatRtcall},
 
     {"decode.page", kCatEngine},
-    {"decode.sbbuild", kCatEngine},
     {"decode.invalidate", kCatEngine},
 
     {"snapshot.save", kCatSnapshot},

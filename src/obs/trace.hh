@@ -14,7 +14,7 @@
  *
  * Two rules keep the contract honest:
  *
- *  - Host-dependent happenings (page decodes, superblock builds —
+ *  - Host-dependent happenings (page decodes and invalidations —
  *    anything the engine choice perturbs) carry the `engine` category,
  *    and snapshot-machinery markers carry `snapshot`; both are OFF in
  *    the default category mask, so a default trace never observes the
@@ -96,7 +96,6 @@ enum class TraceKind : std::uint16_t {
     RtcallExit,  ///< RTCALL returned   (arg0=service, arg1=cycles)
 
     DecodePage,       ///< [engine] page predecoded      (arg0=vpn)
-    SuperblockBuild,  ///< [engine] superblocks built    (arg0=vpn)
     DecodeInvalidate, ///< [engine] decoded page dropped (arg0=vpn)
 
     SnapshotSave,    ///< [snapshot] image written at this point

@@ -9,7 +9,7 @@ Event::~Event()
     // Destroying a still-scheduled event is a simulator bug: the queue
     // would be left holding a dangling pointer. We cannot throw from a
     // destructor, so print and abort via terminate semantics instead.
-    if (scheduled_ && !squashed_) {
+    if (scheduled_) {
         std::fprintf(stderr,
                      "panic: event '%s' destroyed while scheduled\n",
                      name_.c_str());
@@ -25,12 +25,17 @@ EventQueue::push(const Entry &entry)
         std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
         return;
     }
-    // Replace the held (stale) root and sift the new entry down once,
-    // instead of popping the root and pushing the entry separately.
+    // Replace the held root and sift the new entry down once, instead
+    // of popping the root and pushing the entry separately.
     rootHeld_ = false;
+    siftDown(0, entry);
+}
+
+void
+EventQueue::siftDown(std::size_t hole, const Entry &entry)
+{
     const EntryCompare later;
     const std::size_t n = heap_.size();
-    std::size_t hole = 0;
     for (;;) {
         std::size_t child = 2 * hole + 1;
         if (child >= n)
@@ -93,9 +98,7 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
-    ev->squashed_ = false;
     push(Entry{when, ev->priority(), ev->queueOwned_, ev->seq_, ev});
-    ++live_;
 }
 
 void
@@ -109,9 +112,7 @@ EventQueue::restoreSchedule(Event *ev, Tick when, std::uint64_t seq)
     ev->when_ = when;
     ev->seq_ = seq;
     ev->scheduled_ = true;
-    ev->squashed_ = false;
     push(Entry{when, ev->priority(), ev->queueOwned_, seq, ev});
-    ++live_;
 }
 
 void
@@ -130,11 +131,27 @@ EventQueue::deschedule(Event *ev)
     MISP_ASSERT(ev != nullptr);
     if (!ev->scheduled_)
         panic("deschedule of unscheduled event '%s'", ev->name().c_str());
-    // Lazy deletion: mark squashed; the heap entry is discarded when it
-    // reaches the top.
-    ev->squashed_ = true;
     ev->scheduled_ = false;
-    --live_;
+    // A linear find: the queue holds a dozen or so entries. A held root
+    // is the running event's own entry, never @p ev's.
+    std::size_t i = rootHeld_ ? 1 : 0;
+    while (i < heap_.size() && heap_[i].ev != ev)
+        ++i;
+    MISP_ASSERT(i < heap_.size());
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size())
+        return;
+    // Refill the hole with the former last entry: up past later
+    // parents (never past a held root, which orders before every
+    // entry), else down.
+    const EntryCompare later;
+    std::size_t hole = i;
+    while (hole > 0 && later(heap_[(hole - 1) / 2], last)) {
+        heap_[hole] = heap_[(hole - 1) / 2];
+        hole = (hole - 1) / 2;
+    }
+    siftDown(hole, last);
 }
 
 void
@@ -149,27 +166,20 @@ void
 EventQueue::forEachScheduled(
     const std::function<void(const Event &)> &fn) const
 {
-    // Stale entries (squashed, or descheduled-and-rescheduled with a
-    // newer seq) are skipped exactly as popReady() would.
-    for (const Entry &entry : heap_)
-        if (!stale(entry))
-            fn(*entry.ev);
+    for (std::size_t i = rootHeld_ ? 1 : 0; i < heap_.size(); ++i)
+        fn(*heap_[i].ev);
 }
 
 Event *
 EventQueue::popReady()
 {
-    while (!heap_.empty()) {
-        Entry top = heap_.front();
-        popRoot();
-        if (stale(top))
-            continue;
-        top.ev->scheduled_ = false;
-        --live_;
-        curTick_ = top.when;
-        return top.ev;
-    }
-    return nullptr;
+    if (heap_.empty())
+        return nullptr;
+    const Entry top = heap_.front();
+    popRoot();
+    top.ev->scheduled_ = false;
+    curTick_ = top.when;
+    return top.ev;
 }
 
 bool
@@ -191,16 +201,12 @@ EventQueue::continueWith(Event *ev, Tick when)
     schedule(ev, when);
     if (!inRun_ || stopRequested_ || when > runMaxTick_ || runBudget_ == 0)
         return false;
-    // The new entry is next exactly when only stale entries (which
-    // run() would discard) order before it.
-    while (heap_.front().ev != ev || heap_.front().seq != ev->seq_) {
-        if (!stale(heap_.front()))
-            return false;
-        popRoot();
-    }
+    // schedule() replaced any held root, so the new entry is next
+    // exactly when it is the root.
+    if (heap_.front().ev != ev)
+        return false;
     --runBudget_;
     ev->scheduled_ = false;
-    --live_;
     curTick_ = when;
     ++numProcessed_;
     rootHeld_ = true;
@@ -235,10 +241,6 @@ EventQueue::run(Tick maxTick, std::uint64_t maxEvents)
     while (!heap_.empty() && !stopRequested_) {
         // Peek: stop before processing events beyond the horizon.
         const Entry &top = heap_.front();
-        if (stale(top)) {
-            popRoot();
-            continue;
-        }
         if (top.when > maxTick)
             break;
         if (runBudget_ == 0) {
@@ -249,7 +251,6 @@ EventQueue::run(Tick maxTick, std::uint64_t maxEvents)
         --runBudget_;
         Event *ev = top.ev;
         ev->scheduled_ = false;
-        --live_;
         curTick_ = top.when;
         ++numProcessed_;
         Reaper reap{numOwned_, top.owned ? ev : nullptr};
@@ -262,12 +263,10 @@ EventQueue::run(Tick maxTick, std::uint64_t maxEvents)
 
 EventQueue::~EventQueue()
 {
-    // heap_ entries may point at events whose owners destroyed them
-    // already — legal once squashed — so only the entries of the lambda
-    // events this queue owns (pending ones, restored ones included) are
-    // dereferenced: unhook their scheduled state (a pending one at
-    // shutdown is fine) so Event::~Event doesn't see a live schedule,
-    // then free them.
+    // Free the lambda events this queue owns (pending ones, restored
+    // ones included), first unhooking their scheduled state (a pending
+    // one at shutdown is fine) so Event::~Event doesn't see a live
+    // schedule.
     for (const Entry &entry : heap_) {
         if (entry.owned) {
             entry.ev->scheduled_ = false;

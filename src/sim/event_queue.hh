@@ -32,7 +32,7 @@ class EventQueue;
  * Events are intrusive: objects that want callbacks derive from Event
  * and override process() (MemberEvent and EventPool cover the common
  * shapes). An Event may be scheduled on at most one queue position at a
- * time; rescheduling requires deschedule() first (or use squash()).
+ * time; rescheduling requires deschedule() first (or use reschedule()).
  */
 class Event
 {
@@ -70,10 +70,6 @@ class Event
      *  ordering tiebreaker; valid only when scheduled()). */
     std::uint64_t seq() const { return seq_; }
 
-    /** Cancel a pending occurrence without removing it from the queue
-     *  structure; the queue skips squashed events when they surface. */
-    void squash() { squashed_ = true; }
-
   private:
     friend class EventQueue;
 
@@ -82,7 +78,6 @@ class Event
     Tick when_ = 0;
     std::uint64_t seq_ = 0; ///< insertion order tiebreaker
     bool scheduled_ = false;
-    bool squashed_ = false;
     bool queueOwned_ = false; ///< a queue-owned one-shot closure
 };
 
@@ -121,7 +116,8 @@ class EventQueue
     /** Schedule @p ev at absolute tick @p when (must be >= curTick()). */
     void schedule(Event *ev, Tick when);
 
-    /** Remove a scheduled event from the queue. */
+    /** Remove a scheduled event from the queue at once: its owner may
+     *  destroy it straight after. */
     void deschedule(Event *ev);
 
     /** Reschedule to a new absolute tick (event may or may not be
@@ -154,7 +150,7 @@ class EventQueue
      * caller runs it in place instead of returning to the queue.
      *
      * Refused, leaving @p ev scheduled as by schedule(), whenever run()
-     * would not pop it next: a live entry orders first (an earlier tick,
+     * would not pop it next: another entry orders first (an earlier tick,
      * or the same tick with a lower priority value or an older sequence
      * number), @p when lies beyond run()'s maxTick, run()'s event
      * budget is spent, requestStop() was called, or the queue is not
@@ -166,10 +162,10 @@ class EventQueue
     bool continueWith(Event *ev, Tick when);
 
     /** True when no runnable events remain. */
-    bool empty() const { return live_ != 0 ? false : true; }
+    bool empty() const { return size() == 0; }
 
-    /** Number of scheduled (non-squashed) events. */
-    std::size_t size() const { return live_; }
+    /** Number of scheduled events. */
+    std::size_t size() const { return heap_.size() - (rootHeld_ ? 1 : 0); }
 
     /**
      * Run the simulation.
@@ -193,10 +189,8 @@ class EventQueue
     std::uint64_t numProcessed() const { return numProcessed_; }
 
     // ---- snapshot support ----------------------------------------------
-    /** Invoke @p fn for every live (scheduled, non-squashed) entry.
-     *  Order is the heap's internal layout — callers that care sort by
-     *  seq. Stale entries (descheduled, rescheduled, squashed) are
-     *  skipped: they carry no simulation state. */
+    /** Invoke @p fn for every scheduled event. Order is the heap's
+     *  internal layout — callers that care sort by seq. */
     void forEachScheduled(const std::function<void(const Event &)> &fn) const;
 
     /**
@@ -257,26 +251,19 @@ class EventQueue
         }
     };
 
-    /** A squashed, descheduled, or rescheduled-since (stale seq)
-     *  entry: skipped when it surfaces. */
-    static bool
-    stale(const Entry &entry)
-    {
-        return entry.ev->squashed_ || !entry.ev->scheduled_ ||
-               entry.ev->seq_ != entry.seq;
-    }
-
     void push(const Entry &entry);
+    /** Fill the hole at @p hole with @p entry, sifting it down. */
+    void siftDown(std::size_t hole, const Entry &entry);
     void popRoot();
     void dropHeldRoot();
     Event *popReady();
 
-    /** Binary max-heap under EntryCompare (std::push_heap/pop_heap);
-     *  kept as a plain vector so the snapshot layer can enumerate live
-     *  entries without draining the queue. */
+    /** Binary max-heap under EntryCompare (std::push_heap/pop_heap),
+     *  one entry per scheduled event; kept as a plain vector so the
+     *  snapshot layer can enumerate it without draining the queue. */
     std::vector<Entry> heap_;
     /** While run() processes an event its entry stays at the heap root
-     *  (stale: the event is no longer scheduled). The first push()
+     *  (the only entry whose event is not scheduled). The first push()
      *  replaces it with one sift-down; if none comes, run() pops it
      *  when process() returns (dropHeldRoot). */
     bool rootHeld_ = false;
@@ -291,7 +278,6 @@ class EventQueue
     bool stopRequested_ = false;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t numProcessed_ = 0;
-    std::size_t live_ = 0;
 };
 
 /**

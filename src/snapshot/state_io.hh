@@ -94,10 +94,10 @@ putContext(Serializer &s, const cpu::SequencerContext &ctx)
     for (Word r : ctx.regs)
         s.u64(r);
     s.u64(ctx.eip);
-    s.b(ctx.flags.zf);
-    s.b(ctx.flags.sf);
-    s.b(ctx.flags.cf);
-    s.b(ctx.flags.of);
+    s.b(ctx.flags.zf());
+    s.b(ctx.flags.sf());
+    s.b(ctx.flags.cf());
+    s.b(ctx.flags.of());
     for (VAddr t : ctx.triggers)
         s.u64(t);
     s.u64(ctx.savedEip);
@@ -113,10 +113,10 @@ getContext(Deserializer &d)
     for (Word &r : ctx.regs)
         r = d.u64();
     ctx.eip = d.u64();
-    ctx.flags.zf = d.b();
-    ctx.flags.sf = d.b();
-    ctx.flags.cf = d.b();
-    ctx.flags.of = d.b();
+    const bool zf = d.b();
+    const bool sf = d.b();
+    const bool cf = d.b();
+    ctx.flags = isa::Flags::make(zf, sf, cf, d.b());
     for (VAddr &t : ctx.triggers)
         t = d.u64();
     ctx.savedEip = d.u64();

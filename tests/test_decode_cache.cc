@@ -10,6 +10,8 @@
  *  - CR3 / address-space switch: no block from another space is reused;
  *  - MISP serialization purge (TLB flush + decoded-block drop) resyncs
  *    with memory the modeled kernel changed;
+ *  - every decode, the first and a redecode after SMC, records where
+ *    each slot's block ends;
  *  - and the engine is a pure host-side optimization: simulated cycles
  *    and retired counts are bit-identical with the engine on and off.
  */
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cpu/decode_cache.hh"
 #include "cpu/sequencer.hh"
@@ -24,6 +27,7 @@
 #include "harness/experiment.hh"
 #include "isa/assembler.hh"
 #include "mem/address_space.hh"
+#include "sim/random.hh"
 #include "workloads/workload.hh"
 
 using namespace misp;
@@ -194,10 +198,10 @@ TEST(DecodeCacheCoherence, FullSystemIdenticalUnderSpeculativeMonitor)
 }
 
 // ---------------------------------------------------------------------
-// Chained-superblock invalidation: a block *linked from* a hot chain
-// must not be reachable stale. Each scenario compares both engines
-// tick-for-tick, so a chain that survived an invalidation
-// would show up as an architectural or timing divergence.
+// Chain invalidation: a hot chain that crosses pages, or holds its
+// cursor across slices, must never reach a page stale. Each scenario
+// compares both engines tick-for-tick, so a chain that survived an
+// invalidation would show up as an architectural or timing divergence.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -226,11 +230,11 @@ chainLoopSrc(unsigned imm, unsigned iters)
 TEST(SuperblockChain, SmcIntoLinkedSuccessorBreaksChain)
 {
     // A loop on code page 1 whose taken exit is a cross-page jmp to
-    // `target` on page 2 — after the first traversal the superblock
-    // engine holds a block-exit link straight to the successor block.
-    // On iteration 3 the guest stores into `target`'s immediate; every
-    // later traversal must execute the patched code even though the
-    // exiting block still carries the (now version-stale) link.
+    // `target` on page 2, which the superblock engine reaches through
+    // its cached block_ after the first traversal. On iteration 3 the
+    // guest stores into `target`'s immediate; every later traversal
+    // must execute the patched code, not page 2's version-stale
+    // decode.
     std::string src = R"(
         main:
             movi r1, 0
@@ -250,7 +254,7 @@ TEST(SuperblockChain, SmcIntoLinkedSuccessorBreaksChain)
             halt
     )";
     // Pad (never-executed, after halt) so `target` lands on the next
-    // 256-slot code page and the jmp really is a cross-page link.
+    // 256-slot code page and the jmp really crosses pages.
     for (int i = 0; i < 300; ++i)
         src += "    nop\n";
     src += R"(
@@ -274,7 +278,7 @@ TEST(SuperblockChain, SmcIntoLinkedSuccessorBreaksChain)
             << cpu::engineName(engine);
         EXPECT_EQ(m.seq.instsRetired(), ref.seq.instsRetired());
         EXPECT_EQ(m.seq.busyCycles(), ref.seq.busyCycles());
-        // The store really dropped a decoded page (the linked target's).
+        // The store really dropped a decoded page (the target's).
         EXPECT_GE(m.as.decodeCache().invalidations(), 1u)
             << cpu::engineName(engine);
         EXPECT_GT(m.seq.decodeCacheHits(), 0u) << cpu::engineName(engine);
@@ -286,8 +290,8 @@ TEST(SuperblockChain, Cr3SwitchMidChainDropsLinkedBlocks)
     // Run a hot loop in space A to a fixed tick, then model a CR3
     // switch to space B holding same-layout code with a different
     // immediate at the same VAs, and let execution continue mid-loop.
-    // Any block (or block-exit link) from A surviving the switch would
-    // keep folding A's immediate.
+    // Any decoded page of A surviving the switch (in block_ or the
+    // chain cursor) would keep folding A's immediate.
     std::string srcA = chainLoopSrc(5, 4000);
     std::string srcB = chainLoopSrc(9, 4000);
 
@@ -364,13 +368,13 @@ TEST(SuperblockChain, SerializationPurgeMidChain)
 TEST(SuperblockChain, CrossSpaceReplayWindowsNeverSurviveSwitch)
 {
     // Regression for the Mmu one-entry last-translation caches vs.
-    // block-exit linking: after a CR3 switch, neither the fetch-side
-    // nor the data-side replay window (which holds a raw frame byte
-    // pointer) may serve accesses out of the old space's frames, and no
-    // block-exit link may reach the old space's blocks (decoded pages
-    // and links are per-space by construction). A hot load loop reads
-    // the same VA before and after the switch; the two spaces back
-    // that VA with different data.
+    // chaining: after a CR3 switch, neither the fetch-side nor the
+    // data-side replay window (which holds a raw frame byte pointer)
+    // may serve accesses out of the old space's frames, and the chain
+    // may not reach the old space's decoded pages (they are per-space
+    // by construction). A hot load loop reads the same VA before and
+    // after the switch; the two spaces back that VA with different
+    // data.
     const char *src = R"(
         main:
             movi r1, 0
@@ -504,6 +508,106 @@ TEST(DecodeCacheUnit, InvalidDecodesFaultAsSlots)
     // Zero-filled rest of the page decodes as NOPs.
     EXPECT_TRUE(page->slots[1].valid);
     EXPECT_EQ(page->slots[1].inst.op, isa::Opcode::Nop);
+}
+
+namespace {
+
+/** Where the block through each slot ends, by a forward scan: the
+ *  first Branch/Slow/Invalid slot at or after it, else kSlots. */
+std::vector<std::uint16_t>
+scanTerms(const cpu::DecodedPage &page)
+{
+    std::vector<std::uint16_t> terms(cpu::DecodedPage::kSlots);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+        std::size_t t = i;
+        while (t < cpu::DecodedPage::kSlots) {
+            const isa::OpClass cls = page.slots[t].cls;
+            if (!page.slots[t].valid || cls == isa::OpClass::Branch ||
+                cls == isa::OpClass::Slow || cls == isa::OpClass::Invalid)
+                break;
+            ++t;
+        }
+        terms[i] = static_cast<std::uint16_t>(t);
+    }
+    return terms;
+}
+
+std::vector<std::uint16_t>
+slotTerms(const cpu::DecodedPage &page)
+{
+    std::vector<std::uint16_t> terms;
+    for (const cpu::DecodedSlot &s : page.slots)
+        terms.push_back(s.term);
+    return terms;
+}
+
+} // namespace
+
+TEST(DecodeCacheUnit, SlotTermsMatchAForwardScan)
+{
+    // Fuzzed pages: every opcode, sparse or dense terminators, and some
+    // undecodable slots (bad opcode, register or Jcc condition).
+    mem::PhysicalMemory pmem(16);
+    cpu::DecodeCache dc(pmem);
+    const PAddr pa = pmem.allocFrame() << mem::kPageShift;
+    Rng rng(19);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::uint64_t density = 1 + rng.below(16);
+        for (std::size_t i = 0; i < cpu::DecodedPage::kSlots; ++i) {
+            isa::Instruction inst;
+            inst.op = isa::Opcode::AddI;
+            if (rng.below(density) == 0)
+                inst.op = static_cast<isa::Opcode>(rng.below(
+                    static_cast<std::uint64_t>(isa::Opcode::NumOpcodes)));
+            inst.rd = static_cast<std::uint8_t>(rng.below(isa::kNumRegs));
+            inst.sub = static_cast<std::uint8_t>(rng.below(8));
+            auto bytes = isa::encode(inst);
+            if (rng.below(64) == 0)
+                bytes[rng.below(5)] = 0xF0; // opcode/register/sub
+            pmem.writeBytes(pa + i * isa::kInstBytes, bytes.data(),
+                            bytes.size());
+        }
+        const cpu::DecodedPage *page = dc.decodePage(0x400, pa);
+        ASSERT_EQ(slotTerms(*page), scanTerms(*page)) << "trial " << trial;
+    }
+}
+
+TEST(DecodeCacheUnit, SmcRedecodeRecomputesSlotTerms)
+{
+    // The guest turns the jmp at `patch` into a nop (opcode 0), so the
+    // block from `main` no longer ends there but at the halt. The store
+    // drops the decoded page; its redecode must record the new ends.
+    const char *src = R"(
+        main:
+            movi r5, patch
+            movi r6, 0
+            st1 [r5+0], r6
+            movi r1, 1
+        patch:
+            jmp done
+            movi r2, 2
+        done:
+            halt
+    )";
+    for (cpu::Engine engine :
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
+        Machine m(src, engine);
+        const std::uint64_t vpn = mem::pageNumber(m.prog.symbol("main"));
+        const auto slot = [&](const char *label) {
+            return static_cast<std::uint16_t>(
+                (m.prog.symbol(label) & mem::kPageMask) / isa::kInstBytes);
+        };
+        m.run();
+        EXPECT_EQ(m.reg(2), 2u) << cpu::engineName(engine);
+        if (engine == cpu::Engine::Reference)
+            continue; // it never decodes pages
+        EXPECT_GE(m.as.decodeCache().invalidations(), 1u);
+        const cpu::DecodedPage *page = m.as.decodeCache().find(vpn);
+        ASSERT_NE(page, nullptr);
+        EXPECT_EQ(page->slots[slot("patch")].inst.op, isa::Opcode::Nop);
+        EXPECT_EQ(page->slots[slot("main")].term, slot("done"));
+        EXPECT_EQ(slotTerms(*page), scanTerms(*page));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -189,15 +189,51 @@ TEST(EventQueue, StepProcessesExactlyOne)
     EXPECT_FALSE(eq.step());
 }
 
-TEST(EventQueue, SquashSkipsPendingOccurrence)
+TEST(EventQueue, DescheduleSkipsPendingOccurrence)
 {
     EventQueue eq;
     std::vector<std::string> log;
     RecordingEvent a("a", log);
     eq.schedule(&a, 10);
-    a.squash();
+    EXPECT_EQ(eq.size(), 1u);
+    eq.deschedule(&a);
+    EXPECT_FALSE(a.scheduled());
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.size(), 0u);
     eq.run();
     EXPECT_TRUE(log.empty());
+    EXPECT_EQ(eq.numProcessed(), 0u);
+}
+
+TEST(EventQueue, DescheduledEventMayBeDestroyedAtOnce)
+{
+    // The queue keeps no entry for a descheduled event, so its owner
+    // may free it while the queue runs on (ASan flags any later read).
+    EventQueue eq;
+    std::vector<std::string> log;
+    auto a = std::make_unique<RecordingEvent>("a", log);
+    RecordingEvent b("b", log);
+    eq.schedule(a.get(), 10);
+    eq.schedule(&b, 20);
+    eq.deschedule(a.get());
+    a.reset();
+    EXPECT_EQ(eq.size(), 1u);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"b"}));
+    EXPECT_TRUE(eq.empty());
+
+    // The same from inside a running event, which holds the root.
+    auto c = std::make_unique<RecordingEvent>("c", log);
+    eq.schedule(c.get(), 40);
+    eq.scheduleLambda(30, "drop", [&] {
+        eq.deschedule(c.get());
+        c.reset();
+        EXPECT_TRUE(eq.empty());
+        eq.schedule(&b, 50);
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"b", "b"}));
+    EXPECT_EQ(eq.curTick(), 50u);
 }
 
 TEST(EventQueue, NumProcessedCounts)
@@ -582,10 +618,11 @@ struct Mix {
 /**
  * Differential model of EventQueue: a std::set ordered by
  * (when, priority, seq). Every event's process() draws operations on
- * random events — schedule, deschedule, reschedule, squash, and
- * continueWith on itself — and applies each to the queue and the model;
- * the order of processing, the clock at each occurrence and every
- * continuation verdict must agree.
+ * random events — schedule, deschedule, reschedule, destroy (deschedule
+ * and free the event, then replace it), and continueWith on itself —
+ * and applies each to the queue and the model; the order of processing,
+ * the queue's size, the clock at each occurrence and every continuation
+ * verdict must agree.
  */
 struct Model {
     using Key = std::tuple<Tick, int, std::uint64_t, int>;
@@ -643,7 +680,6 @@ class FuzzEvent : public Event
         f_.check(id_);
         f_.operate(id_);
     }
-    bool squashedZombie = false; ///< squash()ed: scheduled() stays true
 
   private:
     Fuzz &f_;
@@ -686,7 +722,7 @@ Fuzz::operate(int self)
             }
             break;
           case 1: // deschedule
-            if (ev.scheduled() && !ev.squashedZombie) {
+            if (ev.scheduled()) {
                 model.remove(id, ev.when(), ev.priority());
                 eq.deschedule(&ev);
             }
@@ -695,17 +731,21 @@ Fuzz::operate(int self)
             if (model.in[id])
                 model.remove(id, ev.when(), ev.priority());
             eq.reschedule(&ev, when);
-            ev.squashedZombie = false;
             model.add(id, when, ev.priority());
             break;
-          default: // squash: cancelled, yet still "scheduled"
-            if (ev.scheduled() && !ev.squashedZombie) {
-                model.remove(id, ev.when(), ev.priority());
-                ev.squash();
-                ev.squashedZombie = true;
+          default: // destroy: the destructor deschedules
+            if (id != self) {
+                if (model.in[id])
+                    model.remove(id, ev.when(), ev.priority());
+                evs[id] = std::make_unique<FuzzEvent>(*this, id,
+                                                      ev.priority());
             }
             break;
         }
+        if (eq.size() != model.live.size() ||
+            eq.empty() != model.live.empty())
+            mismatches.push_back("size diverged at event " +
+                                 std::to_string(processed));
     }
     // Half the time the running event books itself in place.
     FuzzEvent &me = *evs[self];

@@ -61,6 +61,64 @@ TEST(IsaEncoding, RejectsBadRegister)
     EXPECT_FALSE(decode(bytes.data(), &out));
 }
 
+TEST(IsaEncoding, RejectsBadCondition)
+{
+    // A Jcc condition byte outside Cond fails decode like a bad
+    // register; the same byte in another opcode's `sub` is legal.
+    Instruction inst;
+    inst.op = Opcode::Jcc;
+    inst.sub = static_cast<std::uint8_t>(Cond::Uge);
+    auto bytes = encode(inst);
+    Instruction out;
+    EXPECT_TRUE(decode(bytes.data(), &out));
+    for (unsigned sub : {8u, 9u, 0x7fu, 0xffu}) {
+        bytes[4] = static_cast<std::uint8_t>(sub);
+        EXPECT_FALSE(decode(bytes.data(), &out)) << sub;
+    }
+    inst.op = Opcode::Ld;
+    inst.sub = 8;
+    EXPECT_TRUE(decode(encode(inst).data(), &out));
+}
+
+TEST(IsaFlags, PackedNibbleAccessors)
+{
+    for (unsigned bits = 0; bits < Flags::kStates; ++bits) {
+        const bool zf = bits & 1, sf = bits & 2, cf = bits & 4,
+                   of = bits & 8;
+        const Flags f = Flags::make(zf, sf, cf, of);
+        EXPECT_EQ(f.bits(), bits);
+        EXPECT_EQ(f, Flags::fromBits(bits));
+        EXPECT_EQ(f.zf(), zf);
+        EXPECT_EQ(f.sf(), sf);
+        EXPECT_EQ(f.cf(), cf);
+        EXPECT_EQ(f.of(), of);
+        Flags g = f;
+        g.setZf(!zf);
+        EXPECT_EQ(g, Flags::make(!zf, sf, cf, of));
+    }
+}
+
+TEST(IsaFlags, ConditionTableMatchesPredicates)
+{
+    // The mask table against the predicates written out longhand, for
+    // all eight conditions over all 16 flag states.
+    for (unsigned bits = 0; bits < Flags::kStates; ++bits) {
+        const Flags f = Flags::fromBits(bits);
+        const bool zf = f.zf(), sf = f.sf(), cf = f.cf(), of = f.of();
+        const bool want[kNumConds] = {
+            zf,        !zf,       sf != of, zf || sf != of,
+            !zf && sf == of, sf == of, cf,  !cf,
+        };
+        for (unsigned c = 0; c < kNumConds; ++c) {
+            const Cond cond = static_cast<Cond>(c);
+            EXPECT_EQ(condHolds(cond, f), want[c])
+                << condName(cond) << " flags " << bits;
+            EXPECT_EQ(condPredicate(cond, f), want[c])
+                << condName(cond) << " flags " << bits;
+        }
+    }
+}
+
 TEST(IsaLatency, EveryOpcodeHasNonzeroLatency)
 {
     for (unsigned op = 0;
@@ -428,25 +486,51 @@ TEST(IsaSemantics, CompareFlags)
         // INT64_MIN - 1 overflows: OF set, SF clear, and `lt` (SF != OF)
         // still holds.
         {"movi r2, -9223372036854775808\n movi r3, 1\n cmp r2, r3\n",
-         {false, false, false, true}},
+         Flags::make(false, false, false, true)},
         // 1 - (-1): no overflow; unsigned 1 < 0xff..ff borrows (CF).
         {"movi r2, 1\n movi r3, -1\n cmp r2, r3\n",
-         {false, false, true, false}},
-        {"movi r2, 3\n cmpi r2, 5\n", {false, true, true, false}},
-        {"movi r2, 5\n cmpi r2, 5\n", {true, false, false, false}},
+         Flags::make(false, false, true, false)},
+        {"movi r2, 3\n cmpi r2, 5\n", Flags::make(false, true, true, false)},
+        {"movi r2, 5\n cmpi r2, 5\n", Flags::make(true, false, false, false)},
         // INT64_MAX - (-1) overflows into the sign bit.
         {"movi r2, 9223372036854775807\n cmpi r2, -1\n",
-         {false, true, true, true}},
+         Flags::make(false, true, true, true)},
     };
     for (cpu::Engine engine : kEngines) {
         for (const Case &c : cases) {
             auto m = runBody(c.body, engine);
             const Flags &f = m->seq.context().flags;
-            EXPECT_EQ(f.zf, c.want.zf) << c.body;
-            EXPECT_EQ(f.sf, c.want.sf) << c.body;
-            EXPECT_EQ(f.cf, c.want.cf) << c.body;
-            EXPECT_EQ(f.of, c.want.of) << c.body;
+            EXPECT_EQ(f.zf(), c.want.zf()) << c.body;
+            EXPECT_EQ(f.sf(), c.want.sf()) << c.body;
+            EXPECT_EQ(f.cf(), c.want.cf()) << c.body;
+            EXPECT_EQ(f.of(), c.want.of()) << c.body;
         }
+    }
+}
+
+TEST(IsaSemantics, BadJccConditionRaisesInvalidOpcode)
+{
+    // Patch the assembled jcc's condition byte to 8: the instruction no
+    // longer decodes, so fetching it faults (the bare machine kills on
+    // InvalidOpcode) before either path is taken. Before the patch the
+    // same program takes the branch.
+    const std::string src = "main:\n movi r1, 5\n cmpi r1, 5\n"
+                            " jcc.eq skip\n movi r1, 6\n"
+                            "skip:\n movi r1, 7\n halt\n";
+    const VAddr jcc = 0x40'0000 + 2 * kInstBytes;
+    for (cpu::Engine engine : kEngines) {
+        harness::BareMachine ok(src, engine);
+        ok.run();
+        EXPECT_EQ(ok.reg(1), 7u);
+
+        harness::BareMachine m(src, engine);
+        const std::uint8_t bad = kNumConds;
+        ASSERT_EQ(m.as.handleFault(jcc, false), mem::FaultOutcome::Paged);
+        m.as.poke(jcc + 4, &bad, 1);
+        m.run();
+        EXPECT_TRUE(m.seq.halted());
+        EXPECT_EQ(m.reg(1), 5u) << cpu::engineName(engine);
+        EXPECT_EQ(m.seq.context().eip, jcc) << cpu::engineName(engine);
     }
 }
 

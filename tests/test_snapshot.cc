@@ -3,7 +3,7 @@
  * Snapshot subsystem tests: bit-exact round-trip determinism of the
  * machine-state image (warmup -> save -> restore -> run == the
  * uninterrupted run), the coherence edges the image must carry
- * faithfully (in-flight SIGNAL deliveries, TLB shootdowns, squashed
+ * faithfully (in-flight SIGNAL deliveries, TLB shootdowns, descheduled
  * event-queue entries, saves in the middle of a Ring-0 episode),
  * fail-closed behavior on corrupted and CRC-valid-but-bogus images,
  * and the serialization container itself.
@@ -342,6 +342,50 @@ TEST(Snapshot, MissingImageFailsClosed)
     warm.snapshotIn = tempPath("snapshot_missing.misnap");
     harness::RunRecord rec = harness::runOne(warm);
     EXPECT_EQ(rec.status, harness::RunStatus::SnapshotError);
+}
+
+TEST(Snapshot, ContextFlagsKeepTheirFourByteLayout)
+{
+    // FLAGS is one packed nibble in memory, but the image keeps one
+    // byte per flag (zf, sf, cf, of) after the registers and EIP, so
+    // images stay byte-identical to those of the four-bool layout.
+    for (unsigned bits = 0; bits < isa::Flags::kStates; ++bits) {
+        cpu::SequencerContext ctx;
+        for (unsigned r = 0; r < isa::kNumRegs; ++r)
+            ctx.regs[r] = 0x1000 + r;
+        ctx.eip = 0x40'0010;
+        ctx.flags = isa::Flags::fromBits(bits);
+        ctx.setTrigger(isa::Scenario::ProxyRequest, 0x40'0100);
+        ctx.savedEip = 0x40'0200;
+        ctx.inHandler = true;
+        ctx.bankedRegs = {1, 2, 3, 4};
+
+        snap::Serializer got;
+        got.beginSection(1);
+        snap::putContext(got, ctx);
+        got.endSection();
+        const std::string image = got.done();
+
+        snap::Serializer want; // the four-bool codec, longhand
+        want.beginSection(1);
+        for (Word r : ctx.regs)
+            want.u64(r);
+        want.u64(ctx.eip);
+        for (unsigned bit = 0; bit < 4; ++bit)
+            want.u8((bits >> bit) & 1);
+        for (VAddr t : ctx.triggers)
+            want.u64(t);
+        want.u64(ctx.savedEip);
+        want.b(ctx.inHandler);
+        for (Word r : ctx.bankedRegs)
+            want.u64(r);
+        want.endSection();
+        EXPECT_EQ(image, want.done()) << "flags " << bits;
+
+        snap::Deserializer d(image);
+        d.openSection(1);
+        EXPECT_EQ(snap::getContext(d).flags, ctx.flags) << "flags " << bits;
+    }
 }
 
 TEST(Snapshot, SequencerRestoreRejectsCrcValidGarbage)
@@ -1232,10 +1276,10 @@ TEST(Snapshot, SaveAcrossTlbShootdown)
     expectRestoreFinishesIdentically(split, req.config.misp.engine);
 }
 
-TEST(Snapshot, SquashedQueueEntriesStayOutOfTheImage)
+TEST(Snapshot, DescheduledEventsStayOutOfTheImage)
 {
-    // A descheduled (squashed) occurrence leaves a stale heap entry;
-    // the image must carry only the live schedule.
+    // Descheduled and rescheduled occurrences: the image must carry
+    // only the live schedule.
     struct Nop {
         void run() {}
     } nop;
@@ -1244,8 +1288,8 @@ TEST(Snapshot, SquashedQueueEntriesStayOutOfTheImage)
     MemberEvent<Nop, &Nop::run> b(nop, "b");
     eq.schedule(&a, 100);
     eq.schedule(&b, 200);
-    eq.deschedule(&a); // squashed: stale entry remains in the heap
-    eq.reschedule(&b, 300); // stale entry with the old seq remains
+    eq.deschedule(&a);
+    eq.reschedule(&b, 300);
 
     std::size_t live = 0;
     eq.forEachScheduled([&](const Event &ev) {

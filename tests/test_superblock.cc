@@ -319,7 +319,7 @@ genProgram(std::uint64_t seed, bool wide = false)
             src += buf;
             break;
           }
-          case 4: { // indirect forward jump (never chain-linked)
+          case 4: { // indirect forward jump (target read at run time)
             const int id = label++;
             std::snprintf(buf, sizeof buf,
                           "    movi r11, l%d\n    jmp r11\n", id);
