@@ -99,24 +99,25 @@ mispsimFlags()
          "run only this process's 1/N of the sweep:\n"
          "coordinate combinations are dealt\n"
          "round-robin (combination j to shard\n"
-         "j mod N), so groups stay whole and the\n"
-         "--metrics dump (with its shard header)\n"
-         "merges byte-identically; points keep\n"
+         "j mod N), so groups stay whole;\n"
+         "--metrics writes a binary shard image\n"
+         "(the points' RunRecords) that merges\n"
+         "byte-identically; points keep\n"
          "their global grid indices, so snapshots\n"
          "and --inject compose unchanged; [report]\n"
          "asserts and [table]s are deferred to\n"
          "--merge-frames"},
         {"--merge-frames OUT",
          "merge mode: treat the remaining\n"
-         "arguments as per-shard --metrics dumps,\n"
-         "validate them against the scenario\n"
-         "(config hash, shard arity, gaps,\n"
-         "overlaps — fail-closed, naming the\n"
-         "offending file), write the reassembled\n"
-         "frame to OUT byte-identical to a serial\n"
-         "run's --metrics, and render the deferred\n"
-         "[table]s and evaluate the deferred\n"
-         "[report] asserts on it"},
+         "arguments as per-shard images, validate\n"
+         "them against the scenario (config hash,\n"
+         "shard arity, gaps, overlaps, corruption\n"
+         "— fail-closed, naming the offending\n"
+         "file), and finish the reassembled sweep\n"
+         "like a serial run: OUT byte-identical\n"
+         "to its --metrics, the same tables and\n"
+         "failure lines, and the deferred\n"
+         "[report] asserts evaluated"},
         {"--progress",
          "force per-point progress lines on stderr\n"
          "even in --points mode (default: on for\n"
@@ -189,7 +190,7 @@ mispsimUsage(const char *argv0)
     out += " <scenario.scn> [options]\n"
            "       ";
     out += argv0;
-    out += " <scenario.scn> --merge-frames OUT IN1.json [IN2.json...]\n"
+    out += " <scenario.scn> --merge-frames OUT IN1 [IN2...]\n"
            "\n"
            "Runs a declarative scenario: machines x workloads x sweep "
            "axes.\n"

@@ -124,14 +124,21 @@ makeRunRequest(const Scenario &sc, const ScenarioPoint &pt,
 }
 
 PointResult
-ScenarioRunner::runPoint(const Scenario &sc, const ScenarioPoint &pt,
-                         std::size_t pointIndex)
+unmeasuredResult(const ScenarioPoint &pt)
 {
     PointResult out;
     out.machine = pt.machine.name;
     out.workload = pt.workload.name;
     out.competitors = pt.competitors;
     out.coords = pt.coords;
+    return out;
+}
+
+PointResult
+ScenarioRunner::runPoint(const Scenario &sc, const ScenarioPoint &pt,
+                         std::size_t pointIndex)
+{
+    PointResult out = unmeasuredResult(pt);
     out.run = harness::runOne(makeRunRequest(sc, pt, opts_, pointIndex));
     return out;
 }
@@ -286,15 +293,12 @@ ScenarioRunner::runIsolated(const Scenario &sc,
                             const std::vector<ScenarioPoint> &pts,
                             std::ostream *progress)
 {
-    std::vector<PointResult> results(pts.size());
     // Coordinates are parent-side facts; only the measured RunRecord
     // crosses the process boundary.
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        results[i].machine = pts[i].machine.name;
-        results[i].workload = pts[i].workload.name;
-        results[i].competitors = pts[i].competitors;
-        results[i].coords = pts[i].coords;
-    }
+    std::vector<PointResult> results;
+    results.reserve(pts.size());
+    for (const ScenarioPoint &pt : pts)
+        results.push_back(unmeasuredResult(pt));
 
     // Resolve supervision knobs: explicit CLI values override the
     // scenario's [run] defaults.

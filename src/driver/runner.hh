@@ -45,6 +45,11 @@ struct PointResult {
     harness::RunRecord run;
 };
 
+/** @p pt's coordinates with a default (not yet measured) record: a
+ *  run's measurements are filled in where they arrive — in process,
+ *  over an --isolate pipe, or from a shard image. */
+PointResult unmeasuredResult(const ScenarioPoint &pt);
+
 struct RunnerOptions {
     /** Force one host execution engine on every machine, overriding
      *  the scenario's `engine` knob (--engine=ref|superblock). */

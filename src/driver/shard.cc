@@ -1,20 +1,19 @@
 #include "driver/shard.hh"
 
-#include <cctype>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <ostream>
-#include <sstream>
+#include <algorithm>
 #include <utility>
 
-#include "harness/experiment.hh"
-#include "sim/stats.hh"
+#include "sim/parse.hh"
+#include "snapshot/snapshot.hh"
 
 namespace misp::driver {
 
 namespace {
+
+// Section ids of a shard image; disjoint from a snapshot's, so one
+// image can never pass for the other.
+constexpr std::uint32_t kSecShardHeader = 64;
+constexpr std::uint32_t kSecShardRecords = 65;
 
 /** "path: message" — every shard diagnostic names its file. */
 bool fail(std::string *err, const std::string &path,
@@ -23,285 +22,6 @@ bool fail(std::string *err, const std::string &path,
     if (err)
         *err = path + ": " + message;
     return false;
-}
-
-// FNV-1a 64-bit ------------------------------------------------------
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void fnvMix(std::uint64_t &h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= kFnvPrime;
-    }
-    // Field separator, so {"ab","c"} and {"a","bc"} hash apart.
-    h ^= 0x1f;
-    h *= kFnvPrime;
-}
-
-// Minimal JSON reader ------------------------------------------------
-//
-// Just enough of RFC 8259 to parse our own --metrics dumps (plus the
-// doctored variants the fail-closed tests feed in). Objects keep
-// field order; no external dependency.
-
-struct JsonValue {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> fields;
-
-    const JsonValue *find(const std::string &key) const
-    {
-        for (const auto &[name, value] : fields) {
-            if (name == key)
-                return &value;
-        }
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    JsonParser(const std::string &text, std::string *err)
-        : text_(text), err_(err)
-    {}
-
-    bool parse(JsonValue *out)
-    {
-        if (!parseValue(out))
-            return false;
-        skipSpace();
-        if (pos_ != text_.size())
-            return error("trailing data after JSON value");
-        return true;
-    }
-
-  private:
-    bool error(const std::string &message)
-    {
-        if (err_)
-            *err_ = message + " (offset " + std::to_string(pos_) + ")";
-        return false;
-    }
-
-    void skipSpace()
-    {
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
-                break;
-            ++pos_;
-        }
-    }
-
-    bool literal(const char *word)
-    {
-        std::size_t n = std::string(word).size();
-        if (text_.compare(pos_, n, word) != 0)
-            return error("malformed literal");
-        pos_ += n;
-        return true;
-    }
-
-    bool parseString(std::string *out)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return error("expected string");
-        ++pos_;
-        out->clear();
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out->push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return error("unterminated escape");
-            char esc = text_[pos_++];
-            switch (esc) {
-            case '"': out->push_back('"'); break;
-            case '\\': out->push_back('\\'); break;
-            case '/': out->push_back('/'); break;
-            case 'b': out->push_back('\b'); break;
-            case 'f': out->push_back('\f'); break;
-            case 'n': out->push_back('\n'); break;
-            case 'r': out->push_back('\r'); break;
-            case 't': out->push_back('\t'); break;
-            case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return error("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return error("bad \\u escape digit");
-                }
-                // Our emitter only writes \u00XX (control bytes);
-                // decode the general BMP form anyway.
-                if (code < 0x80) {
-                    out->push_back(static_cast<char>(code));
-                } else if (code < 0x800) {
-                    out->push_back(
-                        static_cast<char>(0xc0 | (code >> 6)));
-                    out->push_back(
-                        static_cast<char>(0x80 | (code & 0x3f)));
-                } else {
-                    out->push_back(
-                        static_cast<char>(0xe0 | (code >> 12)));
-                    out->push_back(static_cast<char>(
-                        0x80 | ((code >> 6) & 0x3f)));
-                    out->push_back(
-                        static_cast<char>(0x80 | (code & 0x3f)));
-                }
-                break;
-            }
-            default:
-                return error("unknown escape");
-            }
-        }
-        return error("unterminated string");
-    }
-
-    bool parseValue(JsonValue *out)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return error("unexpected end of input");
-        char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out->kind = JsonValue::Kind::Object;
-            skipSpace();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            for (;;) {
-                skipSpace();
-                std::string key;
-                if (!parseString(&key))
-                    return false;
-                skipSpace();
-                if (pos_ >= text_.size() || text_[pos_] != ':')
-                    return error("expected ':' in object");
-                ++pos_;
-                JsonValue value;
-                if (!parseValue(&value))
-                    return false;
-                out->fields.emplace_back(std::move(key),
-                                         std::move(value));
-                skipSpace();
-                if (pos_ >= text_.size())
-                    return error("unterminated object");
-                if (text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (text_[pos_] == '}') {
-                    ++pos_;
-                    return true;
-                }
-                return error("expected ',' or '}' in object");
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out->kind = JsonValue::Kind::Array;
-            skipSpace();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            for (;;) {
-                JsonValue item;
-                if (!parseValue(&item))
-                    return false;
-                out->items.push_back(std::move(item));
-                skipSpace();
-                if (pos_ >= text_.size())
-                    return error("unterminated array");
-                if (text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (text_[pos_] == ']') {
-                    ++pos_;
-                    return true;
-                }
-                return error("expected ',' or ']' in array");
-            }
-        }
-        if (c == '"') {
-            out->kind = JsonValue::Kind::String;
-            return parseString(&out->text);
-        }
-        if (c == 't') {
-            out->kind = JsonValue::Kind::Bool;
-            out->boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out->kind = JsonValue::Kind::Bool;
-            out->boolean = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            out->kind = JsonValue::Kind::Null;
-            return literal("null");
-        }
-        if (c == '-' || (c >= '0' && c <= '9')) {
-            std::size_t end = pos_;
-            while (end < text_.size()) {
-                char d = text_[end];
-                if (d == '-' || d == '+' || d == '.' || d == 'e' ||
-                    d == 'E' || (d >= '0' && d <= '9')) {
-                    ++end;
-                    continue;
-                }
-                break;
-            }
-            std::string num = text_.substr(pos_, end - pos_);
-            char *stop = nullptr;
-            out->number = std::strtod(num.c_str(), &stop);
-            if (stop == num.c_str() || *stop != '\0')
-                return error("malformed number");
-            out->kind = JsonValue::Kind::Number;
-            pos_ = end;
-            return true;
-        }
-        return error("unexpected character");
-    }
-
-    const std::string &text_;
-    std::string *err_;
-    std::size_t pos_ = 0;
-};
-
-/** Non-negative integral JSON number; false on anything else. */
-bool asIndex(const JsonValue &v, std::size_t *out)
-{
-    if (v.kind != JsonValue::Kind::Number || v.number < 0.0 ||
-        v.number != static_cast<double>(
-                        static_cast<std::uint64_t>(v.number)))
-        return false;
-    *out = static_cast<std::size_t>(v.number);
-    return true;
 }
 
 } // namespace
@@ -319,43 +39,40 @@ parseShardSpec(const std::string &text, ShardSpec *out,
     };
     if (slash == std::string::npos)
         return bad("missing '/'");
-    const std::string left = text.substr(0, slash);
-    const std::string right = text.substr(slash + 1);
-    if (left.empty() || right.empty())
-        return bad("empty field");
-    for (char c : left + right) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return bad("non-numeric field");
-    }
-    out->index = static_cast<std::size_t>(
-        std::strtoull(left.c_str(), nullptr, 10));
-    out->count = static_cast<std::size_t>(
-        std::strtoull(right.c_str(), nullptr, 10));
-    if (out->count == 0)
+    std::uint64_t index = 0, count = 0;
+    if (!parse::u64(text.substr(0, slash), &index) ||
+        !parse::u64(text.substr(slash + 1), &count))
+        return bad("malformed or out-of-range field");
+    if (count == 0)
         return bad("shard count must be >= 1");
-    if (out->index >= out->count)
+    if (index >= count)
         return bad("shard index out of range");
+    out->index = static_cast<std::size_t>(index);
+    out->count = static_cast<std::size_t>(count);
     return true;
 }
 
-std::string
+std::uint64_t
 gridConfigHash(const Scenario &sc,
                const std::vector<ScenarioPoint> &pts)
 {
-    std::uint64_t h = kFnvOffset;
-    fnvMix(h, sc.name);
-    fnvMix(h, std::to_string(sc.maxTicks));
-    fnvMix(h, std::to_string(pts.size()));
+    snap::Serializer s;
+    s.beginSection(0);
+    s.str(sc.name);
+    s.u64(sc.maxTicks);
+    s.u64(pts.size());
     for (const ScenarioPoint &pt : pts) {
-        fnvMix(h, pt.machine.name);
-        fnvMix(h, pt.workload.name);
-        fnvMix(h, std::to_string(pt.competitors));
-        fnvMix(h, pt.coordString());
+        s.str(pt.machine.name);
+        s.str(pt.workload.name);
+        s.u32(pt.competitors);
+        s.u64(pt.coords.size());
+        for (const auto &[key, value] : pt.coords) {
+            s.str(key);
+            s.str(value);
+        }
     }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    s.endSection();
+    return snap::fnv1a(s.done());
 }
 
 std::vector<std::size_t>
@@ -372,277 +89,187 @@ shardPointIndices(const ShardSpec &shard, std::size_t totalPoints,
     return owned;
 }
 
-void
-writeShardMetricsJson(std::ostream &os, const Scenario &sc,
-                      bool quickMode,
-                      const harness::MetricFrame &frame,
-                      const ShardSpec &shard, std::size_t totalPoints,
-                      const std::string &configHash,
-                      const std::vector<std::size_t> &indices)
+ShardHeader
+makeShardHeader(const Scenario &sc, bool quick, const ShardSpec &shard,
+                const std::vector<ScenarioPoint> &grid)
 {
-    os << "{\n";
-    os << "  \"scenario\": " << stats::jsonQuote(sc.name) << ",\n";
-    os << "  \"title\": " << stats::jsonQuote(sc.title) << ",\n";
-    os << "  \"quick\": " << (quickMode ? "true" : "false") << ",\n";
-    os << "  \"shard\": {\n";
-    os << "    \"index\": " << shard.index << ",\n";
-    os << "    \"count\": " << shard.count << ",\n";
-    os << "    \"points\": " << totalPoints << ",\n";
-    os << "    \"config_hash\": " << stats::jsonQuote(configHash)
-       << ",\n";
-    os << "    \"indices\": [";
-    for (std::size_t i = 0; i < indices.size(); ++i)
-        os << (i ? ", " : "") << indices[i];
-    os << "]\n";
-    os << "  },\n";
-    os << "  \"frame\":\n";
-    frame.writeJson(os);
-    os << "}\n";
+    ShardHeader h;
+    h.scenario = sc.name;
+    h.quick = quick;
+    h.shard = shard;
+    h.points = grid.size();
+    h.configHash = gridConfigHash(sc, grid);
+    h.indices = shardPointIndices(shard, grid.size(), sc.machines.size());
+    return h;
+}
+
+std::string
+encodeShardImage(const ShardHeader &header,
+                 const std::vector<PointResult> &owned)
+{
+    snap::Serializer s;
+    s.beginSection(kSecShardHeader);
+    s.str(header.scenario);
+    s.b(header.quick);
+    s.u64(header.shard.index);
+    s.u64(header.shard.count);
+    s.u64(header.points);
+    s.u64(header.configHash);
+    s.u64(header.indices.size());
+    for (std::size_t g : header.indices)
+        s.u64(g);
+    s.endSection();
+    s.beginSection(kSecShardRecords);
+    for (const PointResult &r : owned)
+        s.str(snap::encodeRunRecord(r.run));
+    s.endSection();
+    return s.done();
 }
 
 bool
-readShardDump(const std::string &path, ShardDump *out,
-              std::string *err)
+readShardImage(const std::string &path, ShardDump *out,
+               std::string *err)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return fail(err, path, "cannot open shard dump");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    JsonValue root;
-    std::string jsonErr;
-    if (!JsonParser(text, &jsonErr).parse(&root))
-        return fail(err, path, "malformed JSON: " + jsonErr);
-    if (root.kind != JsonValue::Kind::Object)
-        return fail(err, path, "top level is not an object");
-
+    std::string image, ioErr;
+    if (!snap::readFileBytes(path, &image, &ioErr))
+        return fail(err, path, ioErr);
     out->path = path;
+    try {
+        snap::Deserializer d(std::move(image));
+        if (!d.hasSection(kSecShardHeader))
+            return fail(err, path, "not a shard image (no shard header)");
+        ShardHeader &h = out->header;
+        d.openSection(kSecShardHeader);
+        h.scenario = d.str();
+        h.quick = d.b();
+        h.shard.index = d.u64();
+        h.shard.count = d.u64();
+        h.points = d.u64();
+        h.configHash = d.u64();
+        const std::uint64_t n = d.u64();
+        if (n > d.remaining() / 8)
+            return fail(err, path, "index count exceeds the header");
+        h.indices.resize(n);
+        for (std::size_t &g : h.indices)
+            g = d.u64();
+        if (d.remaining() != 0)
+            return fail(err, path, "trailing bytes after the header");
 
-    const JsonValue *scenario = root.find("scenario");
-    if (!scenario || scenario->kind != JsonValue::Kind::String)
-        return fail(err, path, "missing \"scenario\" header");
-    out->scenario = scenario->text;
-
-    const JsonValue *quick = root.find("quick");
-    if (!quick || quick->kind != JsonValue::Kind::Bool)
-        return fail(err, path, "missing \"quick\" header");
-    out->quick = quick->boolean;
-
-    const JsonValue *shard = root.find("shard");
-    if (!shard || shard->kind != JsonValue::Kind::Object)
-        return fail(err, path,
-                    "missing \"shard\" header (not a --shard dump?)");
-    const JsonValue *index = shard->find("index");
-    const JsonValue *count = shard->find("count");
-    const JsonValue *points = shard->find("points");
-    const JsonValue *hash = shard->find("config_hash");
-    const JsonValue *indices = shard->find("indices");
-    if (!index || !asIndex(*index, &out->shard.index))
-        return fail(err, path, "bad shard.index");
-    if (!count || !asIndex(*count, &out->shard.count) ||
-        out->shard.count == 0)
-        return fail(err, path, "bad shard.count");
-    if (!points || !asIndex(*points, &out->points))
-        return fail(err, path, "bad shard.points");
-    if (!hash || hash->kind != JsonValue::Kind::String)
-        return fail(err, path, "bad shard.config_hash");
-    out->configHash = hash->text;
-    if (!indices || indices->kind != JsonValue::Kind::Array)
-        return fail(err, path, "bad shard.indices");
-    out->indices.clear();
-    for (const JsonValue &item : indices->items) {
-        std::size_t value = 0;
-        if (!asIndex(item, &value))
-            return fail(err, path, "non-integral shard index");
-        out->indices.push_back(value);
-    }
-
-    const JsonValue *frame = root.find("frame");
-    if (!frame || frame->kind != JsonValue::Kind::Object)
-        return fail(err, path, "missing \"frame\" object");
-    const JsonValue *metrics = frame->find("metrics");
-    if (!metrics || metrics->kind != JsonValue::Kind::Array)
-        return fail(err, path, "missing frame.metrics");
-    out->metrics.clear();
-    for (const JsonValue &name : metrics->items) {
-        if (name.kind != JsonValue::Kind::String)
-            return fail(err, path, "non-string metric name");
-        out->metrics.push_back(name.text);
-    }
-
-    const JsonValue *rows = frame->find("points");
-    if (!rows || rows->kind != JsonValue::Kind::Array)
-        return fail(err, path, "missing frame.points");
-    out->rows.clear();
-    for (std::size_t r = 0; r < rows->items.size(); ++r) {
-        const JsonValue &obj = rows->items[r];
-        const std::string where =
-            "row " + std::to_string(r) + ": ";
-        if (obj.kind != JsonValue::Kind::Object)
-            return fail(err, path, where + "not an object");
-        harness::MetricFrame::RawRow raw;
-
-        const JsonValue *machine = obj.find("machine");
-        const JsonValue *workload = obj.find("workload");
-        const JsonValue *competitors = obj.find("competitors");
-        const JsonValue *coords = obj.find("coords");
-        const JsonValue *status = obj.find("status");
-        const JsonValue *values = obj.find("values");
-        if (!machine || machine->kind != JsonValue::Kind::String)
-            return fail(err, path, where + "bad machine");
-        raw.row.machine = machine->text;
-        if (!workload || workload->kind != JsonValue::Kind::String)
-            return fail(err, path, where + "bad workload");
-        raw.row.workload = workload->text;
-        std::size_t nComp = 0;
-        if (!competitors || !asIndex(*competitors, &nComp))
-            return fail(err, path, where + "bad competitors");
-        raw.row.competitors = static_cast<unsigned>(nComp);
-        if (!coords || coords->kind != JsonValue::Kind::Object)
-            return fail(err, path, where + "bad coords");
-        for (const auto &[key, value] : coords->fields) {
-            if (value.kind != JsonValue::Kind::String)
+        d.openSection(kSecShardRecords);
+        out->records.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            std::string recErr;
+            if (!snap::decodeRunRecord(d.str(),
+                                       &out->records.emplace_back(),
+                                       &recErr))
                 return fail(err, path,
-                            where + "non-string coord value");
-            raw.row.coords.emplace_back(key, value.text);
+                            "record " + std::to_string(i) + ": " +
+                                recErr);
         }
-        if (!status || status->kind != JsonValue::Kind::String ||
-            !harness::runStatusFromName(status->text,
-                                        &raw.row.status))
-            return fail(err, path, where + "unknown status");
-        if (!values || values->kind != JsonValue::Kind::Object)
-            return fail(err, path, where + "bad values");
-        if (values->fields.size() != out->metrics.size())
-            return fail(err, path,
-                        where + "values/metrics arity mismatch");
-        for (std::size_t m = 0; m < out->metrics.size(); ++m) {
-            const auto &[name, value] = values->fields[m];
-            if (name != out->metrics[m])
-                return fail(err, path,
-                            where + "value \"" + name +
-                                "\" out of metric order");
-            if (value.kind != JsonValue::Kind::Number)
-                return fail(err, path,
-                            where + "non-numeric value \"" + name +
-                                "\"");
-            raw.values.push_back(value.number);
-        }
-        out->rows.push_back(std::move(raw));
+        if (d.remaining() != 0)
+            return fail(err, path, "trailing bytes after the records");
+        return true;
+    } catch (const std::exception &e) {
+        // SnapError, plus hostile-size allocation failures: all fail
+        // closed.
+        return fail(err, path, std::string("corrupt shard image: ") +
+                                   e.what());
     }
-    return true;
 }
 
 bool
 mergeShardDumps(const Scenario &sc, bool quick,
                 const std::vector<ScenarioPoint> &pts,
-                const std::vector<ShardDump> &dumps,
-                harness::MetricFrame *out, std::string *err)
+                std::vector<ShardDump> dumps,
+                std::vector<PointResult> *out, std::string *err)
 {
     if (dumps.empty()) {
         if (err)
             *err = "--merge-frames: no input dumps";
         return false;
     }
-    const std::string expectHash = gridConfigHash(sc, pts);
-    const std::size_t total = pts.size();
-    const std::size_t machines = sc.machines.size();
-    const std::size_t count = dumps[0].shard.count;
+    const std::uint64_t expectHash = gridConfigHash(sc, pts);
+    const std::size_t count = dumps[0].header.shard.count;
 
-    // Which shard each dump claims; duplicates are overlaps.
-    std::vector<const ShardDump *> byShard(count, nullptr);
     for (const ShardDump &dump : dumps) {
-        if (dump.scenario != sc.name)
+        const ShardHeader &h = dump.header;
+        if (h.scenario != sc.name)
             return fail(err, dump.path,
-                        "scenario \"" + dump.scenario +
+                        "scenario \"" + h.scenario +
                             "\" does not match \"" + sc.name + "\"");
-        if (dump.quick != quick)
+        if (h.quick != quick)
             return fail(err, dump.path,
                         std::string("quick mode mismatch (dump is ") +
-                            (dump.quick ? "quick" : "full") + ")");
-        if (dump.shard.count != count)
+                            (h.quick ? "quick" : "full") + ")");
+        if (h.shard.count != count)
             return fail(err, dump.path,
-                        "shard count " +
-                            std::to_string(dump.shard.count) +
-                            " disagrees with " +
-                            std::to_string(count));
-        if (dump.shard.index >= count)
+                        "shard count " + std::to_string(h.shard.count) +
+                            " disagrees with " + std::to_string(count));
+        if (h.shard.index >= count)
             return fail(err, dump.path, "shard index out of range");
-        if (dump.points != total)
+        if (h.points != pts.size())
             return fail(err, dump.path,
-                        "grid has " + std::to_string(dump.points) +
+                        "grid has " + std::to_string(h.points) +
                             " points, scenario expands to " +
-                            std::to_string(total));
-        if (dump.configHash != expectHash)
+                            std::to_string(pts.size()));
+        if (h.configHash != expectHash)
             return fail(err, dump.path,
-                        "config hash " + dump.configHash +
+                        "config hash " + std::to_string(h.configHash) +
                             " does not match scenario hash " +
-                            expectHash);
-        if (byShard[dump.shard.index])
-            return fail(err, dump.path,
-                        "overlaps " +
-                            byShard[dump.shard.index]->path +
-                            " (both claim shard " +
-                            std::to_string(dump.shard.index) + "/" +
-                            std::to_string(count) + ")");
-        byShard[dump.shard.index] = &dump;
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-        if (!byShard[k]) {
-            if (err)
-                *err = "--merge-frames: shard " + std::to_string(k) +
-                       "/" + std::to_string(count) +
-                       " is missing from the inputs (gap)";
-            return false;
-        }
+                            std::to_string(expectHash));
     }
 
-    // Per-dump index sets must be exactly the deterministic
-    // partition — anything else is a gap or overlap inside a shard.
-    for (std::size_t k = 0; k < count; ++k) {
-        const ShardDump &dump = *byShard[k];
-        const std::vector<std::size_t> expect =
-            shardPointIndices(dump.shard, total, machines);
-        if (dump.indices != expect)
-            return fail(err, dump.path,
+    // Shards in index order: a repeated index is an overlap, a skipped
+    // one a gap. Nothing is sized by the images' declared count.
+    std::vector<const ShardDump *> byShard;
+    for (const ShardDump &dump : dumps)
+        byShard.push_back(&dump);
+    std::stable_sort(byShard.begin(), byShard.end(),
+                     [](const ShardDump *a, const ShardDump *b) {
+                         return a->header.shard.index <
+                                b->header.shard.index;
+                     });
+    for (std::size_t k = 0; k < count || k < byShard.size(); ++k) {
+        if (k < byShard.size() && byShard[k]->header.shard.index < k)
+            return fail(err, byShard[k]->path,
+                        "overlaps " + byShard[k - 1]->path +
+                            " (both claim shard " +
+                            std::to_string(k - 1) + "/" +
+                            std::to_string(count) + ")");
+        if (k == byShard.size() || byShard[k]->header.shard.index > k)
+            return fail(err, dumps[0].path,
+                        "declares " + std::to_string(count) +
+                            " shards: shard " + std::to_string(k) +
+                            "/" + std::to_string(count) +
+                            " is missing from the inputs (gap)");
+    }
+
+    // Per-image index sets must be exactly the deterministic partition
+    // — anything else is a gap or overlap inside a shard.
+    for (const ShardDump *dump : byShard) {
+        if (dump->header.indices !=
+            shardPointIndices(dump->header.shard, pts.size(),
+                              sc.machines.size()))
+            return fail(err, dump->path,
                         "shard index set does not match the "
                         "deterministic partition (gap or overlap)");
-        if (dump.rows.size() != dump.indices.size())
-            return fail(err, dump.path,
-                        std::to_string(dump.rows.size()) +
-                            " rows for " +
-                            std::to_string(dump.indices.size()) +
-                            " declared indices");
-        if (dump.metrics != dumps[0].metrics)
-            return fail(err, dump.path,
-                        "metric columns disagree with " +
-                            dumps[0].path);
+        if (dump->records.size() != dump->header.indices.size())
+            return fail(err, dump->path,
+                        std::to_string(dump->records.size()) +
+                            " records for " +
+                            std::to_string(dump->header.indices.size()) +
+                            " indices");
     }
 
-    // Reassemble in global grid order, checking each row's identity
-    // against the grid point it lands on.
-    std::vector<harness::MetricFrame::RawRow> raws(total);
-    for (std::size_t k = 0; k < count; ++k) {
-        const ShardDump &dump = *byShard[k];
-        for (std::size_t i = 0; i < dump.rows.size(); ++i) {
-            const std::size_t g = dump.indices[i];
-            const harness::MetricFrame::Row &row = dump.rows[i].row;
-            if (row.machine != pts[g].machine.name ||
-                row.workload != pts[g].workload.name ||
-                row.competitors != pts[g].competitors)
-                return fail(err, dump.path,
-                            "row " + std::to_string(i) +
-                                " identity does not match grid "
-                                "point " +
-                                std::to_string(g));
-            raws[g] = dump.rows[i];
-        }
+    out->clear();
+    out->reserve(pts.size());
+    for (const ScenarioPoint &pt : pts)
+        out->push_back(unmeasuredResult(pt));
+    for (ShardDump &dump : dumps) {
+        for (std::size_t i = 0; i < dump.records.size(); ++i)
+            (*out)[dump.header.indices[i]].run =
+                std::move(dump.records[i]);
     }
-
-    std::string loadErr;
-    if (!out->loadRows(dumps[0].metrics, std::move(raws), &loadErr))
-        return fail(err, dumps[0].path, loadErr);
     return true;
 }
 

@@ -1,40 +1,44 @@
 /**
  * @file
  * Sharded sweeps with deterministic merge: `mispsim --shard k/N` runs
- * an Nth of a scenario grid and dumps its rows with a shard header;
- * `mispsim --merge-frames OUT IN...` reassembles the per-shard
- * `--metrics` dumps into one MetricFrame that is byte-identical to
- * the serial run's.
+ * an Nth of a scenario grid and writes its points' RunRecords as a
+ * shard image; `mispsim --merge-frames OUT IN...` reassembles the
+ * images into the full grid's results and finishes them exactly like
+ * a serial run, so OUT is byte-identical to the serial `--metrics`.
  *
  * The partition is by *coordinate-combination* index, not raw point
  * index: combination j (one value per sweep axis) goes to shard
  * j % N, and a combination's points — one per machine, the grid's
- * innermost loop — travel together. Keeping coordinate groups whole
- * inside a shard means the per-row derived `speedup` column each
- * shard computes equals the serial run's, so merged dumps need no
- * recomputation to match byte-for-byte. Shard points keep their
- * *global* grid indices (RunnerOptions::pointIndices), so snapshot
- * image names and fault-plan targets compose with a shard exactly as
- * with the full run.
+ * innermost loop — travel together. Shard points keep their *global*
+ * grid indices (RunnerOptions::pointIndices), so snapshot image names
+ * and fault-plan targets compose with a shard exactly as with the
+ * full run.
  *
- * Merging is fail-closed: every dump's scenario name, quick flag,
+ * A shard image is a snap::Serializer container (magic, version,
+ * per-section CRCs) with two sections: a header (scenario name, quick
+ * flag, k, N, full-grid point count, grid config hash, the owned
+ * global indices) and the owned points' snap::encodeRunRecord bytes,
+ * in index order. Only measured records travel: the merge takes every
+ * point's coordinates from the grid it expands itself.
+ *
+ * Merging is fail-closed: every image's scenario name, quick flag,
  * shard arity, grid size, and config hash must match the scenario
  * the merger expanded, the shard index sets must be disjoint and
  * cover the grid (overlaps and gaps are detected and named), and
- * each row's identity must match the grid point it claims to be.
- * Every diagnostic names the offending file.
+ * each index set must be the deterministic partition. Every
+ * diagnostic names the offending file.
  */
 
 #ifndef MISP_DRIVER_SHARD_HH
 #define MISP_DRIVER_SHARD_HH
 
 #include <cstddef>
-#include <iosfwd>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "driver/runner.hh"
 #include "driver/scenario.hh"
-#include "harness/metric_frame.hh"
 
 namespace misp::driver {
 
@@ -50,14 +54,14 @@ bool parseShardSpec(const std::string &text, ShardSpec *out,
                     std::string *err);
 
 /**
- * FNV-1a 64-bit hash (hex) over the expanded grid's identity:
- * scenario name, tick budget, and every point's machine, workload,
- * competitor count, and coordinates in grid order. Two shard runs
- * merge only if they hashed the same grid, so dumps from a different
- * scenario revision fail closed instead of interleaving silently.
+ * FNV-1a 64-bit hash over the expanded grid's identity: scenario
+ * name, tick budget, and every point's machine, workload, competitor
+ * count, and coordinates in grid order. Two shard runs merge only if
+ * they hashed the same grid, so images from a different scenario
+ * revision fail closed instead of interleaving silently.
  */
-std::string gridConfigHash(const Scenario &sc,
-                           const std::vector<ScenarioPoint> &pts);
+std::uint64_t gridConfigHash(const Scenario &sc,
+                             const std::vector<ScenarioPoint> &pts);
 
 /**
  * Global grid indices shard @p shard owns, ascending: the points of
@@ -70,54 +74,54 @@ std::vector<std::size_t> shardPointIndices(const ShardSpec &shard,
                                            std::size_t totalPoints,
                                            std::size_t machinesPerCombo);
 
-/**
- * The `--shard` variant of writeMetricsJson: the serial dump plus a
- * "shard" header object carrying the spec, full-grid point count,
- * config hash, and the rows' global grid indices. Row objects are
- * byte-identical to the serial emitter's, which is what makes the
- * merged dump a plain writeMetricsJson of the merged frame.
- */
-void writeShardMetricsJson(std::ostream &os, const Scenario &sc,
-                           bool quickMode,
-                           const harness::MetricFrame &frame,
-                           const ShardSpec &shard,
-                           std::size_t totalPoints,
-                           const std::string &configHash,
-                           const std::vector<std::size_t> &indices);
-
-/** One parsed per-shard `--metrics` dump. */
-struct ShardDump {
-    std::string path; ///< where it was read from (diagnostics)
+/** A shard run's identity: the header section of its image. */
+struct ShardHeader {
     std::string scenario;
     bool quick = false;
     ShardSpec shard;
     std::size_t points = 0; ///< full-grid point count
-    std::string configHash;
-    std::vector<std::size_t> indices; ///< global index per row
-    std::vector<std::string> metrics;
-    std::vector<harness::MetricFrame::RawRow> rows;
+    std::uint64_t configHash = 0;
+    std::vector<std::size_t> indices; ///< owned global grid indices
 };
 
-/** Parse one shard dump. Fail-closed: malformed JSON, a missing
- *  header field, or an unknown status name is an error naming
+/** The header of shard @p shard of @p grid (the full expanded grid of
+ *  @p sc under @p quick). */
+ShardHeader makeShardHeader(const Scenario &sc, bool quick,
+                            const ShardSpec &shard,
+                            const std::vector<ScenarioPoint> &grid);
+
+/** The `--shard` `--metrics` artifact: @p header plus the RunRecord
+ *  of each owned point (@p owned, parallel to header.indices). */
+std::string encodeShardImage(const ShardHeader &header,
+                             const std::vector<PointResult> &owned);
+
+/** One decoded shard image. */
+struct ShardDump {
+    std::string path; ///< where it was read from (diagnostics)
+    ShardHeader header;
+    std::vector<harness::RunRecord> records; ///< parallel to indices
+};
+
+/** Read and decode one shard image. Fail-closed: a truncated,
+ *  corrupt, or foreign image (a snapshot, say) is an error naming
  *  @p path, never a partial dump. */
-bool readShardDump(const std::string &path, ShardDump *out,
-                   std::string *err);
+bool readShardImage(const std::string &path, ShardDump *out,
+                    std::string *err);
 
 /**
- * Validate @p dumps against the expanded grid and reassemble them
- * into @p out (rows in global grid order, groups recomputed, the
- * dumps' column set adopted verbatim). @p quick must be the mode the
+ * Validate @p dumps against the expanded grid @p pts and reassemble
+ * their records into @p out, one PointResult per grid point in grid
+ * order with coordinates from @p pts. @p quick must be the mode the
  * grid was expanded under; every dump must agree. False + a
  * diagnostic naming the offending file on any mismatch: wrong
- * scenario/quick/hash, inconsistent or duplicate shard specs
- * (overlap), missing shards or indices (gaps), row identities that
- * contradict the grid.
+ * scenario/quick/hash/grid size, inconsistent or duplicate shard
+ * specs (overlap), missing shards (gap), or an index set other than
+ * the deterministic partition.
  */
 bool mergeShardDumps(const Scenario &sc, bool quick,
                      const std::vector<ScenarioPoint> &pts,
-                     const std::vector<ShardDump> &dumps,
-                     harness::MetricFrame *out, std::string *err);
+                     std::vector<ShardDump> dumps,
+                     std::vector<PointResult> *out, std::string *err);
 
 } // namespace misp::driver
 

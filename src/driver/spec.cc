@@ -223,8 +223,15 @@ expandValues(const std::string &value, std::vector<std::string> *out,
                 *err = "inverted span '" + tok + "'";
             return false;
         }
-        for (std::uint64_t v = lo; v <= hi; ++v)
-            out->push_back(std::to_string(v));
+        if (hi - lo >= kMaxSpanValues) {
+            if (err)
+                *err = "span '" + tok + "' expands to more than " +
+                       std::to_string(kMaxSpanValues) + " values";
+            return false;
+        }
+        // Counted from lo, so a span ending at 2^64-1 still ends.
+        for (std::uint64_t i = 0; i <= hi - lo; ++i)
+            out->push_back(std::to_string(lo + i));
     }
     return true;
 }

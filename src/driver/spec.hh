@@ -83,9 +83,13 @@ std::string specError(const std::string &path, int line,
 /** Split a comma-separated value into trimmed, non-empty tokens. */
 std::vector<std::string> splitList(const std::string &value);
 
+/** Most values one `lo..hi` span may expand to. */
+constexpr std::uint64_t kMaxSpanValues = 65536;
+
 /**
  * splitList plus `lo..hi` integer-span expansion. Returns false (with
- * a message in @p err when non-null) on a malformed or inverted span.
+ * a message in @p err when non-null) on a malformed or inverted span,
+ * or one longer than kMaxSpanValues (checked before expanding).
  */
 bool expandValues(const std::string &value, std::vector<std::string> *out,
                   std::string *err = nullptr);

@@ -52,23 +52,6 @@ runStatusName(RunStatus status)
 }
 
 bool
-runStatusFromName(const std::string &name, RunStatus *out)
-{
-    static constexpr RunStatus all[] = {
-        RunStatus::Completed,     RunStatus::MaxTicksReached,
-        RunStatus::SnapshotError, RunStatus::WorkerCrashed,
-        RunStatus::WorkerTimeout,
-    };
-    for (RunStatus status : all) {
-        if (name == runStatusName(status)) {
-            *out = status;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 runStatusIsInfraFailure(RunStatus status)
 {
     return status == RunStatus::SnapshotError ||

@@ -33,10 +33,6 @@ enum class RunStatus {
 
 const char *runStatusName(RunStatus status);
 
-/** Inverse of runStatusName — the `--merge-frames` dump reader's
- *  status parse. Returns false on an unknown name. */
-bool runStatusFromName(const std::string &name, RunStatus *out);
-
 /** True for statuses caused by the execution infrastructure (worker
  *  crash/timeout, snapshot failure) rather than by the simulated
  *  machine itself. These are the transient statuses the supervised

@@ -217,41 +217,6 @@ MetricFrame::finalize(const std::string &baselineMachine)
     }
 }
 
-bool
-MetricFrame::loadRows(const std::vector<std::string> &metrics,
-                      std::vector<RawRow> raws, std::string *err)
-{
-    if (finalized_ || !rows_.empty()) {
-        if (err)
-            *err = "loadRows: frame is not freshly constructed";
-        return false;
-    }
-    metrics_ = metrics;
-    columns_.assign(metrics_.size(), {});
-    metricIds_.clear();
-    for (std::size_t m = 0; m < metrics_.size(); ++m)
-        metricIds_.emplace(metrics_[m], m);
-    for (std::size_t i = 0; i < raws.size(); ++i) {
-        RawRow &raw = raws[i];
-        if (raw.values.size() != metrics_.size()) {
-            if (err)
-                *err = "loadRows: row " + std::to_string(i) +
-                       " carries " + std::to_string(raw.values.size()) +
-                       " values for " +
-                       std::to_string(metrics_.size()) + " metrics";
-            return false;
-        }
-        rows_.push_back(std::move(raw.row));
-        internRow(rows_.back());
-        for (std::size_t m = 0; m < metrics_.size(); ++m)
-            columns_[m].push_back(raw.values[m]);
-    }
-    finalized_ = true;
-    computeGroups();
-    buildIndexes();
-    return true;
-}
-
 double
 MetricFrame::speedupOf(std::size_t r, std::size_t base) const
 {

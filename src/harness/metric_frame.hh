@@ -180,27 +180,6 @@ class MetricFrame
      */
     void writeJson(std::ostream &os) const;
 
-    // Shard-merge load path ---------------------------------------------
-
-    /** One parsed `--metrics` dump row: identity plus every column
-     *  value in dump order. `row.group` is ignored (groups are
-     *  recomputed on load). */
-    struct RawRow {
-        Row row;
-        std::vector<double> values;
-    };
-
-    /**
-     * Rebuild a frame from parsed `--metrics` dump rows (the
-     * `--merge-frames` path): adopt @p metrics verbatim as the column
-     * list (a dump may already carry the derived `speedup` column),
-     * load @p raws in the given order, and recompute the coordinate
-     * groups. The frame must be freshly constructed. Returns false
-     * with a diagnostic in @p err on a shape mismatch.
-     */
-    bool loadRows(const std::vector<std::string> &metrics,
-                  std::vector<RawRow> raws, std::string *err);
-
   private:
     /** Interned symbol id (machine names, axis keys/values). */
     using Id = std::uint32_t;

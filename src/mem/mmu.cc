@@ -224,15 +224,4 @@ Mmu::fetchInst(VAddr va, std::uint8_t buf[16], Ring ring)
     return res;
 }
 
-AccessResult
-Mmu::fetch(VAddr va, unsigned size, Ring ring)
-{
-    PAddr pa = 0;
-    AccessResult res = translate(va, size, Access::Execute, ring, &pa);
-    if (res.fault)
-        return res;
-    res.value = pmem_.read(pa, size);
-    return res;
-}
-
 } // namespace misp::mem

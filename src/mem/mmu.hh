@@ -141,9 +141,6 @@ class Mmu : public snap::Saveable
      *  stores to predecoded code pages invalidate them (SMC). */
     AccessResult write(VAddr va, Word value, unsigned size, Ring ring);
 
-    /** Instruction fetch (execute access). */
-    AccessResult fetch(VAddr va, unsigned size, Ring ring);
-
     /** Fetch one 16-byte instruction bundle into @p buf. Instructions
      *  must be 16-byte aligned, so a bundle never crosses a page. */
     AccessResult fetchInst(VAddr va, std::uint8_t buf[16], Ring ring);

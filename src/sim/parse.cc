@@ -1,5 +1,6 @@
 #include "parse.hh"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace misp::parse {
@@ -10,8 +11,9 @@ u64(const std::string &value, std::uint64_t *out)
     if (value.empty() || value.front() == '-')
         return false;
     char *end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-    if (end == value.c_str() || *end != '\0')
+    if (end == value.c_str() || *end != '\0' || errno == ERANGE)
         return false;
     *out = v;
     return true;

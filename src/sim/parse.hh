@@ -5,7 +5,8 @@
  * accept the same value syntax can never diverge.
  *
  * Integers accept decimal, hex (0x...) and octal; a leading '-' is
- * rejected (strtoull would silently wrap it to a huge positive).
+ * rejected (strtoull would silently wrap it to a huge positive), and
+ * so is a value past 2^64-1 (strtoull would clamp it).
  * Booleans accept true/false, on/off, 1/0.
  */
 

@@ -40,9 +40,7 @@ std::string jsonQuote(const std::string &s);
 void writeJsonQuoted(std::ostream &os, const std::string &s);
 
 /** Deterministic JSON number: integers as integers, the rest with 9
- *  significant digits. Shared by the metric-frame emitter and the
- *  shard-merge reader, so a parsed dump re-emits byte-identically
- *  (%.9g strings round-trip through double exactly). */
+ *  significant digits. */
 void writeJsonNumber(std::ostream &os, double v);
 
 /** Base for all statistics; handles registration and naming. */

@@ -22,6 +22,17 @@ makeCrcTable()
 
 } // namespace
 
+std::uint64_t
+fnv1a(const std::string &data)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (unsigned char c : data) {
+        h ^= c;
+        h *= 0x100000001B3ull;
+    }
+    return h;
+}
+
 std::uint32_t
 crc32(const void *data, std::size_t len)
 {

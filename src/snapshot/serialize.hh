@@ -39,6 +39,10 @@ class SnapError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/** FNV-1a 64-bit hash of @p data: the identity hash of a serialized
+ *  configuration (snap::configHash, the shard grid hash). */
+std::uint64_t fnv1a(const std::string &data);
+
 /** CRC32 (IEEE 802.3 polynomial) of @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);
 

@@ -335,17 +335,6 @@ restoreExperiment(const std::string &image, RestoredExperiment *out,
 
 namespace {
 
-std::uint64_t
-fnv1a(const std::string &data)
-{
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (unsigned char c : data) {
-        h ^= c;
-        h *= 0x100000001B3ull;
-    }
-    return h;
-}
-
 void
 putWorkload(Serializer &s, const harness::RunWorkload &w)
 {

@@ -530,61 +530,31 @@ struct FakeRow {
     bool valid = true;
 };
 
-/** Load @p rows through MetricFrame::loadRows (the --merge-frames
- *  path); with @p baselineMachine, also the derived `speedup` column
- *  finalize() would add. */
+/** Build @p rows into a frame through addRow + finalize, as a live
+ *  sweep does; with @p baselineMachine, finalize() adds the derived
+ *  `speedup` column. */
 harness::MetricFrame
 loadFrame(const std::vector<FakeRow> &rows,
           const std::string &baselineMachine = "")
 {
-    std::vector<std::string> metrics = harness::MetricFrame().metrics();
-    if (!baselineMachine.empty())
-        metrics.push_back("speedup");
-    std::vector<harness::MetricFrame::RawRow> raws;
+    harness::MetricFrame frame;
     for (const FakeRow &f : rows) {
-        harness::MetricFrame::RawRow raw;
-        raw.row.machine = f.machine;
-        raw.row.workload = "dense_mvm";
+        std::string workload = "dense_mvm";
         for (const auto &c : f.coords) {
             if (c.first == "workload.name")
-                raw.row.workload = c.second;
+                workload = c.second;
         }
-        raw.row.coords = f.coords;
-        raw.row.status = f.status;
         const bool done = f.status == harness::RunStatus::Completed;
-        const double ticks = done ? f.ticks : 0.0;
-        for (const std::string &m : metrics) {
-            double v = 0;
-            if (m == "ticks")
-                v = ticks;
-            else if (m == "mcycles")
-                v = ticks / 1e6;
-            else if (m == "insts")
-                v = 2e6;
-            else if (m == "valid")
-                v = done && f.valid ? 1 : 0;
-            else if (m == "completed")
-                v = done ? 1 : 0;
-            else if (m == "failed")
-                v = harness::runStatusIsInfraFailure(f.status) ? 1 : 0;
-            else if (m == "attempts")
-                v = 1;
-            else if (m == "events.ams_page_faults")
-                v = ticks / 1e5;
-            else if (m == "speedup") {
-                for (const FakeRow &b : rows) {
-                    if (b.machine == baselineMachine &&
-                        b.coords == f.coords && done && ticks != 0)
-                        v = b.ticks / ticks;
-                }
-            }
-            raw.values.push_back(v);
-        }
-        raws.push_back(std::move(raw));
+        harness::RunRecord rec;
+        rec.status = f.status;
+        rec.ticks = done ? static_cast<Tick>(f.ticks) : 0;
+        rec.valid = done && f.valid;
+        rec.instsRetired = 2000000;
+        rec.events[harness::EventCounter::AmsPageFaults] =
+            static_cast<double>(rec.ticks) / 1e5;
+        frame.addRow(f.machine, workload, 0, f.coords, rec);
     }
-    harness::MetricFrame frame;
-    std::string err;
-    EXPECT_TRUE(frame.loadRows(metrics, std::move(raws), &err)) << err;
+    frame.finalize(baselineMachine);
     return frame;
 }
 

@@ -157,10 +157,72 @@ TEST(SpecParse, ValueHelpers)
     EXPECT_FALSE(parseU64("12kb", &u));
     // A leading '-' must not strtoull-wrap to a huge positive.
     EXPECT_FALSE(parseU64("-1", &u));
+    // Nor may a value past 2^64-1 saturate to it.
+    EXPECT_TRUE(parseU64("18446744073709551615", &u));
+    EXPECT_EQ(u, 18446744073709551615ull);
+    EXPECT_FALSE(parseU64("18446744073709551616", &u));
+    EXPECT_FALSE(parseU64("99999999999999999999999", &u));
+    EXPECT_FALSE(parseU64("0x10000000000000000", &u));
+    unsigned u32 = 0;
+    EXPECT_FALSE(parseUnsigned("99999999999999999999999", &u32));
     bool b = false;
     EXPECT_TRUE(parseBool("on", &b));
     EXPECT_TRUE(b);
     EXPECT_FALSE(parseBool("maybe", &b));
+}
+
+TEST(SpecParse, OverlongSpansRejectedBeforeExpanding)
+{
+    std::vector<std::string> vals;
+    std::string err;
+    // Expanding the first would take ~10^11 strings; the second's
+    // `v <= hi` loop could never end. Both fail before any value is
+    // produced.
+    EXPECT_FALSE(expandValues("0..100000000000", &vals, &err));
+    EXPECT_NE(err.find("span '0..100000000000'"), std::string::npos)
+        << err;
+    EXPECT_TRUE(vals.empty());
+    EXPECT_FALSE(expandValues("1, 0..18446744073709551615", &vals, &err));
+    EXPECT_NE(err.find("span '0..18446744073709551615'"),
+              std::string::npos)
+        << err;
+
+    // The bound is inclusive, and a span ending at 2^64-1 ends.
+    ASSERT_TRUE(expandValues("1..65536", &vals, &err)) << err;
+    EXPECT_EQ(vals.size(), kMaxSpanValues);
+    EXPECT_FALSE(expandValues("0..65536", &vals, &err));
+    ASSERT_TRUE(expandValues(
+        "18446744073709551614..18446744073709551615", &vals, &err))
+        << err;
+    EXPECT_EQ(vals, (std::vector<std::string>{"18446744073709551614",
+                                              "18446744073709551615"}));
+}
+
+TEST(Scenario, OverlongSpanAndOverflowingKeyDiagnosed)
+{
+    // The same inputs through a whole spec: a diagnostic naming the
+    // line, never an allocation failure or a clamped value.
+    auto rejected = [](const std::string &text) {
+        SpecFile spec;
+        Scenario sc;
+        std::vector<ScenarioPoint> pts;
+        std::string err;
+        EXPECT_TRUE(SpecFile::parse(text, "<test>", &spec, &err)) << err;
+        if (Scenario::fromSpec(spec, &sc, &err)) {
+            EXPECT_FALSE(sc.expandPoints(false, &pts, &err));
+        }
+        return err;
+    };
+    const std::string base =
+        "[machine a]\nams = 1\n[workload]\nname = dense_mvm\n";
+    std::string err = rejected(
+        base + "[sweep]\nmachine.kernel_seed = 0..100000000000\n");
+    EXPECT_NE(err.find("<test>:6:"), std::string::npos) << err;
+    EXPECT_NE(err.find("0..100000000000"), std::string::npos) << err;
+    err = rejected(
+        "[machine a]\nams = 1\nsignal_cycles = 18446744073709551616\n"
+        "[workload]\nname = dense_mvm\n");
+    EXPECT_NE(err.find("<test>:3:"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------

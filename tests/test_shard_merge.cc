@@ -1,20 +1,24 @@
 /**
  * @file
  * Sharded-sweep merge tests: the deterministic grid partition
- * (--shard k/N), the shard dump writer/reader round-trip, the
- * fail-closed merge validation (corrupt dumps, overlaps, gaps,
- * config-hash mismatches — each diagnostic naming the offending
- * file), degraded-shard merges preserving failed/attempts/status
- * with survivor rows byte-identical to a clean serial run, and the
- * shared JSON quoting/number helpers both emitters and the merge
- * reader lean on for byte-identity.
+ * (--shard k/N), the shard image writer/reader round trip, the
+ * fail-closed merge validation (truncated, corrupt and foreign
+ * images, overlaps, gaps, hash/scenario/quick mismatches — each
+ * diagnostic naming the offending file), degraded-shard merges
+ * carrying every record bit for bit, the merged CLI output against
+ * the serial run's, and the shared JSON quoting/number helpers both
+ * emitters lean on for byte-identity.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
+
+#include <sys/wait.h>
 
 #include "driver/runner.hh"
 #include "driver/scenario.hh"
@@ -23,6 +27,7 @@
 #include "harness/experiment.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
+#include "snapshot/snapshot.hh"
 
 using namespace misp;
 using namespace misp::driver;
@@ -116,55 +121,139 @@ serialMetrics(const GridRun &run)
     return os.str();
 }
 
-/** Shard k/N's dump text, built from @p results (defaults to the
- *  cached grid's — degraded tests pass a doctored copy). */
+/** Shard k/N's image, built from @p results (defaults to the cached
+ *  grid's — degraded tests pass a doctored copy); @p doctor edits the
+ *  header before encoding, so a tampered field still carries a valid
+ *  CRC and reaches the merge's own checks. */
 std::string
-shardDumpText(const GridRun &run, std::size_t k, std::size_t n,
-              const std::vector<PointResult> *doctored = nullptr)
+shardImage(const GridRun &run, std::size_t k, std::size_t n,
+           const std::function<void(ShardHeader &)> &doctor = {},
+           const std::vector<PointResult> *results = nullptr)
 {
     const std::vector<PointResult> &all =
-        doctored ? *doctored : run.results;
-    ShardSpec shard{k, n};
-    std::vector<std::size_t> indices = shardPointIndices(
-        shard, run.points.size(), run.sc.machines.size());
-    std::vector<PointResult> mine;
-    for (std::size_t g : indices)
-        mine.push_back(all[g]);
-    harness::MetricFrame frame = buildMetricFrame(run.sc, mine);
-    std::ostringstream os;
-    writeShardMetricsJson(os, run.sc, false, frame, shard,
-                          run.points.size(),
-                          gridConfigHash(run.sc, run.points), indices);
-    return os.str();
+        results ? *results : run.results;
+    ShardHeader header =
+        makeShardHeader(run.sc, false, ShardSpec{k, n}, run.points);
+    std::vector<PointResult> owned;
+    for (std::size_t g : header.indices)
+        owned.push_back(all[g]);
+    if (doctor)
+        doctor(header);
+    return encodeShardImage(header, owned);
 }
 
 std::string
-writeDump(const std::string &name, const std::string &text)
+writeImage(const std::string &name, const std::string &bytes)
 {
     const std::string path = tempPath(name);
     std::ofstream os(path, std::ios::binary);
-    os << text;
+    os << bytes;
     return path;
 }
 
+/** Read and merge @p paths; false + @p err on any rejection. */
+bool
+mergeResults(const GridRun &run, const std::vector<std::string> &paths,
+             std::vector<PointResult> *out, std::string *err)
+{
+    std::vector<ShardDump> dumps;
+    for (const std::string &p : paths) {
+        if (!readShardImage(p, &dumps.emplace_back(), err))
+            return false;
+    }
+    return mergeShardDumps(run.sc, false, run.points, std::move(dumps),
+                           out, err);
+}
+
+/** The merged `--metrics` text; "" when the merge is rejected. */
 std::string
 mergeMetrics(const GridRun &run, const std::vector<std::string> &paths,
              std::string *err)
 {
-    std::vector<ShardDump> dumps;
-    for (const std::string &p : paths) {
-        ShardDump dump;
-        if (!readShardDump(p, &dump, err))
-            return "";
-        dumps.push_back(std::move(dump));
-    }
-    harness::MetricFrame frame;
-    if (!mergeShardDumps(run.sc, false, run.points, dumps, &frame,
-                         err))
+    std::vector<PointResult> merged;
+    if (!mergeResults(run, paths, &merged, err))
         return "";
     std::ostringstream os;
-    writeMetricsJson(os, run.sc, false, frame);
+    writeMetricsJson(os, run.sc, false, buildMetricFrame(run.sc, merged));
     return os.str();
+}
+
+/** Merge @p paths expecting a rejection; returns its diagnostic. */
+std::string
+mergeError(const GridRun &run, const std::vector<std::string> &paths)
+{
+    std::vector<PointResult> merged;
+    std::string err;
+    EXPECT_FALSE(mergeResults(run, paths, &merged, &err));
+    return err;
+}
+
+/** The grid with one misp point (not the baseline machine, so every
+ *  other row's speedup denominator is untouched) turned into a
+ *  supervised crash after 3 attempts; @p victim gets its index. */
+std::vector<PointResult>
+crashedGrid(const GridRun &run, std::size_t *victim)
+{
+    std::vector<PointResult> doctored = run.results;
+    *victim = harness::MetricFrame::npos;
+    for (std::size_t i = 0; i < doctored.size(); ++i) {
+        if (doctored[i].machine == "misp") {
+            *victim = i;
+            break;
+        }
+    }
+    EXPECT_NE(*victim, harness::MetricFrame::npos);
+    harness::RunRecord &rec = doctored[*victim].run;
+    rec.status = harness::RunStatus::WorkerCrashed;
+    rec.valid = false;
+    rec.attempts = 3;
+    rec.note = "gave up after 3 attempts: worker killed by signal 6";
+    return doctored;
+}
+
+/** One `mispsim` invocation's exit code and output. */
+struct CliRun {
+    int rc = -1;
+    std::string out;
+    std::string err;
+};
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+CliRun
+mispsim(const std::string &args)
+{
+    const std::string outPath = tempPath("sm_cli.out");
+    const std::string errPath = tempPath("sm_cli.err");
+    const std::string cmd = std::string(MISPSIM_BIN) + " " + args +
+                            " > " + outPath + " 2> " + errPath;
+    const int status = std::system(cmd.c_str());
+    CliRun r;
+    if (WIFEXITED(status))
+        r.rc = WEXITSTATUS(status);
+    r.out = slurp(outPath);
+    r.err = slurp(errPath);
+    return r;
+}
+
+/** The `mispsim: point ...` failure lines of @p stderrText. */
+std::string
+failureLines(const std::string &stderrText)
+{
+    std::istringstream in(stderrText);
+    std::string line, out;
+    while (std::getline(in, line)) {
+        if (line.rfind("mispsim: point ", 0) == 0)
+            out += line + "\n";
+    }
+    return out;
 }
 
 } // namespace
@@ -189,6 +278,22 @@ TEST(ShardSpec, ParsesAndRejects)
     EXPECT_FALSE(parseShardSpec("1", &s, &err));
     EXPECT_FALSE(parseShardSpec("a/b", &s, &err));
     EXPECT_FALSE(parseShardSpec("/2", &s, &err));
+    EXPECT_FALSE(parseShardSpec("-1/2", &s, &err));
+}
+
+TEST(ShardSpec, OverflowingFieldsRejectedNotClamped)
+{
+    // strtoull saturates at 2^64-1; an overflowing field must be an
+    // error, not a silently clamped shard count.
+    ShardSpec s;
+    std::string err;
+    EXPECT_FALSE(
+        parseShardSpec("0/99999999999999999999999", &s, &err));
+    EXPECT_NE(err.find("out-of-range"), std::string::npos) << err;
+    EXPECT_FALSE(
+        parseShardSpec("99999999999999999999999/1", &s, &err));
+    EXPECT_TRUE(parseShardSpec("0/18446744073709551615", &s, &err));
+    EXPECT_EQ(s.count, 18446744073709551615ull);
 }
 
 TEST(ShardSpec, PartitionCoversDisjointAndKeepsGroupsWhole)
@@ -223,9 +328,9 @@ TEST(ShardMerge, MergedFrameIsByteIdenticalToSerial)
     // each — exercises unequal shard sizes.
     std::vector<std::string> paths;
     for (std::size_t k = 0; k < 3; ++k)
-        paths.push_back(writeDump("sm_clean" + std::to_string(k) +
-                                      ".json",
-                                  shardDumpText(run, k, 3)));
+        paths.push_back(writeImage("sm_clean" + std::to_string(k) +
+                                       ".shard",
+                                   shardImage(run, k, 3)));
     std::string err;
     const std::string merged = mergeMetrics(run, paths, &err);
     EXPECT_EQ(merged, serial) << err;
@@ -235,223 +340,253 @@ TEST(ShardMerge, SingleShardRoundTrips)
 {
     const GridRun &run = gridRun();
     std::vector<std::string> paths = {
-        writeDump("sm_single.json", shardDumpText(run, 0, 1))};
+        writeImage("sm_single.shard", shardImage(run, 0, 1))};
     std::string err;
     EXPECT_EQ(mergeMetrics(run, paths, &err), serialMetrics(run))
         << err;
 }
 
 // ---------------------------------------------------------------------
-// Degraded shards: failure columns survive the merge
+// Degraded shards: failure columns and notes survive the merge
 // ---------------------------------------------------------------------
 
-TEST(ShardMerge, DegradedShardPreservesFailureColumns)
+TEST(ShardMerge, DegradedShardPreservesRecordsExactly)
 {
     const GridRun &run = gridRun();
-
-    // Doctor one misp row (not the baseline machine, so every other
-    // row's speedup denominator is untouched) into a supervised
-    // crash after 3 attempts.
-    std::vector<PointResult> doctored = run.results;
-    std::size_t victim = harness::MetricFrame::npos;
-    for (std::size_t i = 0; i < doctored.size(); ++i) {
-        if (doctored[i].machine == "misp") {
-            victim = i;
-            break;
-        }
-    }
-    ASSERT_NE(victim, harness::MetricFrame::npos);
-    doctored[victim].run.status = harness::RunStatus::WorkerCrashed;
-    doctored[victim].run.valid = false;
-    doctored[victim].run.attempts = 3;
+    std::size_t victim = 0;
+    const std::vector<PointResult> doctored = crashedGrid(run, &victim);
 
     std::vector<std::string> paths;
     for (std::size_t k = 0; k < 2; ++k)
-        paths.push_back(writeDump("sm_degraded" + std::to_string(k) +
-                                      ".json",
-                                  shardDumpText(run, k, 2, &doctored)));
-
-    std::vector<ShardDump> dumps;
+        paths.push_back(writeImage("sm_degraded" + std::to_string(k) +
+                                       ".shard",
+                                   shardImage(run, k, 2, {}, &doctored)));
+    std::vector<PointResult> merged;
     std::string err;
-    for (const std::string &p : paths)
-        ASSERT_TRUE(readShardDump(p, &dumps.emplace_back(), &err))
-            << err;
-    harness::MetricFrame merged;
-    ASSERT_TRUE(mergeShardDumps(run.sc, false, run.points, dumps,
-                                &merged, &err))
-        << err;
+    ASSERT_TRUE(mergeResults(run, paths, &merged, &err)) << err;
 
-    // The degraded row keeps its status and failure columns.
-    EXPECT_EQ(merged.row(victim).status,
-              harness::RunStatus::WorkerCrashed);
-    EXPECT_EQ(merged.at(victim, "failed"), 1.0);
-    EXPECT_EQ(merged.at(victim, "attempts"), 3.0);
-    EXPECT_EQ(merged.at(victim, "valid"), 0.0);
-
-    // Every survivor row is byte-identical to the clean serial run:
-    // same status and the same *emitted* value for every metric
-    // (byte-identity is an artifact contract — merged values have
-    // been through the dump's 9-significant-digit rendering, which
-    // writeJsonNumber makes a fixed point).
-    auto render = [](double v) {
-        std::ostringstream os;
-        stats::writeJsonNumber(os, v);
-        return os.str();
-    };
-    harness::MetricFrame clean =
-        buildMetricFrame(run.sc, run.results);
-    ASSERT_EQ(merged.numRows(), clean.numRows());
-    for (std::size_t r = 0; r < merged.numRows(); ++r) {
-        if (r == victim)
-            continue;
-        EXPECT_EQ(merged.row(r).status, clean.row(r).status);
-        for (const std::string &metric : clean.metrics())
-            EXPECT_EQ(render(merged.at(r, metric)),
-                      render(clean.at(r, metric)))
-                << "row " << r << " metric " << metric;
+    // Every record crosses the merge bit for bit — failure note and
+    // attempt count included — and lands on its grid coordinates.
+    ASSERT_EQ(merged.size(), doctored.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+        EXPECT_EQ(merged[i].machine, doctored[i].machine);
+        EXPECT_EQ(merged[i].workload, doctored[i].workload);
+        EXPECT_EQ(merged[i].competitors, doctored[i].competitors);
+        EXPECT_EQ(merged[i].coords, doctored[i].coords);
+        EXPECT_EQ(snap::encodeRunRecord(merged[i].run),
+                  snap::encodeRunRecord(doctored[i].run))
+            << "point " << i;
     }
+    EXPECT_EQ(merged[victim].run.note, doctored[victim].run.note);
+
+    const harness::MetricFrame frame = buildMetricFrame(run.sc, merged);
+    EXPECT_EQ(frame.row(victim).status,
+              harness::RunStatus::WorkerCrashed);
+    EXPECT_EQ(frame.at(victim, "failed"), 1.0);
+    EXPECT_EQ(frame.at(victim, "attempts"), 3.0);
+    EXPECT_EQ(frame.at(victim, "valid"), 0.0);
+}
+
+TEST(ShardMerge, CliTablesAndFailureLinesMatchSerial)
+{
+    // End to end through mispsim: a [table] spec, one point crashing
+    // its worker on every attempt. The merged stdout and failure
+    // lines (failure notes included) equal the serial run's.
+    const std::string spec = tempPath("sm_cli.scn");
+    writeImage("sm_cli.scn",
+               std::string(kSpec) +
+                   "\n[table]\ntitle = misp speedup\n"
+                   "column = 1p (Mcyc) = 1p.mcycles\n"
+                   "column = misp = misp.speedup\n");
+    const std::string supervise =
+        " --isolate --inject 'seed=3;crash@1' --retries 1 --backoff 1"
+        " --on-failed skip";
+    const CliRun serial = mispsim(spec + supervise);
+    ASSERT_EQ(serial.rc, 4) << serial.err;
+    ASSERT_NE(failureLines(serial.err), "") << serial.err;
+
+    std::string inputs;
+    for (int k = 0; k < 2; ++k) {
+        const std::string img =
+            tempPath("sm_cli" + std::to_string(k) + ".shard");
+        const CliRun shard = mispsim(spec + supervise + " --shard " +
+                                     std::to_string(k) + "/2 --metrics " +
+                                     img);
+        ASSERT_EQ(shard.rc, k == 0 ? 4 : 0) << shard.err;
+        inputs += " " + img;
+    }
+    const CliRun merged =
+        mispsim(spec + " --on-failed skip --merge-frames " +
+                tempPath("sm_cli_merged.json") + inputs);
+    EXPECT_EQ(merged.rc, 4) << merged.err;
+    EXPECT_NE(serial.out.find("misp speedup"), std::string::npos);
+    EXPECT_EQ(merged.out, serial.out);
+    EXPECT_EQ(failureLines(merged.err), failureLines(serial.err));
 }
 
 // ---------------------------------------------------------------------
 // Fail-closed validation: every rejection names the offending file
 // ---------------------------------------------------------------------
 
-TEST(ShardMerge, CorruptDumpFailsClosedNamingFile)
+TEST(ShardMerge, TruncatedImageFailsClosedNamingFile)
 {
     const GridRun &run = gridRun();
-    const std::string text = shardDumpText(run, 0, 2);
-    const std::string path =
-        writeDump("sm_corrupt.json", text.substr(0, text.size() / 2));
+    const std::string image = shardImage(run, 0, 2);
+    for (std::size_t keep : {std::size_t{0}, std::size_t{7},
+                             image.size() / 2, image.size() - 1}) {
+        const std::string path =
+            writeImage("sm_trunc.shard", image.substr(0, keep));
+        ShardDump dump;
+        std::string err;
+        EXPECT_FALSE(readShardImage(path, &dump, &err)) << keep;
+        EXPECT_NE(err.find(path), std::string::npos) << err;
+    }
+}
+
+TEST(ShardMerge, FlippedByteFailsClosedNamingFile)
+{
+    const GridRun &run = gridRun();
+    const std::string image = shardImage(run, 0, 2);
+    // One byte in the header section, one deep in the records.
+    for (std::size_t at : {std::size_t{60}, image.size() - 9}) {
+        std::string bad = image;
+        bad[at] = static_cast<char>(bad[at] ^ 0x5a);
+        const std::string path = writeImage("sm_flip.shard", bad);
+        ShardDump dump;
+        std::string err;
+        EXPECT_FALSE(readShardImage(path, &dump, &err)) << at;
+        EXPECT_NE(err.find(path), std::string::npos) << err;
+    }
+}
+
+TEST(ShardMerge, SnapshotImageIsNotAShardImage)
+{
+    // A real machine snapshot: a valid container with valid CRCs, but
+    // no shard header.
+    const GridRun &run = gridRun();
+    Scenario sc = run.sc;
+    sc.snapshotWarmupTicks = 10000;
+    RunnerOptions opts;
+    opts.hostLines = false;
+    opts.snapshotSaveDir = ::testing::TempDir();
+    ScenarioRunner(opts).runPoint(sc, run.points[0], 0);
+    const std::string snapshot =
+        snapshotPointPath(::testing::TempDir(), 0);
+    std::string image, err;
+    ASSERT_TRUE(snap::readFileBytes(snapshot, &image, &err)) << err;
+    ASSERT_GT(image.size(), 0u);
+
     ShardDump dump;
-    std::string err;
-    EXPECT_FALSE(readShardDump(path, &dump, &err));
-    EXPECT_NE(err.find(path), std::string::npos) << err;
+    EXPECT_FALSE(readShardImage(snapshot, &dump, &err));
+    EXPECT_NE(err.find(snapshot), std::string::npos) << err;
+    EXPECT_NE(err.find("not a shard image"), std::string::npos) << err;
 }
 
 TEST(ShardMerge, MissingFileFailsClosed)
 {
     ShardDump dump;
     std::string err;
-    const std::string path = tempPath("sm_nonexistent.json");
-    EXPECT_FALSE(readShardDump(path, &dump, &err));
+    const std::string path = tempPath("sm_nonexistent.shard");
+    EXPECT_FALSE(readShardImage(path, &dump, &err));
     EXPECT_NE(err.find(path), std::string::npos) << err;
 }
 
 TEST(ShardMerge, OverlappingShardsRejected)
 {
     const GridRun &run = gridRun();
-    std::vector<std::string> paths = {
-        writeDump("sm_ov0.json", shardDumpText(run, 0, 2)),
-        writeDump("sm_ov0b.json", shardDumpText(run, 0, 2)),
-    };
-    std::string err;
-    EXPECT_EQ(mergeMetrics(run, paths, &err), "");
+    const std::string err = mergeError(
+        run, {writeImage("sm_ov0.shard", shardImage(run, 0, 2)),
+              writeImage("sm_ov1.shard", shardImage(run, 1, 2)),
+              writeImage("sm_ov0b.shard", shardImage(run, 0, 2))});
     EXPECT_NE(err.find("overlaps"), std::string::npos) << err;
-    EXPECT_NE(err.find("sm_ov0b.json"), std::string::npos) << err;
+    EXPECT_NE(err.find("sm_ov0b.shard"), std::string::npos) << err;
 }
 
 TEST(ShardMerge, MissingShardIsAGap)
 {
     const GridRun &run = gridRun();
-    std::vector<std::string> paths = {
-        writeDump("sm_gap0.json", shardDumpText(run, 0, 3)),
-        writeDump("sm_gap2.json", shardDumpText(run, 2, 3)),
-    };
-    std::string err;
-    EXPECT_EQ(mergeMetrics(run, paths, &err), "");
+    const std::string err = mergeError(
+        run, {writeImage("sm_gap0.shard", shardImage(run, 0, 3)),
+              writeImage("sm_gap2.shard", shardImage(run, 2, 3))});
     EXPECT_NE(err.find("missing"), std::string::npos) << err;
     EXPECT_NE(err.find("1/3"), std::string::npos) << err;
+    EXPECT_NE(err.find("sm_gap0.shard"), std::string::npos) << err;
+}
+
+TEST(ShardMerge, HugeShardCountIsAGapNotAnAllocation)
+{
+    // The declared count sizes nothing: a count far past the inputs
+    // is the gap diagnostic, not a bad_alloc.
+    const GridRun &run = gridRun();
+    for (std::size_t count : {std::size_t{400000000},
+                              std::size_t{1000000000000000}}) {
+        const std::string err = mergeError(
+            run, {writeImage("sm_huge.shard",
+                             shardImage(run, 0, 1, [&](ShardHeader &h) {
+                                 h.shard.count = count;
+                             }))});
+        EXPECT_NE(err.find("gap"), std::string::npos) << err;
+        EXPECT_NE(err.find("sm_huge.shard"), std::string::npos) << err;
+    }
 }
 
 TEST(ShardMerge, ConfigHashMismatchRejectedNamingFile)
 {
     const GridRun &run = gridRun();
-    std::string text = shardDumpText(run, 0, 1);
-    const std::string realHash = gridConfigHash(run.sc, run.points);
-    const std::size_t at = text.find(realHash);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, realHash.size(), "deadbeefdeadbeef");
-    std::vector<std::string> paths = {
-        writeDump("sm_badhash.json", text)};
-    std::string err;
-    EXPECT_EQ(mergeMetrics(run, paths, &err), "");
+    const std::string err = mergeError(
+        run, {writeImage("sm_badhash.shard",
+                         shardImage(run, 0, 1, [](ShardHeader &h) {
+                             h.configHash ^= 0xdeadbeefull;
+                         }))});
     EXPECT_NE(err.find("config hash"), std::string::npos) << err;
-    EXPECT_NE(err.find("sm_badhash.json"), std::string::npos) << err;
+    EXPECT_NE(err.find("sm_badhash.shard"), std::string::npos) << err;
 }
 
 TEST(ShardMerge, TamperedIndicesRejected)
 {
     const GridRun &run = gridRun();
-    std::string text = shardDumpText(run, 0, 2);
     // Shard 0 of 2 over 4 combos x 2 machines owns 0,1,4,5.
-    const std::size_t at = text.find("\"indices\": [0, 1, 4, 5]");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::string("\"indices\": [0, 1, 4, 5]").size(),
-                 "\"indices\": [0, 1, 4, 6]");
-    std::vector<std::string> paths = {
-        writeDump("sm_badidx.json", text),
-        writeDump("sm_badidx1.json", shardDumpText(run, 1, 2)),
-    };
-    std::string err;
-    EXPECT_EQ(mergeMetrics(run, paths, &err), "");
+    const std::string err = mergeError(
+        run, {writeImage("sm_badidx.shard",
+                         shardImage(run, 0, 2,
+                                    [](ShardHeader &h) {
+                                        ASSERT_EQ(h.indices,
+                                                  (std::vector<std::size_t>{
+                                                      0, 1, 4, 5}));
+                                        h.indices.back() = 6;
+                                    })),
+              writeImage("sm_badidx1.shard", shardImage(run, 1, 2))});
     EXPECT_NE(err.find("partition"), std::string::npos) << err;
-    EXPECT_NE(err.find("sm_badidx.json"), std::string::npos) << err;
+    EXPECT_NE(err.find("sm_badidx.shard"), std::string::npos) << err;
 }
 
 TEST(ShardMerge, WrongScenarioRejected)
 {
     const GridRun &run = gridRun();
-    std::string text = shardDumpText(run, 0, 1);
-    const std::size_t at = text.find("\"scenario\": \"shardtest\"");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::string("\"scenario\": \"shardtest\"").size(),
-                 "\"scenario\": \"other\"");
-    std::vector<std::string> paths = {
-        writeDump("sm_badscn.json", text)};
-    std::string err;
-    EXPECT_EQ(mergeMetrics(run, paths, &err), "");
+    const std::string err = mergeError(
+        run, {writeImage("sm_badscn.shard",
+                         shardImage(run, 0, 1, [](ShardHeader &h) {
+                             h.scenario = "other";
+                         }))});
     EXPECT_NE(err.find("does not match"), std::string::npos) << err;
-    EXPECT_NE(err.find("sm_badscn.json"), std::string::npos) << err;
+    EXPECT_NE(err.find("sm_badscn.shard"), std::string::npos) << err;
 }
 
 TEST(ShardMerge, QuickModeMismatchRejected)
 {
     const GridRun &run = gridRun();
-    std::string text = shardDumpText(run, 0, 1);
-    const std::size_t at = text.find("\"quick\": false");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::string("\"quick\": false").size(),
-                 "\"quick\": true");
-    std::vector<std::string> paths = {
-        writeDump("sm_badquick.json", text)};
-    std::string err;
-    EXPECT_EQ(mergeMetrics(run, paths, &err), "");
+    const std::string err = mergeError(
+        run, {writeImage("sm_badquick.shard",
+                         shardImage(run, 0, 1, [](ShardHeader &h) {
+                             h.quick = true;
+                         }))});
     EXPECT_NE(err.find("quick"), std::string::npos) << err;
-    EXPECT_NE(err.find("sm_badquick.json"), std::string::npos) << err;
-}
-
-TEST(ShardMerge, RunStatusNamesRoundTrip)
-{
-    const harness::RunStatus all[] = {
-        harness::RunStatus::Completed,
-        harness::RunStatus::MaxTicksReached,
-        harness::RunStatus::SnapshotError,
-        harness::RunStatus::WorkerCrashed,
-        harness::RunStatus::WorkerTimeout,
-    };
-    for (harness::RunStatus status : all) {
-        harness::RunStatus parsed;
-        ASSERT_TRUE(harness::runStatusFromName(
-            harness::runStatusName(status), &parsed));
-        EXPECT_EQ(parsed, status);
-    }
-    harness::RunStatus parsed;
-    EXPECT_FALSE(harness::runStatusFromName("exploded", &parsed));
+    EXPECT_NE(err.find("sm_badquick.shard"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------
-// The shared JSON helpers (one copy; both emitters + the merge
-// reader depend on their exact output for byte-identity)
+// The shared JSON helpers (one copy; both emitters depend on their
+// exact output for byte-identity)
 // ---------------------------------------------------------------------
 
 TEST(JsonHelpers, EscapeControlCharsAndQuotes)
@@ -493,8 +628,8 @@ TEST(JsonHelpers, NumbersIntegralAndRoundTrip)
     EXPECT_EQ(render(2e15), "2000000000000000");
     EXPECT_EQ(render(92.066845), "92.066845");
     EXPECT_EQ(render(4.38652499), "4.38652499");
-    // The merge round-trip contract: parsing the rendered string back
-    // through strtod and re-rendering is a fixed point.
+    // A reader that parses the rendered string back through strtod
+    // and re-renders it gets the same bytes.
     for (double v : {92.066845, 55318.954, 6.92168324, 1e-3, 0.5}) {
         const std::string once = render(v);
         EXPECT_EQ(render(std::strtod(once.c_str(), nullptr)), once);

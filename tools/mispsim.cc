@@ -59,14 +59,6 @@ listWorkloads()
         std::printf("%-18s %s\n", info.name.c_str(), info.suite.c_str());
 }
 
-/** A --shard k/N run's identity, written into its `--metrics` dump. */
-struct ShardRun {
-    ShardSpec spec;
-    std::size_t totalPoints = 0;
-    std::string configHash;
-    std::vector<std::size_t> indices;
-};
-
 /** What the post-sweep tail writes, beyond the frame itself. */
 struct SweepOutputs {
     bool quick = false;
@@ -74,12 +66,9 @@ struct SweepOutputs {
     bool markdown = false;
     std::string jsonPath;    ///< -o
     std::string metricsPath; ///< --metrics, or the --merge-frames output
-    /** Non-null for a --shard run: write a shard dump, and defer the
+    /** Non-null for a --shard run: write a shard image, and defer the
      *  [table]s and asserts (cross-axis selectors would dangle). */
-    const ShardRun *shard = nullptr;
-    /** Per-point failure notes of a live run (parallel to the frame's
-     *  rows); merged frames carry none. */
-    const std::vector<PointResult> *results = nullptr;
+    const ShardHeader *shard = nullptr;
 };
 
 /** Write one output file, or diagnose why it cannot be opened. */
@@ -87,7 +76,7 @@ bool
 writeArtifact(const std::string &path,
               const std::function<void(std::ostream &)> &write)
 {
-    std::ofstream os(path);
+    std::ofstream os(path, std::ios::binary);
     if (!os) {
         std::fprintf(stderr, "mispsim: cannot write '%s'\n", path.c_str());
         return false;
@@ -99,16 +88,18 @@ writeArtifact(const std::string &path,
 
 /**
  * The one post-sweep path of serial, --jobs, --isolate, --shard and
- * --merge-frames runs: render stdout, write the -o / --metrics
+ * --merge-frames runs: build the sweep's one columnar frame from
+ * @p results (grid order), render stdout, write the -o / --metrics
  * artifacts, report failed points from the frame's status/valid/
  * attempts columns, evaluate the [report] asserts, and pick the exit
  * code — 0, 1, or 4 for a sweep that passed with failed points under
  * on_failed_points = skip.
  */
 int
-finishSweep(const Scenario &sc, const harness::MetricFrame &frame,
+finishSweep(const Scenario &sc, const std::vector<PointResult> &results,
             const SweepOutputs &out)
 {
+    const harness::MetricFrame frame = buildMetricFrame(sc, results);
     int rc = 0;
     std::string err;
     if (out.pointsOnly) {
@@ -129,14 +120,14 @@ finishSweep(const Scenario &sc, const harness::MetricFrame &frame,
         return 1;
     if (!out.metricsPath.empty() &&
         !writeArtifact(out.metricsPath, [&](std::ostream &os) {
-            if (out.shard)
-                writeShardMetricsJson(os, sc, out.quick, frame,
-                                      out.shard->spec,
-                                      out.shard->totalPoints,
-                                      out.shard->configHash,
-                                      out.shard->indices);
-            else
+            if (out.shard) {
+                const std::string image =
+                    encodeShardImage(*out.shard, results);
+                os.write(image.data(),
+                         static_cast<std::streamsize>(image.size()));
+            } else {
                 writeMetricsJson(os, sc, out.quick, frame);
+            }
         }))
         return 1;
 
@@ -167,8 +158,8 @@ finishSweep(const Scenario &sc, const harness::MetricFrame &frame,
             break;
         }
         const bool infra = harness::runStatusIsInfraFailure(row.status);
-        if (infra && out.results)
-            what += ": " + (*out.results)[r].run.note;
+        if (infra)
+            what += ": " + results[r].run.note;
         const double attempts = frame.at(r, "attempts");
         if (attempts > 1)
             what += " [attempts=" +
@@ -194,8 +185,8 @@ finishSweep(const Scenario &sc, const harness::MetricFrame &frame,
             std::fprintf(stderr,
                          "mispsim: %zu [report] assert(s) deferred to "
                          "--merge-frames (--shard %zu/%zu)\n",
-                         sc.report.asserts.size(), out.shard->spec.index,
-                         out.shard->spec.count);
+                         sc.report.asserts.size(), out.shard->shard.index,
+                         out.shard->shard.count);
         if (!sc.tables.empty() && !out.pointsOnly)
             std::fprintf(stderr,
                          "mispsim: %zu [table](s) deferred to "
@@ -239,10 +230,10 @@ finishSweep(const Scenario &sc, const harness::MetricFrame &frame,
 }
 
 /**
- * `--merge-frames OUT IN...`: reassemble per-shard `--metrics` dumps
- * into one frame and finish it exactly like a serial run — OUT gets
- * the serial `--metrics` format, and the asserts and [table]s the
- * shards deferred run here.
+ * `--merge-frames OUT IN...`: reassemble the per-shard images into
+ * the grid's results and finish them exactly like a serial run — OUT
+ * gets the serial `--metrics` format, and the asserts and [table]s
+ * the shards deferred run here.
  */
 int
 mergeFramesMain(const Scenario &sc,
@@ -253,13 +244,13 @@ mergeFramesMain(const Scenario &sc,
     if (inputs.empty()) {
         std::fprintf(stderr,
                      "mispsim: --merge-frames needs at least one shard "
-                     "dump\n");
+                     "image\n");
         return 2;
     }
     std::vector<ShardDump> dumps;
     for (const std::string &in : inputs) {
         ShardDump dump;
-        if (!readShardDump(in, &dump, &err)) {
+        if (!readShardImage(in, &dump, &err)) {
             std::fprintf(stderr, "mispsim: %s\n", err.c_str());
             return 1;
         }
@@ -267,18 +258,19 @@ mergeFramesMain(const Scenario &sc,
     }
     // The grid is re-expanded under the mode the shards ran in;
     // mergeShardDumps fails closed if the dumps disagree on it.
-    out.quick = dumps[0].quick;
+    out.quick = dumps[0].header.quick;
     std::vector<ScenarioPoint> grid;
     if (!sc.expandPoints(out.quick, &grid, &err)) {
         std::fprintf(stderr, "mispsim: %s\n", err.c_str());
         return 1;
     }
-    harness::MetricFrame frame;
-    if (!mergeShardDumps(sc, out.quick, grid, dumps, &frame, &err)) {
+    std::vector<PointResult> results;
+    if (!mergeShardDumps(sc, out.quick, grid, std::move(dumps), &results,
+                         &err)) {
         std::fprintf(stderr, "mispsim: %s\n", err.c_str());
         return 1;
     }
-    return finishSweep(sc, frame, out);
+    return finishSweep(sc, results, out);
 }
 
 } // namespace
@@ -483,7 +475,7 @@ main(int argc, char **argv)
             scnArg = arg;
         } else if (!mergeOut.empty()) {
             // Merge mode: the scenario comes first, then the per-shard
-            // --metrics dumps to reassemble.
+            // images to reassemble.
             mergeInputs.push_back(arg);
         } else {
             std::fprintf(stderr, "mispsim: more than one scenario file\n");
@@ -582,19 +574,15 @@ main(int argc, char **argv)
     // coordinate group stays whole and its derived columns (speedup)
     // match the serial run's; the owned points keep their global grid
     // indices so snapshots and fault plans compose unchanged.
-    ShardRun shardRun;
+    ShardHeader shardHeader;
     if (sharded) {
-        shardRun.spec = shard;
-        shardRun.totalPoints = points.size();
-        shardRun.configHash = gridConfigHash(sc, points);
-        shardRun.indices =
-            shardPointIndices(shard, points.size(), sc.machines.size());
+        shardHeader = makeShardHeader(sc, quick, shard, points);
         std::vector<ScenarioPoint> owned;
-        owned.reserve(shardRun.indices.size());
-        for (std::size_t g : shardRun.indices)
+        owned.reserve(shardHeader.indices.size());
+        for (std::size_t g : shardHeader.indices)
             owned.push_back(points[g]);
         points.swap(owned);
-        out.shard = &shardRun;
+        out.shard = &shardHeader;
     }
 
     if (dryRun) {
@@ -660,7 +648,7 @@ main(int argc, char **argv)
     opts.traceSkip = traceSkip;
     if (runLogFile.is_open())
         opts.runLog = &runLog;
-    opts.pointIndices = shardRun.indices;
+    opts.pointIndices = shardHeader.indices;
     ScenarioRunner runner(opts);
     const bool showProgress = progressFlag || !pointsOnly;
     std::vector<PointResult> results =
@@ -708,8 +696,5 @@ main(int argc, char **argv)
             return 1;
     }
 
-    // One columnar frame per sweep: every renderer and the assert
-    // evaluator read the results through it.
-    out.results = &results;
-    return finishSweep(sc, buildMetricFrame(sc, results), out);
+    return finishSweep(sc, results, out);
 }
