@@ -8,6 +8,12 @@ tests/scenario_golden.json. Any simulated drift -- a tick, an event
 count, a validation bit -- changes a digest, so the check fails without
 building a second tree to compare against.
 
+Every spec with a [snapshot] section is also run once with
+`--quick --save-snapshot DIR`, and the sha256 of each DIR/point_<k>.misnap
+is kept under "<name>.snap.point_<k>". Images are engine-neutral, so one
+engine covers them; these digests pin the snapshot image layout byte
+for byte.
+
 Usage (from anywhere; paths resolve against the repo root):
 
     python3 tools/scenario_golden.py build/mispsim           # check
@@ -51,6 +57,38 @@ def digests(mispsim):
                                      % (key, proc.returncode))
                 with open(metrics, "rb") as f:
                     out[key] = hashlib.sha256(f.read()).hexdigest()
+            if has_snapshot_section(spec):
+                out.update(image_digests(mispsim, spec, tmp))
+    return out
+
+
+def has_snapshot_section(spec):
+    with open(os.path.join(ROOT, "scenarios", spec)) as f:
+        return any(line.strip() == "[snapshot]" for line in f)
+
+
+def image_digests(mispsim, spec, tmp):
+    """sha256 of every point image `--save-snapshot` writes for @spec."""
+    name = spec[:-len(".scn")]
+    snapdir = os.path.join(tmp, name + ".snap")
+    proc = subprocess.run(
+        [mispsim, os.path.join("scenarios", spec), "--quick",
+         "--save-snapshot", snapdir],
+        cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit("scenario_golden: %s --save-snapshot exited %d"
+                         % (name, proc.returncode))
+    out = {}
+    for image in sorted(os.listdir(snapdir)):
+        if image.endswith(".misnap"):
+            with open(os.path.join(snapdir, image), "rb") as f:
+                out["%s.snap.%s" % (name, image[:-len(".misnap")])] = \
+                    hashlib.sha256(f.read()).hexdigest()
+    if not out:
+        raise SystemExit("scenario_golden: %s --save-snapshot wrote no "
+                         "images" % name)
     return out
 
 
