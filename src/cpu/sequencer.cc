@@ -21,33 +21,6 @@ traceShred(obs::TraceKind kind, SequencerId sid, SeqState prior,
                static_cast<std::uint32_t>(prior), arg0, arg1);
 }
 
-/** A SeqState byte from an image; a CRC-valid image can still carry
- *  one outside the enum. */
-SeqState
-getSeqState(snap::Deserializer &d)
-{
-    const std::uint8_t v = d.u8();
-    if (v > static_cast<std::uint8_t>(SeqState::Halted))
-        throw snap::SnapError("sequencer state " + std::to_string(v) +
-                              " out of range");
-    return static_cast<SeqState>(v);
-}
-
-/** A pending-payload queue from an image. The count is bounded by the
- *  bytes left in the section (a payload is 3 x u64) before anything is
- *  allocated. */
-void
-getPayloads(snap::Deserializer &d, std::deque<SignalPayload> *q)
-{
-    const std::uint64_t n = d.u64();
-    if (n > d.remaining() / 24)
-        throw snap::SnapError("pending payload count " + std::to_string(n) +
-                              " exceeds the section");
-    q->resize(n);
-    for (SignalPayload &p : *q)
-        p = snap::getPayload(d);
-}
-
 /** Instruction slot of @p va within its page. */
 inline std::uint16_t
 slotOf(VAddr va)
@@ -1214,44 +1187,41 @@ Sequencer::runSuperblocks()
         slicesContinued_ += continued;
 }
 
+template <class Ar>
 void
-Sequencer::snapSave(snap::Serializer &s) const
+Sequencer::archive(Ar &a)
 {
-    snap::putContext(s, ctx_);
-    s.u8(static_cast<std::uint8_t>(state_));
-    s.u8(static_cast<std::uint8_t>(preSuspendState_));
-    s.b(suspendRequested_);
-    s.u64(pendingSignals_.size());
-    for (const SignalPayload &p : pendingSignals_)
-        snap::putPayload(s, p);
-    s.u64(pendingProxy_.size());
-    for (const SignalPayload &p : pendingProxy_)
-        snap::putPayload(s, p);
-    s.u64(waitSince_);
-    s.u64(kernelResumeFloor_);
-    mmu_.snapSave(s);
-    snap::putEventSchedule(s, &runEvent_);
-    s.u8(static_cast<std::uint8_t>(ring_));
+    constexpr std::size_t kStates =
+        static_cast<std::size_t>(SeqState::Halted) + 1;
+    auto payload = [&](SignalPayload &p) { snap::archive(a, p); };
+    snap::archive(a, ctx_);
+    a.enumByte(state_, kStates, "sequencer state");
+    a.enumByte(preSuspendState_, kStates, "sequencer pre-suspend state");
+    a.b(suspendRequested_);
+    snap::sequence(a, pendingSignals_, snap::kPayloadBytes,
+                   "pending signal", payload);
+    snap::sequence(a, pendingProxy_, snap::kPayloadBytes,
+                   "pending proxy payload", payload);
+    a.u64(waitSince_);
+    a.u64(kernelResumeFloor_);
+    mmu_.archive(a);
+    if constexpr (Ar::kLoading) {
+        block_ = BlockRef{};
+        chain_ = ChainCursor{};
+    }
+    snap::archiveSchedule(a, eq_, runEvent_);
+    auto ring = static_cast<std::uint8_t>(ring_);
+    a.u8(ring);
+    if constexpr (Ar::kLoading) {
+        if (ring != static_cast<std::uint8_t>(mem::Ring::Kernel) &&
+            ring != static_cast<std::uint8_t>(mem::Ring::User))
+            throw snap::SnapError("image: sequencer ring byte " +
+                                  std::to_string(ring) +
+                                  " is neither 0 nor 3");
+        ring_ = static_cast<mem::Ring>(ring);
+    }
 }
 
-void
-Sequencer::snapRestore(snap::Deserializer &d)
-{
-    ctx_ = snap::getContext(d);
-    state_ = getSeqState(d);
-    preSuspendState_ = getSeqState(d);
-    suspendRequested_ = d.b();
-    getPayloads(d, &pendingSignals_);
-    getPayloads(d, &pendingProxy_);
-    waitSince_ = d.u64();
-    kernelResumeFloor_ = d.u64();
-    mmu_.snapRestore(d);
-    block_ = BlockRef{};
-    chain_ = ChainCursor{};
-    snap::getEventSchedule(d, eq_, &runEvent_);
-    ring_ = static_cast<mem::Ring>(d.u8());
-    if (ring_ != mem::Ring::Kernel && ring_ != mem::Ring::User)
-        throw snap::SnapError("sequencer ring byte is neither 0 nor 3");
-}
+MISP_SNAP_ARCHIVE(Sequencer);
 
 } // namespace misp::cpu

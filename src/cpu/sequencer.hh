@@ -142,7 +142,7 @@ class SequencerEnv
  *   r13 = payload ESP.
  * On a startAt() continuation the payload arg arrives in r2.
  */
-class Sequencer : public snap::Saveable
+class Sequencer
 {
   public:
     /** Registers used to pass async-transfer payloads to handlers. */
@@ -376,8 +376,8 @@ class Sequencer : public snap::Saveable
      *  pending run-slice event (with its queue insertion sequence, so
      *  same-tick event ordering survives restore). The decoded-block
      *  reference is derived state and resets cold. */
-    void snapSave(snap::Serializer &s) const override;
-    void snapRestore(snap::Deserializer &d) override;
+    template <class Ar>
+    void archive(Ar &a);
 
     /** Identity of the run-slice event, for the snapshot layer's
      *  every-pending-event-is-claimed audit. */

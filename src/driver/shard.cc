@@ -15,6 +15,30 @@ namespace {
 constexpr std::uint32_t kSecShardHeader = 64;
 constexpr std::uint32_t kSecShardRecords = 65;
 
+/** A shard image: the header section, then the records section (each
+ *  owned point's snap::encodeRunRecord bytes, one per header index). */
+template <class Ar>
+void
+archive(Ar &a, ShardHeader &h, std::vector<std::string> &records)
+{
+    a.section(kSecShardHeader, [&] {
+        a.str(h.scenario);
+        a.b(h.quick);
+        a.u64(h.shard.index);
+        a.u64(h.shard.count);
+        a.u64(h.points);
+        a.u64(h.configHash);
+        snap::sequence(a, h.indices, 8, "shard point index",
+                       [&](std::size_t &g) { a.u64(g); });
+    });
+    if constexpr (Ar::kLoading)
+        records.resize(h.indices.size());
+    a.section(kSecShardRecords, [&] {
+        for (std::string &r : records)
+            a.str(r);
+    });
+}
+
 /** "path: message" — every shard diagnostic names its file. */
 bool fail(std::string *err, const std::string &path,
           const std::string &message)
@@ -107,22 +131,12 @@ std::string
 encodeShardImage(const ShardHeader &header,
                  const std::vector<PointResult> &owned)
 {
-    snap::Serializer s;
-    s.beginSection(kSecShardHeader);
-    s.str(header.scenario);
-    s.b(header.quick);
-    s.u64(header.shard.index);
-    s.u64(header.shard.count);
-    s.u64(header.points);
-    s.u64(header.configHash);
-    s.u64(header.indices.size());
-    for (std::size_t g : header.indices)
-        s.u64(g);
-    s.endSection();
-    s.beginSection(kSecShardRecords);
+    ShardHeader h = header;
+    std::vector<std::string> records;
     for (const PointResult &r : owned)
-        s.str(snap::encodeRunRecord(r.run));
-    s.endSection();
+        records.push_back(snap::encodeRunRecord(r.run));
+    snap::Serializer s;
+    archive(s, h, records);
     return s.done();
 }
 
@@ -134,47 +148,31 @@ readShardImage(const std::string &path, ShardDump *out,
     if (!snap::readFileBytes(path, &image, &ioErr))
         return fail(err, path, ioErr);
     out->path = path;
+    bool shard = false;
+    std::vector<std::string> records;
     try {
-        snap::Deserializer d(std::move(image));
-        if (!d.hasSection(kSecShardHeader))
-            return fail(err, path, "not a shard image (no shard header)");
-        ShardHeader &h = out->header;
-        d.openSection(kSecShardHeader);
-        h.scenario = d.str();
-        h.quick = d.b();
-        h.shard.index = d.u64();
-        h.shard.count = d.u64();
-        h.points = d.u64();
-        h.configHash = d.u64();
-        const std::uint64_t n = d.u64();
-        if (n > d.remaining() / 8)
-            return fail(err, path, "index count exceeds the header");
-        h.indices.resize(n);
-        for (std::size_t &g : h.indices)
-            g = d.u64();
-        if (d.remaining() != 0)
-            return fail(err, path, "trailing bytes after the header");
-
-        d.openSection(kSecShardRecords);
-        out->records.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-            std::string recErr;
-            if (!snap::decodeRunRecord(d.str(),
-                                       &out->records.emplace_back(),
-                                       &recErr))
-                return fail(err, path,
-                            "record " + std::to_string(i) + ": " +
-                                recErr);
-        }
-        if (d.remaining() != 0)
-            return fail(err, path, "trailing bytes after the records");
-        return true;
+        snap::load(std::move(image), [&](auto &a) {
+            shard = a.hasSection(kSecShardHeader);
+            if (shard)
+                archive(a, out->header, records);
+        });
     } catch (const std::exception &e) {
         // SnapError, plus hostile-size allocation failures: all fail
         // closed.
         return fail(err, path, std::string("corrupt shard image: ") +
                                    e.what());
     }
+    if (!shard)
+        return fail(err, path, "not a shard image (no shard header)");
+    out->records.clear();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        std::string recErr;
+        if (!snap::decodeRunRecord(records[i], &out->records.emplace_back(),
+                                   &recErr))
+            return fail(err, path,
+                        "record " + std::to_string(i) + ": " + recErr);
+    }
+    return true;
 }
 
 bool

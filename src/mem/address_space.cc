@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "sim/logging.hh"
+#include "snapshot/serialize.hh"
 
 namespace misp::mem {
 
@@ -205,47 +206,35 @@ AddressSpace::pokeWord(VAddr va, Word value, unsigned size)
     poke(va, &value, size);
 }
 
+template <class Ar>
 void
-AddressSpace::snapSave(snap::Serializer &s) const
+AddressSpace::archive(Ar &a)
 {
-    s.u64(regions_.size());
-    for (const auto &[start, region] : regions_) {
-        (void)start;
-        s.u64(region.vma.start);
-        s.u64(region.vma.end);
-        s.b(region.vma.writable);
-        s.str(region.vma.label);
-        s.u64(region.image.size());
-        if (!region.image.empty())
-            s.bytes(region.image.data(), region.image.size());
-    }
-    s.u64(allocCursor_);
-    s.u64(resident_);
-    s.u64(faultsServiced_);
-    table_.snapSave(s);
+    snap::entries(
+        a, regions_, 8 + 8 + 1 + 8 + 8, "address-space region",
+        [&](VAddr &start, Region &region) {
+            a.u64(region.vma.start);
+            a.u64(region.vma.end);
+            a.b(region.vma.writable);
+            a.str(region.vma.label);
+            std::uint64_t n = region.image.size();
+            a.count(n, 1, "region image byte");
+            if constexpr (Ar::kLoading) {
+                start = region.vma.start;
+                if (region.vma.end < start)
+                    throw snap::SnapError("image: region '" +
+                                          region.vma.label +
+                                          "' ends before it starts");
+                region.image.resize(n);
+            }
+            a.bytes(region.image.data(), n);
+        });
+    a.u64(allocCursor_);
+    a.u64(resident_);
+    a.u64(faultsServiced_);
+    table_.archive(a);
 }
 
-void
-AddressSpace::snapRestore(snap::Deserializer &d)
-{
-    MISP_ASSERT(regions_.empty()); // restore onto a fresh space only
-    std::uint64_t count = d.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Region region;
-        region.vma.start = d.u64();
-        region.vma.end = d.u64();
-        region.vma.writable = d.b();
-        region.vma.label = d.str();
-        region.image.resize(d.u64());
-        if (!region.image.empty())
-            d.bytes(region.image.data(), region.image.size());
-        VAddr start = region.vma.start;
-        regions_.emplace(start, std::move(region));
-    }
-    allocCursor_ = d.u64();
-    resident_ = d.u64();
-    faultsServiced_ = d.u64();
-    table_.snapRestore(d);
-}
+MISP_SNAP_ARCHIVE(AddressSpace);
 
 } // namespace misp::mem

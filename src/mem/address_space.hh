@@ -23,7 +23,6 @@
 #include "mem/paging.hh"
 #include "mem/physical_memory.hh"
 #include "sim/types.hh"
-#include "snapshot/serialize.hh"
 
 namespace misp::mem {
 
@@ -62,7 +61,7 @@ enum class FaultOutcome {
  * sequencers of a processor pointing their MMUs at this object's page
  * table root while the owning thread is scheduled.
  */
-class AddressSpace : public snap::Saveable
+class AddressSpace
 {
   public:
     AddressSpace(std::string name, PhysicalMemory &pmem);
@@ -129,8 +128,8 @@ class AddressSpace : public snap::Saveable
      *  cursor, paging counters, and the page table. The decode cache
      *  is derived state (predecoded guest memory) and stays out of the
      *  image; it repopulates lazily and identically after restore. */
-    void snapSave(snap::Serializer &s) const override;
-    void snapRestore(snap::Deserializer &d) override;
+    template <class Ar>
+    void archive(Ar &a);
 
   private:
     struct Region {

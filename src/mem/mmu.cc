@@ -2,6 +2,7 @@
 
 #include "cpu/decode_cache.hh"
 #include "obs/trace.hh"
+#include "snapshot/serialize.hh"
 
 namespace misp::mem {
 
@@ -38,19 +39,18 @@ Mmu::setAddressSpace(AddressSpace *as, bool preserveTlb)
         tlb_.flushAll();
 }
 
+template <class Ar>
 void
-Mmu::snapSave(snap::Serializer &s) const
+Mmu::archive(Ar &a)
 {
-    tlb_.snapSave(s);
+    tlb_.archive(a);
+    if constexpr (Ar::kLoading) {
+        lastFetch_ = LastFetch{};
+        lastData_ = LastData{};
+    }
 }
 
-void
-Mmu::snapRestore(snap::Deserializer &d)
-{
-    tlb_.snapRestore(d);
-    lastFetch_ = LastFetch{};
-    lastData_ = LastData{};
-}
+MISP_SNAP_ARCHIVE(Mmu);
 
 void
 Mmu::snapAttach(AddressSpace *as)

@@ -115,7 +115,7 @@ struct FetchResult {
 };
 
 /** Per-sequencer MMU. */
-class Mmu : public snap::Saveable
+class Mmu
 {
   public:
     Mmu(std::string name, PhysicalMemory &pmem, stats::StatGroup *parent);
@@ -280,10 +280,10 @@ class Mmu : public snap::Saveable
      *  one-entry last-fetch cache is derived (revalidated against the
      *  TLB stamp) and resets cold on restore with identical modeled
      *  cycles and counters. */
-    void snapSave(snap::Serializer &s) const override;
-    void snapRestore(snap::Deserializer &d) override;
+    template <class Ar>
+    void archive(Ar &a);
 
-    /** Restore-path companion to snapRestore: point at the rebuilt
+    /** Restore-path companion to archive: point at the rebuilt
      *  address space WITHOUT the architectural CR3-purge of
      *  setAddressSpace() — the TLB content being restored belongs to
      *  exactly this space. */

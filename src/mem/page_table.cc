@@ -1,5 +1,7 @@
 #include "page_table.hh"
 
+#include "snapshot/serialize.hh"
+
 namespace misp::mem {
 
 std::atomic<std::uint64_t> PageTable::nextRoot_{1};
@@ -46,52 +48,59 @@ PageTable::map(VAddr va, std::uint64_t frame, bool writable, bool user)
     pte.frame = frame;
 }
 
+template <class Ar>
 void
-PageTable::snapSave(snap::Serializer &s) const
+PageTable::archive(Ar &a)
 {
-    s.u64(mapped_);
-    for (std::size_t dir = 0; dir < kDirEntries; ++dir) {
-        const auto &leaf = dir_[dir];
-        if (!leaf)
-            continue;
-        for (std::size_t tbl = 0; tbl < kTblEntries; ++tbl) {
-            const Pte &pte = (*leaf)[tbl];
-            if (!pte.present)
+    // Each present mapping: its page address, then the PTE's bits.
+    auto bits = [&](Pte &pte) {
+        a.b(pte.writable);
+        a.b(pte.user);
+        a.b(pte.accessed);
+        a.b(pte.dirty);
+        a.u64(pte.frame);
+    };
+    std::uint64_t n = mapped_;
+    a.count(n, 8 + 4 + 8, "page table mapping");
+    if constexpr (Ar::kLoading) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            VAddr va = 0;
+            a.u64(va);
+            if ((va >> (kPageShift + kTblBits + kDirBits)) != 0 ||
+                pageOffset(va) != 0)
+                throw snap::SnapError("image: page table mapping address " +
+                                      std::to_string(va) +
+                                      " is not a page of the 32-bit space");
+            auto &leaf = dir_[dirIndex(va)];
+            if (!leaf)
+                leaf = std::make_unique<Leaf>();
+            Pte &pte = (*leaf)[tblIndex(va)];
+            if (pte.present)
+                throw snap::SnapError("image: page table maps page " +
+                                      std::to_string(va) + " twice");
+            pte.present = true;
+            ++mapped_;
+            bits(pte);
+        }
+    } else {
+        for (std::size_t dir = 0; dir < kDirEntries; ++dir) {
+            if (!dir_[dir])
                 continue;
-            VAddr va = (static_cast<VAddr>(dir) << (kPageShift + kTblBits)) |
-                       (static_cast<VAddr>(tbl) << kPageShift);
-            s.u64(va);
-            s.b(pte.writable);
-            s.b(pte.user);
-            s.b(pte.accessed);
-            s.b(pte.dirty);
-            s.u64(pte.frame);
+            for (std::size_t tbl = 0; tbl < kTblEntries; ++tbl) {
+                Pte &pte = (*dir_[dir])[tbl];
+                if (!pte.present)
+                    continue;
+                VAddr va =
+                    (static_cast<VAddr>(dir) << (kPageShift + kTblBits)) |
+                    (static_cast<VAddr>(tbl) << kPageShift);
+                a.u64(va);
+                bits(pte);
+            }
         }
     }
 }
 
-void
-PageTable::snapRestore(snap::Deserializer &d)
-{
-    std::uint64_t count = d.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        VAddr va = d.u64();
-        auto &leaf = dir_[dirIndex(va)];
-        if (!leaf)
-            leaf = std::make_unique<Leaf>();
-        Pte &pte = (*leaf)[tblIndex(va)];
-        if (pte.present)
-            throw snap::SnapError("page table: duplicate mapping in "
-                                  "image");
-        pte.present = true;
-        pte.writable = d.b();
-        pte.user = d.b();
-        pte.accessed = d.b();
-        pte.dirty = d.b();
-        pte.frame = d.u64();
-        ++mapped_;
-    }
-}
+MISP_SNAP_ARCHIVE(PageTable);
 
 Pte
 PageTable::unmap(VAddr va)

@@ -20,7 +20,6 @@
 
 #include "mem/paging.hh"
 #include "sim/logging.hh"
-#include "snapshot/serialize.hh"
 
 namespace misp::mem {
 
@@ -30,7 +29,7 @@ using PageTableRoot = std::uint64_t;
 constexpr PageTableRoot kNullRoot = 0;
 
 /** Classic two-level page table. */
-class PageTable : public snap::Saveable
+class PageTable
 {
   public:
     PageTable();
@@ -67,8 +66,8 @@ class PageTable : public snap::Saveable
      *  root token is NOT archived — a restored table gets a fresh
      *  unique token, which preserves every equality relation the model
      *  compares (injective both before and after). */
-    void snapSave(snap::Serializer &s) const override;
-    void snapRestore(snap::Deserializer &d) override;
+    template <class Ar>
+    void archive(Ar &a);
 
   private:
     static constexpr unsigned kDirBits = 10;

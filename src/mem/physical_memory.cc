@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "snapshot/serialize.hh"
+
 namespace misp::mem {
 
 PhysicalMemory::PhysicalMemory(std::uint64_t frames,
@@ -121,49 +123,68 @@ PhysicalMemory::writeBytes(PAddr addr, const void *src, std::uint64_t len)
     }
 }
 
+template <class Ar>
 void
-PhysicalMemory::snapSave(snap::Serializer &s) const
+PhysicalMemory::archive(Ar &a)
 {
-    s.u64(frames_);
-    s.u64(used_);
-    s.u64(nextFresh_);
-    s.u64(freeList_.size());
-    for (std::uint64_t f : freeList_)
-        s.u64(f);
-    std::vector<std::uint64_t> frames;
-    frames.reserve(store_.size());
-    // misplint: allow(det-unordered-iter) — frame ids sorted below
-    for (const auto &[frame, bytes] : store_) {
-        (void)bytes;
-        frames.push_back(frame);
+    a.match(frames_, "physmem capacity");
+    a.u64(used_);
+    a.u64(nextFresh_);
+    snap::sequence(a, freeList_, 8, "physmem free list",
+                   [&](std::uint64_t &f) { a.u64(f); });
+    if constexpr (Ar::kLoading) {
+        if (nextFresh_ > frames_)
+            throw snap::SnapError("image: physmem next fresh frame " +
+                                  std::to_string(nextFresh_) +
+                                  " is past the capacity");
+        if (used_ > nextFresh_ || nextFresh_ - used_ != freeList_.size())
+            throw snap::SnapError(
+                "image: physmem allocator state is inconsistent (" +
+                std::to_string(used_) + " used + " +
+                std::to_string(freeList_.size()) + " free != " +
+                std::to_string(nextFresh_) + " handed out)");
+        std::vector<std::uint64_t> sorted = freeList_;
+        std::sort(sorted.begin(), sorted.end());
+        if (!sorted.empty() && sorted.back() >= nextFresh_)
+            throw snap::SnapError("image: physmem free list holds frame " +
+                                  std::to_string(sorted.back()) +
+                                  ", never handed out");
+        if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
+            throw snap::SnapError("image: physmem free list holds a frame "
+                                  "twice");
     }
-    std::sort(frames.begin(), frames.end());
-    s.u64(frames.size());
-    for (std::uint64_t f : frames) {
-        s.u64(f);
-        s.bytes(store_.at(f).data(), kPageSize);
+
+    std::vector<std::uint64_t> frames;
+    if constexpr (!Ar::kLoading) {
+        frames.reserve(store_.size());
+        // misplint: allow(det-unordered-iter) — frame ids sorted below
+        for (const auto &[frame, bytes] : store_) {
+            (void)bytes;
+            frames.push_back(frame);
+        }
+        std::sort(frames.begin(), frames.end());
+    } else {
+        store_.clear();
+    }
+    std::uint64_t n = frames.size();
+    a.count(n, 8 + kPageSize, "physmem frame");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::uint64_t frame = Ar::kLoading ? 0 : frames[i];
+        a.index(frame, frames_, "physmem stored frame");
+        if constexpr (Ar::kLoading) {
+            auto [it, fresh] = store_.try_emplace(frame, kPageSize);
+            if (!fresh)
+                throw snap::SnapError("image: physmem frame " +
+                                      std::to_string(frame) +
+                                      " is stored twice");
+            a.bytes(it->second.data(), kPageSize);
+        } else {
+            a.bytes(store_.at(frame).data(), kPageSize);
+        }
     }
 }
 
-void
-PhysicalMemory::snapRestore(snap::Deserializer &d)
-{
-    if (d.u64() != frames_)
-        throw snap::SnapError("physmem: capacity mismatch");
-    used_ = d.u64();
-    nextFresh_ = d.u64();
-    freeList_.resize(d.u64());
-    for (std::uint64_t &f : freeList_)
-        f = d.u64();
-    store_.clear();
-    std::uint64_t count = d.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t frame = d.u64();
-        std::vector<std::uint8_t> bytes(kPageSize);
-        d.bytes(bytes.data(), kPageSize);
-        store_.emplace(frame, std::move(bytes));
-    }
-}
+MISP_SNAP_ARCHIVE(PhysicalMemory);
 
 const char *
 faultKindName(FaultKind kind)

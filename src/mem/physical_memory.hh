@@ -20,12 +20,11 @@
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "snapshot/serialize.hh"
 
 namespace misp::mem {
 
 /** Byte-addressable sparse physical memory. */
-class PhysicalMemory : public snap::Saveable
+class PhysicalMemory
 {
   public:
     /**
@@ -88,9 +87,12 @@ class PhysicalMemory : public snap::Saveable
 
     /** Snapshot the allocator state and every materialized frame
      *  (frames are emitted in ascending order, so images of identical
-     *  machine states are byte-identical). */
-    void snapSave(snap::Serializer &s) const override;
-    void snapRestore(snap::Deserializer &d) override;
+     *  machine states are byte-identical). Load checks the allocator
+     *  invariant allocFrame/freeFrame keep:
+     *  used + free-list size == next fresh frame <= capacity, with a
+     *  duplicate-free free list of handed-out frames. */
+    template <class Ar>
+    void archive(Ar &a);
 
   private:
     const std::uint8_t *framePtr(std::uint64_t frame) const;

@@ -1,6 +1,7 @@
 #include "tlb.hh"
 
 #include "obs/trace.hh"
+#include "snapshot/serialize.hh"
 
 namespace misp::mem {
 
@@ -132,49 +133,30 @@ Tlb::size() const
     return n;
 }
 
+template <class Ar>
 void
-Tlb::snapSave(snap::Serializer &s) const
+Tlb::archive(Ar &a)
 {
-    s.u64(slots_.size());
-    for (const Entry &e : slots_) {
-        s.u64(e.vpn);
-        s.b(e.pte.present);
-        s.b(e.pte.writable);
-        s.b(e.pte.user);
-        s.b(e.pte.accessed);
-        s.b(e.pte.dirty);
-        s.u64(e.pte.frame);
-        s.b(e.valid);
-        s.b(e.used);
+    a.match(slots_.size(), "tlb entry count");
+    for (Entry &e : slots_) {
+        a.u64(e.vpn);
+        a.b(e.pte.present);
+        a.b(e.pte.writable);
+        a.b(e.pte.user);
+        a.b(e.pte.accessed);
+        a.b(e.pte.dirty);
+        a.u64(e.pte.frame);
+        a.b(e.valid);
+        a.b(e.used);
+        if constexpr (Ar::kLoading)
+            e.host = nullptr;
     }
-    s.u64(hand_.size());
-    for (std::uint8_t h : hand_)
-        s.u8(h);
-    s.u64(stamp_);
+    a.match(hand_.size(), "tlb set count");
+    for (std::uint8_t &h : hand_)
+        a.index(h, kWays, "tlb clock hand");
+    a.u64(stamp_);
 }
 
-void
-Tlb::snapRestore(snap::Deserializer &d)
-{
-    if (d.u64() != slots_.size())
-        throw snap::SnapError("tlb: geometry mismatch");
-    for (Entry &e : slots_) {
-        e.vpn = d.u64();
-        e.pte.present = d.b();
-        e.pte.writable = d.b();
-        e.pte.user = d.b();
-        e.pte.accessed = d.b();
-        e.pte.dirty = d.b();
-        e.pte.frame = d.u64();
-        e.valid = d.b();
-        e.used = d.b();
-        e.host = nullptr;
-    }
-    if (d.u64() != hand_.size())
-        throw snap::SnapError("tlb: set-count mismatch");
-    for (std::uint8_t &h : hand_)
-        h = d.u8();
-    stamp_ = d.u64();
-}
+MISP_SNAP_ARCHIVE(Tlb);
 
 } // namespace misp::mem

@@ -34,12 +34,11 @@
 #include "mem/paging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "snapshot/serialize.hh"
 
 namespace misp::mem {
 
 /** Set-associative TLB with clock pseudo-LRU replacement. */
-class Tlb : public snap::Saveable
+class Tlb
 {
   public:
     struct Entry {
@@ -145,8 +144,8 @@ class Tlb : public snap::Saveable
     /** Snapshot the full replacement state (entries, reference bits,
      *  clock hands, content stamp) — TLB residency decides future
      *  hit/miss cycles, so it is architectural for determinism. */
-    void snapSave(snap::Serializer &s) const override;
-    void snapRestore(snap::Deserializer &d) override;
+    template <class Ar>
+    void archive(Ar &a);
 
   private:
     std::size_t setIndex(std::uint64_t vpn) const

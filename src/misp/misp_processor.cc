@@ -108,182 +108,128 @@ MispProcessor::eventCount(Ring0Cause cause) const
 
 namespace {
 
-/** A tid from an image back to its thread; 0 is none, anything else
- *  must name a thread. */
-os::OsThread *
-threadOf(os::Kernel &kernel, std::uint64_t tid, const char *field)
-{
-    if (tid == 0)
-        return nullptr;
-    os::OsThread *t = kernel.threadByTid(static_cast<Tid>(tid));
-    if (!t)
-        throw snap::SnapError(std::string("processor: ") + field +
-                              " tid " + std::to_string(tid) +
-                              " names no thread");
-    return t;
-}
+/** Least image bytes of a proxy request: AMS sid, fault, context. */
+constexpr std::uint64_t kProxyBytes =
+    8 + snap::kFaultBytes + snap::kContextBytes;
 
+template <class Ar>
 void
-putProxy(snap::Serializer &s, const ProxyRequest &req)
+archiveProxy(Ar &a, ProxyRequest &req, MispProcessor &proc)
 {
-    s.u64(req.ams->sid());
-    snap::putFault(s, req.fault);
-    snap::putContext(s, req.savedCtx);
-}
-
-ProxyRequest
-getProxy(snap::Deserializer &d, MispProcessor &proc)
-{
-    ProxyRequest req;
-    SequencerId sid = static_cast<SequencerId>(d.u64());
-    req.ams = sid == 0 ? nullptr : proc.sequencer(sid);
-    if (!req.ams)
-        throw snap::SnapError("processor: proxy request names an "
-                              "absent sequencer");
-    req.fault = snap::getFault(d);
+    const snap::Lookup amsIds{
+        "sid", "AMS",
+        [](const cpu::Sequencer &s) { return std::uint64_t{s.sid()}; },
+        [&proc](std::uint64_t sid) -> cpu::Sequencer * {
+            return sid != 0 && sid <= proc.numAms()
+                       ? proc.sequencer(static_cast<SequencerId>(sid))
+                       : nullptr;
+        }};
+    a.ref(req.ams, amsIds, "proxy request");
+    snap::archive(a, req.fault);
     // Only these two kinds are ever proxied (handleFault).
-    if (req.fault.kind != mem::FaultKind::Syscall &&
-        req.fault.kind != mem::FaultKind::PageFault)
-        throw snap::SnapError("processor: proxy request carries a "
-                              "fault that is never proxied");
-    req.savedCtx = snap::getContext(d);
-    return req;
+    if constexpr (Ar::kLoading) {
+        if (req.fault.kind != mem::FaultKind::Syscall &&
+            req.fault.kind != mem::FaultKind::PageFault)
+            throw snap::SnapError("image: proxy request carries a fault "
+                                  "that is never proxied");
+    }
+    snap::archive(a, req.savedCtx);
 }
 
+template <class Ar>
 void
-putWork(snap::Serializer &s, const Ring0Work &work)
-{
-    s.u8(static_cast<std::uint8_t>(work.kind));
-    s.u8(static_cast<std::uint8_t>(work.cause));
-    s.u64(work.thread ? work.thread->tid() : 0);
-    s.u64(work.number);
-    for (Word a : work.args)
-        s.u64(a);
-    s.u64(work.addr);
-    s.b(work.write);
-    s.u32(work.patchSid);
-    if (work.kind == Ring0Work::Kind::Proxy)
-        putProxy(s, work.proxy);
-}
-
-Ring0Work
-getWork(snap::Deserializer &d, MispProcessor &proc)
+archiveWork(Ar &a, Ring0Work &work, MispProcessor &proc)
 {
     using Kind = Ring0Work::Kind;
-    Ring0Work work;
-    const std::uint8_t kind = d.u8();
-    if (kind >= static_cast<std::uint8_t>(Kind::NumKinds))
-        throw snap::SnapError("processor: unknown Ring-0 work kind byte " +
-                              std::to_string(kind));
-    work.kind = static_cast<Kind>(kind);
-    const std::uint8_t cause = d.u8();
-    if (cause >= static_cast<std::uint8_t>(Ring0Cause::NumCauses))
-        throw snap::SnapError("processor: unknown Ring-0 cause byte " +
-                              std::to_string(cause));
-    work.cause = static_cast<Ring0Cause>(cause);
-    work.thread = threadOf(proc.kernel(), d.u64(), "Ring-0 work thread");
-    const bool interrupt =
-        work.kind == Kind::TimerTick || work.kind == Kind::DeviceIrq;
-    if (!interrupt && !work.thread)
-        throw snap::SnapError("processor: Ring-0 work kind " +
-                              std::to_string(kind) + " has no thread");
-    work.number = d.u64();
-    for (Word &a : work.args)
-        a = d.u64();
-    work.addr = d.u64();
-    work.write = d.b();
-    work.patchSid = d.u32();
-    if (work.patchSid != Ring0Work::kNoPatch &&
-        !proc.sequencer(work.patchSid))
-        throw snap::SnapError("processor: Ring-0 work patches absent "
-                              "sequencer sid " +
-                              std::to_string(work.patchSid));
+    a.enumByte(work.kind, static_cast<std::size_t>(Kind::NumKinds),
+               "Ring-0 work kind");
+    a.enumByte(work.cause, static_cast<std::size_t>(Ring0Cause::NumCauses),
+               "Ring-0 cause");
+    a.optRef(work.thread, proc.kernel().threadIds(), "Ring-0 work thread");
+    if constexpr (Ar::kLoading) {
+        const bool interrupt =
+            work.kind == Kind::TimerTick || work.kind == Kind::DeviceIrq;
+        if (!interrupt && !work.thread)
+            throw snap::SnapError(
+                "image: Ring-0 work kind " +
+                std::to_string(static_cast<int>(work.kind)) +
+                " has no thread");
+    }
+    a.u64(work.number);
+    for (Word &arg : work.args)
+        a.u64(arg);
+    a.u64(work.addr);
+    a.b(work.write);
+    a.u32(work.patchSid);
+    if constexpr (Ar::kLoading) {
+        if (work.patchSid != Ring0Work::kNoPatch &&
+            !proc.sequencer(work.patchSid))
+            throw snap::SnapError("image: Ring-0 work patches absent "
+                                  "sequencer sid " +
+                                  std::to_string(work.patchSid));
+    }
     if (work.kind == Kind::Proxy)
-        work.proxy = getProxy(d, proc);
-    return work;
+        archiveProxy(a, work.proxy, proc);
 }
 
 } // namespace
 
+template <class Ar>
 void
-MispProcessor::snapSave(snap::Serializer &s) const
+MispProcessor::archive(Ar &a)
 {
-    s.b(interruptsOn_);
-    s.u64(proxyQueue_.size());
-    for (const ProxyRequest &req : proxyQueue_)
-        putProxy(s, req);
-    snap::putEventSchedule(s, &timerEvent_);
-    snap::putEventSchedule(s, &deviceEvent_);
+    const auto tids = kernel_.threadIds();
+    a.b(interruptsOn_);
+    snap::sequence(a, proxyQueue_, kProxyBytes, "proxy request",
+                   [&](ProxyRequest &req) { archiveProxy(a, req, *this); });
+    snap::archiveSchedule(a, eq_, timerEvent_);
+    snap::archiveSchedule(a, eq_, deviceEvent_);
 
-    s.u8(static_cast<std::uint8_t>(episode_.phase));
+    if constexpr (Ar::kLoading)
+        episode_ = Episode{};
+    a.enumByte(episode_.phase, static_cast<std::size_t>(Phase::NumPhases),
+               "Ring-0 phase");
     if (episode_.phase != Phase::Idle) {
-        putWork(s, episode_.work);
-        s.u64(episode_.signal);
-        s.u64(episode_.res.priv);
-        s.u64(episode_.res.retval);
-        s.b(episode_.res.reschedule);
-        s.u64(episode_.res.prev ? episode_.res.prev->tid() : 0);
-        s.u64(episode_.res.next ? episode_.res.next->tid() : 0);
-        s.b(episode_.res.fatalFault);
+        archiveWork(a, episode_.work, *this);
+        a.u64(episode_.signal);
+        a.u64(episode_.res.priv);
+        a.u64(episode_.res.retval);
+        a.b(episode_.res.reschedule);
+        a.optRef(episode_.res.prev, tids, "KernelResult prev");
+        a.optRef(episode_.res.next, tids, "KernelResult next");
+        a.b(episode_.res.fatalFault);
     }
-    snap::putEventSchedule(s, &ring0Event_);
-    s.b(held_.has_value());
-    if (held_)
-        putWork(s, *held_);
-
-    fabric_.snapSave(s);
-    oms_->snapSave(s);
-    for (const auto &ams : ams_)
-        ams->snapSave(s);
-}
-
-void
-MispProcessor::snapRestore(snap::Deserializer &d)
-{
-    interruptsOn_ = d.b();
-    std::uint64_t pending = d.u64();
-    for (std::uint64_t i = 0; i < pending; ++i)
-        proxyQueue_.push_back(getProxy(d, *this));
-    snap::getEventSchedule(d, eq_, &timerEvent_);
-    snap::getEventSchedule(d, eq_, &deviceEvent_);
-
-    const std::uint8_t phase = d.u8();
-    if (phase >= static_cast<std::uint8_t>(Phase::NumPhases))
-        throw snap::SnapError("processor: unknown Ring-0 phase byte " +
-                              std::to_string(phase));
-    episode_ = Episode{};
-    episode_.phase = static_cast<Phase>(phase);
-    if (episode_.phase != Phase::Idle) {
-        episode_.work = getWork(d, *this);
-        episode_.signal = d.u64();
-        episode_.res.priv = d.u64();
-        episode_.res.retval = d.u64();
-        episode_.res.reschedule = d.b();
-        episode_.res.prev = threadOf(kernel_, d.u64(), "KernelResult prev");
-        episode_.res.next = threadOf(kernel_, d.u64(), "KernelResult next");
-        episode_.res.fatalFault = d.b();
-    }
-    snap::getEventSchedule(d, eq_, &ring0Event_);
+    snap::archiveSchedule(a, eq_, ring0Event_);
     // Every phase but Idle ends with ring0Event_.
-    if (ring0Event_.scheduled() != (episode_.phase != Phase::Idle))
-        throw snap::SnapError("processor: Ring-0 phase " +
-                              std::to_string(phase) +
-                              " disagrees with its pending phase event");
-    if (d.b()) {
-        if (episode_.phase == Phase::Idle)
-            throw snap::SnapError("processor: held Ring-0 request "
-                                  "without an episode in flight");
-        held_ = getWork(d, *this);
+    if constexpr (Ar::kLoading) {
+        if (ring0Event_.scheduled() != (episode_.phase != Phase::Idle))
+            throw snap::SnapError(
+                "image: Ring-0 phase " +
+                std::to_string(static_cast<int>(episode_.phase)) +
+                " disagrees with its pending phase event");
     }
+    bool held = held_.has_value();
+    a.b(held);
+    if constexpr (Ar::kLoading) {
+        held_.reset();
+        if (held && episode_.phase == Phase::Idle)
+            throw snap::SnapError("image: held Ring-0 request without an "
+                                  "episode in flight");
+        if (held)
+            held_.emplace();
+    }
+    if (held)
+        archiveWork(a, *held_, *this);
 
     std::vector<cpu::Sequencer *> bySid{oms_.get()};
     for (auto &ams : ams_)
         bySid.push_back(ams.get());
-    fabric_.snapRestore(d, bySid);
-    oms_->snapRestore(d);
-    for (auto &ams : ams_)
-        ams->snapRestore(d);
+    fabric_.archive(a, bySid);
+    for (cpu::Sequencer *seq : bySid)
+        seq->archive(a);
 }
+
+MISP_SNAP_ARCHIVE(MispProcessor);
 
 // ---------------------------------------------------------------------
 // Kernel CPU driver

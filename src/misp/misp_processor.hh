@@ -112,7 +112,7 @@ struct Ring0Work {
  * One MISP processor (1 OMS + N AMS), acting as the SequencerEnv for all
  * of its sequencers and as the CPU driver for one kernel CPU slot.
  */
-class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
+class MispProcessor : public cpu::SequencerEnv
 {
   public:
     MispProcessor(std::string name, const MispConfig &config,
@@ -221,8 +221,8 @@ class MispProcessor : public cpu::SequencerEnv, public snap::Saveable
      *  result, pending phase event) and a held request, the fabric's
      *  deliveries in flight, and every sequencer. Valid at any event
      *  boundary. */
-    void snapSave(snap::Serializer &s) const override;
-    void snapRestore(snap::Deserializer &d) override;
+    template <class Ar>
+    void archive(Ar &a);
 
   private:
     /** Where the Ring-0 episode is (§2.3). Each phase but Idle has

@@ -78,56 +78,42 @@ SignalFabric::arrive(const Packet &packet)
 // Snapshot
 // ---------------------------------------------------------------------
 
+template <class Ar>
 void
-SignalFabric::snapSave(snap::Serializer &s) const
+SignalFabric::archive(Ar &a, const std::vector<cpu::Sequencer *> &bySid)
 {
-    const auto pending = pool_.pending();
-    s.u64(pending.size());
-    for (const auto *ev : pending) {
-        const Packet &p = ev->data;
-        s.u8(static_cast<std::uint8_t>(p.kind));
-        s.u64(p.dst->sid());
-        if (p.kind == Delivery::ProxyDone)
-            snap::putContext(s, p.serviced);
-        else
-            snap::putPayload(s, p.payload);
-        snap::putPending(s, ev);
-    }
+    const snap::Lookup sids{
+        "sid", "sequencer",
+        [](const cpu::Sequencer &s) { return std::uint64_t{s.sid()}; },
+        [&bySid](std::uint64_t sid) {
+            return sid < bySid.size() ? bySid[sid] : nullptr;
+        }};
+    snap::archivePending(
+        a, eq_, pool_, kDeliveryPrio, 1 + 8 + snap::kPayloadBytes,
+        "fabric delivery", [&](Packet &p) {
+            a.enumByte(p.kind, static_cast<std::size_t>(Delivery::NumKinds),
+                       "delivery kind");
+            a.ref(p.dst, sids, "fabric delivery");
+            if constexpr (Ar::kLoading) {
+                // Proxy requests go to the OMS (sid 0); the
+                // serialization and proxy-completion signals only ever
+                // to an AMS.
+                const bool toOms = p.dst->sid() == 0;
+                if (p.kind != Delivery::Signal &&
+                    (p.kind == Delivery::ProxyRequest) != toOms)
+                    throw snap::SnapError(
+                        "image: delivery kind " +
+                        std::to_string(static_cast<int>(p.kind)) +
+                        " cannot target sid " +
+                        std::to_string(p.dst->sid()));
+            }
+            if (p.kind == Delivery::ProxyDone)
+                snap::archive(a, p.serviced);
+            else
+                snap::archive(a, p.payload);
+        });
 }
 
-void
-SignalFabric::snapRestore(snap::Deserializer &d,
-                          const std::vector<cpu::Sequencer *> &bySid)
-{
-    const std::uint64_t count = d.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t kindByte = d.u8();
-        if (kindByte >= static_cast<std::uint8_t>(Delivery::NumKinds))
-            throw snap::SnapError("fabric: unknown delivery kind byte " +
-                                  std::to_string(kindByte));
-        const auto kind = static_cast<Delivery>(kindByte);
-        const std::uint64_t sid = d.u64();
-        if (sid >= bySid.size())
-            throw snap::SnapError("fabric: delivery names absent "
-                                  "sequencer sid " + std::to_string(sid));
-        // Proxy requests go to the OMS (sid 0); the serialization and
-        // proxy-completion signals only ever to an AMS.
-        if ((kind == Delivery::ProxyRequest) != (sid == 0) &&
-            kind != Delivery::Signal)
-            throw snap::SnapError("fabric: delivery kind " +
-                                  std::to_string(kindByte) +
-                                  " cannot target sid " +
-                                  std::to_string(sid));
-        Packet p;
-        p.kind = kind;
-        p.dst = bySid[sid];
-        if (kind == Delivery::ProxyDone)
-            p.serviced = snap::getContext(d);
-        else
-            p.payload = snap::getPayload(d);
-        snap::getPending(d, eq_, pool_, kDeliveryPrio, "fabric delivery",
-                         p);
-    }
-}
+MISP_SNAP_ARCHIVE(SignalFabric, const std::vector<cpu::Sequencer *> &);
 
 } // namespace misp::arch

@@ -66,11 +66,10 @@ class SignalFabric
 
     // ---- snapshot -------------------------------------------------------
     /** The pending deliveries, each with its target SID, its data and
-     *  its original (when, seq, priority). */
-    void snapSave(snap::Serializer &s) const;
-    /** @p bySid maps a SID to the owning processor's sequencer. */
-    void snapRestore(snap::Deserializer &d,
-                     const std::vector<cpu::Sequencer *> &bySid);
+     *  its original (when, seq, priority). @p bySid maps a SID to the
+     *  owning processor's sequencer. */
+    template <class Ar>
+    void archive(Ar &a, const std::vector<cpu::Sequencer *> &bySid);
 
   private:
     /** One delivery in flight. */

@@ -130,170 +130,121 @@ Kernel::threadByTid(Tid tid) const
     return nullptr;
 }
 
+template <class Ar>
 void
-Kernel::snapSave(snap::Serializer &s) const
+Kernel::archive(Ar &a)
 {
-    s.u64(nextPid_);
-    s.u64(nextTid_);
-    for (std::uint64_t w : rng_.state())
-        s.u64(w);
+    const auto tids = threadIds();
+    const auto pids = processIds();
+    // Least image bytes of a process (pid, name, exit state, an empty
+    // address space) and of a thread (through its empty affinity list).
+    constexpr std::uint64_t kProcessBytes = 8 + 8 + 1 + 8 + 5 * 8;
+    constexpr std::uint64_t kThreadBytes =
+        8 + 8 + 1 + snap::kContextBytes + 8 + 8 + 4 + 8;
 
-    s.u64(processes_.size());
-    for (const auto &p : processes_) {
-        s.u64(p->pid());
-        s.str(p->name());
-        s.b(p->exited);
-        s.u64(p->exitCode);
-        p->addressSpace().snapSave(s);
-    }
-
-    s.u64(threads_.size());
-    for (const auto &t : threads_) {
-        s.u64(t->tid());
-        s.u64(t->process()->pid());
-        s.u8(static_cast<std::uint8_t>(t->state()));
-        snap::putContext(s, t->context());
-        const auto &save = t->amsSaveArea();
-        s.u64(save.size());
-        for (const cpu::SequencerContext &ctx : save)
-            snap::putContext(s, ctx);
-        s.i64(t->cpu());
-        s.u32(t->quantumTicks);
-        s.u64(t->affinity.size());
-        for (int cpu : t->affinity)
-            s.i64(cpu);
-    }
-
-    s.u64(ready_.size());
-    for (const OsThread *t : ready_)
-        s.u64(t->tid());
-
-    s.u64(current_.size());
-    for (const OsThread *t : current_)
-        s.u64(t ? t->tid() : 0);
-
-    s.u64(futexQueues_.size());
-    for (const auto &[key, queue] : futexQueues_) {
-        s.u64(key.pid);
-        s.u64(key.addr);
-        s.u64(queue.size());
-        for (const OsThread *t : queue)
-            s.u64(t->tid());
-    }
-
-    s.u64(joiners_.size());
-    for (const auto &[target, waiters] : joiners_) {
-        s.u64(target);
-        s.u64(waiters.size());
-        for (const OsThread *t : waiters)
-            s.u64(t->tid());
-    }
-
-    const auto wakes = sleepWakes_.pending();
-    s.u64(wakes.size());
-    for (const auto *wake : wakes) {
-        s.u64(wake->data->tid());
-        snap::putPending(s, wake);
-    }
-}
-
-void
-Kernel::snapRestore(snap::Deserializer &d)
-{
-    MISP_ASSERT(processes_.empty() && threads_.empty());
-    nextPid_ = static_cast<Pid>(d.u64());
-    nextTid_ = static_cast<Tid>(d.u64());
-    std::array<std::uint64_t, 4> rng;
+    a.u64(nextPid_);
+    a.u64(nextTid_);
+    std::array<std::uint64_t, 4> rng = rng_.state();
     for (std::uint64_t &w : rng)
-        w = d.u64();
+        a.u64(w);
     rng_.setState(rng);
 
-    std::uint64_t nProcs = d.u64();
+    std::uint64_t nProcs = processes_.size();
+    a.count(nProcs, kProcessBytes, "kernel process");
     for (std::uint64_t i = 0; i < nProcs; ++i) {
-        Pid pid = static_cast<Pid>(d.u64());
-        std::string name = d.str();
-        processes_.push_back(
-            std::make_unique<Process>(pid, name, pmem_));
-        Process *p = processes_.back().get();
-        p->exited = d.b();
-        p->exitCode = d.u64();
-        p->addressSpace().snapRestore(d);
+        Pid pid = 0;
+        std::string name;
+        if constexpr (!Ar::kLoading) {
+            pid = processes_[i]->pid();
+            name = processes_[i]->name();
+        }
+        a.u64(pid);
+        a.str(name);
+        if constexpr (Ar::kLoading) {
+            if (processByPid(pid))
+                throw snap::SnapError("image: two processes have pid " +
+                                      std::to_string(pid));
+            processes_.push_back(
+                std::make_unique<Process>(pid, name, pmem_));
+        }
+        Process &p = *processes_[i];
+        a.b(p.exited);
+        a.u64(p.exitCode);
+        p.addressSpace().archive(a);
     }
 
-    auto thread = [this](Tid tid) -> OsThread * {
-        OsThread *t = threadByTid(tid);
-        if (!t)
-            throw snap::SnapError("kernel: unknown tid in image");
-        return t;
-    };
-
-    std::uint64_t nThreads = d.u64();
+    std::uint64_t nThreads = threads_.size();
+    a.count(nThreads, kThreadBytes, "kernel thread");
     for (std::uint64_t i = 0; i < nThreads; ++i) {
-        Tid tid = static_cast<Tid>(d.u64());
-        Process *proc = processByPid(static_cast<Pid>(d.u64()));
-        if (!proc)
-            throw snap::SnapError("kernel: thread names an unknown pid");
-        threads_.push_back(
-            std::make_unique<OsThread>(tid, proc, 0, 0, 0));
-        OsThread *t = threads_.back().get();
-        proc->addThread(t);
-        t->setState(static_cast<ThreadState>(d.u8()));
-        t->context() = snap::getContext(d);
-        auto &save = t->amsSaveArea();
-        save.resize(d.u64());
-        for (cpu::SequencerContext &ctx : save)
-            ctx = snap::getContext(d);
-        t->setCpu(static_cast<int>(d.i64()));
-        t->quantumTicks = d.u32();
-        t->affinity.resize(d.u64());
-        for (int &cpu : t->affinity)
-            cpu = static_cast<int>(d.i64());
+        Tid tid = 0;
+        Process *proc = nullptr;
+        if constexpr (!Ar::kLoading) {
+            tid = threads_[i]->tid();
+            proc = threads_[i]->process();
+        }
+        a.u64(tid);
+        a.ref(proc, pids, "thread");
+        if constexpr (Ar::kLoading) {
+            if (threadByTid(tid))
+                throw snap::SnapError("image: two threads have tid " +
+                                      std::to_string(tid));
+            threads_.push_back(
+                std::make_unique<OsThread>(tid, proc, 0, 0, 0));
+            proc->addThread(threads_.back().get());
+        }
+        OsThread &t = *threads_[i];
+        ThreadState state = t.state();
+        a.enumByte(state,
+                   static_cast<std::size_t>(ThreadState::Done) + 1,
+                   "thread state");
+        int slot = t.cpu();
+        snap::archive(a, t.context());
+        snap::sequence(a, t.amsSaveArea(), snap::kContextBytes,
+                       "AMS save area",
+                       [&](cpu::SequencerContext &ctx) {
+                           snap::archive(a, ctx);
+                       });
+        a.i64(slot);
+        a.u32(t.quantumTicks);
+        snap::sequence(a, t.affinity, 8, "thread affinity",
+                       [&](int &c) { a.i64(c); });
+        t.setState(state);
+        t.setCpu(slot);
     }
 
-    std::uint64_t nReady = d.u64();
-    for (std::uint64_t i = 0; i < nReady; ++i)
-        ready_.push_back(thread(static_cast<Tid>(d.u64())));
+    snap::sequence(a, ready_, 8, "ready queue",
+                   [&](OsThread *&t) { a.ref(t, tids, "ready queue"); });
 
-    std::uint64_t nCpus = d.u64();
-    if (nCpus != current_.size())
-        throw snap::SnapError("kernel: CPU count mismatch");
-    for (OsThread *&cur : current_) {
-        Tid tid = static_cast<Tid>(d.u64());
-        cur = tid ? thread(tid) : nullptr;
-    }
+    a.match(current_.size(), "kernel CPU count");
+    for (OsThread *&cur : current_)
+        a.optRef(cur, tids, "current thread");
 
-    std::uint64_t nFutex = d.u64();
-    for (std::uint64_t i = 0; i < nFutex; ++i) {
-        FutexKey key;
-        key.pid = static_cast<Pid>(d.u64());
-        key.addr = d.u64();
-        std::deque<OsThread *> queue;
-        std::uint64_t n = d.u64();
-        for (std::uint64_t k = 0; k < n; ++k)
-            queue.push_back(thread(static_cast<Tid>(d.u64())));
-        futexQueues_.emplace(key, std::move(queue));
-    }
+    snap::entries(a, futexQueues_, 8 + 8 + 8, "futex queue",
+                  [&](FutexKey &key, std::deque<OsThread *> &queue) {
+                      a.u64(key.pid);
+                      a.u64(key.addr);
+                      snap::sequence(a, queue, 8, "futex waiter",
+                                     [&](OsThread *&t) {
+                                         a.ref(t, tids, "futex waiter");
+                                     });
+                  });
 
-    std::uint64_t nJoin = d.u64();
-    for (std::uint64_t i = 0; i < nJoin; ++i) {
-        Tid target = static_cast<Tid>(d.u64());
-        std::vector<OsThread *> waiters;
-        std::uint64_t n = d.u64();
-        for (std::uint64_t k = 0; k < n; ++k)
-            waiters.push_back(thread(static_cast<Tid>(d.u64())));
-        joiners_.emplace(target, std::move(waiters));
-    }
+    snap::entries(a, joiners_, 8 + 8, "join queue",
+                  [&](Tid &target, std::vector<OsThread *> &waiters) {
+                      a.u64(target);
+                      snap::sequence(a, waiters, 8, "join waiter",
+                                     [&](OsThread *&t) {
+                                         a.ref(t, tids, "join waiter");
+                                     });
+                  });
 
-    std::uint64_t nWakes = d.u64();
-    for (std::uint64_t i = 0; i < nWakes; ++i) {
-        OsThread *t = threadByTid(static_cast<Tid>(d.u64()));
-        if (!t)
-            throw snap::SnapError("kernel: sleep wakeup names an unknown "
-                                  "tid");
-        snap::getPending(d, eq_, sleepWakes_, kSleepWakePrio,
-                         "kernel sleep wakeup", t);
-    }
+    snap::archivePending(a, eq_, sleepWakes_, kSleepWakePrio, 8,
+                         "kernel sleep wakeup", [&](OsThread *&t) {
+                             a.ref(t, tids, "sleep wakeup");
+                         });
 }
+
+MISP_SNAP_ARCHIVE(Kernel);
 
 void
 Kernel::sleepWake(OsThread *const &t)

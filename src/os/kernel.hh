@@ -29,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "os/process.hh"
@@ -90,7 +91,7 @@ class KernelClient
 };
 
 /** The OS model. */
-class Kernel : public snap::Saveable
+class Kernel
 {
   public:
     /** Queue priority of a Sys::Sleep wakeup (a restored image must
@@ -160,8 +161,33 @@ class Kernel : public snap::Saveable
     /** Snapshot processes (including their address spaces and page
      *  tables), threads, the scheduler queues, futex/join wait queues,
      *  the device-IRQ RNG and the pending sleep wakeups. */
-    void snapSave(snap::Serializer &s) const override;
-    void snapRestore(snap::Deserializer &d) override;
+    template <class Ar>
+    void archive(Ar &a);
+
+    /** How a thread / process pointer travels in an image: as its tid
+     *  / pid (0 = none). */
+    auto
+    threadIds() const
+    {
+        return snap::Lookup{
+            "tid", "thread",
+            [](const OsThread &t) { return std::uint64_t{t.tid()}; },
+            [this](std::uint64_t tid) {
+                return std::in_range<Tid>(tid) ? threadByTid(Tid(tid))
+                                               : nullptr;
+            }};
+    }
+    auto
+    processIds() const
+    {
+        return snap::Lookup{
+            "pid", "process",
+            [](const Process &p) { return std::uint64_t{p.pid()}; },
+            [this](std::uint64_t pid) {
+                return std::in_range<Pid>(pid) ? processByPid(Pid(pid))
+                                               : nullptr;
+            }};
+    }
 
   private:
     struct FutexKey {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "snapshot/serialize.hh"
+
 namespace misp::rt {
 
 using cpu::Sequencer;
@@ -371,91 +373,74 @@ OsApiRuntime::rtcall(MispProcessor &proc, Sequencer &seq, Word service)
 // Snapshot
 // ---------------------------------------------------------------------
 
+template <class Ar>
 void
-OsApiRuntime::snapSave(snap::Serializer &s) const
+OsApiRuntime::archive(Ar &a, arch::MispSystem &sys)
 {
-    std::vector<const Group *> ordered;
-    ordered.reserve(groups_.size());
-    // misplint: allow(det-unordered-iter) — sorted by pid below
-    for (const auto &[process, group] : groups_) {
-        (void)process;
-        ordered.push_back(group.get());
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Group *a, const Group *b) {
-                  return a->process->pid() < b->process->pid();
-              });
+    // Least image bytes of a group: its process and main thread, then
+    // four empty tables.
+    constexpr std::uint64_t kGroupBytes = 2 * 8 + 4 * 8;
+    const auto pids = sys.kernel().processIds();
+    const auto tids = sys.kernel().threadIds();
 
-    s.u64(ordered.size());
-    for (const Group *g : ordered) {
-        s.u64(g->process->pid());
-        s.u64(g->main->tid());
-        s.u64(g->waiters.size());
-        for (const auto &[addr, count] : g->waiters) {
-            s.u64(addr);
-            s.i64(count);
+    // Groups in pid order.
+    std::vector<Group *> ordered;
+    if constexpr (!Ar::kLoading) {
+        // misplint: allow(det-unordered-iter) — sorted by pid below
+        for (auto &[process, group] : groups_) {
+            (void)process;
+            ordered.push_back(group.get());
         }
-        s.u64(g->barrierArrived.size());
-        for (const auto &[addr, arrived] : g->barrierArrived) {
-            s.u64(addr);
-            s.u32(arrived);
-        }
-        s.u64(g->mutexWaiting.size());
-        for (const auto &[tid, addr] : g->mutexWaiting) {
-            s.u64(tid);
-            s.u64(addr);
-        }
-        s.u64(g->condWaiting.size());
-        for (const auto &[tid, st] : g->condWaiting) {
-            s.u64(tid);
-            s.u8(static_cast<std::uint8_t>(st.phase));
-            s.u64(st.genAtWait);
+        std::sort(ordered.begin(), ordered.end(),
+                  [](const Group *x, const Group *y) {
+                      return x->process->pid() < y->process->pid();
+                  });
+    } else {
+        MISP_ASSERT(groups_.empty());
+    }
+    std::uint64_t n = ordered.size();
+    a.count(n, kGroupBytes, "osrt group");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::unique_ptr<Group> fresh;
+        if constexpr (Ar::kLoading)
+            fresh = std::make_unique<Group>();
+        Group &g = Ar::kLoading ? *fresh : *ordered[i];
+        a.ref(g.process, pids, "osrt group");
+        a.ref(g.main, tids, "osrt group main");
+        snap::entries(a, g.waiters, 8 + 8, "futex waiter count",
+                      [&](VAddr &addr, int &count) {
+                          a.u64(addr);
+                          a.i64(count);
+                      });
+        snap::entries(a, g.barrierArrived, 8 + 4, "barrier arrival count",
+                      [&](VAddr &addr, unsigned &arrived) {
+                          a.u64(addr);
+                          a.u32(arrived);
+                      });
+        snap::entries(a, g.mutexWaiting, 8 + 8, "mutex wait",
+                      [&](Tid &tid, VAddr &addr) {
+                          a.u64(tid);
+                          a.u64(addr);
+                      });
+        snap::entries(a, g.condWaiting, 8 + 1 + 8, "condition wait",
+                      [&](Tid &tid, CondState &st) {
+                          a.u64(tid);
+                          a.enumByte(st.phase,
+                                     static_cast<std::size_t>(
+                                         CondPhase::Relock) + 1,
+                                     "condition-wait phase");
+                          a.u64(st.genAtWait);
+                      });
+        if constexpr (Ar::kLoading) {
+            os::Process *p = g.process;
+            if (!groups_.emplace(p, std::move(fresh)).second)
+                throw snap::SnapError("image: two osrt groups for pid " +
+                                      std::to_string(p->pid()));
         }
     }
 }
 
-void
-OsApiRuntime::snapRestore(snap::Deserializer &d, arch::MispSystem &sys)
-{
-    MISP_ASSERT(groups_.empty());
-    std::uint64_t nGroups = d.u64();
-    for (std::uint64_t i = 0; i < nGroups; ++i) {
-        auto group = std::make_unique<Group>();
-        group->process = sys.kernel().processByPid(static_cast<Pid>(d.u64()));
-        if (!group->process)
-            throw snap::SnapError("osrt: group names an unknown pid");
-        group->main = sys.kernel().threadByTid(static_cast<Tid>(d.u64()));
-        if (!group->main)
-            throw snap::SnapError("osrt: group names an unknown tid");
-
-        std::uint64_t nWaiters = d.u64();
-        for (std::uint64_t k = 0; k < nWaiters; ++k) {
-            VAddr addr = d.u64();
-            group->waiters[addr] = static_cast<int>(d.i64());
-        }
-        std::uint64_t nBar = d.u64();
-        for (std::uint64_t k = 0; k < nBar; ++k) {
-            VAddr addr = d.u64();
-            group->barrierArrived[addr] = d.u32();
-        }
-        std::uint64_t nMutex = d.u64();
-        for (std::uint64_t k = 0; k < nMutex; ++k) {
-            Tid tid = static_cast<Tid>(d.u64());
-            group->mutexWaiting[tid] = d.u64();
-        }
-        std::uint64_t nCond = d.u64();
-        for (std::uint64_t k = 0; k < nCond; ++k) {
-            Tid tid = static_cast<Tid>(d.u64());
-            CondState st;
-            st.phase = static_cast<CondPhase>(d.u8());
-            st.genAtWait = d.u64();
-            group->condWaiting.emplace(tid, st);
-        }
-
-        os::Process *p = group->process;
-        groups_.emplace(p, std::move(group));
-    }
-}
+MISP_SNAP_ARCHIVE(OsApiRuntime, arch::MispSystem &);
 
 void
 OsApiRuntime::onThreadLoaded(MispProcessor &proc, os::OsThread &t)

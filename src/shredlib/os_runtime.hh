@@ -31,7 +31,6 @@
 #include "shredlib/rt_abi.hh"
 #include "shredlib/stub_library.hh"
 #include "sim/stats.hh"
-#include "snapshot/serialize.hh"
 
 namespace misp::rt {
 
@@ -54,8 +53,8 @@ class OsApiRuntime : public arch::RtHandler
     /** Snapshot the per-process groups: futex-waiter mirrors, barrier
      *  arrival counts, and the mutex/cond blocking phase machines
      *  (keyed by pid in the image, emitted in pid order). */
-    void snapSave(snap::Serializer &s) const;
-    void snapRestore(snap::Deserializer &d, arch::MispSystem &sys);
+    template <class Ar>
+    void archive(Ar &a, arch::MispSystem &sys);
 
   private:
     /** Condition-wait phase machine state (per thread). */

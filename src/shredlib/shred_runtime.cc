@@ -572,204 +572,160 @@ ShredRuntime::rtcall(MispProcessor &proc, Sequencer &seq, Word service)
 // Snapshot
 // ---------------------------------------------------------------------
 
-namespace {
-
-template <typename Seq>
+template <class Ar>
 void
-putIds(snap::Serializer &s, const Seq &ids)
+ShredRuntime::archiveGang(Ar &a, Gang &g)
 {
-    s.u64(ids.size());
-    for (ShredId id : ids)
-        s.u64(id);
-}
+    constexpr std::uint64_t kShredBytes = 4 * 8 + 1 + snap::kContextBytes;
+    auto ids = [&](auto &seq, const char *field) {
+        snap::sequence(a, seq, 8, field, [&](ShredId &id) { a.u64(id); });
+    };
 
-template <typename Seq>
-void
-getIds(snap::Deserializer &d, Seq *ids)
-{
-    ids->resize(d.u64());
-    for (ShredId &id : *ids)
-        id = static_cast<ShredId>(d.u64());
-}
-
-} // namespace
-
-void
-ShredRuntime::snapSave(snap::Serializer &s) const
-{
-    std::vector<const Gang *> ordered;
-    ordered.reserve(gangs_.size());
-    // misplint: allow(det-unordered-iter) — sorted by tid below
-    for (const auto &[thread, gang] : gangs_) {
-        (void)thread;
-        ordered.push_back(gang.get());
+    // Shreds in id order, so identical states produce identical bytes.
+    std::vector<Shred *> byId;
+    if constexpr (!Ar::kLoading) {
+        for (auto &[id, sh] : g.shreds) // unordered: sorted below
+            byId.push_back(&sh);
+        std::sort(byId.begin(), byId.end(),
+                  [](const Shred *x, const Shred *y) { return x->id < y->id; });
     }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Gang *a, const Gang *b) {
-                  return a->thread->tid() < b->thread->tid();
-              });
-
-    s.u64(ordered.size());
-    for (const Gang *g : ordered) {
-        s.u64(g->thread->tid());
-        s.i64(g->proc ? g->proc->cpuId() : -1);
-
-        std::vector<ShredId> shredIds;
-        shredIds.reserve(g->shreds.size());
-        for (const auto &[id, sh] : g->shreds) {
-            (void)sh;
-            shredIds.push_back(id);
-        }
-        std::sort(shredIds.begin(), shredIds.end());
-        s.u64(shredIds.size());
-        for (ShredId id : shredIds) {
-            const Shred &sh = g->shreds.at(id);
-            s.u64(sh.id);
-            s.u64(sh.fn);
-            s.u64(sh.arg);
-            s.u64(sh.stackTop);
-            s.u8(static_cast<std::uint8_t>(sh.state));
-            snap::putContext(s, sh.ctx);
-        }
-
-        putIds(s, g->ready);
-        s.u64(g->nextId);
-        s.u32(g->outstanding);
-        s.b(g->mainWaiting);
-
-        std::vector<std::pair<SequencerId, ShredId>> running(
-            // misplint: allow(det-unordered-iter) — sorted below
-            g->runningOn.begin(), g->runningOn.end());
-        std::sort(running.begin(), running.end());
-        s.u64(running.size());
-        for (const auto &[sid, id] : running) {
-            s.u64(sid);
-            s.u64(id);
-        }
-
-        s.u64(g->wakesInFlight.size());
-        for (SequencerId sid : g->wakesInFlight) // std::set: sorted
-            s.u64(sid);
-
-        s.u64(g->mutexes.size());
-        for (const auto &[addr, m] : g->mutexes) {
-            s.u64(addr);
-            s.b(m.locked);
-            s.u64(m.owner);
-            putIds(s, m.waiters);
-        }
-        s.u64(g->barriers.size());
-        for (const auto &[addr, bar] : g->barriers) {
-            s.u64(addr);
-            s.u32(bar.arrived);
-            putIds(s, bar.waiting);
-        }
-        s.u64(g->sems.size());
-        for (const auto &[addr, sem] : g->sems) {
-            s.u64(addr);
-            s.i64(sem.value);
-            s.b(sem.initialized);
-            putIds(s, sem.waiters);
-        }
-        s.u64(g->conds.size());
-        for (const auto &[addr, cond] : g->conds) {
-            s.u64(addr);
-            putIds(s, cond.waiters);
-        }
-        s.u64(g->events.size());
-        for (const auto &[addr, ev] : g->events) {
-            s.u64(addr);
-            s.b(ev.set);
-            s.b(ev.initialized);
-            putIds(s, ev.waiters);
+    std::uint64_t n = byId.size();
+    a.count(n, kShredBytes, "shred");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Shred loaded;
+        Shred &sh = Ar::kLoading ? loaded : *byId[i];
+        a.u64(sh.id);
+        a.u64(sh.fn);
+        a.u64(sh.arg);
+        a.u64(sh.stackTop);
+        a.enumByte(sh.state, static_cast<std::size_t>(ShredState::Done) + 1,
+                   "shred state");
+        snap::archive(a, sh.ctx);
+        if constexpr (Ar::kLoading) {
+            if (!g.shreds.emplace(sh.id, sh).second)
+                throw snap::SnapError("image: gang holds shred " +
+                                      std::to_string(sh.id) + " twice");
         }
     }
+
+    ids(g.ready, "ready shred");
+    a.u64(g.nextId);
+    a.u32(g.outstanding);
+    a.b(g.mainWaiting);
+
+    std::vector<std::pair<SequencerId, ShredId>> running(
+        // misplint: allow(det-unordered-iter) — sorted below
+        g.runningOn.begin(), g.runningOn.end());
+    std::sort(running.begin(), running.end());
+    snap::sequence(a, running, 16, "shred binding", [&](auto &bound) {
+        a.u64(bound.first);
+        a.u64(bound.second);
+    });
+    std::vector<SequencerId> wakes(g.wakesInFlight.begin(),
+                                   g.wakesInFlight.end());
+    snap::sequence(a, wakes, 8, "wake in flight",
+                   [&](SequencerId &sid) { a.u64(sid); });
+    if constexpr (Ar::kLoading) {
+        for (const auto &bound : running) {
+            if (!g.runningOn.insert(bound).second)
+                throw snap::SnapError("image: gang binds sequencer " +
+                                      std::to_string(bound.first) +
+                                      " twice");
+        }
+        g.wakesInFlight.insert(wakes.begin(), wakes.end());
+    }
+
+    snap::entries(a, g.mutexes, 8 + 1 + 8 + 8, "shred mutex",
+                  [&](VAddr &addr, MutexObj &m) {
+                      a.u64(addr);
+                      a.b(m.locked);
+                      a.u64(m.owner);
+                      ids(m.waiters, "mutex waiter");
+                  });
+    snap::entries(a, g.barriers, 8 + 4 + 8, "shred barrier",
+                  [&](VAddr &addr, BarrierObj &bar) {
+                      a.u64(addr);
+                      a.u32(bar.arrived);
+                      ids(bar.waiting, "barrier waiter");
+                  });
+    snap::entries(a, g.sems, 8 + 8 + 1 + 8, "shred semaphore",
+                  [&](VAddr &addr, SemObj &sem) {
+                      a.u64(addr);
+                      a.i64(sem.value);
+                      a.b(sem.initialized);
+                      ids(sem.waiters, "semaphore waiter");
+                  });
+    snap::entries(a, g.conds, 8 + 8, "shred condition",
+                  [&](VAddr &addr, CondObj &cond) {
+                      a.u64(addr);
+                      ids(cond.waiters, "condition waiter");
+                  });
+    snap::entries(a, g.events, 8 + 1 + 1 + 8, "shred event",
+                  [&](VAddr &addr, EventObj &ev) {
+                      a.u64(addr);
+                      a.b(ev.set);
+                      a.b(ev.initialized);
+                      ids(ev.waiters, "event waiter");
+                  });
 }
 
+template <class Ar>
 void
-ShredRuntime::snapRestore(snap::Deserializer &d, arch::MispSystem &sys)
+ShredRuntime::archive(Ar &a, arch::MispSystem &sys)
 {
-    MISP_ASSERT(gangs_.empty());
-    std::uint64_t nGangs = d.u64();
-    for (std::uint64_t i = 0; i < nGangs; ++i) {
-        auto gang = std::make_unique<Gang>();
-        Tid tid = static_cast<Tid>(d.u64());
-        gang->thread = sys.kernel().threadByTid(tid);
-        if (!gang->thread)
-            throw snap::SnapError("shredlib: gang names an unknown tid");
-        int cpu = static_cast<int>(d.i64());
-        gang->proc = cpu >= 0 ? sys.processorForCpu(cpu) : nullptr;
+    // Least image bytes of a gang: its thread and processor, then an
+    // empty record of every table archiveGang writes.
+    constexpr std::uint64_t kGangBytes = 7 * 8 + 4 + 1 + 5 * 8;
+    const auto tids = sys.kernel().threadIds();
+    const snap::Lookup cpus{
+        "cpu", "processor",
+        [](const arch::MispProcessor &p) {
+            return static_cast<std::uint64_t>(
+                static_cast<std::int64_t>(p.cpuId()));
+        },
+        [&sys](std::uint64_t cpu) -> arch::MispProcessor * {
+            return std::in_range<int>(cpu)
+                       ? sys.processorForCpu(static_cast<int>(cpu))
+                       : nullptr;
+        },
+        ~std::uint64_t{0}}; // a gang not loaded on a processor
 
-        std::uint64_t nShreds = d.u64();
-        for (std::uint64_t k = 0; k < nShreds; ++k) {
-            Shred sh;
-            sh.id = static_cast<ShredId>(d.u64());
-            sh.fn = d.u64();
-            sh.arg = d.u64();
-            sh.stackTop = d.u64();
-            sh.state = static_cast<ShredState>(d.u8());
-            sh.ctx = snap::getContext(d);
-            ShredId id = sh.id;
-            gang->shreds.emplace(id, sh);
+    // Gangs in tid order.
+    std::vector<Gang *> ordered;
+    if constexpr (!Ar::kLoading) {
+        // misplint: allow(det-unordered-iter) — sorted by tid below
+        for (auto &[thread, gang] : gangs_) {
+            (void)thread;
+            ordered.push_back(gang.get());
         }
-
-        getIds(d, &gang->ready);
-        gang->nextId = static_cast<ShredId>(d.u64());
-        gang->outstanding = d.u32();
-        gang->mainWaiting = d.b();
-
-        std::uint64_t nRunning = d.u64();
-        for (std::uint64_t k = 0; k < nRunning; ++k) {
-            SequencerId sid = static_cast<SequencerId>(d.u64());
-            gang->runningOn[sid] = static_cast<ShredId>(d.u64());
+        std::sort(ordered.begin(), ordered.end(),
+                  [](const Gang *x, const Gang *y) {
+                      return x->thread->tid() < y->thread->tid();
+                  });
+    } else {
+        MISP_ASSERT(gangs_.empty());
+    }
+    std::uint64_t n = ordered.size();
+    a.count(n, kGangBytes, "shred gang");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::unique_ptr<Gang> fresh;
+        if constexpr (Ar::kLoading)
+            fresh = std::make_unique<Gang>();
+        Gang &g = Ar::kLoading ? *fresh : *ordered[i];
+        a.ref(g.thread, tids, "shred gang");
+        a.optRef(g.proc, cpus, "shred gang");
+        archiveGang(a, g);
+        if constexpr (Ar::kLoading) {
+            os::OsThread *t = g.thread;
+            if (!gangs_.emplace(t, std::move(fresh)).second)
+                throw snap::SnapError("image: two shred gangs for thread "
+                                      "tid " + std::to_string(t->tid()));
+            t->setRuntimeData(&g);
         }
-
-        std::uint64_t nWakes = d.u64();
-        for (std::uint64_t k = 0; k < nWakes; ++k)
-            gang->wakesInFlight.insert(static_cast<SequencerId>(d.u64()));
-
-        std::uint64_t nMutex = d.u64();
-        for (std::uint64_t k = 0; k < nMutex; ++k) {
-            VAddr addr = d.u64();
-            MutexObj &m = gang->mutexes[addr];
-            m.locked = d.b();
-            m.owner = static_cast<ShredId>(d.u64());
-            getIds(d, &m.waiters);
-        }
-        std::uint64_t nBar = d.u64();
-        for (std::uint64_t k = 0; k < nBar; ++k) {
-            VAddr addr = d.u64();
-            BarrierObj &bar = gang->barriers[addr];
-            bar.arrived = d.u32();
-            getIds(d, &bar.waiting);
-        }
-        std::uint64_t nSem = d.u64();
-        for (std::uint64_t k = 0; k < nSem; ++k) {
-            VAddr addr = d.u64();
-            SemObj &sem = gang->sems[addr];
-            sem.value = static_cast<SWord>(d.i64());
-            sem.initialized = d.b();
-            getIds(d, &sem.waiters);
-        }
-        std::uint64_t nCond = d.u64();
-        for (std::uint64_t k = 0; k < nCond; ++k) {
-            VAddr addr = d.u64();
-            getIds(d, &gang->conds[addr].waiters);
-        }
-        std::uint64_t nEv = d.u64();
-        for (std::uint64_t k = 0; k < nEv; ++k) {
-            VAddr addr = d.u64();
-            EventObj &ev = gang->events[addr];
-            ev.set = d.b();
-            ev.initialized = d.b();
-            getIds(d, &ev.waiters);
-        }
-
-        os::OsThread *t = gang->thread;
-        t->setRuntimeData(gang.get());
-        gangs_.emplace(t, std::move(gang));
     }
 }
+
+MISP_SNAP_ARCHIVE(ShredRuntime, arch::MispSystem &);
 
 void
 ShredRuntime::onThreadLoaded(MispProcessor &proc, os::OsThread &t)

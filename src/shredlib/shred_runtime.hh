@@ -36,7 +36,6 @@
 #include "shredlib/rt_abi.hh"
 #include "shredlib/stub_library.hh"
 #include "sim/stats.hh"
-#include "snapshot/serialize.hh"
 
 namespace misp::rt {
 
@@ -78,11 +77,11 @@ class ShredRuntime : public arch::RtHandler
      *  work queue, sequencer->shred bindings, in-flight wakes, and the
      *  synchronization-object tables. Gangs are keyed by OS-thread tid
      *  in the image (and emitted in tid order, so identical states
-     *  produce identical bytes). */
-    void snapSave(snap::Serializer &s) const;
-    /** Rebuild the gangs onto the restored kernel threads of @p sys
-     *  (re-establishing OsThread::runtimeData). */
-    void snapRestore(snap::Deserializer &d, arch::MispSystem &sys);
+     *  produce identical bytes). Load rebuilds the gangs onto the
+     *  restored kernel threads of @p sys (re-establishing
+     *  OsThread::runtimeData). */
+    template <class Ar>
+    void archive(Ar &a, arch::MispSystem &sys);
 
     // ---- observability ----------------------------------------------------
     std::uint64_t shredSwitches() const
@@ -148,6 +147,11 @@ class ShredRuntime : public arch::RtHandler
         std::map<VAddr, CondObj> conds;
         std::map<VAddr, EventObj> events;
     };
+
+    /** One gang's shreds, queues, bindings and sync objects (its
+     *  thread and processor travel with the gang list). */
+    template <class Ar>
+    static void archiveGang(Ar &a, Gang &g);
 
     Gang &gangOf(arch::MispProcessor &proc, cpu::Sequencer &seq);
     ShredId shredIdOn(Gang &g, cpu::Sequencer &seq) const;

@@ -68,8 +68,9 @@ class StatBase
      *  Distribution's M2 accumulator). Derived stats return {}. */
     virtual std::vector<double> snapValues() const = 0;
 
-    /** Restore state captured by snapValues() onto a same-shape stat. */
-    virtual void snapRestoreValues(const std::vector<double> &v) = 0;
+    /** Restore state captured by snapValues() onto a same-shape stat
+     *  (as many values as its own snapValues() holds). */
+    virtual void setSnapValues(const std::vector<double> &v) = 0;
 
   private:
     std::string name_;
@@ -99,7 +100,7 @@ class Scalar : public StatBase
     std::vector<double> snapValues() const override { return {value_}; }
 
     void
-    snapRestoreValues(const std::vector<double> &v) override
+    setSnapValues(const std::vector<double> &v) override
     {
         MISP_ASSERT(v.size() == 1);
         value_ = v[0];
@@ -123,13 +124,10 @@ class HostScalar : public Scalar
 
     std::vector<double> snapValues() const override { return {}; }
 
+    /** Host counters restart at zero on restore. */
     void
-    snapRestoreValues(const std::vector<double> &v) override
+    setSnapValues(const std::vector<double> &) override
     {
-        // Host counters restart at zero on restore; tolerate (and
-        // discard) a value from an image written before this stat
-        // became host-only.
-        (void)v;
         reset();
     }
 };
@@ -189,7 +187,7 @@ class Vector : public StatBase
     std::vector<double> snapValues() const override { return values_; }
 
     void
-    snapRestoreValues(const std::vector<double> &v) override
+    setSnapValues(const std::vector<double> &v) override
     {
         MISP_ASSERT(v.size() == values_.size());
         values_ = v;
@@ -255,7 +253,7 @@ class Distribution : public StatBase
     }
 
     void
-    snapRestoreValues(const std::vector<double> &v) override
+    setSnapValues(const std::vector<double> &v) override
     {
         MISP_ASSERT(v.size() == 6);
         n_ = static_cast<std::uint64_t>(v[0]);
@@ -297,7 +295,7 @@ class Formula : public StatBase
 
     // Derived at read time: nothing to archive.
     std::vector<double> snapValues() const override { return {}; }
-    void snapRestoreValues(const std::vector<double> &) override {}
+    void setSnapValues(const std::vector<double> &) override {}
 
   private:
     std::function<double()> fn_;

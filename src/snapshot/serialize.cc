@@ -49,20 +49,6 @@ crc32(const void *data, std::size_t len)
 // ---------------------------------------------------------------------
 
 void
-Serializer::u32(std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-Serializer::u64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
 Serializer::f64(double v)
 {
     std::uint64_t bits = 0;
@@ -203,29 +189,14 @@ Deserializer::need(std::uint64_t n) const
         throw SnapError("snapshot read past end of section");
 }
 
-std::uint8_t
-Deserializer::u8()
+bool
+Deserializer::b()
 {
-    need(1);
-    return static_cast<std::uint8_t>(image_[pos_++]);
-}
-
-std::uint32_t
-Deserializer::u32()
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{u8()} << (8 * i);
-    return v;
-}
-
-std::uint64_t
-Deserializer::u64()
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{u8()} << (8 * i);
-    return v;
+    const std::uint8_t v = u8();
+    if (v > 1)
+        throw SnapError("image: bool byte " + std::to_string(v) +
+                        " is neither 0 nor 1");
+    return v != 0;
 }
 
 double
@@ -254,6 +225,37 @@ Deserializer::bytes(void *dst, std::uint64_t len)
     need(len);
     std::memcpy(dst, image_.data() + pos_, static_cast<std::size_t>(len));
     pos_ += len;
+}
+
+void
+Deserializer::count(std::uint64_t &n, std::uint64_t minBytesEach,
+                    const char *field)
+{
+    n = u64();
+    if (n > remaining() / std::max<std::uint64_t>(minBytesEach, 1))
+        throw SnapError(std::string("image: ") + field + " count " +
+                        std::to_string(n) + " exceeds the " +
+                        std::to_string(remaining()) +
+                        " bytes left in its section");
+}
+
+void
+Deserializer::match(std::uint64_t expect, const char *field)
+{
+    const std::uint64_t v = u64();
+    if (v != expect)
+        throw SnapError(std::string("image: ") + field + " is " +
+                        std::to_string(v) + ", the machine has " +
+                        std::to_string(expect));
+}
+
+void
+Deserializer::match(const std::string &expect, const char *field)
+{
+    const std::string v = str();
+    if (v != expect)
+        throw SnapError(std::string("image: ") + field + " is '" + v +
+                        "', the machine has '" + expect + "'");
 }
 
 } // namespace misp::snap

@@ -1,10 +1,11 @@
 /**
  * @file
- * Shared value-type codecs for machine-state snapshots: the small
- * structs (sequencer contexts, faults, signal payloads) that several
- * layers archive — the sequencer itself, the proxy queue, the kernel's
- * thread save areas, the runtimes' shred descriptors. One codec per
- * type keeps their layouts from drifting apart across sections.
+ * Shared value-type archive bodies for machine-state snapshots: the
+ * small structs (sequencer contexts, faults, signal payloads) that
+ * several layers archive — the sequencer itself, the proxy queue, the
+ * kernel's thread save areas, the runtimes' shred descriptors — and
+ * the two shapes a pending event takes in an image. One body per type
+ * keeps their layouts from drifting apart across sections.
  */
 
 #ifndef MISP_SNAPSHOT_STATE_IO_HH
@@ -19,21 +20,21 @@
 
 namespace misp::snap {
 
-/** Archive one pending member event's (scheduled, when, seq). */
-inline void
-putEventSchedule(Serializer &s, const Event *ev)
-{
-    s.b(ev->scheduled());
-    if (ev->scheduled()) {
-        s.u64(ev->when());
-        s.u64(ev->seq());
-        s.archiveEvent(ev);
-    }
-}
+/** Image bytes of one archived context, payload and fault (the lower
+ *  bounds count() checks element counts against). */
+constexpr std::uint64_t kContextBytes =
+    8 * (isa::kNumRegs + 1 + static_cast<std::size_t>(
+                                 isa::Scenario::NumScenarios) +
+         1 + 4) +
+    4 + 1;
+constexpr std::uint64_t kPayloadBytes = 3 * 8;
+constexpr std::uint64_t kFaultBytes = 1 + 8 + 1 + 8;
+/** A pooled occurrence's (when, seq, priority). */
+constexpr std::uint64_t kPendingBytes = 3 * 8;
 
-/** Validate an archived (when, seq) of @p what against the restored
- *  clock — a hostile image must become a SnapError naming the field,
- *  not a queue panic. */
+/** Refuse an archived (when, seq) of @p what that is not past the
+ *  restored clock — a hostile image must become a SnapError naming
+ *  the field, not a queue panic. */
 inline void
 checkEventSchedule(const EventQueue &eq, Tick when, std::uint64_t seq,
                    const std::string &what)
@@ -46,125 +47,116 @@ checkEventSchedule(const EventQueue &eq, Tick when, std::uint64_t seq,
                         std::to_string(eq.nextSeq()) + ")");
 }
 
-/** Re-enqueue one pending member event archived by putEventSchedule. */
-inline void
-getEventSchedule(Deserializer &d, EventQueue &eq, Event *ev)
+/** One member event's (scheduled, when, seq); load re-enqueues it. */
+template <class Ar>
+void
+archiveSchedule(Ar &a, EventQueue &eq, Event &ev)
 {
-    if (d.b()) {
-        Tick when = d.u64();
-        std::uint64_t seq = d.u64();
-        checkEventSchedule(eq, when, seq, "event '" + ev->name() + "'");
-        eq.restoreSchedule(ev, when, seq);
+    bool scheduled = ev.scheduled();
+    a.b(scheduled);
+    if (!scheduled)
+        return;
+    Tick when = ev.when();
+    std::uint64_t seq = ev.seq();
+    a.u64(when);
+    a.u64(seq);
+    if constexpr (Ar::kLoading) {
+        checkEventSchedule(eq, when, seq, "event '" + ev.name() + "'");
+        eq.restoreSchedule(&ev, when, seq);
+    } else {
+        a.archiveEvent(&ev);
     }
 }
 
-/** Archive a pending pooled occurrence's (when, seq, priority). */
-inline void
-putPending(Serializer &s, const Event *ev)
-{
-    s.u64(ev->when());
-    s.u64(ev->seq());
-    s.i64(ev->priority());
-    s.archiveEvent(ev);
-}
-
-/** Read a putPending record of an occurrence of @p what and re-create
- *  it, carrying @p data, in @p pool. Pooled occurrences are only ever
- *  scheduled at @p priority: any other would silently reorder same-tick
- *  events. */
-template <class Pool, class Data>
+/**
+ * The pending occurrences of @p pool: a count, then per occurrence its
+ * data (through @p data, at least @p minDataBytes) and its (when, seq,
+ * priority). Load re-creates each in @p pool. Pooled occurrences are
+ * only ever scheduled at @p priority: any other would silently reorder
+ * same-tick events.
+ */
+template <class Ar, class Pool, class DataFn>
 void
-getPending(Deserializer &d, const EventQueue &eq, Pool &pool, int priority,
-           const std::string &what, const Data &data)
+archivePending(Ar &a, const EventQueue &eq, Pool &pool, int priority,
+               std::uint64_t minDataBytes, const std::string &what,
+               DataFn &&data)
 {
-    const Tick when = d.u64();
-    const std::uint64_t seq = d.u64();
-    const std::int64_t prio = d.i64();
-    if (prio != priority)
-        throw SnapError("image: " + what + " has priority " +
-                        std::to_string(prio) + ", not " +
-                        std::to_string(priority));
-    checkEventSchedule(eq, when, seq, what);
-    pool.restore(when, seq, data);
+    using Occurrence = typename Pool::Occurrence;
+    std::vector<const Occurrence *> pending;
+    if constexpr (!Ar::kLoading)
+        pending = pool.pending();
+    std::uint64_t n = pending.size();
+    a.count(n, minDataBytes + kPendingBytes, what.c_str());
+    for (std::uint64_t i = 0; i < n; ++i) {
+        decltype(Occurrence::data) d{};
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        std::int64_t prio = priority;
+        if constexpr (!Ar::kLoading) {
+            d = pending[i]->data;
+            when = pending[i]->when();
+            seq = pending[i]->seq();
+            prio = pending[i]->priority();
+            a.archiveEvent(pending[i]);
+        }
+        data(d);
+        a.u64(when);
+        a.u64(seq);
+        a.i64(prio);
+        if constexpr (Ar::kLoading) {
+            if (prio != priority)
+                throw SnapError("image: " + what + " has priority " +
+                                std::to_string(prio) + ", not " +
+                                std::to_string(priority));
+            checkEventSchedule(eq, when, seq, what);
+            pool.restore(when, seq, d);
+        }
+    }
 }
 
-inline void
-putContext(Serializer &s, const cpu::SequencerContext &ctx)
+template <class Ar>
+void
+archive(Ar &a, cpu::SequencerContext &ctx)
 {
-    for (Word r : ctx.regs)
-        s.u64(r);
-    s.u64(ctx.eip);
-    s.b(ctx.flags.zf());
-    s.b(ctx.flags.sf());
-    s.b(ctx.flags.cf());
-    s.b(ctx.flags.of());
-    for (VAddr t : ctx.triggers)
-        s.u64(t);
-    s.u64(ctx.savedEip);
-    s.b(ctx.inHandler);
-    for (Word r : ctx.bankedRegs)
-        s.u64(r);
-}
-
-inline cpu::SequencerContext
-getContext(Deserializer &d)
-{
-    cpu::SequencerContext ctx;
     for (Word &r : ctx.regs)
-        r = d.u64();
-    ctx.eip = d.u64();
-    const bool zf = d.b();
-    const bool sf = d.b();
-    const bool cf = d.b();
-    ctx.flags = isa::Flags::make(zf, sf, cf, d.b());
+        a.u64(r);
+    a.u64(ctx.eip);
+    // FLAGS is one packed nibble in memory but one byte per flag here.
+    bool zf = ctx.flags.zf(), sf = ctx.flags.sf(), cf = ctx.flags.cf(),
+         of = ctx.flags.of();
+    a.b(zf);
+    a.b(sf);
+    a.b(cf);
+    a.b(of);
+    if constexpr (Ar::kLoading)
+        ctx.flags = isa::Flags::make(zf, sf, cf, of);
     for (VAddr &t : ctx.triggers)
-        t = d.u64();
-    ctx.savedEip = d.u64();
-    ctx.inHandler = d.b();
+        a.u64(t);
+    a.u64(ctx.savedEip);
+    a.b(ctx.inHandler);
     for (Word &r : ctx.bankedRegs)
-        r = d.u64();
-    return ctx;
+        a.u64(r);
 }
 
-inline void
-putFault(Serializer &s, const mem::Fault &fault)
+template <class Ar>
+void
+archive(Ar &a, mem::Fault &fault)
 {
-    s.u8(static_cast<std::uint8_t>(fault.kind));
-    s.u64(fault.addr);
-    s.b(fault.write);
-    s.u64(fault.code);
+    a.enumByte(fault.kind,
+               static_cast<std::size_t>(mem::FaultKind::Breakpoint) + 1,
+               "fault kind");
+    a.u64(fault.addr);
+    a.b(fault.write);
+    a.u64(fault.code);
 }
 
-inline mem::Fault
-getFault(Deserializer &d)
+template <class Ar>
+void
+archive(Ar &a, cpu::SignalPayload &p)
 {
-    mem::Fault fault;
-    const std::uint8_t kind = d.u8();
-    if (kind > static_cast<std::uint8_t>(mem::FaultKind::Breakpoint))
-        throw SnapError("fault: bad kind byte");
-    fault.kind = static_cast<mem::FaultKind>(kind);
-    fault.addr = d.u64();
-    fault.write = d.b();
-    fault.code = d.u64();
-    return fault;
-}
-
-inline void
-putPayload(Serializer &s, const cpu::SignalPayload &p)
-{
-    s.u64(p.eip);
-    s.u64(p.esp);
-    s.u64(p.arg);
-}
-
-inline cpu::SignalPayload
-getPayload(Deserializer &d)
-{
-    cpu::SignalPayload p;
-    p.eip = d.u64();
-    p.esp = d.u64();
-    p.arg = d.u64();
-    return p;
+    a.u64(p.eip);
+    a.u64(p.esp);
+    a.u64(p.arg);
 }
 
 } // namespace misp::snap

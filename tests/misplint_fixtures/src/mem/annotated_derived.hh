@@ -1,9 +1,10 @@
-// Fixture: a fully annotated Saveable-shaped class — must be clean.
+// Fixture: a fully annotated archive-shaped class — must be clean.
 // Exercises every annotation placement the grammar allows: trailing
-// doc comment, and an inner line of a multi-line block comment.
+// doc comment, and an inner line of a multi-line block comment; and an
+// archive body defined out of class.
 struct Cache {
-    void snapSave(Ser &s) const { s.put(mode_); }
-    void snapRestore(Des &d) { d.get(mode_); }
+    template <class Ar>
+    void archive(Ar &a);
 
     int mode_ = 0;
     int window_ = 0;    ///< snap: derived — rebuilt lazily on demand
@@ -16,3 +17,10 @@ struct Cache {
     int ways_ = 4;
     int drained_ = 0; ///< snap: quiesced
 };
+
+template <class Ar>
+void
+Cache::archive(Ar &a)
+{
+    a.u64(mode_);
+}

@@ -1,21 +1,18 @@
-// Fixture: snapshot-completeness rules over a Saveable-shaped class.
+// Fixture: snapshot-completeness rules over an archive-shaped class.
 // Expected findings:
-//   line 17: snap-save-missing    (lostBoth_)
-//   line 17: snap-restore-missing (lostBoth_)
-//   line 18: snap-restore-missing (saveOnly_)
-//   line 20: snap-bad-annotation  (badKind_)
+//   line 15: snap-archive-missing (lost_)
+//   line 17: snap-bad-annotation  (badKind_)
 struct Widget {
-    void snapSave(Ser &s) const
+    template <class Ar>
+    void
+    archive(Ar &a)
     {
-        s.put(kept_);
-        s.put(saveOnly_);
+        a.u64(kept_);
     }
-    void snapRestore(Des &d) { d.get(kept_); }
 
     Ser &wiring_;
     int kept_ = 0;
-    int lostBoth_ = 0;
-    int saveOnly_ = 0;
+    int lost_ = 0;
     // snap: bogus — not one of the six known kinds
     int badKind_ = 0;
 };

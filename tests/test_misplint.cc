@@ -13,7 +13,7 @@
  *    scans.
  *
  *  - Self-scan: the live tree under MISPLINT_SOURCE_ROOT must be
- *    clean, every Saveable class the repo is known to carry must be
+ *    clean, every archive class the repo is known to carry must be
  *    inside the completeness rule's coverage, and the member count
  *    must be in a sane range — so coverage cannot silently collapse
  *    to zero while the "0 findings" gate stays green.
@@ -146,17 +146,24 @@ TEST(MisplintFixtures, ObsHostPlaneQuarantine)
 
 TEST(MisplintFixtures, SnapshotCompleteness)
 {
+    // One archive body serves both directions, so a member is either
+    // referenced in it or missing from it — there is no save-only case.
     std::vector<Key> expected = {
-        {"src/mem/missing_member.hh", 17, "snap-restore-missing",
-         "lostBoth_"},
-        {"src/mem/missing_member.hh", 17, "snap-save-missing",
-         "lostBoth_"},
-        {"src/mem/missing_member.hh", 18, "snap-restore-missing",
-         "saveOnly_"},
-        {"src/mem/missing_member.hh", 20, "snap-bad-annotation",
+        {"src/mem/missing_member.hh", 15, "snap-archive-missing", "lost_"},
+        {"src/mem/missing_member.hh", 17, "snap-bad-annotation",
          "badKind_"},
     };
     EXPECT_EQ(findingsIn("src/mem/missing_member.hh"), expected);
+}
+
+TEST(MisplintFixtures, RawImageReadsOutsideTheSnapshotLayer)
+{
+    std::vector<Key> expected = {
+        {"src/driver/raw_read.cc", 9, "snap-raw-read", "Deserializer"},
+    };
+    EXPECT_EQ(findingsIn("src/driver/raw_read.cc"), expected);
+    // The snapshot layer itself owns the reader.
+    EXPECT_TRUE(findingsIn("src/snapshot/container.cc").empty());
 }
 
 TEST(MisplintFixtures, ClosureEvents)
@@ -185,7 +192,8 @@ TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
          {"src/sim/banned_rand.cc", "src/sim/unordered_emit.cc",
           "src/mem/bad_layering.cc", "src/mem/missing_member.hh",
           "src/misp/closure_event.cc", "src/driver/host_clock.cc",
-          "src/os/bad_obs_include.cc", "src/obs/trace_rand.cc"})
+          "src/os/bad_obs_include.cc", "src/obs/trace_rand.cc",
+          "src/driver/raw_read.cc"})
         total += static_cast<int>(findingsIn(file).size());
     EXPECT_EQ(static_cast<int>(fixtureReport().findings.size()),
               total);
@@ -194,15 +202,15 @@ TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
 TEST(MisplintFixtures, ReportCounters)
 {
     const Report &r = fixtureReport();
-    EXPECT_EQ(r.filesScanned, 11);
+    EXPECT_EQ(r.filesScanned, 13);
     // Widget (missing_member.hh) and Cache (annotated_derived.hh).
-    EXPECT_EQ(r.saveableClasses, 2);
-    std::vector<std::string> names = r.saveableNames;
+    EXPECT_EQ(r.archiveClasses, 2);
+    std::vector<std::string> names = r.archiveNames;
     std::sort(names.begin(), names.end());
     EXPECT_EQ(names, (std::vector<std::string>{"Cache", "Widget"}));
-    // Widget: wiring_, kept_, lostBoth_, saveOnly_, badKind_;
+    // Widget: wiring_, kept_, lost_, badKind_;
     // Cache: mode_, window_, hostTicks_, ways_, drained_.
-    EXPECT_EQ(r.membersChecked, 10);
+    EXPECT_EQ(r.membersChecked, 9);
     // 1 misplint: allow site + 5 snap:-annotated members (Cache's 4
     // plus Widget's badKind_, which is counted even though the kind
     // is unknown).
@@ -248,12 +256,12 @@ TEST(MisplintSelfScan, CoverageDidNotCollapse)
          {"AddressSpace", "Kernel", "MispProcessor", "Mmu",
           "OsApiRuntime", "PageTable", "PhysicalMemory", "Sequencer",
           "ShredRuntime", "SignalFabric", "Tlb"})
-        EXPECT_NE(std::find(r.saveableNames.begin(),
-                            r.saveableNames.end(), cls),
-                  r.saveableNames.end())
+        EXPECT_NE(std::find(r.archiveNames.begin(),
+                            r.archiveNames.end(), cls),
+                  r.archiveNames.end())
             << cls << " fell out of snapshot-completeness coverage";
 
-    EXPECT_GE(r.saveableClasses, 11);
+    EXPECT_GE(r.archiveClasses, 11);
     EXPECT_GE(r.membersChecked, 100);
     EXPECT_GT(r.filesScanned, 50);
 }

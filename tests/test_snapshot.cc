@@ -362,7 +362,7 @@ TEST(Snapshot, ContextFlagsKeepTheirFourByteLayout)
 
         snap::Serializer got;
         got.beginSection(1);
-        snap::putContext(got, ctx);
+        snap::archive(got, ctx);
         got.endSection();
         const std::string image = got.done();
 
@@ -384,7 +384,9 @@ TEST(Snapshot, ContextFlagsKeepTheirFourByteLayout)
 
         snap::Deserializer d(image);
         d.openSection(1);
-        EXPECT_EQ(snap::getContext(d).flags, ctx.flags) << "flags " << bits;
+        cpu::SequencerContext back;
+        snap::archive(d, back);
+        EXPECT_EQ(back.flags, ctx.flags) << "flags " << bits;
     }
 }
 
@@ -402,14 +404,14 @@ TEST(Snapshot, SequencerRestoreRejectsCrcValidGarbage)
         s.endSection();
         snap::Deserializer d(s.done());
         d.openSection(1);
-        m.seq.snapRestore(d);
+        m.seq.archive(d);
     };
     // Control: the sequencer's own image restores.
-    EXPECT_NO_THROW(restore([&](snap::Serializer &s) { m.seq.snapSave(s); }));
+    EXPECT_NO_THROW(restore([&](snap::Serializer &s) { m.seq.archive(s); }));
 
     auto prefix = [&](snap::Serializer &s, std::uint8_t state,
                       std::uint8_t preSuspend) {
-        snap::putContext(s, m.seq.context());
+        snap::archive(s, m.seq.context());
         s.u8(state);
         s.u8(preSuspend);
         s.b(false);
@@ -428,7 +430,8 @@ TEST(Snapshot, SequencerRestoreRejectsCrcValidGarbage)
     EXPECT_THROW(restore([&](snap::Serializer &s) {
                      prefix(s, 0, 0);
                      s.u64(2);
-                     snap::putPayload(s, cpu::SignalPayload{});
+                     cpu::SignalPayload payload;
+                     snap::archive(s, payload);
                  }),
                  snap::SnapError);
     // The proxy queue is bounded the same way.
@@ -456,7 +459,7 @@ writeProcTail(snap::Serializer &s, arch::MispProcessor &mp)
     s.b(false); // no held request
     s.u64(0);   // no fabric deliveries
     for (SequencerId sid = 0; mp.sequencer(sid); ++sid)
-        mp.sequencer(sid)->snapSave(s);
+        mp.sequencer(sid)->archive(s);
 }
 
 } // namespace
@@ -476,16 +479,16 @@ TEST(Snapshot, ProcessorRestoreRejectsFaultsNeverProxied)
         s.b(false);
         s.u64(1); // one pending proxy request, from AMS 1
         s.u64(1);
-        s.u8(kind); // snap::putFault's layout
+        s.u8(kind); // the fault archive's layout
         s.u64(0x1000);
         s.b(false);
         s.u64(0);
-        snap::putContext(s, mp.amsAt(0).context());
+        snap::archive(s, mp.amsAt(0).context());
         writeProcTail(s, mp);
         s.endSection();
         snap::Deserializer d(s.done());
         d.openSection(1);
-        mp.snapRestore(d);
+        mp.archive(d);
     };
     using K = mem::FaultKind;
     EXPECT_NO_THROW(restore(std::uint8_t(K::Syscall)));
@@ -499,7 +502,7 @@ TEST(Snapshot, ProcessorRestoreRejectsFaultsNeverProxied)
                  snap::SnapError);
     EXPECT_THROW(restore(0xff), snap::SnapError);
 
-    // getFault itself refuses a kind byte past the enum.
+    // The fault archive itself refuses a kind byte past the enum.
     snap::Serializer s;
     s.beginSection(1);
     s.u8(std::uint8_t(K::Breakpoint) + 1);
@@ -509,7 +512,8 @@ TEST(Snapshot, ProcessorRestoreRejectsFaultsNeverProxied)
     s.endSection();
     snap::Deserializer d(s.done());
     d.openSection(1);
-    EXPECT_THROW(snap::getFault(d), snap::SnapError);
+    mem::Fault fault;
+    EXPECT_THROW(snap::archive(d, fault), snap::SnapError);
 }
 
 TEST(Snapshot, WarmupPastCompletionFailsClosed)
@@ -1209,7 +1213,7 @@ TEST(Snapshot, RestoreRejectsBogusEpisodeAndDeliveryRecords)
         {"unknown delivery kind", idle, deliveryRecord(5, 1, when, seq, prio),
          "unknown delivery kind byte 5"},
         {"absent sid", idle, deliveryRecord(0, 9, when, seq, prio),
-         "absent sequencer sid 9"},
+         "sid 9 names no sequencer"},
         {"proxy request to an AMS", idle,
          deliveryRecord(1, 2, when, seq, prio), "cannot target sid 2"},
         {"priority", idle,

@@ -529,14 +529,14 @@ class Ticker : public Event
           case Disturb::Snapshot: {
             snap::Serializer s;
             s.beginSection(1);
-            seq.snapSave(s);
+            seq.archive(s);
             s.endSection();
             // The restore re-enqueues the pending slice itself.
             if (seq.snapRunEvent()->scheduled())
                 m_.eq.deschedule(const_cast<Event *>(seq.snapRunEvent()));
             snap::Deserializer d(s.done());
             d.openSection(1);
-            seq.snapRestore(d);
+            seq.archive(d);
             break;
           }
         }
@@ -579,7 +579,7 @@ struct Observed {
         o.dataHash = fnv(data.data(), data.size(), o.dataHash);
         snap::Serializer s;
         s.beginSection(1);
-        m.seq.mmu().tlb().snapSave(s);
+        m.seq.mmu().tlb().archive(s);
         s.endSection();
         const std::string image = s.done();
         o.tlbImage = fnv(image.data(), image.size());

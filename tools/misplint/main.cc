@@ -132,7 +132,7 @@ main(int argc, char **argv)
         }
 
     std::cerr << "misplint: " << report.filesScanned << " files, "
-              << report.saveableClasses << " saveable classes, "
+              << report.archiveClasses << " archive classes, "
               << report.membersChecked << " members checked, "
               << report.suppressed << " annotated, " << live
               << " finding(s)";

@@ -307,7 +307,7 @@ allowed(const FileText &f, int line, const std::string &rule)
 }
 
 // ---------------------------------------------------------------------
-// Class model: Saveable classes, their members, their method bodies.
+// Class model: archive classes, their members, their archive bodies.
 // ---------------------------------------------------------------------
 
 struct Member {
@@ -322,12 +322,11 @@ struct ClassInfo {
     std::string name;
     std::string file;
     int line = 0;
-    bool hasSave = false, hasRestore = false;
-    bool pureSave = false, pureRestore = false;
+    bool hasArchive = false; ///< declares a member template `archive`
     std::vector<Member> members;
-    /** Identifier tokens of inline-defined snapSave/snapRestore. */
-    std::set<std::string> saveBody, restoreBody;
-    bool inlineSave = false, inlineRestore = false;
+    /** Identifier tokens of an inline-defined archive body. */
+    std::set<std::string> archiveBody;
+    bool inlineArchive = false;
 };
 
 struct UnorderedDecl {
@@ -342,9 +341,8 @@ struct Corpus {
     /** variable/member name -> where a std::unordered_* with that name
      *  was declared (any file; names are distinctive enough). */
     std::map<std::string, UnorderedDecl> unorderedNames;
-    /** class name -> identifier tokens of out-of-class method bodies. */
-    std::map<std::string, std::set<std::string>> saveBodies;
-    std::map<std::string, std::set<std::string>> restoreBodies;
+    /** class name -> identifier tokens of out-of-class archive bodies. */
+    std::map<std::string, std::set<std::string>> archiveBodies;
 };
 
 bool
@@ -475,28 +473,14 @@ parseClassBody(const std::vector<Tok> &toks, std::size_t i,
     cls.line = toks[i].line;
     ++i; // past '{'
     std::vector<Tok> stmt;
-    auto classify = [&](bool pureCandidate) {
-        bool save = false, restore = false;
-        for (std::size_t k = 0; k + 1 < stmt.size(); ++k) {
-            if (stmt[k + 1].text != "(")
-                continue;
-            if (stmt[k].text == "snapSave")
-                save = true;
-            if (stmt[k].text == "snapRestore")
-                restore = true;
-        }
-        bool pure = pureCandidate && stmt.size() >= 2 &&
-                    stmt[stmt.size() - 2].text == "=" &&
-                    stmt.back().text == "0";
-        if (save) {
-            cls.hasSave = true;
-            cls.pureSave = pure;
-        }
-        if (restore) {
-            cls.hasRestore = true;
-            cls.pureRestore = pure;
-        }
-        return save || restore;
+    // `template <...> ... archive (` declares the archive body.
+    auto isArchive = [&] {
+        if (stmt.empty() || stmt.front().text != "template")
+            return false;
+        for (std::size_t k = 0; k + 1 < stmt.size(); ++k)
+            if (stmt[k].text == "archive" && stmt[k + 1].text == "(")
+                return true;
+        return false;
     };
     while (i < toks.size()) {
         const std::string &t = toks[i].text;
@@ -512,7 +496,9 @@ parseClassBody(const std::vector<Tok> &toks, std::size_t i,
             continue;
         }
         if (t == ";") {
-            if (!classify(true))
+            if (isArchive())
+                cls.hasArchive = true;
+            else
                 extractMembers(stmt, f, &cls);
             stmt.clear();
             ++i;
@@ -533,14 +519,22 @@ parseClassBody(const std::vector<Tok> &toks, std::size_t i,
                 i = skipBalanced(toks, i, "{", "}");
                 continue;
             }
-            // Nested type definition?
+            // Nested type definition? (A `class` inside template
+            // angle brackets is a parameter, not a definition.)
             bool nested = false;
-            for (const Tok &s : stmt)
-                if (s.text == "class" || s.text == "struct" ||
-                    s.text == "enum" || s.text == "union") {
+            int depth = 0;
+            for (const Tok &s : stmt) {
+                if (s.text == "<")
+                    ++depth;
+                else if (s.text == ">")
+                    depth = std::max(0, depth - 1);
+                else if (depth == 0 &&
+                         (s.text == "class" || s.text == "struct" ||
+                          s.text == "enum" || s.text == "union")) {
                     nested = true;
                     break;
                 }
+            }
             if (nested) {
                 std::string nestedName;
                 for (std::size_t k = 0; k + 1 < stmt.size(); ++k)
@@ -574,23 +568,14 @@ parseClassBody(const std::vector<Tok> &toks, std::size_t i,
                     fn = true;
             }
             if (fn) {
-                // Inline member function; capture snapSave/snapRestore
-                // bodies for the completeness check.
+                // Inline member function; capture an archive body for
+                // the completeness check.
                 std::set<std::string> body;
                 i = skipBalanced(toks, i, "{", "}", &body);
-                if (classify(false)) {
-                    bool save = false;
-                    for (std::size_t k = 0; k + 1 < stmt.size(); ++k)
-                        if (stmt[k].text == "snapSave" &&
-                            stmt[k + 1].text == "(")
-                            save = true;
-                    if (save) {
-                        cls.saveBody = body;
-                        cls.inlineSave = true;
-                    } else {
-                        cls.restoreBody = body;
-                        cls.inlineRestore = true;
-                    }
+                if (isArchive()) {
+                    cls.hasArchive = true;
+                    cls.archiveBody = body;
+                    cls.inlineArchive = true;
                 }
                 stmt.clear();
                 continue;
@@ -629,16 +614,15 @@ skipBalanced(const std::vector<Tok> &toks, std::size_t i,
 }
 
 /** Walk a token stream: collect class definitions, out-of-class
- *  snapSave/snapRestore bodies, and unordered-container declarations.
- */
+ *  archive bodies, and unordered-container declarations. */
 void
 walkFile(const FileText &f, const std::vector<Tok> &toks,
          Corpus *corpus)
 {
     for (std::size_t i = 0; i < toks.size();) {
         const std::string &t = toks[i].text;
-        // Out-of-class method body: Name :: snapSave ( ... ) ... { }
-        if ((t == "snapSave" || t == "snapRestore") && i >= 2 &&
+        // Out-of-class method body: Name :: archive ( ... ) ... { }
+        if (t == "archive" && i >= 2 &&
             toks[i - 1].text == "::" && i + 1 < toks.size() &&
             toks[i + 1].text == "(") {
             const std::string cls = toks[i - 2].text;
@@ -649,16 +633,18 @@ walkFile(const FileText &f, const std::vector<Tok> &toks,
             if (j < toks.size() && toks[j].text == "{") {
                 std::set<std::string> body;
                 j = skipBalanced(toks, j, "{", "}", &body);
-                auto &dst = t == "snapSave" ? corpus->saveBodies
-                                            : corpus->restoreBodies;
-                dst[cls].insert(body.begin(), body.end());
+                corpus->archiveBodies[cls].insert(body.begin(),
+                                                  body.end());
                 i = j;
                 continue;
             }
         }
-        // Class/struct definition at any level.
+        // Class/struct definition at any level (not a template
+        // parameter: `template <class Ar>`).
         if ((t == "class" || t == "struct") &&
-            (i == 0 || toks[i - 1].text != "enum")) {
+            (i == 0 || (toks[i - 1].text != "enum" &&
+                        toks[i - 1].text != "<" &&
+                        toks[i - 1].text != ","))) {
             std::size_t j = i + 1;
             std::string name;
             int angle = 0;
@@ -749,6 +735,10 @@ hygieneScan(const FileText &f, const std::vector<Tok> &toks,
             int *suppressed)
 {
     const bool sim = isSimulated(f.rel);
+    // Outside the snapshot layer an image is only read through archive
+    // bodies, whose bounded primitives check every value.
+    const bool rawReadBanned = f.rel.rfind("src/", 0) == 0 &&
+                               f.rel.rfind("src/snapshot/", 0) != 0;
     // Host-clock tokens are banned everywhere in src/ except the
     // quarantined host plane — the simulated dirs are the core of the
     // determinism contract, but src/driver/ and src/harness/ emit
@@ -837,6 +827,13 @@ hygieneScan(const FileText &f, const std::vector<Tok> &toks,
                            suppressed);
         }
 
+        if (rawReadBanned && t == "Deserializer")
+            addFinding(out, f, line, "snap-raw-read", t,
+                       "snap::Deserializer is the snapshot layer's own; "
+                       "read an image through an archive body "
+                       "(snap::load) instead",
+                       suppressed);
+
         if (sim) {
             if ((t == "scheduleLambda" || t == "LambdaEvent") &&
                 !startsWithAny(f.rel, kClosureEventHome,
@@ -918,30 +915,20 @@ const std::set<std::string> kSnapKinds = {"derived",  "host-only",
                                           "quiesced", "attach"};
 
 void
-completenessCheck(const Corpus &corpus,
-                  const std::map<std::string, const FileText *> &texts,
-                  std::vector<Finding> *out, Report *report)
+completenessCheck(const Corpus &corpus, std::vector<Finding> *out,
+                  Report *report)
 {
     for (const ClassInfo &cls : corpus.classes) {
-        if (!cls.hasSave || !cls.hasRestore)
+        if (!cls.hasArchive)
             continue;
-        if (cls.pureSave || cls.pureRestore)
-            continue; // the Saveable interface itself
-        ++report->saveableClasses;
-        report->saveableNames.push_back(cls.name);
+        ++report->archiveClasses;
+        report->archiveNames.push_back(cls.name);
 
-        const FileText &f = *texts.at(cls.file);
-        std::set<std::string> save = cls.saveBody;
-        std::set<std::string> restore = cls.restoreBody;
-        if (!cls.inlineSave) {
-            auto it = corpus.saveBodies.find(cls.name);
-            if (it != corpus.saveBodies.end())
-                save.insert(it->second.begin(), it->second.end());
-        }
-        if (!cls.inlineRestore) {
-            auto it = corpus.restoreBodies.find(cls.name);
-            if (it != corpus.restoreBodies.end())
-                restore.insert(it->second.begin(), it->second.end());
+        std::set<std::string> body = cls.archiveBody;
+        if (!cls.inlineArchive) {
+            auto it = corpus.archiveBodies.find(cls.name);
+            if (it != corpus.archiveBodies.end())
+                body.insert(it->second.begin(), it->second.end());
         }
 
         for (const Member &m : cls.members) {
@@ -963,20 +950,12 @@ completenessCheck(const Corpus &corpus,
                 continue;
             if (m.type.find("stats ::") != std::string::npos)
                 continue;
-            (void)f;
-            if (!save.count(m.name))
+            if (!body.count(m.name))
                 out->push_back(
-                    {m.file, m.line, "snap-save-missing", m.name,
+                    {m.file, m.line, "snap-archive-missing", m.name,
                      cls.name + "::" + m.name +
                          " is not referenced in " + cls.name +
-                         "::snapSave and carries no 'snap:' "
-                         "annotation"});
-            if (!restore.count(m.name))
-                out->push_back(
-                    {m.file, m.line, "snap-restore-missing", m.name,
-                     cls.name + "::" + m.name +
-                         " is not referenced in " + cls.name +
-                         "::snapRestore and carries no 'snap:' "
+                         "::archive and carries no 'snap:' "
                          "annotation"});
         }
     }
@@ -1058,10 +1037,7 @@ run(const Options &opts)
         hygieneScan(corpus.files[i], tokens[i], corpus,
                     &report.findings, &report.suppressed);
 
-    std::map<std::string, const FileText *> texts;
-    for (const FileText &f : corpus.files)
-        texts[f.rel] = &f;
-    completenessCheck(corpus, texts, &report.findings, &report);
+    completenessCheck(corpus, &report.findings, &report);
 
     std::sort(report.findings.begin(), report.findings.end(),
               [](const Finding &a, const Finding &b) {

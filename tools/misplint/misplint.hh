@@ -6,17 +6,20 @@
  * byte-identical --jobs/--isolate/restored sweeps, engine-neutral
  * snapshot images) rests on two contracts that used to live only in
  * prose: *simulated code is deterministic* and *everything archived
- * round-trips through snapSave/snapRestore*. misplint turns both into
+ * round-trips through its one archive body*. misplint turns both into
  * mechanical gates over the source text (a lightweight tokenizer — no
  * libclang, no compiler dependency), run as a tier-1 ctest and in CI.
  *
  * Rule families (ids are what findings and baselines carry):
  *
  *  snapshot completeness
- *    snap-save-missing     member of a Saveable class not referenced in
- *                          its snapSave body and not annotated
- *    snap-restore-missing  same for snapRestore
+ *    snap-archive-missing  member of a class with an `archive` member
+ *                          template not referenced in its archive body
+ *                          and not annotated
  *    snap-bad-annotation   unknown `// snap: <kind>` value
+ *    snap-raw-read         a mention of snap::Deserializer in src/
+ *                          outside src/snapshot/: images are read only
+ *                          through archive bodies
  *    snap-closure-event    scheduleLambda / LambdaEvent in a simulated
  *                          dir (outside the event queue that defines
  *                          them): a closure cannot be archived, so a
@@ -54,8 +57,8 @@
  *                         targets are freshly built from the same
  *                         config, so it never travels
  *    // snap: stats       travels via the stats tree
- *                         (StatGroup::snapValues), not this class's
- *                         snapSave — members of stats:: type get this
+ *                         (StatBase::snapValues), not this class's
+ *                         archive — members of stats:: type get this
  *                         implicitly
  *    // snap: quiesced    holds its reset value at every event
  *                         boundary (it is only nonzero inside one
@@ -63,7 +66,7 @@
  *                         ever taken between events
  *    // snap: attach      re-established on the restore path by an
  *                         explicit companion call (Mmu::snapAttach),
- *                         not by snapRestore itself
+ *                         not by archive itself
  *
  *    // misplint: allow(rule-id) <reason>
  *                         suppress one hygiene rule at one site; the
@@ -103,12 +106,12 @@ struct Options {
 struct Report {
     std::vector<Finding> findings; ///< sorted by (file, line, rule)
     int filesScanned = 0;
-    int saveableClasses = 0; ///< classes with snapSave+snapRestore
+    int archiveClasses = 0; ///< classes with an archive member template
     int membersChecked = 0;
     int suppressed = 0; ///< findings silenced by inline annotations
     /** Names of the classes the completeness rule covered — lets the
      *  self-scan test assert nothing silently fell out of coverage. */
-    std::vector<std::string> saveableNames;
+    std::vector<std::string> archiveNames;
 };
 
 /** Run every rule over Options::paths. */
