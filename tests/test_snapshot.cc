@@ -1251,6 +1251,215 @@ TEST(Snapshot, VersionTwoImageRejectedWithDiagnostic)
         << err;
 }
 
+namespace {
+
+/** Where section @p id of @p image sits: its index entry and payload. */
+struct SectionAt {
+    std::size_t entry = 0;
+    std::size_t payload = 0;
+    std::uint64_t size = 0;
+};
+
+SectionAt
+sectionAt(const std::string &image, std::uint32_t id)
+{
+    const std::uint64_t sections = getLE(image, 12, 4);
+    std::size_t payload = 16 + 16 * sections;
+    for (std::uint64_t i = 0; i < sections; ++i) {
+        const std::size_t entry = 16 + 16 * i;
+        const std::uint64_t size = getLE(image, entry + 8, 8);
+        if (getLE(image, entry, 4) == id)
+            return {entry, payload, size};
+        payload += size;
+    }
+    ADD_FAILURE() << "no section " << id;
+    return {};
+}
+
+/** @p image with @p bytes bytes at payload offset @p at of section
+ *  @p id set to @p value, and that section's CRC recomputed, so only
+ *  the restore's own checks can object. */
+std::string
+doctored(std::string image, std::uint32_t id, std::size_t at,
+         unsigned bytes, std::uint64_t value)
+{
+    const SectionAt sec = sectionAt(image, id);
+    putLE(image, sec.payload + at, bytes, value);
+    putLE(image, sec.entry + 4, 4,
+          snap::crc32(image.data() + sec.payload, sec.size));
+    return image;
+}
+
+constexpr std::uint32_t kSecConfig = 1;
+constexpr std::uint32_t kSecPmem = 3;
+
+/** Payload offset, in section @p id, of the first clock hand of a
+ *  default 64-entry TLB: its entry count (64), 64 entries of 23 bytes,
+ *  then its set count (16) and one hand byte per set. */
+std::size_t
+firstTlbHand(const std::string &image, std::uint32_t id)
+{
+    const SectionAt sec = sectionAt(image, id);
+    constexpr std::size_t kEntries = 8 + 64 * 23;
+    for (std::size_t at = 0; at + kEntries + 8 < sec.size; ++at) {
+        if (getLE(image, sec.payload + at, 8) == 64 &&
+            getLE(image, sec.payload + at + kEntries, 8) == 16)
+            return at + kEntries + 8;
+    }
+    ADD_FAILURE() << "no TLB in section " << id;
+    return 0;
+}
+
+} // namespace
+
+TEST(Snapshot, SaveRestoreSaveIsAFixedPoint)
+{
+    // Restoring an image and saving the result gives the image back
+    // byte for byte: every archive body, run in both directions, reads
+    // exactly what it wrote. Shred backend with a signal in flight, and
+    // the OS-thread backend.
+    harness::RunRequest os = smallRequest();
+    os.config = arch::SystemConfig::mp({0, 0, 0});
+    os.config.physFrames = 1 << 16;
+    os.backend = rt::Backend::OsThread;
+    const std::pair<harness::RunRequest, Ready> cases[] = {
+        {smallRequest(), signalInFlight},
+        {os, [](harness::Experiment &) { return true; }},
+    };
+    for (const auto &[req, ready] : cases) {
+        SCOPED_TRACE(rt::backendName(req.backend));
+        SplitRun split = warmUpAndSave(req, 2'000'000, ready);
+        snap::RestoredExperiment restored;
+        std::string again, err;
+        ASSERT_TRUE(snap::restoreExperiment(split.image, &restored, &err))
+            << err;
+        ASSERT_TRUE(snap::saveExperiment(*restored.exp, restored.target, 0,
+                                         "t", &again, &err))
+            << err;
+        EXPECT_TRUE(again == split.image)
+            << firstDifference(split.image, again);
+    }
+}
+
+TEST(Snapshot, DoctoredImagesFailClosedNamingTheField)
+{
+    // CRC-valid images with one field patched. Each must fail closed
+    // with a diagnostic naming the field. The two counts are far beyond
+    // what this process could allocate, so a diagnostic naming the
+    // count (rather than an allocation failure) shows that the restore
+    // refused them before allocating.
+    SplitRun split =
+        warmUpAndSave(smallRequest(), 2'000'000, [](harness::Experiment &) {
+            return true;
+        });
+    std::string err;
+    ASSERT_TRUE(restores(split.image, &err)) << err;
+    const struct {
+        const char *what;
+        std::string image;
+        const char *expect;
+    } cases[] = {
+        // CONFIG opens with the amsPerProcessor count.
+        {"CONFIG count 2^40", doctored(split.image, kSecConfig, 0, 8, 1ull << 40),
+         "amsPerProcessor count 1099511627776 exceeds"},
+        // PMEM: capacity, used, next fresh frame, free-list count.
+        {"free-list count 2^40",
+         doctored(split.image, kSecPmem, 24, 8, 1ull << 40),
+         "physmem free list count 1099511627776 exceeds"},
+        {"next fresh frame 0", doctored(split.image, kSecPmem, 16, 8, 0),
+         "physmem allocator state is inconsistent"},
+        {"TLB clock hand 200",
+         doctored(split.image, kSecProcs, firstTlbHand(split.image, kSecProcs),
+                  1, 200),
+         "tlb clock hand 200 out of range [0, 4)"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_FALSE(restores(c.image, &err)) << c.what;
+        EXPECT_NE(err.find(c.expect), std::string::npos)
+            << c.what << ": " << err;
+    }
+}
+
+TEST(Snapshot, TlbRestoreRejectsAClockHandPastItsSet)
+{
+    // A one-set TLB's image with a clock hand patched to 200: the
+    // restore must refuse it, not leave the next clock sweep to index
+    // set[200].
+    stats::StatGroup root("root");
+    mem::Tlb tlb("tlb", mem::Tlb::kWays, &root);
+    for (VAddr page = 0; page < 6; ++page)
+        tlb.insert(page << mem::kPageShift, mem::Pte{});
+    snap::Serializer s;
+    s.section(1, [&] { tlb.archive(s); });
+    const std::string image = s.done();
+    // Entry count, four 23-byte entries, set count, then the hand.
+    const std::size_t hand = 8 + mem::Tlb::kWays * 23 + 8;
+    auto restore = [&](const std::string &img) {
+        mem::Tlb fresh("tlb", mem::Tlb::kWays, &root);
+        snap::Deserializer d(img);
+        d.section(1, [&] { fresh.archive(d); });
+    };
+    EXPECT_NO_THROW(restore(image));
+    try {
+        restore(doctored(image, 1, hand, 1, 200));
+        ADD_FAILURE() << "a clock hand of 200 restored";
+    } catch (const snap::SnapError &e) {
+        EXPECT_NE(std::string(e.what()).find("tlb clock hand 200"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Snapshot, PhysicalMemoryRestoreChecksTheAllocator)
+{
+    // allocFrame/freeFrame keep used + free == next fresh <= capacity,
+    // with a duplicate-free free list of handed-out frames; a restore
+    // accepts no image that breaks it.
+    mem::PhysicalMemory pm(16);
+    for (int i = 0; i < 5; ++i)
+        pm.write(pm.allocFrame() << mem::kPageShift, 0x1234 + i, 8);
+    pm.freeFrame(1);
+    pm.freeFrame(3);
+    snap::Serializer s;
+    s.section(1, [&] { pm.archive(s); });
+    const std::string image = s.done();
+    // capacity, used, next fresh, free count, two free frames, stored
+    // frame count, then the first stored frame's number.
+    auto loads = [&](const std::string &img, std::string *err) {
+        try {
+            mem::PhysicalMemory fresh(16);
+            snap::Deserializer d(img);
+            d.section(1, [&] { fresh.archive(d); });
+            return true;
+        } catch (const snap::SnapError &e) {
+            *err = e.what();
+            return false;
+        }
+    };
+    std::string err;
+    ASSERT_TRUE(loads(image, &err)) << err;
+    const struct {
+        const char *what;
+        std::size_t at;
+        std::uint64_t value;
+        const char *expect;
+    } cases[] = {
+        {"capacity", 0, 32, "physmem capacity is 32"},
+        {"used", 8, 4, "allocator state is inconsistent"},
+        {"next fresh past capacity", 16, 17, "past the capacity"},
+        {"free frame never handed out", 32, 5, "holds frame 5, never"},
+        {"free frame twice", 40, 1, "holds a frame twice"},
+        {"stored frame past capacity", 56, 16,
+         "physmem stored frame 16 out of range [0, 16)"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_FALSE(loads(doctored(image, 1, c.at, 8, c.value), &err))
+            << c.what;
+        EXPECT_NE(err.find(c.expect), std::string::npos)
+            << c.what << ": " << err;
+    }
+}
+
 TEST(Snapshot, SaveAcrossTlbShootdown)
 {
     // Invalidate a hot page translation on every sequencer (the
