@@ -171,16 +171,11 @@ PhysicalMemory::archive(Ar &a)
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t frame = Ar::kLoading ? 0 : frames[i];
         a.index(frame, frames_, "physmem stored frame");
-        if constexpr (Ar::kLoading) {
-            auto [it, fresh] = store_.try_emplace(frame, kPageSize);
-            if (!fresh)
-                throw snap::SnapError("image: physmem frame " +
-                                      std::to_string(frame) +
-                                      " is stored twice");
-            a.bytes(it->second.data(), kPageSize);
-        } else {
-            a.bytes(store_.at(frame).data(), kPageSize);
-        }
+        auto [it, fresh] = store_.try_emplace(frame, kPageSize);
+        if (Ar::kLoading && !fresh)
+            throw snap::SnapError("image: physmem frame " +
+                                  std::to_string(frame) + " is stored twice");
+        a.bytes(it->second.data(), kPageSize);
     }
 }
 

@@ -223,6 +223,8 @@ void
 Deserializer::bytes(void *dst, std::uint64_t len)
 {
     need(len);
+    if (len == 0)
+        return; // dst may be an empty vector's nullptr data()
     std::memcpy(dst, image_.data() + pos_, static_cast<std::size_t>(len));
     pos_ += len;
 }

@@ -79,24 +79,23 @@ template <class Ar>
 void
 archive(Ar &a, stats::StatGroup &group)
 {
-    const std::string at = " at stat group '" + group.path() + "'";
+    const std::string where = "stat group '" + group.path() + "'";
+    auto field = [&](const char *what) { return where + " " + what; };
     const auto &stats = group.statsHere();
-    a.match(stats.size(), ("stat count" + at).c_str());
+    a.match(stats.size(), field("stat count").c_str());
     for (stats::StatBase *stat : stats) {
-        a.match(stat->name(), ("stat name" + at).c_str());
+        a.match(stat->name(), field("stat name").c_str());
         std::vector<double> values = stat->snapValues();
-        a.match(values.size(), ("value count of stat '" + stat->name() +
-                                "'" + at)
-                                   .c_str());
+        a.match(values.size(), field("value count").c_str());
         for (double &v : values)
             a.f64(v);
         if constexpr (Ar::kLoading)
             stat->setSnapValues(values);
     }
     const auto &children = group.children();
-    a.match(children.size(), ("child count" + at).c_str());
+    a.match(children.size(), field("child count").c_str());
     for (stats::StatGroup *child : children) {
-        a.match(child->groupName(), ("child name" + at).c_str());
+        a.match(child->groupName(), field("child name").c_str());
         archive(a, *child);
     }
 }
