@@ -117,8 +117,7 @@ void
 archiveProxy(Ar &a, ProxyRequest &req, MispProcessor &proc)
 {
     const snap::Lookup amsIds{
-        "sid", "AMS",
-        [](const cpu::Sequencer &s) { return std::uint64_t{s.sid()}; },
+        "sid", "AMS", &cpu::Sequencer::sid,
         [&proc](std::uint64_t sid) -> cpu::Sequencer * {
             return sid != 0 && sid <= proc.numAms()
                        ? proc.sequencer(static_cast<SequencerId>(sid))

@@ -83,8 +83,7 @@ void
 SignalFabric::archive(Ar &a, const std::vector<cpu::Sequencer *> &bySid)
 {
     const snap::Lookup sids{
-        "sid", "sequencer",
-        [](const cpu::Sequencer &s) { return std::uint64_t{s.sid()}; },
+        "sid", "sequencer", &cpu::Sequencer::sid,
         [&bySid](std::uint64_t sid) {
             return sid < bySid.size() ? bySid[sid] : nullptr;
         }};

@@ -170,9 +170,7 @@ class Kernel
     threadIds() const
     {
         return snap::Lookup{
-            "tid", "thread",
-            [](const OsThread &t) { return std::uint64_t{t.tid()}; },
-            [this](std::uint64_t tid) {
+            "tid", "thread", &OsThread::tid, [this](std::uint64_t tid) {
                 return std::in_range<Tid>(tid) ? threadByTid(Tid(tid))
                                                : nullptr;
             }};
@@ -181,9 +179,7 @@ class Kernel
     processIds() const
     {
         return snap::Lookup{
-            "pid", "process",
-            [](const Process &p) { return std::uint64_t{p.pid()}; },
-            [this](std::uint64_t pid) {
+            "pid", "process", &Process::pid, [this](std::uint64_t pid) {
                 return std::in_range<Pid>(pid) ? processByPid(Pid(pid))
                                                : nullptr;
             }};

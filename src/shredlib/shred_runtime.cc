@@ -678,11 +678,7 @@ ShredRuntime::archive(Ar &a, arch::MispSystem &sys)
     constexpr std::uint64_t kGangBytes = 7 * 8 + 4 + 1 + 5 * 8;
     const auto tids = sys.kernel().threadIds();
     const snap::Lookup cpus{
-        "cpu", "processor",
-        [](const arch::MispProcessor &p) {
-            return static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(p.cpuId()));
-        },
+        "cpu", "processor", &arch::MispProcessor::cpuId,
         [&sys](std::uint64_t cpu) -> arch::MispProcessor * {
             return std::in_range<int>(cpu)
                        ? sys.processorForCpu(static_cast<int>(cpu))

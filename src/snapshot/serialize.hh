@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -65,8 +66,9 @@ std::uint32_t crc32(const void *data, std::size_t len);
 /**
  * How a pointer field travels: as the id of its target (a tid, pid,
  * SID or CPU), resolved back through the owning component's table on
- * load. @p IdOf maps a target to its id; @p Find maps an id to its
- * target, or nullptr when it names none.
+ * load. @p IdOf maps a target to its id (a member function such as
+ * &OsThread::tid will do); @p Find maps an id to its target, or
+ * nullptr when it names none.
  */
 template <class IdOf, class Find>
 struct Lookup {
@@ -112,12 +114,12 @@ class Serializer
     template <class T, class L>
     void ref(T *p, const L &lookup, const char *)
     {
-        u64(lookup.idOf(*p));
+        u64(std::invoke(lookup.idOf, *p));
     }
     template <class T, class L>
     void optRef(T *p, const L &lookup, const char *)
     {
-        u64(p ? lookup.idOf(*p) : lookup.none);
+        u64(p ? std::invoke(lookup.idOf, *p) : lookup.none);
     }
 
     /** Section @p id holding what @p body archives. */
