@@ -48,6 +48,19 @@ crc32(const void *data, std::size_t len)
 // Serializer
 // ---------------------------------------------------------------------
 
+template <class T>
+void
+Serializer::put(T v)
+{
+    static_assert(std::is_unsigned_v<T>);
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        u8(static_cast<std::uint8_t>(std::uint64_t{v} >> (8 * i)));
+}
+
+template void Serializer::put(std::uint8_t);
+template void Serializer::put(std::uint32_t);
+template void Serializer::put(std::uint64_t);
+
 void
 Serializer::f64(double v)
 {
@@ -187,6 +200,72 @@ Deserializer::need(std::uint64_t n) const
     // Overflow-safe form: `pos_ + n` can wrap for hostile lengths.
     if (n > end_ - pos_)
         throw SnapError("snapshot read past end of section");
+}
+
+void
+Deserializer::closeSection(std::uint32_t id) const
+{
+    if (remaining() != 0)
+        throw SnapError("image: section " + std::to_string(id) + " has " +
+                        std::to_string(remaining()) + " trailing bytes");
+}
+
+template <class T>
+T
+Deserializer::get()
+{
+    static_assert(std::is_unsigned_v<T>);
+    need(sizeof(T));
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(
+            static_cast<T>(static_cast<std::uint8_t>(image_[pos_++]))
+            << (8 * i));
+    return v;
+}
+
+template std::uint8_t Deserializer::get<std::uint8_t>();
+template std::uint32_t Deserializer::get<std::uint32_t>();
+template std::uint64_t Deserializer::get<std::uint64_t>();
+
+void
+Deserializer::badEnum(const char *field, unsigned v)
+{
+    throw SnapError(std::string("image: unknown ") + field + " byte " +
+                    std::to_string(v));
+}
+
+void
+Deserializer::badIndex(const char *field, std::uint64_t v,
+                       std::uint64_t size)
+{
+    throw SnapError(std::string("image: ") + field + " " +
+                    std::to_string(v) + " out of range [0, " +
+                    std::to_string(size) + ")");
+}
+
+void
+Deserializer::badFit(std::uint64_t v, unsigned bits)
+{
+    throw SnapError("image: value " + std::to_string(v) +
+                    " does not fit its " + std::to_string(bits) +
+                    "-bit field");
+}
+
+void
+Deserializer::badFit(std::int64_t v, unsigned bits)
+{
+    throw SnapError("image: value " + std::to_string(v) +
+                    " does not fit its " + std::to_string(bits) +
+                    "-bit field");
+}
+
+void
+Deserializer::badRef(const char *field, const char *id, std::uint64_t v,
+                     const char *target)
+{
+    throw SnapError(std::string("image: ") + field + " " + id + " " +
+                    std::to_string(v) + " names no " + target);
 }
 
 bool

@@ -150,15 +150,10 @@ class Serializer
         std::uint64_t size = 0;
     };
 
-    /** @p v little-endian, in sizeof(T) bytes. */
+    /** @p v little-endian, in sizeof(T) bytes (T: std::uint8_t,
+     *  std::uint32_t or std::uint64_t). */
     template <class T>
-    void
-    put(T v)
-    {
-        static_assert(std::is_unsigned_v<T>);
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            u8(static_cast<std::uint8_t>(std::uint64_t{v} >> (8 * i)));
-    }
+    void put(T v);
 
     std::string buf_;
     std::vector<Section> sections_;
@@ -193,10 +188,7 @@ class Deserializer
     {
         openSection(id);
         body();
-        if (remaining() != 0)
-            throw SnapError("image: section " + std::to_string(id) +
-                            " has " + std::to_string(remaining()) +
-                            " trailing bytes");
+        closeSection(id);
     }
 
     std::uint8_t u8() { return get<std::uint8_t>(); }
@@ -215,7 +207,7 @@ class Deserializer
     template <class T>
     void u32(T &v)
     {
-        v = fit<T>(u32());
+        v = fit<T>(std::uint64_t{u32()});
     }
     template <class T>
     void u64(T &v)
@@ -248,8 +240,7 @@ class Deserializer
     {
         const std::uint8_t v = u8();
         if (v >= count)
-            throw SnapError(std::string("image: unknown ") + field +
-                            " byte " + std::to_string(v));
+            badEnum(field, v);
         e = static_cast<E>(v);
     }
 
@@ -260,9 +251,7 @@ class Deserializer
     {
         const T v = get<T>();
         if (v >= size)
-            throw SnapError(std::string("image: ") + field + " " +
-                            std::to_string(v) + " out of range [0, " +
-                            std::to_string(size) + ")");
+            badIndex(field, v, size);
         i = v;
     }
 
@@ -297,30 +286,20 @@ class Deserializer
     };
 
     void need(std::uint64_t n) const;
+    /** Require that the body of section @p id consumed it exactly. */
+    void closeSection(std::uint32_t id) const;
 
-    /** sizeof(T) bytes, little-endian. */
+    /** sizeof(T) bytes, little-endian (T: std::uint8_t, std::uint32_t
+     *  or std::uint64_t). */
     template <class T>
-    T
-    get()
-    {
-        static_assert(std::is_unsigned_v<T>);
-        need(sizeof(T));
-        T v = 0;
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            v |= static_cast<T>(
-                static_cast<T>(static_cast<std::uint8_t>(image_[pos_++]))
-                << (8 * i));
-        return v;
-    }
+    T get();
 
     template <class T, class W>
     static T
     fit(W w)
     {
         if (!std::in_range<T>(w))
-            throw SnapError("image: value " + std::to_string(w) +
-                            " does not fit its " +
-                            std::to_string(8 * sizeof(T)) + "-bit field");
+            badFit(w, 8 * sizeof(T));
         return static_cast<T>(w);
     }
 
@@ -330,11 +309,18 @@ class Deserializer
     {
         auto *p = lookup.find(id);
         if (!p)
-            throw SnapError(std::string("image: ") + field + " " +
-                            lookup.id + " " + std::to_string(id) +
-                            " names no " + lookup.target);
+            badRef(field, lookup.id, id, lookup.target);
         return p;
     }
+
+    // The diagnostics, out of line: archive bodies inline the checks.
+    [[noreturn]] static void badEnum(const char *field, unsigned v);
+    [[noreturn]] static void badIndex(const char *field, std::uint64_t v,
+                                      std::uint64_t size);
+    [[noreturn]] static void badFit(std::uint64_t v, unsigned bits);
+    [[noreturn]] static void badFit(std::int64_t v, unsigned bits);
+    [[noreturn]] static void badRef(const char *field, const char *id,
+                                    std::uint64_t v, const char *target);
 
     std::string image_;
     std::vector<Section> sections_;
