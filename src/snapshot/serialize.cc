@@ -244,21 +244,17 @@ Deserializer::badIndex(const char *field, std::uint64_t v,
                     std::to_string(size) + ")");
 }
 
+template <class W>
 void
-Deserializer::badFit(std::uint64_t v, unsigned bits)
+Deserializer::badFit(W v, unsigned bits)
 {
     throw SnapError("image: value " + std::to_string(v) +
                     " does not fit its " + std::to_string(bits) +
                     "-bit field");
 }
 
-void
-Deserializer::badFit(std::int64_t v, unsigned bits)
-{
-    throw SnapError("image: value " + std::to_string(v) +
-                    " does not fit its " + std::to_string(bits) +
-                    "-bit field");
-}
+template void Deserializer::badFit(std::uint64_t, unsigned);
+template void Deserializer::badFit(std::int64_t, unsigned);
 
 void
 Deserializer::badRef(const char *field, const char *id, std::uint64_t v,

@@ -317,8 +317,8 @@ class Deserializer
     [[noreturn]] static void badEnum(const char *field, unsigned v);
     [[noreturn]] static void badIndex(const char *field, std::uint64_t v,
                                       std::uint64_t size);
-    [[noreturn]] static void badFit(std::uint64_t v, unsigned bits);
-    [[noreturn]] static void badFit(std::int64_t v, unsigned bits);
+    template <class W>
+    [[noreturn]] static void badFit(W v, unsigned bits);
     [[noreturn]] static void badRef(const char *field, const char *id,
                                     std::uint64_t v, const char *target);
 

@@ -25,6 +25,22 @@ constexpr std::uint32_t kSecRt = 6;
 // 7 was the tagged-event section of version-2 images.
 constexpr std::uint32_t kSecStats = 8;
 
+/** Run @p body; any exception it throws (a SnapError, or an allocation
+ *  failure) becomes false + @p err, so the entry points fail closed. */
+template <class Body>
+bool
+failClosed(std::string *err, Body &&body)
+{
+    try {
+        body();
+        return true;
+    } catch (const std::exception &e) {
+        if (err)
+            *err = e.what();
+        return false;
+    }
+}
+
 template <class Ar>
 void
 archive(Ar &a, arch::SystemConfig &cfg, rt::Backend &backend)
@@ -158,7 +174,7 @@ saveExperiment(harness::Experiment &exp, os::Process *target,
                std::uint64_t cfgHash, const std::string &label,
                std::string *imageOut, std::string *err)
 {
-    try {
+    return failClosed(err, [&] {
         arch::MispSystem &sys = exp.system();
         Serializer s;
         arch::SystemConfig cfg = sys.config();
@@ -178,14 +194,7 @@ saveExperiment(harness::Experiment &exp, os::Process *target,
             });
 
         *imageOut = s.done();
-        return true;
-    } catch (const std::exception &e) {
-        // SnapError, plus hostile-size allocation failures
-        // (length_error / bad_alloc): all fail closed.
-        if (err)
-            *err = e.what();
-        return false;
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -196,27 +205,21 @@ bool
 readSnapshotMeta(const std::string &image, SnapshotMeta *out,
                  std::string *err)
 {
-    try {
+    return failClosed(err, [&] {
         Deserializer d(image);
         std::uint64_t nextSeq = 0;
         std::uint64_t numProcessed = 0;
         d.section(kSecMeta,
                   [&] { archive(d, *out, nextSeq, numProcessed); });
-        return true;
-    } catch (const std::exception &e) {
-        // SnapError, plus hostile-size allocation failures
-        // (length_error / bad_alloc): all fail closed.
-        if (err)
-            *err = e.what();
-        return false;
-    }
+    });
 }
 
 bool
 restoreExperiment(const std::string &image, RestoredExperiment *out,
                   std::string *err)
 {
-    try {
+    out->exp.reset();
+    return failClosed(err, [&] {
         Deserializer d(image);
         arch::SystemConfig cfg;
         rt::Backend backend = rt::Backend::Shred;
@@ -231,15 +234,7 @@ restoreExperiment(const std::string &image, RestoredExperiment *out,
                           : nullptr;
         out->meta = meta;
         out->exp = std::move(exp);
-        return true;
-    } catch (const std::exception &e) {
-        // SnapError, plus hostile-size allocation failures
-        // (length_error / bad_alloc): all fail closed.
-        out->exp.reset();
-        if (err)
-            *err = e.what();
-        return false;
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -348,17 +343,10 @@ bool
 decodeRunRecord(const std::string &data, harness::RunRecord *out,
                 std::string *err)
 {
-    try {
+    return failClosed(err, [&] {
         Deserializer d(data);
         d.section(0, [&] { archive(d, *out); });
-        return true;
-    } catch (const std::exception &e) {
-        // SnapError, plus hostile-size allocation failures
-        // (length_error / bad_alloc): all fail closed.
-        if (err)
-            *err = e.what();
-        return false;
-    }
+    });
 }
 
 bool
