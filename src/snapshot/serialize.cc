@@ -1,7 +1,9 @@
 #include "serialize.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <type_traits>
 
 namespace misp::snap {
 

@@ -35,12 +35,10 @@
 #ifndef MISP_SNAPSHOT_SERIALIZE_HH
 #define MISP_SNAPSHOT_SERIALIZE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
