@@ -105,8 +105,9 @@ mispsimFlags()
          "byte-identically; points keep\n"
          "their global grid indices, so snapshots\n"
          "and --inject compose unchanged; [report]\n"
-         "asserts and [table]s are deferred to\n"
-         "--merge-frames"},
+         "asserts and [table]s are checked when the\n"
+         "spec loads, and only their evaluation is\n"
+         "deferred to --merge-frames"},
         {"--merge-frames OUT",
          "merge mode: treat the remaining\n"
          "arguments as per-shard images, validate\n"
@@ -132,7 +133,11 @@ mispsimFlags()
         {"--points",
          "print canonical point lines only (the\n"
          "engine-equivalence diff format)"},
-        {"--dry-run", "expand and print the grid without running"},
+        {"--dry-run",
+         "expand and print the grid without running;\n"
+         "loading the spec already checks every\n"
+         "machine and every assert, column and\n"
+         "footer, so only their evaluation is left"},
         {"--full-stats",
          "include a full stats dump per point in the\n"
          "JSON output"},

@@ -4,7 +4,9 @@
  * claims from the scenario file itself, and the `[table]` renderer
  * that prints the paper's tables and figures from it. Both are
  * queries over the harness::MetricFrame the runner builds from a
- * sweep's results, and share one expression grammar.
+ * sweep's results, and share one expression grammar. Expressions are
+ * compiled once, when the spec loads (driver/expr.hh); this layer
+ * only walks the compiled trees.
  *
  * Assert grammar (tokens are whitespace-separated, so machine names
  * like `1x4+4` never collide with operators; parentheses are
@@ -67,6 +69,20 @@
  * Aggregates and per-group references compose: an aggregate inside a
  * per-group assert is a sweep-wide constant (e.g.
  * `misp.speedup >= 0.5 * avg ( misp.speedup )` bounds the spread).
+ *
+ * When errors fire. Scenario::fromSpec parses and resolves every
+ * assert, column and footer, so these are "path:line:" diagnostics
+ * at load, before any point runs (`--dry-run`, `--shard` and
+ * `--merge-frames` included): grammar errors (a missing operand,
+ * comparison or ')', a trailing token), then names — a machine no
+ * [machine] section declares, a metric or event counter the frame has
+ * no column for, `speedup` without a baseline_machine, a malformed
+ * selector or one whose axis no [sweep] or [quick] line declares —
+ * and a footer with a per-point reference outside an aggregate. Only
+ * what depends on the frame fails when evaluated: a selector value
+ * (or, in a full run, a [quick]-only axis) absent from the grid, a
+ * missing machine or baseline row, division by zero, and geomean over
+ * a value <= 0.
  *
  * Failing asserts echo every resolved reference's value in
  * AssertFailure::detail — aggregate bodies echo per coordinate group,
@@ -137,10 +153,10 @@ struct AssertFailure {
 };
 
 /**
- * Evaluate every [report] assert against the sweep's metric frame.
- * Returns false (and sets @p err to a "path:line: message" diagnostic)
- * on a malformed expression, an unresolvable reference, or a malformed
- * cross-axis selector; well-formed asserts that do not hold are
+ * Evaluate every [report] assert (compiled by Scenario::fromSpec)
+ * against the sweep's metric frame. Returns false (and sets @p err to
+ * a "path:line: message" diagnostic) on an error that depends on the
+ * frame (see "When errors fire"); asserts that do not hold are
  * appended to @p failures. Evaluations touching degraded coordinate
  * groups follow the `[report] on_failed_points` policy (see the
  * grammar comment); when @p skippedGroups is non-null it receives the
@@ -156,9 +172,8 @@ bool evaluateAsserts(const Scenario &sc,
  * Render every [table] of @p sc over @p frame, in file order, through
  * the shared grid emitter (GitHub-flavoured markdown when
  * @p markdown). Every cell and footer is evaluated before anything is
- * written: on a malformed expression, an unresolvable reference or a
- * footer outside an aggregate, nothing is emitted and @p err receives
- * a "path:line: message" diagnostic.
+ * written: on an error that depends on the frame, nothing is emitted
+ * and @p err receives a "path:line: message" diagnostic.
  */
 bool writeTables(std::ostream &os, const Scenario &sc,
                  const harness::MetricFrame &frame, bool markdown,

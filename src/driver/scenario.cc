@@ -134,6 +134,17 @@ ScenarioPoint::coordString() const
 
 namespace {
 
+/** Set @p err (when non-null) to a "path:line: message" diagnostic;
+ *  false, so a failing check reads `return fail(...)`. */
+bool
+fail(std::string *err, const std::string &path, int line,
+     const std::string &message)
+{
+    if (err)
+        *err = specError(path, line, message);
+    return false;
+}
+
 bool
 validAxisKey(const std::string &key)
 {
@@ -146,41 +157,27 @@ parseAxes(const SpecFile &spec, const SpecSection &sec,
           std::vector<SweepAxis> *out, std::string *err)
 {
     for (const SpecEntry &e : sec.entries) {
-        if (!validAxisKey(e.key)) {
-            if (err)
-                *err = specError(spec.path, e.line,
-                                 "unknown sweep axis '" + e.key +
-                                 "' (expected 'competitors', "
-                                 "'workload.<param>' or "
-                                 "'machine.<knob>')");
-            return false;
-        }
+        if (!validAxisKey(e.key))
+            return fail(err, spec.path, e.line,
+                        "unknown sweep axis '" + e.key +
+                        "' (expected 'competitors', 'workload.<param>' or "
+                        "'machine.<knob>')");
         // List-valued knobs cannot be an axis: the comma-split below
         // would silently turn one topology into several scalar points.
-        if (e.key == "machine.processors") {
-            if (err)
-                *err = specError(spec.path, e.line,
-                                 "machine.processors cannot be swept "
-                                 "(its value is a comma list); define "
-                                 "one [machine] section per topology "
-                                 "instead");
-            return false;
-        }
+        if (e.key == "machine.processors")
+            return fail(err, spec.path, e.line,
+                        "machine.processors cannot be swept "
+                        "(its value is a comma list); define "
+                        "one [machine] section per topology instead");
         SweepAxis axis;
         axis.key = e.key;
         axis.line = e.line;
         std::string msg;
-        if (!expandValues(e.value, &axis.values, &msg)) {
-            if (err)
-                *err = specError(spec.path, e.line, msg);
-            return false;
-        }
-        if (axis.values.empty()) {
-            if (err)
-                *err = specError(spec.path, e.line,
-                                 "axis '" + e.key + "' has no values");
-            return false;
-        }
+        if (!expandValues(e.value, &axis.values, &msg))
+            return fail(err, spec.path, e.line, msg);
+        if (axis.values.empty())
+            return fail(err, spec.path, e.line,
+                        "axis '" + e.key + "' has no values");
         out->push_back(std::move(axis));
     }
     return true;
@@ -188,32 +185,21 @@ parseAxes(const SpecFile &spec, const SpecSection &sec,
 
 /** One [table] section. `column` and `footer` values are
  *  `<label> = <expr>`; a footer may end in `by suite`. The
- *  expressions are checked against the frame when the table renders
- *  (driver/report.hh). */
+ *  expressions compile once every section is read (compileAll). */
 bool
 parseTable(const SpecFile &spec, const SpecSection &sec,
            std::vector<TableSpec> *out, std::string *err)
 {
-    auto trim = [](const std::string &s) {
-        std::size_t b = s.find_first_not_of(" \t");
-        std::size_t e = s.find_last_not_of(" \t");
-        return b == std::string::npos ? std::string()
-                                       : s.substr(b, e - b + 1);
-    };
     TableSpec table;
     for (const SpecEntry &e : sec.entries) {
         if (e.key == "title") {
             table.title = e.value;
             continue;
         }
-        if (e.key != "column" && e.key != "footer") {
-            if (err)
-                *err = specError(spec.path, e.line,
-                                 "unknown [table] key '" + e.key +
-                                     "' (expected title, column or "
-                                     "footer)");
-            return false;
-        }
+        if (e.key != "column" && e.key != "footer")
+            return fail(err, spec.path, e.line,
+                        "unknown [table] key '" + e.key +
+                            "' (expected title, column or footer)");
         TableCell cell;
         cell.line = e.line;
         std::size_t eq = e.value.find('=');
@@ -229,23 +215,44 @@ parseTable(const SpecFile &spec, const SpecSection &sec,
             cell.expr = trim(
                 cell.expr.substr(0, cell.expr.size() - kBySuite.size()));
         }
-        if (cell.label.empty() || cell.expr.empty()) {
-            if (err)
-                *err = specError(spec.path, e.line,
-                                 e.key + ": expected '<label> = <expr>', "
-                                         "got '" + e.value + "'");
-            return false;
-        }
+        if (cell.label.empty() || cell.expr.empty())
+            return fail(err, spec.path, e.line,
+                        e.key + ": expected '<label> = <expr>', "
+                                "got '" + e.value + "'");
         (e.key == "column" ? table.columns : table.footers)
             .push_back(std::move(cell));
     }
-    if (table.columns.empty()) {
-        if (err)
-            *err = specError(spec.path, sec.line,
-                             "[table] needs at least one 'column'");
-        return false;
-    }
+    if (table.columns.empty())
+        return fail(err, spec.path, sec.line,
+                    "[table] needs at least one 'column'");
     out->push_back(std::move(table));
+    return true;
+}
+
+/** Compile every assert, column and footer of @p sc (names resolve
+ *  against the whole spec, so this runs after the last section). */
+bool
+compileAll(Scenario &sc, std::string *err)
+{
+    std::string why;
+    for (ReportAssert &a : sc.report.asserts) {
+        if (!compileExpr(a.text, true, sc, &a.tree, &why))
+            return fail(err, sc.specPath, a.line,
+                        "assert '" + a.text + "': " + why);
+    }
+    for (TableSpec &t : sc.tables) {
+        for (std::vector<TableCell> *cells : {&t.columns, &t.footers}) {
+            for (TableCell &c : *cells) {
+                if (!compileExpr(c.expr, false, sc, &c.tree, &why))
+                    return fail(err, sc.specPath, c.line,
+                                "'" + c.label + " = " + c.expr + "': " + why);
+                if (cells == &t.footers && !c.tree.consulted.empty())
+                    return fail(err, sc.specPath, c.line,
+                                "footer '" + c.label + "': per-point "
+                                "references must sit inside an aggregate");
+            }
+        }
+    }
     return true;
 }
 
@@ -266,54 +273,38 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
                 else if (e.key == "title")
                     out->title = e.value;
                 else {
-                    if (err)
-                        *err = specError(spec.path, e.line,
-                                         "unknown [scenario] key '" +
-                                         e.key + "'");
-                    return false;
+                    return fail(err, spec.path, e.line,
+                                "unknown [scenario] key '" + e.key + "'");
                 }
             }
         } else if (sec.type == "machine") {
             MachineSpec m;
             m.name = sec.name.empty() ? "machine" : sec.name;
             for (const MachineSpec &prev : out->machines) {
-                if (prev.name == m.name) {
-                    if (err)
-                        *err = specError(spec.path, sec.line,
-                                         "duplicate machine name '" +
-                                         m.name + "'");
-                    return false;
-                }
+                if (prev.name == m.name)
+                    return fail(err, spec.path, sec.line,
+                                "duplicate machine name '" + m.name + "'");
             }
             for (const SpecEntry &e : sec.entries) {
                 std::string msg;
-                if (!m.apply(e.key, e.value, &msg)) {
-                    if (err)
-                        *err = specError(spec.path, e.line, msg);
-                    return false;
-                }
+                if (!m.apply(e.key, e.value, &msg) ||
+                    !m.toSystemConfig().validate(&msg))
+                    return fail(err, spec.path, e.line, msg);
             }
             out->machines.push_back(std::move(m));
         } else if (sec.type == "workload") {
             WorkloadSpec w;
             for (const SpecEntry &e : sec.entries) {
                 std::string msg;
-                if (!w.apply(e.key, e.value, &msg)) {
-                    if (err)
-                        *err = specError(spec.path, e.line, msg);
-                    return false;
-                }
+                if (!w.apply(e.key, e.value, &msg))
+                    return fail(err, spec.path, e.line, msg);
             }
-            if (!wl::findWorkload(w.name)) {
-                if (err)
-                    *err = specError(spec.path, sec.line,
-                                     w.name.empty()
-                                         ? std::string("[workload] section "
-                                                       "needs a 'name' key")
-                                         : "unknown workload '" + w.name +
-                                               "'");
-                return false;
-            }
+            if (!wl::findWorkload(w.name))
+                return fail(err, spec.path, sec.line,
+                            w.name.empty()
+                                ? std::string("[workload] section "
+                                              "needs a 'name' key")
+                                : "unknown workload '" + w.name + "'");
             if (!sawWorkload) {
                 out->workload = std::move(w);
                 sawWorkload = true;
@@ -323,78 +314,47 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
         } else if (sec.type == "run") {
             for (const SpecEntry &e : sec.entries) {
                 if (e.key == "max_ticks") {
-                    if (!parseU64(e.value, &out->maxTicks)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "max_ticks: expected a tick "
-                                             "count");
-                        return false;
-                    }
+                    if (!parseU64(e.value, &out->maxTicks))
+                        return fail(err, spec.path, e.line,
+                                    "max_ticks: expected a tick count");
                 } else if (e.key == "competitors") {
-                    if (!parseUnsigned(e.value, &out->competitors)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "competitors: expected an "
-                                             "integer");
-                        return false;
-                    }
+                    if (!parseUnsigned(e.value, &out->competitors))
+                        return fail(err, spec.path, e.line,
+                                    "competitors: expected an integer");
                 } else if (e.key == "competitor") {
-                    if (!wl::findWorkload(e.value)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "unknown competitor workload "
-                                             "'" + e.value + "'");
-                        return false;
-                    }
+                    if (!wl::findWorkload(e.value))
+                        return fail(err, spec.path, e.line,
+                                    "unknown competitor workload "
+                                    "'" + e.value + "'");
                     out->competitor = e.value;
                 } else if (e.key == "point_deadline_ms") {
-                    if (!parseU64(e.value, &out->pointDeadlineMs)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "point_deadline_ms: expected "
-                                             "a millisecond count");
-                        return false;
-                    }
+                    if (!parseU64(e.value, &out->pointDeadlineMs))
+                        return fail(err, spec.path, e.line,
+                                    "point_deadline_ms: expected "
+                                    "a millisecond count");
                 } else if (e.key == "retries") {
-                    if (!parseUnsigned(e.value, &out->retries)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "retries: expected an "
-                                             "integer");
-                        return false;
-                    }
+                    if (!parseUnsigned(e.value, &out->retries))
+                        return fail(err, spec.path, e.line,
+                                    "retries: expected an integer");
                 } else if (e.key == "retry_backoff_ms") {
-                    if (!parseUnsigned(e.value, &out->retryBackoffMs)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "retry_backoff_ms: expected "
-                                             "a millisecond count");
-                        return false;
-                    }
+                    if (!parseUnsigned(e.value, &out->retryBackoffMs))
+                        return fail(err, spec.path, e.line,
+                                    "retry_backoff_ms: expected "
+                                    "a millisecond count");
                 } else {
-                    if (err)
-                        *err = specError(spec.path, e.line,
-                                         "unknown [run] key '" + e.key +
-                                         "'");
-                    return false;
+                    return fail(err, spec.path, e.line,
+                                "unknown [run] key '" + e.key + "'");
                 }
             }
         } else if (sec.type == "snapshot") {
             for (const SpecEntry &e : sec.entries) {
                 if (e.key == "warmup_ticks") {
-                    if (!parseU64(e.value, &out->snapshotWarmupTicks)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "warmup_ticks: expected a "
-                                             "tick count");
-                        return false;
-                    }
+                    if (!parseU64(e.value, &out->snapshotWarmupTicks))
+                        return fail(err, spec.path, e.line,
+                                    "warmup_ticks: expected a tick count");
                 } else {
-                    if (err)
-                        *err = specError(spec.path, e.line,
-                                         "unknown [snapshot] key '" +
-                                         e.key + "'");
-                    return false;
+                    return fail(err, spec.path, e.line,
+                                "unknown [snapshot] key '" + e.key + "'");
                 }
             }
         } else if (sec.type == "trace") {
@@ -402,51 +362,32 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
                 if (e.key == "categories") {
                     std::string msg;
                     if (!obs::parseTraceCats(e.value, &out->trace.catMask,
-                                             &msg)) {
-                        if (err)
-                            *err = specError(spec.path, e.line, msg);
-                        return false;
-                    }
+                                             &msg))
+                        return fail(err, spec.path, e.line, msg);
                 } else if (e.key == "max_events") {
-                    if (!parseU64(e.value, &out->trace.maxEvents)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "max_events: expected an "
-                                             "event count");
-                        return false;
-                    }
+                    if (!parseU64(e.value, &out->trace.maxEvents))
+                        return fail(err, spec.path, e.line,
+                                    "max_events: expected an event count");
                 } else {
-                    if (err)
-                        *err = specError(spec.path, e.line,
-                                         "unknown [trace] key '" + e.key +
-                                         "'");
-                    return false;
+                    return fail(err, spec.path, e.line,
+                                "unknown [trace] key '" + e.key + "'");
                 }
             }
         } else if (sec.type == "faults") {
             for (const SpecEntry &e : sec.entries) {
                 std::string msg;
                 if (e.key == "seed") {
-                    if (!parseU64(e.value, &out->faults.seed)) {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "seed: expected an integer");
-                        return false;
-                    }
+                    if (!parseU64(e.value, &out->faults.seed))
+                        return fail(err, spec.path, e.line,
+                                    "seed: expected an integer");
                     out->faults.seedSet = true;
                 } else if (e.key == "inject") {
                     if (!FaultPlan::parseItem(e.value, &out->faults,
-                                              &msg)) {
-                        if (err)
-                            *err = specError(spec.path, e.line, msg);
-                        return false;
-                    }
+                                              &msg))
+                        return fail(err, spec.path, e.line, msg);
                 } else {
-                    if (err)
-                        *err = specError(spec.path, e.line,
-                                         "unknown [faults] key '" +
-                                         e.key + "'");
-                    return false;
+                    return fail(err, spec.path, e.line,
+                                "unknown [faults] key '" + e.key + "'");
                 }
             }
         } else if (sec.type == "sweep") {
@@ -472,32 +413,24 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
                         out->report.onFailedPoints =
                             FailedPointPolicy::RequireAll;
                     else {
-                        if (err)
-                            *err = specError(spec.path, e.line,
-                                             "on_failed_points: expected "
-                                             "'fail', 'skip' or "
-                                             "'require_all', got '" +
-                                             e.value + "'");
-                        return false;
+                        return fail(err, spec.path, e.line,
+                                    "on_failed_points: expected "
+                                    "'fail', 'skip' or 'require_all', got '" +
+                                    e.value + "'");
                     }
                 } else if (e.key == "assert") {
-                    out->report.asserts.push_back({e.value, e.line});
+                    out->report.asserts.push_back({e.value, e.line, {}});
                 } else {
-                    if (err)
-                        *err = specError(spec.path, e.line,
-                                         "unknown [report] key '" + e.key +
-                                         "'");
-                    return false;
+                    return fail(err, spec.path, e.line,
+                                "unknown [report] key '" + e.key + "'");
                 }
             }
         } else if (sec.type == "table") {
             if (!parseTable(spec, sec, &out->tables, err))
                 return false;
         } else {
-            if (err)
-                *err = specError(spec.path, sec.line,
-                                 "unknown section [" + sec.type + "]");
-            return false;
+            return fail(err, spec.path, sec.line,
+                        "unknown section [" + sec.type + "]");
         }
     }
 
@@ -534,7 +467,7 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
             return false;
         }
     }
-    return true;
+    return compileAll(*out, err);
 }
 
 bool
@@ -570,11 +503,8 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
             std::string msg;
             std::vector<const wl::WorkloadInfo *> picked =
                 wl::selectWorkloads(sel, &msg);
-            if (picked.empty()) {
-                if (err)
-                    *err = specError(specPath, a.line, msg);
-                return false;
-            }
+            if (picked.empty())
+                return fail(err, specPath, a.line, msg);
             for (const wl::WorkloadInfo *info : picked)
                 names.push_back(info->name);
         }
@@ -619,13 +549,11 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
                 } else if (key.rfind("workload.", 0) == 0) {
                     ok = pt.workload.apply(key.substr(9), value, &msg);
                 } else { // machine.<knob>
-                    ok = pt.machine.apply(key.substr(8), value, &msg);
+                    ok = pt.machine.apply(key.substr(8), value, &msg) &&
+                         pt.machine.toSystemConfig().validate(&msg);
                 }
-                if (!ok) {
-                    if (err)
-                        *err = specError(specPath, axisLines[i], msg);
-                    return false;
-                }
+                if (!ok)
+                    return fail(err, specPath, axisLines[i], msg);
             }
 
             if (!wl::findWorkload(pt.workload.name)) {

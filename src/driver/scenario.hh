@@ -71,6 +71,7 @@
 #include <utility>
 #include <vector>
 
+#include "driver/expr.hh"
 #include "driver/faults.hh"
 #include "driver/spec.hh"
 #include "misp/misp_system.hh"
@@ -134,11 +135,13 @@ struct SweepAxis {
     int line = 0; ///< spec line, for expansion-time diagnostics
 };
 
-/** One `assert = <expr>` guard from a [report] section, evaluated
- *  against RunRecord-derived metrics after the grid runs. */
+/** One `assert = <expr>` guard from a [report] section, compiled when
+ *  the spec loads and evaluated against the sweep's frame after the
+ *  grid runs. */
 struct ReportAssert {
     std::string text;
     int line = 0; ///< spec line, for failure diagnostics
+    Expr tree;    ///< @p text compiled by Scenario::fromSpec
 };
 
 /** What reporting does with grid points that failed for infrastructure
@@ -179,6 +182,7 @@ struct TableCell {
     std::string expr; ///< a `side` of the assert grammar
     bool bySuite = false; ///< footers only: one line per suite
     int line = 0;
+    Expr tree; ///< @p expr compiled by Scenario::fromSpec
 };
 
 /** One [table] section: a paper table declared as data. */
@@ -250,7 +254,10 @@ struct Scenario {
     /**
      * Validate and type a parsed spec. All diagnostics carry
      * "path:line:" prefixes. Requires at least one [machine] and one
-     * [workload] section with a registered workload name.
+     * [workload] section with a registered workload name, and a
+     * machine arch::SystemConfig::validate accepts. Compiles every
+     * `assert`, `column` and `footer` expression, so grammar and name
+     * errors in them fail here, before any point runs.
      */
     static bool fromSpec(const SpecFile &spec, Scenario *out,
                          std::string *err);
@@ -259,7 +266,8 @@ struct Scenario {
      * Expand the run grid: cartesian product of the sweep axes (with
      * [quick] overrides when @p quickMode), crossed with the machine
      * list. Sweep order: first axis varies slowest; machines vary
-     * fastest. Axis values are validated here (e.g. workload names).
+     * fastest. Axis values are validated here (e.g. workload names,
+     * and `machine.*` overrides against arch::SystemConfig::validate).
      */
     bool expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
                       std::string *err) const;

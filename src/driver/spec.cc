@@ -9,16 +9,6 @@ namespace misp::driver {
 
 namespace {
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
 /** Strip `#` / `;` comments. Values never contain either character
  *  (documented in spec.hh), so no quoting rules are needed. */
 std::string
@@ -29,6 +19,16 @@ stripComment(const std::string &line)
 }
 
 } // namespace
+
+std::string
+trim(const std::string &s)
+{
+    std::size_t b = s.find_first_not_of(" \t\r");
+    if (b == std::string::npos)
+        return "";
+    std::size_t e = s.find_last_not_of(" \t\r");
+    return s.substr(b, e - b + 1);
+}
 
 std::string
 specError(const std::string &path, int line, const std::string &message)

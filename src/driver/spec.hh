@@ -80,6 +80,9 @@ struct SpecFile {
 std::string specError(const std::string &path, int line,
                       const std::string &message);
 
+/** @p s without leading and trailing blanks (space, tab, CR). */
+std::string trim(const std::string &s);
+
 /** Split a comma-separated value into trimmed, non-empty tokens. */
 std::vector<std::string> splitList(const std::string &value);
 

@@ -18,6 +18,32 @@ SystemConfig::mp(const std::vector<unsigned> &amsCounts)
     return cfg;
 }
 
+bool
+SystemConfig::validate(std::string *err) const
+{
+    auto bad = [&](const std::string &field, std::uint64_t value,
+                   const std::string &want) {
+        *err = field + " is " + std::to_string(value) + "; " + want;
+        return false;
+    };
+    const std::string most = std::to_string(kMaxSequencers);
+    if (amsPerProcessor.empty() || amsPerProcessor.size() > kMaxSequencers)
+        return bad("the processor count", amsPerProcessor.size(),
+                   "a machine has 1 to " + most);
+    for (std::size_t i = 0; i < amsPerProcessor.size(); ++i) {
+        if (amsPerProcessor[i] > kMaxSequencers)
+            return bad("amsPerProcessor[" + std::to_string(i) + "]",
+                       amsPerProcessor[i], "a processor has at most " + most);
+    }
+    if (physFrames == 0)
+        return bad("physFrames", 0, "a machine needs memory");
+    if (misp.sliceLimit == 0)
+        return bad("misp.sliceLimit", 0, "a slice must retire an instruction");
+    if (kernel.timerPeriod == 0)
+        return bad("kernel.timerPeriod", 0, "the timer would re-fire forever");
+    return true;
+}
+
 MispSystem::MispSystem(const SystemConfig &config)
     : config_(config), root_("")
 {

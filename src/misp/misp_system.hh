@@ -38,9 +38,21 @@ struct SystemConfig {
     os::KernelConfig kernel;
     std::uint64_t physFrames = 1 << 18; ///< 1 GiB of simulated DRAM
 
+    /** Most processors, and most AMSs on one processor, a machine may
+     *  have: far above the paper's machines, and small enough that
+     *  building one cannot exhaust the host. */
+    static constexpr std::size_t kMaxSequencers = 256;
+
     /** Shorthand constructors for the paper's configurations. */
     static SystemConfig uniprocessor(unsigned numAms = 7);
     static SystemConfig mp(const std::vector<unsigned> &amsCounts);
+
+    /** Whether this machine can be built and run: 1..kMaxSequencers
+     *  processors of at most kMaxSequencers AMSs each, at least one
+     *  physical frame, a nonzero slice limit (else no instruction
+     *  retires) and a nonzero timer period (else the timer re-fires
+     *  at one tick forever). False + @p err naming the field. */
+    bool validate(std::string *err) const;
 };
 
 /** The simulated machine. */

@@ -224,6 +224,11 @@ restoreExperiment(const std::string &image, RestoredExperiment *out,
         arch::SystemConfig cfg;
         rt::Backend backend = rt::Backend::Shred;
         d.section(kSecConfig, [&] { archive(d, cfg, backend); });
+        // A CRC-valid CONFIG may still describe a machine that cannot
+        // be built or run; refuse it before building anything.
+        std::string bad;
+        if (!cfg.validate(&bad))
+            throw SnapError("CONFIG " + bad);
         auto exp = std::make_unique<harness::Experiment>(cfg, backend);
         SnapshotMeta meta;
         archiveMachine(d, *exp, meta);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "driver/report.hh"
@@ -82,14 +83,45 @@ twoAxisGrid()
     return results;
 }
 
+/** Ends in its [report] section, so asserts may be appended. */
+const char *const kTwoAxisSpec =
+    "[machine a]\nams = 1\n[machine b]\nams = 3\n"
+    "[workload]\nname = dense_mvm\n"
+    "[sweep]\nworkload.param.dim = 64, 96\n"
+    "[report]\nbaseline_machine = a\n";
+
+/** @p spec (ending in a [report] section) with one `assert =` line per
+ *  entry of @p asserts appended, compiled by Scenario::fromSpec. */
 Scenario
-twoAxisScenario()
+withAsserts(const std::string &spec, const std::vector<std::string> &asserts)
 {
-    return mustScenario(
-        "[machine a]\nams = 1\n[machine b]\nams = 3\n"
-        "[workload]\nname = dense_mvm\n"
-        "[sweep]\nworkload.param.dim = 64, 96\n"
-        "[report]\nbaseline_machine = a\n");
+    std::string text = spec;
+    for (const std::string &a : asserts)
+        text += "assert = " + a + "\n";
+    return mustScenario(text);
+}
+
+Scenario
+twoAxisScenario(const std::vector<std::string> &asserts = {})
+{
+    return withAsserts(kTwoAxisSpec, asserts);
+}
+
+/** The diagnostic Scenario::fromSpec gives for @p spec plus the line
+ *  @p entry; checks it fails and names that line. */
+std::string
+loadError(const std::string &spec, const std::string &entry)
+{
+    const std::string text = spec + entry + "\n";
+    SpecFile file;
+    Scenario sc;
+    std::string err;
+    EXPECT_TRUE(SpecFile::parse(text, "<test>", &file, &err)) << err;
+    EXPECT_FALSE(Scenario::fromSpec(file, &sc, &err)) << entry;
+    const auto line = std::count(text.begin(), text.end(), '\n');
+    EXPECT_NE(err.find(":" + std::to_string(line) + ":"), std::string::npos)
+        << err;
+    return err;
 }
 
 /** Run the evaluator over a frame built the way mispsim builds it. */
@@ -260,45 +292,42 @@ TEST(MetricFrame, LookupQueries)
 
 TEST(AssertGrammar, AggregatesFoldAcrossCoordinateGroups)
 {
-    Scenario sc = twoAxisScenario();
+    // a.ticks over the two groups: {400, 800}; b.speedup: {2, 4}.
+    Scenario sc = twoAxisScenario({
+        "avg ( a.ticks ) == 600",
+        "min ( a.ticks ) == 400",
+        "max ( a.ticks ) == 800",
+        "sum ( a.ticks ) == 1200",
+        "count ( a.ticks ) == 2",
+        // geomean(2,4) = sqrt(8) ~ 2.828; parens may hug the body.
+        // (== on the squared value would hit floating-point noise.)
+        "geomean(b.speedup) * geomean(b.speedup) >= 7.999",
+        "geomean(b.speedup) * geomean(b.speedup) <= 8.001",
+        // Aggregate bodies are full expressions, evaluated per group.
+        "avg ( a.ticks / b.ticks ) == 3",
+        // Aggregates compose with arithmetic and nest.
+        "avg ( a.ticks ) + max ( a.ticks ) == 1400",
+        "max ( a.ticks - avg ( a.ticks ) ) == 200",
+    });
     std::vector<PointResult> results = twoAxisGrid();
     std::vector<AssertFailure> failures;
     std::string err;
-
-    // a.ticks over the two groups: {400, 800}; b.speedup: {2, 4}.
-    sc.report.asserts = {
-        {"avg ( a.ticks ) == 600", 1},
-        {"min ( a.ticks ) == 400", 2},
-        {"max ( a.ticks ) == 800", 3},
-        {"sum ( a.ticks ) == 1200", 4},
-        {"count ( a.ticks ) == 2", 5},
-        // geomean(2,4) = sqrt(8) ~ 2.828; parens may hug the body.
-        // (== on the squared value would hit floating-point noise.)
-        {"geomean(b.speedup) * geomean(b.speedup) >= 7.999", 6},
-        {"geomean(b.speedup) * geomean(b.speedup) <= 8.001", 6},
-        // Aggregate bodies are full expressions, evaluated per group.
-        {"avg ( a.ticks / b.ticks ) == 3", 7},
-        // Aggregates compose with arithmetic and nest.
-        {"avg ( a.ticks ) + max ( a.ticks ) == 1400", 8},
-        {"max ( a.ticks - avg ( a.ticks ) ) == 200", 9},
-    };
     ASSERT_TRUE(evalAsserts(sc, results, &failures, &err)) << err;
     EXPECT_TRUE(failures.empty()) << failures.front().detail;
 }
 
 TEST(AssertGrammar, AggregateOnlyAssertsEvaluateOncePerSweep)
 {
-    Scenario sc = twoAxisScenario();
     std::vector<AssertFailure> failures;
     std::string err;
 
     // A failing suite claim reports once (not once per group), names
     // the sweep, and echoes the per-group body values so the offending
     // points are identifiable.
-    sc.report.asserts = {{"avg ( b.speedup ) >= 100", 42}};
+    Scenario sc = twoAxisScenario({"avg ( b.speedup ) >= 100"});
     ASSERT_TRUE(evalAsserts(sc, twoAxisGrid(), &failures, &err)) << err;
     ASSERT_EQ(failures.size(), 1u);
-    EXPECT_EQ(failures[0].line, 42);
+    EXPECT_EQ(failures[0].line, 11);
     EXPECT_NE(failures[0].detail.find("lhs=3"), std::string::npos);
     EXPECT_NE(failures[0].detail.find("the whole sweep"),
               std::string::npos);
@@ -310,7 +339,7 @@ TEST(AssertGrammar, AggregateOnlyAssertsEvaluateOncePerSweep)
     // A per-group assert mixing in an aggregate still evaluates per
     // group — the aggregate is a sweep-wide constant. b.speedup is
     // {2, 4}, avg is 3: only the workload.param.dim=64 group fails.
-    sc.report.asserts = {{"b.speedup >= avg ( b.speedup )", 7}};
+    sc = twoAxisScenario({"b.speedup >= avg ( b.speedup )"});
     ASSERT_TRUE(evalAsserts(sc, twoAxisGrid(), &failures, &err)) << err;
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_NE(failures[0].detail.find("at workload.param.dim=64"), std::string::npos);
@@ -320,28 +349,32 @@ TEST(AssertGrammar, AggregateOnlyAssertsEvaluateOncePerSweep)
 
 TEST(AssertGrammar, AggregateDiagnostics)
 {
-    Scenario sc = twoAxisScenario();
     std::vector<AssertFailure> failures;
     std::string err;
 
-    // geomean over a non-positive value fails closed.
+    // geomean over a non-positive value fails closed when evaluated:
+    // it depends on the sweep's values.
+    Scenario sc = twoAxisScenario({"geomean ( b.speedup ) >= 1"});
     std::vector<PointResult> results = twoAxisGrid();
     results[0].run.status = harness::RunStatus::MaxTicksReached;
-    sc.report.asserts = {{"geomean ( b.speedup ) >= 1", 3}};
     EXPECT_FALSE(evalAsserts(sc, results, &failures, &err));
     EXPECT_NE(err.find("geomean"), std::string::npos);
-    EXPECT_NE(err.find(":3:"), std::string::npos);
+    EXPECT_NE(err.find(":11:"), std::string::npos);
 
-    // Unbalanced aggregate parens are hard errors with the line.
-    sc.report.asserts = {{"avg ( b.ticks >= 1", 9}};
-    EXPECT_FALSE(evalAsserts(sc, twoAxisGrid(), &failures, &err));
-    EXPECT_NE(err.find(":9:"), std::string::npos);
-    EXPECT_NE(err.find("expected ')'"), std::string::npos);
+    // Unbalanced aggregate parens are rejected when the spec loads,
+    // naming the paren rather than the unknown metric inside it.
+    err = loadError(kTwoAxisSpec, "assert = avg ( b.ticks >= 1");
+    EXPECT_NE(err.find("expected ')' closing avg(...), got '>='"),
+              std::string::npos)
+        << err;
+    err = loadError(kTwoAxisSpec, "assert = avg( b.Mcycles  >= 1");
+    EXPECT_NE(err.find("expected ')' closing avg(...), got '>='"),
+              std::string::npos)
+        << err;
 
     // An aggregate name without '(' still resolves as a plain ref
     // (machines may be called avg); here there is no such machine.
-    sc.report.asserts = {{"avg.ticks >= 1", 4}};
-    EXPECT_FALSE(evalAsserts(sc, twoAxisGrid(), &failures, &err));
+    err = loadError(kTwoAxisSpec, "assert = avg.ticks >= 1");
     EXPECT_NE(err.find("names no [machine] section"), std::string::npos);
 }
 
@@ -351,18 +384,16 @@ TEST(AssertGrammar, AggregateDiagnostics)
 
 TEST(AssertGrammar, CrossAxisSelectors)
 {
-    Scenario sc = twoAxisScenario();
+    Scenario sc = twoAxisScenario({
+        // From every group, address the a rows of both axis values.
+        "a[workload.param.dim=96].ticks == 2 * a[workload.param.dim=64].ticks",
+        // Selector + aggregate: the body is constant across groups.
+        "avg ( a[workload.param.dim=96].ticks - a[workload.param.dim=64].ticks ) == 400",
+        // Metric grammar still applies behind a selector.
+        "b[workload.param.dim=96].speedup == 4",
+    });
     std::vector<AssertFailure> failures;
     std::string err;
-
-    sc.report.asserts = {
-        // From every group, address the a rows of both axis values.
-        {"a[workload.param.dim=96].ticks == 2 * a[workload.param.dim=64].ticks", 1},
-        // Selector + aggregate: the body is constant across groups.
-        {"avg ( a[workload.param.dim=96].ticks - a[workload.param.dim=64].ticks ) == 400", 2},
-        // Metric grammar still applies behind a selector.
-        {"b[workload.param.dim=96].speedup == 4", 3},
-    };
     ASSERT_TRUE(evalAsserts(sc, twoAxisGrid(), &failures, &err)) << err;
     EXPECT_TRUE(failures.empty()) << failures.front().detail;
 }
@@ -375,10 +406,10 @@ TEST(AssertGrammar, PinnedSelectorsEvaluateOncePerProjection)
     // (w, workload.param.dim): the assert must be evaluated (and may
     // fail) once per distinct w, never once per (w, dim) pair, and
     // the failure label must name only the consulted axis.
-    Scenario sc = mustScenario(
+    const std::string spec =
         "[machine a]\nams = 1\n[workload]\nname = dense_mvm\n"
         "[sweep]\nworkload.workers = 1, 2\n"
-        "workload.param.dim = 64, 96\n");
+        "workload.param.dim = 64, 96\n[report]\n";
     std::vector<PointResult> results;
     for (const char *w : {"1", "2"}) {
         for (const char *d : {"64", "96"}) {
@@ -393,10 +424,8 @@ TEST(AssertGrammar, PinnedSelectorsEvaluateOncePerProjection)
 
     std::vector<AssertFailure> failures;
     std::string err;
-    sc.report.asserts = {
-        {"a[workload.param.dim=96].ticks < "
-         "a[workload.param.dim=64].ticks",
-         5}};
+    Scenario sc = withAsserts(spec, {"a[workload.param.dim=96].ticks < "
+                                     "a[workload.param.dim=64].ticks"});
     ASSERT_TRUE(evalAsserts(sc, results, &failures, &err)) << err;
     // 4 coordinate groups, 2 distinct projections onto the consulted
     // axis -> exactly 2 failures, labeled by workload.workers alone.
@@ -411,8 +440,8 @@ TEST(AssertGrammar, PinnedSelectorsEvaluateOncePerProjection)
 
     // Pinning every axis makes the assert a whole-sweep claim:
     // evaluated once, one failure.
-    sc.report.asserts = {
-        {"a[workload.param.dim=96,workload.workers=1].ticks == 0", 6}};
+    sc = withAsserts(
+        spec, {"a[workload.param.dim=96,workload.workers=1].ticks == 0"});
     ASSERT_TRUE(evalAsserts(sc, results, &failures, &err)) << err;
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_NE(failures[0].detail.find("the whole sweep"),
@@ -421,10 +450,7 @@ TEST(AssertGrammar, PinnedSelectorsEvaluateOncePerProjection)
 
 TEST(AssertGrammar, MalformedSelectorDiagnosticsCarryLineNumbers)
 {
-    Scenario sc = twoAxisScenario();
-    std::vector<AssertFailure> failures;
-    std::string err;
-
+    // Malformed selectors and unknown names fail when the spec loads.
     const struct {
         const char *expr;
         const char *want;
@@ -432,8 +458,6 @@ TEST(AssertGrammar, MalformedSelectorDiagnosticsCarryLineNumbers)
         {"b[workload.param.dim].ticks >= 0", "is not axis=value"},
         {"b[=64].ticks >= 0", "is not axis=value"},
         {"b[nosuch=64].ticks >= 0", "names no sweep coordinate"},
-        {"b[workload.param.dim=77].ticks >= 0",
-         "matches no value of axis 'workload.param.dim' (values: 64, 96)"},
         {"b[workload.param.dim=64] >= 0", "expected '.<metric>' after ']'"},
         {"b[workload.param.dim=64.ticks >= 0", "missing ']'"},
         {"nosuch[workload.param.dim=64].ticks >= 0", "names no [machine] section"},
@@ -441,13 +465,23 @@ TEST(AssertGrammar, MalformedSelectorDiagnosticsCarryLineNumbers)
         {"b[workload.param.dim=64].events.nosuch >= 0", "unknown event counter"},
     };
     for (const auto &c : cases) {
-        sc.report.asserts = {{c.expr, 17}};
-        EXPECT_FALSE(evalAsserts(sc, twoAxisGrid(), &failures, &err))
-            << c.expr;
-        EXPECT_NE(err.find(":17:"), std::string::npos) << err;
+        const std::string err =
+            loadError(kTwoAxisSpec, std::string("assert = ") + c.expr);
         EXPECT_NE(err.find(c.want), std::string::npos)
             << c.expr << " -> " << err;
     }
+
+    // A selector value is matched against the frame's axis values, so
+    // one matching none fails when evaluated.
+    Scenario sc = twoAxisScenario({"b[workload.param.dim=77].ticks >= 0"});
+    std::vector<AssertFailure> failures;
+    std::string err;
+    EXPECT_FALSE(evalAsserts(sc, twoAxisGrid(), &failures, &err));
+    EXPECT_NE(err.find(":11:"), std::string::npos) << err;
+    EXPECT_NE(err.find("matches no value of axis 'workload.param.dim' "
+                       "(values: 64, 96)"),
+              std::string::npos)
+        << err;
 }
 
 // ---------------------------------------------------------------------
@@ -472,25 +506,24 @@ TEST(Degradation, FailedAndAttemptsColumnsTrackInfraFailures)
 
 TEST(Degradation, AggregatesSkipDegradedGroups)
 {
-    Scenario sc = twoAxisScenario();
     std::vector<AssertFailure> failures;
     std::string err;
 
     // Both sides exclude the degraded dim=96 group, so the suite
     // completeness claim still holds over the survivors.
-    sc.report.asserts = {{"count ( b.completed ) == count ( 1 )", 3}};
+    Scenario sc = twoAxisScenario({"count ( b.completed ) == count ( 1 )"});
     ASSERT_TRUE(evalAsserts(sc, degradedGrid(), &failures, &err)) << err;
     EXPECT_TRUE(failures.empty());
 
     // Folds see only the surviving group's values: avg(a.ticks) is
     // 400 (dim=64), not (400+800)/2 — a's dim=96 row completed but its
     // group is degraded.
-    sc.report.asserts = {{"avg ( a.ticks ) == 400", 4}};
+    sc = twoAxisScenario({"avg ( a.ticks ) == 400"});
     ASSERT_TRUE(evalAsserts(sc, degradedGrid(), &failures, &err)) << err;
     EXPECT_TRUE(failures.empty());
 
     // A failing aggregate claim echoes the skipped-group count.
-    sc.report.asserts = {{"avg ( a.ticks ) == 800", 5}};
+    sc = twoAxisScenario({"avg ( a.ticks ) == 800"});
     ASSERT_TRUE(evalAsserts(sc, degradedGrid(), &failures, &err)) << err;
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_NE(failures[0].detail.find("degraded groups skipped"),
@@ -500,7 +533,6 @@ TEST(Degradation, AggregatesSkipDegradedGroups)
 
 TEST(Degradation, PolicyControlsEvaluationsOverFailedPoints)
 {
-    Scenario sc = twoAxisScenario();
     std::vector<AssertFailure> failures;
     std::string err;
     std::size_t skipped = 0;
@@ -508,7 +540,7 @@ TEST(Degradation, PolicyControlsEvaluationsOverFailedPoints)
     // Default (fail) and skip policies skip the evaluation at the
     // degraded group and count it; the claim would otherwise fail
     // there (a crashed point reads as ticks == 0).
-    sc.report.asserts = {{"b.ticks > 0", 3}};
+    Scenario sc = twoAxisScenario({"b.ticks > 0"});
     ASSERT_TRUE(
         evalAsserts(sc, degradedGrid(), &failures, &err, &skipped))
         << err;
@@ -544,17 +576,15 @@ TEST(Degradation, PolicyControlsEvaluationsOverFailedPoints)
 
 TEST(AssertGrammar, SelectorValuesNormalizeNumerically)
 {
-    Scenario sc = twoAxisScenario();
-    std::vector<AssertFailure> failures;
-    std::string err;
-
     // 9.6e1 addresses the axis value spelled `96`; 6.4e1 the value
     // spelled `64`. Exact spellings keep working.
-    sc.report.asserts = {
-        {"b[workload.param.dim=9.6e1].ticks == 200", 3},
-        {"a[workload.param.dim=6.4e1].ticks == 400", 4},
-        {"a[workload.param.dim=96].ticks == 800", 5},
-    };
+    Scenario sc = twoAxisScenario({
+        "b[workload.param.dim=9.6e1].ticks == 200",
+        "a[workload.param.dim=6.4e1].ticks == 400",
+        "a[workload.param.dim=96].ticks == 800",
+    });
+    std::vector<AssertFailure> failures;
+    std::string err;
     ASSERT_TRUE(evalAsserts(sc, twoAxisGrid(), &failures, &err)) << err;
     EXPECT_TRUE(failures.empty()) << failures[0].detail;
 }

@@ -44,6 +44,19 @@ mustScenario(const std::string &text)
     return sc;
 }
 
+/** The diagnostic Scenario::fromSpec gives for @p text, which must
+ *  parse as a spec and fail to load. */
+std::string
+loadError(const std::string &text)
+{
+    SpecFile spec;
+    Scenario sc;
+    std::string err;
+    EXPECT_TRUE(SpecFile::parse(text, "<test>", &spec, &err)) << err;
+    EXPECT_FALSE(Scenario::fromSpec(spec, &sc, &err)) << text;
+    return err;
+}
+
 std::vector<PointResult>
 runScenarioText(const std::string &text, unsigned jobs = 1)
 {
@@ -354,10 +367,11 @@ TEST(ParallelRunner, Jobs4OutputByteIdenticalToSerial)
 
 TEST(ReportAsserts, PassFailAndDiagnostics)
 {
+    const std::string base = "[machine a]\nams = 1\n[machine b]\nams = 3\n"
+                             "[workload]\nname = dense_mvm\n"
+                             "[report]\nbaseline_machine = a\n";
     Scenario sc = mustScenario(
-        "[machine a]\nams = 1\n[machine b]\nams = 3\n"
-        "[workload]\nname = dense_mvm\n"
-        "[report]\nbaseline_machine = a\n"
+        base +
         "assert = b.speedup >= 1.5\n"
         "assert = a.events.oms_page_faults == 10\n"
         "assert = b.events_per_mi.ams_page_faults <= 20 + 1.5 * 2\n");
@@ -373,49 +387,49 @@ TEST(ReportAsserts, PassFailAndDiagnostics)
     EXPECT_TRUE(failures.empty());
 
     // A failing assert reports its spec line and both sides.
-    Scenario bad = sc;
-    bad.report.asserts = {{"b.speedup >= 100", 42}};
+    Scenario bad = mustScenario(base + "assert = b.speedup >= 100\n");
     failures.clear();
     ASSERT_TRUE(evalAsserts(bad, results, &failures, &err)) << err;
     ASSERT_EQ(failures.size(), 1u);
-    EXPECT_EQ(failures[0].line, 42);
+    EXPECT_EQ(failures[0].line, 9);
     EXPECT_NE(failures[0].detail.find("lhs=3"), std::string::npos);
 
-    // Malformed expressions and unknown references are hard errors.
-    bad.report.asserts = {{"b.speedup >=", 7}};
-    failures.clear();
-    EXPECT_FALSE(evalAsserts(bad, results, &failures, &err));
-    EXPECT_NE(err.find(":7:"), std::string::npos);
-
-    bad.report.asserts = {{"nosuch.ticks > 0", 8}};
-    EXPECT_FALSE(evalAsserts(bad, results, &failures, &err));
-    EXPECT_NE(err.find("names no [machine] section"), std::string::npos);
-
-    bad.report.asserts = {{"b.nosuchmetric > 0", 9}};
-    EXPECT_FALSE(evalAsserts(bad, results, &failures, &err));
-    EXPECT_NE(err.find("unknown metric"), std::string::npos);
+    // Malformed expressions and unknown references are rejected when
+    // the spec loads, with the assert's line.
+    EXPECT_NE(loadError(base + "assert = b.speedup >=\n").find(":9:"),
+              std::string::npos);
+    EXPECT_NE(loadError(base + "assert = nosuch.ticks > 0\n")
+                  .find("<test>:9: assert 'nosuch.ticks > 0': 'nosuch.ticks' "
+                        "names no [machine] section"),
+              std::string::npos);
+    EXPECT_NE(loadError(base + "assert = b.nosuchmetric > 0\n")
+                  .find("<test>:9: assert 'b.nosuchmetric > 0': "
+                        "'b.nosuchmetric': unknown metric"),
+              std::string::npos);
 
     // Division by zero fails closed (a guard dividing by a run that
     // never finished must not silently pass), never evaluates to 0.
-    bad.report.asserts = {{"a.ticks / 0 <= 1", 10}};
+    bad = mustScenario(base + "assert = a.ticks / 0 <= 1\n");
     EXPECT_FALSE(evalAsserts(bad, results, &failures, &err));
-    EXPECT_NE(err.find("division by zero"), std::string::npos);
+    EXPECT_NE(err.find("<test>:9: assert 'a.ticks / 0 <= 1': division by "
+                       "zero"),
+              std::string::npos)
+        << err;
 
     // speedup requires a baseline machine.
-    Scenario nobase = mustScenario(
-        "[machine a]\nams = 1\n[workload]\nname = dense_mvm\n"
-        "[report]\nassert = a.speedup >= 1\n");
-    std::vector<PointResult> one;
-    one.push_back(fakePoint("a", "dense_mvm", 100, 1'000'000));
-    EXPECT_FALSE(evalAsserts(nobase, one, &failures, &err));
-    EXPECT_NE(err.find("baseline_machine"), std::string::npos);
+    err = loadError("[machine a]\nams = 1\n[workload]\nname = dense_mvm\n"
+                    "[report]\nassert = a.speedup >= 1\n");
+    EXPECT_NE(err.find("<test>:6:"), std::string::npos) << err;
+    EXPECT_NE(err.find("speedup needs a [report] baseline_machine"),
+              std::string::npos)
+        << err;
 }
 
 TEST(ReportAsserts, ParenthesesGroupSubexpressions)
 {
-    Scenario sc = mustScenario(
+    const std::string base =
         "[machine a]\nams = 1\n[machine b]\nams = 3\n"
-        "[workload]\nname = dense_mvm\n[report]\nbaseline_machine = a\n");
+        "[workload]\nname = dense_mvm\n[report]\nbaseline_machine = a\n";
     std::vector<PointResult> results;
     results.push_back(fakePoint("a", "dense_mvm", 300, 1'000'000));
     results.push_back(fakePoint("b", "dense_mvm", 100, 2'000'000));
@@ -424,24 +438,25 @@ TEST(ReportAsserts, ParenthesesGroupSubexpressions)
     std::string err;
 
     // Without parens: 300 - 100 / 100 = 299. With: (300-100)/100 = 2.
-    sc.report.asserts = {{"a.ticks - b.ticks / b.ticks == 299", 1},
-                         {"( a.ticks - b.ticks ) / b.ticks == 2", 2},
-                         // Parens may hug their operands.
-                         {"(a.ticks - b.ticks) / b.ticks == 2", 3},
-                         // Nesting composes.
-                         {"( ( a.ticks - b.ticks ) / ( b.ticks ) ) "
-                          "* 10 == 20",
-                          4}};
+    Scenario sc = mustScenario(
+        base + "assert = a.ticks - b.ticks / b.ticks == 299\n"
+               "assert = ( a.ticks - b.ticks ) / b.ticks == 2\n"
+               // Parens may hug their operands.
+               "assert = (a.ticks - b.ticks) / b.ticks == 2\n"
+               // Nesting composes.
+               "assert = ( ( a.ticks - b.ticks ) / ( b.ticks ) ) "
+               "* 10 == 20\n");
     failures.clear();
     ASSERT_TRUE(evalAsserts(sc, results, &failures, &err)) << err;
     EXPECT_TRUE(failures.empty()) << failures.size();
 
-    // Unbalanced parens are hard errors, both ways.
-    sc.report.asserts = {{"( a.ticks > 0", 5}};
-    EXPECT_FALSE(evalAsserts(sc, results, &failures, &err));
-    EXPECT_NE(err.find("expected ')'"), std::string::npos);
-    sc.report.asserts = {{"a.ticks ) > 0", 6}};
-    EXPECT_FALSE(evalAsserts(sc, results, &failures, &err));
+    // Unbalanced parens are load errors, both ways.
+    EXPECT_NE(loadError(base + "assert = ( a.ticks > 0\n")
+                  .find(":9: assert '( a.ticks > 0': expected ')', got '>'"),
+              std::string::npos);
+    EXPECT_NE(loadError(base + "assert = a.ticks ) > 0\n")
+                  .find(":9: assert 'a.ticks ) > 0': expected a comparison"),
+              std::string::npos);
 }
 
 TEST(ReportAsserts, EvaluatedPerCoordinateGroup)
@@ -777,39 +792,42 @@ TEST(TableReport, MalformedTablesRejectedWithSpecLine)
               std::string::npos)
         << err;
 
-    // Frame-level: malformed or unresolvable expressions and footers
-    // outside an aggregate are "path:line:" diagnostics, and nothing
-    // is written — not even the tables before the bad one.
-    const harness::MetricFrame frame = loadFrame(twoMachineRows());
+    // Malformed or unresolvable expressions and footers outside an
+    // aggregate are "path:line:" diagnostics when the spec loads, so
+    // no point runs and no table is written.
     const std::string good = "[table]\ncolumn = ok = a.ticks\n";
-    err = tableError(std::string(kTwoMachines) + good +
-                         "[table]\ncolumn = bad = ( a.ticks / b.ticks\n",
-                     frame);
+    err = loadError(std::string(kTwoMachines) + good +
+                    "[table]\ncolumn = bad = ( a.ticks / b.ticks\n");
     EXPECT_EQ(err.rfind("<test>:12: 'bad = ( a.ticks / b.ticks': "
                         "expected ')'",
                         0),
               0u)
         << err;
-    err = tableError(std::string(kTwoMachines) +
-                         "[table]\ncolumn = x = c.ticks\n",
-                     frame);
+    err = loadError(std::string(kTwoMachines) +
+                    "[table]\ncolumn = x = c.ticks\n");
     EXPECT_NE(err.find("<test>:10:"), std::string::npos) << err;
     EXPECT_NE(err.find("names no [machine] section"), std::string::npos)
         << err;
-    err = tableError(std::string(kTwoMachines) +
-                         "[table]\ncolumn = x = a.ticks b.ticks\n",
-                     frame);
-    EXPECT_NE(err.find("unexpected trailing token 'b.ticks'"),
+    err = loadError(std::string(kTwoMachines) +
+                    "[table]\ncolumn = x = a.ticks b.ticks\n");
+    EXPECT_NE(err.find("<test>:10: 'x = a.ticks b.ticks': unexpected "
+                       "trailing token 'b.ticks'"),
               std::string::npos)
         << err;
-    err = tableError(std::string(kTwoMachines) +
-                         "[table]\ncolumn = x = a.ticks\n"
-                         "footer = y = a.ticks\n",
-                     frame);
+    err = loadError(std::string(kTwoMachines) +
+                    "[table]\ncolumn = x = a.ticks\n"
+                    "footer = y = a.ticks\n");
     EXPECT_NE(err.find("<test>:11: footer 'y': per-point references must "
                        "sit inside an aggregate"),
               std::string::npos)
         << err;
+
+    // What depends on the frame still fails when the table renders, and
+    // nothing is written — not even the tables before the bad one.
+    err = tableError(std::string(kTwoMachines) + good +
+                         "[table]\ncolumn = bad = a.ticks / 0\n",
+                     loadFrame(twoMachineRows()));
+    EXPECT_EQ(err, "<test>:12: 'bad = a.ticks / 0': division by zero");
 }
 
 TEST(TableReport, SpecWithoutTableKeepsThePerPointTable)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -254,6 +255,51 @@ TEST(Scenario, MachineKnobsMapToSystemConfig)
     EXPECT_EQ(sys.misp.sliceLimit, 8u);
     EXPECT_EQ(sys.misp.serialization,
               arch::SerializationPolicy::SpeculativeMonitor);
+}
+
+TEST(Scenario, MachinesThatCannotRunAreRejected)
+{
+    // Each of these used to pass --dry-run and then panic (no frames,
+    // no instruction per slice) or re-fire the timer at one tick
+    // forever; the AMS and processor counts are bounded so a machine
+    // cannot exhaust the host while it is built.
+    std::string tooManyProcessors = "processors = 0";
+    for (int i = 0; i < 256; ++i)
+        tooManyProcessors += ",0";
+    const struct {
+        std::string knob;
+        std::string want;
+    } cases[] = {
+        {"phys_frames = 0", "physFrames is 0"},
+        {"slice_limit = 0", "misp.sliceLimit is 0"},
+        {"timer_period = 0", "kernel.timerPeriod is 0"},
+        {"processors = 3,257",
+         "amsPerProcessor[1] is 257; a processor has at most 256"},
+        {"ams = 4294967295", "amsPerProcessor[0] is 4294967295"},
+        {tooManyProcessors,
+         "the processor count is 257; a machine has 1 to 256"},
+    };
+    for (const auto &c : cases) {
+        Scenario sc;
+        std::string err;
+        EXPECT_FALSE(Scenario::fromSpec(
+            mustParse("[machine m]\n" + c.knob + "\n[workload]\n"
+                      "name = dense_mvm\n"),
+            &sc, &err));
+        EXPECT_EQ(err.rfind("<test>:2: " + c.want, 0), 0u) << err;
+    }
+
+    // The same check runs on every point's machine.* overrides, at the
+    // axis's line.
+    for (const auto &c : {cases[0], cases[1], cases[2]}) {
+        Scenario sc = mustScenario(
+            "[machine m]\n[workload]\nname = dense_mvm\n[sweep]\n"
+            "machine." + c.knob.substr(0, c.knob.find(' ')) + " = 1, 0\n");
+        std::vector<ScenarioPoint> pts;
+        std::string err;
+        EXPECT_FALSE(sc.expandPoints(false, &pts, &err));
+        EXPECT_EQ(err.rfind("<test>:5: " + c.want, 0), 0u) << err;
+    }
 }
 
 TEST(Scenario, ValidationDiagnostics)
@@ -670,6 +716,44 @@ TEST(Regression, Ring0ReentrySeedsCompleteAndValidate)
     EXPECT_EQ(describePoint(frame.row(1)),
               "machine=misp3 workload=ADAt competitors=0 "
               "machine.kernel_seed=7");
+}
+
+// ---------------------------------------------------------------------
+// Checked-in specs
+// ---------------------------------------------------------------------
+
+TEST(CheckedInScenarios, EverySpecLoadsAndExpandsInBothModes)
+{
+    // Loading compiles every assert, column and footer, so a checked-in
+    // expression that stops compiling fails here. The ledger templates
+    // are read only, with their @SEED@ placeholder substituted.
+    const std::string root = MISP_SOURCE_ROOT;
+    std::vector<std::string> paths;
+    for (const char *dir :
+         {"/scenarios", "/tests/regress", "/bench/ledger/workloads"}) {
+        for (const auto &e : std::filesystem::directory_iterator(root + dir))
+            if (e.path().extension() == ".scn")
+                paths.push_back(e.path().string());
+    }
+    EXPECT_GE(paths.size(), 15u);
+    for (const std::string &path : paths) {
+        std::ifstream in(path);
+        std::stringstream buf;
+        buf << in.rdbuf();
+        std::string text = buf.str();
+        for (std::size_t at; (at = text.find("@SEED@")) != std::string::npos;)
+            text.replace(at, 6, "1");
+        SpecFile spec;
+        Scenario sc;
+        std::string err;
+        ASSERT_TRUE(SpecFile::parse(text, path, &spec, &err)) << err;
+        ASSERT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
+        for (bool quick : {true, false}) {
+            std::vector<ScenarioPoint> pts;
+            EXPECT_TRUE(sc.expandPoints(quick, &pts, &err)) << err;
+            EXPECT_FALSE(pts.empty()) << path;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

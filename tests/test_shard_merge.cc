@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -582,6 +583,55 @@ TEST(ShardMerge, QuickModeMismatchRejected)
                          }))});
     EXPECT_NE(err.find("quick"), std::string::npos) << err;
     EXPECT_NE(err.find("sm_badquick.shard"), std::string::npos) << err;
+}
+
+// ---------------------------------------------------------------------
+// Bad specs fail at load, before the first point of any run mode
+// ---------------------------------------------------------------------
+
+TEST(LoadTimeDiagnostics, BadSpecsFailBeforeTheFirstPoint)
+{
+    // smoke.scn's grid (three quick points), then one bad line.
+    const std::string base = "[scenario]\nname = smoke\n"
+                             "[machine misp]\nams = 3\nbackend = shred\n"
+                             "[workload]\nname = dense_mvm\nscale = 1\n"
+                             "[sweep]\nworkload.workers = 1, 2, 3\n";
+    const struct {
+        const char *head; ///< section header (and lines) before the bad one
+        const char *bad;
+        const char *want;
+    } cases[] = {
+        {"[report]", "assert = avg( misp.Mcycles  >= 1",
+         "assert 'avg( misp.Mcycles  >= 1': expected ')' closing "
+         "avg(...), got '>='"},
+        {"[table]", "column = x = misp.Mcyclez",
+         "'x = misp.Mcyclez': 'misp.Mcyclez': unknown metric 'Mcyclez'"},
+        {"[table]\ncolumn = x = misp.mcycles", "footer = y = misp.mcycles",
+         "footer 'y': per-point references must sit inside an aggregate"},
+        {"[machine big]", "phys_frames = 0",
+         "physFrames is 0; a machine needs memory"},
+        {"[machine big]", "slice_limit = 0",
+         "misp.sliceLimit is 0; a slice must retire an instruction"},
+        {"[machine big]", "timer_period = 0",
+         "kernel.timerPeriod is 0; the timer would re-fire forever"},
+    };
+    const std::string path = tempPath("sm_bad.scn");
+    for (const auto &c : cases) {
+        const std::string head = base + c.head + "\n";
+        const auto line = std::count(head.begin(), head.end(), '\n') + 1;
+        std::ofstream(path) << head << c.bad << "\n";
+        for (const char *mode : {"--dry-run", "--shard 1/2"}) {
+            const CliRun r = mispsim(path + " --quick " + mode);
+            EXPECT_EQ(r.rc, 1) << c.bad << " " << mode;
+            // One diagnostic line and nothing else: no progress line,
+            // no HOST line, no dry-run listing.
+            EXPECT_EQ(r.err, "mispsim: " + path + ":" +
+                                 std::to_string(line) + ": " + c.want +
+                                 "\n")
+                << mode;
+            EXPECT_EQ(r.out, "") << c.bad << " " << mode;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

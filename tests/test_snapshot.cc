@@ -1362,6 +1362,12 @@ TEST(Snapshot, DoctoredImagesFailClosedNamingTheField)
         // CONFIG opens with the amsPerProcessor count.
         {"CONFIG count 2^40", doctored(split.image, kSecConfig, 0, 8, 1ull << 40),
          "amsPerProcessor count 1099511627776 exceeds"},
+        // A well-formed CONFIG whose first processor has 2^32-1 AMSs:
+        // refused by arch::SystemConfig::validate before any is built.
+        {"CONFIG AMS count 2^32-1",
+         doctored(split.image, kSecConfig, 8, 4, 0xffffffffu),
+         "CONFIG amsPerProcessor[0] is 4294967295; a processor has at "
+         "most 256"},
         // PMEM: capacity, used, next fresh frame, free-list count.
         {"free-list count 2^40",
          doctored(split.image, kSecPmem, 24, 8, 1ull << 40),
