@@ -1,5 +1,6 @@
 #include "decode_cache.hh"
 
+#include "mem/mmu.hh"
 #include "obs/trace.hh"
 
 namespace misp::cpu {
@@ -8,6 +9,22 @@ namespace {
 
 /** VPNs of the 32-bit guest space: 2^32 / 2^12 pages, 64 per word. */
 constexpr std::size_t kBitmapWords = (1ull << 20) / 64;
+
+/** The fast loop's handler for decoded slot @p s (DecodedSlot::handler):
+ *  every Inline and Branch op, and a ld/st of a size MISA accesses, run
+ *  in the loop; any other slot exits it. */
+std::uint8_t
+handlerFor(const DecodedSlot &s)
+{
+    if (!s.valid)
+        return kExitHandler;
+    const isa::Opcode op = s.inst.op;
+    const bool fast =
+        s.cls == OpClass::Inline || s.cls == OpClass::Branch ||
+        ((op == isa::Opcode::Ld || op == isa::Opcode::St) &&
+         mem::accessSize(s.inst.sub));
+    return fast ? static_cast<std::uint8_t>(op) : kExitHandler;
+}
 
 } // namespace
 
@@ -39,18 +56,12 @@ DecodeCache::decodePage(std::uint64_t vpn, PAddr paBase)
 
     std::uint8_t bytes[mem::kPageSize];
     pmem_.readBytes(paBase, bytes, mem::kPageSize);
-    // Backwards, so each slot's block end is its own slot (a
-    // terminator) or the one after it already recorded.
-    std::uint16_t term = DecodedPage::kSlots;
-    for (std::size_t i = DecodedPage::kSlots; i-- > 0;) {
+    for (std::size_t i = 0; i < DecodedPage::kSlots; ++i) {
         DecodedSlot &s = page->slots[i];
         s.valid = isa::decode(&bytes[i * isa::kInstBytes], &s.inst);
         s.lat = s.valid ? isa::baseLatency(s.inst.op) : 0;
         s.cls = s.valid ? isa::opInfo(s.inst.op).cls : OpClass::Invalid;
-        if (s.cls == OpClass::Branch || s.cls == OpClass::Slow ||
-            s.cls == OpClass::Invalid)
-            term = static_cast<std::uint16_t>(i);
-        s.term = term;
+        s.handler = handlerFor(s);
     }
     page->paBase = paBase;
     ++page->version;
@@ -86,8 +97,10 @@ DecodeCache::setBit(std::uint64_t vpn)
     const std::uint64_t word = vpn >> 6;
     if (word >= kBitmapWords)
         return; // beyond the 32-bit guest space: never cached
-    if (decodedBits_.empty())
-        decodedBits_.resize(kBitmapWords, 0); // lazy: first decode pays
+    // Grown only to the highest decoded page: noteWrite's bound check
+    // answers "not decoded" for every store above it.
+    if (word >= decodedBits_.size())
+        decodedBits_.resize(word + 1, 0);
     decodedBits_[word] |= 1ull << (vpn & 63);
 }
 

@@ -47,20 +47,25 @@ namespace misp::cpu {
 
 using isa::OpClass;
 
+/** The superblock fast loop's exit handler: the slot goes to the
+ *  generic path. Every other handler id is the slot's opcode. */
+inline constexpr std::uint8_t kExitHandler =
+    static_cast<std::uint8_t>(isa::Opcode::NumOpcodes);
+
 /** One predecoded instruction slot. */
 struct DecodedSlot {
     isa::Instruction inst;
     Cycles lat = 0;     ///< the opcode table's base latency
     bool valid = false; ///< decode succeeded (else: InvalidOpcode fault)
     OpClass cls = OpClass::Invalid; ///< the opcode table's class
-    /** Where the basic block through this slot ends: the first slot at
-     *  or after it whose class is Branch, Slow or Invalid, or kSlots
-     *  when the block runs off the page edge. The superblock engine
-     *  chains [slot, term) without a further lookup. */
-    std::uint16_t term = 0;
+    /** The fast loop's handler, picked at decode: the opcode for an
+     *  Inline or Branch op and for a ld/st of 1, 2, 4 or 8 bytes (the
+     *  loop runs those itself), else kExitHandler. A block ends where
+     *  its slot's handler says so. */
+    std::uint8_t handler = kExitHandler;
 };
 static_assert(sizeof(DecodedSlot) == 32,
-              "term must fit the slot's padding");
+              "handler must fit the slot's padding");
 
 /** One guest code page, decoded to directly executable form. */
 struct DecodedPage {
@@ -119,11 +124,12 @@ class DecodeCache
     mem::PhysicalMemory &pmem_;
     std::unordered_map<std::uint64_t, std::unique_ptr<DecodedPage>>
         pages_;
-    /** One bit per VPN of the 32-bit guest space: page currently holds
-     *  decoded contents. Keeps the per-store coherence probe O(1).
-     *  Allocated lazily on the first decode, so address spaces that
-     *  never execute through the engine (or run with it disabled) pay
-     *  nothing. */
+    /** One bit per VPN of the 32-bit guest space, up to the highest
+     *  decoded one: page currently holds decoded contents. Keeps the
+     *  per-store coherence probe O(1). Grown on decode, so an address
+     *  space pays for the pages below its highest code page only, and
+     *  one that never executes through the engine (or runs with it
+     *  disabled) pays nothing. */
     std::vector<std::uint64_t> decodedBits_;
 
     std::uint64_t pagesDecoded_ = 0;

@@ -9,11 +9,13 @@
  *  - Reference: per-instruction fetch + byte-level decode. The ground
  *    truth the superblock engine is differentially tested against.
  *  - Superblock: executes from the per-address-space decode cache,
- *    chaining decoded slots into basic-block superblocks (terminating
- *    at branches, page edges, RTCALLs, and serialization points; each
- *    slot records where its block ends), following same-page branches
- *    without leaving the fast loop, and folding per-instruction stat
- *    updates into block-local accumulators.
+ *    running decoded slots by direct-threaded dispatch on the handler
+ *    each slot recorded at decode (a block ends at a slot whose
+ *    handler is the exit to the generic path — RTCALLs, serialization
+ *    points, faulting ops — at a branch off the page, or at the page
+ *    edge), following same-page branches without leaving the fast
+ *    loop, and folding per-instruction stat updates into block-local
+ *    accumulators.
  *
  * Only host speed differs; the engine is therefore not architectural
  * state (snapshots neither record it nor key compatibility on it).

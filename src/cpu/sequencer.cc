@@ -1,6 +1,7 @@
 #include "sequencer.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -868,100 +869,147 @@ Sequencer::FastExit
 Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
                    unsigned limit, Cycles budget)
 {
+    // Direct-threaded dispatch (GNU computed goto): decode picked each
+    // slot's handler (DecodedSlot::handler), and every handler ends with
+    // its own copy of the dispatch, so a guest instruction costs one
+    // indirect jump. The table follows the opcode table by class: an
+    // Inline or Branch row has its handler, Ld and St have theirs, and
+    // every other row, like the exit id, leaves for the generic path.
+#define MISP_FAST_Inline(O) &&h_##O,
+#define MISP_FAST_Branch(O) &&h_##O,
+#define MISP_FAST_Mem(O)                                                 \
+    (Opcode::O == Opcode::Ld   ? &&h_Ld                                  \
+     : Opcode::O == Opcode::St ? &&h_St                                  \
+                               : &&done),
+#define MISP_FAST_Slow(O) &&done,
+#define MISP_FAST_ROW(O, name, lat, cls, fmt) MISP_FAST_##cls(O)
+    static const void *const kHandlers[] = {
+        MISP_OPCODES(MISP_FAST_ROW) &&done};
+    static_assert(std::size(kHandlers) == kExitHandler + 1u);
+
     // Plain locals: nothing below takes their address, so they live in
-    // registers for the whole loop and go back to the cursor once.
+    // registers for the whole run and go back to the cursor once.
     DecodedPage &page = *c.page;
     VAddr eip = c.eip;
     std::uint16_t cur = c.cur;
-    std::uint16_t term = page.slots[cur].term;
-    const unsigned first = executed;
-    bool leave = false;
-    for (;;) {
-        // The first instruction's fetch is already charged; each later
-        // one is a replay of the fetch window, settled by the caller
-        // from the returned count.
-        Cycles fetch = 0;
-        if (executed != first) {
-            if (executed >= limit || consumed >= budget)
-                break;
-            fetch = mem::Mmu::kAccessCycles;
-        }
-        if (cur < term) {
-            const DecodedSlot &s = page.slots[cur];
-            bool smc = false;
-            if (s.cls == OpClass::Inline) {
-                consumed += fetch + s.lat + execInline(s.inst);
-            } else if (s.inst.op == Opcode::Ld || s.inst.op == Opcode::St) {
-                // An aligned, valid-size load/store the data window
-                // covers — or, re-aimed, any page the TLB holds with the
-                // needed permission — is replayed in place: same modeled
-                // cycles and TLB effects as the full translate (the hit
-                // is batched like the fetch replays), and no fault is
-                // possible: size and alignment are checked here and the
-                // entry passed the ring/write checks under an unchanged
-                // TLB stamp. Any other size goes the generic way.
-                const isa::Instruction &in = s.inst;
-                const bool isSt = in.op == Opcode::St;
-                const VAddr va = ctx_.regs[in.rs1] + in.imm;
-                const unsigned size = in.sub;
-                if (!mem::accessSize(size) || (va & (size - 1)) != 0 ||
-                    !(mmu_.dataReplayable(va, isSt, ring_) ||
-                      mmu_.retargetData(va, isSt, ring_)))
-                    break; // generic dispatch
-                consumed += fetch + s.lat + mem::Mmu::kAccessCycles;
-                if (isSt) {
-                    mmu_.dataReplayWrite(va, ctx_.regs[in.rs2], size);
-                    // The store may have hit this very code page (SMC):
-                    // the invalidation bumped its version, so the chain
-                    // breaks before the next dispatch.
-                    smc = page.version != block_.version;
-                } else {
-                    ctx_.regs[in.rd] = mmu_.dataReplayRead(va, size);
-                }
-            } else {
-                break; // generic dispatch
-            }
-            eip += isa::kInstBytes;
-            ++cur;
-            ++executed;
-            // An SMC store, or a run off the page edge, leaves the page.
-            if (smc || cur == DecodedPage::kSlots) {
-                leave = true;
-                break;
-            }
-            continue;
-        }
-        // cur == term < kSlots: the block's terminator (the page edge
-        // left the loop above when the last body slot retired).
-        const DecodedSlot &t = page.slots[cur];
-        if (t.cls != OpClass::Branch)
-            break; // Slow / Invalid terminator: generic path
-        // Pure control transfer, executed inline.
-        consumed += fetch + t.lat;
-        bool taken = true;
-        VAddr target = t.inst.imm;
-        if (t.inst.op == Opcode::JmpR)
-            target = ctx_.regs[t.inst.rs1];
-        else if (t.inst.op == Opcode::Jcc)
-            taken = isa::condHolds(static_cast<isa::Cond>(t.inst.sub),
-                                   ctx_.flags);
-        eip = taken ? target : eip + isa::kInstBytes;
-        ++executed;
-        if (mem::pageNumber(eip) == page.vpn &&
-            (eip & (isa::kInstBytes - 1)) == 0) {
-            // Same-page chain: the target slot records where its block
-            // ends; the fetch stays on the batched replay path.
-            cur = slotOf(eip);
-            term = page.slots[cur].term;
-            continue;
-        }
-        leave = true; // another page: the next resolve finds it
-        break;
+    const DecodedSlot *s = &page.slots[cur];
+    // The first instruction's fetch is already charged; each later one
+    // is a replay of the fetch window, settled by the caller from the
+    // returned count.
+    Cycles fetch = 0;
+    goto *kHandlers[s->handler];
+
+    // The dispatch each handler ends with: the slice conditions, the
+    // fetch charge, one indirect jump.
+#define MISP_DISPATCH()                                                  \
+    do {                                                                 \
+        if (executed >= limit || consumed >= budget)                     \
+            goto done;                                                   \
+        fetch = mem::Mmu::kAccessCycles;                                 \
+        s = &page.slots[cur];                                            \
+        goto *kHandlers[s->handler];                                     \
+    } while (0)
+    // A body slot retired; running off the page edge, or @p smc (a
+    // store hit this very page), leaves the page.
+#define MISP_NEXT_SLOT(smc)                                              \
+    do {                                                                 \
+        eip += isa::kInstBytes;                                          \
+        ++executed;                                                      \
+        if (++cur == DecodedPage::kSlots || (smc))                       \
+            goto leave;                                                  \
+        MISP_DISPATCH();                                                 \
+    } while (0)
+    // A control transfer retired at `eip`: a same-page target chains
+    // on the batched fetch replay; another page resolves next.
+#define MISP_BRANCH_TAIL()                                               \
+    do {                                                                 \
+        consumed += fetch + s->lat;                                      \
+        ++executed;                                                      \
+        if (mem::pageNumber(eip) != page.vpn ||                          \
+            (eip & (isa::kInstBytes - 1)) != 0)                          \
+            goto leave;                                                  \
+        cur = slotOf(eip);                                               \
+        MISP_DISPATCH();                                                 \
+    } while (0)
+
+    // Inline ops: execInline on a copy whose opcode is a constant, so
+    // its switch folds to this one case.
+#define MISP_HANDLER_Inline(O)                                           \
+    h_##O : {                                                            \
+        isa::Instruction in = s->inst;                                   \
+        in.op = Opcode::O;                                               \
+        consumed += fetch + isa::baseLatency(Opcode::O) + execInline(in); \
+        MISP_NEXT_SLOT(false);                                           \
     }
+#define MISP_HANDLER_Mem(O)
+#define MISP_HANDLER_Branch(O)
+#define MISP_HANDLER_Slow(O)
+#define MISP_HANDLER_ROW(O, name, lat, cls, fmt) MISP_HANDLER_##cls(O)
+    MISP_OPCODES(MISP_HANDLER_ROW)
+
+    // An aligned load/store the data window covers — or, re-aimed, any
+    // page the TLB holds with the needed permission — is replayed in
+    // place: same modeled cycles and TLB effects as the full translate
+    // (the hit is batched like the fetch replays), and no fault is
+    // possible: decode admitted only a valid size, alignment is checked
+    // here, and the entry passed the ring/write checks under an
+    // unchanged TLB stamp. Anything else goes the generic way.
+#define MISP_DATA_REPLAYABLE(va, size, isSt)                             \
+    (((va) & ((size) - 1)) == 0 &&                                       \
+     (mmu_.dataReplayable(va, isSt, ring_) ||                            \
+      mmu_.retargetData(va, isSt, ring_)))
+h_Ld : {
+    const isa::Instruction &in = s->inst;
+    const VAddr va = ctx_.regs[in.rs1] + in.imm;
+    if (!MISP_DATA_REPLAYABLE(va, in.sub, false))
+        goto done;
+    consumed += fetch + s->lat + mem::Mmu::kAccessCycles;
+    ctx_.regs[in.rd] = mmu_.dataReplayRead(va, in.sub);
+    MISP_NEXT_SLOT(false);
+}
+h_St : {
+    const isa::Instruction &in = s->inst;
+    const VAddr va = ctx_.regs[in.rs1] + in.imm;
+    if (!MISP_DATA_REPLAYABLE(va, in.sub, true))
+        goto done;
+    consumed += fetch + s->lat + mem::Mmu::kAccessCycles;
+    mmu_.dataReplayWrite(va, ctx_.regs[in.rs2], in.sub);
+    // The store may have hit this very code page (SMC): the
+    // invalidation bumped its version, so the chain leaves the page.
+    MISP_NEXT_SLOT(page.version != block_.version);
+}
+h_Jmp:
+    eip = s->inst.imm;
+    MISP_BRANCH_TAIL();
+h_JmpR:
+    eip = ctx_.regs[s->inst.rs1];
+    MISP_BRANCH_TAIL();
+h_Jcc:
+    eip = isa::condHolds(static_cast<isa::Cond>(s->inst.sub), ctx_.flags)
+              ? s->inst.imm
+              : eip + isa::kInstBytes;
+    MISP_BRANCH_TAIL();
+
+#undef MISP_DATA_REPLAYABLE
+#undef MISP_HANDLER_ROW
+#undef MISP_HANDLER_Slow
+#undef MISP_HANDLER_Branch
+#undef MISP_HANDLER_Mem
+#undef MISP_HANDLER_Inline
+#undef MISP_BRANCH_TAIL
+#undef MISP_NEXT_SLOT
+#undef MISP_DISPATCH
+#undef MISP_FAST_ROW
+#undef MISP_FAST_Slow
+#undef MISP_FAST_Mem
+#undef MISP_FAST_Branch
+#undef MISP_FAST_Inline
+
+leave: // the chain left the page (or an SMC store hit it): resolve next
+    c.page = nullptr;
+done: // a slice condition, or the slot at `cur` takes the generic path
     c.eip = eip;
     c.cur = cur;
-    if (leave)
-        c.page = nullptr;
     return FastExit{consumed, executed};
 }
 

@@ -411,8 +411,8 @@ class Sequencer
     void runSuperblocks();
 
     /** Where the superblock engine's chain stands: the decoded page
-     *  and slot of the instruction at `eip` (the slot records where its
-     *  block ends). One per sequencer, it outlives the slice: a
+     *  and slot of the instruction at `eip` (the slot records its fast
+     *  loop handler). One per sequencer, it outlives the slice: a
      *  scheduled slice resumes from it, skipping the fetch translation
      *  and the chain resolve, while the resolve would find exactly this
      *  state (runSuperblocks). */
@@ -427,14 +427,14 @@ class Sequencer
         Cycles consumed;   ///< slice cycles so far
         unsigned executed; ///< slice instructions so far
     };
-    /** Dispatch Inline ops, data-window loads/stores and branch
-     *  terminators on @p c's page, starting with the instruction at
-     *  `c.cur` (its fetch already charged), until an instruction needs
-     *  the generic path, the chain leaves the page, or @p limit /
-     *  @p budget ends the run. The cursor is copied to registers on
-     *  entry and written back once on exit; leaving the page (or an
-     *  SMC store to it) clears `c.page`, so the next dispatch
-     *  resolves. */
+    /** Run Inline ops, data-window loads/stores and branches on
+     *  @p c's page by direct-threaded dispatch on each slot's handler,
+     *  starting with the instruction at `c.cur` (its fetch already
+     *  charged), until a slot's handler sends it to the generic path,
+     *  the chain leaves the page, or @p limit / @p budget ends the run.
+     *  The cursor is copied to registers on entry and written back once
+     *  on exit; leaving the page (or an SMC store to it) clears
+     *  `c.page`, so the next dispatch resolves. */
     FastExit runFast(ChainCursor &c, Cycles consumed, unsigned executed,
                      unsigned limit, Cycles budget);
     /** Execute one OpClass::Inline instruction on the register file:

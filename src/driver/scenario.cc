@@ -1,5 +1,7 @@
 #include "scenario.hh"
 
+#include <algorithm>
+
 namespace misp::driver {
 
 // ---------------------------------------------------------------------
@@ -143,6 +145,23 @@ fail(std::string *err, const std::string &path, int line,
     if (err)
         *err = specError(path, line, message);
     return false;
+}
+
+/** The first axis a selector of @p e pins that @p axes does not
+ *  sweep, or nullptr. */
+const std::string *
+unsweptPin(const Expr &e, const std::vector<SweepAxis> &axes)
+{
+    for (const ExprNode &n : e.nodes) {
+        for (const auto &[axis, value] : n.pins) {
+            const auto swept = [&](const SweepAxis &a) {
+                return a.key == axis;
+            };
+            if (std::none_of(axes.begin(), axes.end(), swept))
+                return &axis;
+        }
+    }
+    return nullptr;
 }
 
 bool
@@ -491,6 +510,32 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
             }
             if (!replaced)
                 axes.push_back(q);
+        }
+    }
+
+    // Selector axes resolve against [sweep] + [quick] at load, and a
+    // full run sweeps no [quick]-only axis: a selector pinning one
+    // fails here, before the first point, not after the grid ran.
+    const auto unswept = [&](const Expr &e, int line,
+                             const std::string &what) {
+        const std::string *axis = unsweptPin(e, axes);
+        if (axis)
+            fail(err, specPath, line,
+                 what + ": selector axis '" + *axis +
+                     "' names no sweep coordinate (only [quick] sweeps it)");
+        return axis != nullptr;
+    };
+    for (const ReportAssert &a : report.asserts) {
+        if (unswept(a.tree, a.line, "assert '" + a.text + "'"))
+            return false;
+    }
+    for (const TableSpec &t : tables) {
+        for (const std::vector<TableCell> *cells : {&t.columns, &t.footers}) {
+            for (const TableCell &c : *cells) {
+                if (unswept(c.tree, c.line,
+                            "'" + c.label + " = " + c.expr + "'"))
+                    return false;
+            }
         }
     }
 

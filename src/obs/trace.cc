@@ -5,7 +5,7 @@
 
 namespace misp::obs {
 
-thread_local TraceRecorder *tlsTrace = nullptr;
+thread_local constinit TraceRecorder *tlsTrace = nullptr;
 
 namespace {
 

@@ -219,8 +219,10 @@ class TraceRecorder
 
 /** The active recorder of the current worker thread (one point runs
  *  per thread at a time). Null whenever tracing is off — the hook cost
- *  is then one thread-local load and branch. */
-extern thread_local TraceRecorder *tlsTrace;
+ *  is then one thread-local load and branch. Constant-initialized, so
+ *  other translation units read it directly instead of through a TLS
+ *  init wrapper. */
+extern thread_local constinit TraceRecorder *tlsTrace;
 
 /** Model-side hook entry point. */
 inline void

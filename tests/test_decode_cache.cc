@@ -10,15 +10,18 @@
  *  - CR3 / address-space switch: no block from another space is reused;
  *  - MISP serialization purge (TLB flush + decoded-block drop) resyncs
  *    with memory the modeled kernel changed;
- *  - every decode, the first and a redecode after SMC, records where
- *    each slot's block ends;
+ *  - every decode, the first and a redecode after SMC, picks each
+ *    slot's fast-loop handler from the opcode table;
  *  - and the engine is a pure host-side optimization: simulated cycles
  *    and retired counts are bit-identical with the engine on and off.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/decode_cache.hh"
@@ -491,6 +494,28 @@ TEST(DecodeCacheUnit, NoteWriteOnlyTouchesDecodedPages)
     // Second store to the now-undecoded page: no double count.
     dc.noteWrite((vpn << mem::kPageShift) + 0x456);
     EXPECT_EQ(dc.invalidations(), 1u);
+
+    // A store above the highest decoded page lands past the coherence
+    // bitmap, which grows only that far: nothing is dropped.
+    dc.decodePage(vpn, pa);
+    dc.noteWrite(0x8000'0000);
+    EXPECT_EQ(dc.invalidations(), 1u);
+    EXPECT_NE(dc.find(vpn), nullptr);
+
+    // A decode near kStackTop grows the bitmap to its page: stores to
+    // it and to the lower decoded page are both seen, one above it is
+    // not.
+    const std::uint64_t stackVpn = mem::pageNumber(mem::kStackTop - 1);
+    dc.decodePage(stackVpn, pa);
+    dc.noteWrite(mem::kUserLimit - 8);
+    EXPECT_EQ(dc.invalidations(), 1u);
+    dc.noteWrite(mem::kStackTop - 8);
+    EXPECT_EQ(dc.invalidations(), 2u);
+    EXPECT_EQ(dc.find(stackVpn), nullptr);
+    EXPECT_NE(dc.find(vpn), nullptr);
+    dc.noteWrite(vpn << mem::kPageShift);
+    EXPECT_EQ(dc.invalidations(), 3u);
+    EXPECT_EQ(dc.find(vpn), nullptr);
 }
 
 TEST(DecodeCacheUnit, InvalidDecodesFaultAsSlots)
@@ -512,45 +537,59 @@ TEST(DecodeCacheUnit, InvalidDecodesFaultAsSlots)
 
 namespace {
 
-/** Where the block through each slot ends, by a forward scan: the
- *  first Branch/Slow/Invalid slot at or after it, else kSlots. */
-std::vector<std::uint16_t>
-scanTerms(const cpu::DecodedPage &page)
+/** The fast-loop handler a slot decoded from @p bytes must carry, by
+ *  the opcode table: its opcode for an Inline or Branch row and for a
+ *  ld/st of 1, 2, 4 or 8 bytes, else the exit id (which undecodable
+ *  bytes also take). */
+std::uint8_t
+expectedHandler(const std::uint8_t *bytes)
 {
-    std::vector<std::uint16_t> terms(cpu::DecodedPage::kSlots);
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-        std::size_t t = i;
-        while (t < cpu::DecodedPage::kSlots) {
-            const isa::OpClass cls = page.slots[t].cls;
-            if (!page.slots[t].valid || cls == isa::OpClass::Branch ||
-                cls == isa::OpClass::Slow || cls == isa::OpClass::Invalid)
-                break;
-            ++t;
-        }
-        terms[i] = static_cast<std::uint16_t>(t);
-    }
-    return terms;
+    isa::Instruction inst;
+    if (!isa::decode(bytes, &inst))
+        return cpu::kExitHandler;
+    const isa::OpClass cls = isa::opInfo(inst.op).cls;
+    const bool ldst =
+        inst.op == isa::Opcode::Ld || inst.op == isa::Opcode::St;
+    const bool sized =
+        inst.sub == 1 || inst.sub == 2 || inst.sub == 4 || inst.sub == 8;
+    if (cls == isa::OpClass::Inline || cls == isa::OpClass::Branch ||
+        (ldst && sized))
+        return static_cast<std::uint8_t>(inst.op);
+    return cpu::kExitHandler;
 }
 
-std::vector<std::uint16_t>
-slotTerms(const cpu::DecodedPage &page)
+/** Each slot of @p page whose handler is not expectedHandler of its
+ *  bytes in @p code (the page's guest bytes), one "slot N: got G want
+ *  W" line each; empty when every slot agrees. */
+std::string
+handlerMismatches(const cpu::DecodedPage &page, const std::uint8_t *code)
 {
-    std::vector<std::uint16_t> terms;
-    for (const cpu::DecodedSlot &s : page.slots)
-        terms.push_back(s.term);
-    return terms;
+    std::string out;
+    for (std::size_t i = 0; i < cpu::DecodedPage::kSlots; ++i) {
+        const unsigned got = page.slots[i].handler;
+        const unsigned want = expectedHandler(&code[i * isa::kInstBytes]);
+        if (got != want)
+            out += "slot " + std::to_string(i) + ": got " +
+                   std::to_string(got) + " want " + std::to_string(want) +
+                   "\n";
+    }
+    return out;
 }
 
 } // namespace
 
-TEST(DecodeCacheUnit, SlotTermsMatchAForwardScan)
+TEST(DecodeCacheUnit, SlotHandlersFollowTheOpcodeTable)
 {
-    // Fuzzed pages: every opcode, sparse or dense terminators, and some
-    // undecodable slots (bad opcode, register or Jcc condition).
+    // Fuzzed pages: every opcode, ld/st of valid and invalid sizes, and
+    // some undecodable slots (bad opcode, register or Jcc condition).
     mem::PhysicalMemory pmem(16);
     cpu::DecodeCache dc(pmem);
     const PAddr pa = pmem.allocFrame() << mem::kPageShift;
     Rng rng(19);
+    // (opcode, handler) pairs seen, so the fuzz provably covers every
+    // row's handler and both outcomes of the ld/st size rule.
+    std::set<std::pair<unsigned, unsigned>> seen;
+    std::uint8_t code[mem::kPageSize];
     for (int trial = 0; trial < 200; ++trial) {
         const std::uint64_t density = 1 + rng.below(16);
         for (std::size_t i = 0; i < cpu::DecodedPage::kSlots; ++i) {
@@ -559,54 +598,86 @@ TEST(DecodeCacheUnit, SlotTermsMatchAForwardScan)
             if (rng.below(density) == 0)
                 inst.op = static_cast<isa::Opcode>(rng.below(
                     static_cast<std::uint64_t>(isa::Opcode::NumOpcodes)));
+            if (rng.below(8) == 0)
+                inst.op = rng.below(2) ? isa::Opcode::Ld : isa::Opcode::St;
             inst.rd = static_cast<std::uint8_t>(rng.below(isa::kNumRegs));
-            inst.sub = static_cast<std::uint8_t>(rng.below(8));
+            inst.sub = static_cast<std::uint8_t>(rng.below(20));
             auto bytes = isa::encode(inst);
             if (rng.below(64) == 0)
                 bytes[rng.below(5)] = 0xF0; // opcode/register/sub
-            pmem.writeBytes(pa + i * isa::kInstBytes, bytes.data(),
-                            bytes.size());
+            std::memcpy(&code[i * isa::kInstBytes], bytes.data(),
+                        bytes.size());
         }
+        pmem.writeBytes(pa, code, sizeof code);
         const cpu::DecodedPage *page = dc.decodePage(0x400, pa);
-        ASSERT_EQ(slotTerms(*page), scanTerms(*page)) << "trial " << trial;
+        ASSERT_EQ(handlerMismatches(*page, code), "") << "trial " << trial;
+        for (const cpu::DecodedSlot &s : page->slots) {
+            if (s.valid)
+                seen.emplace(static_cast<unsigned>(s.inst.op), s.handler);
+        }
+    }
+    for (unsigned op = 0;
+         op < static_cast<unsigned>(isa::Opcode::NumOpcodes); ++op) {
+        const isa::OpClass cls = isa::kOpTable[op].cls;
+        if (cls == isa::OpClass::Inline || cls == isa::OpClass::Branch ||
+            op == static_cast<unsigned>(isa::Opcode::Ld) ||
+            op == static_cast<unsigned>(isa::Opcode::St)) {
+            EXPECT_TRUE(seen.count({op, op})) << isa::kOpTable[op].name;
+        }
+        if (cls != isa::OpClass::Inline && cls != isa::OpClass::Branch) {
+            EXPECT_TRUE(seen.count({op, cpu::kExitHandler}))
+                << isa::kOpTable[op].name;
+        }
     }
 }
 
-TEST(DecodeCacheUnit, SmcRedecodeRecomputesSlotTerms)
+TEST(DecodeCacheUnit, SmcRedecodeRecomputesSlotHandlers)
 {
-    // The guest turns the jmp at `patch` into a nop (opcode 0), so the
-    // block from `main` no longer ends there but at the halt. The store
-    // drops the decoded page; its redecode must record the new ends.
+    // The guest turns the jmp at `patch` into a nop (opcode 0) and the
+    // ld8 at `sized` into a 3-byte load it never reaches. The stores
+    // drop the decoded page; its redecode must pick the new handlers:
+    // Nop's at `patch`, the exit at `sized`.
     const char *src = R"(
         main:
             movi r5, patch
             movi r6, 0
             st1 [r5+0], r6
+            movi r5, sized
+            movi r6, 3
+            st1 [r5+4], r6
             movi r1, 1
         patch:
             jmp done
             movi r2, 2
+            jmp done
+        sized:
+            ld8 r3, [r5+0]
         done:
             halt
     )";
     for (cpu::Engine engine :
          {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         Machine m(src, engine);
-        const std::uint64_t vpn = mem::pageNumber(m.prog.symbol("main"));
+        const VAddr base = m.prog.symbol("main") & ~VAddr{mem::kPageMask};
         const auto slot = [&](const char *label) {
-            return static_cast<std::uint16_t>(
-                (m.prog.symbol(label) & mem::kPageMask) / isa::kInstBytes);
+            return (m.prog.symbol(label) - base) / isa::kInstBytes;
         };
         m.run();
         EXPECT_EQ(m.reg(2), 2u) << cpu::engineName(engine);
         if (engine == cpu::Engine::Reference)
             continue; // it never decodes pages
         EXPECT_GE(m.as.decodeCache().invalidations(), 1u);
-        const cpu::DecodedPage *page = m.as.decodeCache().find(vpn);
+        const cpu::DecodedPage *page =
+            m.as.decodeCache().find(mem::pageNumber(base));
         ASSERT_NE(page, nullptr);
         EXPECT_EQ(page->slots[slot("patch")].inst.op, isa::Opcode::Nop);
-        EXPECT_EQ(page->slots[slot("main")].term, slot("done"));
-        EXPECT_EQ(slotTerms(*page), scanTerms(*page));
+        EXPECT_EQ(page->slots[slot("patch")].handler,
+                  static_cast<std::uint8_t>(isa::Opcode::Nop));
+        EXPECT_EQ(page->slots[slot("sized")].inst.sub, 3u);
+        EXPECT_EQ(page->slots[slot("sized")].handler, cpu::kExitHandler);
+        std::uint8_t code[mem::kPageSize];
+        m.as.peek(base, code, sizeof code);
+        EXPECT_EQ(handlerMismatches(*page, code), "");
     }
 }
 

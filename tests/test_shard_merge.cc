@@ -632,6 +632,29 @@ TEST(LoadTimeDiagnostics, BadSpecsFailBeforeTheFirstPoint)
             EXPECT_EQ(r.out, "") << c.bad << " " << mode;
         }
     }
+
+    // A selector pinning an axis only [quick] sweeps: a full run (and
+    // its dry run and shards) fails before the first point; under
+    // --quick the axis exists and the spec runs.
+    const std::string head = base +
+                             "[quick]\nmachine.kernel_seed = 1\n"
+                             "[report]\n";
+    const auto line = std::count(head.begin(), head.end(), '\n') + 1;
+    std::ofstream(path) << head
+                        << "assert = misp[machine.kernel_seed=1].ticks > 1\n";
+    for (const char *mode : {"", " --dry-run", " --shard 1/2"}) {
+        const CliRun r = mispsim(path + mode);
+        EXPECT_EQ(r.rc, 1) << "full" << mode;
+        EXPECT_EQ(r.err, "mispsim: " + path + ":" + std::to_string(line) +
+                             ": assert 'misp[machine.kernel_seed=1].ticks "
+                             "> 1': selector axis 'machine.kernel_seed' "
+                             "names no sweep coordinate (only [quick] "
+                             "sweeps it)\n")
+            << "full" << mode;
+        EXPECT_EQ(r.out, "") << "full" << mode;
+    }
+    const CliRun quick = mispsim(path + " --quick");
+    EXPECT_EQ(quick.rc, 0) << quick.err;
 }
 
 // ---------------------------------------------------------------------

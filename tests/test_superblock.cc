@@ -27,6 +27,10 @@
  * loads and stores span more data pages than the TLB holds, so
  * data-window re-aims, evictions and page walks interleave.
  *
+ * A further leg runs the loads and stores the generator never emits —
+ * raw-encoded sizes other than 1, 2, 4 and 8, and misaligned accesses
+ * — which the fast loop leaves to the generic path.
+ *
  * A second pass replays a seed subset with a host-side poke schedule:
  * the machine runs to a fixed tick, the host rewrites a code page (the
  * loader/runtime path, which also exercises mapping-change
@@ -844,6 +848,78 @@ store:
             want = Observed::of(m);
         else
             expectIdentical(want, Observed::of(m), engine, 0);
+    }
+}
+
+TEST(SuperblockFuzz, LoadsAndStoresTheFastLoopExitsOnBitIdentical)
+{
+    // Loads and stores whose slots take the fast loop's exit handler,
+    // which the generator never emits: sizes MISA does not access
+    // (raw-encoded: the assembler takes only 1, 2, 4 and 8) and
+    // misaligned ones. Each runs at `bad`, behind a loop that keeps the
+    // fast loop hot, and ends the run there — whatever the reference
+    // engine does with it, the superblock engine must do the same.
+    const std::string src = R"(
+main:
+    movi r2, 0x100000
+    movi r1, 0
+loop:
+    addi r1, r1, 1
+    st8 [r2+0], r1
+    ld8 r3, [r2+0]
+    cmpi r1, 100
+    jcc.lt loop
+    movi r4, 7
+bad:
+    ld8 r5, [r2+8]
+    halt
+)";
+    struct Case {
+        isa::Opcode op;
+        std::uint8_t size;
+        std::uint64_t disp;
+    };
+    const Case cases[] = {
+        {isa::Opcode::Ld, 0, 8},  {isa::Opcode::Ld, 3, 8},
+        {isa::Opcode::Ld, 16, 16}, {isa::Opcode::St, 0, 8},
+        {isa::Opcode::St, 3, 8},  {isa::Opcode::St, 16, 16},
+        {isa::Opcode::Ld, 8, 9},  {isa::Opcode::St, 4, 6},
+    };
+    for (const Case &k : cases) {
+        const std::string what = std::string(isa::opcodeName(k.op)) +
+                                 std::to_string(k.size) + " +" +
+                                 std::to_string(k.disp);
+        Observed want;
+        bool wantThrew = false;
+        for (cpu::Engine engine :
+             {cpu::Engine::Reference, cpu::Engine::Superblock}) {
+            FuzzMachine m(src, engine);
+            const auto bytes = isa::encode(
+                {k.op, /*rd=*/5, /*rs1=*/2, /*rs2=*/5, k.size, k.disp});
+            m.as.poke(m.prog.symbol("bad"), bytes.data(), bytes.size());
+            m.start();
+            bool threw = false;
+            try {
+                m.eq.run();
+            } catch (const SimError &) {
+                threw = true;
+            }
+            EXPECT_EQ(m.seq.context().eip, m.prog.symbol("bad"))
+                << what << " " << cpu::engineName(engine);
+            EXPECT_EQ(m.reg(1), 100u) << what;
+            if (engine == cpu::Engine::Reference) {
+                want = Observed::of(m);
+                wantThrew = threw;
+            } else {
+                EXPECT_EQ(threw, wantThrew) << what;
+                expectIdentical(want, Observed::of(m), engine, 0);
+                EXPECT_GT(m.seq.decodeCacheHits(), 0u) << what;
+            }
+        }
+        if (HasFailure()) {
+            ADD_FAILURE() << "at " << what;
+            break;
+        }
     }
 }
 
