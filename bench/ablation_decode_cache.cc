@@ -8,23 +8,30 @@
  * both engines, and reports:
  *
  *  - host throughput (retired guest instructions per host second) per
- *    engine and the superblock/ref speedup ratio, and
+ *    engine — the median and interquartile range over interleaved reps
+ *    (9, or 3 under --quick) — and the ratio of the medians, and
  *  - a model check: simulated cycles, retired counts, and final ticks
  *    must be bit-identical across the engines (an engine is a
  *    host-side optimization only). Any divergence fails the run.
  *
- * Results are also written to BENCH_decode_cache.json so CI keeps a
- * perf trajectory across PRs.
+ * Results are also written to BENCH_decode_cache.json, with where they
+ * came from (git revision, compiler, build type, CPU model), so CI keeps
+ * a perf trajectory and docs/RESULTS.md renders its engines table from
+ * it (tools/results_md.py).
  */
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "harness/bare_machine.hh"
 #include "isa/assembler.hh"
+#include "sim/stats.hh"
 
 using namespace misp;
 using namespace misp::bench;
@@ -34,14 +41,75 @@ namespace {
 const cpu::Engine kEngines[2] = {cpu::Engine::Reference,
                                  cpu::Engine::Superblock};
 
+#if defined(__clang__)
+constexpr const char *kCompiler = __VERSION__; // "Clang x.y.z ..."
+#else
+constexpr const char *kCompiler = "g++ " __VERSION__;
+#endif
+
+/** Median and quartiles of a leg's per-rep host throughput. */
+struct Spread {
+    double median = 0.0;
+    double q1 = 0.0;
+    double q3 = 0.0;
+};
+
+/** Quantile @p q of @p v by linear interpolation between order
+ *  statistics. */
+double
+quantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+Spread
+spreadOf(const std::vector<double> &v)
+{
+    return Spread{quantile(v, 0.5), quantile(v, 0.25), quantile(v, 0.75)};
+}
+
 struct KernelResult {
     std::string name;
     Tick simCycles[2] = {0, 0};
     std::uint64_t retired[2] = {0, 0};
-    double mips[2] = {0.0, 0.0};
-    double sbSpeedup = 0.0; ///< superblock vs ref
+    Spread mips[2];
+    double sbSpeedup = 0.0; ///< superblock vs ref, of the medians
     bool identical = false;
 };
+
+/** The first line of `cmd`'s stdout, or "unknown". */
+std::string
+firstLineOf(const std::string &cmd)
+{
+    std::string out;
+    if (FILE *p = popen(cmd.c_str(), "r")) {
+        char buf[256];
+        if (std::fgets(buf, sizeof buf, p))
+            out = buf;
+        pclose(p);
+    }
+    out = out.substr(0, out.find('\n'));
+    return out.empty() ? "unknown" : out;
+}
+
+/** The `model name` of the host's first CPU, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        const std::size_t at = line.find(':');
+        if (line.rfind("model name", 0) == 0 && at != std::string::npos &&
+            at + 2 <= line.size())
+            return line.substr(at + 2);
+    }
+    return "unknown";
+}
 
 /** Multi-page straight-line code: @p bodyInsts ALU ops in sequence,
  *  re-run @p reps times by one outer backward branch. */
@@ -128,27 +196,33 @@ compareKernel(const std::string &name, const std::string &src,
 {
     KernelResult r;
     r.name = name;
-    // Interleave the engines within each rep and keep the best host
-    // time per engine: slow drift in background load then hits every
-    // engine alike instead of biasing whichever leg ran last.
-    Measured last[2];
-    double best[2] = {1e30, 1e30};
+    // Interleave the engines within each rep, alternating which runs
+    // first, so slow drift in background load hits both legs alike;
+    // the median and quartiles then say how much one rep's number can
+    // be trusted. Every rep of both engines must simulate the same
+    // machine.
+    Measured first;
+    std::vector<double> mips[2];
+    r.identical = true;
     for (unsigned i = 0; i < reps; ++i) {
-        for (unsigned e = 0; e < 2; ++e) {
-            Measured m = runKernel(src, kEngines[e]);
-            last[e] = m;
-            best[e] = std::min(best[e], m.seconds);
+        for (unsigned k = 0; k < 2; ++k) {
+            const unsigned e = (i + k) % 2;
+            const Measured m = runKernel(src, kEngines[e]);
+            if (i == 0 && k == 0)
+                first = m;
+            r.identical = r.identical && m.ticks == first.ticks &&
+                          m.busyCycles == first.busyCycles &&
+                          m.retired == first.retired;
+            mips[e].push_back(static_cast<double>(m.retired) / m.seconds /
+                              1e6);
         }
     }
     for (unsigned e = 0; e < 2; ++e) {
-        r.simCycles[e] = last[e].busyCycles;
-        r.retired[e] = last[e].retired;
-        r.mips[e] = last[e].retired / best[e] / 1e6;
+        r.simCycles[e] = first.busyCycles;
+        r.retired[e] = first.retired;
+        r.mips[e] = spreadOf(mips[e]);
     }
-    r.identical = last[0].ticks == last[1].ticks &&
-                  last[0].busyCycles == last[1].busyCycles &&
-                  last[0].retired == last[1].retired;
-    r.sbSpeedup = r.mips[1] / r.mips[0];
+    r.sbSpeedup = r.mips[1].median / r.mips[0].median;
     return r;
 }
 
@@ -160,7 +234,7 @@ main(int argc, char **argv)
     setQuietLogging(true);
     const bool quick = parseBenchFlags(argc, argv);
     const unsigned scale = quick ? 1 : 4;
-    const unsigned reps = quick ? 2 : 3;
+    const unsigned reps = quick ? 3 : 9;
 
     printHeader("Ablation: host execution engines "
                 "(ref vs chained superblocks)");
@@ -204,15 +278,20 @@ main(int argc, char **argv)
                     rOff->run.hostMips, rSb->run.hostMips);
     }
 
-    std::printf("\n%-14s %12s %9s %9s %9s  %s\n", "kernel",
-                "sim_cycles", "mips_ref", "mips_sb", "sb/ref", "model");
+    std::printf("\nmedian MIPS over %u interleaved reps per engine "
+                "[interquartile range]\n",
+                reps);
+    std::printf("%-14s %12s %21s %21s %8s  %s\n", "kernel", "sim_cycles",
+                "mips_ref", "mips_sb", "sb/ref", "model");
     bool allIdentical = fullIdentical;
     double minSbSpeedup = 1e30;
     for (const KernelResult &r : results) {
-        std::printf("%-14s %12llu %9.2f %9.2f %8.2fx  %s\n",
+        std::printf("%-14s %12llu %7.2f [%5.2f-%5.2f] %7.2f [%5.2f-%5.2f] "
+                    "%7.2fx  %s\n",
                     r.name.c_str(), (unsigned long long)r.simCycles[0],
-                    r.mips[0], r.mips[1], r.sbSpeedup,
-                    r.identical ? "identical" : "DIVERGED");
+                    r.mips[0].median, r.mips[0].q1, r.mips[0].q3,
+                    r.mips[1].median, r.mips[1].q1, r.mips[1].q3,
+                    r.sbSpeedup, r.identical ? "identical" : "DIVERGED");
         allIdentical = allIdentical && r.identical;
         minSbSpeedup = std::min(minSbSpeedup, r.sbSpeedup);
     }
@@ -220,17 +299,33 @@ main(int argc, char **argv)
     // Machine-readable trajectory for CI.
     FILE *json = std::fopen("BENCH_decode_cache.json", "w");
     if (json) {
-        std::fprintf(json, "{\n  \"kernels\": [\n");
+        const std::string root = MISP_SOURCE_ROOT;
+        std::fprintf(
+            json,
+            "{\n  \"provenance\": {\"git_sha\": %s, \"compiler\": %s, "
+            "\"build_type\": %s, \"cpu_model\": %s},\n"
+            "  \"reps\": %u,\n  \"kernels\": [\n",
+            stats::jsonQuote(firstLineOf("git -C '" + root +
+                                         "' describe --always --dirty "
+                                         "--abbrev=40 2>/dev/null"))
+                .c_str(),
+            stats::jsonQuote(kCompiler).c_str(),
+            stats::jsonQuote(MISP_BUILD_TYPE).c_str(),
+            stats::jsonQuote(cpuModel()).c_str(), reps);
         for (std::size_t i = 0; i < results.size(); ++i) {
             const KernelResult &r = results[i];
             std::fprintf(
                 json,
                 "    {\"name\": \"%s\", \"mips_ref\": %.2f, "
+                "\"mips_ref_iqr\": [%.2f, %.2f], "
                 "\"mips_superblock\": %.2f, "
+                "\"mips_superblock_iqr\": [%.2f, %.2f], "
                 "\"speedup_superblock\": %.3f, "
                 "\"sim_cycles\": %llu, \"retired\": %llu, "
                 "\"identical\": %s}%s\n",
-                r.name.c_str(), r.mips[0], r.mips[1], r.sbSpeedup,
+                r.name.c_str(), r.mips[0].median, r.mips[0].q1,
+                r.mips[0].q3, r.mips[1].median, r.mips[1].q1,
+                r.mips[1].q3, r.sbSpeedup,
                 (unsigned long long)r.simCycles[0],
                 (unsigned long long)r.retired[0],
                 r.identical ? "true" : "false",
@@ -242,7 +337,7 @@ main(int argc, char **argv)
                      minSbSpeedup, allIdentical ? "true" : "false");
         std::fclose(json);
         std::printf("\nwrote BENCH_decode_cache.json (min superblock "
-                    "speedup %.2fx over ref)\n",
+                    "median speedup %.2fx over ref)\n",
                     minSbSpeedup);
     }
 

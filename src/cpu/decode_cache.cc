@@ -1,6 +1,5 @@
 #include "decode_cache.hh"
 
-#include "mem/mmu.hh"
 #include "obs/trace.hh"
 
 namespace misp::cpu {
@@ -9,22 +8,6 @@ namespace {
 
 /** VPNs of the 32-bit guest space: 2^32 / 2^12 pages, 64 per word. */
 constexpr std::size_t kBitmapWords = (1ull << 20) / 64;
-
-/** The fast loop's handler for decoded slot @p s (DecodedSlot::handler):
- *  every Inline and Branch op, and a ld/st of a size MISA accesses, run
- *  in the loop; any other slot exits it. */
-std::uint8_t
-handlerFor(const DecodedSlot &s)
-{
-    if (!s.valid)
-        return kExitHandler;
-    const isa::Opcode op = s.inst.op;
-    const bool fast =
-        s.cls == OpClass::Inline || s.cls == OpClass::Branch ||
-        ((op == isa::Opcode::Ld || op == isa::Opcode::St) &&
-         mem::accessSize(s.inst.sub));
-    return fast ? static_cast<std::uint8_t>(op) : kExitHandler;
-}
 
 } // namespace
 
@@ -58,10 +41,8 @@ DecodeCache::decodePage(std::uint64_t vpn, PAddr paBase)
     pmem_.readBytes(paBase, bytes, mem::kPageSize);
     for (std::size_t i = 0; i < DecodedPage::kSlots; ++i) {
         DecodedSlot &s = page->slots[i];
-        s.valid = isa::decode(&bytes[i * isa::kInstBytes], &s.inst);
-        s.lat = s.valid ? isa::baseLatency(s.inst.op) : 0;
-        s.cls = s.valid ? isa::opInfo(s.inst.op).cls : OpClass::Invalid;
-        s.handler = handlerFor(s);
+        if (!isa::decode(&bytes[i * isa::kInstBytes], &s))
+            s = kUndecodable;
     }
     page->paBase = paBase;
     ++page->version;

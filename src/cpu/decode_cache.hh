@@ -5,9 +5,10 @@
  * The sequencer's reference fetch path pays a byte-level isa::decode for
  * every retired guest instruction. Real full-system simulators (gem5,
  * SimpleScalar) avoid that with predecoded instruction pages: each guest
- * code page is decoded once into an array of executable entries, and the
- * interpreter inner loop runs straight over decoded slots until it
- * leaves the page, faults, or exhausts its slice.
+ * code page is decoded once into an array of decoded instructions (16
+ * bytes a slot, 4 KiB a page), and the interpreter inner loop runs
+ * straight over them until it leaves the page, faults, or exhausts its
+ * slice.
  *
  * One DecodeCache is owned by each mem::AddressSpace: every sequencer
  * of a MISP processor shares the thread's virtual address space (§2.3),
@@ -26,7 +27,7 @@
  *
  * Invalidation bumps the page's version counter in place — the page
  * allocation itself is stable, so a sequencer can hold a raw pointer and
- * re-validate with one compare per instruction.
+ * re-validate it with one compare (Sequencer::chainLive).
  */
 
 #ifndef MISP_CPU_DECODE_CACHE_HH
@@ -45,27 +46,16 @@
 
 namespace misp::cpu {
 
-using isa::OpClass;
+/** One predecoded instruction slot: the decoded instruction itself.
+ *  The superblock fast loop dispatches on its opcode, and the opcode
+ *  table supplies everything else (class, latency). */
+using DecodedSlot = isa::Instruction;
+static_assert(sizeof(DecodedSlot) == 16, "a slot is one instruction");
 
-/** The superblock fast loop's exit handler: the slot goes to the
- *  generic path. Every other handler id is the slot's opcode. */
-inline constexpr std::uint8_t kExitHandler =
-    static_cast<std::uint8_t>(isa::Opcode::NumOpcodes);
-
-/** One predecoded instruction slot. */
-struct DecodedSlot {
-    isa::Instruction inst;
-    Cycles lat = 0;     ///< the opcode table's base latency
-    bool valid = false; ///< decode succeeded (else: InvalidOpcode fault)
-    OpClass cls = OpClass::Invalid; ///< the opcode table's class
-    /** The fast loop's handler, picked at decode: the opcode for an
-     *  Inline or Branch op and for a ld/st of 1, 2, 4 or 8 bytes (the
-     *  loop runs those itself), else kExitHandler. A block ends where
-     *  its slot's handler says so. */
-    std::uint8_t handler = kExitHandler;
-};
-static_assert(sizeof(DecodedSlot) == 32,
-              "handler must fit the slot's padding");
+/** The slot of bytes isa::decode rejects: an opcode past the table,
+ *  which the fast loop's label table sends to the generic path and the
+ *  generic path turns into an InvalidOpcode fault. */
+inline constexpr DecodedSlot kUndecodable{isa::Opcode::NumOpcodes};
 
 /** One guest code page, decoded to directly executable form. */
 struct DecodedPage {

@@ -9,13 +9,15 @@
  *  - Reference: per-instruction fetch + byte-level decode. The ground
  *    truth the superblock engine is differentially tested against.
  *  - Superblock: executes from the per-address-space decode cache,
- *    running decoded slots by direct-threaded dispatch on the handler
- *    each slot recorded at decode (a block ends at a slot whose
- *    handler is the exit to the generic path — RTCALLs, serialization
- *    points, faulting ops — at a branch off the page, or at the page
- *    edge), following same-page branches without leaving the fast
- *    loop, and folding per-instruction stat updates into block-local
- *    accumulators.
+ *    whose 16-byte slots are the decoded instructions, running them by
+ *    direct-threaded dispatch on each slot's opcode (a block ends at a
+ *    slot the generic path runs — RTCALLs, serialization points,
+ *    faulting ops, undecodable bytes — at a branch off the page, or at
+ *    the page edge), following same-page branches without leaving the
+ *    fast loop, and folding per-instruction stat updates into
+ *    block-local accumulators. Its position is EIP plus one cached
+ *    page reference, checked by one liveness rule wherever something
+ *    outside the fast loop may have moved the machine.
  *
  * Only host speed differs; the engine is therefore not architectural
  * state (snapshots neither record it nor key compatibility on it).

@@ -83,7 +83,7 @@ Sequencer::Sequencer(std::string name, SequencerId sid, bool ring0Capable,
                        "slices started in place, without an event-queue "
                        "round trip"),
       slicesResumed_(&statGroup_, "slicesResumed",
-                     "scheduled slices resumed from the chain cursor, "
+                     "scheduled slices started on a live chain, "
                      "without a fetch translation or chain resolve"),
       mmu_("mmu", pmem, &statGroup_)
 {}
@@ -866,15 +866,16 @@ Sequencer::execInline(const isa::Instruction &inst)
 }
 
 Sequencer::FastExit
-Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
+Sequencer::runFast(DecodedPage &page, Cycles consumed, unsigned executed,
                    unsigned limit, Cycles budget)
 {
-    // Direct-threaded dispatch (GNU computed goto): decode picked each
-    // slot's handler (DecodedSlot::handler), and every handler ends with
-    // its own copy of the dispatch, so a guest instruction costs one
-    // indirect jump. The table follows the opcode table by class: an
-    // Inline or Branch row has its handler, Ld and St have theirs, and
-    // every other row, like the exit id, leaves for the generic path.
+    // Direct-threaded dispatch (GNU computed goto) on each slot's
+    // opcode: every handler ends with its own copy of the dispatch, so a
+    // guest instruction costs one indirect jump. The table follows the
+    // opcode table by class: an Inline or Branch row has its handler,
+    // Ld and St have theirs (decode admits only the sizes they access),
+    // and every other row, like the undecodable marker, leaves for the
+    // generic path.
 #define MISP_FAST_Inline(O) &&h_##O,
 #define MISP_FAST_Branch(O) &&h_##O,
 #define MISP_FAST_Mem(O)                                                 \
@@ -885,19 +886,20 @@ Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
 #define MISP_FAST_ROW(O, name, lat, cls, fmt) MISP_FAST_##cls(O)
     static const void *const kHandlers[] = {
         MISP_OPCODES(MISP_FAST_ROW) &&done};
-    static_assert(std::size(kHandlers) == kExitHandler + 1u);
+    static_assert(std::size(kHandlers) ==
+                  static_cast<std::size_t>(kUndecodable.op) + 1);
 
     // Plain locals: nothing below takes their address, so they live in
-    // registers for the whole run and go back to the cursor once.
-    DecodedPage &page = *c.page;
-    VAddr eip = c.eip;
-    std::uint16_t cur = c.cur;
+    // registers for the whole run and EIP goes back to the context once.
+    VAddr eip = ctx_.eip;
+    std::uint16_t cur = slotOf(eip);
     const DecodedSlot *s = &page.slots[cur];
+    bool left = false;
     // The first instruction's fetch is already charged; each later one
     // is a replay of the fetch window, settled by the caller from the
     // returned count.
     Cycles fetch = 0;
-    goto *kHandlers[s->handler];
+    goto *kHandlers[static_cast<std::size_t>(s->op)];
 
     // The dispatch each handler ends with: the slice conditions, the
     // fetch charge, one indirect jump.
@@ -907,7 +909,7 @@ Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
             goto done;                                                   \
         fetch = mem::Mmu::kAccessCycles;                                 \
         s = &page.slots[cur];                                            \
-        goto *kHandlers[s->handler];                                     \
+        goto *kHandlers[static_cast<std::size_t>(s->op)];                \
     } while (0)
     // A body slot retired; running off the page edge, or @p smc (a
     // store hit this very page), leaves the page.
@@ -919,11 +921,11 @@ Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
             goto leave;                                                  \
         MISP_DISPATCH();                                                 \
     } while (0)
-    // A control transfer retired at `eip`: a same-page target chains
-    // on the batched fetch replay; another page resolves next.
-#define MISP_BRANCH_TAIL()                                               \
+    // Control transfer O retired at `eip`: a same-page, aligned target
+    // chains on the batched fetch replay; any other leaves the page.
+#define MISP_BRANCH_TAIL(O)                                              \
     do {                                                                 \
-        consumed += fetch + s->lat;                                      \
+        consumed += fetch + isa::baseLatency(Opcode::O);                 \
         ++executed;                                                      \
         if (mem::pageNumber(eip) != page.vpn ||                          \
             (eip & (isa::kInstBytes - 1)) != 0)                          \
@@ -936,7 +938,7 @@ Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
     // its switch folds to this one case.
 #define MISP_HANDLER_Inline(O)                                           \
     h_##O : {                                                            \
-        isa::Instruction in = s->inst;                                   \
+        isa::Instruction in = *s;                                        \
         in.op = Opcode::O;                                               \
         consumed += fetch + isa::baseLatency(Opcode::O) + execInline(in); \
         MISP_NEXT_SLOT(false);                                           \
@@ -959,36 +961,38 @@ Sequencer::runFast(ChainCursor &c, Cycles consumed, unsigned executed,
      (mmu_.dataReplayable(va, isSt, ring_) ||                            \
       mmu_.retargetData(va, isSt, ring_)))
 h_Ld : {
-    const isa::Instruction &in = s->inst;
+    const isa::Instruction &in = *s;
     const VAddr va = ctx_.regs[in.rs1] + in.imm;
     if (!MISP_DATA_REPLAYABLE(va, in.sub, false))
         goto done;
-    consumed += fetch + s->lat + mem::Mmu::kAccessCycles;
+    consumed +=
+        fetch + isa::baseLatency(Opcode::Ld) + mem::Mmu::kAccessCycles;
     ctx_.regs[in.rd] = mmu_.dataReplayRead(va, in.sub);
     MISP_NEXT_SLOT(false);
 }
 h_St : {
-    const isa::Instruction &in = s->inst;
+    const isa::Instruction &in = *s;
     const VAddr va = ctx_.regs[in.rs1] + in.imm;
     if (!MISP_DATA_REPLAYABLE(va, in.sub, true))
         goto done;
-    consumed += fetch + s->lat + mem::Mmu::kAccessCycles;
+    consumed +=
+        fetch + isa::baseLatency(Opcode::St) + mem::Mmu::kAccessCycles;
     mmu_.dataReplayWrite(va, ctx_.regs[in.rs2], in.sub);
     // The store may have hit this very code page (SMC): the
     // invalidation bumped its version, so the chain leaves the page.
     MISP_NEXT_SLOT(page.version != block_.version);
 }
 h_Jmp:
-    eip = s->inst.imm;
-    MISP_BRANCH_TAIL();
+    eip = s->imm;
+    MISP_BRANCH_TAIL(Jmp);
 h_JmpR:
-    eip = ctx_.regs[s->inst.rs1];
-    MISP_BRANCH_TAIL();
+    eip = ctx_.regs[s->rs1];
+    MISP_BRANCH_TAIL(JmpR);
 h_Jcc:
-    eip = isa::condHolds(static_cast<isa::Cond>(s->inst.sub), ctx_.flags)
-              ? s->inst.imm
+    eip = isa::condHolds(static_cast<isa::Cond>(s->sub), ctx_.flags)
+              ? s->imm
               : eip + isa::kInstBytes;
-    MISP_BRANCH_TAIL();
+    MISP_BRANCH_TAIL(Jcc);
 
 #undef MISP_DATA_REPLAYABLE
 #undef MISP_HANDLER_ROW
@@ -1005,12 +1009,11 @@ h_Jcc:
 #undef MISP_FAST_Branch
 #undef MISP_FAST_Inline
 
-leave: // the chain left the page (or an SMC store hit it): resolve next
-    c.page = nullptr;
+leave: // the chain left the page (or an SMC store hit it)
+    left = true;
 done: // a slice condition, or the slot at `cur` takes the generic path
-    c.eip = eip;
-    c.cur = cur;
-    return FastExit{consumed, executed};
+    ctx_.eip = eip;
+    return FastExit{consumed, executed, left};
 }
 
 void
@@ -1048,38 +1051,17 @@ Sequencer::runSuperblocks()
             hits = 0;
         }
     };
-    // Charge one instruction fetch as a batched replay: the chained
-    // invariant is that the one-entry last-translation cache still
-    // covers the current page.
-    auto replayFetch = [&] {
-        ++replays;
-        consumed += mem::Mmu::kAccessCycles;
-        ++hits;
-    };
 
-    // Chained-dispatch state: the cursor (chain_). A live cursor always
-    // describes ctx_.eip at the loop head and when the slice ends.
-    ChainCursor &c = chain_;
-    // Resume: the previous slice left the cursor live and nothing that
-    // ran since disturbed it — EIP, the block it was resolved through
-    // (the generation check first: a page of a switched-away space is
-    // never dereferenced), the page's contents, and the fetch window —
-    // so the resolve would find exactly this state. Its fetch is
-    // charged at the loop head as the replay the resolve's fast path
-    // would make (same cycles, TLB hit and decode-cache hit).
-    if (c.page != nullptr) {
-        if (c.eip == ctx_.eip && block_.page == c.page &&
-            block_.asGen == mmu_.addressSpaceGen() &&
-            c.page->version == block_.version &&
-            mmu_.fetchReplayable(ctx_.eip, ring_)) {
-            ++slicesResumed_;
-        } else {
-            c.page = nullptr;
-        }
-    }
-    // Whether the modeled fetch of the instruction at ctx_.eip has
-    // already been charged (true right after a resolve).
-    bool fetchPaid = false;
+    // Whether the chain is live at ctx_.eip (chainLive): the resolve
+    // would then find exactly block_ through the fetch window's replay,
+    // so the fetch is charged as that replay (same cycles, TLB hit and
+    // decode-cache hit) and nothing is resolved. Only what runs outside
+    // runFast can move the machine under the chain, so the predicate is
+    // evaluated here, after an async transfer and after every
+    // generic-path instruction; runFast itself reports leaving the page.
+    bool live = chainLive();
+    if (live)
+        ++slicesResumed_;
 
     // One iteration per slice: this one, then each next slice the
     // queue hands straight back (endSlice).
@@ -1095,13 +1077,17 @@ Sequencer::runSuperblocks()
                 if (dc != 0) {
                     // An asynchronous transfer redirected EIP.
                     consumed += dc;
-                    c.page = nullptr;
-                    fetchPaid = false;
+                    live = chainLive();
                 }
             }
 
-            if (c.page == nullptr) {
-                // ---- resolve: page + slot for ctx_.eip ------------------
+            // ---- charge the modeled fetch for this instruction ------
+            if (live) {
+                ++replays;
+                consumed += mem::Mmu::kAccessCycles;
+                ++hits;
+            } else {
+                // ---- resolve: the fetch translation and page ---------
                 commit(); // a fetch miss may insert into the TLB
                 mem::FetchResult fr =
                     mmu_.fetchTranslate(ctx_.eip, ring_, /*fastPath=*/true);
@@ -1115,6 +1101,8 @@ Sequencer::runSuperblocks()
                         break;
                     continue;
                 }
+                // block_ is the one-entry page cache: a hit needs the
+                // page it names to still hold this frame's bytes.
                 const std::uint64_t vpn = mem::pageNumber(ctx_.eip);
                 const PAddr paBase =
                     fr.pa & ~static_cast<PAddr>(mem::kPageMask);
@@ -1127,62 +1115,41 @@ Sequencer::runSuperblocks()
                 } else {
                     refillBlock(vpn, fr.pa);
                 }
-                c.page = block_.page;
-                c.cur = slotOf(ctx_.eip);
-                fetchPaid = true;
             }
-
-            // ---- charge the modeled fetch for this instruction ------
-            if (!fetchPaid) {
-                // Re-established after every slow dispatch below.
-                MISP_ASSERT(mmu_.fetchReplayable(ctx_.eip, ring_));
-                replayFetch();
-            }
-            fetchPaid = false;
 
             // ---- fast loop (runFast) ----------------------------------
             // While this sequencer's async queues are empty they stay
             // empty for the rest of the slice (enqueues only arrive
             // through Slow-class dispatch, fault handlers, or other
-            // sequencers between slices), so the queue probe, the
-            // resolve check, and the fetch-paid bookkeeping are hoisted
-            // out of the per-instruction path — only the slice
-            // conditions remain live. With work pending, the limit
-            // stops it after one instruction. The first instruction
-            // that needs more breaks out to the generic path below with
-            // its fetch already charged.
+            // sequencers between slices), so the queue probe and the
+            // liveness check are hoisted out of the per-instruction
+            // path — only the slice conditions remain live. With work
+            // pending, the limit stops it after one instruction. The
+            // first instruction that needs more breaks out to the
+            // generic path below with its fetch already charged.
             const bool pending =
                 !pendingSignals_.empty() || !pendingProxy_.empty();
-            c.eip = ctx_.eip;
             const FastExit r =
-                runFast(c, consumed, executed,
+                runFast(*block_.page, consumed, executed,
                         pending ? executed + 1 : sliceLimit, sliceBudget);
             const unsigned n = r.executed - executed;
-            ctx_.eip = c.eip;
             consumed = r.consumed;
             executed = r.executed;
             if (n != 0) {
                 retired += n;
                 replays += n - 1;
                 hits += n - 1;
+                live = !r.left;
                 continue; // the outer head re-runs the boundary work
             }
 
             // ---- generic one-instruction path ---------------------------
-            // Mem-class body ops the fast loop could not replay, and the
-            // Slow / Invalid terminators; the fetch is already charged.
-            if (c.cur == DecodedPage::kSlots) {
-                // Unreachable by construction (the page-edge exit is taken
-                // when the last body instruction retires); fall back to a
-                // full resolve rather than trusting the chain.
-                c.page = nullptr;
-                continue;
-            }
-            // Read before dispatching: a Slow op may free the page.
-            const DecodedSlot &s = c.page->slots[c.cur];
-            const OpClass cls = s.cls;
+            // Mem-class ops the fast loop could not replay, Slow ops and
+            // undecodable slots; the fetch is already charged. Copied
+            // before dispatching: a Slow op may free the page.
+            const DecodedSlot inst = block_.page->slots[slotOf(ctx_.eip)];
             commit();
-            if (cls == OpClass::Invalid) {
+            if (inst.op == kUndecodable.op) {
                 bool advance = false;
                 consumed += handleFaultFromExec(
                     mem::Fault::of(mem::FaultKind::InvalidOpcode, ctx_.eip),
@@ -1190,38 +1157,20 @@ Sequencer::runSuperblocks()
                 if (advance)
                     ctx_.eip += isa::kInstBytes;
             } else {
-                consumed += executeDecoded(s.inst, s.lat, &stop);
+                consumed +=
+                    executeDecoded(inst, isa::baseLatency(inst.op), &stop);
             }
             ++executed;
-            // A Mem op continues the chain only if nothing was disturbed:
-            // same live block (an SMC store to this page bumps its version,
-            // a CR3 switch bumps the generation, a serialization purge drops
-            // block_), EIP still on this page, and the fetch fast path still
-            // replayable (the access may have walked and inserted a TLB
-            // entry). Anything else — EIP, the address space and the block
-            // may all have changed under a Slow op — takes a full resolve.
-            // Settled before a suspension ends the slice, so the cursor
-            // the slice leaves is live or cleared, never stale.
-            if (cls == OpClass::Mem && !stop && block_.page == c.page &&
-                block_.asGen == mmu_.addressSpaceGen() &&
-                c.page->version == block_.version &&
-                mem::pageNumber(ctx_.eip) == c.page->vpn &&
-                mmu_.fetchReplayable(ctx_.eip, ring_)) {
-                c.cur = slotOf(ctx_.eip);
-            } else {
-                c.page = nullptr;
-            }
+            live = chainLive();
             if (suspendRequested_)
                 break;
         }
         commit();
 
         // Slice boundary. When the queue hands the next slice straight
-        // back, it starts here with the chain state live: a live cursor
-        // still satisfies the loop-head invariant, so its first fetch
-        // is charged as the replay a fresh slice's resolve would make
-        // (same cycles, TLB hit and decode-cache hit). Otherwise the
-        // cursor waits for the next scheduled slice to resume it.
+        // back, nothing else ran in between, so it starts here with
+        // `live` as the last slice left it. Otherwise the next
+        // scheduled slice re-evaluates the chain on entry.
         if (!endSlice(start, consumed, /*inPlace=*/true))
             break;
         ++continued;
@@ -1230,7 +1179,6 @@ Sequencer::runSuperblocks()
         consumed = 0;
         stop = false;
     }
-    c.eip = ctx_.eip;
     if (continued != 0)
         slicesContinued_ += continued;
 }
@@ -1253,10 +1201,8 @@ Sequencer::archive(Ar &a)
     a.u64(waitSince_);
     a.u64(kernelResumeFloor_);
     mmu_.archive(a);
-    if constexpr (Ar::kLoading) {
+    if constexpr (Ar::kLoading)
         block_ = BlockRef{};
-        chain_ = ChainCursor{};
-    }
     snap::archiveSchedule(a, eq_, runEvent_);
     auto ring = static_cast<std::uint8_t>(ring_);
     a.u8(ring);

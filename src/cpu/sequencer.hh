@@ -311,16 +311,16 @@ class Sequencer
     {
         engine_ = engine;
         invalidateDecodedBlock();
-        chain_ = ChainCursor{};
     }
     Engine engine() const { return engine_; }
 
     /** Drop the cached decoded-block reference. Called by the MISP
      *  serialization engine alongside TLB purges, and by anything else
      *  that wants a hard resynchronization with guest memory. The block
-     *  is also revalidated per instruction (address-space generation +
-     *  page version), so this is a belt-and-braces purge point, not the
-     *  only line of defense. */
+     *  is also revalidated wherever the machine may have moved under it
+     *  (chainLive: address-space generation, page version, EIP, fetch
+     *  window), so this is a belt-and-braces purge point, not the only
+     *  line of defense. */
     void
     invalidateDecodedBlock()
     {
@@ -341,9 +341,9 @@ class Sequencer
     {
         return static_cast<std::uint64_t>(slicesContinued_.value());
     }
-    /** Scheduled slices the superblock engine resumed from the chain
-     *  cursor the previous slice left, without a fetch translation or
-     *  chain resolve. */
+    /** Scheduled slices the superblock engine started on a live chain
+     *  (block_ still describes EIP's page and the fetch window still
+     *  covers it), without a fetch translation or chain resolve. */
     std::uint64_t slicesResumed() const
     {
         return static_cast<std::uint64_t>(slicesResumed_.value());
@@ -410,32 +410,22 @@ class Sequencer
      *  runSlice(). */
     void runSuperblocks();
 
-    /** Where the superblock engine's chain stands: the decoded page
-     *  and slot of the instruction at `eip` (the slot records its fast
-     *  loop handler). One per sequencer, it outlives the slice: a
-     *  scheduled slice resumes from it, skipping the fetch translation
-     *  and the chain resolve, while the resolve would find exactly this
-     *  state (runSuperblocks). */
-    struct ChainCursor {
-        DecodedPage *page = nullptr; ///< nullptr = resolve before dispatching
-        VAddr eip = 0;               ///< ctx_.eip the cursor describes
-        std::uint16_t cur = 0;       ///< next slot
-    };
-    /** The slice's running totals after runFast's stretch; two
-     *  registers wide, so they come back in registers. */
+    /** The slice's running totals after runFast's stretch, and whether
+     *  it left the page; two registers wide, so they come back in
+     *  registers. */
     struct FastExit {
         Cycles consumed;   ///< slice cycles so far
         unsigned executed; ///< slice instructions so far
+        bool left;         ///< the chain left @p page: resolve next
     };
     /** Run Inline ops, data-window loads/stores and branches on
-     *  @p c's page by direct-threaded dispatch on each slot's handler,
-     *  starting with the instruction at `c.cur` (its fetch already
-     *  charged), until a slot's handler sends it to the generic path,
-     *  the chain leaves the page, or @p limit / @p budget ends the run.
-     *  The cursor is copied to registers on entry and written back once
-     *  on exit; leaving the page (or an SMC store to it) clears
-     *  `c.page`, so the next dispatch resolves. */
-    FastExit runFast(ChainCursor &c, Cycles consumed, unsigned executed,
+     *  @p page (block_'s) by direct-threaded dispatch on each slot's
+     *  opcode, starting with the instruction at ctx_.eip (its fetch
+     *  already charged), until a slot needs the generic path, the chain
+     *  leaves the page (its edge, a branch off it or to a misaligned
+     *  target, an SMC store to it), or @p limit / @p budget ends the
+     *  run. EIP lives in a register and goes back to ctx_.eip once. */
+    FastExit runFast(DecodedPage &page, Cycles consumed, unsigned executed,
                      unsigned limit, Cycles budget);
     /** Execute one OpClass::Inline instruction on the register file:
      *  the only definition of the Inline ops' semantics. @return the
@@ -465,11 +455,10 @@ class Sequencer
     unsigned sliceLimit_ = 32;       ///< snap: config
     Cycles sliceCycleBudget_ = 2500; ///< snap: config
 
-    /** Cached reference into the current address space's decode cache.
-     *  Valid only while the MMU's address-space generation and the
-     *  page's version are unchanged — both are checked per instruction,
-     *  and the generation check runs first so a page freed with its
-     *  address space is never dereferenced. */
+    /** Cached reference into the current address space's decode cache:
+     *  the superblock engine's only position state (the slot is
+     *  slotOf(ctx_.eip)). Valid only while the MMU's address-space
+     *  generation and the page's version are unchanged. */
     struct BlockRef {
         DecodedPage *page = nullptr;
         std::uint64_t vpn = 0;
@@ -477,9 +466,24 @@ class Sequencer
         std::uint64_t asGen = 0;
     };
 
+    /** The chain's one liveness rule: block_ still decodes the aligned
+     *  instruction at ctx_.eip and the fetch window still replays its
+     *  fetch, so the resolve would find exactly block_. The generation
+     *  is checked first: a page freed with its address space is never
+     *  read. */
+    bool
+    chainLive() const
+    {
+        return block_.page != nullptr &&
+               block_.asGen == mmu_.addressSpaceGen() &&
+               block_.page->version == block_.version &&
+               mem::pageNumber(ctx_.eip) == block_.vpn &&
+               (ctx_.eip & (isa::kInstBytes - 1)) == 0 &&
+               mmu_.fetchReplayable(ctx_.eip, ring_);
+    }
+
     Engine engine_ = Engine::Superblock; ///< snap: config
-    BlockRef block_; ///< snap: derived — revalidated per instruction
-    ChainCursor chain_; ///< snap: derived — revalidated per slice
+    BlockRef block_; ///< snap: derived — revalidated by chainLive
 
     MemberEvent<Sequencer, &Sequencer::runSlice> runEvent_;
     bool suspendRequested_ = false;

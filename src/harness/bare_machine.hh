@@ -30,6 +30,8 @@ struct BareMachine {
 
     struct NullEnv : cpu::SequencerEnv {
         mem::AddressSpace *as;
+        /** The kind of the last fault the sequencer was killed on. */
+        mem::FaultKind killedBy = mem::FaultKind::None;
         explicit NullEnv(mem::AddressSpace *a) : as(a) {}
         cpu::FaultAction
         handleFault(cpu::Sequencer &, const mem::Fault &f,
@@ -40,6 +42,7 @@ struct BareMachine {
                 as->handleFault(f.addr, f.write) ==
                     mem::FaultOutcome::Paged)
                 return cpu::FaultAction::Retry;
+            killedBy = f.kind;
             return cpu::FaultAction::Kill;
         }
         Cycles handleRtCall(cpu::Sequencer &, Word) override { return 0; }

@@ -35,6 +35,9 @@ decode(const std::uint8_t bytes[kInstBytes], Instruction *out)
         return false;
     if (out->op == Opcode::Jcc && out->sub >= kNumConds)
         return false;
+    if ((out->op == Opcode::Ld || out->op == Opcode::St) &&
+        !accessSize(out->sub))
+        return false;
     return true;
 }
 

@@ -42,25 +42,24 @@ constexpr unsigned kRegArg3 = 3;
 /** Fixed instruction width in guest memory. */
 constexpr unsigned kInstBytes = 16;
 
-/** Host-dispatch class of an opcode: where a superblock may hold it and
- *  how the superblock engine dispatches it. */
+/** Host-dispatch class of an opcode: how the superblock engine's fast
+ *  loop treats it. */
 enum class OpClass : std::uint8_t {
-    /** Pure register/flags op: the block executor runs it inline with a
+    /** Pure register/flags op: the fast loop runs it inline with a
      *  batched fetch replay (no TLB, memory, or environment effects). */
     Inline,
-    /** Memory or fault-capable op: a superblock *body* member
-     *  (non-terminating), dispatched through the generic path, after
-     *  which execution revalidates the chain (SMC, TLB churn). */
+    /** Memory or fault-capable op: the fast loop replays an aligned
+     *  ld/st through its data window and sends the rest to the generic
+     *  path, after which the chain's liveness is checked (SMC, TLB
+     *  churn). */
     Mem,
-    /** Pure control transfer (JMP / JMPR / Jcc): superblock terminator,
-     *  executed in the fast loop, which follows a same-page target. */
+    /** Pure control transfer (JMP / JMPR / Jcc): run in the fast loop,
+     *  which follows a same-page target. */
     Branch,
     /** Environment/serialization point, or a control transfer that
-     *  touches memory (CALL/RET): superblock terminator, dispatched
-     *  slowly and followed by a full re-resolve. */
+     *  touches memory (CALL/RET): always the generic path, followed by
+     *  the chain's liveness check. */
     Slow,
-    /** Decode failed: terminator raising InvalidOpcode on dispatch. */
-    Invalid,
 };
 
 /** Operand format: the assembly syntax of an opcode and the instruction
@@ -182,7 +181,7 @@ static_assert(sizeof(kOpTable) / sizeof(kOpTable[0]) ==
               static_cast<std::size_t>(Opcode::NumOpcodes));
 
 /** The table row of @p op, which must be a decodable opcode. */
-inline const OpInfo &
+constexpr const OpInfo &
 opInfo(Opcode op)
 {
     return kOpTable[static_cast<std::size_t>(op)];
@@ -316,13 +315,20 @@ struct Instruction {
 /** Encode @p inst into the 16-byte guest representation. */
 std::array<std::uint8_t, kInstBytes> encode(const Instruction &inst);
 
+/** True for the sizes MISA loads and stores take: 1, 2, 4 or 8 bytes. */
+constexpr bool
+accessSize(unsigned size)
+{
+    return size <= 8 && ((0x116u >> size) & 1u) != 0;
+}
+
 /** Decode 16 bytes fetched from guest memory.
- *  @return false if the opcode byte, a register field or a Jcc's
- *  condition is out of range. */
+ *  @return false if the opcode byte, a register field, a Jcc's
+ *  condition or a ld/st's size (accessSize) is out of range. */
 bool decode(const std::uint8_t bytes[kInstBytes], Instruction *out);
 
 /** Base execution latency of @p op in cycles (the table's column). */
-inline Cycles
+constexpr Cycles
 baseLatency(Opcode op)
 {
     return opInfo(op).latency;

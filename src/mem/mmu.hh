@@ -29,6 +29,7 @@
 #include <cstring>
 #include <string>
 
+#include "isa/isa.hh"
 #include "mem/address_space.hh"
 #include "mem/page_table.hh"
 #include "mem/paging.hh"
@@ -43,12 +44,7 @@ namespace misp::mem {
  *  paper uses: Ring 0 (kernel) and Ring 3 (user). */
 enum class Ring : std::uint8_t { Kernel = 0, User = 3 };
 
-/** True for the sizes MISA loads and stores take: 1, 2, 4 or 8 bytes. */
-constexpr bool
-accessSize(unsigned size)
-{
-    return size <= 8 && ((0x116u >> size) & 1u) != 0;
-}
+using isa::accessSize;
 
 /** Little-endian load of a word of accessSize() @p size from host bytes
  *  @p p; each fixed-size copy compiles to one move. */

@@ -1,5 +1,6 @@
 #include "stats.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -67,38 +68,6 @@ StatGroup::lookupValue(const std::string &relPath) const
         return 0.0;
     auto rows = s->rows();
     return rows.empty() ? 0.0 : rows.front().second;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    std::string prefix = path();
-    if (!prefix.empty())
-        prefix += ".";
-    for (const StatBase *s : stats_) {
-        for (const auto &[suffix, value] : s->rows()) {
-            os << prefix << s->name() << suffix << " " << value;
-            if (!s->desc().empty())
-                os << " # " << s->desc();
-            os << "\n";
-        }
-    }
-    for (const StatGroup *g : children_)
-        g->dump(os);
-}
-
-void
-StatGroup::dumpCsv(std::ostream &os) const
-{
-    std::string prefix = path();
-    if (!prefix.empty())
-        prefix += ".";
-    for (const StatBase *s : stats_) {
-        for (const auto &[suffix, value] : s->rows())
-            os << prefix << s->name() << suffix << "," << value << "\n";
-    }
-    for (const StatGroup *g : children_)
-        g->dumpCsv(os);
 }
 
 std::string
@@ -172,8 +141,7 @@ jsonKey(std::ostream &os, const std::string &indent, const std::string &key)
 void
 jsonNumber(std::ostream &os, double v)
 {
-    // NaN/inf are not valid JSON; a Formula over an empty run can
-    // produce them.
+    // NaN/inf are not valid JSON.
     if (v != v || v > 1.7e308 || v < -1.7e308) {
         os << "null";
         return;
@@ -218,15 +186,6 @@ StatGroup::dumpJson(std::ostream &os, int indent) const
         g->dumpJson(os, indent + 1);
     }
     os << "\n" << in << "}";
-}
-
-void
-StatGroup::resetAll()
-{
-    for (StatBase *s : stats_)
-        s->reset();
-    for (StatGroup *g : children_)
-        g->resetAll();
 }
 
 } // namespace misp::stats

@@ -5,19 +5,16 @@
  * The MISP paper's prototype firmware provided "coarse- and fine-grain
  * event logging" (Section 4.1); in this reproduction those logs are
  * expressed through this package. Stats self-register with a StatGroup,
- * which can dump name/value tables as text or CSV. Table 1 and every
- * figure harness read their inputs from these stats.
+ * which dumps the tree as JSON (`mispsim --full-stats`). Table 1 and
+ * every figure harness read their inputs from these stats.
  */
 
 #ifndef MISP_SIM_STATS_HH
 #define MISP_SIM_STATS_HH
 
-#include <algorithm>
-#include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logging.hh"
@@ -60,12 +57,8 @@ class StatBase
      *  Scalar stats emit one row with an empty suffix. */
     virtual std::vector<std::pair<std::string, double>> rows() const = 0;
 
-    /** Reset to the zero state. */
-    virtual void reset() = 0;
-
-    /** Full internal state as raw doubles, for machine-state snapshots
-     *  (unlike rows(), includes non-derivable internals such as a
-     *  Distribution's M2 accumulator). Derived stats return {}. */
+    /** Full internal state as raw doubles, for machine-state snapshots.
+     *  Host-side stats return {}. */
     virtual std::vector<double> snapValues() const = 0;
 
     /** Restore state captured by snapValues() onto a same-shape stat
@@ -95,7 +88,7 @@ class Scalar : public StatBase
         return {{"", value_}};
     }
 
-    void reset() override { value_ = 0.0; }
+    void reset() { value_ = 0.0; }
 
     std::vector<double> snapValues() const override { return {value_}; }
 
@@ -182,8 +175,6 @@ class Vector : public StatBase
         return out;
     }
 
-    void reset() override { std::fill(values_.begin(), values_.end(), 0.0); }
-
     std::vector<double> snapValues() const override { return values_; }
 
     void
@@ -195,110 +186,6 @@ class Vector : public StatBase
 
   private:
     std::vector<double> values_;
-};
-
-/** Running distribution: min/max/mean/stddev plus sample count. */
-class Distribution : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    void
-    sample(double v, std::uint64_t count = 1)
-    {
-        for (std::uint64_t i = 0; i < count; ++i) {
-            ++n_;
-            double delta = v - mean_;
-            mean_ += delta / static_cast<double>(n_);
-            m2_ += delta * (v - mean_);
-        }
-        min_ = n_ == count ? v : std::min(min_, v);
-        max_ = n_ == count ? v : std::max(max_, v);
-        sum_ += v * static_cast<double>(count);
-    }
-
-    std::uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double sum() const { return sum_; }
-    double minValue() const { return n_ ? min_ : 0.0; }
-    double maxValue() const { return n_ ? max_ : 0.0; }
-    double
-    variance() const
-    {
-        return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-    }
-
-    std::vector<std::pair<std::string, double>>
-    rows() const override
-    {
-        return {{".count", static_cast<double>(n_)},
-                {".mean", mean()},
-                {".min", minValue()},
-                {".max", maxValue()},
-                {".sum", sum_}};
-    }
-
-    void
-    reset() override
-    {
-        n_ = 0;
-        mean_ = m2_ = sum_ = 0.0;
-        min_ = max_ = 0.0;
-    }
-
-    std::vector<double>
-    snapValues() const override
-    {
-        return {static_cast<double>(n_), mean_, m2_, sum_, min_, max_};
-    }
-
-    void
-    setSnapValues(const std::vector<double> &v) override
-    {
-        MISP_ASSERT(v.size() == 6);
-        n_ = static_cast<std::uint64_t>(v[0]);
-        mean_ = v[1];
-        m2_ = v[2];
-        sum_ = v[3];
-        min_ = v[4];
-        max_ = v[5];
-    }
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** A derived value computed at dump time from other stats. */
-class Formula : public StatBase
-{
-  public:
-    Formula(StatGroup *parent, std::string name, std::string desc,
-            std::function<double()> fn)
-        : StatBase(parent, std::move(name), std::move(desc)),
-          fn_(std::move(fn))
-    {}
-
-    double value() const { return fn_ ? fn_() : 0.0; }
-
-    std::vector<std::pair<std::string, double>>
-    rows() const override
-    {
-        return {{"", value()}};
-    }
-
-    void reset() override {}
-
-    // Derived at read time: nothing to archive.
-    std::vector<double> snapValues() const override { return {}; }
-    void setSnapValues(const std::vector<double> &) override {}
-
-  private:
-    std::function<double()> fn_;
 };
 
 /**
@@ -323,14 +210,8 @@ class StatGroup
     /** Find a stat by relative dotted path; nullptr if absent. */
     const StatBase *find(const std::string &relPath) const;
 
-    /** Convenience: value of a Scalar/Formula stat by path (0 if absent). */
+    /** Convenience: value of a Scalar stat by path (0 if absent). */
     double lookupValue(const std::string &relPath) const;
-
-    /** Dump "path value # desc" lines, recursively. */
-    void dump(std::ostream &os) const;
-
-    /** Dump "path,value" CSV rows, recursively. */
-    void dumpCsv(std::ostream &os) const;
 
     /**
      * Dump as a JSON object, recursively: one member per stat (scalar
@@ -341,9 +222,6 @@ class StatGroup
      * round-trip them.
      */
     void dumpJson(std::ostream &os, int indent = 0) const;
-
-    /** Reset all stats in this group and children. */
-    void resetAll();
 
     const std::vector<StatBase *> &statsHere() const { return stats_; }
     const std::vector<StatGroup *> &children() const { return children_; }

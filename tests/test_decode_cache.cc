@@ -10,8 +10,8 @@
  *  - CR3 / address-space switch: no block from another space is reused;
  *  - MISP serialization purge (TLB flush + decoded-block drop) resyncs
  *    with memory the modeled kernel changed;
- *  - every decode, the first and a redecode after SMC, picks each
- *    slot's fast-loop handler from the opcode table;
+ *  - every decode, the first and a redecode after SMC, stores each
+ *    slot as isa::decode of its bytes, or the undecodable marker;
  *  - and the engine is a pure host-side optimization: simulated cycles
  *    and retired counts are bit-identical with the engine on and off.
  */
@@ -19,9 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cpu/decode_cache.hh"
@@ -201,8 +201,8 @@ TEST(DecodeCacheCoherence, FullSystemIdenticalUnderSpeculativeMonitor)
 }
 
 // ---------------------------------------------------------------------
-// Chain invalidation: a hot chain that crosses pages, or holds its
-// cursor across slices, must never reach a page stale. Each scenario
+// Chain invalidation: a hot chain that crosses pages, or stays live
+// across slices, must never reach a page stale. Each scenario
 // compares both engines tick-for-tick, so a chain that survived an
 // invalidation would show up as an architectural or timing divergence.
 // ---------------------------------------------------------------------
@@ -293,8 +293,8 @@ TEST(SuperblockChain, Cr3SwitchMidChainDropsLinkedBlocks)
     // Run a hot loop in space A to a fixed tick, then model a CR3
     // switch to space B holding same-layout code with a different
     // immediate at the same VAs, and let execution continue mid-loop.
-    // Any decoded page of A surviving the switch (in block_ or the
-    // chain cursor) would keep folding A's immediate.
+    // Any decoded page of A surviving the switch (in block_) would keep
+    // folding A's immediate.
     std::string srcA = chainLoopSrc(5, 4000);
     std::string srcB = chainLoopSrc(9, 4000);
 
@@ -327,6 +327,50 @@ TEST(SuperblockChain, Cr3SwitchMidChainDropsLinkedBlocks)
             EXPECT_EQ(m.eq.curTick(), refTicks)
                 << cpu::engineName(engine);
             EXPECT_EQ(m.reg(4), refR4) << cpu::engineName(engine);
+        }
+    }
+}
+
+TEST(SuperblockChain, PageFreedWithItsAddressSpaceIsNeverRead)
+{
+    // As above, but space A is destroyed right after the switch, so the
+    // sequencer's cached block points into freed memory. The next slice
+    // must reject it by the address-space generation before reading the
+    // page (an AddressSanitizer build reports any read), and run B's
+    // code like the reference engine does.
+    std::string srcA = chainLoopSrc(5, 4000);
+    std::string srcB = chainLoopSrc(9, 4000);
+
+    Tick refTicks = 0;
+    Word refR4 = 0;
+    for (cpu::Engine engine :
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
+        Machine m(srcB, engine);
+        auto a = std::make_unique<mem::AddressSpace>("a", m.pmem);
+        isa::Program progA = isa::assemble(srcA, 0x40'0000);
+        a->defineRegion(progA.base, progA.byteSize() + 64, false, "code",
+                        progA.bytes());
+        a->defineRegion(0x10'0000, 8 * mem::kPageSize, true, "stack");
+        m.env.as = a.get();
+        m.seq.mmu().setAddressSpace(a.get());
+
+        m.start();
+        m.eq.run(3000); // chain is hot in A, loop not yet done
+        m.env.as = &m.as;
+        m.seq.mmu().setAddressSpace(&m.as);
+        a.reset();
+        m.eq.run();
+
+        EXPECT_EQ(m.reg(1), 4000u) << cpu::engineName(engine);
+        if (engine == cpu::Engine::Reference) {
+            refTicks = m.eq.curTick();
+            refR4 = m.reg(4);
+            EXPECT_NE(refR4, Word{5} * 4000) << "switched too late";
+            EXPECT_NE(refR4, Word{9} * 4000) << "switched too early";
+        } else {
+            EXPECT_EQ(m.eq.curTick(), refTicks);
+            EXPECT_EQ(m.reg(4), refR4);
+            EXPECT_GT(m.seq.decodeCacheHits(), 0u);
         }
     }
 }
@@ -452,10 +496,9 @@ TEST(DecodeCacheUnit, DecodeFindInvalidateCycle)
     cpu::DecodedPage *page = dc.decodePage(vpn, pa);
     ASSERT_NE(page, nullptr);
     EXPECT_EQ(dc.find(vpn), page);
-    EXPECT_TRUE(page->slots[0].valid);
-    EXPECT_EQ(page->slots[0].inst.op, isa::Opcode::MovI);
-    EXPECT_EQ(page->slots[0].inst.imm, 42u);
-    EXPECT_EQ(page->slots[0].lat, isa::baseLatency(isa::Opcode::MovI));
+    EXPECT_EQ(page->slots[0].op, isa::Opcode::MovI);
+    EXPECT_EQ(page->slots[0].rd, 3u);
+    EXPECT_EQ(page->slots[0].imm, 42u);
     EXPECT_EQ(dc.residentPages(), 1u);
 
     std::uint64_t v0 = page->version;
@@ -529,56 +572,37 @@ TEST(DecodeCacheUnit, InvalidDecodesFaultAsSlots)
     pmem.writeBytes(pa, junk, sizeof(junk));
 
     cpu::DecodedPage *page = dc.decodePage(0x400, pa);
-    EXPECT_FALSE(page->slots[0].valid); // becomes InvalidOpcode on fetch
+    // Becomes InvalidOpcode on fetch.
+    EXPECT_EQ(page->slots[0], cpu::kUndecodable);
     // Zero-filled rest of the page decodes as NOPs.
-    EXPECT_TRUE(page->slots[1].valid);
-    EXPECT_EQ(page->slots[1].inst.op, isa::Opcode::Nop);
+    EXPECT_EQ(page->slots[1], isa::Instruction{});
 }
 
 namespace {
 
-/** The fast-loop handler a slot decoded from @p bytes must carry, by
- *  the opcode table: its opcode for an Inline or Branch row and for a
- *  ld/st of 1, 2, 4 or 8 bytes, else the exit id (which undecodable
- *  bytes also take). */
-std::uint8_t
-expectedHandler(const std::uint8_t *bytes)
-{
-    isa::Instruction inst;
-    if (!isa::decode(bytes, &inst))
-        return cpu::kExitHandler;
-    const isa::OpClass cls = isa::opInfo(inst.op).cls;
-    const bool ldst =
-        inst.op == isa::Opcode::Ld || inst.op == isa::Opcode::St;
-    const bool sized =
-        inst.sub == 1 || inst.sub == 2 || inst.sub == 4 || inst.sub == 8;
-    if (cls == isa::OpClass::Inline || cls == isa::OpClass::Branch ||
-        (ldst && sized))
-        return static_cast<std::uint8_t>(inst.op);
-    return cpu::kExitHandler;
-}
-
-/** Each slot of @p page whose handler is not expectedHandler of its
- *  bytes in @p code (the page's guest bytes), one "slot N: got G want
- *  W" line each; empty when every slot agrees. */
+/** Each slot of @p page that is not isa::decode of its bytes in @p code
+ *  (the page's guest bytes), or kUndecodable where decode fails, one
+ *  "slot N: got G want W" line each; empty when every slot agrees. */
 std::string
-handlerMismatches(const cpu::DecodedPage &page, const std::uint8_t *code)
+slotMismatches(const cpu::DecodedPage &page, const std::uint8_t *code)
 {
     std::string out;
     for (std::size_t i = 0; i < cpu::DecodedPage::kSlots; ++i) {
-        const unsigned got = page.slots[i].handler;
-        const unsigned want = expectedHandler(&code[i * isa::kInstBytes]);
+        isa::Instruction want;
+        if (!isa::decode(&code[i * isa::kInstBytes], &want))
+            want = cpu::kUndecodable;
+        const isa::Instruction &got = page.slots[i];
         if (got != want)
             out += "slot " + std::to_string(i) + ": got " +
-                   std::to_string(got) + " want " + std::to_string(want) +
-                   "\n";
+                   isa::disassemble(got) + " want " +
+                   isa::disassemble(want) + "\n";
     }
     return out;
 }
 
 } // namespace
 
-TEST(DecodeCacheUnit, SlotHandlersFollowTheOpcodeTable)
+TEST(DecodeCacheUnit, SlotsAreTheDecodedInstructions)
 {
     // Fuzzed pages: every opcode, ld/st of valid and invalid sizes, and
     // some undecodable slots (bad opcode, register or Jcc condition).
@@ -586,9 +610,12 @@ TEST(DecodeCacheUnit, SlotHandlersFollowTheOpcodeTable)
     cpu::DecodeCache dc(pmem);
     const PAddr pa = pmem.allocFrame() << mem::kPageShift;
     Rng rng(19);
-    // (opcode, handler) pairs seen, so the fuzz provably covers every
-    // row's handler and both outcomes of the ld/st size rule.
-    std::set<std::pair<unsigned, unsigned>> seen;
+    // Opcodes seen decoded, and the first bytes of slots seen
+    // undecodable, so the fuzz provably covers every row and the
+    // partial decodes (a ld/st whose size alone fails) that must not
+    // leave their opcode in the slot.
+    std::set<unsigned> decoded;
+    std::set<unsigned> rejected;
     std::uint8_t code[mem::kPageSize];
     for (int trial = 0; trial < 200; ++trial) {
         const std::uint64_t density = 1 + rng.below(16);
@@ -610,33 +637,28 @@ TEST(DecodeCacheUnit, SlotHandlersFollowTheOpcodeTable)
         }
         pmem.writeBytes(pa, code, sizeof code);
         const cpu::DecodedPage *page = dc.decodePage(0x400, pa);
-        ASSERT_EQ(handlerMismatches(*page, code), "") << "trial " << trial;
-        for (const cpu::DecodedSlot &s : page->slots) {
-            if (s.valid)
-                seen.emplace(static_cast<unsigned>(s.inst.op), s.handler);
+        ASSERT_EQ(slotMismatches(*page, code), "") << "trial " << trial;
+        for (std::size_t i = 0; i < cpu::DecodedPage::kSlots; ++i) {
+            if (page->slots[i] == cpu::kUndecodable)
+                rejected.insert(code[i * isa::kInstBytes]);
+            else
+                decoded.insert(static_cast<unsigned>(page->slots[i].op));
         }
     }
     for (unsigned op = 0;
-         op < static_cast<unsigned>(isa::Opcode::NumOpcodes); ++op) {
-        const isa::OpClass cls = isa::kOpTable[op].cls;
-        if (cls == isa::OpClass::Inline || cls == isa::OpClass::Branch ||
-            op == static_cast<unsigned>(isa::Opcode::Ld) ||
-            op == static_cast<unsigned>(isa::Opcode::St)) {
-            EXPECT_TRUE(seen.count({op, op})) << isa::kOpTable[op].name;
-        }
-        if (cls != isa::OpClass::Inline && cls != isa::OpClass::Branch) {
-            EXPECT_TRUE(seen.count({op, cpu::kExitHandler}))
-                << isa::kOpTable[op].name;
-        }
-    }
+         op < static_cast<unsigned>(isa::Opcode::NumOpcodes); ++op)
+        EXPECT_TRUE(decoded.count(op)) << isa::kOpTable[op].name;
+    EXPECT_TRUE(rejected.count(static_cast<unsigned>(isa::Opcode::Ld)));
+    EXPECT_TRUE(rejected.count(static_cast<unsigned>(isa::Opcode::St)));
+    EXPECT_TRUE(rejected.count(0xF0));
 }
 
-TEST(DecodeCacheUnit, SmcRedecodeRecomputesSlotHandlers)
+TEST(DecodeCacheUnit, SmcRedecodeRecomputesSlots)
 {
     // The guest turns the jmp at `patch` into a nop (opcode 0) and the
     // ld8 at `sized` into a 3-byte load it never reaches. The stores
-    // drop the decoded page; its redecode must pick the new handlers:
-    // Nop's at `patch`, the exit at `sized`.
+    // drop the decoded page; its redecode must hold the new slots: a
+    // nop at `patch`, the undecodable marker at `sized`.
     const char *src = R"(
         main:
             movi r5, patch
@@ -670,14 +692,11 @@ TEST(DecodeCacheUnit, SmcRedecodeRecomputesSlotHandlers)
         const cpu::DecodedPage *page =
             m.as.decodeCache().find(mem::pageNumber(base));
         ASSERT_NE(page, nullptr);
-        EXPECT_EQ(page->slots[slot("patch")].inst.op, isa::Opcode::Nop);
-        EXPECT_EQ(page->slots[slot("patch")].handler,
-                  static_cast<std::uint8_t>(isa::Opcode::Nop));
-        EXPECT_EQ(page->slots[slot("sized")].inst.sub, 3u);
-        EXPECT_EQ(page->slots[slot("sized")].handler, cpu::kExitHandler);
+        EXPECT_EQ(page->slots[slot("patch")].op, isa::Opcode::Nop);
+        EXPECT_EQ(page->slots[slot("sized")], cpu::kUndecodable);
         std::uint8_t code[mem::kPageSize];
         m.as.peek(base, code, sizeof code);
-        EXPECT_EQ(handlerMismatches(*page, code), "");
+        EXPECT_EQ(slotMismatches(*page, code), "");
     }
 }
 

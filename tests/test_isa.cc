@@ -34,6 +34,8 @@ TEST(IsaEncoding, RoundTripProperty)
         inst.rs1 = static_cast<std::uint8_t>(rng.below(kNumRegs));
         inst.rs2 = static_cast<std::uint8_t>(rng.below(kNumRegs));
         inst.sub = static_cast<std::uint8_t>(rng.below(8));
+        if (inst.op == Opcode::Ld || inst.op == Opcode::St)
+            inst.sub = static_cast<std::uint8_t>(1u << rng.below(4));
         inst.imm = rng.next();
         auto bytes = encode(inst);
         Instruction out;
@@ -78,6 +80,32 @@ TEST(IsaEncoding, RejectsBadCondition)
     inst.op = Opcode::Ld;
     inst.sub = 8;
     EXPECT_TRUE(decode(encode(inst).data(), &out));
+}
+
+TEST(IsaEncoding, RejectsBadAccessSize)
+{
+    // A ld/st size byte other than 1, 2, 4 or 8 fails decode, so both
+    // engines raise InvalidOpcode for it; the same byte in another
+    // opcode's `sub` is legal.
+    for (Opcode op : {Opcode::Ld, Opcode::St}) {
+        Instruction inst;
+        inst.op = op;
+        Instruction out;
+        for (unsigned size : {1u, 2u, 4u, 8u}) {
+            inst.sub = static_cast<std::uint8_t>(size);
+            EXPECT_TRUE(decode(encode(inst).data(), &out))
+                << opcodeName(op) << size;
+        }
+        for (unsigned size : {0u, 3u, 5u, 16u, 255u}) {
+            inst.sub = static_cast<std::uint8_t>(size);
+            EXPECT_FALSE(decode(encode(inst).data(), &out))
+                << opcodeName(op) << size;
+        }
+    }
+    Instruction nop;
+    nop.sub = 3;
+    Instruction out;
+    EXPECT_TRUE(decode(encode(nop).data(), &out));
 }
 
 TEST(IsaFlags, PackedNibbleAccessors)
@@ -531,6 +559,41 @@ TEST(IsaSemantics, BadJccConditionRaisesInvalidOpcode)
         EXPECT_TRUE(m.seq.halted());
         EXPECT_EQ(m.reg(1), 5u) << cpu::engineName(engine);
         EXPECT_EQ(m.seq.context().eip, jcc) << cpu::engineName(engine);
+    }
+}
+
+TEST(IsaSemantics, BadAccessSizeRaisesInvalidOpcode)
+{
+    // Patch an assembled ld8's and st8's size byte: the instruction no
+    // longer decodes, so fetching it raises InvalidOpcode (the bare
+    // machine kills on it) in the guest — never a host-side panic —
+    // before the access happens.
+    const std::string src = "main:\n movi r1, 5\n movi r2, 0x100000\n"
+                            " st8 [r2+0], r1\n"
+                            "access:\n ld8 r1, [r2+0]\n"
+                            " movi r1, 6\n halt\n";
+    for (cpu::Engine engine : kEngines) {
+        for (Opcode op : {Opcode::Ld, Opcode::St}) {
+            for (unsigned size : {0u, 3u, 5u, 16u, 255u}) {
+                harness::BareMachine m(src, engine);
+                const VAddr at = m.prog.symbol("access");
+                ASSERT_EQ(m.as.handleFault(at, false),
+                          mem::FaultOutcome::Paged);
+                const auto bytes = encode(
+                    {op, 1, 2, 1, static_cast<std::uint8_t>(size), 8});
+                m.as.poke(at, bytes.data(), bytes.size());
+                EXPECT_NO_THROW(m.run());
+                const std::string what = std::string(opcodeName(op)) +
+                                         std::to_string(size) + " under " +
+                                         cpu::engineName(engine);
+                EXPECT_TRUE(m.seq.halted()) << what;
+                EXPECT_EQ(m.env.killedBy, mem::FaultKind::InvalidOpcode)
+                    << what;
+                EXPECT_EQ(m.seq.context().eip, at) << what;
+                EXPECT_EQ(m.reg(1), 5u) << what;
+                EXPECT_EQ(m.as.peekWord(0x100008, 8), 0u) << what;
+            }
+        }
     }
 }
 

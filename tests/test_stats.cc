@@ -38,34 +38,6 @@ TEST(Stats, VectorIndexesAndTotals)
     EXPECT_THROW(v[7], SimError);
 }
 
-TEST(Stats, DistributionMoments)
-{
-    StatGroup root("root");
-    Distribution d(&root, "d", "samples");
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        d.sample(x);
-    EXPECT_EQ(d.count(), 8u);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.minValue(), 2.0);
-    EXPECT_DOUBLE_EQ(d.maxValue(), 9.0);
-    EXPECT_NEAR(d.variance(), 4.571428, 1e-5);
-}
-
-TEST(Stats, FormulaEvaluatesAtReadTime)
-{
-    StatGroup root("root");
-    Scalar hits(&root, "hits", "");
-    Scalar misses(&root, "misses", "");
-    Formula rate(&root, "rate", "hit rate", [&] {
-        double total = hits.value() + misses.value();
-        return total > 0 ? hits.value() / total : 0.0;
-    });
-    EXPECT_DOUBLE_EQ(rate.value(), 0.0);
-    hits += 3;
-    misses += 1;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.75);
-}
-
 TEST(Stats, GroupPathsAndLookup)
 {
     StatGroup root("");
@@ -84,28 +56,14 @@ TEST(Stats, DumpContainsAllStats)
     StatGroup root("");
     StatGroup cpu("cpu0", &root);
     Scalar insts(&cpu, "insts", "instructions");
+    Vector perSeq(&cpu, "perSeq", "", 2);
     insts += 7;
+    perSeq[1] = 3;
     std::ostringstream os;
-    root.dump(os);
-    EXPECT_NE(os.str().find("cpu0.insts 7"), std::string::npos);
-    EXPECT_NE(os.str().find("# instructions"), std::string::npos);
-
-    std::ostringstream csv;
-    root.dumpCsv(csv);
-    EXPECT_NE(csv.str().find("cpu0.insts,7"), std::string::npos);
-}
-
-TEST(Stats, ResetAllRecurses)
-{
-    StatGroup root("");
-    StatGroup child("c", &root);
-    Scalar a(&root, "a", "");
-    Scalar b(&child, "b", "");
-    a += 1;
-    b += 2;
-    root.resetAll();
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
-    EXPECT_DOUBLE_EQ(b.value(), 0.0);
+    root.dumpJson(os);
+    EXPECT_NE(os.str().find("\"cpu0\": {"), std::string::npos) << os.str();
+    EXPECT_NE(os.str().find("\"insts\": 7"), std::string::npos) << os.str();
+    EXPECT_NE(os.str().find("\"[1]\": 3"), std::string::npos) << os.str();
 }
 
 // ---------------------------------------------------------------------

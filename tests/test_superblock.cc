@@ -21,8 +21,8 @@
  * the superblock engine's in-place slice continuation be taken and
  * refused at random points (and samples the sequencer's counters at
  * every one of its ticks); the same source disturbing the sequencer
- * between two of its slices, so slices resume from the chain cursor
- * and are refused it (SMC poke, TLB flush, address-space switch, EIP
+ * between two of its slices, so slices resume on a live chain and
+ * find it dead (SMC poke, TLB flush, address-space switch, EIP
  * rewrite, signal delivery, snapshot round trip); and programs whose
  * loads and stores span more data pages than the TLB holds, so
  * data-window re-aims, evictions and page walks interleave.
@@ -421,8 +421,8 @@ fnv(const void *data, std::size_t n,
 }
 
 /** What a Ticker does to the sequencer at each of its ticks, between
- *  two of the sequencer's slices — each a way to invalidate the chain
- *  cursor a resumed slice would start from. */
+ *  two of the sequencer's slices — each a way to kill the chain a
+ *  resumed slice would start from. */
 enum class Disturb {
     None,
     SmcPoke,    ///< host rewrite of the patch target and the EIP's bundle
@@ -444,7 +444,7 @@ const char *const kSignalHandler = "sighandler:\n"
  * points of the sequencer's slices — before, at, and after the tick a
  * slice would continue at, at every priority — so the superblock
  * engine's continuation is taken and refused at random, and slices it
- * refused resume from the chain cursor. Each tick samples what another
+ * refused resume on the live chain. Each tick samples what another
  * event could observe of the sequencer (retired and busy counts, TLB
  * hits), which must match the reference engine, then applies its
  * disturbance on a seeded half of the ticks, so slices resumed after an
@@ -755,8 +755,8 @@ TEST(SuperblockFuzz, SecondEventSourceBitIdentical)
             break;
     }
     EXPECT_GT(total.continued, 0u);
-    // Refused slices must actually resume from the chain cursor, or
-    // the disturbance legs below test nothing.
+    // Refused slices must actually resume on a live chain, or the
+    // disturbance legs below test nothing.
     EXPECT_GT(total.resumed, 0u);
 }
 
@@ -853,12 +853,13 @@ store:
 
 TEST(SuperblockFuzz, LoadsAndStoresTheFastLoopExitsOnBitIdentical)
 {
-    // Loads and stores whose slots take the fast loop's exit handler,
-    // which the generator never emits: sizes MISA does not access
-    // (raw-encoded: the assembler takes only 1, 2, 4 and 8) and
-    // misaligned ones. Each runs at `bad`, behind a loop that keeps the
-    // fast loop hot, and ends the run there — whatever the reference
-    // engine does with it, the superblock engine must do the same.
+    // Loads and stores the fast loop sends to the generic path, which
+    // the generator never emits: sizes MISA does not access
+    // (raw-encoded: the assembler takes only 1, 2, 4 and 8), which
+    // decode rejects, and misaligned ones. Each runs at `bad`, behind a
+    // loop that keeps the fast loop hot, and ends the run there: a bad
+    // size with an InvalidOpcode fault in the guest (never a host-side
+    // panic), and under both engines alike.
     const std::string src = R"(
 main:
     movi r2, 0x100000
@@ -907,6 +908,11 @@ bad:
             EXPECT_EQ(m.seq.context().eip, m.prog.symbol("bad"))
                 << what << " " << cpu::engineName(engine);
             EXPECT_EQ(m.reg(1), 100u) << what;
+            if (!isa::accessSize(k.size)) {
+                EXPECT_FALSE(threw) << what << " " << cpu::engineName(engine);
+                EXPECT_EQ(m.env.killedBy, mem::FaultKind::InvalidOpcode)
+                    << what << " " << cpu::engineName(engine);
+            }
             if (engine == cpu::Engine::Reference) {
                 want = Observed::of(m);
                 wantThrew = threw;
@@ -919,6 +925,50 @@ bad:
         if (HasFailure()) {
             ADD_FAILURE() << "at " << what;
             break;
+        }
+    }
+}
+
+TEST(SuperblockFuzz, MisalignedCallAndReturnOnThePageFaultBitIdentical)
+{
+    // A callr and a ret (Slow ops, run by the generic path) to a
+    // misaligned address on their own page, behind a loop that keeps
+    // the chain live: the next fetch must raise GeneralProtection under
+    // both engines, not run the aligned slot around the target.
+    for (const char *transfer : {"    callr r4\n", "    push r4\n    ret\n"}) {
+        const std::string src = std::string(R"(
+main:
+    movi r1, 0
+loop:
+    addi r1, r1, 1
+    cmpi r1, 100
+    jcc.lt loop
+    movi r4, target
+    addi r4, r4, 8
+)") + transfer + R"(
+target:
+    movi r5, 1
+    halt
+)";
+        Observed want;
+        for (cpu::Engine engine :
+             {cpu::Engine::Reference, cpu::Engine::Superblock}) {
+            FuzzMachine m(src, engine);
+            m.run();
+            const std::string what =
+                std::string(transfer) + " " + cpu::engineName(engine);
+            EXPECT_TRUE(m.seq.halted()) << what;
+            EXPECT_EQ(m.env.killedBy, mem::FaultKind::GeneralProtection)
+                << what;
+            EXPECT_EQ(m.seq.context().eip, m.prog.symbol("target") + 8)
+                << what;
+            EXPECT_EQ(m.reg(5), 0u) << what;
+            if (engine == cpu::Engine::Reference) {
+                want = Observed::of(m);
+            } else {
+                expectIdentical(want, Observed::of(m), engine, 0);
+                EXPECT_GT(m.seq.decodeCacheHits(), 0u) << what;
+            }
         }
     }
 }

@@ -18,6 +18,13 @@
 # A non-zero mispsim exit is recorded and compared too. Prints one line
 # per scenario and engine and exits 1 on any difference; pass work-dir
 # to keep the compared files.
+#
+# The HostScalar counters themselves are engine control flow, not
+# simulated results, so they never fail the check. Under
+# --engine=superblock each one is summed over the unstripped full JSON
+# on both sides, and a spec whose sums moved gets one informational
+# `host counters moved:` line, so a refactor's control-flow drift shows
+# in the same run.
 
 set -euo pipefail
 
@@ -69,6 +76,8 @@ run() { # <side> <tree> <scn> <engine> -> $work/<side>/<scn>.<engine>.*
     if [ -f "$out.full.json" ]; then
         python3 "$root/tools/strip_host_stats.py" "$out.full.json" \
             "$out.stats.json" "$root/src" "$base_src/src"
+        python3 "$root/tools/strip_host_stats.py" --sums "$out.full.json" \
+            "$out.host.txt" "$root/src" "$base_src/src"
         rm -f "$out.full.json"
     fi
 }
@@ -100,6 +109,14 @@ for scn in "$root"/scenarios/*.scn; do
         done
         [ "$same" = yes ] &&
             echo "$rel --engine=$engine: identical"
+        a=$work/base/$name.host.txt
+        b=$work/head/$name.host.txt
+        if [ "$engine" = superblock ] && [ -f "$a" ] && [ -f "$b" ] &&
+            ! cmp -s "$a" "$b"; then
+            echo "$rel --engine=$engine: host counters moved:" \
+                "$(LC_ALL=C join -a1 -a2 -e0 -o0,1.2,2.2 "$a" "$b" |
+                    awk '$2 != $3 { printf "%s%s %s -> %s", s, $1, $2, $3; s = "," }')"
+        fi
     done
 done
 if [ $rc -eq 0 ]; then
