@@ -297,18 +297,19 @@ main(int argc, char **argv)
     }
 
     // Machine-readable trajectory for CI.
+    // Described before the JSON is opened: truncating the checked-in
+    // file would make the tree read as dirty.
+    const std::string revision =
+        firstLineOf(std::string("git -C '") + MISP_SOURCE_ROOT +
+                    "' describe --always --dirty --abbrev=40 2>/dev/null");
     FILE *json = std::fopen("BENCH_decode_cache.json", "w");
     if (json) {
-        const std::string root = MISP_SOURCE_ROOT;
         std::fprintf(
             json,
             "{\n  \"provenance\": {\"git_sha\": %s, \"compiler\": %s, "
             "\"build_type\": %s, \"cpu_model\": %s},\n"
             "  \"reps\": %u,\n  \"kernels\": [\n",
-            stats::jsonQuote(firstLineOf("git -C '" + root +
-                                         "' describe --always --dirty "
-                                         "--abbrev=40 2>/dev/null"))
-                .c_str(),
+            stats::jsonQuote(revision).c_str(),
             stats::jsonQuote(kCompiler).c_str(),
             stats::jsonQuote(MISP_BUILD_TYPE).c_str(),
             stats::jsonQuote(cpuModel()).c_str(), reps);
