@@ -115,7 +115,7 @@ for scn in "$root"/scenarios/*.scn; do
             ! cmp -s "$a" "$b"; then
             echo "$rel --engine=$engine: host counters moved:" \
                 "$(LC_ALL=C join -a1 -a2 -e0 -o0,1.2,2.2 "$a" "$b" |
-                    awk '$2 != $3 { printf "%s%s %s -> %s", s, $1, $2, $3; s = "," }')"
+                    awk '$2 != $3 { printf "%s%s %s -> %s", s, $1, $2, $3; s = ", " }')"
         fi
     done
 done
