@@ -262,11 +262,11 @@ main(int argc, char **argv)
         return 1;
     bool fullIdentical = false;
     {
-        const driver::PointResult *rOff =
-            driver::findResult(grid, "dc_off", "dense_mvm", 0);
-        const driver::PointResult *rSb =
-            driver::findResult(grid, "dc_sb", "dense_mvm", 0);
-        MISP_ASSERT(rOff && rSb);
+        // Grid order: the spec's two machines, as declared.
+        MISP_ASSERT(grid.size() == 2 && grid[0].machine == "dc_off" &&
+                    grid[1].machine == "dc_sb");
+        const driver::PointResult *rOff = &grid[0];
+        const driver::PointResult *rSb = &grid[1];
         fullIdentical = rSb->run.ticks == rOff->run.ticks &&
                         rOff->run.valid && rSb->run.valid &&
                         rSb->run.instsRetired == rOff->run.instsRetired;

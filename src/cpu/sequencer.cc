@@ -58,33 +58,19 @@ Sequencer::Sequencer(std::string name, SequencerId sid, bool ring0Capable,
       eq_(eq),
       runEvent_(*this, name_ + ".run", Event::kPrioCpu),
       statGroup_(name_, parent),
-      instsRetired_(&statGroup_, "instsRetired", "instructions retired"),
-      busyCycles_(&statGroup_, "busyCycles", "cycles executing user code"),
-      kernelCycles_(&statGroup_, "kernelCycles",
-                    "cycles in modeled Ring-0 episodes"),
-      suspendedCycles_(&statGroup_, "suspendedCycles",
-                       "cycles suspended by MISP serialization"),
-      proxyWaitCycles_(&statGroup_, "proxyWaitCycles",
-                       "cycles waiting for proxy execution"),
-      signalsReceived_(&statGroup_, "signalsReceived",
-                       "ingress inter-sequencer signals"),
-      signalsSent_(&statGroup_, "signalsSent",
-                   "egress SIGNAL instructions executed"),
-      asyncTransfers_(&statGroup_, "asyncTransfers",
-                      "YIELD-CONDITIONAL asynchronous control transfers"),
-      faultsRaised_(&statGroup_, "faultsRaised", "architectural faults"),
-      decodeCacheHits_(&statGroup_, "decodeCacheHits",
-                       "instructions dispatched from a live predecoded "
-                       "block"),
-      decodeCacheMisses_(&statGroup_, "decodeCacheMisses",
-                         "decoded-block refills (page switch, "
-                         "invalidation, or CR3 change)"),
-      slicesContinued_(&statGroup_, "slicesContinued",
-                       "slices started in place, without an event-queue "
-                       "round trip"),
-      slicesResumed_(&statGroup_, "slicesResumed",
-                     "scheduled slices started on a live chain, "
-                     "without a fetch translation or chain resolve"),
+      instsRetired_(&statGroup_, "instsRetired"),
+      busyCycles_(&statGroup_, "busyCycles"),
+      kernelCycles_(&statGroup_, "kernelCycles"),
+      suspendedCycles_(&statGroup_, "suspendedCycles"),
+      proxyWaitCycles_(&statGroup_, "proxyWaitCycles"),
+      signalsReceived_(&statGroup_, "signalsReceived"),
+      signalsSent_(&statGroup_, "signalsSent"),
+      asyncTransfers_(&statGroup_, "asyncTransfers"),
+      faultsRaised_(&statGroup_, "faultsRaised"),
+      decodeCacheHits_(&statGroup_, "decodeCacheHits"),
+      decodeCacheMisses_(&statGroup_, "decodeCacheMisses"),
+      slicesContinued_(&statGroup_, "slicesContinued"),
+      slicesResumed_(&statGroup_, "slicesResumed"),
       mmu_("mmu", pmem, &statGroup_)
 {}
 

@@ -495,20 +495,25 @@ class Sequencer
 
     stats::StatGroup statGroup_;
     stats::Scalar instsRetired_;
-    stats::Scalar busyCycles_;
-    stats::Scalar kernelCycles_;
-    stats::Scalar suspendedCycles_;
-    stats::Scalar proxyWaitCycles_;
-    stats::Scalar signalsReceived_;
-    stats::Scalar signalsSent_;
-    stats::Scalar asyncTransfers_;
-    stats::Scalar faultsRaised_;
+    stats::Scalar busyCycles_;      ///< cycles executing user code
+    stats::Scalar kernelCycles_;    ///< cycles in modeled Ring-0 episodes
+    stats::Scalar suspendedCycles_; ///< suspended by MISP serialization
+    stats::Scalar proxyWaitCycles_; ///< waiting for proxy execution
+    stats::Scalar signalsReceived_; ///< ingress inter-sequencer signals
+    stats::Scalar signalsSent_;     ///< egress SIGNAL instructions executed
+    stats::Scalar asyncTransfers_;  ///< YIELD-CONDITIONAL control transfers
+    stats::Scalar faultsRaised_;    ///< architectural faults
     // HostScalar: engine-dependent host counters stay out of snapshot
     // images (they would make otherwise-identical machine states warmed
     // under different engines serialize differently).
+    /** Instructions dispatched from a live predecoded block. */
     stats::HostScalar decodeCacheHits_;
+    /** Decoded-block refills (page switch, invalidation, or CR3 change). */
     stats::HostScalar decodeCacheMisses_;
+    /** Slices started in place, without an event-queue round trip. */
     stats::HostScalar slicesContinued_;
+    /** Scheduled slices started on a live chain, without a fetch
+     *  translation or chain resolve. */
     stats::HostScalar slicesResumed_;
     mem::Mmu mmu_;
 };

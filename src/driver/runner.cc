@@ -627,41 +627,6 @@ ScenarioRunner::runIsolated(const Scenario &sc,
     return results;
 }
 
-const PointResult *
-findResult(const std::vector<PointResult> &results,
-           const std::string &machine, const std::string &workload,
-           unsigned competitors)
-{
-    for (const PointResult &r : results) {
-        if (r.machine == machine && r.workload == workload &&
-            r.competitors == competitors)
-            return &r;
-    }
-    return nullptr;
-}
-
-const PointResult *
-findResultCoords(const std::vector<PointResult> &results,
-                 const std::string &machine,
-                 const std::vector<std::pair<std::string, std::string>>
-                     &coords)
-{
-    for (const PointResult &r : results) {
-        if (r.machine != machine)
-            continue;
-        bool match = true;
-        for (const auto &want : coords) {
-            bool found = false;
-            for (const auto &have : r.coords)
-                found = found || have == want;
-            match = match && found;
-        }
-        if (match)
-            return &r;
-    }
-    return nullptr;
-}
-
 harness::MetricFrame
 buildMetricFrame(const Scenario &sc,
                  const std::vector<PointResult> &results)

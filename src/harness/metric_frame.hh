@@ -111,11 +111,11 @@ class MetricFrame
      *  addressing the fixed column set. */
     double at(std::size_t r, const std::string &metric) const;
 
-    /** Speedup of row @p r relative to row @p base —
-     *  RunRecord::speedupOver semantics (base ticks / row ticks; 0
-     *  unless both runs completed). The `speedup` column and the
-     *  table renderers' axis-relative columns both use this, so the
-     *  completion rule lives in one place. */
+    /** Speedup of row @p r relative to row @p base: base ticks / row
+     *  ticks, or 0 unless both runs completed (and row @p r took a
+     *  tick). The `speedup` column and the table renderers'
+     *  axis-relative columns both use this, so the completion rule
+     *  lives in one place. */
     double speedupOf(std::size_t r, std::size_t base) const;
 
     // Group queries ------------------------------------------------------

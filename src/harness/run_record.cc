@@ -9,15 +9,6 @@
 namespace misp::harness {
 
 double
-RunRecord::speedupOver(const RunRecord &baseline) const
-{
-    if (status != RunStatus::Completed ||
-        baseline.status != RunStatus::Completed || ticks == 0)
-        return 0.0;
-    return double(baseline.ticks) / double(ticks);
-}
-
-double
 RunRecord::perMegaInsts(double count) const
 {
     if (instsRetired == 0)

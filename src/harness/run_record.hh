@@ -145,10 +145,6 @@ struct RunRecord {
 
     double megaCycles() const { return ticks / 1e6; }
 
-    /** Speedup of this run relative to @p baseline (baseline.ticks /
-     *  ticks); 0 when either run never completed. */
-    double speedupOver(const RunRecord &baseline) const;
-
     /** Table-1 normalization: @p count per 10^6 retired instructions
      *  (0 when nothing retired). */
     double perMegaInsts(double count) const;

@@ -10,8 +10,8 @@ Mmu::Mmu(std::string name, PhysicalMemory &pmem, stats::StatGroup *parent)
     : pmem_(pmem),
       statGroup_(std::move(name), parent),
       tlb_("tlb", 64, &statGroup_),
-      walks_(&statGroup_, "pageWalks", "hardware page walks performed"),
-      pageFaults_(&statGroup_, "pageFaults", "translation page faults")
+      walks_(&statGroup_, "pageWalks"),
+      pageFaults_(&statGroup_, "pageFaults")
 {}
 
 void

@@ -10,11 +10,10 @@ PhysicalMemory::PhysicalMemory(std::uint64_t frames,
                                stats::StatGroup *parent)
     : frames_(frames),
       statGroup_("physmem", parent),
-      framesAllocated_(&statGroup_, "framesAllocated",
-                       "physical frames handed out"),
-      framesFreed_(&statGroup_, "framesFreed", "physical frames returned"),
-      bytesRead_(&statGroup_, "bytesRead", "bytes read from memory"),
-      bytesWritten_(&statGroup_, "bytesWritten", "bytes written to memory")
+      framesAllocated_(&statGroup_, "framesAllocated"),
+      framesFreed_(&statGroup_, "framesFreed"),
+      bytesRead_(&statGroup_, "bytesRead"),
+      bytesWritten_(&statGroup_, "bytesWritten")
 {
     MISP_ASSERT(frames_ > 0);
 }

@@ -26,9 +26,9 @@ Tlb::Tlb(std::string name, std::size_t entries, stats::StatGroup *parent)
       slots_(numSets_ * kWays),
       hand_(numSets_, 0),
       statGroup_(std::move(name), parent),
-      hits_(&statGroup_, "hits", "TLB hits"),
-      misses_(&statGroup_, "misses", "TLB misses"),
-      flushes_(&statGroup_, "flushes", "full TLB purges")
+      hits_(&statGroup_, "hits"),
+      misses_(&statGroup_, "misses"),
+      flushes_(&statGroup_, "flushes")
 {
     MISP_ASSERT(entries > 0);
 }

@@ -161,7 +161,7 @@ class Tlb
     stats::StatGroup statGroup_;
     stats::Scalar hits_;
     stats::Scalar misses_;
-    stats::Scalar flushes_;
+    stats::Scalar flushes_; ///< full TLB purges
 };
 
 } // namespace misp::mem

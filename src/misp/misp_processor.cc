@@ -39,19 +39,13 @@ MispProcessor::MispProcessor(std::string name, const MispConfig &config,
       deviceEvent_(*this, name_ + ".deviceIrq"),
       ring0Event_(*this, name_ + ".ring0"),
       events_(&statGroup_, "serializingEvents",
-              "Table-1 event counts by cause",
               static_cast<std::size_t>(Ring0Cause::NumCauses)),
-      serializations_(&statGroup_, "serializations",
-                      "Ring-0 serialization episodes"),
-      serializeCycles_(&statGroup_, "serializeCycles",
-                       "total serialization window cycles (2*signal+priv)"),
-      privCycles_(&statGroup_, "privCycles", "cycles of Ring-0 work"),
-      proxyRequests_(&statGroup_, "proxyRequests",
-                     "proxy execution requests from AMSs"),
-      proxySignalCycles_(&statGroup_, "proxySignalCycles",
-                         "Eq.2 egress signal overhead (3*signal/request)"),
-      threadSwitches_(&statGroup_, "threadSwitches",
-                      "OS thread switches applied on this processor")
+      serializations_(&statGroup_, "serializations"),
+      serializeCycles_(&statGroup_, "serializeCycles"),
+      privCycles_(&statGroup_, "privCycles"),
+      proxyRequests_(&statGroup_, "proxyRequests"),
+      proxySignalCycles_(&statGroup_, "proxySignalCycles"),
+      threadSwitches_(&statGroup_, "threadSwitches")
 {
     oms_ = std::make_unique<cpu::Sequencer>("oms", 0, /*ring0=*/true, eq_,
                                             pmem_, &statGroup_);

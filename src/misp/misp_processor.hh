@@ -296,13 +296,13 @@ class MispProcessor : public cpu::SequencerEnv
     MemberEvent<MispProcessor, &MispProcessor::onRing0Phase> ring0Event_;
 
     // Table 1 event log.
-    stats::Vector events_;
-    stats::Scalar serializations_;
+    stats::Vector events_;          ///< event counts by Ring0Cause
+    stats::Scalar serializations_;  ///< Ring-0 serialization episodes
     stats::Scalar serializeCycles_; ///< sum of full 2*signal+priv windows
     stats::Scalar privCycles_;      ///< priv portion only
-    stats::Scalar proxyRequests_;
-    stats::Scalar proxySignalCycles_; ///< Eq.2 egress overhead accumulator
-    stats::Scalar threadSwitches_;
+    stats::Scalar proxyRequests_;   ///< proxy execution requests from AMSs
+    stats::Scalar proxySignalCycles_; ///< Eq.2 egress overhead, 3*signal/req
+    stats::Scalar threadSwitches_;  ///< OS thread switches applied here
 };
 
 } // namespace misp::arch

@@ -14,7 +14,7 @@ SignalFabric::SignalFabric(EventQueue &eq, Cycles signalCycles,
       ownerCpu_(ownerCpu),
       pool_(eq, *this, "fabric.delivery", kDeliveryPrio),
       statGroup_("fabric", parent),
-      deliveries_(&statGroup_, "deliveries", "signals delivered")
+      deliveries_(&statGroup_, "deliveries")
 {}
 
 void

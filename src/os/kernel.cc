@@ -15,13 +15,13 @@ Kernel::Kernel(EventQueue &eq, mem::PhysicalMemory &pmem,
       rng_(config.seed),
       sleepWakes_(eq, *this, "kernel.sleepWake", kSleepWakePrio),
       statGroup_("kernel", parent),
-      syscalls_(&statGroup_, "syscalls", "system calls serviced"),
-      pageFaults_(&statGroup_, "pageFaults", "page faults serviced"),
-      timerIrqs_(&statGroup_, "timerIrqs", "timer interrupts serviced"),
-      deviceIrqs_(&statGroup_, "deviceIrqs", "device interrupts serviced"),
-      ctxSwitches_(&statGroup_, "ctxSwitches", "thread context switches"),
-      threadsCreated_(&statGroup_, "threadsCreated", "OS threads created"),
-      badFaults_(&statGroup_, "badFaults", "unservicable faults (bugs)")
+      syscalls_(&statGroup_, "syscalls"),
+      pageFaults_(&statGroup_, "pageFaults"),
+      timerIrqs_(&statGroup_, "timerIrqs"),
+      deviceIrqs_(&statGroup_, "deviceIrqs"),
+      ctxSwitches_(&statGroup_, "ctxSwitches"),
+      threadsCreated_(&statGroup_, "threadsCreated"),
+      badFaults_(&statGroup_, "badFaults")
 {}
 
 Kernel::~Kernel() = default;

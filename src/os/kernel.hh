@@ -227,7 +227,7 @@ class Kernel
     stats::Scalar deviceIrqs_;
     stats::Scalar ctxSwitches_;
     stats::Scalar threadsCreated_;
-    stats::Scalar badFaults_;
+    stats::Scalar badFaults_; ///< unservicable faults (bugs)
 };
 
 } // namespace misp::os

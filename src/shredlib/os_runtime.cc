@@ -13,12 +13,9 @@ using os::Sys;
 OsApiRuntime::OsApiRuntime(stats::StatGroup *parent, RtCosts costs)
     : costs_(costs),
       statGroup_("osrt", parent),
-      threadsSpawned_(&statGroup_, "threadsSpawned",
-                      "kernel threads created for shred_create"),
-      futexBlocks_(&statGroup_, "futexBlocks",
-                   "synchronization ops that blocked in the kernel"),
-      spinAcquires_(&statGroup_, "spinAcquires",
-                    "locks acquired on the user-level fast path")
+      threadsSpawned_(&statGroup_, "threadsSpawned"),
+      futexBlocks_(&statGroup_, "futexBlocks"),
+      spinAcquires_(&statGroup_, "spinAcquires")
 {
     isa::Program stubs = buildStubLibrary(Backend::OsThread);
     symShredDone_ = stubs.symbol("shred_done");

@@ -112,9 +112,9 @@ class OsApiRuntime : public arch::RtHandler
     std::unordered_map<os::Process *, std::unique_ptr<Group>> groups_;
 
     stats::StatGroup statGroup_;
-    stats::Scalar threadsSpawned_;
-    stats::Scalar futexBlocks_;
-    stats::Scalar spinAcquires_;
+    stats::Scalar threadsSpawned_; ///< kernel threads made for shred_create
+    stats::Scalar futexBlocks_;    ///< sync ops that blocked in the kernel
+    stats::Scalar spinAcquires_;   ///< locks taken on the user-level fast path
 };
 
 } // namespace misp::rt

@@ -16,16 +16,12 @@ ShredRuntime::ShredRuntime(stats::StatGroup *parent, RtCosts costs,
     : costs_(costs),
       policy_(policy),
       statGroup_("shredlib", parent),
-      shredsCreated_(&statGroup_, "shredsCreated", "shreds created"),
-      shredSwitches_(&statGroup_, "shredSwitches",
-                     "light-weight shred context switches"),
-      wakeSignals_(&statGroup_, "wakeSignals",
-                   "SIGNALs sent to wake parked sequencers"),
-      syncFastPath_(&statGroup_, "syncFastPath",
-                    "uncontended synchronization operations"),
-      syncBlocked_(&statGroup_, "syncBlocked",
-                   "synchronization operations that blocked"),
-      parks_(&statGroup_, "parks", "sequencer parks (no ready work)")
+      shredsCreated_(&statGroup_, "shredsCreated"),
+      shredSwitches_(&statGroup_, "shredSwitches"),
+      wakeSignals_(&statGroup_, "wakeSignals"),
+      syncFastPath_(&statGroup_, "syncFastPath"),
+      syncBlocked_(&statGroup_, "syncBlocked"),
+      parks_(&statGroup_, "parks")
 {
     isa::Program stubs = buildStubLibrary(Backend::Shred);
     symAmsEntry_ = stubs.symbol("ams_entry");

@@ -210,11 +210,11 @@ class ShredRuntime : public arch::RtHandler
 
     stats::StatGroup statGroup_;
     stats::Scalar shredsCreated_;
-    stats::Scalar shredSwitches_;
-    stats::Scalar wakeSignals_;
-    stats::Scalar syncFastPath_;
+    stats::Scalar shredSwitches_; ///< light-weight shred context switches
+    stats::Scalar wakeSignals_;   ///< SIGNALs sent to wake parked sequencers
+    stats::Scalar syncFastPath_;  ///< uncontended synchronization operations
     stats::Scalar syncBlocked_;
-    stats::Scalar parks_;
+    stats::Scalar parks_;         ///< sequencer parks (no ready work)
 };
 
 } // namespace misp::rt

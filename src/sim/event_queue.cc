@@ -66,24 +66,6 @@ EventQueue::dropHeldRoot()
     }
 }
 
-namespace {
-
-/** Frees a processed queue-owned lambda once its process() returns or
- *  throws. */
-struct Reaper {
-    std::size_t &numOwned;
-    Event *ev;
-    ~Reaper()
-    {
-        if (ev) {
-            --numOwned;
-            delete ev;
-        }
-    }
-};
-
-} // namespace
-
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
@@ -98,7 +80,7 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
-    push(Entry{when, ev->priority(), ev->queueOwned_, ev->seq_, ev});
+    push(Entry{when, ev->priority(), ev->seq_, ev});
 }
 
 void
@@ -112,7 +94,7 @@ EventQueue::restoreSchedule(Event *ev, Tick when, std::uint64_t seq)
     ev->when_ = when;
     ev->seq_ = seq;
     ev->scheduled_ = true;
-    push(Entry{when, ev->priority(), ev->queueOwned_, seq, ev});
+    push(Entry{when, ev->priority(), seq, ev});
 }
 
 void
@@ -190,7 +172,6 @@ EventQueue::step()
     if (!ev)
         return false;
     ++numProcessed_;
-    Reaper reap{numOwned_, ev->queueOwned_ ? ev : nullptr};
     ev->process();
     return true;
 }
@@ -253,8 +234,10 @@ EventQueue::run(Tick maxTick, std::uint64_t maxEvents)
         ev->scheduled_ = false;
         curTick_ = top.when;
         ++numProcessed_;
-        Reaper reap{numOwned_, top.owned ? ev : nullptr};
         rootHeld_ = true;
+        // A lambda frees itself in process(); the held root's ev is never
+        // read after (popRoot compares when, priority and seq only, and
+        // deschedule and forEachScheduled skip the held root).
         ev->process();
         dropHeldRoot();
     }
@@ -263,14 +246,13 @@ EventQueue::run(Tick maxTick, std::uint64_t maxEvents)
 
 EventQueue::~EventQueue()
 {
-    // Free the lambda events this queue owns (pending ones, restored
-    // ones included), first unhooking their scheduled state (a pending
-    // one at shutdown is fine) so Event::~Event doesn't see a live
-    // schedule.
+    // Free the lambda events that never ran, first unhooking their
+    // scheduled state (a pending one at shutdown is fine) so
+    // Event::~Event doesn't see a live schedule.
     for (const Entry &entry : heap_) {
-        if (entry.owned) {
-            entry.ev->scheduled_ = false;
-            delete entry.ev;
+        if (auto *lambda = dynamic_cast<LambdaEvent *>(entry.ev)) {
+            lambda->scheduled_ = false;
+            delete lambda;
         }
     }
 }

@@ -78,7 +78,6 @@ class Event
     Tick when_ = 0;
     std::uint64_t seq_ = 0; ///< insertion order tiebreaker
     bool scheduled_ = false;
-    bool queueOwned_ = false; ///< a queue-owned one-shot closure
 };
 
 /**
@@ -124,20 +123,18 @@ class EventQueue
      *  currently scheduled). */
     void reschedule(Event *ev, Tick when);
 
-    /** Schedule a one-shot heap-allocated callable; the queue owns it
-     *  and frees it as soon as its process() returns (or at
-     *  destruction, if it never ran). For tests and benches only: a
-     *  closure cannot be archived, so simulated code schedules typed
-     *  events instead (misplint's snap-closure-event rule). */
+    /** Schedule a one-shot heap-allocated callable, freed as soon as
+     *  its process() returns or throws (or at the queue's destruction,
+     *  if it never ran). For tests and benches only: a closure cannot
+     *  be archived, so simulated code schedules typed events instead
+     *  (misplint's snap-closure-event rule). */
     void
     scheduleLambda(Tick when, std::string name, std::function<void()> fn,
                    int priority = Event::kPrioDefault)
     {
         auto ev = std::make_unique<LambdaEvent>(std::move(name),
                                                 std::move(fn), priority);
-        ev->queueOwned_ = true;
         schedule(ev.get(), when);
-        ++numOwned_;
         ev.release();
     }
 
@@ -202,10 +199,6 @@ class EventQueue
      */
     void restoreSchedule(Event *ev, Tick when, std::uint64_t seq);
 
-    /** Lambda events the queue currently owns: those pending, plus at
-     *  most the one whose process() is running. */
-    std::size_t numOwned() const { return numOwned_; }
-
     /** Restore the clock state (restore path only; the queue must be
      *  empty and unused). */
     void setClock(Tick curTick, std::uint64_t nextSeq,
@@ -216,7 +209,8 @@ class EventQueue
     ~EventQueue();
 
   private:
-    /** The one-shot event wrapping a queue-owned callable. */
+    /** The one-shot event wrapping a scheduled callable; it owns
+     *  itself from the moment it runs. */
     class LambdaEvent final : public Event
     {
       public:
@@ -225,7 +219,12 @@ class EventQueue
             : Event(std::move(name), priority), fn_(std::move(fn))
         {}
 
-        void process() override { fn_(); }
+        void
+        process() override
+        {
+            std::unique_ptr<LambdaEvent> self(this);
+            fn_();
+        }
 
       private:
         std::function<void()> fn_;
@@ -234,7 +233,6 @@ class EventQueue
     struct Entry {
         Tick when;
         int priority;
-        bool owned; ///< a queue-owned lambda, freed once processed
         std::uint64_t seq;
         Event *ev;
     };
@@ -271,9 +269,6 @@ class EventQueue
     bool inRun_ = false;
     Tick runMaxTick_ = 0;
     std::uint64_t runBudget_ = 0; ///< events run() may still process
-    /** Lambda events not yet freed: pending ones are exactly the
-     *  heap's `owned` entries. */
-    std::size_t numOwned_ = 0;
     Tick curTick_ = 0;
     bool stopRequested_ = false;
     std::uint64_t nextSeq_ = 0;

@@ -7,8 +7,8 @@
 
 namespace misp::stats {
 
-StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
+StatBase::StatBase(StatGroup *parent, std::string name)
+    : name_(std::move(name))
 {
     MISP_ASSERT(parent != nullptr);
     parent->addStat(this);

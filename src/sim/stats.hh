@@ -44,14 +44,13 @@ void writeJsonNumber(std::ostream &os, double v);
 class StatBase
 {
   public:
-    StatBase(StatGroup *parent, std::string name, std::string desc);
+    StatBase(StatGroup *parent, std::string name);
     virtual ~StatBase() = default;
 
     StatBase(const StatBase &) = delete;
     StatBase &operator=(const StatBase &) = delete;
 
     const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
 
     /** Render the value rows for dumping: (suffix, value) pairs.
      *  Scalar stats emit one row with an empty suffix. */
@@ -67,7 +66,6 @@ class StatBase
 
   private:
     std::string name_;
-    std::string desc_;
 };
 
 /** A single accumulating counter. */
@@ -129,9 +127,8 @@ class HostScalar : public Scalar
 class Vector : public StatBase
 {
   public:
-    Vector(StatGroup *parent, std::string name, std::string desc,
-           std::size_t size)
-        : StatBase(parent, std::move(name), std::move(desc)), values_(size)
+    Vector(StatGroup *parent, std::string name, std::size_t size)
+        : StatBase(parent, std::move(name)), values_(size)
     {}
 
     double &operator[](std::size_t i)

@@ -247,16 +247,19 @@ TEST(EventQueue, NumProcessedCounts)
 
 TEST(EventQueue, LambdasAreFreedWhenTheyRun)
 {
-    // A self-rescheduling chain of 10^5 one-shot lambdas: the queue
-    // must free each one as it runs, so it never owns more than the
-    // pending events plus the one running.
+    // A self-rescheduling chain of 10^5 one-shot lambdas, each holding a
+    // copy of `token`: each must be freed as it runs, so the live ones
+    // never exceed the pending events plus the one running.
     EventQueue eq;
+    auto token = std::make_shared<int>(0);
     int left = 100000;
-    std::size_t maxOwned = 0;
+    long maxLambdas = 0;
     bool bounded = true;
-    std::function<void()> tick = [&] {
-        maxOwned = std::max(maxOwned, eq.numOwned());
-        bounded = bounded && eq.numOwned() <= eq.size() + 1;
+    // Beyond the lambdas' copies, `token` and `tick` each hold one.
+    const auto lambdas = [&token] { return token.use_count() - 2; };
+    std::function<void()> tick = [&, token] {
+        maxLambdas = std::max(maxLambdas, lambdas());
+        bounded = bounded && lambdas() <= long(eq.size()) + 1;
         if (--left > 0)
             eq.scheduleLambda(eq.curTick() + 1, "tick", tick);
     };
@@ -265,8 +268,8 @@ TEST(EventQueue, LambdasAreFreedWhenTheyRun)
     eq.run();
     EXPECT_LE(left, 0);
     EXPECT_TRUE(bounded);
-    EXPECT_LE(maxOwned, 3u);
-    EXPECT_EQ(eq.numOwned(), 0u);
+    EXPECT_LE(maxLambdas, 3);
+    EXPECT_EQ(lambdas(), 0);
     EXPECT_EQ(eq.size(), 0u);
 }
 
@@ -279,10 +282,28 @@ TEST(EventQueue, PendingLambdasAreFreedAtDestruction)
         eq.scheduleLambda(20, "first", [token] {});
         eq.scheduleLambda(30, "second", [token] {});
         eq.step(); // runs (and frees) the first one
-        EXPECT_EQ(eq.numOwned(), 1u);
         EXPECT_EQ(token.use_count(), 2);
     }
     EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, LambdaAtTheHeldRootSchedulesATypedEventForItsTick)
+{
+    // The lambda frees itself while its entry is still the held root;
+    // the typed event it schedules for the same tick replaces that root
+    // and must run next, before the later one.
+    EventQueue eq;
+    std::vector<std::string> log;
+    RecordingEvent typed("typed", log), later("later", log);
+    eq.schedule(&later, 20);
+    eq.scheduleLambda(10, "lambda", [&] {
+        log.push_back("lambda");
+        eq.schedule(&typed, eq.curTick());
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"lambda", "typed", "later"}));
+    EXPECT_EQ(eq.numProcessed(), 3u);
+    EXPECT_EQ(eq.curTick(), 20u);
 }
 
 namespace {
@@ -818,12 +839,13 @@ TEST(EventQueue, ThrowingProcessLeavesTheQueueUsable)
     EventQueue eq;
     std::vector<std::string> log;
     RecordingEvent late("late", log);
-    eq.scheduleLambda(10, "throws", [] { panic("boom"); });
+    auto token = std::make_shared<int>(0);
+    eq.scheduleLambda(10, "throws", [token] { panic("boom"); });
     eq.schedule(&late, 30);
     EXPECT_THROW(eq.run(), SimError);
     RecordingEvent early("early", log);
     eq.schedule(&early, 20);
     eq.run();
     EXPECT_EQ(log, (std::vector<std::string>{"early", "late"}));
-    EXPECT_EQ(eq.numOwned(), 0u); // the thrower was freed too
+    EXPECT_EQ(token.use_count(), 1); // the thrower was freed too
 }

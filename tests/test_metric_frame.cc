@@ -229,7 +229,7 @@ TEST(MetricFrame, SpeedupIsZeroUnlessBothRunsCompleted)
     std::vector<PointResult> results = twoAxisGrid();
     results[0].run.status = harness::RunStatus::MaxTicksReached;
     MetricFrame frame = buildMetricFrame(sc, results);
-    // Baseline of group 0 never completed: speedupOver semantics.
+    // Baseline of group 0 never completed: no speedup.
     EXPECT_DOUBLE_EQ(frame.at(1, "speedup"), 0.0);
     EXPECT_DOUBLE_EQ(frame.at(3, "speedup"), 4.0);
 }

@@ -180,22 +180,15 @@ TEST(RunRecord, StatusEnumReplacesAmbiguousTickZero)
 
 TEST(RunRecord, DerivedMetrics)
 {
-    harness::RunRecord base;
-    base.status = harness::RunStatus::Completed;
-    base.ticks = 200;
     harness::RunRecord r;
     r.status = harness::RunStatus::Completed;
     r.ticks = 100;
     r.instsRetired = 2'000'000;
 
-    EXPECT_DOUBLE_EQ(r.speedupOver(base), 2.0);
-    EXPECT_DOUBLE_EQ(base.speedupOver(r), 0.5);
     EXPECT_DOUBLE_EQ(r.megaCycles(), 1e-4);
     EXPECT_DOUBLE_EQ(r.perMegaInsts(10), 5.0);
 
     harness::RunRecord never;
-    EXPECT_DOUBLE_EQ(r.speedupOver(never), 0.0);
-    EXPECT_DOUBLE_EQ(never.speedupOver(r), 0.0);
     EXPECT_DOUBLE_EQ(never.perMegaInsts(10), 0.0);
 }
 
@@ -239,16 +232,13 @@ TEST(PortedBenches, Fig5SignalSweepMatchesHandRolledLoop)
     ASSERT_EQ(results.size(), 2u);
 
     wl::WorkloadParams params;
-    for (Cycles cost : {Cycles(0), Cycles(5000)}) {
+    const Cycles costs[] = {0, 5000}; // grid order
+    for (std::size_t i = 0; i < 2; ++i) {
         arch::SystemConfig cfg = arch::SystemConfig::uniprocessor(7);
-        cfg.misp.signalCycles = cost;
+        cfg.misp.signalCycles = costs[i];
         HandRolledRun old = handRolledRunWorkload(
             cfg, rt::Backend::Shred, "dense_mvm", params);
-        const PointResult *r = findResultCoords(
-            results, "misp",
-            {{"machine.signal_cycles", std::to_string(cost)}});
-        ASSERT_NE(r, nullptr);
-        EXPECT_EQ(r->run.ticks, old.ticks) << "signal=" << cost;
+        EXPECT_EQ(results[i].run.ticks, old.ticks) << "signal=" << costs[i];
     }
     // The sweep must actually change the machine: nonzero signal cost
     // is slower than the ideal.
@@ -269,23 +259,20 @@ TEST(PortedBenches, SerializationPolicySweepMatchesHandRolledLoop)
 
     using EC = harness::EventCounter;
     wl::WorkloadParams params;
-    const std::pair<const char *, arch::SerializationPolicy> legs[] = {
-        {"suspend_all", arch::SerializationPolicy::SuspendAll},
-        {"speculative_monitor",
-         arch::SerializationPolicy::SpeculativeMonitor},
+    const arch::SerializationPolicy policies[] = { // grid order
+        arch::SerializationPolicy::SuspendAll,
+        arch::SerializationPolicy::SpeculativeMonitor,
     };
-    for (const auto &[coord, policy] : legs) {
+    for (std::size_t i = 0; i < 2; ++i) {
         arch::SystemConfig cfg = arch::SystemConfig::uniprocessor(7);
-        cfg.misp.serialization = policy;
+        cfg.misp.serialization = policies[i];
         HandRolledRun old = handRolledRunWorkload(
             cfg, rt::Backend::Shred, "gauss", params);
-        const PointResult *r = findResultCoords(
-            results, "misp", {{"machine.serialization", coord}});
-        ASSERT_NE(r, nullptr);
-        EXPECT_EQ(r->run.ticks, old.ticks) << coord;
-        EXPECT_DOUBLE_EQ(r->run.events[EC::SuspendedCycles],
+        const PointResult &r = results[i];
+        EXPECT_EQ(r.run.ticks, old.ticks) << i;
+        EXPECT_DOUBLE_EQ(r.run.events[EC::SuspendedCycles],
                          old.events[EC::SuspendedCycles])
-            << coord;
+            << i;
     }
     // The speculative policy removes all AMS suspension.
     EXPECT_GT(results[0].run.events[EC::SuspendedCycles], 0.0);
@@ -309,22 +296,15 @@ TEST(PortedBenches, PageprobeSweepMatchesHandRolledLoop)
         HandRolledRun old = handRolledRunWorkload(
             arch::SystemConfig::uniprocessor(7), rt::Backend::Shred,
             "dense_mvm", params);
-        const PointResult *r = findResultCoords(
-            results, "misp",
-            {{"workload.prefault", prefault ? "true" : "false"}});
-        ASSERT_NE(r, nullptr);
-        EXPECT_EQ(r->run.ticks, old.ticks) << "prefault=" << prefault;
-        EXPECT_EQ(r->run.events[EC::AmsPageFaults],
+        const PointResult &r = results[prefault]; // grid order
+        EXPECT_EQ(r.run.ticks, old.ticks) << "prefault=" << prefault;
+        EXPECT_EQ(r.run.events[EC::AmsPageFaults],
                   old.events[EC::AmsPageFaults]);
-        EXPECT_EQ(r->run.events[EC::OmsPageFaults],
+        EXPECT_EQ(r.run.events[EC::OmsPageFaults],
                   old.events[EC::OmsPageFaults]);
     }
-    const PointResult *off = findResultCoords(
-        results, "misp", {{"workload.prefault", "false"}});
-    const PointResult *on = findResultCoords(
-        results, "misp", {{"workload.prefault", "true"}});
-    EXPECT_GT(off->run.events[EC::AmsPageFaults],
-              on->run.events[EC::AmsPageFaults]);
+    EXPECT_GT(results[0].run.events[EC::AmsPageFaults],
+              results[1].run.events[EC::AmsPageFaults]);
 }
 
 // ---------------------------------------------------------------------

@@ -514,8 +514,8 @@ TEST(StatsJson, ScalarVectorAndNesting)
 {
     stats::StatGroup root("");
     stats::StatGroup child("cpu0", &root);
-    stats::Scalar s(&root, "ticks", "total ticks");
-    stats::Vector v(&child, "events", "per-slot", 2);
+    stats::Scalar s(&root, "ticks");
+    stats::Vector v(&child, "events", 2);
     s += 42;
     v[0] = 1;
     v[1] = 2;
@@ -612,17 +612,17 @@ TEST(RunnerEquivalence, Fig4StyleMachinesMatchHandRolledRuns)
                         "[machine misp]\nprocessors = 7\nbackend = shred\n"
                         "[workload]\nname = dense_mvm\nworkers = 7\n");
     ASSERT_EQ(results.size(), 2u);
-    const PointResult *r1p = findResult(results, "1p", "dense_mvm", 0);
-    const PointResult *rMisp = findResult(results, "misp", "dense_mvm", 0);
-    ASSERT_NE(r1p, nullptr);
-    ASSERT_NE(rMisp, nullptr);
+    const PointResult &r1p = results[0]; // grid order: machines as declared
+    const PointResult &rMisp = results[1];
+    ASSERT_EQ(r1p.machine, "1p");
+    ASSERT_EQ(rMisp.machine, "misp");
 
-    EXPECT_EQ(r1p->run.ticks, oneP);
-    EXPECT_EQ(rMisp->run.ticks, misp);
-    EXPECT_TRUE(r1p->run.valid);
-    EXPECT_TRUE(rMisp->run.valid);
+    EXPECT_EQ(r1p.run.ticks, oneP);
+    EXPECT_EQ(rMisp.run.ticks, misp);
+    EXPECT_TRUE(r1p.run.valid);
+    EXPECT_TRUE(rMisp.run.valid);
     // The MISP machine multi-shreds; the speedup must be real.
-    EXPECT_LT(rMisp->run.ticks, r1p->run.ticks);
+    EXPECT_LT(rMisp.run.ticks, r1p.run.ticks);
 }
 
 TEST(RunnerEquivalence, Fig7StylePinnedRunMatchesHandRolled)

@@ -16,7 +16,7 @@ using namespace misp::stats;
 TEST(Stats, ScalarAccumulates)
 {
     StatGroup root("root");
-    Scalar s(&root, "count", "a counter");
+    Scalar s(&root, "count");
     ++s;
     s += 2.5;
     EXPECT_DOUBLE_EQ(s.value(), 3.5);
@@ -29,7 +29,7 @@ TEST(Stats, ScalarAccumulates)
 TEST(Stats, VectorIndexesAndTotals)
 {
     StatGroup root("root");
-    Vector v(&root, "v", "per-thing", 4);
+    Vector v(&root, "v", 4);
     v[0] = 1;
     v[2] = 5;
     EXPECT_DOUBLE_EQ(v.total(), 6.0);
@@ -43,7 +43,7 @@ TEST(Stats, GroupPathsAndLookup)
     StatGroup root("");
     StatGroup cpu("cpu0", &root);
     StatGroup tlb("tlb", &cpu);
-    Scalar hits(&tlb, "hits", "");
+    Scalar hits(&tlb, "hits");
     hits += 42;
     EXPECT_EQ(tlb.path(), "cpu0.tlb");
     EXPECT_DOUBLE_EQ(root.lookupValue("cpu0.tlb.hits"), 42.0);
@@ -55,8 +55,8 @@ TEST(Stats, DumpContainsAllStats)
 {
     StatGroup root("");
     StatGroup cpu("cpu0", &root);
-    Scalar insts(&cpu, "insts", "instructions");
-    Vector perSeq(&cpu, "perSeq", "", 2);
+    Scalar insts(&cpu, "insts");
+    Vector perSeq(&cpu, "perSeq", 2);
     insts += 7;
     perSeq[1] = 3;
     std::ostringstream os;
