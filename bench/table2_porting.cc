@@ -38,8 +38,8 @@ main(int argc, char **argv)
 
     // The two runtime libraries export the same symbols at the same
     // addresses (the \"API translation header\" made literal).
-    isa::Program shredStubs = rt::buildStubLibrary(rt::Backend::Shred);
-    isa::Program osStubs = rt::buildStubLibrary(rt::Backend::OsThread);
+    const isa::Program &shredStubs = rt::stubLibrary(rt::Backend::Shred);
+    const isa::Program &osStubs = rt::stubLibrary(rt::Backend::OsThread);
     bool abiMatch = shredStubs.symbols == osStubs.symbols;
     std::printf("stub ABI symbol tables identical across backends: %s\n",
                 abiMatch ? "yes" : "NO");

@@ -25,16 +25,21 @@ namespace misp::driver {
 
 namespace {
 
+/** One `[done/total] machine workload coords ticks=N` line, built
+ *  whole and written at once: std::cerr is unit-buffered, so streaming
+ *  it piece by piece would cost a write(2) per piece. */
 void
 progressLine(std::ostream &os, std::size_t done, std::size_t total,
              const ScenarioPoint &pt, const PointResult &r)
 {
-    os << "[" << done << "/" << total << "] " << r.machine << " "
-       << r.workload;
+    std::string line = "[" + std::to_string(done) + "/" +
+                       std::to_string(total) + "] " + r.machine + " " +
+                       r.workload;
     if (!pt.coords.empty())
-        os << " " << pt.coordString();
-    os << " ticks=" << r.run.ticks << (r.run.valid ? "" : " INVALID")
-       << "\n";
+        line += " " + pt.coordString();
+    line += " ticks=" + std::to_string(r.run.ticks);
+    line += r.run.valid ? "\n" : " INVALID\n";
+    os.write(line.data(), static_cast<std::streamsize>(line.size()));
     os.flush();
 }
 

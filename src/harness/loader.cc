@@ -15,9 +15,9 @@ loadApp(arch::MispSystem &system, const GuestApp &app, rt::Backend backend,
                     /*writable=*/false, "code", app.program.bytes());
 
     // The backend's stub library ("shredlib.dll" / "osthreads.dll").
-    isa::Program stubs = rt::buildStubLibrary(backend);
+    const isa::Program &stubs = rt::stubLibrary(backend);
     as.defineRegion(stubs.base, stubs.byteSize(), /*writable=*/false,
-                    "stubs", stubs.bytes());
+                    "stubs", rt::stubImage(backend));
 
     // Static data regions.
     for (const DataRegion &region : app.data) {

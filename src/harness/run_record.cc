@@ -1,6 +1,7 @@
 #include "run_record.hh"
 
 #include <chrono>
+#include <memory>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -66,6 +67,74 @@ harvest(RunRecord *out, Experiment &exp, os::Process *target,
     out->phases.serialize = seconds(ts0, Clock::now());
 }
 
+/** One workload a point loads: its registry entry and build knobs. */
+struct WorkloadKey {
+    const wl::WorkloadInfo *info = nullptr;
+    wl::WorkloadParams params;
+
+    bool operator==(const WorkloadKey &) const = default;
+};
+
+struct BuiltWorkload {
+    WorkloadKey key;
+    std::shared_ptr<const wl::Workload> workload;
+};
+
+/** The workloads the previous point on this thread built. Consecutive
+ *  grid points mostly differ in machine knobs only, so they load the
+ *  same workloads; a built workload is immutable (workload.hh), so the
+ *  next point loads it again instead of rebuilding it. */
+thread_local std::vector<BuiltWorkload> tlsPrevious;
+
+const wl::WorkloadInfo *
+findOrDie(const std::string &name, const char *role)
+{
+    const wl::WorkloadInfo *info = wl::findWorkload(name);
+    if (!info)
+        fatal("runOne: unknown %s '%s'", role, name.c_str());
+    return info;
+}
+
+std::shared_ptr<const wl::Workload>
+builtFor(const std::vector<BuiltWorkload> &built, const WorkloadKey &key)
+{
+    for (const BuiltWorkload &b : built) {
+        if (b.key == key)
+            return b.workload;
+    }
+    return nullptr;
+}
+
+/** The built workload for each of @p keys, in order. Takes the entries
+ *  it needs from the previous point's set and drops the rest before it
+ *  builds any miss, so no more workloads are alive at once than one
+ *  point loads; the result is then the next point's previous set.
+ *  Equal keys share one build. */
+std::vector<std::shared_ptr<const wl::Workload>>
+pointWorkloads(const std::vector<WorkloadKey> &keys)
+{
+    std::vector<BuiltWorkload> current;
+    for (const WorkloadKey &key : keys) {
+        if (builtFor(current, key))
+            continue;
+        if (auto hit = builtFor(tlsPrevious, key))
+            current.push_back({key, std::move(hit)});
+    }
+    tlsPrevious.clear();
+    for (const WorkloadKey &key : keys) {
+        if (!builtFor(current, key))
+            current.push_back(
+                {key, std::make_shared<const wl::Workload>(
+                          key.info->build(key.params))});
+    }
+    std::vector<std::shared_ptr<const wl::Workload>> out;
+    out.reserve(keys.size());
+    for (const WorkloadKey &key : keys)
+        out.push_back(builtFor(current, key));
+    tlsPrevious = std::move(current);
+    return out;
+}
+
 RunRecord
 snapshotFailure(const RunRequest &req, const std::string &what)
 {
@@ -79,8 +148,8 @@ snapshotFailure(const RunRequest &req, const std::string &what)
 
 /** The --from-snapshot path: reconstitute the machine from
  *  RunRequest::snapshotIn and continue to completion. The workload is
- *  still built host-side (deterministically, from the same params) for
- *  its result validator; nothing is loaded into the guest.
+ *  still built host-side (or taken from the previous point) for its
+ *  result validator; nothing is loaded into the guest.
  *  @p tEntry is runOne's entry time (the parse phase started there). */
 RunRecord
 runFromSnapshot(const RunRequest &req, const wl::Workload &w,
@@ -148,14 +217,20 @@ runOne(const RunRequest &req)
 {
     auto tEntry = Clock::now();
 
-    const wl::WorkloadInfo *info = wl::findWorkload(req.target.name);
-    if (!info)
-        fatal("runOne: unknown workload '%s'", req.target.name.c_str());
-
-    wl::Workload w = info->build(req.target.params);
-
+    // Target first, then background workloads, then the competitor.
+    std::vector<WorkloadKey> keys = {
+        {findOrDie(req.target.name, "workload"), req.target.params}};
     if (!req.snapshotIn.empty())
-        return runFromSnapshot(req, w, tEntry);
+        return runFromSnapshot(req, *pointWorkloads(keys)[0], tEntry);
+    for (const RunWorkload &bg : req.background)
+        keys.push_back({findOrDie(bg.name, "background workload"),
+                        bg.params});
+    if (req.competitors > 0)
+        keys.push_back({findOrDie(req.competitor, "competitor workload"),
+                        wl::WorkloadParams{}});
+    const std::vector<std::shared_ptr<const wl::Workload>> built =
+        pointWorkloads(keys);
+    const wl::Workload &w = *built[0];
 
     Experiment exp(req.config, req.backend);
 
@@ -174,24 +249,14 @@ runOne(const RunRequest &req)
     }
     LoadedProcess proc = exp.load(w.app, targetAffinity);
 
-    for (const RunWorkload &bg : req.background) {
-        const wl::WorkloadInfo *bgInfo = wl::findWorkload(bg.name);
-        if (!bgInfo)
-            fatal("runOne: unknown background workload '%s'",
-                  bg.name.c_str());
-        exp.load(bgInfo->build(bg.params).app);
-    }
+    for (std::size_t b = 0; b < req.background.size(); ++b)
+        exp.load(built[1 + b]->app);
 
-    const wl::WorkloadInfo *comp = wl::findWorkload(req.competitor);
-    if (req.competitors > 0 && !comp)
-        fatal("runOne: unknown competitor workload '%s'",
-              req.competitor.c_str());
     for (unsigned c = 0; c < req.competitors; ++c) {
         std::vector<int> affinity;
         if (req.idealPlacement && !otherCpus.empty())
             affinity = otherCpus;
-        wl::WorkloadParams compParams;
-        exp.load(comp->build(compParams).app, affinity);
+        exp.load(built.back()->app, affinity);
     }
 
     // Attach the trace recorder for the whole measured run (warmup leg

@@ -57,11 +57,11 @@ AddressSpace::defineRegion(VAddr start, std::uint64_t len, bool writable,
     Region region;
     region.vma = Vma{alignedStart, alignedEnd, writable, std::move(label)};
     if (!image.empty()) {
-        // Backing image is indexed from the *aligned* start.
-        std::uint64_t lead = start - alignedStart;
-        std::vector<std::uint8_t> shifted(lead + image.size(), 0);
-        std::memcpy(shifted.data() + lead, image.data(), image.size());
-        region.image = std::move(shifted);
+        // Backing image is indexed from the *aligned* start. The
+        // parameter is the region's own copy: take it, rather than copy
+        // it a second time while both are alive.
+        image.insert(image.begin(), start - alignedStart, 0);
+        region.image = std::move(image);
     }
     regions_.emplace(alignedStart, std::move(region));
     return alignedStart;

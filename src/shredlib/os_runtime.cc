@@ -17,8 +17,7 @@ OsApiRuntime::OsApiRuntime(stats::StatGroup *parent, RtCosts costs)
       futexBlocks_(&statGroup_, "futexBlocks"),
       spinAcquires_(&statGroup_, "spinAcquires")
 {
-    isa::Program stubs = buildStubLibrary(Backend::OsThread);
-    symShredDone_ = stubs.symbol("shred_done");
+    symShredDone_ = stubLibrary(Backend::OsThread).symbol("shred_done");
 }
 
 OsApiRuntime::~OsApiRuntime() = default;

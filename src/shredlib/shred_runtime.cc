@@ -23,7 +23,7 @@ ShredRuntime::ShredRuntime(stats::StatGroup *parent, RtCosts costs,
       syncBlocked_(&statGroup_, "syncBlocked"),
       parks_(&statGroup_, "parks")
 {
-    isa::Program stubs = buildStubLibrary(Backend::Shred);
+    const isa::Program &stubs = stubLibrary(Backend::Shred);
     symAmsEntry_ = stubs.symbol("ams_entry");
     symShredDone_ = stubs.symbol("shred_done");
 }

@@ -54,6 +54,9 @@ emitSys(ProgramBuilder &b, os::Sys n)
 
 } // namespace
 
+/** Not in the header: stubLibrary() calls it once per backend. It has
+ *  external linkage only so a test can compare a fresh build with the
+ *  shared one. */
 isa::Program
 buildStubLibrary(Backend backend)
 {
@@ -187,6 +190,44 @@ buildStubLibrary(Backend backend)
     }
 
     return b.finish(kStubBase);
+}
+
+namespace {
+
+struct BuiltStubs {
+    isa::Program program;
+    std::vector<std::uint8_t> image;
+
+    explicit BuiltStubs(Backend backend)
+        : program(buildStubLibrary(backend)), image(program.bytes())
+    {}
+};
+
+const BuiltStubs &
+builtStubs(Backend backend)
+{
+    // Function-local statics: initialised once, thread-safely, on the
+    // first call for each backend.
+    if (backend == Backend::Shred) {
+        static const BuiltStubs kShred(Backend::Shred);
+        return kShred;
+    }
+    static const BuiltStubs kOsThread(Backend::OsThread);
+    return kOsThread;
+}
+
+} // namespace
+
+const isa::Program &
+stubLibrary(Backend backend)
+{
+    return builtStubs(backend).program;
+}
+
+const std::vector<std::uint8_t> &
+stubImage(Backend backend)
+{
+    return builtStubs(backend).image;
 }
 
 } // namespace misp::rt

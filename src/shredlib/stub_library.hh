@@ -21,6 +21,9 @@
 #ifndef MISP_SHREDLIB_STUB_LIBRARY_HH
 #define MISP_SHREDLIB_STUB_LIBRARY_HH
 
+#include <cstdint>
+#include <vector>
+
 #include "isa/program.hh"
 #include "shredlib/rt_abi.hh"
 
@@ -34,8 +37,15 @@ enum class Backend {
 
 const char *backendName(Backend backend);
 
-/** Build the stub library program for @p backend at kStubBase. */
-isa::Program buildStubLibrary(Backend backend);
+/** The stub library program for @p backend, placed at kStubBase. It
+ *  is a pure function of the backend, so it is built once per process
+ *  (on first use, safely from any thread) and shared by every runtime,
+ *  loader and workload builder. */
+const isa::Program &stubLibrary(Backend backend);
+
+/** stubLibrary(@p backend)'s encoded bytes, the image every loaded
+ *  process maps at kStubBase; encoded once per process with it. */
+const std::vector<std::uint8_t> &stubImage(Backend backend);
 
 } // namespace misp::rt
 

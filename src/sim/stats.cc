@@ -1,8 +1,8 @@
 #include "stats.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 namespace misp::stats {
@@ -70,33 +70,71 @@ StatGroup::lookupValue(const std::string &relPath) const
     return rows.empty() ? 0.0 : rows.front().second;
 }
 
+namespace {
+
+/** Hand @p s to @p put(const char *, std::size_t) JSON-escaped: each
+ *  run of bytes that need no escape in one call, each escape in one. */
+template <class Put>
+void
+escapeJson(const std::string &s, Put put)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::size_t plain = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        char u[6] = {'\\', 'u', '0', '0'};
+        const char *esc = u;
+        std::size_t len = 2;
+        switch (c) {
+          case '"': esc = "\\\""; break;
+          case '\\': esc = "\\\\"; break;
+          case '\n': esc = "\\n"; break;
+          case '\r': esc = "\\r"; break;
+          case '\t': esc = "\\t"; break;
+          case '\b': esc = "\\b"; break;
+          case '\f': esc = "\\f"; break;
+          default:
+            // Bytes >= 0x20 pass through untouched, so UTF-8
+            // multi-byte sequences survive verbatim.
+            if (c >= 0x20)
+                continue;
+            u[4] = kHex[c >> 4];
+            u[5] = kHex[c & 15];
+            len = sizeof(u);
+        }
+        put(s.data() + plain, i - plain);
+        put(esc, len);
+        plain = i + 1;
+    }
+    put(s.data() + plain, s.size() - plain);
+}
+
+void
+writeChars(std::ostream &os, const char *first, std::to_chars_result r)
+{
+    MISP_ASSERT(r.ec == std::errc());
+    os.write(first, r.ptr - first);
+}
+
+/** @p v as printf's `%.<precision>g` would print it: to_chars with a
+ *  precision is defined to match printf in the C locale. */
+void
+writeGeneral(std::ostream &os, double v, int precision)
+{
+    char buf[32];
+    writeChars(os, buf,
+               std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, precision));
+}
+
+} // namespace
+
 std::string
 jsonEscape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                // Bytes >= 0x20 pass through untouched, so UTF-8
-                // multi-byte sequences survive verbatim.
-                out += c;
-            }
-        }
-    }
+    escapeJson(s, [&](const char *p, std::size_t n) { out.append(p, n); });
     return out;
 }
 
@@ -114,20 +152,24 @@ jsonQuote(const std::string &s)
 void
 writeJsonQuoted(std::ostream &os, const std::string &s)
 {
-    os << '"' << jsonEscape(s) << '"';
+    os.put('"');
+    escapeJson(s, [&](const char *p, std::size_t n) {
+        os.write(p, static_cast<std::streamsize>(n));
+    });
+    os.put('"');
 }
 
 void
 writeJsonNumber(std::ostream &os, double v)
 {
-    char buf[48];
     if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
+        char buf[24];
+        writeChars(os, buf,
+                   std::to_chars(buf, buf + sizeof(buf),
+                                 static_cast<long long>(v)));
     } else {
-        std::snprintf(buf, sizeof(buf), "%.9g", v);
+        writeGeneral(os, v, 9);
     }
-    os << buf;
 }
 
 namespace {
@@ -135,7 +177,9 @@ namespace {
 void
 jsonKey(std::ostream &os, const std::string &indent, const std::string &key)
 {
-    os << indent << "\"" << jsonEscape(key) << "\": ";
+    os << indent;
+    writeJsonQuoted(os, key);
+    os << ": ";
 }
 
 void
@@ -146,9 +190,7 @@ jsonNumber(std::ostream &os, double v)
         os << "null";
         return;
     }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
+    writeGeneral(os, v, 17);
 }
 
 } // namespace

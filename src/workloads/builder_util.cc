@@ -13,7 +13,7 @@ const StubCalls &
 StubCalls::get()
 {
     static StubCalls calls = [] {
-        isa::Program stubs = rt::buildStubLibrary(rt::Backend::Shred);
+        const isa::Program &stubs = rt::stubLibrary(rt::Backend::Shred);
         StubCalls c;
         c.init = stubs.symbol("rt_init");
         c.create = stubs.symbol("shred_create");

@@ -46,9 +46,23 @@ struct WorkloadParams {
      *  @p fallback when the knob is absent or unparseable. */
     std::uint64_t extraU64(const std::string &key,
                            std::uint64_t fallback) const;
+
+    /** Same knobs, so the same built workload (builders are pure). */
+    bool operator==(const WorkloadParams &) const = default;
 };
 
-/** A built workload instance. */
+/**
+ * A built workload instance.
+ *
+ * Contract: a builder is a pure function of its WorkloadParams, and a
+ * built Workload is immutable. Loading copies its image into the guest
+ * (`loadApp` takes it by const reference), and `validate` only reads
+ * guest memory: every validator captures what it checks by value
+ * (`makeIntArrayValidator`, specomp's lambda) and keeps no state
+ * between calls. So one built instance may be loaded into any number of
+ * machines, one after another; `harness::runOne` relies on that to
+ * reuse the previous point's workloads.
+ */
 struct Workload {
     harness::GuestApp app;
     /** Host-side result check (empty = none). Reads guest memory after

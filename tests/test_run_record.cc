@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <thread>
 
 #include "driver/report.hh"
 #include "driver/runner.hh"
@@ -190,6 +192,88 @@ TEST(RunRecord, DerivedMetrics)
 
     harness::RunRecord never;
     EXPECT_DOUBLE_EQ(never.perMegaInsts(10), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// runOne's reuse of the previous point's workloads
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** @p fn's result, computed on a thread of its own: a thread starts
+ *  with no previous point, so every workload it loads is built fresh. */
+template <class Fn>
+auto
+onFreshThread(Fn fn)
+{
+    decltype(fn()) out;
+    std::thread t([&] { out = fn(); });
+    t.join();
+    return out;
+}
+
+harness::RunRequest
+reuseRequest(unsigned workers)
+{
+    harness::RunRequest req;
+    req.label = "reuse";
+    req.config = arch::SystemConfig::mp({3, 0});
+    req.target.name = "dense_mvm";
+    req.target.params.workers = workers;
+    req.target.params.extra = {{"rows", "64"}};
+    req.hostLine = false;
+    return req;
+}
+
+} // namespace
+
+TEST(RunOne, ReusedWorkloadsLeaveRecordsUnchanged)
+{
+    const std::string image =
+        ::testing::TempDir() + "run_one_reuse.misnap";
+
+    harness::RunRequest a = reuseRequest(3);
+    harness::RunRequest aMachine = a;
+    aMachine.config.misp.signalCycles += 1000;
+    harness::RunRequest b = reuseRequest(2);
+    harness::RunRequest aLoaded = a;
+    aLoaded.background = {{"dense_mvm", b.target.params}};
+    aLoaded.competitors = 2;
+    harness::RunRequest aRestored = a;
+    aRestored.snapshotIn = image;
+
+    harness::RunRequest save = a;
+    save.snapshotOut = image;
+    save.warmupTicks = 200'000;
+    ASSERT_TRUE(onFreshThread([&] { return harness::runOne(save); }).ok());
+
+    // One thread runs the sequence, so each point after the first can
+    // reuse what its predecessor built.
+    const std::vector<harness::RunRequest> seq = {a, aMachine, b, aLoaded,
+                                                  aRestored};
+    std::vector<harness::RunRecord> reused = onFreshThread([&] {
+        std::vector<harness::RunRecord> out;
+        for (const harness::RunRequest &req : seq)
+            out.push_back(harness::runOne(req));
+        return out;
+    });
+    ASSERT_EQ(reused.size(), seq.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        harness::RunRecord fresh =
+            onFreshThread([&] { return harness::runOne(seq[i]); });
+        EXPECT_TRUE(fresh.ok()) << "request " << i << ": " << fresh.note;
+        EXPECT_EQ(reused[i].status, fresh.status) << "request " << i;
+        EXPECT_EQ(reused[i].ticks, fresh.ticks) << "request " << i;
+        EXPECT_EQ(reused[i].valid, fresh.valid) << "request " << i;
+        EXPECT_EQ(reused[i].events, fresh.events) << "request " << i;
+        EXPECT_EQ(reused[i].instsRetired, fresh.instsRetired)
+            << "request " << i;
+    }
+    // The sequence is only a test of reuse if its neighbours differ.
+    EXPECT_NE(reused[0].ticks, reused[1].ticks);
+    EXPECT_NE(reused[0].ticks, reused[2].ticks);
+    EXPECT_NE(reused[0].ticks, reused[3].ticks);
+    std::remove(image.c_str());
 }
 
 // ---------------------------------------------------------------------

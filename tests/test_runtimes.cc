@@ -17,20 +17,10 @@ using namespace misp;
 namespace {
 
 /** Stub entry addresses (fixed-slot ABI). */
-struct Stubs {
-    isa::Program prog = rt::buildStubLibrary(rt::Backend::Shred);
-    VAddr
-    operator[](const char *name) const
-    {
-        return const_cast<isa::Program &>(prog).symbol(name);
-    }
-};
-
-const Stubs &
+const isa::Program &
 stubs()
 {
-    static Stubs s;
-    return s;
+    return rt::stubLibrary(rt::Backend::Shred);
 }
 
 harness::GuestApp
@@ -49,7 +39,7 @@ appFromAsm(const std::string &name, std::string src)
           "sem_post", "cond_wait", "cond_signal", "cond_broadcast",
           "event_wait", "event_set", "malloc", "prefault",
           "exit_process"}) {
-        sub(sym, stubs()[sym]);
+        sub(sym, stubs().symbol(sym));
     }
     harness::GuestApp app;
     app.name = name;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "sim/random.hh"
@@ -64,6 +68,131 @@ TEST(Stats, DumpContainsAllStats)
     EXPECT_NE(os.str().find("\"cpu0\": {"), std::string::npos) << os.str();
     EXPECT_NE(os.str().find("\"insts\": 7"), std::string::npos) << os.str();
     EXPECT_NE(os.str().find("\"[1]\": 3"), std::string::npos) << os.str();
+}
+
+// ---------------------------------------------------------------------
+// JSON primitives against the snprintf forms they replaced
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** writeJsonNumber's former body. */
+std::string
+snprintfJsonNumber(double v)
+{
+    char buf[48];
+    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15)
+        std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    else
+        std::snprintf(buf, sizeof(buf), "%.9g", v);
+    return buf;
+}
+
+/** The former scalar line of StatGroup::dumpJson. */
+std::string
+snprintfStatDump(double v)
+{
+    char buf[40];
+    if (v != v || v > 1.7e308 || v < -1.7e308)
+        std::snprintf(buf, sizeof(buf), "null");
+    else
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string("{\n  \"x\": ") + buf + "\n}";
+}
+
+/** The former jsonEscape, wrapped in quotes. */
+std::string
+snprintfQuoted(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned char>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out + "\"";
+}
+
+void
+expectSameAsSnprintf(double v)
+{
+    std::ostringstream num;
+    writeJsonNumber(num, v);
+    EXPECT_EQ(num.str(), snprintfJsonNumber(v))
+        << std::bit_cast<std::uint64_t>(v);
+
+    StatGroup root("");
+    Scalar x(&root, "x");
+    x = v;
+    std::ostringstream dump;
+    root.dumpJson(dump);
+    EXPECT_EQ(dump.str(), snprintfStatDump(v))
+        << std::bit_cast<std::uint64_t>(v);
+}
+
+} // namespace
+
+TEST(JsonPrimitives, NumbersMatchTheSnprintfForms)
+{
+    using Lim = std::numeric_limits<double>;
+    const double p53 = 9007199254740992.0; // 2^53
+    for (double v :
+         {0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 0.5, 1e15, 1e16, 1e17,
+          p53, -p53, p53 - 1, -(p53 - 1), p53 + 2, -(p53 + 2),
+          9.007199254740991e15, 123456789.0, 0.123456789, 1.23456789e-7,
+          3.14159265358979312, 0.30000000000000004, 1.0000000000000002,
+          12345678.9, 1234567.891, 1.7e308, -1.7e308,
+          1.7000000000000001e308, -1.7000000000000001e308, Lim::max(),
+          Lim::lowest(), Lim::min(),
+          -Lim::min(), Lim::denorm_min(), -Lim::denorm_min(),
+          Lim::min() / 3, 4.9406564584124654e-324, Lim::infinity(),
+          -Lim::infinity(), Lim::quiet_NaN(), -Lim::quiet_NaN(),
+          Lim::epsilon(), 1e-5, 1e-4, 123456.0e-10, 1e21, 1e22})
+        expectSameAsSnprintf(v);
+
+    // Seeded doubles: uniform bit patterns (every exponent, denormals,
+    // NaN payloads) and values of a few significant digits, as
+    // simulated counters and ratios are.
+    Rng rng(20260);
+    for (int i = 0; i < 50'000; ++i)
+        expectSameAsSnprintf(std::bit_cast<double>(rng.next()));
+    for (int i = 0; i < 50'000; ++i) {
+        const double mantissa = double(rng.next() % 1'000'000'000) /
+                                double(1 + rng.next() % 1000);
+        expectSameAsSnprintf(rng.next() % 2 ? mantissa : -mantissa);
+    }
+}
+
+TEST(JsonPrimitives, QuotedStringsMatchTheSnprintfEscaper)
+{
+    std::string every;
+    for (int c = 1; c < 256; ++c)
+        every += static_cast<char>(c);
+    for (const std::string &s :
+         {std::string(), std::string("plain"), std::string("a\"b\\c"),
+          std::string("tab\tnl\ncr\rbs\bff\f"), std::string(1, '\0'),
+          std::string("\x01\x1f\x7f mid\x10" "dle"),
+          std::string("caf\xc3\xa9"), every}) {
+        std::ostringstream os;
+        writeJsonQuoted(os, s);
+        EXPECT_EQ(os.str(), snprintfQuoted(s));
+        EXPECT_EQ(jsonQuote(s), snprintfQuoted(s));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -25,10 +25,34 @@ const std::vector<std::string> kRequiredSymbols = {
 
 } // namespace
 
+namespace misp::rt {
+/** The builder behind stubLibrary(); kept out of the public header so
+ *  nothing rebuilds the library per run. */
+isa::Program buildStubLibrary(Backend backend);
+} // namespace misp::rt
+
+TEST(StubAbi, SharedLibraryIsBuiltOnceAndEqualsAFreshBuild)
+{
+    for (Backend backend : {Backend::Shred, Backend::OsThread}) {
+        const isa::Program &shared = stubLibrary(backend);
+        EXPECT_EQ(&stubLibrary(backend), &shared) << backendName(backend);
+        EXPECT_EQ(&stubImage(backend), &stubImage(backend));
+
+        const isa::Program fresh = buildStubLibrary(backend);
+        EXPECT_EQ(shared.base, fresh.base);
+        EXPECT_EQ(shared.symbols, fresh.symbols);
+        EXPECT_TRUE(shared.insts == fresh.insts) << backendName(backend);
+        EXPECT_EQ(stubImage(backend), fresh.bytes())
+            << backendName(backend);
+    }
+    EXPECT_NE(&stubLibrary(Backend::Shred),
+              &stubLibrary(Backend::OsThread));
+}
+
 TEST(StubAbi, BothBackendsExportAllSymbols)
 {
     for (Backend backend : {Backend::Shred, Backend::OsThread}) {
-        isa::Program prog = buildStubLibrary(backend);
+        const isa::Program &prog = stubLibrary(backend);
         for (const std::string &name : kRequiredSymbols) {
             EXPECT_NO_THROW((void)prog.symbol(name))
                 << name << " missing from " << backendName(backend);
@@ -38,14 +62,14 @@ TEST(StubAbi, BothBackendsExportAllSymbols)
 
 TEST(StubAbi, SymbolAddressesIdenticalAcrossBackends)
 {
-    isa::Program shred = buildStubLibrary(Backend::Shred);
-    isa::Program osLib = buildStubLibrary(Backend::OsThread);
+    const isa::Program &shred = stubLibrary(Backend::Shred);
+    const isa::Program &osLib = stubLibrary(Backend::OsThread);
     EXPECT_EQ(shred.symbols, osLib.symbols);
 }
 
 TEST(StubAbi, SymbolsLieOnFixedSlots)
 {
-    isa::Program prog = buildStubLibrary(Backend::Shred);
+    const isa::Program &prog = stubLibrary(Backend::Shred);
     constexpr std::uint64_t kSlotBytes = 8 * isa::kInstBytes;
     for (const auto &[name, addr] : prog.symbols) {
         EXPECT_EQ((addr - kStubBase) % kSlotBytes, 0u)
@@ -55,14 +79,14 @@ TEST(StubAbi, SymbolsLieOnFixedSlots)
 
 TEST(StubAbi, BaseAddressIsStable)
 {
-    isa::Program prog = buildStubLibrary(Backend::Shred);
+    const isa::Program &prog = stubLibrary(Backend::Shred);
     EXPECT_EQ(prog.base, kStubBase);
     EXPECT_EQ(prog.symbol("rt_init"), kStubBase);
 }
 
 TEST(StubAbi, ShredInitRegistersProxyHandler)
 {
-    isa::Program prog = buildStubLibrary(Backend::Shred);
+    const isa::Program &prog = stubLibrary(Backend::Shred);
     // First instruction of rt_init must be the architectural SEMONITOR
     // registering proxy_stub for the ProxyRequest scenario (§2.5).
     const isa::Instruction &first = prog.insts[0];
@@ -74,7 +98,7 @@ TEST(StubAbi, ShredInitRegistersProxyHandler)
 
 TEST(StubAbi, OsBackendUsesRealSyscalls)
 {
-    isa::Program prog = buildStubLibrary(Backend::OsThread);
+    const isa::Program &prog = stubLibrary(Backend::OsThread);
     // The OS backend's yield and exit_process must trap into the kernel
     // (that asymmetry is what the SMP baseline pays for).
     auto instAt = [&](VAddr addr) {
@@ -84,7 +108,7 @@ TEST(StubAbi, OsBackendUsesRealSyscalls)
     EXPECT_EQ(instAt(prog.symbol("exit_process")).op,
               isa::Opcode::Syscall);
 
-    isa::Program shred = buildStubLibrary(Backend::Shred);
+    const isa::Program &shred = stubLibrary(Backend::Shred);
     auto shredInstAt = [&](VAddr addr) {
         return shred.insts[(addr - shred.base) / isa::kInstBytes];
     };
@@ -98,7 +122,7 @@ TEST(StubAbi, SyncWrappersTouchTheirWord)
     // Lock-class stubs must load the sync word before the service call,
     // so its page demand-faults through the architectural path.
     for (Backend backend : {Backend::Shred, Backend::OsThread}) {
-        isa::Program prog = buildStubLibrary(backend);
+        const isa::Program &prog = stubLibrary(backend);
         for (const char *sym : {"mutex_lock", "barrier_wait", "sem_wait",
                                 "cond_wait", "event_wait"}) {
             VAddr addr = prog.symbol(sym);
@@ -114,7 +138,7 @@ TEST(StubAbi, SyncWrappersTouchTheirWord)
 TEST(StubAbi, StubsFitWithinOnePage)
 {
     for (Backend backend : {Backend::Shred, Backend::OsThread}) {
-        isa::Program prog = buildStubLibrary(backend);
+        const isa::Program &prog = stubLibrary(backend);
         EXPECT_LE(prog.byteSize(), 4096u)
             << backendName(backend)
             << " stub library must stay one page (one compulsory fault)";
