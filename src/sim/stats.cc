@@ -130,22 +130,13 @@ writeGeneral(std::ostream &os, double v, int precision)
 } // namespace
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    escapeJson(s, [&](const char *p, std::size_t n) { out.append(p, n); });
-    return out;
-}
-
-std::string
 jsonQuote(const std::string &s)
 {
-    // Built up in steps: GCC 12's -Wrestrict false-positives on the
-    // `"\"" + escape + "\""` temporary chain once inlined.
-    std::string out = "\"";
-    out += jsonEscape(s);
-    out += "\"";
+    std::string out;
+    out.reserve(s.size() + 2);
+    out += '"';
+    escapeJson(s, [&](const char *p, std::size_t n) { out.append(p, n); });
+    out += '"';
     return out;
 }
 

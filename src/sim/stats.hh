@@ -23,13 +23,9 @@ namespace misp::stats {
 
 class StatGroup;
 
-/** JSON-escape @p s (quotes, backslashes, all control characters) —
- *  the one escaper shared by every JSON emitter in the tree. */
-std::string jsonEscape(const std::string &s);
-
-/** @p s escaped and double-quoted, ready to emit as a JSON string.
- *  The one quoting wrapper (formerly duplicated across the driver and
- *  metric-frame emitters). */
+/** @p s JSON-escaped (quotes, backslashes, all control characters)
+ *  and double-quoted. The one escaper, shared with writeJsonQuoted by
+ *  every JSON emitter in the tree. */
 std::string jsonQuote(const std::string &s);
 
 /** Stream @p s escaped and double-quoted to @p os. The streaming

@@ -664,19 +664,18 @@ TEST(LoadTimeDiagnostics, BadSpecsFailBeforeTheFirstPoint)
 
 TEST(JsonHelpers, EscapeControlCharsAndQuotes)
 {
-    EXPECT_EQ(stats::jsonEscape("plain"), "plain");
-    EXPECT_EQ(stats::jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(stats::jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(stats::jsonEscape("a\nb\tc"), "a\\nb\\tc");
-    EXPECT_EQ(stats::jsonEscape(std::string("a\x01") + "b"),
-              "a\\u0001b");
-    EXPECT_EQ(stats::jsonEscape(std::string(1, '\0')), "\\u0000");
+    EXPECT_EQ(stats::jsonQuote("plain"), "\"plain\"");
+    EXPECT_EQ(stats::jsonQuote("a\"b"), "\"a\\\"b\"");
+    EXPECT_EQ(stats::jsonQuote("a\\b"), "\"a\\\\b\"");
+    EXPECT_EQ(stats::jsonQuote("a\nb\tc"), "\"a\\nb\\tc\"");
+    EXPECT_EQ(stats::jsonQuote(std::string("a\x01") + "b"),
+              "\"a\\u0001b\"");
+    EXPECT_EQ(stats::jsonQuote(std::string(1, '\0')), "\"\\u0000\"");
 }
 
 TEST(JsonHelpers, Utf8PassesThroughUntouched)
 {
     const std::string utf8 = "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x9a\x80";
-    EXPECT_EQ(stats::jsonEscape(utf8), utf8);
     EXPECT_EQ(stats::jsonQuote(utf8), "\"" + utf8 + "\"");
 }
 

@@ -100,7 +100,7 @@ snprintfStatDump(double v)
     return std::string("{\n  \"x\": ") + buf + "\n}";
 }
 
-/** The former jsonEscape, wrapped in quotes. */
+/** The former snprintf-based escaper, wrapped in quotes. */
 std::string
 snprintfQuoted(const std::string &s)
 {
