@@ -16,13 +16,6 @@ using namespace misp;
 
 namespace {
 
-/** Stub entry addresses (fixed-slot ABI). */
-const isa::Program &
-stubs()
-{
-    return rt::stubLibrary(rt::Backend::Shred);
-}
-
 harness::GuestApp
 appFromAsm(const std::string &name, std::string src)
 {
@@ -39,7 +32,7 @@ appFromAsm(const std::string &name, std::string src)
           "sem_post", "cond_wait", "cond_signal", "cond_broadcast",
           "event_wait", "event_set", "malloc", "prefault",
           "exit_process"}) {
-        sub(sym, stubs().symbol(sym));
+        sub(sym, rt::stubLibrary(rt::Backend::Shred).symbol(sym));
     }
     harness::GuestApp app;
     app.name = name;
