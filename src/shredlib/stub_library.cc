@@ -52,11 +52,8 @@ emitSys(ProgramBuilder &b, os::Sys n)
     b.ret();
 }
 
-} // namespace
-
-/** Not in the header: stubLibrary() calls it once per backend. It has
- *  external linkage only so a test can compare a fresh build with the
- *  shared one. */
+/** The stub library for @p backend at kStubBase; stubLibrary() calls
+ *  it once per backend. */
 isa::Program
 buildStubLibrary(Backend backend)
 {
@@ -191,8 +188,6 @@ buildStubLibrary(Backend backend)
 
     return b.finish(kStubBase);
 }
-
-namespace {
 
 struct BuiltStubs {
     isa::Program program;

@@ -25,25 +25,19 @@ const std::vector<std::string> kRequiredSymbols = {
 
 } // namespace
 
-namespace misp::rt {
-/** The builder behind stubLibrary(); kept out of the public header so
- *  nothing rebuilds the library per run. */
-isa::Program buildStubLibrary(Backend backend);
-} // namespace misp::rt
-
-TEST(StubAbi, SharedLibraryIsBuiltOnceAndEqualsAFreshBuild)
+TEST(StubAbi, SharedLibraryIsBuiltOnceWithItsImage)
 {
     for (Backend backend : {Backend::Shred, Backend::OsThread}) {
         const isa::Program &shared = stubLibrary(backend);
         EXPECT_EQ(&stubLibrary(backend), &shared) << backendName(backend);
         EXPECT_EQ(&stubImage(backend), &stubImage(backend));
 
-        const isa::Program fresh = buildStubLibrary(backend);
-        EXPECT_EQ(shared.base, fresh.base);
-        EXPECT_EQ(shared.symbols, fresh.symbols);
-        EXPECT_TRUE(shared.insts == fresh.insts) << backendName(backend);
-        EXPECT_EQ(stubImage(backend), fresh.bytes())
+        // The image every process maps is the program's own encoding;
+        // the tests below pin the program's symbols and slots.
+        EXPECT_EQ(shared.base, kStubBase);
+        EXPECT_EQ(stubImage(backend), shared.bytes())
             << backendName(backend);
+        EXPECT_EQ(stubImage(backend).size(), shared.byteSize());
     }
     EXPECT_NE(&stubLibrary(Backend::Shred),
               &stubLibrary(Backend::OsThread));
