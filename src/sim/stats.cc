@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <ostream>
 
 namespace misp::stats {
@@ -109,22 +110,15 @@ escapeJson(const std::string &s, Put put)
     put(s.data() + plain, s.size() - plain);
 }
 
-void
-writeChars(std::ostream &os, const char *first, std::to_chars_result r)
-{
-    MISP_ASSERT(r.ec == std::errc());
-    os.write(first, r.ptr - first);
-}
-
-/** @p v as printf's `%.<precision>g` would print it: to_chars with a
- *  precision is defined to match printf in the C locale. */
+/** @p v as `%.<precision>g`. Doubles keep snprintf: to_chars's
+ *  floating-point path maps more of libstdc++ and raised peak RSS by
+ *  about 0.1 MB with no measurable gain in wall time. */
 void
 writeGeneral(std::ostream &os, double v, int precision)
 {
-    char buf[32];
-    writeChars(os, buf,
-               std::to_chars(buf, buf + sizeof(buf), v,
-                             std::chars_format::general, precision));
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    os << buf;
 }
 
 } // namespace
@@ -155,9 +149,10 @@ writeJsonNumber(std::ostream &os, double v)
 {
     if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
         char buf[24];
-        writeChars(os, buf,
-                   std::to_chars(buf, buf + sizeof(buf),
-                                 static_cast<long long>(v)));
+        auto r = std::to_chars(buf, buf + sizeof(buf),
+                               static_cast<long long>(v));
+        MISP_ASSERT(r.ec == std::errc());
+        os.write(buf, r.ptr - buf);
     } else {
         writeGeneral(os, v, 9);
     }
