@@ -263,8 +263,8 @@ main(int argc, char **argv)
     bool fullIdentical = false;
     {
         // Grid order: the spec's two machines, as declared.
-        MISP_ASSERT(grid.size() == 2 && grid[0].machine == "dc_off" &&
-                    grid[1].machine == "dc_sb");
+        MISP_ASSERT(grid.size() == 2 && grid[0].coords.machine() == "dc_off" &&
+                    grid[1].coords.machine() == "dc_sb");
         const driver::PointResult *rOff = &grid[0];
         const driver::PointResult *rSb = &grid[1];
         fullIdentical = rSb->run.ticks == rOff->run.ticks &&

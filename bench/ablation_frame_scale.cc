@@ -120,17 +120,22 @@ struct Sweep {
     MetricFrame build() const
     {
         MetricFrame frame;
+        frame.reserve(rows());
         harness::RunRecord run;
         run.status = harness::RunStatus::Completed;
         run.valid = true;
+        const MetricFrame::Id workload = frame.intern("dense_mvm");
+        const MetricFrame::Id keyA = frame.intern("machine.a");
+        const MetricFrame::Id keyB = frame.intern("machine.b");
         for (const std::string &a : aValues) {
             for (const std::string &b : bValues) {
                 for (const char *machine : kMachines) {
                     run.ticks = 1000000 + Tick(run.events[
                         harness::EventCounter::Timer]++);
                     run.instsRetired = 500000;
-                    frame.addRow(machine, "dense_mvm", 0,
-                                 {{"machine.a", a}, {"machine.b", b}},
+                    frame.addRow(frame.intern(machine), workload, 0,
+                                 {{keyA, frame.intern(a)},
+                                  {keyB, frame.intern(b)}},
                                  run);
                 }
             }
@@ -141,8 +146,9 @@ struct Sweep {
 };
 
 /** The pre-index lookups: O(rows) string-compare walks over the
- *  frame's public row API, answering exactly what the indexed
- *  MetricFrame methods of the same names answer. */
+ *  frame's public row API (names read back through name()),
+ *  answering exactly what the indexed MetricFrame methods of the same
+ *  names answer. */
 struct LinearWalk {
     const MetricFrame &frame;
 
@@ -151,19 +157,31 @@ struct LinearWalk {
         return frame.row(r);
     }
 
+    const std::string &machineOf(std::size_t r) const
+    {
+        return frame.name(frame.row(r).machine);
+    }
+
+    /** Stored coordinate @p c spells (key, value) @p w. */
+    bool spells(const MetricFrame::CoordId &c,
+                const MetricFrame::Coord &w) const
+    {
+        return frame.name(c.key) == w.first && frame.name(c.value) == w.second;
+    }
+
     /** First row on @p machine whose coordinates contain @p coords. */
     std::size_t findRow(const std::string &machine,
                         const std::vector<MetricFrame::Coord> &coords)
         const
     {
         for (std::size_t r = 0; r < frame.numRows(); ++r) {
-            if (frame.row(r).machine != machine)
+            if (machineOf(r) != machine)
                 continue;
             bool match = true;
             for (const MetricFrame::Coord &want : coords) {
                 bool found = false;
-                for (const MetricFrame::Coord &have : frame.row(r).coords)
-                    found = found || have == want;
+                for (const MetricFrame::CoordId &have : frame.coords(r))
+                    found = found || spells(have, want);
                 match = match && found;
             }
             if (match)
@@ -176,7 +194,9 @@ struct LinearWalk {
     rowWithOverrides(std::size_t g, const std::string &machine,
                      const std::vector<MetricFrame::Coord> &overrides) const
     {
-        std::vector<MetricFrame::Coord> want = frame.groupCoords(g);
+        std::vector<MetricFrame::Coord> want;
+        for (const MetricFrame::CoordId &c : frame.groupCoords(g))
+            want.emplace_back(frame.name(c.key), frame.name(c.value));
         for (const MetricFrame::Coord &o : overrides) {
             for (MetricFrame::Coord &c : want) {
                 if (c.first == o.first)
@@ -184,8 +204,13 @@ struct LinearWalk {
             }
         }
         for (std::size_t r = 0; r < frame.numRows(); ++r) {
-            if (frame.row(r).machine == machine &&
-                frame.row(r).coords == want)
+            const auto have = frame.coords(r);
+            if (machineOf(r) != machine || have.size() != want.size())
+                continue;
+            bool match = true;
+            for (std::size_t i = 0; i < want.size(); ++i)
+                match = match && spells(have[i], want[i]);
+            if (match)
                 return r;
         }
         return MetricFrame::npos;
@@ -193,16 +218,17 @@ struct LinearWalk {
 
     std::size_t axisBaselineRow(std::size_t r, const std::string &axis) const
     {
-        const MetricFrame::Row &of = frame.row(r);
+        const auto of = frame.coords(r);
         for (std::size_t cand = 0; cand < frame.numRows(); ++cand) {
-            const MetricFrame::Row &c = frame.row(cand);
-            if (c.machine != of.machine ||
-                c.coords.size() != of.coords.size())
+            const auto c = frame.coords(cand);
+            if (machineOf(cand) != machineOf(r) || c.size() != of.size())
                 continue;
             bool match = true;
-            for (std::size_t i = 0; i < of.coords.size(); ++i) {
-                if (of.coords[i].first != axis)
-                    match = match && c.coords[i] == of.coords[i];
+            for (std::size_t i = 0; i < of.size(); ++i) {
+                if (frame.name(of[i].key) != axis)
+                    match = match &&
+                            frame.name(c[i].key) == frame.name(of[i].key) &&
+                            frame.name(c[i].value) == frame.name(of[i].value);
             }
             if (match)
                 return cand;

@@ -64,10 +64,11 @@ main()
     // Results are plain structs: each point carries the coordinates
     // plus the harness::RunRecord its run measured.
     for (const PointResult &r : results) {
-        if (r.workload != "dense_mvm")
+        if (r.coords.workload() != "dense_mvm")
             continue;
-        for (const auto &[key, value] : r.coords) {
-            if (key == "machine.ams" && value == "7") {
+        for (std::size_t i = 0; i < r.coords.size(); ++i) {
+            if (r.coords.key(i) == "machine.ams" &&
+                r.coords.value(i) == "7") {
                 std::cout << "\ndense_mvm on 1 OMS + 7 AMS: "
                           << r.run.megaCycles() << " Mcycles, "
                           << std::uint64_t(r.run.events[

@@ -42,8 +42,8 @@ const std::string &
 groupSuite(const MetricFrame &frame, std::size_t g)
 {
     static const std::string kNone;
-    const wl::WorkloadInfo *info =
-        wl::findWorkload(frame.row(frame.groupRows(g).front()).workload);
+    const wl::WorkloadInfo *info = wl::findWorkload(
+        frame.name(frame.row(frame.groupRows(g).front()).workload));
     return info ? info->suite : kNone;
 }
 
@@ -169,7 +169,7 @@ Evaluator::ref(const ExprNode &n, const Scope &s, double *out,
             // Every row carries the same axes, so an axis no row
             // carries is no coordinate of this group either (an axis
             // only [quick] sweeps, in a full run).
-            const std::vector<std::string> *values =
+            const std::vector<MetricFrame::Id> *values =
                 frame_.axisValues(axis);
             if (!values) {
                 *why = "'" + n.text + "': selector axis '" + axis +
@@ -181,7 +181,8 @@ Evaluator::ref(const ExprNode &n, const Scope &s, double *out,
             // equal as a number.
             std::string match;
             double want = 0, have = 0;
-            for (const std::string &v : *values) {
+            for (MetricFrame::Id id : *values) {
+                const std::string &v = frame_.name(id);
                 if (v == value) {
                     match = v;
                     break;
@@ -192,8 +193,8 @@ Evaluator::ref(const ExprNode &n, const Scope &s, double *out,
             }
             if (match.empty()) {
                 std::string list;
-                for (const std::string &v : *values)
-                    list += (list.empty() ? "" : ", ") + v;
+                for (MetricFrame::Id id : *values)
+                    list += (list.empty() ? "" : ", ") + frame_.name(id);
                 *why = "'" + n.text + "': selector value '" + value +
                        "' matches no value of axis '" + axis +
                        "' (values: " + list + ")";
@@ -333,13 +334,14 @@ projectionLabel(const MetricFrame &frame, std::size_t g,
                 const std::vector<std::string> &consulted)
 {
     std::string out;
-    for (const MetricFrame::Coord &c : frame.groupCoords(g)) {
-        if (std::find(consulted.begin(), consulted.end(), c.first) ==
+    for (const MetricFrame::CoordId &c : frame.groupCoords(g)) {
+        const std::string &key = frame.name(c.key);
+        if (std::find(consulted.begin(), consulted.end(), key) ==
             consulted.end())
             continue;
         if (!out.empty())
             out += " ";
-        out += c.first + "=" + c.second;
+        out += key + "=" + frame.name(c.value);
     }
     return out;
 }
@@ -469,10 +471,11 @@ planTable(const Scenario &sc, const MetricFrame &frame,
           const TableSpec &table, TablePlan *plan, std::string *err)
 {
     std::vector<std::string> axes;
-    for (const MetricFrame::Coord &c : frame.groupCoords(0)) {
+    for (const MetricFrame::CoordId &c : frame.groupCoords(0)) {
+        const std::string &key = frame.name(c.key);
         for (const TableCell &col : table.columns) {
-            if (col.tree.consults(c.first)) {
-                axes.push_back(c.first);
+            if (col.tree.consults(key)) {
+                axes.push_back(key);
                 break;
             }
         }
@@ -490,9 +493,10 @@ planTable(const Scenario &sc, const MetricFrame &frame,
         if (!seen.insert(projectionLabel(frame, g, axes)).second)
             continue;
         std::vector<std::string> cells;
-        for (const MetricFrame::Coord &c : frame.groupCoords(g)) {
-            if (std::find(axes.begin(), axes.end(), c.first) != axes.end())
-                cells.push_back(c.second);
+        for (const MetricFrame::CoordId &c : frame.groupCoords(g)) {
+            if (std::find(axes.begin(), axes.end(), frame.name(c.key)) !=
+                axes.end())
+                cells.push_back(frame.name(c.value));
         }
         cells.resize(labels + columns.size());
         for (std::size_t c = 0; c < columns.size(); ++c) {

@@ -30,13 +30,13 @@ namespace {
  *  it piece by piece would cost a write(2) per piece. */
 void
 progressLine(std::ostream &os, std::size_t done, std::size_t total,
-             const ScenarioPoint &pt, const PointResult &r)
+             const PointResult &r)
 {
     std::string line = "[" + std::to_string(done) + "/" +
-                       std::to_string(total) + "] " + r.machine + " " +
-                       r.workload;
-    if (!pt.coords.empty())
-        line += " " + pt.coordString();
+                       std::to_string(total) + "] " + r.coords.machine() +
+                       " " + r.coords.workload();
+    if (!r.coords.empty())
+        line += " " + r.coords.str();
     line += " ticks=" + std::to_string(r.run.ticks);
     line += r.run.valid ? "\n" : " INVALID\n";
     os.write(line.data(), static_cast<std::streamsize>(line.size()));
@@ -50,7 +50,7 @@ runLogPoint(const ScenarioPoint &pt)
 {
     std::string s = pt.machine.name + ":" + pt.workload.name;
     if (!pt.coords.empty())
-        s += " " + pt.coordString();
+        s += " " + pt.coords.str();
     return s;
 }
 
@@ -132,9 +132,6 @@ PointResult
 unmeasuredResult(const ScenarioPoint &pt)
 {
     PointResult out;
-    out.machine = pt.machine.name;
-    out.workload = pt.workload.name;
-    out.competitors = pt.competitors;
     out.coords = pt.coords;
     return out;
 }
@@ -165,43 +162,53 @@ ScenarioRunner::runAll(const Scenario &sc,
     // deterministic simulation; results land at their submission
     // index, so emitter output is byte-identical whatever the job
     // count. Only the progress lines (stderr) reflect completion
-    // order.
+    // order. A worker claims a whole coordinate group per fetch — the
+    // grid's machines are its innermost loop — so its consecutive
+    // points are grid neighbours and share built workloads (the
+    // previous-point reuse in harness::runOne).
+    const std::size_t claim = std::max<std::size_t>(1, sc.machines.size());
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::atomic<bool> failed{false};
     std::mutex progressMutex;
     std::vector<std::exception_ptr> errors(pts.size());
 
+    auto runOnePoint = [&](std::size_t i) {
+        logAttempt(opts_.runLog, "dispatched", pts[i], 1);
+        auto ta = std::chrono::steady_clock::now();
+        try {
+            results[i] = runPoint(sc, pts[i], gridIndex(i));
+        } catch (...) {
+            errors[i] = std::current_exception();
+            failed.store(true, std::memory_order_relaxed);
+            logAttempt(opts_.runLog, "failed", pts[i], 1,
+                       wallMsSince(ta));
+            done.fetch_add(1);
+            return;
+        }
+        logAttempt(opts_.runLog, "completed", pts[i], 1,
+                   wallMsSince(ta),
+                   harness::runStatusName(results[i].run.status));
+        std::size_t completed = done.fetch_add(1) + 1;
+        if (progress) {
+            std::lock_guard<std::mutex> lock(progressMutex);
+            progressLine(*progress, completed, pts.size(), results[i]);
+        }
+    };
     auto worker = [&] {
         for (;;) {
-            // Stop claiming new points once any point has failed —
-            // in-flight simulations finish, queued ones are abandoned
-            // (a serial run would not have started them either).
-            if (failed.load(std::memory_order_relaxed))
+            const std::size_t begin = next.fetch_add(claim);
+            if (begin >= pts.size())
                 return;
-            std::size_t i = next.fetch_add(1);
-            if (i >= pts.size())
-                return;
-            logAttempt(opts_.runLog, "dispatched", pts[i], 1);
-            auto ta = std::chrono::steady_clock::now();
-            try {
-                results[i] = runPoint(sc, pts[i], gridIndex(i));
-            } catch (...) {
-                errors[i] = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
-                logAttempt(opts_.runLog, "failed", pts[i], 1,
-                           wallMsSince(ta));
-                done.fetch_add(1);
-                continue;
-            }
-            logAttempt(opts_.runLog, "completed", pts[i], 1,
-                       wallMsSince(ta),
-                       harness::runStatusName(results[i].run.status));
-            std::size_t completed = done.fetch_add(1) + 1;
-            if (progress) {
-                std::lock_guard<std::mutex> lock(progressMutex);
-                progressLine(*progress, completed, pts.size(), pts[i],
-                             results[i]);
+            const std::size_t end = std::min(begin + claim, pts.size());
+            for (std::size_t i = begin; i < end; ++i) {
+                // Stop starting points once any point has failed —
+                // in-flight simulations finish, queued ones are
+                // abandoned (a serial run would not have started them
+                // either).
+                if (failed.load(std::memory_order_relaxed))
+                    return;
+                runOnePoint(i);
             }
         }
     };
@@ -384,8 +391,7 @@ ScenarioRunner::runIsolated(const Scenario &sc,
         results[index].run = std::move(rec);
         ++done;
         if (progress) {
-            progressLine(*progress, done, pts.size(), pts[index],
-                         results[index]);
+            progressLine(*progress, done, pts.size(), results[index]);
         }
     };
 
@@ -636,17 +642,27 @@ harness::MetricFrame
 buildMetricFrame(const Scenario &sc,
                  const std::vector<PointResult> &results)
 {
-    harness::MetricFrame frame;
-    for (const PointResult &r : results)
-        frame.addRow(r.machine, r.workload, r.competitors, r.coords,
-                     r.run);
+    using Frame = harness::MetricFrame;
+    Frame frame;
+    frame.reserve(results.size());
+    std::vector<Frame::CoordId> coords;
+    for (const PointResult &r : results) {
+        coords.clear();
+        for (std::size_t i = 0; i < r.coords.size(); ++i)
+            coords.push_back({frame.intern(r.coords.key(i)),
+                              frame.intern(r.coords.value(i))});
+        frame.addRow(frame.intern(r.coords.machine()),
+                     frame.intern(r.coords.workload()),
+                     r.coords.competitors(), coords, r.run);
+    }
     frame.finalize(sc.report.baselineMachine);
     return frame;
 }
 
 void
 writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
-          const harness::MetricFrame &frame)
+          const harness::MetricFrame &frame,
+          const std::vector<PointResult> &results)
 {
     os << "{\n";
     os << "  \"scenario\": " << stats::jsonQuote(sc.name) << ",\n";
@@ -657,13 +673,17 @@ writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
         const harness::MetricFrame::Row &r = frame.row(i);
         os << (i ? ",\n" : "\n");
         os << "    {\n";
-        os << "      \"machine\": " << stats::jsonQuote(r.machine) << ",\n";
-        os << "      \"workload\": " << stats::jsonQuote(r.workload) << ",\n";
+        os << "      \"machine\": " << stats::jsonQuote(frame.name(r.machine))
+           << ",\n";
+        os << "      \"workload\": " << stats::jsonQuote(frame.name(r.workload))
+           << ",\n";
         os << "      \"competitors\": " << r.competitors << ",\n";
         os << "      \"coords\": {";
-        for (std::size_t c = 0; c < r.coords.size(); ++c) {
-            os << (c ? ", " : "") << stats::jsonQuote(r.coords[c].first) << ": "
-               << stats::jsonQuote(r.coords[c].second);
+        const char *sep = "";
+        for (const auto &c : frame.coords(i)) {
+            os << sep << stats::jsonQuote(frame.name(c.key)) << ": "
+               << stats::jsonQuote(frame.name(c.value));
+            sep = ", ";
         }
         os << "},\n";
         os << "      \"status\": "
@@ -689,8 +709,9 @@ writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
             os << (f + 1 < harness::kNumEventCounters ? ",\n" : "\n");
         }
         os << "      }";
-        if (!r.statsJson.empty())
-            os << ",\n      \"stats\": " << r.statsJson;
+        const std::string &statsJson = results[i].run.statsJson;
+        if (!statsJson.empty())
+            os << ",\n      \"stats\": " << statsJson;
         os << "\n    }";
     }
     os << "\n  ]\n}\n";
@@ -720,11 +741,11 @@ writeTable(std::ostream &os, const Scenario &sc,
 
     // Column set: machine, workload, swept coords, Mcycles, then the
     // [report]-requested speedups.
-    std::vector<std::string> coordKeys;
-    for (const auto &[key, value] : frame.row(0).coords) {
-        (void)value;
-        if (key != "workload.name") // already the workload column
-            coordKeys.push_back(key);
+    using Frame = harness::MetricFrame;
+    std::vector<Frame::Id> coordKeys;
+    for (const Frame::CoordId &c : frame.coords(0)) {
+        if (frame.name(c.key) != "workload.name") // the workload column
+            coordKeys.push_back(c.key);
     }
     const bool vsMachine = !sc.report.baselineMachine.empty();
     const bool vsAxis = !sc.report.baselineAxis.empty();
@@ -736,8 +757,8 @@ writeTable(std::ostream &os, const Scenario &sc,
     }
 
     std::vector<std::string> header = {"machine", "workload"};
-    for (const std::string &k : coordKeys)
-        header.push_back(k);
+    for (Frame::Id k : coordKeys)
+        header.push_back(frame.name(k));
     header.push_back("Mcycles");
     if (vsMachine)
         header.push_back("speedup_vs_" + sc.report.baselineMachine);
@@ -748,18 +769,18 @@ writeTable(std::ostream &os, const Scenario &sc,
     if (anyFailed)
         header.push_back("status");
 
-    using Frame = harness::MetricFrame;
     // One row's cells at a time — writeGrid streams the table in two
     // passes (width scan, then emission) instead of materializing the
     // sweep.
     auto formatRow = [&](std::size_t i) {
         const Frame::Row &r = frame.row(i);
-        std::vector<std::string> row = {r.machine, r.workload};
-        for (const std::string &k : coordKeys) {
+        std::vector<std::string> row = {frame.name(r.machine),
+                                        frame.name(r.workload)};
+        for (Frame::Id k : coordKeys) {
             std::string v;
-            for (const auto &[ck, cv] : r.coords) {
-                if (ck == k)
-                    v = cv;
+            for (const Frame::CoordId &c : frame.coords(i)) {
+                if (c.key == k)
+                    v = frame.name(c.value);
             }
             row.push_back(v);
         }
@@ -861,12 +882,13 @@ writePoints(std::ostream &os, const harness::MetricFrame &frame)
         // are none) so lines stay unambiguous for axes beyond
         // workload.name/competitors (e.g. machine.signal_cycles).
         std::string coords;
-        for (const auto &[key, value] : r.coords) {
+        for (const harness::MetricFrame::CoordId &c : frame.coords(i)) {
             if (!coords.empty())
                 coords += ";";
-            coords += key + "=" + value;
+            coords += frame.name(c.key) + "=" + frame.name(c.value);
         }
-        os << "machine=" << r.machine << " workload=" << r.workload
+        os << "machine=" << frame.name(r.machine)
+           << " workload=" << frame.name(r.workload)
            << " competitors=" << r.competitors << " coords="
            << (coords.empty() ? "-" : coords) << " ticks="
            << static_cast<std::uint64_t>(frame.at(i, "ticks"))
@@ -881,13 +903,14 @@ writePoints(std::ostream &os, const harness::MetricFrame &frame)
 }
 
 std::string
-describePoint(const harness::MetricFrame::Row &row)
+describePoint(const harness::MetricFrame &frame, std::size_t r)
 {
-    std::string out = "machine=" + row.machine + " workload=" +
-                      row.workload + " competitors=" +
-                      std::to_string(row.competitors);
-    for (const auto &[key, value] : row.coords)
-        out += " " + key + "=" + value;
+    const harness::MetricFrame::Row &row = frame.row(r);
+    std::string out = "machine=" + frame.name(row.machine) +
+                      " workload=" + frame.name(row.workload) +
+                      " competitors=" + std::to_string(row.competitors);
+    for (const harness::MetricFrame::CoordId &c : frame.coords(r))
+        out += " " + frame.name(c.key) + "=" + frame.name(c.value);
     return out;
 }
 

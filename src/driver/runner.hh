@@ -34,11 +34,9 @@ namespace misp::driver {
 
 /** One grid point's coordinates plus everything its run measured. */
 struct PointResult {
-    // Coordinates.
-    std::string machine;
-    std::string workload;
-    unsigned competitors = 0;
-    std::vector<std::pair<std::string, std::string>> coords;
+    /** Machine, workload, competitors and swept coordinates, read
+     *  through the grid's shared tables. */
+    PointCoords coords;
 
     /** The measured record (status, ticks, validation, Table-1 events,
      *  derived metrics) — see harness/run_record.hh. */
@@ -163,9 +161,12 @@ class ScenarioRunner
 
     /** Run the whole grid — serially in order, on Options::jobs worker
      *  threads, or on forked worker processes (Options::isolate) — and
-     *  return results in submission order. One progress line per
-     *  completed point on @p progress when non-null (completion order
-     *  under a worker pool). */
+     *  return results in submission order. A worker thread claims one
+     *  coordinate group (the scenario's machines, consecutive in the
+     *  grid) at a time, so it runs grid neighbours back to back and
+     *  reuses their built workloads. One progress line per completed
+     *  point on @p progress when non-null (completion order under a
+     *  worker pool). */
     std::vector<PointResult> runAll(const Scenario &sc,
                                     const std::vector<ScenarioPoint> &pts,
                                     std::ostream *progress = nullptr);
@@ -197,9 +198,12 @@ buildMetricFrame(const Scenario &sc,
 
 /** Machine-readable results: scenario header + one object per point.
  *  Fully deterministic (host timing stays on the stderr HOST lines),
- *  so reruns and `--jobs N` runs are byte-identical. */
+ *  so reruns and `--jobs N` runs are byte-identical. The full-stats
+ *  dumps are read from @p results (the frame's rows, in grid order),
+ *  never copied into the frame. */
 void writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
-               const harness::MetricFrame &frame);
+               const harness::MetricFrame &frame,
+               const std::vector<PointResult> &results);
 
 /** Human results table; GitHub-flavoured markdown when @p markdown.
  *  Adds the [report]-requested speedup columns. */
@@ -225,8 +229,9 @@ void writeGrid(std::ostream &os, const std::string &title,
 void writePoints(std::ostream &os, const harness::MetricFrame &frame);
 
 /** `machine=M workload=W competitors=N` plus one `key=value` per swept
- *  axis of @p row: a point named well enough to rerun it alone. */
-std::string describePoint(const harness::MetricFrame::Row &row);
+ *  axis of row @p r: a point named well enough to rerun it alone. */
+std::string describePoint(const harness::MetricFrame &frame,
+                          std::size_t r);
 
 /** The `mispsim --metrics FILE` artifact: scenario header + the full
  *  frame (every row x every column) as deterministic JSON. */

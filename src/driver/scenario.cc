@@ -118,14 +118,67 @@ WorkloadSpec::apply(const std::string &key, const std::string &value,
     return wl::setWorkloadParam(params, key, value, err);
 }
 
+// ---------------------------------------------------------------------
+// PointCoords
+// ---------------------------------------------------------------------
+
+PointCoords::PointCoords(std::shared_ptr<const GridTable> table,
+                         std::size_t combo, std::size_t machine)
+    : table_(std::move(table)), combo_(static_cast<std::uint32_t>(combo)),
+      machine_(static_cast<std::uint32_t>(machine))
+{}
+
+const std::string &
+PointCoords::machine() const
+{
+    return table_->machines[machine_];
+}
+
+std::size_t
+PointCoords::axisOf(const char *key) const
+{
+    std::size_t i = 0;
+    while (i < size() && table_->axes[i].key != key)
+        ++i;
+    return i;
+}
+
+const std::string &
+PointCoords::workload() const
+{
+    const std::size_t a = axisOf("workload.name");
+    return a < size() ? value(a) : table_->workload;
+}
+
+unsigned
+PointCoords::competitors() const
+{
+    const std::size_t a = axisOf("competitors");
+    unsigned n = table_->competitors;
+    if (a < size())
+        parseUnsigned(value(a), &n); // checked by expandPoints
+    return n;
+}
+
+const std::string &
+PointCoords::value(std::size_t i) const
+{
+    // Odometer decode: the first axis varies slowest.
+    const std::vector<SweepAxis> &axes = table_->axes;
+    std::size_t stride = 1;
+    for (std::size_t a = i + 1; a < axes.size(); ++a)
+        stride *= axes[a].values.size();
+    return axes[i].values[(combo_ / stride) % axes[i].values.size()];
+}
+
 std::string
-ScenarioPoint::coordString() const
+PointCoords::str() const
 {
     std::string out;
-    for (const auto &[key, value] : coords) {
+    for (std::size_t i = 0; i < size(); ++i) {
         if (!out.empty())
             out += " ";
-        out += key + "=" + value;
+        out += key(i) + "=" + value(i);
     }
     return out;
 }
@@ -556,34 +609,31 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
         a.values = std::move(names);
     }
 
+    auto table = std::make_shared<GridTable>();
+    for (const MachineSpec &m : machines)
+        table->machines.push_back(m.name);
+    table->workload = workload.name;
+    table->competitors = competitors;
     std::size_t total = 1;
     for (const SweepAxis &a : axes)
         total *= a.values.size();
+    table->axes = std::move(axes);
+    const std::vector<SweepAxis> &grid = table->axes;
+    out->reserve(total * machines.size());
 
     for (std::size_t idx = 0; idx < total; ++idx) {
-        // Odometer decode: first axis varies slowest.
-        std::vector<std::pair<std::string, std::string>> combo;
-        std::vector<int> axisLines;
-        std::size_t rem = idx;
-        std::size_t stride = total;
-        for (const SweepAxis &a : axes) {
-            stride /= a.values.size();
-            combo.emplace_back(a.key, a.values[rem / stride]);
-            axisLines.push_back(a.line);
-            rem %= stride;
-        }
-
-        for (const MachineSpec &machine : machines) {
+        for (std::size_t m = 0; m < machines.size(); ++m) {
             ScenarioPoint pt;
-            pt.machine = machine;
+            pt.machine = machines[m];
             pt.workload = workload;
             pt.background = background;
             pt.competitors = competitors;
             pt.competitor = competitor;
-            pt.coords = combo;
+            pt.coords = PointCoords(table, idx, m);
 
-            for (std::size_t i = 0; i < combo.size(); ++i) {
-                const auto &[key, value] = combo[i];
+            for (std::size_t i = 0; i < grid.size(); ++i) {
+                const std::string &key = grid[i].key;
+                const std::string &value = pt.coords.value(i);
                 std::string msg;
                 bool ok;
                 if (key == "competitors") {
@@ -598,7 +648,7 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
                          pt.machine.toSystemConfig().validate(&msg);
                 }
                 if (!ok)
-                    return fail(err, specPath, axisLines[i], msg);
+                    return fail(err, specPath, grid[i].line, msg);
             }
 
             if (!wl::findWorkload(pt.workload.name)) {

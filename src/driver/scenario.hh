@@ -67,6 +67,8 @@
 #ifndef MISP_DRIVER_SCENARIO_HH
 #define MISP_DRIVER_SCENARIO_HH
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -192,6 +194,56 @@ struct TableSpec {
     std::vector<TableCell> footers;
 };
 
+/** The coordinate tables of one expanded grid, shared by its points
+ *  and their results: every machine name, axis key and axis value is
+ *  stored here once. */
+struct GridTable {
+    std::vector<std::string> machines; ///< the innermost loop
+    /** The swept axes after [quick] overrides and workload-selector
+     *  expansion; the first varies slowest. */
+    std::vector<SweepAxis> axes;
+    std::string workload;     ///< the target when no axis names it
+    unsigned competitors = 0; ///< when no axis sets it
+};
+
+/**
+ * Where one point sits in its grid: a coordinate combination and a
+ * machine, as indices into a shared GridTable. Copying one copies a
+ * pointer and two integers; the names are read through the table.
+ */
+class PointCoords
+{
+  public:
+    PointCoords() = default;
+    PointCoords(std::shared_ptr<const GridTable> table, std::size_t combo,
+                std::size_t machine);
+
+    const std::string &machine() const;
+    const std::string &workload() const;
+    unsigned competitors() const;
+
+    /** The swept (key, value) coordinates, in axis order — the
+     *  machine is not one of them. */
+    std::size_t size() const { return table_ ? table_->axes.size() : 0; }
+    bool empty() const { return size() == 0; }
+    const std::string &key(std::size_t i) const
+    {
+        return table_->axes[i].key;
+    }
+    const std::string &value(std::size_t i) const;
+
+    /** "competitors=2 workload.name=gauss" */
+    std::string str() const;
+
+  private:
+    /** Position of axis @p key, or size() when not swept. */
+    std::size_t axisOf(const char *key) const;
+
+    std::shared_ptr<const GridTable> table_;
+    std::uint32_t combo_ = 0;
+    std::uint32_t machine_ = 0;
+};
+
 /** A fully-resolved grid point, ready to run. */
 struct ScenarioPoint {
     MachineSpec machine;   ///< machine axis value + machine.* overrides
@@ -199,11 +251,9 @@ struct ScenarioPoint {
     std::vector<WorkloadSpec> background; ///< extra [workload] sections
     unsigned competitors = 0;
     std::string competitor = "spinner";
-    /** Swept (key, value) coordinates, in axis order — machine name is
-     *  carried by `machine.name`, not repeated here. */
-    std::vector<std::pair<std::string, std::string>> coords;
-
-    std::string coordString() const; ///< "competitors=2 workload.name=gauss"
+    /** Where the point sits in the grid: the machine name and the
+     *  swept coordinates, read through the grid's shared tables. */
+    PointCoords coords;
 };
 
 /** A validated scenario. */

@@ -90,9 +90,9 @@ gridConfigHash(const Scenario &sc,
         s.str(pt.workload.name);
         s.u32(pt.competitors);
         s.u64(pt.coords.size());
-        for (const auto &[key, value] : pt.coords) {
-            s.str(key);
-            s.str(value);
+        for (std::size_t i = 0; i < pt.coords.size(); ++i) {
+            s.str(pt.coords.key(i));
+            s.str(pt.coords.value(i));
         }
     }
     s.endSection();

@@ -10,9 +10,11 @@ loadApp(arch::MispSystem &system, const GuestApp &app, rt::Backend backend,
     os::Process *proc = kernel.createProcess(app.name);
     mem::AddressSpace &as = proc->addressSpace();
 
-    // Code: the workload program (read-only, demand-paged).
+    // Code: the workload program (read-only, demand-paged), copied from
+    // the image encoded at build time when the app carries one.
     as.defineRegion(app.program.base, app.program.byteSize(),
-                    /*writable=*/false, "code", app.program.bytes());
+                    /*writable=*/false, "code",
+                    app.code.empty() ? app.program.bytes() : app.code);
 
     // The backend's stub library ("shredlib.dll" / "osthreads.dll").
     const isa::Program &stubs = rt::stubLibrary(backend);

@@ -11,26 +11,19 @@ namespace misp::harness {
 
 namespace {
 
-/** Append one interned id to a packed tuple key (4 bytes, fixed
- *  width, so distinct id sequences always pack to distinct keys —
- *  tuple equality is string equality, never a hash accident). */
-void
-packId(std::string &key, std::uint32_t id)
-{
-    key.push_back(char(id & 0xff));
-    key.push_back(char((id >> 8) & 0xff));
-    key.push_back(char((id >> 16) & 0xff));
-    key.push_back(char((id >> 24) & 0xff));
-}
+constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
-void
-packPairs(std::string &key,
-          const std::vector<std::pair<std::uint32_t, std::uint32_t>> &ps)
+/** Hash of an id tuple: its low bits pick the index slot, its high
+ *  32 bits are the slot's tag. */
+std::uint64_t
+hashIds(const std::vector<std::uint32_t> &ids)
 {
-    for (const auto &p : ps) {
-        packId(key, p.first);
-        packId(key, p.second);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint32_t id : ids) {
+        h = (h ^ id) * 0x9e3779b97f4a7c15ull;
+        h ^= h >> 32;
     }
+    return h;
 }
 
 /** The columns read straight off a RunRecord, ahead of the counter
@@ -70,12 +63,20 @@ MetricFrame::MetricFrame()
         metricIds_.emplace(metrics_[m], m);
 }
 
+void
+MetricFrame::reserve(std::size_t rows)
+{
+    rows_.reserve(rows);
+    for (std::vector<double> &column : columns_)
+        column.reserve(rows);
+}
+
 MetricFrame::Id
 MetricFrame::intern(const std::string &s)
 {
-    auto [it, fresh] =
-        internIds_.emplace(s, static_cast<Id>(internIds_.size()));
-    (void)fresh;
+    auto [it, fresh] = internIds_.emplace(s, static_cast<Id>(names_.size()));
+    if (fresh)
+        names_.push_back(&it->first);
     return it->second;
 }
 
@@ -87,32 +88,23 @@ MetricFrame::lookupId(const std::string &s) const
 }
 
 void
-MetricFrame::internRow(const Row &row)
-{
-    RowKeys keys;
-    keys.machine = intern(row.machine);
-    keys.coords.reserve(row.coords.size());
-    for (const Coord &c : row.coords)
-        keys.coords.emplace_back(intern(c.first), intern(c.second));
-    rowKeys_.push_back(std::move(keys));
-}
-
-void
-MetricFrame::addRow(std::string machine, std::string workload,
-                    unsigned competitors, std::vector<Coord> coords,
-                    const RunRecord &run)
+MetricFrame::addRow(Id machine, Id workload, unsigned competitors,
+                    const std::vector<CoordId> &coords, const RunRecord &run)
 {
     if (finalized_)
         fatal("MetricFrame: addRow() after finalize()");
+    // Grid rows all carry the same axes: the first row sizes the pool.
+    if (coordPool_.empty())
+        coordPool_.reserve(rows_.capacity() * coords.size());
     Row row;
-    row.machine = std::move(machine);
-    row.workload = std::move(workload);
+    row.machine = machine;
+    row.workload = workload;
     row.competitors = competitors;
-    row.coords = std::move(coords);
     row.status = run.status;
-    row.statsJson = run.statsJson;
-    rows_.push_back(std::move(row));
-    internRow(rows_.back());
+    row.coordBegin = static_cast<std::uint32_t>(coordPool_.size());
+    row.coordCount = static_cast<std::uint32_t>(coords.size());
+    coordPool_.insert(coordPool_.end(), coords.begin(), coords.end());
+    rows_.push_back(row);
 
     std::size_t c = 0;
     for (const BaseColumn &b : kBaseColumns)
@@ -123,69 +115,151 @@ MetricFrame::addRow(std::string machine, std::string workload,
         columns_[c++].push_back(run.perMegaInsts(v));
 }
 
+template <class Emit>
+bool
+MetricFrame::eachId(Tuple kind, Id axis, std::size_t r, Emit &&emit) const
+{
+    if (kind == Tuple::AxisMasked && !emit(axis))
+        return false;
+    if (kind != Tuple::Coords && !emit(rows_[r].machine))
+        return false;
+    std::span<const CoordId> cs = coords(r);
+    std::vector<CoordId> sorted;
+    if (kind == Tuple::MachineSorted) {
+        sorted.assign(cs.begin(), cs.end());
+        std::sort(sorted.begin(), sorted.end());
+        cs = sorted;
+    }
+    for (const CoordId &c : cs) {
+        if (!emit(c.key) ||
+            !emit(kind == Tuple::AxisMasked && c.key == axis ? kNoId
+                                                              : c.value))
+            return false;
+    }
+    return true;
+}
+
+void
+MetricFrame::tupleOf(Tuple kind, Id axis, std::size_t r,
+                     std::vector<Id> *out) const
+{
+    out->clear();
+    eachId(kind, axis, r, [&](Id id) {
+        out->push_back(id);
+        return true;
+    });
+}
+
+bool
+MetricFrame::tupleIs(Tuple kind, Id axis, std::size_t r,
+                     const std::vector<Id> &key) const
+{
+    std::size_t at = 0;
+    return eachId(kind, axis, r,
+                  [&](Id id) { return at < key.size() && key[at++] == id; }) &&
+           at == key.size();
+}
+
+void
+MetricFrame::buildIndex(TupleIndex *index, Tuple kind, Id axis,
+                        std::vector<std::size_t> *owner) const
+{
+    // Linear probing at a load factor of at most 3/4.
+    std::size_t slots = 1;
+    while (slots * 3 < rows_.size() * 4 + 1)
+        slots *= 2;
+    index->slots.assign(slots, {kEmptySlot, 0});
+    const std::size_t mask = slots - 1;
+    std::vector<Id> key;
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+        tupleOf(kind, axis, r, &key);
+        const std::uint64_t h = hashIds(key);
+        const auto tag = static_cast<std::uint32_t>(h >> 32);
+        // Insert-first: the first row owning a tuple keeps it, matching
+        // the "first match in grid order" contract of the linear walks.
+        std::size_t s = h & mask;
+        for (;; s = (s + 1) & mask) {
+            TupleIndex::Slot &slot = index->slots[s];
+            if (slot.row == kEmptySlot) {
+                slot = {static_cast<std::uint32_t>(r), tag};
+                break;
+            }
+            if (slot.hash == tag && tupleIs(kind, axis, slot.row, key))
+                break;
+        }
+        if (owner)
+            owner->push_back(index->slots[s].row);
+    }
+}
+
+std::size_t
+MetricFrame::findIn(const TupleIndex &index, Tuple kind, Id axis,
+                    const std::vector<Id> &key) const
+{
+    if (index.slots.empty())
+        return npos;
+    const std::uint64_t h = hashIds(key);
+    const auto tag = static_cast<std::uint32_t>(h >> 32);
+    const std::size_t mask = index.slots.size() - 1;
+    for (std::size_t s = h & mask;; s = (s + 1) & mask) {
+        const TupleIndex::Slot &slot = index.slots[s];
+        if (slot.row == kEmptySlot)
+            return npos;
+        if (slot.hash == tag && tupleIs(kind, axis, slot.row, key))
+            return slot.row;
+    }
+}
+
 void
 MetricFrame::computeGroups()
 {
     // Group rows by coordinate combination, preserving first-seen
     // order (the grid expands machines fastest, so a group is the
-    // machine list at one sweep coordinate). The hashed tuple index
-    // assigns group numbers in exactly the order the old pairwise
-    // coordinate comparison did, so group numbering — and every
-    // artifact carrying it — is unchanged.
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        std::string key;
-        key.reserve(rowKeys_[r].coords.size() * 8);
-        packPairs(key, rowKeys_[r].coords);
-        auto [it, fresh] =
-            groupOfTuple_.emplace(std::move(key), groups_.size());
-        if (fresh)
-            groups_.emplace_back();
-        rows_[r].group = it->second;
-        groups_[it->second].push_back(r);
+    // machine list at one sweep coordinate). The group index is only
+    // needed here; it is dropped once every row knows its group.
+    std::vector<std::size_t> owner;
+    owner.reserve(rows_.size());
+    {
+        TupleIndex byCoords;
+        buildIndex(&byCoords, Tuple::Coords, kNoId, &owner);
     }
+    std::uint32_t groups = 0;
+    for (std::size_t r = 0; r < rows_.size(); ++r)
+        rows_[r].group = owner[r] == r ? groups++ : rows_[owner[r]].group;
+
+    groupStart_.assign(groups + 1, 0);
+    for (const Row &row : rows_)
+        ++groupStart_[row.group + 1];
+    for (std::uint32_t g = 0; g < groups; ++g)
+        groupStart_[g + 1] += groupStart_[g];
+    groupRows_.resize(rows_.size());
+    std::vector<std::uint32_t> fill(groupStart_.begin(), groupStart_.end() - 1);
+    for (std::size_t r = 0; r < rows_.size(); ++r)
+        groupRows_[fill[rows_[r].group]++] = static_cast<std::uint32_t>(r);
 }
 
 void
 MetricFrame::buildIndexes()
 {
-    // All emplace-first: the first row owning a tuple wins, matching
-    // the "first match in grid order" contract of the linear walks.
+    buildIndex(&rowOfMachineTuple_, Tuple::MachineCoords, kNoId);
+
     std::unordered_map<Id, std::size_t> axisSlot;
     std::unordered_set<std::uint64_t> axisValueSeen;
     for (std::size_t r = 0; r < rows_.size(); ++r) {
-        const RowKeys &keys = rowKeys_[r];
+        const Id m = rows_[r].machine;
+        if (m >= rowsOfMachine_.size())
+            rowsOfMachine_.resize(m + 1);
+        rowsOfMachine_[m].push_back(static_cast<std::uint32_t>(r));
 
-        std::string tuple;
-        tuple.reserve(keys.coords.size() * 8 + 4);
-        packId(tuple, keys.machine);
-        packPairs(tuple, keys.coords);
-        rowOfMachineTuple_.emplace(tuple, r);
-
-        std::vector<std::pair<Id, Id>> sorted = keys.coords;
-        std::sort(sorted.begin(), sorted.end());
-        std::string sortedKey;
-        sortedKey.reserve(sorted.size() * 8 + 4);
-        packId(sortedKey, keys.machine);
-        packPairs(sortedKey, sorted);
-        rowOfSortedTuple_.emplace(std::move(sortedKey), r);
-
-        if (keys.machine >= rowsOfMachine_.size())
-            rowsOfMachine_.resize(keys.machine + 1);
-        rowsOfMachine_[keys.machine].push_back(r);
-
-        for (std::size_t c = 0; c < keys.coords.size(); ++c) {
-            const Id k = keys.coords[c].first;
-            const Id v = keys.coords[c].second;
+        for (const CoordId &c : coords(r)) {
             auto [slot, freshAxis] =
-                axisSlot.emplace(k, axisValues_.size());
+                axisSlot.emplace(c.key, axisValues_.size());
             if (freshAxis)
-                axisValues_.emplace_back(rows_[r].coords[c].first,
-                                         std::vector<std::string>{});
+                axisValues_.emplace_back(c.key, std::vector<Id>{});
             const std::uint64_t kv =
-                (std::uint64_t(k) << 32) | std::uint64_t(v);
+                (std::uint64_t(c.key) << 32) | std::uint64_t(c.value);
             if (axisValueSeen.insert(kv).second)
-                axisValues_[slot->second].second.push_back(
-                    rows_[r].coords[c].second);
+                axisValues_[slot->second].second.push_back(c.value);
         }
     }
 }
@@ -207,10 +281,11 @@ MetricFrame::finalize(const std::string &baselineMachine)
     // once per row).
     metrics_.push_back("speedup");
     metricIds_.emplace("speedup", metrics_.size() - 1);
-    std::vector<std::size_t> baseOfGroup(groups_.size());
-    for (std::size_t g = 0; g < groups_.size(); ++g)
+    std::vector<std::size_t> baseOfGroup(numGroups());
+    for (std::size_t g = 0; g < numGroups(); ++g)
         baseOfGroup[g] = rowInGroup(g, baselineMachine);
     std::vector<double> &speedup = columns_.emplace_back();
+    speedup.reserve(rows_.size());
     for (std::size_t r = 0; r < rows_.size(); ++r) {
         std::size_t base = baseOfGroup[rows_[r].group];
         speedup.push_back(base != npos ? speedupOf(r, base) : 0.0);
@@ -261,20 +336,14 @@ MetricFrame::at(std::size_t r, const std::string &metric) const
     return v;
 }
 
-const std::vector<MetricFrame::Coord> &
-MetricFrame::groupCoords(std::size_t g) const
-{
-    return rows_[groups_[g].front()].coords;
-}
-
 std::string
 MetricFrame::groupLabel(std::size_t g) const
 {
     std::string out;
-    for (const Coord &c : groupCoords(g)) {
+    for (const CoordId &c : groupCoords(g)) {
         if (!out.empty())
             out += " ";
-        out += c.first + "=" + c.second;
+        out += name(c.key) + "=" + name(c.value);
     }
     return out.empty() ? "-" : out;
 }
@@ -285,8 +354,8 @@ MetricFrame::rowInGroup(std::size_t g, const std::string &machine) const
     const Id m = lookupId(machine);
     if (m == kNoId)
         return npos;
-    for (std::size_t r : groups_[g]) {
-        if (rowKeys_[r].machine == m)
+    for (std::size_t r : groupRows(g)) {
+        if (rows_[r].machine == m)
             return r;
     }
     return npos;
@@ -295,7 +364,7 @@ MetricFrame::rowInGroup(std::size_t g, const std::string &machine) const
 bool
 MetricFrame::groupHasFailure(std::size_t g) const
 {
-    for (std::size_t r : groups_[g]) {
+    for (std::size_t r : groupRows(g)) {
         if (runStatusIsInfraFailure(rows_[r].status))
             return true;
     }
@@ -309,79 +378,52 @@ MetricFrame::rowWithOverrides(std::size_t g, const std::string &machine,
     const Id m = lookupId(machine);
     if (m == kNoId)
         return npos;
-    std::vector<std::pair<Id, Id>> want =
-        rowKeys_[groups_[g].front()].coords;
+    // The group's (machine, coordinates) tuple, then the machine and
+    // the overridden values substituted in place.
+    std::vector<Id> key;
+    tupleOf(Tuple::MachineCoords, kNoId, groupRows(g).front(), &key);
+    key[0] = m;
     for (const Coord &o : overrides) {
         const Id k = lookupId(o.first);
         if (k == kNoId)
             continue; // key unseen anywhere: substitutes nothing
         const Id v = lookupId(o.second);
         bool present = false;
-        for (auto &c : want) {
-            if (c.first == k) {
+        for (std::size_t i = 1; i < key.size(); i += 2) {
+            if (key[i] == k) {
                 present = true;
-                c.second = v;
+                key[i + 1] = v;
             }
         }
         // A value string no row carries can never match.
         if (present && v == kNoId)
             return npos;
     }
-    std::string key;
-    key.reserve(want.size() * 8 + 4);
-    packId(key, m);
-    packPairs(key, want);
-    auto it = rowOfMachineTuple_.find(key);
-    return it == rowOfMachineTuple_.end() ? npos : it->second;
-}
-
-void
-MetricFrame::buildAxisBaselineIndex(Id axisId) const
-{
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        const RowKeys &keys = rowKeys_[r];
-        std::string key;
-        key.reserve(keys.coords.size() * 8 + 8);
-        packId(key, axisId);
-        packId(key, keys.machine);
-        for (const auto &c : keys.coords) {
-            packId(key, c.first);
-            packId(key, c.first == axisId ? kNoId : c.second);
-        }
-        axisBaseline_.emplace(std::move(key), r);
-    }
-    axisBaselineBuilt_.push_back(axisId);
+    return findIn(rowOfMachineTuple_, Tuple::MachineCoords, kNoId, key);
 }
 
 std::size_t
 MetricFrame::axisBaselineRow(std::size_t r,
                              const std::string &axis) const
 {
-    const RowKeys &keys = rowKeys_[r];
+    std::vector<Id> key;
     const Id axisId = lookupId(axis);
     if (axisId == kNoId) {
         // No row carries the axis, so the baseline is simply the
         // first row with this row's machine and exact coordinates.
-        std::string key;
-        key.reserve(keys.coords.size() * 8 + 4);
-        packId(key, keys.machine);
-        packPairs(key, keys.coords);
-        auto it = rowOfMachineTuple_.find(key);
-        return it == rowOfMachineTuple_.end() ? npos : it->second;
+        tupleOf(Tuple::MachineCoords, kNoId, r, &key);
+        return findIn(rowOfMachineTuple_, Tuple::MachineCoords, kNoId,
+                      key);
     }
-    if (std::find(axisBaselineBuilt_.begin(), axisBaselineBuilt_.end(),
-                  axisId) == axisBaselineBuilt_.end())
-        buildAxisBaselineIndex(axisId);
-    std::string key;
-    key.reserve(keys.coords.size() * 8 + 8);
-    packId(key, axisId);
-    packId(key, keys.machine);
-    for (const auto &c : keys.coords) {
-        packId(key, c.first);
-        packId(key, c.first == axisId ? kNoId : c.second);
+    auto built = std::find_if(axisBaseline_.begin(), axisBaseline_.end(),
+                              [&](const auto &a) { return a.first == axisId; });
+    if (built == axisBaseline_.end()) {
+        axisBaseline_.emplace_back(axisId, TupleIndex{});
+        built = axisBaseline_.end() - 1;
+        buildIndex(&built->second, Tuple::AxisMasked, axisId);
     }
-    auto it = axisBaseline_.find(key);
-    return it == axisBaseline_.end() ? npos : it->second;
+    tupleOf(Tuple::AxisMasked, axisId, r, &key);
+    return findIn(built->second, Tuple::AxisMasked, axisId, key);
 }
 
 std::size_t
@@ -392,36 +434,39 @@ MetricFrame::findRow(const std::string &machine,
     if (m == kNoId || m >= rowsOfMachine_.size() ||
         rowsOfMachine_[m].empty())
         return npos;
-    std::vector<std::pair<Id, Id>> want;
+    std::vector<CoordId> want;
     want.reserve(coords.size());
     for (const Coord &c : coords) {
         const Id k = lookupId(c.first);
         const Id v = lookupId(c.second);
         if (k == kNoId || v == kNoId)
             return npos; // an unseen key or value matches no row
-        want.emplace_back(k, v);
+        want.push_back({k, v});
     }
-    const std::vector<std::size_t> &mine = rowsOfMachine_[m];
+    const std::vector<std::uint32_t> &mine = rowsOfMachine_[m];
     // Full-tuple fast path: a query naming every axis is an exact
     // sorted-tuple hash hit. A miss (or a partial query) falls back to
     // a containment scan over this machine's rows — id comparisons
     // only, never strings.
-    if (want.size() == rowKeys_[mine.front()].coords.size()) {
-        std::vector<std::pair<Id, Id>> sorted = want;
-        std::sort(sorted.begin(), sorted.end());
-        std::string key;
-        key.reserve(sorted.size() * 8 + 4);
-        packId(key, m);
-        packPairs(key, sorted);
-        auto it = rowOfSortedTuple_.find(key);
-        if (it != rowOfSortedTuple_.end())
-            return it->second;
+    if (want.size() == rows_[mine.front()].coordCount) {
+        if (rowOfSortedTuple_.slots.empty())
+            buildIndex(&rowOfSortedTuple_, Tuple::MachineSorted, kNoId);
+        std::sort(want.begin(), want.end());
+        std::vector<Id> key{m};
+        for (const CoordId &c : want) {
+            key.push_back(c.key);
+            key.push_back(c.value);
+        }
+        const std::size_t hit =
+            findIn(rowOfSortedTuple_, Tuple::MachineSorted, kNoId, key);
+        if (hit != npos)
+            return hit;
     }
     for (std::size_t r : mine) {
         bool match = true;
-        for (const auto &w : want) {
+        for (const CoordId &w : want) {
             bool found = false;
-            for (const auto &have : rowKeys_[r].coords)
+            for (const CoordId &have : this->coords(r))
                 found = found || have == w;
             match = match && found;
         }
@@ -431,11 +476,12 @@ MetricFrame::findRow(const std::string &machine,
     return npos;
 }
 
-const std::vector<std::string> *
+const std::vector<MetricFrame::Id> *
 MetricFrame::axisValues(const std::string &key) const
 {
+    const Id k = lookupId(key);
     for (const auto &axis : axisValues_) {
-        if (axis.first == key)
+        if (axis.first == k)
             return &axis.second;
     }
     return nullptr;
@@ -448,7 +494,7 @@ MetricFrame::writeJson(std::ostream &os) const
     using stats::writeJsonQuoted;
     os << "{\n";
     os << "  \"rows\": " << rows_.size() << ",\n";
-    os << "  \"groups\": " << groups_.size() << ",\n";
+    os << "  \"groups\": " << numGroups() << ",\n";
     os << "  \"metrics\": [";
     for (std::size_t m = 0; m < metrics_.size(); ++m) {
         os << (m ? ", " : "");
@@ -461,18 +507,20 @@ MetricFrame::writeJson(std::ostream &os) const
         os << (r ? ",\n" : "\n");
         os << "    {\n";
         os << "      \"machine\": ";
-        writeJsonQuoted(os, row.machine);
+        writeJsonQuoted(os, name(row.machine));
         os << ",\n";
         os << "      \"workload\": ";
-        writeJsonQuoted(os, row.workload);
+        writeJsonQuoted(os, name(row.workload));
         os << ",\n";
         os << "      \"competitors\": " << row.competitors << ",\n";
         os << "      \"coords\": {";
-        for (std::size_t c = 0; c < row.coords.size(); ++c) {
-            os << (c ? ", " : "");
-            writeJsonQuoted(os, row.coords[c].first);
+        bool first = true;
+        for (const CoordId &c : coords(r)) {
+            os << (first ? "" : ", ");
+            first = false;
+            writeJsonQuoted(os, name(c.key));
             os << ": ";
-            writeJsonQuoted(os, row.coords[c].second);
+            writeJsonQuoted(os, name(c.value));
         }
         os << "},\n";
         os << "      \"group\": " << row.group << ",\n";

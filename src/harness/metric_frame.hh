@@ -27,11 +27,16 @@
  * workload) form a group, the evaluation unit of per-point asserts and
  * the denominator of machine-relative metrics like speedup.
  *
- * Scale: axis keys/values and machine names are interned into
- * integer ids on addRow, and finalize() builds hashed coord-tuple
- * indexes over them, so every lookup (cross-axis selectors, group and
- * baseline resolution, findRow) costs O(1) id hashing instead of an
- * O(rows) string-compare walk. Row iteration and
+ * Scale: axis keys/values, machine and workload names are interned
+ * once into integer ids, and a row holds only ids, a status and its
+ * place in the coordinate pool; the columns are reserved once from the
+ * row count (reserve()). Open-addressed indexes over the rows'
+ * fixed-width id tuples (built by finalize(), or on first use for
+ * findRow and baseline_axis) make every lookup (cross-axis
+ * selectors, group and baseline resolution, findRow) costs O(1) id
+ * hashing instead of an O(rows) string-compare walk. A frame holds
+ * about 335 B a row, 264 B of it the 33 columns (1,269 B with string
+ * coordinates and string-keyed indexes). Row iteration and
  * group numbering stay in grid order, so the indexes change no emitted
  * byte. Lookups need a finalized frame; the linear walk the indexes
  * replaced lives on only as bench/ablation_frame_scale's baseline.
@@ -43,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -55,33 +61,57 @@ namespace misp::harness {
 class MetricFrame
 {
   public:
-    /** One sweep coordinate: (axis key, value), both as spelled in the
-     *  spec (e.g. {"machine.signal_cycles", "5000"}). */
+    /** Interned symbol id: a machine or workload name, an axis key or
+     *  an axis value. name() maps it back. */
+    using Id = std::uint32_t;
+    static constexpr Id kNoId = 0xffffffffu;
+
+    /** One sweep coordinate as spelled in the spec (e.g.
+     *  {"machine.signal_cycles", "5000"}): the query form. */
     using Coord = std::pair<std::string, std::string>;
 
-    /** Row identity: where in the sweep this run sits. The measured
-     *  numbers live in the columns, not here. */
+    /** One stored sweep coordinate: (axis key id, value id). */
+    struct CoordId {
+        Id key = kNoId;
+        Id value = kNoId;
+        bool operator==(const CoordId &) const = default;
+        auto operator<=>(const CoordId &) const = default;
+    };
+
+    /** Row identity: where in the sweep this run sits, as ids. The
+     *  measured numbers live in the columns, the coordinates in the
+     *  frame's coordinate pool (coords()). */
     struct Row {
-        std::string machine;
-        std::string workload;
+        Id machine = kNoId;
+        Id workload = kNoId;
         unsigned competitors = 0;
-        std::vector<Coord> coords;
         RunStatus status = RunStatus::MaxTicksReached;
-        /** Full stats::StatGroup dump when the run captured one. */
-        std::string statsJson;
         /** Coordinate-group index (valid after finalize()). */
-        std::size_t group = 0;
+        std::uint32_t group = 0;
+        std::uint32_t coordBegin = 0; ///< first entry in the pool
+        std::uint32_t coordCount = 0;
     };
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
     MetricFrame();
+    // The interner's names_ point into its own map: move, never copy.
+    MetricFrame(const MetricFrame &) = delete;
+    MetricFrame &operator=(const MetricFrame &) = delete;
+    MetricFrame(MetricFrame &&) = default;
+    MetricFrame &operator=(MetricFrame &&) = default;
 
-    /** Append one grid point's measurements. Rows must be added in
-     *  grid (submission) order; iteration order is insertion order. */
-    void addRow(std::string machine, std::string workload,
-                unsigned competitors, std::vector<Coord> coords,
-                const RunRecord &run);
+    /** Size the row table and every column for @p rows rows, once. */
+    void reserve(std::size_t rows);
+
+    /** The id of @p s, interning it on first sight. */
+    Id intern(const std::string &s);
+
+    /** Append one grid point's measurements: ids from intern(), the
+     *  coordinates in axis order. Rows must be added in grid
+     *  (submission) order; iteration order is insertion order. */
+    void addRow(Id machine, Id workload, unsigned competitors,
+                const std::vector<CoordId> &coords, const RunRecord &run);
 
     /**
      * Compute the coordinate groups and, when @p baselineMachine is
@@ -94,8 +124,18 @@ class MetricFrame
     // Shape ------------------------------------------------------------
 
     std::size_t numRows() const { return rows_.size(); }
-    std::size_t numGroups() const { return groups_.size(); }
+    std::size_t numGroups() const { return groupStart_.size() - 1; }
     const Row &row(std::size_t r) const { return rows_[r]; }
+
+    /** The string an id stands for. */
+    const std::string &name(Id id) const { return *names_[id]; }
+
+    /** Row @p r's coordinates, in axis order. */
+    std::span<const CoordId> coords(std::size_t r) const
+    {
+        return {coordPool_.data() + rows_[r].coordBegin,
+                rows_[r].coordCount};
+    }
 
     /** Column names, in emission order. */
     const std::vector<std::string> &metrics() const { return metrics_; }
@@ -121,13 +161,17 @@ class MetricFrame
     // Group queries ------------------------------------------------------
 
     /** Rows of coordinate group @p g, in grid order. */
-    const std::vector<std::size_t> &groupRows(std::size_t g) const
+    std::span<const std::uint32_t> groupRows(std::size_t g) const
     {
-        return groups_[g];
+        return {groupRows_.data() + groupStart_[g],
+                groupStart_[g + 1] - groupStart_[g]};
     }
 
     /** The coordinates every row of group @p g shares. */
-    const std::vector<Coord> &groupCoords(std::size_t g) const;
+    std::span<const CoordId> groupCoords(std::size_t g) const
+    {
+        return coords(groupRows(g).front());
+    }
 
     /** "key=value key=value" rendering of groupCoords ("-" if none). */
     std::string groupLabel(std::size_t g) const;
@@ -164,11 +208,10 @@ class MetricFrame
     std::size_t findRow(const std::string &machine,
                         const std::vector<Coord> &coords) const;
 
-    /** Distinct values of sweep axis @p key, in first-seen row order
-     *  (the selector normalizer's input). nullptr when no row carries
-     *  the axis. Available after finalize(). */
-    const std::vector<std::string> *
-    axisValues(const std::string &key) const;
+    /** Distinct value ids of sweep axis @p key, in first-seen row
+     *  order (the selector normalizer's input). nullptr when no row
+     *  carries the axis. Available after finalize(). */
+    const std::vector<Id> *axisValues(const std::string &key) const;
 
     /**
      * The full frame as deterministic JSON (the `mispsim --metrics`
@@ -181,52 +224,74 @@ class MetricFrame
     void writeJson(std::ostream &os) const;
 
   private:
-    /** Interned symbol id (machine names, axis keys/values). */
-    using Id = std::uint32_t;
-    static constexpr Id kNoId = 0xffffffffu;
-
-    struct RowKeys {
-        Id machine = kNoId;
-        /** (axis key id, value id) in the row's coord order. */
-        std::vector<std::pair<Id, Id>> coords;
+    /**
+     * Open-addressed map from an id tuple to the first row (grid
+     * order) that has it. A slot keeps the row and the tuple's hash,
+     * never the tuple: a probe re-reads the candidate row's tuple and
+     * compares it id by id, so equal keys always mean equal tuples.
+     * Lookup-only: nothing iterates the slots, so no hash order can
+     * leak into an artifact.
+     */
+    struct TupleIndex {
+        struct Slot {
+            std::uint32_t row;
+            std::uint32_t hash;
+        };
+        std::vector<Slot> slots;
+    };
+    /** Which tuple of a row an index is keyed on. */
+    enum class Tuple {
+        Coords,        ///< coordinates in axis order (the group key)
+        MachineCoords, ///< machine, then coordinates in axis order
+        MachineSorted, ///< machine, then coordinates sorted by id
+        AxisMasked,    ///< axis, machine, coordinates with its value masked
     };
 
-    Id intern(const std::string &s);
     Id lookupId(const std::string &s) const;
-
     std::size_t metricIndex(const std::string &name) const;
-    void internRow(const Row &row);
+    /** Calls @p emit with each id of row @p r's @p kind tuple, in
+     *  order, until it returns false; true when it ran to the end.
+     *  The one definition of every tuple's layout. */
+    template <class Emit>
+    bool eachId(Tuple kind, Id axis, std::size_t r, Emit &&emit) const;
+    void tupleOf(Tuple kind, Id axis, std::size_t r,
+                 std::vector<Id> *out) const;
+    bool tupleIs(Tuple kind, Id axis, std::size_t r,
+                 const std::vector<Id> &key) const;
+    void buildIndex(TupleIndex *index, Tuple kind, Id axis,
+                    std::vector<std::size_t> *owner = nullptr) const;
+    std::size_t findIn(const TupleIndex &index, Tuple kind, Id axis,
+                       const std::vector<Id> &key) const;
     void computeGroups();
     void buildIndexes();
-    void buildAxisBaselineIndex(Id axisId) const;
 
     std::vector<std::string> metrics_;
     std::vector<std::vector<double>> columns_; ///< [metric][row]
     std::vector<Row> rows_;
-    std::vector<std::vector<std::size_t>> groups_;
+    std::vector<CoordId> coordPool_; ///< every row's coordinates
+    /** Rows by group (grid order within a group); group g's rows are
+     *  groupRows_[groupStart_[g] .. groupStart_[g + 1]). */
+    std::vector<std::uint32_t> groupRows_;
+    std::vector<std::uint32_t> groupStart_{0};
     bool finalized_ = false;
 
-    // The interner and the hashed tuple indexes. Keys are the interned
-    // ids packed into strings, so equal keys mean equal tuples (no
-    // hash-collision conflation). Lookup-only: nothing ever iterates
-    // these maps, so no hash order can leak into any artifact.
+    /** The interner: each string once, as a map key; names_[id]
+     *  points at it (map nodes never move). */
     std::unordered_map<std::string, Id> internIds_;
-    std::vector<RowKeys> rowKeys_;           ///< [row]
+    std::vector<const std::string *> names_;
     std::unordered_map<std::string, std::size_t> metricIds_;
-    std::unordered_map<std::string, std::size_t> groupOfTuple_;
-    std::unordered_map<std::string, std::size_t> rowOfMachineTuple_;
-    std::unordered_map<std::string, std::size_t> rowOfSortedTuple_;
-    std::vector<std::vector<std::size_t>> rowsOfMachine_; ///< [machine id]
-    std::vector<std::pair<std::string, std::vector<std::string>>>
-        axisValues_; ///< per axis, values in first-seen order
 
-    /** Lazy `baseline_axis` index: packed (axis, machine, coords with
-     *  the axis value masked) -> first matching row. Built once per
-     *  axis on first use; mutable because axisBaselineRow is
-     *  logically const (queries are single-threaded). */
-    mutable std::unordered_map<std::string, std::size_t>
-        axisBaseline_;
-    mutable std::vector<Id> axisBaselineBuilt_;
+    TupleIndex rowOfMachineTuple_;
+    std::vector<std::vector<std::uint32_t>> rowsOfMachine_; ///< [machine id]
+    std::vector<std::pair<Id, std::vector<Id>>>
+        axisValues_; ///< per axis, value ids in first-seen order
+
+    // Lazy indexes, built on first use: findRow's sorted-tuple index
+    // and one `baseline_axis` index per axis asked for. Mutable
+    // because the lookups are logically const (queries are
+    // single-threaded).
+    mutable TupleIndex rowOfSortedTuple_;
+    mutable std::vector<std::pair<Id, TupleIndex>> axisBaseline_;
 };
 
 } // namespace misp::harness

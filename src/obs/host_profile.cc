@@ -54,7 +54,8 @@ writePhase(std::ostream &os, const char *name, const PhaseAgg &agg,
 } // namespace
 
 void
-writeProfileJson(std::ostream &os, const std::vector<PointProfile> &points)
+writeProfileJson(std::ostream &os, std::size_t points,
+                 const std::function<PointProfile(std::size_t)> &point)
 {
     PhaseAgg parse, warmup, run, serialize;
     double hostTotal = 0;
@@ -67,7 +68,8 @@ writeProfileJson(std::ostream &os, const std::vector<PointProfile> &points)
     };
     std::map<std::string, EngineAgg> engines;
 
-    for (const PointProfile &p : points) {
+    for (std::size_t i = 0; i < points; ++i) {
+        const PointProfile p = point(i);
         parse.add(p.phases.parse);
         warmup.add(p.phases.warmup);
         run.add(p.phases.run);
@@ -81,7 +83,7 @@ writeProfileJson(std::ostream &os, const std::vector<PointProfile> &points)
     }
 
     os << "{\n";
-    os << "  \"points\": " << points.size() << ",\n";
+    os << "  \"points\": " << points << ",\n";
     os << "  \"host_seconds\": " << num(hostTotal) << ",\n";
     os << "  \"insts_retired\": " << instsTotal << ",\n";
     os << "  \"histogram_bucket_upper_s\": [";
@@ -89,13 +91,13 @@ writeProfileJson(std::ostream &os, const std::vector<PointProfile> &points)
         os << (b ? ", " : "") << num(kBuckets[b]);
     os << "],\n";
     os << "  \"phases\": {\n";
-    writePhase(os, "parse", parse, points.size());
+    writePhase(os, "parse", parse, points);
     os << ",\n";
-    writePhase(os, "warmup", warmup, points.size());
+    writePhase(os, "warmup", warmup, points);
     os << ",\n";
-    writePhase(os, "run", run, points.size());
+    writePhase(os, "run", run, points);
     os << ",\n";
-    writePhase(os, "serialize", serialize, points.size());
+    writePhase(os, "serialize", serialize, points);
     os << "\n  },\n";
     os << "  \"engines\": {\n";
     bool first = true;

@@ -14,10 +14,11 @@
 #ifndef MISP_OBS_HOST_PROFILE_HH
 #define MISP_OBS_HOST_PROFILE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 namespace misp::obs {
 
@@ -31,7 +32,6 @@ struct HostPhases {
 
 /** One point's contribution to a --profile summary. */
 struct PointProfile {
-    std::string label;
     std::string engine;
     HostPhases phases;
     double hostSeconds = 0;
@@ -40,12 +40,15 @@ struct PointProfile {
 };
 
 /**
- * Write the profile summary JSON: overall wall/instruction totals,
- * per-phase {total_s, mean_s, max_s, histogram} (fixed log-scale
- * buckets), and per-engine {points, insts, host_s, mips}.
+ * Write the profile summary JSON over @p points points, @p point(i)
+ * giving point i's contribution (formed on demand, never stored):
+ * overall wall/instruction totals, per-phase {total_s, mean_s, max_s,
+ * histogram} (fixed log-scale buckets), and per-engine {points, insts,
+ * host_s, mips}.
  */
-void writeProfileJson(std::ostream &os,
-                      const std::vector<PointProfile> &points);
+void writeProfileJson(
+    std::ostream &os, std::size_t points,
+    const std::function<PointProfile(std::size_t)> &point);
 
 } // namespace misp::obs
 

@@ -140,7 +140,8 @@ parseTraceCats(const std::string &spec, std::uint32_t *mask,
 }
 
 void
-writeChromeTrace(std::ostream &os, const std::vector<TracePoint> &points)
+writeChromeTrace(std::ostream &os, std::size_t points,
+                 const std::function<TracePoint(std::size_t)> &point)
 {
     os << "{\"traceEvents\":[";
     bool first = true;
@@ -151,8 +152,8 @@ writeChromeTrace(std::ostream &os, const std::vector<TracePoint> &points)
             os << "\n";
         first = false;
     };
-    for (std::size_t pid = 0; pid < points.size(); ++pid) {
-        const TracePoint &pt = points[pid];
+    for (std::size_t pid = 0; pid < points; ++pid) {
+        const TracePoint pt = point(pid);
         sep();
         // Escaping: point labels are driver-built from spec identifiers
         // (no quotes/backslashes), but stay safe anyway.

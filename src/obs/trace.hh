@@ -36,7 +36,9 @@
 #ifndef MISP_OBS_TRACE_HH
 #define MISP_OBS_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -259,14 +261,16 @@ struct TracePoint {
 };
 
 /**
- * Emit a Chrome trace-event / Perfetto-compatible JSON file: one
- * process per point (pid = point index), one thread per sequencer
- * (tid = sid), instant events with ts = simulated tick. Deterministic
- * byte-for-byte: integer-only fields, fixed key order, points in index
- * order, events in record order.
+ * Emit a Chrome trace-event / Perfetto-compatible JSON file over
+ * @p points points, @p point(i) giving point i's label and buffer
+ * (formed on demand, never stored): one process per point (pid = point
+ * index), one thread per sequencer (tid = sid), instant events with
+ * ts = simulated tick. Deterministic byte-for-byte: integer-only
+ * fields, fixed key order, points in index order, events in record
+ * order.
  */
-void writeChromeTrace(std::ostream &os,
-                      const std::vector<TracePoint> &points);
+void writeChromeTrace(std::ostream &os, std::size_t points,
+                      const std::function<TracePoint(std::size_t)> &point);
 
 } // namespace misp::obs
 

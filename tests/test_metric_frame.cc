@@ -16,6 +16,7 @@
 #include "driver/report.hh"
 #include "driver/runner.hh"
 #include "harness/metric_frame.hh"
+#include "point_fixtures.hh"
 #include "sim/logging.hh"
 #include "snapshot/serialize.hh"
 #include "snapshot/snapshot.hh"
@@ -53,9 +54,7 @@ fakePoint(const std::string &machine, const std::string &workload,
           std::vector<std::pair<std::string, std::string>> coords = {})
 {
     PointResult r;
-    r.machine = machine;
-    r.workload = workload;
-    r.coords = std::move(coords);
+    r.coords = test::pointAt(machine, workload, coords);
     r.run.status = harness::RunStatus::Completed;
     r.run.ticks = ticks;
     r.run.valid = true;
@@ -142,9 +141,7 @@ failedPoint(const std::string &machine, const std::string &workload,
             std::vector<std::pair<std::string, std::string>> coords = {})
 {
     PointResult r;
-    r.machine = machine;
-    r.workload = workload;
-    r.coords = std::move(coords);
+    r.coords = test::pointAt(machine, workload, coords);
     r.run.status = status;
     r.run.valid = false;
     r.run.attempts = attempts;
@@ -176,8 +173,12 @@ TEST(MetricFrame, ColumnarConstructionAndGroups)
 
     ASSERT_EQ(frame.numRows(), 4u);
     ASSERT_EQ(frame.numGroups(), 2u);
-    EXPECT_EQ(frame.groupRows(0), (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(frame.groupRows(1), (std::vector<std::size_t>{2, 3}));
+    auto rowsOf = [&](std::size_t g) {
+        return std::vector<std::size_t>(frame.groupRows(g).begin(),
+                                        frame.groupRows(g).end());
+    };
+    EXPECT_EQ(rowsOf(0), (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(rowsOf(1), (std::vector<std::size_t>{2, 3}));
     EXPECT_EQ(frame.groupLabel(0), "workload.param.dim=64");
     EXPECT_EQ(frame.row(3).group, 1u);
 
@@ -600,7 +601,7 @@ TEST(FrameEmitters, JsonMatchesLegacyFormatByteForByte)
     MetricFrame frame = buildMetricFrame(sc, results);
 
     std::ostringstream os;
-    writeJson(os, sc, /*quickMode=*/false, frame);
+    writeJson(os, sc, /*quickMode=*/false, frame, results);
 
     // The legacy emitter walked the PointResults directly; the frame
     // renderer must reproduce it byte for byte (CI diffs depend on
@@ -611,10 +612,10 @@ TEST(FrameEmitters, JsonMatchesLegacyFormatByteForByte)
     for (std::size_t i = 0; i < results.size(); ++i) {
         const PointResult &r = results[i];
         want << (i ? ",\n" : "\n") << "    {\n"
-             << "      \"machine\": \"" << r.machine << "\",\n"
-             << "      \"workload\": \"" << r.workload << "\",\n"
-             << "      \"competitors\": " << r.competitors << ",\n"
-             << "      \"coords\": {\"workload.param.dim\": \"" << r.coords[0].second
+             << "      \"machine\": \"" << r.coords.machine() << "\",\n"
+             << "      \"workload\": \"" << r.coords.workload() << "\",\n"
+             << "      \"competitors\": " << r.coords.competitors() << ",\n"
+             << "      \"coords\": {\"workload.param.dim\": \"" << r.coords.value(0)
              << "\"},\n"
              << "      \"status\": \"completed\",\n"
              << "      \"ticks\": " << r.run.ticks << ",\n"
@@ -664,7 +665,7 @@ TEST(CounterTable, NamesAndKindsAreTheFrameColumnsAndTheWireFields)
     r.run.events.fill(2.75);
     Scenario sc = twoAxisScenario();
     std::ostringstream os;
-    writeJson(os, sc, /*quickMode=*/false, buildMetricFrame(sc, {r}));
+    writeJson(os, sc, /*quickMode=*/false, buildMetricFrame(sc, {r}), {r});
     for (std::size_t i = 0; i < harness::kNumEventCounters; ++i) {
         const harness::EventCounterInfo &c = harness::kEventCounters[i];
         bool cycles = c.kind == harness::EventKind::Cycles;

@@ -18,6 +18,7 @@
 #include "driver/report.hh"
 #include "driver/runner.hh"
 #include "harness/run_record.hh"
+#include "point_fixtures.hh"
 #include "sim/logging.hh"
 #include "workloads/workload.hh"
 
@@ -135,9 +136,7 @@ fakePoint(const std::string &machine, const std::string &workload,
           std::vector<std::pair<std::string, std::string>> coords = {})
 {
     driver::PointResult r;
-    r.machine = machine;
-    r.workload = workload;
-    r.coords = std::move(coords);
+    r.coords = test::pointAt(machine, workload, coords);
     r.run.status = harness::RunStatus::Completed;
     r.run.ticks = ticks;
     r.run.valid = true;
@@ -295,12 +294,13 @@ TEST(PortedBenches, Table1RunsMatchHandRolledLoop)
     for (const PointResult &r : results) {
         HandRolledRun old = handRolledRunWorkload(
             arch::SystemConfig::uniprocessor(7), rt::Backend::Shred,
-            r.workload, params);
-        EXPECT_EQ(r.run.ticks, old.ticks) << r.workload;
+            r.coords.workload(), params);
+        EXPECT_EQ(r.run.ticks, old.ticks) << r.coords.workload();
         EXPECT_TRUE(r.run.valid);
         for (std::size_t i = 0; i < harness::kNumEventCounters; ++i) {
             EXPECT_EQ(r.run.events[i], old.events[i])
-                << r.workload << " " << harness::kEventCounters[i].name;
+                << r.coords.workload() << " "
+                << harness::kEventCounters[i].name;
         }
     }
 }
@@ -410,14 +410,15 @@ TEST(ParallelRunner, Jobs4OutputByteIdenticalToSerial)
         EXPECT_EQ(serial[i].run.ticks, parallel[i].run.ticks);
         EXPECT_EQ(serial[i].run.instsRetired,
                   parallel[i].run.instsRetired);
-        EXPECT_EQ(serial[i].coords, parallel[i].coords);
+        EXPECT_EQ(serial[i].coords.machine(), parallel[i].coords.machine());
+        EXPECT_EQ(serial[i].coords.str(), parallel[i].coords.str());
     }
 
     Scenario sc = mustScenario(text);
     auto render = [&](const std::vector<PointResult> &results) {
         const harness::MetricFrame frame = buildMetricFrame(sc, results);
         std::ostringstream json, table, points;
-        writeJson(json, sc, false, frame);
+        writeJson(json, sc, false, frame, results);
         writeTable(table, sc, frame, false);
         writePoints(points, frame);
         return json.str() + "\x1e" + table.str() + "\x1e" + points.str();
@@ -617,6 +618,7 @@ loadFrame(const std::vector<FakeRow> &rows,
           const std::string &baselineMachine = "")
 {
     harness::MetricFrame frame;
+    std::vector<harness::MetricFrame::CoordId> coords;
     for (const FakeRow &f : rows) {
         std::string workload = "dense_mvm";
         for (const auto &c : f.coords) {
@@ -631,7 +633,11 @@ loadFrame(const std::vector<FakeRow> &rows,
         rec.instsRetired = 2000000;
         rec.events[harness::EventCounter::AmsPageFaults] =
             static_cast<double>(rec.ticks) / 1e5;
-        frame.addRow(f.machine, workload, 0, f.coords, rec);
+        coords.clear();
+        for (const auto &[key, value] : f.coords)
+            coords.push_back({frame.intern(key), frame.intern(value)});
+        frame.addRow(frame.intern(f.machine), frame.intern(workload), 0,
+                     coords, rec);
     }
     frame.finalize(baselineMachine);
     return frame;

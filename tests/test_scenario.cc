@@ -381,7 +381,7 @@ TEST(Scenario, SweepExpansionOrderAndOverrides)
     EXPECT_EQ(pts[2].competitors, 1u);
     EXPECT_EQ(pts[4].workload.name, "applu");
     EXPECT_EQ(pts[0].machine.engine, cpu::Engine::Superblock);
-    EXPECT_EQ(pts[0].coordString(), "workload.name=swim competitors=0");
+    EXPECT_EQ(pts[0].coords.str(), "workload.name=swim competitors=0");
 
     // Quick mode: workload axis replaced, machine.engine knob appended
     // as a single-value axis.
@@ -614,8 +614,8 @@ TEST(RunnerEquivalence, Fig4StyleMachinesMatchHandRolledRuns)
     ASSERT_EQ(results.size(), 2u);
     const PointResult &r1p = results[0]; // grid order: machines as declared
     const PointResult &rMisp = results[1];
-    ASSERT_EQ(r1p.machine, "1p");
-    ASSERT_EQ(rMisp.machine, "misp");
+    ASSERT_EQ(r1p.coords.machine(), "1p");
+    ASSERT_EQ(rMisp.coords.machine(), "misp");
 
     EXPECT_EQ(r1p.run.ticks, oneP);
     EXPECT_EQ(rMisp.run.ticks, misp);
@@ -639,9 +639,9 @@ TEST(RunnerEquivalence, Fig7StylePinnedRunMatchesHandRolled)
         "[workload]\nname = Raytracer\nworkers = 3\n"
         "[sweep]\ncompetitors = 0..1\n");
     ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].competitors, 0u);
+    EXPECT_EQ(results[0].coords.competitors(), 0u);
     EXPECT_EQ(results[0].run.ticks, unloaded);
-    EXPECT_EQ(results[1].competitors, 1u);
+    EXPECT_EQ(results[1].coords.competitors(), 1u);
     EXPECT_EQ(results[1].run.ticks, loaded);
     // Ideal placement keeps the competitor off the MISP CPU: the
     // loaded run cannot be much slower than the unloaded one.
@@ -699,7 +699,7 @@ TEST(Regression, Ring0ReentrySeedsCompleteAndValidate)
     ASSERT_TRUE(sc.expandPoints(false, &all, &err)) << err;
     ASSERT_EQ(all.size(), 40u);
     for (const ScenarioPoint &pt : all)
-        if (pt.coords[0].second == "2" || pt.coords[0].second == "7")
+        if (pt.coords.value(0) == "2" || pt.coords.value(0) == "7")
             pts.push_back(pt);
     ASSERT_EQ(pts.size(), 2u);
 
@@ -713,7 +713,7 @@ TEST(Regression, Ring0ReentrySeedsCompleteAndValidate)
         EXPECT_TRUE(r.run.valid);
     }
     const harness::MetricFrame frame = buildMetricFrame(sc, results);
-    EXPECT_EQ(describePoint(frame.row(1)),
+    EXPECT_EQ(describePoint(frame, 1),
               "machine=misp3 workload=ADAt competitors=0 "
               "machine.kernel_seed=7");
 }
@@ -778,7 +778,7 @@ TEST(Emitters, JsonTableAndPoints)
     const harness::MetricFrame frame = buildMetricFrame(sc, results);
 
     std::ostringstream jsonOs;
-    writeJson(jsonOs, sc, false, frame);
+    writeJson(jsonOs, sc, false, frame, results);
     const std::string json = jsonOs.str();
     EXPECT_NE(json.find("\"scenario\": \"emit\""), std::string::npos);
     EXPECT_NE(json.find("\"ticks\": "), std::string::npos);

@@ -198,7 +198,7 @@ crashedGrid(const GridRun &run, std::size_t *victim)
     std::vector<PointResult> doctored = run.results;
     *victim = harness::MetricFrame::npos;
     for (std::size_t i = 0; i < doctored.size(); ++i) {
-        if (doctored[i].machine == "misp") {
+        if (doctored[i].coords.machine() == "misp") {
             *victim = i;
             break;
         }
@@ -370,10 +370,12 @@ TEST(ShardMerge, DegradedShardPreservesRecordsExactly)
     // attempt count included — and lands on its grid coordinates.
     ASSERT_EQ(merged.size(), doctored.size());
     for (std::size_t i = 0; i < merged.size(); ++i) {
-        EXPECT_EQ(merged[i].machine, doctored[i].machine);
-        EXPECT_EQ(merged[i].workload, doctored[i].workload);
-        EXPECT_EQ(merged[i].competitors, doctored[i].competitors);
-        EXPECT_EQ(merged[i].coords, doctored[i].coords);
+        EXPECT_EQ(merged[i].coords.machine(), doctored[i].coords.machine());
+        EXPECT_EQ(merged[i].coords.workload(),
+                  doctored[i].coords.workload());
+        EXPECT_EQ(merged[i].coords.competitors(),
+                  doctored[i].coords.competitors());
+        EXPECT_EQ(merged[i].coords.str(), doctored[i].coords.str());
         EXPECT_EQ(snap::encodeRunRecord(merged[i].run),
                   snap::encodeRunRecord(doctored[i].run))
             << "point " << i;

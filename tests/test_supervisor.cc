@@ -268,7 +268,7 @@ TEST(Supervisor, PersistentCrashExhaustsRetryBudget)
     ASSERT_TRUE(SpecFile::parse(kSupervisorScn, "<test>", &spec, &err));
     ASSERT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
     const harness::MetricFrame frame = buildMetricFrame(sc, results);
-    EXPECT_EQ(describePoint(frame.row(1)),
+    EXPECT_EQ(describePoint(frame, 1),
               "machine=misp workload=dense_mvm competitors=0 "
               "workload.workers=2");
 }
@@ -377,11 +377,11 @@ TEST(Supervisor, ChaosSweepArtifactsAreDeterministic)
 
     std::ostringstream json1, json2, metrics1, metrics2;
     std::vector<PointResult> run1 = runSupervised(opts, &sc);
-    writeJson(json1, sc, false, buildMetricFrame(sc, run1));
+    writeJson(json1, sc, false, buildMetricFrame(sc, run1), run1);
     writeMetricsJson(metrics1, sc, false, buildMetricFrame(sc, run1));
 
     std::vector<PointResult> run2 = runSupervised(opts);
-    writeJson(json2, sc, false, buildMetricFrame(sc, run2));
+    writeJson(json2, sc, false, buildMetricFrame(sc, run2), run2);
     writeMetricsJson(metrics2, sc, false, buildMetricFrame(sc, run2));
 
     EXPECT_EQ(json1.str(), json2.str());

@@ -56,7 +56,9 @@ std::string
 render(const std::string &label, const obs::TraceBuffer &buf)
 {
     std::ostringstream os;
-    obs::writeChromeTrace(os, {{label, &buf}});
+    obs::writeChromeTrace(os, 1, [&](std::size_t) {
+        return obs::TracePoint{label, &buf};
+    });
     return os.str();
 }
 
@@ -558,7 +560,7 @@ TEST(RunLog, DispatchCountMatchesAttemptsUnderChaos)
         // completed line, and attempts-1 retried lines.
         std::string label = pts[i].machine.name + ":" +
                             pts[i].workload.name + " " +
-                            pts[i].coordString();
+                            pts[i].coords.str();
         std::string key = "\"point\":\"" + label + "\"";
         int dispatched = 0, completed = 0, retried = 0;
         std::istringstream lines(log);

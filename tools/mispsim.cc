@@ -115,7 +115,7 @@ finishSweep(const Scenario &sc, const std::vector<PointResult> &results,
 
     if (!out.jsonPath.empty() &&
         !writeArtifact(out.jsonPath, [&](std::ostream &os) {
-            writeJson(os, sc, out.quick, frame);
+            writeJson(os, sc, out.quick, frame, results);
         }))
         return 1;
     if (!out.metricsPath.empty() &&
@@ -166,7 +166,7 @@ finishSweep(const Scenario &sc, const std::vector<PointResult> &results,
                     std::to_string(static_cast<long long>(attempts)) +
                     "]";
         std::fprintf(stderr, "mispsim: point %s %s\n",
-                     describePoint(row).c_str(), what.c_str());
+                     describePoint(frame, r).c_str(), what.c_str());
         // Infrastructure failures degrade instead of failing when the
         // policy says skip; simulation outcomes (max_ticks, invalid
         // results) are real findings and always fail the run.
@@ -259,16 +259,17 @@ mergeFramesMain(const Scenario &sc,
     // The grid is re-expanded under the mode the shards ran in;
     // mergeShardDumps fails closed if the dumps disagree on it.
     out.quick = dumps[0].header.quick;
-    std::vector<ScenarioPoint> grid;
-    if (!sc.expandPoints(out.quick, &grid, &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
     std::vector<PointResult> results;
-    if (!mergeShardDumps(sc, out.quick, grid, std::move(dumps), &results,
-                         &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
+    {
+        // The grid is needed only to merge; it is gone before the
+        // frame is built.
+        std::vector<ScenarioPoint> grid;
+        if (!sc.expandPoints(out.quick, &grid, &err) ||
+            !mergeShardDumps(sc, out.quick, grid, std::move(dumps),
+                             &results, &err)) {
+            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+            return 1;
+        }
     }
     return finishSweep(sc, results, out);
 }
@@ -592,7 +593,7 @@ main(int argc, char **argv)
             std::printf("  %-10s %-18s competitors=%u",
                         pt.machine.name.c_str(),
                         pt.workload.name.c_str(), pt.competitors);
-            std::string coords = pt.coordString();
+            std::string coords = pt.coords.str();
             if (!coords.empty())
                 std::printf("  [%s]", coords.c_str());
             std::printf("\n");
@@ -654,47 +655,41 @@ main(int argc, char **argv)
     std::vector<PointResult> results =
         runner.runAll(sc, points, showProgress ? &std::cerr : nullptr);
 
-    // Per-point labels for the observability artifacts: coordinates
-    // only, identical across engines and execution backends.
-    auto pointLabel = [&](std::size_t i) {
-        std::string label =
-            results[i].machine + ":" + results[i].workload;
-        std::string coords = points[i].coordString();
-        if (!coords.empty())
-            label += " " + coords;
-        return label;
-    };
-
-    if (!tracePath.empty()) {
-        std::vector<obs::TracePoint> tps;
-        tps.reserve(results.size());
-        for (std::size_t i = 0; i < results.size(); ++i)
-            tps.push_back({pointLabel(i), &results[i].run.trace});
-        if (!writeArtifact(tracePath, [&](std::ostream &os) {
-                obs::writeChromeTrace(os, tps);
-            }))
-            return 1;
-    }
+    if (!tracePath.empty() &&
+        !writeArtifact(tracePath, [&](std::ostream &os) {
+            // Each point's label (coordinates only, identical across
+            // engines and execution backends) is formed as it is
+            // written.
+            obs::writeChromeTrace(os, results.size(), [&](std::size_t i) {
+                const PointCoords &c = results[i].coords;
+                std::string label = c.machine() + ":" + c.workload();
+                if (!c.empty())
+                    label += " " + c.str();
+                return obs::TracePoint{std::move(label),
+                                       &results[i].run.trace};
+            });
+        }))
+        return 1;
 
     if (!profilePath.empty()) {
-        std::vector<obs::PointProfile> profiles;
-        profiles.reserve(results.size());
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            obs::PointProfile p;
-            p.label = pointLabel(i);
-            p.engine = cpu::engineName(
-                forceEngine ? engine : points[i].machine.engine);
-            p.phases = results[i].run.phases;
-            p.hostSeconds = results[i].run.hostSeconds;
-            p.hostMips = results[i].run.hostMips;
-            p.instsRetired = results[i].run.instsRetired;
-            profiles.push_back(std::move(p));
-        }
         if (!writeArtifact(profilePath, [&](std::ostream &os) {
-                obs::writeProfileJson(os, profiles);
+                obs::writeProfileJson(os, results.size(), [&](std::size_t i) {
+                    const harness::RunRecord &run = results[i].run;
+                    obs::PointProfile p;
+                    p.engine = cpu::engineName(
+                        forceEngine ? engine : points[i].machine.engine);
+                    p.phases = run.phases;
+                    p.hostSeconds = run.hostSeconds;
+                    p.hostMips = run.hostMips;
+                    p.instsRetired = run.instsRetired;
+                    return p;
+                });
             }))
             return 1;
     }
 
+    // The points are not needed past the run: release them before the
+    // frame is built, so the two are never alive together.
+    std::vector<ScenarioPoint>().swap(points);
     return finishSweep(sc, results, out);
 }
