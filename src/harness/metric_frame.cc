@@ -160,35 +160,44 @@ MetricFrame::tupleIs(Tuple kind, Id axis, std::size_t r,
            at == key.size();
 }
 
+std::size_t
+MetricFrame::slotOf(const TupleIndex &index, Tuple kind, Id axis,
+                    const std::vector<Id> &key, std::uint64_t hash) const
+{
+    // Linear probing, from the hash's slot to the slot holding @p key's
+    // tuple or the empty slot where it would go.
+    const auto tag = static_cast<std::uint32_t>(hash >> 32);
+    const std::size_t mask = index.slots.size() - 1;
+    std::size_t s = hash & mask;
+    while (index.slots[s].row != kEmptySlot &&
+           !(index.slots[s].hash == tag &&
+             tupleIs(kind, axis, index.slots[s].row, key)))
+        s = (s + 1) & mask;
+    return s;
+}
+
 void
 MetricFrame::buildIndex(TupleIndex *index, Tuple kind, Id axis,
                         std::vector<std::size_t> *owner) const
 {
-    // Linear probing at a load factor of at most 3/4.
+    // A load factor of at most 3/4.
     std::size_t slots = 1;
     while (slots * 3 < rows_.size() * 4 + 1)
         slots *= 2;
     index->slots.assign(slots, {kEmptySlot, 0});
-    const std::size_t mask = slots - 1;
     std::vector<Id> key;
     for (std::size_t r = 0; r < rows_.size(); ++r) {
         tupleOf(kind, axis, r, &key);
         const std::uint64_t h = hashIds(key);
-        const auto tag = static_cast<std::uint32_t>(h >> 32);
+        TupleIndex::Slot &slot =
+            index->slots[slotOf(*index, kind, axis, key, h)];
         // Insert-first: the first row owning a tuple keeps it, matching
         // the "first match in grid order" contract of the linear walks.
-        std::size_t s = h & mask;
-        for (;; s = (s + 1) & mask) {
-            TupleIndex::Slot &slot = index->slots[s];
-            if (slot.row == kEmptySlot) {
-                slot = {static_cast<std::uint32_t>(r), tag};
-                break;
-            }
-            if (slot.hash == tag && tupleIs(kind, axis, slot.row, key))
-                break;
-        }
+        if (slot.row == kEmptySlot)
+            slot = {static_cast<std::uint32_t>(r),
+                    static_cast<std::uint32_t>(h >> 32)};
         if (owner)
-            owner->push_back(index->slots[s].row);
+            owner->push_back(slot.row);
     }
 }
 
@@ -198,16 +207,9 @@ MetricFrame::findIn(const TupleIndex &index, Tuple kind, Id axis,
 {
     if (index.slots.empty())
         return npos;
-    const std::uint64_t h = hashIds(key);
-    const auto tag = static_cast<std::uint32_t>(h >> 32);
-    const std::size_t mask = index.slots.size() - 1;
-    for (std::size_t s = h & mask;; s = (s + 1) & mask) {
-        const TupleIndex::Slot &slot = index.slots[s];
-        if (slot.row == kEmptySlot)
-            return npos;
-        if (slot.hash == tag && tupleIs(kind, axis, slot.row, key))
-            return slot.row;
-    }
+    const TupleIndex::Slot &slot =
+        index.slots[slotOf(index, kind, axis, key, hashIds(key))];
+    return slot.row == kEmptySlot ? npos : slot.row;
 }
 
 void

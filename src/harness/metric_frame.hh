@@ -258,6 +258,8 @@ class MetricFrame
                  std::vector<Id> *out) const;
     bool tupleIs(Tuple kind, Id axis, std::size_t r,
                  const std::vector<Id> &key) const;
+    std::size_t slotOf(const TupleIndex &index, Tuple kind, Id axis,
+                       const std::vector<Id> &key, std::uint64_t hash) const;
     void buildIndex(TupleIndex *index, Tuple kind, Id axis,
                     std::vector<std::size_t> *owner = nullptr) const;
     std::size_t findIn(const TupleIndex &index, Tuple kind, Id axis,

@@ -56,8 +56,8 @@ countedFree(void *p) noexcept
 {
     if (!p)
         return;
-    char *block = static_cast<char *>(p) - kPrefix;
-    gLiveBytes -= static_cast<long long>(*reinterpret_cast<std::size_t *>(block));
+    void *block = static_cast<char *>(p) - kPrefix;
+    gLiveBytes -= static_cast<long long>(*static_cast<std::size_t *>(block));
     std::free(block);
 }
 
