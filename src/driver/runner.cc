@@ -19,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "sim/logging.hh"
 #include "snapshot/snapshot.hh"
 
 namespace misp::driver {
@@ -162,11 +163,13 @@ ScenarioRunner::runAll(const Scenario &sc,
     // deterministic simulation; results land at their submission
     // index, so emitter output is byte-identical whatever the job
     // count. Only the progress lines (stderr) reflect completion
-    // order. A worker claims a whole coordinate group per fetch — the
-    // grid's machines are its innermost loop — so its consecutive
-    // points are grid neighbours and share built workloads (the
-    // previous-point reuse in harness::runOne).
-    const std::size_t claim = std::max<std::size_t>(1, sc.machines.size());
+    // order. While at least one coordinate group per worker remains, a
+    // worker claims a whole group per fetch — the grid's machines are
+    // its innermost loop — so its consecutive points are grid
+    // neighbours and share built workloads (the previous-point reuse
+    // in harness::runOne). The tail goes out one point at a time, so
+    // no worker idles while another still runs several points.
+    const std::size_t group = std::max<std::size_t>(1, sc.machines.size());
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::atomic<bool> failed{false};
@@ -197,10 +200,14 @@ ScenarioRunner::runAll(const Scenario &sc,
     };
     auto worker = [&] {
         for (;;) {
-            const std::size_t begin = next.fetch_add(claim);
-            if (begin >= pts.size())
-                return;
-            const std::size_t end = std::min(begin + claim, pts.size());
+            std::size_t begin = next.load(std::memory_order_relaxed);
+            std::size_t claim = 0;
+            do {
+                if (begin >= pts.size())
+                    return;
+                claim = pts.size() - begin >= jobs * group ? group : 1;
+            } while (!next.compare_exchange_weak(begin, begin + claim));
+            const std::size_t end = begin + claim;
             for (std::size_t i = begin; i < end; ++i) {
                 // Stop starting points once any point has failed —
                 // in-flight simulations finish, queued ones are
@@ -664,6 +671,7 @@ writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
           const harness::MetricFrame &frame,
           const std::vector<PointResult> &results)
 {
+    MISP_ASSERT(results.size() == frame.numRows());
     os << "{\n";
     os << "  \"scenario\": " << stats::jsonQuote(sc.name) << ",\n";
     os << "  \"title\": " << stats::jsonQuote(sc.title) << ",\n";

@@ -10,11 +10,9 @@ loadApp(arch::MispSystem &system, const GuestApp &app, rt::Backend backend,
     os::Process *proc = kernel.createProcess(app.name);
     mem::AddressSpace &as = proc->addressSpace();
 
-    // Code: the workload program (read-only, demand-paged), copied from
-    // the image encoded at build time when the app carries one.
+    // Code: the workload program (read-only, demand-paged).
     as.defineRegion(app.program.base, app.program.byteSize(),
-                    /*writable=*/false, "code",
-                    app.code.empty() ? app.program.bytes() : app.code);
+                    /*writable=*/false, "code", app.program.bytes());
 
     // The backend's stub library ("shredlib.dll" / "osthreads.dll").
     const isa::Program &stubs = rt::stubLibrary(backend);

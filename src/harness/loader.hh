@@ -30,10 +30,6 @@ struct DataRegion {
 struct GuestApp {
     std::string name;
     isa::Program program; ///< entry = symbol "main"
-    /** program.bytes(), encoded once when the app is built (the
-     *  workload registry's builders fill it); empty means loadApp
-     *  encodes the program itself. */
-    std::vector<std::uint8_t> code;
     std::vector<DataRegion> data;
 };
 

@@ -11,21 +11,6 @@ namespace misp::harness {
 
 namespace {
 
-constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-
-/** Hash of an id tuple: its low bits pick the index slot, its high
- *  32 bits are the slot's tag. */
-std::uint64_t
-hashIds(const std::vector<std::uint32_t> &ids)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint32_t id : ids) {
-        h = (h ^ id) * 0x9e3779b97f4a7c15ull;
-        h ^= h >> 32;
-    }
-    return h;
-}
-
 /** The columns read straight off a RunRecord, ahead of the counter
  *  table's events.* and events_per_mi.* columns: name and value side
  *  by side, so the two cannot drift out of order. */
@@ -115,14 +100,20 @@ MetricFrame::addRow(Id machine, Id workload, unsigned competitors,
         columns_[c++].push_back(run.perMegaInsts(v));
 }
 
-template <class Emit>
-bool
-MetricFrame::eachId(Tuple kind, Id axis, std::size_t r, Emit &&emit) const
+std::size_t
+MetricFrame::IdsHash::operator()(const std::vector<Id> &ids) const
 {
-    if (kind == Tuple::AxisMasked && !emit(axis))
-        return false;
-    if (kind != Tuple::Coords && !emit(rows_[r].machine))
-        return false;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (Id id : ids) {
+        h = (h ^ id) * 0x9e3779b97f4a7c15ull;
+        h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+}
+
+std::vector<MetricFrame::Id>
+MetricFrame::tupleOf(Tuple kind, Id axis, std::size_t r) const
+{
     std::span<const CoordId> cs = coords(r);
     std::vector<CoordId> sorted;
     if (kind == Tuple::MachineSorted) {
@@ -130,86 +121,38 @@ MetricFrame::eachId(Tuple kind, Id axis, std::size_t r, Emit &&emit) const
         std::sort(sorted.begin(), sorted.end());
         cs = sorted;
     }
+    std::vector<Id> ids;
+    ids.reserve(2 * cs.size() + (kind == Tuple::AxisMasked) +
+                (kind != Tuple::Coords));
+    if (kind == Tuple::AxisMasked)
+        ids.push_back(axis);
+    if (kind != Tuple::Coords)
+        ids.push_back(rows_[r].machine);
     for (const CoordId &c : cs) {
-        if (!emit(c.key) ||
-            !emit(kind == Tuple::AxisMasked && c.key == axis ? kNoId
-                                                              : c.value))
-            return false;
+        ids.push_back(c.key);
+        ids.push_back(kind == Tuple::AxisMasked && c.key == axis ? kNoId
+                                                                 : c.value);
     }
-    return true;
+    return ids;
 }
 
-void
-MetricFrame::tupleOf(Tuple kind, Id axis, std::size_t r,
-                     std::vector<Id> *out) const
+MetricFrame::TupleIndex
+MetricFrame::buildIndex(Tuple kind, Id axis) const
 {
-    out->clear();
-    eachId(kind, axis, r, [&](Id id) {
-        out->push_back(id);
-        return true;
-    });
-}
-
-bool
-MetricFrame::tupleIs(Tuple kind, Id axis, std::size_t r,
-                     const std::vector<Id> &key) const
-{
-    std::size_t at = 0;
-    return eachId(kind, axis, r,
-                  [&](Id id) { return at < key.size() && key[at++] == id; }) &&
-           at == key.size();
+    TupleIndex index;
+    index.reserve(rows_.size());
+    // emplace keeps the first row owning a tuple, matching the "first
+    // match in grid order" contract of the linear walks.
+    for (std::size_t r = 0; r < rows_.size(); ++r)
+        index.emplace(tupleOf(kind, axis, r), static_cast<std::uint32_t>(r));
+    return index;
 }
 
 std::size_t
-MetricFrame::slotOf(const TupleIndex &index, Tuple kind, Id axis,
-                    const std::vector<Id> &key, std::uint64_t hash) const
+MetricFrame::findIn(const TupleIndex &index, const std::vector<Id> &key)
 {
-    // Linear probing, from the hash's slot to the slot holding @p key's
-    // tuple or the empty slot where it would go.
-    const auto tag = static_cast<std::uint32_t>(hash >> 32);
-    const std::size_t mask = index.slots.size() - 1;
-    std::size_t s = hash & mask;
-    while (index.slots[s].row != kEmptySlot &&
-           !(index.slots[s].hash == tag &&
-             tupleIs(kind, axis, index.slots[s].row, key)))
-        s = (s + 1) & mask;
-    return s;
-}
-
-void
-MetricFrame::buildIndex(TupleIndex *index, Tuple kind, Id axis,
-                        std::vector<std::size_t> *owner) const
-{
-    // A load factor of at most 3/4.
-    std::size_t slots = 1;
-    while (slots * 3 < rows_.size() * 4 + 1)
-        slots *= 2;
-    index->slots.assign(slots, {kEmptySlot, 0});
-    std::vector<Id> key;
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        tupleOf(kind, axis, r, &key);
-        const std::uint64_t h = hashIds(key);
-        TupleIndex::Slot &slot =
-            index->slots[slotOf(*index, kind, axis, key, h)];
-        // Insert-first: the first row owning a tuple keeps it, matching
-        // the "first match in grid order" contract of the linear walks.
-        if (slot.row == kEmptySlot)
-            slot = {static_cast<std::uint32_t>(r),
-                    static_cast<std::uint32_t>(h >> 32)};
-        if (owner)
-            owner->push_back(slot.row);
-    }
-}
-
-std::size_t
-MetricFrame::findIn(const TupleIndex &index, Tuple kind, Id axis,
-                    const std::vector<Id> &key) const
-{
-    if (index.slots.empty())
-        return npos;
-    const TupleIndex::Slot &slot =
-        index.slots[slotOf(index, kind, axis, key, hashIds(key))];
-    return slot.row == kEmptySlot ? npos : slot.row;
+    auto it = index.find(key);
+    return it == index.end() ? npos : it->second;
 }
 
 void
@@ -217,17 +160,18 @@ MetricFrame::computeGroups()
 {
     // Group rows by coordinate combination, preserving first-seen
     // order (the grid expands machines fastest, so a group is the
-    // machine list at one sweep coordinate). The group index is only
-    // needed here; it is dropped once every row knows its group.
-    std::vector<std::size_t> owner;
-    owner.reserve(rows_.size());
-    {
-        TupleIndex byCoords;
-        buildIndex(&byCoords, Tuple::Coords, kNoId, &owner);
-    }
+    // machine list at one sweep coordinate). The tuple -> group map is
+    // only needed here.
     std::uint32_t groups = 0;
-    for (std::size_t r = 0; r < rows_.size(); ++r)
-        rows_[r].group = owner[r] == r ? groups++ : rows_[owner[r]].group;
+    {
+        TupleIndex groupOf;
+        for (std::size_t r = 0; r < rows_.size(); ++r) {
+            auto [it, fresh] =
+                groupOf.emplace(tupleOf(Tuple::Coords, kNoId, r), groups);
+            groups += fresh;
+            rows_[r].group = it->second;
+        }
+    }
 
     groupStart_.assign(groups + 1, 0);
     for (const Row &row : rows_)
@@ -243,7 +187,8 @@ MetricFrame::computeGroups()
 void
 MetricFrame::buildIndexes()
 {
-    buildIndex(&rowOfMachineTuple_, Tuple::MachineCoords, kNoId);
+    rowOfMachineTuple_ = buildIndex(Tuple::MachineCoords);
+    rowOfSortedTuple_ = buildIndex(Tuple::MachineSorted);
 
     std::unordered_map<Id, std::size_t> axisSlot;
     std::unordered_set<std::uint64_t> axisValueSeen;
@@ -382,8 +327,8 @@ MetricFrame::rowWithOverrides(std::size_t g, const std::string &machine,
         return npos;
     // The group's (machine, coordinates) tuple, then the machine and
     // the overridden values substituted in place.
-    std::vector<Id> key;
-    tupleOf(Tuple::MachineCoords, kNoId, groupRows(g).front(), &key);
+    std::vector<Id> key =
+        tupleOf(Tuple::MachineCoords, kNoId, groupRows(g).front());
     key[0] = m;
     for (const Coord &o : overrides) {
         const Id k = lookupId(o.first);
@@ -401,31 +346,28 @@ MetricFrame::rowWithOverrides(std::size_t g, const std::string &machine,
         if (present && v == kNoId)
             return npos;
     }
-    return findIn(rowOfMachineTuple_, Tuple::MachineCoords, kNoId, key);
+    return findIn(rowOfMachineTuple_, key);
 }
 
 std::size_t
 MetricFrame::axisBaselineRow(std::size_t r,
                              const std::string &axis) const
 {
-    std::vector<Id> key;
     const Id axisId = lookupId(axis);
     if (axisId == kNoId) {
         // No row carries the axis, so the baseline is simply the
         // first row with this row's machine and exact coordinates.
-        tupleOf(Tuple::MachineCoords, kNoId, r, &key);
-        return findIn(rowOfMachineTuple_, Tuple::MachineCoords, kNoId,
-                      key);
+        return findIn(rowOfMachineTuple_,
+                      tupleOf(Tuple::MachineCoords, kNoId, r));
     }
     auto built = std::find_if(axisBaseline_.begin(), axisBaseline_.end(),
                               [&](const auto &a) { return a.first == axisId; });
     if (built == axisBaseline_.end()) {
-        axisBaseline_.emplace_back(axisId, TupleIndex{});
+        axisBaseline_.emplace_back(axisId,
+                                   buildIndex(Tuple::AxisMasked, axisId));
         built = axisBaseline_.end() - 1;
-        buildIndex(&built->second, Tuple::AxisMasked, axisId);
     }
-    tupleOf(Tuple::AxisMasked, axisId, r, &key);
-    return findIn(built->second, Tuple::AxisMasked, axisId, key);
+    return findIn(built->second, tupleOf(Tuple::AxisMasked, axisId, r));
 }
 
 std::size_t
@@ -451,16 +393,13 @@ MetricFrame::findRow(const std::string &machine,
     // a containment scan over this machine's rows — id comparisons
     // only, never strings.
     if (want.size() == rows_[mine.front()].coordCount) {
-        if (rowOfSortedTuple_.slots.empty())
-            buildIndex(&rowOfSortedTuple_, Tuple::MachineSorted, kNoId);
         std::sort(want.begin(), want.end());
         std::vector<Id> key{m};
         for (const CoordId &c : want) {
             key.push_back(c.key);
             key.push_back(c.value);
         }
-        const std::size_t hit =
-            findIn(rowOfSortedTuple_, Tuple::MachineSorted, kNoId, key);
+        const std::size_t hit = findIn(rowOfSortedTuple_, key);
         if (hit != npos)
             return hit;
     }

@@ -30,15 +30,14 @@
  * Scale: axis keys/values, machine and workload names are interned
  * once into integer ids, and a row holds only ids, a status and its
  * place in the coordinate pool; the columns are reserved once from the
- * row count (reserve()). Open-addressed indexes over the rows'
- * fixed-width id tuples (built by finalize(), or on first use for
- * findRow and baseline_axis) make every lookup (cross-axis
- * selectors, group and baseline resolution, findRow) costs O(1) id
- * hashing instead of an O(rows) string-compare walk. A frame holds
- * about 335 B a row, 264 B of it the 33 columns (1,269 B with string
- * coordinates and string-keyed indexes). Row iteration and
- * group numbering stay in grid order, so the indexes change no emitted
- * byte. Lookups need a finalized frame; the linear walk the indexes
+ * row count (reserve()). Hash indexes keyed on the rows' id tuples
+ * (built by finalize(), or on first use for baseline_axis) make every
+ * lookup (cross-axis selectors, group and baseline resolution,
+ * findRow) cost O(1) id hashing instead of an O(rows) string-compare
+ * walk. A frame holds about 490 B a row, 264 B of it the 33 columns
+ * (1,269 B with string coordinates and string-keyed indexes). Row
+ * iteration and group numbering stay in grid order, so the indexes
+ * change no emitted byte. Lookups need a finalized frame; the linear walk the indexes
  * replaced lives on only as bench/ablation_frame_scale's baseline.
  */
 
@@ -199,12 +198,16 @@ class MetricFrame
      * The `[report] baseline_axis` baseline of row @p r: the first row
      * (grid order = first axis value) on the same machine whose
      * coordinates match on every axis except @p axis. npos if absent.
+     * The first call for an axis builds that axis's index, so unlike
+     * the other lookups this one must not run on two threads at once.
      */
     std::size_t axisBaselineRow(std::size_t r,
                                 const std::string &axis) const;
 
     /** First row on @p machine whose coordinates contain every
-     *  (key, value) pair of @p coords; npos if absent. */
+     *  (key, value) pair of @p coords; npos if absent. A query naming
+     *  every axis is one hash lookup, any other a scan of the
+     *  machine's rows. */
     std::size_t findRow(const std::string &machine,
                         const std::vector<Coord> &coords) const;
 
@@ -224,21 +227,16 @@ class MetricFrame
     void writeJson(std::ostream &os) const;
 
   private:
-    /**
-     * Open-addressed map from an id tuple to the first row (grid
-     * order) that has it. A slot keeps the row and the tuple's hash,
-     * never the tuple: a probe re-reads the candidate row's tuple and
-     * compares it id by id, so equal keys always mean equal tuples.
-     * Lookup-only: nothing iterates the slots, so no hash order can
-     * leak into an artifact.
-     */
-    struct TupleIndex {
-        struct Slot {
-            std::uint32_t row;
-            std::uint32_t hash;
-        };
-        std::vector<Slot> slots;
+    /** Hash of an id tuple. */
+    struct IdsHash {
+        std::size_t operator()(const std::vector<Id> &ids) const;
     };
+    /** An id tuple -> the first row (grid order) that has it. Keyed on
+     *  the whole tuple, so equal keys are equal tuples. Lookup-only:
+     *  nothing iterates it, so no hash order can leak into an
+     *  artifact. */
+    using TupleIndex = std::unordered_map<std::vector<Id>, std::uint32_t,
+                                          IdsHash>;
     /** Which tuple of a row an index is keyed on. */
     enum class Tuple {
         Coords,        ///< coordinates in axis order (the group key)
@@ -249,21 +247,12 @@ class MetricFrame
 
     Id lookupId(const std::string &s) const;
     std::size_t metricIndex(const std::string &name) const;
-    /** Calls @p emit with each id of row @p r's @p kind tuple, in
-     *  order, until it returns false; true when it ran to the end.
-     *  The one definition of every tuple's layout. */
-    template <class Emit>
-    bool eachId(Tuple kind, Id axis, std::size_t r, Emit &&emit) const;
-    void tupleOf(Tuple kind, Id axis, std::size_t r,
-                 std::vector<Id> *out) const;
-    bool tupleIs(Tuple kind, Id axis, std::size_t r,
-                 const std::vector<Id> &key) const;
-    std::size_t slotOf(const TupleIndex &index, Tuple kind, Id axis,
-                       const std::vector<Id> &key, std::uint64_t hash) const;
-    void buildIndex(TupleIndex *index, Tuple kind, Id axis,
-                    std::vector<std::size_t> *owner = nullptr) const;
-    std::size_t findIn(const TupleIndex &index, Tuple kind, Id axis,
-                       const std::vector<Id> &key) const;
+    /** Row @p r's @p kind tuple: the one definition of every tuple's
+     *  layout. */
+    std::vector<Id> tupleOf(Tuple kind, Id axis, std::size_t r) const;
+    TupleIndex buildIndex(Tuple kind, Id axis = kNoId) const;
+    static std::size_t findIn(const TupleIndex &index,
+                              const std::vector<Id> &key);
     void computeGroups();
     void buildIndexes();
 
@@ -284,15 +273,13 @@ class MetricFrame
     std::unordered_map<std::string, std::size_t> metricIds_;
 
     TupleIndex rowOfMachineTuple_;
+    TupleIndex rowOfSortedTuple_; ///< findRow's full-tuple index
     std::vector<std::vector<std::uint32_t>> rowsOfMachine_; ///< [machine id]
     std::vector<std::pair<Id, std::vector<Id>>>
         axisValues_; ///< per axis, value ids in first-seen order
 
-    // Lazy indexes, built on first use: findRow's sorted-tuple index
-    // and one `baseline_axis` index per axis asked for. Mutable
-    // because the lookups are logically const (queries are
-    // single-threaded).
-    mutable TupleIndex rowOfSortedTuple_;
+    /** One `baseline_axis` index per axis asked for, built on first
+     *  use by axisBaselineRow (hence mutable). */
     mutable std::vector<std::pair<Id, TupleIndex>> axisBaseline_;
 };
 

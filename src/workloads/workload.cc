@@ -25,42 +25,26 @@ WorkloadParams::extraU64(const std::string &key,
     return fallback;
 }
 
-namespace {
-
-/** @p build, plus the program's encoded image in `app.code`: made once
- *  per build, so a reused workload is never encoded again. */
-WorkloadBuilder
-withCode(Workload (*build)(const WorkloadParams &))
-{
-    return [build](const WorkloadParams &params) {
-        Workload w = build(params);
-        w.app.code = w.app.program.bytes();
-        return w;
-    };
-}
-
-} // namespace
-
 const std::vector<WorkloadInfo> &
 allWorkloads()
 {
     static const std::vector<WorkloadInfo> kAll = {
-        {"ADAt", "rms", withCode(buildAdat)},
-        {"dense_mmm", "rms", withCode(buildDenseMmm)},
-        {"dense_mvm", "rms", withCode(buildDenseMvm)},
-        {"dense_mvm_sym", "rms", withCode(buildDenseMvmSym)},
-        {"gauss", "rms", withCode(buildGauss)},
-        {"kmeans", "rms", withCode(buildKmeans)},
-        {"sparse_mvm", "rms", withCode(buildSparseMvm)},
-        {"sparse_mvm_sym", "rms", withCode(buildSparseMvmSym)},
-        {"sparse_mvm_trans", "rms", withCode(buildSparseMvmTrans)},
-        {"svm_c", "rms", withCode(buildSvmC)},
-        {"Raytracer", "rms", withCode(buildRaytracer)},
-        {"swim", "specomp", withCode(buildSwim)},
-        {"applu", "specomp", withCode(buildApplu)},
-        {"galgel", "specomp", withCode(buildGalgel)},
-        {"equake", "specomp", withCode(buildEquake)},
-        {"art", "specomp", withCode(buildArt)},
+        {"ADAt", "rms", buildAdat},
+        {"dense_mmm", "rms", buildDenseMmm},
+        {"dense_mvm", "rms", buildDenseMvm},
+        {"dense_mvm_sym", "rms", buildDenseMvmSym},
+        {"gauss", "rms", buildGauss},
+        {"kmeans", "rms", buildKmeans},
+        {"sparse_mvm", "rms", buildSparseMvm},
+        {"sparse_mvm_sym", "rms", buildSparseMvmSym},
+        {"sparse_mvm_trans", "rms", buildSparseMvmTrans},
+        {"svm_c", "rms", buildSvmC},
+        {"Raytracer", "rms", buildRaytracer},
+        {"swim", "specomp", buildSwim},
+        {"applu", "specomp", buildApplu},
+        {"galgel", "specomp", buildGalgel},
+        {"equake", "specomp", buildEquake},
+        {"art", "specomp", buildArt},
     };
     return kAll;
 }
@@ -69,7 +53,7 @@ const std::vector<WorkloadInfo> &
 utilWorkloads()
 {
     static const std::vector<WorkloadInfo> kUtil = {
-        {"spinner", "util", withCode(buildSpinner)},
+        {"spinner", "util", buildSpinner},
     };
     return kUtil;
 }

@@ -55,10 +55,8 @@ struct WorkloadParams {
  * A built workload instance.
  *
  * Contract: a builder is a pure function of its WorkloadParams, and a
- * built Workload is immutable. A registry builder also encodes the
- * program once, into `app.code`, so a load copies bytes instead of
- * encoding again. Loading copies the images into the guest
- * (`loadApp` takes the app by const reference), and `validate` only reads
+ * built Workload is immutable. Loading copies its image into the guest
+ * (`loadApp` takes it by const reference), and `validate` only reads
  * guest memory: every validator captures what it checks by value
  * (`makeIntArrayValidator`, specomp's lambda) and keeps no state
  * between calls. So one built instance may be loaded into any number of

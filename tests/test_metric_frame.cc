@@ -693,6 +693,18 @@ TEST(CounterTable, NamesAndKindsAreTheFrameColumnsAndTheWireFields)
     EXPECT_EQ(d.u64(), 4242u);
 }
 
+TEST(FrameEmitters, JsonRejectsResultsOfAnotherSweep)
+{
+    // writeJson reads each row's --full-stats dump from the results by
+    // row index, so the two must be the same sweep's.
+    Scenario sc = twoAxisScenario();
+    std::vector<PointResult> results = twoAxisGrid();
+    MetricFrame frame = buildMetricFrame(sc, results);
+    results.pop_back();
+    std::ostringstream os;
+    EXPECT_THROW(writeJson(os, sc, false, frame, results), SimError);
+}
+
 TEST(FrameEmitters, PointsLinesMatchLegacyFormat)
 {
     Scenario sc = twoAxisScenario();
