@@ -1,36 +1,38 @@
 /**
  * @file
- * MetricFrame scale ablation: what the interned-id tuple indexes buy
- * at sweep sizes the paper figures never reach (10^2..10^5 rows) —
- * and what they cost to build.
+ * MetricFrame scale ablation: what addressing rows by their grid
+ * combination buys at sweep sizes the paper figures never reach
+ * (10^2..10^5 rows), and what building a frame costs.
  *
- * For each synthetic sweep size, one frame is built and queried two
- * ways: through its hashed coord-tuple indexes, and through
- * LinearWalk below — the pre-index string-compare walks, rebuilt over
- * the frame's public row()/at() API for exactly this measurement.
- * Three phases are timed per size:
+ * For each synthetic sweep size, one frame is built over a GridTable
+ * and queried two ways: through its own lookups (arithmetic on the
+ * combination's odometer digits), and through LinearWalk below —
+ * string-compare walks over every row, rebuilt over the frame's public
+ * machine()/coord() API for exactly this measurement. Three phases
+ * are timed per size:
  *
- *   build    addRow + finalize (the index-construction overhead)
- *   lookup   a representative query mix — full-tuple findRow,
- *            cross-axis rowWithOverrides, axis-baseline resolution —
- *            over rows spread across the whole frame
+ *   build    the frame and one addRow per row
+ *   lookup   a representative query mix — rowInGroup, cross-axis
+ *            rowWithOverrides, axis-baseline resolution — over groups
+ *            spread across the whole frame
  *   emit     writeJson into a discarding stream (the streaming
  *            emitter's row throughput)
  *
  * Linear lookups at the larger sizes are sampled (the O(rows) walk
  * is the thing being measured; running the full mix would take
  * minutes) and reported per-lookup, so the speedup column compares
- * like with like. The contract is asserted, not just reported:
- * indexed lookups must beat the linear walk by >= 10x at 10^4 rows,
- * and both must answer every sampled query identically.
- * VmHWM (peak RSS) after the largest build rides along as the memory
- * proxy. Results land in BENCH_frame_scale.json so CI keeps a
- * trajectory.
+ * like with like. The contract is asserted, not just reported: the
+ * frame's lookups ("indexed" below) must beat the linear walk by
+ * >= 10x at 10^4 rows, and both must answer every sampled query
+ * identically. VmHWM (peak RSS) after the largest build rides along
+ * as the memory proxy. Results land in BENCH_frame_scale.json so CI
+ * keeps a trajectory.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -92,13 +94,12 @@ peakRssKb()
     return kb;
 }
 
-constexpr const char *kMachines[] = {"1p", "misp"};
-
 /** A synthetic sweep of @p points rows: two machines x two axes, the
  *  same shape the scenario grids produce (machines innermost, axis
- *  values as spelled strings). */
+ *  values as spelled strings), held in one GridTable. */
 struct Sweep {
-    std::vector<std::string> aValues, bValues;
+    std::shared_ptr<harness::GridTable> grid =
+        std::make_shared<harness::GridTable>();
     std::size_t combos = 0;
 
     explicit Sweep(std::size_t points)
@@ -109,136 +110,111 @@ struct Sweep {
             ++na;
         std::size_t nb = (combos + na - 1) / na;
         combos = na * nb;
+        grid->machines = {"1p", "misp"};
+        grid->workload = "dense_mvm";
+        grid->axes.resize(2);
+        grid->axes[0].key = "machine.a";
+        grid->axes[1].key = "machine.b";
         for (std::size_t i = 0; i < na; ++i)
-            aValues.push_back(std::to_string(1000 + i));
+            grid->axes[0].values.push_back(std::to_string(1000 + i));
         for (std::size_t j = 0; j < nb; ++j)
-            bValues.push_back(std::to_string(100 + j));
+            grid->axes[1].values.push_back(std::to_string(100 + j));
     }
 
     std::size_t rows() const { return combos * 2; }
 
     MetricFrame build() const
     {
-        MetricFrame frame;
-        frame.reserve(rows());
+        std::vector<std::uint32_t> all(combos);
+        for (std::size_t c = 0; c < combos; ++c)
+            all[c] = static_cast<std::uint32_t>(c);
+        MetricFrame frame(grid, std::move(all), "1p");
         harness::RunRecord run;
         run.status = harness::RunStatus::Completed;
         run.valid = true;
-        const MetricFrame::Id workload = frame.intern("dense_mvm");
-        const MetricFrame::Id keyA = frame.intern("machine.a");
-        const MetricFrame::Id keyB = frame.intern("machine.b");
-        for (const std::string &a : aValues) {
-            for (const std::string &b : bValues) {
-                for (const char *machine : kMachines) {
-                    run.ticks = 1000000 + Tick(run.events[
-                        harness::EventCounter::Timer]++);
-                    run.instsRetired = 500000;
-                    frame.addRow(frame.intern(machine), workload, 0,
-                                 {{keyA, frame.intern(a)},
-                                  {keyB, frame.intern(b)}},
-                                 run);
-                }
-            }
+        run.instsRetired = 500000;
+        for (std::size_t r = 0; r < rows(); ++r) {
+            run.ticks = 1000000 + Tick(run.events[
+                harness::EventCounter::Timer]++);
+            frame.addRow(run);
         }
-        frame.finalize("1p");
         return frame;
     }
 };
 
-/** The pre-index lookups: O(rows) string-compare walks over the
- *  frame's public row API (names read back through name()),
- *  answering exactly what the indexed MetricFrame methods of the same
- *  names answer. */
+/** The lookups as walks: O(rows) string compares over the frame's
+ *  public row API (machine() and coord() spell each row out),
+ *  answering exactly what the MetricFrame methods of the same names
+ *  answer. */
 struct LinearWalk {
     const MetricFrame &frame;
 
-    const MetricFrame::Row &row(std::size_t r) const
+    /** Row @p r's coordinates as spelled. */
+    std::vector<MetricFrame::Coord> coordsOf(std::size_t r) const
     {
-        return frame.row(r);
+        std::vector<MetricFrame::Coord> out;
+        for (std::size_t a = 0; a < frame.grid().axes.size(); ++a)
+            out.emplace_back(frame.grid().axes[a].key, frame.coord(r, a));
+        return out;
     }
 
-    const std::string &machineOf(std::size_t r) const
+    /** Row @p r is on @p machine, and on every axis but @p skip its
+     *  coordinate spells @p want's. */
+    bool matches(std::size_t r, const std::string &machine,
+                 const std::vector<MetricFrame::Coord> &want,
+                 const std::string &skip = "") const
     {
-        return frame.name(frame.row(r).machine);
+        if (frame.machine(r) != machine)
+            return false;
+        for (std::size_t a = 0; a < want.size(); ++a) {
+            if (want[a].first != skip &&
+                (frame.grid().axes[a].key != want[a].first ||
+                 frame.coord(r, a) != want[a].second))
+                return false;
+        }
+        return true;
     }
 
-    /** Stored coordinate @p c spells (key, value) @p w. */
-    bool spells(const MetricFrame::CoordId &c,
-                const MetricFrame::Coord &w) const
-    {
-        return frame.name(c.key) == w.first && frame.name(c.value) == w.second;
-    }
-
-    /** First row on @p machine whose coordinates contain @p coords. */
-    std::size_t findRow(const std::string &machine,
-                        const std::vector<MetricFrame::Coord> &coords)
-        const
+    /** First row matches() accepts; npos if none. */
+    std::size_t find(const std::string &machine,
+                     const std::vector<MetricFrame::Coord> &want,
+                     const std::string &skip = "") const
     {
         for (std::size_t r = 0; r < frame.numRows(); ++r) {
-            if (machineOf(r) != machine)
-                continue;
-            bool match = true;
-            for (const MetricFrame::Coord &want : coords) {
-                bool found = false;
-                for (const MetricFrame::CoordId &have : frame.coords(r))
-                    found = found || spells(have, want);
-                match = match && found;
-            }
-            if (match)
+            if (matches(r, machine, want, skip))
                 return r;
         }
         return MetricFrame::npos;
+    }
+
+    std::size_t rowInGroup(std::size_t g, const std::string &machine) const
+    {
+        return find(machine, coordsOf(g * frame.grid().machines.size()));
     }
 
     std::size_t
     rowWithOverrides(std::size_t g, const std::string &machine,
                      const std::vector<MetricFrame::Coord> &overrides) const
     {
-        std::vector<MetricFrame::Coord> want;
-        for (const MetricFrame::CoordId &c : frame.groupCoords(g))
-            want.emplace_back(frame.name(c.key), frame.name(c.value));
+        std::vector<MetricFrame::Coord> want =
+            coordsOf(g * frame.grid().machines.size());
         for (const MetricFrame::Coord &o : overrides) {
             for (MetricFrame::Coord &c : want) {
                 if (c.first == o.first)
                     c.second = o.second;
             }
         }
-        for (std::size_t r = 0; r < frame.numRows(); ++r) {
-            const auto have = frame.coords(r);
-            if (machineOf(r) != machine || have.size() != want.size())
-                continue;
-            bool match = true;
-            for (std::size_t i = 0; i < want.size(); ++i)
-                match = match && spells(have[i], want[i]);
-            if (match)
-                return r;
-        }
-        return MetricFrame::npos;
+        return find(machine, want);
     }
 
     std::size_t axisBaselineRow(std::size_t r, const std::string &axis) const
     {
-        const auto of = frame.coords(r);
-        for (std::size_t cand = 0; cand < frame.numRows(); ++cand) {
-            const auto c = frame.coords(cand);
-            if (machineOf(cand) != machineOf(r) || c.size() != of.size())
-                continue;
-            bool match = true;
-            for (std::size_t i = 0; i < of.size(); ++i) {
-                if (frame.name(of[i].key) != axis)
-                    match = match &&
-                            frame.name(c[i].key) == frame.name(of[i].key) &&
-                            frame.name(c[i].value) == frame.name(of[i].value);
-            }
-            if (match)
-                return cand;
-        }
-        return MetricFrame::npos;
+        return find(frame.machine(r), coordsOf(r), axis);
     }
 };
 
 /** The query mix, @p samples groups spread across the frame, through
- *  @p frame's indexes or a LinearWalk. Returns a fold of every answer
+ *  @p frame's methods or a LinearWalk. Returns a fold of every answer
  *  so the differential check (and the optimizer) can't skip work. */
 template <class Lookups>
 std::uint64_t
@@ -247,23 +223,14 @@ lookupMix(const Lookups &frame, const Sweep &sweep, std::size_t samples)
     std::uint64_t fold = 0;
     const std::size_t stride =
         sweep.combos <= samples ? 1 : sweep.combos / samples;
+    const std::string &firstB = sweep.grid->axes[1].values.front();
     for (std::size_t g = 0; g < sweep.combos; g += stride) {
-        const std::string &a =
-            sweep.aValues[(g / sweep.bValues.size()) %
-                          sweep.aValues.size()];
-        const std::string &b = sweep.bValues[g % sweep.bValues.size()];
-        // Full-tuple findRow.
-        std::size_t r = frame.findRow(
-            "misp", {{"machine.a", a}, {"machine.b", b}});
+        // The group's misp row.
+        const std::size_t r = frame.rowInGroup(g, "misp");
         fold = fold * 31 + r;
-        if (r == MetricFrame::npos)
-            continue;
-        std::size_t group = frame.row(r).group;
         // Cross-axis selector: same coords, first machine.b value.
         fold = fold * 31 +
-               frame.rowWithOverrides(
-                   group, "misp",
-                   {{"machine.b", sweep.bValues.front()}});
+               frame.rowWithOverrides(g, "misp", {{"machine.b", firstB}});
         // [report] baseline_axis resolution.
         fold = fold * 31 + frame.axisBaselineRow(r, "machine.a");
     }

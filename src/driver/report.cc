@@ -42,8 +42,8 @@ const std::string &
 groupSuite(const MetricFrame &frame, std::size_t g)
 {
     static const std::string kNone;
-    const wl::WorkloadInfo *info = wl::findWorkload(
-        frame.name(frame.row(frame.groupRows(g).front()).workload));
+    const wl::WorkloadInfo *info =
+        wl::findWorkload(frame.grid().workloadAt(frame.combo(g)));
     return info ? info->suite : kNone;
 }
 
@@ -169,7 +169,7 @@ Evaluator::ref(const ExprNode &n, const Scope &s, double *out,
             // Every row carries the same axes, so an axis no row
             // carries is no coordinate of this group either (an axis
             // only [quick] sweeps, in a full run).
-            const std::vector<MetricFrame::Id> *values =
+            const std::vector<std::string> *values =
                 frame_.axisValues(axis);
             if (!values) {
                 *why = "'" + n.text + "': selector axis '" + axis +
@@ -181,8 +181,7 @@ Evaluator::ref(const ExprNode &n, const Scope &s, double *out,
             // equal as a number.
             std::string match;
             double want = 0, have = 0;
-            for (MetricFrame::Id id : *values) {
-                const std::string &v = frame_.name(id);
+            for (const std::string &v : *values) {
                 if (v == value) {
                     match = v;
                     break;
@@ -193,8 +192,8 @@ Evaluator::ref(const ExprNode &n, const Scope &s, double *out,
             }
             if (match.empty()) {
                 std::string list;
-                for (MetricFrame::Id id : *values)
-                    list += (list.empty() ? "" : ", ") + frame_.name(id);
+                for (const std::string &v : *values)
+                    list += (list.empty() ? "" : ", ") + v;
                 *why = "'" + n.text + "': selector value '" + value +
                        "' matches no value of axis '" + axis +
                        "' (values: " + list + ")";
@@ -220,14 +219,8 @@ Evaluator::ref(const ExprNode &n, const Scope &s, double *out,
         }
     }
 
-    const std::size_t g = frame_.row(row).group;
-    if (n.metric == "speedup" &&
-        frame_.rowInGroup(g, sc_.report.baselineMachine) ==
-            MetricFrame::npos) {
-        *why = "no baseline result for machine '" +
-               sc_.report.baselineMachine + "' at " + frame_.groupLabel(g);
-        return false;
-    }
+    // Groups are whole, so the speedup baseline row is always there.
+    const std::size_t g = frame_.groupOf(row);
     if (!frame_.value(row, n.metric, out)) {
         *why = "'" + n.text + "': unknown metric '" + n.metric + "'";
         return false;
@@ -235,7 +228,7 @@ Evaluator::ref(const ExprNode &n, const Scope &s, double *out,
     // A reference landing on an infrastructure-failed row taints the
     // evaluation; the policy layer decides what that means.
     if (s.sawFailed &&
-        harness::runStatusIsInfraFailure(frame_.row(row).status))
+        harness::runStatusIsInfraFailure(frame_.status(row)))
         *s.sawFailed = true;
     if (s.touchedDegraded && frame_.groupHasFailure(g))
         *s.touchedDegraded = true;
@@ -333,15 +326,16 @@ std::string
 projectionLabel(const MetricFrame &frame, std::size_t g,
                 const std::vector<std::string> &consulted)
 {
+    const harness::GridTable &grid = frame.grid();
     std::string out;
-    for (const MetricFrame::CoordId &c : frame.groupCoords(g)) {
-        const std::string &key = frame.name(c.key);
+    for (std::size_t a = 0; a < grid.axes.size(); ++a) {
+        const std::string &key = grid.axes[a].key;
         if (std::find(consulted.begin(), consulted.end(), key) ==
             consulted.end())
             continue;
         if (!out.empty())
             out += " ";
-        out += key + "=" + frame.name(c.value);
+        out += key + "=" + grid.value(frame.combo(g), a);
     }
     return out;
 }
@@ -470,12 +464,15 @@ bool
 planTable(const Scenario &sc, const MetricFrame &frame,
           const TableSpec &table, TablePlan *plan, std::string *err)
 {
+    const harness::GridTable &grid = frame.grid();
     std::vector<std::string> axes;
-    for (const MetricFrame::CoordId &c : frame.groupCoords(0)) {
-        const std::string &key = frame.name(c.key);
+    std::vector<std::size_t> axisAt;
+    for (std::size_t a = 0; a < grid.axes.size(); ++a) {
+        const std::string &key = grid.axes[a].key;
         for (const TableCell &col : table.columns) {
             if (col.tree.consults(key)) {
                 axes.push_back(key);
+                axisAt.push_back(a);
                 break;
             }
         }
@@ -493,11 +490,8 @@ planTable(const Scenario &sc, const MetricFrame &frame,
         if (!seen.insert(projectionLabel(frame, g, axes)).second)
             continue;
         std::vector<std::string> cells;
-        for (const MetricFrame::CoordId &c : frame.groupCoords(g)) {
-            if (std::find(axes.begin(), axes.end(), frame.name(c.key)) !=
-                axes.end())
-                cells.push_back(frame.name(c.value));
-        }
+        for (std::size_t a : axisAt)
+            cells.push_back(grid.value(frame.combo(g), a));
         cells.resize(labels + columns.size());
         for (std::size_t c = 0; c < columns.size(); ++c) {
             if (!evaluateCell(sc, columns[c], table.columns[c], g,

@@ -649,20 +649,29 @@ harness::MetricFrame
 buildMetricFrame(const Scenario &sc,
                  const std::vector<PointResult> &results)
 {
-    using Frame = harness::MetricFrame;
-    Frame frame;
-    frame.reserve(results.size());
-    std::vector<Frame::CoordId> coords;
-    for (const PointResult &r : results) {
-        coords.clear();
-        for (std::size_t i = 0; i < r.coords.size(); ++i)
-            coords.push_back({frame.intern(r.coords.key(i)),
-                              frame.intern(r.coords.value(i))});
-        frame.addRow(frame.intern(r.coords.machine()),
-                     frame.intern(r.coords.workload()),
-                     r.coords.competitors(), coords, r.run);
+    if (results.empty())
+        return {};
+    // The frame addresses row g * machines + m as group g's machine m,
+    // so the results must be whole coordinate groups of one grid, in
+    // grid order: a sweep's, or a shard's.
+    const std::shared_ptr<const GridTable> &grid = results.front().coords.grid();
+    const std::size_t machines = grid->machines.size();
+    MISP_ASSERT(results.size() % machines == 0);
+    std::vector<std::uint32_t> combos;
+    combos.reserve(results.size() / machines);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const PointCoords &c = results[i].coords;
+        if (i % machines == 0) {
+            MISP_ASSERT(combos.empty() || c.combo() > combos.back());
+            combos.push_back(static_cast<std::uint32_t>(c.combo()));
+        }
+        MISP_ASSERT(c.grid() == grid && c.machineIndex() == i % machines &&
+                    c.combo() == combos.back());
     }
-    frame.finalize(sc.report.baselineMachine);
+    harness::MetricFrame frame(grid, std::move(combos),
+                               sc.report.baselineMachine);
+    for (const PointResult &r : results)
+        frame.addRow(r.run);
     return frame;
 }
 
@@ -678,24 +687,22 @@ writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
     os << "  \"quick\": " << (quickMode ? "true" : "false") << ",\n";
     os << "  \"points\": [";
     for (std::size_t i = 0; i < frame.numRows(); ++i) {
-        const harness::MetricFrame::Row &r = frame.row(i);
         os << (i ? ",\n" : "\n");
         os << "    {\n";
-        os << "      \"machine\": " << stats::jsonQuote(frame.name(r.machine))
+        os << "      \"machine\": " << stats::jsonQuote(frame.machine(i))
            << ",\n";
-        os << "      \"workload\": " << stats::jsonQuote(frame.name(r.workload))
+        os << "      \"workload\": " << stats::jsonQuote(frame.workload(i))
            << ",\n";
-        os << "      \"competitors\": " << r.competitors << ",\n";
+        os << "      \"competitors\": " << frame.competitors(i) << ",\n";
         os << "      \"coords\": {";
-        const char *sep = "";
-        for (const auto &c : frame.coords(i)) {
-            os << sep << stats::jsonQuote(frame.name(c.key)) << ": "
-               << stats::jsonQuote(frame.name(c.value));
-            sep = ", ";
-        }
+        for (std::size_t a = 0; a < frame.grid().axes.size(); ++a)
+            os << (a ? ", " : "")
+               << stats::jsonQuote(frame.grid().axes[a].key) << ": "
+               << stats::jsonQuote(frame.coord(i, a));
         os << "},\n";
         os << "      \"status\": "
-           << stats::jsonQuote(harness::runStatusName(r.status)) << ",\n";
+           << stats::jsonQuote(harness::runStatusName(frame.status(i)))
+           << ",\n";
         os << "      \"ticks\": "
            << static_cast<std::uint64_t>(frame.at(i, "ticks")) << ",\n";
         os << "      \"valid\": "
@@ -750,10 +757,11 @@ writeTable(std::ostream &os, const Scenario &sc,
     // Column set: machine, workload, swept coords, Mcycles, then the
     // [report]-requested speedups.
     using Frame = harness::MetricFrame;
-    std::vector<Frame::Id> coordKeys;
-    for (const Frame::CoordId &c : frame.coords(0)) {
-        if (frame.name(c.key) != "workload.name") // the workload column
-            coordKeys.push_back(c.key);
+    const std::vector<SweepAxis> &axes = frame.grid().axes;
+    std::vector<std::size_t> coordAxes;
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+        if (axes[a].key != "workload.name") // the workload column
+            coordAxes.push_back(a);
     }
     const bool vsMachine = !sc.report.baselineMachine.empty();
     const bool vsAxis = !sc.report.baselineAxis.empty();
@@ -765,8 +773,8 @@ writeTable(std::ostream &os, const Scenario &sc,
     }
 
     std::vector<std::string> header = {"machine", "workload"};
-    for (Frame::Id k : coordKeys)
-        header.push_back(frame.name(k));
+    for (std::size_t a : coordAxes)
+        header.push_back(axes[a].key);
     header.push_back("Mcycles");
     if (vsMachine)
         header.push_back("speedup_vs_" + sc.report.baselineMachine);
@@ -781,26 +789,16 @@ writeTable(std::ostream &os, const Scenario &sc,
     // passes (width scan, then emission) instead of materializing the
     // sweep.
     auto formatRow = [&](std::size_t i) {
-        const Frame::Row &r = frame.row(i);
-        std::vector<std::string> row = {frame.name(r.machine),
-                                        frame.name(r.workload)};
-        for (Frame::Id k : coordKeys) {
-            std::string v;
-            for (const Frame::CoordId &c : frame.coords(i)) {
-                if (c.key == k)
-                    v = frame.name(c.value);
-            }
-            row.push_back(v);
-        }
+        std::vector<std::string> row = {frame.machine(i), frame.workload(i)};
+        for (std::size_t a : coordAxes)
+            row.push_back(frame.coord(i, a));
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%.3f", frame.at(i, "mcycles"));
         row.push_back(buf);
         if (vsMachine) {
             // The frame's derived speedup column is already relative
             // to the [report] baseline machine of this row's group.
-            std::size_t base = frame.rowInGroup(
-                r.group, sc.report.baselineMachine);
-            if (base != Frame::npos && frame.at(i, "ticks") != 0.0)
+            if (frame.at(i, "ticks") != 0.0)
                 std::snprintf(buf, sizeof(buf), "%.3f",
                               frame.at(i, "speedup"));
             else
@@ -820,7 +818,7 @@ writeTable(std::ostream &os, const Scenario &sc,
         if (anyInvalid)
             row.push_back(frame.at(i, "valid") != 0.0 ? "yes" : "NO");
         if (anyFailed)
-            row.push_back(harness::runStatusName(r.status));
+            row.push_back(harness::runStatusName(frame.status(i)));
         return row;
     };
 
@@ -885,27 +883,21 @@ void
 writePoints(std::ostream &os, const harness::MetricFrame &frame)
 {
     for (std::size_t i = 0; i < frame.numRows(); ++i) {
-        const harness::MetricFrame::Row &r = frame.row(i);
         // All swept coordinates ride along (';'-joined, '-' when there
         // are none) so lines stay unambiguous for axes beyond
         // workload.name/competitors (e.g. machine.signal_cycles).
-        std::string coords;
-        for (const harness::MetricFrame::CoordId &c : frame.coords(i)) {
-            if (!coords.empty())
-                coords += ";";
-            coords += frame.name(c.key) + "=" + frame.name(c.value);
-        }
-        os << "machine=" << frame.name(r.machine)
-           << " workload=" << frame.name(r.workload)
-           << " competitors=" << r.competitors << " coords="
-           << (coords.empty() ? "-" : coords) << " ticks="
+        os << "machine=" << frame.machine(i)
+           << " workload=" << frame.workload(i)
+           << " competitors=" << frame.competitors(i)
+           << " coords=" << frame.groupLabel(frame.groupOf(i), ';')
+           << " ticks="
            << static_cast<std::uint64_t>(frame.at(i, "ticks"))
            << " valid=" << (frame.at(i, "valid") != 0.0 ? 1 : 0);
         // Surviving points keep the legacy line format byte-for-byte;
         // only infrastructure-failed points grow a status marker, so
         // `grep -v ' status='` recovers the clean-run-comparable set.
         if (frame.at(i, "failed") != 0.0)
-            os << " status=" << harness::runStatusName(r.status);
+            os << " status=" << harness::runStatusName(frame.status(i));
         os << "\n";
     }
 }
@@ -913,13 +905,11 @@ writePoints(std::ostream &os, const harness::MetricFrame &frame)
 std::string
 describePoint(const harness::MetricFrame &frame, std::size_t r)
 {
-    const harness::MetricFrame::Row &row = frame.row(r);
-    std::string out = "machine=" + frame.name(row.machine) +
-                      " workload=" + frame.name(row.workload) +
-                      " competitors=" + std::to_string(row.competitors);
-    for (const harness::MetricFrame::CoordId &c : frame.coords(r))
-        out += " " + frame.name(c.key) + "=" + frame.name(c.value);
-    return out;
+    const std::string coords =
+        frame.grid().label(frame.combo(frame.groupOf(r)));
+    return "machine=" + frame.machine(r) + " workload=" + frame.workload(r) +
+           " competitors=" + std::to_string(frame.competitors(r)) +
+           (coords.empty() ? "" : " " + coords);
 }
 
 std::string

@@ -1,6 +1,8 @@
 #include "scenario.hh"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_set>
 
 namespace misp::driver {
 
@@ -127,61 +129,6 @@ PointCoords::PointCoords(std::shared_ptr<const GridTable> table,
     : table_(std::move(table)), combo_(static_cast<std::uint32_t>(combo)),
       machine_(static_cast<std::uint32_t>(machine))
 {}
-
-const std::string &
-PointCoords::machine() const
-{
-    return table_->machines[machine_];
-}
-
-std::size_t
-PointCoords::axisOf(const char *key) const
-{
-    std::size_t i = 0;
-    while (i < size() && table_->axes[i].key != key)
-        ++i;
-    return i;
-}
-
-const std::string &
-PointCoords::workload() const
-{
-    const std::size_t a = axisOf("workload.name");
-    return a < size() ? value(a) : table_->workload;
-}
-
-unsigned
-PointCoords::competitors() const
-{
-    const std::size_t a = axisOf("competitors");
-    unsigned n = table_->competitors;
-    if (a < size())
-        parseUnsigned(value(a), &n); // checked by expandPoints
-    return n;
-}
-
-const std::string &
-PointCoords::value(std::size_t i) const
-{
-    // Odometer decode: the first axis varies slowest.
-    const std::vector<SweepAxis> &axes = table_->axes;
-    std::size_t stride = 1;
-    for (std::size_t a = i + 1; a < axes.size(); ++a)
-        stride *= axes[a].values.size();
-    return axes[i].values[(combo_ / stride) % axes[i].values.size()];
-}
-
-std::string
-PointCoords::str() const
-{
-    std::string out;
-    for (std::size_t i = 0; i < size(); ++i) {
-        if (!out.empty())
-            out += " ";
-        out += key(i) + "=" + value(i);
-    }
-    return out;
-}
 
 // ---------------------------------------------------------------------
 // Scenario
@@ -609,15 +556,25 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
         a.values = std::move(names);
     }
 
+    // A value listed twice would run its points twice and give one
+    // combination two groups: each value is one digit of the grid's
+    // combination odometer.
+    for (const SweepAxis &a : axes) {
+        std::unordered_set<std::string_view> seen;
+        for (const std::string &v : a.values) {
+            if (!seen.insert(v).second)
+                return fail(err, specPath, a.line,
+                            "axis '" + a.key + "' lists '" + v + "' twice");
+        }
+    }
+
     auto table = std::make_shared<GridTable>();
     for (const MachineSpec &m : machines)
         table->machines.push_back(m.name);
     table->workload = workload.name;
     table->competitors = competitors;
-    std::size_t total = 1;
-    for (const SweepAxis &a : axes)
-        total *= a.values.size();
     table->axes = std::move(axes);
+    const std::size_t total = table->combos();
     const std::vector<SweepAxis> &grid = table->axes;
     out->reserve(total * machines.size());
 

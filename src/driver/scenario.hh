@@ -76,6 +76,7 @@
 #include "driver/expr.hh"
 #include "driver/faults.hh"
 #include "driver/spec.hh"
+#include "harness/grid_table.hh"
 #include "misp/misp_system.hh"
 #include "obs/trace.hh"
 #include "shredlib/stub_library.hh"
@@ -130,12 +131,8 @@ struct WorkloadSpec {
                std::string *err);
 };
 
-/** One sweep axis: a dotted key and its expanded value list. */
-struct SweepAxis {
-    std::string key;
-    std::vector<std::string> values;
-    int line = 0; ///< spec line, for expansion-time diagnostics
-};
+using harness::GridTable;
+using harness::SweepAxis;
 
 /** One `assert = <expr>` guard from a [report] section, compiled when
  *  the spec loads and evaluated against the sweep's frame after the
@@ -194,18 +191,6 @@ struct TableSpec {
     std::vector<TableCell> footers;
 };
 
-/** The coordinate tables of one expanded grid, shared by its points
- *  and their results: every machine name, axis key and axis value is
- *  stored here once. */
-struct GridTable {
-    std::vector<std::string> machines; ///< the innermost loop
-    /** The swept axes after [quick] overrides and workload-selector
-     *  expansion; the first varies slowest. */
-    std::vector<SweepAxis> axes;
-    std::string workload;     ///< the target when no axis names it
-    unsigned competitors = 0; ///< when no axis sets it
-};
-
 /**
  * Where one point sits in its grid: a coordinate combination and a
  * machine, as indices into a shared GridTable. Copying one copies a
@@ -218,9 +203,20 @@ class PointCoords
     PointCoords(std::shared_ptr<const GridTable> table, std::size_t combo,
                 std::size_t machine);
 
-    const std::string &machine() const;
-    const std::string &workload() const;
-    unsigned competitors() const;
+    /** The grid, and this point's place in it. */
+    const std::shared_ptr<const GridTable> &grid() const { return table_; }
+    std::size_t combo() const { return combo_; }
+    std::size_t machineIndex() const { return machine_; }
+
+    const std::string &machine() const
+    {
+        return table_->machines[machine_];
+    }
+    const std::string &workload() const
+    {
+        return table_->workloadAt(combo_);
+    }
+    unsigned competitors() const { return table_->competitorsAt(combo_); }
 
     /** The swept (key, value) coordinates, in axis order — the
      *  machine is not one of them. */
@@ -230,15 +226,15 @@ class PointCoords
     {
         return table_->axes[i].key;
     }
-    const std::string &value(std::size_t i) const;
+    const std::string &value(std::size_t i) const
+    {
+        return table_->value(combo_, i);
+    }
 
     /** "competitors=2 workload.name=gauss" */
-    std::string str() const;
+    std::string str() const { return table_->label(combo_); }
 
   private:
-    /** Position of axis @p key, or size() when not swept. */
-    std::size_t axisOf(const char *key) const;
-
     std::shared_ptr<const GridTable> table_;
     std::uint32_t combo_ = 0;
     std::uint32_t machine_ = 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -11,266 +11,140 @@ namespace misp::harness {
 
 namespace {
 
-/** The columns read straight off a RunRecord, ahead of the counter
- *  table's events.* and events_per_mi.* columns: name and value side
- *  by side, so the two cannot drift out of order. */
-struct BaseColumn {
-    const char *name;
-    double (*value)(const RunRecord &);
+/** What a row stores: its measured doubles, in this order. */
+enum Measured : std::size_t {
+    kTicks,
+    kInsts,
+    kValid,
+    kAttempts,
+    kEvents, ///< kNumEventCounters of them, in counter-table order
+    kMeasured = kEvents + kNumEventCounters,
 };
 
-constexpr BaseColumn kBaseColumns[] = {
-    {"ticks", [](const RunRecord &r) { return double(r.ticks); }},
-    {"mcycles", [](const RunRecord &r) { return r.megaCycles(); }},
-    {"insts", [](const RunRecord &r) { return double(r.instsRetired); }},
-    {"valid", [](const RunRecord &r) { return r.valid ? 1.0 : 0.0; }},
-    {"completed",
-     [](const RunRecord &r) { return r.completed() ? 1.0 : 0.0; }},
-    {"failed",
-     [](const RunRecord &r) {
-         return runStatusIsInfraFailure(r.status) ? 1.0 : 0.0;
-     }},
-    {"attempts", [](const RunRecord &r) { return double(r.attempts); }},
+/** Positions in metrics(): the base columns, then events.*, then
+ *  events_per_mi.*, then the optional speedup. */
+enum Column : std::size_t {
+    cTicks,
+    cMcycles,
+    cInsts,
+    cValid,
+    cCompleted,
+    cFailed,
+    cAttempts,
+    cEvents,
+    cPerMi = cEvents + kNumEventCounters,
+    cSpeedup = cPerMi + kNumEventCounters,
 };
+
+/** Every column name in emission order, `speedup` last. */
+const std::vector<std::string> &
+allColumns()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> n = {"ticks",     "mcycles", "insts",
+                                      "valid",     "completed", "failed",
+                                      "attempts"};
+        for (const EventCounterInfo &c : kEventCounters)
+            n.push_back(std::string("events.") + c.name);
+        for (const EventCounterInfo &c : kEventCounters)
+            n.push_back(std::string("events_per_mi.") + c.name);
+        n.push_back("speedup");
+        return n;
+    }();
+    return names;
+}
+
+/** Position of column @p name in allColumns(); npos if none. */
+std::size_t
+columnOf(const std::string &name)
+{
+    static const std::unordered_map<std::string, std::size_t> ids = [] {
+        std::unordered_map<std::string, std::size_t> m;
+        for (std::size_t i = 0; i < allColumns().size(); ++i)
+            m.emplace(allColumns()[i], i);
+        return m;
+    }();
+    auto it = ids.find(name);
+    return it == ids.end() ? MetricFrame::npos : it->second;
+}
 
 } // namespace
 
-MetricFrame::MetricFrame()
+MetricFrame::MetricFrame(std::shared_ptr<const GridTable> grid,
+                         std::vector<std::uint32_t> combos,
+                         const std::string &baselineMachine)
+    : grid_(std::move(grid)), combos_(std::move(combos))
 {
-    for (const BaseColumn &b : kBaseColumns)
-        metrics_.push_back(b.name);
-    for (const EventCounterInfo &c : kEventCounters)
-        metrics_.push_back(std::string("events.") + c.name);
-    for (const EventCounterInfo &c : kEventCounters)
-        metrics_.push_back(std::string("events_per_mi.") + c.name);
-    columns_.resize(metrics_.size());
-    for (std::size_t m = 0; m < metrics_.size(); ++m)
-        metricIds_.emplace(metrics_[m], m);
+    if (!baselineMachine.empty()) {
+        baseline_ = grid_->machineOf(baselineMachine);
+        if (baseline_ == npos)
+            fatal("MetricFrame: baseline machine '%s' is not in the grid",
+                  baselineMachine.c_str());
+    }
+    status_.reserve(combos_.size() * machines());
+    measured_.reserve(status_.capacity() * kMeasured);
 }
 
 void
-MetricFrame::reserve(std::size_t rows)
+MetricFrame::addRow(const RunRecord &run)
 {
-    rows_.reserve(rows);
-    for (std::vector<double> &column : columns_)
-        column.reserve(rows);
+    MISP_ASSERT(numRows() < numGroups() * machines());
+    status_.push_back(run.status);
+    measured_.insert(measured_.end(),
+                     {double(run.ticks), double(run.instsRetired),
+                      run.valid ? 1.0 : 0.0, double(run.attempts)});
+    measured_.insert(measured_.end(), run.events.begin(), run.events.end());
 }
 
-MetricFrame::Id
-MetricFrame::intern(const std::string &s)
+const std::vector<std::string> &
+MetricFrame::metrics() const
 {
-    auto [it, fresh] = internIds_.emplace(s, static_cast<Id>(names_.size()));
-    if (fresh)
-        names_.push_back(&it->first);
-    return it->second;
-}
-
-MetricFrame::Id
-MetricFrame::lookupId(const std::string &s) const
-{
-    auto it = internIds_.find(s);
-    return it == internIds_.end() ? kNoId : it->second;
-}
-
-void
-MetricFrame::addRow(Id machine, Id workload, unsigned competitors,
-                    const std::vector<CoordId> &coords, const RunRecord &run)
-{
-    if (finalized_)
-        fatal("MetricFrame: addRow() after finalize()");
-    // Grid rows all carry the same axes: the first row sizes the pool.
-    if (coordPool_.empty())
-        coordPool_.reserve(rows_.capacity() * coords.size());
-    Row row;
-    row.machine = machine;
-    row.workload = workload;
-    row.competitors = competitors;
-    row.status = run.status;
-    row.coordBegin = static_cast<std::uint32_t>(coordPool_.size());
-    row.coordCount = static_cast<std::uint32_t>(coords.size());
-    coordPool_.insert(coordPool_.end(), coords.begin(), coords.end());
-    rows_.push_back(row);
-
-    std::size_t c = 0;
-    for (const BaseColumn &b : kBaseColumns)
-        columns_[c++].push_back(b.value(run));
-    for (double v : run.events)
-        columns_[c++].push_back(v);
-    for (double v : run.events)
-        columns_[c++].push_back(run.perMegaInsts(v));
-}
-
-std::size_t
-MetricFrame::IdsHash::operator()(const std::vector<Id> &ids) const
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (Id id : ids) {
-        h = (h ^ id) * 0x9e3779b97f4a7c15ull;
-        h ^= h >> 32;
-    }
-    return static_cast<std::size_t>(h);
-}
-
-std::vector<MetricFrame::Id>
-MetricFrame::tupleOf(Tuple kind, Id axis, std::size_t r) const
-{
-    std::span<const CoordId> cs = coords(r);
-    std::vector<CoordId> sorted;
-    if (kind == Tuple::MachineSorted) {
-        sorted.assign(cs.begin(), cs.end());
-        std::sort(sorted.begin(), sorted.end());
-        cs = sorted;
-    }
-    std::vector<Id> ids;
-    ids.reserve(2 * cs.size() + (kind == Tuple::AxisMasked) +
-                (kind != Tuple::Coords));
-    if (kind == Tuple::AxisMasked)
-        ids.push_back(axis);
-    if (kind != Tuple::Coords)
-        ids.push_back(rows_[r].machine);
-    for (const CoordId &c : cs) {
-        ids.push_back(c.key);
-        ids.push_back(kind == Tuple::AxisMasked && c.key == axis ? kNoId
-                                                                 : c.value);
-    }
-    return ids;
-}
-
-MetricFrame::TupleIndex
-MetricFrame::buildIndex(Tuple kind, Id axis) const
-{
-    TupleIndex index;
-    index.reserve(rows_.size());
-    // emplace keeps the first row owning a tuple, matching the "first
-    // match in grid order" contract of the linear walks.
-    for (std::size_t r = 0; r < rows_.size(); ++r)
-        index.emplace(tupleOf(kind, axis, r), static_cast<std::uint32_t>(r));
-    return index;
-}
-
-std::size_t
-MetricFrame::findIn(const TupleIndex &index, const std::vector<Id> &key)
-{
-    auto it = index.find(key);
-    return it == index.end() ? npos : it->second;
-}
-
-void
-MetricFrame::computeGroups()
-{
-    // Group rows by coordinate combination, preserving first-seen
-    // order (the grid expands machines fastest, so a group is the
-    // machine list at one sweep coordinate). The tuple -> group map is
-    // only needed here.
-    std::uint32_t groups = 0;
-    {
-        TupleIndex groupOf;
-        for (std::size_t r = 0; r < rows_.size(); ++r) {
-            auto [it, fresh] =
-                groupOf.emplace(tupleOf(Tuple::Coords, kNoId, r), groups);
-            groups += fresh;
-            rows_[r].group = it->second;
-        }
-    }
-
-    groupStart_.assign(groups + 1, 0);
-    for (const Row &row : rows_)
-        ++groupStart_[row.group + 1];
-    for (std::uint32_t g = 0; g < groups; ++g)
-        groupStart_[g + 1] += groupStart_[g];
-    groupRows_.resize(rows_.size());
-    std::vector<std::uint32_t> fill(groupStart_.begin(), groupStart_.end() - 1);
-    for (std::size_t r = 0; r < rows_.size(); ++r)
-        groupRows_[fill[rows_[r].group]++] = static_cast<std::uint32_t>(r);
-}
-
-void
-MetricFrame::buildIndexes()
-{
-    rowOfMachineTuple_ = buildIndex(Tuple::MachineCoords);
-    rowOfSortedTuple_ = buildIndex(Tuple::MachineSorted);
-
-    std::unordered_map<Id, std::size_t> axisSlot;
-    std::unordered_set<std::uint64_t> axisValueSeen;
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        const Id m = rows_[r].machine;
-        if (m >= rowsOfMachine_.size())
-            rowsOfMachine_.resize(m + 1);
-        rowsOfMachine_[m].push_back(static_cast<std::uint32_t>(r));
-
-        for (const CoordId &c : coords(r)) {
-            auto [slot, freshAxis] =
-                axisSlot.emplace(c.key, axisValues_.size());
-            if (freshAxis)
-                axisValues_.emplace_back(c.key, std::vector<Id>{});
-            const std::uint64_t kv =
-                (std::uint64_t(c.key) << 32) | std::uint64_t(c.value);
-            if (axisValueSeen.insert(kv).second)
-                axisValues_[slot->second].second.push_back(c.value);
-        }
-    }
-}
-
-void
-MetricFrame::finalize(const std::string &baselineMachine)
-{
-    if (finalized_)
-        fatal("MetricFrame: finalize() called twice");
-    finalized_ = true;
-    computeGroups();
-    buildIndexes();
-
-    if (baselineMachine.empty())
-        return;
-
-    // Derived column: speedup over the baseline machine of the same
-    // coordinate group (baseline row resolved once per group, not
-    // once per row).
-    metrics_.push_back("speedup");
-    metricIds_.emplace("speedup", metrics_.size() - 1);
-    std::vector<std::size_t> baseOfGroup(numGroups());
-    for (std::size_t g = 0; g < numGroups(); ++g)
-        baseOfGroup[g] = rowInGroup(g, baselineMachine);
-    std::vector<double> &speedup = columns_.emplace_back();
-    speedup.reserve(rows_.size());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        std::size_t base = baseOfGroup[rows_[r].group];
-        speedup.push_back(base != npos ? speedupOf(r, base) : 0.0);
-    }
-}
-
-double
-MetricFrame::speedupOf(std::size_t r, std::size_t base) const
-{
-    const std::vector<double> &ticks = columns_[0];
-    const std::vector<double> &completed = columns_[4];
-    if (completed[r] == 0.0 || completed[base] == 0.0 ||
-        ticks[r] == 0.0)
-        return 0.0;
-    return ticks[base] / ticks[r];
+    static const std::vector<std::string> withoutSpeedup(
+        allColumns().begin(), allColumns().end() - 1);
+    return baseline_ == npos ? withoutSpeedup : allColumns();
 }
 
 bool
 MetricFrame::hasMetric(const std::string &name) const
 {
-    return metricIndex(name) != npos;
+    const std::size_t m = columnOf(name);
+    return m != npos && (m != cSpeedup || baseline_ != npos);
 }
 
-std::size_t
-MetricFrame::metricIndex(const std::string &name) const
+double
+MetricFrame::column(std::size_t r, std::size_t m) const
 {
-    auto it = metricIds_.find(name);
-    return it == metricIds_.end() ? npos : it->second;
+    const double *v = measured_.data() + r * kMeasured;
+    switch (m) {
+      case cTicks:
+        return v[kTicks];
+      case cMcycles:
+        return megaCycles(v[kTicks]);
+      case cInsts:
+        return v[kInsts];
+      case cValid:
+        return v[kValid];
+      case cCompleted:
+        return status_[r] == RunStatus::Completed ? 1.0 : 0.0;
+      case cFailed:
+        return runStatusIsInfraFailure(status_[r]) ? 1.0 : 0.0;
+      case cAttempts:
+        return v[kAttempts];
+      case cSpeedup:
+        return speedupOf(r, groupOf(r) * machines() + baseline_);
+    }
+    if (m < cPerMi)
+        return v[kEvents + (m - cEvents)];
+    return perMegaInsts(v[kEvents + (m - cPerMi)], v[kInsts]);
 }
 
 bool
 MetricFrame::value(std::size_t r, const std::string &metric,
                    double *out) const
 {
-    std::size_t m = metricIndex(metric);
-    if (m == npos)
+    if (!hasMetric(metric))
         return false;
-    *out = columns_[m][r];
+    *out = column(r, columnOf(metric));
     return true;
 }
 
@@ -283,149 +157,86 @@ MetricFrame::at(std::size_t r, const std::string &metric) const
     return v;
 }
 
-std::string
-MetricFrame::groupLabel(std::size_t g) const
+double
+MetricFrame::speedupOf(std::size_t r, std::size_t base) const
 {
-    std::string out;
-    for (const CoordId &c : groupCoords(g)) {
-        if (!out.empty())
-            out += " ";
-        out += name(c.key) + "=" + name(c.value);
-    }
+    const double ticks = measured_[r * kMeasured + kTicks];
+    if (status_[r] != RunStatus::Completed ||
+        status_[base] != RunStatus::Completed || ticks == 0.0)
+        return 0.0;
+    return measured_[base * kMeasured + kTicks] / ticks;
+}
+
+std::string
+MetricFrame::groupLabel(std::size_t g, char sep) const
+{
+    const std::string out = grid_->label(combos_[g], sep);
     return out.empty() ? "-" : out;
 }
 
 std::size_t
 MetricFrame::rowInGroup(std::size_t g, const std::string &machine) const
 {
-    const Id m = lookupId(machine);
-    if (m == kNoId)
-        return npos;
-    for (std::size_t r : groupRows(g)) {
-        if (rows_[r].machine == m)
-            return r;
-    }
-    return npos;
+    const std::size_t m = grid_->machineOf(machine);
+    return m == npos ? npos : g * machines() + m;
 }
 
 bool
 MetricFrame::groupHasFailure(std::size_t g) const
 {
     for (std::size_t r : groupRows(g)) {
-        if (runStatusIsInfraFailure(rows_[r].status))
+        if (runStatusIsInfraFailure(status_[r]))
             return true;
     }
     return false;
 }
 
 std::size_t
+MetricFrame::groupOfCombo(std::size_t combo) const
+{
+    auto it = std::lower_bound(combos_.begin(), combos_.end(), combo);
+    if (it == combos_.end() || *it != combo)
+        return npos;
+    return static_cast<std::size_t>(it - combos_.begin());
+}
+
+std::size_t
 MetricFrame::rowWithOverrides(std::size_t g, const std::string &machine,
                               const std::vector<Coord> &overrides) const
 {
-    const Id m = lookupId(machine);
-    if (m == kNoId)
+    const std::size_t m = grid_->machineOf(machine);
+    if (m == npos)
         return npos;
-    // The group's (machine, coordinates) tuple, then the machine and
-    // the overridden values substituted in place.
-    std::vector<Id> key =
-        tupleOf(Tuple::MachineCoords, kNoId, groupRows(g).front());
-    key[0] = m;
+    std::size_t combo = combos_[g];
     for (const Coord &o : overrides) {
-        const Id k = lookupId(o.first);
-        if (k == kNoId)
-            continue; // key unseen anywhere: substitutes nothing
-        const Id v = lookupId(o.second);
-        bool present = false;
-        for (std::size_t i = 1; i < key.size(); i += 2) {
-            if (key[i] == k) {
-                present = true;
-                key[i + 1] = v;
-            }
-        }
-        // A value string no row carries can never match.
-        if (present && v == kNoId)
+        const std::size_t a = grid_->axisOf(o.first);
+        if (a == npos)
+            continue;
+        const std::size_t v = grid_->valueOf(a, o.second);
+        if (v == npos)
             return npos;
+        combo = grid_->withDigit(combo, a, v);
     }
-    return findIn(rowOfMachineTuple_, key);
+    const std::size_t h = groupOfCombo(combo);
+    return h == npos ? npos : h * machines() + m;
 }
 
 std::size_t
-MetricFrame::axisBaselineRow(std::size_t r,
-                             const std::string &axis) const
+MetricFrame::axisBaselineRow(std::size_t r, const std::string &axis) const
 {
-    const Id axisId = lookupId(axis);
-    if (axisId == kNoId) {
-        // No row carries the axis, so the baseline is simply the
-        // first row with this row's machine and exact coordinates.
-        return findIn(rowOfMachineTuple_,
-                      tupleOf(Tuple::MachineCoords, kNoId, r));
-    }
-    auto built = std::find_if(axisBaseline_.begin(), axisBaseline_.end(),
-                              [&](const auto &a) { return a.first == axisId; });
-    if (built == axisBaseline_.end()) {
-        axisBaseline_.emplace_back(axisId,
-                                   buildIndex(Tuple::AxisMasked, axisId));
-        built = axisBaseline_.end() - 1;
-    }
-    return findIn(built->second, tupleOf(Tuple::AxisMasked, axisId, r));
+    const std::size_t a = grid_->axisOf(axis);
+    if (a == npos)
+        return r;
+    const std::size_t h =
+        groupOfCombo(grid_->withDigit(combos_[groupOf(r)], a, 0));
+    return h == npos ? npos : h * machines() + r % machines();
 }
 
-std::size_t
-MetricFrame::findRow(const std::string &machine,
-                     const std::vector<Coord> &coords) const
-{
-    const Id m = lookupId(machine);
-    if (m == kNoId || m >= rowsOfMachine_.size() ||
-        rowsOfMachine_[m].empty())
-        return npos;
-    std::vector<CoordId> want;
-    want.reserve(coords.size());
-    for (const Coord &c : coords) {
-        const Id k = lookupId(c.first);
-        const Id v = lookupId(c.second);
-        if (k == kNoId || v == kNoId)
-            return npos; // an unseen key or value matches no row
-        want.push_back({k, v});
-    }
-    const std::vector<std::uint32_t> &mine = rowsOfMachine_[m];
-    // Full-tuple fast path: a query naming every axis is an exact
-    // sorted-tuple hash hit. A miss (or a partial query) falls back to
-    // a containment scan over this machine's rows — id comparisons
-    // only, never strings.
-    if (want.size() == rows_[mine.front()].coordCount) {
-        std::sort(want.begin(), want.end());
-        std::vector<Id> key{m};
-        for (const CoordId &c : want) {
-            key.push_back(c.key);
-            key.push_back(c.value);
-        }
-        const std::size_t hit = findIn(rowOfSortedTuple_, key);
-        if (hit != npos)
-            return hit;
-    }
-    for (std::size_t r : mine) {
-        bool match = true;
-        for (const CoordId &w : want) {
-            bool found = false;
-            for (const CoordId &have : this->coords(r))
-                found = found || have == w;
-            match = match && found;
-        }
-        if (match)
-            return r;
-    }
-    return npos;
-}
-
-const std::vector<MetricFrame::Id> *
+const std::vector<std::string> *
 MetricFrame::axisValues(const std::string &key) const
 {
-    const Id k = lookupId(key);
-    for (const auto &axis : axisValues_) {
-        if (axis.first == k)
-            return &axis.second;
-    }
-    return nullptr;
+    const std::size_t a = grid_ ? grid_->axisOf(key) : npos;
+    return a == npos ? nullptr : &grid_->axes[a].values;
 }
 
 void
@@ -433,47 +244,45 @@ MetricFrame::writeJson(std::ostream &os) const
 {
     using stats::writeJsonNumber;
     using stats::writeJsonQuoted;
+    const std::vector<std::string> &names = metrics();
     os << "{\n";
-    os << "  \"rows\": " << rows_.size() << ",\n";
+    os << "  \"rows\": " << numRows() << ",\n";
     os << "  \"groups\": " << numGroups() << ",\n";
     os << "  \"metrics\": [";
-    for (std::size_t m = 0; m < metrics_.size(); ++m) {
+    for (std::size_t m = 0; m < names.size(); ++m) {
         os << (m ? ", " : "");
-        writeJsonQuoted(os, metrics_[m]);
+        writeJsonQuoted(os, names[m]);
     }
     os << "],\n";
     os << "  \"points\": [";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        const Row &row = rows_[r];
+    for (std::size_t r = 0; r < numRows(); ++r) {
         os << (r ? ",\n" : "\n");
         os << "    {\n";
         os << "      \"machine\": ";
-        writeJsonQuoted(os, name(row.machine));
+        writeJsonQuoted(os, machine(r));
         os << ",\n";
         os << "      \"workload\": ";
-        writeJsonQuoted(os, name(row.workload));
+        writeJsonQuoted(os, workload(r));
         os << ",\n";
-        os << "      \"competitors\": " << row.competitors << ",\n";
+        os << "      \"competitors\": " << competitors(r) << ",\n";
         os << "      \"coords\": {";
-        bool first = true;
-        for (const CoordId &c : coords(r)) {
-            os << (first ? "" : ", ");
-            first = false;
-            writeJsonQuoted(os, name(c.key));
+        for (std::size_t a = 0; a < grid_->axes.size(); ++a) {
+            os << (a ? ", " : "");
+            writeJsonQuoted(os, grid_->axes[a].key);
             os << ": ";
-            writeJsonQuoted(os, name(c.value));
+            writeJsonQuoted(os, coord(r, a));
         }
         os << "},\n";
-        os << "      \"group\": " << row.group << ",\n";
+        os << "      \"group\": " << groupOf(r) << ",\n";
         os << "      \"status\": ";
-        writeJsonQuoted(os, runStatusName(row.status));
+        writeJsonQuoted(os, runStatusName(status_[r]));
         os << ",\n";
         os << "      \"values\": {";
-        for (std::size_t m = 0; m < metrics_.size(); ++m) {
+        for (std::size_t m = 0; m < names.size(); ++m) {
             os << (m ? ", " : "");
-            writeJsonQuoted(os, metrics_[m]);
+            writeJsonQuoted(os, names[m]);
             os << ": ";
-            writeJsonNumber(os, columns_[m][r]);
+            writeJsonNumber(os, column(r, m));
         }
         os << "}\n";
         os << "    }";

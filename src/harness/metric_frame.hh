@@ -10,9 +10,9 @@
  * retired instructions). `failed` is 1 on rows whose run ended in an
  * infrastructure failure (worker crash/timeout, snapshot error — see
  * runStatusIsInfraFailure), and `attempts` counts supervised --isolate
- * launches; both exist so degraded sweeps stay queryable. Rows are added in submission (grid) order and iterate
- * deterministically, which is what lets every renderer stay
- * byte-identical across reruns and `--jobs N` fan-out.
+ * launches; both exist so degraded sweeps stay queryable. Rows iterate
+ * in grid order, which is what lets every renderer stay byte-identical
+ * across reruns and `--jobs N` fan-out.
  *
  * Everything downstream of harness::runOne reads results through a
  * frame: the `[report]` assert evaluator (including its aggregate and
@@ -22,23 +22,19 @@
  * hand-rolled walks over result vectors are the bug this layer
  * removes.
  *
- * Rows carry their sweep-coordinate *group*: all rows sharing one
+ * The frame is a view over the grid it came from. Rows sharing one
  * coordinate combination (e.g. the 1p/misp/smp8 runs of one Figure-4
- * workload) form a group, the evaluation unit of per-point asserts and
- * the denominator of machine-relative metrics like speedup.
- *
- * Scale: axis keys/values, machine and workload names are interned
- * once into integer ids, and a row holds only ids, a status and its
- * place in the coordinate pool; the columns are reserved once from the
- * row count (reserve()). Hash indexes keyed on the rows' id tuples
- * (built by finalize(), or on first use for baseline_axis) make every
- * lookup (cross-axis selectors, group and baseline resolution,
- * findRow) cost O(1) id hashing instead of an O(rows) string-compare
- * walk. A frame holds about 490 B a row, 264 B of it the 33 columns
- * (1,269 B with string coordinates and string-keyed indexes). Row
- * iteration and group numbering stay in grid order, so the indexes
- * change no emitted byte. Lookups need a finalized frame; the linear walk the indexes
- * replaced lives on only as bench/ablation_frame_scale's baseline.
+ * workload) form a *group*, the evaluation unit of per-point asserts
+ * and the denominator of machine-relative metrics like speedup. The
+ * frame holds the GridTable, the ascending list of combinations it has
+ * rows for (every one in a sweep; a shard's whole groups j mod N), and
+ * per row only what was measured: a status and 16 doubles (ticks,
+ * insts, valid, attempts, the 12 events.*). Every other column is
+ * computed from those in value(). Since machines are the grid's
+ * innermost loop, row = group x machines + machine index, and every
+ * lookup is arithmetic on the combination's odometer digits
+ * (GridTable): no names are copied, nothing is indexed, and a const
+ * frame is safe to query from any number of threads.
  */
 
 #ifndef MISP_HARNESS_METRIC_FRAME_HH
@@ -47,12 +43,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <span>
+#include <memory>
+#include <ranges>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "harness/grid_table.hh"
 #include "harness/run_record.hh"
 
 namespace misp::harness {
@@ -60,84 +57,61 @@ namespace misp::harness {
 class MetricFrame
 {
   public:
-    /** Interned symbol id: a machine or workload name, an axis key or
-     *  an axis value. name() maps it back. */
-    using Id = std::uint32_t;
-    static constexpr Id kNoId = 0xffffffffu;
-
     /** One sweep coordinate as spelled in the spec (e.g.
      *  {"machine.signal_cycles", "5000"}): the query form. */
     using Coord = std::pair<std::string, std::string>;
 
-    /** One stored sweep coordinate: (axis key id, value id). */
-    struct CoordId {
-        Id key = kNoId;
-        Id value = kNoId;
-        bool operator==(const CoordId &) const = default;
-        auto operator<=>(const CoordId &) const = default;
-    };
-
-    /** Row identity: where in the sweep this run sits, as ids. The
-     *  measured numbers live in the columns, the coordinates in the
-     *  frame's coordinate pool (coords()). */
-    struct Row {
-        Id machine = kNoId;
-        Id workload = kNoId;
-        unsigned competitors = 0;
-        RunStatus status = RunStatus::MaxTicksReached;
-        /** Coordinate-group index (valid after finalize()). */
-        std::uint32_t group = 0;
-        std::uint32_t coordBegin = 0; ///< first entry in the pool
-        std::uint32_t coordCount = 0;
-    };
-
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    MetricFrame();
-    // The interner's names_ point into its own map: move, never copy.
-    MetricFrame(const MetricFrame &) = delete;
-    MetricFrame &operator=(const MetricFrame &) = delete;
-    MetricFrame(MetricFrame &&) = default;
-    MetricFrame &operator=(MetricFrame &&) = default;
-
-    /** Size the row table and every column for @p rows rows, once. */
-    void reserve(std::size_t rows);
-
-    /** The id of @p s, interning it on first sight. */
-    Id intern(const std::string &s);
-
-    /** Append one grid point's measurements: ids from intern(), the
-     *  coordinates in axis order. Rows must be added in grid
-     *  (submission) order; iteration order is insertion order. */
-    void addRow(Id machine, Id workload, unsigned competitors,
-                const std::vector<CoordId> &coords, const RunRecord &run);
+    /** An empty frame: no rows, and every column but `speedup`. */
+    MetricFrame() = default;
 
     /**
-     * Compute the coordinate groups and, when @p baselineMachine is
-     * non-empty, the derived `speedup` column (baseline ticks / row
-     * ticks within the row's group; 0 when either run never
-     * completed). Call once, after the last addRow().
+     * A frame over @p grid with one group per entry of @p combos
+     * (ascending combination indices), each the grid's machines in
+     * order; addRow() fills the rows. With @p baselineMachine (a
+     * machine of the grid) the frame has the derived `speedup` column:
+     * baseline ticks / row ticks within the row's group.
      */
-    void finalize(const std::string &baselineMachine = "");
+    MetricFrame(std::shared_ptr<const GridTable> grid,
+                std::vector<std::uint32_t> combos,
+                const std::string &baselineMachine = "");
+
+    /** Append the next row's measurements, in grid order. */
+    void addRow(const RunRecord &run);
 
     // Shape ------------------------------------------------------------
 
-    std::size_t numRows() const { return rows_.size(); }
-    std::size_t numGroups() const { return groupStart_.size() - 1; }
-    const Row &row(std::size_t r) const { return rows_[r]; }
+    std::size_t numRows() const { return status_.size(); }
+    std::size_t numGroups() const { return combos_.size(); }
 
-    /** The string an id stands for. */
-    const std::string &name(Id id) const { return *names_[id]; }
+    /** The grid the rows come from; only on a non-empty frame. */
+    const GridTable &grid() const { return *grid_; }
+    /** Group @p g's coordinate combination. */
+    std::size_t combo(std::size_t g) const { return combos_[g]; }
+    std::size_t groupOf(std::size_t r) const { return r / machines(); }
 
-    /** Row @p r's coordinates, in axis order. */
-    std::span<const CoordId> coords(std::size_t r) const
+    const std::string &machine(std::size_t r) const
     {
-        return {coordPool_.data() + rows_[r].coordBegin,
-                rows_[r].coordCount};
+        return grid_->machines[r % machines()];
     }
+    const std::string &workload(std::size_t r) const
+    {
+        return grid_->workloadAt(combos_[groupOf(r)]);
+    }
+    unsigned competitors(std::size_t r) const
+    {
+        return grid_->competitorsAt(combos_[groupOf(r)]);
+    }
+    /** Row @p r's value on axis @p a. */
+    const std::string &coord(std::size_t r, std::size_t a) const
+    {
+        return grid_->value(combos_[groupOf(r)], a);
+    }
+    RunStatus status(std::size_t r) const { return status_[r]; }
 
     /** Column names, in emission order. */
-    const std::vector<std::string> &metrics() const { return metrics_; }
+    const std::vector<std::string> &metrics() const;
     bool hasMetric(const std::string &name) const;
 
     // Point lookups -----------------------------------------------------
@@ -160,20 +134,15 @@ class MetricFrame
     // Group queries ------------------------------------------------------
 
     /** Rows of coordinate group @p g, in grid order. */
-    std::span<const std::uint32_t> groupRows(std::size_t g) const
+    std::ranges::iota_view<std::size_t, std::size_t>
+    groupRows(std::size_t g) const
     {
-        return {groupRows_.data() + groupStart_[g],
-                groupStart_[g + 1] - groupStart_[g]};
+        return {g * machines(), (g + 1) * machines()};
     }
 
-    /** The coordinates every row of group @p g shares. */
-    std::span<const CoordId> groupCoords(std::size_t g) const
-    {
-        return coords(groupRows(g).front());
-    }
-
-    /** "key=value key=value" rendering of groupCoords ("-" if none). */
-    std::string groupLabel(std::size_t g) const;
+    /** "key=value key=value" rendering of group @p g's coordinates,
+     *  joined by @p sep ("-" if none). */
+    std::string groupLabel(std::size_t g, char sep = ' ') const;
 
     /** Row of @p machine inside group @p g; npos if absent. */
     std::size_t rowInGroup(std::size_t g,
@@ -185,9 +154,9 @@ class MetricFrame
 
     /**
      * Cross-axis lookup: the row of @p machine whose coordinates equal
-     * group @p g's with @p overrides substituted (each override key
-     * must name a coordinate of the group — the caller validates
-     * that). npos when no row matches.
+     * group @p g's with @p overrides substituted (an override whose
+     * key is no axis substitutes nothing). npos when a value is not
+     * on its axis or the frame has no rows at that combination.
      */
     std::size_t rowWithOverrides(std::size_t g,
                                  const std::string &machine,
@@ -195,26 +164,18 @@ class MetricFrame
         const;
 
     /**
-     * The `[report] baseline_axis` baseline of row @p r: the first row
-     * (grid order = first axis value) on the same machine whose
-     * coordinates match on every axis except @p axis. npos if absent.
-     * The first call for an axis builds that axis's index, so unlike
-     * the other lookups this one must not run on two threads at once.
+     * The `[report] baseline_axis` baseline of row @p r: the row on
+     * the same machine whose coordinates match on every axis except
+     * @p axis, which is at its first value. npos when the frame has no
+     * rows at that combination (a shard holding only some groups);
+     * row @p r itself when @p axis is not swept.
      */
     std::size_t axisBaselineRow(std::size_t r,
                                 const std::string &axis) const;
 
-    /** First row on @p machine whose coordinates contain every
-     *  (key, value) pair of @p coords; npos if absent. A query naming
-     *  every axis is one hash lookup, any other a scan of the
-     *  machine's rows. */
-    std::size_t findRow(const std::string &machine,
-                        const std::vector<Coord> &coords) const;
-
-    /** Distinct value ids of sweep axis @p key, in first-seen row
-     *  order (the selector normalizer's input). nullptr when no row
-     *  carries the axis. Available after finalize(). */
-    const std::vector<Id> *axisValues(const std::string &key) const;
+    /** The values of sweep axis @p key, in axis order (the selector
+     *  normalizer's input). nullptr when the axis is not swept. */
+    const std::vector<std::string> *axisValues(const std::string &key) const;
 
     /**
      * The full frame as deterministic JSON (the `mispsim --metrics`
@@ -227,60 +188,21 @@ class MetricFrame
     void writeJson(std::ostream &os) const;
 
   private:
-    /** Hash of an id tuple. */
-    struct IdsHash {
-        std::size_t operator()(const std::vector<Id> &ids) const;
-    };
-    /** An id tuple -> the first row (grid order) that has it. Keyed on
-     *  the whole tuple, so equal keys are equal tuples. Lookup-only:
-     *  nothing iterates it, so no hash order can leak into an
-     *  artifact. */
-    using TupleIndex = std::unordered_map<std::vector<Id>, std::uint32_t,
-                                          IdsHash>;
-    /** Which tuple of a row an index is keyed on. */
-    enum class Tuple {
-        Coords,        ///< coordinates in axis order (the group key)
-        MachineCoords, ///< machine, then coordinates in axis order
-        MachineSorted, ///< machine, then coordinates sorted by id
-        AxisMasked,    ///< axis, machine, coordinates with its value masked
-    };
+    std::size_t machines() const
+    {
+        return grid_ ? grid_->machines.size() : 0;
+    }
+    /** Column @p m (an index into metrics()) at row @p r. */
+    double column(std::size_t r, std::size_t m) const;
+    /** The group holding combination @p combo; npos when none does. */
+    std::size_t groupOfCombo(std::size_t combo) const;
 
-    Id lookupId(const std::string &s) const;
-    std::size_t metricIndex(const std::string &name) const;
-    /** Row @p r's @p kind tuple: the one definition of every tuple's
-     *  layout. */
-    std::vector<Id> tupleOf(Tuple kind, Id axis, std::size_t r) const;
-    TupleIndex buildIndex(Tuple kind, Id axis = kNoId) const;
-    static std::size_t findIn(const TupleIndex &index,
-                              const std::vector<Id> &key);
-    void computeGroups();
-    void buildIndexes();
-
-    std::vector<std::string> metrics_;
-    std::vector<std::vector<double>> columns_; ///< [metric][row]
-    std::vector<Row> rows_;
-    std::vector<CoordId> coordPool_; ///< every row's coordinates
-    /** Rows by group (grid order within a group); group g's rows are
-     *  groupRows_[groupStart_[g] .. groupStart_[g + 1]). */
-    std::vector<std::uint32_t> groupRows_;
-    std::vector<std::uint32_t> groupStart_{0};
-    bool finalized_ = false;
-
-    /** The interner: each string once, as a map key; names_[id]
-     *  points at it (map nodes never move). */
-    std::unordered_map<std::string, Id> internIds_;
-    std::vector<const std::string *> names_;
-    std::unordered_map<std::string, std::size_t> metricIds_;
-
-    TupleIndex rowOfMachineTuple_;
-    TupleIndex rowOfSortedTuple_; ///< findRow's full-tuple index
-    std::vector<std::vector<std::uint32_t>> rowsOfMachine_; ///< [machine id]
-    std::vector<std::pair<Id, std::vector<Id>>>
-        axisValues_; ///< per axis, value ids in first-seen order
-
-    /** One `baseline_axis` index per axis asked for, built on first
-     *  use by axisBaselineRow (hence mutable). */
-    mutable std::vector<std::pair<Id, TupleIndex>> axisBaseline_;
+    std::shared_ptr<const GridTable> grid_;
+    std::vector<std::uint32_t> combos_; ///< [group], ascending
+    /** Machine index of the `speedup` baseline; npos = no column. */
+    std::size_t baseline_ = npos;
+    std::vector<RunStatus> status_; ///< [row]
+    std::vector<double> measured_;  ///< [row][kMeasured], row-major
 };
 
 } // namespace misp::harness

@@ -9,14 +9,6 @@
 
 namespace misp::harness {
 
-double
-RunRecord::perMegaInsts(double count) const
-{
-    if (instsRetired == 0)
-        return 0.0;
-    return count / (double(instsRetired) / 1e6);
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -87,9 +79,10 @@ struct BuiltWorkload {
  *  which point. Measured on the ledger's specs at --jobs 1: suite
  *  finds 32 of its 48 points' workloads here, multiprog 52 of 54 and
  *  grid 1250 of 2500 (its innermost axis, workload.workers, changes
- *  at every other point). At --jobs 4 a thread's consecutive points
- *  are not neighbours in the grid: suite finds 4 of 48, grid about
- *  1370 of 2500. */
+ *  at every other point). At --jobs 4 a worker claims whole
+ *  coordinate groups while one per worker remains (runner.cc), so its
+ *  consecutive points stay grid neighbours: suite finds 29 of 48,
+ *  multiprog 46 of 54 and grid about 1,800-1,900 of 2500. */
 thread_local std::vector<BuiltWorkload> tlsPrevious;
 
 const wl::WorkloadInfo *

@@ -95,6 +95,21 @@ struct RunRequest {
     std::uint64_t traceSkip = 0;
 };
 
+/** @p ticks in millions of cycles (the frame's `mcycles`). */
+inline double
+megaCycles(double ticks)
+{
+    return ticks / 1e6;
+}
+
+/** Table-1 normalization: @p count per 10^6 of @p insts retired
+ *  instructions (0 when nothing retired). */
+inline double
+perMegaInsts(double count, double insts)
+{
+    return insts == 0.0 ? 0.0 : count / (insts / 1e6);
+}
+
 /** Everything measured by one run. Simulated fields (status, ticks,
  *  valid, events, instsRetired, statsJson) are deterministic; host
  *  timing is informational and varies run to run. */
@@ -141,13 +156,7 @@ struct RunRecord {
     /** Completed and validated. */
     bool ok() const { return completed() && valid; }
 
-    // Derived metrics ---------------------------------------------------
-
-    double megaCycles() const { return ticks / 1e6; }
-
-    /** Table-1 normalization: @p count per 10^6 retired instructions
-     *  (0 when nothing retired). */
-    double perMegaInsts(double count) const;
+    double megaCycles() const { return harness::megaCycles(double(ticks)); }
 };
 
 /**

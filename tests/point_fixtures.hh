@@ -1,34 +1,34 @@
 /**
  * @file
- * Test fixture: grid coordinates for a hand-made PointResult.
+ * Test fixture: hand-made results on a spec's expanded grid.
  */
 
 #ifndef MISP_TESTS_POINT_FIXTURES_HH
 #define MISP_TESTS_POINT_FIXTURES_HH
 
-#include <memory>
+#include <gtest/gtest.h>
+
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "driver/runner.hh"
 #include "driver/scenario.hh"
 
 namespace misp::test {
 
-/** Coordinates of one point outside any expanded grid: a one-point
- *  GridTable holding exactly these names. */
-inline driver::PointCoords
-pointAt(const std::string &machine, const std::string &workload,
-        const std::vector<std::pair<std::string, std::string>> &coords = {},
-        unsigned competitors = 0)
+/** One unmeasured result per point of @p sc's expanded grid, in grid
+ *  order: a test fills in the runs, and the coordinates are the ones
+ *  the frame addresses (whole groups, machines innermost). */
+inline std::vector<driver::PointResult>
+gridResults(const driver::Scenario &sc, bool quick = false)
 {
-    auto table = std::make_shared<driver::GridTable>();
-    table->machines = {machine};
-    table->workload = workload;
-    table->competitors = competitors;
-    for (const auto &[key, value] : coords)
-        table->axes.push_back({key, {value}});
-    return driver::PointCoords(table, 0, 0);
+    std::vector<driver::ScenarioPoint> pts;
+    std::string err;
+    EXPECT_TRUE(sc.expandPoints(quick, &pts, &err)) << err;
+    std::vector<driver::PointResult> results;
+    for (const driver::ScenarioPoint &pt : pts)
+        results.push_back(driver::unmeasuredResult(pt));
+    return results;
 }
 
 } // namespace misp::test

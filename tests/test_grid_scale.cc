@@ -3,7 +3,7 @@
  * Grid-scale tests: what a sweep keeps per point, that a grid's
  * config hash is stable (so shard images written by older builds
  * still merge), and that every MetricFrame lookup returns the rows the
- * string-keyed frame it replaced returned.
+ * frames it replaced returned.
  *
  * A counting global operator new/delete tracks the live heap bytes of
  * this binary, so the per-point test measures exactly what the driver
@@ -124,25 +124,20 @@ rowText(std::size_t r)
 /**
  * Every lookup the frame answers, over every row and group of
  * @p f, as text: axisValues per axis, describePoint, axisBaselineRow
- * per axis, findRow (full tuple in and out of axis order, one
- * coordinate, an unseen value), groupLabel, rowInGroup and
- * rowWithOverrides (each axis value, an unseen value, an unseen key,
- * two overrides) for known and unknown machines. The string-keyed
- * frame this one replaced produced the digests pinned below.
+ * per axis, groupLabel, rowInGroup and rowWithOverrides (each axis
+ * value, an unseen value, an unseen key, two overrides) for known and
+ * unknown machines. The frame this one replaced (interned ids and
+ * tuple indexes, itself checked against the string-keyed frame before
+ * it) produced the digests pinned below.
  */
 std::string
 lookups(const MetricFrame &f)
 {
     std::string o;
     std::vector<std::string> keys;
-    for (const MetricFrame::CoordId &c : f.coords(0))
-        keys.push_back(f.name(c.key));
-    auto values = [&](const std::string &key) {
-        std::vector<std::string> out;
-        for (MetricFrame::Id id : *f.axisValues(key))
-            out.push_back(f.name(id));
-        return out;
-    };
+    for (const harness::SweepAxis &a : f.grid().axes)
+        keys.push_back(a.key);
+    auto values = [&](const std::string &key) { return *f.axisValues(key); };
     const std::vector<std::string> machines = {"1p", "misp", "a", "b",
                                                "nosuch"};
     for (const std::string &k : keys) {
@@ -160,25 +155,7 @@ lookups(const MetricFrame &f)
                  rowText(f.axisBaselineRow(r, k)) + "\n";
         o += "axisBaseline " + rowText(r) + " nosuch " +
              rowText(f.axisBaselineRow(r, "nosuch")) + "\n";
-        std::vector<MetricFrame::Coord> c;
-        for (const MetricFrame::CoordId &id : f.coords(r))
-            c.emplace_back(f.name(id.key), f.name(id.value));
-        std::vector<MetricFrame::Coord> rc(c.rbegin(), c.rend());
-        for (const std::string &m : machines) {
-            o += "findRow " + m + " full " + rowText(f.findRow(m, c)) +
-                 " rev " + rowText(f.findRow(m, rc)) + "\n";
-            for (const MetricFrame::Coord &x : c)
-                o += "findRow1 " + m + " " + x.first + "=" + x.second +
-                     " " + rowText(f.findRow(m, {x})) + "\n";
-            if (!c.empty()) {
-                std::vector<MetricFrame::Coord> bad = c;
-                bad[0].second = "77";
-                o += "findRowBad " + m + " " + rowText(f.findRow(m, bad)) +
-                     "\n";
-            }
-        }
     }
-    o += "findRow empty " + rowText(f.findRow("misp", {})) + "\n";
     for (std::size_t g = 0; g < f.numGroups(); ++g) {
         o += "label " + f.groupLabel(g) + "\n";
         for (const std::string &m : machines) {
@@ -205,20 +182,6 @@ lookups(const MetricFrame &f)
         }
     }
     return o;
-}
-
-PointResult
-completedPoint(const std::string &machine, Tick ticks,
-               const std::string &dim)
-{
-    PointResult r;
-    r.coords = test::pointAt(machine, "dense_mvm",
-                             {{"workload.param.dim", dim}});
-    r.run.status = harness::RunStatus::Completed;
-    r.run.ticks = ticks;
-    r.run.valid = true;
-    r.run.instsRetired = 1'000'000;
-    return r;
 }
 
 } // namespace
@@ -253,13 +216,16 @@ TEST(GridScale, PerPointStateStaysSmall)
                 "peak %.0f B\n",
                 pointsB, resultsB, frameB - resultsB, peakB);
 
-    // Measured at this layout: 818 B a point at the frame build
-    // (results 328 B + frame 490 B; the points, 316 B, are gone by
-    // then). The string-coordinate layout it replaced held 2.7 KB a
-    // point by this count (points 774 B, results 659 B, frame
-    // 1,269 B, all alive at the frame build). The bound is 1.25x the
-    // measured peak.
-    EXPECT_LE(peakB, 1.25 * 818);
+    // Measured at this layout: 644 B a point during the run (points
+    // 316 B + results 328 B); the frame adds 134 B a row (a status and
+    // 16 measured doubles, plus its share of the group list), so
+    // results + frame is 462 B. The frame that interned its own
+    // coordinates and indexed id tuples peaked at 818 B a point, at
+    // the frame build (results 328 B + frame 490 B), and the
+    // string-coordinate layout before it at 2.7 KB (points 774 B,
+    // results 659 B, frame 1,269 B, all alive at the frame build).
+    // The bound is 1.25x the measured peak.
+    EXPECT_LE(peakB, 1.25 * 644);
 }
 
 TEST(GridScale, ConfigHashIsStable)
@@ -277,7 +243,7 @@ TEST(GridScale, ConfigHashIsStable)
 
 TEST(GridScale, FrameLookupsMatchTheStringKeyedFrame)
 {
-    // Digests of lookups() over the string-keyed frame, on the same
+    // Digests of lookups() over the interned-id frame, on the same
     // two grids.
     {
         SpecFile spec;
@@ -290,22 +256,24 @@ TEST(GridScale, FrameLookupsMatchTheStringKeyedFrame)
             "[report]\nbaseline_machine = a\n",
             "<test>", &spec, &err));
         ASSERT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
-        const MetricFrame f = buildMetricFrame(
-            sc, {completedPoint("a", 400, "64"), completedPoint("b", 200, "64"),
-                 completedPoint("a", 800, "96"),
-                 completedPoint("b", 200, "96")});
-        const std::string text = lookups(f);
-        EXPECT_EQ(text.size(), 3871u);
-        EXPECT_EQ(fnv1a(text), 0xa9ebf40025f2b27cull) << text;
+        std::vector<PointResult> results = test::gridResults(sc);
+        const Tick ticks[] = {400, 200, 800, 200};
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            results[i].run.status = harness::RunStatus::Completed;
+            results[i].run.ticks = ticks[i];
+            results[i].run.valid = true;
+            results[i].run.instsRetired = 1'000'000;
+        }
+        const std::string text = lookups(buildMetricFrame(sc, results));
+        EXPECT_EQ(text.size(), 2116u);
+        EXPECT_EQ(fnv1a(text), 0x088dd494f8a803e4ull) << text;
     }
     {
         const Scenario sc = loadScenario(kGridLarge);
-        std::vector<PointResult> results;
-        for (const ScenarioPoint &pt : expand(sc, true))
-            results.push_back(unmeasuredResult(pt));
-        const std::string text = lookups(buildMetricFrame(sc, results));
-        EXPECT_EQ(text.size(), 35906u);
-        EXPECT_EQ(fnv1a(text), 0xc3ed5f63349d7de9ull)
+        const std::string text =
+            lookups(buildMetricFrame(sc, test::gridResults(sc, true)));
+        EXPECT_EQ(text.size(), 21786u);
+        EXPECT_EQ(fnv1a(text), 0xb7731c7f5a389598ull)
             << text.substr(0, 2000);
     }
 }

@@ -15,6 +15,7 @@
 
 #include "driver/report.hh"
 #include "driver/runner.hh"
+#include "driver/shard.hh"
 #include "harness/metric_frame.hh"
 #include "point_fixtures.hh"
 #include "sim/logging.hh"
@@ -47,39 +48,19 @@ mustScenario(const std::string &text)
     return sc;
 }
 
-/** A synthetic completed point with distinctive event counts. */
-PointResult
-fakePoint(const std::string &machine, const std::string &workload,
-          Tick ticks, std::uint64_t insts,
-          std::vector<std::pair<std::string, std::string>> coords = {})
+/** A synthetic completed run with distinctive event counts. */
+harness::RunRecord
+fakeRun(Tick ticks, std::uint64_t insts)
 {
-    PointResult r;
-    r.coords = test::pointAt(machine, workload, coords);
-    r.run.status = harness::RunStatus::Completed;
-    r.run.ticks = ticks;
-    r.run.valid = true;
-    r.run.instsRetired = insts;
-    r.run.events[harness::EventCounter::OmsPageFaults] = 10;
-    r.run.events[harness::EventCounter::AmsPageFaults] = 40;
-    r.run.events[harness::EventCounter::SerializeCycles] = 12345.0;
+    harness::RunRecord r;
+    r.status = harness::RunStatus::Completed;
+    r.ticks = ticks;
+    r.valid = true;
+    r.instsRetired = insts;
+    r.events[harness::EventCounter::OmsPageFaults] = 10;
+    r.events[harness::EventCounter::AmsPageFaults] = 40;
+    r.events[harness::EventCounter::SerializeCycles] = 12345.0;
     return r;
-}
-
-/** The two-machine x two-value grid most tests query: a is the
- *  baseline, b is 2x / 4x faster depending on the axis value. */
-std::vector<PointResult>
-twoAxisGrid()
-{
-    std::vector<PointResult> results;
-    results.push_back(
-        fakePoint("a", "dense_mvm", 400, 1'000'000, {{"workload.param.dim", "64"}}));
-    results.push_back(
-        fakePoint("b", "dense_mvm", 200, 1'000'000, {{"workload.param.dim", "64"}}));
-    results.push_back(
-        fakePoint("a", "dense_mvm", 800, 1'000'000, {{"workload.param.dim", "96"}}));
-    results.push_back(
-        fakePoint("b", "dense_mvm", 200, 1'000'000, {{"workload.param.dim", "96"}}));
-    return results;
 }
 
 /** Ends in its [report] section, so asserts may be appended. */
@@ -104,6 +85,19 @@ Scenario
 twoAxisScenario(const std::vector<std::string> &asserts = {})
 {
     return withAsserts(kTwoAxisSpec, asserts);
+}
+
+/** The two-machine x two-value grid most tests query: a is the
+ *  baseline, b is 2x / 4x faster depending on the axis value. Rows
+ *  (a, 64), (b, 64), (a, 96), (b, 96). */
+std::vector<PointResult>
+twoAxisGrid()
+{
+    std::vector<PointResult> results = test::gridResults(twoAxisScenario());
+    const Tick ticks[] = {400, 200, 800, 200};
+    for (std::size_t i = 0; i < results.size(); ++i)
+        results[i].run = fakeRun(ticks[i], 1'000'000);
+    return results;
 }
 
 /** The diagnostic Scenario::fromSpec gives for @p spec plus the line
@@ -134,18 +128,15 @@ evalAsserts(const Scenario &sc, const std::vector<PointResult> &results,
                            err, skipped);
 }
 
-/** A point whose worker failed for infrastructure reasons. */
-PointResult
-failedPoint(const std::string &machine, const std::string &workload,
-            harness::RunStatus status, unsigned attempts,
-            std::vector<std::pair<std::string, std::string>> coords = {})
+/** A run whose worker failed for infrastructure reasons. */
+harness::RunRecord
+failedRun(harness::RunStatus status, unsigned attempts)
 {
-    PointResult r;
-    r.coords = test::pointAt(machine, workload, coords);
-    r.run.status = status;
-    r.run.valid = false;
-    r.run.attempts = attempts;
-    r.run.note = "injected";
+    harness::RunRecord r;
+    r.status = status;
+    r.valid = false;
+    r.attempts = attempts;
+    r.note = "injected";
     return r;
 }
 
@@ -154,9 +145,7 @@ std::vector<PointResult>
 degradedGrid()
 {
     std::vector<PointResult> results = twoAxisGrid();
-    results[3] = failedPoint("b", "dense_mvm",
-                             harness::RunStatus::WorkerCrashed, 3,
-                             {{"workload.param.dim", "96"}});
+    results[3].run = failedRun(harness::RunStatus::WorkerCrashed, 3);
     return results;
 }
 
@@ -174,13 +163,15 @@ TEST(MetricFrame, ColumnarConstructionAndGroups)
     ASSERT_EQ(frame.numRows(), 4u);
     ASSERT_EQ(frame.numGroups(), 2u);
     auto rowsOf = [&](std::size_t g) {
-        return std::vector<std::size_t>(frame.groupRows(g).begin(),
-                                        frame.groupRows(g).end());
+        std::vector<std::size_t> rows;
+        for (std::size_t r : frame.groupRows(g))
+            rows.push_back(r);
+        return rows;
     };
     EXPECT_EQ(rowsOf(0), (std::vector<std::size_t>{0, 1}));
     EXPECT_EQ(rowsOf(1), (std::vector<std::size_t>{2, 3}));
     EXPECT_EQ(frame.groupLabel(0), "workload.param.dim=64");
-    EXPECT_EQ(frame.row(3).group, 1u);
+    EXPECT_EQ(frame.groupOf(3), 1u);
 
     // The fixed column set: scalars, events, events_per_mi, and the
     // derived speedup (baseline_machine is set).
@@ -218,10 +209,14 @@ TEST(MetricFrame, NoBaselineMeansNoSpeedupColumn)
 {
     Scenario sc = mustScenario(
         "[machine a]\nams = 1\n[workload]\nname = dense_mvm\n");
-    std::vector<PointResult> results;
-    results.push_back(fakePoint("a", "dense_mvm", 100, 1'000'000));
+    std::vector<PointResult> results = test::gridResults(sc);
+    ASSERT_EQ(results.size(), 1u);
+    results[0].run = fakeRun(100, 1'000'000);
     MetricFrame frame = buildMetricFrame(sc, results);
     EXPECT_FALSE(frame.hasMetric("speedup"));
+    EXPECT_EQ(std::count(frame.metrics().begin(), frame.metrics().end(),
+                         "speedup"),
+              0);
 }
 
 TEST(MetricFrame, SpeedupIsZeroUnlessBothRunsCompleted)
@@ -273,9 +268,6 @@ TEST(MetricFrame, LookupQueries)
     EXPECT_EQ(frame.rowInGroup(1, "b"), 3u);
     EXPECT_EQ(frame.rowInGroup(1, "nosuch"), MetricFrame::npos);
 
-    EXPECT_EQ(frame.findRow("b", {{"workload.param.dim", "96"}}), 3u);
-    EXPECT_EQ(frame.findRow("b", {{"workload.param.dim", "128"}}), MetricFrame::npos);
-
     // Cross-axis: from group 0, the b row with workload.param.dim forced to 96.
     EXPECT_EQ(frame.rowWithOverrides(0, "b", {{"workload.param.dim", "96"}}), 3u);
     EXPECT_EQ(frame.rowWithOverrides(1, "b", {{"workload.param.dim", "64"}}), 1u);
@@ -285,6 +277,54 @@ TEST(MetricFrame, LookupQueries)
     // Axis baseline: first grid value of the axis, same machine.
     EXPECT_EQ(frame.axisBaselineRow(3, "workload.param.dim"), 1u);
     EXPECT_EQ(frame.axisBaselineRow(1, "workload.param.dim"), 1u);
+}
+
+TEST(MetricFrame, ShardFrameHasNoBaselineInTheOtherShard)
+{
+    // --shard k/2 deals whole groups j mod 2: shard 1 holds only the
+    // dim=96 group, whose baseline_axis row (dim=64) lives in shard 0.
+    Scenario sc = twoAxisScenario();
+    const std::vector<PointResult> all = twoAxisGrid();
+    auto shardFrame = [&](std::size_t k) {
+        std::vector<PointResult> owned;
+        for (std::size_t i : shardPointIndices({k, 2}, all.size(), 2))
+            owned.push_back(all[i]);
+        return buildMetricFrame(sc, owned);
+    };
+
+    const MetricFrame one = shardFrame(1);
+    ASSERT_EQ(one.numRows(), 2u);
+    ASSERT_EQ(one.numGroups(), 1u);
+    EXPECT_EQ(one.combo(0), 1u);
+    EXPECT_EQ(one.groupLabel(0), "workload.param.dim=96");
+    EXPECT_EQ(one.at(1, "ticks"), 200.0);
+    EXPECT_EQ(one.axisBaselineRow(1, "workload.param.dim"), MetricFrame::npos);
+    EXPECT_EQ(one.rowWithOverrides(0, "b", {{"workload.param.dim", "64"}}),
+              MetricFrame::npos);
+    EXPECT_EQ(one.rowWithOverrides(0, "b", {{"workload.param.dim", "96"}}), 1u);
+    EXPECT_EQ(one.at(1, "speedup"), 4.0);
+
+    // Shard 0 holds the baseline group itself.
+    const MetricFrame zero = shardFrame(0);
+    ASSERT_EQ(zero.numGroups(), 1u);
+    EXPECT_EQ(zero.axisBaselineRow(1, "workload.param.dim"), 1u);
+}
+
+TEST(MetricFrame, BuildRequiresWholeGroupsInGridOrder)
+{
+    Scenario sc = twoAxisScenario();
+    std::vector<PointResult> results = twoAxisGrid();
+    std::vector<PointResult> partial(results.begin(), results.begin() + 3);
+    EXPECT_THROW(buildMetricFrame(sc, partial), SimError);
+    std::vector<PointResult> swapped = results;
+    std::swap(swapped[0], swapped[1]);
+    EXPECT_THROW(buildMetricFrame(sc, swapped), SimError);
+    std::vector<PointResult> reversed = {results[2], results[3], results[0],
+                                         results[1]};
+    EXPECT_THROW(buildMetricFrame(sc, reversed), SimError);
+    std::vector<PointResult> foreign = results;
+    foreign[3].coords = test::gridResults(sc)[3].coords; // another expansion
+    EXPECT_THROW(buildMetricFrame(sc, foreign), SimError);
 }
 
 // ---------------------------------------------------------------------
@@ -411,16 +451,13 @@ TEST(AssertGrammar, PinnedSelectorsEvaluateOncePerProjection)
         "[machine a]\nams = 1\n[workload]\nname = dense_mvm\n"
         "[sweep]\nworkload.workers = 1, 2\n"
         "workload.param.dim = 64, 96\n[report]\n";
-    std::vector<PointResult> results;
-    for (const char *w : {"1", "2"}) {
-        for (const char *d : {"64", "96"}) {
-            Tick ticks = (w[0] == '1' ? 100 : 200) +
-                         (d[0] == '9' ? 1000 : 0);
-            results.push_back(
-                fakePoint("a", "dense_mvm", ticks, 1'000'000,
-                          {{"workload.workers", w},
-                           {"workload.param.dim", d}}));
-        }
+    std::vector<PointResult> results = test::gridResults(mustScenario(spec));
+    ASSERT_EQ(results.size(), 4u);
+    for (PointResult &r : results) {
+        const std::string &w = r.coords.value(0);
+        const std::string &d = r.coords.value(1);
+        const Tick ticks = (w == "1" ? 100 : 200) + (d == "96" ? 1000 : 0);
+        r.run = fakeRun(ticks, 1'000'000);
     }
 
     std::vector<AssertFailure> failures;
@@ -661,11 +698,15 @@ TEST(CounterTable, NamesAndKindsAreTheFrameColumnsAndTheWireFields)
 
     // Kinds: a count renders truncated to an integer, a cycle sum
     // rounded by %.0f, so 2.75 shows as 2 or 3.
-    PointResult r = fakePoint("a", "dense_mvm", 100, 1000);
-    r.run.events.fill(2.75);
     Scenario sc = twoAxisScenario();
+    std::vector<PointResult> results = test::gridResults(sc);
+    for (PointResult &r : results) {
+        r.run = fakeRun(100, 1000);
+        r.run.events.fill(2.75);
+    }
     std::ostringstream os;
-    writeJson(os, sc, /*quickMode=*/false, buildMetricFrame(sc, {r}), {r});
+    writeJson(os, sc, /*quickMode=*/false, buildMetricFrame(sc, results),
+              results);
     for (std::size_t i = 0; i < harness::kNumEventCounters; ++i) {
         const harness::EventCounterInfo &c = harness::kEventCounters[i];
         bool cycles = c.kind == harness::EventKind::Cycles;

@@ -130,20 +130,28 @@ evalAsserts(const Scenario &sc, const std::vector<PointResult> &results,
 }
 
 /** A synthetic completed record for emitter/assert tests. */
-driver::PointResult
-fakePoint(const std::string &machine, const std::string &workload,
-          Tick ticks, std::uint64_t insts,
-          std::vector<std::pair<std::string, std::string>> coords = {})
+harness::RunRecord
+fakeRun(Tick ticks, std::uint64_t insts)
 {
-    driver::PointResult r;
-    r.coords = test::pointAt(machine, workload, coords);
-    r.run.status = harness::RunStatus::Completed;
-    r.run.ticks = ticks;
-    r.run.valid = true;
-    r.run.instsRetired = insts;
-    r.run.events[harness::EventCounter::OmsPageFaults] = 10;
-    r.run.events[harness::EventCounter::AmsPageFaults] = 40;
+    harness::RunRecord r;
+    r.status = harness::RunStatus::Completed;
+    r.ticks = ticks;
+    r.valid = true;
+    r.instsRetired = insts;
+    r.events[harness::EventCounter::OmsPageFaults] = 10;
+    r.events[harness::EventCounter::AmsPageFaults] = 40;
     return r;
+}
+
+/** @p sc's grid with @p runs as its points' records, in grid order. */
+std::vector<PointResult>
+fakeGrid(const Scenario &sc, const std::vector<harness::RunRecord> &runs)
+{
+    std::vector<PointResult> results = test::gridResults(sc);
+    EXPECT_EQ(results.size(), runs.size());
+    for (std::size_t i = 0; i < results.size() && i < runs.size(); ++i)
+        results[i].run = runs[i];
+    return results;
 }
 
 } // namespace
@@ -187,10 +195,11 @@ TEST(RunRecord, DerivedMetrics)
     r.instsRetired = 2'000'000;
 
     EXPECT_DOUBLE_EQ(r.megaCycles(), 1e-4);
-    EXPECT_DOUBLE_EQ(r.perMegaInsts(10), 5.0);
+    EXPECT_DOUBLE_EQ(harness::perMegaInsts(10, double(r.instsRetired)), 5.0);
 
     harness::RunRecord never;
-    EXPECT_DOUBLE_EQ(never.perMegaInsts(10), 0.0);
+    EXPECT_DOUBLE_EQ(harness::perMegaInsts(10, double(never.instsRetired)),
+                     0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -442,9 +451,9 @@ TEST(ReportAsserts, PassFailAndDiagnostics)
         "assert = b.events_per_mi.ams_page_faults <= 20 + 1.5 * 2\n");
     EXPECT_EQ(sc.report.asserts.size(), 3u);
 
-    std::vector<PointResult> results;
-    results.push_back(fakePoint("a", "dense_mvm", 300, 1'000'000));
-    results.push_back(fakePoint("b", "dense_mvm", 100, 2'000'000));
+    // Machines a, b.
+    const std::vector<PointResult> results =
+        fakeGrid(sc, {fakeRun(300, 1'000'000), fakeRun(100, 2'000'000)});
 
     std::vector<AssertFailure> failures;
     std::string err;
@@ -495,9 +504,10 @@ TEST(ReportAsserts, ParenthesesGroupSubexpressions)
     const std::string base =
         "[machine a]\nams = 1\n[machine b]\nams = 3\n"
         "[workload]\nname = dense_mvm\n[report]\nbaseline_machine = a\n";
-    std::vector<PointResult> results;
-    results.push_back(fakePoint("a", "dense_mvm", 300, 1'000'000));
-    results.push_back(fakePoint("b", "dense_mvm", 100, 2'000'000));
+    // Machines a, b.
+    const std::vector<PointResult> results =
+        fakeGrid(mustScenario(base),
+                 {fakeRun(300, 1'000'000), fakeRun(100, 2'000'000)});
 
     std::vector<AssertFailure> failures;
     std::string err;
@@ -532,19 +542,10 @@ TEST(ReportAsserts, EvaluatedPerCoordinateGroup)
         "[sweep]\nworkload.workers = 1, 2\n"
         "[report]\nbaseline_machine = a\nassert = b.speedup >= 2\n");
 
-    std::vector<PointResult> results;
-    results.push_back(
-        fakePoint("a", "dense_mvm", 400, 1'000'000,
-                  {{"workload.workers", "1"}}));
-    results.push_back(
-        fakePoint("b", "dense_mvm", 100, 1'000'000,
-                  {{"workload.workers", "1"}})); // 4.0x: holds
-    results.push_back(
-        fakePoint("a", "dense_mvm", 300, 1'000'000,
-                  {{"workload.workers", "2"}}));
-    results.push_back(
-        fakePoint("b", "dense_mvm", 200, 1'000'000,
-                  {{"workload.workers", "2"}})); // 1.5x: fails
+    // (a, b) at workers=1: 4.0x, holds; at workers=2: 1.5x, fails.
+    const std::vector<PointResult> results =
+        fakeGrid(sc, {fakeRun(400, 1'000'000), fakeRun(100, 1'000'000),
+                      fakeRun(300, 1'000'000), fakeRun(200, 1'000'000)});
 
     std::vector<AssertFailure> failures;
     std::string err;
@@ -569,15 +570,10 @@ TEST(ReportAsserts, DegradedGroupsAreSkippedAndCounted)
         "assert = count ( b.completed ) == count ( 1 )\n"
         "assert = sum ( b.ticks ) == 100\n");
 
-    std::vector<PointResult> results;
-    results.push_back(fakePoint("a", "dense_mvm", 400, 1'000'000,
-                                {{"workload.workers", "1"}}));
-    results.push_back(fakePoint("b", "dense_mvm", 100, 1'000'000,
-                                {{"workload.workers", "1"}}));
-    results.push_back(fakePoint("a", "dense_mvm", 300, 1'000'000,
-                                {{"workload.workers", "2"}}));
-    results.push_back(fakePoint("b", "dense_mvm", 200, 1'000'000,
-                                {{"workload.workers", "2"}}));
+    // (a, b) at workers=1, then at workers=2.
+    std::vector<PointResult> results =
+        fakeGrid(sc, {fakeRun(400, 1'000'000), fakeRun(100, 1'000'000),
+                      fakeRun(300, 1'000'000), fakeRun(200, 1'000'000)});
     results[3].run.status = harness::RunStatus::WorkerTimeout;
     results[3].run.ticks = 0;
     results[3].run.valid = false;
@@ -610,37 +606,35 @@ struct FakeRow {
     bool valid = true;
 };
 
-/** Build @p rows into a frame through addRow + finalize, as a live
- *  sweep does; with @p baselineMachine, finalize() adds the derived
+/** Build @p rows, one per point of @p sc's grid in grid order (each
+ *  naming the machine and coordinates it expects), into a frame the
+ *  way a live sweep does; a [report] baseline_machine adds the derived
  *  `speedup` column. */
 harness::MetricFrame
-loadFrame(const std::vector<FakeRow> &rows,
-          const std::string &baselineMachine = "")
+loadFrame(const Scenario &sc, const std::vector<FakeRow> &rows)
 {
-    harness::MetricFrame frame;
-    std::vector<harness::MetricFrame::CoordId> coords;
-    for (const FakeRow &f : rows) {
-        std::string workload = "dense_mvm";
-        for (const auto &c : f.coords) {
-            if (c.first == "workload.name")
-                workload = c.second;
+    std::vector<PointResult> results = test::gridResults(sc);
+    EXPECT_EQ(results.size(), rows.size());
+    for (std::size_t i = 0; i < results.size() && i < rows.size(); ++i) {
+        const FakeRow &f = rows[i];
+        PointResult &r = results[i];
+        EXPECT_EQ(r.coords.machine(), f.machine) << i;
+        EXPECT_EQ(r.coords.size(), f.coords.size()) << i;
+        for (std::size_t a = 0; a < r.coords.size() && a < f.coords.size();
+             ++a) {
+            EXPECT_EQ(r.coords.key(a), f.coords[a].first) << i;
+            EXPECT_EQ(r.coords.value(a), f.coords[a].second) << i;
         }
         const bool done = f.status == harness::RunStatus::Completed;
-        harness::RunRecord rec;
+        harness::RunRecord &rec = r.run;
         rec.status = f.status;
         rec.ticks = done ? static_cast<Tick>(f.ticks) : 0;
         rec.valid = done && f.valid;
         rec.instsRetired = 2000000;
         rec.events[harness::EventCounter::AmsPageFaults] =
             static_cast<double>(rec.ticks) / 1e5;
-        coords.clear();
-        for (const auto &[key, value] : f.coords)
-            coords.push_back({frame.intern(key), frame.intern(value)});
-        frame.addRow(frame.intern(f.machine), frame.intern(workload), 0,
-                     coords, rec);
     }
-    frame.finalize(baselineMachine);
-    return frame;
+    return buildMetricFrame(sc, results);
 }
 
 std::string
@@ -693,7 +687,7 @@ TEST(TableReport, GoldenPlainAndMarkdown)
         "[table]\ntitle = Totals\n"
         "column = sum = sum ( a.ticks + b.ticks )\n");
     ASSERT_EQ(sc.tables.size(), 2u);
-    const harness::MetricFrame frame = loadFrame(twoMachineRows());
+    const harness::MetricFrame frame = loadFrame(sc, twoMachineRows());
 
     EXPECT_EQ(renderTables(sc, frame, false),
               "Speedups\n"
@@ -751,7 +745,7 @@ TEST(TableReport, RowsCollapseByConsultedAxes)
                          {"machine.signal_cycles", "5000"}},
                         std::string(w) == "swim" ? 5e6 : 4e6});
     }
-    EXPECT_EQ(renderTables(sc, loadFrame(rows), false),
+    EXPECT_EQ(renderTables(sc, loadFrame(sc, rows), false),
               "workload.name  5000 vs 0\n"
               "------------------------\n"
               "dense_mvm      1        \n"
@@ -774,7 +768,7 @@ TEST(TableReport, FailedPointRendersDashAndFootersSkipIt)
         "footer = worst = min ( a.ticks / b.ticks )\n");
     std::vector<FakeRow> rows = twoMachineRows();
     rows[1].status = harness::RunStatus::WorkerCrashed; // b @ dense_mvm
-    EXPECT_EQ(renderTables(sc, loadFrame(rows), false),
+    EXPECT_EQ(renderTables(sc, loadFrame(sc, rows), false),
               "workload.name  b vs a\n"
               "---------------------\n"
               "dense_mvm      -     \n"
@@ -790,7 +784,7 @@ TEST(TableReport, FailedPointRendersDashAndFootersSkipIt)
     rows[2].status = harness::RunStatus::WorkerTimeout; // a @ swim
     Scenario bOnly = mustScenario(std::string(kTwoMachines) +
                                   "[table]\ncolumn = b = b.mcycles\n");
-    EXPECT_EQ(renderTables(bOnly, loadFrame(rows), true),
+    EXPECT_EQ(renderTables(bOnly, loadFrame(bOnly, rows), true),
               "| workload.name | b |\n"
               "| --- | --- |\n"
               "| dense_mvm | 1 |\n"
@@ -821,7 +815,7 @@ TEST(TableReport, FooterBySuite)
     }
     // Registry order puts rms (dense_mvm 2, gauss 4) before specomp
     // (swim 3), whatever the sweep order.
-    EXPECT_EQ(renderTables(sc, loadFrame(rows), false),
+    EXPECT_EQ(renderTables(sc, loadFrame(sc, rows), false),
               "workload.name  b vs a\n"
               "---------------------\n"
               "swim           3     \n"
@@ -896,7 +890,7 @@ TEST(TableReport, MalformedTablesRejectedWithSpecLine)
     // nothing is written — not even the tables before the bad one.
     err = tableError(std::string(kTwoMachines) + good +
                          "[table]\ncolumn = bad = a.ticks / 0\n",
-                     loadFrame(twoMachineRows()));
+                     loadFrame(mustScenario(kTwoMachines), twoMachineRows()));
     EXPECT_EQ(err, "<test>:12: 'bad = a.ticks / 0': division by zero");
 }
 
@@ -920,7 +914,7 @@ TEST(TableReport, SpecWithoutTableKeepsThePerPointTable)
          harness::RunStatus::WorkerCrashed},
     };
     rows[2].valid = false;
-    const harness::MetricFrame frame = loadFrame(rows, "a");
+    const harness::MetricFrame frame = loadFrame(sc, rows);
     std::ostringstream plain, md;
     writeTable(plain, sc, frame, false);
     writeTable(md, sc, frame, true);

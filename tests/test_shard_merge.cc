@@ -383,7 +383,7 @@ TEST(ShardMerge, DegradedShardPreservesRecordsExactly)
     EXPECT_EQ(merged[victim].run.note, doctored[victim].run.note);
 
     const harness::MetricFrame frame = buildMetricFrame(run.sc, merged);
-    EXPECT_EQ(frame.row(victim).status,
+    EXPECT_EQ(frame.status(victim),
               harness::RunStatus::WorkerCrashed);
     EXPECT_EQ(frame.at(victim, "failed"), 1.0);
     EXPECT_EQ(frame.at(victim, "attempts"), 3.0);
@@ -425,6 +425,39 @@ TEST(ShardMerge, CliTablesAndFailureLinesMatchSerial)
     EXPECT_NE(serial.out.find("misp speedup"), std::string::npos);
     EXPECT_EQ(merged.out, serial.out);
     EXPECT_EQ(failureLines(merged.err), failureLines(serial.err));
+}
+
+TEST(ShardMerge, ShardTableHasNoBaselineFromTheOtherShard)
+{
+    // fig7.scn's per-point table carries vs_competitors0 ([report]
+    // baseline_axis = competitors); --quick sweeps competitors 0..2.
+    // Shard 0/2 holds competitors 0 and 2, so its ratios are the serial
+    // run's; shard 1/2 holds only competitors 1, whose baseline rows
+    // live in shard 0, so its cells read `-` (no baseline).
+    const std::string spec =
+        std::string(MISP_SOURCE_ROOT) + "/scenarios/fig7.scn --quick";
+    // "machine competitors vs_competitors0" per row of a shard's table.
+    auto ratios = [&](const std::string &shard) {
+        const CliRun r = mispsim(spec + " --shard " + shard);
+        EXPECT_EQ(r.rc, 0) << r.err;
+        std::istringstream in(r.out);
+        std::string line, out;
+        while (std::getline(in, line)) {
+            std::istringstream cells(line);
+            std::string machine, workload, competitors, mcycles, vs;
+            if (cells >> machine >> workload >> competitors >> mcycles >>
+                    vs &&
+                workload == "Raytracer")
+                out += machine + " " + competitors + " " + vs + "\n";
+        }
+        return out;
+    };
+    EXPECT_EQ(ratios("0/2"), "4x2 0 1.000\n2x4 0 1.000\n1x8 0 1.000\n"
+                             "1x4+4 0 1.000\nideal 0 1.000\nsmp 0 1.000\n"
+                             "4x2 2 1.000\n2x4 2 0.663\n1x8 2 0.340\n"
+                             "1x4+4 2 1.000\nideal 2 1.000\nsmp 2 0.897\n");
+    EXPECT_EQ(ratios("1/2"), "4x2 1 -\n2x4 1 -\n1x8 1 -\n1x4+4 1 -\n"
+                             "ideal 1 -\nsmp 1 -\n");
 }
 
 // ---------------------------------------------------------------------
@@ -616,6 +649,11 @@ TEST(LoadTimeDiagnostics, BadSpecsFailBeforeTheFirstPoint)
          "misp.sliceLimit is 0; a slice must retire an instruction"},
         {"[machine big]", "timer_period = 0",
          "kernel.timerPeriod is 0; the timer would re-fire forever"},
+        // A value listed twice, as spelled or after selector expansion.
+        {"[quick]", "workload.workers = 1, 2, 1",
+         "axis 'workload.workers' lists '1' twice"},
+        {"[quick]", "workload.name = all, gauss",
+         "axis 'workload.name' lists 'gauss' twice"},
     };
     const std::string path = tempPath("sm_bad.scn");
     for (const auto &c : cases) {

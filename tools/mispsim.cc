@@ -135,12 +135,12 @@ finishSweep(const Scenario &sc, const std::vector<PointResult> &results,
     const bool degradeGracefully =
         sc.report.onFailedPoints == FailedPointPolicy::Skip;
     for (std::size_t r = 0; r < frame.numRows(); ++r) {
-        const harness::MetricFrame::Row &row = frame.row(r);
-        if (row.status == harness::RunStatus::Completed &&
+        const harness::RunStatus status = frame.status(r);
+        if (status == harness::RunStatus::Completed &&
             frame.at(r, "valid") != 0.0)
             continue;
         std::string what;
-        switch (row.status) {
+        switch (status) {
           case harness::RunStatus::MaxTicksReached:
             what = "never finished (hit max_ticks)";
             break;
@@ -157,7 +157,7 @@ finishSweep(const Scenario &sc, const std::vector<PointResult> &results,
             what = "failed result validation";
             break;
         }
-        const bool infra = harness::runStatusIsInfraFailure(row.status);
+        const bool infra = harness::runStatusIsInfraFailure(status);
         if (infra)
             what += ": " + results[r].run.note;
         const double attempts = frame.at(r, "attempts");
