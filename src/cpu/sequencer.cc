@@ -30,6 +30,15 @@ slotOf(VAddr va)
                                       isa::kInstBytes);
 }
 
+/** Remove and return the oldest payload of a pending queue. */
+SignalPayload
+takeFront(std::vector<SignalPayload> &q)
+{
+    SignalPayload p = q.front();
+    q.erase(q.begin());
+    return p;
+}
+
 } // namespace
 
 using isa::Opcode;
@@ -323,8 +332,7 @@ Sequencer::dispatchPendingAsync()
     if (state_ == SeqState::Idle) {
         if (!pendingProxy_.empty() &&
             ctx_.trigger(Scenario::ProxyRequest) != 0) {
-            SignalPayload p = pendingProxy_.front();
-            pendingProxy_.pop_front();
+            SignalPayload p = takeFront(pendingProxy_);
             // Transfer out of the idle loop: YRET will re-park.
             ctx_.eip = 0;
             state_ = SeqState::Running;
@@ -334,8 +342,7 @@ Sequencer::dispatchPendingAsync()
             return kAsyncXferCycles;
         }
         if (!pendingSignals_.empty()) {
-            SignalPayload p = pendingSignals_.front();
-            pendingSignals_.pop_front();
+            SignalPayload p = takeFront(pendingSignals_);
             startAt(p.eip, p.esp, p.arg);
             return 0;
         }
@@ -347,16 +354,14 @@ Sequencer::dispatchPendingAsync()
 
     if (!pendingProxy_.empty() &&
         ctx_.trigger(Scenario::ProxyRequest) != 0) {
-        SignalPayload p = pendingProxy_.front();
-        pendingProxy_.pop_front();
+        SignalPayload p = takeFront(pendingProxy_);
         asyncTransfer(Scenario::ProxyRequest,
                       ctx_.trigger(Scenario::ProxyRequest), p);
         return kAsyncXferCycles;
     }
     if (!pendingSignals_.empty() &&
         ctx_.trigger(Scenario::IngressSignal) != 0) {
-        SignalPayload p = pendingSignals_.front();
-        pendingSignals_.pop_front();
+        SignalPayload p = takeFront(pendingSignals_);
         asyncTransfer(Scenario::IngressSignal,
                       ctx_.trigger(Scenario::IngressSignal), p);
         return kAsyncXferCycles;

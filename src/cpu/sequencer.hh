@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "cpu/decode_cache.hh"
@@ -487,8 +486,10 @@ class Sequencer
 
     MemberEvent<Sequencer, &Sequencer::runSlice> runEvent_;
     bool suspendRequested_ = false;
-    std::deque<SignalPayload> pendingSignals_;
-    std::deque<SignalPayload> pendingProxy_;
+    /** FIFO queues of a few payloads at most: vectors, which allocate
+     *  only once a payload arrives (a deque allocates when built). */
+    std::vector<SignalPayload> pendingSignals_;
+    std::vector<SignalPayload> pendingProxy_;
 
     Tick waitSince_ = 0; ///< start of the current suspend/proxy wait
     Tick kernelResumeFloor_ = 0; ///< earliest user re-run after a kernel episode

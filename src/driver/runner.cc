@@ -141,8 +141,18 @@ PointResult
 ScenarioRunner::runPoint(const Scenario &sc, const ScenarioPoint &pt,
                          std::size_t pointIndex)
 {
+    return measure(sc, pt, pointIndex, nullptr);
+}
+
+PointResult
+ScenarioRunner::measure(const Scenario &sc, const ScenarioPoint &pt,
+                        std::size_t pointIndex,
+                        harness::WorkloadStore *store)
+{
     PointResult out = unmeasuredResult(pt);
-    out.run = harness::runOne(makeRunRequest(sc, pt, opts_, pointIndex));
+    harness::RunRequest req = makeRunRequest(sc, pt, opts_, pointIndex);
+    req.workloads = store;
+    out.run = harness::runOne(req);
     return out;
 }
 
@@ -158,18 +168,19 @@ ScenarioRunner::runAll(const Scenario &sc,
     std::size_t jobs = std::max(1u, opts_.jobs);
     jobs = std::min(jobs, pts.size());
 
+    // Every point's workloads come from one store, which builds each
+    // once, inside the first point that needs it, and frees it after
+    // its last point.
+    store_.clear();
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        store_.expect(makeRunRequest(sc, pts[i], opts_, gridIndex(i)));
+
     // Fan the grid out over a worker pool — or, for one job, run the
     // one worker on this thread. Each point is an independent
     // deterministic simulation; results land at their submission
     // index, so emitter output is byte-identical whatever the job
     // count. Only the progress lines (stderr) reflect completion
-    // order. While at least one coordinate group per worker remains, a
-    // worker claims a whole group per fetch — the grid's machines are
-    // its innermost loop — so its consecutive points are grid
-    // neighbours and share built workloads (the previous-point reuse
-    // in harness::runOne). The tail goes out one point at a time, so
-    // no worker idles while another still runs several points.
-    const std::size_t group = std::max<std::size_t>(1, sc.machines.size());
+    // order.
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::atomic<bool> failed{false};
@@ -180,7 +191,7 @@ ScenarioRunner::runAll(const Scenario &sc,
         logAttempt(opts_.runLog, "dispatched", pts[i], 1);
         auto ta = std::chrono::steady_clock::now();
         try {
-            results[i] = runPoint(sc, pts[i], gridIndex(i));
+            results[i] = measure(sc, pts[i], gridIndex(i), &store_);
         } catch (...) {
             errors[i] = std::current_exception();
             failed.store(true, std::memory_order_relaxed);
@@ -199,24 +210,14 @@ ScenarioRunner::runAll(const Scenario &sc,
         }
     };
     auto worker = [&] {
-        for (;;) {
-            std::size_t begin = next.load(std::memory_order_relaxed);
-            std::size_t claim = 0;
-            do {
-                if (begin >= pts.size())
-                    return;
-                claim = pts.size() - begin >= jobs * group ? group : 1;
-            } while (!next.compare_exchange_weak(begin, begin + claim));
-            const std::size_t end = begin + claim;
-            for (std::size_t i = begin; i < end; ++i) {
-                // Stop starting points once any point has failed —
-                // in-flight simulations finish, queued ones are
-                // abandoned (a serial run would not have started them
-                // either).
-                if (failed.load(std::memory_order_relaxed))
-                    return;
-                runOnePoint(i);
-            }
+        for (std::size_t i = next.fetch_add(1); i < pts.size();
+             i = next.fetch_add(1)) {
+            // Stop starting points once any point has failed —
+            // in-flight simulations finish, queued ones are abandoned
+            // (a serial run would not have started them either).
+            if (failed.load(std::memory_order_relaxed))
+                return;
+            runOnePoint(i);
         }
     };
 
@@ -230,6 +231,8 @@ ScenarioRunner::runAll(const Scenario &sc,
         for (std::thread &t : pool)
             t.join();
     }
+    // Points abandoned after a failure never released their keys.
+    store_.clear();
 
     // Surface the first failure in submission order, as a serial run
     // would have.

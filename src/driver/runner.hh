@@ -161,17 +161,25 @@ class ScenarioRunner
 
     /** Run the whole grid — serially in order, on Options::jobs worker
      *  threads, or on forked worker processes (Options::isolate) — and
-     *  return results in submission order. A worker thread claims one
-     *  coordinate group (the scenario's machines, consecutive in the
-     *  grid) at a time, so it runs grid neighbours back to back and
-     *  reuses their built workloads. One progress line per completed
-     *  point on @p progress when non-null (completion order under a
-     *  worker pool). */
+     *  return results in submission order. In process, the points
+     *  share the runner's harness::WorkloadStore: each workload is
+     *  built once per sweep and freed after its last point, and none
+     *  outlives the sweep (a forked worker builds its own). One
+     *  progress line per completed point on @p progress when non-null
+     *  (completion order under a worker pool). */
     std::vector<PointResult> runAll(const Scenario &sc,
                                     const std::vector<ScenarioPoint> &pts,
                                     std::ostream *progress = nullptr);
 
+    /** The store runAll's in-process points share. */
+    const harness::WorkloadStore &workloads() const { return store_; }
+
   private:
+    /** runPoint with its workloads from @p store (null: its own). */
+    PointResult measure(const Scenario &sc, const ScenarioPoint &pt,
+                        std::size_t pointIndex,
+                        harness::WorkloadStore *store);
+
     std::vector<PointResult>
     runIsolated(const Scenario &sc, const std::vector<ScenarioPoint> &pts,
                 std::ostream *progress);
@@ -184,6 +192,7 @@ class ScenarioRunner
     }
 
     Options opts_;
+    harness::WorkloadStore store_;
 };
 
 /**

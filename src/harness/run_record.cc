@@ -1,7 +1,8 @@
 #include "run_record.hh"
 
+#include <algorithm>
 #include <chrono>
-#include <memory>
+#include <functional>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -59,32 +60,6 @@ harvest(RunRecord *out, Experiment &exp, os::Process *target,
     out->phases.serialize = seconds(ts0, Clock::now());
 }
 
-/** One workload a point loads: its registry entry and build knobs. */
-struct WorkloadKey {
-    const wl::WorkloadInfo *info = nullptr;
-    wl::WorkloadParams params;
-
-    bool operator==(const WorkloadKey &) const = default;
-};
-
-struct BuiltWorkload {
-    WorkloadKey key;
-    std::shared_ptr<const wl::Workload> workload;
-};
-
-/** The workloads the previous point on this thread built. A built
- *  workload is immutable (workload.hh), so a point whose workloads
- *  match loads them again instead of rebuilding them. How often they
- *  match depends on the sweep's axis order and on which thread runs
- *  which point. Measured on the ledger's specs at --jobs 1: suite
- *  finds 32 of its 48 points' workloads here, multiprog 52 of 54 and
- *  grid 1250 of 2500 (its innermost axis, workload.workers, changes
- *  at every other point). At --jobs 4 a worker claims whole
- *  coordinate groups while one per worker remains (runner.cc), so its
- *  consecutive points stay grid neighbours: suite finds 29 of 48,
- *  multiprog 46 of 54 and grid about 1,800-1,900 of 2500. */
-thread_local std::vector<BuiltWorkload> tlsPrevious;
-
 const wl::WorkloadInfo *
 findOrDie(const std::string &name, const char *role)
 {
@@ -94,44 +69,24 @@ findOrDie(const std::string &name, const char *role)
     return info;
 }
 
-std::shared_ptr<const wl::Workload>
-builtFor(const std::vector<BuiltWorkload> &built, const WorkloadKey &key)
+/** The workloads @p req loads, in load order: the target, each
+ *  background workload, then the competitor when there are any (a
+ *  snapshot restore loads only the target, for its validator). Equal
+ *  keys may repeat. */
+std::vector<WorkloadKey>
+workloadKeys(const RunRequest &req)
 {
-    for (const BuiltWorkload &b : built) {
-        if (b.key == key)
-            return b.workload;
-    }
-    return nullptr;
-}
-
-/** The built workload for each of @p keys, in order. Takes the entries
- *  it needs from the previous point's set and drops the rest before it
- *  builds any miss, so no more workloads are alive at once than one
- *  point loads; the result is then the next point's previous set.
- *  Equal keys share one build. */
-std::vector<std::shared_ptr<const wl::Workload>>
-pointWorkloads(const std::vector<WorkloadKey> &keys)
-{
-    std::vector<BuiltWorkload> current;
-    for (const WorkloadKey &key : keys) {
-        if (builtFor(current, key))
-            continue;
-        if (auto hit = builtFor(tlsPrevious, key))
-            current.push_back({key, std::move(hit)});
-    }
-    tlsPrevious.clear();
-    for (const WorkloadKey &key : keys) {
-        if (!builtFor(current, key))
-            current.push_back(
-                {key, std::make_shared<const wl::Workload>(
-                          key.info->build(key.params))});
-    }
-    std::vector<std::shared_ptr<const wl::Workload>> out;
-    out.reserve(keys.size());
-    for (const WorkloadKey &key : keys)
-        out.push_back(builtFor(current, key));
-    tlsPrevious = std::move(current);
-    return out;
+    std::vector<WorkloadKey> keys = {
+        {findOrDie(req.target.name, "workload"), req.target.params}};
+    if (!req.snapshotIn.empty())
+        return keys;
+    for (const RunWorkload &bg : req.background)
+        keys.push_back({findOrDie(bg.name, "background workload"),
+                        bg.params});
+    if (req.competitors > 0)
+        keys.push_back({findOrDie(req.competitor, "competitor workload"),
+                        wl::WorkloadParams{}});
+    return keys;
 }
 
 RunRecord
@@ -147,7 +102,7 @@ snapshotFailure(const RunRequest &req, const std::string &what)
 
 /** The --from-snapshot path: reconstitute the machine from
  *  RunRequest::snapshotIn and continue to completion. The workload is
- *  still built host-side (or taken from the previous point) for its
+ *  still built host-side (or taken from the sweep's store) for its
  *  result validator; nothing is loaded into the guest.
  *  @p tEntry is runOne's entry time (the parse phase started there). */
 RunRecord
@@ -211,25 +166,77 @@ runFromSnapshot(const RunRequest &req, const wl::Workload &w,
 
 } // namespace
 
+bool
+WorkloadKey::operator<(const WorkloadKey &o) const
+{
+    if (info != o.info)
+        return std::less<>()(info, o.info);
+    return params < o.params;
+}
+
+void
+WorkloadStore::expect(const RunRequest &req)
+{
+    const std::vector<WorkloadKey> keys = workloadKeys(req);
+    for (auto k = keys.begin(); k != keys.end(); ++k) {
+        if (std::find(keys.begin(), k, *k) == k)
+            ++entries_[*k].pending;
+    }
+}
+
+const wl::Workload &
+WorkloadStore::Lease::take(const WorkloadKey &key)
+{
+    auto it = store_.entries_.find(key);
+    MISP_ASSERT(it != store_.entries_.end()); // expect() never saw it
+    Entry &e = it->second;
+    if (std::find(held_.begin(), held_.end(), &e) != held_.end())
+        return *e.built;
+    std::lock_guard<std::mutex> lock(e.mutex);
+    MISP_ASSERT(e.pending > 0); // taken after its last point
+    if (!e.built) {
+        e.built = std::make_unique<const wl::Workload>(
+            key.info->build(key.params));
+        ++store_.builds_;
+        ++store_.alive_;
+    }
+    held_.push_back(&e);
+    return *e.built;
+}
+
+WorkloadStore::Lease::~Lease()
+{
+    for (Entry *e : held_) {
+        std::lock_guard<std::mutex> lock(e->mutex);
+        if (--e->pending == 0) {
+            e->built.reset();
+            --store_.alive_;
+        }
+    }
+}
+
 RunRecord
 runOne(const RunRequest &req)
 {
     auto tEntry = Clock::now();
 
-    // Target first, then background workloads, then the competitor.
-    std::vector<WorkloadKey> keys = {
-        {findOrDie(req.target.name, "workload"), req.target.params}};
-    if (!req.snapshotIn.empty())
-        return runFromSnapshot(req, *pointWorkloads(keys)[0], tEntry);
-    for (const RunWorkload &bg : req.background)
-        keys.push_back({findOrDie(bg.name, "background workload"),
-                        bg.params});
-    if (req.competitors > 0)
-        keys.push_back({findOrDie(req.competitor, "competitor workload"),
-                        wl::WorkloadParams{}});
-    const std::vector<std::shared_ptr<const wl::Workload>> built =
-        pointWorkloads(keys);
+    // A lone run counts itself in a store of its own. The lease is
+    // declared before the machine, so it releases the workloads after
+    // harvest and teardown, or on a throw.
+    const std::vector<WorkloadKey> keys = workloadKeys(req);
+    WorkloadStore own;
+    WorkloadStore *store = req.workloads;
+    if (!store) {
+        own.expect(req);
+        store = &own;
+    }
+    WorkloadStore::Lease lease(*store);
+    std::vector<const wl::Workload *> built;
+    for (const WorkloadKey &key : keys)
+        built.push_back(&lease.take(key));
     const wl::Workload &w = *built[0];
+    if (!req.snapshotIn.empty())
+        return runFromSnapshot(req, w, tEntry);
 
     Experiment exp(req.config, req.backend);
 

@@ -17,6 +17,11 @@
 #ifndef MISP_HARNESS_RUN_RECORD_HH
 #define MISP_HARNESS_RUN_RECORD_HH
 
+#include <atomic>
+#include <cstddef>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,6 +37,8 @@ struct RunWorkload {
     std::string name;
     wl::WorkloadParams params;
 };
+
+class WorkloadStore;
 
 /** Everything needed to perform one measured run. */
 struct RunRequest {
@@ -67,6 +74,11 @@ struct RunRequest {
     /** Capture a full stats::StatGroup JSON dump into the record. */
     bool fullStats = false;
 
+    /** The sweep's shared workload store, which must have counted this
+     *  request (WorkloadStore::expect); not owned. Null: the run builds
+     *  the workloads it loads and frees them when it returns. */
+    WorkloadStore *workloads = nullptr;
+
     // Snapshot plumbing (src/snapshot/) -------------------------------
 
     /** Restore the machine from this image instead of booting cold;
@@ -93,6 +105,82 @@ struct RunRequest {
      *  point's count, so a cold run with the same skip value emits a
      *  byte-identical trace. */
     std::uint64_t traceSkip = 0;
+};
+
+/** One workload a run loads: its registry entry and build knobs. */
+struct WorkloadKey {
+    const wl::WorkloadInfo *info = nullptr;
+    wl::WorkloadParams params;
+
+    bool operator==(const WorkloadKey &) const = default;
+    /** Registry entry, then knobs: the order of WorkloadStore's map. */
+    bool operator<(const WorkloadKey &o) const;
+};
+
+/**
+ * The built workloads of one sweep, shared by its points and worker
+ * threads, so each is built once per sweep and freed after its last
+ * point. Before the first point runs, expect() counts the points that
+ * load each key. A point takes its workloads through a Lease inside
+ * runOne's timed set-up: the first to need a key builds it, and a
+ * racing point that needs the same key waits for that build. Ending
+ * the lease, after harvest or on a throw, releases the point's keys,
+ * and a key's last release frees its workload. Sharing rests on the
+ * purity contract in workloads/workload.hh.
+ */
+class WorkloadStore
+{
+    struct Entry {
+        std::mutex mutex;
+        std::unique_ptr<const wl::Workload> built;
+        /** Counted points that have not released the key yet. */
+        std::size_t pending = 0;
+    };
+
+  public:
+    WorkloadStore() = default;
+    WorkloadStore(const WorkloadStore &) = delete;
+    WorkloadStore &operator=(const WorkloadStore &) = delete;
+
+    /** Count one more point that runs @p req. Not thread-safe: count
+     *  every point before the first Lease takes anything. */
+    void expect(const RunRequest &req);
+
+    /** Forget every count and free every workload. No Lease may be
+     *  open. */
+    void
+    clear()
+    {
+        entries_.clear();
+        alive_ = 0;
+    }
+
+    /** Workloads this store has built, and those alive now. */
+    std::size_t builds() const { return builds_.load(); }
+    std::size_t alive() const { return alive_.load(); }
+
+    /** One point's hold on the workloads it loads. */
+    class Lease
+    {
+      public:
+        explicit Lease(WorkloadStore &store) : store_(store) {}
+        ~Lease();
+        Lease(const Lease &) = delete;
+        Lease &operator=(const Lease &) = delete;
+
+        /** The built workload of @p key, which expect() counted for
+         *  this point; built here if no point has built it yet. */
+        const wl::Workload &take(const WorkloadKey &key);
+
+      private:
+        WorkloadStore &store_;
+        std::vector<Entry *> held_;
+    };
+
+  private:
+    std::map<WorkloadKey, Entry> entries_;
+    std::atomic<std::size_t> builds_{0};
+    std::atomic<std::size_t> alive_{0};
 };
 
 /** @p ticks in millions of cycles (the frame's `mcycles`). */
@@ -164,7 +252,8 @@ struct RunRecord {
  * backend, load the target (pinned per the placement policy), load
  * background workloads and competitors, run to target completion under
  * the wall clock, validate, and harvest Table-1 events from processor
- * 0. Raises SimError (via fatal()) on an unregistered workload name.
+ * 0. Workloads come from RunRequest::workloads when set. Raises
+ * SimError (via fatal()) on an unregistered workload name.
  */
 RunRecord runOne(const RunRequest &req);
 

@@ -1,6 +1,5 @@
 #include "stats.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -12,22 +11,20 @@ StatBase::StatBase(StatGroup *parent, std::string name)
     : name_(std::move(name))
 {
     MISP_ASSERT(parent != nullptr);
-    parent->addStat(this);
+    parent->stats_.append(this);
 }
 
 StatGroup::StatGroup(std::string name, StatGroup *parent)
     : name_(std::move(name)), parent_(parent)
 {
     if (parent_)
-        parent_->children_.push_back(this);
+        parent_->children_.append(this);
 }
 
 StatGroup::~StatGroup()
 {
-    if (parent_) {
-        auto &sibs = parent_->children_;
-        sibs.erase(std::remove(sibs.begin(), sibs.end(), this), sibs.end());
-    }
+    if (parent_)
+        parent_->children_.remove(this);
 }
 
 std::string
@@ -42,33 +39,29 @@ StatGroup::path() const
 }
 
 const StatBase *
-StatGroup::find(const std::string &relPath) const
+StatGroup::find(std::string_view relPath) const
 {
     auto dot = relPath.find('.');
-    if (dot == std::string::npos) {
+    if (dot == std::string_view::npos) {
         for (const StatBase *s : stats_) {
             if (s->name() == relPath)
                 return s;
         }
         return nullptr;
     }
-    std::string head = relPath.substr(0, dot);
-    std::string tail = relPath.substr(dot + 1);
+    const std::string_view head = relPath.substr(0, dot);
     for (const StatGroup *g : children_) {
         if (g->groupName() == head)
-            return g->find(tail);
+            return g->find(relPath.substr(dot + 1));
     }
     return nullptr;
 }
 
 double
-StatGroup::lookupValue(const std::string &relPath) const
+StatGroup::lookupValue(std::string_view relPath) const
 {
-    const StatBase *s = find(relPath);
-    if (!s)
-        return 0.0;
-    auto rows = s->rows();
-    return rows.empty() ? 0.0 : rows.front().second;
+    const auto *s = dynamic_cast<const Scalar *>(find(relPath));
+    return s ? s->value() : 0.0;
 }
 
 namespace {

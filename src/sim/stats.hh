@@ -12,8 +12,10 @@
 #ifndef MISP_SIM_STATS_HH
 #define MISP_SIM_STATS_HH
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,70 @@ void writeJsonQuoted(std::ostream &os, const std::string &s);
 /** Deterministic JSON number: integers as integers, the rest with 9
  *  significant digits. */
 void writeJsonNumber(std::ostream &os, double v);
+
+/** The stats or child groups of one StatGroup, in registration order,
+ *  linked through each member's own `next_` pointer: registering a
+ *  stat or a group allocates nothing. Iterating yields `T *`. */
+template <class T>
+class Chain
+{
+  public:
+    class iterator
+    {
+      public:
+        T *operator*() const { return node_; }
+        iterator &
+        operator++()
+        {
+            node_ = Chain::nextOf(node_);
+            return *this;
+        }
+        bool operator==(const iterator &) const = default;
+
+      private:
+        friend Chain;
+        explicit iterator(T *node) : node_(node) {}
+        T *node_;
+    };
+
+    iterator begin() const { return iterator(head_); }
+    iterator end() const { return iterator(nullptr); }
+    std::size_t size() const { return size_; }
+
+  private:
+    friend class StatBase;
+    friend class StatGroup;
+
+    static T *nextOf(T *t) { return t->next_; }
+
+    void
+    append(T *t)
+    {
+        t->next_ = nullptr;
+        (tail_ ? tail_->next_ : head_) = t;
+        tail_ = t;
+        ++size_;
+    }
+
+    void
+    remove(T *t)
+    {
+        T *prev = nullptr;
+        for (T *n = head_; n; prev = n, n = n->next_) {
+            if (n != t)
+                continue;
+            (prev ? prev->next_ : head_) = n->next_;
+            if (tail_ == n)
+                tail_ = prev;
+            --size_;
+            return;
+        }
+    }
+
+    T *head_ = nullptr;
+    T *tail_ = nullptr;
+    std::size_t size_ = 0;
+};
 
 /** Base for all statistics; handles registration and naming. */
 class StatBase
@@ -61,7 +127,10 @@ class StatBase
     virtual void setSnapValues(const std::vector<double> &v) = 0;
 
   private:
+    friend Chain<StatBase>;
+
     std::string name_;
+    StatBase *next_ = nullptr;
 };
 
 /** A single accumulating counter. */
@@ -201,10 +270,11 @@ class StatGroup
     std::string path() const;
 
     /** Find a stat by relative dotted path; nullptr if absent. */
-    const StatBase *find(const std::string &relPath) const;
+    const StatBase *find(std::string_view relPath) const;
 
-    /** Convenience: value of a Scalar stat by path (0 if absent). */
-    double lookupValue(const std::string &relPath) const;
+    /** Convenience: value of a Scalar stat by path (0 if absent or
+     *  not a Scalar). Allocates nothing. */
+    double lookupValue(std::string_view relPath) const;
 
     /**
      * Dump as a JSON object, recursively: one member per stat (scalar
@@ -216,18 +286,19 @@ class StatGroup
      */
     void dumpJson(std::ostream &os, int indent = 0) const;
 
-    const std::vector<StatBase *> &statsHere() const { return stats_; }
-    const std::vector<StatGroup *> &children() const { return children_; }
+    const Chain<StatBase> &statsHere() const { return stats_; }
+    const Chain<StatGroup> &children() const { return children_; }
 
   private:
     friend class StatBase;
-
-    void addStat(StatBase *stat) { stats_.push_back(stat); }
+    friend Chain<StatGroup>;
 
     std::string name_;
     StatGroup *parent_;
-    std::vector<StatBase *> stats_;
-    std::vector<StatGroup *> children_;
+    Chain<StatBase> stats_;
+    Chain<StatGroup> children_;
+    /** Next sibling in the parent's children_. */
+    StatGroup *next_ = nullptr;
 };
 
 } // namespace misp::stats

@@ -47,8 +47,9 @@ struct WorkloadParams {
     std::uint64_t extraU64(const std::string &key,
                            std::uint64_t fallback) const;
 
-    /** Same knobs, so the same built workload (builders are pure). */
-    bool operator==(const WorkloadParams &) const = default;
+    /** Same knobs, so the same built workload (builders are pure);
+     *  ordered so a sweep's workload store can key a map on them. */
+    auto operator<=>(const WorkloadParams &) const = default;
 };
 
 /**
@@ -60,8 +61,8 @@ struct WorkloadParams {
  * guest memory: every validator captures what it checks by value
  * (`makeIntArrayValidator`, specomp's lambda) and keeps no state
  * between calls. So one built instance may be loaded into any number of
- * machines, one after another; `harness::runOne` relies on that to
- * reuse the previous point's workloads.
+ * machines, one after another; `harness::WorkloadStore` relies on that
+ * to build each workload once per sweep.
  */
 struct Workload {
     harness::GuestApp app;

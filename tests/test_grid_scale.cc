@@ -1,14 +1,15 @@
 /**
  * @file
- * Grid-scale tests: what a sweep keeps per point, that a grid's
- * config hash is stable (so shard images written by older builds
- * still merge), and that every MetricFrame lookup returns the rows the
- * frames it replaced returned.
+ * Grid-scale tests: what a sweep keeps per point, how many allocations
+ * booting a grid point's machine costs, that a grid's config hash is
+ * stable (so shard images written by older builds still merge), and
+ * that every MetricFrame lookup returns the rows the frames it
+ * replaced returned.
  *
- * A counting global operator new/delete tracks the live heap bytes of
- * this binary, so the per-point test measures exactly what the driver
- * allocates for a grid that is expanded, given unmeasured results and
- * turned into a frame, none of its points run.
+ * A counting global operator new/delete tracks the live heap bytes and
+ * the allocations of this binary, so the per-point test measures
+ * exactly what the driver allocates for a grid that is expanded, given
+ * unmeasured results and turned into a frame, none of its points run.
  */
 
 #include <gtest/gtest.h>
@@ -33,8 +34,10 @@ using harness::MetricFrame;
 namespace {
 
 /** Live heap bytes requested through operator new, less those
- *  released. Tests are single-threaded. */
+ *  released, and the number of operator new calls. Tests are
+ *  single-threaded. */
 long long gLiveBytes = 0;
+long long gAllocs = 0;
 
 /** Each block carries its size in a 16-byte prefix (keeping malloc's
  *  alignment), so delete knows how much to subtract. */
@@ -48,6 +51,7 @@ countedAlloc(std::size_t n)
         throw std::bad_alloc();
     *static_cast<std::size_t *>(p) = n;
     gLiveBytes += static_cast<long long>(n);
+    ++gAllocs;
     return static_cast<char *>(p) + kPrefix;
 }
 
@@ -226,6 +230,32 @@ TEST(GridScale, PerPointStateStaysSmall)
     // results 659 B, frame 1,269 B, all alive at the frame build).
     // The bound is 1.25x the measured peak.
     EXPECT_LE(peakB, 1.25 * 644);
+}
+
+TEST(GridScale, MachineBootAllocatesNothingPerCounter)
+{
+    // The grid spec's misp machine (1 OMS + 3 AMSs, shred backend),
+    // constructed and torn down as each of its grid points does.
+    const Scenario sc = loadScenario(kGridLarge);
+    const std::vector<ScenarioPoint> pts = expand(sc, true);
+    ASSERT_EQ(pts[1].machine.name, "misp");
+    const arch::SystemConfig config = pts[1].machine.toSystemConfig();
+    const rt::Backend backend = pts[1].machine.backend;
+    auto boot = [&] { harness::Experiment exp(config, backend); };
+    boot(); // the first boot also builds the process-wide stub library
+    const long long before = gAllocs;
+    boot();
+    const long long allocs = gAllocs - before;
+    std::printf("misp machine boot: %lld allocations\n", allocs);
+
+    // Measured: 35 (the machine's objects, its TLB arrays and a few stat
+    // and event names too long for the short-string buffer). The
+    // parent made 122: each stat group grew vectors of its stats and
+    // children (71 allocations), and each sequencer's two pending-
+    // signal deques allocated when built (16). Stats and groups now
+    // link into their group intrusively, and the queues allocate when
+    // first used.
+    EXPECT_LE(allocs, 35);
 }
 
 TEST(GridScale, ConfigHashIsStable)

@@ -3,8 +3,9 @@
  * Unified run layer tests: RunRecord status/derived metrics, runOne()
  * equivalence with the hand-rolled experiment loops the ported benches
  * (table1_events, fig5_signal_cost, ablation_serialization,
- * ablation_pageprobe) used before the scenario specs existed, `--jobs`
- * byte-identity with serial runs, [report] assert evaluation, the
+ * ablation_pageprobe) used before the scenario specs existed, the
+ * sweep's workload store, `--jobs` byte-identity with serial runs,
+ * [report] assert evaluation, the
  * [table] renderer and the shared grid emitter, and the `param.<key>`
  * per-workload knobs.
  */
@@ -13,7 +14,6 @@
 
 #include <cstdio>
 #include <sstream>
-#include <thread>
 
 #include "driver/report.hh"
 #include "driver/runner.hh"
@@ -203,35 +203,46 @@ TEST(RunRecord, DerivedMetrics)
 }
 
 // ---------------------------------------------------------------------
-// runOne's reuse of the previous point's workloads
+// The sweep's workload store
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** @p fn's result, computed on a thread of its own: a thread starts
- *  with no previous point, so every workload it loads is built fresh. */
-template <class Fn>
-auto
-onFreshThread(Fn fn)
-{
-    decltype(fn()) out;
-    std::thread t([&] { out = fn(); });
-    t.join();
-    return out;
-}
-
 harness::RunRequest
-reuseRequest(unsigned workers)
+storeRequest(unsigned workers, unsigned rows = 64)
 {
     harness::RunRequest req;
-    req.label = "reuse";
+    req.label = "store";
     req.config = arch::SystemConfig::mp({3, 0});
     req.target.name = "dense_mvm";
     req.target.params.workers = workers;
-    req.target.params.extra = {{"rows", "64"}};
+    req.target.params.extra = {{"rows", std::to_string(rows)}};
     req.hostLine = false;
     return req;
 }
+
+/** Every artifact a sweep's results render to: the -o JSON, the table
+ *  and the canonical point lines. */
+std::string
+renderArtifacts(const Scenario &sc, const std::vector<PointResult> &results)
+{
+    const harness::MetricFrame frame = buildMetricFrame(sc, results);
+    std::ostringstream json, table, points;
+    writeJson(json, sc, false, frame, results);
+    writeTable(table, sc, frame, false);
+    writePoints(points, frame);
+    return json.str() + "\x1e" + table.str() + "\x1e" + points.str();
+}
+
+/** The ledger grid's shape, shrunk to 12 points: two machines
+ *  innermost, then the workers axis, which changes at every group. */
+const char *const kGridShaped =
+    "[scenario]\nname = store\ntitle = Workload store\n"
+    "[machine 1p]\nprocessors = 0\nbackend = os\n"
+    "[machine misp]\nprocessors = 3\nbackend = shred\n"
+    "[workload]\nname = dense_mvm\nparam.rows = 8\n"
+    "[sweep]\nmachine.signal_cycles = 1000..1002\n"
+    "workload.workers = 1..2\n";
 
 } // namespace
 
@@ -240,10 +251,10 @@ TEST(RunOne, ReusedWorkloadsLeaveRecordsUnchanged)
     const std::string image =
         ::testing::TempDir() + "run_one_reuse.misnap";
 
-    harness::RunRequest a = reuseRequest(3);
+    harness::RunRequest a = storeRequest(3);
     harness::RunRequest aMachine = a;
     aMachine.config.misp.signalCycles += 1000;
-    harness::RunRequest b = reuseRequest(2);
+    harness::RunRequest b = storeRequest(2);
     harness::RunRequest aLoaded = a;
     aLoaded.background = {{"dense_mvm", b.target.params}};
     aLoaded.competitors = 2;
@@ -253,22 +264,29 @@ TEST(RunOne, ReusedWorkloadsLeaveRecordsUnchanged)
     harness::RunRequest save = a;
     save.snapshotOut = image;
     save.warmupTicks = 200'000;
-    ASSERT_TRUE(onFreshThread([&] { return harness::runOne(save); }).ok());
+    ASSERT_TRUE(harness::runOne(save).ok());
 
-    // One thread runs the sequence, so each point after the first can
-    // reuse what its predecessor built.
+    // One store serves the sequence, so each point after the first
+    // loads workloads an earlier point built.
     const std::vector<harness::RunRequest> seq = {a, aMachine, b, aLoaded,
                                                   aRestored};
-    std::vector<harness::RunRecord> reused = onFreshThread([&] {
-        std::vector<harness::RunRecord> out;
-        for (const harness::RunRequest &req : seq)
-            out.push_back(harness::runOne(req));
-        return out;
-    });
+    harness::WorkloadStore store;
+    for (const harness::RunRequest &req : seq)
+        store.expect(req);
+    std::vector<harness::RunRecord> reused;
+    for (harness::RunRequest req : seq) {
+        req.workloads = &store;
+        reused.push_back(harness::runOne(req));
+    }
+    // a's target, b's target (also aLoaded's background) and the
+    // spinner, each built once, and none left alive.
+    EXPECT_EQ(store.builds(), 3u);
+    EXPECT_EQ(store.alive(), 0u);
+
     ASSERT_EQ(reused.size(), seq.size());
     for (std::size_t i = 0; i < seq.size(); ++i) {
-        harness::RunRecord fresh =
-            onFreshThread([&] { return harness::runOne(seq[i]); });
+        // Without a store, a run builds everything it loads.
+        harness::RunRecord fresh = harness::runOne(seq[i]);
         EXPECT_TRUE(fresh.ok()) << "request " << i << ": " << fresh.note;
         EXPECT_EQ(reused[i].status, fresh.status) << "request " << i;
         EXPECT_EQ(reused[i].ticks, fresh.ticks) << "request " << i;
@@ -282,6 +300,92 @@ TEST(RunOne, ReusedWorkloadsLeaveRecordsUnchanged)
     EXPECT_NE(reused[0].ticks, reused[2].ticks);
     EXPECT_NE(reused[0].ticks, reused[3].ticks);
     std::remove(image.c_str());
+}
+
+TEST(WorkloadStore, GridSweepBuildsEachKeyOnce)
+{
+    const Scenario sc = mustScenario(kGridShaped);
+    std::vector<ScenarioPoint> pts;
+    std::string err;
+    ASSERT_TRUE(sc.expandPoints(false, &pts, &err)) << err;
+    ASSERT_EQ(pts.size(), 12u);
+
+    std::string rendered[2];
+    const unsigned jobs[2] = {1, 4};
+    for (int j = 0; j < 2; ++j) {
+        ScenarioRunner::Options opts;
+        opts.hostLines = false;
+        opts.jobs = jobs[j];
+        ScenarioRunner runner(opts);
+        const std::vector<PointResult> results = runner.runAll(sc, pts);
+        // workers = 1 and workers = 2: two keys, six points each.
+        EXPECT_EQ(runner.workloads().builds(), 2u) << "jobs " << jobs[j];
+        EXPECT_EQ(runner.workloads().alive(), 0u) << "jobs " << jobs[j];
+        for (const PointResult &r : results)
+            EXPECT_TRUE(r.run.ok()) << r.coords.str();
+        rendered[j] = renderArtifacts(sc, results);
+    }
+    EXPECT_EQ(rendered[0], rendered[1]);
+}
+
+TEST(WorkloadStore, FreesEachWorkloadAfterItsLastPoint)
+{
+    harness::RunRequest a = storeRequest(1, 8);
+    harness::RunRequest b = storeRequest(2, 8);
+    harness::RunRequest bLoaded = b;
+    bLoaded.competitors = 1;
+    const std::vector<harness::RunRequest> seq = {a, b, a, bLoaded};
+
+    harness::WorkloadStore store;
+    for (const harness::RunRequest &req : seq)
+        store.expect(req);
+    std::vector<std::size_t> alive;
+    for (harness::RunRequest req : seq) {
+        req.workloads = &store;
+        EXPECT_TRUE(harness::runOne(req).ok());
+        alive.push_back(store.alive());
+    }
+    // a lives until its second point, b and the spinner until the last.
+    EXPECT_EQ(alive, (std::vector<std::size_t>{1, 2, 1, 0}));
+    EXPECT_EQ(store.builds(), 3u);
+}
+
+TEST(WorkloadStore, ThrowingPointReleasesWhatItTook)
+{
+    // A machine that cannot be built panics after the point has taken
+    // its workloads.
+    harness::RunRequest bad = storeRequest(1, 8);
+    bad.config.physFrames = 0;
+    harness::RunRequest good = storeRequest(1, 8);
+    harness::WorkloadStore store;
+    store.expect(bad);
+    store.expect(good);
+    bad.workloads = &store;
+    good.workloads = &store;
+    EXPECT_THROW(harness::runOne(bad), SimError);
+    EXPECT_EQ(store.builds(), 1u);
+    EXPECT_EQ(store.alive(), 1u); // the good point still needs it
+    EXPECT_TRUE(harness::runOne(good).ok());
+    EXPECT_EQ(store.builds(), 1u);
+    EXPECT_EQ(store.alive(), 0u);
+
+    // In a sweep, the throw surfaces from runAll, and no workload
+    // outlives it: not the thrower's, nor those of the points the
+    // failure abandoned.
+    const Scenario sc = mustScenario(kGridShaped);
+    std::vector<ScenarioPoint> pts;
+    std::string err;
+    ASSERT_TRUE(sc.expandPoints(false, &pts, &err)) << err;
+    pts[3].machine.physFrames = 0;
+    for (unsigned jobs : {1u, 4u}) {
+        ScenarioRunner::Options opts;
+        opts.hostLines = false;
+        opts.jobs = jobs;
+        ScenarioRunner runner(opts);
+        EXPECT_THROW(runner.runAll(sc, pts), SimError) << "jobs " << jobs;
+        EXPECT_GE(runner.workloads().builds(), 1u) << "jobs " << jobs;
+        EXPECT_EQ(runner.workloads().alive(), 0u) << "jobs " << jobs;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -424,15 +528,7 @@ TEST(ParallelRunner, Jobs4OutputByteIdenticalToSerial)
     }
 
     Scenario sc = mustScenario(text);
-    auto render = [&](const std::vector<PointResult> &results) {
-        const harness::MetricFrame frame = buildMetricFrame(sc, results);
-        std::ostringstream json, table, points;
-        writeJson(json, sc, false, frame, results);
-        writeTable(table, sc, frame, false);
-        writePoints(points, frame);
-        return json.str() + "\x1e" + table.str() + "\x1e" + points.str();
-    };
-    EXPECT_EQ(render(serial), render(parallel));
+    EXPECT_EQ(renderArtifacts(sc, serial), renderArtifacts(sc, parallel));
 }
 
 // ---------------------------------------------------------------------
