@@ -90,9 +90,8 @@ Sequencer::~Sequencer()
 }
 
 void
-Sequencer::setSliceLimit(unsigned insts)
+Sequencer::setSliceLimit(TrackedValue<unsigned> insts)
 {
-    MISP_ASSERT(insts > 0);
     sliceLimit_ = insts;
 }
 
@@ -400,15 +399,16 @@ Sequencer::runSlice()
         return;
     }
 
+    const unsigned sliceLimit = sliceLimit_.use();
     if (engine_ == Engine::Superblock) {
-        runSuperblocks();
+        runSuperblocks(sliceLimit);
         return;
     }
     const Tick start = eq_.curTick();
     Cycles consumed = 0;
     unsigned executed = 0;
     bool stop = false;
-    while (executed < sliceLimit_ && consumed < sliceCycleBudget_ && !stop) {
+    while (executed < sliceLimit && consumed < sliceCycleBudget_ && !stop) {
         consumed += dispatchPendingAsync();
         consumed += executeOne(&stop);
         ++executed;
@@ -1008,11 +1008,10 @@ done: // a slice condition, or the slot at `cur` takes the generic path
 }
 
 void
-Sequencer::runSuperblocks()
+Sequencer::runSuperblocks(unsigned sliceLimit)
 {
     // Hoisted member loads: nothing in a slice changes these, and the
     // fast loop checks them per instruction.
-    const unsigned sliceLimit = sliceLimit_;
     const Cycles sliceBudget = sliceCycleBudget_;
     Tick start = eq_.curTick();
     unsigned executed = 0;

@@ -28,6 +28,7 @@
 #include "cpu/engine.hh"
 #include "isa/isa.hh"
 #include "mem/mmu.hh"
+#include "sim/config_reads.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -297,8 +298,9 @@ class Sequencer
 
     // ---- execution ----------------------------------------------------
     /** Instructions per scheduling slice; smaller values increase
-     *  inter-sequencer timing fidelity at simulation-speed cost. */
-    void setSliceLimit(unsigned insts);
+     *  inter-sequencer timing fidelity at simulation-speed cost. A
+     *  machine's limit is recorded as read at each slice. */
+    void setSliceLimit(TrackedValue<unsigned> insts);
 
     /** Select the execution engine. Both engines produce bit-identical
      *  simulated cycles and stats: Reference is the per-instruction
@@ -407,7 +409,7 @@ class Sequencer
      *  dispatch — and every following slice the queue lets continue in
      *  place (endSlice) — replacing the per-instruction loop of
      *  runSlice(). */
-    void runSuperblocks();
+    void runSuperblocks(unsigned sliceLimit);
 
     /** The slice's running totals after runFast's stretch, and whether
      *  it left the page; two registers wide, so they come back in
@@ -451,7 +453,7 @@ class Sequencer
     SeqState state_ = SeqState::Idle;
     SeqState preSuspendState_ = SeqState::Idle;
     mem::Ring ring_ = mem::Ring::User;
-    unsigned sliceLimit_ = 32;       ///< snap: config
+    TrackedValue<unsigned> sliceLimit_ = 32; ///< snap: config
     Cycles sliceCycleBudget_ = 2500; ///< snap: config
 
     /** Cached reference into the current address space's decode cache:

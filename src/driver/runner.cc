@@ -10,9 +10,11 @@
 #include <deque>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <ostream>
 #include <thread>
+#include <unordered_map>
 
 #include <poll.h>
 #include <signal.h>
@@ -39,7 +41,11 @@ progressLine(std::ostream &os, std::size_t done, std::size_t total,
     if (!r.coords.empty())
         line += " " + r.coords.str();
     line += " ticks=" + std::to_string(r.run.ticks);
-    line += r.run.valid ? "\n" : " INVALID\n";
+    if (!r.run.valid)
+        line += " INVALID";
+    if (r.run.reusedFrom != harness::kSimulated)
+        line += " reused from point " + std::to_string(r.run.reusedFrom);
+    line += "\n";
     os.write(line.data(), static_cast<std::streamsize>(line.size()));
     os.flush();
 }
@@ -79,6 +85,88 @@ wallMsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/**
+ * A sweep's finished points, found again by what a later point must
+ * match to reuse one: its run inputs (harness::sameRunInputs) and its
+ * machine config on every field the finished run read. An entry is
+ * only a (read mask, point index) pair, bucketed by a hash of the run
+ * inputs and the masked config values; a lookup tries each mask seen
+ * so far and compares a candidate's own request exactly.
+ */
+class RunMemo
+{
+  public:
+    /** @p request resolves a finished point's RunRequest. */
+    explicit RunMemo(
+        std::function<harness::RunRequest(std::size_t)> request)
+        : request_(std::move(request))
+    {}
+
+    /** A finished point whose record @p req may take, or
+     *  harness::kSimulated. */
+    std::size_t
+    find(const harness::RunRequest &req) const
+    {
+        const std::uint64_t inputs = harness::hashRunInputs(req);
+        for (ConfigMask mask : masks_) {
+            auto [it, end] =
+                entries_.equal_range(bucket(inputs, req.config, mask));
+            for (; it != end; ++it) {
+                if (it->second.mask != mask)
+                    continue;
+                const harness::RunRequest src = request_(it->second.point);
+                if (harness::sameRunInputs(req, src) &&
+                    harness::sameConfigFields(req.config, src.config, mask))
+                    return it->second.point;
+            }
+        }
+        return harness::kSimulated;
+    }
+
+    /** Point @p point, run as @p req, finished having read @p mask. */
+    void
+    add(std::size_t point, const harness::RunRequest &req, ConfigMask mask)
+    {
+        if (std::find(masks_.begin(), masks_.end(), mask) == masks_.end())
+            masks_.push_back(mask);
+        entries_.emplace(
+            bucket(harness::hashRunInputs(req), req.config, mask),
+            Entry{mask, point});
+    }
+
+  private:
+    struct Entry {
+        ConfigMask mask;
+        std::size_t point;
+    };
+
+    static std::uint64_t
+    bucket(std::uint64_t inputs, const arch::SystemConfig &config,
+           ConfigMask mask)
+    {
+        return inputs ^ harness::hashConfigFields(config, mask);
+    }
+
+    std::function<harness::RunRequest(std::size_t)> request_;
+    /** Every distinct read mask of a finished point. */
+    std::vector<ConfigMask> masks_;
+    std::unordered_multimap<std::uint64_t, Entry> entries_;
+};
+
+/** @p src's simulated record for a point that reuses it: the same
+ *  simulated fields, no host timing, one attempt. */
+harness::RunRecord
+reusedRecord(const harness::RunRecord &src, std::size_t srcIndex)
+{
+    harness::RunRecord out = src;
+    out.hostSeconds = 0.0;
+    out.hostMips = 0.0;
+    out.phases = {};
+    out.attempts = 1;
+    out.reusedFrom = srcIndex;
+    return out;
 }
 
 } // namespace
@@ -141,18 +229,8 @@ PointResult
 ScenarioRunner::runPoint(const Scenario &sc, const ScenarioPoint &pt,
                          std::size_t pointIndex)
 {
-    return measure(sc, pt, pointIndex, nullptr);
-}
-
-PointResult
-ScenarioRunner::measure(const Scenario &sc, const ScenarioPoint &pt,
-                        std::size_t pointIndex,
-                        harness::WorkloadStore *store)
-{
     PointResult out = unmeasuredResult(pt);
-    harness::RunRequest req = makeRunRequest(sc, pt, opts_, pointIndex);
-    req.workloads = store;
-    out.run = harness::runOne(req);
+    out.run = harness::runOne(makeRunRequest(sc, pt, opts_, pointIndex));
     return out;
 }
 
@@ -168,12 +246,21 @@ ScenarioRunner::runAll(const Scenario &sc,
     std::size_t jobs = std::max(1u, opts_.jobs);
     jobs = std::min(jobs, pts.size());
 
+    auto request = [&](std::size_t i) {
+        return makeRunRequest(sc, pts[i], opts_, gridIndex(i));
+    };
+
     // Every point's workloads come from one store, which builds each
     // once, inside the first point that needs it, and frees it after
     // its last point.
     store_.clear();
     for (std::size_t i = 0; i < pts.size(); ++i)
-        store_.expect(makeRunRequest(sc, pts[i], opts_, gridIndex(i)));
+        store_.expect(request(i));
+
+    // Finished points a later point may reuse. A point whose twin is
+    // still running simulates too: the memo holds finished runs only.
+    RunMemo memo(request);
+    std::mutex memoMutex;
 
     // Fan the grid out over a worker pool — or, for one job, run the
     // one worker on this thread. Each point is an independent
@@ -187,11 +274,44 @@ ScenarioRunner::runAll(const Scenario &sc,
     std::mutex progressMutex;
     std::vector<std::exception_ptr> errors(pts.size());
 
+    // Simulate point i, or take the record of a finished point that
+    // read nothing point i sets differently.
+    auto simulateOrReuse = [&](std::size_t i) {
+        harness::RunRequest req = request(i);
+        req.workloads = &store_;
+        PointResult &out = results[i];
+        out = unmeasuredResult(pts[i]);
+        const bool reusable = opts_.reuseRuns && harness::reusableRun(req);
+        std::size_t src = harness::kSimulated;
+        if (reusable) {
+            std::lock_guard<std::mutex> lock(memoMutex);
+            src = memo.find(req);
+        }
+        if (src == harness::kSimulated) {
+            out.run = harness::runOne(req);
+            // Host-caused failures are no result to share.
+            if (reusable &&
+                !harness::runStatusIsInfraFailure(out.run.status)) {
+                std::lock_guard<std::mutex> lock(memoMutex);
+                memo.add(i, req, out.run.configReads);
+            }
+            return;
+        }
+        out.run = reusedRecord(results[src].run, gridIndex(src));
+        store_.skip(req);
+        if (req.hostLine) {
+            harness::reportHost(
+                req.label, out.run.instsRetired, 0.0,
+                req.config.misp.engine,
+                " reused from point " + std::to_string(out.run.reusedFrom));
+        }
+    };
+
     auto runOnePoint = [&](std::size_t i) {
         logAttempt(opts_.runLog, "dispatched", pts[i], 1);
         auto ta = std::chrono::steady_clock::now();
         try {
-            results[i] = measure(sc, pts[i], gridIndex(i), &store_);
+            simulateOrReuse(i);
         } catch (...) {
             errors[i] = std::current_exception();
             failed.store(true, std::memory_order_relaxed);

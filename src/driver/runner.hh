@@ -57,6 +57,12 @@ struct RunnerOptions {
     bool fullStats = false;
     /** Emit the uniform HOST throughput line per run on stderr. */
     bool hostLines = true;
+    /** Reuse finished points (in-process runAll only): a point whose
+     *  run inputs equal a finished point's, and whose machine config
+     *  matches it on every field that point's run read, takes its
+     *  record instead of simulating (see sim/config_reads.hh). Off
+     *  only to prove the reuse exact (tests); no flag sets it. */
+    bool reuseRuns = true;
     /** Worker threads for the grid (--jobs N). Grid points are
      *  independent deterministic runs; results are stored in
      *  submission order, so every emitter's output is byte-identical
@@ -164,9 +170,12 @@ class ScenarioRunner
      *  return results in submission order. In process, the points
      *  share the runner's harness::WorkloadStore: each workload is
      *  built once per sweep and freed after its last point, and none
-     *  outlives the sweep (a forked worker builds its own). One
-     *  progress line per completed point on @p progress when non-null
-     *  (completion order under a worker pool). */
+     *  outlives the sweep (a forked worker builds its own). In
+     *  process, a point that matches a finished point on everything
+     *  that point's run read reuses its record (Options::reuseRuns;
+     *  RunRecord::reusedFrom names the source). One progress line per
+     *  completed point on @p progress when non-null (completion order
+     *  under a worker pool). */
     std::vector<PointResult> runAll(const Scenario &sc,
                                     const std::vector<ScenarioPoint> &pts,
                                     std::ostream *progress = nullptr);
@@ -175,11 +184,6 @@ class ScenarioRunner
     const harness::WorkloadStore &workloads() const { return store_; }
 
   private:
-    /** runPoint with its workloads from @p store (null: its own). */
-    PointResult measure(const Scenario &sc, const ScenarioPoint &pt,
-                        std::size_t pointIndex,
-                        harness::WorkloadStore *store);
-
     std::vector<PointResult>
     runIsolated(const Scenario &sc, const std::vector<ScenarioPoint> &pts,
                 std::ostream *progress);

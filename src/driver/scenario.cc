@@ -23,7 +23,7 @@ MachineSpec::toSystemConfig() const
     sys.kernel.timerPeriod = timerPeriod;
     sys.kernel.deviceIrqMeanPeriod = deviceIrqMeanPeriod;
     sys.kernel.quantumTicks = quantumTicks;
-    sys.kernel.seed = kernelSeed;
+    sys.kernel.rngSeed = kernelSeed;
     return sys;
 }
 

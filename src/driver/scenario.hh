@@ -104,7 +104,7 @@ struct MachineSpec {
     Tick timerPeriod = os::KernelConfig{}.timerPeriod;
     Tick deviceIrqMeanPeriod = os::KernelConfig{}.deviceIrqMeanPeriod;
     unsigned quantumTicks = os::KernelConfig{}.quantumTicks;
-    std::uint64_t kernelSeed = os::KernelConfig{}.seed;
+    std::uint64_t kernelSeed = os::KernelConfig{}.rngSeed;
 
     /** Pin the target to processors with >= this many AMSs (0 = load
      *  with no affinity, the kernel schedules freely). */

@@ -128,15 +128,16 @@ totalInstsRetired(arch::MispSystem &sys)
 
 double
 reportHost(const std::string &name, std::uint64_t instsRetired,
-           double hostSeconds, cpu::Engine engine)
+           double hostSeconds, cpu::Engine engine, const std::string &note)
 {
     double mips =
         hostSeconds > 0.0 ? instsRetired / hostSeconds / 1e6 : 0.0;
     std::fprintf(stderr,
                  "HOST name=%s retired=%llu host_ms=%.1f mips=%.2f "
-                 "engine=%s\n",
+                 "engine=%s%s\n",
                  name.c_str(), (unsigned long long)instsRetired,
-                 hostSeconds * 1e3, mips, cpu::engineName(engine));
+                 hostSeconds * 1e3, mips, cpu::engineName(engine),
+                 note.c_str());
     return mips;
 }
 

@@ -191,9 +191,11 @@ EventCounts snapshotEvents(arch::MispProcessor &mp);
 /** Emit the uniform per-run HOST throughput line on stderr — the one
  *  format shared by the benches and the scenario runner so
  *  perf trajectories stay comparable across harnesses and PRs.
+ *  @p note, when set, ends the line (" reused from point k").
  *  @return MIPS. */
 double reportHost(const std::string &name, std::uint64_t instsRetired,
-                  double hostSeconds, cpu::Engine engine);
+                  double hostSeconds, cpu::Engine engine,
+                  const std::string &note = std::string());
 
 } // namespace misp::harness
 

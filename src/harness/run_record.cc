@@ -37,6 +37,7 @@ harvest(RunRecord *out, Experiment &exp, os::Process *target,
 
     out->status = outcome.status;
     out->ticks = outcome.ticks;
+    out->configReads = exp.system().configReads().mask();
     out->instsRetired = exp.totalInstsRetired();
     std::uint64_t legInsts = out->instsRetired - instsAtStart;
     out->hostSeconds = hostSeconds;
@@ -167,6 +168,105 @@ runFromSnapshot(const RunRequest &req, const wl::Workload &w,
 } // namespace
 
 bool
+reusableRun(const RunRequest &req)
+{
+    return !req.fullStats && !req.trace.enabled && req.snapshotIn.empty() &&
+           req.snapshotOut.empty();
+}
+
+bool
+sameRunInputs(const RunRequest &a, const RunRequest &b)
+{
+    auto same = [](const RunWorkload &x, const RunWorkload &y) {
+        return x.name == y.name && x.params == y.params;
+    };
+    return same(a.target, b.target) &&
+           std::equal(a.background.begin(), a.background.end(),
+                      b.background.begin(), b.background.end(), same) &&
+           a.backend == b.backend && a.competitors == b.competitors &&
+           a.competitor == b.competitor && a.pinMinAms == b.pinMinAms &&
+           a.idealPlacement == b.idealPlacement &&
+           a.maxTicks == b.maxTicks &&
+           a.config.misp.engine == b.config.misp.engine;
+}
+
+namespace {
+
+/** One FNV-1a step over the 8 bytes of @p v. */
+std::uint64_t
+mix(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+std::uint64_t
+mixValue(std::uint64_t h, const std::vector<unsigned> &v)
+{
+    h = mix(h, v.size());
+    for (unsigned x : v)
+        h = mix(h, x);
+    return h;
+}
+
+template <class T>
+std::uint64_t
+mixValue(std::uint64_t h, const T &v)
+{
+    return mix(h, static_cast<std::uint64_t>(v));
+}
+
+} // namespace
+
+std::uint64_t
+hashRunInputs(const RunRequest &req)
+{
+    std::uint64_t h =
+        mix(kFnvBasis, std::hash<std::string>()(req.target.name));
+    h = mix(h, req.target.params.workers);
+    h = mix(h, req.target.params.scale);
+    h = mix(h, req.target.params.seed);
+    h = mix(h, req.background.size());
+    h = mix(h, static_cast<std::uint64_t>(req.backend));
+    h = mix(h, req.competitors);
+    h = mix(h, req.pinMinAms);
+    h = mix(h, req.maxTicks);
+    return mix(h, static_cast<std::uint64_t>(req.config.misp.engine));
+}
+
+bool
+sameConfigFields(const arch::SystemConfig &a, const arch::SystemConfig &b,
+                 ConfigMask mask)
+{
+    bool same = true;
+    for (std::size_t f = 0; f < kNumConfigFields && same; ++f) {
+        if (mask & configBit(ConfigField(f)))
+            visitConfigField(ConfigField(f), [&](auto field) {
+                same = field(a) == field(b);
+            });
+    }
+    return same;
+}
+
+std::uint64_t
+hashConfigFields(const arch::SystemConfig &config, ConfigMask mask)
+{
+    std::uint64_t h = mix(kFnvBasis, mask);
+    for (std::size_t f = 0; f < kNumConfigFields; ++f) {
+        if (mask & configBit(ConfigField(f)))
+            visitConfigField(ConfigField(f), [&](auto field) {
+                h = mixValue(h, field(config));
+            });
+    }
+    return h;
+}
+
+bool
 WorkloadKey::operator<(const WorkloadKey &o) const
 {
     if (info != o.info)
@@ -204,15 +304,33 @@ WorkloadStore::Lease::take(const WorkloadKey &key)
     return *e.built;
 }
 
+void
+WorkloadStore::release(Entry &e)
+{
+    std::lock_guard<std::mutex> lock(e.mutex);
+    MISP_ASSERT(e.pending > 0); // released more often than counted
+    if (--e.pending == 0 && e.built) {
+        e.built.reset();
+        --alive_;
+    }
+}
+
+void
+WorkloadStore::skip(const RunRequest &req)
+{
+    const std::vector<WorkloadKey> keys = workloadKeys(req);
+    for (auto k = keys.begin(); k != keys.end(); ++k) {
+        auto it = entries_.find(*k);
+        MISP_ASSERT(it != entries_.end()); // expect() never saw it
+        if (std::find(keys.begin(), k, *k) == k)
+            release(it->second);
+    }
+}
+
 WorkloadStore::Lease::~Lease()
 {
-    for (Entry *e : held_) {
-        std::lock_guard<std::mutex> lock(e->mutex);
-        if (--e->pending == 0) {
-            e->built.reset();
-            --store_.alive_;
-        }
-    }
+    for (Entry *e : held_)
+        store_.release(*e);
 }
 
 RunRecord

@@ -107,6 +107,58 @@ struct RunRequest {
     std::uint64_t traceSkip = 0;
 };
 
+/** Whether a finished run of @p req may stand in for later points:
+ *  not when it traces, dumps full stats, or saves or restores a
+ *  snapshot (those points always simulate). */
+bool reusableRun(const RunRequest &req);
+
+/** Whether @p a and @p b ask for the same run apart from their machine
+ *  configs: workloads, backend, competitors, placement, max_ticks and
+ *  engine, compared exactly. Labels and host plumbing do not count. */
+bool sameRunInputs(const RunRequest &a, const RunRequest &b);
+/** A hash of what sameRunInputs compares. */
+std::uint64_t hashRunInputs(const RunRequest &req);
+
+/** Whether @p a and @p b agree on every config field in @p mask. */
+bool sameConfigFields(const arch::SystemConfig &a,
+                      const arch::SystemConfig &b, ConfigMask mask);
+/** A hash of @p config's fields in @p mask. */
+std::uint64_t hashConfigFields(const arch::SystemConfig &config,
+                               ConfigMask mask);
+
+/** Call @p fn with an accessor from a (const or mutable) SystemConfig
+ *  to its field @p f: the one map from ConfigField to member path. */
+template <class Fn>
+void
+visitConfigField(ConfigField f, Fn &&fn)
+{
+    switch (f) {
+#define MISP_CONFIG_PATH(en, path)                                         \
+      case ConfigField::en:                                             \
+        fn([](auto &c) -> auto & { return c.path; });                    \
+        return;
+      MISP_CONFIG_PATH(Processors, amsPerProcessor)
+      MISP_CONFIG_PATH(PhysFrames, physFrames)
+      MISP_CONFIG_PATH(SignalCycles, misp.signalCycles)
+      MISP_CONFIG_PATH(ContextXferCycles, misp.contextXferCycles)
+      MISP_CONFIG_PATH(Serialization, misp.serialization)
+      MISP_CONFIG_PATH(SliceLimit, misp.sliceLimit)
+      MISP_CONFIG_PATH(SyscallBase, kernel.syscallBase)
+      MISP_CONFIG_PATH(WritePerByte, kernel.writePerByte)
+      MISP_CONFIG_PATH(PageFaultService, kernel.pageFaultService)
+      MISP_CONFIG_PATH(TimerService, kernel.timerService)
+      MISP_CONFIG_PATH(DeviceIrqService, kernel.deviceIrqService)
+      MISP_CONFIG_PATH(CtxSwitch, kernel.ctxSwitch)
+      MISP_CONFIG_PATH(TimerPeriod, kernel.timerPeriod)
+      MISP_CONFIG_PATH(QuantumTicks, kernel.quantumTicks)
+      MISP_CONFIG_PATH(DeviceIrqMeanPeriod, kernel.deviceIrqMeanPeriod)
+      MISP_CONFIG_PATH(KernelSeed, kernel.rngSeed)
+#undef MISP_CONFIG_PATH
+      case ConfigField::NumFields:
+        break;
+    }
+}
+
 /** One workload a run loads: its registry entry and build knobs. */
 struct WorkloadKey {
     const wl::WorkloadInfo *info = nullptr;
@@ -155,6 +207,10 @@ class WorkloadStore
         alive_ = 0;
     }
 
+    /** Release the keys of a counted point that will not run (its
+     *  record is reused); a key's last release frees its workload. */
+    void skip(const RunRequest &req);
+
     /** Workloads this store has built, and those alive now. */
     std::size_t builds() const { return builds_.load(); }
     std::size_t alive() const { return alive_.load(); }
@@ -178,6 +234,9 @@ class WorkloadStore
     };
 
   private:
+    /** One counted point is done with @p e; its last frees it. */
+    void release(Entry &e);
+
     std::map<WorkloadKey, Entry> entries_;
     std::atomic<std::size_t> builds_{0};
     std::atomic<std::size_t> alive_{0};
@@ -198,9 +257,13 @@ perMegaInsts(double count, double insts)
     return insts == 0.0 ? 0.0 : count / (insts / 1e6);
 }
 
+/** RunRecord::reusedFrom of a record whose own run simulated it. */
+inline constexpr std::size_t kSimulated = static_cast<std::size_t>(-1);
+
 /** Everything measured by one run. Simulated fields (status, ticks,
- *  valid, events, instsRetired, statsJson) are deterministic; host
- *  timing is informational and varies run to run. */
+ *  valid, events, instsRetired, statsJson, configReads) are
+ *  deterministic; host timing is informational and varies run to
+ *  run. */
 struct RunRecord {
     /** How the run ended — no more ambiguous `Tick 0`. */
     RunStatus status = RunStatus::MaxTicksReached;
@@ -229,6 +292,16 @@ struct RunRecord {
      *  this point (1 = first try; >1 means retries happened). Always 1
      *  outside --isolate. */
     unsigned attempts = 1;
+
+    /** The machine-config fields the run read (sim/config_reads.hh):
+     *  a later point matching the run's config on these reuses the
+     *  record. Outside the wire codec: an --isolate or shard image
+     *  carries none. */
+    ConfigMask configReads = 0;
+
+    /** Host side: the sweep index of the point whose record this one
+     *  copies, or kSimulated. Reused points carry no host timing. */
+    std::size_t reusedFrom = kSimulated;
 
     /** Deterministic trace buffer (empty unless RunRequest::trace is
      *  enabled). Simulated-plane data: byte-compared by CI across

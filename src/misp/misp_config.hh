@@ -7,6 +7,7 @@
 #define MISP_MISP_MISP_CONFIG_HH
 
 #include "cpu/engine.hh"
+#include "sim/config_reads.hh"
 #include "sim/types.hh"
 
 namespace misp::arch {
@@ -49,9 +50,27 @@ struct MispConfig {
      *  predecoded pages). Simulated cycles and stats are bit-identical
      *  across both; this is a simulation-speed knob, never
      *  architectural state (snapshots neither record it nor key
-     *  compatibility on it). */
+     *  compatibility on it). Untracked: a reused run must match it
+     *  exactly (the scenario runner's reuse key compares it).
+     *  misplint: allow(config-raw-read) */
     cpu::Engine engine = cpu::Engine::Superblock;
 };
+
+/** The ConfigField each tracked MispConfig member is. numAms is the
+ *  machine's per-processor AMS count (SystemConfig::amsPerProcessor). */
+template <class T>
+consteval ConfigField
+trackedField(T MispConfig::*m)
+{
+    using F = ConfigField;
+    using M = MispConfig;
+    return sameMember(m, &M::numAms)              ? F::Processors
+           : sameMember(m, &M::signalCycles)      ? F::SignalCycles
+           : sameMember(m, &M::contextXferCycles) ? F::ContextXferCycles
+           : sameMember(m, &M::serialization)     ? F::Serialization
+           : sameMember(m, &M::sliceLimit)        ? F::SliceLimit
+           : throw "MispConfig member without a ConfigField";
+}
 
 } // namespace misp::arch
 

@@ -26,15 +26,18 @@ ring0CauseName(Ring0Cause cause)
 
 MispProcessor::MispProcessor(std::string name, const MispConfig &config,
                              EventQueue &eq, mem::PhysicalMemory &pmem,
-                             os::Kernel &kernel, stats::StatGroup *parent)
+                             os::Kernel &kernel, ConfigReads &reads,
+                             stats::StatGroup *parent)
     : name_(std::move(name)),
       config_(config),
+      reads_(reads),
       eq_(eq),
       pmem_(pmem),
       kernel_(kernel),
       cpuId_(kernel.addCpu()),
       statGroup_(name_, parent),
-      fabric_(eq, config.signalCycles, &statGroup_, cpuId_),
+      fabric_(eq, deferConfig<&MispConfig::signalCycles>(config_, reads_),
+              &statGroup_, cpuId_),
       timerEvent_(*this, name_ + ".timer"),
       deviceEvent_(*this, name_ + ".deviceIrq"),
       ring0Event_(*this, name_ + ".ring0"),
@@ -49,15 +52,19 @@ MispProcessor::MispProcessor(std::string name, const MispConfig &config,
 {
     oms_ = std::make_unique<cpu::Sequencer>("oms", 0, /*ring0=*/true, eq_,
                                             pmem_, &statGroup_);
+    // Each sequencer records the slice limit read when it runs a slice.
+    const TrackedValue<unsigned> sliceLimit =
+        deferConfig<&MispConfig::sliceLimit>(config_, reads_);
     oms_->setEnv(this);
-    oms_->setSliceLimit(config_.sliceLimit);
+    oms_->setSliceLimit(sliceLimit);
     oms_->setEngine(config_.engine);
-    for (unsigned i = 0; i < config_.numAms; ++i) {
+    const unsigned numAms = knob<&MispConfig::numAms>();
+    for (unsigned i = 0; i < numAms; ++i) {
         ams_.push_back(std::make_unique<cpu::Sequencer>(
             "ams" + std::to_string(i + 1), i + 1, /*ring0=*/false, eq_,
             pmem_, &statGroup_));
         ams_.back()->setEnv(this);
-        ams_.back()->setSliceLimit(config_.sliceLimit);
+        ams_.back()->setSliceLimit(sliceLimit);
         ams_.back()->setEngine(config_.engine);
     }
 }
@@ -327,12 +334,12 @@ MispProcessor::startInterrupts()
     if (interruptsOn_)
         return;
     interruptsOn_ = true;
-    const os::KernelConfig &kc = kernel_.config();
     // Stagger timer phase per CPU slot so MP configurations do not
     // serialize all processors at the same instant.
-    Tick phase = kc.timerPeriod / (1 + static_cast<Tick>(cpuId_) % 7);
+    Tick phase = kernel_.knob<&os::KernelConfig::timerPeriod>() /
+                 (1 + static_cast<Tick>(cpuId_) % 7);
     eq_.schedule(&timerEvent_, eq_.curTick() + phase);
-    if (kc.deviceIrqMeanPeriod > 0)
+    if (kernel_.knob<&os::KernelConfig::deviceIrqMeanPeriod>() > 0)
         scheduleNextDeviceIrq();
 }
 
@@ -348,7 +355,8 @@ MispProcessor::onTimer()
     if (!interruptsOn_)
         return;
     eq_.schedule(&timerEvent_,
-                 eq_.curTick() + kernel_.config().timerPeriod);
+                 eq_.curTick() +
+                     kernel_.knob<&os::KernelConfig::timerPeriod>());
     events_[static_cast<std::size_t>(Ring0Cause::Timer)] += 1;
     if (inRing0()) {
         // Coalesced: the OMS is already serialized in Ring 0. The tick
@@ -388,7 +396,10 @@ MispProcessor::onDeviceIrq()
 void
 MispProcessor::beginSerialization()
 {
-    if (config_.serialization != SerializationPolicy::SuspendAll)
+    // A processor with no AMSs has nothing to serialize, whatever the
+    // policy.
+    if (ams_.empty() ||
+        knob<&MispConfig::serialization>() != SerializationPolicy::SuspendAll)
         return;
     for (auto &ams : ams_)
         fabric_.send(SignalFabric::Delivery::Suspend, *ams);
@@ -397,7 +408,10 @@ MispProcessor::beginSerialization()
 void
 MispProcessor::endSerialization(bool rootChanged)
 {
-    if (config_.serialization == SerializationPolicy::SuspendAll) {
+    if (ams_.empty())
+        return;
+    using Policy = SerializationPolicy;
+    if (knob<&MispConfig::serialization>() == Policy::SuspendAll) {
         for (auto &ams : ams_)
             fabric_.send(SignalFabric::Delivery::Resume, *ams);
     } else if (rootChanged) {
@@ -442,9 +456,10 @@ MispProcessor::ring0Episode(const Ring0Work &work)
     // configuration) has nothing to synchronize: no handshake latency.
     // Likewise, the speculative-monitor ablation lets AMSs keep running,
     // so the OMS enters the kernel without waiting.
+    using Policy = SerializationPolicy;
     episode_.signal =
         (ams_.empty() ||
-         config_.serialization == SerializationPolicy::SpeculativeMonitor)
+         knob<&MispConfig::serialization>() == Policy::SpeculativeMonitor)
             ? 0
             : fabric_.signalCycles();
     // The handshake ends at t0 + signal: the kernel work executes.
@@ -604,7 +619,7 @@ MispProcessor::serviceProxy(cpu::Sequencer &omsSeq)
     MISP_ASSERT(thread != nullptr);
 
     // The OMS saves its own state and assumes the AMS's (impersonation).
-    Cycles charge = 2 * config_.contextXferCycles;
+    Cycles charge = 2 * knob<&MispConfig::contextXferCycles>();
 
     omsSeq.enterKernelEpisode();
 
@@ -617,7 +632,7 @@ MispProcessor::serviceProxy(cpu::Sequencer &omsSeq)
 
     // The final restore of the OMS's own context happens when the guest
     // proxy-handler stub YRETs; its cost is pre-charged here.
-    return charge + config_.contextXferCycles;
+    return charge + knob<&MispConfig::contextXferCycles>();
 }
 
 void

@@ -115,13 +115,18 @@ struct Ring0Work {
 class MispProcessor : public cpu::SequencerEnv
 {
   public:
+    /** @p reads records the config fields the processor uses (see
+     *  sim/config_reads.hh); it outlives the processor. */
     MispProcessor(std::string name, const MispConfig &config,
                   EventQueue &eq, mem::PhysicalMemory &pmem,
-                  os::Kernel &kernel, stats::StatGroup *parent);
+                  os::Kernel &kernel, ConfigReads &reads,
+                  stats::StatGroup *parent);
 
     ~MispProcessor() override;
 
     const std::string &name() const { return name_; }
+    /** The whole config, unrecorded: for tests. The model reads a
+     *  field through knob(). */
     const MispConfig &config() const { return config_; }
 
     /** Re-select the host execution engine on every sequencer (used
@@ -266,8 +271,17 @@ class MispProcessor : public cpu::SequencerEnv
     void onDeviceIrq();
     void scheduleNextDeviceIrq();
 
+    /** Config member @p Member, recorded as read by this machine. */
+    template <auto Member>
+    auto
+    knob() const
+    {
+        return readConfig<Member>(config_, reads_);
+    }
+
     std::string name_;  ///< snap: config
     MispConfig config_; ///< snap: config
+    ConfigReads &reads_;
     EventQueue &eq_;
     mem::PhysicalMemory &pmem_;
     os::Kernel &kernel_;

@@ -37,8 +37,10 @@ SystemConfig::validate(std::string *err) const
     }
     if (physFrames == 0)
         return bad("physFrames", 0, "a machine needs memory");
+    // misplint: allow(config-raw-read) -- checked before any machine
     if (misp.sliceLimit == 0)
         return bad("misp.sliceLimit", 0, "a slice must retire an instruction");
+    // misplint: allow(config-raw-read) -- checked before any machine
     if (kernel.timerPeriod == 0)
         return bad("kernel.timerPeriod", 0, "the timer would re-fire forever");
     return true;
@@ -47,17 +49,19 @@ SystemConfig::validate(std::string *err) const
 MispSystem::MispSystem(const SystemConfig &config)
     : config_(config), root_("")
 {
-    pmem_ = std::make_unique<mem::PhysicalMemory>(config_.physFrames,
-                                                  &root_);
+    pmem_ = std::make_unique<mem::PhysicalMemory>(
+        readConfig<&SystemConfig::physFrames>(config_, reads_), &root_);
     kernel_ = std::make_unique<os::Kernel>(eq_, *pmem_, config_.kernel,
-                                           &root_);
+                                           reads_, &root_);
     kernel_->setClient(this);
 
-    for (std::size_t i = 0; i < config_.amsPerProcessor.size(); ++i) {
+    const std::vector<unsigned> &amsCounts =
+        readConfig<&SystemConfig::amsPerProcessor>(config_, reads_);
+    for (std::size_t i = 0; i < amsCounts.size(); ++i) {
         MispConfig mc = config_.misp;
-        mc.numAms = config_.amsPerProcessor[i];
+        mc.numAms = amsCounts[i];
         procs_.push_back(std::make_unique<MispProcessor>(
-            "misp" + std::to_string(i), mc, eq_, *pmem_, *kernel_,
+            "misp" + std::to_string(i), mc, eq_, *pmem_, *kernel_, reads_,
             &root_));
     }
 }
@@ -124,7 +128,8 @@ MispSystem::cpuWake(int cpu)
         return;
     // Loading from idle is the tail of whichever kernel path readied the
     // thread; charge the dispatch as kernel time on this OMS.
-    proc->oms().chargeKernelCycles(kernel_->config().ctxSwitch);
+    proc->oms().chargeKernelCycles(
+        kernel_->knob<&os::KernelConfig::ctxSwitch>());
     proc->loadThread(t);
 }
 

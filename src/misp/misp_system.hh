@@ -55,6 +55,18 @@ struct SystemConfig {
     bool validate(std::string *err) const;
 };
 
+/** The ConfigField each tracked SystemConfig member is; the misp and
+ *  kernel members bind their own (misp_config.hh, os/kernel.hh). */
+template <class T>
+consteval ConfigField
+trackedField(T SystemConfig::*m)
+{
+    using F = ConfigField;
+    return sameMember(m, &SystemConfig::amsPerProcessor) ? F::Processors
+           : sameMember(m, &SystemConfig::physFrames)    ? F::PhysFrames
+           : throw "SystemConfig member without a ConfigField";
+}
+
 /** The simulated machine. */
 class MispSystem : public os::KernelClient
 {
@@ -69,7 +81,13 @@ class MispSystem : public os::KernelClient
     mem::PhysicalMemory &physMem() { return *pmem_; }
     os::Kernel &kernel() { return *kernel_; }
     stats::StatGroup &rootStats() { return root_; }
+    /** The whole config, unrecorded: for the snapshot archive, which
+     *  records every field read. */
     const SystemConfig &config() const { return config_; }
+
+    /** The config fields this machine has read so far (see
+     *  sim/config_reads.hh). */
+    ConfigReads &configReads() { return reads_; }
 
     unsigned numProcessors() const
     {
@@ -111,6 +129,7 @@ class MispSystem : public os::KernelClient
 
   private:
     SystemConfig config_;
+    ConfigReads reads_;
     EventQueue eq_;
     stats::StatGroup root_;
     std::unique_ptr<mem::PhysicalMemory> pmem_;

@@ -7,7 +7,8 @@ namespace misp::arch {
 
 using cpu::SeqState;
 
-SignalFabric::SignalFabric(EventQueue &eq, Cycles signalCycles,
+SignalFabric::SignalFabric(EventQueue &eq,
+                           TrackedValue<Cycles> signalCycles,
                            stats::StatGroup *parent, int ownerCpu)
     : eq_(eq),
       signalCycles_(signalCycles),
@@ -30,7 +31,7 @@ SignalFabric::send(Delivery kind, cpu::Sequencer &dst,
     else if (kind == Delivery::ProxyRequest)
         obs::trace(obs::TraceKind::ProxySend, dst.sid(), cpu, payload.arg);
     ++deliveries_;
-    pool_.schedule(eq_.curTick() + signalCycles_,
+    pool_.schedule(eq_.curTick() + signalCycles(),
                    {kind, &dst, payload, serviced});
 }
 

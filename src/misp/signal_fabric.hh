@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cpu/sequencer.hh"
+#include "sim/config_reads.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
@@ -43,10 +44,11 @@ class SignalFabric
 
     /** @p ownerCpu is the kernel CPU slot of the owning processor's
      *  OMS, recorded in signal trace events (-1 for a bare fabric). */
-    SignalFabric(EventQueue &eq, Cycles signalCycles,
+    SignalFabric(EventQueue &eq, TrackedValue<Cycles> signalCycles,
                  stats::StatGroup *parent, int ownerCpu = -1);
 
-    Cycles signalCycles() const { return signalCycles_; }
+    /** The signal latency, recorded as read. */
+    Cycles signalCycles() const { return signalCycles_.use(); }
 
     /** Deliver a @p kind signal to @p dst after the signal latency:
      *  @p payload for Signal and ProxyRequest, the @p serviced AMS
@@ -84,7 +86,7 @@ class SignalFabric
     void arrive(const Packet &packet);
 
     EventQueue &eq_;
-    Cycles signalCycles_; ///< snap: config
+    TrackedValue<Cycles> signalCycles_; ///< snap: config
     int ownerCpu_;        ///< snap: config
     EventPool<SignalFabric, Packet, &SignalFabric::arrive> pool_;
 

@@ -68,8 +68,12 @@ writeProfileJson(std::ostream &os, std::size_t points,
     };
     std::map<std::string, EngineAgg> engines;
 
+    std::size_t simulated = 0;
     for (std::size_t i = 0; i < points; ++i) {
         const PointProfile p = point(i);
+        if (p.reused)
+            continue;
+        ++simulated;
         parse.add(p.phases.parse);
         warmup.add(p.phases.warmup);
         run.add(p.phases.run);
@@ -84,6 +88,8 @@ writeProfileJson(std::ostream &os, std::size_t points,
 
     os << "{\n";
     os << "  \"points\": " << points << ",\n";
+    os << "  \"points_simulated\": " << simulated << ",\n";
+    os << "  \"points_reused\": " << points - simulated << ",\n";
     os << "  \"host_seconds\": " << num(hostTotal) << ",\n";
     os << "  \"insts_retired\": " << instsTotal << ",\n";
     os << "  \"histogram_bucket_upper_s\": [";
@@ -91,13 +97,13 @@ writeProfileJson(std::ostream &os, std::size_t points,
         os << (b ? ", " : "") << num(kBuckets[b]);
     os << "],\n";
     os << "  \"phases\": {\n";
-    writePhase(os, "parse", parse, points);
+    writePhase(os, "parse", parse, simulated);
     os << ",\n";
-    writePhase(os, "warmup", warmup, points);
+    writePhase(os, "warmup", warmup, simulated);
     os << ",\n";
-    writePhase(os, "run", run, points);
+    writePhase(os, "run", run, simulated);
     os << ",\n";
-    writePhase(os, "serialize", serialize, points);
+    writePhase(os, "serialize", serialize, simulated);
     os << "\n  },\n";
     os << "  \"engines\": {\n";
     bool first = true;

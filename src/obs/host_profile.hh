@@ -37,14 +37,18 @@ struct PointProfile {
     double hostSeconds = 0;
     double hostMips = 0;
     std::uint64_t instsRetired = 0;
+    /** The point took a finished point's record instead of running. */
+    bool reused = false;
 };
 
 /**
  * Write the profile summary JSON over @p points points, @p point(i)
  * giving point i's contribution (formed on demand, never stored):
- * overall wall/instruction totals, per-phase {total_s, mean_s, max_s,
- * histogram} (fixed log-scale buckets), and per-engine {points, insts,
- * host_s, mips}.
+ * how many points simulated and how many reused a finished point's
+ * record, then — over the simulated points only, so host throughput
+ * counts only instructions this process executed — wall/instruction
+ * totals, per-phase {total_s, mean_s, max_s, histogram} (fixed
+ * log-scale buckets), and per-engine {points, insts, host_s, mips}.
  */
 void writeProfileJson(
     std::ostream &os, std::size_t points,

@@ -8,11 +8,13 @@
 namespace misp::os {
 
 Kernel::Kernel(EventQueue &eq, mem::PhysicalMemory &pmem,
-               const KernelConfig &config, stats::StatGroup *parent)
+               const KernelConfig &config, ConfigReads &reads,
+               stats::StatGroup *parent)
     : eq_(eq),
       pmem_(pmem),
       config_(config),
-      rng_(config.seed),
+      reads_(reads),
+      rng_(knob<&KernelConfig::rngSeed>()),
       sleepWakes_(eq, *this, "kernel.sleepWake", kSleepWakePrio),
       statGroup_("kernel", parent),
       syscalls_(&statGroup_, "syscalls"),
@@ -97,7 +99,7 @@ Kernel::pickNext(int cpu)
         ready_.erase(it);
         t->setState(ThreadState::Running);
         t->setCpu(cpu);
-        t->quantumTicks = 0;
+        t->quantumUsed = 0;
         current_[cpu] = t;
         return t;
     }
@@ -205,7 +207,7 @@ Kernel::archive(Ar &a)
                            snap::archive(a, ctx);
                        });
         a.i64(slot);
-        a.u32(t.quantumTicks);
+        a.u32(t.quantumUsed);
         snap::sequence(a, t.affinity, 8, "thread affinity",
                        [&](int &c) { a.i64(c); });
         t.setState(state);
@@ -275,7 +277,8 @@ Kernel::scheduleDecision(int cpu, bool force)
 {
     KernelResult res;
     OsThread *cur = current_[cpu];
-    if (!force && cur && cur->quantumTicks < config_.quantumTicks)
+    if (!force && cur &&
+        cur->quantumUsed < knob<&KernelConfig::quantumTicks>())
         return res;
     bool haveEligible = false;
     for (OsThread *t : ready_) {
@@ -307,7 +310,7 @@ Kernel::scheduleDecision(int cpu, bool force)
                    static_cast<std::uint32_t>(cpu),
                    res.prev ? res.prev->tid() + 1 : 0,
                    res.next ? res.next->tid() + 1 : 0);
-        res.priv += config_.ctxSwitch;
+        res.priv += knob<&KernelConfig::ctxSwitch>();
     }
     return res;
 }
@@ -318,7 +321,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
 {
     ++syscalls_;
     KernelResult res;
-    res.priv = config_.syscallBase;
+    res.priv = knob<&KernelConfig::syscallBase>();
 
     switch (static_cast<Sys>(number)) {
       case Sys::ExitThread: {
@@ -326,7 +329,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         res.reschedule = true;
         res.prev = nullptr; // no context worth saving
         res.next = pickNext(cpu);
-        res.priv += config_.ctxSwitch;
+        res.priv += knob<&KernelConfig::ctxSwitch>();
         ++ctxSwitches_;
         obs::trace(obs::TraceKind::KernelCtxSwitch, 0,
                    static_cast<std::uint32_t>(cpu), 0,
@@ -359,7 +362,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         res.reschedule = true;
         res.prev = nullptr;
         res.next = pickNext(cpu);
-        res.priv += config_.ctxSwitch;
+        res.priv += knob<&KernelConfig::ctxSwitch>();
         ++ctxSwitches_;
         obs::trace(obs::TraceKind::KernelCtxSwitch, 0,
                    static_cast<std::uint32_t>(cpu), 0,
@@ -370,7 +373,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
       }
       case Sys::Write: {
         Word len = args[2];
-        res.priv += config_.writePerByte * len;
+        res.priv += knob<&KernelConfig::writePerByte>() * len;
         res.retval = len;
         break;
       }
@@ -391,7 +394,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         res.reschedule = true;
         res.prev = &t;
         res.next = pickNext(cpu);
-        res.priv += config_.ctxSwitch;
+        res.priv += knob<&KernelConfig::ctxSwitch>();
         ++ctxSwitches_;
         break;
       }
@@ -420,7 +423,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         res.reschedule = true;
         res.prev = &t;
         res.next = pickNext(cpu);
-        res.priv += config_.ctxSwitch;
+        res.priv += knob<&KernelConfig::ctxSwitch>();
         ++ctxSwitches_;
         break;
       }
@@ -439,7 +442,7 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         res.reschedule = true;
         res.prev = &t;
         res.next = pickNext(cpu);
-        res.priv += config_.ctxSwitch;
+        res.priv += knob<&KernelConfig::ctxSwitch>();
         ++ctxSwitches_;
         break;
       }
@@ -481,7 +484,7 @@ Kernel::pageFault(int cpu, OsThread &t, VAddr va, bool write)
     (void)cpu;
     ++pageFaults_;
     KernelResult res;
-    res.priv = config_.pageFaultService;
+    res.priv = knob<&KernelConfig::pageFaultService>();
     mem::FaultOutcome out = t.process()->addressSpace().handleFault(va, write);
     if (out == mem::FaultOutcome::BadAccess) {
         ++badFaults_;
@@ -495,13 +498,13 @@ Kernel::timerTick(int cpu)
 {
     ++timerIrqs_;
     KernelResult res;
-    res.priv = config_.timerService;
+    res.priv = knob<&KernelConfig::timerService>();
     OsThread *cur = current_[cpu];
     if (cur)
-        ++cur->quantumTicks;
+        ++cur->quantumUsed;
     obs::trace(obs::TraceKind::KernelQuantum, 0,
                static_cast<std::uint32_t>(cpu),
-               cur ? cur->tid() + 1 : 0, cur ? cur->quantumTicks : 0);
+               cur ? cur->tid() + 1 : 0, cur ? cur->quantumUsed : 0);
     KernelResult sched = scheduleDecision(cpu, /*force=*/false);
     res.priv += sched.priv;
     res.reschedule = sched.reschedule;
@@ -516,21 +519,21 @@ Kernel::deviceIrq(int cpu)
     (void)cpu;
     ++deviceIrqs_;
     KernelResult res;
-    res.priv = config_.deviceIrqService;
+    res.priv = knob<&KernelConfig::deviceIrqService>();
     return res;
 }
 
 Tick
 Kernel::nextDeviceIrqGap()
 {
-    if (config_.deviceIrqMeanPeriod == 0)
+    if (knob<&KernelConfig::deviceIrqMeanPeriod>() == 0)
         return 0;
     // Exponential inter-arrival from the deterministic RNG.
     double u = rng_.real();
     if (u < 1e-12)
         u = 1e-12;
     double gap = -std::log(u) * static_cast<double>(
-        config_.deviceIrqMeanPeriod);
+        knob<&KernelConfig::deviceIrqMeanPeriod>());
     if (gap < 1.0)
         gap = 1.0;
     return static_cast<Tick>(gap);

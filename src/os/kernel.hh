@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "os/process.hh"
+#include "sim/config_reads.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -66,8 +67,28 @@ struct KernelConfig {
     Tick timerPeriod = 3'000'000; ///< 1 kHz at the paper's 3.0 GHz
     unsigned quantumTicks = 2;   ///< timer ticks per scheduling quantum
     Tick deviceIrqMeanPeriod = 11'000'000; ///< 0 disables device IRQs
-    std::uint64_t seed = 12345;
+    std::uint64_t rngSeed = 12345; ///< device-IRQ arrival draws
 };
+
+/** The ConfigField each KernelConfig member is tracked as. */
+template <class T>
+consteval ConfigField
+trackedField(T KernelConfig::*m)
+{
+    using F = ConfigField;
+    using K = KernelConfig;
+    return sameMember(m, &K::syscallBase)           ? F::SyscallBase
+           : sameMember(m, &K::writePerByte)        ? F::WritePerByte
+           : sameMember(m, &K::pageFaultService)    ? F::PageFaultService
+           : sameMember(m, &K::timerService)        ? F::TimerService
+           : sameMember(m, &K::deviceIrqService)    ? F::DeviceIrqService
+           : sameMember(m, &K::ctxSwitch)           ? F::CtxSwitch
+           : sameMember(m, &K::timerPeriod)         ? F::TimerPeriod
+           : sameMember(m, &K::quantumTicks)        ? F::QuantumTicks
+           : sameMember(m, &K::deviceIrqMeanPeriod) ? F::DeviceIrqMeanPeriod
+           : sameMember(m, &K::rngSeed)             ? F::KernelSeed
+           : throw "KernelConfig member without a ConfigField";
+}
 
 /** Decision returned by a kernel entry point; the CPU driver applies it. */
 struct KernelResult {
@@ -98,14 +119,27 @@ class Kernel
      *  carry exactly this one). */
     static constexpr int kSleepWakePrio = Event::kPrioDefault;
 
+    /** @p reads records the config fields the kernel uses (see
+     *  sim/config_reads.hh). */
     Kernel(EventQueue &eq, mem::PhysicalMemory &pmem,
-           const KernelConfig &config, stats::StatGroup *parent);
+           const KernelConfig &config, ConfigReads &reads,
+           stats::StatGroup *parent);
     ~Kernel();
 
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;
 
+    /** The whole config, unrecorded: for tests and the snapshot
+     *  archive. The model reads a field through knob(). */
     const KernelConfig &config() const { return config_; }
+
+    /** Config member @p Member, recorded as read by this machine. */
+    template <auto Member>
+    auto
+    knob() const
+    {
+        return readConfig<Member>(config_, reads_);
+    }
 
     void setClient(KernelClient *client) { client_ = client; }
 
@@ -202,6 +236,7 @@ class Kernel
     EventQueue &eq_;
     mem::PhysicalMemory &pmem_;
     KernelConfig config_;            ///< snap: config
+    ConfigReads &reads_;
     KernelClient *client_ = nullptr; ///< snap: config — wired at build
     Rng rng_;
 

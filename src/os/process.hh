@@ -69,7 +69,7 @@ class OsThread
     void setCpu(int c) { cpu_ = c; }
 
     /** Accumulated quantum usage since last reschedule, in timer ticks. */
-    unsigned quantumTicks = 0;
+    unsigned quantumUsed = 0;
 
     /** CPU affinity: empty = any CPU. The paper notes a thread (and its
      *  shreds) "should not migrate to a MISP processor that does not

@@ -69,7 +69,7 @@ archive(Ar &a, arch::SystemConfig &cfg, rt::Backend &backend)
     a.u64(cfg.kernel.timerPeriod);
     a.u32(cfg.kernel.quantumTicks);
     a.u64(cfg.kernel.deviceIrqMeanPeriod);
-    a.u64(cfg.kernel.seed);
+    a.u64(cfg.kernel.rngSeed);
     a.u64(cfg.physFrames);
     a.enumByte(backend, static_cast<std::size_t>(rt::Backend::OsThread) + 1,
                "runtime backend");
@@ -177,6 +177,9 @@ saveExperiment(harness::Experiment &exp, os::Process *target,
     return failClosed(err, [&] {
         arch::MispSystem &sys = exp.system();
         Serializer s;
+        // The image carries every config field, so the machine has read
+        // them all.
+        sys.configReads().markAll();
         arch::SystemConfig cfg = sys.config();
         rt::Backend backend = exp.backend();
         s.section(kSecConfig, [&] { archive(s, cfg, backend); });
@@ -230,6 +233,8 @@ restoreExperiment(const std::string &image, RestoredExperiment *out,
         if (!cfg.validate(&bad))
             throw SnapError("CONFIG " + bad);
         auto exp = std::make_unique<harness::Experiment>(cfg, backend);
+        // The run before the save read an unknown set of fields.
+        exp->system().configReads().markAll();
         SnapshotMeta meta;
         archiveMachine(d, *exp, meta);
 

@@ -20,7 +20,7 @@ class KernelTest : public ::testing::Test, public KernelClient
     KernelTest() : pmem(1 << 12), root("")
     {
         KernelConfig cfg;
-        kernel = std::make_unique<Kernel>(eq, pmem, cfg, &root);
+        kernel = std::make_unique<Kernel>(eq, pmem, cfg, reads, &root);
         kernel->setClient(this);
     }
 
@@ -39,6 +39,7 @@ class KernelTest : public ::testing::Test, public KernelClient
     EventQueue eq;
     mem::PhysicalMemory pmem;
     stats::StatGroup root;
+    ConfigReads reads;
     std::unique_ptr<Kernel> kernel;
     std::vector<int> wakes;
 };

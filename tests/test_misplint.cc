@@ -177,6 +177,25 @@ TEST(MisplintFixtures, ClosureEvents)
     EXPECT_EQ(findingsIn("src/misp/closure_event.cc"), expected);
 }
 
+TEST(MisplintFixtures, RawConfigReads)
+{
+    std::vector<Key> expected = {
+        {"src/os/config_raw_read.cc", 29, "config-raw-read", "ctxSwitch"},
+        {"src/os/config_raw_read.cc", 30, "config-raw-read",
+         "quantumTicks"},
+        {"src/os/config_raw_read.cc", 33, "config-raw-read",
+         "quantumTicks"},
+        {"src/os/config_raw_read.cc", 35, "config-raw-read",
+         "signalCycles"},
+    };
+    EXPECT_EQ(findingsIn("src/os/config_raw_read.cc"), expected);
+    // The nested structs (misp, kernel) are paths, not fields, and the
+    // annotated member is deliberately untracked.
+    EXPECT_EQ(fixtureReport().configFields,
+              (std::vector<std::string>{"ctxSwitch", "quantumTicks",
+                                        "signalCycles"}));
+}
+
 TEST(MisplintFixtures, CleanFilesStayClean)
 {
     EXPECT_TRUE(findingsIn("src/sim/clean.cc").empty());
@@ -193,7 +212,7 @@ TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
           "src/mem/bad_layering.cc", "src/mem/missing_member.hh",
           "src/misp/closure_event.cc", "src/driver/host_clock.cc",
           "src/os/bad_obs_include.cc", "src/obs/trace_rand.cc",
-          "src/driver/raw_read.cc"})
+          "src/driver/raw_read.cc", "src/os/config_raw_read.cc"})
         total += static_cast<int>(findingsIn(file).size());
     EXPECT_EQ(static_cast<int>(fixtureReport().findings.size()),
               total);
@@ -202,7 +221,7 @@ TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
 TEST(MisplintFixtures, ReportCounters)
 {
     const Report &r = fixtureReport();
-    EXPECT_EQ(r.filesScanned, 13);
+    EXPECT_EQ(r.filesScanned, 14);
     // Widget (missing_member.hh) and Cache (annotated_derived.hh).
     EXPECT_EQ(r.archiveClasses, 2);
     std::vector<std::string> names = r.archiveNames;
@@ -260,6 +279,19 @@ TEST(MisplintSelfScan, CoverageDidNotCollapse)
                             r.archiveNames.end(), cls),
                   r.archiveNames.end())
             << cls << " fell out of snapshot-completeness coverage";
+
+    // Every field the run's read mask tracks is inside config-raw-read
+    // (sim/config_reads.hh's MISP_CONFIG_FIELDS, by member name).
+    for (const char *field :
+         {"amsPerProcessor", "physFrames", "numAms", "signalCycles",
+          "contextXferCycles", "serialization", "sliceLimit",
+          "syscallBase", "writePerByte", "pageFaultService",
+          "timerService", "deviceIrqService", "ctxSwitch", "timerPeriod",
+          "quantumTicks", "deviceIrqMeanPeriod", "rngSeed"})
+        EXPECT_TRUE(std::binary_search(r.configFields.begin(),
+                                       r.configFields.end(),
+                                       std::string(field)))
+            << field << " fell out of config-raw-read coverage";
 
     EXPECT_GE(r.archiveClasses, 11);
     EXPECT_GE(r.membersChecked, 100);

@@ -321,6 +321,17 @@ TEST(WorkloadStore, GridSweepBuildsEachKeyOnce)
         // workers = 1 and workers = 2: two keys, six points each.
         EXPECT_EQ(runner.workloads().builds(), 2u) << "jobs " << jobs[j];
         EXPECT_EQ(runner.workloads().alive(), 0u) << "jobs " << jobs[j];
+        // The 1p points read no signal cost, so each worker count
+        // simulates one of its three and the others reuse it; a reused
+        // point releases its workloads without taking them, and none
+        // outlives its last point. Racing twins may both simulate.
+        std::size_t reused = 0;
+        for (const PointResult &r : results)
+            reused += r.run.reusedFrom != harness::kSimulated;
+        if (jobs[j] == 1)
+            EXPECT_EQ(reused, 4u);
+        else
+            EXPECT_LE(reused, 4u);
         for (const PointResult &r : results)
             EXPECT_TRUE(r.run.ok()) << r.coords.str();
         rendered[j] = renderArtifacts(sc, results);

@@ -28,6 +28,11 @@ constexpr const char *kSimulatedDirs[] = {
     "src/workloads/", "src/obs/",
 };
 
+/** The machine-config structs whose fields the model must read through
+ *  the tracked accessor (src/sim/config_reads.hh). */
+constexpr const char *kConfigStructs[] = {"SystemConfig", "MispConfig",
+                                          "KernelConfig"};
+
 /** Layers that must not see the host-side run layer. */
 constexpr const char *kModelOnlyDirs[] = {"src/sim/", "src/mem/",
                                           "src/cpu/"};
@@ -343,6 +348,8 @@ struct Corpus {
     std::map<std::string, UnorderedDecl> unorderedNames;
     /** class name -> identifier tokens of out-of-class archive bodies. */
     std::map<std::string, std::set<std::string>> archiveBodies;
+    /** Tracked data members of the kConfigStructs (config-raw-read). */
+    std::set<std::string> configFields;
 };
 
 bool
@@ -729,12 +736,48 @@ addFinding(std::vector<Finding> *out, const FileText &f, int line,
                     std::move(message)});
 }
 
+/** The data members of the kConfigStructs the model must read through
+ *  the tracker: not a nested config struct (a path, not a field), not
+ *  one annotated `misplint: allow(config-raw-read)` on its
+ *  declaration. */
+void
+collectConfigFields(Corpus *corpus)
+{
+    auto isConfigStruct = [](const std::string &name) {
+        return std::find_if(std::begin(kConfigStructs),
+                            std::end(kConfigStructs),
+                            [&](const char *c) { return name == c; }) !=
+               std::end(kConfigStructs);
+    };
+    for (const ClassInfo &cls : corpus->classes) {
+        if (!isConfigStruct(cls.name))
+            continue;
+        for (const Member &m : cls.members) {
+            bool nested = false;
+            for (const char *c : kConfigStructs)
+                nested = nested || m.type.find(c) != std::string::npos;
+            const auto file = std::find_if(
+                corpus->files.begin(), corpus->files.end(),
+                [&](const FileText &f) { return f.rel == m.file; });
+            if (nested || (file != corpus->files.end() &&
+                           allowed(*file, m.line, "config-raw-read")))
+                continue;
+            corpus->configFields.insert(m.name);
+        }
+    }
+}
+
 void
 hygieneScan(const FileText &f, const std::vector<Tok> &toks,
             const Corpus &corpus, std::vector<Finding> *out,
             int *suppressed)
 {
     const bool sim = isSimulated(f.rel);
+    // The snapshot archive reads every config field (and records them
+    // all); everywhere else in the model a read goes through the
+    // tracked accessor.
+    const bool configReadTracked =
+        sim && f.rel.rfind("src/snapshot/", 0) != 0;
     // Outside the snapshot layer an image is only read through archive
     // bodies, whose bounded primitives check every value.
     const bool rawReadBanned = f.rel.rfind("src/", 0) == 0 &&
@@ -824,6 +867,20 @@ hygieneScan(const FileText &f, const std::vector<Tok> &toks,
                            "std::chrono is host-side only (allowlist: "
                            "harness/run_record.cc, driver/runner.cc, "
                            "src/obs/host_*)",
+                           suppressed);
+        }
+
+        if (configReadTracked && memberCall && next != "(" &&
+            corpus.configFields.count(t)) {
+            const bool write = next == "=" && i + 2 < toks.size() &&
+                               toks[i + 2].text != "=";
+            if (!write)
+                addFinding(out, f, line, "config-raw-read", t,
+                           "raw read of config field '" + t +
+                               "'; read it through its tracked accessor "
+                               "(readConfig, deferConfig, knob<>) so the "
+                               "run's read mask records it "
+                               "(sim/config_reads.hh)",
                            suppressed);
         }
 
@@ -1032,6 +1089,10 @@ run(const Options &opts)
         walkFile(f, tokens.back(), &corpus);
         collectUnordered(f, tokens.back(), &corpus);
     }
+
+    collectConfigFields(&corpus);
+    report.configFields.assign(corpus.configFields.begin(),
+                               corpus.configFields.end());
 
     for (std::size_t i = 0; i < corpus.files.size(); ++i)
         hygieneScan(corpus.files[i], tokens[i], corpus,

@@ -45,6 +45,18 @@
  *                          src/harness header (the model must not know
  *                          about the host-side run layer)
  *
+ *  config read tracking (simulated dirs, src/snapshot/ excepted: its
+ *  archive reads every field and records them all)
+ *    config-raw-read       a member read (`x.f`, `x->f`) of a data
+ *                          member of SystemConfig, MispConfig or
+ *                          KernelConfig: the model reads a config field
+ *                          through its tracked accessor (readConfig,
+ *                          deferConfig, knob<>) so the run's read mask
+ *                          records it. Writes are not reads; a member
+ *                          whose declaration carries
+ *                          `misplint: allow(config-raw-read)` is
+ *                          deliberately untracked
+ *
  * Annotation grammar (in comments, same line as the declaration or on
  * an otherwise code-free line directly above):
  *
@@ -112,6 +124,9 @@ struct Report {
     /** Names of the classes the completeness rule covered — lets the
      *  self-scan test assert nothing silently fell out of coverage. */
     std::vector<std::string> archiveNames;
+    /** Config fields config-raw-read tracks, sorted: the same guard
+     *  against a collapsed rule. */
+    std::vector<std::string> configFields;
 };
 
 /** Run every rule over Options::paths. */

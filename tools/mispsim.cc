@@ -682,6 +682,7 @@ main(int argc, char **argv)
                     p.hostSeconds = run.hostSeconds;
                     p.hostMips = run.hostMips;
                     p.instsRetired = run.instsRetired;
+                    p.reused = run.reusedFrom != harness::kSimulated;
                     return p;
                 });
             }))
