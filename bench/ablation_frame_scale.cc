@@ -11,7 +11,7 @@
  * machine()/coord() API for exactly this measurement. Three phases
  * are timed per size:
  *
- *   build    the frame and one addRow per row
+ *   build    the frame and one setRow per row
  *   lookup   a representative query mix — rowInGroup, cross-axis
  *            rowWithOverrides, axis-baseline resolution — over groups
  *            spread across the whole frame
@@ -136,7 +136,7 @@ struct Sweep {
         for (std::size_t r = 0; r < rows(); ++r) {
             run.ticks = 1000000 + Tick(run.events[
                 harness::EventCounter::Timer]++);
-            frame.addRow(run);
+            frame.setRow(r, run);
         }
         return frame;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <ostream>
 #include <set>
 
@@ -70,10 +71,12 @@ class Evaluator
   public:
     /** With @p suite, aggregates fold only over the groups whose
      *  workload belongs to that registry suite (`footer ... by
-     *  suite`). */
+     *  suite`). With @p echo, aggregates keep the references their
+     *  body read, for a failure message. */
     Evaluator(const Scenario &sc, const MetricFrame &frame,
-              const Expr &expr, const std::string *suite = nullptr)
-        : sc_(sc), frame_(frame), expr_(expr), suite_(suite),
+              const Expr &expr, const std::string *suite = nullptr,
+              bool echo = false)
+        : sc_(sc), frame_(frame), expr_(expr), suite_(suite), echo_(echo),
           folds_(expr.nodes.size())
     {
         // Scenario::fromSpec compiles every expression it keeps.
@@ -99,6 +102,7 @@ class Evaluator
     const MetricFrame &frame_;
     const Expr &expr_;
     const std::string *suite_;
+    const bool echo_;
     std::vector<Fold> folds_; ///< per node; used by Aggregate nodes
 };
 
@@ -251,8 +255,10 @@ Evaluator::fold(const ExprNode &n, Fold &f, std::string *why)
         const std::size_t refMark = f.refs.size();
         bool bodyFailed = false;
         double v = 0;
-        if (!eval(n.lhs, Scope{g, true, &f.refs, &bodyFailed, nullptr}, &v,
-                  why))
+        if (!eval(n.lhs,
+                  Scope{g, true, echo_ ? &f.refs : nullptr, &bodyFailed,
+                        nullptr},
+                  &v, why))
             return false;
         // Degraded groups stay out of the fold — any group containing
         // an infrastructure-failed point, whether or not this body's
@@ -359,6 +365,10 @@ evaluateAsserts(const Scenario &sc, const MetricFrame &frame,
         // Degraded evaluations never claim their projection: a later
         // clean group with the same projection must still evaluate.
         Evaluator ev(sc, frame, a.tree);
+        // Echoed references only feed a failure message, so a second
+        // evaluator collects them for a failing group alone: an
+        // aggregate's echo holds an entry per group it folds.
+        std::optional<Evaluator> echo;
         const ExprNode &cmp = a.tree.nodes[a.tree.root()];
         std::set<std::string> seen;
         for (std::size_t g = 0; g < frame.numGroups(); ++g) {
@@ -368,8 +378,7 @@ evaluateAsserts(const Scenario &sc, const MetricFrame &frame,
                 continue;
             bool sawFailed = false;
             double lhs = 0, rhs = 0;
-            std::vector<RefEcho> refs;
-            const Scope s{g, false, &refs, &sawFailed, nullptr};
+            const Scope s{g, false, nullptr, &sawFailed, nullptr};
             std::string why;
             if (!ev.eval(cmp.lhs, s, &lhs, &why) ||
                 !ev.eval(cmp.rhs, s, &rhs, &why)) {
@@ -396,10 +405,20 @@ evaluateAsserts(const Scenario &sc, const MetricFrame &frame,
                              " (on_failed_points=require_all)"});
             } else {
                 seen.insert(where);
-                if (!compare(lhs, cmp.text, rhs))
+                if (!compare(lhs, cmp.text, rhs)) {
+                    if (!echo)
+                        echo.emplace(sc, frame, a.tree, nullptr, true);
+                    std::vector<RefEcho> refs;
+                    bool echoFailed = false;
+                    const Scope es{g, false, &refs, &echoFailed, nullptr};
+                    // The same evaluation again: it cannot fail now.
+                    const bool again = echo->eval(cmp.lhs, es, &lhs, &why) &&
+                                       echo->eval(cmp.rhs, es, &rhs, &why);
+                    MISP_ASSERT(again);
                     failures->push_back(
                         {a.text, a.line,
                          failureDetail(lhs, rhs, span, refs)});
+                }
             }
             // Nothing consulted the group: one evaluation covers the
             // sweep.

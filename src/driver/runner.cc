@@ -33,18 +33,18 @@ namespace {
  *  it piece by piece would cost a write(2) per piece. */
 void
 progressLine(std::ostream &os, std::size_t done, std::size_t total,
-             const PointResult &r)
+             const PointCoords &c, const harness::RunRecord &run)
 {
     std::string line = "[" + std::to_string(done) + "/" +
-                       std::to_string(total) + "] " + r.coords.machine() +
-                       " " + r.coords.workload();
-    if (!r.coords.empty())
-        line += " " + r.coords.str();
-    line += " ticks=" + std::to_string(r.run.ticks);
-    if (!r.run.valid)
+                       std::to_string(total) + "] " + c.machine() + " " +
+                       c.workload();
+    if (!c.empty())
+        line += " " + c.str();
+    line += " ticks=" + std::to_string(run.ticks);
+    if (!run.valid)
         line += " INVALID";
-    if (r.run.reusedFrom != harness::kSimulated)
-        line += " reused from point " + std::to_string(r.run.reusedFrom);
+    if (run.reusedFrom != harness::kSimulated)
+        line += " reused from point " + std::to_string(run.reusedFrom);
     line += "\n";
     os.write(line.data(), static_cast<std::streamsize>(line.size()));
     os.flush();
@@ -53,18 +53,18 @@ progressLine(std::ostream &os, std::size_t done, std::size_t total,
 /** The run-log's point identifier: machine:workload plus any swept
  *  coordinates — enough to join log lines back to result rows. */
 std::string
-runLogPoint(const ScenarioPoint &pt)
+runLogPoint(const PointCoords &c)
 {
-    std::string s = pt.machine.name + ":" + pt.workload.name;
-    if (!pt.coords.empty())
-        s += " " + pt.coords.str();
+    std::string s = c.machine() + ":" + c.workload();
+    if (!c.empty())
+        s += " " + c.str();
     return s;
 }
 
 /** Emit one run-log line (no-op on a null log). Wall time and status
  *  are omitted from the JSON when left at their sentinels. */
 void
-logAttempt(obs::RunLog *log, const char *event, const ScenarioPoint &pt,
+logAttempt(obs::RunLog *log, const char *event, const PointCoords &c,
            int attempt, double wallMs = -1.0,
            const std::string &status = std::string())
 {
@@ -72,11 +72,33 @@ logAttempt(obs::RunLog *log, const char *event, const ScenarioPoint &pt,
         return;
     obs::RunLogEntry e;
     e.event = event;
-    e.point = runLogPoint(pt);
+    e.point = runLogPoint(c);
     e.attempt = attempt;
     e.wallMs = wallMs;
     e.status = status;
     log->log(e);
+}
+
+/** @p c's index in its full grid: it keys snapshot images and fault
+ *  plans, and names a reused point's source. */
+std::size_t
+gridIndex(const PointCoords &c)
+{
+    return c.combo() * c.grid()->machines.size() + c.machineIndex();
+}
+
+/** A finished point's contribution to the sweep's host profile. */
+obs::PointProfile
+profileOf(cpu::Engine engine, const harness::RunRecord &run)
+{
+    obs::PointProfile p;
+    p.engine = cpu::engineName(engine);
+    p.phases = run.phases;
+    p.hostSeconds = run.hostSeconds;
+    p.hostMips = run.hostMips;
+    p.instsRetired = run.instsRetired;
+    p.reused = run.reusedFrom != harness::kSimulated;
+    return p;
 }
 
 double
@@ -217,6 +239,122 @@ makeRunRequest(const Scenario &sc, const ScenarioPoint &pt,
     return req;
 }
 
+/**
+ * Where a sweep's points come from and where their records go: the one
+ * interface between ScenarioRunner's sweep loop and what it fills. The
+ * loop calls record() and finish() under one lock.
+ */
+class SweepSink
+{
+  public:
+    virtual std::size_t size() const = 0;
+    /** Point @p i's place in its grid. */
+    virtual PointCoords coords(std::size_t i) const = 0;
+    /** Point @p i, resolved. */
+    virtual ScenarioPoint point(std::size_t i) const = 0;
+    /** Finished point @p i's record, for a point that reuses it. */
+    virtual harness::RunRecord record(std::size_t i) const = 0;
+    /** Point @p i finished as @p run. */
+    virtual void finish(std::size_t i, harness::RunRecord &&run) = 0;
+
+  protected:
+    ~SweepSink() = default;
+};
+
+namespace {
+
+/** run()'s sink: the rows of a Sweep, whose points resolve from the
+ *  grid when they run. */
+class FrameSink final : public SweepSink
+{
+  public:
+    FrameSink(const Scenario &sc, std::shared_ptr<const GridTable> grid,
+              Sweep &out)
+        : sc_(sc), grid_(std::move(grid)), out_(out)
+    {}
+
+    std::size_t size() const override { return out_.frame.numRows(); }
+    PointCoords
+    coords(std::size_t r) const override
+    {
+        return PointCoords(grid_, out_.frame.combo(out_.frame.groupOf(r)),
+                           r % grid_->machines.size());
+    }
+    ScenarioPoint
+    point(std::size_t r) const override
+    {
+        return sc_.resolve(coords(r));
+    }
+    harness::RunRecord
+    record(std::size_t r) const override
+    {
+        return out_.frame.record(r);
+    }
+    void
+    finish(std::size_t r, harness::RunRecord &&run) override
+    {
+        out_.store(r, std::move(run));
+    }
+
+  private:
+    const Scenario &sc_;
+    std::shared_ptr<const GridTable> grid_;
+    Sweep &out_;
+};
+
+/** runAll()'s sink: the caller's points as given, and one PointResult
+ *  each. */
+class ResultSink final : public SweepSink
+{
+  public:
+    ResultSink(const std::vector<ScenarioPoint> &pts,
+               std::vector<PointResult> &out)
+        : pts_(pts), out_(out)
+    {}
+
+    std::size_t size() const override { return pts_.size(); }
+    PointCoords
+    coords(std::size_t i) const override
+    {
+        return pts_[i].coords;
+    }
+    ScenarioPoint
+    point(std::size_t i) const override
+    {
+        return pts_[i];
+    }
+    harness::RunRecord
+    record(std::size_t i) const override
+    {
+        return out_[i].run;
+    }
+    void
+    finish(std::size_t i, harness::RunRecord &&run) override
+    {
+        out_[i].run = std::move(run);
+    }
+
+  private:
+    const std::vector<ScenarioPoint> &pts_;
+    std::vector<PointResult> &out_;
+};
+
+} // namespace
+
+void
+Sweep::store(std::size_t r, harness::RunRecord &&run)
+{
+    frame.setRow(r, run);
+    if (!records.empty())
+        records[r] = snap::encodeRunRecord(run);
+    if (!stats.empty())
+        stats[r] = std::move(run.statsJson);
+    if (!traces.empty())
+        traces[r] = std::move(run.trace);
+    if (!run.note.empty())
+        notes[r] = std::move(run.note);
+}
+
 PointResult
 unmeasuredResult(const ScenarioPoint &pt)
 {
@@ -234,27 +372,61 @@ ScenarioRunner::runPoint(const Scenario &sc, const ScenarioPoint &pt,
     return out;
 }
 
+Sweep
+ScenarioRunner::run(const Scenario &sc, std::shared_ptr<const GridTable> grid,
+                    std::vector<std::uint32_t> combos, std::ostream *progress,
+                    bool keepRecords)
+{
+    Sweep out;
+    out.frame = harness::MetricFrame(grid, std::move(combos),
+                                     sc.report.baselineMachine);
+    const std::size_t rows = out.frame.numRows();
+    if (opts_.fullStats)
+        out.stats.resize(rows);
+    if (opts_.traceEnabled)
+        out.traces.resize(rows);
+    if (keepRecords)
+        out.records.resize(rows);
+    FrameSink sink(sc, std::move(grid), out);
+    sweep(sc, sink, progress);
+    return out;
+}
+
 std::vector<PointResult>
 ScenarioRunner::runAll(const Scenario &sc,
                        const std::vector<ScenarioPoint> &pts,
                        std::ostream *progress)
 {
+    std::vector<PointResult> results;
+    results.reserve(pts.size());
+    for (const ScenarioPoint &pt : pts)
+        results.push_back(unmeasuredResult(pt));
+    ResultSink sink(pts, results);
+    sweep(sc, sink, progress);
+    return results;
+}
+
+void
+ScenarioRunner::sweep(const Scenario &sc, SweepSink &sink,
+                      std::ostream *progress)
+{
+    profile_ = {};
     if (opts_.isolate)
-        return runIsolated(sc, pts, progress);
+        return sweepIsolated(sc, sink, progress);
 
-    std::vector<PointResult> results(pts.size());
-    std::size_t jobs = std::max(1u, opts_.jobs);
-    jobs = std::min(jobs, pts.size());
-
+    const std::size_t n = sink.size();
+    const std::size_t jobs =
+        std::min<std::size_t>(std::max(1u, opts_.jobs), n);
     auto request = [&](std::size_t i) {
-        return makeRunRequest(sc, pts[i], opts_, gridIndex(i));
+        return makeRunRequest(sc, sink.point(i), opts_,
+                              gridIndex(sink.coords(i)));
     };
 
     // Every point's workloads come from one store, which builds each
     // once, inside the first point that needs it, and frees it after
     // its last point.
     store_.clear();
-    for (std::size_t i = 0; i < pts.size(); ++i)
+    for (std::size_t i = 0; i < n; ++i)
         store_.expect(request(i));
 
     // Finished points a later point may reuse. A point whose twin is
@@ -264,73 +436,82 @@ ScenarioRunner::runAll(const Scenario &sc,
 
     // Fan the grid out over a worker pool — or, for one job, run the
     // one worker on this thread. Each point is an independent
-    // deterministic simulation; results land at their submission
-    // index, so emitter output is byte-identical whatever the job
-    // count. Only the progress lines (stderr) reflect completion
-    // order.
+    // deterministic simulation; its record lands at its own index, so
+    // emitter output is byte-identical whatever the job count. Only
+    // the progress lines (stderr) reflect completion order.
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
     std::atomic<bool> failed{false};
-    std::mutex progressMutex;
-    std::vector<std::exception_ptr> errors(pts.size());
+    // Guards the sink, the profile, the progress count and the first
+    // failure.
+    std::mutex sinkMutex;
+    std::size_t done = 0;
+    std::size_t firstFailure = n;
+    std::exception_ptr firstError;
 
     // Simulate point i, or take the record of a finished point that
     // read nothing point i sets differently.
-    auto simulateOrReuse = [&](std::size_t i) {
-        harness::RunRequest req = request(i);
-        req.workloads = &store_;
-        PointResult &out = results[i];
-        out = unmeasuredResult(pts[i]);
-        const bool reusable = opts_.reuseRuns && harness::reusableRun(req);
-        std::size_t src = harness::kSimulated;
-        if (reusable) {
-            std::lock_guard<std::mutex> lock(memoMutex);
-            src = memo.find(req);
-        }
-        if (src == harness::kSimulated) {
-            out.run = harness::runOne(req);
-            // Host-caused failures are no result to share.
-            if (reusable &&
-                !harness::runStatusIsInfraFailure(out.run.status)) {
-                std::lock_guard<std::mutex> lock(memoMutex);
-                memo.add(i, req, out.run.configReads);
-            }
-            return;
-        }
-        out.run = reusedRecord(results[src].run, gridIndex(src));
-        store_.skip(req);
-        if (req.hostLine) {
-            harness::reportHost(
-                req.label, out.run.instsRetired, 0.0,
-                req.config.misp.engine,
-                " reused from point " + std::to_string(out.run.reusedFrom));
-        }
-    };
-
     auto runOnePoint = [&](std::size_t i) {
-        logAttempt(opts_.runLog, "dispatched", pts[i], 1);
-        auto ta = std::chrono::steady_clock::now();
+        const PointCoords coords = sink.coords(i);
+        logAttempt(opts_.runLog, "dispatched", coords, 1);
+        const auto ta = std::chrono::steady_clock::now();
         try {
-            simulateOrReuse(i);
+            harness::RunRequest req = request(i);
+            req.workloads = &store_;
+            const bool reusable =
+                opts_.reuseRuns && harness::reusableRun(req);
+            std::size_t src = harness::kSimulated;
+            if (reusable) {
+                std::lock_guard<std::mutex> lock(memoMutex);
+                src = memo.find(req);
+            }
+            harness::RunRecord run;
+            if (src == harness::kSimulated) {
+                run = harness::runOne(req);
+            } else {
+                {
+                    std::lock_guard<std::mutex> lock(sinkMutex);
+                    run = reusedRecord(sink.record(src),
+                                       gridIndex(sink.coords(src)));
+                }
+                store_.skip(req);
+                if (req.hostLine) {
+                    harness::reportHost(req.label, run.instsRetired, 0.0,
+                                        req.config.misp.engine,
+                                        " reused from point " +
+                                            std::to_string(run.reusedFrom));
+                }
+            }
+            logAttempt(opts_.runLog, "completed", coords, 1,
+                       wallMsSince(ta), harness::runStatusName(run.status));
+            // Host-caused failures are no result to share.
+            const bool share = src == harness::kSimulated && reusable &&
+                               !harness::runStatusIsInfraFailure(run.status);
+            const ConfigMask reads = run.configReads;
+            {
+                std::lock_guard<std::mutex> lock(sinkMutex);
+                profile_.add(profileOf(req.config.misp.engine, run));
+                ++done;
+                if (progress)
+                    progressLine(*progress, done, n, coords, run);
+                sink.finish(i, std::move(run));
+            }
+            if (share) {
+                std::lock_guard<std::mutex> lock(memoMutex);
+                memo.add(i, req, reads);
+            }
         } catch (...) {
-            errors[i] = std::current_exception();
             failed.store(true, std::memory_order_relaxed);
-            logAttempt(opts_.runLog, "failed", pts[i], 1,
-                       wallMsSince(ta));
-            done.fetch_add(1);
-            return;
-        }
-        logAttempt(opts_.runLog, "completed", pts[i], 1,
-                   wallMsSince(ta),
-                   harness::runStatusName(results[i].run.status));
-        std::size_t completed = done.fetch_add(1) + 1;
-        if (progress) {
-            std::lock_guard<std::mutex> lock(progressMutex);
-            progressLine(*progress, completed, pts.size(), results[i]);
+            logAttempt(opts_.runLog, "failed", coords, 1, wallMsSince(ta));
+            std::lock_guard<std::mutex> lock(sinkMutex);
+            ++done;
+            if (i < firstFailure) {
+                firstFailure = i;
+                firstError = std::current_exception();
+            }
         }
     };
     auto worker = [&] {
-        for (std::size_t i = next.fetch_add(1); i < pts.size();
+        for (std::size_t i = next.fetch_add(1); i < n;
              i = next.fetch_add(1)) {
             // Stop starting points once any point has failed —
             // in-flight simulations finish, queued ones are abandoned
@@ -356,11 +537,8 @@ ScenarioRunner::runAll(const Scenario &sc,
 
     // Surface the first failure in submission order, as a serial run
     // would have.
-    for (std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-    return results;
+    if (firstError)
+        std::rethrow_exception(firstError);
 }
 
 // ---------------------------------------------------------------------
@@ -430,17 +608,13 @@ foldTimeout(SupervisorClock::time_point now,
 
 } // namespace
 
-std::vector<PointResult>
-ScenarioRunner::runIsolated(const Scenario &sc,
-                            const std::vector<ScenarioPoint> &pts,
-                            std::ostream *progress)
+void
+ScenarioRunner::sweepIsolated(const Scenario &sc, SweepSink &sink,
+                              std::ostream *progress)
 {
     // Coordinates are parent-side facts; only the measured RunRecord
     // crosses the process boundary.
-    std::vector<PointResult> results;
-    results.reserve(pts.size());
-    for (const ScenarioPoint &pt : pts)
-        results.push_back(unmeasuredResult(pt));
+    const std::size_t n = sink.size();
 
     // Resolve supervision knobs: explicit CLI values override the
     // scenario's [run] defaults.
@@ -471,7 +645,7 @@ ScenarioRunner::runIsolated(const Scenario &sc,
     std::fflush(stderr);
 
     const std::size_t jobs =
-        std::min<std::size_t>(std::max(1u, opts_.jobs), pts.size());
+        std::min<std::size_t>(std::max(1u, opts_.jobs), n);
     std::vector<IsolatedWorker> live;
     std::deque<PendingLaunch> pending;
     std::size_t next = 0;
@@ -500,7 +674,7 @@ ScenarioRunner::runIsolated(const Scenario &sc,
             if (opts_.runLog) {
                 obs::RunLogEntry e;
                 e.event = "retried";
-                e.point = runLogPoint(pts[index]);
+                e.point = runLogPoint(sink.coords(index));
                 e.attempt = static_cast<int>(attempt);
                 e.wallMs = wallMs;
                 e.backoffMs = static_cast<long>(delay.count());
@@ -511,18 +685,21 @@ ScenarioRunner::runIsolated(const Scenario &sc,
                 {index, attempt + 1, SupervisorClock::now() + delay});
             return;
         }
-        logAttempt(opts_.runLog, "completed", pts[index],
+        logAttempt(opts_.runLog, "completed", sink.coords(index),
                    static_cast<int>(attempt), wallMs,
                    harness::runStatusName(rec.status));
         rec.attempts = attempt;
         if (harness::runStatusIsInfraFailure(rec.status) && attempt > 1)
             rec.note = "gave up after " + std::to_string(attempt) +
                        " attempts: " + rec.note;
-        results[index].run = std::move(rec);
         ++done;
-        if (progress) {
-            progressLine(*progress, done, pts.size(), results[index]);
-        }
+        profile_.add(profileOf(opts_.forceEngine
+                                   ? opts_.engine
+                                   : sink.point(index).machine.engine,
+                               rec));
+        if (progress)
+            progressLine(*progress, done, n, sink.coords(index), rec);
+        sink.finish(index, std::move(rec));
     };
 
     auto launch = [&](std::size_t index, unsigned attempt) {
@@ -534,7 +711,7 @@ ScenarioRunner::runIsolated(const Scenario &sc,
                 return;
             obs::RunLogEntry e;
             e.event = "dispatched";
-            e.point = runLogPoint(pts[index]);
+            e.point = runLogPoint(sink.coords(index));
             e.attempt = static_cast<int>(attempt);
             e.pid = pid;
             opts_.runLog->log(e);
@@ -542,9 +719,9 @@ ScenarioRunner::runIsolated(const Scenario &sc,
         // Fault decisions are made parent-side, pre-fork: the child
         // inherits `fault` through fork() memory, and parent-side
         // kinds (fork_fail) never spawn at all.
+        const std::size_t global = gridIndex(sink.coords(index));
         FaultKind fault{};
-        const bool faulted =
-            plan.faultFor(gridIndex(index), attempt, &fault);
+        const bool faulted = plan.faultFor(global, attempt, &fault);
         if (faulted && fault == FaultKind::ForkFail) {
             logDispatch(-1);
             completeOrRetry(index, attempt,
@@ -584,14 +761,13 @@ ScenarioRunner::runIsolated(const Scenario &sc,
             }
             int code = 0;
             try {
-                harness::RunRequest req = makeRunRequest(
-                    sc, pts[index], opts_, gridIndex(index));
+                harness::RunRequest req =
+                    makeRunRequest(sc, sink.point(index), opts_, global);
                 if (faulted && fault == FaultKind::CorruptSnapshot) {
                     // Drive the run layer's real fail-closed restore
                     // path rather than faking a status.
                     req.snapshotIn = snapshotPointPath(
-                        "/nonexistent-injected-fault",
-                        gridIndex(index));
+                        "/nonexistent-injected-fault", global);
                 }
                 harness::RunRecord rec = harness::runOne(req);
                 std::string payload = snap::encodeRunRecord(rec);
@@ -681,7 +857,7 @@ ScenarioRunner::runIsolated(const Scenario &sc,
         completeOrRetry(w.index, w.attempt, std::move(rec), wallMs);
     };
 
-    while (done < pts.size()) {
+    while (done < n) {
         // Fill free worker slots: due retries first (they are older
         // work), then fresh points in submission order.
         auto now = SupervisorClock::now();
@@ -690,7 +866,7 @@ ScenarioRunner::runIsolated(const Scenario &sc,
                 PendingLaunch p = pending.front();
                 pending.pop_front();
                 launch(p.index, p.attempt);
-            } else if (next < pts.size()) {
+            } else if (next < n) {
                 launch(next++, 1);
             } else {
                 break;
@@ -751,7 +927,7 @@ ScenarioRunner::runIsolated(const Scenario &sc,
                 if (opts_.runLog) {
                     obs::RunLogEntry e;
                     e.event = "timed_out";
-                    e.point = runLogPoint(pts[w.index]);
+                    e.point = runLogPoint(sink.coords(w.index));
                     e.attempt = static_cast<int>(w.attempt);
                     e.pid = w.pid;
                     e.wallMs = std::chrono::duration<double, std::milli>(
@@ -765,7 +941,6 @@ ScenarioRunner::runIsolated(const Scenario &sc,
     }
 
     ::sigaction(SIGPIPE, &savedPipe, nullptr);
-    return results;
 }
 
 harness::MetricFrame
@@ -793,17 +968,17 @@ buildMetricFrame(const Scenario &sc,
     }
     harness::MetricFrame frame(grid, std::move(combos),
                                sc.report.baselineMachine);
-    for (const PointResult &r : results)
-        frame.addRow(r.run);
+    for (std::size_t i = 0; i < results.size(); ++i)
+        frame.setRow(i, results[i].run);
     return frame;
 }
 
 void
 writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
           const harness::MetricFrame &frame,
-          const std::vector<PointResult> &results)
+          const std::vector<std::string> &stats)
 {
-    MISP_ASSERT(results.size() == frame.numRows());
+    MISP_ASSERT(stats.empty() || stats.size() == frame.numRows());
     os << "{\n";
     os << "  \"scenario\": " << stats::jsonQuote(sc.name) << ",\n";
     os << "  \"title\": " << stats::jsonQuote(sc.title) << ",\n";
@@ -847,9 +1022,8 @@ writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
             os << (f + 1 < harness::kNumEventCounters ? ",\n" : "\n");
         }
         os << "      }";
-        const std::string &statsJson = results[i].run.statsJson;
-        if (!statsJson.empty())
-            os << ",\n      \"stats\": " << statsJson;
+        if (!stats.empty() && !stats[i].empty())
+            os << ",\n      \"stats\": " << stats[i];
         os << "\n    }";
     }
     os << "\n  ]\n}\n";

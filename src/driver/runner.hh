@@ -14,7 +14,9 @@
  * resulting harness::RunRecord is self-contained and deterministic in
  * its simulated fields, so grid points can fan out across a worker
  * pool (RunnerOptions::jobs) with submission-order output that is
- * byte-identical to a serial run.
+ * byte-identical to a serial run. A record lives only while its point
+ * is in flight: it lands in the point's row of the sweep's MetricFrame
+ * (Sweep), the only per-point store.
  */
 
 #ifndef MISP_DRIVER_RUNNER_HH
@@ -22,17 +24,49 @@
 
 #include <functional>
 #include <iosfwd>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "driver/scenario.hh"
 #include "harness/metric_frame.hh"
 #include "harness/run_record.hh"
+#include "obs/host_profile.hh"
 #include "obs/host_run_log.hh"
 
 namespace misp::driver {
 
-/** One grid point's coordinates plus everything its run measured. */
+/**
+ * One sweep's results. The frame is the only per-point store: each
+ * finished point writes its status and measured doubles into its row,
+ * and nothing else is kept per point unless a flag asks for it, in a
+ * side table indexed by row.
+ */
+struct Sweep {
+    harness::MetricFrame frame;
+    /** `--full-stats`: each row's stats dump (RunRecord::statsJson). */
+    std::vector<std::string> stats;
+    /** `--trace`: each row's trace buffer. */
+    std::vector<obs::TraceBuffer> traces;
+    /** `--shard`: each row's snap::encodeRunRecord bytes, the records
+     *  a shard image carries. */
+    std::vector<std::string> records;
+    /** The diagnostic (RunRecord::note) of each row whose run left one:
+     *  failed points. */
+    std::map<std::size_t, std::string> notes;
+
+    /** Row @p r's run finished as @p run: its row, and each side table
+     *  that exists (sized to the frame) or that @p run has a value for.
+     *  The one sink of serial, --jobs, --isolate, --shard and
+     *  --merge-frames sweeps. */
+    void store(std::size_t r, harness::RunRecord &&run);
+};
+
+/** One grid point's coordinates plus everything its run measured: the
+ *  result of the point-list adapters (runPoint, runAll), which keep a
+ *  whole RunRecord per point. Kept for bench/ledger and the tests until
+ *  the benchmark moves onto ScenarioRunner::run (ROADMAP, item 5). */
 struct PointResult {
     /** Machine, workload, competitors and swept coordinates, read
      *  through the grid's shared tables. */
@@ -43,9 +77,7 @@ struct PointResult {
     harness::RunRecord run;
 };
 
-/** @p pt's coordinates with a default (not yet measured) record: a
- *  run's measurements are filled in where they arrive — in process,
- *  over an --isolate pipe, or from a shard image. */
+/** @p pt's coordinates with a default (not yet measured) record. */
 PointResult unmeasuredResult(const ScenarioPoint &pt);
 
 struct RunnerOptions {
@@ -128,14 +160,6 @@ struct RunnerOptions {
      *  be null. Receives dispatch/retry/timeout/completion telemetry —
      *  wall-clock facts only, never simulated data. */
     obs::RunLog *runLog = nullptr;
-
-    /** Global grid indices of the submitted points (--shard k/N):
-     *  entry i is the submission index pts[i] holds in the *full*
-     *  grid. Snapshot image files (point_<k>.misnap) and fault-plan
-     *  targets are keyed by this index, so a shard composes with
-     *  --save-snapshot/--from-snapshot and --inject exactly as the
-     *  same points would in an unsharded run. Empty = identity. */
-    std::vector<std::size_t> pointIndices;
 };
 
 /** The image file `--save-snapshot`/`--from-snapshot` use for grid
@@ -151,6 +175,10 @@ harness::RunRequest makeRunRequest(const Scenario &sc,
                                    const RunnerOptions &opts,
                                    std::size_t pointIndex = 0);
 
+/** Where a sweep's points come from and where their records go; see
+ *  runner.cc. */
+class SweepSink;
+
 class ScenarioRunner
 {
   public:
@@ -161,49 +189,68 @@ class ScenarioRunner
     explicit ScenarioRunner(const Options &opts = Options()) : opts_(opts)
     {}
 
+    /**
+     * Run the groups @p combos (ascending; every combination for a
+     * whole sweep, a shard's own for --shard) of @p grid, which
+     * Scenario::expandGrid returned for @p sc — serially in order, on
+     * Options::jobs worker threads, or on forked worker processes
+     * (Options::isolate). The frame exists before the first point
+     * runs; a worker resolves the point it claims (Scenario::resolve),
+     * and the point's RunRecord lives only while it is in flight.
+     * Side tables exist only when asked for: stats under
+     * Options::fullStats, traces under Options::traceEnabled, encoded
+     * records when @p keepRecords. In process, the points share the
+     * runner's harness::WorkloadStore: each workload is built once per
+     * sweep and freed after its last point (a forked worker builds its
+     * own), and a point that matches a finished point on everything
+     * that point's run read copies its row (Options::reuseRuns). One
+     * progress line per completed point on @p progress when non-null
+     * (completion order under a worker pool).
+     */
+    Sweep run(const Scenario &sc, std::shared_ptr<const GridTable> grid,
+              std::vector<std::uint32_t> combos,
+              std::ostream *progress = nullptr, bool keepRecords = false);
+
+    /** The host profile of the last sweep, folded in as its points
+     *  finished (`--profile`). */
+    const obs::HostProfile &profile() const { return profile_; }
+
+    /** The store the in-process points of a sweep share. */
+    const harness::WorkloadStore &workloads() const { return store_; }
+
+    // Point-list adapters over the same sweep loop, kept for
+    // bench/ledger and the tests until the benchmark moves onto run()
+    // (ROADMAP, item 5). They keep a whole RunRecord per point.
+
     /** Run one grid point (@p pointIndex keys its snapshot image). */
     PointResult runPoint(const Scenario &sc, const ScenarioPoint &pt,
                          std::size_t pointIndex = 0);
 
-    /** Run the whole grid — serially in order, on Options::jobs worker
-     *  threads, or on forked worker processes (Options::isolate) — and
-     *  return results in submission order. In process, the points
-     *  share the runner's harness::WorkloadStore: each workload is
-     *  built once per sweep and freed after its last point, and none
-     *  outlives the sweep (a forked worker builds its own). In
-     *  process, a point that matches a finished point on everything
-     *  that point's run read reuses its record (Options::reuseRuns;
-     *  RunRecord::reusedFrom names the source). One progress line per
-     *  completed point on @p progress when non-null (completion order
-     *  under a worker pool). */
+    /** Run @p pts as given through run()'s loop, and return their
+     *  records in submission order; a reused point copies its source's
+     *  record (RunRecord::reusedFrom names the source). */
     std::vector<PointResult> runAll(const Scenario &sc,
                                     const std::vector<ScenarioPoint> &pts,
                                     std::ostream *progress = nullptr);
 
-    /** The store runAll's in-process points share. */
-    const harness::WorkloadStore &workloads() const { return store_; }
-
   private:
-    std::vector<PointResult>
-    runIsolated(const Scenario &sc, const std::vector<ScenarioPoint> &pts,
-                std::ostream *progress);
-
-    /** Full-grid submission index of submitted point @p i (identity
-     *  unless Options::pointIndices says otherwise). */
-    std::size_t gridIndex(std::size_t i) const
-    {
-        return opts_.pointIndices.empty() ? i : opts_.pointIndices[i];
-    }
+    /** The one sweep loop behind run() and runAll(). */
+    void sweep(const Scenario &sc, SweepSink &sink, std::ostream *progress);
+    /** Its --isolate backend. */
+    void sweepIsolated(const Scenario &sc, SweepSink &sink,
+                       std::ostream *progress);
 
     Options opts_;
     harness::WorkloadStore store_;
+    obs::HostProfile profile_;
 };
 
 /**
- * Build the sweep's MetricFrame — the single translation from grid
- * results to the queryable metrics store every consumer (asserts,
- * emitters, [table]s) reads. Rows are added in grid order and
- * the `speedup` column uses the scenario's [report] baseline_machine.
+ * The MetricFrame of @p results (whole coordinate groups of one grid,
+ * in grid order); the `speedup` column uses the scenario's [report]
+ * baseline_machine. The point-list adapters' frame, kept for
+ * bench/ledger and the tests (ROADMAP, item 5); run() fills its frame
+ * as points finish.
  */
 harness::MetricFrame
 buildMetricFrame(const Scenario &sc,
@@ -211,12 +258,12 @@ buildMetricFrame(const Scenario &sc,
 
 /** Machine-readable results: scenario header + one object per point.
  *  Fully deterministic (host timing stays on the stderr HOST lines),
- *  so reruns and `--jobs N` runs are byte-identical. The full-stats
- *  dumps are read from @p results (the frame's rows, in grid order),
- *  never copied into the frame. */
+ *  so reruns and `--jobs N` runs are byte-identical. @p stats is the
+ *  sweep's `--full-stats` side table (one dump per frame row), or
+ *  empty. */
 void writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
                const harness::MetricFrame &frame,
-               const std::vector<PointResult> &results);
+               const std::vector<std::string> &stats);
 
 /** Human results table; GitHub-flavoured markdown when @p markdown.
  *  Adds the [report]-requested speedup columns. */

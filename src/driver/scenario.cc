@@ -4,6 +4,8 @@
 #include <string_view>
 #include <unordered_set>
 
+#include "sim/logging.hh"
+
 namespace misp::driver {
 
 // ---------------------------------------------------------------------
@@ -275,6 +277,50 @@ compileAll(Scenario &sc, std::string *err)
     return true;
 }
 
+/** The point at @p coords of @p sc's grid: the machine and workload
+ *  with every swept value applied. False + a "path:line:" diagnostic
+ *  when a value does not apply or, when @p validate, the machine is
+ *  invalid. */
+bool
+resolvePoint(const Scenario &sc, const PointCoords &coords, bool validate,
+             ScenarioPoint *pt, std::string *err)
+{
+    pt->machine = sc.machines[coords.machineIndex()];
+    pt->workload = sc.workload;
+    pt->background = sc.background;
+    pt->competitors = sc.competitors;
+    pt->competitor = sc.competitor;
+    pt->coords = coords;
+
+    const std::vector<SweepAxis> &axes = coords.grid()->axes;
+    for (std::size_t i = 0; i < axes.size(); ++i) {
+        const std::string &key = axes[i].key;
+        const std::string &value = coords.value(i);
+        std::string msg;
+        bool ok;
+        if (key == "competitors") {
+            ok = parseUnsigned(value, &pt->competitors);
+            if (!ok)
+                msg = "competitors: expected an integer, got '" + value + "'";
+        } else if (key.rfind("workload.", 0) == 0) {
+            ok = pt->workload.apply(key.substr(9), value, &msg);
+        } else { // machine.<knob>
+            ok = pt->machine.apply(key.substr(8), value, &msg) &&
+                 (!validate || pt->machine.toSystemConfig().validate(&msg));
+        }
+        if (!ok)
+            return fail(err, sc.specPath, axes[i].line, msg);
+    }
+
+    if (!wl::findWorkload(pt->workload.name)) {
+        if (err)
+            *err = sc.specPath + ": swept workload '" + pt->workload.name +
+                   "' is not registered";
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 bool
@@ -490,11 +536,9 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
 }
 
 bool
-Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
-                       std::string *err) const
+Scenario::expandGrid(bool quickMode, std::shared_ptr<const GridTable> *out,
+                     std::string *err) const
 {
-    out->clear();
-
     // Resolve the effective axes: [quick] replaces same-key [sweep]
     // axes and appends new ones.
     std::vector<SweepAxis> axes = sweep;
@@ -574,48 +618,45 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
     table->workload = workload.name;
     table->competitors = competitors;
     table->axes = std::move(axes);
-    const std::size_t total = table->combos();
-    const std::vector<SweepAxis> &grid = table->axes;
-    out->reserve(total * machines.size());
 
-    for (std::size_t idx = 0; idx < total; ++idx) {
+    // Every point must resolve before the first one runs; each is
+    // resolved again, and kept only while it is in flight, when it
+    // runs.
+    ScenarioPoint pt;
+    for (std::size_t idx = 0; idx < table->combos(); ++idx) {
         for (std::size_t m = 0; m < machines.size(); ++m) {
-            ScenarioPoint pt;
-            pt.machine = machines[m];
-            pt.workload = workload;
-            pt.background = background;
-            pt.competitors = competitors;
-            pt.competitor = competitor;
-            pt.coords = PointCoords(table, idx, m);
-
-            for (std::size_t i = 0; i < grid.size(); ++i) {
-                const std::string &key = grid[i].key;
-                const std::string &value = pt.coords.value(i);
-                std::string msg;
-                bool ok;
-                if (key == "competitors") {
-                    ok = parseUnsigned(value, &pt.competitors);
-                    if (!ok)
-                        msg = "competitors: expected an integer, got '" +
-                              value + "'";
-                } else if (key.rfind("workload.", 0) == 0) {
-                    ok = pt.workload.apply(key.substr(9), value, &msg);
-                } else { // machine.<knob>
-                    ok = pt.machine.apply(key.substr(8), value, &msg) &&
-                         pt.machine.toSystemConfig().validate(&msg);
-                }
-                if (!ok)
-                    return fail(err, specPath, grid[i].line, msg);
-            }
-
-            if (!wl::findWorkload(pt.workload.name)) {
-                if (err)
-                    *err = specPath + ": swept workload '" +
-                           pt.workload.name + "' is not registered";
+            if (!resolvePoint(*this, PointCoords(table, idx, m), true, &pt,
+                              err))
                 return false;
-            }
-            out->push_back(std::move(pt));
         }
+    }
+    *out = std::move(table);
+    return true;
+}
+
+ScenarioPoint
+Scenario::resolve(const PointCoords &coords) const
+{
+    // expandGrid validated every machine of the grid.
+    ScenarioPoint pt;
+    std::string err;
+    if (!resolvePoint(*this, coords, false, &pt, &err))
+        fatal("%s", err.c_str());
+    return pt;
+}
+
+bool
+Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
+                       std::string *err) const
+{
+    out->clear();
+    std::shared_ptr<const GridTable> grid;
+    if (!expandGrid(quickMode, &grid, err))
+        return false;
+    out->reserve(grid->combos() * machines.size());
+    for (std::size_t idx = 0; idx < grid->combos(); ++idx) {
+        for (std::size_t m = 0; m < machines.size(); ++m)
+            out->push_back(resolve(PointCoords(grid, idx, m)));
     }
     return true;
 }

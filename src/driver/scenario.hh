@@ -313,8 +313,21 @@ struct Scenario {
      * [quick] overrides when @p quickMode), crossed with the machine
      * list. Sweep order: first axis varies slowest; machines vary
      * fastest. Axis values are validated here (e.g. workload names,
-     * and `machine.*` overrides against arch::SystemConfig::validate).
+     * and `machine.*` overrides against arch::SystemConfig::validate):
+     * every point resolves before @p out is set. No point is kept; a
+     * sweep resolves each one when it runs it.
      */
+    bool expandGrid(bool quickMode, std::shared_ptr<const GridTable> *out,
+                    std::string *err) const;
+
+    /** The point at @p coords of a grid expandGrid() returned, resolved
+     *  now: its machine and workload with the swept values applied. */
+    ScenarioPoint resolve(const PointCoords &coords) const;
+
+    /** Every point of the grid, resolved, in grid order: resolve()
+     *  over expandGrid(). Kept for bench/ledger and the tests, which
+     *  hold a sweep's points; mispsim's sweep never materializes them
+     *  (ROADMAP, item 5 removes it). */
     bool expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
                       std::string *err) const;
 };

@@ -77,26 +77,36 @@ parseShardSpec(const std::string &text, ShardSpec *out,
 }
 
 std::uint64_t
-gridConfigHash(const Scenario &sc,
-               const std::vector<ScenarioPoint> &pts)
+gridConfigHash(const Scenario &sc, const GridTable &grid)
 {
     snap::Serializer s;
     s.beginSection(0);
     s.str(sc.name);
     s.u64(sc.maxTicks);
-    s.u64(pts.size());
-    for (const ScenarioPoint &pt : pts) {
-        s.str(pt.machine.name);
-        s.str(pt.workload.name);
-        s.u32(pt.competitors);
-        s.u64(pt.coords.size());
-        for (std::size_t i = 0; i < pt.coords.size(); ++i) {
-            s.str(pt.coords.key(i));
-            s.str(pt.coords.value(i));
+    s.u64(grid.combos() * grid.machines.size());
+    for (std::size_t combo = 0; combo < grid.combos(); ++combo) {
+        for (const std::string &machine : grid.machines) {
+            s.str(machine);
+            s.str(grid.workloadAt(combo));
+            s.u32(grid.competitorsAt(combo));
+            s.u64(grid.axes.size());
+            for (std::size_t a = 0; a < grid.axes.size(); ++a) {
+                s.str(grid.axes[a].key);
+                s.str(grid.value(combo, a));
+            }
         }
     }
     s.endSection();
     return snap::fnv1a(s.done());
+}
+
+std::vector<std::uint32_t>
+shardCombos(const ShardSpec &shard, std::size_t combos)
+{
+    std::vector<std::uint32_t> owned;
+    for (std::size_t j = shard.index; j < combos; j += shard.count)
+        owned.push_back(static_cast<std::uint32_t>(j));
+    return owned;
 }
 
 std::vector<std::size_t>
@@ -115,28 +125,26 @@ shardPointIndices(const ShardSpec &shard, std::size_t totalPoints,
 
 ShardHeader
 makeShardHeader(const Scenario &sc, bool quick, const ShardSpec &shard,
-                const std::vector<ScenarioPoint> &grid)
+                const GridTable &grid)
 {
     ShardHeader h;
     h.scenario = sc.name;
     h.quick = quick;
     h.shard = shard;
-    h.points = grid.size();
+    h.points = grid.combos() * grid.machines.size();
     h.configHash = gridConfigHash(sc, grid);
-    h.indices = shardPointIndices(shard, grid.size(), sc.machines.size());
+    h.indices = shardPointIndices(shard, h.points, grid.machines.size());
     return h;
 }
 
 std::string
 encodeShardImage(const ShardHeader &header,
-                 const std::vector<PointResult> &owned)
+                 const std::vector<std::string> &records)
 {
     ShardHeader h = header;
-    std::vector<std::string> records;
-    for (const PointResult &r : owned)
-        records.push_back(snap::encodeRunRecord(r.run));
     snap::Serializer s;
-    archive(s, h, records);
+    // Saving only reads the records, so the cast never writes to them.
+    archive(s, h, const_cast<std::vector<std::string> &>(records));
     return s.done();
 }
 
@@ -177,16 +185,16 @@ readShardImage(const std::string &path, ShardDump *out,
 
 bool
 mergeShardDumps(const Scenario &sc, bool quick,
-                const std::vector<ScenarioPoint> &pts,
-                std::vector<ShardDump> dumps,
-                std::vector<PointResult> *out, std::string *err)
+                const std::shared_ptr<const GridTable> &grid,
+                std::vector<ShardDump> dumps, Sweep *out, std::string *err)
 {
     if (dumps.empty()) {
         if (err)
             *err = "--merge-frames: no input dumps";
         return false;
     }
-    const std::uint64_t expectHash = gridConfigHash(sc, pts);
+    const std::uint64_t expectHash = gridConfigHash(sc, *grid);
+    const std::size_t points = grid->combos() * grid->machines.size();
     const std::size_t count = dumps[0].header.shard.count;
 
     for (const ShardDump &dump : dumps) {
@@ -205,11 +213,11 @@ mergeShardDumps(const Scenario &sc, bool quick,
                             " disagrees with " + std::to_string(count));
         if (h.shard.index >= count)
             return fail(err, dump.path, "shard index out of range");
-        if (h.points != pts.size())
+        if (h.points != points)
             return fail(err, dump.path,
                         "grid has " + std::to_string(h.points) +
                             " points, scenario expands to " +
-                            std::to_string(pts.size()));
+                            std::to_string(points));
         if (h.configHash != expectHash)
             return fail(err, dump.path,
                         "config hash " + std::to_string(h.configHash) +
@@ -246,8 +254,8 @@ mergeShardDumps(const Scenario &sc, bool quick,
     // — anything else is a gap or overlap inside a shard.
     for (const ShardDump *dump : byShard) {
         if (dump->header.indices !=
-            shardPointIndices(dump->header.shard, pts.size(),
-                              sc.machines.size()))
+            shardPointIndices(dump->header.shard, points,
+                              grid->machines.size()))
             return fail(err, dump->path,
                         "shard index set does not match the "
                         "deterministic partition (gap or overlap)");
@@ -259,14 +267,20 @@ mergeShardDumps(const Scenario &sc, bool quick,
                             " indices");
     }
 
-    out->clear();
-    out->reserve(pts.size());
-    for (const ScenarioPoint &pt : pts)
-        out->push_back(unmeasuredResult(pt));
+    // The merged frame is the whole grid's, and a record lands in the
+    // row of its global index, as it would have in the serial sweep.
+    *out = Sweep();
+    out->frame = harness::MetricFrame(grid, shardCombos({0, 1}, grid->combos()),
+                                      sc.report.baselineMachine);
+    for (const ShardDump &dump : dumps) {
+        for (const harness::RunRecord &r : dump.records) {
+            if (!r.statsJson.empty())
+                out->stats.resize(points);
+        }
+    }
     for (ShardDump &dump : dumps) {
         for (std::size_t i = 0; i < dump.records.size(); ++i)
-            (*out)[dump.header.indices[i]].run =
-                std::move(dump.records[i]);
+            out->store(dump.header.indices[i], std::move(dump.records[i]));
     }
     return true;
 }

@@ -10,9 +10,10 @@
  * index: combination j (one value per sweep axis) goes to shard
  * j % N, and a combination's points — one per machine, the grid's
  * innermost loop — travel together. Shard points keep their *global*
- * grid indices (RunnerOptions::pointIndices), so snapshot image names
- * and fault-plan targets compose with a shard exactly as with the
- * full run.
+ * grid indices (a shard's frame holds its own combinations, and a
+ * row's grid index is its combination x machines + machine), so
+ * snapshot image names and fault-plan targets compose with a shard
+ * exactly as with the full run.
  *
  * A shard image is a snap::Serializer container (magic, version,
  * per-section CRCs) with two sections: a header (scenario name, quick
@@ -34,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,8 +62,13 @@ bool parseShardSpec(const std::string &text, ShardSpec *out,
  * they hashed the same grid, so images from a different scenario
  * revision fail closed instead of interleaving silently.
  */
-std::uint64_t gridConfigHash(const Scenario &sc,
-                             const std::vector<ScenarioPoint> &pts);
+std::uint64_t gridConfigHash(const Scenario &sc, const GridTable &grid);
+
+/** The coordinate combinations shard @p shard owns of a grid with
+ *  @p combos of them, ascending: j % count == index. ShardSpec{0, 1}
+ *  owns them all. */
+std::vector<std::uint32_t> shardCombos(const ShardSpec &shard,
+                                       std::size_t combos);
 
 /**
  * Global grid indices shard @p shard owns, ascending: the points of
@@ -84,16 +91,16 @@ struct ShardHeader {
     std::vector<std::size_t> indices; ///< owned global grid indices
 };
 
-/** The header of shard @p shard of @p grid (the full expanded grid of
- *  @p sc under @p quick). */
+/** The header of shard @p shard of @p grid (the grid of @p sc under
+ *  @p quick). */
 ShardHeader makeShardHeader(const Scenario &sc, bool quick,
-                            const ShardSpec &shard,
-                            const std::vector<ScenarioPoint> &grid);
+                            const ShardSpec &shard, const GridTable &grid);
 
-/** The `--shard` `--metrics` artifact: @p header plus the RunRecord
- *  of each owned point (@p owned, parallel to header.indices). */
+/** The `--shard` `--metrics` artifact: @p header plus the encoded
+ *  RunRecord of each owned point (@p records, parallel to
+ *  header.indices: a shard sweep's Sweep::records). */
 std::string encodeShardImage(const ShardHeader &header,
-                             const std::vector<PointResult> &owned);
+                             const std::vector<std::string> &records);
 
 /** One decoded shard image. */
 struct ShardDump {
@@ -109,19 +116,20 @@ bool readShardImage(const std::string &path, ShardDump *out,
                     std::string *err);
 
 /**
- * Validate @p dumps against the expanded grid @p pts and reassemble
- * their records into @p out, one PointResult per grid point in grid
- * order with coordinates from @p pts. @p quick must be the mode the
- * grid was expanded under; every dump must agree. False + a
+ * Validate @p dumps against @p grid (the grid of @p sc under @p quick)
+ * and store their records into @p out, whose frame is the whole grid's:
+ * each record lands in the row of its global index through
+ * Sweep::store, as in a serial sweep, with a stats side table when
+ * any record carries a dump. Every dump must agree on @p quick. False + a
  * diagnostic naming the offending file on any mismatch: wrong
  * scenario/quick/hash/grid size, inconsistent or duplicate shard
  * specs (overlap), missing shards (gap), or an index set other than
  * the deterministic partition.
  */
 bool mergeShardDumps(const Scenario &sc, bool quick,
-                     const std::vector<ScenarioPoint> &pts,
-                     std::vector<ShardDump> dumps,
-                     std::vector<PointResult> *out, std::string *err);
+                     const std::shared_ptr<const GridTable> &grid,
+                     std::vector<ShardDump> dumps, Sweep *out,
+                     std::string *err);
 
 } // namespace misp::driver
 

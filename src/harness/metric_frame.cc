@@ -81,19 +81,35 @@ MetricFrame::MetricFrame(std::shared_ptr<const GridTable> grid,
             fatal("MetricFrame: baseline machine '%s' is not in the grid",
                   baselineMachine.c_str());
     }
-    status_.reserve(combos_.size() * machines());
-    measured_.reserve(status_.capacity() * kMeasured);
+    status_.assign(combos_.size() * machines(), RunStatus::MaxTicksReached);
+    measured_.assign(status_.size() * kMeasured, 0.0);
 }
 
 void
-MetricFrame::addRow(const RunRecord &run)
+MetricFrame::setRow(std::size_t r, const RunRecord &run)
 {
-    MISP_ASSERT(numRows() < numGroups() * machines());
-    status_.push_back(run.status);
-    measured_.insert(measured_.end(),
-                     {double(run.ticks), double(run.instsRetired),
-                      run.valid ? 1.0 : 0.0, double(run.attempts)});
-    measured_.insert(measured_.end(), run.events.begin(), run.events.end());
+    MISP_ASSERT(r < numRows());
+    status_[r] = run.status;
+    double *v = measured_.data() + r * kMeasured;
+    v[kTicks] = double(run.ticks);
+    v[kInsts] = double(run.instsRetired);
+    v[kValid] = run.valid ? 1.0 : 0.0;
+    v[kAttempts] = double(run.attempts);
+    std::copy(run.events.begin(), run.events.end(), v + kEvents);
+}
+
+RunRecord
+MetricFrame::record(std::size_t r) const
+{
+    const double *v = measured_.data() + r * kMeasured;
+    RunRecord run;
+    run.status = status_[r];
+    run.ticks = static_cast<Tick>(v[kTicks]);
+    run.instsRetired = static_cast<std::uint64_t>(v[kInsts]);
+    run.valid = v[kValid] != 0.0;
+    run.attempts = static_cast<unsigned>(v[kAttempts]);
+    std::copy(v + kEvents, v + kMeasured, run.events.begin());
+    return run;
 }
 
 const std::vector<std::string> &

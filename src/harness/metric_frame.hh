@@ -69,16 +69,24 @@ class MetricFrame
     /**
      * A frame over @p grid with one group per entry of @p combos
      * (ascending combination indices), each the grid's machines in
-     * order; addRow() fills the rows. With @p baselineMachine (a
-     * machine of the grid) the frame has the derived `speedup` column:
-     * baseline ticks / row ticks within the row's group.
+     * order. Every row exists from the start, and setRow() fills it in
+     * when its point finishes, in any order. With @p baselineMachine
+     * (a machine of the grid) the frame has the derived `speedup`
+     * column: baseline ticks / row ticks within the row's group.
      */
     MetricFrame(std::shared_ptr<const GridTable> grid,
                 std::vector<std::uint32_t> combos,
                 const std::string &baselineMachine = "");
 
-    /** Append the next row's measurements, in grid order. */
-    void addRow(const RunRecord &run);
+    /** Store row @p r's measurements. Writers of distinct rows may run
+     *  on different threads. */
+    void setRow(std::size_t r, const RunRecord &run);
+
+    /** Row @p r's measurements as a record: status, ticks, retired
+     *  instructions, valid, attempts and the Table-1 events, every
+     *  other field at its default. A point that reuses row @p r's run
+     *  takes this. */
+    RunRecord record(std::size_t r) const;
 
     // Shape ------------------------------------------------------------
 

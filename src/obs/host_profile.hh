@@ -5,8 +5,8 @@
  * HOST-SIDE ONLY (see host_run_log.hh for the quarantine rules). The
  * harness stamps every point with wall-clock phase timings —
  * parse/warmup/run/serialize — and `mispsim --profile FILE` folds them
- * into a summary: per-phase totals and histograms, plus per-engine
- * host-MIPS. Phase values ride inside RunRecord next to hostSeconds,
+ * into a summary: per-phase totals and histograms, per-engine
+ * host-MIPS, and the process's peak RSS. Phase values ride inside RunRecord next to hostSeconds,
  * and like hostSeconds they are excluded from all determinism
  * artifacts (frames, snapshots, traces).
  */
@@ -16,8 +16,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
+#include <map>
 #include <string>
 
 namespace misp::obs {
@@ -42,17 +42,49 @@ struct PointProfile {
 };
 
 /**
- * Write the profile summary JSON over @p points points, @p point(i)
- * giving point i's contribution (formed on demand, never stored):
- * how many points simulated and how many reused a finished point's
- * record, then — over the simulated points only, so host throughput
- * counts only instructions this process executed — wall/instruction
- * totals, per-phase {total_s, mean_s, max_s, histogram} (fixed
- * log-scale buckets), and per-engine {points, insts, host_s, mips}.
+ * A `--profile` summary, folded in as points finish, so a sweep keeps
+ * no per-point profile: how many points simulated and how many reused
+ * a finished point's record, then — over the simulated points only, so
+ * host throughput counts only instructions this process executed —
+ * wall/instruction totals, per-phase {total_s, mean_s, max_s,
+ * histogram} (fixed log-scale buckets), and per-engine {points, insts,
+ * host_s, mips}.
  */
-void writeProfileJson(
-    std::ostream &os, std::size_t points,
-    const std::function<PointProfile(std::size_t)> &point);
+class HostProfile
+{
+  public:
+    /** Log-scale histogram bucket upper bounds, seconds, + overflow. */
+    static constexpr std::size_t kNumBuckets = 7;
+
+    /** Fold in one finished point. */
+    void add(const PointProfile &p);
+
+    /** The summary as JSON, with `peak_rss_mb`: this process's peak
+     *  resident set size so far (getrusage), in MiB. */
+    void writeJson(std::ostream &os) const;
+
+  private:
+    struct Phase {
+        double total = 0;
+        double max = 0;
+        std::uint64_t hist[kNumBuckets] = {};
+
+        void add(double v);
+    };
+    struct Engine {
+        std::uint64_t points = 0;
+        std::uint64_t insts = 0;
+        double hostS = 0;
+    };
+
+    std::size_t points_ = 0;
+    std::size_t simulated_ = 0;
+    Phase parse_, warmup_, run_, serialize_;
+    double hostTotal_ = 0;
+    std::uint64_t instsTotal_ = 0;
+    /** Keyed by engine name; std::map gives deterministic key order. */
+    std::map<std::string, Engine> engines_;
+};
 
 } // namespace misp::obs
 

@@ -14,7 +14,6 @@ Kernel::Kernel(EventQueue &eq, mem::PhysicalMemory &pmem,
       pmem_(pmem),
       config_(config),
       reads_(reads),
-      rng_(knob<&KernelConfig::rngSeed>()),
       sleepWakes_(eq, *this, "kernel.sleepWake", kSleepWakePrio),
       statGroup_("kernel", parent),
       syscalls_(&statGroup_, "syscalls"),
@@ -146,6 +145,11 @@ Kernel::archive(Ar &a)
 
     a.u64(nextPid_);
     a.u64(nextTid_);
+    // An image holds the seeded RNG, whether or not a draw came yet,
+    // and a restored kernel draws on from it.
+    if constexpr (!Ar::kLoading)
+        seedRng();
+    rngSeeded_ = true;
     std::array<std::uint64_t, 4> rng = rng_.state();
     for (std::uint64_t &w : rng)
         a.u64(w);
@@ -523,12 +527,22 @@ Kernel::deviceIrq(int cpu)
     return res;
 }
 
+void
+Kernel::seedRng()
+{
+    if (rngSeeded_)
+        return;
+    rng_.reseed(knob<&KernelConfig::rngSeed>());
+    rngSeeded_ = true;
+}
+
 Tick
 Kernel::nextDeviceIrqGap()
 {
     if (knob<&KernelConfig::deviceIrqMeanPeriod>() == 0)
         return 0;
     // Exponential inter-arrival from the deterministic RNG.
+    seedRng();
     double u = rng_.real();
     if (u < 1e-12)
         u = 1e-12;

@@ -175,6 +175,8 @@ class Kernel
 
     /** Next interval until a device IRQ (exponential, deterministic). */
     Tick nextDeviceIrqGap();
+    /** Seed rng_ from `kernel_seed`, once, before its first use. */
+    void seedRng();
 
     /** Invoked when a process fully exits (harness completion hook). */
     void
@@ -238,7 +240,10 @@ class Kernel
     KernelConfig config_;            ///< snap: config
     ConfigReads &reads_;
     KernelClient *client_ = nullptr; ///< snap: config — wired at build
+    /** Device-IRQ arrival draws; seeded from `kernel_seed` at the first
+     *  draw (seedRng), so a machine that draws none never reads it. */
     Rng rng_;
+    bool rngSeeded_ = false;
 
     Pid nextPid_ = 1;
     Tid nextTid_ = 1;

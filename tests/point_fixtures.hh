@@ -31,6 +31,17 @@ gridResults(const driver::Scenario &sc, bool quick = false)
     return results;
 }
 
+/** The --full-stats side table of @p results: each point's dump, in
+ *  order (what writeJson reads by frame row). */
+inline std::vector<std::string>
+statsOf(const std::vector<driver::PointResult> &results)
+{
+    std::vector<std::string> stats;
+    for (const driver::PointResult &r : results)
+        stats.push_back(r.run.statsJson);
+    return stats;
+}
+
 } // namespace misp::test
 
 #endif // MISP_TESTS_POINT_FIXTURES_HH

@@ -6,10 +6,10 @@
  * that every MetricFrame lookup returns the rows the frames it
  * replaced returned.
  *
- * A counting global operator new/delete tracks the live heap bytes and
- * the allocations of this binary, so the per-point test measures
- * exactly what the driver allocates for a grid that is expanded, given
- * unmeasured results and turned into a frame, none of its points run.
+ * A counting global operator new/delete tracks the live heap bytes, their
+ * high-water mark and the allocations of this binary, so the per-point
+ * test measures exactly what the driver allocates per point for a grid
+ * swept the way mispsim sweeps it.
  */
 
 #include <gtest/gtest.h>
@@ -34,9 +34,10 @@ using harness::MetricFrame;
 namespace {
 
 /** Live heap bytes requested through operator new, less those
- *  released, and the number of operator new calls. Tests are
- *  single-threaded. */
+ *  released, their high-water mark, and the number of operator new
+ *  calls. Tests are single-threaded. */
 long long gLiveBytes = 0;
+long long gPeakBytes = 0;
 long long gAllocs = 0;
 
 /** Each block carries its size in a 16-byte prefix (keeping malloc's
@@ -51,6 +52,7 @@ countedAlloc(std::size_t n)
         throw std::bad_alloc();
     *static_cast<std::size_t *>(p) = n;
     gLiveBytes += static_cast<long long>(n);
+    gPeakBytes = std::max(gPeakBytes, gLiveBytes);
     ++gAllocs;
     return static_cast<char *>(p) + kPrefix;
 }
@@ -190,46 +192,68 @@ lookups(const MetricFrame &f)
 
 } // namespace
 
+namespace {
+
+/** The live-heap high-water mark of a streamed sweep (expandGrid, then
+ *  ScenarioRunner::run, as mispsim runs it) of @p combos coordinate
+ *  combinations x 2 machines, above the bytes live before it. Both
+ *  machines are uniprocessors, which read no signal cost, so every
+ *  point after the first reuses its record and the sweep is quick. */
+long long
+streamedSweepPeak(std::size_t combos)
+{
+    SpecFile spec;
+    Scenario sc;
+    std::string err;
+    EXPECT_TRUE(SpecFile::parse(
+        "[machine a]\nprocessors = 0\nbackend = os\n"
+        "[machine b]\nprocessors = 0\nbackend = os\n"
+        "[workload]\nname = dense_mvm\nparam.rows = 8\n"
+        "[sweep]\nmachine.signal_cycles = 1000.." +
+            std::to_string(1000 + combos - 1) + "\n",
+        "<test>", &spec, &err))
+        << err;
+    EXPECT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
+
+    const long long base = gLiveBytes;
+    gPeakBytes = base;
+    std::shared_ptr<const GridTable> grid;
+    EXPECT_TRUE(sc.expandGrid(false, &grid, &err)) << err;
+    RunnerOptions opts;
+    opts.hostLines = false;
+    const Sweep sweep = ScenarioRunner(opts).run(
+        sc, grid, shardCombos(ShardSpec{}, grid->combos()));
+    EXPECT_EQ(sweep.frame.numRows(), 2 * combos);
+    for (std::size_t r = 0; r < sweep.frame.numRows(); ++r)
+        EXPECT_EQ(sweep.frame.status(r), harness::RunStatus::Completed);
+    return gPeakBytes - base;
+}
+
+} // namespace
+
 TEST(GridScale, PerPointStateStaysSmall)
 {
-    // scenarios/grid_large.scn in full mode: 10^4 coordinate
-    // combinations x 2 machines, expanded, given unmeasured results
-    // and turned into a frame, as mispsim holds them. mispsim releases
-    // the point list before it builds the frame, so the peak is the
-    // larger of points + results (during the run) and results + frame.
-    const Scenario sc = loadScenario(kGridLarge);
-    const long long base = gLiveBytes;
-    std::vector<ScenarioPoint> pts = expand(sc, false);
-    const std::size_t n = pts.size();
-    ASSERT_EQ(n, 20000u);
-    const double pointsB = double(gLiveBytes - base) / double(n);
+    // What a sweep keeps per point, as the slope of its live-heap peak
+    // between 2,000 and 20,000 points (the one machine a point boots
+    // at a time, the workload and the spec are the same at both sizes
+    // and cancel). The peak is the frame, which exists before the
+    // first point runs, plus the grid table; a point is resolved when
+    // it runs and its record lives only while it is in flight.
+    const long long small = streamedSweepPeak(1000);
+    const long long large = streamedSweepPeak(10000);
+    const double perPoint = double(large - small) / 18000.0;
+    std::printf("streamed sweep: peak %lld B at 2,000 points, %lld B at "
+                "20,000; %.0f B a point\n",
+                small, large, perPoint);
 
-    std::vector<PointResult> results;
-    results.reserve(n);
-    for (const ScenarioPoint &pt : pts)
-        results.push_back(unmeasuredResult(pt));
-    const double runB = double(gLiveBytes - base) / double(n);
-    std::vector<ScenarioPoint>().swap(pts);
-    const double resultsB = double(gLiveBytes - base) / double(n);
-
-    const MetricFrame frame = buildMetricFrame(sc, results);
-    ASSERT_EQ(frame.numRows(), n);
-    const double frameB = double(gLiveBytes - base) / double(n);
-    const double peakB = std::max(runB, frameB);
-    std::printf("per point: points %.0f B, results %.0f B, frame %.0f B; "
-                "peak %.0f B\n",
-                pointsB, resultsB, frameB - resultsB, peakB);
-
-    // Measured at this layout: 644 B a point during the run (points
-    // 316 B + results 328 B); the frame adds 134 B a row (a status and
-    // 16 measured doubles, plus its share of the group list), so
-    // results + frame is 462 B. The frame that interned its own
-    // coordinates and indexed id tuples peaked at 818 B a point, at
-    // the frame build (results 328 B + frame 490 B), and the
-    // string-coordinate layout before it at 2.7 KB (points 774 B,
-    // results 659 B, frame 1,269 B, all alive at the frame build).
-    // The bound is 1.25x the measured peak.
-    EXPECT_LE(peakB, 1.25 * 644);
+    // Measured: 151 B a point — a frame row (a status and 16 measured
+    // doubles, 132 B, plus its share of the group list) and its share
+    // of the grid table's axis values. Before points resolved when
+    // they ran, mispsim held every point three times: 644 B a point
+    // during the run on grid_large (a resolved ScenarioPoint 316 B,
+    // then a PointResult 328 B), then results + frame 462 B. The
+    // bound is 1.25x the measured slope.
+    EXPECT_LE(perPoint, 1.25 * 151);
 }
 
 TEST(GridScale, MachineBootAllocatesNothingPerCounter)
@@ -263,12 +287,14 @@ TEST(GridScale, ConfigHashIsStable)
     // Pinned from the string-coordinate build: a shard image it wrote
     // must still merge, so the hash of the same grid may not move.
     const Scenario sc = loadScenario(kGridLarge);
-    const std::vector<ScenarioPoint> quick = expand(sc, true);
-    ASSERT_EQ(quick.size(), 16u);
-    EXPECT_EQ(gridConfigHash(sc, quick), 0xa318bbbfcd3397aaull);
-    const std::vector<ScenarioPoint> full = expand(sc, false);
-    ASSERT_EQ(full.size(), 20000u);
-    EXPECT_EQ(gridConfigHash(sc, full), 0xf429c28d6346e4b7ull);
+    std::shared_ptr<const GridTable> quick, full;
+    std::string err;
+    ASSERT_TRUE(sc.expandGrid(true, &quick, &err)) << err;
+    ASSERT_EQ(quick->combos() * quick->machines.size(), 16u);
+    EXPECT_EQ(gridConfigHash(sc, *quick), 0xa318bbbfcd3397aaull);
+    ASSERT_TRUE(sc.expandGrid(false, &full, &err)) << err;
+    ASSERT_EQ(full->combos() * full->machines.size(), 20000u);
+    EXPECT_EQ(gridConfigHash(sc, *full), 0xf429c28d6346e4b7ull);
 }
 
 TEST(GridScale, FrameLookupsMatchTheStringKeyedFrame)

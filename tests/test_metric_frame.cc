@@ -638,7 +638,7 @@ TEST(FrameEmitters, JsonMatchesLegacyFormatByteForByte)
     MetricFrame frame = buildMetricFrame(sc, results);
 
     std::ostringstream os;
-    writeJson(os, sc, /*quickMode=*/false, frame, results);
+    writeJson(os, sc, /*quickMode=*/false, frame, test::statsOf(results));
 
     // The legacy emitter walked the PointResults directly; the frame
     // renderer must reproduce it byte for byte (CI diffs depend on
@@ -706,7 +706,7 @@ TEST(CounterTable, NamesAndKindsAreTheFrameColumnsAndTheWireFields)
     }
     std::ostringstream os;
     writeJson(os, sc, /*quickMode=*/false, buildMetricFrame(sc, results),
-              results);
+              test::statsOf(results));
     for (std::size_t i = 0; i < harness::kNumEventCounters; ++i) {
         const harness::EventCounterInfo &c = harness::kEventCounters[i];
         bool cycles = c.kind == harness::EventKind::Cycles;
@@ -736,14 +736,15 @@ TEST(CounterTable, NamesAndKindsAreTheFrameColumnsAndTheWireFields)
 
 TEST(FrameEmitters, JsonRejectsResultsOfAnotherSweep)
 {
-    // writeJson reads each row's --full-stats dump from the results by
-    // row index, so the two must be the same sweep's.
+    // writeJson reads each row's --full-stats dump from the stats side
+    // table by row index, so the two must be the same sweep's.
     Scenario sc = twoAxisScenario();
     std::vector<PointResult> results = twoAxisGrid();
     MetricFrame frame = buildMetricFrame(sc, results);
     results.pop_back();
     std::ostringstream os;
-    EXPECT_THROW(writeJson(os, sc, false, frame, results), SimError);
+    EXPECT_THROW(writeJson(os, sc, false, frame, test::statsOf(results)),
+                 SimError);
 }
 
 TEST(FrameEmitters, PointsLinesMatchLegacyFormat)

@@ -10,7 +10,8 @@
  *    where the model reads them: signal_cycles on every machine with
  *    AMSs, context_xfer_cycles on the grids' 2-worker misp points
  *    only (their proxy requests), and neither on a machine without
- *    AMSs.
+ *    AMSs. kernel_seed is read only where the kernel draws device-IRQ
+ *    gaps: not at all with device_irq_mean_period = 0.
  *  - Workloads are pure (workloads/workload.hh), so one built workload
  *    may serve every point of a sweep: for every workload the ledger
  *    templates load, two builds digest equal, and running a point on a
@@ -47,14 +48,11 @@ const ::testing::Environment *const kQuietEnv =
 
 const std::string kRoot = MISP_SOURCE_ROOT;
 
-/** @p path parsed, with a ledger template's @SEED@ set to 1. */
+/** @p text (from @p path) parsed, with a ledger template's @SEED@ set
+ *  to 1. */
 Scenario
-loadSpec(const std::string &path)
+parseSpec(std::string text, const std::string &path)
 {
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
     for (std::size_t at; (at = text.find("@SEED@")) != std::string::npos;)
         text.replace(at, 6, "1");
     SpecFile spec;
@@ -63,6 +61,15 @@ loadSpec(const std::string &path)
     EXPECT_TRUE(SpecFile::parse(text, path, &spec, &err)) << err;
     EXPECT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
     return sc;
+}
+
+Scenario
+loadSpec(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return parseSpec(ss.str(), path);
 }
 
 std::vector<ScenarioPoint>
@@ -178,6 +185,9 @@ TEST(ReadMask, UnreadFieldsLeaveTheRecordEqual)
             const bool signal = hasField(mask, ConfigField::SignalCycles);
             const bool xfer = hasField(mask, ConfigField::ContextXferCycles);
             EXPECT_EQ(signal, ams > 0) << what << " read " << names(mask);
+            // Device IRQs are on, so the kernel draws their gaps.
+            EXPECT_TRUE(hasField(mask, ConfigField::KernelSeed))
+                << what << " read " << names(mask);
             if (ams == 0) {
                 EXPECT_FALSE(xfer) << what << " read " << names(mask);
             } else if (spec.grid) {
@@ -186,6 +196,25 @@ TEST(ReadMask, UnreadFieldsLeaveTheRecordEqual)
             }
         }
         EXPECT_FALSE(probed.empty()) << spec.path;
+    }
+
+    // With device IRQs off the kernel never draws from its RNG, so no
+    // machine reads kernel_seed, and perturbing it (with every other
+    // unread field) leaves the record equal.
+    const Scenario quiet = parseSpec(
+        "[machine 1p]\nprocessors = 0\nbackend = os\n"
+        "device_irq_mean_period = 0\n"
+        "[machine misp]\nprocessors = 3\nbackend = shred\n"
+        "device_irq_mean_period = 0\n"
+        "[workload]\nname = dense_mvm\nparam.rows = 8\nworkers = 2\n",
+        "<quiet>");
+    for (const ScenarioPoint &pt : expand(quiet, false)) {
+        const std::string what = "device_irq_mean_period = 0 " + pt.machine.name;
+        const ConfigMask mask = probe(quiet, pt, what);
+        EXPECT_FALSE(hasField(mask, ConfigField::KernelSeed))
+            << what << " read " << names(mask);
+        EXPECT_TRUE(hasField(mask, ConfigField::DeviceIrqMeanPeriod))
+            << what << " read " << names(mask);
     }
 }
 

@@ -15,11 +15,16 @@
  *  - The serial counts are pinned: the ledger grid simulates 652 of
  *    its 2,500 points, suite 48 of 48, multiprog 30 of 30.
  *  - --profile's host numbers count simulated points only.
+ *  - The point-list adapters bench/ledger drives give the same
+ *    --metrics bytes as mispsim's streamed sweep on every ledger
+ *    template, and those bytes carry the ledger's golden digests.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,7 +33,9 @@
 
 #include "driver/report.hh"
 #include "driver/runner.hh"
+#include "driver/shard.hh"
 #include "obs/host_profile.hh"
+#include "point_fixtures.hh"
 #include "sim/logging.hh"
 
 using namespace misp;
@@ -96,14 +103,14 @@ loadSpec(const std::string &path)
     return sc;
 }
 
-struct Sweep {
+struct SweepRun {
     std::vector<PointResult> results;
     std::string artifacts;
     std::size_t simulated = 0;
 };
 
 /** Sweep @p spec and render every artifact mispsim writes from it. */
-Sweep
+SweepRun
 sweep(const Spec &spec, cpu::Engine engine, unsigned jobs, bool reuse)
 {
     const Scenario sc = loadSpec(spec.path);
@@ -116,14 +123,14 @@ sweep(const Spec &spec, cpu::Engine engine, unsigned jobs, bool reuse)
     opts.engine = engine;
     opts.jobs = jobs;
     opts.reuseRuns = reuse;
-    Sweep out;
+    SweepRun out;
     out.results = ScenarioRunner(opts).runAll(sc, pts);
     for (const PointResult &r : out.results)
         out.simulated += r.run.reusedFrom == harness::kSimulated;
 
     const harness::MetricFrame frame = buildMetricFrame(sc, out.results);
     std::ostringstream json, metrics, points, table, tables;
-    writeJson(json, sc, spec.quick, frame, out.results);
+    writeJson(json, sc, spec.quick, frame, test::statsOf(out.results));
     writeMetricsJson(metrics, sc, spec.quick, frame);
     writePoints(points, frame);
     writeTable(table, sc, frame, false);
@@ -148,11 +155,11 @@ TEST(RunMemo, ReuseOnMatchesReuseOff)
                 continue;
             const std::string what =
                 spec.path + " engine " + cpu::engineName(engine);
-            const Sweep off = sweep(spec, engine, 1, false);
+            const SweepRun off = sweep(spec, engine, 1, false);
             EXPECT_EQ(off.simulated, off.results.size()) << what;
-            const Sweep serial = sweep(spec, engine, 1, true);
+            const SweepRun serial = sweep(spec, engine, 1, true);
             EXPECT_EQ(serial.artifacts, off.artifacts) << what << " serial";
-            const Sweep pool = sweep(spec, engine, 4, true);
+            const SweepRun pool = sweep(spec, engine, 4, true);
             EXPECT_EQ(pool.artifacts, off.artifacts) << what << " jobs 4";
             reused = serial.simulated < serial.results.size();
             if (spec.simulated) {
@@ -162,7 +169,7 @@ TEST(RunMemo, ReuseOnMatchesReuseOff)
             }
             // A reused point names a simulated source, and carries its
             // record with one attempt and no host time.
-            for (const Sweep *s : {&serial, &pool}) {
+            for (const SweepRun *s : {&serial, &pool}) {
                 for (const PointResult &r : s->results) {
                     if (r.run.reusedFrom == harness::kSimulated)
                         continue;
@@ -190,9 +197,11 @@ TEST(RunMemo, ProfileCountsSimulatedPointsOnly)
     sim.instsRetired = 1'000'000;
     obs::PointProfile reused = sim;
     reused.reused = true;
-    const obs::PointProfile points[] = {sim, reused, sim};
+    obs::HostProfile profile;
+    for (const obs::PointProfile &p : {sim, reused, sim})
+        profile.add(p);
     std::ostringstream os;
-    obs::writeProfileJson(os, 3, [&](std::size_t i) { return points[i]; });
+    profile.writeJson(os);
     const std::string json = os.str();
     for (const char *want :
          {"\"points\": 3,", "\"points_simulated\": 2,",
@@ -202,4 +211,68 @@ TEST(RunMemo, ProfileCountsSimulatedPointsOnly)
           "\"superblock\": {\"points\": 2, \"insts\": 2000000, "
           "\"host_s\": 1.000000, \"mips\": 2.000000}"})
         EXPECT_NE(json.find(want), std::string::npos) << want << "\n" << json;
+    // The process's own peak RSS rides along (host plane).
+    const std::size_t rss = json.find("\"peak_rss_mb\": ");
+    ASSERT_NE(rss, std::string::npos) << json;
+    EXPECT_GT(std::strtod(json.c_str() + rss + 15, nullptr), 0.0) << json;
+}
+
+namespace {
+
+/** FNV-1a 64-bit digest of @p bytes as 16 hex digits: the ledger's
+ *  --metrics digest (bench/ledger/golden.json). */
+std::string
+ledgerDigest(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+} // namespace
+
+TEST(LedgerAdapters, MatchTheStreamedSweep)
+{
+    // bench/ledger drives the point-list adapters (expandPoints, runAll,
+    // buildMetricFrame); mispsim streams the sweep into its frame
+    // (expandGrid, run). On each ledger template at seed 1 both give
+    // the --metrics bytes whose digest golden.json pins, so the
+    // benchmark's traced pass and backend probe measure the program
+    // mispsim runs.
+    std::ifstream in(kRoot + "/bench/ledger/golden.json");
+    std::stringstream golden;
+    golden << in.rdbuf();
+    ASSERT_NE(golden.str().find("\"seed\": 1,"), std::string::npos);
+    RunnerOptions opts;
+    opts.hostLines = false;
+    for (const std::string name : {"grid", "suite", "multiprog"}) {
+        const Scenario sc =
+            loadSpec(kRoot + "/bench/ledger/workloads/" + name + ".scn");
+        std::string err;
+        std::vector<ScenarioPoint> pts;
+        ASSERT_TRUE(sc.expandPoints(false, &pts, &err)) << err;
+        std::ostringstream adapters;
+        writeMetricsJson(
+            adapters, sc, false,
+            buildMetricFrame(sc, ScenarioRunner(opts).runAll(sc, pts)));
+
+        std::shared_ptr<const GridTable> grid;
+        ASSERT_TRUE(sc.expandGrid(false, &grid, &err)) << err;
+        const Sweep streamedSweep = ScenarioRunner(opts).run(
+            sc, grid, shardCombos(ShardSpec{}, grid->combos()));
+        std::ostringstream streamed;
+        writeMetricsJson(streamed, sc, false, streamedSweep.frame);
+
+        EXPECT_EQ(adapters.str(), streamed.str()) << name;
+        EXPECT_NE(golden.str().find("\"" + name + "\": \"" +
+                                    ledgerDigest(streamed.str()) + "\""),
+                  std::string::npos)
+            << name << " digest " << ledgerDigest(streamed.str());
+    }
 }

@@ -228,7 +228,7 @@ renderArtifacts(const Scenario &sc, const std::vector<PointResult> &results)
 {
     const harness::MetricFrame frame = buildMetricFrame(sc, results);
     std::ostringstream json, table, points;
-    writeJson(json, sc, false, frame, results);
+    writeJson(json, sc, false, frame, test::statsOf(results));
     writeTable(table, sc, frame, false);
     writePoints(points, frame);
     return json.str() + "\x1e" + table.str() + "\x1e" + points.str();

@@ -18,6 +18,7 @@
 #include "driver/scenario.hh"
 #include "driver/spec.hh"
 #include "harness/experiment.hh"
+#include "point_fixtures.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "workloads/workload.hh"
@@ -778,7 +779,7 @@ TEST(Emitters, JsonTableAndPoints)
     const harness::MetricFrame frame = buildMetricFrame(sc, results);
 
     std::ostringstream jsonOs;
-    writeJson(jsonOs, sc, false, frame, results);
+    writeJson(jsonOs, sc, false, frame, test::statsOf(results));
     const std::string json = jsonOs.str();
     EXPECT_NE(json.find("\"scenario\": \"emit\""), std::string::npos);
     EXPECT_NE(json.find("\"ticks\": "), std::string::npos);

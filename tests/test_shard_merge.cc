@@ -93,6 +93,7 @@ tempPath(const std::string &name)
  *  merge test slices the same results. */
 struct GridRun {
     Scenario sc;
+    std::shared_ptr<const GridTable> grid;
     std::vector<ScenarioPoint> points;
     std::vector<PointResult> results;
 };
@@ -104,6 +105,7 @@ gridRun()
         GridRun *r = new GridRun;
         r->sc = testScenario();
         std::string err;
+        EXPECT_TRUE(r->sc.expandGrid(false, &r->grid, &err)) << err;
         EXPECT_TRUE(r->sc.expandPoints(false, &r->points, &err)) << err;
         RunnerOptions opts;
         opts.hostLines = false;
@@ -134,10 +136,10 @@ shardImage(const GridRun &run, std::size_t k, std::size_t n,
     const std::vector<PointResult> &all =
         results ? *results : run.results;
     ShardHeader header =
-        makeShardHeader(run.sc, false, ShardSpec{k, n}, run.points);
-    std::vector<PointResult> owned;
+        makeShardHeader(run.sc, false, ShardSpec{k, n}, *run.grid);
+    std::vector<std::string> owned;
     for (std::size_t g : header.indices)
-        owned.push_back(all[g]);
+        owned.push_back(snap::encodeRunRecord(all[g].run));
     if (doctor)
         doctor(header);
     return encodeShardImage(header, owned);
@@ -155,15 +157,15 @@ writeImage(const std::string &name, const std::string &bytes)
 /** Read and merge @p paths; false + @p err on any rejection. */
 bool
 mergeResults(const GridRun &run, const std::vector<std::string> &paths,
-             std::vector<PointResult> *out, std::string *err)
+             Sweep *out, std::string *err)
 {
     std::vector<ShardDump> dumps;
     for (const std::string &p : paths) {
         if (!readShardImage(p, &dumps.emplace_back(), err))
             return false;
     }
-    return mergeShardDumps(run.sc, false, run.points, std::move(dumps),
-                           out, err);
+    return mergeShardDumps(run.sc, false, run.grid, std::move(dumps), out,
+                           err);
 }
 
 /** The merged `--metrics` text; "" when the merge is rejected. */
@@ -171,11 +173,11 @@ std::string
 mergeMetrics(const GridRun &run, const std::vector<std::string> &paths,
              std::string *err)
 {
-    std::vector<PointResult> merged;
+    Sweep merged;
     if (!mergeResults(run, paths, &merged, err))
         return "";
     std::ostringstream os;
-    writeMetricsJson(os, run.sc, false, buildMetricFrame(run.sc, merged));
+    writeMetricsJson(os, run.sc, false, merged.frame);
     return os.str();
 }
 
@@ -183,7 +185,7 @@ mergeMetrics(const GridRun &run, const std::vector<std::string> &paths,
 std::string
 mergeError(const GridRun &run, const std::vector<std::string> &paths)
 {
-    std::vector<PointResult> merged;
+    Sweep merged;
     std::string err;
     EXPECT_FALSE(mergeResults(run, paths, &merged, &err));
     return err;
@@ -362,27 +364,27 @@ TEST(ShardMerge, DegradedShardPreservesRecordsExactly)
         paths.push_back(writeImage("sm_degraded" + std::to_string(k) +
                                        ".shard",
                                    shardImage(run, k, 2, {}, &doctored)));
-    std::vector<PointResult> merged;
+    Sweep merged;
     std::string err;
     ASSERT_TRUE(mergeResults(run, paths, &merged, &err)) << err;
 
-    // Every record crosses the merge bit for bit — failure note and
-    // attempt count included — and lands on its grid coordinates.
-    ASSERT_EQ(merged.size(), doctored.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-        EXPECT_EQ(merged[i].coords.machine(), doctored[i].coords.machine());
-        EXPECT_EQ(merged[i].coords.workload(),
-                  doctored[i].coords.workload());
-        EXPECT_EQ(merged[i].coords.competitors(),
-                  doctored[i].coords.competitors());
-        EXPECT_EQ(merged[i].coords.str(), doctored[i].coords.str());
-        EXPECT_EQ(snap::encodeRunRecord(merged[i].run),
-                  snap::encodeRunRecord(doctored[i].run))
-            << "point " << i;
+    // Every record's row crosses the merge exactly — failure status
+    // and attempt count included — on its grid coordinates, and the
+    // failure note lands in the notes side table.
+    const harness::MetricFrame want = buildMetricFrame(run.sc, doctored);
+    const harness::MetricFrame &frame = merged.frame;
+    ASSERT_EQ(frame.numRows(), want.numRows());
+    for (std::size_t i = 0; i < frame.numRows(); ++i) {
+        EXPECT_EQ(describePoint(frame, i), describePoint(want, i));
+        EXPECT_EQ(frame.status(i), want.status(i)) << "point " << i;
+        for (const std::string &m : want.metrics())
+            EXPECT_EQ(frame.at(i, m), want.at(i, m))
+                << "point " << i << " " << m;
     }
-    EXPECT_EQ(merged[victim].run.note, doctored[victim].run.note);
+    EXPECT_EQ(merged.notes.size(), 1u);
+    EXPECT_EQ(merged.notes[victim], doctored[victim].run.note);
+    EXPECT_TRUE(merged.stats.empty());
 
-    const harness::MetricFrame frame = buildMetricFrame(run.sc, merged);
     EXPECT_EQ(frame.status(victim),
               harness::RunStatus::WorkerCrashed);
     EXPECT_EQ(frame.at(victim, "failed"), 1.0);

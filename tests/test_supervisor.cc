@@ -17,6 +17,7 @@
 
 #include "driver/faults.hh"
 #include "driver/runner.hh"
+#include "point_fixtures.hh"
 #include "sim/logging.hh"
 
 using namespace misp;
@@ -377,11 +378,13 @@ TEST(Supervisor, ChaosSweepArtifactsAreDeterministic)
 
     std::ostringstream json1, json2, metrics1, metrics2;
     std::vector<PointResult> run1 = runSupervised(opts, &sc);
-    writeJson(json1, sc, false, buildMetricFrame(sc, run1), run1);
+    writeJson(json1, sc, false, buildMetricFrame(sc, run1),
+              test::statsOf(run1));
     writeMetricsJson(metrics1, sc, false, buildMetricFrame(sc, run1));
 
     std::vector<PointResult> run2 = runSupervised(opts);
-    writeJson(json2, sc, false, buildMetricFrame(sc, run2), run2);
+    writeJson(json2, sc, false, buildMetricFrame(sc, run2),
+              test::statsOf(run2));
     writeMetricsJson(metrics2, sc, false, buildMetricFrame(sc, run2));
 
     EXPECT_EQ(json1.str(), json2.str());

@@ -88,18 +88,16 @@ writeArtifact(const std::string &path,
 
 /**
  * The one post-sweep path of serial, --jobs, --isolate, --shard and
- * --merge-frames runs: build the sweep's one columnar frame from
- * @p results (grid order), render stdout, write the -o / --metrics
- * artifacts, report failed points from the frame's status/valid/
- * attempts columns, evaluate the [report] asserts, and pick the exit
- * code — 0, 1, or 4 for a sweep that passed with failed points under
- * on_failed_points = skip.
+ * --merge-frames runs: render stdout from the sweep's frame, write the
+ * -o / --metrics artifacts, report failed points from the frame's
+ * status/valid/attempts columns, evaluate the [report] asserts, and
+ * pick the exit code — 0, 1, or 4 for a sweep that passed with failed
+ * points under on_failed_points = skip.
  */
 int
-finishSweep(const Scenario &sc, const std::vector<PointResult> &results,
-            const SweepOutputs &out)
+finishSweep(const Scenario &sc, const Sweep &sweep, const SweepOutputs &out)
 {
-    const harness::MetricFrame frame = buildMetricFrame(sc, results);
+    const harness::MetricFrame &frame = sweep.frame;
     int rc = 0;
     std::string err;
     if (out.pointsOnly) {
@@ -115,14 +113,14 @@ finishSweep(const Scenario &sc, const std::vector<PointResult> &results,
 
     if (!out.jsonPath.empty() &&
         !writeArtifact(out.jsonPath, [&](std::ostream &os) {
-            writeJson(os, sc, out.quick, frame, results);
+            writeJson(os, sc, out.quick, frame, sweep.stats);
         }))
         return 1;
     if (!out.metricsPath.empty() &&
         !writeArtifact(out.metricsPath, [&](std::ostream &os) {
             if (out.shard) {
                 const std::string image =
-                    encodeShardImage(*out.shard, results);
+                    encodeShardImage(*out.shard, sweep.records);
                 os.write(image.data(),
                          static_cast<std::streamsize>(image.size()));
             } else {
@@ -158,8 +156,11 @@ finishSweep(const Scenario &sc, const std::vector<PointResult> &results,
             break;
         }
         const bool infra = harness::runStatusIsInfraFailure(status);
-        if (infra)
-            what += ": " + results[r].run.note;
+        if (infra) {
+            const auto note = sweep.notes.find(r);
+            what += ": " + (note == sweep.notes.end() ? std::string()
+                                                      : note->second);
+        }
         const double attempts = frame.at(r, "attempts");
         if (attempts > 1)
             what += " [attempts=" +
@@ -259,19 +260,15 @@ mergeFramesMain(const Scenario &sc,
     // The grid is re-expanded under the mode the shards ran in;
     // mergeShardDumps fails closed if the dumps disagree on it.
     out.quick = dumps[0].header.quick;
-    std::vector<PointResult> results;
-    {
-        // The grid is needed only to merge; it is gone before the
-        // frame is built.
-        std::vector<ScenarioPoint> grid;
-        if (!sc.expandPoints(out.quick, &grid, &err) ||
-            !mergeShardDumps(sc, out.quick, grid, std::move(dumps),
-                             &results, &err)) {
-            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-            return 1;
-        }
+    std::shared_ptr<const GridTable> grid;
+    Sweep merged;
+    if (!sc.expandGrid(out.quick, &grid, &err) ||
+        !mergeShardDumps(sc, out.quick, grid, std::move(dumps), &merged,
+                         &err)) {
+        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+        return 1;
     }
-    return finishSweep(sc, results, out);
+    return finishSweep(sc, merged, out);
 }
 
 } // namespace
@@ -564,8 +561,8 @@ main(int argc, char **argv)
         return mergeFramesMain(sc, mergeInputs, out);
     }
 
-    std::vector<ScenarioPoint> points;
-    if (!sc.expandPoints(quick, &points, &err)) {
+    std::shared_ptr<const GridTable> grid;
+    if (!sc.expandGrid(quick, &grid, &err)) {
         std::fprintf(stderr, "mispsim: %s\n", err.c_str());
         return 1;
     }
@@ -577,26 +574,24 @@ main(int argc, char **argv)
     // indices so snapshots and fault plans compose unchanged.
     ShardHeader shardHeader;
     if (sharded) {
-        shardHeader = makeShardHeader(sc, quick, shard, points);
-        std::vector<ScenarioPoint> owned;
-        owned.reserve(shardHeader.indices.size());
-        for (std::size_t g : shardHeader.indices)
-            owned.push_back(points[g]);
-        points.swap(owned);
+        shardHeader = makeShardHeader(sc, quick, shard, *grid);
         out.shard = &shardHeader;
     }
+    std::vector<std::uint32_t> combos = shardCombos(shard, grid->combos());
 
     if (dryRun) {
         std::printf("scenario %s: %zu point(s)\n", sc.name.c_str(),
-                    points.size());
-        for (const ScenarioPoint &pt : points) {
-            std::printf("  %-10s %-18s competitors=%u",
-                        pt.machine.name.c_str(),
-                        pt.workload.name.c_str(), pt.competitors);
-            std::string coords = pt.coords.str();
-            if (!coords.empty())
-                std::printf("  [%s]", coords.c_str());
-            std::printf("\n");
+                    combos.size() * grid->machines.size());
+        for (std::uint32_t combo : combos) {
+            for (const std::string &machine : grid->machines) {
+                std::printf("  %-10s %-18s competitors=%u", machine.c_str(),
+                            grid->workloadAt(combo).c_str(),
+                            grid->competitorsAt(combo));
+                const std::string coords = grid->label(combo);
+                if (!coords.empty())
+                    std::printf("  [%s]", coords.c_str());
+                std::printf("\n");
+            }
         }
         return 0;
     }
@@ -649,48 +644,34 @@ main(int argc, char **argv)
     opts.traceSkip = traceSkip;
     if (runLogFile.is_open())
         opts.runLog = &runLog;
-    opts.pointIndices = shardHeader.indices;
     ScenarioRunner runner(opts);
     const bool showProgress = progressFlag || !pointsOnly;
-    std::vector<PointResult> results =
-        runner.runAll(sc, points, showProgress ? &std::cerr : nullptr);
+    const Sweep sweep = runner.run(sc, grid, std::move(combos),
+                                   showProgress ? &std::cerr : nullptr,
+                                   sharded);
 
     if (!tracePath.empty() &&
         !writeArtifact(tracePath, [&](std::ostream &os) {
             // Each point's label (coordinates only, identical across
             // engines and execution backends) is formed as it is
             // written.
-            obs::writeChromeTrace(os, results.size(), [&](std::size_t i) {
-                const PointCoords &c = results[i].coords;
-                std::string label = c.machine() + ":" + c.workload();
-                if (!c.empty())
-                    label += " " + c.str();
-                return obs::TracePoint{std::move(label),
-                                       &results[i].run.trace};
+            const harness::MetricFrame &frame = sweep.frame;
+            obs::writeChromeTrace(os, frame.numRows(), [&](std::size_t r) {
+                std::string label = frame.machine(r) + ":" + frame.workload(r);
+                const std::string coords =
+                    frame.grid().label(frame.combo(frame.groupOf(r)));
+                if (!coords.empty())
+                    label += " " + coords;
+                return obs::TracePoint{std::move(label), &sweep.traces[r]};
             });
         }))
         return 1;
 
-    if (!profilePath.empty()) {
-        if (!writeArtifact(profilePath, [&](std::ostream &os) {
-                obs::writeProfileJson(os, results.size(), [&](std::size_t i) {
-                    const harness::RunRecord &run = results[i].run;
-                    obs::PointProfile p;
-                    p.engine = cpu::engineName(
-                        forceEngine ? engine : points[i].machine.engine);
-                    p.phases = run.phases;
-                    p.hostSeconds = run.hostSeconds;
-                    p.hostMips = run.hostMips;
-                    p.instsRetired = run.instsRetired;
-                    p.reused = run.reusedFrom != harness::kSimulated;
-                    return p;
-                });
-            }))
-            return 1;
-    }
+    if (!profilePath.empty() &&
+        !writeArtifact(profilePath, [&](std::ostream &os) {
+            runner.profile().writeJson(os);
+        }))
+        return 1;
 
-    // The points are not needed past the run: release them before the
-    // frame is built, so the two are never alive together.
-    std::vector<ScenarioPoint>().swap(points);
-    return finishSweep(sc, results, out);
+    return finishSweep(sc, sweep, out);
 }
