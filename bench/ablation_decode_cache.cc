@@ -226,6 +226,34 @@ compareKernel(const std::string &name, const std::string &src,
     return r;
 }
 
+/** Locate the checked-in spec @p name (driver::findScenarioFile), load
+ *  it, and run every point of its grid ([quick] overrides applied when
+ *  @p quick). On failure, prints a diagnostic and returns false. */
+bool
+runSpec(const std::string &name, const char *argv0, bool quick,
+        driver::Scenario *sc, std::vector<driver::PointResult> *results)
+{
+    const std::string path = driver::findScenarioFile(name, argv0);
+    if (path.empty()) {
+        std::fprintf(stderr,
+                     "ablation_decode_cache: scenario '%s' not found (run "
+                     "from the repo root)\n",
+                     name.c_str());
+        return false;
+    }
+    driver::SpecFile spec;
+    std::vector<driver::ScenarioPoint> grid;
+    std::string err;
+    if (!driver::SpecFile::parseFile(path, &spec, &err) ||
+        !driver::Scenario::fromSpec(spec, sc, &err) ||
+        !sc->expandPoints(quick, &grid, &err)) {
+        std::fprintf(stderr, "ablation_decode_cache: %s\n", err.c_str());
+        return false;
+    }
+    *results = driver::ScenarioRunner().runAll(*sc, grid);
+    return true;
+}
+
 } // namespace
 
 int
@@ -252,13 +280,10 @@ main(int argc, char **argv)
     // asserts also pin the bit-identity contract.
     driver::Scenario sc;
     std::vector<driver::PointResult> grid;
-    driver::RunnerOptions opts;
     // Deliberately NOT honoring --engine here: the spec's machine pair
     // pins one engine per leg, and the global override would silently
     // collapse the A/B onto one engine.
-    if (!driver::runScenarioByName("ablation_decode_cache.scn", argv[0],
-                                   quick, opts, "ablation_decode_cache",
-                                   &sc, &grid))
+    if (!runSpec("ablation_decode_cache.scn", argv[0], quick, &sc, &grid))
         return 1;
     bool fullIdentical = false;
     {

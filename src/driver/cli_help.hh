@@ -1,11 +1,12 @@
 /**
  * @file
  * The `mispsim` CLI surface as data: one registry of flags and one of
- * exit codes, from which the --help text is *rendered*. Keeping the
- * help a projection of the registries (instead of a hand-maintained
- * string) means a flag added to the parser but not the registry — or
- * vice versa — is caught by tests/test_trace.cc's help audit, and the
- * exit-code table exists in exactly one place.
+ * exit codes, from which the --help text is *rendered*, so the help
+ * cannot drift from the registries and the exit-code table exists in
+ * exactly one place. tests/test_trace.cc's help audit reads the flag
+ * literals tools/mispsim.cc's parser matches and compares them with
+ * the registry both ways: a flag added to the parser but not the
+ * registry, or the reverse, fails it.
  */
 
 #ifndef MISP_DRIVER_CLI_HELP_HH

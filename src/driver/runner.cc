@@ -207,9 +207,9 @@ makeRunRequest(const Scenario &sc, const ScenarioPoint &pt,
     req.label = sc.name + "_" + pt.machine.name + "_" + pt.workload.name;
     if (pt.competitors)
         req.label += "_+" + std::to_string(pt.competitors);
-    req.config = pt.machine.toSystemConfig();
-    if (opts.forceEngine)
-        req.config.misp.engine = opts.engine;
+    req.config = pt.machine.config;
+    if (opts.engine)
+        req.config.misp.engine = *opts.engine;
     req.backend = pt.machine.backend;
     req.target = {pt.workload.name, pt.workload.params};
     for (const WorkloadSpec &bg : pt.background)
@@ -616,20 +616,6 @@ ScenarioRunner::sweepIsolated(const Scenario &sc, SweepSink &sink,
     // crosses the process boundary.
     const std::size_t n = sink.size();
 
-    // Resolve supervision knobs: explicit CLI values override the
-    // scenario's [run] defaults.
-    const std::uint64_t deadlineMs =
-        opts_.deadlineMs >= 0 ? static_cast<std::uint64_t>(opts_.deadlineMs)
-                              : sc.pointDeadlineMs;
-    const unsigned retries = opts_.retries >= 0
-                                 ? static_cast<unsigned>(opts_.retries)
-                                 : sc.retries;
-    const unsigned backoffMs =
-        opts_.backoffMs >= 0 ? static_cast<unsigned>(opts_.backoffMs)
-                             : sc.retryBackoffMs;
-    FaultPlan plan = sc.faults;
-    plan.merge(opts_.faults);
-
     // A worker SIGKILLed mid-write (deadline expiry) leaves the parent
     // holding a half-open pipe; conversely a dying parent must not let
     // a worker's write turn into a fatal SIGPIPE in either process.
@@ -667,9 +653,9 @@ ScenarioRunner::sweepIsolated(const Scenario &sc, SweepSink &sink,
                                harness::RunRecord rec,
                                double wallMs = -1.0) {
         if (harness::runStatusIsInfraFailure(rec.status) &&
-            attempt <= retries) {
+            attempt <= sc.retries) {
             const auto delay = std::chrono::milliseconds(
-                static_cast<std::uint64_t>(backoffMs)
+                static_cast<std::uint64_t>(sc.retryBackoffMs)
                 << (attempt - 1));
             if (opts_.runLog) {
                 obs::RunLogEntry e;
@@ -693,10 +679,9 @@ ScenarioRunner::sweepIsolated(const Scenario &sc, SweepSink &sink,
             rec.note = "gave up after " + std::to_string(attempt) +
                        " attempts: " + rec.note;
         ++done;
-        profile_.add(profileOf(opts_.forceEngine
-                                   ? opts_.engine
-                                   : sink.point(index).machine.engine,
-                               rec));
+        const cpu::Engine engine = opts_.engine.value_or(
+            sink.point(index).machine.config.misp.engine);
+        profile_.add(profileOf(engine, rec));
         if (progress)
             progressLine(*progress, done, n, sink.coords(index), rec);
         sink.finish(index, std::move(rec));
@@ -721,7 +706,7 @@ ScenarioRunner::sweepIsolated(const Scenario &sc, SweepSink &sink,
         // kinds (fork_fail) never spawn at all.
         const std::size_t global = gridIndex(sink.coords(index));
         FaultKind fault{};
-        const bool faulted = plan.faultFor(global, attempt, &fault);
+        const bool faulted = sc.faults.faultFor(global, attempt, &fault);
         if (faulted && fault == FaultKind::ForkFail) {
             logDispatch(-1);
             completeOrRetry(index, attempt,
@@ -803,9 +788,10 @@ ScenarioRunner::sweepIsolated(const Scenario &sc, SweepSink &sink,
         w.index = index;
         w.attempt = attempt;
         w.started = SupervisorClock::now();
-        if (deadlineMs > 0) {
+        if (sc.pointDeadlineMs > 0) {
             w.hasDeadline = true;
-            w.deadline = w.started + std::chrono::milliseconds(deadlineMs);
+            w.deadline =
+                w.started + std::chrono::milliseconds(sc.pointDeadlineMs);
         }
         live.push_back(std::move(w));
     };
@@ -832,7 +818,7 @@ ScenarioRunner::sweepIsolated(const Scenario &sc, SweepSink &sink,
         if (w.timedOut) {
             rec = failRecord(harness::RunStatus::WorkerTimeout,
                              "worker exceeded " +
-                                 std::to_string(deadlineMs) +
+                                 std::to_string(sc.pointDeadlineMs) +
                                  "ms deadline");
         } else if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
             rec = failRecord(
@@ -1231,32 +1217,6 @@ findScenarioFile(const std::string &nameOrPath, const char *argv0)
             return p.string();
     }
     return "";
-}
-
-bool
-runScenarioByName(const std::string &nameOrPath, const char *argv0,
-                  bool quick, const RunnerOptions &opts, const char *tool,
-                  Scenario *sc, std::vector<PointResult> *results)
-{
-    std::string path = findScenarioFile(nameOrPath, argv0);
-    if (path.empty()) {
-        std::fprintf(stderr,
-                     "%s: scenario '%s' not found (run from the repo "
-                     "root)\n",
-                     tool, nameOrPath.c_str());
-        return false;
-    }
-    SpecFile spec;
-    std::vector<ScenarioPoint> grid;
-    std::string err;
-    if (!SpecFile::parseFile(path, &spec, &err) ||
-        !Scenario::fromSpec(spec, sc, &err) ||
-        !sc->expandPoints(quick, &grid, &err)) {
-        std::fprintf(stderr, "%s: %s\n", tool, err.c_str());
-        return false;
-    }
-    *results = ScenarioRunner(opts).runAll(*sc, grid);
-    return true;
 }
 
 } // namespace misp::driver

@@ -26,6 +26,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,9 +83,9 @@ PointResult unmeasuredResult(const ScenarioPoint &pt);
 
 struct RunnerOptions {
     /** Force one host execution engine on every machine, overriding
-     *  the scenario's `engine` knob (--engine=ref|superblock). */
-    bool forceEngine = false;
-    cpu::Engine engine = cpu::Engine::Superblock;
+     *  the scenario's `engine` knob (--engine=ref|superblock); unset,
+     *  each machine runs its own. */
+    std::optional<cpu::Engine> engine;
     /** Capture a full stats::StatGroup JSON dump per point. */
     bool fullStats = false;
     /** Emit the uniform HOST throughput line per run on stderr. */
@@ -106,29 +107,11 @@ struct RunnerOptions {
      *  RunRecord back over a pipe. Submission-order results and
      *  byte-identical artifacts, like the thread pool — but a point
      *  that crashes its worker is recorded as
-     *  RunStatus::WorkerCrashed instead of taking the sweep down. */
+     *  RunStatus::WorkerCrashed instead of taking the sweep down.
+     *  The workers are supervised as the scenario says: its
+     *  pointDeadlineMs, retries, retryBackoffMs and faults, which
+     *  mispsim's --deadline, --retries, --backoff and --inject set. */
     bool isolate = false;
-
-    // Supervision knobs for the --isolate backend. The -1 sentinels
-    // mean "use the scenario's [run] defaults"; an explicit CLI value
-    // overrides the spec.
-
-    /** Wall-clock deadline per worker attempt in ms (--deadline). A
-     *  worker that exceeds it is SIGKILLed and its point recorded as
-     *  RunStatus::WorkerTimeout. 0 = no deadline. */
-    std::int64_t deadlineMs = -1;
-    /** Extra launches after a transient failure — worker crash,
-     *  timeout, or snapshot error — before the point is given up
-     *  (--retries). 0 = fail on first attempt. */
-    int retries = -1;
-    /** Base relaunch delay in ms (--backoff); attempt k is delayed
-     *  backoff * 2^(k-1) ms (deterministic exponential backoff). */
-    int backoffMs = -1;
-
-    /** Deterministic fault-injection plan (--inject); merged over the
-     *  scenario's [faults] schedule (the CLI seed wins). Only honored
-     *  by the --isolate backend — faults are worker misbehaviors. */
-    FaultPlan faults;
 
     /** Directory to write one warmup image per grid point into
      *  (--save-snapshot): each point warms up for the scenario's
@@ -307,17 +290,6 @@ void writeMetricsJson(std::ostream &os, const Scenario &sc,
  */
 std::string findScenarioFile(const std::string &nameOrPath,
                              const char *argv0);
-
-/**
- * The bench entry point for a checked-in spec: locate @p nameOrPath (per
- * findScenarioFile), parse + validate + expand the grid (applying
- * [quick] overrides when @p quick), and run every point. On failure,
- * prints a "@p tool: ..." diagnostic to stderr and returns false.
- */
-bool runScenarioByName(const std::string &nameOrPath, const char *argv0,
-                       bool quick, const RunnerOptions &opts,
-                       const char *tool, Scenario *sc,
-                       std::vector<PointResult> *results);
 
 } // namespace misp::driver
 

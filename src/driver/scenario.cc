@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string_view>
+#include <type_traits>
 #include <unordered_set>
 
 #include "sim/logging.hh"
@@ -12,22 +13,46 @@ namespace misp::driver {
 // MachineSpec
 // ---------------------------------------------------------------------
 
-arch::SystemConfig
-MachineSpec::toSystemConfig() const
+namespace {
+
+/** Parse @p v, a [machine] value of kind @p K, into the config field
+ *  @p out; false when @p v is not one. */
+template <KnobKind K, class T>
+bool
+parseKnob(const std::string &v, T &out)
 {
-    arch::SystemConfig sys = arch::SystemConfig::mp(amsPerProcessor);
-    sys.misp.engine = engine;
-    sys.misp.signalCycles = signalCycles;
-    sys.misp.contextXferCycles = contextXferCycles;
-    sys.misp.sliceLimit = sliceLimit;
-    sys.misp.serialization = serialization;
-    sys.physFrames = physFrames;
-    sys.kernel.timerPeriod = timerPeriod;
-    sys.kernel.deviceIrqMeanPeriod = deviceIrqMeanPeriod;
-    sys.kernel.quantumTicks = quantumTicks;
-    sys.kernel.rngSeed = kernelSeed;
-    return sys;
+    if constexpr (K == KnobKind::Count && std::is_same_v<T, std::uint64_t>) {
+        return parseU64(v, &out);
+    } else if constexpr (K == KnobKind::Count) {
+        static_assert(std::is_same_v<T, unsigned>);
+        return parseUnsigned(v, &out);
+    } else if constexpr (K == KnobKind::Policy) {
+        if (v == "suspend_all")
+            out = arch::SerializationPolicy::SuspendAll;
+        else if (v == "speculative_monitor")
+            out = arch::SerializationPolicy::SpeculativeMonitor;
+        else
+            return false;
+        return true;
+    } else if constexpr (K == KnobKind::AmsList) {
+        std::vector<unsigned> counts;
+        for (const std::string &tok : splitList(v)) {
+            unsigned n = 0;
+            if (!parseUnsigned(tok, &n))
+                return false;
+            counts.push_back(n);
+        }
+        if (counts.empty())
+            return false;
+        out = std::move(counts);
+        return true;
+    } else {
+        static_assert(K == KnobKind::Fixed);
+        return false;
+    }
 }
+
+} // namespace
 
 bool
 MachineSpec::apply(const std::string &key, const std::string &value,
@@ -39,24 +64,19 @@ MachineSpec::apply(const std::string &key, const std::string &value,
         return false;
     };
 
-    if (key == "processors") {
-        std::vector<unsigned> counts;
-        for (const std::string &tok : splitList(value)) {
-            unsigned v = 0;
-            if (!parseUnsigned(tok, &v))
-                return bad("a comma list of AMS counts");
-            counts.push_back(v);
-        }
-        if (counts.empty())
-            return bad("a comma list of AMS counts");
-        amsPerProcessor = std::move(counts);
-        return true;
-    }
+    // The tracked-field table's settable rows (sim/config_reads.hh).
+#define MISP_TABLE_KNOB(en, name, owner, member, kind, expect)            \
+    if (KnobKind::kind != KnobKind::Fixed && key == name)                 \
+        return parseKnob<KnobKind::kind>(                                 \
+                   value, arch::configPart<owner>(config).member) ||      \
+               bad(expect);
+    MISP_CONFIG_FIELDS(MISP_TABLE_KNOB)
+#undef MISP_TABLE_KNOB
     if (key == "ams") {
         unsigned v = 0;
         if (!parseUnsigned(value, &v))
             return bad("an AMS count");
-        amsPerProcessor = {v};
+        config.amsPerProcessor = {v};
         return true;
     }
     if (key == "backend") {
@@ -69,34 +89,8 @@ MachineSpec::apply(const std::string &key, const std::string &value,
         return true;
     }
     if (key == "engine")
-        return cpu::parseEngineName(value, &engine) ||
+        return cpu::parseEngineName(value, &config.misp.engine) ||
                bad("'ref' or 'superblock'");
-    if (key == "signal_cycles")
-        return parseU64(value, &signalCycles) || bad("a cycle count");
-    if (key == "context_xfer_cycles")
-        return parseU64(value, &contextXferCycles) || bad("a cycle count");
-    if (key == "slice_limit")
-        return parseUnsigned(value, &sliceLimit) || bad("an integer");
-    if (key == "serialization") {
-        if (value == "suspend_all")
-            serialization = arch::SerializationPolicy::SuspendAll;
-        else if (value == "speculative_monitor")
-            serialization = arch::SerializationPolicy::SpeculativeMonitor;
-        else
-            return bad("'suspend_all' or 'speculative_monitor'");
-        return true;
-    }
-    if (key == "phys_frames")
-        return parseU64(value, &physFrames) || bad("a frame count");
-    if (key == "timer_period")
-        return parseU64(value, &timerPeriod) || bad("a tick count");
-    if (key == "device_irq_mean_period")
-        return parseU64(value, &deviceIrqMeanPeriod) ||
-               bad("a tick count (0 disables device IRQs)");
-    if (key == "quantum_ticks")
-        return parseUnsigned(value, &quantumTicks) || bad("an integer");
-    if (key == "kernel_seed")
-        return parseU64(value, &kernelSeed) || bad("an integer seed");
     if (key == "pin_min_ams")
         return parseUnsigned(value, &pinMinAms) || bad("an AMS count");
     if (key == "ideal_placement")
@@ -306,7 +300,7 @@ resolvePoint(const Scenario &sc, const PointCoords &coords, bool validate,
             ok = pt->workload.apply(key.substr(9), value, &msg);
         } else { // machine.<knob>
             ok = pt->machine.apply(key.substr(8), value, &msg) &&
-                 (!validate || pt->machine.toSystemConfig().validate(&msg));
+                 (!validate || pt->machine.config.validate(&msg));
         }
         if (!ok)
             return fail(err, sc.specPath, axes[i].line, msg);
@@ -353,7 +347,7 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
             for (const SpecEntry &e : sec.entries) {
                 std::string msg;
                 if (!m.apply(e.key, e.value, &msg) ||
-                    !m.toSystemConfig().validate(&msg))
+                    !m.config.validate(&msg))
                     return fail(err, spec.path, e.line, msg);
             }
             out->machines.push_back(std::move(m));

@@ -40,17 +40,14 @@
  *                         `max_events` (ring bound; overflow counts
  *                         into the drop counter)
  *
- * Machine knobs: `processors` (comma list of per-processor AMS counts)
- * or `ams` (uniprocessor shorthand), `backend` (shred|os),
- * `engine` (ref|superblock), `signal_cycles`,
- * `context_xfer_cycles`,
- * `slice_limit`, `serialization` (suspend_all|speculative_monitor),
- * `phys_frames`, the OS-model cadence knobs `timer_period`,
- * `device_irq_mean_period` (0 disables device IRQs — a deterministic
- * event mix), `quantum_ticks`, `kernel_seed`, and the Figure-7
- * placement policy: `pin_min_ams` (pin the target to processors with
- * at least that many AMSs; 0 = no pinning) and `ideal_placement`
- * (keep competitors off those processors).
+ * Machine knobs: every settable row of the tracked-field table
+ * (MISP_CONFIG_FIELDS in sim/config_reads.hh, which names each key,
+ * its value syntax and its diagnostic), plus `ams` (uniprocessor
+ * shorthand for `processors`), `backend` (shred|os), `engine`
+ * (ref|superblock), and the Figure-7 placement policy: `pin_min_ams`
+ * (pin the target to processors with at least that many AMSs; 0 = no
+ * pinning) and `ideal_placement` (keep competitors off those
+ * processors).
  *
  * Sweep axis keys: `workload.<param>` (name/workers/scale/prefault/
  * seed, or a per-workload knob `workload.param.<key>`; `workload.name`
@@ -84,27 +81,13 @@
 
 namespace misp::driver {
 
-/** One grid-axis machine: topology + per-processor knobs + placement. */
+/** One grid-axis machine: its config, runtime backend and placement. */
 struct MachineSpec {
     std::string name = "machine";
-    std::vector<unsigned> amsPerProcessor{7};
+    /** The machine a section describes: topology, the tracked knobs
+     *  and the host engine (`engine = ref|superblock`). */
+    arch::SystemConfig config;
     rt::Backend backend = rt::Backend::Shred;
-    /** Host execution engine (`engine = ref|superblock`). */
-    cpu::Engine engine = cpu::Engine::Superblock;
-    Cycles signalCycles = 5000;
-    Cycles contextXferCycles = 150;
-    unsigned sliceLimit = 32;
-    arch::SerializationPolicy serialization =
-        arch::SerializationPolicy::SuspendAll;
-    std::uint64_t physFrames = 1ull << 18;
-
-    // OS-model knobs (defaults match os::KernelConfig). Exposed so the
-    // event-mix ablations can pin the interrupt cadence from the spec
-    // (e.g. `device_irq_mean_period = 0` for a deterministic mix).
-    Tick timerPeriod = os::KernelConfig{}.timerPeriod;
-    Tick deviceIrqMeanPeriod = os::KernelConfig{}.deviceIrqMeanPeriod;
-    unsigned quantumTicks = os::KernelConfig{}.quantumTicks;
-    std::uint64_t kernelSeed = os::KernelConfig{}.rngSeed;
 
     /** Pin the target to processors with >= this many AMSs (0 = load
      *  with no affinity, the kernel schedules freely). */
@@ -112,9 +95,6 @@ struct MachineSpec {
     /** Pin competitors to the processors the target is *not* pinned to
      *  (Figure 7's "ideal" placement). No-op when no such CPU exists. */
     bool idealPlacement = false;
-
-    /** Build the arch config this spec describes. */
-    arch::SystemConfig toSystemConfig() const;
 
     /** Apply one `key = value` knob. False + @p err on unknown key or
      *  bad value. */

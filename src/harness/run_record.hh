@@ -127,32 +127,20 @@ std::uint64_t hashConfigFields(const arch::SystemConfig &config,
                                ConfigMask mask);
 
 /** Call @p fn with an accessor from a (const or mutable) SystemConfig
- *  to its field @p f: the one map from ConfigField to member path. */
+ *  to its field @p f: the map from ConfigField to member path, made
+ *  from the table's owner and member columns (sim/config_reads.hh). */
 template <class Fn>
 void
 visitConfigField(ConfigField f, Fn &&fn)
 {
     switch (f) {
-#define MISP_CONFIG_PATH(en, path)                                         \
+#define MISP_CONFIG_PATH(en, name, owner, member, ...)                    \
       case ConfigField::en:                                             \
-        fn([](auto &c) -> auto & { return c.path; });                    \
+        fn([](auto &c) -> auto & {                                      \
+            return arch::configPart<owner>(c).member;                   \
+        });                                                             \
         return;
-      MISP_CONFIG_PATH(Processors, amsPerProcessor)
-      MISP_CONFIG_PATH(PhysFrames, physFrames)
-      MISP_CONFIG_PATH(SignalCycles, misp.signalCycles)
-      MISP_CONFIG_PATH(ContextXferCycles, misp.contextXferCycles)
-      MISP_CONFIG_PATH(Serialization, misp.serialization)
-      MISP_CONFIG_PATH(SliceLimit, misp.sliceLimit)
-      MISP_CONFIG_PATH(SyscallBase, kernel.syscallBase)
-      MISP_CONFIG_PATH(WritePerByte, kernel.writePerByte)
-      MISP_CONFIG_PATH(PageFaultService, kernel.pageFaultService)
-      MISP_CONFIG_PATH(TimerService, kernel.timerService)
-      MISP_CONFIG_PATH(DeviceIrqService, kernel.deviceIrqService)
-      MISP_CONFIG_PATH(CtxSwitch, kernel.ctxSwitch)
-      MISP_CONFIG_PATH(TimerPeriod, kernel.timerPeriod)
-      MISP_CONFIG_PATH(QuantumTicks, kernel.quantumTicks)
-      MISP_CONFIG_PATH(DeviceIrqMeanPeriod, kernel.deviceIrqMeanPeriod)
-      MISP_CONFIG_PATH(KernelSeed, kernel.rngSeed)
+      MISP_CONFIG_FIELDS(MISP_CONFIG_PATH)
 #undef MISP_CONFIG_PATH
       case ConfigField::NumFields:
         break;

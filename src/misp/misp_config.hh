@@ -56,20 +56,15 @@ struct MispConfig {
     cpu::Engine engine = cpu::Engine::Superblock;
 };
 
-/** The ConfigField each tracked MispConfig member is. numAms is the
- *  machine's per-processor AMS count (SystemConfig::amsPerProcessor). */
+/** The ConfigField each tracked MispConfig member is: its table row
+ *  (sim/config_reads.hh), or Processors for numAms, the machine's
+ *  per-processor AMS count (SystemConfig::amsPerProcessor). */
 template <class T>
 consteval ConfigField
 trackedField(T MispConfig::*m)
 {
-    using F = ConfigField;
-    using M = MispConfig;
-    return sameMember(m, &M::numAms)              ? F::Processors
-           : sameMember(m, &M::signalCycles)      ? F::SignalCycles
-           : sameMember(m, &M::contextXferCycles) ? F::ContextXferCycles
-           : sameMember(m, &M::serialization)     ? F::Serialization
-           : sameMember(m, &M::sliceLimit)        ? F::SliceLimit
-           : throw "MispConfig member without a ConfigField";
+    return sameMember(m, &MispConfig::numAms) ? ConfigField::Processors
+                                              : tableField(m);
 }
 
 } // namespace misp::arch

@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "misp/misp_processor.hh"
@@ -55,17 +56,40 @@ struct SystemConfig {
     bool validate(std::string *err) const;
 };
 
-/** The ConfigField each tracked SystemConfig member is; the misp and
- *  kernel members bind their own (misp_config.hh, os/kernel.hh). */
+/** The ConfigField each tracked SystemConfig member is: its table
+ *  row (sim/config_reads.hh). The misp and kernel members bind their
+ *  own (misp_config.hh, os/kernel.hh). */
 template <class T>
 consteval ConfigField
 trackedField(T SystemConfig::*m)
 {
-    using F = ConfigField;
-    return sameMember(m, &SystemConfig::amsPerProcessor) ? F::Processors
-           : sameMember(m, &SystemConfig::physFrames)    ? F::PhysFrames
-           : throw "SystemConfig member without a ConfigField";
+    return tableField(m);
 }
+
+/** The part of machine config @p c (const or not) that is a @p Part:
+ *  @p c itself, its misp knobs or its kernel knobs. A table row's
+ *  owner column names one. */
+template <class Part, class Config>
+constexpr auto &
+configPart(Config &c)
+{
+    if constexpr (std::is_same_v<Part, MispConfig>)
+        return c.misp;
+    else if constexpr (std::is_same_v<Part, os::KernelConfig>)
+        return c.kernel;
+    else {
+        static_assert(std::is_same_v<Part, SystemConfig>);
+        return c;
+    }
+}
+
+// tableField() matches rows by member name; each row must bind the
+// member of the owner it names.
+#define MISP_CONFIG_FIELD_OWNED(en, name, owner, member, ...)             \
+    static_assert(trackedField(&owner::member) == ConfigField::en,        \
+                  #owner "::" #member " binds another row");
+MISP_CONFIG_FIELDS(MISP_CONFIG_FIELD_OWNED)
+#undef MISP_CONFIG_FIELD_OWNED
 
 /** The simulated machine. */
 class MispSystem : public os::KernelClient

@@ -70,24 +70,13 @@ struct KernelConfig {
     std::uint64_t rngSeed = 12345; ///< device-IRQ arrival draws
 };
 
-/** The ConfigField each KernelConfig member is tracked as. */
+/** The ConfigField each KernelConfig member is tracked as: its table
+ *  row (sim/config_reads.hh). */
 template <class T>
 consteval ConfigField
 trackedField(T KernelConfig::*m)
 {
-    using F = ConfigField;
-    using K = KernelConfig;
-    return sameMember(m, &K::syscallBase)           ? F::SyscallBase
-           : sameMember(m, &K::writePerByte)        ? F::WritePerByte
-           : sameMember(m, &K::pageFaultService)    ? F::PageFaultService
-           : sameMember(m, &K::timerService)        ? F::TimerService
-           : sameMember(m, &K::deviceIrqService)    ? F::DeviceIrqService
-           : sameMember(m, &K::ctxSwitch)           ? F::CtxSwitch
-           : sameMember(m, &K::timerPeriod)         ? F::TimerPeriod
-           : sameMember(m, &K::quantumTicks)        ? F::QuantumTicks
-           : sameMember(m, &K::deviceIrqMeanPeriod) ? F::DeviceIrqMeanPeriod
-           : sameMember(m, &K::rngSeed)             ? F::KernelSeed
-           : throw "KernelConfig member without a ConfigField";
+    return tableField(m);
 }
 
 /** Decision returned by a kernel entry point; the CPU driver applies it. */

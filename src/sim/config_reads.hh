@@ -12,12 +12,12 @@
  * field the first one read (driver/runner.cc). Marking a field read
  * when it was not is safe (a lost reuse); missing a real read is not.
  *
- * Each config struct binds its members to fields with a consteval
- * trackedField() overload next to its declaration; reading a member
- * that has no binding does not compile. misplint's config-raw-read
- * rule keeps raw member reads of the config structs out of the
- * simulated dirs (the snapshot archive, which reads every field,
- * excepted).
+ * MISP_CONFIG_FIELDS below is the one declaration of the tracked
+ * fields. Each config struct's trackedField() overload binds its
+ * members through the table (tableField), so reading a member that no
+ * row names does not compile. misplint's config-raw-read rule keeps
+ * raw member reads of the config structs out of the simulated dirs
+ * (the snapshot archive, which reads every field, excepted).
  */
 
 #ifndef MISP_SIM_CONFIG_READS_HH
@@ -29,35 +29,74 @@
 
 namespace misp {
 
-/** The tracked fields, in bit order: enumerator and name (the spec key
- *  where a [machine] knob sets it). */
+/** How a [machine] section sets a tracked field. */
+enum class KnobKind : std::uint8_t {
+    Fixed,   ///< no spec key sets it
+    Count,   ///< an unsigned integer of the member's width
+    Policy,  ///< an arch::SerializationPolicy name
+    AmsList, ///< a comma list of per-processor AMS counts
+};
+
+/**
+ * The tracked fields, in bit order, one row each:
+ *
+ *   X(enumerator, name, owner, member, kind, expect)
+ *
+ * The owner is the config struct that holds the field (named from
+ * namespace misp) and the member is its data member. The name is the
+ * [machine] spec key unless the kind is Fixed: the six kernel costs
+ * are no spec key, so their names only label the field (test
+ * failures, read-mask dumps). A bad value for a knob is diagnosed as
+ * "<name>: expected <expect>, got '<value>'".
+ *
+ * The rows are expanded where their owners are visible: the
+ * trackedField() bindings (tableField below; misp_system.hh checks
+ * each row's owner), the path map (harness::visitConfigField) and the
+ * [machine] parser (driver::MachineSpec::apply). The snapshot archive
+ * names every field by hand: it is the image layout.
+ */
 #define MISP_CONFIG_FIELDS(X)                                            \
-    X(Processors,          "processors")                                 \
-    X(PhysFrames,          "phys_frames")                                \
-    X(SignalCycles,        "signal_cycles")                              \
-    X(ContextXferCycles,   "context_xfer_cycles")                        \
-    X(Serialization,       "serialization")                              \
-    X(SliceLimit,          "slice_limit")                                \
-    X(SyscallBase,         "syscall_base")                               \
-    X(WritePerByte,        "write_per_byte")                             \
-    X(PageFaultService,    "page_fault_service")                         \
-    X(TimerService,        "timer_service")                              \
-    X(DeviceIrqService,    "device_irq_service")                         \
-    X(CtxSwitch,           "ctx_switch")                                 \
-    X(TimerPeriod,         "timer_period")                               \
-    X(QuantumTicks,        "quantum_ticks")                              \
-    X(DeviceIrqMeanPeriod, "device_irq_mean_period")                     \
-    X(KernelSeed,          "kernel_seed")
+    X(Processors, "processors", arch::SystemConfig, amsPerProcessor,      \
+      AmsList, "a comma list of AMS counts")                             \
+    X(PhysFrames, "phys_frames", arch::SystemConfig, physFrames, Count,   \
+      "a frame count")                                                   \
+    X(SignalCycles, "signal_cycles", arch::MispConfig, signalCycles,      \
+      Count, "a cycle count")                                            \
+    X(ContextXferCycles, "context_xfer_cycles", arch::MispConfig,         \
+      contextXferCycles, Count, "a cycle count")                         \
+    X(Serialization, "serialization", arch::MispConfig, serialization,    \
+      Policy, "'suspend_all' or 'speculative_monitor'")                  \
+    X(SliceLimit, "slice_limit", arch::MispConfig, sliceLimit, Count,     \
+      "an integer")                                                      \
+    X(SyscallBase, "syscall_base", os::KernelConfig, syscallBase, Fixed,  \
+      "")                                                                \
+    X(WritePerByte, "write_per_byte", os::KernelConfig, writePerByte,     \
+      Fixed, "")                                                         \
+    X(PageFaultService, "page_fault_service", os::KernelConfig,           \
+      pageFaultService, Fixed, "")                                       \
+    X(TimerService, "timer_service", os::KernelConfig, timerService,      \
+      Fixed, "")                                                         \
+    X(DeviceIrqService, "device_irq_service", os::KernelConfig,           \
+      deviceIrqService, Fixed, "")                                       \
+    X(CtxSwitch, "ctx_switch", os::KernelConfig, ctxSwitch, Fixed, "")    \
+    X(TimerPeriod, "timer_period", os::KernelConfig, timerPeriod, Count,  \
+      "a tick count")                                                    \
+    X(QuantumTicks, "quantum_ticks", os::KernelConfig, quantumTicks,      \
+      Count, "an integer")                                               \
+    X(DeviceIrqMeanPeriod, "device_irq_mean_period", os::KernelConfig,    \
+      deviceIrqMeanPeriod, Count, "a tick count (0 disables device IRQs)") \
+    X(KernelSeed, "kernel_seed", os::KernelConfig, rngSeed, Count,        \
+      "an integer seed")
 
 enum class ConfigField : std::uint8_t {
-#define MISP_CONFIG_FIELD_ENUM(en, name) en,
+#define MISP_CONFIG_FIELD_ENUM(en, name, ...) en,
     MISP_CONFIG_FIELDS(MISP_CONFIG_FIELD_ENUM)
 #undef MISP_CONFIG_FIELD_ENUM
     NumFields
 };
 
 inline constexpr const char *kConfigFieldNames[] = {
-#define MISP_CONFIG_FIELD_NAME(en, name) name,
+#define MISP_CONFIG_FIELD_NAME(en, name, ...) name,
     MISP_CONFIG_FIELDS(MISP_CONFIG_FIELD_NAME)
 #undef MISP_CONFIG_FIELD_NAME
 };
@@ -92,8 +131,8 @@ class ConfigReads
 };
 
 /** Whether members @p a and @p b of one struct are the same member
- *  (false when their types differ): the comparison trackedField()
- *  bindings are written with. */
+ *  (false when their types differ): the comparison the trackedField()
+ *  bindings are made with. */
 template <class A, class B, class C>
 consteval bool
 sameMember(A C::*a, B C::*b)
@@ -102,6 +141,22 @@ sameMember(A C::*a, B C::*b)
         return a == b;
     else
         return false;
+}
+
+/** The ConfigField whose row names member @p m of @p Owner: the
+ *  binding each config struct's trackedField() overload returns. Rows
+ *  match by member name; a member no row names does not compile. */
+template <class Owner, class T>
+consteval ConfigField
+tableField(T Owner::*m)
+{
+#define MISP_CONFIG_FIELD_BIND(en, name, owner, member, ...)              \
+    if constexpr (requires { &Owner::member; })                          \
+        if (sameMember(m, &Owner::member))                               \
+            return ConfigField::en;
+    MISP_CONFIG_FIELDS(MISP_CONFIG_FIELD_BIND)
+#undef MISP_CONFIG_FIELD_BIND
+    throw "config member without a MISP_CONFIG_FIELDS row";
 }
 
 /** The one tracked accessor: @p config's @p Member, recorded in

@@ -263,7 +263,7 @@ TEST(GridScale, MachineBootAllocatesNothingPerCounter)
     const Scenario sc = loadScenario(kGridLarge);
     const std::vector<ScenarioPoint> pts = expand(sc, true);
     ASSERT_EQ(pts[1].machine.name, "misp");
-    const arch::SystemConfig config = pts[1].machine.toSystemConfig();
+    const arch::SystemConfig config = pts[1].machine.config;
     const rt::Backend backend = pts[1].machine.backend;
     auto boot = [&] { harness::Experiment exp(config, backend); };
     boot(); // the first boot also builds the process-wide stub library

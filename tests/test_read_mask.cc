@@ -180,7 +180,7 @@ TEST(ReadMask, UnreadFieldsLeaveTheRecordEqual)
                                      " workers=" + std::to_string(workers);
             const ConfigMask mask = probe(sc, pt, what);
             unsigned ams = 0;
-            for (unsigned n : pt.machine.amsPerProcessor)
+            for (unsigned n : pt.machine.config.amsPerProcessor)
                 ams += n;
             const bool signal = hasField(mask, ConfigField::SignalCycles);
             const bool xfer = hasField(mask, ConfigField::ContextXferCycles);

@@ -119,7 +119,6 @@ sweep(const Spec &spec, cpu::Engine engine, unsigned jobs, bool reuse)
     EXPECT_TRUE(sc.expandPoints(spec.quick, &pts, &err)) << err;
     RunnerOptions opts;
     opts.hostLines = false;
-    opts.forceEngine = true;
     opts.engine = engine;
     opts.jobs = jobs;
     opts.reuseRuns = reuse;

@@ -387,7 +387,7 @@ TEST(WorkloadStore, ThrowingPointReleasesWhatItTook)
     std::vector<ScenarioPoint> pts;
     std::string err;
     ASSERT_TRUE(sc.expandPoints(false, &pts, &err)) << err;
-    pts[3].machine.physFrames = 0;
+    pts[3].machine.config.physFrames = 0;
     for (unsigned jobs : {1u, 4u}) {
         ScenarioRunner::Options opts;
         opts.hostLines = false;

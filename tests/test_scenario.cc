@@ -12,7 +12,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "driver/runner.hh"
 #include "driver/scenario.hh"
@@ -21,6 +23,7 @@
 #include "point_fixtures.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
+#include "snapshot/snapshot.hh"
 #include "workloads/workload.hh"
 
 using namespace misp;
@@ -249,13 +252,122 @@ TEST(Scenario, MachineKnobsMapToSystemConfig)
     EXPECT_EQ(m.backend, rt::Backend::OsThread);
     EXPECT_EQ(m.pinMinAms, 3u);
     EXPECT_TRUE(m.idealPlacement);
-    arch::SystemConfig sys = m.toSystemConfig();
+    const arch::SystemConfig &sys = m.config;
     EXPECT_EQ(sys.amsPerProcessor, (std::vector<unsigned>{3, 0}));
     EXPECT_EQ(sys.misp.engine, cpu::Engine::Reference);
     EXPECT_EQ(sys.misp.signalCycles, 500u);
     EXPECT_EQ(sys.misp.sliceLimit, 8u);
     EXPECT_EQ(sys.misp.serialization,
               arch::SerializationPolicy::SpeculativeMonitor);
+}
+
+// ---------------------------------------------------------------------
+// Machine knobs: the tracked-field table, the parser and the image
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** @p v set to another value of its type. */
+template <class T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, std::vector<unsigned>>)
+        v.push_back(1);
+    else if constexpr (std::is_enum_v<T>)
+        v = static_cast<T>(1 - static_cast<int>(v));
+    else
+        ++v;
+}
+
+/** What a bad value of each settable table row is diagnosed as: the
+ *  messages of the hand-written parser the table replaced. */
+const std::map<std::string, std::string> kKnobExpects = {
+    {"processors", "a comma list of AMS counts"},
+    {"phys_frames", "a frame count"},
+    {"signal_cycles", "a cycle count"},
+    {"context_xfer_cycles", "a cycle count"},
+    {"serialization", "'suspend_all' or 'speculative_monitor'"},
+    {"slice_limit", "an integer"},
+    {"timer_period", "a tick count"},
+    {"quantum_ticks", "an integer"},
+    {"device_irq_mean_period", "a tick count (0 disables device IRQs)"},
+    {"kernel_seed", "an integer seed"},
+};
+
+/** A good non-default value for a knob of kind @p kind. */
+std::string
+knobValue(KnobKind kind)
+{
+    switch (kind) {
+      case KnobKind::Policy:
+        return "speculative_monitor";
+      case KnobKind::AmsList:
+        return "3,0";
+      default:
+        return "3";
+    }
+}
+
+} // namespace
+
+TEST(MachineKnobs, EveryTrackedFieldKeysTheImage)
+{
+    // The snapshot archive names each field by hand: perturbing any
+    // field through the table's path map must move configHash.
+    const std::uint64_t base = snap::configHash(harness::RunRequest{});
+    for (std::size_t i = 0; i < kNumConfigFields; ++i) {
+        harness::RunRequest req;
+        harness::visitConfigField(static_cast<ConfigField>(i),
+                                  [&](auto get) { perturb(get(req.config)); });
+        EXPECT_NE(snap::configHash(req), base) << kConfigFieldNames[i];
+    }
+}
+
+TEST(MachineKnobs, EachSettableRowSetsExactlyItsField)
+{
+    const KnobKind kinds[] = {
+#define MISP_KNOB_KIND(en, name, owner, member, kind, expect) KnobKind::kind,
+        MISP_CONFIG_FIELDS(MISP_KNOB_KIND)
+#undef MISP_KNOB_KIND
+    };
+    const arch::SystemConfig defaults;
+    std::size_t settable = 0;
+    for (std::size_t i = 0; i < kNumConfigFields; ++i) {
+        const std::string key = kConfigFieldNames[i];
+        if (kinds[i] == KnobKind::Fixed)
+            continue;
+        ++settable;
+        const ConfigMask bit = configBit(static_cast<ConfigField>(i));
+        MachineSpec m;
+        std::string err;
+        ASSERT_TRUE(m.apply(key, knobValue(kinds[i]), &err)) << err;
+        EXPECT_FALSE(harness::sameConfigFields(m.config, defaults, bit))
+            << key;
+        EXPECT_TRUE(harness::sameConfigFields(m.config, defaults,
+                                              kAllConfigFields & ~bit))
+            << key;
+        EXPECT_EQ(m.config.misp.engine, defaults.misp.engine) << key;
+
+        MachineSpec bad;
+        EXPECT_FALSE(bad.apply(key, "x", &err)) << key;
+        ASSERT_TRUE(kKnobExpects.count(key)) << key;
+        EXPECT_EQ(err, key + ": expected " + kKnobExpects.at(key) +
+                           ", got 'x'");
+    }
+    EXPECT_EQ(settable, kKnobExpects.size());
+}
+
+TEST(MachineKnobs, KernelCostsAreNoSpecKey)
+{
+    for (const char *key : {"syscall_base", "write_per_byte",
+                            "page_fault_service", "timer_service",
+                            "device_irq_service", "ctx_switch"}) {
+        MachineSpec m;
+        std::string err;
+        EXPECT_FALSE(m.apply(key, "1", &err)) << key;
+        EXPECT_EQ(err, std::string("unknown machine knob '") + key + "'");
+    }
 }
 
 TEST(Scenario, MachinesThatCannotRunAreRejected)
@@ -381,7 +493,7 @@ TEST(Scenario, SweepExpansionOrderAndOverrides)
     EXPECT_EQ(pts[1].machine.name, "b");
     EXPECT_EQ(pts[2].competitors, 1u);
     EXPECT_EQ(pts[4].workload.name, "applu");
-    EXPECT_EQ(pts[0].machine.engine, cpu::Engine::Superblock);
+    EXPECT_EQ(pts[0].machine.config.misp.engine, cpu::Engine::Superblock);
     EXPECT_EQ(pts[0].coords.str(), "workload.name=swim competitors=0");
 
     // Quick mode: workload axis replaced, machine.engine knob appended
@@ -389,7 +501,7 @@ TEST(Scenario, SweepExpansionOrderAndOverrides)
     ASSERT_TRUE(sc.expandPoints(true, &pts, &err)) << err;
     ASSERT_EQ(pts.size(), 4u);
     EXPECT_EQ(pts[0].workload.name, "gauss");
-    EXPECT_EQ(pts[0].machine.engine, cpu::Engine::Reference);
+    EXPECT_EQ(pts[0].machine.config.misp.engine, cpu::Engine::Reference);
 }
 
 TEST(Scenario, SweepValueDiagnostics)
@@ -665,7 +777,6 @@ TEST(RunnerEquivalence, EveryEngineIsBitIdentical)
         const cpu::Engine engine = cpu::Engine::Reference;
         ScenarioRunner::Options opts;
         opts.hostLines = false;
-        opts.forceEngine = true;
         opts.engine = engine;
         std::vector<PointResult> leg =
             ScenarioRunner(opts).runAll(sc, pts);

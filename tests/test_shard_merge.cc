@@ -429,6 +429,35 @@ TEST(ShardMerge, CliTablesAndFailureLinesMatchSerial)
     EXPECT_EQ(failureLines(merged.err), failureLines(serial.err));
 }
 
+TEST(Cli, ProfileIsWrittenAfterTheSweepTailOnEveryExit)
+{
+    // --profile is written after the post-sweep tail, so its
+    // peak_rss_mb covers what rendering, artifacts and asserts
+    // allocate: a failing assert and an unwritable -o still get a
+    // profile, written after the tail's diagnostic, and the run keeps
+    // the tail's exit code.
+    const std::string spec = tempPath("sm_profile.scn");
+    writeImage("sm_profile.scn",
+               std::string(kSpec) + "assert = misp.ticks < 1\n");
+    const std::string profile = tempPath("sm_profile.json");
+    const std::string wrote = "mispsim: wrote " + profile + "\n";
+    auto expectProfileAfter = [&](const CliRun &r, const std::string &tail) {
+        EXPECT_EQ(r.rc, 1) << r.err;
+        const std::size_t at = r.err.find(tail);
+        ASSERT_NE(at, std::string::npos) << r.err;
+        EXPECT_NE(r.err.find(wrote, at), std::string::npos) << r.err;
+        EXPECT_NE(slurp(profile).find("\"peak_rss_mb\""), std::string::npos);
+    };
+
+    std::remove(profile.c_str());
+    expectProfileAfter(mispsim(spec + " --profile " + profile),
+                       "assert FAILED");
+    std::remove(profile.c_str());
+    expectProfileAfter(mispsim(spec + " --profile " + profile + " -o " +
+                               tempPath("sm_no_such_dir/out.json")),
+                       "cannot write");
+}
+
 TEST(ShardMerge, ShardTableHasNoBaselineFromTheOtherShard)
 {
     // fig7.scn's per-point table carries vs_competitors0 ([report]

@@ -1559,15 +1559,18 @@ name = dense_mvm
 workload.workers = 1, 2, 3
 )";
 
+/** Run kIsolateScn, with the spec sections @p extra appended, under
+ *  @p opts. */
 std::vector<driver::PointResult>
-runIsolateScenario(const driver::RunnerOptions &opts)
+runIsolateScenario(const driver::RunnerOptions &opts,
+                   const std::string &extra = "")
 {
     driver::SpecFile spec;
     driver::Scenario sc;
     std::vector<driver::ScenarioPoint> pts;
     std::string err;
-    EXPECT_TRUE(
-        driver::SpecFile::parse(kIsolateScn, "<test>", &spec, &err))
+    EXPECT_TRUE(driver::SpecFile::parse(kIsolateScn + extra, "<test>",
+                                        &spec, &err))
         << err;
     EXPECT_TRUE(driver::Scenario::fromSpec(spec, &sc, &err)) << err;
     EXPECT_TRUE(sc.expandPoints(false, &pts, &err)) << err;
@@ -1601,10 +1604,8 @@ TEST(Isolate, CrashedWorkerFailsOnlyItsPoint)
     iso.hostLines = false;
     iso.isolate = true;
     iso.jobs = 2;
-    std::string err;
-    ASSERT_TRUE(driver::FaultPlan::parse("crash@1", &iso.faults, &err))
-        << err;
-    std::vector<driver::PointResult> results = runIsolateScenario(iso);
+    std::vector<driver::PointResult> results =
+        runIsolateScenario(iso, "[faults]\ninject = crash@1\n");
 
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].run.ok());

@@ -50,8 +50,18 @@ name = dense_mvm
 workload.workers = 1, 2, 3
 )";
 
+/** How the scenario supervises its --isolate workers, as mispsim's
+ *  --inject, --retries and --deadline flags set it (the backoff is
+ *  1 ms, so retries do not stall the tests). */
+struct Supervision {
+    std::string inject;
+    unsigned retries = 0;
+    std::uint64_t deadlineMs = 0;
+};
+
 std::vector<PointResult>
-runSupervised(const RunnerOptions &opts, Scenario *scOut = nullptr)
+runSupervised(const RunnerOptions &opts, const Supervision &sup = {},
+              Scenario *scOut = nullptr)
 {
     SpecFile spec;
     Scenario sc;
@@ -60,6 +70,12 @@ runSupervised(const RunnerOptions &opts, Scenario *scOut = nullptr)
     EXPECT_TRUE(SpecFile::parse(kSupervisorScn, "<test>", &spec, &err))
         << err;
     EXPECT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
+    if (!sup.inject.empty()) {
+        EXPECT_TRUE(FaultPlan::parse(sup.inject, &sc.faults, &err)) << err;
+    }
+    sc.retries = sup.retries;
+    sc.retryBackoffMs = 1;
+    sc.pointDeadlineMs = sup.deadlineMs;
     EXPECT_TRUE(sc.expandPoints(false, &pts, &err)) << err;
     if (scOut)
         *scOut = sc;
@@ -79,17 +95,14 @@ constexpr int kDeadlineScale = 8;
 constexpr int kDeadlineScale = 1;
 #endif
 
+/** Two supervised --isolate workers. */
 RunnerOptions
-chaosOptions(const std::string &inject, int retries = 0)
+isolated()
 {
     RunnerOptions opts;
     opts.hostLines = false;
     opts.isolate = true;
     opts.jobs = 2;
-    opts.retries = retries;
-    opts.backoffMs = 1;
-    std::string err;
-    EXPECT_TRUE(FaultPlan::parse(inject, &opts.faults, &err)) << err;
     return opts;
 }
 
@@ -225,9 +238,8 @@ TEST(Supervisor, HungWorkerIsKilledAtDeadline)
     // A healthy point takes tens of milliseconds unloaded; the deadline
     // leaves room for a heavily loaded host (a parallel ctest run)
     // while the hung point still has to be killed.
-    RunnerOptions opts = chaosOptions("hang@1");
-    opts.deadlineMs = 2000 * kDeadlineScale;
-    std::vector<PointResult> results = runSupervised(opts);
+    std::vector<PointResult> results =
+        runSupervised(isolated(), {"hang@1", 0, 2000 * kDeadlineScale});
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].run.ok());
     EXPECT_EQ(results[1].run.status, harness::RunStatus::WorkerTimeout);
@@ -241,8 +253,8 @@ TEST(Supervisor, TransientCrashRetriesThenSucceeds)
 {
     // crash@1x1: the fault fires only on attempt 1, so one retry
     // recovers the point.
-    RunnerOptions opts = chaosOptions("crash@1x1", /*retries=*/1);
-    std::vector<PointResult> results = runSupervised(opts);
+    std::vector<PointResult> results =
+        runSupervised(isolated(), {"crash@1x1", /*retries=*/1});
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[1].run.ok());
     EXPECT_EQ(results[1].run.attempts, 2u);
@@ -252,8 +264,8 @@ TEST(Supervisor, TransientCrashRetriesThenSucceeds)
 
 TEST(Supervisor, PersistentCrashExhaustsRetryBudget)
 {
-    RunnerOptions opts = chaosOptions("crash@1", /*retries=*/2);
-    std::vector<PointResult> results = runSupervised(opts);
+    std::vector<PointResult> results =
+        runSupervised(isolated(), {"crash@1", /*retries=*/2});
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[1].run.status, harness::RunStatus::WorkerCrashed);
     EXPECT_EQ(results[1].run.attempts, 3u);
@@ -276,8 +288,8 @@ TEST(Supervisor, PersistentCrashExhaustsRetryBudget)
 
 TEST(Supervisor, CorruptPipePayloadFailsClosed)
 {
-    RunnerOptions opts = chaosOptions("corrupt_pipe@0");
-    std::vector<PointResult> results = runSupervised(opts);
+    std::vector<PointResult> results =
+        runSupervised(isolated(), {"corrupt_pipe@0"});
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[0].run.status, harness::RunStatus::WorkerCrashed);
     EXPECT_NE(results[0].run.note.find("undecodable"), std::string::npos)
@@ -288,8 +300,8 @@ TEST(Supervisor, CorruptPipePayloadFailsClosed)
 
 TEST(Supervisor, CorruptSnapshotSurfacesAsSnapshotError)
 {
-    RunnerOptions opts = chaosOptions("corrupt_snapshot@2");
-    std::vector<PointResult> results = runSupervised(opts);
+    std::vector<PointResult> results =
+        runSupervised(isolated(), {"corrupt_snapshot@2"});
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].run.ok());
     EXPECT_TRUE(results[1].run.ok());
@@ -298,8 +310,8 @@ TEST(Supervisor, CorruptSnapshotSurfacesAsSnapshotError)
 
 TEST(Supervisor, ForkFailureIsRetryableWithoutAChild)
 {
-    RunnerOptions opts = chaosOptions("fork_fail@0x1", /*retries=*/1);
-    std::vector<PointResult> results = runSupervised(opts);
+    std::vector<PointResult> results =
+        runSupervised(isolated(), {"fork_fail@0x1", /*retries=*/1});
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].run.ok());
     EXPECT_EQ(results[0].run.attempts, 2u);
@@ -308,8 +320,8 @@ TEST(Supervisor, ForkFailureIsRetryableWithoutAChild)
 TEST(Supervisor, SpecFaultsAndRunKnobsDriveTheBackend)
 {
     // The [faults] and [run] sections are the spec-side spelling of
-    // --inject/--retries/--backoff: with no CLI overrides (the -1
-    // sentinels), the scenario supervises itself.
+    // --inject/--retries/--backoff: with no CLI overrides, the
+    // scenario supervises itself.
     const char *scn = R"(
 [scenario]
 name = spec_faults
@@ -373,16 +385,15 @@ splitLines(const std::string &text)
 TEST(Supervisor, ChaosSweepArtifactsAreDeterministic)
 {
     Scenario sc;
-    RunnerOptions opts = chaosOptions("seed=7;crash@1;hang@p0.0");
-    opts.deadlineMs = 10000;
+    const Supervision chaos{"seed=7;crash@1;hang@p0.0", 0, 10000};
 
     std::ostringstream json1, json2, metrics1, metrics2;
-    std::vector<PointResult> run1 = runSupervised(opts, &sc);
+    std::vector<PointResult> run1 = runSupervised(isolated(), chaos, &sc);
     writeJson(json1, sc, false, buildMetricFrame(sc, run1),
               test::statsOf(run1));
     writeMetricsJson(metrics1, sc, false, buildMetricFrame(sc, run1));
 
-    std::vector<PointResult> run2 = runSupervised(opts);
+    std::vector<PointResult> run2 = runSupervised(isolated(), chaos);
     writeJson(json2, sc, false, buildMetricFrame(sc, run2),
               test::statsOf(run2));
     writeMetricsJson(metrics2, sc, false, buildMetricFrame(sc, run2));
@@ -398,12 +409,12 @@ TEST(Supervisor, SurvivingPointsByteIdenticalToCleanSerialRun)
     serial.hostLines = false;
     std::ostringstream cleanOs;
     writePoints(cleanOs,
-                buildMetricFrame(sc, runSupervised(serial, &sc)));
+                buildMetricFrame(sc, runSupervised(serial, {}, &sc)));
     std::vector<std::string> clean = splitLines(cleanOs.str());
 
-    RunnerOptions chaos = chaosOptions("crash@1");
     std::ostringstream chaosOs;
-    writePoints(chaosOs, buildMetricFrame(sc, runSupervised(chaos)));
+    writePoints(chaosOs, buildMetricFrame(
+                             sc, runSupervised(isolated(), {"crash@1"})));
     std::vector<std::string> degraded = splitLines(chaosOs.str());
 
     ASSERT_EQ(clean.size(), 3u);

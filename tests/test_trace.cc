@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -539,16 +541,14 @@ TEST(RunLog, DispatchCountMatchesAttemptsUnderChaos)
     opts.traceEnabled = true;
     opts.isolate = true;
     opts.jobs = 2;
-    opts.retries = 3;
-    opts.backoffMs = 1;
     opts.runLog = &runLog;
-    std::string err;
-    ASSERT_TRUE(driver::FaultPlan::parse("seed=9;crash@p0.5",
-                                         &opts.faults, &err))
-        << err;
+    const std::string chaos = std::string(kTraceScn) +
+                              "[run]\nretries = 3\nretry_backoff_ms = 1\n"
+                              "[faults]\nseed = 9\ninject = crash@p0.5\n";
 
     std::vector<driver::ScenarioPoint> pts;
-    std::vector<driver::PointResult> results = runScenario(opts, &pts);
+    std::vector<driver::PointResult> results =
+        runScenario(opts, &pts, chaos.c_str());
     ASSERT_EQ(results.size(), 3u);
 
     const std::string log = logStream.str();
@@ -622,6 +622,32 @@ TEST(CliHelp, UsageNamesEveryRegisteredFlag)
         EXPECT_NE(std::find(names.begin(), names.end(), flag),
                   names.end())
             << flag;
+}
+
+TEST(CliHelp, ParserMatchesExactlyTheRegisteredFlags)
+{
+    // The flags mispsim's parser matches, read from its source: each
+    // strcmp(arg, "...") literal and each strncmp(arg, "--x=", ...)
+    // prefix, its '=' stripped as mispsimFlagNames() strips it.
+    std::ifstream in(std::string(MISP_SOURCE_ROOT) + "/tools/mispsim.cc");
+    ASSERT_TRUE(in);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string src = text.str();
+    const std::regex match(R"re(strn?cmp\(arg, "([^"]+)")re");
+    std::set<std::string> parsed;
+    for (auto it = std::sregex_iterator(src.begin(), src.end(), match);
+         it != std::sregex_iterator(); ++it) {
+        std::string name = (*it)[1];
+        if (name.back() == '=')
+            name.pop_back();
+        parsed.insert(name);
+    }
+    EXPECT_TRUE(parsed.count("--engine"));
+
+    const std::vector<std::string> names = driver::mispsimFlagNames();
+    const std::set<std::string> registered(names.begin(), names.end());
+    EXPECT_EQ(parsed, registered);
 }
 
 TEST(CliHelp, ExitCodeTableIsCompleteAndRendered)

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 
 #ifdef __GLIBC__
 #include <malloc.h>
@@ -295,16 +296,15 @@ main(int argc, char **argv)
     bool dryRun = false;
     bool fullStats = false;
     bool verbose = false;
-    bool forceEngine = false;
-    misp::cpu::Engine engine = misp::cpu::Engine::Superblock;
+    std::optional<misp::cpu::Engine> engine;
     bool isolate = false;
     unsigned jobs = 1;
     std::string saveSnapshotDir;
     std::string fromSnapshotDir;
     std::string injectSpec;
-    std::int64_t deadlineMs = -1;
-    int retries = -1;
-    int backoffMs = -1;
+    std::optional<unsigned> deadlineMs;
+    std::optional<unsigned> retries;
+    std::optional<unsigned> backoffMs;
     std::string onFailed;
     std::string tracePath;
     std::uint64_t traceSkip = 0;
@@ -355,7 +355,7 @@ main(int argc, char **argv)
                              "count\n");
                 return 2;
             }
-            deadlineMs = static_cast<std::int64_t>(ms);
+            deadlineMs = ms;
         } else if (std::strcmp(arg, "--retries") == 0) {
             unsigned n = 0;
             if (++i >= argc || !parseUnsigned(argv[i], &n)) {
@@ -363,7 +363,7 @@ main(int argc, char **argv)
                              "mispsim: --retries needs an integer\n");
                 return 2;
             }
-            retries = static_cast<int>(n);
+            retries = n;
         } else if (std::strcmp(arg, "--backoff") == 0) {
             unsigned ms = 0;
             if (++i >= argc || !parseUnsigned(argv[i], &ms)) {
@@ -372,7 +372,7 @@ main(int argc, char **argv)
                              "count\n");
                 return 2;
             }
-            backoffMs = static_cast<int>(ms);
+            backoffMs = ms;
         } else if (std::strcmp(arg, "--inject") == 0) {
             if (++i >= argc) {
                 std::fprintf(stderr,
@@ -403,14 +403,15 @@ main(int argc, char **argv)
             }
             fromSnapshotDir = argv[i];
         } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-            if (!misp::cpu::parseEngineName(arg + 9, &engine)) {
+            misp::cpu::Engine e{};
+            if (!misp::cpu::parseEngineName(arg + 9, &e)) {
                 std::fprintf(stderr,
                              "mispsim: --engine wants ref or superblock, "
                              "got '%s'\n",
                              arg + 9);
                 return 2;
             }
-            forceEngine = true;
+            engine = e;
         } else if (std::strcmp(arg, "--trace") == 0) {
             if (++i >= argc) {
                 std::fprintf(stderr,
@@ -521,8 +522,7 @@ main(int argc, char **argv)
     // there is no worker to supervise, so reject the combination
     // instead of silently ignoring it.
     if (!isolate &&
-        (!injectSpec.empty() || deadlineMs >= 0 || retries >= 0 ||
-         backoffMs >= 0)) {
+        (!injectSpec.empty() || deadlineMs || retries || backoffMs)) {
         std::fprintf(stderr,
                      "mispsim: --inject/--deadline/--retries/--backoff "
                      "require --isolate\n");
@@ -534,6 +534,15 @@ main(int argc, char **argv)
         std::fprintf(stderr, "mispsim: --inject: %s\n", err.c_str());
         return 2;
     }
+    // A supervision flag overrides the spec's [run] default; --inject
+    // merges over its [faults] schedule (the CLI seed wins).
+    sc.faults.merge(injected);
+    if (deadlineMs)
+        sc.pointDeadlineMs = *deadlineMs;
+    if (retries)
+        sc.retries = *retries;
+    if (backoffMs)
+        sc.retryBackoffMs = *backoffMs;
     if (!onFailed.empty()) {
         if (onFailed == "fail")
             sc.report.onFailedPoints = FailedPointPolicy::Fail;
@@ -629,15 +638,10 @@ main(int argc, char **argv)
     obs::RunLog runLog(runLogFile.is_open() ? &runLogFile : nullptr);
 
     ScenarioRunner::Options opts;
-    opts.forceEngine = forceEngine;
     opts.engine = engine;
     opts.fullStats = fullStats;
     opts.jobs = jobs;
     opts.isolate = isolate;
-    opts.deadlineMs = deadlineMs;
-    opts.retries = retries;
-    opts.backoffMs = backoffMs;
-    opts.faults = injected;
     opts.snapshotSaveDir = saveSnapshotDir;
     opts.snapshotLoadDir = fromSnapshotDir;
     opts.traceEnabled = !tracePath.empty();
@@ -650,8 +654,9 @@ main(int argc, char **argv)
                                    showProgress ? &std::cerr : nullptr,
                                    sharded);
 
-    if (!tracePath.empty() &&
-        !writeArtifact(tracePath, [&](std::ostream &os) {
+    int rc = 1;
+    if (tracePath.empty() ||
+        writeArtifact(tracePath, [&](std::ostream &os) {
             // Each point's label (coordinates only, identical across
             // engines and execution backends) is formed as it is
             // written.
@@ -665,13 +670,15 @@ main(int argc, char **argv)
                 return obs::TracePoint{std::move(label), &sweep.traces[r]};
             });
         }))
-        return 1;
+        rc = finishSweep(sc, sweep, out);
 
+    // The profile comes last, so its peak_rss_mb covers the post-sweep
+    // tail (rendering, artifacts, asserts) on every exit path.
     if (!profilePath.empty() &&
         !writeArtifact(profilePath, [&](std::ostream &os) {
             runner.profile().writeJson(os);
-        }))
-        return 1;
-
-    return finishSweep(sc, sweep, out);
+        }) &&
+        rc == 0)
+        rc = 1;
+    return rc;
 }
