@@ -613,7 +613,7 @@ MispProcessor::serviceProxy(cpu::Sequencer &omsSeq)
         return 0;
     }
     ProxyRequest req = proxyQueue_.front();
-    proxyQueue_.pop_front();
+    proxyQueue_.erase(proxyQueue_.begin());
 
     os::OsThread *thread = currentThread();
     MISP_ASSERT(thread != nullptr);

@@ -25,7 +25,6 @@
 #define MISP_MISP_MISP_PROCESSOR_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -296,7 +295,9 @@ class MispProcessor : public cpu::SequencerEnv
     RtHandler *runtime_ = nullptr; ///< snap: config — wired at build
 
     bool interruptsOn_ = false;
-    std::deque<ProxyRequest> proxyQueue_;
+    /** FIFO of pending proxy requests, a vector: it allocates only at
+     *  the first proxy fault (a deque allocates when built). */
+    std::vector<ProxyRequest> proxyQueue_;
     Episode episode_;
     /** An OMS request raised while an episode was in flight (the OMS
      *  ran a signal handler mid-episode). It starts as its own episode

@@ -239,7 +239,9 @@ class Kernel
     std::vector<std::unique_ptr<Process>> processes_;
     std::vector<std::unique_ptr<OsThread>> threads_;
 
-    std::deque<OsThread *> ready_;
+    /** FIFO of runnable threads, a vector: it allocates only once a
+     *  thread is first made ready (a deque allocates when built). */
+    std::vector<OsThread *> ready_;
     std::vector<OsThread *> current_;
 
     std::map<FutexKey, std::deque<OsThread *>> futexQueues_;

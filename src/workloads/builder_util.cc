@@ -1,9 +1,5 @@
 #include "builder_util.hh"
 
-#include <algorithm>
-
-#include "sim/logging.hh"
-
 namespace misp::wl {
 
 using isa::Cond;
@@ -166,30 +162,13 @@ std::function<bool(mem::AddressSpace &)>
 makeIntArrayValidator(VAddr addr, std::vector<std::int64_t> expected,
                       std::string what)
 {
-    return [addr, expected = std::move(expected),
-            what = std::move(what)](mem::AddressSpace &as) {
-        // One peek per guest page, into a fixed buffer: one page-table
-        // lookup per page, and no allocation however long the array.
-        constexpr std::size_t kWords = mem::kPageSize / 8;
-        std::int64_t buf[kWords];
-        for (std::size_t i = 0; i < expected.size();) {
-            const VAddr va = addr + i * 8;
-            const std::size_t n = std::min(
-                expected.size() - i,
-                std::max<std::size_t>(
-                    1, (mem::kPageSize - mem::pageOffset(va)) / 8));
-            as.peek(va, buf, n * 8);
-            for (std::size_t k = 0; k < n; ++k, ++i) {
-                if (buf[k] != expected[i]) {
-                    warn("%s: mismatch at [%zu]: got %lld, want %lld",
-                         what.c_str(), i, (long long)buf[k],
-                         (long long)expected[i]);
-                    return false;
-                }
-            }
-        }
-        return true;
-    };
+    const std::size_t count = expected.size();
+    return makeIntArrayValidator(
+        addr, count,
+        [expected = std::move(expected)](std::size_t i) {
+            return expected[i];
+        },
+        std::move(what));
 }
 
 } // namespace misp::wl

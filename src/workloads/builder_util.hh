@@ -6,13 +6,16 @@
 #ifndef MISP_WORKLOADS_BUILDER_UTIL_HH
 #define MISP_WORKLOADS_BUILDER_UTIL_HH
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "harness/loader.hh"
 #include "isa/program.hh"
 #include "mem/address_space.hh"
 #include "shredlib/stub_library.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace misp::wl {
@@ -114,7 +117,44 @@ std::vector<std::int64_t> hostFill(std::uint64_t count, std::uint64_t mult,
 void emitChunkBounds(isa::ProgramBuilder &b, std::uint64_t total,
                      unsigned workers, unsigned regLo, unsigned regHi);
 
-/** Build a validator comparing an int64 guest array to @p expected. */
+/** Build a validator comparing the @p count int64 words of the guest
+ *  array at @p addr with `expectedAt(i)`. The validator computes each
+ *  expected word when it runs, so it holds only what @p expectedAt
+ *  captures; on a mismatch it warns `<what>: mismatch at [i]: got X,
+ *  want Y` for the first differing index and returns false. */
+template <typename ExpectedAt>
+std::function<bool(mem::AddressSpace &)>
+makeIntArrayValidator(VAddr addr, std::size_t count, ExpectedAt expectedAt,
+                      std::string what)
+{
+    return [addr, count, expectedAt = std::move(expectedAt),
+            what = std::move(what)](mem::AddressSpace &as) {
+        // One peek per guest page, into a fixed buffer: one page-table
+        // lookup per page, and no allocation however long the array.
+        constexpr std::size_t kWords = mem::kPageSize / 8;
+        std::int64_t buf[kWords];
+        for (std::size_t i = 0; i < count;) {
+            const VAddr va = addr + i * 8;
+            const std::size_t n = std::min(
+                count - i,
+                std::max<std::size_t>(
+                    1, (mem::kPageSize - mem::pageOffset(va)) / 8));
+            as.peek(va, buf, n * 8);
+            for (std::size_t k = 0; k < n; ++k, ++i) {
+                const std::int64_t want = expectedAt(i);
+                if (buf[k] != want) {
+                    warn("%s: mismatch at [%zu]: got %lld, want %lld",
+                         what.c_str(), i, (long long)buf[k],
+                         (long long)want);
+                    return false;
+                }
+            }
+        }
+        return true;
+    };
+}
+
+/** The same validator over a host copy of the answer, @p expected. */
 std::function<bool(mem::AddressSpace &)>
 makeIntArrayValidator(VAddr addr, std::vector<std::int64_t> expected,
                       std::string what);

@@ -272,14 +272,13 @@ TEST(GridScale, MachineBootAllocatesNothingPerCounter)
     const long long allocs = gAllocs - before;
     std::printf("misp machine boot: %lld allocations\n", allocs);
 
-    // Measured: 35 (the machine's objects, its TLB arrays and a few stat
-    // and event names too long for the short-string buffer). The
-    // parent made 122: each stat group grew vectors of its stats and
-    // children (71 allocations), and each sequencer's two pending-
-    // signal deques allocated when built (16). Stats and groups now
-    // link into their group intrusively, and the queues allocate when
-    // first used.
-    EXPECT_LE(allocs, 35);
+    // Measured: 31 (the machine's objects, its TLB arrays and a few stat
+    // and event names too long for the short-string buffer). Stats and
+    // groups link into their group intrusively, and every queue (the
+    // sequencers' pending signals, the kernel's ready queue, the
+    // processor's proxy queue) is a vector that allocates when first
+    // used; a std::deque allocates twice when built.
+    EXPECT_LE(allocs, 31);
 }
 
 TEST(GridScale, ConfigHashIsStable)

@@ -1114,6 +1114,10 @@ TEST(WorkloadParamKnobs, RaytracerSceneSizeKnob)
 // Checked-in scenario specs
 // ---------------------------------------------------------------------
 
+/** The checked-in specs, found from the source tree wherever the
+ *  build directory is. */
+const std::string kScenarios = std::string(MISP_SOURCE_ROOT) + "/scenarios/";
+
 TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
 {
     const struct {
@@ -1126,9 +1130,8 @@ TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
         {"ablation_pageprobe.scn", 2},    // 1 workload x off/on
     };
     for (const auto &c : cases) {
-        std::string path = findScenarioFile(c.file, nullptr);
-        ASSERT_FALSE(path.empty())
-            << c.file << " not found (run from build/ or the repo root)";
+        std::string path = findScenarioFile(kScenarios + c.file, nullptr);
+        ASSERT_FALSE(path.empty()) << c.file << " not found";
         SpecFile spec;
         Scenario sc;
         std::vector<ScenarioPoint> pts;
@@ -1143,7 +1146,7 @@ TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
     // table1 guards its claims from the spec (per-suite aggregates);
     // fig4 carries the §5.3 speedup asserts plus their suite-level
     // aggregate forms.
-    std::string path = findScenarioFile("table1.scn", nullptr);
+    std::string path = findScenarioFile(kScenarios + "table1.scn", nullptr);
     SpecFile spec;
     Scenario sc;
     std::string err;
@@ -1152,7 +1155,7 @@ TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
     EXPECT_EQ(sc.tables.size(), 2u); // raw counts + per-10^6 view
     EXPECT_EQ(sc.report.asserts.size(), 4u);
 
-    path = findScenarioFile("fig4.scn", nullptr);
+    path = findScenarioFile(kScenarios + "fig4.scn", nullptr);
     ASSERT_FALSE(path.empty());
     ASSERT_TRUE(SpecFile::parseFile(path, &spec, &err)) << err;
     ASSERT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;

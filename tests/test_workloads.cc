@@ -2,11 +2,19 @@
  * @file
  * Parameterized end-to-end sweep: every workload in the paper's suite
  * must run to completion and produce the host-validated result on the
- * MISP machine, plus cross-backend and property checks.
+ * MISP machine, plus cross-backend and property checks, and the
+ * validators' own checks. A counting global operator new/delete tracks
+ * this binary's live heap bytes, so a test can weigh a built workload.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -17,6 +25,44 @@
 #include "workloads/workload.hh"
 
 using namespace misp;
+
+namespace {
+
+/** Live heap bytes requested through operator new, less those
+ *  released. Each block carries its size in a 16-byte prefix (keeping
+ *  malloc's alignment), so delete knows how much to subtract. */
+std::atomic<long long> gLiveBytes{0};
+constexpr std::size_t kPrefix = 16;
+
+void *
+countedAlloc(std::size_t n)
+{
+    void *p = std::malloc(n + kPrefix);
+    if (!p)
+        throw std::bad_alloc();
+    *static_cast<std::size_t *>(p) = n;
+    gLiveBytes += static_cast<long long>(n);
+    return static_cast<char *>(p) + kPrefix;
+}
+
+void
+countedFree(void *p) noexcept
+{
+    if (!p)
+        return;
+    void *block = static_cast<char *>(p) - kPrefix;
+    gLiveBytes -= static_cast<long long>(*static_cast<std::size_t *>(block));
+    std::free(block);
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
 
 namespace {
 
@@ -197,10 +243,17 @@ TEST(IntArrayValidator, ReportsTheFirstMismatchAcrossPages)
     }
     ASSERT_FALSE(as.mapped(addr + 515 * 8));
 
+    // The callable form, computing each expected word from a copy of
+    // @p expected as the validator reads.
     auto check = [&](std::vector<std::int64_t> expected) {
         testing::internal::CaptureStderr();
-        const bool ok = wl::makeIntArrayValidator(addr, std::move(expected),
-                                                  "arr")(as);
+        const std::size_t count = expected.size();
+        const bool ok = wl::makeIntArrayValidator(
+            addr, count,
+            [expected = std::move(expected)](std::size_t i) {
+                return expected[i];
+            },
+            "arr")(as);
         return std::make_pair(ok, testing::internal::GetCapturedStderr());
     };
 
@@ -230,4 +283,84 @@ TEST(IntArrayValidator, ReportsTheFirstMismatchAcrossPages)
     EXPECT_FALSE(ok);
     EXPECT_EQ(log, "warn: arr: mismatch at [517]: got 0, want 9\n");
     EXPECT_FALSE(as.mapped(addr + 515 * 8)); // validation faults nothing in
+
+    // The vector form wraps the callable one: same verdict, same text.
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(wl::makeIntArrayValidator(addr, bad, "arr")(as));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: arr: mismatch at [517]: got 0, want 9\n");
+}
+
+namespace {
+
+/** The Raytracer at the ledger multiprog workload's scene size: scale
+ *  3, 144 rows, a 576 x 144 framebuffer of int64 pixels (648 KiB). */
+wl::WorkloadParams
+multiprogRaytracerParams()
+{
+    wl::WorkloadParams params;
+    params.workers = 7;
+    params.scale = 3;
+    params.extra = {{"rows", "144"}};
+    return params;
+}
+
+constexpr std::size_t kMultiprogFrameBytes = 576 * 144 * 8;
+
+const harness::DataRegion &
+frameRegion(const wl::Workload &w)
+{
+    for (const harness::DataRegion &r : w.app.data)
+        if (r.label == "framebuffer")
+            return r;
+    throw std::runtime_error("Raytracer has no framebuffer region");
+}
+
+} // namespace
+
+TEST(RaytracerValidator, NamesTheFirstWrongPixel)
+{
+    const wl::Workload w =
+        wl::findWorkload("Raytracer")->build(multiprogRaytracerParams());
+    const harness::DataRegion &frame = frameRegion(w);
+    ASSERT_EQ(frame.size, kMultiprogFrameBytes);
+
+    harness::Experiment exp(arch::SystemConfig::uniprocessor(7),
+                            rt::Backend::Shred);
+    auto proc = exp.load(w.app);
+    ASSERT_GT(exp.runToCompletion(proc.process).ticks, 0u);
+    mem::AddressSpace &as = proc.process->addressSpace();
+    ASSERT_TRUE(w.validate(as));
+
+    // One wrong pixel mid-frame, past the first page: validation fails
+    // and names its index, with the rendered and the computed value.
+    constexpr std::size_t kPixel = 40'000;
+    const VAddr va = frame.addr + kPixel * 8;
+    const std::int64_t good = static_cast<std::int64_t>(as.peekWord(va, 8));
+    as.pokeWord(va, static_cast<Word>(good + 1), 8);
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(w.validate(as));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: raytracer.frame: mismatch at [40000]: got " +
+                  std::to_string(good + 1) + ", want " +
+                  std::to_string(good) + "\n");
+
+    as.pokeWord(va, static_cast<Word>(good), 8);
+    EXPECT_TRUE(w.validate(as));
+}
+
+TEST(RaytracerValidator, HoldsLessHeapThanOneFramebuffer)
+{
+    const wl::WorkloadInfo &info = *wl::findWorkload("Raytracer");
+    info.build(multiprogRaytracerParams()); // builds the stub library
+    const long long before = gLiveBytes;
+    const wl::Workload w = info.build(multiprogRaytracerParams());
+    const long long held = gLiveBytes - before;
+    std::printf("built Raytracer (scale 3, 144 rows): %lld heap bytes\n",
+                held);
+    // The validator computes each pixel as it reads, so the built
+    // workload holds its program, its region table and the validator's
+    // captures. A host copy of the answer alone would be a framebuffer.
+    EXPECT_GT(held, 0);
+    EXPECT_LT(held, static_cast<long long>(kMultiprogFrameBytes));
 }
