@@ -34,8 +34,9 @@ runMix(const std::vector<unsigned> &amsPerProc, bool idealPlacement,
     params.workers = 7;
     wl::Workload w = wl::buildKmeans(params);
 
-    harness::Experiment exp(arch::SystemConfig::mp(amsPerProc),
-                            rt::Backend::Shred);
+    arch::SystemConfig config = arch::SystemConfig::mp(amsPerProc);
+    config.kernel.idealPlacement = idealPlacement;
+    harness::Experiment exp(config, rt::Backend::Shred);
     std::vector<int> shredCpus, plainCpus;
     for (unsigned i = 0; i < exp.system().numProcessors(); ++i) {
         if (exp.system().processor(i).numAms() > 0)
@@ -45,11 +46,8 @@ runMix(const std::vector<unsigned> &amsPerProc, bool idealPlacement,
     }
     auto proc = exp.load(w.app, shredCpus);
     wl::WorkloadParams sp;
-    for (unsigned c = 0; c < competitors; ++c) {
-        exp.load(wl::buildSpinner(sp).app,
-                 idealPlacement && !plainCpus.empty() ? plainCpus
-                                                      : std::vector<int>{});
-    }
+    for (unsigned c = 0; c < competitors; ++c)
+        exp.load(wl::buildSpinner(sp).app).mainThread->placement = plainCpus;
 
     Outcome out;
     out.ticks = exp.runToCompletion(proc.process, 2'000'000'000'000ull).ticks;

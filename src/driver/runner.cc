@@ -217,7 +217,6 @@ makeRunRequest(const Scenario &sc, const ScenarioPoint &pt,
     req.competitors = pt.competitors;
     req.competitor = pt.competitor;
     req.pinMinAms = pt.machine.pinMinAms;
-    req.idealPlacement = pt.machine.idealPlacement;
     req.maxTicks = sc.maxTicks;
     req.hostLine = opts.hostLines;
     req.fullStats = opts.fullStats;

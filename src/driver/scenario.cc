@@ -34,6 +34,8 @@ parseKnob(const std::string &v, T &out)
         else
             return false;
         return true;
+    } else if constexpr (K == KnobKind::Flag) {
+        return parseBool(v, &out);
     } else if constexpr (K == KnobKind::AmsList) {
         std::vector<unsigned> counts;
         for (const std::string &tok : splitList(v)) {
@@ -93,8 +95,6 @@ MachineSpec::apply(const std::string &key, const std::string &value,
                bad("'ref' or 'superblock'");
     if (key == "pin_min_ams")
         return parseUnsigned(value, &pinMinAms) || bad("an AMS count");
-    if (key == "ideal_placement")
-        return parseBool(value, &idealPlacement) || bad("a boolean");
 
     if (err)
         *err = "unknown machine knob '" + key + "'";

@@ -44,10 +44,10 @@
  * (MISP_CONFIG_FIELDS in sim/config_reads.hh, which names each key,
  * its value syntax and its diagnostic), plus `ams` (uniprocessor
  * shorthand for `processors`), `backend` (shred|os), `engine`
- * (ref|superblock), and the Figure-7 placement policy: `pin_min_ams`
- * (pin the target to processors with at least that many AMSs; 0 = no
- * pinning) and `ideal_placement` (keep competitors off those
- * processors).
+ * (ref|superblock), and Figure 7's `pin_min_ams` (pin the target to
+ * processors with at least that many AMSs, 0 = no pinning, and place
+ * competitors on the others; the table's `ideal_placement` row says
+ * whether the kernel keeps them there).
  *
  * Sweep axis keys: `workload.<param>` (name/workers/scale/prefault/
  * seed, or a per-workload knob `workload.param.<key>`; `workload.name`
@@ -92,9 +92,6 @@ struct MachineSpec {
     /** Pin the target to processors with >= this many AMSs (0 = load
      *  with no affinity, the kernel schedules freely). */
     unsigned pinMinAms = 0;
-    /** Pin competitors to the processors the target is *not* pinned to
-     *  (Figure 7's "ideal" placement). No-op when no such CPU exists. */
-    bool idealPlacement = false;
 
     /** Apply one `key = value` knob. False + @p err on unknown key or
      *  bad value. */

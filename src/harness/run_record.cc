@@ -185,7 +185,6 @@ sameRunInputs(const RunRequest &a, const RunRequest &b)
                       b.background.begin(), b.background.end(), same) &&
            a.backend == b.backend && a.competitors == b.competitors &&
            a.competitor == b.competitor && a.pinMinAms == b.pinMinAms &&
-           a.idealPlacement == b.idealPlacement &&
            a.maxTicks == b.maxTicks &&
            a.config.misp.engine == b.config.misp.engine;
 }
@@ -358,8 +357,10 @@ runOne(const RunRequest &req)
 
     Experiment exp(req.config, req.backend);
 
-    // Placement policy (Figure 7, §5.4): pin the target to processors
-    // with enough AMSs; optionally keep competitors off those CPUs.
+    // Placement (Figure 7, §5.4): pin the target to processors with
+    // enough AMSs and place competitors on the others. Whether the
+    // kernel keeps them there is the machine's ideal_placement knob,
+    // read only when a CPU outside their placement asks for work.
     std::vector<int> targetAffinity;
     std::vector<int> otherCpus;
     if (req.pinMinAms > 0) {
@@ -376,12 +377,8 @@ runOne(const RunRequest &req)
     for (std::size_t b = 0; b < req.background.size(); ++b)
         exp.load(built[1 + b]->app);
 
-    for (unsigned c = 0; c < req.competitors; ++c) {
-        std::vector<int> affinity;
-        if (req.idealPlacement && !otherCpus.empty())
-            affinity = otherCpus;
-        exp.load(built.back()->app, affinity);
-    }
+    for (unsigned c = 0; c < req.competitors; ++c)
+        exp.load(built.back()->app).mainThread->placement = otherCpus;
 
     // Attach the trace recorder for the whole measured run (warmup leg
     // included, so a save leg's trace matches an uninterrupted run's).

@@ -60,11 +60,11 @@ struct RunRequest {
     unsigned competitors = 0;
     std::string competitor = "spinner";
 
-    /** Placement policy (Figure 7, §5.4): pin the target to processors
-     *  with at least this many AMSs (0 = no pinning)... */
+    /** Placement (Figure 7, §5.4): pin the target to processors with
+     *  at least this many AMSs (0 = no pinning), and place competitors
+     *  on the others; the machine's `ideal_placement` knob says whether
+     *  the kernel keeps them there (os::KernelConfig::idealPlacement). */
     unsigned pinMinAms = 0;
-    /** ...and optionally keep competitors off those processors. */
-    bool idealPlacement = false;
 
     /** Tick budget; exceeding it yields RunStatus::MaxTicksReached. */
     Tick maxTicks = 2'000'000'000'000ull;
@@ -113,7 +113,7 @@ struct RunRequest {
 bool reusableRun(const RunRequest &req);
 
 /** Whether @p a and @p b ask for the same run apart from their machine
- *  configs: workloads, backend, competitors, placement, max_ticks and
+ *  configs: workloads, backend, competitors, target pin, max_ticks and
  *  engine, compared exactly. Labels and host plumbing do not count. */
 bool sameRunInputs(const RunRequest &a, const RunRequest &b);
 /** A hash of what sameRunInputs compares. */

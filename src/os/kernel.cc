@@ -1,5 +1,6 @@
 #include "kernel.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/trace.hh"
@@ -64,6 +65,26 @@ Kernel::makeReady(OsThread *t)
     wakeIdleCpu();
 }
 
+namespace {
+
+bool
+listed(const std::vector<int> &cpus, int cpu)
+{
+    return std::find(cpus.begin(), cpus.end(), cpu) != cpus.end();
+}
+
+} // namespace
+
+bool
+Kernel::allowed(const OsThread &t, int cpu) const
+{
+    if (!t.affinity.empty() && !listed(t.affinity, cpu))
+        return false;
+    if (t.placement.empty() || listed(t.placement, cpu))
+        return true;
+    return !knob<&KernelConfig::idealPlacement>();
+}
+
 void
 Kernel::wakeIdleCpu()
 {
@@ -74,7 +95,7 @@ Kernel::wakeIdleCpu()
             continue;
         bool eligible = false;
         for (OsThread *t : ready_) {
-            if (t->allowedOn(cpu)) {
+            if (allowed(*t, cpu)) {
                 eligible = true;
                 break;
             }
@@ -92,7 +113,7 @@ Kernel::pickNext(int cpu)
     MISP_ASSERT(cpu >= 0 && cpu < static_cast<int>(current_.size()));
     MISP_ASSERT(current_[cpu] == nullptr);
     for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-        if (!(*it)->allowedOn(cpu))
+        if (!allowed(**it, cpu))
             continue;
         OsThread *t = *it;
         ready_.erase(it);
@@ -138,10 +159,11 @@ Kernel::archive(Ar &a)
     const auto tids = threadIds();
     const auto pids = processIds();
     // Least image bytes of a process (pid, name, exit state, an empty
-    // address space) and of a thread (through its empty affinity list).
+    // address space) and of a thread (through its empty affinity and
+    // placement lists).
     constexpr std::uint64_t kProcessBytes = 8 + 8 + 1 + 8 + 5 * 8;
     constexpr std::uint64_t kThreadBytes =
-        8 + 8 + 1 + snap::kContextBytes + 8 + 8 + 4 + 8;
+        8 + 8 + 1 + snap::kContextBytes + 8 + 8 + 4 + 8 + 8;
 
     a.u64(nextPid_);
     a.u64(nextTid_);
@@ -213,6 +235,8 @@ Kernel::archive(Ar &a)
         a.i64(slot);
         a.u32(t.quantumUsed);
         snap::sequence(a, t.affinity, 8, "thread affinity",
+                       [&](int &c) { a.i64(c); });
+        snap::sequence(a, t.placement, 8, "thread placement",
                        [&](int &c) { a.i64(c); });
         t.setState(state);
         t.setCpu(slot);
@@ -286,7 +310,7 @@ Kernel::scheduleDecision(int cpu, bool force)
         return res;
     bool haveEligible = false;
     for (OsThread *t : ready_) {
-        if (t->allowedOn(cpu)) {
+        if (allowed(*t, cpu)) {
             haveEligible = true;
             break;
         }

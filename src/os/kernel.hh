@@ -68,6 +68,10 @@ struct KernelConfig {
     unsigned quantumTicks = 2;   ///< timer ticks per scheduling quantum
     Tick deviceIrqMeanPeriod = 11'000'000; ///< 0 disables device IRQs
     std::uint64_t rngSeed = 12345; ///< device-IRQ arrival draws
+    /** Keep a thread off the CPUs outside its placement list (Figure
+     *  7's "ideal" placement, §5.4); when false the list binds
+     *  nothing. */
+    bool idealPlacement = false;
 };
 
 /** The ConfigField each KernelConfig member is tracked as: its table
@@ -218,6 +222,10 @@ class Kernel
     };
 
     void makeReady(OsThread *t);
+    /** Whether @p t may run on @p cpu: inside its affinity, and inside
+     *  its placement unless the policy lets it stray. The policy knob
+     *  is read only when a placement excludes @p cpu. */
+    bool allowed(const OsThread &t, int cpu) const;
     void wakeIdleCpu();
     KernelResult scheduleDecision(int cpu, bool force);
     void finishThread(OsThread &t);

@@ -76,18 +76,9 @@ class OsThread
      *  have the proper number of AMSs" (§5.4); harnesses pin shredded
      *  threads to adequate processors. */
     std::vector<int> affinity;
-
-    bool
-    allowedOn(int cpu) const
-    {
-        if (affinity.empty())
-            return true;
-        for (int c : affinity) {
-            if (c == cpu)
-                return true;
-        }
-        return false;
-    }
+    /** CPUs the placement policy keeps this thread to (empty = any):
+     *  binding only under KernelConfig::idealPlacement (Kernel::allowed). */
+    std::vector<int> placement;
 
   private:
     Tid tid_;

@@ -35,6 +35,7 @@ enum class KnobKind : std::uint8_t {
     Count,   ///< an unsigned integer of the member's width
     Policy,  ///< an arch::SerializationPolicy name
     AmsList, ///< a comma list of per-processor AMS counts
+    Flag,    ///< a boolean
 };
 
 /**
@@ -86,7 +87,9 @@ enum class KnobKind : std::uint8_t {
     X(DeviceIrqMeanPeriod, "device_irq_mean_period", os::KernelConfig,    \
       deviceIrqMeanPeriod, Count, "a tick count (0 disables device IRQs)") \
     X(KernelSeed, "kernel_seed", os::KernelConfig, rngSeed, Count,        \
-      "an integer seed")
+      "an integer seed")                                                 \
+    X(IdealPlacement, "ideal_placement", os::KernelConfig, idealPlacement, \
+      Flag, "a boolean")
 
 enum class ConfigField : std::uint8_t {
 #define MISP_CONFIG_FIELD_ENUM(en, name, ...) en,

@@ -396,7 +396,7 @@ load(std::string image, Body &&body)
 /** Image format identity. Bump kVersion whenever any archive body's
  *  layout changes. */
 constexpr std::uint64_t kMagic = 0x4d49'5350'534e'4150ull; // "MISPSNAP"
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 
 } // namespace misp::snap
 

@@ -70,6 +70,7 @@ archive(Ar &a, arch::SystemConfig &cfg, rt::Backend &backend)
     a.u32(cfg.kernel.quantumTicks);
     a.u64(cfg.kernel.deviceIrqMeanPeriod);
     a.u64(cfg.kernel.rngSeed);
+    a.b(cfg.kernel.idealPlacement);
     a.u64(cfg.physFrames);
     a.enumByte(backend, static_cast<std::size_t>(rt::Backend::OsThread) + 1,
                "runtime backend");
@@ -285,7 +286,6 @@ configHash(const harness::RunRequest &req)
     s.u32(req.competitors);
     s.str(req.competitor);
     s.u32(req.pinMinAms);
-    s.b(req.idealPlacement);
     s.endSection();
     return fnv1a(s.done());
 }

@@ -11,7 +11,8 @@
  *    AMSs, context_xfer_cycles on the grids' 2-worker misp points
  *    only (their proxy requests), and neither on a machine without
  *    AMSs. kernel_seed is read only where the kernel draws device-IRQ
- *    gaps: not at all with device_irq_mean_period = 0.
+ *    gaps: not at all with device_irq_mean_period = 0. A flag
+ *    (ideal_placement) is perturbed by flipping it.
  *  - Workloads are pure (workloads/workload.hh), so one built workload
  *    may serve every point of a sweep: for every workload the ledger
  *    templates load, two builds digest equal, and running a point on a
@@ -88,6 +89,11 @@ void
 perturb(std::vector<unsigned> &v)
 {
     v.push_back(0);
+}
+void
+perturb(bool &v)
+{
+    v = !v;
 }
 void
 perturb(arch::SerializationPolicy &v)

@@ -13,7 +13,11 @@
  *    point (the engine is part of the reuse key, and the two engines'
  *    bit-identity is proved elsewhere).
  *  - The serial counts are pinned: the ledger grid simulates 652 of
- *    its 2,500 points, suite 48 of 48, multiprog 30 of 30.
+ *    its 2,500 points, suite 48 of 48, multiprog 25 of 30.
+ *  - A placement policy is read only where it decides: on a 1x4+4
+ *    machine and its ideal-placement twin, the twin's points reuse the
+ *    plain machine's while every competitor fits on an AMS-less CPU,
+ *    and simulate, reading ideal_placement, once one does not.
  *  - --profile's host numbers count simulated points only.
  *  - The point-list adapters bench/ledger drives give the same
  *    --metrics bytes as mispsim's streamed sweep on every ledger
@@ -76,23 +80,23 @@ allSpecs()
     // grid: 2 (1p, one per worker count: it reads no signal or
     // context-transfer cost) + 25 (misp, 1 worker: the signal cost) +
     // 625 (misp, 2 workers: both, since its proxy requests read the
-    // context-transfer cost) of 2,500. Suite (48 points) and multiprog
-    // (30) repeat no point.
+    // context-transfer cost) of 2,500. Suite (48 points) repeats no
+    // point. multiprog: 25 of 30, as its `ideal` machine differs from
+    // `1x4+4` only in ideal_placement, which no run reads with at most
+    // 4 competitors beside 4 AMS-less CPUs
+    // (RunMemo.PlacementIsReadOnlyWhereItDecides).
     const std::string ledger = kRoot + "/bench/ledger/workloads/";
     out.push_back({ledger + "grid.scn", false, 652});
     out.push_back({ledger + "suite.scn", false, 48});
-    out.push_back({ledger + "multiprog.scn", false, 30});
+    out.push_back({ledger + "multiprog.scn", false, 25});
     return out;
 }
 
-/** @p path parsed, with a ledger template's @SEED@ set to 1. */
+/** @p text (from @p path) parsed, with a ledger template's @SEED@
+ *  set to 1. */
 Scenario
-loadSpec(const std::string &path)
+parseSpec(std::string text, const std::string &path)
 {
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
     for (std::size_t at; (at = text.find("@SEED@")) != std::string::npos;)
         text.replace(at, 6, "1");
     SpecFile spec;
@@ -101,6 +105,16 @@ loadSpec(const std::string &path)
     EXPECT_TRUE(SpecFile::parse(text, path, &spec, &err)) << err;
     EXPECT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;
     return sc;
+}
+
+/** The spec file at @p path, parsed as parseSpec does. */
+Scenario
+loadSpec(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return parseSpec(ss.str(), path);
 }
 
 struct SweepRun {
@@ -181,6 +195,70 @@ TEST(RunMemo, ReuseOnMatchesReuseOff)
                     EXPECT_EQ(r.run.hostSeconds, 0.0) << what;
                 }
             }
+        }
+    }
+}
+
+TEST(RunMemo, PlacementIsReadOnlyWhereItDecides)
+{
+    // One MISP processor and 4 AMS-less CPUs, with and without ideal
+    // placement: the target is pinned to the MISP CPU and competitors
+    // are placed on the other 4. Up to 4 competitors an AMS-less CPU is
+    // always free, so the kernel never asks whether a competitor may
+    // stray onto the MISP CPU; the 5th makes it ask.
+    const unsigned kPlainCpus = 4;
+    const Scenario sc = parseSpec("[machine 1x4+4]\n"
+                                  "processors = 3,0,0,0,0\n"
+                                  "pin_min_ams = 3\n"
+                                  "[machine ideal]\n"
+                                  "processors = 3,0,0,0,0\n"
+                                  "pin_min_ams = 3\n"
+                                  "ideal_placement = true\n"
+                                  "[workload]\n"
+                                  "name = Raytracer\n"
+                                  "workers = 3\n"
+                                  "param.rows = 16\n"
+                                  "[sweep]\n"
+                                  "competitors = 0..5\n",
+                                  "<placement>");
+    std::vector<ScenarioPoint> pts;
+    std::string err;
+    ASSERT_TRUE(sc.expandPoints(false, &pts, &err)) << err;
+    ASSERT_EQ(pts.size(), 2 * (kPlainCpus + 2));
+    RunnerOptions opts;
+    opts.hostLines = false;
+    opts.reuseRuns = false;
+    const std::vector<PointResult> off = ScenarioRunner(opts).runAll(sc, pts);
+    opts.reuseRuns = true;
+    const std::vector<PointResult> on = ScenarioRunner(opts).runAll(sc, pts);
+    ASSERT_EQ(on.size(), pts.size());
+    ASSERT_EQ(off.size(), pts.size());
+
+    const ConfigMask placement = configBit(ConfigField::IdealPlacement);
+    for (std::size_t i = 0; i < on.size(); ++i) {
+        const PointResult &r = on[i];
+        const std::string what = r.coords.str();
+        ASSERT_TRUE(r.run.ok()) << what;
+        EXPECT_EQ(r.run.ticks, off[i].run.ticks) << what;
+        EXPECT_EQ(r.run.events, off[i].run.events) << what;
+        EXPECT_EQ(r.run.instsRetired, off[i].run.instsRetired) << what;
+        EXPECT_EQ(r.run.configReads, off[i].run.configReads) << what;
+        if (r.coords.machine() != "ideal") {
+            EXPECT_EQ(r.run.reusedFrom, harness::kSimulated) << what;
+            continue;
+        }
+        // Grid order: the plain twin is the point before.
+        const PointResult &plain = on[i - 1];
+        ASSERT_EQ(plain.coords.machine(), "1x4+4") << what;
+        ASSERT_EQ(plain.coords.competitors(), r.coords.competitors());
+        if (r.coords.competitors() <= kPlainCpus) {
+            EXPECT_EQ(r.run.reusedFrom, i - 1) << what;
+            EXPECT_EQ(r.run.configReads & placement, 0u) << what;
+            EXPECT_EQ(r.run.ticks, plain.run.ticks) << what;
+        } else {
+            EXPECT_EQ(r.run.reusedFrom, harness::kSimulated) << what;
+            EXPECT_NE(r.run.configReads & placement, 0u) << what;
+            EXPECT_NE(r.run.ticks, plain.run.ticks) << what;
         }
     }
 }

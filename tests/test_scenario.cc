@@ -251,8 +251,8 @@ TEST(Scenario, MachineKnobsMapToSystemConfig)
     const MachineSpec &m = sc.machines[0];
     EXPECT_EQ(m.backend, rt::Backend::OsThread);
     EXPECT_EQ(m.pinMinAms, 3u);
-    EXPECT_TRUE(m.idealPlacement);
     const arch::SystemConfig &sys = m.config;
+    EXPECT_TRUE(sys.kernel.idealPlacement);
     EXPECT_EQ(sys.amsPerProcessor, (std::vector<unsigned>{3, 0}));
     EXPECT_EQ(sys.misp.engine, cpu::Engine::Reference);
     EXPECT_EQ(sys.misp.signalCycles, 500u);
@@ -274,6 +274,8 @@ perturb(T &v)
 {
     if constexpr (std::is_same_v<T, std::vector<unsigned>>)
         v.push_back(1);
+    else if constexpr (std::is_same_v<T, bool>)
+        v = !v;
     else if constexpr (std::is_enum_v<T>)
         v = static_cast<T>(1 - static_cast<int>(v));
     else
@@ -293,6 +295,7 @@ const std::map<std::string, std::string> kKnobExpects = {
     {"quantum_ticks", "an integer"},
     {"device_irq_mean_period", "a tick count (0 disables device IRQs)"},
     {"kernel_seed", "an integer seed"},
+    {"ideal_placement", "a boolean"},
 };
 
 /** A good non-default value for a knob of kind @p kind. */
@@ -304,6 +307,8 @@ knobValue(KnobKind kind)
         return "speculative_monitor";
       case KnobKind::AmsList:
         return "3,0";
+      case KnobKind::Flag:
+        return "true";
       default:
         return "3";
     }

@@ -292,6 +292,43 @@ TEST(Snapshot, OsBackendRoundTrip)
     std::remove(image.c_str());
 }
 
+TEST(Snapshot, IdealPlacementWithCompetitorsRoundTrip)
+{
+    // Figure 7's ideal machine with one competitor more than it has
+    // AMS-less CPUs, so the placement policy decides where the extra
+    // one runs: a restored machine must keep each competitor's
+    // placement list and the policy, or the 5th competitor strays onto
+    // the MISP CPU and the run moves.
+    harness::RunRequest cold = smallRequest();
+    cold.config = arch::SystemConfig::mp({3, 0, 0, 0, 0});
+    cold.config.physFrames = 1 << 16;
+    cold.config.kernel.idealPlacement = true;
+    cold.target.name = "Raytracer";
+    cold.target.params.extra = {{"rows", "16"}};
+    cold.pinMinAms = 3;
+    cold.competitors = 5;
+    harness::RunRecord coldRec = harness::runOne(cold);
+    ASSERT_TRUE(coldRec.ok());
+    harness::RunRequest plain = cold;
+    plain.config.kernel.idealPlacement = false;
+    EXPECT_NE(harness::runOne(plain).ticks, coldRec.ticks);
+
+    const std::string image = tempPath("snapshot_ideal.misnap");
+    harness::RunRequest save = cold;
+    save.snapshotOut = image;
+    save.warmupTicks = coldRec.ticks / 2;
+    harness::RunRecord saveRec = harness::runOne(save);
+    ASSERT_TRUE(saveRec.ok()) << saveRec.note;
+    expectSameRecord(coldRec, saveRec);
+
+    harness::RunRequest warm = cold;
+    warm.snapshotIn = image;
+    harness::RunRecord warmRec = harness::runOne(warm);
+    ASSERT_TRUE(warmRec.ok()) << warmRec.note;
+    expectSameRecord(coldRec, warmRec);
+    std::remove(image.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Fail-closed paths
 // ---------------------------------------------------------------------

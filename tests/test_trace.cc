@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -634,14 +633,19 @@ TEST(CliHelp, ParserMatchesExactlyTheRegisteredFlags)
     std::ostringstream text;
     text << in.rdbuf();
     const std::string src = text.str();
-    const std::regex match(R"re(strn?cmp\(arg, "([^"]+)")re");
     std::set<std::string> parsed;
-    for (auto it = std::sregex_iterator(src.begin(), src.end(), match);
-         it != std::sregex_iterator(); ++it) {
-        std::string name = (*it)[1];
-        if (name.back() == '=')
-            name.pop_back();
-        parsed.insert(name);
+    for (const std::string call : {"strcmp(arg, \"", "strncmp(arg, \""}) {
+        for (std::size_t at = src.find(call); at != std::string::npos;
+             at = src.find(call, at + 1)) {
+            const std::size_t begin = at + call.size();
+            const std::size_t end = src.find('"', begin);
+            if (end == std::string::npos || end == begin)
+                continue;
+            std::string name = src.substr(begin, end - begin);
+            if (name.back() == '=')
+                name.pop_back();
+            parsed.insert(name);
+        }
     }
     EXPECT_TRUE(parsed.count("--engine"));
 
